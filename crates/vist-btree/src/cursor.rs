@@ -1,12 +1,60 @@
-//! Ordered range scans over the leaf chain.
+//! Ordered range scans over the leaf chain: one descent to the leaf covering
+//! the start bound, a binary search for the first qualifying slot, then
+//! slots and forward links until the end bound ([`BTree::walk_leaves`]).
 
 use std::collections::VecDeque;
 use std::ops::{Bound, ControlFlow, RangeBounds};
 
-use vist_storage::{PageId, Result, SlottedPage, INVALID_PAGE};
+use vist_storage::{PageId, PageRef, Result, SlotId, SlottedPage, INVALID_PAGE};
 
-use crate::node::{decode_leaf_cell, link1, NODE_HDR};
+use crate::node::{decode_leaf_cell, link1, search, NODE_HDR};
 use crate::tree::BTree;
+
+/// First slot of leaf `buf` whose key satisfies the `start` bound (the slot
+/// count when none does).
+fn first_slot(buf: &[u8], start: Bound<&[u8]>) -> SlotId {
+    match start {
+        Bound::Unbounded => 0,
+        Bound::Included(s) => search(buf, s).unwrap_or_else(|i| i),
+        Bound::Excluded(s) => search(buf, s).map_or_else(|i| i, |i| i + 1),
+    }
+}
+
+fn within_end(key: &[u8], end: Bound<&[u8]>) -> bool {
+    match end {
+        Bound::Unbounded => true,
+        Bound::Included(e) => key <= e,
+        Bound::Excluded(e) => key < e,
+    }
+}
+
+/// Hand the records of leaf `buf` that lie inside `(start, end)` to `f`, in
+/// key order. `seeking` is true until the walk has reached the start bound:
+/// a seek can land left of it (see [`BTree::seek_leaf`]), in which case
+/// this leaf contributes nothing and the next one is searched again.
+/// Breaks when `f` does or a key beyond `end` is met; the leaf chain is
+/// sorted, so the walk is over then.
+fn visit_leaf(
+    buf: &[u8],
+    start: Bound<&[u8]>,
+    end: Bound<&[u8]>,
+    seeking: &mut bool,
+    mut f: impl FnMut(&[u8], &[u8]) -> ControlFlow<()>,
+) -> Result<ControlFlow<()>> {
+    let p = SlottedPage::new(buf, NODE_HDR);
+    let n = p.slot_count();
+    let first = if *seeking { first_slot(buf, start) } else { 0 };
+    if first < n {
+        *seeking = false;
+    }
+    for i in first..n {
+        let (k, v) = decode_leaf_cell(p.cell(i)?);
+        if !within_end(k, end) || f(k, v).is_break() {
+            return Ok(ControlFlow::Break(()));
+        }
+    }
+    Ok(ControlFlow::Continue(()))
+}
 
 /// Iterator over `(key, value)` pairs in key order.
 ///
@@ -20,11 +68,12 @@ pub struct Scan<'a> {
     tree: &'a BTree,
     /// Records buffered from the current leaf.
     buffered: VecDeque<(Vec<u8>, Vec<u8>)>,
-    /// Next leaf to read, or `INVALID_PAGE` when exhausted.
+    /// Next leaf to read, or `INVALID_PAGE` when the scan is over.
     next_leaf: PageId,
     start: Bound<Vec<u8>>,
     end: Bound<Vec<u8>>,
-    done: bool,
+    /// See [`visit_leaf`].
+    seeking: bool,
     /// Records handed out so far; recorded into the `vist_btree_scan_len`
     /// histogram when the scan drops.
     yielded: u64,
@@ -32,81 +81,38 @@ pub struct Scan<'a> {
 
 impl Drop for Scan<'_> {
     fn drop(&mut self) {
-        vist_obs::histogram!("vist_btree_scan_len").record(self.yielded);
+        vist_obs::observe!("vist_btree_scan_len", self.yielded);
     }
 }
 
-fn within_start(key: &[u8], start: &Bound<Vec<u8>>) -> bool {
-    match start {
-        Bound::Unbounded => true,
-        Bound::Included(s) => key >= s.as_slice(),
-        Bound::Excluded(s) => key > s.as_slice(),
-    }
-}
-
-fn within_end(key: &[u8], end: &Bound<Vec<u8>>) -> bool {
-    match end {
-        Bound::Unbounded => true,
-        Bound::Included(e) => key <= e.as_slice(),
-        Bound::Excluded(e) => key < e.as_slice(),
-    }
-}
-
-impl<'a> Scan<'a> {
-    pub(crate) fn new<'k, R>(tree: &'a BTree, range: R) -> Result<Self>
-    where
-        R: RangeBounds<&'k [u8]>,
-    {
-        let start = match range.start_bound() {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(s) => Bound::Included(s.to_vec()),
-            Bound::Excluded(s) => Bound::Excluded(s.to_vec()),
+impl Scan<'_> {
+    /// Copy one leaf's qualifying records into the buffer and note where
+    /// the scan goes next.
+    fn buffer(&mut self, page: &PageRef) -> Result<()> {
+        let buf = page.data();
+        let buffered = &mut self.buffered;
+        let flow = visit_leaf(
+            buf,
+            self.start.as_ref().map(Vec::as_slice),
+            self.end.as_ref().map(Vec::as_slice),
+            &mut self.seeking,
+            |k, v| {
+                buffered.push_back((k.to_vec(), v.to_vec()));
+                ControlFlow::Continue(())
+            },
+        )?;
+        self.next_leaf = match flow {
+            ControlFlow::Continue(()) => link1(buf),
+            ControlFlow::Break(()) => INVALID_PAGE,
         };
-        let end = match range.end_bound() {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(e) => Bound::Included(e.to_vec()),
-            Bound::Excluded(e) => Bound::Excluded(e.to_vec()),
-        };
-        let first_leaf = match &start {
-            Bound::Unbounded => tree.leftmost_leaf()?,
-            Bound::Included(s) | Bound::Excluded(s) => tree.leaf_for(s)?,
-        };
-        let mut scan = Scan {
-            tree,
-            buffered: VecDeque::new(),
-            next_leaf: first_leaf,
-            start,
-            end,
-            done: false,
-            yielded: 0,
-        };
-        scan.fill()?;
-        Ok(scan)
+        Ok(())
     }
 
-    /// Read the next leaf's qualifying records into the buffer. Sets `done`
-    /// when the end bound is passed or the chain ends.
+    /// Read leaves until one contributes records or the scan is over.
     fn fill(&mut self) -> Result<()> {
-        while self.buffered.is_empty() && !self.done {
-            if self.next_leaf == INVALID_PAGE {
-                self.done = true;
-                return Ok(());
-            }
-            let page = self.tree.pool().fetch(self.next_leaf)?;
-            let buf = page.data();
-            self.next_leaf = link1(buf);
-            let p = SlottedPage::new(buf, NODE_HDR);
-            for i in 0..p.slot_count() {
-                let (k, v) = decode_leaf_cell(p.cell(i)?);
-                if !within_start(k, &self.start) {
-                    continue;
-                }
-                if !within_end(k, &self.end) {
-                    self.done = true;
-                    break;
-                }
-                self.buffered.push_back((k.to_vec(), v.to_vec()));
-            }
+        while self.buffered.is_empty() && self.next_leaf != INVALID_PAGE {
+            let page = self.tree.fetch_leaf(self.next_leaf)?;
+            self.buffer(&page)?;
         }
         Ok(())
     }
@@ -118,7 +124,7 @@ impl Iterator for Scan<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         if self.buffered.is_empty() {
             if let Err(e) = self.fill() {
-                self.done = true;
+                self.next_leaf = INVALID_PAGE;
                 return Some(Err(e));
             }
         }
@@ -154,7 +160,21 @@ impl BTree {
     where
         R: RangeBounds<&'k [u8]>,
     {
-        Scan::new(self, range)
+        let start = range.start_bound().cloned();
+        let (first, _) = self.seek_leaf(start)?;
+        let mut scan = Scan {
+            tree: self,
+            buffered: VecDeque::new(),
+            next_leaf: INVALID_PAGE,
+            start: start.map(<[u8]>::to_vec),
+            end: range.end_bound().map(|e| e.to_vec()),
+            seeking: true,
+            yielded: 0,
+        };
+        scan.buffer(&first)?;
+        drop(first);
+        scan.fill()?;
+        Ok(scan)
     }
 
     /// Iterate over all entries whose key starts with `prefix`.
@@ -187,46 +207,17 @@ impl BTree {
         R: RangeBounds<&'k [u8]>,
         F: FnMut(&[u8], &[u8]) -> ControlFlow<()>,
     {
-        let start = match range.start_bound() {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(s) => Bound::Included(s.to_vec()),
-            Bound::Excluded(s) => Bound::Excluded(s.to_vec()),
-        };
-        let end = match range.end_bound() {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(e) => Bound::Included(e.to_vec()),
-            Bound::Excluded(e) => Bound::Excluded(e.to_vec()),
-        };
-        let mut leaf = match &start {
-            Bound::Unbounded => self.leftmost_leaf()?,
-            Bound::Included(s) | Bound::Excluded(s) => self.leaf_for(s)?,
-        };
+        let start = range.start_bound().cloned();
+        let end = range.end_bound().cloned();
         let mut visited = 0u64;
-        let scan_len = vist_obs::histogram!("vist_btree_scan_len");
-        while leaf != INVALID_PAGE {
-            let page = self.pool().fetch(leaf)?;
-            let buf = page.data();
-            let next = link1(buf);
-            let p = SlottedPage::new(buf, NODE_HDR);
-            for i in 0..p.slot_count() {
-                let (k, v) = decode_leaf_cell(p.cell(i)?);
-                if !within_start(k, &start) {
-                    continue;
-                }
-                if !within_end(k, &end) {
-                    scan_len.record(visited);
-                    return Ok(());
-                }
+        let mut seeking = true;
+        self.walk_leaves(start, |buf| {
+            visit_leaf(buf, start, end, &mut seeking, |k, v| {
                 visited += 1;
-                if f(k, v).is_break() {
-                    scan_len.record(visited);
-                    return Ok(());
-                }
-            }
-            drop(page);
-            leaf = next;
-        }
-        scan_len.record(visited);
+                f(k, v)
+            })
+        })?;
+        vist_obs::observe!("vist_btree_scan_len", visited);
         Ok(())
     }
 }

@@ -16,7 +16,7 @@
 //! `key_0`. Cells are kept sorted by key; positional slot insertion in the
 //! slotted layer keeps the directory sorted for free.
 
-use vist_storage::{PageId, SlotId, SlottedPage, SlottedPageMut, INVALID_PAGE};
+use vist_storage::{Error, PageId, Result, SlotId, SlottedPage, SlottedPageMut, INVALID_PAGE};
 
 /// Bytes reserved at the start of a page for the node header.
 pub const NODE_HDR: usize = 10;
@@ -33,11 +33,17 @@ pub enum NodeKind {
     Internal,
 }
 
-pub(crate) fn kind(buf: &[u8]) -> NodeKind {
+/// The node kind of page `pid`, whose bytes are `buf`. A byte that is
+/// neither kind passed the page checksum but is wrong; that is a property
+/// of the file, not a bug in this program, so it is an error naming the
+/// page.
+pub(crate) fn kind(pid: PageId, buf: &[u8]) -> Result<NodeKind> {
     match buf[0] {
-        KIND_LEAF => NodeKind::Leaf,
-        KIND_INTERNAL => NodeKind::Internal,
-        other => panic!("corrupt node: bad kind byte {other}"),
+        KIND_LEAF => Ok(NodeKind::Leaf),
+        KIND_INTERNAL => Ok(NodeKind::Internal),
+        other => Err(Error::Corrupt(format!(
+            "page {pid}: bad node kind byte {other:#04x}"
+        ))),
     }
 }
 
@@ -113,52 +119,40 @@ pub(crate) fn decode_internal_cell(cell: &[u8]) -> (&[u8], PageId) {
     (&cell[6..6 + klen], child)
 }
 
-/// Key of the cell at `slot` (works for both node kinds).
-pub(crate) fn cell_key(buf: &[u8], node_kind: NodeKind, slot: SlotId) -> &[u8] {
-    let page = SlottedPage::new(buf, NODE_HDR);
-    let cell = page.cell(slot).expect("slot in range");
-    match node_kind {
-        NodeKind::Leaf => decode_leaf_cell(cell).0,
-        NodeKind::Internal => decode_internal_cell(cell).0,
-    }
-}
-
-/// Binary search the node's cells. `Ok(i)` if slot `i` has exactly `key`,
+/// Binary search a leaf's cells. `Ok(i)` if slot `i` has exactly `key`,
 /// `Err(i)` with the insertion point otherwise.
-pub(crate) fn search(buf: &[u8], key: &[u8]) -> Result<SlotId, SlotId> {
-    let k = kind(buf);
+pub(crate) fn search(buf: &[u8], key: &[u8]) -> std::result::Result<SlotId, SlotId> {
     let page = SlottedPage::new(buf, NODE_HDR);
-    let n = page.slot_count();
-    let (mut lo, mut hi) = (0u32, u32::from(n));
+    let (mut lo, mut hi) = (0, page.slot_count());
     while lo < hi {
-        let mid = (lo + hi) / 2;
-        match cell_key(buf, k, mid as SlotId).cmp(key) {
+        let mid = lo + (hi - lo) / 2;
+        let (k, _) = decode_leaf_cell(page.cell(mid).expect("slot in range"));
+        match k.cmp(key) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Ok(mid as SlotId),
+            std::cmp::Ordering::Equal => return Ok(mid),
         }
     }
-    Err(lo as SlotId)
+    Err(lo)
 }
 
-/// First slot whose key is strictly greater than `key`. Used for internal
-/// routing and separator insertion so that, when lazy deletion has left a
-/// stale separator equal to a fresh one, keys route to the *later* (newer)
-/// child.
+/// First slot of an internal node whose key is strictly greater than
+/// `key`. Used for routing and separator insertion so that, when lazy
+/// deletion has left a stale separator equal to a fresh one, keys route to
+/// the *later* (newer) child.
 pub(crate) fn upper_bound(buf: &[u8], key: &[u8]) -> SlotId {
-    let k = kind(buf);
     let page = SlottedPage::new(buf, NODE_HDR);
-    let n = page.slot_count();
-    let (mut lo, mut hi) = (0u32, u32::from(n));
+    let (mut lo, mut hi) = (0, page.slot_count());
     while lo < hi {
-        let mid = (lo + hi) / 2;
-        if cell_key(buf, k, mid as SlotId) <= key {
+        let mid = lo + (hi - lo) / 2;
+        let (k, _) = decode_internal_cell(page.cell(mid).expect("slot in range"));
+        if k <= key {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    lo as SlotId
+    lo
 }
 
 /// The shortest key `s` with `left_last < s <= right_first` — the classic
@@ -182,7 +176,6 @@ pub(crate) fn shortest_separator(left_last: &[u8], right_first: &[u8]) -> Vec<u8
 /// key <= `key`), and the slot index of the cell it came from (`None` =
 /// leftmost child).
 pub(crate) fn child_for(buf: &[u8], key: &[u8]) -> (Option<SlotId>, PageId) {
-    debug_assert_eq!(kind(buf), NodeKind::Internal);
     match upper_bound(buf, key) {
         0 => (None, link1(buf)),
         i => {
@@ -282,6 +275,18 @@ mod tests {
         set_link1(&mut buf, 7);
         set_link2(&mut buf, 9);
         assert_eq!((link1(&buf), link2(&buf)), (7, 9));
-        assert_eq!(kind(&buf), NodeKind::Leaf);
+        assert_eq!(kind(3, &buf).unwrap(), NodeKind::Leaf);
+    }
+
+    #[test]
+    fn bad_kind_byte_is_an_error_naming_the_page() {
+        let mut buf = vec![0u8; 256];
+        init_internal(&mut buf, 4);
+        assert_eq!(kind(9, &buf).unwrap(), NodeKind::Internal);
+        for bad in [0u8, 3, 0x81, 0xFF] {
+            buf[0] = bad;
+            let msg = kind(9, &buf).unwrap_err().to_string();
+            assert!(msg.contains("page 9") && msg.contains("kind byte"), "{msg}");
+        }
     }
 }

@@ -65,7 +65,7 @@ impl BTree {
             let used = (page_size as usize) - p.total_free();
             stats.used_bytes += used as u64;
             stats.total_bytes += page_size;
-            match kind(buf) {
+            match kind(pid, buf)? {
                 NodeKind::Leaf => {
                     stats.leaf_pages += 1;
                     stats.entries += u64::from(p.slot_count());

@@ -16,19 +16,21 @@
 //! separator, so a reader descending through the stale ancestor can land
 //! left of a committed key; `get` recovers by chasing the leaf-level
 //! forward link (B-link style) whenever the key lies beyond the leaf it
-//! reached. A reader racing an insert may therefore miss only the one
+//! reached, and the cursors do the same from the leaf their seek landed
+//! on. A reader racing an insert may therefore miss only the one
 //! key whose insert has not yet returned — never an already-committed
 //! key, and never a torn or uninitialized page. `delete` frees pages and
 //! is **not** safe against concurrent readers of the same tree — callers
 //! must exclude readers for the duration (see `docs/CONCURRENCY.md`;
 //! `vist-core` does this with a maintenance lock).
 
+use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use vist_storage::sync::Mutex;
 use vist_storage::{
-    BufferPool, Error, PageId, Result, SlotId, SlottedPage, SlottedPageMut, INVALID_PAGE,
+    BufferPool, Error, PageId, PageRef, Result, SlotId, SlottedPage, SlottedPageMut, INVALID_PAGE,
 };
 
 use crate::node::{
@@ -119,63 +121,111 @@ impl BTree {
         crate::verify::check(self)
     }
 
-    /// Exact lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        vist_obs::counter!("vist_btree_get_total").inc();
-        let mut depth = 0u64;
-        let probe_depth = vist_obs::histogram!("vist_btree_probe_depth");
+    /// Descend from the root to the leaf whose key range covers the key of
+    /// `start` (the leftmost leaf when unbounded) and return it still pinned
+    /// and latched, with the number of pages the descent fetched. Every
+    /// read path starts here, so a page whose kind byte is neither leaf nor
+    /// internal is an [`Error::Corrupt`] naming it instead of a panic.
+    ///
+    /// Internal pages are released before their child is fetched, so a
+    /// concurrent split can leave the result one or more leaves left of the
+    /// key; callers recover by chasing [`BTree::fetch_leaf`] of `link1`.
+    pub(crate) fn seek_leaf(&self, start: Bound<&[u8]>) -> Result<(PageRef, u64)> {
         let mut pid = self.root_page();
+        let mut depth = 0u64;
         loop {
             let page = self.pool.fetch(pid)?;
-            let buf = page.data();
             depth += 1;
-            match kind(buf) {
+            let buf = page.data();
+            match kind(pid, buf)? {
+                NodeKind::Leaf => return Ok((page, depth)),
                 NodeKind::Internal => {
-                    let (_, child) = child_for(buf, key);
-                    pid = child;
+                    pid = match start {
+                        Bound::Included(key) | Bound::Excluded(key) => child_for(buf, key).1,
+                        Bound::Unbounded => link1(buf),
+                    };
                 }
-                NodeKind::Leaf => match search(buf, key) {
-                    Ok(slot) => {
-                        let p = SlottedPage::new(buf, NODE_HDR);
-                        let (_, v) = decode_leaf_cell(p.cell(slot)?);
-                        probe_depth.record(depth);
-                        vist_obs::gauge!("vist_btree_depth").set(depth as i64);
-                        return Ok(Some(v.to_vec()));
-                    }
-                    Err(_) => {
-                        // B-link chase: a concurrent split moves the upper
-                        // half of a node to its new right sibling *before*
-                        // the parent (or, for a root split, the root
-                        // pointer) learns the separator, so a descent
-                        // through the stale ancestor can land one or more
-                        // leaves too far left. If the key is beyond every
-                        // record here and a right sibling exists, the key —
-                        // if committed — can only live to the right.
-                        let next = link1(buf);
-                        if next != INVALID_PAGE {
-                            let p = SlottedPage::new(buf, NODE_HDR);
-                            let n = p.slot_count();
-                            let beyond = n == 0 || {
-                                let (last, _) = decode_leaf_cell(p.cell(n - 1)?);
-                                key > last
-                            };
-                            if beyond {
-                                vist_obs::counter!("vist_btree_leaf_chase_total").inc();
-                                pid = next;
-                                continue;
-                            }
-                        }
-                        probe_depth.record(depth);
-                        return Ok(None);
-                    }
-                },
             }
         }
     }
 
+    /// Fetch `pid`, which a leaf's forward link named, checking that it is
+    /// a leaf.
+    pub(crate) fn fetch_leaf(&self, pid: PageId) -> Result<PageRef> {
+        let page = self.pool.fetch(pid)?;
+        match kind(pid, page.data())? {
+            NodeKind::Leaf => Ok(page),
+            NodeKind::Internal => Err(Error::Corrupt(format!(
+                "page {pid}: leaf chain reached an internal node"
+            ))),
+        }
+    }
+
+    /// Hand the bytes of each leaf from the one covering `start` rightwards
+    /// to `f`, one latch at a time, until `f` breaks or the chain ends.
+    pub(crate) fn walk_leaves(
+        &self,
+        start: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8]) -> Result<ControlFlow<()>>,
+    ) -> Result<()> {
+        let (mut page, _) = self.seek_leaf(start)?;
+        loop {
+            let buf = page.data();
+            let next = link1(buf);
+            if f(buf)?.is_break() || next == INVALID_PAGE {
+                return Ok(());
+            }
+            drop(page);
+            page = self.fetch_leaf(next)?;
+        }
+    }
+
+    /// Exact lookup without copying: `f` receives the value borrowed from
+    /// the leaf page and its result is returned; `None` when `key` is
+    /// absent.
+    ///
+    /// **Constraint:** the leaf's page latch is held while `f` runs, so `f`
+    /// must not re-enter this tree's buffer pool (see
+    /// [`BTree::for_each_in`]).
+    pub fn get_with<R>(&self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
+        vist_obs::count!("vist_btree_get_total");
+        let (mut page, mut depth) = self.seek_leaf(Bound::Included(key))?;
+        loop {
+            let buf = page.data();
+            let p = SlottedPage::new(buf, NODE_HDR);
+            match search(buf, key) {
+                Ok(slot) => {
+                    let (_, v) = decode_leaf_cell(p.cell(slot)?);
+                    vist_obs::observe!("vist_btree_probe_depth", depth);
+                    vist_obs::gauge!("vist_btree_depth").set(depth as i64);
+                    return Ok(Some(f(v)));
+                }
+                Err(slot) => {
+                    // B-link chase (see the module docs): beyond every
+                    // record here and with a right sibling, the key — if
+                    // committed — can only live to the right.
+                    let next = link1(buf);
+                    if slot < p.slot_count() || next == INVALID_PAGE {
+                        vist_obs::observe!("vist_btree_probe_depth", depth);
+                        return Ok(None);
+                    }
+                    vist_obs::count!("vist_btree_leaf_chase_total");
+                    drop(page);
+                    page = self.fetch_leaf(next)?;
+                    depth += 1;
+                }
+            }
+        }
+    }
+
+    /// Exact lookup, copying the value out.
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get_with(key, <[u8]>::to_vec)
+    }
+
     /// `true` if `key` is present.
     pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        Ok(self.get(key)?.is_some())
+        Ok(self.get_with(key, |_| ())?.is_some())
     }
 
     /// Insert or replace. Returns the previous value, if any.
@@ -209,17 +259,9 @@ impl BTree {
     }
 
     fn insert_rec(&self, pid: PageId, key: &[u8], value: &[u8]) -> Result<InsertOutcome> {
-        let node_kind = {
-            let page = self.pool.fetch(pid)?;
-            kind(page.data())
-        };
-        match node_kind {
-            NodeKind::Leaf => self.insert_leaf(pid, key, value),
-            NodeKind::Internal => {
-                let child = {
-                    let page = self.pool.fetch(pid)?;
-                    child_for(page.data(), key).1
-                };
+        match self.route(pid, key)? {
+            None => self.insert_leaf(pid, key, value),
+            Some((_, child)) => {
                 let (old, split) = self.insert_rec(child, key, value)?;
                 let Some((sep, right)) = split else {
                     return Ok((old, None));
@@ -228,6 +270,18 @@ impl BTree {
                 Ok((old, up))
             }
         }
+    }
+
+    /// One step of a writer's descent, under a single fetch of `pid`:
+    /// `None` when it is a leaf, else the child covering `key` and the slot
+    /// of the cell that named it (`None` = leftmost child).
+    fn route(&self, pid: PageId, key: &[u8]) -> Result<Option<(Option<SlotId>, PageId)>> {
+        let page = self.pool.fetch(pid)?;
+        let buf = page.data();
+        Ok(match kind(pid, buf)? {
+            NodeKind::Leaf => None,
+            NodeKind::Internal => Some(child_for(buf, key)),
+        })
     }
 
     fn insert_leaf(&self, pid: PageId, key: &[u8], value: &[u8]) -> Result<InsertOutcome> {
@@ -435,7 +489,7 @@ impl BTree {
             // internal root whose leftmost child was freed must be reset to
             // an empty leaf (its child pointer dangles).
             let mut page = self.pool.fetch_mut(root)?;
-            if kind(page.data()) == NodeKind::Internal {
+            if kind(root, page.data())? == NodeKind::Internal {
                 init_leaf(page.data_mut());
             }
             return Ok(old);
@@ -445,7 +499,7 @@ impl BTree {
         loop {
             let page = self.pool.fetch(root)?;
             let buf = page.data();
-            if kind(buf) != NodeKind::Internal {
+            if kind(root, buf)? != NodeKind::Internal {
                 break;
             }
             let p = SlottedPage::new(buf, NODE_HDR);
@@ -472,12 +526,17 @@ impl BTree {
     /// for the duration.
     pub fn destroy(self) -> Result<()> {
         let _w = self.writer.lock();
-        let mut stack = vec![self.root.load(Ordering::Acquire)];
+        self.free_subtree(self.root_page())
+    }
+
+    /// Free every page reachable from `root`.
+    fn free_subtree(&self, root: PageId) -> Result<()> {
+        let mut stack = vec![root];
         while let Some(pid) = stack.pop() {
             {
                 let page = self.pool.fetch(pid)?;
                 let buf = page.data();
-                if kind(buf) == NodeKind::Internal {
+                if kind(pid, buf)? == NodeKind::Internal {
                     stack.push(link1(buf));
                     let p = SlottedPage::new(buf, NODE_HDR);
                     for i in 0..p.slot_count() {
@@ -505,35 +564,14 @@ impl BTree {
             let mut page = self.pool.fetch_mut(fresh)?;
             init_leaf(page.data_mut());
         }
-        let old = self.root.swap(fresh, Ordering::AcqRel);
-        let mut stack = vec![old];
-        while let Some(pid) = stack.pop() {
-            {
-                let page = self.pool.fetch(pid)?;
-                let buf = page.data();
-                if kind(buf) == NodeKind::Internal {
-                    stack.push(link1(buf));
-                    let p = SlottedPage::new(buf, NODE_HDR);
-                    for i in 0..p.slot_count() {
-                        let (_, child) = decode_internal_cell(p.cell(i)?);
-                        stack.push(child);
-                    }
-                }
-            }
-            self.pool.free(pid)?;
-        }
-        Ok(())
+        self.free_subtree(self.root.swap(fresh, Ordering::AcqRel))
     }
 
     /// Returns `(removed value, node became empty)`.
     #[allow(clippy::type_complexity)]
     fn delete_rec(&self, pid: PageId, key: &[u8]) -> Result<(Option<Vec<u8>>, bool)> {
-        let node_kind = {
-            let page = self.pool.fetch(pid)?;
-            kind(page.data())
-        };
-        match node_kind {
-            NodeKind::Leaf => {
+        match self.route(pid, key)? {
+            None => {
                 let mut page = self.pool.fetch_mut(pid)?;
                 let buf = page.data_mut();
                 match search(buf, key) {
@@ -550,11 +588,7 @@ impl BTree {
                     }
                 }
             }
-            NodeKind::Internal => {
-                let (cell_idx, child) = {
-                    let page = self.pool.fetch(pid)?;
-                    child_for(page.data(), key)
-                };
+            Some((cell_idx, child)) => {
                 let (old, child_empty) = self.delete_rec(child, key)?;
                 if !child_empty {
                     return Ok((old, false));
@@ -591,7 +625,7 @@ impl BTree {
         let (is_leaf, next, prev) = {
             let page = self.pool.fetch(pid)?;
             let buf = page.data();
-            (kind(buf) == NodeKind::Leaf, link1(buf), link2(buf))
+            (kind(pid, buf)? == NodeKind::Leaf, link1(buf), link2(buf))
         };
         if is_leaf {
             if prev != INVALID_PAGE {
@@ -606,49 +640,19 @@ impl BTree {
         self.pool.free(pid)
     }
 
-    /// Leftmost leaf page of the tree.
-    pub(crate) fn leftmost_leaf(&self) -> Result<PageId> {
-        let mut pid = self.root_page();
-        loop {
-            let page = self.pool.fetch(pid)?;
-            let buf = page.data();
-            match kind(buf) {
-                NodeKind::Leaf => return Ok(pid),
-                NodeKind::Internal => pid = link1(buf),
-            }
-        }
-    }
-
-    /// Leaf page whose key range covers `key`.
-    pub(crate) fn leaf_for(&self, key: &[u8]) -> Result<PageId> {
-        let mut pid = self.root_page();
-        loop {
-            let page = self.pool.fetch(pid)?;
-            let buf = page.data();
-            match kind(buf) {
-                NodeKind::Leaf => return Ok(pid),
-                NodeKind::Internal => pid = child_for(buf, key).1,
-            }
-        }
-    }
-
     /// Number of entries (walks the whole leaf chain — O(n)).
     pub fn len(&self) -> Result<u64> {
         let mut n = 0u64;
-        let mut pid = self.leftmost_leaf()?;
-        while pid != INVALID_PAGE {
-            let page = self.pool.fetch(pid)?;
-            let buf = page.data();
+        self.walk_leaves(Bound::Unbounded, |buf| {
             n += u64::from(SlottedPage::new(buf, NODE_HDR).slot_count());
-            pid = link1(buf);
-        }
+            Ok(ControlFlow::Continue(()))
+        })?;
         Ok(n)
     }
 
     /// `true` when the tree holds no entries.
     pub fn is_empty(&self) -> Result<bool> {
-        let pid = self.leftmost_leaf()?;
-        let page = self.pool.fetch(pid)?;
+        let (page, _) = self.seek_leaf(Bound::Unbounded)?;
         let buf = page.data();
         Ok(SlottedPage::new(buf, NODE_HDR).slot_count() == 0 && link1(buf) == INVALID_PAGE)
     }

@@ -32,11 +32,8 @@ pub fn check(tree: &BTree) -> Result<()> {
     let mut pid = *leaves_in_order.first().expect("at least the root leaf");
     let mut prev = INVALID_PAGE;
     while pid != INVALID_PAGE {
-        let page = tree.pool().fetch(pid)?;
+        let page = tree.fetch_leaf(pid)?;
         let buf = page.data();
-        if kind(buf) != NodeKind::Leaf {
-            return corrupt(format!("leaf chain reached non-leaf page {pid}"));
-        }
         if link2(buf) != prev {
             return corrupt(format!(
                 "leaf {pid} back link {} != expected {prev}",
@@ -71,7 +68,7 @@ fn check_node(
 ) -> Result<()> {
     let page = tree.pool().fetch(pid)?;
     let buf = page.data();
-    let node_kind = kind(buf);
+    let node_kind = kind(pid, buf)?;
     let p = SlottedPage::new(buf, NODE_HDR);
     let n = p.slot_count();
 
@@ -173,7 +170,7 @@ mod tests {
             loop {
                 let p = pool.fetch(pid).unwrap();
                 let b = p.data();
-                if crate::node::kind(b) == NodeKind::Leaf {
+                if crate::node::kind(pid, b).unwrap() == NodeKind::Leaf {
                     break pid;
                 }
                 pid = crate::node::link1(b);

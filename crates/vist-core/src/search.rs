@@ -32,9 +32,13 @@
 //!    `[n, n+size)` scopes from different branches cost one range query
 //!    instead of many.
 //!
-//! The inner loop is allocation-light: B+Tree probes stream through the
-//! `*_with` cursor APIs of [`Store`] (no per-probe `Vec`), and bindings are
-//! shared between frames through a persistent [`BindNode`] chain.
+//! The inner loop does not allocate per work item: B+Tree probes stream
+//! through the `*_with` cursor APIs of [`Store`] with keys built on the
+//! stack, lookup patterns, decoded prefixes and candidate lists live in
+//! per-worker buffers reused from frame to frame, the dedup sets key on an
+//! interned binding signature, and bindings are shared between frames
+//! through a persistent [`BindNode`] chain (the one allocation left, made
+//! per matched key that a later wildcard element will consult).
 //!
 //! # Cost-based planning (ViST §3.4 "statistical clues")
 //!
@@ -66,6 +70,7 @@
 //! [`SearchOptions::plan`] exists purely for bisection and benchmarks.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -1218,6 +1223,69 @@ impl<'a> SeqCtx<'a> {
     }
 }
 
+/// Hasher of the match loop's dedup sets: rotate, xor, multiply per word
+/// (the "Fx" scheme). The keys are labels and ids this index produced, not
+/// caller-chosen strings, so SipHash's flood resistance buys nothing and
+/// costs more than the set operation it protects.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.add(v as u64);
+        self.add((v >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply pushes entropy towards the high bits; the table
+        // indexes with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type FxBuild = BuildHasherDefault<FxHasher>;
+
+/// Buffers of one wildcard expansion, reused from frame to frame. `expand`
+/// takes them out of the [`WorkerOut`] while it hands candidates borrowed
+/// from them to `descend`, and puts them back.
+#[derive(Default)]
+struct Expansion {
+    /// The element's lookup pattern under the frame's bindings.
+    pattern: Prefix,
+    /// D-Ancestor exact key, or scan range `[lo, hi)`.
+    lo: Vec<u8>,
+    hi: Vec<u8>,
+    /// Decoded prefix of the key under the cursor.
+    syms: Vec<Symbol>,
+    /// Prefixes of the matching candidates, concatenated.
+    cand_syms: Vec<Symbol>,
+    /// `(offset into cand_syms, prefix length, dkey-id)` per candidate.
+    cands: Vec<(usize, usize, u64)>,
+}
+
 /// Per-worker mutable state; merged after the run.
 #[derive(Default)]
 struct WorkerOut {
@@ -1228,18 +1296,27 @@ struct WorkerOut {
     stats: QueryStats,
     /// Final matched scopes.
     scopes: Vec<(u128, u128)>,
-    /// Sub-problems already expanded: `(seq, qi, dkid, lo, hi, binding
-    /// signature)` — a repeat re-scans the same S-Ancestor window and
-    /// re-derives the same subtree, so it is skipped.
-    descended: HashSet<(u32, u32, u64, u128, u128, Vec<u64>)>,
+    /// Binding signatures seen so far, interned: the dedup sets key on the
+    /// id, so a node costs no signature clone. Id 0 is the empty signature.
+    sigs: HashMap<Vec<u64>, u32, FxBuild>,
+    /// Sub-problems already expanded: `(seq, qi, dkid, lo, hi, signature
+    /// id)` — a repeat re-scans the same S-Ancestor window and re-derives
+    /// the same subtree, so it is skipped.
+    descended: HashSet<(u32, u32, u64, u128, u128, u32), FxBuild>,
     /// Nodes already pushed as child frames: `(seq, next qi, dkid, n,
-    /// binding signature)` — catches *overlapping* scope windows that both
+    /// signature id)` — catches *overlapping* scope windows that both
     /// contain the same node.
-    visited: HashSet<(u32, u32, u64, u128, Vec<u64>)>,
+    visited: HashSet<(u32, u32, u64, u128, u32), FxBuild>,
     /// Memoized child-probe D-Ancestor lookups (key present?).
-    probed: HashMap<Vec<u8>, bool>,
+    probed: HashMap<Vec<u8>, bool, FxBuild>,
     /// Per-`(seq, qi)` actual `(frames, nodes)` counts (`track` only).
     steps: HashMap<(u32, u32), (u64, u64)>,
+    expansion: Expansion,
+    /// Scratch of `descend`: a binding signature, a child-probe path and
+    /// its key.
+    sig_buf: Vec<u64>,
+    path_buf: Vec<Symbol>,
+    key_buf: Vec<u8>,
     /// Wall time this worker spent expanding frames (zero when timing is
     /// off); grafted onto the `match` span as a `workers` node.
     busy_nanos: u64,
@@ -1255,33 +1332,43 @@ impl WorkerOut {
             ..WorkerOut::default()
         }
     }
-}
 
-/// Rebuild the lookup prefix for a wildcarded element from its parent's
-/// instantiated concrete path plus the placeholder steps between them.
-fn lookup_prefix(qe: &QueryElem, binds: &Option<Arc<BindNode>>) -> Prefix {
-    let mut steps: Vec<PathSym> = match qe.parent {
-        Some(p) => {
-            // Invariant: a wildcarded element's parent is a bind target
-            // (see `SeqCtx::bind`), so it is always on the chain.
-            let node = find_bind(binds, p as u32).expect("parent binding on chain");
-            node.path.iter().map(|&s| PathSym::Tag(s)).collect()
+    /// The interned id of the binding signature at `positions`: the dkids
+    /// bound at the still-relevant earlier positions. Two frames agreeing
+    /// on `(seq, qi, dkid, scope)` and this signature derive identical
+    /// subtrees — a dkid determines its `(symbol, prefix)` pair, hence the
+    /// instantiated path later lookups use.
+    fn sig_id(&mut self, positions: &[u32], binds: &Option<Arc<BindNode>>) -> u32 {
+        if positions.is_empty() {
+            return 0;
         }
-        None => Vec::new(),
-    };
-    steps.extend_from_slice(&qe.steps_after_parent);
-    Prefix(steps)
+        self.sig_buf.clear();
+        self.sig_buf.extend(
+            positions
+                .iter()
+                .map(|&p| find_bind(binds, p).expect("relevant binding on chain").dkid),
+        );
+        if let Some(&id) = self.sigs.get(self.sig_buf.as_slice()) {
+            return id;
+        }
+        let id = u32::try_from(self.sigs.len() + 1).expect("fewer than 2^32 signatures");
+        self.sigs.insert(self.sig_buf.clone(), id);
+        id
+    }
 }
 
-/// The binding signature at `qi`: the dkids bound at the still-relevant
-/// earlier positions. Two frames agreeing on `(seq, qi, dkid, scope)` and
-/// this signature derive identical subtrees — a dkid determines its
-/// `(symbol, prefix)` pair, hence the instantiated path later lookups use.
-fn bind_sig(positions: &[u32], binds: &Option<Arc<BindNode>>) -> Vec<u64> {
-    positions
-        .iter()
-        .map(|&p| find_bind(binds, p).expect("relevant binding on chain").dkid)
-        .collect()
+/// Rebuild, into `out`, the lookup prefix for a wildcarded element from
+/// its parent's instantiated concrete path plus the placeholder steps
+/// between them.
+fn lookup_prefix(qe: &QueryElem, binds: &Option<Arc<BindNode>>, out: &mut Prefix) {
+    out.0.clear();
+    if let Some(p) = qe.parent {
+        // Invariant: a wildcarded element's parent is a bind target
+        // (see `SeqCtx::bind`), so it is always on the chain.
+        let node = find_bind(binds, p as u32).expect("parent binding on chain");
+        out.0.extend(node.path.iter().map(|&s| PathSym::Tag(s)));
+    }
+    out.0.extend_from_slice(&qe.steps_after_parent);
 }
 
 /// Expand one frame: resolve the D-Ancestor candidates for its element and
@@ -1315,40 +1402,48 @@ fn expand(
         // tree.
         None => {
             let qe = &sc.seq.elems[qi];
-            let pattern = lookup_prefix(qe, &frame.binds);
-            match dkey::query_for(qe.sym, &pattern) {
-                dkey::DKeyQuery::Exact(key) => {
-                    let _span = vist_obs::Span::enter("dancestor_get");
-                    out.stats.dancestor_gets += 1;
-                    if let Some(id) = source.dkey_get(&key)? {
-                        let (_, prefix_syms) = dkey::decode(&key);
-                        descend(source, sc, frame, &prefix_syms, id, push, out)?;
-                    }
+            let mut x = std::mem::take(&mut out.expansion);
+            lookup_prefix(qe, &frame.binds, &mut x.pattern);
+            if dkey::query_into(qe.sym, &x.pattern.0, &mut x.lo, &mut x.hi) {
+                let _span = vist_obs::Span::enter("dancestor_get");
+                out.stats.dancestor_gets += 1;
+                if let Some(id) = source.dkey_get(&x.lo)? {
+                    dkey::decode_into(&x.lo, &mut x.syms);
+                    descend(source, sc, frame, &x.syms, id, push, out)?;
                 }
-                dkey::DKeyQuery::Range { lo, hi, pattern } => {
-                    out.stats.dancestor_scans += 1;
-                    let mut candidates: Vec<(Vec<Symbol>, u64)> = Vec::new();
-                    {
-                        let _span = vist_obs::Span::enter("dancestor_scan");
-                        source.dkey_scan_range(&lo, &hi, &mut |key, id| {
-                            let (_, prefix_syms) = dkey::decode(key);
-                            if pattern.matches(&prefix_syms) {
-                                candidates.push((prefix_syms, id));
-                            }
-                        })?;
-                    }
-                    if out.plan && candidates.len() > 1 {
-                        // Most-selective-first: cheap candidates emit their
-                        // subtrees (and their prunes) before expensive
-                        // ones. Stable, so ties keep key order.
-                        candidates
-                            .sort_by_cached_key(|c: &(Vec<Symbol>, u64)| est_nodes(source, c.1));
-                    }
-                    for (prefix_syms, id) in &candidates {
-                        descend(source, sc, frame, prefix_syms, *id, push, out)?;
-                    }
+            } else {
+                out.stats.dancestor_scans += 1;
+                x.cands.clear();
+                x.cand_syms.clear();
+                {
+                    let _span = vist_obs::Span::enter("dancestor_scan");
+                    let Expansion {
+                        pattern,
+                        lo,
+                        hi,
+                        syms,
+                        cand_syms,
+                        cands,
+                    } = &mut x;
+                    source.dkey_scan_range(lo, hi, &mut |key, id| {
+                        dkey::decode_into(key, syms);
+                        if pattern.matches(syms) {
+                            cands.push((cand_syms.len(), syms.len(), id));
+                            cand_syms.extend_from_slice(syms);
+                        }
+                    })?;
+                }
+                if out.plan && x.cands.len() > 1 {
+                    // Most-selective-first: cheap candidates emit their
+                    // subtrees (and their prunes) before expensive
+                    // ones. Stable, so ties keep key order.
+                    x.cands.sort_by_cached_key(|c| est_nodes(source, c.2));
+                }
+                for &(at, len, id) in &x.cands {
+                    descend(source, sc, frame, &x.cand_syms[at..at + len], id, push, out)?;
                 }
             }
+            out.expansion = x;
         }
     }
     Ok(())
@@ -1370,13 +1465,13 @@ fn descend(
     let qe = &sc.seq.elems[qi as usize];
     let sig = sc
         .dedup
-        .then(|| bind_sig(&sc.sig[qi as usize], &frame.binds));
-    if let Some(s) = &sig {
+        .then(|| out.sig_id(&sc.sig[qi as usize], &frame.binds));
+    if let Some(s) = sig {
         // Identical sub-problem (same dkey, same scope window, same
         // relevant bindings) already expanded: same subtree, skip.
         if !out
             .descended
-            .insert((frame.seq, qi, dkid, frame.lo, frame.hi, s.clone()))
+            .insert((frame.seq, qi, dkid, frame.lo, frame.hi, s))
         {
             out.stats.dedup_skips += 1;
             return Ok(());
@@ -1388,20 +1483,22 @@ fn descend(
         // key; every element of the sequence must eventually match, so one
         // absent key proves the whole subtree dead before we pay for the
         // S-Ancestor scan.
-        let mut path = prefix_syms.to_vec();
+        out.path_buf.clear();
+        out.path_buf.extend_from_slice(prefix_syms);
         if let Sym::Tag(t) = qe.sym {
-            path.push(t);
+            out.path_buf.push(t);
         }
+        let base = out.path_buf.len();
         for probe in &sc.probe_children[qi as usize] {
-            let mut p = path.clone();
-            p.extend_from_slice(&probe.steps);
-            let key = dkey::encode(probe.sym, &p);
-            let present = match out.probed.get(&key) {
+            out.path_buf.truncate(base);
+            out.path_buf.extend_from_slice(&probe.steps);
+            dkey::encode_into(probe.sym, &out.path_buf, &mut out.key_buf);
+            let present = match out.probed.get(out.key_buf.as_slice()) {
                 Some(&b) => b,
                 None => {
                     out.stats.planner_probes += 1;
-                    let b = source.dkey_get(&key)?.is_some();
-                    out.probed.insert(key, b);
+                    let b = source.dkey_get(&out.key_buf)?.is_some();
+                    out.probed.insert(out.key_buf.clone(), b);
                     b
                 }
             };
@@ -1439,8 +1536,8 @@ fn descend(
         if track {
             steps.entry((seq, qi)).or_insert((0, 0)).1 += 1;
         }
-        if let Some(s) = &sig {
-            if !visited.insert((seq, qi + 1, dkid, node.n, s.clone())) {
+        if let Some(s) = sig {
+            if !visited.insert((seq, qi + 1, dkid, node.n, s)) {
                 stats.dedup_skips += 1;
                 return;
             }

@@ -139,7 +139,7 @@ impl Segment {
 
     /// Whether `doc` is stored in this segment.
     pub(crate) fn contains_doc(&self, doc: DocId) -> Result<bool> {
-        Ok(self.docs.get(&doc_key(doc, 0))?.is_some())
+        Ok(self.docs.contains(&doc_key(doc, 0))?)
     }
 
     /// Fetch a stored document's XML text.
@@ -195,10 +195,9 @@ impl Segment {
 
 impl SearchSource for Segment {
     fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
-        Ok(self
-            .dancestor
-            .get(dkey)?
-            .map(|v| u64::from_le_bytes(v.try_into().expect("dkey id width"))))
+        Ok(self.dancestor.get_with(dkey, |v| {
+            u64::from_le_bytes(v.try_into().expect("dkey id width"))
+        })?)
     }
 
     fn dkey_scan_range(&self, lo: &[u8], hi: &[u8], f: &mut dyn FnMut(&[u8], u64)) -> Result<()> {
@@ -437,14 +436,14 @@ impl SegmentBuilder {
                 k: node.children.len() as u64,
             };
             sanc.push(
-                Store::sanc_key(node.dkid, node.n),
+                Store::sanc_key(node.dkid, node.n).to_vec(),
                 Store::encode_node(&state).to_vec(),
             )?;
         }
         let mut docid = ExtSorter::new(self.scratch.clone(), "docid", budget)?;
         for &(doc, end) in &self.doc_ends {
             let n = if end == 0 { 0 } else { self.trie[end].n };
-            docid.push(Store::docid_key(n, doc), Vec::new())?;
+            docid.push(Store::docid_key(n, doc).to_vec(), Vec::new())?;
         }
 
         // Exact per-dkid planner statistics from the labeled trie: node

@@ -497,10 +497,9 @@ impl Store {
 
     /// Look up the id of a D-Ancestor key.
     pub fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
-        Ok(self
-            .dancestor
-            .get(dkey)?
-            .map(|v| u64::from_le_bytes(v.try_into().expect("dkey id width"))))
+        Ok(self.dancestor.get_with(dkey, |v| {
+            u64::from_le_bytes(v.try_into().expect("dkey id width"))
+        })?)
     }
 
     /// Look up or allocate the id of a D-Ancestor key. Callers must be
@@ -545,10 +544,13 @@ impl Store {
 
     // ----- S-Ancestor tree -----
 
-    pub(crate) fn sanc_key(dkey_id: u64, n: u128) -> Vec<u8> {
-        let mut k = KeyWriter::with_capacity(24);
-        k.u64(dkey_id).u128(n);
-        k.finish()
+    /// `dkey_id ‖ n`, big-endian. The three 24-byte index keys are built
+    /// on the stack: the match loop makes two per work item.
+    pub(crate) fn sanc_key(dkey_id: u64, n: u128) -> [u8; 24] {
+        let mut k = [0u8; 24];
+        k[..8].copy_from_slice(&dkey_id.to_be_bytes());
+        k[8..].copy_from_slice(&n.to_be_bytes());
+        k
     }
 
     pub(crate) fn encode_node(state: &NodeState) -> [u8; 40] {
@@ -572,8 +574,7 @@ impl Store {
     pub fn node_get(&self, dkey_id: u64, n: u128) -> Result<Option<NodeState>> {
         Ok(self
             .sancestor
-            .get(&Self::sanc_key(dkey_id, n))?
-            .map(|v| Self::decode_node(n, &v)))
+            .get_with(&Self::sanc_key(dkey_id, n), |v| Self::decode_node(n, v))?)
     }
 
     /// Write a node's allocation state.
@@ -620,18 +621,25 @@ impl Store {
 
     // ----- edges tree -----
 
-    fn edge_key(parent_n: u128, dkey_id: u64) -> Vec<u8> {
-        let mut k = KeyWriter::with_capacity(24);
-        k.u128(parent_n).u64(dkey_id);
-        k.finish()
+    /// `n ‖ id`, big-endian: the layout of both edge and DocId keys.
+    fn label_key(n: u128, id: u64) -> [u8; 24] {
+        let mut k = [0u8; 24];
+        k[..16].copy_from_slice(&n.to_be_bytes());
+        k[16..].copy_from_slice(&id.to_be_bytes());
+        k
+    }
+
+    fn edge_key(parent_n: u128, dkey_id: u64) -> [u8; 24] {
+        Self::label_key(parent_n, dkey_id)
     }
 
     /// The immediate child of node `parent_n` for D-Ancestor entry `dkey_id`.
     pub fn edge_get(&self, parent_n: u128, dkey_id: u64) -> Result<Option<u128>> {
         Ok(self
             .edges
-            .get(&Self::edge_key(parent_n, dkey_id))?
-            .map(|v| u128::from_le_bytes(v.try_into().expect("edge value"))))
+            .get_with(&Self::edge_key(parent_n, dkey_id), |v| {
+                u128::from_le_bytes(v.try_into().expect("edge value"))
+            })?)
     }
 
     /// Record the immediate child of `parent_n` for `dkey_id`.
@@ -643,10 +651,8 @@ impl Store {
 
     // ----- DocId tree -----
 
-    pub(crate) fn docid_key(n: u128, doc: DocId) -> Vec<u8> {
-        let mut k = KeyWriter::with_capacity(24);
-        k.u128(n).u64(doc);
-        k.finish()
+    pub(crate) fn docid_key(n: u128, doc: DocId) -> [u8; 24] {
+        Self::label_key(n, doc)
     }
 
     /// Attach a document id to node `n`.
@@ -786,7 +792,7 @@ impl Store {
 
     /// Whether `doc` carries a delete tombstone.
     pub(crate) fn tomb_contains(&self, doc: DocId) -> Result<bool> {
-        Ok(self.aux.get(&Self::tomb_key(doc))?.is_some())
+        Ok(self.aux.contains(&Self::tomb_key(doc))?)
     }
 
     /// All tombstoned document ids, ascending.
@@ -879,7 +885,12 @@ impl Store {
         }
         let items: Vec<(Vec<u8>, Vec<u8>)> = nodes
             .into_iter()
-            .map(|(dkid, st)| (Self::sanc_key(dkid, st.n), Self::encode_node(&st).to_vec()))
+            .map(|(dkid, st)| {
+                (
+                    Self::sanc_key(dkid, st.n).to_vec(),
+                    Self::encode_node(&st).to_vec(),
+                )
+            })
             .collect();
         self.meta.write().node_count = items.len() as u64;
         let fresh = BTree::bulk_load(Arc::clone(&self.pool), items)?;
@@ -895,7 +906,7 @@ impl Store {
         self.dkstats.write().totals.postings = entries.len() as u64;
         let items: Vec<(Vec<u8>, Vec<u8>)> = entries
             .into_iter()
-            .map(|(n, doc)| (Self::docid_key(n, doc), Vec::new()))
+            .map(|(n, doc)| (Self::docid_key(n, doc).to_vec(), Vec::new()))
             .collect();
         let fresh = BTree::bulk_load(Arc::clone(&self.pool), items)?;
         std::mem::replace(&mut self.docid, fresh).destroy()?;

@@ -2,7 +2,16 @@
 //! the query's reported wall time — child stage durations sum to the
 //! root total within the untimed-bookkeeping residue.
 
+use std::sync::{Mutex, MutexGuard};
+
 use vist_core::{IndexOptions, QueryOptions, VistIndex};
+
+/// `set_tracing` is process-wide, so the two tests take turns: without
+/// this the second one's query can run while the first has tracing on.
+fn tracing_switch() -> MutexGuard<'static, ()> {
+    static SWITCH: Mutex<()> = Mutex::new(());
+    SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn build_index() -> VistIndex {
     let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
@@ -19,6 +28,7 @@ fn build_index() -> VistIndex {
 
 #[test]
 fn span_tree_durations_sum_to_total() {
+    let _turn = tracing_switch();
     let idx = build_index();
     vist_obs::set_tracing(true);
     let r = idx
@@ -60,6 +70,7 @@ fn span_tree_durations_sum_to_total() {
 
 #[test]
 fn no_trace_when_disabled() {
+    let _turn = tracing_switch();
     let idx = build_index();
     let r = idx.query("//name", &QueryOptions::default()).unwrap();
     assert!(r.trace.is_none());

@@ -14,9 +14,15 @@
 //! per-query attribution over a workload must equal the registry deltas
 //! (a differential test in `vist-core` holds this invariant).
 //!
-//! Cost model: a charge is one thread-local borrow plus a relaxed
-//! `fetch_add` when a context is installed, and a borrow + branch when
-//! not. Under the `noop` feature everything — the thread-local included —
+//! Cost model: a charge is one thread-local access and a plain add. The
+//! charges made on a thread accumulate in a thread-local tally and are
+//! folded into the shared [`AttrCounters`] when that thread's context is
+//! replaced or uninstalled — once per query on the calling thread, once
+//! per worker on the match pool — so [`AttrCounters::snapshot`] is exact
+//! once every guard of the query has dropped and lags behind while one
+//! is alive. Installing a context also opens a [`crate::batch`] scope:
+//! the registry's hot counters and histograms follow the same rhythm.
+//! Under the `noop` feature everything — the thread-locals included —
 //! compiles out; [`install`] returns an inert guard and [`current`] is
 //! always `None`.
 
@@ -24,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[cfg(not(feature = "noop"))]
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Atomic I/O counters for one query. Shared (`Arc`) between the query
 /// layer and every worker thread serving that query.
@@ -90,43 +96,98 @@ impl AttrSnapshot {
 #[cfg(not(feature = "noop"))]
 thread_local! {
     static CURRENT: RefCell<Option<Arc<AttrCounters>>> = const { RefCell::new(None) };
+    static PENDING: Pending = const { Pending::new() };
 }
 
-/// Guard returned by [`install`]; restores the thread's previous
-/// attribution context (if any) on drop. `!Send` by construction.
+/// Charges made on this thread since its context was installed or last
+/// settled. Kept apart from `CURRENT` so the charge path touches only
+/// plain cells. Charges count only while a context is installed, which is
+/// exactly while a batch scope is open: [`install`] is the one place that
+/// opens one.
+#[cfg(not(feature = "noop"))]
+struct Pending {
+    pool_hits: Cell<u64>,
+    pool_misses: Cell<u64>,
+    pages_read: Cell<u64>,
+    bytes_read: Cell<u64>,
+    wal_appends: Cell<u64>,
+}
+
+#[cfg(not(feature = "noop"))]
+impl Pending {
+    const fn new() -> Self {
+        Pending {
+            pool_hits: Cell::new(0),
+            pool_misses: Cell::new(0),
+            pages_read: Cell::new(0),
+            bytes_read: Cell::new(0),
+            wal_appends: Cell::new(0),
+        }
+    }
+
+    /// Move the tally into `ctx`.
+    fn settle(&self, ctx: &AttrCounters) {
+        for (tally, shared) in [
+            (&self.pool_hits, &ctx.pool_hits),
+            (&self.pool_misses, &ctx.pool_misses),
+            (&self.pages_read, &ctx.pages_read),
+            (&self.bytes_read, &ctx.bytes_read),
+            (&self.wal_appends, &ctx.wal_appends),
+        ] {
+            let n = tally.replace(0);
+            if n > 0 {
+                shared.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Guard returned by [`install`]; settles the thread's pending charges
+/// into its context and restores the previous context (if any) on drop.
+/// `!Send` by construction.
 pub struct AttrGuard {
     #[cfg(not(feature = "noop"))]
     prev: Option<Arc<AttrCounters>>,
-    _not_send: std::marker::PhantomData<*const ()>,
+    /// Closed after `drop` has settled the attribution tally.
+    _scope: crate::batch::Scope,
 }
 
 impl Drop for AttrGuard {
     fn drop(&mut self) {
         #[cfg(not(feature = "noop"))]
         CURRENT.with(|c| {
-            *c.borrow_mut() = self.prev.take();
+            let mut cur = c.borrow_mut();
+            if let Some(ctx) = cur.as_deref() {
+                PENDING.with(|p| p.settle(ctx));
+            }
+            *cur = self.prev.take();
         });
     }
 }
 
 /// Install `ctx` as the current thread's attribution context until the
-/// returned guard drops. Nested installs stack: the guard restores
-/// whatever was installed before.
+/// returned guard drops. Nested installs stack: charges pending for the
+/// outer context are settled into it first, and the guard restores it.
 #[must_use]
 pub fn install(ctx: Arc<AttrCounters>) -> AttrGuard {
+    let scope = crate::batch::enter();
     #[cfg(feature = "noop")]
     {
         let _ = ctx;
-        AttrGuard {
-            _not_send: std::marker::PhantomData,
-        }
+        AttrGuard { _scope: scope }
     }
     #[cfg(not(feature = "noop"))]
     {
-        let prev = CURRENT.with(|c| c.borrow_mut().replace(ctx));
+        let prev = CURRENT.with(|c| {
+            let mut cur = c.borrow_mut();
+            if let Some(outer) = cur.as_deref() {
+                PENDING.with(|p| p.settle(outer));
+            }
+            cur.replace(ctx)
+        });
         AttrGuard {
             prev,
-            _not_send: std::marker::PhantomData,
+            _scope: scope,
         }
     }
 }
@@ -144,30 +205,27 @@ pub fn current() -> Option<Arc<AttrCounters>> {
 
 #[cfg(not(feature = "noop"))]
 #[inline]
-fn with_current(f: impl FnOnce(&AttrCounters)) {
-    CURRENT.with(|c| {
-        if let Some(ctx) = c.borrow().as_deref() {
-            f(ctx);
-        }
-    });
+fn charge(field: fn(&Pending) -> &Cell<u64>, n: u64) {
+    if crate::batch::active() {
+        PENDING.with(|p| {
+            let tally = field(p);
+            tally.set(tally.get() + n);
+        });
+    }
 }
 
 /// Charge one buffer-pool hit to the current query, if any.
 #[inline]
 pub fn charge_pool_hit() {
     #[cfg(not(feature = "noop"))]
-    with_current(|c| {
-        c.pool_hits.fetch_add(1, Ordering::Relaxed);
-    });
+    charge(|p| &p.pool_hits, 1);
 }
 
 /// Charge one buffer-pool miss to the current query, if any.
 #[inline]
 pub fn charge_pool_miss() {
     #[cfg(not(feature = "noop"))]
-    with_current(|c| {
-        c.pool_misses.fetch_add(1, Ordering::Relaxed);
-    });
+    charge(|p| &p.pool_misses, 1);
 }
 
 /// Charge one page read of `bytes` bytes to the current query, if any.
@@ -176,19 +234,17 @@ pub fn charge_page_read(bytes: u64) {
     #[cfg(feature = "noop")]
     let _ = bytes;
     #[cfg(not(feature = "noop"))]
-    with_current(|c| {
-        c.pages_read.fetch_add(1, Ordering::Relaxed);
-        c.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-    });
+    {
+        charge(|p| &p.pages_read, 1);
+        charge(|p| &p.bytes_read, bytes);
+    }
 }
 
 /// Charge one WAL append to the current query, if any.
 #[inline]
 pub fn charge_wal_append() {
     #[cfg(not(feature = "noop"))]
-    with_current(|c| {
-        c.wal_appends.fetch_add(1, Ordering::Relaxed);
-    });
+    charge(|p| &p.wal_appends, 1);
 }
 
 #[cfg(all(test, not(feature = "noop")))]
@@ -224,16 +280,22 @@ mod tests {
     fn installs_nest_and_restore() {
         let outer = AttrCounters::new();
         let inner = AttrCounters::new();
-        let _a = install(Arc::clone(&outer));
+        let a = install(Arc::clone(&outer));
+        charge_page_read(5);
         {
             let _b = install(Arc::clone(&inner));
             charge_page_read(10);
             assert!(Arc::ptr_eq(&current().unwrap(), &inner));
+            // Settled when the inner context took over, not before.
+            assert_eq!(outer.snapshot().bytes_read, 5);
+            assert_eq!(inner.snapshot().bytes_read, 0);
         }
         charge_page_read(20);
         assert!(Arc::ptr_eq(&current().unwrap(), &outer));
         assert_eq!(inner.snapshot().bytes_read, 10);
-        assert_eq!(outer.snapshot().bytes_read, 20);
+        drop(a);
+        assert_eq!(outer.snapshot().bytes_read, 25);
+        assert!(current().is_none());
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //! - **Trace retention** ([`tracez`]): head-sampled plus
 //!   always-keep-slowest span trees, resolvable by trace id; histogram
 //!   buckets carry the last trace id as an exemplar.
+//! - **Batched hot-path updates** ([`batch`]): while a query's scope is
+//!   open, [`count!`] and [`observe!`] tally thread-locally and fold into
+//!   the registry once, when the scope closes.
 //! - **Shared percentiles** ([`percentile`]): the one nearest-rank rule
 //!   behind both histogram estimates and exact benchmark quantiles.
 //!
@@ -40,6 +43,7 @@
 //! code (see `BENCH_obs_overhead.json`).
 
 pub mod attr;
+pub mod batch;
 pub mod expo;
 pub mod metrics;
 pub mod percentile;

@@ -116,8 +116,7 @@ impl Default for Histogram {
 
 /// Bucket index for a value: 0 for 0, else `floor(log2(v)) + 1`, capped.
 #[inline]
-#[cfg_attr(feature = "noop", allow(dead_code))]
-fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -160,6 +159,23 @@ impl Histogram {
         }
         #[cfg(feature = "noop")]
         let _ = v;
+    }
+
+    /// Add a batch of observations tallied elsewhere (see
+    /// [`crate::batch`]): per-bucket counts, their value sum and maximum.
+    pub fn merge(&self, buckets: &[u64; BUCKETS], sum: u64, max: u64) {
+        #[cfg(not(feature = "noop"))]
+        {
+            for (b, &n) in self.buckets.iter().zip(buckets) {
+                if n > 0 {
+                    b.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+            self.sum.fetch_add(sum, Ordering::Relaxed);
+            self.max.fetch_max(max, Ordering::Relaxed);
+        }
+        #[cfg(feature = "noop")]
+        let _ = (buckets, sum, max);
     }
 
     /// Record one observation and remember `trace_id` as the bucket's

@@ -18,28 +18,42 @@ use crate::symbols::{Sym, Symbol};
 /// Encode a concrete `(symbol, prefix)` pair as a D-Ancestor key.
 #[must_use]
 pub fn encode(sym: Sym, prefix: &[Symbol]) -> Vec<u8> {
-    let mut out = sym.encode();
+    let mut out = Vec::new();
+    encode_into(sym, prefix, &mut out);
+    out
+}
+
+/// [`encode`] into a caller-owned buffer (cleared first), for loops that
+/// build one key per iteration.
+pub fn encode_into(sym: Sym, prefix: &[Symbol], out: &mut Vec<u8>) {
+    out.clear();
+    sym.encode_into(out);
     out.extend_from_slice(&(prefix.len() as u16).to_be_bytes());
     for s in prefix {
         out.extend_from_slice(&s.0.to_be_bytes());
     }
-    out
 }
 
 /// Decode a D-Ancestor key back into its `(symbol, prefix)` pair.
 #[must_use]
 pub fn decode(key: &[u8]) -> (Sym, Vec<Symbol>) {
+    let mut prefix = Vec::new();
+    let sym = decode_into(key, &mut prefix);
+    (sym, prefix)
+}
+
+/// [`decode`] with the prefix written into a caller-owned buffer (cleared
+/// first); returns the symbol.
+pub fn decode_into(key: &[u8], prefix: &mut Vec<Symbol>) -> Sym {
     let (sym, used) = Sym::decode(key);
     let len = u16::from_be_bytes(key[used..used + 2].try_into().unwrap()) as usize;
-    let mut prefix = Vec::with_capacity(len);
-    let mut pos = used + 2;
-    for _ in 0..len {
-        prefix.push(Symbol(u32::from_be_bytes(
-            key[pos..pos + 4].try_into().unwrap(),
-        )));
-        pos += 4;
-    }
-    (sym, prefix)
+    prefix.clear();
+    prefix.extend(
+        key[used + 2..used + 2 + 4 * len]
+            .chunks_exact(4)
+            .map(|c| Symbol(u32::from_be_bytes(c.try_into().unwrap()))),
+    );
+    sym
 }
 
 /// How to find the D-Ancestor entries matching a query element.
@@ -68,38 +82,53 @@ pub enum DKeyQuery {
 ///   for this symbol.
 #[must_use]
 pub fn query_for(sym: Sym, prefix: &Prefix) -> DKeyQuery {
-    if let Some(concrete) = prefix.as_concrete() {
-        return DKeyQuery::Exact(encode(sym, &concrete));
+    let (mut lo, mut hi) = (Vec::new(), Vec::new());
+    if query_into(sym, &prefix.0, &mut lo, &mut hi) {
+        DKeyQuery::Exact(lo)
+    } else {
+        DKeyQuery::Range {
+            lo,
+            hi,
+            pattern: prefix.clone(),
+        }
     }
-    let sym_bytes = sym.encode();
-    if prefix.has_double_slash() {
+}
+
+/// [`query_for`] into caller-owned buffers (cleared first). Returns `true`
+/// for a concrete prefix, with the exact key in `lo`; `false` for a
+/// wildcarded one, with the scan range in `[lo, hi)` — the caller filters
+/// decoded prefixes against `prefix` itself.
+pub fn query_into(sym: Sym, prefix: &[PathSym], lo: &mut Vec<u8>, hi: &mut Vec<u8>) -> bool {
+    lo.clear();
+    hi.clear();
+    sym.encode_into(lo);
+    let double_slash = prefix.iter().any(|s| matches!(s, PathSym::DoubleSlash));
+    if double_slash {
         let min_len = prefix
-            .0
             .iter()
             .filter(|s| !matches!(s, PathSym::DoubleSlash))
             .count() as u16;
-        let mut lo = sym_bytes.clone();
+        hi.extend_from_slice(
+            &codec::prefix_upper_bound(lo).expect("symbol encoding never ends in all-0xFF"),
+        );
         lo.extend_from_slice(&min_len.to_be_bytes());
-        let hi =
-            codec::prefix_upper_bound(&sym_bytes).expect("symbol encoding never ends in all-0xFF");
-        DKeyQuery::Range {
-            lo,
-            hi,
-            pattern: prefix.clone(),
-        }
-    } else {
+        return false;
+    }
+    let len = prefix.len() as u16;
+    if prefix.iter().any(|s| matches!(s, PathSym::Star)) {
         // Only '*': fixed length.
-        let len = prefix.len() as u16;
-        let mut lo = sym_bytes.clone();
-        lo.extend_from_slice(&len.to_be_bytes());
-        let mut hi = sym_bytes;
+        hi.extend_from_slice(lo);
         hi.extend_from_slice(&(len + 1).to_be_bytes());
-        DKeyQuery::Range {
-            lo,
-            hi,
-            pattern: prefix.clone(),
+        lo.extend_from_slice(&len.to_be_bytes());
+        return false;
+    }
+    lo.extend_from_slice(&len.to_be_bytes());
+    for s in prefix {
+        if let PathSym::Tag(t) = s {
+            lo.extend_from_slice(&t.0.to_be_bytes());
         }
     }
+    true
 }
 
 #[cfg(test)]

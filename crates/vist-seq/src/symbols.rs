@@ -25,18 +25,21 @@ impl Sym {
     /// within a kind, order follows the id / hash.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
+        let mut v = Vec::with_capacity(9);
+        self.encode_into(&mut v);
+        v
+    }
+
+    /// Append the [`Sym::encode`] bytes to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Sym::Tag(Symbol(id)) => {
-                let mut v = Vec::with_capacity(5);
-                v.push(0x01);
-                v.extend_from_slice(&id.to_be_bytes());
-                v
+                out.push(0x01);
+                out.extend_from_slice(&id.to_be_bytes());
             }
             Sym::Value(h) => {
-                let mut v = Vec::with_capacity(9);
-                v.push(0x02);
-                v.extend_from_slice(&h.to_be_bytes());
-                v
+                out.push(0x02);
+                out.extend_from_slice(&h.to_be_bytes());
             }
         }
     }

@@ -7,6 +7,9 @@
 //! itself sits behind a separate mutex and is only locked on a miss,
 //! eviction write-back, allocation, or flush.
 //!
+//! What a **hit** costs is spelled out in `docs/CONCURRENCY.md`; its
+//! registry and attribution updates go through [`vist_obs::batch`].
+//!
 //! On a **miss** the owning shard's mutex stays held across the pager read
 //! (plus any eviction write-back), so cache hits on that same shard stall
 //! for the duration of the cold I/O; hits on the other shards are
@@ -23,14 +26,12 @@
 //! `RwLock`s are leaves and are never held while acquiring a shard lock.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::sync::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, MutexGuard, RwLock};
+use crate::sync::{Mutex, MutexGuard, OwnedReadGuard, OwnedWriteGuard, RwLock};
 use crate::{Error, IoStats, PageId, Pager, Result};
-
-type ReadGuard = ArcRwLockReadGuard<Box<[u8]>>;
-type WriteGuard = ArcRwLockWriteGuard<Box<[u8]>>;
 
 /// Hard ceiling on the number of shards.
 const MAX_SHARDS: usize = 16;
@@ -40,28 +41,47 @@ const MIN_SHARD_FRAMES: usize = 4;
 
 struct Frame {
     pid: PageId,
-    data: Arc<RwLock<Box<[u8]>>>,
+    /// The page bytes behind the frame latch; guards own the `Arc<Frame>`.
+    data: RwLock<Box<[u8]>>,
     dirty: AtomicBool,
     pins: AtomicUsize,
     referenced: AtomicBool,
 }
 
+/// Hasher of the frame maps: page ids are dense integers handed out by the
+/// pager, so one multiply spreading them over the table's index and tag
+/// bits replaces SipHash.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PageId hashes through write_u32");
+    }
+
+    fn write_u32(&mut self, pid: u32) {
+        self.0 = u64::from(pid).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One lock stripe: a slice of the frame map plus its own CLOCK hand.
 struct ShardInner {
-    map: HashMap<PageId, Arc<Frame>>,
+    map: HashMap<PageId, Arc<Frame>, BuildHasherDefault<PageIdHasher>>,
     ring: Vec<Arc<Frame>>,
     hand: usize,
     capacity: usize,
+    /// Lookup tallies, plain integers because every lookup holds the mutex
+    /// anyway. `write_backs` lives in [`Shard`] instead.
+    tally: ShardStats,
 }
 
 struct Shard {
     inner: Mutex<ShardInner>,
-    hits: AtomicU64,
-    /// Hits whose shard lock was acquired without blocking (`try_lock`
-    /// succeeded) — a direct measure of how contention-free the striped
-    /// hot path is.
-    uncontended_hits: AtomicU64,
-    misses: AtomicU64,
+    /// Atomic because `flush` writes back outside the shard mutex.
     write_backs: AtomicU64,
 }
 
@@ -70,7 +90,9 @@ struct Shard {
 pub struct ShardStats {
     /// Lookups that found the page cached in this shard.
     pub hits: u64,
-    /// Subset of `hits` whose shard lock was acquired without contention.
+    /// Subset of `hits` whose shard lock was acquired without blocking
+    /// (`try_lock` succeeded) — a direct measure of how contention-free the
+    /// striped hot path is.
     pub uncontended_hits: u64,
     /// Lookups that had to read the page from the pager.
     pub misses: u64,
@@ -129,21 +151,19 @@ pub struct BufferPool {
 
 /// Shared (read) guard over a cached page.
 pub struct PageRef {
-    frame: Arc<Frame>,
-    guard: ReadGuard,
+    guard: OwnedReadGuard<Frame, Box<[u8]>>,
 }
 
 /// Exclusive (write) guard over a cached page. Marks the page dirty on drop.
 pub struct PageRefMut {
-    frame: Arc<Frame>,
-    guard: WriteGuard,
+    guard: OwnedWriteGuard<Frame, Box<[u8]>>,
 }
 
 impl PageRef {
     /// The page's id.
     #[must_use]
     pub fn id(&self) -> PageId {
-        self.frame.pid
+        self.guard.owner().pid
     }
 
     /// The page contents.
@@ -155,7 +175,7 @@ impl PageRef {
 
 impl Drop for PageRef {
     fn drop(&mut self) {
-        self.frame.pins.fetch_sub(1, Ordering::Release);
+        self.guard.owner().pins.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -163,7 +183,7 @@ impl PageRefMut {
     /// The page's id.
     #[must_use]
     pub fn id(&self) -> PageId {
-        self.frame.pid
+        self.guard.owner().pid
     }
 
     /// The page contents.
@@ -180,8 +200,9 @@ impl PageRefMut {
 
 impl Drop for PageRefMut {
     fn drop(&mut self) {
-        self.frame.dirty.store(true, Ordering::Release);
-        self.frame.pins.fetch_sub(1, Ordering::Release);
+        let frame = self.guard.owner();
+        frame.dirty.store(true, Ordering::Release);
+        frame.pins.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -206,16 +227,14 @@ impl BufferPool {
         let shards: Box<[Shard]> = (0..n)
             .map(|i| Shard {
                 inner: Mutex::new(ShardInner {
-                    map: HashMap::new(),
+                    map: HashMap::default(),
                     ring: Vec::new(),
                     hand: 0,
                     // Distribute the capacity; the first `capacity % n`
                     // shards take one extra frame.
                     capacity: capacity / n + usize::from(i < capacity % n),
+                    tally: ShardStats::default(),
                 }),
-                hits: AtomicU64::new(0),
-                uncontended_hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
                 write_backs: AtomicU64::new(0),
             })
             .collect();
@@ -282,17 +301,24 @@ impl BufferPool {
         let shard = self.shard(pid);
         let (mut inner, contended) = Self::lock_shard(shard);
         if let Some(frame) = inner.map.get(&pid) {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            if !contended {
-                shard.uncontended_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            vist_obs::counter!("vist_storage_pool_hit_total").inc();
-            vist_obs::attr::charge_pool_hit();
-            frame.referenced.store(true, Ordering::Relaxed);
+            let frame = Arc::clone(frame);
+            // Pinned under the shard mutex, which eviction also holds, so
+            // the frame cannot leave the map between lookup and pin.
             frame.pins.fetch_add(1, Ordering::Acquire);
-            return Ok(Arc::clone(frame));
+            inner.tally.hits += 1;
+            inner.tally.uncontended_hits += u64::from(!contended);
+            drop(inner);
+            // Eviction skips pinned frames, so the reference bit can wait
+            // for the unlock; written only when clear, a hot page's flag
+            // stays a shared read.
+            if !frame.referenced.load(Ordering::Relaxed) {
+                frame.referenced.store(true, Ordering::Relaxed);
+            }
+            vist_obs::count!("vist_storage_pool_hit_total");
+            vist_obs::attr::charge_pool_hit();
+            return Ok(frame);
         }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
+        inner.tally.misses += 1;
         vist_obs::counter!("vist_storage_pool_miss_total").inc();
         vist_obs::attr::charge_pool_miss();
         if inner.ring.len() >= inner.capacity {
@@ -305,7 +331,7 @@ impl BufferPool {
         vist_obs::attr::charge_page_read(self.page_size as u64);
         let frame = Arc::new(Frame {
             pid,
-            data: Arc::new(RwLock::new(buf)),
+            data: RwLock::new(buf),
             dirty: AtomicBool::new(false),
             pins: AtomicUsize::new(1),
             referenced: AtomicBool::new(true),
@@ -329,20 +355,7 @@ impl BufferPool {
             if frame.referenced.swap(false, Ordering::Relaxed) {
                 continue;
             }
-            if frame.dirty.swap(false, Ordering::AcqRel) {
-                let data = frame.data.read();
-                let t = vist_obs::now();
-                if let Err(e) = self.pager.lock().write(frame.pid, &data) {
-                    // Re-mark dirty so the modifications survive in cache
-                    // and a later eviction/flush retries the write instead
-                    // of silently dropping them.
-                    frame.dirty.store(true, Ordering::Release);
-                    return Err(e);
-                }
-                vist_obs::observe_since(vist_obs::histogram!("vist_storage_page_write_nanos"), t);
-                shard.write_backs.fetch_add(1, Ordering::Relaxed);
-                vist_obs::counter!("vist_storage_write_back_total").inc();
-            }
+            self.write_back(shard, &frame)?;
             inner.map.remove(&frame.pid);
             inner.ring.swap_remove(idx);
             if inner.hand >= inner.ring.len() {
@@ -353,19 +366,41 @@ impl BufferPool {
         Err(Error::PoolExhausted)
     }
 
+    /// Write `frame` to the pager if it is dirty.
+    fn write_back(&self, shard: &Shard, frame: &Frame) -> Result<()> {
+        if !frame.dirty.swap(false, Ordering::AcqRel) {
+            return Ok(());
+        }
+        let data = frame.data.read();
+        let t = vist_obs::now();
+        if let Err(e) = self.pager.lock().write(frame.pid, &data) {
+            // Re-mark dirty so the modifications survive in cache and a
+            // later eviction/flush retries the write instead of silently
+            // dropping them.
+            frame.dirty.store(true, Ordering::Release);
+            return Err(e);
+        }
+        vist_obs::observe_since(vist_obs::histogram!("vist_storage_page_write_nanos"), t);
+        shard.write_backs.fetch_add(1, Ordering::Relaxed);
+        vist_obs::counter!("vist_storage_write_back_total").inc();
+        Ok(())
+    }
+
     /// Fetch a page for reading.
     pub fn fetch(&self, pid: PageId) -> Result<PageRef> {
         let frame = self.get_frame(pid)?;
-        let guard = RwLock::read_arc(&frame.data);
-        Ok(PageRef { frame, guard })
+        Ok(PageRef {
+            guard: RwLock::read_owned(frame, |f| &f.data),
+        })
     }
 
     /// Fetch a page for writing. The page is marked dirty when the guard
     /// drops.
     pub fn fetch_mut(&self, pid: PageId) -> Result<PageRefMut> {
         let frame = self.get_frame(pid)?;
-        let guard = RwLock::write_arc(&frame.data);
-        Ok(PageRefMut { frame, guard })
+        Ok(PageRefMut {
+            guard: RwLock::write_owned(frame, |f| &f.data),
+        })
     }
 
     /// Write all dirty cached pages back and sync the backing store.
@@ -375,20 +410,7 @@ impl BufferPool {
             // so concurrent fetches on the shard are not stalled by I/O.
             let frames: Vec<Arc<Frame>> = shard.inner.lock().ring.to_vec();
             for frame in frames {
-                if frame.dirty.swap(false, Ordering::AcqRel) {
-                    let data = frame.data.read();
-                    let t = vist_obs::now();
-                    if let Err(e) = self.pager.lock().write(frame.pid, &data) {
-                        frame.dirty.store(true, Ordering::Release);
-                        return Err(e);
-                    }
-                    vist_obs::observe_since(
-                        vist_obs::histogram!("vist_storage_page_write_nanos"),
-                        t,
-                    );
-                    shard.write_backs.fetch_add(1, Ordering::Relaxed);
-                    vist_obs::counter!("vist_storage_write_back_total").inc();
-                }
+                self.write_back(shard, &frame)?;
             }
         }
         self.pager.lock().sync()
@@ -428,10 +450,8 @@ impl BufferPool {
                 .shards
                 .iter()
                 .map(|s| ShardStats {
-                    hits: s.hits.load(Ordering::Relaxed),
-                    uncontended_hits: s.uncontended_hits.load(Ordering::Relaxed),
-                    misses: s.misses.load(Ordering::Relaxed),
                     write_backs: s.write_backs.load(Ordering::Relaxed),
+                    ..s.inner.lock().tally
                 })
                 .collect(),
         }

@@ -6,9 +6,11 @@
 //! 1. **Poison-free guards.** A panic while holding a lock in one reader
 //!    must not wedge every later reader with `PoisonError`; these wrappers
 //!    simply take the inner value and continue.
-//! 2. **Owned (`Arc`-backed) `RwLock` guards.** A [`crate::PageRef`] must
-//!    keep the page's frame lock held while being moved around and stored,
-//!    which a borrowed `RwLockReadGuard<'a>` cannot do.
+//! 2. **Owned `RwLock` guards.** A [`crate::PageRef`] must keep the page's
+//!    frame lock held while being moved around and stored, which a
+//!    borrowed `RwLockReadGuard<'a>` cannot do. `OwnedGuard` holds the
+//!    `Arc` of the value the lock is a field of, so one reference count
+//!    covers both the lock and its neighbours.
 //! 3. **`try_lock` contention probing** for the buffer pool's
 //!    uncontended-hit counter.
 //!
@@ -31,11 +33,6 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -50,14 +47,6 @@ impl<T: ?Sized> Mutex<T> {
             Ok(g) => Some(MutexGuard(g)),
             Err(TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
             Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.0.get_mut() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
         }
     }
 }
@@ -110,38 +99,39 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.0.get_mut() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
-        }
-    }
 }
 
 impl<T: 'static> RwLock<T> {
-    /// Shared lock that owns a clone of the `Arc`, so the guard may outlive
-    /// the borrow of `lock`.
-    pub fn read_arc(lock: &Arc<RwLock<T>>) -> ArcRwLockReadGuard<T> {
-        let arc = Arc::clone(lock);
-        let guard = arc.0.read().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: the guard borrows `arc`'s inner lock; the transmute only
-        // erases that lifetime. The guard is stored *before* the Arc in the
-        // owned-guard struct, so it is dropped first, and the Arc keeps the
-        // lock alive for the guard's whole life. The inner sync guard is
-        // never moved out or leaked past the Arc.
+    /// Shared lock on the `RwLock` that `project` finds inside `owner`,
+    /// as a guard that keeps `owner` alive and so may be moved and stored
+    /// freely.
+    pub(crate) fn read_owned<O>(
+        owner: Arc<O>,
+        project: fn(&O) -> &RwLock<T>,
+    ) -> OwnedReadGuard<O, T> {
+        let guard = project(&owner).0.read().unwrap_or_else(|e| e.into_inner());
+        // SAFETY: the transmute only erases the guard's borrow of `owner`.
+        // `project`'s signature ties the lock's lifetime to the `&O` it is
+        // given, so the lock lives as long as the value inside the `Arc`:
+        // that value has a stable heap address however the guard struct is
+        // moved, cannot be reached mutably while this clone of the `Arc`
+        // exists, and is kept alive by `owner`, which `OwnedGuard` declares
+        // *after* `guard` so the lock is released before the count drops.
+        // The `'static` guard never leaves the struct: `Deref` hands out
+        // borrows bounded by `&self`.
         let guard: sync::RwLockReadGuard<'static, T> = unsafe { std::mem::transmute(guard) };
-        ArcRwLockReadGuard { guard, _arc: arc }
+        OwnedGuard { guard, owner }
     }
 
-    /// Exclusive lock that owns a clone of the `Arc`.
-    pub fn write_arc(lock: &Arc<RwLock<T>>) -> ArcRwLockWriteGuard<T> {
-        let arc = Arc::clone(lock);
-        let guard = arc.0.write().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: as in `read_arc`.
+    /// Exclusive counterpart of [`RwLock::read_owned`].
+    pub(crate) fn write_owned<O>(
+        owner: Arc<O>,
+        project: fn(&O) -> &RwLock<T>,
+    ) -> OwnedWriteGuard<O, T> {
+        let guard = project(&owner).0.write().unwrap_or_else(|e| e.into_inner());
+        // SAFETY: as in `read_owned`.
         let guard: sync::RwLockWriteGuard<'static, T> = unsafe { std::mem::transmute(guard) };
-        ArcRwLockWriteGuard { guard, _arc: arc }
+        OwnedGuard { guard, owner }
     }
 }
 
@@ -165,38 +155,38 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Owned shared guard: holds the lock and an `Arc` to it.
+/// Guard `G` over a lock that is a field of `O`, together with the
+/// `Arc<O>` that keeps the lock alive.
 ///
-/// Field order is load-bearing: `guard` is declared before `_arc` so it is
-/// dropped first, releasing the lock before the backing allocation can go
-/// away.
-pub struct ArcRwLockReadGuard<T: 'static> {
-    guard: sync::RwLockReadGuard<'static, T>,
-    _arc: Arc<RwLock<T>>,
+/// Field order is load-bearing: `guard` is declared before `owner` so it
+/// is dropped first, releasing the lock before the backing allocation can
+/// go away.
+pub(crate) struct OwnedGuard<O, G> {
+    guard: G,
+    owner: Arc<O>,
 }
 
-/// Owned exclusive guard: holds the lock and an `Arc` to it.
-pub struct ArcRwLockWriteGuard<T: 'static> {
-    guard: sync::RwLockWriteGuard<'static, T>,
-    _arc: Arc<RwLock<T>>,
+/// Owned shared guard (see [`RwLock::read_owned`]).
+pub(crate) type OwnedReadGuard<O, T> = OwnedGuard<O, sync::RwLockReadGuard<'static, T>>;
+/// Owned exclusive guard (see [`RwLock::write_owned`]).
+pub(crate) type OwnedWriteGuard<O, T> = OwnedGuard<O, sync::RwLockWriteGuard<'static, T>>;
+
+impl<O, G> OwnedGuard<O, G> {
+    /// The value the locked field belongs to.
+    pub(crate) fn owner(&self) -> &O {
+        &self.owner
+    }
 }
 
-impl<T> Deref for ArcRwLockReadGuard<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
+impl<O, G: Deref> Deref for OwnedGuard<O, G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
         &self.guard
     }
 }
 
-impl<T> Deref for ArcRwLockWriteGuard<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> DerefMut for ArcRwLockWriteGuard<T> {
-    fn deref_mut(&mut self) -> &mut T {
+impl<O, G: DerefMut> DerefMut for OwnedGuard<O, G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
         &mut self.guard
     }
 }
@@ -233,36 +223,67 @@ mod tests {
         assert!(m.try_lock().is_some());
     }
 
-    #[test]
-    fn arc_guard_outlives_borrow() {
-        let lock = Arc::new(RwLock::new(vec![1, 2, 3]));
-        let guard = {
-            let borrowed = &lock;
-            RwLock::read_arc(borrowed)
-        };
-        drop(lock);
-        assert_eq!(*guard, vec![1, 2, 3]);
+    /// A lock beside other fields, as `Frame` keeps its page bytes.
+    struct Slot {
+        tag: u32,
+        data: RwLock<Vec<u8>>,
+    }
+
+    fn slot() -> Arc<Slot> {
+        Arc::new(Slot {
+            tag: 7,
+            data: RwLock::new(vec![1, 2, 3]),
+        })
     }
 
     #[test]
-    fn write_arc_then_read() {
-        let lock = Arc::new(RwLock::new(0u32));
+    fn owned_guard_keeps_its_owner_alive() {
+        let s = slot();
+        let guard = RwLock::read_owned(Arc::clone(&s), |s| &s.data);
+        let weak = Arc::downgrade(&s);
+        drop(s);
+        assert_eq!(*guard, vec![1, 2, 3]);
+        assert_eq!(guard.owner().tag, 7);
+        // Moving the guard does not move the lock it points into.
+        let moved = Box::new(guard);
+        assert_eq!(moved.len(), 3);
+        drop(moved);
+        assert!(weak.upgrade().is_none(), "the guard held the last count");
+    }
+
+    #[test]
+    fn owned_write_then_read() {
+        let s = slot();
         {
-            let mut g = RwLock::write_arc(&lock);
-            *g = 7;
+            let mut g = RwLock::write_owned(Arc::clone(&s), |s| &s.data);
+            g.push(4);
+            assert_eq!(g.owner().tag, 7);
         }
-        assert_eq!(*lock.read(), 7);
+        assert_eq!(*s.data.read(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn owned_guards_exclude_like_borrowed_ones() {
+        let s = slot();
+        let r1 = RwLock::read_owned(Arc::clone(&s), |s| &s.data);
+        let r2 = RwLock::read_owned(Arc::clone(&s), |s| &s.data);
+        assert!(s.data.0.try_write().is_err(), "readers exclude a writer");
+        drop((r1, r2));
+        let w = RwLock::write_owned(Arc::clone(&s), |s| &s.data);
+        assert!(s.data.0.try_read().is_err(), "a writer excludes readers");
+        drop(w);
+        assert!(s.data.0.try_read().is_ok());
     }
 
     #[test]
     fn many_concurrent_readers() {
-        let lock = Arc::new(RwLock::new(42u64));
+        let s = slot();
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                let lock = Arc::clone(&lock);
+                let s = Arc::clone(&s);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        assert_eq!(*RwLock::read_arc(&lock), 42);
+                        assert_eq!(RwLock::read_owned(Arc::clone(&s), |s| &s.data).len(), 3);
                     }
                 })
             })
