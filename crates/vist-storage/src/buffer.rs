@@ -25,11 +25,10 @@
 //! mutex may be held while taking the pager mutex, never the reverse; frame
 //! `RwLock`s are leaves and are never held while acquiring a shard lock.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::pager::PageIdMap;
 use crate::sync::{Mutex, MutexGuard, OwnedReadGuard, OwnedWriteGuard, RwLock};
 use crate::{Error, IoStats, PageId, Pager, Result};
 
@@ -48,29 +47,9 @@ struct Frame {
     referenced: AtomicBool,
 }
 
-/// Hasher of the frame maps: page ids are dense integers handed out by the
-/// pager, so one multiply spreading them over the table's index and tag
-/// bits replaces SipHash.
-#[derive(Default)]
-struct PageIdHasher(u64);
-
-impl Hasher for PageIdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("PageId hashes through write_u32");
-    }
-
-    fn write_u32(&mut self, pid: u32) {
-        self.0 = u64::from(pid).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// One lock stripe: a slice of the frame map plus its own CLOCK hand.
 struct ShardInner {
-    map: HashMap<PageId, Arc<Frame>, BuildHasherDefault<PageIdHasher>>,
+    map: PageIdMap<Arc<Frame>>,
     ring: Vec<Arc<Frame>>,
     hand: usize,
     capacity: usize,
@@ -227,7 +206,7 @@ impl BufferPool {
         let shards: Box<[Shard]> = (0..n)
             .map(|i| Shard {
                 inner: Mutex::new(ShardInner {
-                    map: HashMap::default(),
+                    map: PageIdMap::default(),
                     ring: Vec::new(),
                     hand: 0,
                     // Distribute the capacity; the first `capacity % n`

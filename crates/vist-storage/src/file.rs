@@ -32,11 +32,11 @@
 //! that replay automatically. `docs/DURABILITY.md` walks the full state
 //! machine; `tests/crash_recovery.rs` proves it at every injection point.
 
-use std::collections::HashMap;
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::crc::Crc32c;
-use crate::pager::check_page_size;
+use crate::pager::{check_page_size, PageIdMap};
 use crate::vfs::{OpenMode, RealVfs, VFile, Vfs};
 use crate::wal::{Wal, WAL_HDR};
 use crate::{Error, IoStats, PageId, Pager, Result, INVALID_PAGE};
@@ -47,6 +47,8 @@ const HDR_PAGE_SIZE: usize = 8;
 const HDR_FREE_HEAD: usize = 12;
 const HDR_HIGH_WATER: usize = 16;
 const HDR_LIVE: usize = 20;
+/// Bytes of the header page in use; the rest of the page is zero.
+const HDR_LEN: usize = HDR_LIVE + 8;
 
 /// Bytes appended to each page on disk: `crc32c(page_id ‖ payload)` plus
 /// reserved padding.
@@ -56,6 +58,19 @@ fn frame_crc(id: PageId, payload: &[u8]) -> u32 {
     let mut c = Crc32c::new();
     c.update(&id.to_le_bytes()).update(payload);
     c.finish()
+}
+
+/// A free-list link (the header's head, or the first four bytes of a free
+/// page) is the end marker or a data page below the high-water mark. A
+/// CRC-clean link outside that range would hand out the header frame, or a
+/// frame that does not exist, as a data page.
+fn check_free_link(link: PageId, high_water: PageId, field: fmt::Arguments<'_>) -> Result<()> {
+    if link != INVALID_PAGE && !(1..high_water).contains(&link) {
+        return Err(Error::Corrupt(format!(
+            "{field} {link} outside 1..{high_water}"
+        )));
+    }
+    Ok(())
 }
 
 /// A [`Pager`] persisting pages to a file, protected by a write-ahead log.
@@ -72,7 +87,10 @@ pub struct FilePager {
     live: u64,
     header_dirty: bool,
     /// Pages written since the last checkpoint: id → newest WAL offset.
-    pending: HashMap<PageId, u64>,
+    pending: PageIdMap<u64>,
+    /// Staging buffer of one frame (payload ‖ trailer): every data-file
+    /// read and write passes through it.
+    frame: Vec<u8>,
     stats: IoStats,
 }
 
@@ -123,11 +141,12 @@ impl FilePager {
             durable_frames: 1,
             live: 0,
             header_dirty: false,
-            pending: HashMap::new(),
+            pending: PageIdMap::default(),
+            frame: vec![0u8; page_size + PAGE_TRAILER],
             stats: IoStats::default(),
         };
-        let hdr = pager.header_page();
-        pager.write_frame(0, &hdr)?;
+        let hdr = pager.header_image();
+        write_frame_to(&mut *pager.data, &mut pager.frame, 0, &hdr)?;
         pager.data.sync()?;
         vfs.sync_parent_dir(path)?;
         Ok(pager)
@@ -168,14 +187,14 @@ impl FilePager {
         // result durable, then drop the log. Replaying the same records
         // twice (crash mid-replay, reopen) converges to the same bytes.
         let mut stats = IoStats::default();
-        let mut page = vec![0u8; page_size];
+        let mut frame = vec![0u8; page_size + PAGE_TRAILER];
         if !scan.committed.is_empty() {
             let recovery_start = vist_obs::now();
             let mut ids: Vec<PageId> = scan.committed.keys().copied().collect();
             ids.sort_unstable();
             for id in ids {
-                wal.read_page(scan.committed[&id], id, &mut page)?;
-                write_frame_to(&mut *data, page_size, id, &page)?;
+                let page = wal.read_page(scan.committed[&id], id)?;
+                write_frame_to(&mut *data, &mut frame, id, page)?;
                 stats.recovered_pages += 1;
             }
             data.sync()?;
@@ -191,7 +210,8 @@ impl FilePager {
         stats.wal_discarded_bytes = scan.discarded_bytes;
 
         // Only now is the header frame trustworthy.
-        read_frame_from(&mut *data, page_size, 0, &mut page)?;
+        read_frame_from(&mut *data, &mut frame, 0)?;
+        let page = &frame[..page_size];
         if &page[HDR_MAGIC..HDR_MAGIC + 8] != MAGIC {
             return Err(Error::BadMagic {
                 what: "store header",
@@ -212,6 +232,12 @@ impl FilePager {
         if high_water == 0 {
             return Err(Error::Corrupt("zero high-water mark".into()));
         }
+        check_free_link(free_head, high_water, format_args!("header free-list head"))?;
+        if live >= u64::from(high_water) {
+            return Err(Error::Corrupt(format!(
+                "header live count {live} not below high-water mark {high_water}"
+            )));
+        }
         Ok(FilePager {
             data,
             wal,
@@ -223,13 +249,15 @@ impl FilePager {
             durable_frames: high_water,
             live,
             header_dirty: false,
-            pending: HashMap::new(),
+            pending: PageIdMap::default(),
+            frame,
             stats,
         })
     }
 
-    fn header_page(&self) -> Vec<u8> {
-        let mut hdr = vec![0u8; self.page_size];
+    /// The used prefix of the header page.
+    fn header_image(&self) -> [u8; HDR_LEN] {
+        let mut hdr = [0u8; HDR_LEN];
         hdr[HDR_MAGIC..HDR_MAGIC + 8].copy_from_slice(MAGIC);
         hdr[HDR_PAGE_SIZE..HDR_PAGE_SIZE + 4]
             .copy_from_slice(&(self.page_size as u32).to_le_bytes());
@@ -239,10 +267,6 @@ impl FilePager {
         hdr
     }
 
-    fn write_frame(&mut self, id: PageId, payload: &[u8]) -> Result<()> {
-        write_frame_to(&mut *self.data, self.page_size, id, payload)
-    }
-
     fn check_id(&self, id: PageId) -> Result<()> {
         if id == 0 || id >= self.high_water {
             return Err(Error::InvalidPage(u64::from(id)));
@@ -250,7 +274,8 @@ impl FilePager {
         Ok(())
     }
 
-    /// Route a page image through the WAL and remember its offset.
+    /// Route a page image (`payload`, zero-padded to the page size)
+    /// through the WAL and remember its offset.
     fn wal_write(&mut self, id: PageId, payload: &[u8]) -> Result<()> {
         let t = vist_obs::now();
         let off = self.wal.append_page(id, payload)?;
@@ -262,47 +287,46 @@ impl FilePager {
         Ok(())
     }
 
-    /// Read a page image from wherever its newest version lives: the WAL
-    /// (pending), the data file (checkpointed), or nowhere (fresh zeros).
-    fn read_current(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
+    /// The page image from wherever its newest version lives — the WAL
+    /// (pending), the data file (checkpointed), or nowhere (fresh zeros) —
+    /// borrowed from the staging buffer it was read into.
+    fn current(&mut self, id: PageId) -> Result<&[u8]> {
         if let Some(&off) = self.pending.get(&id) {
-            return self.wal.read_page(off, id, buf);
+            return self.wal.read_page(off, id);
         }
         if id < self.durable_frames {
-            return read_frame_from(&mut *self.data, self.page_size, id, buf);
+            read_frame_from(&mut *self.data, &mut self.frame, id)?;
+        } else {
+            self.frame[..self.page_size].fill(0);
         }
-        buf.fill(0);
-        Ok(())
+        Ok(&self.frame[..self.page_size])
     }
 }
 
+/// Write `payload`, zero-padded to the page size, as frame `id`, staged in
+/// `frame`.
 fn write_frame_to(
     data: &mut dyn VFile,
-    page_size: usize,
+    frame: &mut [u8],
     id: PageId,
     payload: &[u8],
 ) -> Result<()> {
-    debug_assert_eq!(payload.len(), page_size);
-    let mut frame = Vec::with_capacity(page_size + PAGE_TRAILER);
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&frame_crc(id, payload).to_le_bytes());
-    frame.extend_from_slice(&[0u8; 4]);
-    let offset = u64::from(id) * (page_size + PAGE_TRAILER) as u64;
-    data.write_at(offset, &frame)?;
+    let page_size = frame.len() - PAGE_TRAILER;
+    debug_assert!(payload.len() <= page_size);
+    let (page, trailer) = frame.split_at_mut(page_size);
+    page[..payload.len()].copy_from_slice(payload);
+    page[payload.len()..].fill(0);
+    trailer[..4].copy_from_slice(&frame_crc(id, page).to_le_bytes());
+    trailer[4..].fill(0);
+    data.write_at(u64::from(id) * frame.len() as u64, frame)?;
     Ok(())
 }
 
-fn read_frame_from(
-    data: &mut dyn VFile,
-    page_size: usize,
-    id: PageId,
-    buf: &mut [u8],
-) -> Result<()> {
-    debug_assert_eq!(buf.len(), page_size);
-    let frame_size = page_size + PAGE_TRAILER;
-    let mut frame = vec![0u8; frame_size];
-    data.read_at(u64::from(id) * frame_size as u64, &mut frame)?;
-    let (payload, trailer) = frame.split_at(page_size);
+/// Read frame `id` into `frame` and verify its trailer; the payload is
+/// `frame[..page_size]`.
+fn read_frame_from(data: &mut dyn VFile, frame: &mut [u8], id: PageId) -> Result<()> {
+    data.read_at(u64::from(id) * frame.len() as u64, frame)?;
+    let (payload, trailer) = frame.split_at(frame.len() - PAGE_TRAILER);
     let expected = u32::from_le_bytes(trailer[..4].try_into().unwrap());
     let actual = frame_crc(id, payload);
     if expected != actual {
@@ -312,7 +336,6 @@ fn read_frame_from(
             actual,
         });
     }
-    buf.copy_from_slice(payload);
     Ok(())
 }
 
@@ -325,12 +348,16 @@ impl Pager for FilePager {
         if self.free_head != INVALID_PAGE {
             let id = self.free_head;
             // The free page's first four bytes link to the next free page.
-            let mut page = vec![0u8; self.page_size];
-            self.read_current(id, &mut page)?;
-            self.free_head = PageId::from_le_bytes(page[0..4].try_into().unwrap());
+            let page = self.current(id)?;
+            let next = PageId::from_le_bytes(page[..4].try_into().unwrap());
+            check_free_link(
+                next,
+                self.high_water,
+                format_args!("free-list link of page {id}"),
+            )?;
+            self.free_head = next;
             // Hand the page back zeroed (through the WAL, like any write).
-            page.fill(0);
-            self.wal_write(id, &page)?;
+            self.wal_write(id, &[])?;
             self.stats.allocations += 1;
             self.live += 1;
             self.header_dirty = true;
@@ -351,9 +378,8 @@ impl Pager for FilePager {
 
     fn free(&mut self, id: PageId) -> Result<()> {
         self.check_id(id)?;
-        let mut page = vec![0u8; self.page_size];
-        page[0..4].copy_from_slice(&self.free_head.to_le_bytes());
-        self.wal_write(id, &page)?;
+        let link = self.free_head.to_le_bytes();
+        self.wal_write(id, &link)?;
         self.free_head = id;
         self.live = self.live.saturating_sub(1);
         self.header_dirty = true;
@@ -364,7 +390,7 @@ impl Pager for FilePager {
     fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), self.page_size);
         self.check_id(id)?;
-        self.read_current(id, buf)?;
+        buf.copy_from_slice(self.current(id)?);
         self.stats.reads += 1;
         Ok(())
     }
@@ -395,12 +421,11 @@ impl Pager for FilePager {
         // Stage the header and zero-images for allocated-but-never-written
         // frames, so the data file has a valid frame below high_water for
         // every id once this checkpoint applies.
-        let hdr = self.header_page();
+        let hdr = self.header_image();
         self.wal_write(0, &hdr)?;
-        let zero = vec![0u8; self.page_size];
         for id in self.durable_frames..self.high_water {
             if !self.pending.contains_key(&id) {
-                self.wal_write(id, &zero)?;
+                self.wal_write(id, &[])?;
             }
         }
         // The commit record is the atomic durability point.
@@ -411,10 +436,9 @@ impl Pager for FilePager {
         // every page to its committed image, and reopening replays the log.
         let mut ids: Vec<PageId> = self.pending.keys().copied().collect();
         ids.sort_unstable();
-        let mut page = vec![0u8; self.page_size];
         for id in ids {
-            self.wal.read_page(self.pending[&id], id, &mut page)?;
-            self.write_frame(id, &page)?;
+            let page = self.wal.read_page(self.pending[&id], id)?;
+            write_frame_to(&mut *self.data, &mut self.frame, id, page)?;
         }
         self.data.sync()?;
         // The data file is now authoritative; drop the log.

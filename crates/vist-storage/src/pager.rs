@@ -1,5 +1,8 @@
 //! The [`Pager`] trait: fixed-size page allocation and I/O.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::{IoStats, Result};
 
 /// Identifier of a page within a pager. Page ids are dense `u32`s; page 0 is
@@ -8,6 +11,30 @@ pub type PageId = u32;
 
 /// Sentinel page id used for "null" links (e.g. end of a leaf chain).
 pub const INVALID_PAGE: PageId = u32::MAX;
+
+/// Hasher of every map keyed by [`PageId`]: page ids are dense integers
+/// handed out by the pager, so one multiply spreading them over the table's
+/// index and tag bits replaces SipHash.
+#[derive(Default)]
+pub(crate) struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PageId hashes through write_u32");
+    }
+
+    fn write_u32(&mut self, pid: u32) {
+        self.0 = u64::from(pid).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by page id (the pool's frame maps, the pager's pending
+/// writes, the committed images of a WAL scan).
+pub(crate) type PageIdMap<V> = HashMap<PageId, V, BuildHasherDefault<PageIdHasher>>;
 
 /// Abstraction over a store of fixed-size pages.
 ///

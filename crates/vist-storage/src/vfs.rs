@@ -8,7 +8,7 @@
 //! `std::fs::File`.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::Path;
 
 /// How [`Vfs::open`] should treat an existing file.
@@ -61,12 +61,27 @@ pub struct RealVfs;
 struct RealFile(File);
 
 impl VFile for RealFile {
+    // Unix: one positional call (`pread` / `pwrite`), no shared file cursor.
+    #[cfg(unix)]
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(&self.0, buf, offset)
+    }
+
+    #[cfg(unix)]
+    fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+        std::os::unix::fs::FileExt::write_all_at(&self.0, buf, offset)
+    }
+
+    #[cfg(not(unix))]
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        use std::io::{Read, Seek, SeekFrom};
         self.0.seek(SeekFrom::Start(offset))?;
         self.0.read_exact(buf)
     }
 
+    #[cfg(not(unix))]
     fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+        use std::io::{Seek, SeekFrom, Write};
         self.0.seek(SeekFrom::Start(offset))?;
         self.0.write_all(buf)
     }

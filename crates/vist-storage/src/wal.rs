@@ -25,9 +25,9 @@
 //! everything after it is crash debris and is discarded.
 
 use crate::crc::Crc32c;
+use crate::pager::PageIdMap;
 use crate::vfs::VFile;
 use crate::{Error, PageId, Result};
-use std::collections::HashMap;
 
 const WAL_MAGIC: &[u8; 8] = b"VISTWAL1";
 /// Size of the WAL file header.
@@ -42,7 +42,7 @@ const KIND_COMMIT: u8 = 2;
 #[derive(Debug, Default)]
 pub(crate) struct WalScan {
     /// Latest committed image per page: id → record offset.
-    pub committed: HashMap<PageId, u64>,
+    pub committed: PageIdMap<u64>,
     /// Number of commit records found.
     pub commits: u64,
     /// Bytes after the last commit (uncommitted tail, discarded).
@@ -56,12 +56,30 @@ pub(crate) struct Wal {
     end: u64,
     /// Checkpoint sequence number of the next commit record.
     seq: u64,
+    /// Staging buffer of one `PAGE` record (header ‖ payload): every page
+    /// image appended or read back passes through it.
+    rec: Vec<u8>,
 }
 
 fn record_crc(kind: u8, pid: PageId, payload: &[u8]) -> u32 {
     let mut c = Crc32c::new();
     c.update(&[kind]).update(&pid.to_le_bytes()).update(payload);
     c.finish()
+}
+
+fn encode_header(kind: u8, pid: PageId, payload: &[u8]) -> [u8; REC_HDR] {
+    let mut hdr = [0u8; REC_HDR];
+    hdr[0] = kind;
+    hdr[1..5].copy_from_slice(&pid.to_le_bytes());
+    hdr[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    hdr[9..13].copy_from_slice(&record_crc(kind, pid, payload).to_le_bytes());
+    hdr
+}
+
+/// `(kind, page_id, len, crc)` of a record header.
+fn decode_header(hdr: &[u8]) -> (u8, PageId, usize, u32) {
+    let word = |at: usize| u32::from_le_bytes(hdr[at..at + 4].try_into().unwrap());
+    (hdr[0], word(1), word(5) as usize, word(9))
 }
 
 impl Wal {
@@ -77,6 +95,7 @@ impl Wal {
             page_size,
             end: WAL_HDR,
             seq: 0,
+            rec: vec![0u8; REC_HDR + page_size],
         })
     }
 
@@ -111,22 +130,19 @@ impl Wal {
             .map_err(|_| Error::Corrupt(format!("bad page size {page_size} in wal header")))?;
 
         let mut scan = WalScan::default();
-        let mut staged: HashMap<PageId, u64> = HashMap::new();
+        let mut staged = PageIdMap::default();
         let mut pos = WAL_HDR;
         let mut committed_end = WAL_HDR;
-        let mut rec_hdr = [0u8; REC_HDR];
-        let mut payload = vec![0u8; page_size];
+        let mut rec = vec![0u8; REC_HDR + page_size];
         loop {
             if pos + REC_HDR as u64 > len {
                 break; // torn record header (or clean end)
             }
-            if file.read_at(pos, &mut rec_hdr).is_err() {
+            let (rec_hdr, payload) = rec.split_at_mut(REC_HDR);
+            if file.read_at(pos, rec_hdr).is_err() {
                 break;
             }
-            let kind = rec_hdr[0];
-            let pid = PageId::from_le_bytes(rec_hdr[1..5].try_into().unwrap());
-            let rlen = u32::from_le_bytes(rec_hdr[5..9].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(rec_hdr[9..13].try_into().unwrap());
+            let (kind, pid, rlen, crc) = decode_header(rec_hdr);
             let valid_shape = match kind {
                 KIND_PAGE => rlen == page_size,
                 KIND_COMMIT => rlen == 8,
@@ -162,41 +178,38 @@ impl Wal {
                 page_size,
                 end: len,
                 seq: scan.commits,
+                rec,
             },
             scan,
         ))
     }
 
-    /// Append a page image; returns the record's offset (for later
-    /// [`Wal::read_page`]). Not synced — [`Wal::commit`] makes it durable.
+    /// Append a page image — `data`, zero-padded to the page size — and
+    /// return the record's offset (for later [`Wal::read_page`]). Not
+    /// synced — [`Wal::commit`] makes it durable.
     pub fn append_page(&mut self, pid: PageId, data: &[u8]) -> Result<u64> {
-        debug_assert_eq!(data.len(), self.page_size);
-        let mut rec = Vec::with_capacity(REC_HDR + data.len());
-        rec.push(KIND_PAGE);
-        rec.extend_from_slice(&pid.to_le_bytes());
-        rec.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&record_crc(KIND_PAGE, pid, data).to_le_bytes());
-        rec.extend_from_slice(data);
+        debug_assert!(data.len() <= self.page_size);
+        let (hdr, payload) = self.rec.split_at_mut(REC_HDR);
+        payload[..data.len()].copy_from_slice(data);
+        payload[data.len()..].fill(0);
+        hdr.copy_from_slice(&encode_header(KIND_PAGE, pid, payload));
         let off = self.end;
-        self.file.write_at(off, &rec)?;
-        self.end += rec.len() as u64;
+        self.file.write_at(off, &self.rec)?;
+        self.end += self.rec.len() as u64;
         Ok(off)
     }
 
-    /// Read back the page image appended at `offset`, verifying its CRC.
-    pub fn read_page(&mut self, offset: u64, expect_pid: PageId, buf: &mut [u8]) -> Result<()> {
-        debug_assert_eq!(buf.len(), self.page_size);
-        let mut rec_hdr = [0u8; REC_HDR];
-        self.file.read_at(offset, &mut rec_hdr)?;
-        let kind = rec_hdr[0];
-        let pid = PageId::from_le_bytes(rec_hdr[1..5].try_into().unwrap());
-        let rlen = u32::from_le_bytes(rec_hdr[5..9].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rec_hdr[9..13].try_into().unwrap());
+    /// Read back the page image appended at `offset` (header and payload in
+    /// one read), verifying its CRC. The image is borrowed from the staging
+    /// buffer, valid until the next append or read.
+    pub fn read_page(&mut self, offset: u64, expect_pid: PageId) -> Result<&[u8]> {
+        self.file.read_at(offset, &mut self.rec)?;
+        let (rec_hdr, payload) = self.rec.split_at(REC_HDR);
+        let (kind, pid, rlen, crc) = decode_header(rec_hdr);
         if kind != KIND_PAGE || pid != expect_pid || rlen != self.page_size {
             return Err(Error::TruncatedWal { offset });
         }
-        self.file.read_at(offset + REC_HDR as u64, buf)?;
-        let actual = record_crc(kind, pid, buf);
+        let actual = record_crc(kind, pid, payload);
         if actual != crc {
             return Err(Error::ChecksumMismatch {
                 page: u64::from(pid),
@@ -204,7 +217,7 @@ impl Wal {
                 actual,
             });
         }
-        Ok(())
+        Ok(payload)
     }
 
     /// Make all appended records durable and seal them with a commit record
@@ -212,12 +225,9 @@ impl Wal {
     pub fn commit(&mut self) -> Result<()> {
         self.file.sync()?;
         let payload = self.seq.to_le_bytes();
-        let mut rec = Vec::with_capacity(REC_HDR + payload.len());
-        rec.push(KIND_COMMIT);
-        rec.extend_from_slice(&0u32.to_le_bytes());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&record_crc(KIND_COMMIT, 0, &payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
+        let mut rec = [0u8; REC_HDR + 8];
+        rec[..REC_HDR].copy_from_slice(&encode_header(KIND_COMMIT, 0, &payload));
+        rec[REC_HDR..].copy_from_slice(&payload);
         self.file.write_at(self.end, &rec)?;
         self.end += rec.len() as u64;
         self.file.sync()?;
@@ -282,11 +292,10 @@ mod tests {
         assert_eq!(scan.commits, 1);
         assert_eq!(scan.committed.len(), 2);
         assert!(scan.discarded_bytes > 0, "uncommitted tail measured");
-        let mut buf = page(0);
-        wal.read_page(scan.committed[&3], 3, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0xCC), "latest image wins");
-        wal.read_page(scan.committed[&5], 5, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0xBB));
+        let image = wal.read_page(scan.committed[&3], 3).unwrap();
+        assert_eq!(image, page(0xCC), "latest image wins");
+        let image = wal.read_page(scan.committed[&5], 5).unwrap();
+        assert_eq!(image, page(0xBB));
     }
 
     #[test]
