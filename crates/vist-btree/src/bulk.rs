@@ -12,7 +12,7 @@ use vist_storage::{BufferPool, Error, PageId, Result, SlotId, SlottedPageMut, IN
 use crate::node::{
     init_internal, init_leaf, internal_cell, leaf_cell, set_link1, set_link2, NODE_HDR,
 };
-use crate::tree::BTree;
+use crate::tree::{note_height, BTree};
 
 impl BTree {
     /// Build a tree from `items`, which must be strictly ascending by key
@@ -99,13 +99,16 @@ impl BTree {
                 let mut page = pool.fetch_mut(root)?;
                 init_leaf(page.data_mut());
                 drop(page);
+                note_height(1);
                 return BTree::open(pool, root);
             }
         }
 
         // ---- internal levels --------------------------------------------
         let mut level: Vec<(Vec<u8>, PageId)> = leaves;
+        let mut height = 1u64;
         while level.len() > 1 {
+            height += 1;
             let mut next: Vec<(Vec<u8>, PageId)> = Vec::new();
             let mut iter = level.into_iter();
             let (mut first_key, leftmost) = iter.next().expect("level non-empty");
@@ -139,6 +142,7 @@ impl BTree {
             level = next;
         }
         let root = level[0].1;
+        note_height(height);
         BTree::open(pool, root)
     }
 }

@@ -1,14 +1,17 @@
 //! Ordered range scans over the leaf chain: one descent to the leaf covering
 //! the start bound, a binary search for the first qualifying slot, then
-//! slots and forward links until the end bound ([`BTree::walk_leaves`]).
+//! slots and forward links until the end bound ([`Tree::walk_leaves`]).
+//! Written once for both descents: a cursor over a [`crate::PackedTree`]
+//! differs from one over a [`crate::BTree`] only in how its seek finds the
+//! first leaf.
 
 use std::collections::VecDeque;
 use std::ops::{Bound, ControlFlow, RangeBounds};
 
-use vist_storage::{PageId, PageRef, Result, SlotId, SlottedPage, INVALID_PAGE};
+use vist_storage::{BufferPool, PageId, PageRef, Result, SlotId, SlottedPage, INVALID_PAGE};
 
 use crate::node::{decode_leaf_cell, link1, search, NODE_HDR};
-use crate::tree::BTree;
+use crate::tree::{fetch_leaf, Descent, Tree};
 
 /// First slot of leaf `buf` whose key satisfies the `start` bound (the slot
 /// count when none does).
@@ -30,7 +33,7 @@ fn within_end(key: &[u8], end: Bound<&[u8]>) -> bool {
 
 /// Hand the records of leaf `buf` that lie inside `(start, end)` to `f`, in
 /// key order. `seeking` is true until the walk has reached the start bound:
-/// a seek can land left of it (see [`BTree::seek_leaf`]), in which case
+/// a seek can land left of it (see [`Descent::seek_leaf`]), in which case
 /// this leaf contributes nothing and the next one is searched again.
 /// Breaks when `f` does or a key beyond `end` is met; the leaf chain is
 /// sorted, so the walk is over then.
@@ -58,14 +61,14 @@ fn visit_leaf(
 
 /// Iterator over `(key, value)` pairs in key order.
 ///
-/// Created by [`BTree::scan`] / [`BTree::scan_prefix`]. The scan borrows the
+/// Created by [`Tree::scan`] / [`Tree::scan_prefix`]. The scan borrows the
 /// tree immutably, so the tree cannot be modified while a scan is live — the
 /// borrow checker enforces the stability the iterator relies on.
 ///
 /// Each leaf page's qualifying records are copied out in one batch, so page
 /// guards are never held across `next()` calls.
 pub struct Scan<'a> {
-    tree: &'a BTree,
+    pool: &'a BufferPool,
     /// Records buffered from the current leaf.
     buffered: VecDeque<(Vec<u8>, Vec<u8>)>,
     /// Next leaf to read, or `INVALID_PAGE` when the scan is over.
@@ -111,7 +114,7 @@ impl Scan<'_> {
     /// Read leaves until one contributes records or the scan is over.
     fn fill(&mut self) -> Result<()> {
         while self.buffered.is_empty() && self.next_leaf != INVALID_PAGE {
-            let page = self.tree.fetch_leaf(self.next_leaf)?;
+            let page = fetch_leaf(self.pool, self.next_leaf)?;
             self.buffer(&page)?;
         }
         Ok(())
@@ -136,7 +139,7 @@ impl Iterator for Scan<'_> {
     }
 }
 
-impl BTree {
+impl<D: Descent> Tree<D> {
     /// Iterate over all `(key, value)` pairs with keys in `range`, in key
     /// order.
     ///
@@ -163,7 +166,7 @@ impl BTree {
         let start = range.start_bound().cloned();
         let (first, _) = self.seek_leaf(start)?;
         let mut scan = Scan {
-            tree: self,
+            pool: self.pool(),
             buffered: VecDeque::new(),
             next_leaf: INVALID_PAGE,
             start: start.map(<[u8]>::to_vec),
@@ -189,7 +192,7 @@ impl BTree {
     /// without copying: `f` receives slices borrowed directly from the leaf
     /// page. Return [`ControlFlow::Break`] from `f` to stop early.
     ///
-    /// This is the zero-allocation counterpart of [`BTree::scan`] for hot
+    /// This is the zero-allocation counterpart of [`Tree::scan`] for hot
     /// paths: where `scan` copies each leaf's qualifying records into an
     /// owned buffer, `for_each_in` holds the leaf's shared page latch across
     /// the callbacks for that leaf and hands out borrowed slices. The latch
@@ -225,8 +228,9 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BTree;
     use std::sync::Arc;
-    use vist_storage::{BufferPool, MemPager};
+    use vist_storage::MemPager;
 
     fn filled(n: u32) -> BTree {
         let pool = Arc::new(BufferPool::with_capacity(MemPager::new(512), 256));

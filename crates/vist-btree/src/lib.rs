@@ -20,6 +20,10 @@
 //! Keys are compared lexicographically as byte strings; encode multi-field
 //! keys with [`codec::KeyWriter`].
 //!
+//! Two tree types share the read code: [`BTree`] can change and descends
+//! page by page; [`PackedTree`], a tree of an immutable packed segment, has
+//! no mutating method and descends through an in-memory array instead.
+//!
 //! # Example
 //!
 //! ```
@@ -36,9 +40,12 @@
 //! assert_eq!(all.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bulk;
 pub mod codec;
 mod cursor;
+mod fence;
 mod node;
 mod segment;
 mod stats;
@@ -49,7 +56,7 @@ pub mod verify;
 pub use cursor::Scan;
 pub use segment::{SegmentReader, SegmentWriter};
 pub use stats::TreeStats;
-pub use tree::BTree;
+pub use tree::{BTree, PackedTree};
 pub use vist_storage::{Error, Result};
 
 /// Register this crate's observability metrics with the global

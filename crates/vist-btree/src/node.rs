@@ -112,11 +112,27 @@ pub(crate) fn internal_cell(key: &[u8], child: PageId) -> Vec<u8> {
     cell
 }
 
-/// Decode an internal cell into `(key, child)`.
-pub(crate) fn decode_internal_cell(cell: &[u8]) -> (&[u8], PageId) {
-    let klen = u16::from_le_bytes(cell[0..2].try_into().unwrap()) as usize;
-    let child = PageId::from_le_bytes(cell[2..6].try_into().unwrap());
-    (&cell[6..6 + klen], child)
+/// Decode cell `slot` of internal page `pid` into `(key, child)`. Total: a
+/// cell shorter than its header, or a key length that runs past the cell,
+/// is [`Error::Corrupt`] naming the page and the field.
+pub(crate) fn decode_internal_cell(
+    pid: PageId,
+    slot: SlotId,
+    cell: &[u8],
+) -> Result<(&[u8], PageId)> {
+    let bad = |what: String| Error::Corrupt(format!("page {pid}: internal cell {slot}: {what}"));
+    if cell.len() < 6 {
+        return Err(bad(format!(
+            "{} byte(s), shorter than the 6-byte cell header",
+            cell.len()
+        )));
+    }
+    let klen = usize::from(u16::from_le_bytes([cell[0], cell[1]]));
+    let child = PageId::from_le_bytes([cell[2], cell[3], cell[4], cell[5]]);
+    let key = cell[6..]
+        .get(..klen)
+        .ok_or_else(|| bad(format!("key length {klen} runs past the cell")))?;
+    Ok((key, child))
 }
 
 /// Binary search a leaf's cells. `Ok(i)` if slot `i` has exactly `key`,
@@ -136,23 +152,23 @@ pub(crate) fn search(buf: &[u8], key: &[u8]) -> std::result::Result<SlotId, Slot
     Err(lo)
 }
 
-/// First slot of an internal node whose key is strictly greater than
+/// First slot of internal node `pid` whose key is strictly greater than
 /// `key`. Used for routing and separator insertion so that, when lazy
 /// deletion has left a stale separator equal to a fresh one, keys route to
 /// the *later* (newer) child.
-pub(crate) fn upper_bound(buf: &[u8], key: &[u8]) -> SlotId {
+pub(crate) fn upper_bound(pid: PageId, buf: &[u8], key: &[u8]) -> Result<SlotId> {
     let page = SlottedPage::new(buf, NODE_HDR);
     let (mut lo, mut hi) = (0, page.slot_count());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let (k, _) = decode_internal_cell(page.cell(mid).expect("slot in range"));
+        let (k, _) = decode_internal_cell(pid, mid, page.cell(mid)?)?;
         if k <= key {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    lo
+    Ok(lo)
 }
 
 /// The shortest key `s` with `left_last < s <= right_first` — the classic
@@ -172,18 +188,18 @@ pub(crate) fn shortest_separator(left_last: &[u8], right_first: &[u8]) -> Vec<u8
     right_first[..(lcp + 1).min(right_first.len())].to_vec()
 }
 
-/// For an internal node, the child page that covers `key` (the last cell with
-/// key <= `key`), and the slot index of the cell it came from (`None` =
+/// For internal node `pid`, the child page that covers `key` (the last cell
+/// with key <= `key`), and the slot index of the cell it came from (`None` =
 /// leftmost child).
-pub(crate) fn child_for(buf: &[u8], key: &[u8]) -> (Option<SlotId>, PageId) {
-    match upper_bound(buf, key) {
+pub(crate) fn child_for(pid: PageId, buf: &[u8], key: &[u8]) -> Result<(Option<SlotId>, PageId)> {
+    Ok(match upper_bound(pid, buf, key)? {
         0 => (None, link1(buf)),
         i => {
             let page = SlottedPage::new(buf, NODE_HDR);
-            let (_, child) = decode_internal_cell(page.cell(i - 1).expect("in range"));
+            let (_, child) = decode_internal_cell(pid, i - 1, page.cell(i - 1)?)?;
             (Some(i - 1), child)
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -213,7 +229,17 @@ mod tests {
     #[test]
     fn internal_cell_roundtrip() {
         let cell = internal_cell(b"sep", 42);
-        assert_eq!(decode_internal_cell(&cell), (&b"sep"[..], 42));
+        assert_eq!(
+            decode_internal_cell(7, 0, &cell).unwrap(),
+            (&b"sep"[..], 42)
+        );
+        // Short header, and a key length past the cell: errors naming the
+        // page and the field, never a slice panic.
+        for (bytes, what) in [(&cell[..5], "cell header"), (&cell[..8], "key length 3")] {
+            let msg = decode_internal_cell(7, 2, bytes).unwrap_err().to_string();
+            assert!(msg.contains("page 7") && msg.contains("cell 2"), "{msg}");
+            assert!(msg.contains(what), "{msg}");
+        }
     }
 
     #[test]
@@ -237,11 +263,12 @@ mod tests {
             p.insert(0, &internal_cell(b"d", 200)).unwrap();
             p.insert(1, &internal_cell(b"m", 300)).unwrap();
         }
-        assert_eq!(child_for(&buf, b"a"), (None, 100));
-        assert_eq!(child_for(&buf, b"d"), (Some(0), 200));
-        assert_eq!(child_for(&buf, b"k"), (Some(0), 200));
-        assert_eq!(child_for(&buf, b"m"), (Some(1), 300));
-        assert_eq!(child_for(&buf, b"z"), (Some(1), 300));
+        let child = |key: &[u8]| child_for(9, &buf, key).unwrap();
+        assert_eq!(child(b"a"), (None, 100));
+        assert_eq!(child(b"d"), (Some(0), 200));
+        assert_eq!(child(b"k"), (Some(0), 200));
+        assert_eq!(child(b"m"), (Some(1), 300));
+        assert_eq!(child(b"z"), (Some(1), 300));
     }
 
     #[test]

@@ -17,17 +17,18 @@
 //! (root u32, entries u64) × tree_count | meta_len u16 | meta bytes
 //! ```
 //!
-//! [`SegmentReader`] validates the header and reopens each tree with
-//! [`BTree::open`], so the whole cursor API ([`BTree::scan`],
-//! [`BTree::for_each_in`], …) works on segment trees unchanged. Readers
-//! must treat segment trees as immutable — nothing enforces it at the type
-//! level, but the tiered index never routes writes at them.
+//! [`SegmentReader`] validates the header and hands each tree out as a
+//! [`PackedTree`]: the read half of the tree API (`get_with`, the cursors,
+//! `tree_stats`, `verify`) and no way to write, so immutability is a
+//! property of the type. That guarantee is what lets a packed tree flatten
+//! its internal levels into memory when it is opened (see [`crate::fence`]).
 
 use std::sync::Arc;
 
 use vist_storage::{BufferPool, Error, PageId, Result};
 
-use crate::tree::BTree;
+use crate::fence::Fence;
+use crate::tree::{BTree, PackedTree, Tree};
 
 const MAGIC: &[u8; 8] = b"VISTSEG1";
 const VERSION: u16 = 1;
@@ -114,7 +115,7 @@ impl SegmentWriter {
 }
 
 /// Read side of a packed segment: validates the header page and hands out
-/// the packed trees through the ordinary [`BTree`] API.
+/// the packed trees as read-only [`PackedTree`]s.
 pub struct SegmentReader {
     pool: Arc<BufferPool>,
     trees: Vec<(PageId, u64)>,
@@ -188,16 +189,21 @@ impl SegmentReader {
         &self.pool
     }
 
-    /// Open packed tree `i`. The returned tree must be treated as
-    /// read-only.
-    pub fn tree(&self, i: usize) -> Result<BTree> {
-        let Some(&(root, _)) = self.trees.get(i) else {
+    /// Open packed tree `i`: flatten its internal levels into the fence
+    /// array (every internal page is read once and validated; a malformed
+    /// one is [`Error::Corrupt`] naming the page and the field).
+    pub fn tree(&self, i: usize) -> Result<PackedTree> {
+        let Some(&(root, entries)) = self.trees.get(i) else {
             return Err(Error::Corrupt(format!(
                 "segment has {} trees, asked for {i}",
                 self.trees.len()
             )));
         };
-        BTree::open(Arc::clone(&self.pool), root)
+        let origin = format_args!("segment header: root of tree {i}");
+        Ok(Tree {
+            descent: Fence::load(&self.pool, root, entries, origin)?,
+            pool: Arc::clone(&self.pool),
+        })
     }
 }
 

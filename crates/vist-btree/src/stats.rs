@@ -5,7 +5,7 @@
 use vist_storage::{Result, SlottedPage};
 
 use crate::node::{decode_internal_cell, kind, link1, NodeKind, NODE_HDR};
-use crate::tree::BTree;
+use crate::tree::{Descent, Tree};
 
 /// Space statistics of one B+Tree.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl TreeStats {
     }
 }
 
-impl BTree {
+impl<D: Descent> Tree<D> {
     /// Walk the whole tree and account its pages, entries and bytes.
     /// O(pages); intended for tooling and experiments, not hot paths.
     pub fn tree_stats(&self) -> Result<TreeStats> {
@@ -77,7 +77,7 @@ impl BTree {
                     stats.internal_pages += 1;
                     stack.push((link1(buf), depth + 1));
                     for i in 0..p.slot_count() {
-                        let (_, child) = decode_internal_cell(p.cell(i)?);
+                        let (_, child) = decode_internal_cell(pid, i, p.cell(i)?)?;
                         stack.push((child, depth + 1));
                     }
                 }
@@ -90,7 +90,7 @@ impl BTree {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::BTree;
     use std::sync::Arc;
     use vist_storage::{BufferPool, MemPager};
 

@@ -33,19 +33,38 @@ use vist_storage::{
     BufferPool, Error, PageId, PageRef, Result, SlotId, SlottedPage, SlottedPageMut, INVALID_PAGE,
 };
 
+use crate::fence::Fence;
 use crate::node::{
     child_for, decode_internal_cell, decode_leaf_cell, init_internal, init_leaf, internal_cell,
     kind, leaf_cell, link1, link2, search, set_link1, set_link2, upper_bound, NodeKind, NODE_HDR,
 };
 
-/// A B+Tree over a shared [`BufferPool`].
-///
-/// Multiple trees may share one pool (ViST keeps its D-Ancestor/S-Ancestor
-/// and DocId trees in a single store). The root page id changes as the tree
-/// grows or shrinks; persist [`BTree::root_page`] and reopen with
-/// [`BTree::open`].
-pub struct BTree {
-    pool: Arc<BufferPool>,
+/// How a tree gets from a key to the leaf that covers it — the one thing
+/// [`BTree`] and [`PackedTree`] do differently. Everything after the leaf is
+/// reached (leaf search, the B-link chase, the leaf-chain walk, the cursors)
+/// is written once, on [`Tree`].
+pub trait Descent {
+    /// The root page; statistics and verification walk from here.
+    fn root(&self) -> PageId;
+
+    /// The leaf whose key range covers the key of `start` (the leftmost
+    /// leaf when unbounded), still pinned and latched, with the number of
+    /// pages fetched to reach it.
+    fn seek_leaf(&self, pool: &BufferPool, start: Bound<&[u8]>) -> Result<(PageRef, u64)>;
+}
+
+/// A B+Tree over a shared [`BufferPool`], read through the descent `D`.
+/// Use it through its two aliases: [`BTree`] (mutable, page descent) and
+/// [`PackedTree`] (read-only, in-memory fence array). The read surface below
+/// is common to both; only `BTree` has `insert`/`delete`/`clear`/`destroy`.
+pub struct Tree<D> {
+    pub(crate) pool: Arc<BufferPool>,
+    pub(crate) descent: D,
+}
+
+/// The descent of a tree that can change: fetch the root, binary-search
+/// each internal page for the child, one pool fetch per level.
+pub struct Paged {
     /// Current root page id; readers load it with `Acquire`, the writer
     /// publishes a fully-built new root with `Release`.
     root: AtomicU32,
@@ -54,45 +73,79 @@ pub struct BTree {
     max_cell: usize,
 }
 
-impl BTree {
-    pub(crate) fn max_cell_for(pool: &BufferPool) -> usize {
-        let usable = pool.page_size() - NODE_HDR - 6;
-        usable / 2 - 4
+/// A mutable B+Tree.
+///
+/// Multiple trees may share one pool (ViST keeps its D-Ancestor/S-Ancestor
+/// and DocId trees in a single store). The root page id changes as the tree
+/// grows or shrinks; persist [`BTree::root_page`] and reopen with
+/// [`BTree::open`].
+pub type BTree = Tree<Paged>;
+
+/// A bulk-loaded tree of an immutable packed segment, handed out by
+/// [`crate::SegmentReader::tree`]. It has no mutating method, so nothing can
+/// split or free a page under it; that is what lets it keep its inner
+/// levels as one sorted in-memory fence array (built once at open, one entry
+/// per leaf) and answer every probe with a binary search over plain memory
+/// plus **one** pool fetch, that of the leaf. It takes no latch on the way
+/// down because there is nothing to latch: see `docs/CONCURRENCY.md`.
+pub type PackedTree = Tree<Fence>;
+
+impl Descent for Paged {
+    fn root(&self) -> PageId {
+        self.root.load(Ordering::Acquire)
     }
 
-    /// Create a fresh empty tree in `pool`.
-    pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
-        crate::register_metrics();
-        let root = pool.allocate()?;
-        {
-            let mut page = pool.fetch_mut(root)?;
-            init_leaf(page.data_mut());
+    /// Every page on the way is checked for its kind byte, so one that is
+    /// neither leaf nor internal is an [`Error::Corrupt`] naming it instead
+    /// of a panic.
+    ///
+    /// Internal pages are released before their child is fetched, so a
+    /// concurrent split can leave the result one or more leaves left of the
+    /// key; callers recover by chasing [`fetch_leaf`] of `link1`.
+    fn seek_leaf(&self, pool: &BufferPool, start: Bound<&[u8]>) -> Result<(PageRef, u64)> {
+        let mut pid = self.root();
+        let mut depth = 0u64;
+        loop {
+            let page = pool.fetch(pid)?;
+            depth += 1;
+            let buf = page.data();
+            match kind(pid, buf)? {
+                NodeKind::Leaf => return Ok((page, depth)),
+                NodeKind::Internal => {
+                    pid = match start {
+                        Bound::Included(key) | Bound::Excluded(key) => child_for(pid, buf, key)?.1,
+                        Bound::Unbounded => link1(buf),
+                    };
+                }
+            }
         }
-        let max_cell = Self::max_cell_for(&pool);
-        Ok(BTree {
-            pool,
-            root: AtomicU32::new(root),
-            writer: Mutex::new(()),
-            max_cell,
-        })
     }
+}
 
-    /// Reopen a tree whose root page id was persisted earlier.
-    pub fn open(pool: Arc<BufferPool>, root: PageId) -> Result<Self> {
-        crate::register_metrics();
-        let max_cell = Self::max_cell_for(&pool);
-        Ok(BTree {
-            pool,
-            root: AtomicU32::new(root),
-            writer: Mutex::new(()),
-            max_cell,
-        })
+/// Fetch `pid`, which a leaf's forward link or a fence entry named,
+/// checking that it is a leaf.
+pub(crate) fn fetch_leaf(pool: &BufferPool, pid: PageId) -> Result<PageRef> {
+    let page = pool.fetch(pid)?;
+    match kind(pid, page.data())? {
+        NodeKind::Leaf => Ok(page),
+        NodeKind::Internal => Err(Error::Corrupt(format!(
+            "page {pid}: expected a leaf, found an internal node"
+        ))),
     }
+}
 
-    /// Current root page id (persist this to reopen the tree).
+/// Publish a tree height the caller has just learnt (a root split or
+/// collapse, a bulk load, the flatten of a packed tree) to the
+/// `vist_btree_depth` gauge. Probes do not touch the gauge.
+pub(crate) fn note_height(height: u64) {
+    vist_obs::gauge!("vist_btree_depth").set(i64::try_from(height).unwrap_or(i64::MAX));
+}
+
+impl<D: Descent> Tree<D> {
+    /// Current root page id (persist this to reopen a [`BTree`]).
     #[must_use]
     pub fn root_page(&self) -> PageId {
-        self.root.load(Ordering::Acquire)
+        self.descent.root()
     }
 
     /// The buffer pool this tree lives in.
@@ -101,64 +154,9 @@ impl BTree {
         &self.pool
     }
 
-    /// Largest `key.len() + value.len()` this tree accepts.
-    #[must_use]
-    pub fn max_record(&self) -> usize {
-        self.max_cell - 4
-    }
-
-    /// [`BTree::max_record`] for a tree that would live in `pool`, without
-    /// creating one — bulk loaders size their records with this.
-    #[must_use]
-    pub fn max_record_for(pool: &BufferPool) -> usize {
-        Self::max_cell_for(pool) - 4
-    }
-
-    /// Walk the whole tree checking structural invariants (key order, node
-    /// bounds, uniform depth, leaf chain). Used by `vist check` after a
-    /// crash recovery; see [`crate::verify::check`].
-    pub fn verify(&self) -> Result<()> {
-        crate::verify::check(self)
-    }
-
-    /// Descend from the root to the leaf whose key range covers the key of
-    /// `start` (the leftmost leaf when unbounded) and return it still pinned
-    /// and latched, with the number of pages the descent fetched. Every
-    /// read path starts here, so a page whose kind byte is neither leaf nor
-    /// internal is an [`Error::Corrupt`] naming it instead of a panic.
-    ///
-    /// Internal pages are released before their child is fetched, so a
-    /// concurrent split can leave the result one or more leaves left of the
-    /// key; callers recover by chasing [`BTree::fetch_leaf`] of `link1`.
+    /// See [`Descent::seek_leaf`]; every read path starts here.
     pub(crate) fn seek_leaf(&self, start: Bound<&[u8]>) -> Result<(PageRef, u64)> {
-        let mut pid = self.root_page();
-        let mut depth = 0u64;
-        loop {
-            let page = self.pool.fetch(pid)?;
-            depth += 1;
-            let buf = page.data();
-            match kind(pid, buf)? {
-                NodeKind::Leaf => return Ok((page, depth)),
-                NodeKind::Internal => {
-                    pid = match start {
-                        Bound::Included(key) | Bound::Excluded(key) => child_for(buf, key).1,
-                        Bound::Unbounded => link1(buf),
-                    };
-                }
-            }
-        }
-    }
-
-    /// Fetch `pid`, which a leaf's forward link named, checking that it is
-    /// a leaf.
-    pub(crate) fn fetch_leaf(&self, pid: PageId) -> Result<PageRef> {
-        let page = self.pool.fetch(pid)?;
-        match kind(pid, page.data())? {
-            NodeKind::Leaf => Ok(page),
-            NodeKind::Internal => Err(Error::Corrupt(format!(
-                "page {pid}: leaf chain reached an internal node"
-            ))),
-        }
+        self.descent.seek_leaf(&self.pool, start)
     }
 
     /// Hand the bytes of each leaf from the one covering `start` rightwards
@@ -176,7 +174,7 @@ impl BTree {
                 return Ok(());
             }
             drop(page);
-            page = self.fetch_leaf(next)?;
+            page = fetch_leaf(&self.pool, next)?;
         }
     }
 
@@ -197,7 +195,6 @@ impl BTree {
                 Ok(slot) => {
                     let (_, v) = decode_leaf_cell(p.cell(slot)?);
                     vist_obs::observe!("vist_btree_probe_depth", depth);
-                    vist_obs::gauge!("vist_btree_depth").set(depth as i64);
                     return Ok(Some(f(v)));
                 }
                 Err(slot) => {
@@ -211,7 +208,7 @@ impl BTree {
                     }
                     vist_obs::count!("vist_btree_leaf_chase_total");
                     drop(page);
-                    page = self.fetch_leaf(next)?;
+                    page = fetch_leaf(&self.pool, next)?;
                     depth += 1;
                 }
             }
@@ -228,18 +225,95 @@ impl BTree {
         Ok(self.get_with(key, |_| ())?.is_some())
     }
 
+    /// Number of entries (walks the whole leaf chain — O(n)).
+    pub fn len(&self) -> Result<u64> {
+        let mut n = 0u64;
+        self.walk_leaves(Bound::Unbounded, |buf| {
+            n += u64::from(SlottedPage::new(buf, NODE_HDR).slot_count());
+            Ok(ControlFlow::Continue(()))
+        })?;
+        Ok(n)
+    }
+
+    /// `true` when the tree holds no entries.
+    pub fn is_empty(&self) -> Result<bool> {
+        let (page, _) = self.seek_leaf(Bound::Unbounded)?;
+        let buf = page.data();
+        Ok(SlottedPage::new(buf, NODE_HDR).slot_count() == 0 && link1(buf) == INVALID_PAGE)
+    }
+}
+
+impl BTree {
+    pub(crate) fn max_cell_for(pool: &BufferPool) -> usize {
+        let usable = pool.page_size() - NODE_HDR - 6;
+        usable / 2 - 4
+    }
+
+    /// Create a fresh empty tree in `pool`.
+    pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
+        let root = pool.allocate()?;
+        {
+            let mut page = pool.fetch_mut(root)?;
+            init_leaf(page.data_mut());
+        }
+        note_height(1);
+        Self::open(pool, root)
+    }
+
+    /// Reopen a tree whose root page id was persisted earlier.
+    pub fn open(pool: Arc<BufferPool>, root: PageId) -> Result<Self> {
+        crate::register_metrics();
+        let max_cell = Self::max_cell_for(&pool);
+        Ok(Tree {
+            pool,
+            descent: Paged {
+                root: AtomicU32::new(root),
+                writer: Mutex::new(()),
+                max_cell,
+            },
+        })
+    }
+
+    /// Largest `key.len() + value.len()` this tree accepts.
+    #[must_use]
+    pub fn max_record(&self) -> usize {
+        self.descent.max_cell - 4
+    }
+
+    /// [`BTree::max_record`] for a tree that would live in `pool`, without
+    /// creating one — bulk loaders size their records with this.
+    #[must_use]
+    pub fn max_record_for(pool: &BufferPool) -> usize {
+        Self::max_cell_for(pool) - 4
+    }
+
+    /// Walk the whole tree checking structural invariants (key order, node
+    /// bounds, uniform depth, leaf chain). Used by `vist check` after a
+    /// crash recovery; see [`crate::verify::check`].
+    pub fn verify(&self) -> Result<()> {
+        crate::verify::check(self)
+    }
+
+    /// The root just changed: publish the new height, measured by one
+    /// leftmost descent under the writer lock. Root changes are
+    /// logarithmically rare.
+    fn publish_height(&self) -> Result<()> {
+        note_height(self.seek_leaf(Bound::Unbounded)?.1);
+        Ok(())
+    }
+
     /// Insert or replace. Returns the previous value, if any.
     ///
     /// Takes the tree's internal writer lock; safe to call concurrently
     /// with readers and with other writers (which serialize).
     pub fn insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
         vist_obs::counter!("vist_btree_insert_total").inc();
-        let _w = self.writer.lock();
+        let _w = self.descent.writer.lock();
         let cell_len = 4 + key.len() + value.len();
-        if cell_len > self.max_cell {
+        if cell_len > self.descent.max_cell {
             return Err(Error::PageOverflow {
                 requested: cell_len,
-                available: self.max_cell,
+                available: self.descent.max_cell,
             });
         }
         let root = self.root_page();
@@ -253,7 +327,8 @@ impl BTree {
             drop(page);
             // Publish only after the page is fully written: a reader that
             // loads the new root must find a complete node.
-            self.root.store(new_root, Ordering::Release);
+            self.descent.root.store(new_root, Ordering::Release);
+            self.publish_height()?;
         }
         Ok(old)
     }
@@ -280,7 +355,7 @@ impl BTree {
         let buf = page.data();
         Ok(match kind(pid, buf)? {
             NodeKind::Leaf => None,
-            NodeKind::Internal => Some(child_for(buf, key)),
+            NodeKind::Internal => Some(child_for(pid, buf, key)?),
         })
     }
 
@@ -400,7 +475,7 @@ impl BTree {
     ) -> Result<Option<(Vec<u8>, PageId)>> {
         let mut page = self.pool.fetch_mut(pid)?;
         let buf = page.data_mut();
-        let slot = upper_bound(buf, sep);
+        let slot = upper_bound(pid, buf, sep)?;
         let cell = internal_cell(sep, child);
         match SlottedPageMut::new(buf, NODE_HDR).insert(slot, &cell) {
             Ok(()) => Ok(None),
@@ -423,10 +498,10 @@ impl BTree {
             let p = SlottedPage::new(buf, NODE_HDR);
             (0..p.slot_count())
                 .map(|i| {
-                    let (k, c) = decode_internal_cell(p.cell(i).expect("in range"));
-                    (k.to_vec(), c)
+                    let (k, c) = decode_internal_cell(page.id(), i, p.cell(i)?)?;
+                    Ok((k.to_vec(), c))
                 })
-                .collect()
+                .collect::<Result<_>>()?
         };
         cells.insert(slot as usize, (sep.to_vec(), child));
         // The middle cell's key moves up; its child becomes the right node's
@@ -481,7 +556,7 @@ impl BTree {
     /// of the same tree; callers must exclude readers for its duration.
     pub fn delete(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         vist_obs::counter!("vist_btree_delete_total").inc();
-        let _w = self.writer.lock();
+        let _w = self.descent.writer.lock();
         let root = self.root_page();
         let (old, emptied) = self.delete_rec(root, key)?;
         if emptied {
@@ -491,10 +566,12 @@ impl BTree {
             let mut page = self.pool.fetch_mut(root)?;
             if kind(root, page.data())? == NodeKind::Internal {
                 init_leaf(page.data_mut());
+                note_height(1);
             }
             return Ok(old);
         }
         // Collapse a chain of single-child internal roots.
+        let first_root = root;
         let mut root = root;
         loop {
             let page = self.pool.fetch(root)?;
@@ -508,9 +585,12 @@ impl BTree {
             }
             let new_root = link1(buf);
             drop(page);
-            self.root.store(new_root, Ordering::Release);
+            self.descent.root.store(new_root, Ordering::Release);
             self.pool.free(root)?;
             root = new_root;
+        }
+        if root != first_root {
+            self.publish_height()?;
         }
         Ok(old)
     }
@@ -525,7 +605,7 @@ impl BTree {
     /// concurrent readers of the same tree; callers must exclude readers
     /// for the duration.
     pub fn destroy(self) -> Result<()> {
-        let _w = self.writer.lock();
+        let _w = self.descent.writer.lock();
         self.free_subtree(self.root_page())
     }
 
@@ -540,7 +620,7 @@ impl BTree {
                     stack.push(link1(buf));
                     let p = SlottedPage::new(buf, NODE_HDR);
                     for i in 0..p.slot_count() {
-                        let (_, child) = decode_internal_cell(p.cell(i)?);
+                        let (_, child) = decode_internal_cell(pid, i, p.cell(i)?)?;
                         stack.push(child);
                     }
                 }
@@ -558,13 +638,14 @@ impl BTree {
     /// concurrent readers of the same tree; callers must exclude readers
     /// for the duration.
     pub fn clear(&self) -> Result<()> {
-        let _w = self.writer.lock();
+        let _w = self.descent.writer.lock();
         let fresh = self.pool.allocate()?;
         {
             let mut page = self.pool.fetch_mut(fresh)?;
             init_leaf(page.data_mut());
         }
-        self.free_subtree(self.root.swap(fresh, Ordering::AcqRel))
+        note_height(1);
+        self.free_subtree(self.descent.root.swap(fresh, Ordering::AcqRel))
     }
 
     /// Returns `(removed value, node became empty)`.
@@ -607,7 +688,7 @@ impl BTree {
                         if p.slot_count() == 0 {
                             return Ok((old, true));
                         }
-                        let (_, c0) = decode_internal_cell(p.cell(0)?);
+                        let (_, c0) = decode_internal_cell(pid, 0, p.cell(0)?)?;
                         set_link1(buf, c0);
                         SlottedPageMut::new(buf, NODE_HDR).remove(0)?;
                     }
@@ -638,23 +719,6 @@ impl BTree {
             }
         }
         self.pool.free(pid)
-    }
-
-    /// Number of entries (walks the whole leaf chain — O(n)).
-    pub fn len(&self) -> Result<u64> {
-        let mut n = 0u64;
-        self.walk_leaves(Bound::Unbounded, |buf| {
-            n += u64::from(SlottedPage::new(buf, NODE_HDR).slot_count());
-            Ok(ControlFlow::Continue(()))
-        })?;
-        Ok(n)
-    }
-
-    /// `true` when the tree holds no entries.
-    pub fn is_empty(&self) -> Result<bool> {
-        let (page, _) = self.seek_leaf(Bound::Unbounded)?;
-        let buf = page.data();
-        Ok(SlottedPage::new(buf, NODE_HDR).slot_count() == 0 && link1(buf) == INVALID_PAGE)
     }
 }
 

@@ -2,8 +2,9 @@
 
 use vist_storage::{PageId, Result, SlottedPage, INVALID_PAGE};
 
+use crate::fence::Fence;
 use crate::node::{decode_internal_cell, decode_leaf_cell, kind, link1, link2, NodeKind, NODE_HDR};
-use crate::tree::BTree;
+use crate::tree::{fetch_leaf, BTree, PackedTree};
 
 /// Check every B+Tree invariant, returning a description of the first
 /// violation found:
@@ -32,7 +33,7 @@ pub fn check(tree: &BTree) -> Result<()> {
     let mut pid = *leaves_in_order.first().expect("at least the root leaf");
     let mut prev = INVALID_PAGE;
     while pid != INVALID_PAGE {
-        let page = tree.fetch_leaf(pid)?;
+        let page = fetch_leaf(tree.pool(), pid)?;
         let buf = page.data();
         if link2(buf) != prev {
             return corrupt(format!(
@@ -47,6 +48,71 @@ pub fn check(tree: &BTree) -> Result<()> {
     if chain != leaves_in_order {
         return corrupt(format!(
             "leaf chain {chain:?} != in-order leaves {leaves_in_order:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// Check a packed tree without trusting either its in-memory fence array or
+/// its pages:
+///
+/// 1. flattening the internal pages again (which validates them: see
+///    [`Fence::load`]) yields exactly the array the tree holds,
+/// 2. the keys of leaf *i* are strictly sorted and lie in
+///    `[fence i, fence i + 1)`,
+/// 3. the forward link of leaf *i* is leaf *i + 1* (none after the last) and
+///    its back link leaf *i − 1*, so a cursor walking the chain visits the
+///    leaves the array names, in its order,
+/// 4. the leaves hold as many entries as the segment header recorded.
+pub fn check_packed(tree: &PackedTree) -> Result<()> {
+    let fence = &tree.descent;
+    let root = tree.root_page();
+    if Fence::load(
+        tree.pool(),
+        root,
+        fence.entries(),
+        format_args!("tree root"),
+    )? != *fence
+    {
+        return corrupt("fence array in memory differs from the internal pages".into());
+    }
+    let mut entries = 0u64;
+    let mut prev = INVALID_PAGE;
+    for i in 0..fence.leaf_count() {
+        let (lower, pid) = fence.leaf(i);
+        let upper = (i + 1 < fence.leaf_count()).then(|| fence.leaf(i + 1));
+        let page = fetch_leaf(tree.pool(), pid)?;
+        let buf = page.data();
+        let cells = SlottedPage::new(buf, NODE_HDR);
+        let mut last = lower;
+        for slot in 0..cells.slot_count() {
+            let (key, _) = decode_leaf_cell(cells.cell(slot)?);
+            // The leftmost fence is empty, and so may the first key be.
+            let sorted = if slot == 0 { last <= key } else { last < key };
+            if !sorted || upper.is_some_and(|(hi, _)| key >= hi) {
+                return corrupt(format!(
+                    "leaf {pid} (fence entry {i}): key at slot {slot} out of order or \
+                     outside the leaf's fences"
+                ));
+            }
+            last = key;
+        }
+        entries += u64::from(cells.slot_count());
+        let next = upper.map_or(INVALID_PAGE, |(_, next)| next);
+        if link1(buf) != next || link2(buf) != prev {
+            return corrupt(format!(
+                "leaf {pid} (fence entry {i}): links ({}, {}) but the fence array says \
+                 ({prev}, {next})",
+                link2(buf),
+                link1(buf)
+            ));
+        }
+        prev = pid;
+    }
+    if entries != fence.entries() {
+        return corrupt(format!(
+            "{entries} entries in the leaves, the segment header recorded {}",
+            fence.entries()
         ));
     }
     Ok(())
@@ -80,7 +146,7 @@ fn check_node(
         let key = match node_kind {
             NodeKind::Leaf => decode_leaf_cell(cell).0.to_vec(),
             NodeKind::Internal => {
-                let (k, c) = decode_internal_cell(cell);
+                let (k, c) = decode_internal_cell(pid, i, cell)?;
                 cells.push((k.to_vec(), c));
                 k.to_vec()
             }

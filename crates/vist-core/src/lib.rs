@@ -31,6 +31,8 @@
 //! assert_eq!(hits.doc_ids, vec![id]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod alloc;
 mod error;
 mod extsort;
@@ -79,6 +81,7 @@ pub fn register_metrics() {
     let _ = vist_obs::counter!("vist_core_planner_docid_sweeps_total");
     let _ = vist_obs::gauge!("vist_core_documents");
     let _ = vist_obs::gauge!("vist_core_segments");
+    let _ = vist_obs::gauge!("vist_core_segment_fence_bytes");
     let _ = vist_obs::gauge!("vist_core_delta_leaf_fill_bp");
     let _ = vist_obs::gauge!("vist_core_segment_leaf_fill_bp");
     let _ = vist_obs::counter!("vist_core_bulk_docs_total");

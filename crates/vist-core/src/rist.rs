@@ -124,6 +124,7 @@ impl RistIndex {
             segments: 0,
             segment_docs: 0,
             segment_bytes: 0,
+            segment_fence_bytes: 0,
             tombstones: 0,
             documents: meta.doc_count,
             nodes: meta.node_count,

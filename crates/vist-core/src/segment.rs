@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use vist_btree::codec::KeyWriter;
-use vist_btree::{BTree, SegmentReader, SegmentWriter};
+use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
 use vist_seq::{dkey, Sequence};
 use vist_storage::{BufferPool, FilePager, Manifest, Vfs};
 
@@ -62,16 +62,16 @@ pub(crate) struct Segment {
     pub(crate) node_count: u64,
     pub(crate) dkey_count: u64,
     pub(crate) max_doc: u64,
-    dancestor: BTree,
-    sancestor: BTree,
-    docid: BTree,
-    docs: BTree,
+    dancestor: PackedTree,
+    sancestor: PackedTree,
+    docid: PackedTree,
+    docs: PackedTree,
     /// Per-dkid planner statistics, loaded whole from the packed
     /// statistics tree (slot 4). Empty for pre-statistics segments.
     stats: HashMap<u64, DkStats>,
     /// Handle on the packed statistics tree (space accounting only);
     /// `None` for pre-statistics segments.
-    stats_tree: Option<BTree>,
+    stats_tree: Option<PackedTree>,
     /// Exact totals (S-Ancestor / DocId entry counts from the header).
     totals: SourceTotals,
     pool: Arc<BufferPool>,
@@ -175,6 +175,33 @@ impl Segment {
     #[must_use]
     pub(crate) fn store_bytes(&self) -> u64 {
         self.pool.store_bytes()
+    }
+
+    /// The packed trees by name, in slot order.
+    fn trees(&self) -> impl Iterator<Item = (&'static str, &PackedTree)> {
+        [
+            ("dancestor", &self.dancestor),
+            ("sancestor", &self.sancestor),
+            ("docid", &self.docid),
+            ("documents", &self.docs),
+        ]
+        .into_iter()
+        .chain(self.stats_tree.as_ref().map(|t| ("stats", t)))
+    }
+
+    /// Bytes of memory the trees' fence arrays hold outside the pool.
+    #[must_use]
+    pub(crate) fn fence_bytes(&self) -> u64 {
+        self.trees().map(|(_, t)| t.fence_bytes()).sum()
+    }
+
+    /// Verify every packed tree (fence array against pages, leaf chain,
+    /// entry counts): `(name, None)` for a clean tree, `(name,
+    /// Some(message))` otherwise.
+    pub(crate) fn verify(&self) -> Vec<(&'static str, Option<String>)> {
+        self.trees()
+            .map(|(name, tree)| (name, tree.verify().err().map(|e| e.to_string())))
+            .collect()
     }
 
     /// Per-tree space accounting (`documents` reported in the `aux` slot).
@@ -612,6 +639,42 @@ mod tests {
                 crate::search_sequences(&seg, &translation.sequences, 1, crate::SearchMode::Docs)
                     .unwrap();
             assert_eq!(from_delta.docs, from_seg.docs, "query {expr}");
+        }
+    }
+
+    #[test]
+    fn verify_is_clean_and_open_rejects_a_cyclic_internal_page() {
+        let docs: Vec<(DocId, String)> = (0..300)
+            .map(|i| (i, format!("<r><a>x{i}</a><b><c>y{}</c></b></r>", i % 17)))
+            .collect();
+        let refs: Vec<(DocId, &str)> = docs.iter().map(|(i, x)| (*i, x.as_str())).collect();
+        let (dir, seg, _) = build(&refs);
+        assert!(seg.verify().iter().all(|(_, problem)| problem.is_none()));
+        let fence = seg.fence_bytes();
+        assert!(fence > 0 && fence * 100 < seg.store_bytes(), "{fence}");
+        drop(seg);
+
+        // Point the first internal page's leftmost child at the page itself
+        // and re-seal the frame: a descent from it used never to end.
+        let path = Manifest::segment_path(dir.file("store"), 1);
+        let mut file = std::fs::read(&path).unwrap();
+        let frame_len = 4096 + vist_storage::PAGE_TRAILER;
+        let id = (2..file.len() / frame_len)
+            .find(|id| file[id * frame_len] == 2)
+            .expect("300 documents make at least one tree two levels deep");
+        let frame = &mut file[id * frame_len..(id + 1) * frame_len];
+        frame[1..5].copy_from_slice(&(id as u32).to_le_bytes());
+        let mut crc = vist_storage::Crc32c::new();
+        crc.update(&(id as u32).to_le_bytes())
+            .update(&frame[..4096]);
+        frame[4096..4100].copy_from_slice(&crc.finish().to_le_bytes());
+        std::fs::write(&path, file).unwrap();
+        match Segment::open(&RealVfs, &dir.file("store"), 1, 64) {
+            Err(Error::Storage(vist_storage::Error::Corrupt(msg))) => {
+                assert!(msg.contains(&format!("page {id}")), "{msg}");
+                assert!(msg.contains("leftmost child"), "{msg}");
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
     }
 

@@ -16,6 +16,10 @@ pub struct IndexStats {
     pub segment_docs: u64,
     /// Total bytes of the segment files.
     pub segment_bytes: u64,
+    /// Bytes of memory the live segments' fence arrays hold (fence keys,
+    /// offsets and leaf ids of every packed tree) — what segments keep
+    /// outside the buffer pool.
+    pub segment_fence_bytes: u64,
     /// Segment documents masked by a delete tombstone in the delta.
     pub tombstones: u64,
     /// Live documents (delta + segments − tombstones).
@@ -224,6 +228,7 @@ mod tests {
             segments: 0,
             segment_docs: 0,
             segment_bytes: 0,
+            segment_fence_bytes: 0,
             tombstones: 0,
             documents: 1,
             nodes: 2,

@@ -561,16 +561,20 @@ impl VistIndex {
         let segments = self.segments_snapshot();
         let segment_docs: u64 = segments.iter().map(|s| s.doc_count).sum();
         let segment_bytes: u64 = segments.iter().map(|s| s.store_bytes()).sum();
+        let segment_fence_bytes: u64 = segments.iter().map(|s| s.fence_bytes()).sum();
         let tombstones = if segments.is_empty() {
             0
         } else {
             self.store.tomb_ids().map(|v| v.len() as u64).unwrap_or(0)
         };
         vist_obs::gauge!("vist_core_segments").set(segments.len() as i64);
+        vist_obs::gauge!("vist_core_segment_fence_bytes")
+            .set(i64::try_from(segment_fence_bytes).unwrap_or(i64::MAX));
         IndexStats {
             segments: segments.len() as u64,
             segment_docs,
             segment_bytes,
+            segment_fence_bytes,
             tombstones,
             documents: meta.doc_count,
             nodes: meta.node_count,
@@ -598,9 +602,10 @@ impl VistIndex {
     }
 
     /// Verify the structural invariants of every B+Tree in the index (key
-    /// order, node bounds, uniform depth, leaf chains) plus basic meta
-    /// consistency. Returns a human-readable report when everything is
-    /// clean, or [`Error::Corrupt`] carrying the report when it is not.
+    /// order, node bounds, uniform depth, leaf chains; for the packed trees
+    /// of each segment, the in-memory fence array against the pages) plus
+    /// basic meta consistency. Returns a human-readable report when
+    /// everything is clean, or [`Error::Corrupt`] carrying the report when it is not.
     /// Backs the `vist check` CLI command; intended to run after a crash
     /// recovery.
     pub fn check(&self) -> Result<String> {
@@ -608,16 +613,22 @@ impl VistIndex {
         use std::fmt::Write as _;
         let mut report = String::new();
         let mut dirty = 0usize;
+        let segments = self.segments_snapshot();
+        let mut line = |tree: std::fmt::Arguments<'_>, problem: Option<String>| match problem {
+            None => writeln!(report, "{tree} ok").unwrap(),
+            Some(msg) => {
+                dirty += 1;
+                writeln!(report, "{tree} CORRUPT: {msg}").unwrap();
+            }
+        };
         for (name, problem) in self.store.verify() {
-            match problem {
-                None => writeln!(report, "tree {name:<9} ok").unwrap(),
-                Some(msg) => {
-                    dirty += 1;
-                    writeln!(report, "tree {name:<9} CORRUPT: {msg}").unwrap();
-                }
+            line(format_args!("tree {name:<9}"), problem);
+        }
+        for seg in &segments {
+            for (name, problem) in seg.verify() {
+                line(format_args!("segment {} tree {name:<9}", seg.id), problem);
             }
         }
-        let segments = self.segments_snapshot();
         if !segments.is_empty() {
             let seg_docs: u64 = segments.iter().map(|s| s.doc_count).sum();
             let seg_nodes: u64 = segments.iter().map(|s| s.node_count).sum();

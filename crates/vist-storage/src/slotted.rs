@@ -69,14 +69,6 @@ macro_rules! shared_impl {
                 self.buf.len() - self.base
             }
 
-            fn slot_at(&self, i: SlotId) -> (usize, usize) {
-                let at = self.base + HDR + (i as usize) * SLOT;
-                (
-                    get_u16(self.buf, at) as usize,
-                    get_u16(self.buf, at + 2) as usize,
-                )
-            }
-
             /// Contiguous free bytes between the slot directory and cells.
             #[must_use]
             pub fn contiguous_free(&self) -> usize {
@@ -106,6 +98,26 @@ fn check_slot(count: u16, i: SlotId) -> Result<()> {
     Ok(())
 }
 
+/// The record in slot `i` of the slotted region at `base` of `buf`. Total: a
+/// slot count, directory entry or cell extent that the page cannot back
+/// (bytes that passed the page checksum but are wrong) is
+/// [`Error::Corrupt`], not a panic — every B+Tree read goes through here.
+fn cell_in(buf: &[u8], base: usize, i: SlotId) -> Result<&[u8]> {
+    check_slot(get_u16(buf, base + H_NSLOTS), i)?;
+    let at = base + HDR + i as usize * SLOT;
+    buf.get(at..at + SLOT)
+        .and_then(|d| {
+            let off = base + usize::from(u16::from_le_bytes([d[0], d[1]]));
+            let len = usize::from(u16::from_le_bytes([d[2], d[3]]));
+            buf.get(off..off + len)
+        })
+        .ok_or_else(|| {
+            Error::Corrupt(format!(
+                "slot {i}: directory entry or cell extent lies outside the page"
+            ))
+        })
+}
+
 impl<'a> SlottedPage<'a> {
     /// View an already-initialized slotted region starting `base` bytes into
     /// `buf`.
@@ -118,9 +130,7 @@ impl<'a> SlottedPage<'a> {
     /// The record stored in slot `i`. The returned slice borrows the page
     /// buffer (not this view), so it outlives the `SlottedPage` value.
     pub fn cell(&self, i: SlotId) -> Result<&'a [u8]> {
-        check_slot(self.slot_count(), i)?;
-        let (off, len) = self.slot_at(i);
-        Ok(&self.buf[self.base + off..self.base + off + len])
+        cell_in(self.buf, self.base, i)
     }
 }
 
@@ -132,11 +142,17 @@ impl<'a> SlottedPageMut<'a> {
         SlottedPageMut { buf, base }
     }
 
+    fn slot_at(&self, i: SlotId) -> (usize, usize) {
+        let at = self.base + HDR + (i as usize) * SLOT;
+        (
+            get_u16(self.buf, at) as usize,
+            get_u16(self.buf, at + 2) as usize,
+        )
+    }
+
     /// The record stored in slot `i`.
     pub fn cell(&self, i: SlotId) -> Result<&[u8]> {
-        check_slot(self.slot_count(), i)?;
-        let (off, len) = self.slot_at(i);
-        Ok(&self.buf[self.base + off..self.base + off + len])
+        cell_in(self.buf, self.base, i)
     }
 
     /// Initialize an empty slotted region (erases all records).

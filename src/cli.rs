@@ -882,8 +882,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
         }
         Command::Stats { index, format } => {
             let idx = open(&index)?;
-            // `stats()` refreshes the registry gauges (documents, store
-            // bytes, tree depth) so all three formats see current values.
+            // `stats()` refreshes the registry gauges (documents, segments,
+            // fence bytes) so all three formats see current values.
             let s = idx.stats();
             match format {
                 StatsFormat::Human => {}
@@ -901,6 +901,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             writeln!(out, "segments:             {}", s.segments).unwrap();
             writeln!(out, "segment documents:    {}", s.segment_docs).unwrap();
             writeln!(out, "segment bytes:        {}", s.segment_bytes).unwrap();
+            writeln!(out, "segment fence bytes:  {}", s.segment_fence_bytes).unwrap();
             writeln!(out, "tombstones:           {}", s.tombstones).unwrap();
             writeln!(out, "tight underflows:     {}", s.underflows).unwrap();
             writeln!(out, "node incarnations:    {}", s.deep_borrows).unwrap();
@@ -1978,6 +1979,18 @@ mod tests {
         assert!(out.contains("segment 1:"), "{out}");
         assert!(out.contains("statistics tree:"), "{out}");
         assert!(out.contains("leaf fill"), "{out}");
+        // Five single-leaf trees a segment: one empty fence, two offsets
+        // and one leaf id each.
+        assert!(out.contains("segment fence bytes:  120\n"), "{out}");
+
+        let out = run(Command::Check {
+            index: index.clone(),
+        })
+        .unwrap();
+        for tree in ["dancestor", "sancestor", "docid", "documents", "stats"] {
+            let line = format!("segment 2 tree {tree:<9} ok");
+            assert!(out.contains(&line), "{line:?} missing in {out}");
+        }
 
         let out = run(Command::Compact {
             index: index.clone(),

@@ -1,0 +1,261 @@
+//! Internal pages of a packed segment that pass the page checksum but are
+//! wrong.
+//!
+//! Opening a packed tree flattens its internal levels into memory, and that
+//! flatten is the only code that ever reads them. Each test here writes a
+//! three-level segment to a file, overwrites a few bytes of one frame,
+//! re-seals the frame's CRC32C trailer (as a buggy writer would, not bit
+//! rot) and expects `SegmentReader::tree` to return `Error::Corrupt` naming
+//! the page and the field — no panic, no unbounded descent. What the flatten
+//! does not read (the leaves) is `PackedTree::verify`'s to report.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
+use vist_storage::testutil::TempDir;
+use vist_storage::{BufferPool, Crc32c, Error, FilePager, PageId, Result, PAGE_TRAILER};
+
+const PS: usize = 512;
+const FRAME: usize = PS + PAGE_TRAILER;
+const ENTRIES: u32 = 420;
+/// The segment header is the first page after the pager's own.
+const HEADER: PageId = 1;
+/// Node header: kind byte, forward link / leftmost child, back link.
+const NODE_HDR: usize = 10;
+
+/// A three-level tree of 24-byte keys in a file of its own.
+fn segment(dir: &TempDir) -> PathBuf {
+    let path = dir.file("segment");
+    let pool = Arc::new(BufferPool::with_capacity(
+        FilePager::create(&path, PS).unwrap(),
+        256,
+    ));
+    let mut writer = SegmentWriter::create(Arc::clone(&pool)).unwrap();
+    assert_eq!(writer.header_page(), HEADER);
+    writer
+        .add_tree((0..ENTRIES).map(|i| {
+            let mut k = b"dkey-id+scope-prefix".to_vec();
+            k.extend_from_slice(&i.to_be_bytes());
+            (k, i.to_le_bytes().to_vec())
+        }))
+        .unwrap();
+    writer.finish(&[]).unwrap();
+    pool.flush().unwrap();
+    path
+}
+
+fn open(path: &Path) -> Result<PackedTree> {
+    let pool = Arc::new(BufferPool::with_capacity(FilePager::open(path)?, 256));
+    SegmentReader::open(pool, HEADER)?.tree(0)
+}
+
+fn payload(path: &Path, id: PageId) -> Vec<u8> {
+    let file = std::fs::read(path).unwrap();
+    file[id as usize * FRAME..id as usize * FRAME + PS].to_vec()
+}
+
+/// Overwrite payload bytes of frame `id` at `at` and re-seal its trailer.
+/// Returns `id`, the page an error about the damage has to name.
+fn patch(path: &Path, id: PageId, at: usize, bytes: &[u8]) -> PageId {
+    let mut file = std::fs::read(path).unwrap();
+    let frame = &mut file[id as usize * FRAME..(id as usize + 1) * FRAME];
+    frame[at..at + bytes.len()].copy_from_slice(bytes);
+    let mut c = Crc32c::new();
+    c.update(&id.to_le_bytes()).update(&frame[..PS]);
+    frame[PS..PS + 4].copy_from_slice(&c.finish().to_le_bytes());
+    std::fs::write(path, file).unwrap();
+    id
+}
+
+fn u32_at(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(buf[at..at + 4].try_into().unwrap())
+}
+
+/// Where the pieces of internal page `id` lie in its payload.
+struct Inner {
+    id: PageId,
+    leftmost: PageId,
+    /// `(directory entry offset, cell offset, key length, child)` per slot.
+    cells: Vec<(usize, usize, usize, PageId)>,
+}
+
+fn inner(path: &Path, id: PageId) -> Inner {
+    let buf = payload(path, id);
+    assert_eq!(buf[0], 2, "page {id} is not internal");
+    let slots = u16::from_le_bytes([buf[NODE_HDR], buf[NODE_HDR + 1]]) as usize;
+    let cells = (0..slots)
+        .map(|i| {
+            let dir = NODE_HDR + 6 + 4 * i;
+            let cell = NODE_HDR + u16::from_le_bytes([buf[dir], buf[dir + 1]]) as usize;
+            let klen = u16::from_le_bytes([buf[cell], buf[cell + 1]]) as usize;
+            (dir, cell, klen, u32_at(&buf, cell + 2))
+        })
+        .collect();
+    Inner {
+        id,
+        leftmost: u32_at(&buf, 1),
+        cells,
+    }
+}
+
+/// The tree's root and its first two children, all internal.
+fn top(path: &Path) -> (Inner, Inner, Inner) {
+    let root = inner(path, u32_at(&payload(path, HEADER), 12));
+    assert!(root.cells.len() >= 2, "root has two separators");
+    let first = inner(path, root.leftmost);
+    let second = inner(path, root.cells[0].3);
+    (root, first, second)
+}
+
+fn assert_corrupt<T>(result: Result<T>, names: &[&str]) {
+    match result {
+        Err(Error::Corrupt(msg)) => {
+            for name in names {
+                assert!(msg.contains(name), "{msg:?} does not name {name:?}");
+            }
+        }
+        Err(other) => panic!("expected Corrupt naming {names:?}, got {other:?}"),
+        Ok(_) => panic!("expected Corrupt naming {names:?}, got Ok"),
+    }
+}
+
+/// Apply `damage` to a fresh copy of the segment; the open must fail naming
+/// the page `damage` returns and every string of `names`.
+fn expect_open_fails(names: &[&str], damage: impl FnOnce(&Path, &Inner, &Inner) -> PageId) {
+    let dir = TempDir::new("packed-corrupt");
+    let path = segment(&dir);
+    let (root, _, second) = top(&path);
+    let page = format!("page {}", damage(&path, &root, &second));
+    let mut names = names.to_vec();
+    names.push(&page);
+    assert_corrupt(open(&path), &names);
+}
+
+#[test]
+fn undamaged_segment_opens_and_verifies() {
+    let dir = TempDir::new("packed-clean");
+    let path = segment(&dir);
+    let tree = open(&path).unwrap();
+    assert_eq!(tree.tree_stats().unwrap().height, 3);
+    assert_eq!(tree.len().unwrap(), u64::from(ENTRIES));
+    tree.verify().unwrap();
+    // One entry per leaf, and a small fraction of the file.
+    let leaves = tree.tree_stats().unwrap().leaf_pages;
+    assert!(tree.fence_bytes() >= 8 * leaves);
+    assert!(tree.fence_bytes() < tree.pool().store_bytes() / 8);
+}
+
+#[test]
+fn short_cell_and_key_length_past_the_cell() {
+    expect_open_fails(&["cell 0", "shorter than the 6-byte"], |path, root, _| {
+        patch(path, root.id, root.cells[0].0 + 2, &4u16.to_le_bytes())
+    });
+    expect_open_fails(&["cell 1", "key length 65535"], |path, root, _| {
+        patch(path, root.id, root.cells[1].1, &u16::MAX.to_le_bytes())
+    });
+    // A directory entry that points outside the page.
+    expect_open_fails(&["slot 0"], |path, root, _| {
+        patch(path, root.id, root.cells[0].0, &u16::MAX.to_le_bytes())
+    });
+}
+
+#[test]
+fn child_ids_outside_the_file() {
+    for bad in [0, u32::MAX, 9_999_999] {
+        expect_open_fails(&["cell 0", &format!("page id {bad}")], |path, root, _| {
+            patch(path, root.id, root.cells[0].1 + 2, &bad.to_le_bytes())
+        });
+        expect_open_fails(
+            &["leftmost child", &format!("page id {bad}")],
+            |path, _, second| patch(path, second.id, 1, &bad.to_le_bytes()),
+        );
+    }
+}
+
+#[test]
+fn child_that_points_back_at_an_ancestor() {
+    // Before the flatten, a descent through either of these never ended.
+    expect_open_fails(&["cell 0", "already reached"], |path, root, _| {
+        patch(path, root.id, root.cells[0].1 + 2, &root.id.to_le_bytes())
+    });
+    expect_open_fails(
+        &["leftmost child", "already reached"],
+        |path, root, second| patch(path, second.id, 1, &root.id.to_le_bytes()),
+    );
+    // A page two parents share is no tree either.
+    expect_open_fails(&["cell 1", "already reached"], |path, root, second| {
+        patch(path, root.id, root.cells[1].1 + 2, &second.id.to_le_bytes())
+    });
+}
+
+#[test]
+fn leaves_at_uneven_depth() {
+    // The root's second child replaced by one of its own leaves.
+    expect_open_fails(&["a leaf at depth 2"], |path, root, second| {
+        let leaf = second.leftmost;
+        patch(path, root.id, root.cells[0].1 + 2, &leaf.to_le_bytes());
+        leaf
+    });
+    // The other way round — an internal page where the array expects a leaf
+    // — is not seen by the flatten, which reads no leaf but the leftmost;
+    // the probe that reaches it and `verify` report it.
+    let dir = TempDir::new("packed-deep");
+    let path = segment(&dir);
+    let (_, _, second) = top(&path);
+    patch(&path, second.cells[0].3, 0, &[2]);
+    let tree = open(&path).unwrap();
+    let mut key = b"dkey-id+scope-prefix".to_vec();
+    key.extend_from_slice(&(ENTRIES - 1).to_be_bytes());
+    assert!(tree.contains(&key).unwrap(), "other leaves still answer");
+    let names = [&*format!("page {}", second.cells[0].3), "expected a leaf"];
+    assert_corrupt(tree.len(), &names);
+    assert_corrupt(tree.verify(), &names);
+}
+
+#[test]
+fn separators_that_do_not_increase_across_the_level() {
+    // Within one page …
+    expect_open_fails(&["cell 1", "does not lie above"], |path, root, _| {
+        let (_, cell, klen, _) = root.cells[1];
+        patch(path, root.id, cell + 6, &vec![0; klen])
+    });
+    // … and across a page boundary: the first separator of the second page
+    // of a level must lie above the fence its parent gave that page.
+    expect_open_fails(&["cell 0", "does not lie above"], |path, _, second| {
+        let (_, cell, klen, _) = second.cells[0];
+        patch(path, second.id, cell + 6, &vec![0; klen])
+    });
+}
+
+#[test]
+fn bad_kind_byte_on_an_internal_page() {
+    expect_open_fails(&["kind byte"], |path, _, second| {
+        patch(path, second.id, 0, &[7])
+    });
+}
+
+#[test]
+fn verify_reports_a_mislinked_leaf_chain_and_a_wrong_entry_count() {
+    let dir = TempDir::new("packed-chain");
+    let path = segment(&dir);
+    let (_, first, _) = top(&path);
+    // Leaf 0 linked straight to leaf 2: the flatten reads no leaf links, so
+    // the tree opens, and a full scan silently skips leaf 1's records.
+    let (leaf0, leaf2) = (first.leftmost, first.cells[1].3);
+    patch(&path, leaf0, 1, &leaf2.to_le_bytes());
+    let tree = open(&path).unwrap();
+    assert!(tree.len().unwrap() < u64::from(ENTRIES));
+    assert_corrupt(tree.verify(), &[&*format!("leaf {leaf0}"), "links"]);
+
+    let dir = TempDir::new("packed-count");
+    let path = segment(&dir);
+    let tree = open(&path).unwrap();
+    tree.verify().unwrap();
+    // Entries of tree 0 follow its root in the header's tree table.
+    patch(&path, HEADER, 16, &u64::from(ENTRIES + 1).to_le_bytes());
+    assert_corrupt(
+        open(&path).unwrap().verify(),
+        &["420 entries in the leaves", "recorded 421"],
+    );
+}

@@ -1,0 +1,390 @@
+//! A packed segment tree read through its in-memory fence array, checked
+//! from outside the crate against two references.
+//!
+//! The same sorted input is bulk-loaded once into a segment and then read
+//! three ways: through a plain [`BTree`] opened on the packed tree's root
+//! (the page descent — the reference the fence array replaces), through the
+//! [`PackedTree`] the segment reader hands out, and through a `BTreeMap`.
+//!
+//! 1. **Differential** — `get_with`, `for_each_in`, `scan`, `scan_prefix`
+//!    and `len` agree for every bound kind at both ends over every stored
+//!    key, the gap after each, the suffix-truncated separator between each
+//!    pair of neighbours (what the fence array actually stores, and shorter
+//!    than any stored key), the empty key, and a key beyond the last — on
+//!    512-byte pages, so the trees are three levels deep, with 24-byte fixed
+//!    keys and with variable-length keys sharing long prefixes, and on the
+//!    empty and the single-leaf tree.
+//! 2. **Exact fetch counts** — from `pool_stats()` deltas: a point probe of
+//!    a stored key fetches exactly one page on the packed tree (the page
+//!    descent fetches one per level), a range inside one leaf exactly one,
+//!    a range over *k* leaves exactly *k*.
+
+use std::collections::BTreeMap;
+use std::ops::{Bound, ControlFlow};
+use std::sync::Arc;
+
+use vist_btree::{BTree, PackedTree, SegmentReader, SegmentWriter};
+use vist_storage::{BufferPool, MemPager, Result, SlottedPage};
+
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+type Range<'a> = (Bound<&'a [u8]>, Bound<&'a [u8]>);
+
+const PAGE: usize = 512;
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The read surface the two tree types share, so one checker serves both.
+trait Reads {
+    fn point(&self, key: &[u8]) -> Option<Vec<u8>>;
+    fn streamed(&self, range: Range<'_>) -> Pairs;
+    fn scanned(&self, range: Range<'_>) -> Pairs;
+    fn prefixed(&self, prefix: &[u8]) -> Pairs;
+    fn count(&self) -> (u64, bool);
+}
+
+macro_rules! reads {
+    ($tree:ty) => {
+        impl Reads for $tree {
+            fn point(&self, key: &[u8]) -> Option<Vec<u8>> {
+                let got = self.get_with(key, <[u8]>::to_vec).unwrap();
+                assert_eq!(self.get(key).unwrap(), got);
+                assert_eq!(self.contains(key).unwrap(), got.is_some());
+                got
+            }
+            fn streamed(&self, range: Range<'_>) -> Pairs {
+                let mut out = Vec::new();
+                self.for_each_in(range, |k, v| {
+                    out.push((k.to_vec(), v.to_vec()));
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+                out
+            }
+            fn scanned(&self, range: Range<'_>) -> Pairs {
+                self.scan(range).unwrap().collect::<Result<_>>().unwrap()
+            }
+            fn prefixed(&self, prefix: &[u8]) -> Pairs {
+                let scan = self.scan_prefix(prefix).unwrap();
+                scan.collect::<Result<_>>().unwrap()
+            }
+            fn count(&self) -> (u64, bool) {
+                (self.len().unwrap(), self.is_empty().unwrap())
+            }
+        }
+    };
+}
+reads!(BTree);
+reads!(PackedTree);
+
+/// One input, bulk-loaded once, and its three readers.
+struct Fixture {
+    pool: Arc<BufferPool>,
+    paged: BTree,
+    packed: PackedTree,
+    model: Model,
+}
+
+fn build(items: Pairs) -> Fixture {
+    let pool = Arc::new(BufferPool::with_capacity(MemPager::new(PAGE), 4096));
+    let mut writer = SegmentWriter::create(Arc::clone(&pool)).unwrap();
+    let header = writer.header_page();
+    writer.add_tree(items.clone()).unwrap();
+    writer.finish(&[]).unwrap();
+    let packed = SegmentReader::open(Arc::clone(&pool), header)
+        .unwrap()
+        .tree(0)
+        .unwrap();
+    // The page descent over the very same pages.
+    let paged = BTree::open(Arc::clone(&pool), packed.root_page()).unwrap();
+    paged.verify().unwrap();
+    packed.verify().unwrap();
+    Fixture {
+        pool,
+        paged,
+        packed,
+        model: items.into_iter().collect(),
+    }
+}
+
+/// 24-byte fixed keys in the shape of the S-Ancestor tree's: twenty bytes
+/// every key shares, then a counter.
+fn fixed_keys(n: u32) -> Pairs {
+    (0..n)
+        .map(|i| {
+            let mut k = b"dkey-id+scope-prefix".to_vec();
+            k.extend_from_slice(&(i * 3).to_be_bytes());
+            assert_eq!(k.len(), 24);
+            (k, format!("v{i:05}").into_bytes())
+        })
+        .collect()
+}
+
+/// Variable-length keys: a four-byte counter, then a tail of seeded length
+/// that neighbours share, so the separator between two leaves is at most
+/// five bytes long and every stored key at least twenty. Separators that
+/// short give internal pages a fan-out of thirty, so the values are long
+/// enough (four records to a leaf) for a third level.
+fn variable_keys(n: u32, seed: u64) -> Pairs {
+    let mut state = seed;
+    (0..n)
+        .map(|i| {
+            let tail = 16 + (splitmix64(&mut state) % 24) as usize;
+            let mut k = format!("{i:04}").into_bytes();
+            k.extend_from_slice(&vec![b'-'; tail]);
+            (k, vec![i as u8; 72 + (i % 7) as usize])
+        })
+        .collect()
+}
+
+fn shortest_separator(left: &[u8], right: &[u8]) -> Vec<u8> {
+    let lcp = left.iter().zip(right).take_while(|(a, b)| a == b).count();
+    right[..(lcp + 1).min(right.len())].to_vec()
+}
+
+/// Every stored key, the gap after each, the separator before each, the
+/// empty key and a key above all.
+fn points(model: &Model) -> Vec<Vec<u8>> {
+    let mut out = vec![Vec::new(), vec![0xFF; 40]];
+    let mut prev: Option<&Vec<u8>> = None;
+    for k in model.keys() {
+        out.push(k.clone());
+        let mut gap = k.clone();
+        gap.push(0);
+        out.push(gap);
+        if let Some(p) = prev {
+            out.push(shortest_separator(p, k));
+        }
+        prev = Some(k);
+    }
+    out.sort();
+    out.dedup();
+    out
+}
+
+fn within(k: &[u8], (start, end): Range<'_>) -> bool {
+    let after_start = match start {
+        Bound::Unbounded => true,
+        Bound::Included(s) => k >= s,
+        Bound::Excluded(s) => k > s,
+    };
+    let before_end = match end {
+        Bound::Unbounded => true,
+        Bound::Included(e) => k <= e,
+        Bound::Excluded(e) => k < e,
+    };
+    after_start && before_end
+}
+
+fn kinds(p: &[u8]) -> [Bound<&[u8]>; 2] {
+    [Bound::Included(p), Bound::Excluded(p)]
+}
+
+/// Compare both trees with the model. Every point is a start bound and an
+/// end bound of each kind, paired with the unbounded other end and with
+/// two seeded points of each kind — a full points × points grid would be
+/// quadratic in ranges that are themselves linear.
+fn check(f: &Fixture, seed: u64, what: &str) {
+    let points = points(&f.model);
+    let trees: [(&str, &dyn Reads); 2] = [("page descent", &f.paged), ("packed", &f.packed)];
+    let mut state = seed;
+    let mut ranges = 0u64;
+    for (name, tree) in trees {
+        assert_eq!(
+            tree.count(),
+            (f.model.len() as u64, f.model.is_empty()),
+            "{what}, {name}: len"
+        );
+        for p in &points {
+            assert_eq!(
+                tree.point(p).as_ref(),
+                f.model.get(p),
+                "{what}, {name}: get_with {p:?}"
+            );
+            let expect: Pairs = f
+                .model
+                .iter()
+                .filter(|(k, _)| k.starts_with(p))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_eq!(
+                tree.prefixed(p),
+                expect,
+                "{what}, {name}: scan_prefix {p:?}"
+            );
+
+            let mut others = vec![Bound::Unbounded];
+            for _ in 0..2 {
+                let q = &points[(splitmix64(&mut state) % points.len() as u64) as usize];
+                others.extend(kinds(q));
+            }
+            for here in kinds(p) {
+                for &other in &others {
+                    for range in [(here, other), (other, here)] {
+                        let expect: Pairs = f
+                            .model
+                            .iter()
+                            .filter(|(k, _)| within(k, range))
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect();
+                        assert_eq!(
+                            tree.streamed(range),
+                            expect,
+                            "{what}, {name}: for_each_in {range:?}"
+                        );
+                        assert_eq!(
+                            tree.scanned(range),
+                            expect,
+                            "{what}, {name}: scan {range:?}"
+                        );
+                        ranges += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(ranges >= 40, "{what}: only {ranges} ranges checked");
+}
+
+#[test]
+fn fixed_width_keys_three_levels_deep() {
+    let f = build(fixed_keys(420));
+    let stats = f.packed.tree_stats().unwrap();
+    assert!(stats.height >= 3, "height {}", stats.height);
+    assert_eq!(stats, f.paged.tree_stats().unwrap());
+    check(&f, 0xF1DE, "fixed");
+}
+
+#[test]
+fn variable_length_keys_with_separators_shorter_than_any_key() {
+    let f = build(variable_keys(300, 1));
+    let stats = f.packed.tree_stats().unwrap();
+    assert!(stats.height >= 3, "height {}", stats.height);
+    let shortest_key = f.model.keys().map(Vec::len).min().unwrap();
+    let longest_separator = f
+        .model
+        .keys()
+        .zip(f.model.keys().skip(1))
+        .map(|(a, b)| shortest_separator(a, b).len())
+        .max()
+        .unwrap();
+    assert!(longest_separator < shortest_key);
+    check(&f, 2, "variable");
+}
+
+#[test]
+fn empty_and_single_leaf_trees() {
+    let empty = build(Vec::new());
+    assert_eq!(empty.packed.tree_stats().unwrap().height, 1);
+    check(&empty, 7, "empty");
+    let one = build(fixed_keys(5));
+    assert_eq!(one.packed.tree_stats().unwrap().leaf_pages, 1);
+    check(&one, 8, "single leaf");
+    assert!(one.packed.fence_bytes() < 32, "one entry, no key bytes");
+}
+
+/// The keys of each leaf, left to right, read from the raw pages (a node
+/// header of ten bytes: kind, forward link, back link; leaf cells are
+/// `klen u16 ‖ vlen u16 ‖ key ‖ value`).
+fn leaves(f: &Fixture) -> Vec<Vec<Vec<u8>>> {
+    let mut pid = f.packed.root_page();
+    loop {
+        let page = f.pool.fetch(pid).unwrap();
+        if page.data()[0] == 1 {
+            break;
+        }
+        pid = u32::from_le_bytes(page.data()[1..5].try_into().unwrap());
+    }
+    let mut out = Vec::new();
+    while pid != u32::MAX {
+        let page = f.pool.fetch(pid).unwrap();
+        let cells = SlottedPage::new(page.data(), 10);
+        out.push(
+            (0..cells.slot_count())
+                .map(|i| {
+                    let cell = cells.cell(i).unwrap();
+                    let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
+                    cell[4..4 + klen].to_vec()
+                })
+                .collect(),
+        );
+        pid = u32::from_le_bytes(page.data()[1..5].try_into().unwrap());
+    }
+    out
+}
+
+/// Pages `f`'s pool was asked for while `op` ran.
+fn fetches(f: &Fixture, op: impl FnOnce()) -> u64 {
+    let before = f.pool.pool_stats().totals();
+    op();
+    let after = f.pool.pool_stats().totals();
+    (after.hits + after.misses) - (before.hits + before.misses)
+}
+
+#[test]
+fn a_probe_fetches_one_page_and_a_range_one_per_leaf() {
+    for (what, items) in [
+        ("fixed", fixed_keys(420)),
+        ("variable", variable_keys(360, 3)),
+    ] {
+        let f = build(items);
+        let height = u64::from(f.packed.tree_stats().unwrap().height);
+        assert!(height >= 3);
+        let leaves = leaves(&f);
+        assert!(leaves.len() > 16);
+
+        for k in f.model.keys() {
+            let n = fetches(&f, || assert!(f.packed.contains(k).unwrap()));
+            assert_eq!(n, 1, "{what}: packed probe of {k:?}");
+            let n = fetches(&f, || assert!(f.paged.contains(k).unwrap()));
+            assert_eq!(n, height, "{what}: page descent to {k:?}");
+        }
+
+        // From the first key of leaf `i` to the second-to-last key of leaf
+        // `i + k - 1`: the walk meets a key beyond the end bound in that
+        // leaf and never looks at the next.
+        let mut state = 0xC0FFEE;
+        for i in 0..leaves.len() {
+            let k = 1 + (splitmix64(&mut state) % 5) as usize;
+            let Some(last) = leaves.get(i + k - 1).filter(|l| l.len() >= 2) else {
+                continue;
+            };
+            let start = leaves[i][0].as_slice();
+            let end = last[last.len() - 2].as_slice();
+            let expect: usize = leaves[i..i + k].iter().map(Vec::len).sum::<usize>() - 1;
+            for range in [
+                (Bound::Included(start), Bound::Included(end)),
+                (
+                    Bound::Included(start),
+                    Bound::Excluded(last[last.len() - 1].as_slice()),
+                ),
+            ] {
+                let mut seen = 0usize;
+                let n = fetches(&f, || {
+                    f.packed
+                        .for_each_in(range, |_, _| {
+                            seen += 1;
+                            ControlFlow::Continue(())
+                        })
+                        .unwrap();
+                });
+                assert_eq!(seen, expect, "{what}: leaves {i}..{}", i + k);
+                assert_eq!(n, k as u64, "{what}: range over {k} leaves from leaf {i}");
+            }
+            // The same range through the page descent pays the levels above.
+            let n = fetches(&f, || {
+                let range = (Bound::Included(start), Bound::Included(end));
+                f.paged
+                    .for_each_in(range, |_, _| ControlFlow::Continue(()))
+                    .unwrap();
+            });
+            assert_eq!(n, k as u64 + height - 1, "{what}: paged range");
+        }
+    }
+}
