@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use vist_bench::{ms, print_table, scaled, time_avg};
-use vist_core::{search_sequences, DocId, IndexOptions, SearchMode, Store, VistIndex};
+use vist_core::{search_sequences, DocId, IndexOptions, SearchOptions, Store, VistIndex};
 use vist_datagen::synthetic::{SyntheticConfig, SyntheticGen};
 use vist_query::{translate, QueryElem, QuerySequence, TranslateOptions};
 use vist_seq::{dkey, PathSym, Prefix, Sym, Symbol};
@@ -198,6 +198,13 @@ fn old_engine(store: &Store, seqs: &[QuerySequence], budget: u64) -> OldResult<B
 
 // ---------------------------------------------------------------------------
 
+fn with_workers(workers: usize) -> SearchOptions {
+    SearchOptions {
+        workers,
+        ..SearchOptions::default()
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n = if smoke { 800 } else { scaled(6_000, 1_500) };
@@ -260,7 +267,7 @@ fn main() {
     for seqs in &query_seqs {
         let expect = old_engine(store, seqs, budget).expect("baseline");
         for &w in &WORKER_COUNTS {
-            let got = search_sequences(store, seqs, w, SearchMode::Docs).expect("worklist");
+            let got = search_sequences(store, seqs, &with_workers(w)).expect("worklist");
             assert_eq!(got.docs, expect, "engines disagree at {w} workers");
         }
     }
@@ -280,7 +287,7 @@ fn main() {
     for &w in &WORKER_COUNTS {
         let t = time_avg(iters, || {
             for seqs in &query_seqs {
-                let _ = search_sequences(store, seqs, w, SearchMode::Docs).expect("worklist");
+                let _ = search_sequences(store, seqs, &with_workers(w)).expect("worklist");
             }
         });
         rows.push(vec![

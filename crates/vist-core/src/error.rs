@@ -12,7 +12,16 @@ pub enum Error {
     Storage(vist_storage::Error),
     /// A query expression failed to parse.
     Query(vist_query::QueryParseError),
-    /// The on-disk index is malformed or from an incompatible version.
+    /// A document handed to the index is not well-formed XML. The caller's
+    /// input is at fault; the index is untouched.
+    Xml(vist_xml::ParseError),
+    /// The virtual suffix tree has no labels left for a new branch: no
+    /// node on the insertion path has scope to lend (paper §3.4.1, scope
+    /// underflow with nothing to borrow from). A capacity limit of the
+    /// labeling scheme for this data and λ, not damage.
+    ScopeExhausted,
+    /// Bytes read back from the index are malformed or from an
+    /// incompatible version.
     Corrupt(String),
     /// The requested operation needs stored documents
     /// (`IndexOptions::store_documents`), but the index was built without.
@@ -37,6 +46,8 @@ impl fmt::Display for Error {
         match self {
             Error::Storage(e) => write!(f, "storage error: {e}"),
             Error::Query(e) => write!(f, "{e}"),
+            Error::Xml(e) => write!(f, "bad XML: {e}"),
+            Error::ScopeExhausted => write!(f, "virtual suffix tree label space exhausted"),
             Error::Corrupt(m) => write!(f, "corrupt index: {m}"),
             Error::DocumentsNotStored => {
                 write!(
@@ -58,6 +69,7 @@ impl std::error::Error for Error {
         match self {
             Error::Storage(e) => Some(e),
             Error::Query(e) => Some(e),
+            Error::Xml(e) => Some(e),
             _ => None,
         }
     }
@@ -66,6 +78,12 @@ impl std::error::Error for Error {
 impl From<vist_storage::Error> for Error {
     fn from(e: vist_storage::Error) -> Self {
         Error::Storage(e)
+    }
+}
+
+impl From<vist_xml::ParseError> for Error {
+    fn from(e: vist_xml::ParseError) -> Self {
+        Error::Xml(e)
     }
 }
 
@@ -86,6 +104,12 @@ mod tests {
             .contains("store_documents"));
         assert!(Error::NoSuchDocument(9).to_string().contains('9'));
         assert!(Error::Corrupt("bad".into()).to_string().contains("bad"));
+        assert!(Error::ScopeExhausted.to_string().contains("exhausted"));
+        let xml = Error::from(vist_xml::parse("<a>").unwrap_err()).to_string();
+        assert!(
+            xml.starts_with("bad XML") && !xml.contains("corrupt"),
+            "{xml}"
+        );
         assert!(Error::NotTiered.to_string().contains("tiered"));
         assert!(Error::DeadlineExceeded.to_string().contains("deadline"));
     }

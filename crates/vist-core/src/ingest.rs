@@ -37,8 +37,8 @@ use vist_seq::{
     TableOverlay,
 };
 
-use crate::error::{Error, Result};
-use crate::pool::{run_workers_with, SchedPolicy};
+use crate::error::Result;
+use crate::pool::run_workers;
 use crate::store::DocId;
 use crate::vist::VistIndex;
 
@@ -69,7 +69,7 @@ struct PreparedDoc {
 }
 
 fn prepare_doc(xml: &str, base: &SymbolTable, order: &SiblingOrder) -> Result<PreparedDoc> {
-    let doc = vist_xml::parse(xml).map_err(|e| Error::Corrupt(format!("bad XML: {e}")))?;
+    let doc = vist_xml::parse(xml)?;
     let mut overlay = TableOverlay::new(base);
     let seq = document_to_sequence_with(&doc, &mut overlay, order);
     let new_names = (0..overlay.overlay_len())
@@ -130,18 +130,13 @@ impl VistIndex {
         let base_len = base.len();
         let slots: Vec<Mutex<Option<Result<PreparedDoc>>>> =
             (0..docs.len()).map(|_| Mutex::new(None)).collect();
-        run_workers_with(
-            threads,
-            (0..docs.len()).collect(),
-            SchedPolicy::Fifo,
-            |_, queue| {
-                while let Some((i, _)) = queue.take() {
-                    let res = prepare_doc(docs[i].as_ref(), &base, &self.order);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-                    queue.finish_one();
-                }
-            },
-        );
+        run_workers(threads, (0..docs.len()).collect(), None, |_, queue| {
+            while let Some((i, _)) = queue.take() {
+                let res = prepare_doc(docs[i].as_ref(), &base, &self.order);
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
+                queue.finish_one();
+            }
+        });
         let mut prepared = Vec::with_capacity(docs.len());
         for slot in slots {
             let res = slot

@@ -53,13 +53,10 @@ pub use extsort::{ExtSorter, SortedStream, DEFAULT_SORT_BUDGET};
 pub use naive::NaiveIndex;
 pub use rist::RistIndex;
 pub use search::{
-    search_sequences, search_sequences_opts, search_sequences_with, DkStats, DocIdStrategy,
-    PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions, SearchOutcome, SearchSource,
-    SeqPlan, SourceTotals, StageTimings, StepPlan,
+    search_sequences, DkStats, DocIdStrategy, PlanReport, PruneReason, QueryStats, SearchMode,
+    SearchOptions, SearchOutcome, SearchSource, SeqPlan, SourceTotals, StageTimings, StepPlan,
 };
-pub use stats::{
-    IndexStats, IngestCounters, IngestCountersSnapshot, MatchCounters, MatchCountersSnapshot,
-};
+pub use stats::{IndexStats, IngestCounters, IngestCountersSnapshot};
 pub use store::{DocId, NodeState, Store, StoreBreakdown};
 pub use trie::{Trie, TrieNode};
 pub use vist::{IndexOptions, QueryOptions, QueryResult, VistIndex};
@@ -71,14 +68,8 @@ pub use vist::{IndexOptions, QueryOptions, QueryResult, VistIndex};
 pub fn register_metrics() {
     let _ = vist_obs::counter!("vist_core_query_total");
     let _ = vist_obs::counter!("vist_core_insert_total");
-    let _ = vist_obs::counter!("vist_core_work_items_total");
-    let _ = vist_obs::counter!("vist_core_nodes_visited_total");
-    let _ = vist_obs::counter!("vist_core_steals_total");
-    let _ = vist_obs::counter!("vist_core_dedup_skips_total");
-    let _ = vist_obs::counter!("vist_core_planner_seqs_pruned_total");
-    let _ = vist_obs::counter!("vist_core_planner_probes_total");
-    let _ = vist_obs::counter!("vist_core_planner_probe_prunes_total");
-    let _ = vist_obs::counter!("vist_core_planner_docid_sweeps_total");
+    // One `vist_core_<field>_total` per engine counter of `QueryStats`.
+    QueryStats::default().publish();
     let _ = vist_obs::gauge!("vist_core_documents");
     let _ = vist_obs::gauge!("vist_core_segments");
     let _ = vist_obs::gauge!("vist_core_segment_fence_bytes");

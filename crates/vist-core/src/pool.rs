@@ -32,25 +32,6 @@ pub(crate) fn splitmix64(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Which queued item [`WorkQueue::take`] hands out next.
-///
-/// `Fifo` is the production policy (donated subtrees drain oldest-first).
-/// `Seeded` is the **simulation scheduler hook**: the `vist-sim` harness
-/// drives queries with a seeded pick so one seed explores one specific
-/// frame-expansion order, different seeds explore different orders, and any
-/// order must produce identical answers — an executable check that no code
-/// path depends on scheduling luck. Deterministic given a fixed take
-/// sequence (exactly reproducible at one worker; at several workers the OS
-/// still interleaves the *takers*, but answers are order-invariant sets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum SchedPolicy {
-    /// Front-of-queue, the production default.
-    #[default]
-    Fifo,
-    /// Seeded pseudo-random pick among all queued items.
-    Seeded(u64),
-}
-
 /// Shared state of one parallel run.
 pub(crate) struct WorkQueue<T> {
     state: Mutex<QueueState<T>>,
@@ -66,7 +47,17 @@ struct QueueState<T> {
     /// Items seeded or donated whose local expansion has not finished.
     outstanding: usize,
     stopped: bool,
-    /// Scheduling state: `None` for FIFO, `Some(rng)` for seeded picks.
+    /// Which queued item [`WorkQueue::take`] hands out next: `None` is
+    /// front-of-queue, the production order (donated subtrees drain
+    /// oldest-first); `Some(rng)` is a seeded pseudo-random pick among all
+    /// queued items — the **simulation scheduler hook**. The `vist-sim`
+    /// harness drives queries with a seed so one seed explores one specific
+    /// frame-expansion order, different seeds explore different orders, and
+    /// any order must produce identical answers — an executable check that
+    /// no code path depends on scheduling luck. Deterministic given a fixed
+    /// take sequence (exactly reproducible at one worker; at several
+    /// workers the OS still interleaves the *takers*, but answers are
+    /// order-invariant sets).
     sched: Option<u64>,
 }
 
@@ -75,19 +66,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl<T> WorkQueue<T> {
-    /// A queue seeded with the initial work items and an explicit
-    /// scheduling policy (see [`SchedPolicy`]).
-    pub(crate) fn with_policy(seeds: Vec<T>, policy: SchedPolicy) -> Self {
+    /// A queue holding the initial work items, handed out front-first or,
+    /// with `sched: Some(seed)`, by seeded picks.
+    pub(crate) fn new(seeds: Vec<T>, sched: Option<u64>) -> Self {
         let outstanding = seeds.len();
         WorkQueue {
             state: Mutex::new(QueueState {
                 items: seeds.into_iter().map(|t| (t, false)).collect(),
                 outstanding,
                 stopped: false,
-                sched: match policy {
-                    SchedPolicy::Fifo => None,
-                    SchedPolicy::Seeded(s) => Some(s),
-                },
+                sched,
             }),
             cond: Condvar::new(),
             waiting: AtomicUsize::new(0),
@@ -157,27 +145,16 @@ impl<T> WorkQueue<T> {
     }
 }
 
-/// Convenience wrapper over [`run_workers_with`] fixing the production
-/// FIFO policy; only exercised by this module's tests.
-#[cfg(test)]
-pub(crate) fn run_workers<T, F>(workers: usize, seeds: Vec<T>, body: F)
-where
-    T: Send,
-    F: Fn(usize, &WorkQueue<T>) + Sync,
-{
-    run_workers_with(workers, seeds, SchedPolicy::Fifo, body);
-}
-
 /// Run `body(worker_id, queue)` on `workers` threads — `workers - 1`
-/// scoped spawns plus the calling thread as worker 0 — over a queue seeded
-/// with `seeds` under the given scheduling policy ([`SchedPolicy`]).
-/// Returns when every worker has exited.
-pub(crate) fn run_workers_with<T, F>(workers: usize, seeds: Vec<T>, policy: SchedPolicy, body: F)
+/// scoped spawns plus the calling thread as worker 0 — over a queue holding
+/// `seeds`, scheduled by `sched` (see [`WorkQueue::new`]). Returns when
+/// every worker has exited.
+pub(crate) fn run_workers<T, F>(workers: usize, seeds: Vec<T>, sched: Option<u64>, body: F)
 where
     T: Send,
     F: Fn(usize, &WorkQueue<T>) + Sync,
 {
-    let queue = WorkQueue::with_policy(seeds, policy);
+    let queue = WorkQueue::new(seeds, sched);
     if workers <= 1 {
         body(0, &queue);
         return;
@@ -201,7 +178,7 @@ mod tests {
     /// leaves (depth 0) count. Total leaves = 2^depth.
     fn count_leaves(workers: usize, depth: u32) -> u64 {
         let total = AtomicU64::new(0);
-        run_workers(workers, vec![depth], |_, queue| {
+        run_workers(workers, vec![depth], None, |_, queue| {
             while let Some((seed, _donated)) = queue.take() {
                 let mut local = vec![seed];
                 while let Some(d) = local.pop() {
@@ -231,7 +208,7 @@ mod tests {
 
     #[test]
     fn empty_seed_terminates() {
-        run_workers::<u32, _>(4, Vec::new(), |_, queue| {
+        run_workers::<u32, _>(4, Vec::new(), None, |_, queue| {
             assert!(queue.take().is_none());
         });
     }
@@ -239,7 +216,7 @@ mod tests {
     #[test]
     fn stop_aborts_pending_work() {
         let executed = AtomicU64::new(0);
-        run_workers(4, (0..1000u32).collect(), |_, queue| {
+        run_workers(4, (0..1000u32).collect(), None, |_, queue| {
             while let Some((item, _)) = queue.take() {
                 if item == 0 {
                     queue.stop();
@@ -258,7 +235,7 @@ mod tests {
         // scheduler: every explored order must still visit every leaf.
         for seed in [1u64, 7, 42] {
             let total = AtomicU64::new(0);
-            run_workers_with(2, vec![10u32], SchedPolicy::Seeded(seed), |_, queue| {
+            run_workers(2, vec![10u32], Some(seed), |_, queue| {
                 while let Some((seed, _)) = queue.take() {
                     let mut local = vec![seed];
                     while let Some(d) = local.pop() {
@@ -282,9 +259,9 @@ mod tests {
 
     #[test]
     fn seeded_take_order_is_reproducible_and_differs_from_fifo() {
-        let order = |policy: SchedPolicy| -> Vec<u32> {
+        let order = |sched: Option<u64>| -> Vec<u32> {
             let got = Mutex::new(Vec::new());
-            run_workers_with(1, (0..16u32).collect(), policy, |_, queue| {
+            run_workers(1, (0..16u32).collect(), sched, |_, queue| {
                 while let Some((x, _)) = queue.take() {
                     got.lock().unwrap().push(x);
                     queue.finish_one();
@@ -292,15 +269,15 @@ mod tests {
             });
             got.into_inner().unwrap()
         };
-        assert_eq!(order(SchedPolicy::Seeded(9)), order(SchedPolicy::Seeded(9)));
-        assert_ne!(order(SchedPolicy::Seeded(9)), order(SchedPolicy::Fifo));
-        assert_eq!(order(SchedPolicy::Fifo), (0..16).collect::<Vec<_>>());
+        assert_eq!(order(Some(9)), order(Some(9)));
+        assert_ne!(order(Some(9)), order(None));
+        assert_eq!(order(None), (0..16).collect::<Vec<_>>());
     }
 
     #[test]
     fn donated_items_are_flagged() {
         // Single worker: donate to an empty queue, then observe the flag.
-        run_workers(1, vec![1u32], |_, queue| {
+        run_workers(1, vec![1u32], None, |_, queue| {
             let (first, donated) = queue.take().unwrap();
             assert_eq!((first, donated), (1, false));
             assert_eq!(queue.donate([7u32]), 1);

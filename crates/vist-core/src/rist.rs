@@ -16,8 +16,8 @@ use vist_storage::{BufferPool, MemPager};
 use vist_xml::Document;
 
 use crate::error::Result;
-use crate::search::{search_sequences, QueryStats, SearchMode};
-use crate::stats::{IndexStats, MatchCounters};
+use crate::search::{search_sequences, QueryStats, SearchOptions};
+use crate::stats::IndexStats;
 use crate::store::{DocId, NodeState, Store};
 use crate::trie::Trie;
 use crate::vist::{IndexOptions, QueryOptions, QueryResult};
@@ -27,7 +27,8 @@ pub struct RistIndex {
     store: Store,
     table: SymbolTable,
     order: SiblingOrder,
-    match_counters: MatchCounters,
+    /// Counters of every query run so far, summed.
+    totals: QueryStats,
 }
 
 impl RistIndex {
@@ -105,7 +106,7 @@ impl RistIndex {
             store,
             table,
             order: opts.order,
-            match_counters: MatchCounters::default(),
+            totals: QueryStats::default(),
         })
     }
 
@@ -119,35 +120,15 @@ impl RistIndex {
     #[must_use]
     pub fn stats(&self) -> IndexStats {
         let meta = self.store.meta();
-        let mc = self.match_counters.snapshot();
         IndexStats {
-            segments: 0,
-            segment_docs: 0,
-            segment_bytes: 0,
-            segment_fence_bytes: 0,
-            tombstones: 0,
             documents: meta.doc_count,
             nodes: meta.node_count,
             dkeys: meta.next_dkey,
-            underflows: 0,
-            deep_borrows: 0,
-            match_work_items: mc.work_items,
-            match_steals: mc.steals,
-            match_scopes_merged: mc.scopes_merged,
-            match_dedup_skips: mc.dedup_skips,
-            match_planner_seqs_pruned: mc.planner_seqs_pruned,
-            match_planner_probes: mc.planner_probes,
-            match_planner_probe_prunes: mc.planner_probe_prunes,
-            match_planner_docid_sweeps: mc.planner_docid_sweeps,
-            ingest_batches: 0,
-            ingest_batch_docs: 0,
-            ingest_dkey_cache_hits: 0,
-            ingest_dkey_cache_misses: 0,
-            ingest_edge_cache_hits: 0,
-            ingest_edge_cache_misses: 0,
+            queries: self.totals,
             store_bytes: self.store.store_bytes(),
             io: self.store.pool().stats(),
             pool: self.store.pool().pool_stats(),
+            ..IndexStats::default()
         }
     }
 
@@ -174,13 +155,12 @@ impl RistIndex {
                 max_sequences: opts.max_sequences,
             },
         );
-        let outcome = search_sequences(
-            &self.store,
-            &translation.sequences,
-            opts.workers,
-            SearchMode::Docs,
-        )?;
-        self.match_counters.record(&outcome.stats);
+        let sopts = SearchOptions {
+            workers: opts.workers,
+            ..SearchOptions::default()
+        };
+        let outcome = search_sequences(&self.store, &translation.sequences, &sopts)?;
+        self.totals.merge(&outcome.stats);
         let candidates = outcome.docs.len();
         Ok(QueryResult {
             doc_ids: outcome.docs.into_iter().collect(),
@@ -191,17 +171,6 @@ impl RistIndex {
             trace: None,
             trace_id: opts.trace_id,
         })
-    }
-
-    /// Query with pre-converted sequences (benchmark hook).
-    pub fn query_sequences(
-        &self,
-        sequences: &[vist_query::QuerySequence],
-        workers: usize,
-    ) -> Result<(Vec<DocId>, QueryStats)> {
-        let outcome = search_sequences(&self.store, sequences, workers, SearchMode::Docs)?;
-        self.match_counters.record(&outcome.stats);
-        Ok((outcome.docs.into_iter().collect(), outcome.stats))
     }
 }
 

@@ -32,6 +32,13 @@
 //!    `[n, n+size)` scopes from different branches cost one range query
 //!    instead of many.
 //!
+//! One loop consumes the work-list — [`drive`], the only caller of `expand`.
+//! Every worker runs it over a private depth-first stack fed from the shared
+//! queue of [`crate::pool`]; the caller's thread is worker 0, and at one
+//! worker it is the whole engine. A `limit` is a step of that same loop
+//! (resolve the scopes an expansion completed, stop when enough documents
+//! are in hand), not a second loop.
+//!
 //! The inner loop does not allocate per work item: B+Tree probes stream
 //! through the `*_with` cursor APIs of [`Store`] with keys built on the
 //! stack, lookup patterns, decoded prefixes and candidate lists live in
@@ -77,7 +84,7 @@ use std::time::Instant;
 use vist_query::{QueryElem, QuerySequence};
 use vist_seq::{dkey, PathSym, Prefix, Sym, Symbol};
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::pool;
 use crate::store::{DocId, NodeState, Store};
 
@@ -203,82 +210,114 @@ impl SearchSource for Store {
     }
 }
 
-/// Instrumentation counters for one search.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Exact D-Ancestor lookups performed.
-    pub dancestor_gets: u64,
-    /// D-Ancestor range scans performed (wildcard prefixes).
-    pub dancestor_scans: u64,
-    /// D-Ancestor entries that matched some query element.
-    pub dkeys_matched: u64,
-    /// S-Ancestor range queries performed.
-    pub sancestor_scans: u64,
-    /// Virtual suffix tree nodes visited (partial matches explored).
-    pub nodes_visited: u64,
-    /// DocId range queries performed.
-    pub docid_scans: u64,
-    /// Match frames expanded by the work-list engine.
-    pub work_items: u64,
-    /// Frames executed after being donated through the shared queue —
-    /// work transferred between workers.
-    pub steals: u64,
-    /// Final scopes coalesced away by interval merging before DocId
-    /// resolution (raw matched scopes minus DocId range queries issued).
-    pub scopes_merged: u64,
-    /// Duplicate sub-problems skipped by the visited set (identical
-    /// `(dkey, scope)` reached via different wildcard expansions).
-    pub dedup_skips: u64,
-    /// Sequences the planner proved empty and never seeded (absent
-    /// concrete prefix or empty wildcard pattern probe).
-    pub planner_seqs_pruned: u64,
-    /// D-Ancestor probes issued by the planner (plan-time pattern probes
-    /// plus memoized child-probe lookups in the match loop).
-    pub planner_probes: u64,
-    /// S-Ancestor descents skipped because a child probe proved the
-    /// subtree dead.
-    pub planner_probe_prunes: u64,
-    /// DocId resolutions where the planner chose the keyed sweep over
-    /// per-scope range jumps.
-    pub planner_docid_sweeps: u64,
-    /// Buffer-pool hits attributed to this query (filled by the index
-    /// layer from the request's [`vist_obs::attr`] context; zero for
-    /// direct `search_sequences` calls and `noop` builds).
-    pub io_pool_hits: u64,
-    /// Buffer-pool misses attributed to this query.
-    pub io_pool_misses: u64,
-    /// Pages read from the backing file for this query.
-    pub io_pages_read: u64,
-    /// Bytes read from the backing file for this query.
-    pub io_bytes_read: u64,
-    /// WAL appends issued while this query's context was installed.
-    pub io_wal_appends: u64,
+/// Declares [`QueryStats`] and, from the same list, everything that has to
+/// name each counter: [`QueryStats::fields`] (slow log, serve wide event),
+/// [`QueryStats::merge`] (per-tier and per-index sums),
+/// [`QueryStats::stats_lines`] (`vist stats`) and the registry counters.
+/// A counter exists by being one row here.
+macro_rules! query_stats {
+    (
+        engine { $( $(#[$edoc:meta])* $e:ident $(= $label:literal)? ),* $(,)? }
+        io { $( $(#[$idoc:meta])* $i:ident ),* $(,)? }
+    ) => {
+        /// Instrumentation counters for one search — or, summed by
+        /// [`QueryStats::merge`], for every search an index has run
+        /// ([`crate::IndexStats::queries`]).
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct QueryStats {
+            $( $(#[$edoc])* pub $e: u64, )*
+            $( $(#[$idoc])* pub $i: u64, )*
+        }
+
+        impl QueryStats {
+            /// Every counter as a `(name, value)` pair, in declaration
+            /// order.
+            #[must_use]
+            pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($e),)* $(stringify!($i),)*].len()] {
+                [
+                    $( (stringify!($e), self.$e), )*
+                    $( (stringify!($i), self.$i), )*
+                ]
+            }
+
+            /// The counters `vist stats` prints for an index's running
+            /// totals, as `(label, value)` pairs.
+            #[must_use]
+            pub fn stats_lines(&self) -> [(&'static str, u64); [$($($label,)?)*].len()] {
+                [ $( $( ($label, self.$e), )? )* ]
+            }
+
+            /// Accumulate another search's counters into this one.
+            pub fn merge(&mut self, other: &QueryStats) {
+                $( self.$e += other.$e; )*
+                $( self.$i += other.$i; )*
+            }
+
+            /// Add the engine counters to their process-wide registry
+            /// metrics, `vist_core_<field>_total`. The `io_*` fields have
+            /// none: they are per-query copies of `vist_storage_*`.
+            pub(crate) fn publish(&self) {
+                $( vist_obs::counter!(concat!("vist_core_", stringify!($e), "_total")).add(self.$e); )*
+            }
+        }
+    };
+}
+
+query_stats! {
+    engine {
+        /// Exact D-Ancestor lookups performed.
+        dancestor_gets,
+        /// D-Ancestor range scans performed (wildcard prefixes).
+        dancestor_scans,
+        /// D-Ancestor entries that matched some query element.
+        dkeys_matched,
+        /// S-Ancestor range queries performed.
+        sancestor_scans,
+        /// Virtual suffix tree nodes visited (partial matches explored).
+        nodes_visited,
+        /// DocId range queries performed.
+        docid_scans,
+        /// Match frames expanded by the work-list engine.
+        work_items = "match work items",
+        /// Frames executed after being donated through the shared queue —
+        /// work transferred between workers.
+        steals = "match steals",
+        /// Final scopes coalesced away by interval merging before DocId
+        /// resolution (raw matched scopes minus DocId range queries issued).
+        scopes_merged = "match scopes merged",
+        /// Duplicate sub-problems skipped by the visited set (identical
+        /// `(dkey, scope)` reached via different wildcard expansions).
+        dedup_skips = "match dedup skips",
+        /// Sequences the planner proved empty and never seeded (absent
+        /// concrete prefix or empty wildcard pattern probe).
+        planner_seqs_pruned = "planner seqs pruned",
+        /// D-Ancestor probes issued by the planner (plan-time pattern probes
+        /// plus memoized child-probe lookups in the match loop).
+        planner_probes = "planner probes",
+        /// S-Ancestor descents skipped because a child probe proved the
+        /// subtree dead.
+        planner_probe_prunes = "planner probe prunes",
+        /// DocId resolutions where the planner chose the keyed sweep over
+        /// per-scope range jumps.
+        planner_docid_sweeps = "planner docid sweeps",
+    }
+    io {
+        /// Buffer-pool hits attributed to this query (filled by the index
+        /// layer from the request's [`vist_obs::attr`] context; zero for
+        /// direct `search_sequences` calls and `noop` builds).
+        io_pool_hits,
+        /// Buffer-pool misses attributed to this query.
+        io_pool_misses,
+        /// Pages read from the backing file for this query.
+        io_pages_read,
+        /// Bytes read from the backing file for this query.
+        io_bytes_read,
+        /// WAL appends issued while this query's context was installed.
+        io_wal_appends,
+    }
 }
 
 impl QueryStats {
-    /// Accumulate another search's counters into this one.
-    pub fn merge(&mut self, other: &QueryStats) {
-        self.dancestor_gets += other.dancestor_gets;
-        self.dancestor_scans += other.dancestor_scans;
-        self.dkeys_matched += other.dkeys_matched;
-        self.sancestor_scans += other.sancestor_scans;
-        self.nodes_visited += other.nodes_visited;
-        self.docid_scans += other.docid_scans;
-        self.work_items += other.work_items;
-        self.steals += other.steals;
-        self.scopes_merged += other.scopes_merged;
-        self.dedup_skips += other.dedup_skips;
-        self.planner_seqs_pruned += other.planner_seqs_pruned;
-        self.planner_probes += other.planner_probes;
-        self.planner_probe_prunes += other.planner_probe_prunes;
-        self.planner_docid_sweeps += other.planner_docid_sweeps;
-        self.io_pool_hits += other.io_pool_hits;
-        self.io_pool_misses += other.io_pool_misses;
-        self.io_pages_read += other.io_pages_read;
-        self.io_bytes_read += other.io_bytes_read;
-        self.io_wal_appends += other.io_wal_appends;
-    }
-
     /// Copy the attributed I/O counters from an attribution snapshot.
     pub fn set_io(&mut self, io: &vist_obs::AttrSnapshot) {
         self.io_pool_hits = io.pool_hits;
@@ -350,10 +389,11 @@ pub enum SearchMode {
     Scopes,
 }
 
-/// Knobs for one [`search_sequences_opts`] run.
+/// Knobs for one [`search_sequences`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
-    /// Match-engine worker threads (`<= 1` runs inline on the caller).
+    /// Match-engine worker threads, the caller's included (`<= 1` is the
+    /// caller alone).
     pub workers: usize,
     /// Resolve documents or collect scopes.
     pub mode: SearchMode,
@@ -364,25 +404,21 @@ pub struct SearchOptions {
     /// it off restores the naive fixed-preorder engine for bisection.
     pub plan: bool,
     /// Stop after this many distinct documents ([`SearchMode::Docs`]
-    /// only). Forces serial execution with eager DocId resolution; the
-    /// result is a subset of the unlimited answer of size
-    /// `min(limit, total)`.
+    /// only). Runs on one worker, which resolves each completed scope as
+    /// soon as it is matched; the result is a subset of the unlimited
+    /// answer of size `min(limit, total)`.
     pub limit: Option<usize>,
     /// Attach a per-step [`PlanReport`] (estimated vs actual
     /// cardinalities) to the outcome — `vist explain --plan`.
     pub collect_plan: bool,
     /// Cooperative cancellation point: once this instant passes, the
-    /// engine stops at the next work-item boundary (every execution path
-    /// checks before expanding a frame, and the DocId stage checks
-    /// between range queries) and returns
+    /// engine stops at the next work-item boundary (the match loop checks
+    /// before expanding a frame, and the DocId stage checks between range
+    /// queries) and returns
     /// [`crate::Error::DeadlineExceeded`]. The check costs one clock
     /// read per frame and only when a deadline is set; expiry never
     /// poisons locks or mutates the index.
     pub deadline: Option<Instant>,
-    /// Trace id of the owning request (0 = none). The engine does not
-    /// act on it; it rides along so every layer below the serve
-    /// front-end sees the same id the response will carry.
-    pub trace_id: u128,
 }
 
 impl Default for SearchOptions {
@@ -395,7 +431,6 @@ impl Default for SearchOptions {
             limit: None,
             collect_plan: false,
             deadline: None,
-            trace_id: 0,
         }
     }
 }
@@ -507,59 +542,6 @@ pub struct SearchOutcome {
     pub plan: Option<PlanReport>,
 }
 
-/// Run Algorithm 2 over every alternative sequence of one query, unioning
-/// results, on `workers` threads (`<= 1` runs inline on the caller).
-///
-/// A sequence with no elements (an all-wildcard query such as `/*`)
-/// contributes the whole label space — every document matches.
-///
-/// Callers must hold whatever latch protects the store from page frees for
-/// the duration of the call (queries hold the maintenance latch shared);
-/// the engine itself acquires no index locks.
-pub fn search_sequences(
-    source: &dyn SearchSource,
-    seqs: &[QuerySequence],
-    workers: usize,
-    mode: SearchMode,
-) -> Result<SearchOutcome> {
-    search_sequences_opts(
-        source,
-        seqs,
-        &SearchOptions {
-            workers,
-            mode,
-            ..SearchOptions::default()
-        },
-    )
-}
-
-/// [`search_sequences`] with an explicit frame-scheduling seed.
-///
-/// `schedule_seed: Some(s)` replaces the engine's default expansion order
-/// (depth-first serial, FIFO shared queue) with a seeded pseudo-random pick
-/// among the pending frames — the `vist-sim` harness's scheduler hook.
-/// Answers are sets, so **every** seed must return exactly the same result;
-/// the simulation uses differing seeds to hunt for order-dependent bugs in
-/// work distribution, dedup, and scope merging.
-pub fn search_sequences_with(
-    source: &dyn SearchSource,
-    seqs: &[QuerySequence],
-    workers: usize,
-    mode: SearchMode,
-    schedule_seed: Option<u64>,
-) -> Result<SearchOutcome> {
-    search_sequences_opts(
-        source,
-        seqs,
-        &SearchOptions {
-            workers,
-            mode,
-            schedule_seed,
-            ..SearchOptions::default()
-        },
-    )
-}
-
 /// Estimated S-Ancestor entries under one D-Ancestor key; at least 1 so
 /// candidate counting still orders sources without statistics.
 fn est_nodes(source: &dyn SearchSource, dkid: u64) -> u64 {
@@ -578,9 +560,24 @@ const SWEEP_MIN_RANGES: usize = 4;
 /// tree descents cost about `SWEEP_FACTOR` sequential posting reads each.
 const SWEEP_FACTOR: u64 = 16;
 
-/// [`search_sequences`] with the full option set: planning, limits, plan
-/// report collection (see [`SearchOptions`]).
-pub fn search_sequences_opts(
+/// Run Algorithm 2 over every alternative sequence of one query, unioning
+/// results: plan the sequences, match them on `opts.workers` threads, then
+/// resolve the matched scopes against the DocId tree.
+///
+/// A sequence with no elements (an all-wildcard query such as `/*`)
+/// contributes the whole label space — every document matches.
+///
+/// `opts.schedule_seed: Some(s)` replaces the default expansion order
+/// (depth-first per worker, FIFO shared queue) with seeded pseudo-random
+/// picks among the pending frames — the `vist-sim` harness's scheduler
+/// hook. Answers are sets, so **every** seed must return exactly the same
+/// result; the simulation uses differing seeds to hunt for order-dependent
+/// bugs in work distribution, dedup, and scope merging.
+///
+/// Callers must hold whatever latch protects the store from page frees for
+/// the duration of the call (queries hold the maintenance latch shared);
+/// the engine itself acquires no index locks.
+pub fn search_sequences(
     source: &dyn SearchSource,
     seqs: &[QuerySequence],
     opts: &SearchOptions,
@@ -598,7 +595,7 @@ pub fn search_sequences_opts(
         let t = vist_obs::now();
         for (i, qs) in seqs.iter().enumerate() {
             if expired(opts.deadline) {
-                return Err(crate::error::Error::DeadlineExceeded);
+                return Err(Error::DeadlineExceeded);
             }
             if qs.elems.is_empty() {
                 pre_scopes.push((0, vist_seq::MAX_SCOPE));
@@ -614,7 +611,7 @@ pub fn search_sequences_opts(
         }
         // Seed live sequences cheapest-first. With planning off this is
         // the input order and nothing is pruned (dead concrete branches
-        // still die inside `expand`, as before).
+        // still die inside the match loop, as before).
         let mut live: Vec<usize> = (0..seqs.len())
             .filter(|&i| !seqs[i].elems.is_empty() && plans[i].pruned.is_none())
             .collect();
@@ -639,142 +636,27 @@ pub fn search_sequences_opts(
             binds: None,
         })
         .collect();
-    let track = opts.collect_plan;
+    let limit = match opts.mode {
+        SearchMode::Docs => opts.limit,
+        SearchMode::Scopes => None,
+    };
 
-    if let (Some(limit), SearchMode::Docs) = (opts.limit, opts.mode) {
-        return run_limited(
-            source, &ctxs, plans, seeds, pre_scopes, stats, timings, opts, limit,
-        );
-    }
-
-    let mut scopes = pre_scopes;
-    let workers = opts.workers.max(1);
-    let match_span = vist_obs::Span::enter("match");
-    let match_start = vist_obs::now();
-    if workers == 1 || seeds.len() + 1 < 2 {
-        // Inline serial path: a plain explicit stack, no threads. With a
-        // schedule seed the next frame is a seeded pick instead of the
-        // depth-first top of stack (see `search_sequences_with`).
-        let mut out = WorkerOut::new(opts.plan, track);
-        let mut sched = opts.schedule_seed;
-        let mut stack = seeds;
-        // `pop` takes the back, so reverse to expand rank 0 first.
-        stack.reverse();
-        loop {
-            let frame = match &mut sched {
-                _ if stack.is_empty() => None,
-                None => stack.pop(),
-                Some(rng) => {
-                    let i = (pool::splitmix64(rng) % stack.len() as u64) as usize;
-                    Some(stack.swap_remove(i))
-                }
-            };
-            let Some(frame) = frame else { break };
-            if expired(opts.deadline) {
-                return Err(crate::error::Error::DeadlineExceeded);
-            }
-            out.stats.work_items += 1;
-            expand(source, &ctxs, &frame, &mut stack, &mut out)?;
-        }
-        stats.merge(&out.stats);
-        scopes.append(&mut out.scopes);
-        absorb_steps(&mut plans, &out);
-    } else {
-        let outs: Vec<Mutex<WorkerOut>> = (0..workers)
-            .map(|_| Mutex::new(WorkerOut::new(opts.plan, track)))
-            .collect();
-        let first_err: Mutex<Option<crate::error::Error>> = Mutex::new(None);
-        let policy = match opts.schedule_seed {
-            None => pool::SchedPolicy::Fifo,
-            Some(s) => pool::SchedPolicy::Seeded(s),
-        };
-        // One attribution context per query, shared by every worker: a
-        // frame donated through the stealing queue is still charged to
-        // the owning query no matter which thread expands it.
-        let attr_ctx = vist_obs::attr::current();
-        pool::run_workers_with(workers, seeds, policy, |id, queue| {
-            let _attr = attr_ctx.clone().map(vist_obs::attr::install);
-            let worker_start = vist_obs::now();
-            let mut busy_nanos = 0u64;
-            let mut out = outs[id].lock().unwrap_or_else(|e| e.into_inner());
-            let mut local: Vec<Frame> = Vec::new();
-            while let Some((frame, donated)) = queue.take() {
-                let batch_start = vist_obs::now();
-                if donated {
-                    out.stats.steals += 1;
-                }
-                local.push(frame);
-                while let Some(frame) = local.pop() {
-                    // Cooperative cancellation: every worker checks the
-                    // deadline at each work item; the first to notice
-                    // stops the shared queue so the others drain out.
-                    let late = expired(opts.deadline);
-                    out.stats.work_items += 1;
-                    let step = if late {
-                        Err(crate::error::Error::DeadlineExceeded)
-                    } else {
-                        expand(source, &ctxs, &frame, &mut local, &mut out)
-                    };
-                    if let Err(e) = step {
-                        let mut slot = first_err.lock().unwrap_or_else(|e| e.into_inner());
-                        slot.get_or_insert(e);
-                        drop(slot);
-                        queue.stop();
-                        local.clear();
-                        break;
-                    }
-                    // Donate the shallow half of the stack (largest
-                    // subtrees) when another worker is starving.
-                    if local.len() > 1 && queue.is_hungry() {
-                        let half = local.len() / 2;
-                        queue.donate(local.drain(..half));
-                    }
-                }
-                busy_nanos += vist_obs::elapsed_nanos(batch_start).unwrap_or(0);
-                queue.finish_one();
-            }
-            if let Some(wall) = vist_obs::elapsed_nanos(worker_start) {
-                vist_obs::histogram!("vist_core_worker_busy_nanos").record(busy_nanos);
-                vist_obs::histogram!("vist_core_worker_idle_nanos")
-                    .record(wall.saturating_sub(busy_nanos));
-                out.busy_nanos = busy_nanos;
-                out.idle_nanos = wall.saturating_sub(busy_nanos);
-            }
-        });
-        if let Some(e) = first_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(e);
-        }
-        let (mut busy_total, mut idle_total) = (0u64, 0u64);
-        for out in outs {
-            let mut out = out.into_inner().unwrap_or_else(|e| e.into_inner());
-            busy_total += out.busy_nanos;
-            idle_total += out.idle_nanos;
+    let mut scopes: Vec<(u128, u128)> = Vec::new();
+    let mut docs: BTreeSet<DocId> = BTreeSet::new();
+    {
+        let _span = vist_obs::Span::enter("match");
+        let t = vist_obs::now();
+        for mut out in drive(source, &ctxs, seeds, pre_scopes, opts, limit)? {
             stats.merge(&out.stats);
             scopes.append(&mut out.scopes);
+            docs.append(&mut out.docs);
             absorb_steps(&mut plans, &out);
         }
-        // Worker threads have no span collector of their own; graft
-        // their aggregate busy/idle time onto the open `match` span so
-        // the trace tree covers parallel execution. CPU time across N
-        // workers can legitimately exceed the match span's wall time.
-        vist_obs::span::attach(vist_obs::SpanNode {
-            name: "workers",
-            nanos: busy_total,
-            count: workers as u64,
-            children: Vec::new(),
-        });
-        vist_obs::span::attach(vist_obs::SpanNode {
-            name: "workers_idle",
-            nanos: idle_total,
-            count: workers as u64,
-            children: Vec::new(),
-        });
+        timings.match_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
     }
-    timings.match_nanos = vist_obs::elapsed_nanos(match_start).unwrap_or(0);
-    drop(match_span);
 
-    match opts.mode {
-        SearchMode::Scopes => {
+    let docid_strategy = match (opts.mode, limit) {
+        (SearchMode::Scopes, _) => {
             // Canonical form: matched scopes are a *set* (different
             // branches, sequences, or workers can reach the same final
             // node).
@@ -783,32 +665,34 @@ pub fn search_sequences_opts(
             scopes.sort_unstable();
             scopes.dedup();
             timings.merge_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
-            Ok(SearchOutcome {
-                docs: BTreeSet::new(),
-                scopes,
-                stats,
-                timings,
-                plan: track.then_some(PlanReport {
-                    seqs: plans,
-                    docid_strategy: DocIdStrategy::NotRun,
-                }),
-            })
+            DocIdStrategy::NotRun
         }
-        SearchMode::Docs => {
+        (SearchMode::Docs, Some(limit)) => {
+            // The match loop resolved `scopes` as it went. The last one can
+            // overshoot; keep the smallest ids so the truncation is
+            // deterministic for a fixed expansion order.
+            while docs.len() > limit {
+                docs.pop_last();
+            }
+            DocIdStrategy::Jump {
+                ranges: scopes.len() as u64,
+            }
+        }
+        (SearchMode::Docs, None) => {
             let merge_span = vist_obs::Span::enter("merge");
             let t = vist_obs::now();
             let raw = scopes.len() as u64;
-            let merged = coalesce(scopes);
-            stats.scopes_merged += raw - merged.len() as u64;
+            scopes = coalesce(scopes);
+            stats.scopes_merged += raw - scopes.len() as u64;
             timings.merge_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
             drop(merge_span);
             let _span = vist_obs::Span::enter("docid");
             let t = vist_obs::now();
-            let mut docs = BTreeSet::new();
             // Strategy choice: many scopes over a small posting set are
             // cheaper as one keyed sweep of the covering range than as one
             // tree descent per scope. The sweep visits exactly the same
             // postings the jumps would, so the id set is identical.
+            let merged = &scopes;
             let totals = if opts.plan { source.totals() } else { None };
             let sweep = merged.len() >= SWEEP_MIN_RANGES
                 && totals.is_some_and(|t| {
@@ -835,9 +719,9 @@ pub fn search_sequences_opts(
                     postings: totals.map_or(0, |t| t.postings),
                 }
             } else {
-                for &(lo, hi) in &merged {
+                for &(lo, hi) in merged {
                     if expired(opts.deadline) {
-                        return Err(crate::error::Error::DeadlineExceeded);
+                        return Err(Error::DeadlineExceeded);
                     }
                     // "Perform a range query [n, n+size) on the DocId
                     // B+Tree."
@@ -851,96 +735,156 @@ pub fn search_sequences_opts(
                 }
             };
             timings.docid_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
-            Ok(SearchOutcome {
-                docs,
-                scopes: merged,
-                stats,
-                timings,
-                plan: track.then_some(PlanReport {
-                    seqs: plans,
-                    docid_strategy: strategy,
-                }),
-            })
+            strategy
         }
-    }
-}
-
-/// The `limit` path: serial, resolving completed scopes eagerly so the
-/// run stops as soon as `limit` distinct documents are in hand. The result
-/// is a subset of the unlimited answer of size `min(limit, total)`.
-#[allow(clippy::too_many_arguments)]
-fn run_limited(
-    source: &dyn SearchSource,
-    ctxs: &[SeqCtx<'_>],
-    mut plans: Vec<SeqPlan>,
-    seeds: Vec<Frame>,
-    pre_scopes: Vec<(u128, u128)>,
-    mut stats: QueryStats,
-    mut timings: StageTimings,
-    opts: &SearchOptions,
-    limit: usize,
-) -> Result<SearchOutcome> {
-    let match_span = vist_obs::Span::enter("match");
-    let match_start = vist_obs::now();
-    let mut out = WorkerOut::new(opts.plan, opts.collect_plan);
-    let mut docs: BTreeSet<DocId> = BTreeSet::new();
-    let mut queried: Vec<(u128, u128)> = Vec::new();
-    let mut sched = opts.schedule_seed;
-    let mut stack = seeds;
-    stack.reverse();
-    let mut pending = pre_scopes;
-    loop {
-        for (lo, hi) in pending.drain(..) {
-            if docs.len() >= limit {
-                break;
-            }
-            if expired(opts.deadline) {
-                return Err(crate::error::Error::DeadlineExceeded);
-            }
-            stats.docid_scans += 1;
-            queried.push((lo, hi));
-            source.docids_in_range(lo, hi, &mut |doc| {
-                docs.insert(doc);
-            })?;
-        }
-        if docs.len() >= limit || stack.is_empty() {
-            break;
-        }
-        let frame = match &mut sched {
-            None => stack.pop().expect("non-empty stack"),
-            Some(rng) => {
-                let i = (pool::splitmix64(rng) % stack.len() as u64) as usize;
-                stack.swap_remove(i)
-            }
-        };
-        if expired(opts.deadline) {
-            return Err(crate::error::Error::DeadlineExceeded);
-        }
-        out.stats.work_items += 1;
-        expand(source, ctxs, &frame, &mut stack, &mut out)?;
-        pending.append(&mut out.scopes);
-    }
-    // The last resolved scope can overshoot; keep the smallest ids so the
-    // truncation is deterministic for a fixed expansion order.
-    while docs.len() > limit {
-        let last = *docs.iter().next_back().expect("non-empty set");
-        docs.remove(&last);
-    }
-    stats.merge(&out.stats);
-    absorb_steps(&mut plans, &out);
-    timings.match_nanos = vist_obs::elapsed_nanos(match_start).unwrap_or(0);
-    drop(match_span);
-    let ranges = queried.len() as u64;
+    };
     Ok(SearchOutcome {
         docs,
-        scopes: queried,
+        scopes,
         stats,
         timings,
         plan: opts.collect_plan.then_some(PlanReport {
             seqs: plans,
-            docid_strategy: DocIdStrategy::Jump { ranges },
+            docid_strategy,
         }),
     })
+}
+
+/// The match loop: expand frames until none are pending, on
+/// `opts.workers` threads — the caller's is worker 0, and the only one
+/// when `workers <= 1`. Each worker drains a private stack depth-first,
+/// takes from the shared queue of [`crate::pool`] when it runs dry and
+/// donates the shallow half of its stack when another worker is starving.
+///
+/// Under a `limit` the loop gains one step per expansion: the scopes just
+/// completed are resolved against the DocId tree at once
+/// ([`WorkerOut::resolve`]), and the run stops as soon as `limit`
+/// distinct documents are in hand. That order of resolution is the
+/// expansion order of one stack, so a limited run uses one worker.
+///
+/// Returns each worker's output; `pre_scopes` are credited to worker 0.
+fn drive(
+    source: &dyn SearchSource,
+    ctxs: &[SeqCtx<'_>],
+    seeds: Vec<Frame>,
+    pre_scopes: Vec<(u128, u128)>,
+    opts: &SearchOptions,
+    limit: Option<usize>,
+) -> Result<Vec<WorkerOut>> {
+    let workers = if limit.is_some() || seeds.is_empty() {
+        1
+    } else {
+        opts.workers.max(1)
+    };
+    let mut outs: Vec<WorkerOut> = (0..workers)
+        .map(|_| WorkerOut::new(opts.plan, opts.collect_plan))
+        .collect();
+    outs[0].scopes = pre_scopes;
+    if let Some(limit) = limit {
+        if outs[0].resolve(source, limit, opts.deadline)? {
+            return Ok(outs);
+        }
+    }
+    let outs: Vec<Mutex<WorkerOut>> = outs.into_iter().map(Mutex::new).collect();
+    let first_err: Mutex<Option<Error>> = Mutex::new(None);
+    // One attribution context per query, shared by every worker: a
+    // frame donated through the stealing queue is still charged to
+    // the owning query no matter which thread expands it.
+    let attr_ctx = vist_obs::attr::current();
+    pool::run_workers(workers, seeds, opts.schedule_seed, |id, queue| {
+        let _attr = attr_ctx.clone().map(vist_obs::attr::install);
+        // Busy and idle time mean something only beside other workers.
+        let worker_start = if workers > 1 { vist_obs::now() } else { None };
+        let mut busy_nanos = 0u64;
+        let mut out = outs[id].lock().unwrap_or_else(|e| e.into_inner());
+        // With a schedule seed the next frame is a seeded pick instead of
+        // the depth-first top of stack (see `search_sequences`).
+        let mut sched = opts.schedule_seed.map(|s| s.wrapping_add(id as u64));
+        let mut local: Vec<Frame> = Vec::new();
+        while let Some((frame, donated)) = queue.take() {
+            let batch_start = worker_start.and_then(|_| vist_obs::now());
+            if donated {
+                out.stats.steals += 1;
+            }
+            local.push(frame);
+            loop {
+                let frame = match &mut sched {
+                    Some(rng) if !local.is_empty() => {
+                        let i = (pool::splitmix64(rng) % local.len() as u64) as usize;
+                        local.swap_remove(i)
+                    }
+                    _ => match local.pop() {
+                        Some(frame) => frame,
+                        None => break,
+                    },
+                };
+                // Cooperative cancellation: every worker checks the
+                // deadline at each work item; the first to notice stops
+                // the shared queue so the others drain out.
+                let step = if expired(opts.deadline) {
+                    Err(Error::DeadlineExceeded)
+                } else {
+                    out.stats.work_items += 1;
+                    expand(source, ctxs, &frame, &mut local, &mut out).and_then(|()| match limit {
+                        Some(limit) => out.resolve(source, limit, opts.deadline),
+                        None => Ok(false),
+                    })
+                };
+                match step {
+                    Ok(false) => {}
+                    done => {
+                        if let Err(e) = done {
+                            let mut slot = first_err.lock().unwrap_or_else(|e| e.into_inner());
+                            slot.get_or_insert(e);
+                        }
+                        queue.stop();
+                        local.clear();
+                        break;
+                    }
+                }
+                // Donate the shallow half of the stack (largest
+                // subtrees) when another worker is starving.
+                if local.len() > 1 && queue.is_hungry() {
+                    let half = local.len() / 2;
+                    queue.donate(local.drain(..half));
+                }
+            }
+            busy_nanos += vist_obs::elapsed_nanos(batch_start).unwrap_or(0);
+            queue.finish_one();
+        }
+        if let Some(wall) = vist_obs::elapsed_nanos(worker_start) {
+            vist_obs::histogram!("vist_core_worker_busy_nanos").record(busy_nanos);
+            vist_obs::histogram!("vist_core_worker_idle_nanos")
+                .record(wall.saturating_sub(busy_nanos));
+            out.busy_nanos = busy_nanos;
+            out.idle_nanos = wall.saturating_sub(busy_nanos);
+        }
+    });
+    if let Some(e) = first_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        return Err(e);
+    }
+    let outs: Vec<WorkerOut> = outs
+        .into_iter()
+        .map(|out| out.into_inner().unwrap_or_else(|e| e.into_inner()))
+        .collect();
+    if workers > 1 {
+        // Worker threads have no span collector of their own; graft
+        // their aggregate busy/idle time onto the open `match` span so
+        // the trace tree covers parallel execution. CPU time across N
+        // workers can legitimately exceed the match span's wall time.
+        for (name, nanos) in [
+            ("workers", outs.iter().map(|o| o.busy_nanos).sum()),
+            ("workers_idle", outs.iter().map(|o| o.idle_nanos).sum()),
+        ] {
+            vist_obs::span::attach(vist_obs::SpanNode {
+                name,
+                nanos,
+                count: workers as u64,
+                children: Vec::new(),
+            });
+        }
+    }
+    Ok(outs)
 }
 
 /// Build one sequence's plan: resolve estimates for every element and
@@ -1296,6 +1240,10 @@ struct WorkerOut {
     stats: QueryStats,
     /// Final matched scopes.
     scopes: Vec<(u128, u128)>,
+    /// `limit` runs only: the documents of `scopes[..resolved]`, the scopes
+    /// already put to the DocId tree.
+    docs: BTreeSet<DocId>,
+    resolved: usize,
     /// Binding signatures seen so far, interned: the dedup sets key on the
     /// id, so a node costs no signature clone. Id 0 is the empty signature.
     sigs: HashMap<Vec<u64>, u32, FxBuild>,
@@ -1331,6 +1279,32 @@ impl WorkerOut {
             track,
             ..WorkerOut::default()
         }
+    }
+
+    /// The `limit` step of the match loop: put the scopes completed since
+    /// the last call to the DocId tree, one range query each, until `limit`
+    /// distinct documents are in hand — the return value. Scopes past that
+    /// point are dropped unqueried.
+    fn resolve(
+        &mut self,
+        source: &dyn SearchSource,
+        limit: usize,
+        deadline: Option<Instant>,
+    ) -> Result<bool> {
+        while self.docs.len() < limit && self.resolved < self.scopes.len() {
+            if expired(deadline) {
+                return Err(Error::DeadlineExceeded);
+            }
+            let (lo, hi) = self.scopes[self.resolved];
+            self.resolved += 1;
+            self.stats.docid_scans += 1;
+            let docs = &mut self.docs;
+            source.docids_in_range(lo, hi, &mut |doc| {
+                docs.insert(doc);
+            })?;
+        }
+        self.scopes.truncate(self.resolved);
+        Ok(self.docs.len() >= limit)
     }
 
     /// The interned id of the binding signature at `positions`: the dkids
@@ -1551,4 +1525,31 @@ fn descend(
         });
     })?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_field_table_covers_every_counter_once() {
+        // A `QueryStats` is nothing but `u64` counters, so the table is
+        // complete exactly when it has one row per eight bytes.
+        let mut s = QueryStats::default();
+        let n = s.fields().len();
+        assert_eq!(n * 8, std::mem::size_of::<QueryStats>());
+        let names: HashSet<&str> = s.fields().iter().map(|f| f.0).collect();
+        assert_eq!(names.len(), n, "duplicate counter name");
+        s.work_items = 5;
+        s.planner_probes = 2;
+        s.io_pages_read = 7;
+        let mut sum = s;
+        sum.merge(&s);
+        for ((name, one), (_, two)) in s.fields().into_iter().zip(sum.fields()) {
+            assert_eq!(two, 2 * one, "{name}");
+        }
+        assert!(sum.fields().contains(&("io_pages_read", 14)));
+        assert!(sum.stats_lines().contains(&("match work items", 10)));
+        assert_eq!(sum.stats_lines().len(), 8);
+    }
 }

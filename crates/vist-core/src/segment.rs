@@ -628,16 +628,10 @@ mod tests {
                 &vist_query::TranslateOptions::default(),
             )
             .unwrap();
-            let from_delta = crate::search_sequences(
-                idx.store(),
-                &translation.sequences,
-                1,
-                crate::SearchMode::Docs,
-            )
-            .unwrap();
-            let from_seg =
-                crate::search_sequences(&seg, &translation.sequences, 1, crate::SearchMode::Docs)
-                    .unwrap();
+            let opts = crate::SearchOptions::default();
+            let from_delta =
+                crate::search_sequences(idx.store(), &translation.sequences, &opts).unwrap();
+            let from_seg = crate::search_sequences(&seg, &translation.sequences, &opts).unwrap();
             assert_eq!(from_delta.docs, from_seg.docs, "query {expr}");
         }
     }

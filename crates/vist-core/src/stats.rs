@@ -7,7 +7,7 @@ use vist_storage::{IoStats, PoolStats};
 use crate::search::QueryStats;
 
 /// A snapshot of an index's size and health counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct IndexStats {
     /// Immutable packed segments in the tier (0 for untiered indexes).
     pub segments: u64,
@@ -33,29 +33,10 @@ pub struct IndexStats {
     /// Underflows that borrowed from a non-parent ancestor (the paper's
     /// lossy case — affected chains may be missed by scope-range queries).
     pub deep_borrows: u64,
-    /// Match frames expanded by the work-list engine, across all queries.
-    pub match_work_items: u64,
-    /// Frames that changed workers through the shared queue (donations
-    /// picked up by a starving worker), across all queries.
-    pub match_steals: u64,
-    /// Final scopes coalesced away by interval merging before DocId
-    /// resolution, across all queries.
-    pub match_scopes_merged: u64,
-    /// Duplicate wildcard sub-problems skipped by the match engine's
-    /// visited sets, across all queries.
-    pub match_dedup_skips: u64,
-    /// Sequences the planner proved empty and never seeded, across all
-    /// queries.
-    pub match_planner_seqs_pruned: u64,
-    /// D-Ancestor probes issued by the planner (plan-time pattern probes
-    /// plus memoized child probes), across all queries.
-    pub match_planner_probes: u64,
-    /// S-Ancestor descents skipped because a child probe proved the
-    /// subtree dead, across all queries.
-    pub match_planner_probe_prunes: u64,
-    /// DocId resolutions where the planner chose the keyed sweep over
-    /// per-scope range jumps, across all queries.
-    pub match_planner_docid_sweeps: u64,
+    /// The match engine's counters summed over every query this handle
+    /// has run, in every tier (the `io_*` fields stay zero: attribution
+    /// is per request).
+    pub queries: QueryStats,
     /// Group-commit ingest batches applied ([`crate::VistIndex::insert_batch`]).
     pub ingest_batches: u64,
     /// Documents ingested through batches (a subset of `documents`).
@@ -79,55 +60,6 @@ pub struct IndexStats {
     /// Per-shard buffer-pool counters (hits, uncontended hits, misses,
     /// write-backs for each lock stripe).
     pub pool: PoolStats,
-}
-
-/// Cumulative parallel-match counters, recorded by every query an index
-/// runs. Atomics because queries run under `&self` from many threads.
-#[derive(Debug, Default)]
-pub struct MatchCounters {
-    work_items: AtomicU64,
-    steals: AtomicU64,
-    scopes_merged: AtomicU64,
-    dedup_skips: AtomicU64,
-    planner_seqs_pruned: AtomicU64,
-    planner_probes: AtomicU64,
-    planner_probe_prunes: AtomicU64,
-    planner_docid_sweeps: AtomicU64,
-}
-
-impl MatchCounters {
-    /// Fold one query's engine counters into the running totals.
-    pub fn record(&self, stats: &QueryStats) {
-        self.work_items
-            .fetch_add(stats.work_items, Ordering::Relaxed);
-        self.steals.fetch_add(stats.steals, Ordering::Relaxed);
-        self.scopes_merged
-            .fetch_add(stats.scopes_merged, Ordering::Relaxed);
-        self.dedup_skips
-            .fetch_add(stats.dedup_skips, Ordering::Relaxed);
-        self.planner_seqs_pruned
-            .fetch_add(stats.planner_seqs_pruned, Ordering::Relaxed);
-        self.planner_probes
-            .fetch_add(stats.planner_probes, Ordering::Relaxed);
-        self.planner_probe_prunes
-            .fetch_add(stats.planner_probe_prunes, Ordering::Relaxed);
-        self.planner_docid_sweeps
-            .fetch_add(stats.planner_docid_sweeps, Ordering::Relaxed);
-    }
-
-    /// The running totals so far.
-    pub fn snapshot(&self) -> MatchCountersSnapshot {
-        MatchCountersSnapshot {
-            work_items: self.work_items.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            scopes_merged: self.scopes_merged.load(Ordering::Relaxed),
-            dedup_skips: self.dedup_skips.load(Ordering::Relaxed),
-            planner_seqs_pruned: self.planner_seqs_pruned.load(Ordering::Relaxed),
-            planner_probes: self.planner_probes.load(Ordering::Relaxed),
-            planner_probe_prunes: self.planner_probe_prunes.load(Ordering::Relaxed),
-            planner_docid_sweeps: self.planner_docid_sweeps.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Cumulative batched-ingest counters, recorded once per
@@ -195,29 +127,6 @@ pub struct IngestCountersSnapshot {
     pub edge_cache_misses: u64,
 }
 
-/// Point-in-time values of [`MatchCounters`]. A named struct (not a
-/// tuple) so call sites can't transpose counters when new ones are
-/// added.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MatchCountersSnapshot {
-    /// Match frames expanded by the work-list engine.
-    pub work_items: u64,
-    /// Frames that changed workers through the shared queue.
-    pub steals: u64,
-    /// Final scopes coalesced away by interval merging.
-    pub scopes_merged: u64,
-    /// Duplicate wildcard sub-problems skipped by the visited sets.
-    pub dedup_skips: u64,
-    /// Sequences the planner proved empty and never seeded.
-    pub planner_seqs_pruned: u64,
-    /// D-Ancestor probes issued by the planner.
-    pub planner_probes: u64,
-    /// S-Ancestor descents skipped by child probes.
-    pub planner_probe_prunes: u64,
-    /// DocId resolutions done as a keyed sweep.
-    pub planner_docid_sweeps: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,33 +134,11 @@ mod tests {
     #[test]
     fn stats_are_plain_data() {
         let s = IndexStats {
-            segments: 0,
-            segment_docs: 0,
-            segment_bytes: 0,
-            segment_fence_bytes: 0,
-            tombstones: 0,
             documents: 1,
             nodes: 2,
             dkeys: 3,
-            underflows: 0,
-            deep_borrows: 0,
-            match_work_items: 0,
-            match_steals: 0,
-            match_scopes_merged: 0,
-            match_dedup_skips: 0,
-            match_planner_seqs_pruned: 0,
-            match_planner_probes: 0,
-            match_planner_probe_prunes: 0,
-            match_planner_docid_sweeps: 0,
-            ingest_batches: 0,
-            ingest_batch_docs: 0,
-            ingest_dkey_cache_hits: 0,
-            ingest_dkey_cache_misses: 0,
-            ingest_edge_cache_hits: 0,
-            ingest_edge_cache_misses: 0,
             store_bytes: 4096,
-            io: IoStats::default(),
-            pool: PoolStats::default(),
+            ..IndexStats::default()
         };
         let s2 = s.clone();
         assert_eq!(s, s2);
@@ -271,37 +158,6 @@ mod tests {
                 dkey_cache_misses: 3,
                 edge_cache_hits: 30,
                 edge_cache_misses: 6,
-            }
-        );
-    }
-
-    #[test]
-    fn match_counters_accumulate() {
-        let c = MatchCounters::default();
-        let stats = QueryStats {
-            work_items: 5,
-            steals: 1,
-            scopes_merged: 3,
-            dedup_skips: 2,
-            planner_seqs_pruned: 1,
-            planner_probes: 4,
-            planner_probe_prunes: 2,
-            planner_docid_sweeps: 1,
-            ..Default::default()
-        };
-        c.record(&stats);
-        c.record(&stats);
-        assert_eq!(
-            c.snapshot(),
-            MatchCountersSnapshot {
-                work_items: 10,
-                steals: 2,
-                scopes_merged: 6,
-                dedup_skips: 4,
-                planner_seqs_pruned: 2,
-                planner_probes: 8,
-                planner_probe_prunes: 4,
-                planner_docid_sweeps: 2,
             }
         );
     }

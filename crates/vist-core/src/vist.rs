@@ -16,8 +16,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use vist_query::{
-    matches_document, parse_query, translate_with, try_translate, Pattern, TranslateOptions,
-    Translation,
+    matches_document, parse_query, translate_with, try_translate, Pattern, QuerySequence,
+    TranslateOptions, Translation,
 };
 use vist_seq::{
     dkey, document_to_sequence, PathSym, Sequence, SiblingOrder, Sym, SymbolTable, TableOverlay,
@@ -31,11 +31,11 @@ use crate::error::{Error, Result};
 use crate::extsort::DEFAULT_SORT_BUDGET;
 use crate::ingest::IngestCache;
 use crate::search::{
-    search_sequences_opts, DocIdStrategy, PruneReason, QueryStats, SearchMode, SearchOptions,
-    StageTimings,
+    search_sequences, DocIdStrategy, PlanReport, PruneReason, QueryStats, SearchMode,
+    SearchOptions, SearchOutcome, StageTimings,
 };
 use crate::segment::{Segment, SegmentBuilder};
-use crate::stats::{IndexStats, IngestCounters, MatchCounters};
+use crate::stats::{IndexStats, IngestCounters};
 use crate::store::{DocId, NodeState, Store, StoreBreakdown};
 
 /// Configuration for creating an index.
@@ -90,12 +90,12 @@ pub struct QueryOptions {
     /// Cap on alternative query sequences (see
     /// [`TranslateOptions::max_sequences`]).
     pub max_sequences: usize,
-    /// Worker threads for the match engine (`<= 1` runs the search inline
-    /// on the calling thread). Alternative sequences and independent
-    /// D-Ancestor branches are distributed across the workers.
+    /// Worker threads for the match engine, the calling thread included
+    /// (`<= 1` is the calling thread alone). Alternative sequences and
+    /// independent D-Ancestor branches are distributed across the workers.
     pub workers: usize,
     /// Seeded scheduling of match-frame expansion (the `vist-sim`
-    /// scheduler hook; see [`crate::search_sequences_with`]). `None` (the
+    /// scheduler hook; see [`crate::search_sequences`]). `None` (the
     /// default) keeps the production depth-first/FIFO order. Any seed must
     /// produce identical answers.
     pub schedule_seed: Option<u64>,
@@ -124,6 +124,27 @@ pub struct QueryOptions {
     /// same id. The effective id is returned on
     /// [`QueryResult::trace_id`].
     pub trace_id: u128,
+}
+
+impl QueryOptions {
+    /// The match engine's share of these options.
+    fn search_options(&self, mode: SearchMode, collect_plan: bool) -> SearchOptions {
+        SearchOptions {
+            workers: self.workers,
+            mode,
+            schedule_seed: self.schedule_seed,
+            plan: !self.no_plan,
+            // Only document ids can be counted against a limit, and under
+            // verification the raw search must stay unlimited: the limit
+            // applies to *verified* answers, and any raw candidate may be
+            // a false positive.
+            limit: self
+                .limit
+                .filter(|_| mode == SearchMode::Docs && !self.verify),
+            collect_plan,
+            deadline: self.deadline,
+        }
+    }
 }
 
 impl Default for QueryOptions {
@@ -187,8 +208,8 @@ pub struct VistIndex {
     /// `insert_batch` also holds it exclusively across its apply phase so
     /// readers never observe a torn (partially applied) batch.
     pub(crate) maintenance: RwLock<()>,
-    /// Cumulative parallel-match counters across all queries.
-    match_counters: MatchCounters,
+    /// Counters of every query run so far, summed.
+    totals: Mutex<QueryStats>,
     /// Cumulative batched-ingest counters across all `insert_batch` calls.
     pub(crate) ingest_counters: IngestCounters,
     /// Tiered storage: immutable packed segments beneath the mutable
@@ -351,7 +372,7 @@ impl VistIndex {
             }),
             writer: Mutex::new(()),
             maintenance: RwLock::new(()),
-            match_counters: MatchCounters::default(),
+            totals: Mutex::new(QueryStats::default()),
             ingest_counters: IngestCounters::default(),
             tier: None,
         })
@@ -460,7 +481,7 @@ impl VistIndex {
             alloc: Mutex::new(alloc),
             writer: Mutex::new(()),
             maintenance: RwLock::new(()),
-            match_counters: MatchCounters::default(),
+            totals: Mutex::new(QueryStats::default()),
             ingest_counters: IngestCounters::default(),
             tier: None,
         })
@@ -554,7 +575,6 @@ impl VistIndex {
     #[must_use]
     pub fn stats(&self) -> IndexStats {
         let meta = self.store.meta();
-        let mc = self.match_counters.snapshot();
         let ic = self.ingest_counters.snapshot();
         vist_obs::gauge!("vist_core_documents")
             .set(i64::try_from(meta.doc_count).unwrap_or(i64::MAX));
@@ -581,14 +601,7 @@ impl VistIndex {
             dkeys: meta.next_dkey,
             underflows: meta.underflows,
             deep_borrows: meta.deep_borrows,
-            match_work_items: mc.work_items,
-            match_steals: mc.steals,
-            match_scopes_merged: mc.scopes_merged,
-            match_dedup_skips: mc.dedup_skips,
-            match_planner_seqs_pruned: mc.planner_seqs_pruned,
-            match_planner_probes: mc.planner_probes,
-            match_planner_probe_prunes: mc.planner_probe_prunes,
-            match_planner_docid_sweeps: mc.planner_docid_sweeps,
+            queries: *self.totals.lock(),
             ingest_batches: ic.batches,
             ingest_batch_docs: ic.docs,
             ingest_dkey_cache_hits: ic.dkey_cache_hits,
@@ -744,7 +757,7 @@ impl VistIndex {
         let mut next = first_doc;
         for xml in docs {
             let xml = xml.as_ref();
-            let doc = vist_xml::parse(xml).map_err(|e| Error::Corrupt(format!("bad XML: {e}")))?;
+            let doc = vist_xml::parse(xml)?;
             let seq = {
                 let mut table = self.table.write();
                 document_to_sequence(&doc, &mut table, &self.order)
@@ -932,7 +945,7 @@ impl VistIndex {
 
     /// Parse and insert an XML document, returning its id.
     pub fn insert_xml(&self, xml: &str) -> Result<DocId> {
-        let doc = vist_xml::parse(xml).map_err(|e| Error::Corrupt(format!("bad XML: {e}")))?;
+        let doc = vist_xml::parse(xml)?;
         self.insert_document_impl(&doc, Some(xml))
     }
 
@@ -950,8 +963,7 @@ impl VistIndex {
     pub fn insert_records(&self, xml: &str, record_names: &[&str]) -> Result<Vec<DocId>> {
         let mut ids = Vec::new();
         for rec in vist_xml::RecordSplitter::new(xml, record_names) {
-            let doc = rec.map_err(|e| Error::Corrupt(format!("bad XML: {e}")))?;
-            ids.push(self.insert_document(&doc)?);
+            ids.push(self.insert_document(&rec?)?);
         }
         Ok(ids)
     }
@@ -1196,7 +1208,7 @@ impl VistIndex {
                 let levels = (chain.len() - 1 - j) as u128;
                 chain[j].state.available() >= levels + rem
             })
-            .ok_or_else(|| Error::Corrupt("virtual suffix tree label space exhausted".into()))?;
+            .ok_or(Error::ScopeExhausted)?;
         self.store.meta_mut().deep_borrows += 1;
         let levels = (chain.len() - 1 - donor) as u128;
         let needed = levels + rem;
@@ -1384,47 +1396,93 @@ impl VistIndex {
         pattern: &Pattern,
         opts: &QueryOptions,
     ) -> Result<(Vec<(u128, u128)>, QueryStats)> {
-        let translation = self.translate_overlay(pattern, opts);
-        let sopts = SearchOptions {
-            workers: opts.workers,
-            mode: SearchMode::Scopes,
-            schedule_seed: opts.schedule_seed,
-            plan: !opts.no_plan,
-            deadline: opts.deadline,
-            ..SearchOptions::default()
-        };
+        let translation = self.translate_overlay(pattern, opts, |t, _| t);
         // Lock order: the table read guard (above, inside the helper) is
         // released before the maintenance latch is taken.
         let _m = self.maintenance.read();
-        let mut outcome = search_sequences_opts(&self.store, &translation.sequences, &sopts)?;
         // Segment scopes live in per-segment label spaces; they are
         // reported as-is after the delta's (scope values from different
         // sources are not comparable).
-        for seg in self.segments_snapshot() {
-            let o = search_sequences_opts(seg.as_ref(), &translation.sequences, &sopts)?;
-            outcome.stats.merge(&o.stats);
-            outcome.scopes.extend(o.scopes);
-        }
-        self.match_counters.record(&outcome.stats);
+        let (outcome, _) = self.search_tiers(
+            &translation.sequences,
+            &opts.search_options(SearchMode::Scopes, false),
+        )?;
         Ok((outcome.scopes, outcome.stats))
+    }
+
+    /// Algorithm 2 over every tier: the delta, then each segment, oldest
+    /// first. Every tier is its own label space, so the match runs once
+    /// per source; document ids are unioned (a segment document with a
+    /// tombstone in the delta is masked), scopes concatenated, counters
+    /// and stage timings summed, and the plan of each tier that ran is
+    /// returned under its name when `sopts.collect_plan` asks for plans.
+    /// A limited search stops at the first tier that fills the limit.
+    /// The caller holds the maintenance latch.
+    fn search_tiers(
+        &self,
+        seqs: &[QuerySequence],
+        sopts: &SearchOptions,
+    ) -> Result<(SearchOutcome, Vec<(String, PlanReport)>)> {
+        let mut total = search_sequences(&self.store, seqs, sopts)?;
+        let mut plans: Vec<(String, PlanReport)> = Vec::new();
+        plans.extend(total.plan.take().map(|p| ("delta".to_string(), p)));
+        let segments = self.segments_snapshot();
+        if !segments.is_empty() {
+            // Delta docs are never tombstoned.
+            let tombs: BTreeSet<DocId> = self.store.tomb_ids()?.into_iter().collect();
+            for seg in &segments {
+                if sopts.limit.is_some_and(|k| total.docs.len() >= k) {
+                    break;
+                }
+                // Over-provision a limited segment search by the tombstone
+                // count: up to that many of its hits may be masked below.
+                let seg_opts = SearchOptions {
+                    limit: sopts.limit.map(|k| k - total.docs.len() + tombs.len()),
+                    ..*sopts
+                };
+                let o = search_sequences(seg.as_ref(), seqs, &seg_opts)?;
+                total.stats.merge(&o.stats);
+                total.timings.match_nanos += o.timings.match_nanos;
+                total.timings.merge_nanos += o.timings.merge_nanos;
+                total.timings.docid_nanos += o.timings.docid_nanos;
+                total.scopes.extend(o.scopes);
+                total
+                    .docs
+                    .extend(o.docs.into_iter().filter(|d| !tombs.contains(d)));
+                plans.extend(o.plan.map(|p| (format!("segment {}", seg.id), p)));
+            }
+            // The union can overshoot the limit; keep the smallest k.
+            if let Some(k) = sopts.limit {
+                while total.docs.len() > k {
+                    total.docs.pop_last();
+                }
+            }
+        }
+        self.totals.lock().merge(&total.stats);
+        total.stats.publish();
+        Ok((total, plans))
     }
 
     /// Translate under a brief shared table lock, interning query-only
     /// names into an ephemeral [`TableOverlay`] instead of cloning the
     /// whole table per query. Overlay symbols cannot occur in the data, so
-    /// elements naming them simply never match.
-    fn translate_overlay(&self, pattern: &Pattern, opts: &QueryOptions) -> Translation {
+    /// elements naming them simply never match. `then` sees the overlay
+    /// too, for the names of those symbols; the lock is gone on return.
+    fn translate_overlay<R>(
+        &self,
+        pattern: &Pattern,
+        opts: &QueryOptions,
+        then: impl FnOnce(Translation, &TableOverlay) -> R,
+    ) -> R {
         let table = self.table.read();
         let mut overlay = TableOverlay::new(&table);
-        translate_with(
-            pattern,
-            &mut overlay,
-            &TranslateOptions {
-                order: self.order.clone(),
-                max_sequences: opts.max_sequences,
-            },
-        )
-        .expect("overlay resolver never fails")
+        let topts = TranslateOptions {
+            order: self.order.clone(),
+            max_sequences: opts.max_sequences,
+        };
+        let translation =
+            translate_with(pattern, &mut overlay, &topts).expect("overlay resolver never fails");
+        then(translation, &overlay)
     }
 
     /// Explain a query: show its translation into structure-encoded
@@ -1448,18 +1506,7 @@ impl VistIndex {
         // Translate + render inside one brief table read guard: the overlay
         // borrows the guard, and rendering needs the overlay for names of
         // query-only symbols. Dropped before any search runs.
-        let elem_labels: Vec<Vec<String>> = {
-            let table = self.table.read();
-            let mut overlay = TableOverlay::new(&table);
-            let translation = translate_with(
-                &pattern,
-                &mut overlay,
-                &TranslateOptions {
-                    order: self.order.clone(),
-                    max_sequences: opts.max_sequences,
-                },
-            )
-            .expect("overlay resolver never fails");
+        let elem_labels = self.translate_overlay(&pattern, opts, |translation, overlay| {
             writeln!(
                 out,
                 "{} alternative sequence(s){}:",
@@ -1499,11 +1546,9 @@ impl VistIndex {
                 labels.push(seq_labels);
             }
             labels
-        };
-        if show_plan {
-            self.render_plan(&pattern, opts, &elem_labels, &mut out)?;
-        }
-        let result = self.query_pattern(&pattern, opts)?;
+        });
+        let (result, plans) = self.run_pattern(&pattern, opts, show_plan)?;
+        render_plans(&plans, opts.no_plan, &elem_labels, &mut out);
         let st = result.stats;
         writeln!(out, "answers: {} document(s)", result.doc_ids.len()).unwrap();
         writeln!(
@@ -1563,108 +1608,6 @@ impl VistIndex {
         Ok(out)
     }
 
-    /// Append the planner's per-tier report to an `explain` rendering:
-    /// one search per source with plan collection on, showing sequence
-    /// ranks/prunes, per-step estimated vs actual cardinalities, and the
-    /// chosen DocId strategy.
-    fn render_plan(
-        &self,
-        pattern: &Pattern,
-        opts: &QueryOptions,
-        elem_labels: &[Vec<String>],
-        out: &mut String,
-    ) -> Result<()> {
-        use std::fmt::Write as _;
-        let translation = self.translate_overlay(pattern, opts);
-        let popts = SearchOptions {
-            workers: opts.workers,
-            mode: SearchMode::Docs,
-            schedule_seed: opts.schedule_seed,
-            plan: !opts.no_plan,
-            limit: opts.limit,
-            collect_plan: true,
-            deadline: opts.deadline,
-            trace_id: opts.trace_id,
-        };
-        let _m = self.maintenance.read();
-        let mut sources = Vec::new();
-        let delta = search_sequences_opts(&self.store, &translation.sequences, &popts)?;
-        sources.push(("delta".to_string(), delta.plan));
-        for seg in self.segments_snapshot() {
-            let o = search_sequences_opts(seg.as_ref(), &translation.sequences, &popts)?;
-            sources.push((format!("segment {}", seg.id), o.plan));
-        }
-        for (name, plan) in sources {
-            let Some(plan) = plan else { continue };
-            writeln!(
-                out,
-                "plan ({name}){}:",
-                if opts.no_plan {
-                    " [planner off: naive order]"
-                } else {
-                    ""
-                }
-            )
-            .unwrap();
-            for sp in &plan.seqs {
-                match sp.pruned {
-                    Some(PruneReason::EmptyConcrete { qi }) => writeln!(
-                        out,
-                        "  seq #{}: pruned (empty concrete prefix at step {qi})",
-                        sp.index
-                    )
-                    .unwrap(),
-                    Some(PruneReason::EmptyWildcard { qi }) => writeln!(
-                        out,
-                        "  seq #{}: pruned (empty wildcard prefix at step {qi})",
-                        sp.index
-                    )
-                    .unwrap(),
-                    None => {
-                        writeln!(
-                            out,
-                            "  seq #{}: rank {}, est cost {} node visit(s)",
-                            sp.index, sp.rank, sp.est_cost
-                        )
-                        .unwrap();
-                        for st in &sp.steps {
-                            let label = elem_labels
-                                .get(sp.index)
-                                .and_then(|l| l.get(st.qi))
-                                .map(String::as_str)
-                                .unwrap_or("?");
-                            writeln!(
-                                out,
-                                "    step {:<2} {:<24} est {} cand / {} nodes, \
-                                 actual {} frame(s) / {} node(s){}",
-                                st.qi,
-                                label,
-                                st.est_candidates,
-                                st.est_nodes,
-                                st.actual_frames,
-                                st.actual_nodes,
-                                if st.wildcard { "  [wildcard]" } else { "" }
-                            )
-                            .unwrap();
-                        }
-                    }
-                }
-            }
-            match plan.docid_strategy {
-                DocIdStrategy::Jump { ranges } => {
-                    writeln!(out, "  docid: range jumps ({ranges} scope(s))").unwrap();
-                }
-                DocIdStrategy::Sweep { ranges, postings } => writeln!(
-                    out,
-                    "  docid: keyed sweep ({ranges} scope(s), ~{postings} posting(s))"
-                )
-                .unwrap(),
-                DocIdStrategy::NotRun => writeln!(out, "  docid: not resolved").unwrap(),
-            }
-        }
-        Ok(())
-    }
-
     /// Parse and run a path-expression query.
     ///
     /// Safe to call concurrently from many threads (`&self`); see the
@@ -1704,33 +1647,13 @@ impl VistIndex {
             vist_obs::histogram!("vist_core_stage_match_nanos").record(result.timings.match_nanos);
             vist_obs::histogram!("vist_core_stage_merge_nanos").record(result.timings.merge_nanos);
             vist_obs::histogram!("vist_core_stage_docid_nanos").record(result.timings.docid_nanos);
-            let s = &result.stats;
             vist_obs::slowlog::record(vist_obs::SlowQuery {
                 trace_id,
                 query: expr.to_owned(),
                 workers: opts.workers.max(1),
                 total_nanos: total,
                 stages: result.timings.stages().to_vec(),
-                counters: vec![
-                    ("work_items", s.work_items),
-                    ("nodes_visited", s.nodes_visited),
-                    ("dancestor_gets", s.dancestor_gets),
-                    ("dancestor_scans", s.dancestor_scans),
-                    ("sancestor_scans", s.sancestor_scans),
-                    ("docid_scans", s.docid_scans),
-                    ("steals", s.steals),
-                    ("scopes_merged", s.scopes_merged),
-                    ("dedup_skips", s.dedup_skips),
-                    ("planner_seqs_pruned", s.planner_seqs_pruned),
-                    ("planner_probes", s.planner_probes),
-                    ("planner_probe_prunes", s.planner_probe_prunes),
-                    ("planner_docid_sweeps", s.planner_docid_sweeps),
-                    ("io_pool_hits", s.io_pool_hits),
-                    ("io_pool_misses", s.io_pool_misses),
-                    ("io_pages_read", s.io_pages_read),
-                    ("io_bytes_read", s.io_bytes_read),
-                    ("io_wal_appends", s.io_wal_appends),
-                ],
+                counters: result.stats.fields().to_vec(),
             });
         }
         result.trace_id = trace_id;
@@ -1791,6 +1714,18 @@ impl VistIndex {
 
     /// Run a pre-parsed query pattern (`&self`; see [`VistIndex::query`]).
     pub fn query_pattern(&self, pattern: &Pattern, opts: &QueryOptions) -> Result<QueryResult> {
+        Ok(self.run_pattern(pattern, opts, false)?.0)
+    }
+
+    /// [`VistIndex::query_pattern`], also returning — when `collect_plan`
+    /// is set — the planner's report for every tier the query ran on
+    /// (`vist explain --plan`).
+    fn run_pattern(
+        &self,
+        pattern: &Pattern,
+        opts: &QueryOptions,
+        collect_plan: bool,
+    ) -> Result<(QueryResult, Vec<(String, PlanReport)>)> {
         vist_obs::counter!("vist_core_query_total").inc();
         let topts = TranslateOptions {
             order: self.order.clone(),
@@ -1806,7 +1741,7 @@ impl VistIndex {
         drop(translate_span);
         let Some(translation) = translation else {
             // A query name absent from every document cannot match.
-            return Ok(QueryResult {
+            let empty = QueryResult {
                 doc_ids: Vec::new(),
                 candidates: 0,
                 truncated: false,
@@ -1817,67 +1752,15 @@ impl VistIndex {
                 },
                 trace: None,
                 trace_id: opts.trace_id,
-            });
+            };
+            return Ok((empty, Vec::new()));
         };
         let _m = self.maintenance.read();
-        let segments = self.segments_snapshot();
-        // Under verification the raw search must stay unlimited: the
-        // limit applies to *verified* answers, and any raw candidate may
-        // be a false positive.
-        let raw_limit = if opts.verify { None } else { opts.limit };
-        let base = SearchOptions {
-            workers: opts.workers,
-            mode: SearchMode::Docs,
-            schedule_seed: opts.schedule_seed,
-            plan: !opts.no_plan,
-            limit: raw_limit,
-            collect_plan: false,
-            deadline: opts.deadline,
-            trace_id: opts.trace_id,
-        };
-        let mut outcome = search_sequences_opts(&self.store, &translation.sequences, &base)?;
-        if !segments.is_empty() {
-            // Each segment is its own label space: run the match per
-            // source and union document ids, masking tombstoned segment
-            // docs. Delta docs are never tombstoned.
-            let tombs: BTreeSet<DocId> = self.store.tomb_ids()?.into_iter().collect();
-            for seg in &segments {
-                if raw_limit.is_some_and(|k| outcome.docs.len() >= k) {
-                    break;
-                }
-                // Over-provision a limited segment search by the tombstone
-                // count: up to that many of its hits may be masked below.
-                let seg_opts = SearchOptions {
-                    limit: raw_limit.map(|k| k - outcome.docs.len() + tombs.len()),
-                    ..base
-                };
-                let o = search_sequences_opts(seg.as_ref(), &translation.sequences, &seg_opts)?;
-                outcome.stats.merge(&o.stats);
-                outcome.timings.match_nanos += o.timings.match_nanos;
-                outcome.timings.merge_nanos += o.timings.merge_nanos;
-                outcome.timings.docid_nanos += o.timings.docid_nanos;
-                outcome
-                    .docs
-                    .extend(o.docs.into_iter().filter(|d| !tombs.contains(d)));
-            }
-            // The union can overshoot the limit; keep the smallest k.
-            if let Some(k) = raw_limit {
-                while outcome.docs.len() > k {
-                    let last = *outcome.docs.iter().next_back().expect("non-empty");
-                    outcome.docs.remove(&last);
-                }
-            }
-        }
-        self.match_counters.record(&outcome.stats);
+        let (outcome, plans) = self.search_tiers(
+            &translation.sequences,
+            &opts.search_options(SearchMode::Docs, collect_plan),
+        )?;
         let stats = outcome.stats;
-        vist_obs::counter!("vist_core_work_items_total").add(stats.work_items);
-        vist_obs::counter!("vist_core_nodes_visited_total").add(stats.nodes_visited);
-        vist_obs::counter!("vist_core_steals_total").add(stats.steals);
-        vist_obs::counter!("vist_core_dedup_skips_total").add(stats.dedup_skips);
-        vist_obs::counter!("vist_core_planner_seqs_pruned_total").add(stats.planner_seqs_pruned);
-        vist_obs::counter!("vist_core_planner_probes_total").add(stats.planner_probes);
-        vist_obs::counter!("vist_core_planner_probe_prunes_total").add(stats.planner_probe_prunes);
-        vist_obs::counter!("vist_core_planner_docid_sweeps_total").add(stats.planner_docid_sweeps);
         let mut timings = outcome.timings;
         timings.translate_nanos = translate_nanos;
         let out = outcome.docs;
@@ -1888,6 +1771,7 @@ impl VistIndex {
             }
             let _span = vist_obs::Span::enter("verify");
             let verify_start = vist_obs::now();
+            let segments = self.segments_snapshot();
             let mut verified = Vec::new();
             for id in out {
                 if opts.limit.is_some_and(|k| verified.len() >= k) {
@@ -1915,7 +1799,7 @@ impl VistIndex {
         } else {
             out.into_iter().collect()
         };
-        Ok(QueryResult {
+        let result = QueryResult {
             doc_ids,
             candidates,
             truncated: translation.truncated,
@@ -1923,7 +1807,87 @@ impl VistIndex {
             timings,
             trace: None,
             trace_id: opts.trace_id,
-        })
+        };
+        Ok((result, plans))
+    }
+}
+
+/// Append the planner's per-tier report to an `explain` rendering:
+/// sequence ranks/prunes, per-step estimated vs actual cardinalities, and
+/// the chosen DocId strategy, for every tier the query ran on.
+fn render_plans(
+    plans: &[(String, PlanReport)],
+    no_plan: bool,
+    elem_labels: &[Vec<String>],
+    out: &mut String,
+) {
+    use std::fmt::Write as _;
+    for (name, plan) in plans {
+        writeln!(
+            out,
+            "plan ({name}){}:",
+            if no_plan {
+                " [planner off: naive order]"
+            } else {
+                ""
+            }
+        )
+        .unwrap();
+        for sp in &plan.seqs {
+            match sp.pruned {
+                Some(PruneReason::EmptyConcrete { qi }) => writeln!(
+                    out,
+                    "  seq #{}: pruned (empty concrete prefix at step {qi})",
+                    sp.index
+                )
+                .unwrap(),
+                Some(PruneReason::EmptyWildcard { qi }) => writeln!(
+                    out,
+                    "  seq #{}: pruned (empty wildcard prefix at step {qi})",
+                    sp.index
+                )
+                .unwrap(),
+                None => {
+                    writeln!(
+                        out,
+                        "  seq #{}: rank {}, est cost {} node visit(s)",
+                        sp.index, sp.rank, sp.est_cost
+                    )
+                    .unwrap();
+                    for st in &sp.steps {
+                        let label = elem_labels
+                            .get(sp.index)
+                            .and_then(|l| l.get(st.qi))
+                            .map(String::as_str)
+                            .unwrap_or("?");
+                        writeln!(
+                            out,
+                            "    step {:<2} {:<24} est {} cand / {} nodes, \
+                             actual {} frame(s) / {} node(s){}",
+                            st.qi,
+                            label,
+                            st.est_candidates,
+                            st.est_nodes,
+                            st.actual_frames,
+                            st.actual_nodes,
+                            if st.wildcard { "  [wildcard]" } else { "" }
+                        )
+                        .unwrap();
+                    }
+                }
+            }
+        }
+        match plan.docid_strategy {
+            DocIdStrategy::Jump { ranges } => {
+                writeln!(out, "  docid: range jumps ({ranges} scope(s))").unwrap();
+            }
+            DocIdStrategy::Sweep { ranges, postings } => writeln!(
+                out,
+                "  docid: keyed sweep ({ranges} scope(s), ~{postings} posting(s))"
+            )
+            .unwrap(),
+            DocIdStrategy::NotRun => writeln!(out, "  docid: not resolved").unwrap(),
+        }
     }
 }
 

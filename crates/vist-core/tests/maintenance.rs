@@ -197,3 +197,56 @@ fn explain_shows_translation_and_probes() {
         .unwrap();
     assert!(out.contains("2 alternative sequence(s)"), "{out}");
 }
+
+/// The sum of every number that directly precedes `suffix` in `text`.
+fn sum_before(text: &str, suffix: &str) -> u64 {
+    text.match_indices(suffix)
+        .map(|(at, _)| {
+            let digits = text[..at]
+                .rfind(|c: char| !c.is_ascii_digit())
+                .map_or(0, |i| i + 1);
+            text[digits..at].parse::<u64>().unwrap()
+        })
+        .sum()
+}
+
+#[test]
+fn explain_plan_reports_the_run_that_produced_the_answer() {
+    let dir = vist_storage::testutil::TempDir::new("vist-core-explain-once");
+    let idx = VistIndex::create_file(dir.file("store"), IndexOptions::default()).unwrap();
+    idx.bulk_build((0..200).map(|i| format!("<r><a>{}</a><b><c>{}</c></b></r>", i % 7, i % 3)))
+        .unwrap();
+    for i in 0..40 {
+        idx.insert_xml(&format!("<r><a>{}</a><b><c>{}</c></b></r>", i % 5, i % 2))
+            .unwrap();
+    }
+    assert_eq!(idx.stats().segments, 1, "delta + one segment");
+    let opts = QueryOptions::default();
+    let fetches = |s: &vist_core::IndexStats| {
+        let t = s.pool.totals();
+        t.hits + t.misses
+    };
+    for q in ["/r/a[text='3']", "//c[text='1']", "/r[a='2']/b/c", "/r/*/c"] {
+        idx.explain_with(q, &opts, true).unwrap(); // warm the pool
+        let s0 = idx.stats();
+        let plain = idx.explain_with(q, &opts, false).unwrap();
+        let s1 = idx.stats();
+        let planned = idx.explain_with(q, &opts, true).unwrap();
+        let s2 = idx.stats();
+        // Collecting the plan costs no second execution of any tier.
+        assert_eq!(
+            fetches(&s2) - fetches(&s1),
+            fetches(&s1) - fetches(&s0),
+            "{q}"
+        );
+        assert!(!plain.contains("plan ("), "{plain}");
+        assert!(planned.contains("plan (delta):") && planned.contains("plan (segment 1):"));
+        // And the plan's per-step actuals are the counters of that one run.
+        assert!(sum_before(&planned, " nodes visited") > 0, "{planned}");
+        assert_eq!(
+            sum_before(&planned, " node(s)"),
+            sum_before(&planned, " nodes visited"),
+            "{planned}"
+        );
+    }
+}

@@ -208,7 +208,14 @@ fn check_query(naive: &mut NaiveIndex, vist: &VistIndex, label: &str, q: &str) {
             oracle.len().saturating_sub(1),
             oracle.len() + 3,
         ] {
-            for verify in [false, true] {
+            // Which subset comes back may depend on the expansion order;
+            // that it is one of the right size may not.
+            for (verify, schedule_seed) in [
+                (false, None),
+                (true, None),
+                (false, Some(limit as u64)),
+                (false, Some(0x5EED ^ workers as u64)),
+            ] {
                 let full = if verify { &full_verified } else { &full_raw };
                 let r = vist
                     .query(
@@ -217,18 +224,20 @@ fn check_query(naive: &mut NaiveIndex, vist: &VistIndex, label: &str, q: &str) {
                             workers,
                             verify,
                             limit: Some(limit),
+                            schedule_seed,
                             ..Default::default()
                         },
                     )
                     .unwrap();
+                let run = format!("limit {limit} (verify={verify}, seed={schedule_seed:?})");
                 assert_eq!(
                     r.doc_ids.len(),
                     limit.min(full.len()),
-                    "{label}: limit {limit} (verify={verify}) wrong size at {workers} workers: {q}"
+                    "{label}: {run} wrong size at {workers} workers: {q}"
                 );
                 assert!(
                     r.doc_ids.iter().all(|id| full.contains(id)),
-                    "{label}: limit {limit} (verify={verify}) returned non-answer at \
+                    "{label}: {run} returned non-answer at \
                      {workers} workers: {q}: {:?} not in {full:?}",
                     r.doc_ids
                 );

@@ -55,17 +55,62 @@ fn truncated_index_file_errors_not_panics() {
 
 #[test]
 fn bad_xml_rejected_without_state_damage() {
-    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+    let path = tmp("badxml");
+    let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
     let good = idx.insert_xml("<a><b>1</b></a>").unwrap();
-    assert!(idx.insert_xml("<a><b>").is_err());
-    assert!(idx.insert_xml("").is_err());
-    assert!(idx.insert_xml("not xml at all").is_err());
+    // The caller's input is at fault, not the index: every ingest entry
+    // point says so (`Error::Xml`, never `Error::Corrupt`).
+    for bad in ["<a><b>", "", "not xml at all"] {
+        assert!(matches!(idx.insert_xml(bad), Err(Error::Xml(_))), "{bad:?}");
+        assert!(matches!(idx.insert_batch(&[bad], 2), Err(Error::Xml(_))));
+        assert!(matches!(idx.bulk_build([bad]), Err(Error::Xml(_))));
+    }
+    let broken_container = "<site><item><x>1</x></item><item><x></item></site>";
+    let err = idx.insert_records(broken_container, &["item"]).unwrap_err();
+    assert!(matches!(err, Error::Xml(_)), "{err}");
+    assert!(!err.to_string().contains("corrupt"), "{err}");
     // The index still answers correctly; the doc counter only advanced for
-    // committed inserts... (failed parses never reached insert_sequence).
+    // committed inserts (the container's first record is one of them).
     let r = idx
         .query("/a/b[text='1']", &QueryOptions::default())
         .unwrap();
     assert_eq!(r.doc_ids, vec![good]);
+    assert_eq!(idx.doc_count(), 2);
+    idx.check().unwrap();
+    drop(idx);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn exhausted_label_space_is_its_own_error() {
+    // A fixed λ = 2 halves the root's remaining scope per distinct root
+    // element: 2^126 labels last about 126 of them, and the root has no
+    // ancestor to borrow from.
+    let idx = VistIndex::in_memory(IndexOptions {
+        lambda: 2,
+        adaptive: false,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut inserted = 0u64;
+    let err = loop {
+        match idx.insert_xml(&format!("<r{inserted}/>")) {
+            Ok(_) => inserted += 1,
+            Err(e) => break e,
+        }
+        assert!(inserted < 200, "label space never ran out");
+    };
+    assert!(matches!(err, Error::ScopeExhausted), "{err:?}");
+    assert!(!err.to_string().contains("corrupt"), "{err}");
+    // Nothing on disk is damaged: the trees verify, and what went in before
+    // is still found.
+    idx.check().unwrap();
+    for i in [0, inserted / 2, inserted - 1] {
+        let r = idx
+            .query(&format!("/r{i}"), &QueryOptions::default())
+            .unwrap();
+        assert_eq!(r.doc_ids.len(), 1, "/r{i}");
+    }
 }
 
 #[test]

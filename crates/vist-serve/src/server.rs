@@ -463,12 +463,21 @@ fn stages_json(t: &vist_core::StageTimings) -> String {
     )
 }
 
-/// Render one query's attributed I/O counters as a JSON object.
-fn io_json(s: &vist_core::QueryStats) -> String {
-    format!(
-        "{{\"pool_hits\":{},\"pool_misses\":{},\"pages_read\":{},\"bytes_read\":{},\"wal_appends\":{}}}",
-        s.io_pool_hits, s.io_pool_misses, s.io_pages_read, s.io_bytes_read, s.io_wal_appends
-    )
+/// Add every counter of one query's [`vist_core::QueryStats`] to its wide
+/// event: the engine counters as top-level fields under their own names,
+/// the attributed I/O counters (`io_*`) gathered into one `io` object.
+fn counter_fields(
+    mut event: vist_obs::WideEvent,
+    s: &vist_core::QueryStats,
+) -> vist_obs::WideEvent {
+    let mut io = Vec::new();
+    for (name, value) in s.fields() {
+        match name.strip_prefix("io_") {
+            Some(short) => io.push(format!("\"{short}\":{value}")),
+            None => event = event.u64_field(name, value),
+        }
+    }
+    event.raw_field("io", &format!("{{{}}}", io.join(",")))
 }
 
 /// Shared request path for both transports: admission, deadline,
@@ -588,16 +597,12 @@ pub(crate) fn handle_request(
                 Ok(r) => {
                     shared.stats.ok.fetch_add(1, Ordering::Relaxed);
                     vist_obs::counter!("vist_serve_ok_total").inc();
-                    admitted_event("ok")
+                    let event = admitted_event("ok")
                         .u64_field("docs", r.doc_ids.len() as u64)
                         .u64_field("candidates", r.candidates as u64)
                         .u64_field("workers", shared.cfg.query_workers as u64)
-                        .u64_field("work_items", r.stats.work_items)
-                        .u64_field("steals", r.stats.steals)
-                        .u64_field("planner_seqs_pruned", r.stats.planner_seqs_pruned)
-                        .raw_field("stages", &stages_json(&r.timings))
-                        .raw_field("io", &io_json(&r.stats))
-                        .emit();
+                        .raw_field("stages", &stages_json(&r.timings));
+                    counter_fields(event, &r.stats).emit();
                     Response::Ok(r.doc_ids)
                 }
                 Err(CoreError::DeadlineExceeded) => {

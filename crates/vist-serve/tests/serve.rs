@@ -422,6 +422,13 @@ fn access_log_and_slow_ms() {
     assert!(line.contains("\"expr\":\"/book/author\""), "{line}");
     assert!(line.contains("\"outcome\":\"ok\""), "{line}");
     assert!(line.contains("\"io\":{\"pool_hits\":"), "{line}");
+    // The event carries the whole counter record, as the slow log does:
+    // engine counters at the top level, attributed I/O inside `io`.
+    for (name, _) in vist_core::QueryStats::default().fields() {
+        let key = format!("\"{}\":", name.strip_prefix("io_").unwrap_or(name));
+        assert!(line.contains(&key), "{name} missing from {line}");
+        assert!(entry.counters.iter().any(|(k, _)| *k == name), "{name}");
+    }
     assert!(line.contains("\"stages\":{\"translate\":"), "{line}");
 
     // The same line is in the in-process ring.

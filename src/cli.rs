@@ -905,24 +905,9 @@ pub fn run(cmd: Command) -> Result<String, String> {
             writeln!(out, "tombstones:           {}", s.tombstones).unwrap();
             writeln!(out, "tight underflows:     {}", s.underflows).unwrap();
             writeln!(out, "node incarnations:    {}", s.deep_borrows).unwrap();
-            writeln!(out, "match work items:     {}", s.match_work_items).unwrap();
-            writeln!(out, "match steals:         {}", s.match_steals).unwrap();
-            writeln!(out, "match scopes merged:  {}", s.match_scopes_merged).unwrap();
-            writeln!(out, "match dedup skips:    {}", s.match_dedup_skips).unwrap();
-            writeln!(out, "planner seqs pruned:  {}", s.match_planner_seqs_pruned).unwrap();
-            writeln!(out, "planner probes:       {}", s.match_planner_probes).unwrap();
-            writeln!(
-                out,
-                "planner probe prunes: {}",
-                s.match_planner_probe_prunes
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "planner docid sweeps: {}",
-                s.match_planner_docid_sweeps
-            )
-            .unwrap();
+            for (label, total) in s.queries.stats_lines() {
+                writeln!(out, "{:<22}{total}", format!("{label}:")).unwrap();
+            }
             writeln!(out, "ingest batches:       {}", s.ingest_batches).unwrap();
             writeln!(out, "ingest batch docs:    {}", s.ingest_batch_docs).unwrap();
             writeln!(

@@ -38,9 +38,9 @@
 //! | [`serve`] | `vist-serve` | network front-end: binary protocol + HTTP shim, admission control, drain |
 
 pub use vist_core::{
-    search_sequences, AllocatorKind, DocId, Error, IndexOptions, IndexStats, MatchCountersSnapshot,
-    NaiveIndex, QueryOptions, QueryResult, QueryStats, Result, RistIndex, SearchMode,
-    SearchOutcome, StageTimings, StatsModel, VistIndex,
+    search_sequences, AllocatorKind, DocId, Error, IndexOptions, IndexStats, NaiveIndex,
+    QueryOptions, QueryResult, QueryStats, Result, RistIndex, SearchMode, SearchOutcome,
+    StageTimings, StatsModel, VistIndex,
 };
 
 /// The `vist` command-line tool's implementation (parse + execute).
