@@ -142,8 +142,8 @@ fn main() {
             used += u;
             total += t;
         }
-        for (_, b) in &segs {
-            let (u, t) = trees(b);
+        for seg in &segs {
+            let (u, t) = trees(&seg.trees);
             used += u;
             total += t;
         }

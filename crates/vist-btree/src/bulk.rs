@@ -9,10 +9,288 @@ use std::sync::Arc;
 
 use vist_storage::{BufferPool, Error, PageId, Result, SlotId, SlottedPageMut, INVALID_PAGE};
 
+use crate::codec::{put_varint, varint_len};
+use crate::leaf::PACKED_HDR;
 use crate::node::{
-    init_internal, init_leaf, internal_cell, leaf_cell, set_link1, set_link2, NODE_HDR,
+    init_internal, init_leaf, internal_cell, leaf_cell, set_link1, set_link2, KIND_PACKED_LEAF,
+    NODE_HDR,
 };
 use crate::tree::{note_height, BTree};
+
+/// The one thing the two bulk loads do differently: how records are laid
+/// out on a leaf page. [`build`] owns everything else — input order, the
+/// record size limit, the leaf chain, separators, the internal levels.
+pub(crate) trait LeafWriter {
+    /// Make `buf` an empty, unlinked leaf of this layout.
+    fn init(&self, buf: &mut [u8]);
+
+    /// Add a record to the leaf being filled, page `pid`; `false`, with the
+    /// leaf unchanged, when it does not fit. A record within the size limit
+    /// always fits an empty leaf.
+    fn push(&mut self, pool: &BufferPool, pid: PageId, key: &[u8], value: &[u8]) -> Result<bool>;
+
+    /// The leaf on page `pid` is complete: write whatever `push` held back.
+    fn seal(&mut self, pool: &BufferPool, pid: PageId) -> Result<()>;
+}
+
+/// Slotted leaves ([`crate::node`]): each record goes straight into the
+/// page's slotted region.
+struct SlottedLeaves {
+    /// Slot the next record of the current leaf takes.
+    slot: SlotId,
+}
+
+impl LeafWriter for SlottedLeaves {
+    fn init(&self, buf: &mut [u8]) {
+        init_leaf(buf);
+    }
+
+    fn push(&mut self, pool: &BufferPool, pid: PageId, key: &[u8], value: &[u8]) -> Result<bool> {
+        let mut page = pool.fetch_mut(pid)?;
+        let mut cells = SlottedPageMut::new(page.data_mut(), NODE_HDR);
+        match cells.insert(self.slot, &leaf_cell(key, value)) {
+            Ok(()) => {
+                self.slot += 1;
+                Ok(true)
+            }
+            Err(Error::PageOverflow { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn seal(&mut self, _: &BufferPool, _: PageId) -> Result<()> {
+        self.slot = 0;
+        Ok(())
+    }
+}
+
+/// Packed leaves ([`crate::leaf`]): records wait in memory until the leaf
+/// is full, because the prefix they share is only known then.
+pub(crate) struct PackedLeaves {
+    /// Bytes of a page after the node header.
+    region_len: usize,
+    /// Keys and values of the waiting records, concatenated, and where
+    /// record `i` ends in each.
+    keys: Vec<u8>,
+    values: Vec<u8>,
+    ends: Vec<(usize, usize)>,
+    /// Length of the longest prefix the waiting keys share.
+    prefix_len: usize,
+    /// Bytes of the waiting cells that do not depend on the prefix: whole
+    /// keys, values and value-length varints.
+    fixed: usize,
+    /// Bytes of their suffix-length varints at the current `prefix_len`.
+    suffix_varints: usize,
+}
+
+impl PackedLeaves {
+    pub(crate) fn new(page_size: usize) -> Self {
+        PackedLeaves {
+            region_len: page_size - NODE_HDR,
+            keys: Vec::new(),
+            values: Vec::new(),
+            ends: Vec::new(),
+            prefix_len: 0,
+            fixed: 0,
+            suffix_varints: 0,
+        }
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        let from = if i == 0 { 0 } else { self.ends[i - 1].0 };
+        &self.keys[from..self.ends[i].0]
+    }
+
+    fn value(&self, i: usize) -> &[u8] {
+        let from = if i == 0 { 0 } else { self.ends[i - 1].1 };
+        &self.values[from..self.ends[i].1]
+    }
+
+    /// See [`LeafWriter::push`]. Keys arrive ascending, so the prefix all of
+    /// them share is the one the first and the newest share.
+    pub(crate) fn add(&mut self, key: &[u8], value: &[u8]) -> bool {
+        let n = self.ends.len();
+        let prefix_len = if n == 0 {
+            key.len()
+        } else {
+            let first = self.key(0);
+            let lcp = first.iter().zip(key).take_while(|(a, b)| a == b).count();
+            lcp.min(self.prefix_len)
+        };
+        // A shorter prefix lengthens every waiting suffix: recount their
+        // varints. It shrinks at most `prefix_len` times a leaf.
+        let waiting = if prefix_len == self.prefix_len {
+            self.suffix_varints
+        } else {
+            (0..n)
+                .map(|i| varint_len((self.key(i).len() - prefix_len) as u128))
+                .sum()
+        };
+        let suffix_varints = waiting + varint_len((key.len() - prefix_len) as u128);
+        let fixed = self.fixed + varint_len(value.len() as u128) + key.len() + value.len();
+        let size =
+            PACKED_HDR + 2 * (n + 2) + prefix_len + fixed - (n + 1) * prefix_len + suffix_varints;
+        if size > self.region_len {
+            return false;
+        }
+        self.keys.extend_from_slice(key);
+        self.values.extend_from_slice(value);
+        self.ends.push((self.keys.len(), self.values.len()));
+        (self.prefix_len, self.fixed, self.suffix_varints) = (prefix_len, fixed, suffix_varints);
+        true
+    }
+
+    /// Write the waiting records into `buf` (after its node header, which
+    /// is left alone) in the layout of [`crate::leaf`], and forget them.
+    pub(crate) fn write(&mut self, buf: &mut [u8]) {
+        let n = self.ends.len();
+        let p = self.prefix_len;
+        let region = &mut buf[NODE_HDR..];
+        let mut put16 = |at: usize, v: usize| {
+            region[at..at + 2].copy_from_slice(&(v as u16).to_le_bytes());
+        };
+        put16(0, n);
+        put16(2, p);
+        let cells_start = PACKED_HDR + 2 * (n + 1) + p;
+        let mut cells = Vec::with_capacity(self.keys.len() + self.values.len() + 6 * n);
+        for i in 0..n {
+            put16(PACKED_HDR + 2 * i, cells_start + cells.len());
+            let (suffix, value) = (&self.key(i)[p..], self.value(i));
+            put_varint(&mut cells, suffix.len() as u128);
+            put_varint(&mut cells, value.len() as u128);
+            cells.extend_from_slice(suffix);
+            cells.extend_from_slice(value);
+        }
+        put16(PACKED_HDR + 2 * n, cells_start + cells.len());
+        if n > 0 {
+            region[cells_start - p..cells_start].copy_from_slice(&self.key(0)[..p]);
+        }
+        region[cells_start..cells_start + cells.len()].copy_from_slice(&cells);
+        self.keys.clear();
+        self.values.clear();
+        self.ends.clear();
+        (self.prefix_len, self.fixed, self.suffix_varints) = (0, 0, 0);
+    }
+}
+
+impl LeafWriter for PackedLeaves {
+    fn init(&self, buf: &mut [u8]) {
+        init_leaf(buf);
+        buf[0] = KIND_PACKED_LEAF;
+        // No records, no prefix, and a directory of the one end offset.
+        PackedLeaves::new(buf.len()).write(buf);
+    }
+
+    fn push(&mut self, _: &BufferPool, _: PageId, key: &[u8], value: &[u8]) -> Result<bool> {
+        Ok(self.add(key, value))
+    }
+
+    fn seal(&mut self, pool: &BufferPool, pid: PageId) -> Result<()> {
+        self.write(pool.fetch_mut(pid)?.data_mut());
+        Ok(())
+    }
+}
+
+/// Allocate an empty leaf and link it after `prev`.
+fn open_leaf(pool: &BufferPool, leaves: &dyn LeafWriter, prev: PageId) -> Result<PageId> {
+    let pid = pool.allocate()?;
+    {
+        let mut page = pool.fetch_mut(pid)?;
+        leaves.init(page.data_mut());
+        set_link2(page.data_mut(), prev);
+    }
+    if prev != INVALID_PAGE {
+        set_link1(pool.fetch_mut(prev)?.data_mut(), pid);
+    }
+    Ok(pid)
+}
+
+/// Build a tree from `items`, which must be strictly ascending by key
+/// (duplicates or disorder yield [`Error::Corrupt`]), with leaves in the
+/// layout of `leaves`. Returns the root page.
+pub(crate) fn build<I>(pool: &BufferPool, items: I, leaves: &mut dyn LeafWriter) -> Result<PageId>
+where
+    I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+{
+    let max_cell = BTree::max_cell_for(pool);
+
+    // ---- leaf level -------------------------------------------------
+    // (lowest key routed to the leaf, pid); the leftmost needs no key.
+    let mut level: Vec<(Vec<u8>, PageId)> = Vec::new();
+    let mut cur = (Vec::new(), open_leaf(pool, leaves, INVALID_PAGE)?);
+    let mut last_key: Option<Vec<u8>> = None;
+    for (key, value) in items {
+        if last_key.as_ref().is_some_and(|lk| key <= *lk) {
+            return Err(Error::Corrupt(
+                "bulk_load input must be strictly ascending".into(),
+            ));
+        }
+        let cell_len = 4 + key.len() + value.len();
+        if cell_len > max_cell {
+            return Err(Error::PageOverflow {
+                requested: cell_len,
+                available: max_cell,
+            });
+        }
+        if !leaves.push(pool, cur.1, &key, &value)? {
+            // Seal the full leaf and open the next; its separator is
+            // suffix-truncated against the last key of the sealed one.
+            leaves.seal(pool, cur.1)?;
+            let prev = last_key.as_ref().expect("a full leaf holds a record");
+            let sep = crate::node::shortest_separator(prev, &key);
+            let next = open_leaf(pool, leaves, cur.1)?;
+            level.push(std::mem::replace(&mut cur, (sep, next)));
+            if !leaves.push(pool, cur.1, &key, &value)? {
+                return Err(Error::PageOverflow {
+                    requested: cell_len,
+                    available: max_cell,
+                });
+            }
+        }
+        last_key = Some(key);
+    }
+    leaves.seal(pool, cur.1)?;
+    level.push(cur);
+
+    // ---- internal levels --------------------------------------------
+    let mut height = 1u64;
+    while level.len() > 1 {
+        height += 1;
+        let mut next: Vec<(Vec<u8>, PageId)> = Vec::new();
+        let mut iter = level.into_iter();
+        let (mut first_key, leftmost) = iter.next().expect("level non-empty");
+        let mut node = pool.allocate()?;
+        {
+            let mut page = pool.fetch_mut(node)?;
+            init_internal(page.data_mut(), leftmost);
+        }
+        let mut slot: SlotId = 0;
+        for (sep, child) in iter {
+            let cell = internal_cell(&sep, child);
+            let mut page = pool.fetch_mut(node)?;
+            let mut p = SlottedPageMut::new(page.data_mut(), NODE_HDR);
+            match p.insert(slot, &cell) {
+                Ok(()) => slot += 1,
+                Err(Error::PageOverflow { .. }) => {
+                    drop(page);
+                    next.push((first_key, node));
+                    // The separator that failed becomes the next node's
+                    // "first key" and its child the leftmost.
+                    node = pool.allocate()?;
+                    let mut page = pool.fetch_mut(node)?;
+                    init_internal(page.data_mut(), child);
+                    first_key = sep;
+                    slot = 0;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        next.push((first_key, node));
+        level = next;
+    }
+    note_height(height);
+    Ok(level[0].1)
+}
 
 impl BTree {
     /// Build a tree from `items`, which must be strictly ascending by key
@@ -23,126 +301,7 @@ impl BTree {
     where
         I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     {
-        let max_cell = BTree::max_cell_for(&pool);
-
-        // ---- leaf level -------------------------------------------------
-        let mut leaves: Vec<(Vec<u8>, PageId)> = Vec::new(); // (first key, pid)
-        let mut cur: Option<(PageId, Vec<u8>)> = None; // (pid, first key)
-        let mut cur_slot: SlotId = 0;
-        let mut prev_leaf: PageId = INVALID_PAGE;
-        let mut last_key: Option<Vec<u8>> = None;
-
-        for (key, value) in items {
-            if let Some(lk) = &last_key {
-                if key.as_slice() <= lk.as_slice() {
-                    return Err(Error::Corrupt(
-                        "bulk_load input must be strictly ascending".into(),
-                    ));
-                }
-            }
-            let cell = leaf_cell(&key, &value);
-            if cell.len() > max_cell {
-                return Err(Error::PageOverflow {
-                    requested: cell.len(),
-                    available: max_cell,
-                });
-            }
-            // Try to append to the current leaf; on overflow, seal it and
-            // start a new one.
-            let mut placed = false;
-            if let Some((pid, _)) = &cur {
-                let mut page = pool.fetch_mut(*pid)?;
-                let mut p = SlottedPageMut::new(page.data_mut(), NODE_HDR);
-                match p.insert(cur_slot, &cell) {
-                    Ok(()) => {
-                        cur_slot += 1;
-                        placed = true;
-                    }
-                    Err(Error::PageOverflow { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            if !placed {
-                // Seal the current leaf and open a fresh one. The sealed
-                // leaf's separator is suffix-truncated against the new key.
-                if let Some((pid, first)) = cur.take() {
-                    leaves.push((first, pid));
-                    prev_leaf = pid;
-                }
-                let pid = pool.allocate()?;
-                {
-                    let mut page = pool.fetch_mut(pid)?;
-                    let buf = page.data_mut();
-                    init_leaf(buf);
-                    set_link2(buf, prev_leaf);
-                    let mut p = SlottedPageMut::new(buf, NODE_HDR);
-                    p.insert(0, &cell)?;
-                }
-                if prev_leaf != INVALID_PAGE {
-                    let mut pp = pool.fetch_mut(prev_leaf)?;
-                    set_link1(pp.data_mut(), pid);
-                }
-                let sep = match &last_key {
-                    Some(prev) => crate::node::shortest_separator(prev, &key),
-                    None => key.clone(),
-                };
-                cur = Some((pid, sep));
-                cur_slot = 1;
-            }
-            last_key = Some(key);
-        }
-        match cur {
-            Some((pid, first)) => leaves.push((first, pid)),
-            None => {
-                // Empty input: a single empty leaf root.
-                let root = pool.allocate()?;
-                let mut page = pool.fetch_mut(root)?;
-                init_leaf(page.data_mut());
-                drop(page);
-                note_height(1);
-                return BTree::open(pool, root);
-            }
-        }
-
-        // ---- internal levels --------------------------------------------
-        let mut level: Vec<(Vec<u8>, PageId)> = leaves;
-        let mut height = 1u64;
-        while level.len() > 1 {
-            height += 1;
-            let mut next: Vec<(Vec<u8>, PageId)> = Vec::new();
-            let mut iter = level.into_iter();
-            let (mut first_key, leftmost) = iter.next().expect("level non-empty");
-            let mut node = pool.allocate()?;
-            {
-                let mut page = pool.fetch_mut(node)?;
-                init_internal(page.data_mut(), leftmost);
-            }
-            let mut slot: SlotId = 0;
-            for (sep, child) in iter {
-                let cell = internal_cell(&sep, child);
-                let mut page = pool.fetch_mut(node)?;
-                let mut p = SlottedPageMut::new(page.data_mut(), NODE_HDR);
-                match p.insert(slot, &cell) {
-                    Ok(()) => slot += 1,
-                    Err(Error::PageOverflow { .. }) => {
-                        drop(page);
-                        next.push((first_key, node));
-                        // The separator that failed becomes the next node's
-                        // "first key" and its child the leftmost.
-                        node = pool.allocate()?;
-                        let mut page = pool.fetch_mut(node)?;
-                        init_internal(page.data_mut(), child);
-                        first_key = sep;
-                        slot = 0;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            next.push((first_key, node));
-            level = next;
-        }
-        let root = level[0].1;
-        note_height(height);
+        let root = build(&pool, items, &mut SlottedLeaves { slot: 0 })?;
         BTree::open(pool, root)
     }
 }

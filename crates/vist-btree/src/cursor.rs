@@ -8,51 +8,88 @@
 use std::collections::VecDeque;
 use std::ops::{Bound, ControlFlow, RangeBounds};
 
-use vist_storage::{BufferPool, PageId, PageRef, Result, SlotId, SlottedPage, INVALID_PAGE};
+use vist_storage::{BufferPool, PageId, PageRef, Result, SlotId, INVALID_PAGE};
 
-use crate::node::{decode_leaf_cell, link1, search, NODE_HDR};
+use crate::leaf::{either, KeyScratch, Leaf, LeafView};
+use crate::node::link1;
 use crate::tree::{fetch_leaf, Descent, Tree};
 
-/// First slot of leaf `buf` whose key satisfies the `start` bound (the slot
+/// First slot of `leaf` whose key satisfies the `start` bound (the slot
 /// count when none does).
-fn first_slot(buf: &[u8], start: Bound<&[u8]>) -> SlotId {
-    match start {
+#[inline]
+fn first_slot<'a>(leaf: &impl Leaf<'a>, start: Bound<&[u8]>) -> Result<SlotId> {
+    Ok(match start {
         Bound::Unbounded => 0,
-        Bound::Included(s) => search(buf, s).unwrap_or_else(|i| i),
-        Bound::Excluded(s) => search(buf, s).map_or_else(|i| i, |i| i + 1),
+        Bound::Included(s) => leaf.search(s)?.unwrap_or_else(|i| i),
+        Bound::Excluded(s) => leaf.search(s)?.map_or_else(|i| i, |i| i + 1),
+    })
+}
+
+/// The `end` bound of a walk as the keys of one leaf see it, all of which
+/// start with `prefix`: `None` when every one of them lies beyond it,
+/// otherwise the bound on what follows the prefix. (An end key that leaves
+/// the prefix at some byte lies on one side of all of them.)
+fn end_after_prefix<'e>(prefix: &[u8], end: Bound<&'e [u8]>) -> Option<Bound<&'e [u8]>> {
+    let (Bound::Included(e) | Bound::Excluded(e)) = end else {
+        return Some(Bound::Unbounded);
+    };
+    match e.strip_prefix(prefix) {
+        Some(rest) => Some(end.map(|_| rest)),
+        None if e < prefix => None,
+        None => Some(Bound::Unbounded),
     }
 }
 
-fn within_end(key: &[u8], end: Bound<&[u8]>) -> bool {
+fn within_end(suffix: &[u8], end: Bound<&[u8]>) -> bool {
     match end {
         Bound::Unbounded => true,
-        Bound::Included(e) => key <= e,
-        Bound::Excluded(e) => key < e,
+        Bound::Included(e) => suffix <= e,
+        Bound::Excluded(e) => suffix < e,
     }
 }
 
-/// Hand the records of leaf `buf` that lie inside `(start, end)` to `f`, in
-/// key order. `seeking` is true until the walk has reached the start bound:
-/// a seek can land left of it (see [`Descent::seek_leaf`]), in which case
-/// this leaf contributes nothing and the next one is searched again.
-/// Breaks when `f` does or a key beyond `end` is met; the leaf chain is
-/// sorted, so the walk is over then.
-fn visit_leaf(
-    buf: &[u8],
+/// Hand the records of `leaf` that lie inside `(start, end)` to `f`, in key
+/// order, each key in one piece (put together in `scratch` when the leaf
+/// stores a prefix apart). `seeking` is true until the walk has reached the
+/// start bound: a seek can land left of it (see [`Descent::seek_leaf`]), in
+/// which case this leaf contributes nothing and the next one is searched
+/// again. Breaks when `f` does or a key beyond `end` is met; the leaf chain
+/// is sorted, so the walk is over then.
+#[inline]
+fn visit_leaf<'a>(
+    leaf: &impl Leaf<'a>,
     start: Bound<&[u8]>,
     end: Bound<&[u8]>,
     seeking: &mut bool,
+    scratch: &mut KeyScratch,
     mut f: impl FnMut(&[u8], &[u8]) -> ControlFlow<()>,
 ) -> Result<ControlFlow<()>> {
-    let p = SlottedPage::new(buf, NODE_HDR);
-    let n = p.slot_count();
-    let first = if *seeking { first_slot(buf, start) } else { 0 };
+    let n = leaf.count();
+    let first = if *seeking {
+        first_slot(leaf, start)?
+    } else {
+        0
+    };
     if first < n {
         *seeking = false;
     }
+    let prefix = leaf.prefix();
+    let Some(end) = end_after_prefix(prefix, end) else {
+        return Ok(ControlFlow::Break(()));
+    };
+    // Most probes of the match loop find nothing on the leaf: the prefix is
+    // copied when the first key is asked for.
+    let mut started = false;
     for i in first..n {
-        let (k, v) = decode_leaf_cell(p.cell(i)?);
-        if !within_end(k, end) || f(k, v).is_break() {
+        let (suffix, v) = leaf.entry(i)?;
+        if !within_end(suffix, end) {
+            return Ok(ControlFlow::Break(()));
+        }
+        if !started {
+            scratch.start_leaf(prefix);
+            started = true;
+        }
+        if f(scratch.key(prefix, suffix), v).is_break() {
             return Ok(ControlFlow::Break(()));
         }
     }
@@ -94,16 +131,18 @@ impl Scan<'_> {
     fn buffer(&mut self, page: &PageRef) -> Result<()> {
         let buf = page.data();
         let buffered = &mut self.buffered;
-        let flow = visit_leaf(
-            buf,
+        let (start, end) = (
             self.start.as_ref().map(Vec::as_slice),
             self.end.as_ref().map(Vec::as_slice),
-            &mut self.seeking,
-            |k, v| {
-                buffered.push_back((k.to_vec(), v.to_vec()));
-                ControlFlow::Continue(())
-            },
-        )?;
+        );
+        let mut keep = |k: &[u8], v: &[u8]| {
+            buffered.push_back((k.to_vec(), v.to_vec()));
+            ControlFlow::Continue(())
+        };
+        let (seeking, scratch) = (&mut self.seeking, &mut KeyScratch::new());
+        let flow = either!(LeafView::new(page.id(), buf)?, leaf => {
+            visit_leaf(&leaf, start, end, seeking, scratch, &mut keep)?
+        });
         self.next_leaf = match flow {
             ControlFlow::Continue(()) => link1(buf),
             ControlFlow::Break(()) => INVALID_PAGE,
@@ -214,10 +253,16 @@ impl<D: Descent> Tree<D> {
         let end = range.end_bound().cloned();
         let mut visited = 0u64;
         let mut seeking = true;
-        self.walk_leaves(start, |buf| {
-            visit_leaf(buf, start, end, &mut seeking, |k, v| {
-                visited += 1;
-                f(k, v)
+        let mut scratch = KeyScratch::new();
+        let mut count = |k: &[u8], v: &[u8]| {
+            visited += 1;
+            f(k, v)
+        };
+        self.walk_leaves(start, |leaf| {
+            // One copy of the walk per layout: the choice is made here, once
+            // a leaf, not once a record.
+            either!(leaf, leaf => {
+                visit_leaf(&leaf, start, end, &mut seeking, &mut scratch, &mut count)
             })
         })?;
         vist_obs::observe!("vist_btree_scan_len", visited);

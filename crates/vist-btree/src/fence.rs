@@ -220,6 +220,8 @@ fn adopt(
 }
 
 impl Descent for Fence {
+    const CAN_SPLIT: bool = false;
+
     fn root(&self) -> PageId {
         self.root
     }

@@ -46,6 +46,7 @@ mod bulk;
 pub mod codec;
 mod cursor;
 mod fence;
+mod leaf;
 mod node;
 mod segment;
 mod stats;

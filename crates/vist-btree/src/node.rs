@@ -1,9 +1,11 @@
 //! B+Tree node layout on top of [`vist_storage::SlottedPage`].
 //!
-//! Every page starts with a fixed node header, followed by a slotted region:
+//! Every page starts with a fixed node header, followed by a slotted region
+//! (or, in a leaf of a format-v2 segment, the packed layout of
+//! [`crate::leaf`]):
 //!
 //! ```text
-//! +0  u8   kind: 1 = leaf, 2 = internal
+//! +0  u8   kind: 1 = leaf, 2 = internal, 3 = packed leaf
 //! +1  u32  leaf: next-leaf page id       | internal: leftmost child page id
 //! +5  u32  leaf: prev-leaf page id       | internal: unused
 //! +9  u8   reserved
@@ -21,13 +23,17 @@ use vist_storage::{Error, PageId, Result, SlotId, SlottedPage, SlottedPageMut, I
 /// Bytes reserved at the start of a page for the node header.
 pub const NODE_HDR: usize = 10;
 
-const KIND_LEAF: u8 = 1;
+pub(crate) const KIND_LEAF: u8 = 1;
 const KIND_INTERNAL: u8 = 2;
+/// A leaf in the dense layout of [`crate::leaf`]: written only by
+/// [`crate::SegmentWriter`], never modified.
+pub(crate) const KIND_PACKED_LEAF: u8 = 3;
 
 /// Node type tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
-    /// Stores key/value records; linked to neighbours.
+    /// Stores key/value records; linked to neighbours. Either leaf layout:
+    /// [`crate::leaf::LeafView`] reads both.
     Leaf,
     /// Stores separator keys and child pointers.
     Internal,
@@ -39,7 +45,7 @@ pub enum NodeKind {
 /// page.
 pub(crate) fn kind(pid: PageId, buf: &[u8]) -> Result<NodeKind> {
     match buf[0] {
-        KIND_LEAF => Ok(NodeKind::Leaf),
+        KIND_LEAF | KIND_PACKED_LEAF => Ok(NodeKind::Leaf),
         KIND_INTERNAL => Ok(NodeKind::Internal),
         other => Err(Error::Corrupt(format!(
             "page {pid}: bad node kind byte {other:#04x}"
@@ -96,11 +102,22 @@ pub(crate) fn leaf_cell(key: &[u8], value: &[u8]) -> Vec<u8> {
     cell
 }
 
-/// Decode a leaf cell into `(key, value)`.
-pub(crate) fn decode_leaf_cell(cell: &[u8]) -> (&[u8], &[u8]) {
-    let klen = u16::from_le_bytes(cell[0..2].try_into().unwrap()) as usize;
-    let vlen = u16::from_le_bytes(cell[2..4].try_into().unwrap()) as usize;
-    (&cell[4..4 + klen], &cell[4 + klen..4 + klen + vlen])
+/// Decode cell `slot` of slotted leaf `pid` into `(key, value)`. Total, like
+/// [`decode_internal_cell`]: lengths the cell cannot back are
+/// [`Error::Corrupt`] naming the page and the slot.
+pub(crate) fn decode_leaf_cell(pid: PageId, slot: SlotId, cell: &[u8]) -> Result<(&[u8], &[u8])> {
+    let split = || {
+        let klen = usize::from(u16::from_le_bytes([*cell.first()?, *cell.get(1)?]));
+        let vlen = usize::from(u16::from_le_bytes([*cell.get(2)?, *cell.get(3)?]));
+        Some((cell.get(4..4 + klen)?, cell.get(4 + klen..4 + klen + vlen)?))
+    };
+    split().ok_or_else(|| {
+        Error::Corrupt(format!(
+            "page {pid}: leaf cell {slot}: header or key and value lengths run past the \
+             {}-byte cell",
+            cell.len()
+        ))
+    })
 }
 
 /// Encode an internal cell.
@@ -133,23 +150,6 @@ pub(crate) fn decode_internal_cell(
         .get(..klen)
         .ok_or_else(|| bad(format!("key length {klen} runs past the cell")))?;
     Ok((key, child))
-}
-
-/// Binary search a leaf's cells. `Ok(i)` if slot `i` has exactly `key`,
-/// `Err(i)` with the insertion point otherwise.
-pub(crate) fn search(buf: &[u8], key: &[u8]) -> std::result::Result<SlotId, SlotId> {
-    let page = SlottedPage::new(buf, NODE_HDR);
-    let (mut lo, mut hi) = (0, page.slot_count());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let (k, _) = decode_leaf_cell(page.cell(mid).expect("slot in range"));
-        match k.cmp(key) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Ok(mid),
-        }
-    }
-    Err(lo)
 }
 
 /// First slot of internal node `pid` whose key is strictly greater than
@@ -206,24 +206,21 @@ pub(crate) fn child_for(pid: PageId, buf: &[u8], key: &[u8]) -> Result<(Option<S
 mod tests {
     use super::*;
 
-    fn leaf_page_with(keys: &[&[u8]]) -> Vec<u8> {
-        let mut buf = vec![0u8; 1024];
-        init_leaf(&mut buf);
-        for (i, k) in keys.iter().enumerate() {
-            let cell = leaf_cell(k, b"v");
-            let mut p = SlottedPageMut::new(&mut buf, NODE_HDR);
-            p.insert(i as SlotId, &cell).unwrap();
-        }
-        buf
-    }
-
     #[test]
     fn leaf_cell_roundtrip() {
         let cell = leaf_cell(b"key", b"value");
-        let (k, v) = decode_leaf_cell(&cell);
+        let (k, v) = decode_leaf_cell(7, 0, &cell).unwrap();
         assert_eq!((k, v), (&b"key"[..], &b"value"[..]));
         let empty = leaf_cell(b"", b"");
-        assert_eq!(decode_leaf_cell(&empty), (&b""[..], &b""[..]));
+        assert_eq!(
+            decode_leaf_cell(7, 0, &empty).unwrap(),
+            (&b""[..], &b""[..])
+        );
+        // A short header, a key and a value that run past the cell.
+        for bytes in [&cell[..3], &cell[..6], &cell[..11]] {
+            let msg = decode_leaf_cell(7, 2, bytes).unwrap_err().to_string();
+            assert!(msg.contains("page 7") && msg.contains("cell 2"), "{msg}");
+        }
     }
 
     #[test]
@@ -240,18 +237,6 @@ mod tests {
             assert!(msg.contains("page 7") && msg.contains("cell 2"), "{msg}");
             assert!(msg.contains(what), "{msg}");
         }
-    }
-
-    #[test]
-    fn binary_search_finds_and_inserts() {
-        let buf = leaf_page_with(&[b"b", b"d", b"f"]);
-        assert_eq!(search(&buf, b"b"), Ok(0));
-        assert_eq!(search(&buf, b"d"), Ok(1));
-        assert_eq!(search(&buf, b"f"), Ok(2));
-        assert_eq!(search(&buf, b"a"), Err(0));
-        assert_eq!(search(&buf, b"c"), Err(1));
-        assert_eq!(search(&buf, b"e"), Err(2));
-        assert_eq!(search(&buf, b"g"), Err(3));
     }
 
     #[test]
@@ -310,7 +295,7 @@ mod tests {
         let mut buf = vec![0u8; 256];
         init_internal(&mut buf, 4);
         assert_eq!(kind(9, &buf).unwrap(), NodeKind::Internal);
-        for bad in [0u8, 3, 0x81, 0xFF] {
+        for bad in [0u8, 4, 0x81, 0xFF] {
             buf[0] = bad;
             let msg = kind(9, &buf).unwrap_err().to_string();
             assert!(msg.contains("page 9") && msg.contains("kind byte"), "{msg}");

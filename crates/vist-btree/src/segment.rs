@@ -2,9 +2,9 @@
 //!
 //! A *segment* is the read-only half of the tiered index: all trees of one
 //! ingest batch (D-Ancestor, S-Ancestor, DocId, stored documents), each
-//! bulk-loaded at ~100% leaf fill with fence-key internal levels, packed
-//! into a single pager file together with a small header page naming the
-//! tree roots. Segments are written once, fsync'd, and never mutated; the
+//! bulk-loaded into packed leaves ([`crate::leaf`]) with fence-key internal
+//! levels, packed into a single pager file together with a small header
+//! page naming the tree roots. Segments are written once, fsync'd, and never mutated; the
 //! page-level CRC32C trailers of the underlying pager checksum every page.
 //!
 //! [`SegmentWriter`] packs a fresh pool: the **first** allocation becomes
@@ -17,6 +17,13 @@
 //! (root u32, entries u64) × tree_count | meta_len u16 | meta bytes
 //! ```
 //!
+//! `version` is the segment format. The writer only writes the current one,
+//! **2**: packed leaves, and whatever record encoding the caller pairs with
+//! it (`vist-core` switches its record codecs on [`SegmentReader::version`]).
+//! A version-1 file — slotted leaves, fixed-width records — still opens:
+//! the leaf reader is chosen from each page's kind byte, so the trees read
+//! the same.
+//!
 //! [`SegmentReader`] validates the header and hands each tree out as a
 //! [`PackedTree`]: the read half of the tree API (`get_with`, the cursors,
 //! `tree_stats`, `verify`) and no way to write, so immutability is a
@@ -27,11 +34,13 @@ use std::sync::Arc;
 
 use vist_storage::{BufferPool, Error, PageId, Result};
 
+use crate::bulk::{build, PackedLeaves};
 use crate::fence::Fence;
-use crate::tree::{BTree, PackedTree, Tree};
+use crate::tree::{PackedTree, Tree};
 
 const MAGIC: &[u8; 8] = b"VISTSEG1";
-const VERSION: u16 = 1;
+/// The format [`SegmentWriter`] writes; see the module docs.
+const VERSION: u16 = 2;
 
 /// Fixed header bytes before the per-tree table: magic + version + count.
 const HDR_FIXED: usize = 8 + 2 + 2;
@@ -72,16 +81,18 @@ impl SegmentWriter {
     }
 
     /// Bulk-load the next tree from a strictly ascending `(key, value)`
-    /// stream (see [`BTree::bulk_load`]) and record it in the header
-    /// table. Returns the tree's slot index.
+    /// stream (disorder, duplicates and oversized records fail as in
+    /// [`crate::BTree::bulk_load`]) into packed leaves, and record it in
+    /// the header table. Returns the tree's slot index.
     pub fn add_tree<I>(&mut self, items: I) -> Result<usize>
     where
         I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     {
         let mut entries = 0u64;
         let counted = items.into_iter().inspect(|_| entries += 1);
-        let tree = BTree::bulk_load(Arc::clone(&self.pool), counted)?;
-        self.trees.push((tree.root_page(), entries));
+        let mut leaves = PackedLeaves::new(self.pool.page_size());
+        let root = build(&self.pool, counted, &mut leaves)?;
+        self.trees.push((root, entries));
         Ok(self.trees.len() - 1)
     }
 
@@ -118,6 +129,7 @@ impl SegmentWriter {
 /// the packed trees as read-only [`PackedTree`]s.
 pub struct SegmentReader {
     pool: Arc<BufferPool>,
+    version: u16,
     trees: Vec<(PageId, u64)>,
     meta: Vec<u8>,
 }
@@ -125,7 +137,7 @@ pub struct SegmentReader {
 impl SegmentReader {
     /// Open the segment whose header is at `header` in `pool`.
     pub fn open(pool: Arc<BufferPool>, header: PageId) -> Result<Self> {
-        let (trees, meta) = {
+        let (version, trees, meta) = {
             let page = pool.fetch(header)?;
             let buf = page.data();
             if &buf[0..8] != MAGIC {
@@ -134,9 +146,9 @@ impl SegmentReader {
                 });
             }
             let version = u16::from_le_bytes(buf[8..10].try_into().unwrap());
-            if version != VERSION {
+            if !(1..=VERSION).contains(&version) {
                 return Err(Error::Corrupt(format!(
-                    "segment header version {version} (expected {VERSION})"
+                    "segment header version {version} (this build reads 1..={VERSION})"
                 )));
             }
             let count = u16::from_le_bytes(buf[10..12].try_into().unwrap()) as usize;
@@ -160,9 +172,25 @@ impl SegmentReader {
             if meta_at + meta_len as usize > buf.len() {
                 return Err(Error::Corrupt("segment header meta overruns page".into()));
             }
-            (trees, buf[meta_at..meta_at + meta_len as usize].to_vec())
+            (
+                version,
+                trees,
+                buf[meta_at..meta_at + meta_len as usize].to_vec(),
+            )
         };
-        Ok(SegmentReader { pool, trees, meta })
+        Ok(SegmentReader {
+            pool,
+            version,
+            trees,
+            meta,
+        })
+    }
+
+    /// The segment format the header declares: 2 for what
+    /// [`SegmentWriter`] writes, 1 for a file from before packed leaves.
+    #[must_use]
+    pub fn version(&self) -> u16 {
+        self.version
     }
 
     /// Number of packed trees.
@@ -235,6 +263,7 @@ mod tests {
 
         let r = SegmentReader::open(pool, header).unwrap();
         assert_eq!(r.tree_count(), 3);
+        assert_eq!(r.version(), 2);
         assert_eq!(r.entries(0), 500);
         assert_eq!(r.entries(1), 10);
         assert_eq!(r.entries(2), 0);

@@ -4,6 +4,7 @@
 
 use vist_storage::{Result, SlottedPage};
 
+use crate::leaf::LeafView;
 use crate::node::{decode_internal_cell, kind, link1, NodeKind, NODE_HDR};
 use crate::tree::{Descent, Tree};
 
@@ -61,19 +62,21 @@ impl<D: Descent> Tree<D> {
         while let Some((pid, depth)) = stack.pop() {
             let page = self.pool().fetch(pid)?;
             let buf = page.data();
-            let p = SlottedPage::new(buf, NODE_HDR);
-            let used = (page_size as usize) - p.total_free();
-            stats.used_bytes += used as u64;
             stats.total_bytes += page_size;
             match kind(pid, buf)? {
                 NodeKind::Leaf => {
+                    let leaf = LeafView::new(pid, buf)?;
+                    let used = leaf.used_bytes(page_size as usize) as u64;
                     stats.leaf_pages += 1;
-                    stats.entries += u64::from(p.slot_count());
-                    stats.leaf_used_bytes += used as u64;
+                    stats.entries += u64::from(leaf.count());
+                    stats.used_bytes += used;
+                    stats.leaf_used_bytes += used;
                     stats.leaf_total_bytes += page_size;
                     depth_of_leaf = depth_of_leaf.max(depth);
                 }
                 NodeKind::Internal => {
+                    let p = SlottedPage::new(buf, NODE_HDR);
+                    stats.used_bytes += page_size - p.total_free() as u64;
                     stats.internal_pages += 1;
                     stack.push((link1(buf), depth + 1));
                     for i in 0..p.slot_count() {

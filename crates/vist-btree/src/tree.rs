@@ -34,9 +34,10 @@ use vist_storage::{
 };
 
 use crate::fence::Fence;
+use crate::leaf::LeafView;
 use crate::node::{
-    child_for, decode_internal_cell, decode_leaf_cell, init_internal, init_leaf, internal_cell,
-    kind, leaf_cell, link1, link2, search, set_link1, set_link2, upper_bound, NodeKind, NODE_HDR,
+    child_for, decode_internal_cell, init_internal, init_leaf, internal_cell, kind, leaf_cell,
+    link1, link2, set_link1, set_link2, upper_bound, NodeKind, KIND_PACKED_LEAF, NODE_HDR,
 };
 
 /// How a tree gets from a key to the leaf that covers it — the one thing
@@ -44,6 +45,12 @@ use crate::node::{
 /// reached (leaf search, the B-link chase, the leaf-chain walk, the cursors)
 /// is written once, on [`Tree`].
 pub trait Descent {
+    /// Whether a seek can land left of its key because a split moved
+    /// records right after the descent chose a child. Only then does a
+    /// reader have to chase forward links; a tree that cannot change is
+    /// told the covering leaf exactly.
+    const CAN_SPLIT: bool;
+
     /// The root page; statistics and verification walk from here.
     fn root(&self) -> PageId;
 
@@ -91,6 +98,8 @@ pub type BTree = Tree<Paged>;
 pub type PackedTree = Tree<Fence>;
 
 impl Descent for Paged {
+    const CAN_SPLIT: bool = true;
+
     fn root(&self) -> PageId {
         self.root.load(Ordering::Acquire)
     }
@@ -159,18 +168,18 @@ impl<D: Descent> Tree<D> {
         self.descent.seek_leaf(&self.pool, start)
     }
 
-    /// Hand the bytes of each leaf from the one covering `start` rightwards
-    /// to `f`, one latch at a time, until `f` breaks or the chain ends.
+    /// Hand each leaf from the one covering `start` rightwards to `f`, one
+    /// latch at a time, until `f` breaks or the chain ends.
     pub(crate) fn walk_leaves(
         &self,
         start: Bound<&[u8]>,
-        mut f: impl FnMut(&[u8]) -> Result<ControlFlow<()>>,
+        mut f: impl FnMut(LeafView<'_>) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
         let (mut page, _) = self.seek_leaf(start)?;
         loop {
             let buf = page.data();
             let next = link1(buf);
-            if f(buf)?.is_break() || next == INVALID_PAGE {
+            if f(LeafView::new(page.id(), buf)?)?.is_break() || next == INVALID_PAGE {
                 return Ok(());
             }
             drop(page);
@@ -190,10 +199,10 @@ impl<D: Descent> Tree<D> {
         let (mut page, mut depth) = self.seek_leaf(Bound::Included(key))?;
         loop {
             let buf = page.data();
-            let p = SlottedPage::new(buf, NODE_HDR);
-            match search(buf, key) {
+            let leaf = LeafView::new(page.id(), buf)?;
+            match leaf.search(key)? {
                 Ok(slot) => {
-                    let (_, v) = decode_leaf_cell(p.cell(slot)?);
+                    let (_, v) = leaf.entry(slot)?;
                     vist_obs::observe!("vist_btree_probe_depth", depth);
                     return Ok(Some(f(v)));
                 }
@@ -202,7 +211,7 @@ impl<D: Descent> Tree<D> {
                     // record here and with a right sibling, the key — if
                     // committed — can only live to the right.
                     let next = link1(buf);
-                    if slot < p.slot_count() || next == INVALID_PAGE {
+                    if !D::CAN_SPLIT || slot < leaf.count() || next == INVALID_PAGE {
                         vist_obs::observe!("vist_btree_probe_depth", depth);
                         return Ok(None);
                     }
@@ -228,8 +237,8 @@ impl<D: Descent> Tree<D> {
     /// Number of entries (walks the whole leaf chain — O(n)).
     pub fn len(&self) -> Result<u64> {
         let mut n = 0u64;
-        self.walk_leaves(Bound::Unbounded, |buf| {
-            n += u64::from(SlottedPage::new(buf, NODE_HDR).slot_count());
+        self.walk_leaves(Bound::Unbounded, |leaf| {
+            n += u64::from(leaf.count());
             Ok(ControlFlow::Continue(()))
         })?;
         Ok(n)
@@ -239,7 +248,7 @@ impl<D: Descent> Tree<D> {
     pub fn is_empty(&self) -> Result<bool> {
         let (page, _) = self.seek_leaf(Bound::Unbounded)?;
         let buf = page.data();
-        Ok(SlottedPage::new(buf, NODE_HDR).slot_count() == 0 && link1(buf) == INVALID_PAGE)
+        Ok(LeafView::new(page.id(), buf)?.count() == 0 && link1(buf) == INVALID_PAGE)
     }
 }
 
@@ -354,6 +363,13 @@ impl BTree {
         let page = self.pool.fetch(pid)?;
         let buf = page.data();
         Ok(match kind(pid, buf)? {
+            // Writers edit slotted leaves in place; a packed leaf has no
+            // free space to edit and belongs to an immutable segment.
+            NodeKind::Leaf if buf[0] == KIND_PACKED_LEAF => {
+                return Err(Error::Corrupt(format!(
+                    "page {pid}: a packed segment leaf cannot be modified"
+                )))
+            }
             NodeKind::Leaf => None,
             NodeKind::Internal => Some(child_for(pid, buf, key)?),
         })
@@ -362,12 +378,10 @@ impl BTree {
     fn insert_leaf(&self, pid: PageId, key: &[u8], value: &[u8]) -> Result<InsertOutcome> {
         let mut page = self.pool.fetch_mut(pid)?;
         let buf = page.data_mut();
-        let (slot, old) = match search(buf, key) {
+        let leaf = LeafView::new(pid, buf)?;
+        let (slot, old) = match leaf.search(key)? {
             Ok(i) => {
-                let old = {
-                    let p = SlottedPage::new(buf, NODE_HDR);
-                    decode_leaf_cell(p.cell(i)?).1.to_vec()
-                };
+                let old = leaf.entry(i)?.1.to_vec();
                 SlottedPageMut::new(buf, NODE_HDR).remove(i)?;
                 (i, Some(old))
             }
@@ -399,14 +413,10 @@ impl BTree {
         let left_pid = page.id();
         // Collect all records plus the new one, in key order.
         let mut records: Vec<(Vec<u8>, Vec<u8>)> = {
-            let buf = page.data();
-            let p = SlottedPage::new(buf, NODE_HDR);
-            (0..p.slot_count())
-                .map(|i| {
-                    let (k, v) = decode_leaf_cell(p.cell(i).expect("in range"));
-                    (k.to_vec(), v.to_vec())
-                })
-                .collect()
+            let leaf = LeafView::new(left_pid, page.data())?;
+            (0..leaf.count())
+                .map(|i| leaf.entry(i).map(|(k, v)| (k.to_vec(), v.to_vec())))
+                .collect::<Result<_>>()?
         };
         records.insert(slot as usize, (key.to_vec(), value.to_vec()));
         // Split point: first index where the left half reaches half the bytes.
@@ -655,13 +665,11 @@ impl BTree {
             None => {
                 let mut page = self.pool.fetch_mut(pid)?;
                 let buf = page.data_mut();
-                match search(buf, key) {
+                let leaf = LeafView::new(pid, buf)?;
+                match leaf.search(key)? {
                     Err(_) => Ok((None, false)),
                     Ok(slot) => {
-                        let old = {
-                            let p = SlottedPage::new(buf, NODE_HDR);
-                            decode_leaf_cell(p.cell(slot)?).1.to_vec()
-                        };
+                        let old = leaf.entry(slot)?.1.to_vec();
                         let mut p = SlottedPageMut::new(buf, NODE_HDR);
                         p.remove(slot)?;
                         let empty = p.slot_count() == 0;

@@ -3,7 +3,8 @@
 use vist_storage::{PageId, Result, SlottedPage, INVALID_PAGE};
 
 use crate::fence::Fence;
-use crate::node::{decode_internal_cell, decode_leaf_cell, kind, link1, link2, NodeKind, NODE_HDR};
+use crate::leaf::LeafView;
+use crate::node::{decode_internal_cell, kind, link1, link2, NodeKind, NODE_HDR};
 use crate::tree::{fetch_leaf, BTree, PackedTree};
 
 /// Check every B+Tree invariant, returning a description of the first
@@ -58,8 +59,8 @@ pub fn check(tree: &BTree) -> Result<()> {
 ///
 /// 1. flattening the internal pages again (which validates them: see
 ///    [`Fence::load`]) yields exactly the array the tree holds,
-/// 2. the keys of leaf *i* are strictly sorted and lie in
-///    `[fence i, fence i + 1)`,
+/// 2. leaf *i* is well-formed in its layout ([`LeafView::validate`]), and
+///    its keys are strictly sorted and lie in `[fence i, fence i + 1)`,
 /// 3. the forward link of leaf *i* is leaf *i + 1* (none after the last) and
 ///    its back link leaf *i − 1*, so a cursor walking the chain visits the
 ///    leaves the array names, in its order,
@@ -83,13 +84,14 @@ pub fn check_packed(tree: &PackedTree) -> Result<()> {
         let upper = (i + 1 < fence.leaf_count()).then(|| fence.leaf(i + 1));
         let page = fetch_leaf(tree.pool(), pid)?;
         let buf = page.data();
-        let cells = SlottedPage::new(buf, NODE_HDR);
-        let mut last = lower;
-        for slot in 0..cells.slot_count() {
-            let (key, _) = decode_leaf_cell(cells.cell(slot)?);
+        let leaf = LeafView::new(pid, buf)?;
+        leaf.validate()?;
+        let mut last = lower.to_vec();
+        for slot in 0..leaf.count() {
+            let key = [leaf.prefix(), leaf.entry(slot)?.0].concat();
             // The leftmost fence is empty, and so may the first key be.
             let sorted = if slot == 0 { last <= key } else { last < key };
-            if !sorted || upper.is_some_and(|(hi, _)| key >= hi) {
+            if !sorted || upper.is_some_and(|(hi, _)| key.as_slice() >= hi) {
                 return corrupt(format!(
                     "leaf {pid} (fence entry {i}): key at slot {slot} out of order or \
                      outside the leaf's fences"
@@ -97,7 +99,7 @@ pub fn check_packed(tree: &PackedTree) -> Result<()> {
             }
             last = key;
         }
-        entries += u64::from(cells.slot_count());
+        entries += u64::from(leaf.count());
         let next = upper.map_or(INVALID_PAGE, |(_, next)| next);
         if link1(buf) != next || link2(buf) != prev {
             return corrupt(format!(
@@ -135,18 +137,27 @@ fn check_node(
     let page = tree.pool().fetch(pid)?;
     let buf = page.data();
     let node_kind = kind(pid, buf)?;
+    let leaf = match node_kind {
+        NodeKind::Leaf => Some(LeafView::new(pid, buf)?),
+        NodeKind::Internal => None,
+    };
     let p = SlottedPage::new(buf, NODE_HDR);
-    let n = p.slot_count();
+    let n = match &leaf {
+        Some(leaf) => {
+            leaf.validate()?;
+            leaf.count()
+        }
+        None => p.slot_count(),
+    };
 
     // Collect keys and check sortedness + bounds.
     let mut prev_key: Option<Vec<u8>> = None;
     let mut cells: Vec<(Vec<u8>, PageId)> = Vec::new();
     for i in 0..n {
-        let cell = p.cell(i)?;
-        let key = match node_kind {
-            NodeKind::Leaf => decode_leaf_cell(cell).0.to_vec(),
-            NodeKind::Internal => {
-                let (k, c) = decode_internal_cell(pid, i, cell)?;
+        let key = match &leaf {
+            Some(leaf) => [leaf.prefix(), leaf.entry(i)?.0].concat(),
+            None => {
+                let (k, c) = decode_internal_cell(pid, i, p.cell(i)?)?;
                 cells.push((k.to_vec(), c));
                 k.to_vec()
             }

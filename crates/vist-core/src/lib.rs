@@ -56,6 +56,7 @@ pub use search::{
     search_sequences, DkStats, DocIdStrategy, PlanReport, PruneReason, QueryStats, SearchMode,
     SearchOptions, SearchOutcome, SearchSource, SeqPlan, SourceTotals, StageTimings, StepPlan,
 };
+pub use segment::SegmentBreakdown;
 pub use stats::{IndexStats, IngestCounters, IngestCountersSnapshot};
 pub use store::{DocId, NodeState, Store, StoreBreakdown};
 pub use trie::{Trie, TrieNode};
@@ -73,6 +74,7 @@ pub fn register_metrics() {
     let _ = vist_obs::gauge!("vist_core_documents");
     let _ = vist_obs::gauge!("vist_core_segments");
     let _ = vist_obs::gauge!("vist_core_segment_fence_bytes");
+    let _ = vist_obs::gauge!("vist_core_segments_legacy_format");
     let _ = vist_obs::gauge!("vist_core_delta_leaf_fill_bp");
     let _ = vist_obs::gauge!("vist_core_segment_leaf_fill_bp");
     let _ = vist_obs::counter!("vist_core_bulk_docs_total");

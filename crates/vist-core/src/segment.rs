@@ -3,20 +3,30 @@
 //! A segment is one ingest batch (or one compaction's worth of the whole
 //! index) converted to structure-encoded sequences, labeled **statically**
 //! by preorder rank and subtree size — the RIST labeling, which is exact
-//! and never underflows — and bulk-loaded at ~100% leaf fill into four
-//! B+Trees packed in a single [`vist_btree::SegmentWriter`] file:
+//! and never underflows — and bulk-loaded into five B+Trees of densely
+//! packed leaves in a single [`vist_btree::SegmentWriter`] file:
 //!
 //! | slot | tree | key | value |
 //! |---|---|---|---|
-//! | 0 | D-Ancestor | dkey bytes | dkey-id (u64 LE) |
-//! | 1 | S-Ancestor | dkey-id ‖ `n` | `(size, next, k)` |
+//! | 0 | D-Ancestor | dkey bytes | dkey-id |
+//! | 1 | S-Ancestor | dkey-id ‖ `n` | `size`, `k` (`next` is `n + size`) |
 //! | 2 | DocId | `n` ‖ doc-id | — |
 //! | 3 | documents | doc-id ‖ chunk | XML bytes |
-//! | 4 | statistics | dkey-id | `(nodes, docs, fanout)` (u64 LE × 3) |
+//! | 4 | statistics | dkey-id | `nodes`, `docs`, `fanout` |
 //!
-//! The first three mirror the delta's [`Store`] trees exactly (same key
-//! codecs), so one [`SearchSource`] impl serves Algorithm 2 unchanged; the
-//! `edges` tree is *not* packed — it only supports inserts, and segments
+//! The first three hold what the delta's [`Store`] trees hold, so one
+//! [`SearchSource`] impl serves Algorithm 2 unchanged, but not in the same
+//! bytes. A segment's labels are preorder ranks and subtree counts — small
+//! numbers — so its records ([`Codec::V2`]) spend bytes on magnitude:
+//! every integer key component is a [`vist_btree::codec::put_ordered_uint`]
+//! (variable length, order-preserving and prefix-free, so the scope and
+//! range probes of the fixed-width keys work unchanged), every integer value
+//! a LEB128 varint. This file is the only place segment records are encoded
+//! or decoded; the delta keeps the fixed-width codecs of [`Store`], and a
+//! segment written before format 2 is read through them ([`Codec::V1`])
+//! until the next compaction rewrites it.
+//!
+//! The `edges` tree is *not* packed — it only supports inserts, and segments
 //! never take any. Each segment is its own label space: queries run the
 //! match per source and union document ids. The statistics tree is exact
 //! (computed from the labeled trie at build time) and loaded whole at
@@ -33,7 +43,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use vist_btree::codec::KeyWriter;
+use std::ops::{Bound, ControlFlow};
+
+use vist_btree::codec::{
+    put_ordered_uint, put_varint, take_ordered_uint, take_varint, ORDERED_UINT_MAX,
+};
 use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
 use vist_seq::{dkey, Sequence};
 use vist_storage::{BufferPool, FilePager, Manifest, Vfs};
@@ -48,10 +62,216 @@ use crate::store::{DocId, NodeState, Store, StoreBreakdown};
 /// watermark — see `VistIndex::open_at`).
 const META_LEN: usize = 32;
 
-fn doc_key(doc: DocId, chunk: u32) -> Vec<u8> {
-    let mut k = KeyWriter::with_capacity(12);
-    k.u64(doc).u32(chunk);
-    k.finish()
+/// An index key of up to two integer components, built on the stack: the
+/// match loop makes two per work item.
+struct Key {
+    buf: [u8; 2 * ORDERED_UINT_MAX],
+    len: usize,
+}
+
+impl Key {
+    #[inline]
+    fn new() -> Self {
+        Key {
+            buf: [0; 2 * ORDERED_UINT_MAX],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn bytes(mut self, bytes: &[u8]) -> Self {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        self
+    }
+
+    #[inline]
+    fn uint(mut self, v: u128) -> Self {
+        // Two components always leave room for a whole encoding buffer.
+        let room = &mut self.buf[self.len..self.len + ORDERED_UINT_MAX];
+        let room: &mut [u8; ORDERED_UINT_MAX] = room.try_into().expect("17 bytes");
+        self.len += put_ordered_uint(room, v);
+        self
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+/// The record encoding of a segment, chosen by its header's format version.
+/// Encoders are total; decoders return `None` for bytes no encoder writes
+/// (the caller names the segment and the tree in the error).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Codec {
+    /// Format 1, read-only: the delta's fixed-width records — 24-byte
+    /// big-endian keys, a 40-byte `size ‖ next ‖ k` node, `u64` LE ids and
+    /// counters, `doc u64 ‖ chunk u32` big-endian document keys.
+    V1,
+    /// Format 2, what [`SegmentBuilder`] writes: see the module docs.
+    V2,
+}
+
+fn take_u64(buf: &mut &[u8]) -> Option<u64> {
+    u64::try_from(take_varint(buf)?).ok()
+}
+
+fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
+}
+
+impl Codec {
+    /// S-Ancestor key `dkey-id ‖ n`.
+    #[inline]
+    fn sanc_key(self, dkid: u64, n: u128) -> Key {
+        match self {
+            Codec::V1 => Key::new().bytes(&Store::sanc_key(dkid, n)),
+            Codec::V2 => Key::new().uint(dkid.into()).uint(n),
+        }
+    }
+
+    /// An S-Ancestor record met by a scope probe of one dkey-id. Two keys
+    /// that start with the same component have only such keys between
+    /// them, so the dkey-id of `k` is the probe's and is stepped over.
+    #[inline]
+    fn decode_sanc(self, k: &[u8], mut v: &[u8]) -> Option<NodeState> {
+        match self {
+            Codec::V1 if k.len() == 24 && v.len() == 40 => {
+                let n = u128::from_be_bytes(k[8..].try_into().ok()?);
+                Some(Store::decode_node(n, v))
+            }
+            Codec::V1 => None,
+            Codec::V2 => {
+                let mut k = k.get(1 + usize::from(*k.first()?)..)?;
+                let n = take_ordered_uint(&mut k)?;
+                let size = take_varint(&mut v)?;
+                let state = NodeState {
+                    n,
+                    size,
+                    next: n.checked_add(size)?,
+                    k: take_u64(&mut v)?,
+                };
+                (k.is_empty() && v.is_empty()).then_some(state)
+            }
+        }
+    }
+
+    fn encode_sanc_value(state: &NodeState) -> Vec<u8> {
+        debug_assert_eq!(state.next, state.n + state.size, "static labels");
+        let mut v = Vec::with_capacity(4);
+        put_varint(&mut v, state.size);
+        put_varint(&mut v, state.k.into());
+        v
+    }
+
+    /// DocId key `n ‖ doc-id`.
+    fn docid_key(self, n: u128, doc: DocId) -> Key {
+        match self {
+            Codec::V1 => Key::new().bytes(&Store::docid_key(n, doc)),
+            Codec::V2 => Key::new().uint(n).uint(doc.into()),
+        }
+    }
+
+    fn decode_docid(self, mut k: &[u8]) -> Option<(u128, DocId)> {
+        match self {
+            Codec::V1 if k.len() == 24 => Some((
+                u128::from_be_bytes(k[..16].try_into().ok()?),
+                u64::from_be_bytes(k[16..].try_into().ok()?),
+            )),
+            Codec::V1 => None,
+            Codec::V2 => {
+                let n = take_ordered_uint(&mut k)?;
+                let doc = u64::try_from(take_ordered_uint(&mut k)?).ok()?;
+                k.is_empty().then_some((n, doc))
+            }
+        }
+    }
+
+    /// The bytes every chunk key of `doc` starts with; also the start of
+    /// [`Codec::doc_key`].
+    fn doc_prefix(self, doc: DocId) -> Key {
+        match self {
+            Codec::V1 => Key::new().bytes(&doc.to_be_bytes()),
+            Codec::V2 => Key::new().uint(doc.into()),
+        }
+    }
+
+    /// Documents key `doc-id ‖ chunk`.
+    fn doc_key(self, doc: DocId, chunk: u32) -> Key {
+        match self {
+            Codec::V1 => self.doc_prefix(doc).bytes(&chunk.to_be_bytes()),
+            Codec::V2 => self.doc_prefix(doc).uint(chunk.into()),
+        }
+    }
+
+    /// The document id of a documents key.
+    fn decode_doc_id(self, mut k: &[u8]) -> Option<DocId> {
+        match self {
+            Codec::V1 => Some(u64::from_be_bytes(k.get(..8)?.try_into().ok()?)),
+            Codec::V2 => u64::try_from(take_ordered_uint(&mut k)?).ok(),
+        }
+    }
+
+    /// D-Ancestor value: the dkey-id.
+    fn decode_dkid(self, mut v: &[u8]) -> Option<u64> {
+        match self {
+            Codec::V1 if v.len() == 8 => le_u64(v, 0),
+            Codec::V1 => None,
+            Codec::V2 => take_u64(&mut v).filter(|_| v.is_empty()),
+        }
+    }
+
+    fn encode_dkid(id: u64) -> Vec<u8> {
+        let mut v = Vec::with_capacity(3);
+        put_varint(&mut v, id.into());
+        v
+    }
+
+    /// Statistics record: `dkey-id → (nodes, docs, fanout)`.
+    fn decode_stats(self, mut k: &[u8], mut v: &[u8]) -> Option<(u64, DkStats)> {
+        match self {
+            Codec::V1 if k.len() == 8 && v.len() == 24 => Some((
+                u64::from_be_bytes(k.try_into().ok()?),
+                DkStats {
+                    nodes: le_u64(v, 0)?,
+                    docs: le_u64(v, 8)?,
+                    fanout: le_u64(v, 16)?,
+                },
+            )),
+            Codec::V1 => None,
+            Codec::V2 => {
+                let dkid = u64::try_from(take_ordered_uint(&mut k)?).ok()?;
+                let stats = DkStats {
+                    nodes: take_u64(&mut v)?,
+                    docs: take_u64(&mut v)?,
+                    fanout: take_u64(&mut v)?,
+                };
+                (k.is_empty() && v.is_empty()).then_some((dkid, stats))
+            }
+        }
+    }
+
+    fn encode_stats(dkid: u64, s: &DkStats) -> (Vec<u8>, Vec<u8>) {
+        let mut v = Vec::with_capacity(6);
+        for n in [s.nodes, s.docs, s.fanout] {
+            put_varint(&mut v, n.into());
+        }
+        (Key::new().uint(dkid.into()).as_slice().to_vec(), v)
+    }
+}
+
+/// One segment's entry in [`crate::VistIndex::tier_breakdown`].
+#[derive(Debug, Clone, Copy)]
+pub struct SegmentBreakdown {
+    /// The segment's id in the manifest.
+    pub id: u64,
+    /// The format its header declares: 2 for every segment this build
+    /// writes, 1 for one that predates packed leaves and compact records
+    /// (read-only until the next compaction rewrites it).
+    pub format_version: u16,
+    /// Per-tree space accounting (`documents` in the `aux` slot).
+    pub trees: StoreBreakdown,
 }
 
 /// An open packed segment: immutable, checksummed (by the pager's page
@@ -62,6 +282,8 @@ pub(crate) struct Segment {
     pub(crate) node_count: u64,
     pub(crate) dkey_count: u64,
     pub(crate) max_doc: u64,
+    /// What the header's format version selects.
+    codec: Codec,
     dancestor: PackedTree,
     sancestor: PackedTree,
     docid: PackedTree,
@@ -96,6 +318,10 @@ impl Segment {
             return Err(Error::Corrupt(format!("segment {id} meta too short")));
         }
         let rd64 = |at: usize| u64::from_le_bytes(meta[at..at + 8].try_into().expect("meta"));
+        let codec = match reader.version() {
+            1 => Codec::V1,
+            _ => Codec::V2,
+        };
         let totals = SourceTotals {
             nodes: reader.entries(1),
             postings: reader.entries(2),
@@ -106,17 +332,10 @@ impl Segment {
             let tree = reader.tree(4)?;
             for item in tree.scan(..)? {
                 let (k, v) = item?;
-                if k.len() != 8 || v.len() != 24 {
-                    return Err(Error::Corrupt(format!("segment {id} stats record")));
-                }
-                stats.insert(
-                    u64::from_be_bytes(k[0..8].try_into().unwrap()),
-                    DkStats {
-                        nodes: u64::from_le_bytes(v[0..8].try_into().unwrap()),
-                        docs: u64::from_le_bytes(v[8..16].try_into().unwrap()),
-                        fanout: u64::from_le_bytes(v[16..24].try_into().unwrap()),
-                    },
-                );
+                let (dkid, s) = codec
+                    .decode_stats(&k, &v)
+                    .ok_or_else(|| malformed(id, "stats"))?;
+                stats.insert(dkid, s);
             }
             stats_tree = Some(tree);
         }
@@ -126,6 +345,7 @@ impl Segment {
             node_count: rd64(8),
             dkey_count: rd64(16),
             max_doc: rd64(24),
+            codec,
             dancestor: reader.tree(0)?,
             sancestor: reader.tree(1)?,
             docid: reader.tree(2)?,
@@ -137,18 +357,28 @@ impl Segment {
         })
     }
 
+    /// The format version the segment's header declares.
+    #[must_use]
+    pub(crate) fn format_version(&self) -> u16 {
+        match self.codec {
+            Codec::V1 => 1,
+            Codec::V2 => 2,
+        }
+    }
+
     /// Whether `doc` is stored in this segment.
     pub(crate) fn contains_doc(&self, doc: DocId) -> Result<bool> {
-        Ok(self.docs.contains(&doc_key(doc, 0))?)
+        Ok(self.docs.contains(self.codec.doc_key(doc, 0).as_slice())?)
     }
 
     /// Fetch a stored document's XML text.
     pub(crate) fn doc_get(&self, doc: DocId) -> Result<Option<Vec<u8>>> {
-        let mut prefix = KeyWriter::with_capacity(8);
-        prefix.u64(doc);
         let mut out = Vec::new();
         let mut found = false;
-        for item in self.docs.scan_prefix(prefix.as_slice())? {
+        for item in self
+            .docs
+            .scan_prefix(self.codec.doc_prefix(doc).as_slice())?
+        {
             let (_, v) = item?;
             out.extend_from_slice(&v);
             found = true;
@@ -162,7 +392,10 @@ impl Segment {
         let mut last = None;
         for item in self.docs.scan(..)? {
             let (k, _) = item?;
-            let id = u64::from_be_bytes(k[0..8].try_into().expect("doc key"));
+            let id = self
+                .codec
+                .decode_doc_id(&k)
+                .ok_or_else(|| malformed(self.id, "documents"))?;
             if last != Some(id) {
                 out.push(id);
                 last = Some(id);
@@ -220,18 +453,80 @@ impl Segment {
     }
 }
 
+/// The error for a record of segment `id`'s `tree` that no encoder of the
+/// segment's format writes.
+fn malformed(id: u64, tree: &str) -> Error {
+    Error::Corrupt(format!("segment {id}: {tree} tree: malformed record"))
+}
+
+impl Segment {
+    /// Hand every record of `tree` inside `range` to `f`, decoded; a record
+    /// `decode` rejects ends the scan with [`malformed`].
+    fn scan<T>(
+        &self,
+        (name, tree): (&str, &PackedTree),
+        range: (Bound<&[u8]>, Bound<&[u8]>),
+        decode: impl Fn(&[u8], &[u8]) -> Option<T>,
+        mut f: impl FnMut(T),
+    ) -> Result<()> {
+        let mut bad = false;
+        tree.for_each_in(range, |k, v| match decode(k, v) {
+            Some(record) => {
+                f(record);
+                ControlFlow::Continue(())
+            }
+            None => {
+                bad = true;
+                ControlFlow::Break(())
+            }
+        })?;
+        if bad {
+            return Err(malformed(self.id, name));
+        }
+        Ok(())
+    }
+
+    /// DocId postings with labels in `[lo, hi)`.
+    fn postings(&self, lo: u128, hi: u128, f: impl FnMut((u128, DocId))) -> Result<()> {
+        let (lo, hi) = (self.codec.docid_key(lo, 0), self.codec.docid_key(hi, 0));
+        self.scan(
+            ("docid", &self.docid),
+            (
+                Bound::Included(lo.as_slice()),
+                Bound::Excluded(hi.as_slice()),
+            ),
+            |k, _| self.codec.decode_docid(k),
+            f,
+        )
+    }
+}
+
 impl SearchSource for Segment {
     fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
-        Ok(self.dancestor.get_with(dkey, |v| {
-            u64::from_le_bytes(v.try_into().expect("dkey id width"))
-        })?)
+        match self
+            .dancestor
+            .get_with(dkey, |v| self.codec.decode_dkid(v))?
+        {
+            Some(None) => Err(malformed(self.id, "dancestor")),
+            Some(id) => Ok(id),
+            None => Ok(None),
+        }
     }
 
     fn dkey_scan_range(&self, lo: &[u8], hi: &[u8], f: &mut dyn FnMut(&[u8], u64)) -> Result<()> {
+        // The key goes to `f` as it is; only the value is decoded.
+        let mut bad = false;
         self.dancestor.for_each_in(lo..hi, |k, v| {
-            f(k, u64::from_le_bytes(v.try_into().expect("dkey id width")));
-            std::ops::ControlFlow::Continue(())
+            let Some(id) = self.codec.decode_dkid(v) else {
+                bad = true;
+                return ControlFlow::Break(());
+            };
+            f(k, id);
+            ControlFlow::Continue(())
         })?;
+        if bad {
+            return Err(malformed(self.id, "dancestor"));
+        }
         Ok(())
     }
 
@@ -242,31 +537,23 @@ impl SearchSource for Segment {
         hi: u128,
         f: &mut dyn FnMut(NodeState),
     ) -> Result<()> {
-        let lo_key = Store::sanc_key(dkey_id, lo);
-        let hi_key = Store::sanc_key(dkey_id, hi);
-        self.sancestor.for_each_in(
+        let (lo, hi) = (
+            self.codec.sanc_key(dkey_id, lo),
+            self.codec.sanc_key(dkey_id, hi),
+        );
+        self.scan(
+            ("sancestor", &self.sancestor),
             (
-                std::ops::Bound::Excluded(lo_key.as_slice()),
-                std::ops::Bound::Excluded(hi_key.as_slice()),
+                Bound::Excluded(lo.as_slice()),
+                Bound::Excluded(hi.as_slice()),
             ),
-            |k, v| {
-                let n = u128::from_be_bytes(k[8..24].try_into().expect("sanc key n"));
-                f(Store::decode_node(n, v));
-                std::ops::ControlFlow::Continue(())
-            },
-        )?;
-        Ok(())
+            |k, v| self.codec.decode_sanc(k, v),
+            f,
+        )
     }
 
     fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()> {
-        let lo_key = Store::docid_key(lo, 0);
-        let hi_key = Store::docid_key(hi, 0);
-        self.docid
-            .for_each_in(lo_key.as_slice()..hi_key.as_slice(), |k, _| {
-                f(u64::from_be_bytes(k[16..24].try_into().expect("docid key")));
-                std::ops::ControlFlow::Continue(())
-            })?;
-        Ok(())
+        self.postings(lo, hi, |(_, doc)| f(doc))
     }
 
     fn docids_in_range_keyed(
@@ -275,16 +562,7 @@ impl SearchSource for Segment {
         hi: u128,
         f: &mut dyn FnMut(u128, DocId),
     ) -> Result<()> {
-        let lo_key = Store::docid_key(lo, 0);
-        let hi_key = Store::docid_key(hi, 0);
-        self.docid
-            .for_each_in(lo_key.as_slice()..hi_key.as_slice(), |k, _| {
-                let n = u128::from_be_bytes(k[0..16].try_into().expect("docid key n"));
-                let doc = u64::from_be_bytes(k[16..24].try_into().expect("docid key doc"));
-                f(n, doc);
-                std::ops::ControlFlow::Continue(())
-            })?;
-        Ok(())
+        self.postings(lo, hi, |(n, doc)| f(n, doc))
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
@@ -391,11 +669,12 @@ impl SegmentBuilder {
         self.doc_ends.push((doc, cur));
         if let Some(sorter) = &mut self.docs {
             let bytes = xml.as_bytes();
+            let key = |chunk: usize| Codec::V2.doc_key(doc, chunk as u32).as_slice().to_vec();
             if bytes.is_empty() {
-                sorter.push(doc_key(doc, 0), Vec::new())?;
+                sorter.push(key(0), Vec::new())?;
             }
             for (i, chunk) in bytes.chunks(self.chunk_size.max(1)).enumerate() {
-                sorter.push(doc_key(doc, i as u32), chunk.to_vec())?;
+                sorter.push(key(i), chunk.to_vec())?;
             }
         }
         self.doc_count += 1;
@@ -453,25 +732,7 @@ impl SegmentBuilder {
         budget: usize,
     ) -> Result<Segment> {
         self.label();
-
-        let mut sanc = ExtSorter::new(self.scratch.clone(), "sanc", budget)?;
-        for node in &self.trie[1..] {
-            let state = NodeState {
-                n: node.n,
-                size: node.size,
-                next: node.n + node.size,
-                k: node.children.len() as u64,
-            };
-            sanc.push(
-                Store::sanc_key(node.dkid, node.n).to_vec(),
-                Store::encode_node(&state).to_vec(),
-            )?;
-        }
-        let mut docid = ExtSorter::new(self.scratch.clone(), "docid", budget)?;
-        for &(doc, end) in &self.doc_ends {
-            let n = if end == 0 { 0 } else { self.trie[end].n };
-            docid.push(Store::docid_key(n, doc).to_vec(), Vec::new())?;
-        }
+        let codec = Codec::V2;
 
         // Exact per-dkid planner statistics from the labeled trie: node
         // and fanout counts from the nodes themselves, doc postings from
@@ -497,10 +758,29 @@ impl SegmentBuilder {
         let dkey_count = self.dkeys.len() as u64;
         let dancestor_items: Vec<(Vec<u8>, Vec<u8>)> = std::mem::take(&mut self.dkeys)
             .into_iter()
-            .map(|(k, id)| (k, id.to_le_bytes().to_vec()))
+            .map(|(k, id)| (k, Codec::encode_dkid(id)))
             .collect();
         writer.add_tree(dancestor_items)?;
+
+        // Each sorter is filled right before its tree is written, so at
+        // most one of them holds its records in memory at a time.
+        let mut sanc = ExtSorter::new(self.scratch.clone(), "sanc", budget)?;
+        for node in &self.trie[1..] {
+            let state = NodeState {
+                n: node.n,
+                size: node.size,
+                next: node.n + node.size,
+                k: node.children.len() as u64,
+            };
+            let key = codec.sanc_key(node.dkid, node.n);
+            sanc.push(key.as_slice().to_vec(), Codec::encode_sanc_value(&state))?;
+        }
         add_sorted_tree(&mut writer, sanc.finish()?)?;
+        let mut docid = ExtSorter::new(self.scratch.clone(), "docid", budget)?;
+        for &(doc, end) in &self.doc_ends {
+            let n = if end == 0 { 0 } else { self.trie[end].n };
+            docid.push(codec.docid_key(n, doc).as_slice().to_vec(), Vec::new())?;
+        }
         add_sorted_tree(&mut writer, docid.finish()?)?;
         match self.docs.take() {
             Some(sorter) => add_sorted_tree(&mut writer, sorter.finish()?)?,
@@ -510,13 +790,7 @@ impl SegmentBuilder {
         }
         let stats_items: Vec<(Vec<u8>, Vec<u8>)> = stats
             .into_iter()
-            .map(|(dkid, s)| {
-                let mut v = [0u8; 24];
-                v[0..8].copy_from_slice(&s.nodes.to_le_bytes());
-                v[8..16].copy_from_slice(&s.docs.to_le_bytes());
-                v[16..24].copy_from_slice(&s.fanout.to_le_bytes());
-                (dkid.to_be_bytes().to_vec(), v.to_vec())
-            })
+            .map(|(dkid, s)| Codec::encode_stats(dkid, &s))
             .collect();
         writer.add_tree(stats_items)?;
 
@@ -572,6 +846,67 @@ mod tests {
         }
         let seg = b.finish(&RealVfs, &base, 1, 4096, 64, 1 << 20).unwrap();
         (dir, seg, table)
+    }
+
+    #[test]
+    fn records_round_trip_in_both_formats_and_malformed_ones_are_refused() {
+        let state = NodeState {
+            n: 70_000,
+            size: 300,
+            next: 70_300,
+            k: 5,
+        };
+        let v1_value = Store::encode_node(&state);
+        let v2_value = Codec::encode_sanc_value(&state);
+        assert_eq!((v1_value.len(), v2_value.len()), (40, 3));
+        for (codec, value) in [(Codec::V1, &v1_value[..]), (Codec::V2, &v2_value[..])] {
+            let key = codec.sanc_key(9, state.n);
+            let k = key.as_slice();
+            assert_eq!(codec.decode_sanc(k, value), Some(state));
+            // Scope probes rely on it: keys order by dkey-id, then label,
+            // across every change of encoded length.
+            let keys = [(9, 255), (9, 256), (9, 1 << 64), (10, 0), (256, 0)]
+                .map(|(d, n)| codec.sanc_key(d, n).as_slice().to_vec());
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{codec:?}");
+            // Truncated, and with a byte too many.
+            assert_eq!(codec.decode_sanc(&k[..k.len() - 1], value), None);
+            assert_eq!(codec.decode_sanc(k, &value[..value.len() - 1]), None);
+            assert_eq!(codec.decode_sanc(k, &[value, &[0]].concat()), None);
+
+            let posting = codec.docid_key(state.n, 77);
+            assert_eq!(codec.decode_docid(posting.as_slice()), Some((state.n, 77)));
+            assert_eq!(codec.decode_docid(&posting.as_slice()[1..]), None);
+            let chunk = codec.doc_key(77, 3);
+            assert!(chunk
+                .as_slice()
+                .starts_with(codec.doc_prefix(77).as_slice()));
+            assert_eq!(codec.decode_doc_id(chunk.as_slice()), Some(77));
+            assert_eq!(codec.decode_doc_id(&[]), None);
+        }
+        // `next` is derived, so a size that overflows it is refused too.
+        let mut huge = Vec::new();
+        put_varint(&mut huge, u128::MAX);
+        put_varint(&mut huge, 0);
+        assert_eq!(Codec::V2.decode_sanc(&[1, 9, 1, 1], &huge), None);
+
+        assert_eq!(Codec::V2.decode_dkid(&Codec::encode_dkid(300)), Some(300));
+        assert_eq!(Codec::V1.decode_dkid(&300u64.to_le_bytes()), Some(300));
+        assert_eq!(Codec::V2.decode_dkid(&300u64.to_le_bytes()), None);
+        assert_eq!(Codec::V1.decode_dkid(&[1, 2]), None);
+        let stats = DkStats {
+            nodes: 4_000,
+            docs: 0,
+            fanout: 129,
+        };
+        let (k, v) = Codec::encode_stats(300, &stats);
+        assert_eq!((k.len(), v.len()), (3, 5));
+        let decoded = Codec::V2.decode_stats(&k, &v).unwrap();
+        assert_eq!(
+            (decoded.0, decoded.1.nodes, decoded.1.docs, decoded.1.fanout),
+            (300, 4_000, 0, 129)
+        );
+        assert!(Codec::V2.decode_stats(&k, &v[..4]).is_none());
+        assert!(Codec::V1.decode_stats(&k, &v).is_none());
     }
 
     #[test]
@@ -680,13 +1015,15 @@ mod tests {
         let dir = TempDir::new("vist-core-segment-fill");
         let base = dir.file("store");
         let mut table = SymbolTable::new();
-        let mut b = SegmentBuilder::new(dir.file("scratch"), 4096, true, 1 << 20).unwrap();
+        // Small pages: the records are a few bytes each, and the one
+        // part-filled leaf at the end of a tree must not decide the average.
+        let mut b = SegmentBuilder::new(dir.file("scratch"), 512, true, 1 << 20).unwrap();
         for (id, xml) in &docs {
             let doc = vist_xml::parse(xml).unwrap();
             let seq = document_to_sequence(&doc, &mut table, &SiblingOrder::Lexicographic);
             b.add_doc(*id, &seq, xml).unwrap();
         }
-        let seg = b.finish(&RealVfs, &base, 3, 4096, 64, 1 << 20).unwrap();
+        let seg = b.finish(&RealVfs, &base, 3, 512, 64, 1 << 20).unwrap();
         let breakdown = seg.breakdown().unwrap();
         assert!(
             breakdown.sancestor.leaf_fill() > 0.8,

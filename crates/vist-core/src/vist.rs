@@ -34,7 +34,7 @@ use crate::search::{
     search_sequences, DocIdStrategy, PlanReport, PruneReason, QueryStats, SearchMode,
     SearchOptions, SearchOutcome, StageTimings,
 };
-use crate::segment::{Segment, SegmentBuilder};
+use crate::segment::{Segment, SegmentBreakdown, SegmentBuilder};
 use crate::stats::{IndexStats, IngestCounters};
 use crate::store::{DocId, NodeState, Store, StoreBreakdown};
 
@@ -588,6 +588,8 @@ impl VistIndex {
             self.store.tomb_ids().map(|v| v.len() as u64).unwrap_or(0)
         };
         vist_obs::gauge!("vist_core_segments").set(segments.len() as i64);
+        let legacy = segments.iter().filter(|s| s.format_version() < 2).count();
+        vist_obs::gauge!("vist_core_segments_legacy_format").set(legacy as i64);
         vist_obs::gauge!("vist_core_segment_fence_bytes")
             .set(i64::try_from(segment_fence_bytes).unwrap_or(i64::MAX));
         IndexStats {
@@ -913,12 +915,16 @@ impl VistIndex {
     /// publishing average leaf fill to the `vist_core_delta_leaf_fill_bp` /
     /// `vist_core_segment_leaf_fill_bp` gauges (basis points). Scans every
     /// tree; intended for `vist stats`, not hot paths.
-    pub fn tier_breakdown(&self) -> Result<(StoreBreakdown, Vec<(u64, StoreBreakdown)>)> {
+    pub fn tier_breakdown(&self) -> Result<(StoreBreakdown, Vec<SegmentBreakdown>)> {
         let _m = self.maintenance.read();
         let delta = self.store.tree_breakdown()?;
         let mut segs = Vec::new();
         for seg in self.segments_snapshot() {
-            segs.push((seg.id, seg.breakdown()?));
+            segs.push(SegmentBreakdown {
+                id: seg.id,
+                format_version: seg.format_version(),
+                trees: seg.breakdown()?,
+            });
         }
         let fill_bp = |bs: &[&StoreBreakdown]| -> i64 {
             let (mut used, mut total) = (0u64, 0u64);
@@ -938,7 +944,7 @@ impl VistIndex {
             (used * 10_000).checked_div(total).unwrap_or(0) as i64
         };
         vist_obs::gauge!("vist_core_delta_leaf_fill_bp").set(fill_bp(&[&delta]));
-        let seg_refs: Vec<&StoreBreakdown> = segs.iter().map(|(_, b)| b).collect();
+        let seg_refs: Vec<&StoreBreakdown> = segs.iter().map(|s| &s.trees).collect();
         vist_obs::gauge!("vist_core_segment_leaf_fill_bp").set(fill_bp(&seg_refs));
         Ok((delta, segs))
     }
@@ -1010,11 +1016,18 @@ impl VistIndex {
     /// probes — the bulk of the B+Tree traffic for structure-sharing
     /// corpora — are answered from the cache instead of the trees. Caller
     /// must hold `self.writer`; the cache must not outlive it.
+    ///
+    /// All-or-nothing for the document store and the document count: when
+    /// the sequence cannot be attached (the label space is exhausted), the
+    /// stored XML and the count are taken back, so the document is neither
+    /// listed nor picked up by the next compaction. Its id stays spent, and
+    /// so do the trie nodes allocated before the failure: both are harmless,
+    /// and ids are never reused.
     pub(crate) fn insert_sequence_cached(
         &self,
         seq: &Sequence,
         xml: Option<&str>,
-        mut cache: Option<&mut IngestCache>,
+        cache: Option<&mut IngestCache>,
     ) -> Result<DocId> {
         let (doc_id, store_documents, root_state) = {
             let mut meta = self.store.meta_mut();
@@ -1026,7 +1039,26 @@ impl VistIndex {
         if store_documents {
             self.store.doc_put(doc_id, xml.unwrap_or("").as_bytes())?;
         }
+        if let Err(e) = self.attach_sequence(doc_id, root_state, seq, cache) {
+            if store_documents {
+                // `e` is the error to report, whatever the clean-up meets.
+                let _ = self.store.doc_remove(doc_id);
+            }
+            self.store.meta_mut().doc_count -= 1;
+            return Err(e);
+        }
+        Ok(doc_id)
+    }
 
+    /// Walk `seq` down the virtual suffix tree, allocating the scopes it
+    /// lacks, and post `doc_id` at the node it ends on.
+    fn attach_sequence(
+        &self,
+        doc_id: DocId,
+        root_state: NodeState,
+        seq: &Sequence,
+        mut cache: Option<&mut IngestCache>,
+    ) -> Result<()> {
         let n = seq.len();
         let mut chain: Vec<ChainEntry> = vec![ChainEntry {
             loc: Loc::Root,
@@ -1108,7 +1140,7 @@ impl VistIndex {
                     if let Some(dk) = last_dkid {
                         self.store.stats_doc_added(dk);
                     }
-                    return Ok(doc_id);
+                    return Ok(());
                 }
             }
         }
@@ -1120,7 +1152,7 @@ impl VistIndex {
         if let Loc::Node(dk) = last_loc {
             self.store.stats_doc_added(dk);
         }
-        Ok(doc_id)
+        Ok(())
     }
 
     /// [`VistIndex::find_child`] through an optional per-batch edge cache.

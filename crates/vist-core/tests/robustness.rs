@@ -114,6 +114,55 @@ fn exhausted_label_space_is_its_own_error() {
 }
 
 #[test]
+fn a_failed_insert_leaves_no_document_behind_for_compaction_to_index() {
+    // The same tiny label space on a tiered index, with documents stored:
+    // the insert that runs out of labels must not leave its XML in the
+    // store, where `document_ids` and the next `compact()` would find it.
+    let dir = vist_storage::testutil::TempDir::new("vist-robust-exhausted");
+    let opts = IndexOptions {
+        lambda: 2,
+        adaptive: false,
+        ..Default::default()
+    };
+    let idx = VistIndex::create_file(dir.file("idx.vist"), opts).unwrap();
+    let failed = loop {
+        let next = idx.doc_count();
+        match idx.insert_xml(&format!("<r{next}/>")) {
+            Ok(id) => assert_eq!(id, next),
+            Err(e) => {
+                assert!(matches!(e, Error::ScopeExhausted), "{e:?}");
+                break next;
+            }
+        }
+        assert!(next < 200, "label space never ran out");
+    };
+    let ids: Vec<u64> = (0..failed).collect();
+    let unchanged = |idx: &VistIndex| {
+        assert_eq!(idx.doc_count(), failed);
+        assert_eq!(idx.document_ids().unwrap(), ids);
+        assert!(idx.get_document_xml(failed).is_err());
+        let r = idx
+            .query(&format!("/r{failed}"), &QueryOptions::default())
+            .unwrap();
+        assert!(r.doc_ids.is_empty());
+        idx.check().unwrap();
+    };
+    unchanged(&idx);
+    // A batch fails the same way, and takes nothing with it either.
+    let err = idx.insert_batch(&["<another-root/>"], 1).unwrap_err();
+    assert!(matches!(err, Error::ScopeExhausted), "{err:?}");
+    unchanged(&idx);
+    idx.compact().unwrap();
+    unchanged(&idx);
+    // Ids are not reused, and compaction gave the delta a new label space.
+    let fresh = idx.insert_xml("<later/>").unwrap();
+    assert!(fresh > failed, "{fresh}");
+    assert_eq!(idx.get_document_xml(fresh).unwrap(), "<later/>");
+    assert_eq!(idx.doc_count(), failed + 1);
+    idx.check().unwrap();
+}
+
+#[test]
 fn bad_queries_rejected() {
     let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
     idx.insert_xml("<a/>").unwrap();

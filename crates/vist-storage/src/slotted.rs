@@ -102,6 +102,7 @@ fn check_slot(count: u16, i: SlotId) -> Result<()> {
 /// slot count, directory entry or cell extent that the page cannot back
 /// (bytes that passed the page checksum but are wrong) is
 /// [`Error::Corrupt`], not a panic — every B+Tree read goes through here.
+#[inline]
 fn cell_in(buf: &[u8], base: usize, i: SlotId) -> Result<&[u8]> {
     check_slot(get_u16(buf, base + H_NSLOTS), i)?;
     let at = base + HDR + i as usize * SLOT;
@@ -129,6 +130,7 @@ impl<'a> SlottedPage<'a> {
 
     /// The record stored in slot `i`. The returned slice borrows the page
     /// buffer (not this view), so it outlives the `SlottedPage` value.
+    #[inline]
     pub fn cell(&self, i: SlotId) -> Result<&'a [u8]> {
         cell_in(self.buf, self.base, i)
     }

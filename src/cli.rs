@@ -923,30 +923,39 @@ pub fn run(cmd: Command) -> Result<String, String> {
             )
             .unwrap();
             writeln!(out, "store bytes:          {}", s.store_bytes).unwrap();
-            let tree_line = |out: &mut String, label: &str, t: &vist_btree::TreeStats| {
-                writeln!(
-                    out,
+            let tree_line = |label: &str, t: &vist_btree::TreeStats| {
+                format!(
                     "  {label:<19} {} entries, {} bytes, {} page(s), {:.0}% leaf fill",
                     t.entries,
                     t.total_bytes,
                     t.leaf_pages + t.internal_pages,
                     t.leaf_fill() * 100.0
                 )
-                .unwrap();
             };
             writeln!(out, "delta:").unwrap();
-            tree_line(&mut out, "D-Ancestor tree:", &b.dancestor);
-            tree_line(&mut out, "S-Ancestor tree:", &b.sancestor);
-            tree_line(&mut out, "DocId tree:", &b.docid);
-            tree_line(&mut out, "edges tree:", &b.edges);
-            tree_line(&mut out, "aux tree:", &b.aux);
-            for (id, sb) in &segs {
-                writeln!(out, "segment {id}:").unwrap();
-                tree_line(&mut out, "D-Ancestor tree:", &sb.dancestor);
-                tree_line(&mut out, "S-Ancestor tree:", &sb.sancestor);
-                tree_line(&mut out, "DocId tree:", &sb.docid);
-                tree_line(&mut out, "documents tree:", &sb.aux);
-                tree_line(&mut out, "statistics tree:", &sb.stats);
+            for (label, t) in [
+                ("D-Ancestor tree:", &b.dancestor),
+                ("S-Ancestor tree:", &b.sancestor),
+                ("DocId tree:", &b.docid),
+                ("edges tree:", &b.edges),
+                ("aux tree:", &b.aux),
+            ] {
+                writeln!(out, "{}", tree_line(label, t)).unwrap();
+            }
+            for seg in &segs {
+                writeln!(out, "segment {} (format v{}):", seg.id, seg.format_version).unwrap();
+                for (label, t) in [
+                    ("D-Ancestor tree:", &seg.trees.dancestor),
+                    ("S-Ancestor tree:", &seg.trees.sancestor),
+                    ("DocId tree:", &seg.trees.docid),
+                    ("documents tree:", &seg.trees.aux),
+                    ("statistics tree:", &seg.trees.stats),
+                ] {
+                    // What the format is judged by: leaf bytes per record.
+                    let per_entry = t.leaf_total_bytes as f64 / t.entries.max(1) as f64;
+                    let line = tree_line(label, t);
+                    writeln!(out, "{line}, {per_entry:.1} leaf B/entry").unwrap();
+                }
             }
             writeln!(out, "page reads:           {}", s.io.reads).unwrap();
             writeln!(out, "page writes:          {}", s.io.writes).unwrap();
@@ -1961,9 +1970,12 @@ mod tests {
         assert!(out.contains("segments:             2"), "{out}");
         assert!(out.contains("tombstones:           1"), "{out}");
         assert!(out.contains("delta:"), "{out}");
-        assert!(out.contains("segment 1:"), "{out}");
+        assert!(out.contains("segment 1 (format v2):"), "{out}");
         assert!(out.contains("statistics tree:"), "{out}");
         assert!(out.contains("leaf fill"), "{out}");
+        // Per segment tree, leaf bytes per record; the delta's lines are
+        // what they were.
+        assert_eq!(out.matches("leaf B/entry\n").count(), 2 * 5, "{out}");
         // Five single-leaf trees a segment: one empty fence, two offsets
         // and one leaf id each.
         assert!(out.contains("segment fence bytes:  120\n"), "{out}");

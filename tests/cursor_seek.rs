@@ -318,7 +318,7 @@ fn a_bad_kind_byte_is_an_error_naming_the_page_never_a_panic() {
     // in this pool, so `0..pages` are exactly the tree's pages.
     assert_eq!(tree.pool().live_pages(), pages);
     for pid in 0..pages as PageId {
-        for bad in [0x00u8, 0x03, 0x81, 0xFF] {
+        for bad in [0x00u8, 0x04, 0x81, 0xFF] {
             let saved =
                 std::mem::replace(&mut tree.pool().fetch_mut(pid).unwrap().data_mut()[0], bad);
             let mut errors = Vec::new();

@@ -1,5 +1,4 @@
-//! Internal pages of a packed segment that pass the page checksum but are
-//! wrong.
+//! Pages of a packed segment that pass the page checksum but are wrong.
 //!
 //! Opening a packed tree flattens its internal levels into memory, and that
 //! flatten is the only code that ever reads them. Each test here writes a
@@ -7,8 +6,12 @@
 //! re-seals the frame's CRC32C trailer (as a buggy writer would, not bit
 //! rot) and expects `SegmentReader::tree` to return `Error::Corrupt` naming
 //! the page and the field — no panic, no unbounded descent. What the flatten
-//! does not read (the leaves) is `PackedTree::verify`'s to report.
+//! does not read (the leaves) is for the probes that reach the damaged leaf
+//! and for `PackedTree::verify` to report, the same way: the last tests
+//! damage the directory, the prefix length and a cell header of a packed
+//! leaf.
 
+use std::ops::{Bound, ControlFlow};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -37,7 +40,9 @@ fn segment(dir: &TempDir) -> PathBuf {
         .add_tree((0..ENTRIES).map(|i| {
             let mut k = b"dkey-id+scope-prefix".to_vec();
             k.extend_from_slice(&i.to_be_bytes());
-            (k, i.to_le_bytes().to_vec())
+            // Packed leaves store the twenty shared bytes once; values this
+            // long keep a leaf at six records and the tree at three levels.
+            (k, vec![i as u8; 64])
         }))
         .unwrap();
     writer.finish(&[]).unwrap();
@@ -258,4 +263,118 @@ fn verify_reports_a_mislinked_leaf_chain_and_a_wrong_entry_count() {
         open(&path).unwrap().verify(),
         &["420 entries in the leaves", "recorded 421"],
     );
+}
+
+/// Where the pieces of packed leaf `id` lie in its payload (see
+/// `vist_btree`'s `leaf` module: `n u16 ‖ p u16 ‖ u16 × (n + 1) offsets`
+/// after the node header, offsets counted from it; then the prefix, then
+/// `varint suffix_len ‖ varint value_len ‖ suffix ‖ value` cells).
+struct Leaf {
+    id: PageId,
+    /// Payload offset of the prefix length.
+    prefix_len_at: usize,
+    /// Payload offsets of directory entry 1 and of the cell it points to.
+    dir1_at: usize,
+    cell1_at: usize,
+    /// Key of cell 1.
+    key1: Vec<u8>,
+}
+
+/// The second leaf of the tree: not the one the flatten reads to find the
+/// leaf level, so the damage is met by probes only.
+fn second_leaf(path: &Path) -> Leaf {
+    let (_, first, _) = top(path);
+    let id = first.cells[0].3;
+    let buf = payload(path, id);
+    assert_eq!(buf[0], 3, "page {id} is not a packed leaf");
+    let u16_at = |at: usize| u16::from_le_bytes([buf[at], buf[at + 1]]) as usize;
+    let (n, p) = (u16_at(NODE_HDR), u16_at(NODE_HDR + 2));
+    assert!(n >= 3 && p >= 20, "{n} records sharing {p} bytes");
+    let dir1_at = NODE_HDR + 4 + 2;
+    let cell1_at = NODE_HDR + u16_at(dir1_at);
+    let prefix_at = NODE_HDR + 4 + 2 * (n + 1);
+    let suffix_len = buf[cell1_at] as usize;
+    let mut key1 = buf[prefix_at..prefix_at + p].to_vec();
+    key1.extend_from_slice(&buf[cell1_at + 2..cell1_at + 2 + suffix_len]);
+    assert_eq!(key1.len(), 24);
+    Leaf {
+        id,
+        prefix_len_at: NODE_HDR + 2,
+        dir1_at,
+        cell1_at,
+        key1,
+    }
+}
+
+/// Apply `damage` to the second leaf of a fresh copy of the segment. The
+/// tree still opens; a point probe of a key on that leaf, a range over it
+/// and `verify` must each fail naming the leaf and every string of `names`.
+fn expect_leaf_reads_fail(names: &[&str], damage: impl FnOnce(&Path, &Leaf)) {
+    let dir = TempDir::new("packed-leaf");
+    let path = segment(&dir);
+    let leaf = second_leaf(&path);
+    damage(&path, &leaf);
+    let tree = open(&path).unwrap();
+    let page = format!("page {}", leaf.id);
+    let mut names = names.to_vec();
+    names.push(&page);
+    assert_corrupt(tree.get_with(&leaf.key1, |_| ()), &names);
+    let range = (Bound::Included(&leaf.key1[..]), Bound::Unbounded);
+    assert_corrupt(
+        tree.for_each_in(range, |_, _| ControlFlow::Continue(())),
+        &names,
+    );
+    assert_corrupt(tree.verify(), &names);
+    // Leaves the damage does not touch still answer.
+    let mut last = b"dkey-id+scope-prefix".to_vec();
+    last.extend_from_slice(&(ENTRIES - 1).to_be_bytes());
+    assert!(tree.contains(&last).unwrap());
+}
+
+#[test]
+fn packed_leaf_directory_offsets_past_the_page_or_out_of_order() {
+    // Entry 1 is where cell 0 ends and cell 1 starts: whichever of the two
+    // a read meets first reports it.
+    expect_leaf_reads_fail(&["leaf cell", "outside the page"], |path, leaf| {
+        patch(path, leaf.id, leaf.dir1_at, &u16::MAX.to_le_bytes());
+    });
+    // Entry 2 just below entry 1: cell 1 runs backwards.
+    expect_leaf_reads_fail(&["cell 1", "unordered"], |path, leaf| {
+        let buf = payload(path, leaf.id);
+        let start = u16::from_le_bytes([buf[leaf.dir1_at], buf[leaf.dir1_at + 1]]);
+        patch(path, leaf.id, leaf.dir1_at + 2, &(start - 1).to_le_bytes());
+    });
+    // An offset that points back into the directory.
+    expect_leaf_reads_fail(&["leaf cell", "outside the page"], |path, leaf| {
+        patch(path, leaf.id, leaf.dir1_at, &4u16.to_le_bytes());
+    });
+}
+
+#[test]
+fn packed_leaf_prefix_longer_than_the_page() {
+    expect_leaf_reads_fail(&["prefix of 60000 byte(s)"], |path, leaf| {
+        patch(path, leaf.id, leaf.prefix_len_at, &60_000u16.to_le_bytes());
+    });
+    // So is a record count whose directory alone overruns the page.
+    expect_leaf_reads_fail(&["directory of 65535 cell(s)"], |path, leaf| {
+        patch(path, leaf.id, NODE_HDR, &u16::MAX.to_le_bytes());
+    });
+}
+
+#[test]
+fn packed_leaf_cell_lengths_past_the_cell_and_an_over_long_varint() {
+    expect_leaf_reads_fail(&["cell 1", "suffix length 100"], |path, leaf| {
+        patch(path, leaf.id, leaf.cell1_at, &[100]);
+    });
+    expect_leaf_reads_fail(&["cell 1", "value length 3"], |path, leaf| {
+        patch(path, leaf.id, leaf.cell1_at + 1, &[3]);
+    });
+    // A length spelt with a trailing zero group: no encoder writes it.
+    expect_leaf_reads_fail(&["cell 1", "malformed length varint"], |path, leaf| {
+        patch(path, leaf.id, leaf.cell1_at, &[0x84, 0x00]);
+    });
+    // One that never ends inside the cell.
+    expect_leaf_reads_fail(&["cell 1", "malformed length varint"], |path, leaf| {
+        patch(path, leaf.id, leaf.cell1_at, &[0xFF; 70]);
+    });
 }

@@ -10,21 +10,26 @@
 //!    and `len` agree for every bound kind at both ends over every stored
 //!    key, the gap after each, the suffix-truncated separator between each
 //!    pair of neighbours (what the fence array actually stores, and shorter
-//!    than any stored key), the empty key, and a key beyond the last — on
-//!    512-byte pages, so the trees are three levels deep, with 24-byte fixed
-//!    keys and with variable-length keys sharing long prefixes, and on the
-//!    empty and the single-leaf tree.
+//!    than any stored key, and than the prefix a packed leaf stores once),
+//!    the empty key, and a key beyond the last — on 512-byte pages, so the
+//!    trees are three levels deep, with 24-byte fixed keys and with
+//!    variable-length keys sharing long prefixes, on the empty and the
+//!    single-leaf tree, and over packed leaves whose keys share a long
+//!    prefix, none at all, or include the empty key.
 //! 2. **Exact fetch counts** — from `pool_stats()` deltas: a point probe of
 //!    a stored key fetches exactly one page on the packed tree (the page
-//!    descent fetches one per level), a range inside one leaf exactly one,
-//!    a range over *k* leaves exactly *k*.
+//!    descent fetches one per level), and so does one of an absent key that
+//!    sorts between two leaves (the page descent chases the forward link, a
+//!    tree that cannot split has no reason to); a range inside one leaf
+//!    fetches exactly one, a range over *k* leaves exactly *k*.
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
+use vist_btree::codec::take_varint;
 use vist_btree::{BTree, PackedTree, SegmentReader, SegmentWriter};
-use vist_storage::{BufferPool, MemPager, Result, SlottedPage};
+use vist_storage::{BufferPool, MemPager, Result};
 
 type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
@@ -114,14 +119,15 @@ fn build(items: Pairs) -> Fixture {
 }
 
 /// 24-byte fixed keys in the shape of the S-Ancestor tree's: twenty bytes
-/// every key shares, then a counter.
+/// every key shares, then a counter. A packed leaf stores the twenty once,
+/// so the values are long enough (five records to a leaf) for a third level.
 fn fixed_keys(n: u32) -> Pairs {
     (0..n)
         .map(|i| {
             let mut k = b"dkey-id+scope-prefix".to_vec();
             k.extend_from_slice(&(i * 3).to_be_bytes());
             assert_eq!(k.len(), 24);
-            (k, format!("v{i:05}").into_bytes())
+            (k, format!("v{i:05}").repeat(14).into_bytes())
         })
         .collect()
 }
@@ -289,14 +295,21 @@ fn empty_and_single_leaf_trees() {
     assert!(one.packed.fence_bytes() < 32, "one entry, no key bytes");
 }
 
-/// The keys of each leaf, left to right, read from the raw pages (a node
-/// header of ten bytes: kind, forward link, back link; leaf cells are
-/// `klen u16 ‖ vlen u16 ‖ key ‖ value`).
-fn leaves(f: &Fixture) -> Vec<Vec<Vec<u8>>> {
+/// One packed leaf as the raw page has it: the prefix stored once, and the
+/// whole keys (a node header of ten bytes: kind, forward link, back link;
+/// then `n u16 ‖ p u16 ‖ u16 × (n + 1) cell offsets`, the prefix, and cells
+/// of `varint suffix_len ‖ varint value_len ‖ suffix ‖ value`).
+struct RawLeaf {
+    prefix: Vec<u8>,
+    keys: Vec<Vec<u8>>,
+}
+
+/// The leaves of the packed tree, left to right.
+fn leaves(f: &Fixture) -> Vec<RawLeaf> {
     let mut pid = f.packed.root_page();
     loop {
         let page = f.pool.fetch(pid).unwrap();
-        if page.data()[0] == 1 {
+        if page.data()[0] != 2 {
             break;
         }
         pid = u32::from_le_bytes(page.data()[1..5].try_into().unwrap());
@@ -304,17 +317,25 @@ fn leaves(f: &Fixture) -> Vec<Vec<Vec<u8>>> {
     let mut out = Vec::new();
     while pid != u32::MAX {
         let page = f.pool.fetch(pid).unwrap();
-        let cells = SlottedPage::new(page.data(), 10);
-        out.push(
-            (0..cells.slot_count())
-                .map(|i| {
-                    let cell = cells.cell(i).unwrap();
-                    let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-                    cell[4..4 + klen].to_vec()
-                })
-                .collect(),
-        );
-        pid = u32::from_le_bytes(page.data()[1..5].try_into().unwrap());
+        let buf = page.data();
+        assert_eq!(buf[0], 3, "page {pid} is a packed leaf");
+        let region = &buf[10..];
+        let u16_at = |at: usize| u16::from_le_bytes([region[at], region[at + 1]]) as usize;
+        let (n, p) = (u16_at(0), u16_at(2));
+        let prefix_at = 4 + 2 * (n + 1);
+        let prefix = region[prefix_at..prefix_at + p].to_vec();
+        assert_eq!(u16_at(4), prefix_at + p, "cells follow the prefix");
+        let keys = (0..n)
+            .map(|i| {
+                let mut cell = &region[u16_at(4 + 2 * i)..u16_at(6 + 2 * i)];
+                let suffix_len = take_varint(&mut cell).unwrap() as usize;
+                let value_len = take_varint(&mut cell).unwrap() as usize;
+                assert_eq!(cell.len(), suffix_len + value_len);
+                [&prefix, &cell[..suffix_len]].concat()
+            })
+            .collect();
+        out.push(RawLeaf { prefix, keys });
+        pid = u32::from_le_bytes(buf[1..5].try_into().unwrap());
     }
     out
 }
@@ -336,7 +357,7 @@ fn a_probe_fetches_one_page_and_a_range_one_per_leaf() {
         let f = build(items);
         let height = u64::from(f.packed.tree_stats().unwrap().height);
         assert!(height >= 3);
-        let leaves = leaves(&f);
+        let leaves: Vec<Vec<Vec<u8>>> = leaves(&f).into_iter().map(|l| l.keys).collect();
         assert!(leaves.len() > 16);
 
         for k in f.model.keys() {
@@ -344,6 +365,26 @@ fn a_probe_fetches_one_page_and_a_range_one_per_leaf() {
             assert_eq!(n, 1, "{what}: packed probe of {k:?}");
             let n = fetches(&f, || assert!(f.paged.contains(k).unwrap()));
             assert_eq!(n, height, "{what}: page descent to {k:?}");
+        }
+
+        // An absent key right after the last record of a leaf sorts past
+        // everything on the leaf its fence names. The page descent cannot
+        // tell that from a split it raced and looks at the next leaf; the
+        // packed tree knows its fences are exact.
+        for pair in leaves.windows(2) {
+            let mut gap = pair[0].last().unwrap().clone();
+            gap.push(0);
+            assert!(gap < pair[1][0] && !f.model.contains_key(&gap));
+            let n = fetches(&f, || assert!(!f.packed.contains(&gap).unwrap()));
+            assert_eq!(n, 1, "{what}: packed probe of absent {gap:?}");
+            let n = fetches(&f, || assert!(!f.paged.contains(&gap).unwrap()));
+            assert_eq!(n, height + 1, "{what}: page descent chases for {gap:?}");
+            // Just below the first record of the right-hand leaf.
+            let below = shortest_separator(pair[0].last().unwrap(), &pair[1][0]);
+            if !f.model.contains_key(&below) {
+                let n = fetches(&f, || assert!(!f.packed.contains(&below).unwrap()));
+                assert_eq!(n, 1, "{what}: packed probe of absent {below:?}");
+            }
         }
 
         // From the first key of leaf `i` to the second-to-last key of leaf
@@ -387,4 +428,44 @@ fn a_probe_fetches_one_page_and_a_range_one_per_leaf() {
             assert_eq!(n, k as u64 + height - 1, "{what}: paged range");
         }
     }
+}
+
+#[test]
+fn packed_leaves_store_a_shared_prefix_once_and_read_the_same_without_one() {
+    // Keys that share forty bytes: every leaf stores them once, and every
+    // separator probe of `check` is shorter than that prefix.
+    let long: Pairs = (0..200u32)
+        .map(|i| {
+            let mut k = vec![b'p'; 40];
+            k.extend_from_slice(format!("{:04}", i * 7).as_bytes());
+            (k, vec![i as u8; 40])
+        })
+        .collect();
+    let f = build(long);
+    let raw = leaves(&f);
+    assert!(raw.len() > 8);
+    assert!(raw.iter().all(|l| l.prefix.len() >= 40), "40 shared bytes");
+    check(&f, 11, "long shared prefix");
+
+    // Keys whose first byte already differs: no leaf with two records has a
+    // prefix, and the leaf degenerates to offsets and whole keys.
+    let none: Pairs = (0..=255u8)
+        .map(|b| (vec![b, b'x', b ^ 0x5A], vec![b; 30]))
+        .collect();
+    let f = build(none);
+    let raw = leaves(&f);
+    assert!(raw.len() > 8);
+    assert!(raw.iter().all(|l| l.keys.len() < 2 || l.prefix.is_empty()));
+    check(&f, 12, "no shared prefix");
+
+    // The empty key is a key: it forces an empty prefix on its leaf and is
+    // found, scanned and counted like any other.
+    let mut with_empty: Pairs = vec![(Vec::new(), b"nothing".to_vec())];
+    with_empty.extend(variable_keys(60, 5));
+    let f = build(with_empty);
+    let raw = leaves(&f);
+    assert!(raw[0].prefix.is_empty() && raw[0].keys[0].is_empty());
+    assert!(raw[1..].iter().any(|l| !l.prefix.is_empty()));
+    assert_eq!(f.packed.get(b"").unwrap().as_deref(), Some(&b"nothing"[..]));
+    check(&f, 13, "stored empty key");
 }
