@@ -24,7 +24,9 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use vist_bench::{ms, print_table, scaled, time_avg};
-use vist_core::{search_sequences, DocId, IndexOptions, SearchOptions, Store, VistIndex};
+use vist_core::{
+    search_sequences, DocId, IndexOptions, SearchOptions, SearchSource, Store, VistIndex,
+};
 use vist_datagen::synthetic::{SyntheticConfig, SyntheticGen};
 use vist_query::{translate, QueryElem, QuerySequence, TranslateOptions};
 use vist_seq::{dkey, PathSym, Prefix, Sym, Symbol};
@@ -162,7 +164,8 @@ fn old_descend(
     ctx: &mut OldCtx,
     out: &mut BTreeSet<DocId>,
 ) -> OldResult<()> {
-    let nodes = store.nodes_in_scope(dkid, prev_n, prev_end)?;
+    let mut nodes = Vec::new();
+    store.nodes_in_scopes(dkid, &[(prev_n, prev_end)], &mut |node| nodes.push(node))?;
     ctx.charge(nodes.len() as u64 + 1)?;
     if nodes.is_empty() {
         return Ok(());

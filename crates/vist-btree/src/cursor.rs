@@ -3,7 +3,9 @@
 //! slots and forward links until the end bound ([`Tree::walk_leaves`]).
 //! Written once for both descents: a cursor over a [`crate::PackedTree`]
 //! differs from one over a [`crate::BTree`] only in how its seek finds the
-//! first leaf.
+//! first leaf. [`Tree::for_each_in_ranges`] is the same walk over many sorted
+//! ranges in one pass, seeking again only when a range starts beyond the leaf
+//! under the cursor.
 
 use std::collections::VecDeque;
 use std::ops::{Bound, ControlFlow, RangeBounds};
@@ -94,6 +96,141 @@ fn visit_leaf<'a>(
         }
     }
     Ok(ControlFlow::Continue(()))
+}
+
+/// First slot in `from..n` of `leaf` whose key suffix sorts after `probe`
+/// (`n` when none does): doubling steps away from `from`, then a binary
+/// search of the last step. A walk over many ranges asks for a slot a little
+/// right of the one it stands on, which this finds in a compare or two.
+#[inline]
+fn gallop_past<'a>(leaf: &impl Leaf<'a>, from: SlotId, n: SlotId, probe: &[u8]) -> Result<SlotId> {
+    // Every slot below `lo` holds a key `<= probe`, slot `hi` (when there is
+    // one) a key beyond it.
+    let (mut lo, mut hi, mut step): (SlotId, SlotId, SlotId) = (from, n, 1);
+    while lo < n {
+        let at = lo.saturating_add(step - 1).min(n - 1);
+        if leaf.entry(at)?.0 > probe {
+            hi = at;
+            break;
+        }
+        lo = at + 1;
+        step = step.saturating_mul(2);
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if leaf.entry(mid)?.0 > probe {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Ok(lo)
+}
+
+/// What a walk over many ranges carries from leaf to leaf.
+struct Ranges<K> {
+    /// Writes the bounds of range `i` into `lo` and `hi`.
+    bounds: K,
+    n: usize,
+    /// The range under the cursor.
+    i: usize,
+    lo: Vec<u8>,
+    hi: Vec<u8>,
+    /// The walk is past `lo`: the range goes on from the previous leaf.
+    inside: bool,
+    /// The leaf under the cursor was reached by a seek of `lo`, so what lies
+    /// beyond its last key is on the next leaf. A leaf the walk merely
+    /// finished another range on says nothing of where `lo` is.
+    sought: bool,
+}
+
+impl<K: FnMut(usize, &mut Vec<u8>, &mut Vec<u8>)> Ranges<K> {
+    /// Ask for the bounds of range `i`.
+    fn load(&mut self) {
+        self.lo.clear();
+        self.hi.clear();
+        (self.bounds)(self.i, &mut self.lo, &mut self.hi);
+    }
+}
+
+/// Where a walk over many ranges goes after a leaf.
+enum Next {
+    /// Nowhere: the ranges are used up, the chain ended or `f` broke.
+    Done,
+    /// To the next leaf of the chain: the range under the cursor goes on
+    /// there, or starts there.
+    Chain,
+    /// To the leaf a seek of `lo` finds: the range under the cursor starts
+    /// beyond this leaf's last key.
+    Seek,
+}
+
+/// Hand `f` the records of `leaf` inside the range under the cursor and
+/// inside every later range that starts on this leaf, moving from range to
+/// range by [`gallop_past`]. Bounds are compared with key suffixes; a key is
+/// put together in `scratch` only for `f`. `last` says the chain ends here.
+#[inline]
+fn sweep_leaf<'a, K, F>(
+    leaf: &impl Leaf<'a>,
+    last: bool,
+    ranges: &mut Ranges<K>,
+    scratch: &mut KeyScratch,
+    f: &mut F,
+) -> Result<Next>
+where
+    K: FnMut(usize, &mut Vec<u8>, &mut Vec<u8>),
+    F: FnMut(&[u8], &[u8]) -> ControlFlow<()>,
+{
+    let n = leaf.count();
+    let prefix = leaf.prefix();
+    let mut at = 0;
+    let mut started = false;
+    loop {
+        if !ranges.inside {
+            at = match ranges.lo.strip_prefix(prefix) {
+                Some(rest) => gallop_past(leaf, at, n, rest)?,
+                None if ranges.lo.as_slice() < prefix => at,
+                None => n,
+            };
+            if at == n {
+                return Ok(match (last, ranges.sought) {
+                    (true, _) => Next::Done,
+                    (false, true) => Next::Chain,
+                    (false, false) => Next::Seek,
+                });
+            }
+            ranges.inside = true;
+        }
+        if let Some(end) = end_after_prefix(prefix, Bound::Excluded(&ranges.hi)) {
+            while at < n {
+                let (suffix, v) = leaf.entry(at)?;
+                if !within_end(suffix, end) {
+                    break;
+                }
+                if !started {
+                    scratch.start_leaf(prefix);
+                    started = true;
+                }
+                if f(scratch.key(prefix, suffix), v).is_break() {
+                    return Ok(Next::Done);
+                }
+                at += 1;
+            }
+            if at == n {
+                return Ok(if last { Next::Done } else { Next::Chain });
+            }
+        }
+        // The range ended on this leaf, before slot `at`. The next one
+        // starts no lower, so the search for it goes on from here; one that
+        // overlaps what was already handed out adds only what is new.
+        ranges.i += 1;
+        if ranges.i == ranges.n {
+            return Ok(Next::Done);
+        }
+        ranges.load();
+        ranges.inside = false;
+        ranges.sought = false;
+    }
 }
 
 /// Iterator over `(key, value)` pairs in key order.
@@ -265,6 +402,66 @@ impl<D: Descent> Tree<D> {
                 visit_leaf(&leaf, start, end, &mut seeking, &mut scratch, &mut count)
             })
         })?;
+        vist_obs::observe!("vist_btree_scan_len", visited);
+        Ok(())
+    }
+
+    /// [`Tree::for_each_in`] over `n` ranges at once: visit every record
+    /// whose key lies strictly between the two keys of some range, in key
+    /// order, each once. `bounds(i, lo, hi)` appends the keys of range `i`
+    /// to the two buffers (handed over empty, reused from range to range);
+    /// it is asked for each `i` in `0..n` at most once, in order, and the
+    /// ranges must be sorted by `lo`. Ranges that overlap are visited as
+    /// their union.
+    ///
+    /// One forward pass: a leaf is fetched once however many ranges fall on
+    /// it, the walk follows the leaf chain while a range goes on, and it
+    /// seeks again (as a fresh `for_each_in` would) only for a range that
+    /// starts beyond the last key of the leaf under the cursor.
+    ///
+    /// **Constraint:** `bounds` is called under the leaf latch like `f`;
+    /// neither may re-enter this tree's buffer pool.
+    pub fn for_each_in_ranges<K, F>(&self, n: usize, bounds: K, mut f: F) -> Result<()>
+    where
+        K: FnMut(usize, &mut Vec<u8>, &mut Vec<u8>),
+        F: FnMut(&[u8], &[u8]) -> ControlFlow<()>,
+    {
+        if n == 0 {
+            return Ok(());
+        }
+        let mut ranges = Ranges {
+            bounds,
+            n,
+            i: 0,
+            lo: Vec::new(),
+            hi: Vec::new(),
+            inside: false,
+            sought: true,
+        };
+        ranges.load();
+        let mut visited = 0u64;
+        let mut scratch = KeyScratch::new();
+        let mut count = |k: &[u8], v: &[u8]| {
+            visited += 1;
+            f(k, v)
+        };
+        let (mut page, _) = self.seek_leaf(Bound::Excluded(&ranges.lo))?;
+        loop {
+            let buf = page.data();
+            let next = link1(buf);
+            let step = either!(LeafView::new(page.id(), buf)?, leaf => {
+                sweep_leaf(&leaf, next == INVALID_PAGE, &mut ranges, &mut scratch, &mut count)?
+            });
+            drop(page);
+            page = match step {
+                Next::Done => break,
+                Next::Chain => fetch_leaf(&self.pool, next)?,
+                Next::Seek => {
+                    ranges.sought = true;
+                    self.seek_leaf(Bound::Excluded(&ranges.lo))?.0
+                }
+            };
+        }
         vist_obs::observe!("vist_btree_scan_len", visited);
         Ok(())
     }

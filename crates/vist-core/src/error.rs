@@ -35,7 +35,7 @@ pub enum Error {
     NotTiered,
     /// The query's deadline (`QueryOptions::deadline`) passed before the
     /// search completed. The cancellation is cooperative — checked at
-    /// match work-item granularity — and leaves the index fully readable:
+    /// match frame granularity — and leaves the index fully readable:
     /// no locks are poisoned and no state is mutated, so the next query
     /// on the same index returns exactly what an undisturbed run would.
     DeadlineExceeded,

@@ -1,5 +1,6 @@
 //! Algorithm 2: non-contiguous subsequence matching using B+Trees,
-//! formulated as an explicit **work-list of match frames**.
+//! formulated as an explicit **work-list of match frames**, each of which
+//! advances a whole sorted frontier of partial matches at once.
 //!
 //! Shared by [`crate::VistIndex`] and [`crate::RistIndex`] — "ViST uses the
 //! same sequence matching algorithm as RIST".
@@ -11,26 +12,44 @@
 //! suffix-tree traversal. When the last element matches, the DocId tree is
 //! range-queried over the final node's scope.
 //!
-//! # Work-list formulation
+//! # Work-list formulation, set at a time
 //!
-//! Where the paper (and our previous implementation) phrases the search as
-//! recursion — `step` over query elements, `descend` over S-Ancestor hits —
-//! this module reifies every partial match as a [`Frame`]: *"element `qi`
-//! of sequence `seq` must next match inside scope `(lo, hi)`, given these
-//! wildcard bindings"*. Expanding a frame performs the D-Ancestor lookup
-//! and one S-Ancestor range query per candidate, pushing one child frame
-//! per hit. Frames are independent, which buys three things:
+//! Where the paper phrases the search as recursion — one S-Ancestor range
+//! query `n_x < n ≤ n_x + size_x` per partial match — this module reifies
+//! the partial matches of one query position that share their wildcard
+//! bindings as a [`Frame`]: *"element `qi` of sequence `seq` must next match
+//! inside one of these scopes (sorted by label), given these bindings"*.
+//! Expanding a frame resolves the D-Ancestor candidates **once** (the lookup
+//! depends on the bindings, not on the scope) and then, per candidate,
+//! merge-joins the frame's scopes against the key's S-Ancestor entries in
+//! **one forward pass** of a multi-range cursor
+//! ([`SearchSource::nodes_in_scopes`]): a leaf is fetched once however many
+//! scopes fall on it, and the cursor seeks again only for a scope that starts
+//! beyond the leaf it stands on. The hits, ascending, become child frames of
+//! at most [`FRAME_SCOPES`] scopes each. Three things keep the frontier
+//! small and the work shareable:
 //!
-//! 1. **Parallelism** — frames are unit of work for the scoped worker pool
-//!    in [`crate::pool`]: alternative sequences from `translate()` and
-//!    independent D-Ancestor candidate branches run on different workers.
+//! 1. **Containment collapse** — on every position but the last, a hit
+//!    whose scope lies inside one the same sweep already kept is dropped:
+//!    it has the same bindings and a smaller window, so everything below it
+//!    is found below its container. (Same-name siblings nest in the trie:
+//!    the thousands of `author` scopes of a bibliography collapse to the
+//!    outermost of each record.) Scopes of completed matches are the answer
+//!    and are never collapsed.
 //! 2. **Dedup** — distinct wildcard expansions that converge on the same
 //!    `(dkey, scope)` sub-problem are detected by a visited set and
 //!    expanded once instead of re-scanning the same subtree.
-//! 3. **Batched DocId resolution** — final scopes accumulate and are
-//!    interval-merged before the DocId tree is consulted, so overlapping
-//!    `[n, n+size)` scopes from different branches cost one range query
-//!    instead of many.
+//! 3. **Parallelism** — frames are the unit of work of the scoped worker
+//!    pool in [`crate::pool`]: alternative sequences from `translate()`,
+//!    independent D-Ancestor candidate branches and the frames of one large
+//!    sweep run on different workers. A frame is cut where its sweep
+//!    produced it, by a rule that looks at the sweep alone
+//!    ([`frame_scopes`]), and is never split afterwards, so the set of
+//!    sweeps a query performs does not depend on who performs them.
+//!
+//! Final scopes accumulate and are interval-merged before the DocId tree is
+//! consulted, so overlapping `[n, n+size)` scopes from different branches
+//! cost one range query instead of many.
 //!
 //! One loop consumes the work-list — [`drive`], the only caller of `expand`.
 //! Every worker runs it over a private depth-first stack fed from the shared
@@ -39,13 +58,23 @@
 //! (resolve the scopes an expansion completed, stop when enough documents
 //! are in hand), not a second loop.
 //!
-//! The inner loop does not allocate per work item: B+Tree probes stream
-//! through the `*_with` cursor APIs of [`Store`] with keys built on the
-//! stack, lookup patterns, decoded prefixes and candidate lists live in
-//! per-worker buffers reused from frame to frame, the dedup sets key on an
-//! interned binding signature, and bindings are shared between frames
-//! through a persistent [`BindNode`] chain (the one allocation left, made
-//! per matched key that a later wildcard element will consult).
+//! The inner loop does not allocate per partial match: B+Tree probes stream
+//! through the cursors of a [`SearchSource`] with keys built on the stack,
+//! lookup patterns, decoded prefixes, candidate lists and a sweep's hits
+//! live in per-worker buffers reused from frame to frame, the dedup sets key
+//! on an interned binding signature, and bindings are shared between frames
+//! through a persistent [`BindNode`] chain. What is allocated is one scope
+//! list per child frame and one `BindNode` per sweep with hits that a later
+//! wildcard element will consult.
+//!
+//! The counters of [`QueryStats`] come in two kinds. **Logical** ones count
+//! partial matches and keep the meaning they had when each was expanded on
+//! its own (`work_items`, `nodes_visited`, `dedup_skips`, `scopes_nested`,
+//! `planner_probe_prunes`, the per-step actuals of a plan report), so
+//! history stays comparable and the counts do not depend on the number of
+//! workers. **Physical** ones count operations issued (`dancestor_gets`,
+//! `dancestor_scans`, `dkeys_matched`, `sancestor_scans` — sweeps), which
+//! happen once a frame.
 //!
 //! # Cost-based planning (ViST §3.4 "statistical clues")
 //!
@@ -78,6 +107,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -86,7 +116,7 @@ use vist_seq::{dkey, PathSym, Prefix, Sym, Symbol};
 
 use crate::error::{Error, Result};
 use crate::pool;
-use crate::store::{DocId, NodeState, Store};
+use crate::store::{DocId, NodeState};
 
 /// Cheap per-D-Ancestor-entry statistics driving the planner. The delta
 /// maintains them incrementally on insert/remove (persisted through
@@ -115,30 +145,35 @@ pub struct SourceTotals {
 }
 
 /// The B+Tree probe surface Algorithm 2 needs, abstracted over where the
-/// trees live: the mutable delta ([`Store`]) or an immutable packed
+/// trees live: the mutable delta ([`crate::Store`]) or an immutable packed
 /// segment. Every source is a self-contained label space (each segment is
 /// bulk-labeled independently), so the tiered index runs the match once
 /// per source and unions document ids — scopes from different sources are
 /// never compared.
 ///
-/// Callbacks are `&mut dyn FnMut` so the trait stays object-safe; the
-/// same page-latch rule as the [`Store`] `*_with` cursors applies (the
-/// callback must not touch the buffer pool).
+/// Callbacks are `&mut dyn FnMut` so the trait stays object-safe. They run
+/// under a leaf's page latch and must not touch the buffer pool.
 pub trait SearchSource: Sync {
     /// Exact D-Ancestor lookup: the id of `dkey`, if present.
     fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>>;
 
     /// Scan D-Ancestor keys in `[lo, hi)`, invoking `f(dkey, id)` in key
-    /// order.
-    fn dkey_scan_range(&self, lo: &[u8], hi: &[u8], f: &mut dyn FnMut(&[u8], u64)) -> Result<()>;
+    /// order until it breaks.
+    fn dkey_scan_range(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        f: &mut dyn FnMut(&[u8], u64) -> ControlFlow<()>,
+    ) -> Result<()>;
 
-    /// S-Ancestor nodes of `dkey_id` labeled strictly inside `(lo, hi)`,
-    /// in label order.
-    fn nodes_in_scope(
+    /// S-Ancestor nodes of `dkey_id` labeled strictly inside one of
+    /// `scopes` — `(lo, hi)` pairs sorted by `lo` — in label order, each
+    /// once however many scopes hold it: the merge join of a sorted frontier
+    /// against the key's entries, in one forward pass over its leaves.
+    fn nodes_in_scopes(
         &self,
         dkey_id: u64,
-        lo: u128,
-        hi: u128,
+        scopes: &[(u128, u128)],
         f: &mut dyn FnMut(NodeState),
     ) -> Result<()>;
 
@@ -166,47 +201,6 @@ pub trait SearchSource: Sync {
     /// DocId sweep strategy for this source.
     fn totals(&self) -> Option<SourceTotals> {
         None
-    }
-}
-
-impl SearchSource for Store {
-    fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
-        Store::dkey_get(self, dkey)
-    }
-
-    fn dkey_scan_range(&self, lo: &[u8], hi: &[u8], f: &mut dyn FnMut(&[u8], u64)) -> Result<()> {
-        self.dkey_scan_with(lo, hi, f)
-    }
-
-    fn nodes_in_scope(
-        &self,
-        dkey_id: u64,
-        lo: u128,
-        hi: u128,
-        f: &mut dyn FnMut(NodeState),
-    ) -> Result<()> {
-        self.nodes_in_scope_with(dkey_id, lo, hi, f)
-    }
-
-    fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()> {
-        self.docids_in_range_with(lo, hi, f)
-    }
-
-    fn docids_in_range_keyed(
-        &self,
-        lo: u128,
-        hi: u128,
-        f: &mut dyn FnMut(u128, DocId),
-    ) -> Result<()> {
-        self.docids_in_range_keyed_with(lo, hi, f)
-    }
-
-    fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
-        Store::dkid_stats(self, dkid)
-    }
-
-    fn totals(&self) -> Option<SourceTotals> {
-        Some(self.stats_totals())
     }
 }
 
@@ -271,13 +265,15 @@ query_stats! {
         dancestor_scans,
         /// D-Ancestor entries that matched some query element.
         dkeys_matched,
-        /// S-Ancestor range queries performed.
+        /// S-Ancestor sweeps performed: one forward cursor pass over one
+        /// D-Ancestor key's entries, for all scopes of a frame at once.
         sancestor_scans,
         /// Virtual suffix tree nodes visited (partial matches explored).
         nodes_visited,
         /// DocId range queries performed.
         docid_scans,
-        /// Match frames expanded by the work-list engine.
+        /// Partial matches expanded by the work-list engine: the scopes of
+        /// every frame it took up.
         work_items = "match work items",
         /// Frames executed after being donated through the shared queue —
         /// work transferred between workers.
@@ -288,14 +284,18 @@ query_stats! {
         /// Duplicate sub-problems skipped by the visited set (identical
         /// `(dkey, scope)` reached via different wildcard expansions).
         dedup_skips = "match dedup skips",
+        /// Frontier scopes dropped because the sweep that found them had
+        /// already kept a scope containing them: same bindings, so whatever
+        /// matches below the inner one is found below the outer.
+        scopes_nested = "match scopes nested",
         /// Sequences the planner proved empty and never seeded (absent
         /// concrete prefix or empty wildcard pattern probe).
         planner_seqs_pruned = "planner seqs pruned",
         /// D-Ancestor probes issued by the planner (plan-time pattern probes
         /// plus memoized child-probe lookups in the match loop).
         planner_probes = "planner probes",
-        /// S-Ancestor descents skipped because a child probe proved the
-        /// subtree dead.
+        /// Scopes whose S-Ancestor sweep was skipped because a child probe
+        /// proved the subtree dead.
         planner_probe_prunes = "planner probe prunes",
         /// DocId resolutions where the planner chose the keyed sweep over
         /// per-scope range jumps.
@@ -412,7 +412,7 @@ pub struct SearchOptions {
     /// cardinalities) to the outcome — `vist explain --plan`.
     pub collect_plan: bool,
     /// Cooperative cancellation point: once this instant passes, the
-    /// engine stops at the next work-item boundary (the match loop checks
+    /// engine stops at the next frame boundary (the match loop checks
     /// before expanding a frame, and the DocId stage checks between range
     /// queries) and returns
     /// [`crate::Error::DeadlineExceeded`]. The check costs one clock
@@ -570,9 +570,11 @@ const SWEEP_FACTOR: u64 = 16;
 /// `opts.schedule_seed: Some(s)` replaces the default expansion order
 /// (depth-first per worker, FIFO shared queue) with seeded pseudo-random
 /// picks among the pending frames — the `vist-sim` harness's scheduler
-/// hook. Answers are sets, so **every** seed must return exactly the same
-/// result; the simulation uses differing seeds to hunt for order-dependent
-/// bugs in work distribution, dedup, and scope merging.
+/// hook — and the default frame size with seeded ones from 1 to 1,024
+/// scopes (`frame_scopes`). Answers are sets, so **every** seed must
+/// return exactly the same result; the simulation uses differing seeds to
+/// hunt for order-dependent bugs in work distribution, dedup, frontier
+/// batching and scope merging.
 ///
 /// Callers must hold whatever latch protects the store from page frees for
 /// the duration of the call (queries hold the maintenance latch shared);
@@ -631,8 +633,7 @@ pub fn search_sequences(
             // is excluded from descendant ranges by the strict lower bound.
             seq: i as u32,
             qi: 0,
-            lo: 0,
-            hi: vist_seq::MAX_SCOPE,
+            scopes: vec![(0, vist_seq::MAX_SCOPE)],
             binds: None,
         })
         .collect();
@@ -776,9 +777,7 @@ fn drive(
     } else {
         opts.workers.max(1)
     };
-    let mut outs: Vec<WorkerOut> = (0..workers)
-        .map(|_| WorkerOut::new(opts.plan, opts.collect_plan))
-        .collect();
+    let mut outs: Vec<WorkerOut> = (0..workers).map(|_| WorkerOut::new(opts)).collect();
     outs[0].scopes = pre_scopes;
     if let Some(limit) = limit {
         if outs[0].resolve(source, limit, opts.deadline)? {
@@ -819,12 +818,12 @@ fn drive(
                     },
                 };
                 // Cooperative cancellation: every worker checks the
-                // deadline at each work item; the first to notice stops
-                // the shared queue so the others drain out.
+                // deadline at each frame; the first to notice stops the
+                // shared queue so the others drain out.
                 let step = if expired(opts.deadline) {
                     Err(Error::DeadlineExceeded)
                 } else {
-                    out.stats.work_items += 1;
+                    out.stats.work_items += frame.scopes.len() as u64;
                     expand(source, ctxs, &frame, &mut local, &mut out).and_then(|()| match limit {
                         Some(limit) => out.resolve(source, limit, opts.deadline),
                         None => Ok(false),
@@ -934,13 +933,14 @@ fn plan_sequence(
                         source.dkey_scan_range(&lo, &hi, &mut |key, id| {
                             scanned += 1;
                             if scanned > PLAN_PROBE_CAP {
-                                return;
+                                return ControlFlow::Break(());
                             }
                             let (_, prefix_syms) = dkey::decode(key);
                             if pattern.matches(&prefix_syms) {
                                 cands += 1;
                                 nodes = nodes.saturating_add(est_nodes(source, id));
                             }
+                            ControlFlow::Continue(())
                         })?;
                         if scanned > PLAN_PROBE_CAP {
                             // Capped probe: treat the estimate as a floor
@@ -1027,16 +1027,41 @@ fn coalesce(mut scopes: Vec<(u128, u128)>) -> Vec<(u128, u128)> {
     merged
 }
 
-/// One partial match: element `qi` of sequence `seq` must next match a node
-/// labeled strictly inside `(lo, hi)`, under the wildcard bindings `binds`.
-/// `qi == len` marks a completed match whose final scope is `[lo, hi)`.
+/// The most scopes a frame carries. A sweep that finds more hits cuts them,
+/// in label order, into several frames.
+const FRAME_SCOPES: usize = 1024;
+
+/// Partial matches that differ in nothing but their scope: element `qi` of
+/// sequence `seq` must next match a node labeled strictly inside one of
+/// `scopes` (ascending), under the wildcard bindings `binds`. `qi == len`
+/// marks completed matches whose final scopes are `[lo, hi)`. A frame is
+/// made whole by the sweep that found its scopes and never split
+/// afterwards, so what expanding it costs does not depend on who does it.
 #[derive(Debug, Clone)]
 struct Frame {
     seq: u32,
     qi: u32,
-    lo: u128,
-    hi: u128,
+    scopes: Vec<(u128, u128)>,
     binds: Option<Arc<BindNode>>,
+}
+
+/// How many scopes the frame that starts with the hit labeled `first` gets
+/// when a sweep of `dkid` at element `qi` cuts its hits into frames:
+/// [`FRAME_SCOPES`], or under a schedule seed a power of two drawn from the
+/// seed and the sweep alone — never from scheduler state, so a seeded run
+/// cuts the same frames on any number of workers. The seed also decides the
+/// largest power drawn, `2^(seed % 11)`: a seed that is a multiple of 11
+/// runs with one scope a frame throughout, one partial match at a time, and
+/// the others mix sizes up to 1024.
+fn frame_scopes(seed: Option<u64>, qi: u32, dkid: u64, first: u128) -> usize {
+    let Some(seed) = seed else {
+        return FRAME_SCOPES;
+    };
+    let mut mixed = FxHasher::default();
+    for word in [seed, qi.into(), dkid, first as u64, (first >> 64) as u64] {
+        mixed.add(word);
+    }
+    1 << (pool::splitmix64(&mut mixed.0) % (1 + seed % 11))
 }
 
 /// Persistent (shared-tail) list of wildcard bindings: element `elem`
@@ -1237,6 +1262,8 @@ struct WorkerOut {
     plan: bool,
     /// Collect per-step actual counters into `steps`.
     track: bool,
+    /// [`SearchOptions::schedule_seed`], for [`frame_scopes`].
+    seed: Option<u64>,
     stats: QueryStats,
     /// Final matched scopes.
     scopes: Vec<(u128, u128)>,
@@ -1249,7 +1276,7 @@ struct WorkerOut {
     sigs: HashMap<Vec<u64>, u32, FxBuild>,
     /// Sub-problems already expanded: `(seq, qi, dkid, lo, hi, signature
     /// id)` — a repeat re-scans the same S-Ancestor window and re-derives
-    /// the same subtree, so it is skipped.
+    /// the same subtree, so it is left out of the sweep.
     descended: HashSet<(u32, u32, u64, u128, u128, u32), FxBuild>,
     /// Nodes already pushed as child frames: `(seq, next qi, dkid, n,
     /// signature id)` — catches *overlapping* scope windows that both
@@ -1261,10 +1288,12 @@ struct WorkerOut {
     steps: HashMap<(u32, u32), (u64, u64)>,
     expansion: Expansion,
     /// Scratch of `descend`: a binding signature, a child-probe path and
-    /// its key.
+    /// its key, the scopes of a frame that are not repeats, a sweep's hits.
     sig_buf: Vec<u64>,
     path_buf: Vec<Symbol>,
     key_buf: Vec<u8>,
+    fresh: Vec<(u128, u128)>,
+    hits: Vec<(u128, u128)>,
     /// Wall time this worker spent expanding frames (zero when timing is
     /// off); grafted onto the `match` span as a `workers` node.
     busy_nanos: u64,
@@ -1273,10 +1302,11 @@ struct WorkerOut {
 }
 
 impl WorkerOut {
-    fn new(plan: bool, track: bool) -> Self {
+    fn new(opts: &SearchOptions) -> Self {
         WorkerOut {
-            plan,
-            track,
+            plan: opts.plan,
+            track: opts.collect_plan,
+            seed: opts.schedule_seed,
             ..WorkerOut::default()
         }
     }
@@ -1345,8 +1375,10 @@ fn lookup_prefix(qe: &QueryElem, binds: &Option<Arc<BindNode>>, out: &mut Prefix
     out.0.extend_from_slice(&qe.steps_after_parent);
 }
 
-/// Expand one frame: resolve the D-Ancestor candidates for its element and
-/// push one child frame per S-Ancestor hit onto `push`. Completed matches
+/// Expand one frame: resolve the D-Ancestor candidates for its element —
+/// once, whatever the number of scopes, which share the bindings the lookup
+/// depends on — and sweep each candidate's S-Ancestor entries for all of
+/// them, pushing the hits onto `push` as child frames. Completed matches
 /// land in `out.scopes`.
 fn expand(
     source: &dyn SearchSource,
@@ -1358,16 +1390,16 @@ fn expand(
     let sc = &ctxs[frame.seq as usize];
     let qi = frame.qi as usize;
     if qi == sc.seq.elems.len() {
-        out.scopes.push((frame.lo, frame.hi));
+        out.scopes.extend_from_slice(&frame.scopes);
         return Ok(());
     }
     if out.track {
-        out.steps.entry((frame.seq, frame.qi)).or_insert((0, 0)).0 += 1;
+        out.steps.entry((frame.seq, frame.qi)).or_insert((0, 0)).0 += frame.scopes.len() as u64;
     }
     match &sc.concrete[qi] {
         // Concrete prefix, present in the data: one candidate, pre-resolved.
         Some(Some((prefix_syms, dkid))) => {
-            descend(source, sc, frame, prefix_syms, *dkid, push, out)?;
+            descend(source, sc, frame, (prefix_syms, *dkid), push, out)?;
         }
         // Concrete prefix, absent: dead branch.
         Some(None) => {}
@@ -1383,7 +1415,7 @@ fn expand(
                 out.stats.dancestor_gets += 1;
                 if let Some(id) = source.dkey_get(&x.lo)? {
                     dkey::decode_into(&x.lo, &mut x.syms);
-                    descend(source, sc, frame, &x.syms, id, push, out)?;
+                    descend(source, sc, frame, (&x.syms, id), push, out)?;
                 }
             } else {
                 out.stats.dancestor_scans += 1;
@@ -1405,6 +1437,7 @@ fn expand(
                             cands.push((cand_syms.len(), syms.len(), id));
                             cand_syms.extend_from_slice(syms);
                         }
+                        ControlFlow::Continue(())
                     })?;
                 }
                 if out.plan && x.cands.len() > 1 {
@@ -1414,7 +1447,14 @@ fn expand(
                     x.cands.sort_by_cached_key(|c| est_nodes(source, c.2));
                 }
                 for &(at, len, id) in &x.cands {
-                    descend(source, sc, frame, &x.cand_syms[at..at + len], id, push, out)?;
+                    descend(
+                        source,
+                        sc,
+                        frame,
+                        (&x.cand_syms[at..at + len], id),
+                        push,
+                        out,
+                    )?;
                 }
             }
             out.expansion = x;
@@ -1423,40 +1463,72 @@ fn expand(
     Ok(())
 }
 
-/// Range-query the S-Ancestor entries of one matched D-Ancestor key inside
-/// the frame's scope, binding and pushing a child frame per hit.
+/// A D-Ancestor key that matched a frame's element: its decoded prefix and
+/// its id.
+type Candidate<'a> = (&'a [Symbol], u64);
+
+/// One matched D-Ancestor key of a frame: leave out the scopes this worker
+/// already swept it for, then [`sweep`] the rest.
 fn descend(
     source: &dyn SearchSource,
     sc: &SeqCtx<'_>,
     frame: &Frame,
-    prefix_syms: &[Symbol],
-    dkid: u64,
+    cand: Candidate<'_>,
     push: &mut Vec<Frame>,
     out: &mut WorkerOut,
 ) -> Result<()> {
     out.stats.dkeys_matched += 1;
-    let qi = frame.qi;
-    let qe = &sc.seq.elems[qi as usize];
+    let (qi, dkid) = (frame.qi, cand.1);
     let sig = sc
         .dedup
         .then(|| out.sig_id(&sc.sig[qi as usize], &frame.binds));
-    if let Some(s) = sig {
+    let mut fresh = std::mem::take(&mut out.fresh);
+    let scopes = match sig {
         // Identical sub-problem (same dkey, same scope window, same
         // relevant bindings) already expanded: same subtree, skip.
-        if !out
-            .descended
-            .insert((frame.seq, qi, dkid, frame.lo, frame.hi, s))
-        {
-            out.stats.dedup_skips += 1;
-            return Ok(());
+        Some(sig) => {
+            fresh.clear();
+            for &(lo, hi) in &frame.scopes {
+                if out.descended.insert((frame.seq, qi, dkid, lo, hi, sig)) {
+                    fresh.push((lo, hi));
+                } else {
+                    out.stats.dedup_skips += 1;
+                }
+            }
+            fresh.as_slice()
         }
-    }
+        None => frame.scopes.as_slice(),
+    };
+    let swept = if scopes.is_empty() {
+        Ok(())
+    } else {
+        sweep(source, sc, frame, (scopes, sig), cand, push, out)
+    };
+    out.fresh = fresh;
+    swept
+}
+
+/// Merge-join `scopes` (those of `frame` still to do, ascending; `sig` is
+/// the frame's binding signature when its sequence dedups) against the
+/// S-Ancestor entries of one matched D-Ancestor key in one forward pass,
+/// then bind and push the hits as child frames, cut by [`frame_scopes`].
+fn sweep(
+    source: &dyn SearchSource,
+    sc: &SeqCtx<'_>,
+    frame: &Frame,
+    (scopes, sig): (&[(u128, u128)], Option<u32>),
+    (prefix_syms, dkid): Candidate<'_>,
+    push: &mut Vec<Frame>,
+    out: &mut WorkerOut,
+) -> Result<()> {
+    let (seq, qi) = (frame.seq, frame.qi);
+    let qe = &sc.seq.elems[qi as usize];
     if out.plan && !sc.probe_children[qi as usize].is_empty() {
         // Look-ahead prune: under this binding each wildcarded child
         // reachable by concrete steps has exactly one possible D-Ancestor
         // key; every element of the sequence must eventually match, so one
         // absent key proves the whole subtree dead before we pay for the
-        // S-Ancestor scan.
+        // S-Ancestor sweep.
         out.path_buf.clear();
         out.path_buf.extend_from_slice(prefix_syms);
         if let Sym::Tag(t) = qe.sym {
@@ -1477,15 +1549,56 @@ fn descend(
                 }
             };
             if !present {
-                out.stats.planner_probe_prunes += 1;
+                out.stats.planner_probe_prunes += scopes.len() as u64;
                 return Ok(());
             }
         }
     }
     out.stats.sancestor_scans += 1;
+    // Scopes of completed matches are the answer and all of them are kept.
+    // Anywhere earlier, a hit whose scope lies inside one this sweep already
+    // kept has the same bindings and a smaller window: everything found
+    // below it is found below its container, so it is dropped.
+    let collapse = qi as usize + 1 < sc.seq.elems.len();
+    let mut kept_end = 0u128;
+    let track = out.track;
+    let stats = &mut out.stats;
+    let visited = &mut out.visited;
+    let steps = &mut out.steps;
+    let hits = &mut out.hits;
+    hits.clear();
+    {
+        let _span = vist_obs::Span::enter("sancestor_scan");
+        source.nodes_in_scopes(dkid, scopes, &mut |node| {
+            stats.nodes_visited += 1;
+            if track {
+                steps.entry((seq, qi)).or_insert((0, 0)).1 += 1;
+            }
+            let end = node.end();
+            if collapse {
+                // Labels ascend, so a hit that ends no later than a kept one
+                // lies inside it.
+                if end <= kept_end {
+                    stats.scopes_nested += 1;
+                    return;
+                }
+                kept_end = end;
+            }
+            if let Some(s) = sig {
+                if !visited.insert((seq, qi + 1, dkid, node.n, s)) {
+                    stats.dedup_skips += 1;
+                    return;
+                }
+            }
+            hits.push((node.n, end));
+        })?;
+    }
+    if hits.is_empty() {
+        return Ok(());
+    }
     // Bind this element's instantiated path for descendant lookups — only
     // when some later wildcarded element will actually consult it.
-    let child_binds = if sc.bind[qi as usize] {
+    let binds = if sc.bind[qi as usize] {
         let mut path = prefix_syms.to_vec();
         if let Sym::Tag(t) = qe.sym {
             path.push(t);
@@ -1499,31 +1612,21 @@ fn descend(
     } else {
         frame.binds.clone()
     };
-    let track = out.track;
-    let stats = &mut out.stats;
-    let visited = &mut out.visited;
-    let steps = &mut out.steps;
-    let seq = frame.seq;
-    let _span = vist_obs::Span::enter("sancestor_scan");
-    source.nodes_in_scope(dkid, frame.lo, frame.hi, &mut |node| {
-        stats.nodes_visited += 1;
-        if track {
-            steps.entry((seq, qi)).or_insert((0, 0)).1 += 1;
-        }
-        if let Some(s) = sig {
-            if !visited.insert((seq, qi + 1, dkid, node.n, s)) {
-                stats.dedup_skips += 1;
-                return;
-            }
-        }
+    // The stack pops its top first: push the frames back to front, so that
+    // the lowest labels are expanded first.
+    let first = push.len();
+    let mut rest = hits.as_slice();
+    while let Some(&(n, _)) = rest.first() {
+        let (head, tail) = rest.split_at(frame_scopes(out.seed, qi, dkid, n).min(rest.len()));
         push.push(Frame {
             seq,
             qi: qi + 1,
-            lo: node.n,
-            hi: node.end(),
-            binds: child_binds.clone(),
+            scopes: head.to_vec(),
+            binds: binds.clone(),
         });
-    })?;
+        rest = tail;
+    }
+    push[first..].reverse();
     Ok(())
 }
 
@@ -1550,6 +1653,6 @@ mod tests {
         }
         assert!(sum.fields().contains(&("io_pages_read", 14)));
         assert!(sum.stats_lines().contains(&("match work items", 10)));
-        assert_eq!(sum.stats_lines().len(), 8);
+        assert_eq!(sum.stats_lines().len(), 9);
     }
 }

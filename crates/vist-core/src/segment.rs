@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use std::ops::{Bound, ControlFlow};
+use std::ops::ControlFlow;
 
 use vist_btree::codec::{
     put_ordered_uint, put_varint, take_ordered_uint, take_varint, ORDERED_UINT_MAX,
@@ -55,7 +55,7 @@ use vist_storage::{BufferPool, FilePager, Manifest, Vfs};
 use crate::error::{Error, Result};
 use crate::extsort::{ExtSorter, SortedStream};
 use crate::search::{DkStats, SearchSource, SourceTotals};
-use crate::store::{DocId, NodeState, Store, StoreBreakdown};
+use crate::store::{self, decoding, DocId, NodeState, Store, StoreBreakdown};
 
 /// Fixed-width prefix of the segment meta blob: doc, node and dkey counts
 /// plus the highest document id packed (the reopen-reconciliation
@@ -63,7 +63,7 @@ use crate::store::{DocId, NodeState, Store, StoreBreakdown};
 const META_LEN: usize = 32;
 
 /// An index key of up to two integer components, built on the stack: the
-/// match loop makes two per work item.
+/// sweep makes two per scope.
 struct Key {
     buf: [u8; 2 * ORDERED_UINT_MAX],
     len: usize,
@@ -137,11 +137,10 @@ impl Codec {
     #[inline]
     fn decode_sanc(self, k: &[u8], mut v: &[u8]) -> Option<NodeState> {
         match self {
-            Codec::V1 if k.len() == 24 && v.len() == 40 => {
-                let n = u128::from_be_bytes(k[8..].try_into().ok()?);
-                Some(Store::decode_node(n, v))
+            Codec::V1 => {
+                let k: &[u8; 24] = k.try_into().ok()?;
+                Store::decode_node(u128::from_be_bytes(k[8..].try_into().ok()?), v)
             }
-            Codec::V1 => None,
             Codec::V2 => {
                 let mut k = k.get(1 + usize::from(*k.first()?)..)?;
                 let n = take_ordered_uint(&mut k)?;
@@ -175,11 +174,7 @@ impl Codec {
 
     fn decode_docid(self, mut k: &[u8]) -> Option<(u128, DocId)> {
         match self {
-            Codec::V1 if k.len() == 24 => Some((
-                u128::from_be_bytes(k[..16].try_into().ok()?),
-                u64::from_be_bytes(k[16..].try_into().ok()?),
-            )),
-            Codec::V1 => None,
+            Codec::V1 => store::decode_docid(k),
             Codec::V2 => {
                 let n = take_ordered_uint(&mut k)?;
                 let doc = u64::try_from(take_ordered_uint(&mut k)?).ok()?;
@@ -216,8 +211,7 @@ impl Codec {
     /// D-Ancestor value: the dkey-id.
     fn decode_dkid(self, mut v: &[u8]) -> Option<u64> {
         match self {
-            Codec::V1 if v.len() == 8 => le_u64(v, 0),
-            Codec::V1 => None,
+            Codec::V1 => store::decode_dkid(v),
             Codec::V2 => take_u64(&mut v).filter(|_| v.is_empty()),
         }
     }
@@ -460,100 +454,78 @@ fn malformed(id: u64, tree: &str) -> Error {
 }
 
 impl Segment {
-    /// Hand every record of `tree` inside `range` to `f`, decoded; a record
-    /// `decode` rejects ends the scan with [`malformed`].
-    fn scan<T>(
-        &self,
-        (name, tree): (&str, &PackedTree),
-        range: (Bound<&[u8]>, Bound<&[u8]>),
-        decode: impl Fn(&[u8], &[u8]) -> Option<T>,
-        mut f: impl FnMut(T),
-    ) -> Result<()> {
-        let mut bad = false;
-        tree.for_each_in(range, |k, v| match decode(k, v) {
-            Some(record) => {
-                f(record);
-                ControlFlow::Continue(())
-            }
-            None => {
-                bad = true;
-                ControlFlow::Break(())
-            }
-        })?;
-        if bad {
-            return Err(malformed(self.id, name));
-        }
-        Ok(())
+    /// `Ok` unless a walk of `tree` met a record its decoder refused.
+    fn refuse(&self, tree: &str, bad: Option<Vec<u8>>) -> Result<()> {
+        bad.map_or(Ok(()), |_| Err(malformed(self.id, tree)))
     }
 
     /// DocId postings with labels in `[lo, hi)`.
-    fn postings(&self, lo: u128, hi: u128, f: impl FnMut((u128, DocId))) -> Result<()> {
+    fn postings(&self, lo: u128, hi: u128, mut f: impl FnMut(u128, DocId)) -> Result<()> {
         let (lo, hi) = (self.codec.docid_key(lo, 0), self.codec.docid_key(hi, 0));
-        self.scan(
-            ("docid", &self.docid),
-            (
-                Bound::Included(lo.as_slice()),
-                Bound::Excluded(hi.as_slice()),
-            ),
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
             |k, _| self.codec.decode_docid(k),
-            f,
-        )
+            |_, (n, doc)| {
+                f(n, doc);
+                ControlFlow::Continue(())
+            },
+        );
+        self.docid
+            .for_each_in(lo.as_slice()..hi.as_slice(), visit)?;
+        self.refuse("docid", bad)
     }
 }
 
 impl SearchSource for Segment {
     fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
-        match self
-            .dancestor
+        self.dancestor
             .get_with(dkey, |v| self.codec.decode_dkid(v))?
-        {
-            Some(None) => Err(malformed(self.id, "dancestor")),
-            Some(id) => Ok(id),
-            None => Ok(None),
-        }
+            .map(|id| id.ok_or_else(|| malformed(self.id, "dancestor")))
+            .transpose()
     }
 
-    fn dkey_scan_range(&self, lo: &[u8], hi: &[u8], f: &mut dyn FnMut(&[u8], u64)) -> Result<()> {
+    fn dkey_scan_range(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        f: &mut dyn FnMut(&[u8], u64) -> ControlFlow<()>,
+    ) -> Result<()> {
         // The key goes to `f` as it is; only the value is decoded.
-        let mut bad = false;
-        self.dancestor.for_each_in(lo..hi, |k, v| {
-            let Some(id) = self.codec.decode_dkid(v) else {
-                bad = true;
-                return ControlFlow::Break(());
-            };
-            f(k, id);
-            ControlFlow::Continue(())
-        })?;
-        if bad {
-            return Err(malformed(self.id, "dancestor"));
-        }
-        Ok(())
+        let mut bad = None;
+        let visit = decoding(&mut bad, |_, v| self.codec.decode_dkid(v), f);
+        self.dancestor.for_each_in(lo..hi, visit)?;
+        self.refuse("dancestor", bad)
     }
 
-    fn nodes_in_scope(
+    fn nodes_in_scopes(
         &self,
         dkey_id: u64,
-        lo: u128,
-        hi: u128,
+        scopes: &[(u128, u128)],
         f: &mut dyn FnMut(NodeState),
     ) -> Result<()> {
-        let (lo, hi) = (
-            self.codec.sanc_key(dkey_id, lo),
-            self.codec.sanc_key(dkey_id, hi),
-        );
-        self.scan(
-            ("sancestor", &self.sancestor),
-            (
-                Bound::Excluded(lo.as_slice()),
-                Bound::Excluded(hi.as_slice()),
-            ),
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
             |k, v| self.codec.decode_sanc(k, v),
-            f,
-        )
+            |_, node| {
+                f(node);
+                ControlFlow::Continue(())
+            },
+        );
+        self.sancestor.for_each_in_ranges(
+            scopes.len(),
+            |i, lo, hi| {
+                lo.extend_from_slice(self.codec.sanc_key(dkey_id, scopes[i].0).as_slice());
+                hi.extend_from_slice(self.codec.sanc_key(dkey_id, scopes[i].1).as_slice());
+            },
+            visit,
+        )?;
+        self.refuse("sancestor", bad)
     }
 
     fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()> {
-        self.postings(lo, hi, |(_, doc)| f(doc))
+        self.postings(lo, hi, |_, doc| f(doc))
     }
 
     fn docids_in_range_keyed(
@@ -562,7 +534,7 @@ impl SearchSource for Segment {
         hi: u128,
         f: &mut dyn FnMut(u128, DocId),
     ) -> Result<()> {
-        self.postings(lo, hi, |(n, doc)| f(n, doc))
+        self.postings(lo, hi, f)
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {

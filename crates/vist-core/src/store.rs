@@ -13,6 +13,7 @@
 //! counters so the index can be reopened.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ use vist_storage::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vist_storage::{BufferPool, PageId};
 
 use crate::error::{Error, Result};
-use crate::search::{DkStats, SourceTotals};
+use crate::search::{DkStats, SearchSource, SourceTotals};
 
 /// Identifier of an indexed document.
 pub type DocId = u64;
@@ -497,9 +498,10 @@ impl Store {
 
     /// Look up the id of a D-Ancestor key.
     pub fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
-        Ok(self.dancestor.get_with(dkey, |v| {
-            u64::from_le_bytes(v.try_into().expect("dkey id width"))
-        })?)
+        self.dancestor
+            .get_with(dkey, decode_dkid)?
+            .map(|id| id.ok_or_else(|| malformed("dancestor", dkey)))
+            .transpose()
     }
 
     /// Look up or allocate the id of a D-Ancestor key. Callers must be
@@ -521,31 +523,17 @@ impl Store {
     /// Scan D-Ancestor keys in `[lo, hi)`, returning `(dkey, id)` pairs.
     pub fn dkey_scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, u64)>> {
         let mut out = Vec::new();
-        self.dkey_scan_with(lo, hi, |k, id| out.push((k.to_vec(), id)))?;
-        Ok(out)
-    }
-
-    /// Streaming variant of [`Store::dkey_scan`]: `f(dkey, id)` is invoked
-    /// per entry in key order, with the key borrowed from the leaf page —
-    /// no intermediate `Vec`. A page latch is held across calls, so `f`
-    /// must not touch the buffer pool (see [`BTree::for_each_in`]).
-    pub fn dkey_scan_with(
-        &self,
-        lo: &[u8],
-        hi: &[u8],
-        mut f: impl FnMut(&[u8], u64),
-    ) -> Result<()> {
-        self.dancestor.for_each_in(lo..hi, |k, v| {
-            f(k, u64::from_le_bytes(v.try_into().expect("dkey id width")));
-            std::ops::ControlFlow::Continue(())
+        self.dkey_scan_range(lo, hi, &mut |k, id| {
+            out.push((k.to_vec(), id));
+            ControlFlow::Continue(())
         })?;
-        Ok(())
+        Ok(out)
     }
 
     // ----- S-Ancestor tree -----
 
     /// `dkey_id ‖ n`, big-endian. The three 24-byte index keys are built
-    /// on the stack: the match loop makes two per work item.
+    /// on the stack: a sweep makes two per scope.
     pub(crate) fn sanc_key(dkey_id: u64, n: u128) -> [u8; 24] {
         let mut k = [0u8; 24];
         k[..8].copy_from_slice(&dkey_id.to_be_bytes());
@@ -561,61 +549,31 @@ impl Store {
         v
     }
 
-    pub(crate) fn decode_node(n: u128, v: &[u8]) -> NodeState {
-        NodeState {
+    /// `None` for a value that is not the 40 bytes [`Store::encode_node`]
+    /// writes.
+    pub(crate) fn decode_node(n: u128, v: &[u8]) -> Option<NodeState> {
+        let v: &[u8; 40] = v.try_into().ok()?;
+        Some(NodeState {
             n,
-            size: u128::from_le_bytes(v[0..16].try_into().expect("node size")),
-            next: u128::from_le_bytes(v[16..32].try_into().expect("node next")),
-            k: u64::from_le_bytes(v[32..40].try_into().expect("node k")),
-        }
+            size: u128::from_le_bytes(v[0..16].try_into().ok()?),
+            next: u128::from_le_bytes(v[16..32].try_into().ok()?),
+            k: u64::from_le_bytes(v[32..40].try_into().ok()?),
+        })
     }
 
     /// Read a node's allocation state.
     pub fn node_get(&self, dkey_id: u64, n: u128) -> Result<Option<NodeState>> {
-        Ok(self
-            .sancestor
-            .get_with(&Self::sanc_key(dkey_id, n), |v| Self::decode_node(n, v))?)
+        let key = Self::sanc_key(dkey_id, n);
+        self.sancestor
+            .get_with(&key, |v| Self::decode_node(n, v))?
+            .map(|state| state.ok_or_else(|| malformed("sancestor", &key)))
+            .transpose()
     }
 
     /// Write a node's allocation state.
     pub fn node_put(&self, dkey_id: u64, state: &NodeState) -> Result<()> {
         self.sancestor
             .insert(&Self::sanc_key(dkey_id, state.n), &Self::encode_node(state))?;
-        Ok(())
-    }
-
-    /// All nodes of D-Ancestor entry `dkey_id` with label strictly inside
-    /// `(lo, hi)` — the paper's S-Ancestorship range query.
-    pub fn nodes_in_scope(&self, dkey_id: u64, lo: u128, hi: u128) -> Result<Vec<NodeState>> {
-        let mut out = Vec::new();
-        self.nodes_in_scope_with(dkey_id, lo, hi, |node| out.push(node))?;
-        Ok(out)
-    }
-
-    /// Streaming variant of [`Store::nodes_in_scope`]: `f` is invoked per
-    /// node in label order without materializing a `Vec`. A page latch is
-    /// held across calls, so `f` must not touch the buffer pool (see
-    /// [`BTree::for_each_in`]).
-    pub fn nodes_in_scope_with(
-        &self,
-        dkey_id: u64,
-        lo: u128,
-        hi: u128,
-        mut f: impl FnMut(NodeState),
-    ) -> Result<()> {
-        let lo_key = Self::sanc_key(dkey_id, lo);
-        let hi_key = Self::sanc_key(dkey_id, hi);
-        self.sancestor.for_each_in(
-            (
-                std::ops::Bound::Excluded(lo_key.as_slice()),
-                std::ops::Bound::Excluded(hi_key.as_slice()),
-            ),
-            |k, v| {
-                let n = u128::from_be_bytes(k[8..24].try_into().expect("sanc key n"));
-                f(Self::decode_node(n, v));
-                std::ops::ControlFlow::Continue(())
-            },
-        )?;
         Ok(())
     }
 
@@ -670,44 +628,8 @@ impl Store {
     /// paper's final DocId range query.
     pub fn docids_in_range(&self, lo: u128, hi: u128) -> Result<Vec<DocId>> {
         let mut out = Vec::new();
-        self.docids_in_range_with(lo, hi, |doc| out.push(doc))?;
+        SearchSource::docids_in_range(self, lo, hi, &mut |doc| out.push(doc))?;
         Ok(out)
-    }
-
-    /// Streaming variant of [`Store::docids_in_range`]: `f(doc)` is invoked
-    /// per attached document id in label order. A page latch is held across
-    /// calls, so `f` must not touch the buffer pool (see
-    /// [`BTree::for_each_in`]).
-    pub fn docids_in_range_with(&self, lo: u128, hi: u128, mut f: impl FnMut(DocId)) -> Result<()> {
-        let lo_key = Self::docid_key(lo, 0);
-        let hi_key = Self::docid_key(hi, 0);
-        self.docid
-            .for_each_in(lo_key.as_slice()..hi_key.as_slice(), |k, _| {
-                f(u64::from_be_bytes(k[16..24].try_into().expect("docid key")));
-                std::ops::ControlFlow::Continue(())
-            })?;
-        Ok(())
-    }
-
-    /// Like [`Store::docids_in_range_with`] but hands `f` each posting's
-    /// label as well — the planner's sweep strategy filters labels against
-    /// its merged scope list while scanning the covering range once.
-    pub fn docids_in_range_keyed_with(
-        &self,
-        lo: u128,
-        hi: u128,
-        mut f: impl FnMut(u128, DocId),
-    ) -> Result<()> {
-        let lo_key = Self::docid_key(lo, 0);
-        let hi_key = Self::docid_key(hi, 0);
-        self.docid
-            .for_each_in(lo_key.as_slice()..hi_key.as_slice(), |k, _| {
-                let n = u128::from_be_bytes(k[0..16].try_into().expect("docid key n"));
-                let doc = u64::from_be_bytes(k[16..24].try_into().expect("docid key doc"));
-                f(n, doc);
-                std::ops::ControlFlow::Continue(())
-            })?;
-        Ok(())
     }
 
     // ----- stored documents (aux, chunked) -----
@@ -957,6 +879,142 @@ impl Store {
     }
 }
 
+/// The id a D-Ancestor record holds: the eight bytes
+/// [`Store::dkey_get_or_create`] writes, nothing else.
+pub(crate) fn decode_dkid(v: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(v.try_into().ok()?))
+}
+
+/// `(n, doc-id)` of a 24-byte [`Store::docid_key`].
+pub(crate) fn decode_docid(k: &[u8]) -> Option<(u128, DocId)> {
+    let k: &[u8; 24] = k.try_into().ok()?;
+    Some((
+        u128::from_be_bytes(k[..16].try_into().ok()?),
+        u64::from_be_bytes(k[16..].try_into().ok()?),
+    ))
+}
+
+/// The error for a record of the delta's `tree` that no writer of it
+/// produces: the page passed its checksum, so the bytes are wrong, not torn.
+fn malformed(tree: &str, key: &[u8]) -> Error {
+    Error::Corrupt(format!(
+        "delta: {tree} tree: malformed record at key {key:02x?}"
+    ))
+}
+
+/// `Ok` unless a walk of the delta's `tree` left the key of a record its
+/// decoder refused in `bad`.
+fn refuse(tree: &str, bad: Option<Vec<u8>>) -> Result<()> {
+    bad.map_or(Ok(()), |key| Err(malformed(tree, &key)))
+}
+
+/// A cursor visitor that decodes each record and hands `f` its key and what
+/// `decode` made of it. A record `decode` refuses ends the walk with its key
+/// left in `bad`, for the caller to name in its error.
+pub(crate) fn decoding<'a, T>(
+    bad: &'a mut Option<Vec<u8>>,
+    decode: impl Fn(&[u8], &[u8]) -> Option<T> + 'a,
+    mut f: impl FnMut(&[u8], T) -> ControlFlow<()> + 'a,
+) -> impl FnMut(&[u8], &[u8]) -> ControlFlow<()> + 'a {
+    move |k, v| match decode(k, v) {
+        Some(record) => f(k, record),
+        None => {
+            *bad = Some(k.to_vec());
+            ControlFlow::Break(())
+        }
+    }
+}
+
+impl Store {
+    /// DocId postings with labels in `[lo, hi)`, as `(label, doc-id)`.
+    fn postings(&self, lo: u128, hi: u128, mut f: impl FnMut(u128, DocId)) -> Result<()> {
+        let (lo, hi) = (Self::docid_key(lo, 0), Self::docid_key(hi, 0));
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
+            |k, _| decode_docid(k),
+            |_, (n, doc)| {
+                f(n, doc);
+                ControlFlow::Continue(())
+            },
+        );
+        self.docid
+            .for_each_in(lo.as_slice()..hi.as_slice(), visit)?;
+        refuse("docid", bad)
+    }
+}
+
+/// Algorithm 2's probes of the delta. The callbacks run under a leaf latch
+/// and must not touch the buffer pool (see
+/// [`vist_btree::BTree::for_each_in`]).
+impl SearchSource for Store {
+    fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
+        Store::dkey_get(self, dkey)
+    }
+
+    fn dkey_scan_range(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        f: &mut dyn FnMut(&[u8], u64) -> ControlFlow<()>,
+    ) -> Result<()> {
+        let mut bad = None;
+        let visit = decoding(&mut bad, |_, v| decode_dkid(v), f);
+        self.dancestor.for_each_in(lo..hi, visit)?;
+        refuse("dancestor", bad)
+    }
+
+    fn nodes_in_scopes(
+        &self,
+        dkey_id: u64,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(NodeState),
+    ) -> Result<()> {
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
+            |k, v| {
+                let k: &[u8; 24] = k.try_into().ok()?;
+                Self::decode_node(u128::from_be_bytes(k[8..].try_into().ok()?), v)
+            },
+            |_, node| {
+                f(node);
+                ControlFlow::Continue(())
+            },
+        );
+        self.sancestor.for_each_in_ranges(
+            scopes.len(),
+            |i, lo, hi| {
+                lo.extend_from_slice(&Self::sanc_key(dkey_id, scopes[i].0));
+                hi.extend_from_slice(&Self::sanc_key(dkey_id, scopes[i].1));
+            },
+            visit,
+        )?;
+        refuse("sancestor", bad)
+    }
+
+    fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()> {
+        self.postings(lo, hi, |_, doc| f(doc))
+    }
+
+    fn docids_in_range_keyed(
+        &self,
+        lo: u128,
+        hi: u128,
+        f: &mut dyn FnMut(u128, DocId),
+    ) -> Result<()> {
+        self.postings(lo, hi, f)
+    }
+
+    fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
+        Store::dkid_stats(self, dkid)
+    }
+
+    fn totals(&self) -> Option<SourceTotals> {
+        Some(self.stats_totals())
+    }
+}
+
 /// Space statistics of every tree in the store (Figure 11a's breakdown).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreBreakdown {
@@ -987,6 +1045,13 @@ impl StoreBreakdown {
 mod tests {
     use super::*;
     use vist_storage::{FilePager, MemPager};
+
+    fn nodes_in(s: &Store, dkid: u64, lo: u128, hi: u128) -> Vec<NodeState> {
+        let mut out = Vec::new();
+        s.nodes_in_scopes(dkid, &[(lo, hi)], &mut |node| out.push(node))
+            .unwrap();
+        out
+    }
 
     fn mem_store() -> Store {
         let pool = Arc::new(BufferPool::with_capacity(MemPager::new(4096), 128));
@@ -1030,12 +1095,12 @@ mod tests {
         );
         assert_eq!(s.node_get(id, 21).unwrap(), None);
         // (10, 30) exclusive: only n=20.
-        let hits = s.nodes_in_scope(id, 10, 30).unwrap();
+        let hits = nodes_in(&s, id, 10, 30);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].n, 20);
         // Other dkey ids are invisible.
         let other = s.dkey_get_or_create(b"other").unwrap();
-        assert!(s.nodes_in_scope(other, 0, 1000).unwrap().is_empty());
+        assert!(nodes_in(&s, other, 0, 1000).is_empty());
     }
 
     #[test]
@@ -1207,10 +1272,7 @@ mod tests {
             a.docids_in_range(0, 100).unwrap(),
             b.docids_in_range(0, 100).unwrap()
         );
-        assert_eq!(
-            a.nodes_in_scope(0, 0, 100).unwrap(),
-            b.nodes_in_scope(0, 0, 100).unwrap()
-        );
+        assert_eq!(nodes_in(&a, 0, 0, 100), nodes_in(&b, 0, 0, 100));
         assert_eq!(b.meta().node_count, 3);
     }
 

@@ -112,7 +112,7 @@ pub struct QueryOptions {
     /// order. With `verify` the limit applies to verified answers.
     pub limit: Option<usize>,
     /// Cooperative deadline: once this instant passes, the query stops at
-    /// the next match work-item (or per-document verification) boundary
+    /// the next match frame (or per-document verification) boundary
     /// and returns [`Error::DeadlineExceeded`]. Cancellation never
     /// poisons locks or mutates the index — the next query on the same
     /// index is undisturbed. `None` (the default) runs to completion.
@@ -1591,18 +1591,24 @@ impl VistIndex {
         .unwrap();
         writeln!(
             out,
-            "         {} S-Ancestor scans, {} nodes visited, {} DocId scans",
+            "         {} S-Ancestor sweeps, {} nodes visited, {} DocId scans",
             st.sancestor_scans, st.nodes_visited, st.docid_scans
         )
         .unwrap();
         writeln!(
             out,
-            "engine:  {} worker(s), {} work items, {} steals, {} scopes merged, {} dedup skips",
+            "engine:  {} worker(s), {} work items in {} sweep(s) ({:.1} scopes a sweep), {} steals,",
             opts.workers.max(1),
             st.work_items,
-            st.steals,
-            st.scopes_merged,
-            st.dedup_skips
+            st.sancestor_scans,
+            st.work_items as f64 / st.sancestor_scans.max(1) as f64,
+            st.steals
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "         {} scopes merged, {} scopes nested, {} dedup skips",
+            st.scopes_merged, st.scopes_nested, st.dedup_skips
         )
         .unwrap();
         writeln!(

@@ -1,0 +1,395 @@
+//! Set-at-a-time matching: a frame carries a sorted list of scopes and one
+//! sweep resolves all of them. How the hits of a sweep are cut into frames
+//! — 1,024 to a frame, or under `schedule_seed` a seeded power of two down
+//! to one scope a frame, which is one partial match at a time — must never
+//! show in an answer:
+//!
+//! 1. **Frame sizes** — seeds 0..32 (every multiple of 11 runs with one
+//!    scope a frame) × 1 and 4 workers over wildcard-heavy, branch-heavy and
+//!    nested same-name corpora, each in a segment and a delta with
+//!    tombstones: document ids equal the Naive oracle, final scope sets
+//!    equal the unseeded run's.
+//! 2. **Containment collapse** — on a corpus whose same-name siblings nest
+//!    in the trie, frontier scopes that lie inside a kept one are dropped
+//!    (`scopes_nested > 0`) on a position that is not the last, and answers,
+//!    DocId range queries and final scopes equal those of the runs with one
+//!    scope a frame.
+//! 3. **`limit`** — over frontiers larger than one frame, two tiers and
+//!    tombstones: a subset of the full answer of the right size.
+//! 4. **The plan probe stops at its cap** — a `//` pattern over more
+//!    D-Ancestor keys than the cap is handed `cap + 1` of them, and a capped
+//!    probe still never prunes.
+
+use std::collections::BTreeSet;
+use std::ops::ControlFlow;
+use std::sync::Mutex;
+
+use vist_core::{
+    search_sequences, DkStats, DocId, IndexOptions, NaiveIndex, NodeState, QueryOptions, Result,
+    SearchOptions, SearchSource, SourceTotals, VistIndex,
+};
+use vist_storage::testutil::TempDir;
+
+/// `docs` in a segment (the first `in_segment`) and a delta (the rest),
+/// every seventh document removed again, beside the oracle's answer to ask.
+struct Corpus {
+    _dir: TempDir,
+    idx: VistIndex,
+    naive: NaiveIndex,
+    removed: BTreeSet<DocId>,
+}
+
+fn corpus(name: &str, docs: &[String], in_segment: usize) -> Corpus {
+    let dir = TempDir::new(name);
+    let idx = VistIndex::create_file(dir.file("idx.vist"), IndexOptions::default()).unwrap();
+    let mut naive = NaiveIndex::default();
+    idx.bulk_build(&docs[..in_segment]).unwrap();
+    for xml in &docs[in_segment..] {
+        idx.insert_xml(xml).unwrap();
+    }
+    for xml in docs {
+        naive.insert_document(&vist_xml::parse(xml).unwrap());
+    }
+    let removed: BTreeSet<DocId> = (0..docs.len() as u64).filter(|id| id % 7 == 3).collect();
+    for &id in &removed {
+        idx.remove_document(id).unwrap();
+    }
+    assert_eq!(idx.stats().segments, 1, "a segment and a delta");
+    Corpus {
+        _dir: dir,
+        idx,
+        naive,
+        removed,
+    }
+}
+
+impl Corpus {
+    fn oracle(&mut self, q: &str) -> Vec<DocId> {
+        let mut ids = self.naive.query(q, &QueryOptions::default()).unwrap();
+        ids.retain(|id| !self.removed.contains(id));
+        ids
+    }
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// Structurally diverse documents over five names: wildcard queries fan out
+/// over many D-Ancestor keys and converge again.
+fn random_xml(rng: &mut Rng, depth: usize, out: &mut String) {
+    let name = ["a", "b", "c", "d", "e"][rng.below(5)];
+    out.push_str(&format!("<{name}>"));
+    if depth == 0 || rng.below(3) == 0 {
+        out.push_str(&rng.below(4).to_string());
+    } else {
+        for _ in 0..1 + rng.below(3) {
+            random_xml(rng, depth - 1, out);
+        }
+    }
+    out.push_str(&format!("</{name}>"));
+}
+
+fn wildcard_heavy() -> (Vec<String>, Vec<&'static str>) {
+    let mut rng = Rng(0xF20_4713);
+    let docs = (0..240)
+        .map(|_| {
+            let mut xml = String::new();
+            random_xml(&mut rng, 4, &mut xml);
+            xml
+        })
+        .collect();
+    let queries = vec![
+        "//a//c",
+        "//*/b",
+        "/a/*/c",
+        "//a[b='1']",
+        "//*//*[text='2']",
+        "/*/*",
+    ];
+    (docs, queries)
+}
+
+fn branch_heavy() -> (Vec<String>, Vec<&'static str>) {
+    let docs = (0..400)
+        .map(|i| {
+            format!(
+                "<r><a>{}</a><b><c>{}</c><d>{}</d></b><e><f>{}</f></e></r>",
+                i % 13,
+                i % 7,
+                i % 3,
+                i % 5
+            )
+        })
+        .collect();
+    let queries = vec![
+        "/r[a='1']/b/c[text='2']",
+        "/r[a='3']/b[d='1']/c",
+        "/r[e/f='4']/b[c='5'][d='2']",
+        "/r/b[c='6']",
+        "/r[a='12'][e/f='0']",
+    ];
+    (docs, queries)
+}
+
+/// Same-name elements below one another and beside one another: nested
+/// scopes under one D-Ancestor key, in the document and in the trie.
+fn nested_same_name() -> (Vec<String>, Vec<&'static str>) {
+    let mut docs = Vec::new();
+    for i in 0..60 {
+        docs.push(format!("<a><a><a><b>{}</b></a></a></a>", i % 4));
+        docs.push(format!("<a><b>{}</b><a><b>{}</b></a></a>", i % 3, i % 5));
+        docs.push(format!("<a><a><c>{i}</c></a><a><b>1</b></a></a>"));
+    }
+    let queries = vec!["//a//a/b", "//a", "//a/b[text='1']", "/a/a/a", "//a//b"];
+    (docs, queries)
+}
+
+#[test]
+fn seeded_frame_sizes_change_neither_answers_nor_scopes() {
+    for (name, (docs, queries)) in [
+        ("frontier-wildcard", wildcard_heavy()),
+        ("frontier-branch", branch_heavy()),
+        ("frontier-nested", nested_same_name()),
+    ] {
+        let in_segment = docs.len() * 2 / 3;
+        let mut c = corpus(name, &docs, in_segment);
+        for q in queries {
+            let pattern = vist_query::parse_query(q).unwrap().to_pattern();
+            let oracle = c.oracle(q);
+            let plain = c.idx.query(q, &QueryOptions::default()).unwrap();
+            assert_eq!(plain.doc_ids, oracle, "{name}: unseeded vs oracle: {q}");
+            let (plain_scopes, _) = c
+                .idx
+                .match_scopes(&pattern, &QueryOptions::default())
+                .unwrap();
+            for seed in 0..32u64 {
+                for workers in [1, 4] {
+                    let opts = QueryOptions {
+                        workers,
+                        schedule_seed: Some(seed),
+                        ..Default::default()
+                    };
+                    let r = c.idx.query(q, &opts).unwrap();
+                    assert_eq!(r.doc_ids, oracle, "{name}: seed {seed} × {workers}: {q}");
+                    let (scopes, _) = c.idx.match_scopes(&pattern, &opts).unwrap();
+                    assert_eq!(scopes, plain_scopes, "{name}: seed {seed} × {workers}: {q}");
+                }
+            }
+        }
+    }
+}
+
+/// DBLP-like records with several `author` siblings: in the trie each
+/// `author` of a record hangs below the one before it, so their scopes nest.
+/// The record's own `aid` sorts first, which keeps the records apart in the
+/// trie: 600 chains of authors rather than one.
+fn nested_authors() -> Vec<String> {
+    (0..600)
+        .map(|i| {
+            let authors: String = (0..1 + i % 4)
+                .map(|j| format!("<author>name{}</author>", (i * 7 + j * 3) % 11))
+                .collect();
+            format!(
+                "<article><aid>{i}</aid>{authors}<title>t{}</title><year>{}</year></article>",
+                i % 50,
+                1990 + i % 9
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn nested_frontier_scopes_collapse_without_changing_the_answer() {
+    let docs = nested_authors();
+    let mut c = corpus("frontier-authors", &docs, 450);
+    for q in [
+        "/article/author[text='name3']",
+        "/article/author",
+        "/article[author='name5']/year[text='1993']",
+        "//author[text='name0']",
+    ] {
+        let pattern = vist_query::parse_query(q).unwrap().to_pattern();
+        let oracle = c.oracle(q);
+        let plain = c.idx.query(q, &QueryOptions::default()).unwrap();
+        assert_eq!(plain.doc_ids, oracle, "{q}");
+        let (plain_scopes, plain_stats) = c
+            .idx
+            .match_scopes(&pattern, &QueryOptions::default())
+            .unwrap();
+        // `author` is the last position of the second query only: there its
+        // scopes are the answer and every one of them is kept.
+        assert_eq!(
+            plain_stats.scopes_nested > 0,
+            q != "/article/author",
+            "{q}: {plain_stats:?}"
+        );
+        // One scope a frame: every partial match expanded on its own.
+        for seed in [0, 11, 22] {
+            let opts = QueryOptions {
+                schedule_seed: Some(seed),
+                ..Default::default()
+            };
+            let single = c.idx.query(q, &opts).unwrap();
+            assert_eq!(single.doc_ids, plain.doc_ids, "{q}, seed {seed}");
+            assert_eq!(
+                single.stats.docid_scans, plain.stats.docid_scans,
+                "{q}, seed {seed}"
+            );
+            // A sweep a record where the unseeded run has one a tier.
+            assert!(
+                single.stats.sancestor_scans > plain.stats.sancestor_scans + 400
+                    || !q.starts_with("/article/author["),
+                "{q}, seed {seed}: {} sweeps, {} unseeded",
+                single.stats.sancestor_scans,
+                plain.stats.sancestor_scans
+            );
+            let (scopes, _) = c.idx.match_scopes(&pattern, &opts).unwrap();
+            assert_eq!(scopes, plain_scopes, "{q}, seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn a_limit_over_frontiers_larger_than_a_frame_is_a_subset_of_the_right_size() {
+    // Every record has its own `a` text and siblings sort by name, so each
+    // `z` is a trie node of its own below it: 5,000 hits at the position of
+    // `z`, five frames' worth.
+    let docs: Vec<String> = (0..5_000)
+        .map(|i| format!("<r><a>{i}</a><z>{}</z></r>", i % 2))
+        .collect();
+    let mut c = corpus("frontier-limit", &docs, 3_400);
+    for q in ["/r/z[text='1']", "/r/z", "/r[a]/z[text='0']"] {
+        let full: BTreeSet<DocId> = c.oracle(q).into_iter().collect();
+        assert!(full.len() > 2_000, "{q}: {}", full.len());
+        let unlimited = c.idx.query(q, &QueryOptions::default()).unwrap();
+        assert_eq!(
+            unlimited.doc_ids,
+            full.iter().copied().collect::<Vec<_>>(),
+            "{q}"
+        );
+        assert!(unlimited.stats.work_items > 2 * 1024, "{q}: several frames");
+        for limit in [0, 1, 10, 1_500, full.len() - 1, full.len() + 5] {
+            for schedule_seed in [None, Some(0), Some(5), Some(limit as u64)] {
+                let r = c
+                    .idx
+                    .query(
+                        q,
+                        &QueryOptions {
+                            limit: Some(limit),
+                            schedule_seed,
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap();
+                let run = format!("{q}: limit {limit}, seed {schedule_seed:?}");
+                assert_eq!(r.doc_ids.len(), limit.min(full.len()), "{run}");
+                assert!(r.doc_ids.iter().all(|id| full.contains(id)), "{run}");
+                assert!(r.doc_ids.windows(2).all(|w| w[0] < w[1]), "{run}");
+            }
+        }
+    }
+}
+
+/// A source that notes how many keys each D-Ancestor range scan handed on.
+struct CountingScans<'a> {
+    inner: &'a dyn SearchSource,
+    handed: Mutex<Vec<u64>>,
+}
+
+impl SearchSource for CountingScans<'_> {
+    fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
+        self.inner.dkey_get(dkey)
+    }
+
+    fn dkey_scan_range(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        f: &mut dyn FnMut(&[u8], u64) -> ControlFlow<()>,
+    ) -> Result<()> {
+        let mut handed = 0;
+        let scanned = self.inner.dkey_scan_range(lo, hi, &mut |k, id| {
+            handed += 1;
+            f(k, id)
+        });
+        self.handed.lock().unwrap().push(handed);
+        scanned
+    }
+
+    fn nodes_in_scopes(
+        &self,
+        dkey_id: u64,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(NodeState),
+    ) -> Result<()> {
+        self.inner.nodes_in_scopes(dkey_id, scopes, f)
+    }
+
+    fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()> {
+        self.inner.docids_in_range(lo, hi, f)
+    }
+
+    fn docids_in_range_keyed(
+        &self,
+        lo: u128,
+        hi: u128,
+        f: &mut dyn FnMut(u128, DocId),
+    ) -> Result<()> {
+        self.inner.docids_in_range_keyed(lo, hi, f)
+    }
+
+    fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
+        self.inner.dkid_stats(dkid)
+    }
+
+    fn totals(&self) -> Option<SourceTotals> {
+        self.inner.totals()
+    }
+}
+
+#[test]
+fn a_capped_plan_probe_stops_scanning_and_still_never_prunes() {
+    // `x` under 4,200 different parents, then once under `r/q`, whose
+    // names are interned last: the one key the pattern `//q/x` matches
+    // sorts after more keys of `x` than a plan probe looks at.
+    const CAP: u64 = 4096;
+    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+    for i in 0..4_200 {
+        idx.insert_xml(&format!("<p{i}><x>1</x></p{i}>")).unwrap();
+    }
+    let last = idx.insert_xml("<r><q><x>1</x></q></r>").unwrap();
+    let pattern = vist_query::parse_query("//q/x").unwrap().to_pattern();
+    let translation = vist_query::try_translate(
+        &pattern,
+        &idx.table(),
+        &vist_query::TranslateOptions::default(),
+    )
+    .unwrap();
+    let source = CountingScans {
+        inner: idx.store(),
+        handed: Mutex::new(Vec::new()),
+    };
+    let opts = SearchOptions {
+        collect_plan: true,
+        ..Default::default()
+    };
+    let out = search_sequences(&source, &translation.sequences, &opts).unwrap();
+    assert_eq!(out.docs.into_iter().collect::<Vec<_>>(), vec![last]);
+    let plan = out.plan.unwrap();
+    assert!(plan.seqs.iter().all(|s| s.pruned.is_none()), "{plan:?}");
+    let handed = source.handed.into_inner().unwrap();
+    // Plan time: the probe of `q` (one key), then that of `x`, which gives
+    // up one key past the cap instead of walking all 4,201. (The match loop
+    // scans for `q` once more; `x` below a bound `q` is an exact lookup.)
+    assert_eq!(handed, [1, CAP + 1, 1]);
+    assert_eq!(out.stats.planner_seqs_pruned, 0);
+}

@@ -15,6 +15,13 @@
 //! 3. **Total descent** — a page whose kind byte is neither leaf nor
 //!    internal yields `Error::Corrupt` naming the page from all three entry
 //!    points, never a panic.
+//! 4. **Many ranges, one pass** — `for_each_in_ranges` over a sorted list of
+//!    ranges visits what one `for_each_in` per range visits (as a union, in
+//!    key order), asks for each range's bounds once and in order, and never
+//!    fetches more pages than those per-range walks: nothing extra for a
+//!    range that starts on the leaf under the cursor, one page per leaf a
+//!    range runs on to, a fresh descent only for a range that starts beyond
+//!    the leaf's last key.
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, ControlFlow};
@@ -84,6 +91,90 @@ fn streamed(tree: &BTree, range: (Bound<&[u8]>, Bound<&[u8]>)) -> Vec<(Vec<u8>, 
     })
     .unwrap();
     out
+}
+
+type Ranges = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// The multi-range walk over `ranges`, each `(Excluded, Excluded)`.
+fn swept(tree: &BTree, ranges: &Ranges) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut asked = Vec::new();
+    tree.for_each_in_ranges(
+        ranges.len(),
+        |i, lo, hi| {
+            assert!(lo.is_empty() && hi.is_empty(), "buffers arrive empty");
+            asked.push(i);
+            lo.extend_from_slice(&ranges[i].0);
+            hi.extend_from_slice(&ranges[i].1);
+        },
+        |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            ControlFlow::Continue(())
+        },
+    )
+    .unwrap();
+    assert!(
+        asked.windows(2).all(|w| w[0] + 1 == w[1]) && asked.first().is_none_or(|&i| i == 0),
+        "bounds asked for out of order: {asked:?}"
+    );
+    out
+}
+
+/// What one `for_each_in` per range visits, as a union in key order.
+fn one_by_one(tree: &BTree, ranges: &Ranges) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut all = Model::new();
+    for (lo, hi) in ranges {
+        all.extend(streamed(
+            tree,
+            (Bound::Excluded(&lo[..]), Bound::Excluded(&hi[..])),
+        ));
+    }
+    all.into_iter().collect()
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A list of ranges over `points` (ascending), sorted by start: each starts
+/// where the one before ended (adjacent), a little later, or — one in six —
+/// before that end (an overlapping pair), and is empty, short (many to a
+/// leaf) or long (several leaves).
+fn range_list(points: &[Vec<u8>], count: usize, state: &mut u64) -> Ranges {
+    let mut below = |n: usize| (splitmix64(state) % n as u64) as usize;
+    let mut ranges = Ranges::new();
+    let (mut lo, mut prev_end) = (below(4), 0usize);
+    for _ in 0..count {
+        lo = match below(6) {
+            0 => lo.max(prev_end.saturating_sub(1 + below(3))),
+            1 | 2 => lo.max(prev_end),
+            _ => lo.max(prev_end) + below(5),
+        };
+        if lo >= points.len() {
+            break;
+        }
+        let len = match below(8) {
+            0 => 0,
+            1 => 12 + below(30),
+            _ => 1 + below(4),
+        };
+        let hi = (lo + len).min(points.len() - 1);
+        ranges.push((points[lo].clone(), points[hi].clone()));
+        prev_end = prev_end.max(hi);
+    }
+    ranges
+}
+
+/// Pages the tree's pool was asked for while `op` ran.
+fn fetches(tree: &BTree, op: impl FnOnce()) -> u64 {
+    let before = tree.pool().pool_stats().totals();
+    op();
+    let after = tree.pool().pool_stats().totals();
+    (after.hits + after.misses) - (before.hits + before.misses)
 }
 
 /// Compare the three read paths with the model over the full bound grid.
@@ -178,6 +269,153 @@ fn break_stops_the_walk_and_empty_ranges_visit_nothing() {
         (Bound::Excluded(&key(8)[..]), Bound::Excluded(&key(8)[..]))
     )
     .is_empty());
+}
+
+#[test]
+fn a_walk_over_many_ranges_visits_what_one_walk_per_range_visits() {
+    let n = 120;
+    let (tree, mut model) = build(n);
+    assert!(tree.tree_stats().unwrap().height >= 3);
+    let mut points: Vec<Vec<u8>> = (0..2 * n).map(key).collect();
+    points.insert(0, b"a".to_vec());
+    points.extend([b"z".to_vec(), b"zz".to_vec(), b"zzz".to_vec()]);
+    let mut state = 0x5EED;
+    let mut check = |tree: &BTree, model: &Model, what: &str| {
+        let mut nonempty = 0;
+        for round in 0..300 {
+            let ranges = range_list(&points, 1 + round % 40, &mut state);
+            let got = swept(tree, &ranges);
+            let expect: Vec<_> = model
+                .iter()
+                .filter(|(k, _)| ranges.iter().any(|(lo, hi)| *k > lo && *k < hi))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_eq!(got, expect, "{what}: {ranges:?}");
+            assert_eq!(one_by_one(tree, &ranges), expect, "{what}: {ranges:?}");
+            nonempty += usize::from(!got.is_empty());
+            let many = fetches(tree, || drop(swept(tree, &ranges)));
+            let single = fetches(tree, || drop(one_by_one(tree, &ranges)));
+            assert!(many <= single, "{what}: {many} > {single} for {ranges:?}");
+        }
+        assert!(nonempty > 200 || model.is_empty(), "{what}: {nonempty}");
+        // No ranges, ranges beyond every key, one range over everything.
+        assert!(swept(tree, &Ranges::new()).is_empty());
+        let beyond = vec![
+            (b"z".to_vec(), b"zz".to_vec()),
+            (b"zz".to_vec(), b"zzz".to_vec()),
+        ];
+        assert!(swept(tree, &beyond).is_empty());
+        let all = vec![(b"a".to_vec(), b"z".to_vec())];
+        assert_eq!(swept(tree, &all).len(), model.len(), "{what}");
+    };
+    check(&tree, &model, "fresh");
+    // Whole leaves unlinked, others thinned.
+    for i in (30..64).chain((0..n).step_by(3)) {
+        assert_eq!(tree.delete(&key(2 * i)).unwrap(), model.remove(&key(2 * i)));
+    }
+    check(&tree, &model, "after deletes");
+    for k in std::mem::take(&mut model).keys() {
+        assert!(tree.delete(k).unwrap().is_some());
+    }
+    check(&tree, &model, "emptied");
+}
+
+#[test]
+fn a_walk_over_many_ranges_breaks_when_told_to() {
+    let (tree, model) = build(40);
+    let ranges: Ranges = (0..10).map(|i| (key(8 * i), key(8 * i + 5))).collect();
+    let mut seen = Vec::new();
+    tree.for_each_in_ranges(
+        ranges.len(),
+        |i, lo, hi| {
+            lo.extend_from_slice(&ranges[i].0);
+            hi.extend_from_slice(&ranges[i].1);
+        },
+        |k, _| {
+            seen.push(k.to_vec());
+            if seen.len() == 7 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        },
+    )
+    .unwrap();
+    let expect: Vec<_> = model
+        .keys()
+        .filter(|k| ranges.iter().any(|(lo, hi)| *k > lo && *k < hi))
+        .take(7)
+        .cloned()
+        .collect();
+    assert_eq!(seen, expect);
+}
+
+#[test]
+fn a_range_on_the_leaf_under_the_cursor_is_free_and_a_re_entry_costs_a_descent() {
+    let n = 120;
+    let (tree, model) = build(n);
+    let height = u64::from(tree.tree_stats().unwrap().height);
+    assert!(height >= 3);
+    let count = |ranges: &Ranges| fetches(&tree, || drop(swept(&tree, ranges)));
+    // Leaf by leaf: two neighbouring keys are on one leaf exactly when the
+    // walk from one up to the other fetches nothing beyond the descent.
+    let keys: Vec<&Vec<u8>> = model.keys().collect();
+    let mut leaves: Vec<Vec<Vec<u8>>> = vec![vec![keys[0].clone()]];
+    for pair in keys.windows(2) {
+        let range = (Bound::Included(&pair[0][..]), Bound::Excluded(&pair[1][..]));
+        match fetches(&tree, || drop(streamed(&tree, range))) - height {
+            0 => leaves.last_mut().unwrap().push(pair[1].clone()),
+            1 => leaves.push(vec![pair[1].clone()]),
+            more => panic!("{more} leaves between two neighbours"),
+        }
+    }
+    assert_eq!(
+        leaves.len() as u64,
+        tree.tree_stats().unwrap().leaf_pages,
+        "leaf boundaries found"
+    );
+    // Bounds are stored keys of the leaf itself, so that no seek lands on
+    // the leaf before (a key in the gap between two leaves may route there)
+    // and no range runs off the leaf's end (which costs a look at the next).
+    for (i, leaf) in leaves.iter().enumerate() {
+        if leaf.len() < 3 {
+            continue;
+        }
+        // Every record between the first and the last in a range of its
+        // own: one descent.
+        let each: Ranges = leaf
+            .windows(2)
+            .skip(1)
+            .map(|w| (w[0].clone(), w[1].clone()))
+            .chain(leaf.windows(3).map(|w| (w[0].clone(), w[2].clone())))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert_eq!(swept(&tree, &each).len(), leaf.len() - 2);
+        assert_eq!(count(&each), height, "{} ranges on leaf {i}", each.len());
+
+        // Two ranges five leaves apart: the second is a descent of its own,
+        // what a second `for_each_in` costs, not a walk along the chain.
+        if let Some(far) = leaves.get(i + 5).filter(|l| l.len() >= 3) {
+            let two = vec![
+                (leaf[0].clone(), leaf[2].clone()),
+                (far[0].clone(), far[2].clone()),
+            ];
+            assert_eq!(swept(&tree, &two).len(), 2);
+            assert_eq!(count(&two), 2 * height, "leaves {i} and {}", i + 5);
+        }
+
+        // One range over `m` leaves: the descent, then the chain.
+        for m in 2..=4 {
+            let Some(last) = leaves.get(i + m - 1).filter(|l| l.len() >= 2) else {
+                continue;
+            };
+            let span = vec![(leaf[0].clone(), last[last.len() - 1].clone())];
+            let expect: usize = leaves[i..i + m].iter().map(Vec::len).sum::<usize>() - 2;
+            assert_eq!(swept(&tree, &span).len(), expect);
+            assert_eq!(count(&span), height + m as u64 - 1, "{m} leaves from {i}");
+        }
+    }
 }
 
 /// A `MemPager` whose `n`-th allocation reports that it was reached and then

@@ -2,12 +2,18 @@
 //! cancelled mid-match on a tiered index returns `DeadlineExceeded`,
 //! leaves no poisoned locks, and the next query returns bit-identical
 //! results to an undisturbed run — for both the serial (workers=1) and
-//! parallel (workers=4) match paths.
+//! parallel (workers=4) match paths. The same holds for a deadline that
+//! runs out between two frames cut from the hits of one sweep.
 
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use vist::datagen::dblp;
 use vist::{Error, IndexOptions, QueryOptions, VistIndex};
+use vist_core::{
+    search_sequences, DkStats, DocId, NodeState, SearchOptions, SearchSource, SourceTotals,
+};
 use vist_storage::testutil::TempDir;
 
 const EXPR: &str = "/book/author";
@@ -139,4 +145,131 @@ fn verify_loop_honors_deadline() {
         },
     );
     assert_eq!(after.unwrap().doc_ids, verified.unwrap().doc_ids);
+}
+
+/// A source whose `slow`-th S-Ancestor sweep (counted from 1) does not
+/// return before `until`.
+struct SlowSweep<'a> {
+    inner: &'a dyn SearchSource,
+    sweeps: AtomicUsize,
+    slow: usize,
+    until: Instant,
+}
+
+impl SearchSource for SlowSweep<'_> {
+    fn dkey_get(&self, dkey: &[u8]) -> vist_core::Result<Option<u64>> {
+        self.inner.dkey_get(dkey)
+    }
+
+    fn dkey_scan_range(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        f: &mut dyn FnMut(&[u8], u64) -> ControlFlow<()>,
+    ) -> vist_core::Result<()> {
+        self.inner.dkey_scan_range(lo, hi, f)
+    }
+
+    fn nodes_in_scopes(
+        &self,
+        dkey_id: u64,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(NodeState),
+    ) -> vist_core::Result<()> {
+        self.inner.nodes_in_scopes(dkey_id, scopes, f)?;
+        if self.sweeps.fetch_add(1, Ordering::SeqCst) + 1 == self.slow {
+            std::thread::sleep(self.until.saturating_duration_since(Instant::now()));
+        }
+        Ok(())
+    }
+
+    fn docids_in_range(
+        &self,
+        lo: u128,
+        hi: u128,
+        f: &mut dyn FnMut(DocId),
+    ) -> vist_core::Result<()> {
+        self.inner.docids_in_range(lo, hi, f)
+    }
+
+    fn docids_in_range_keyed(
+        &self,
+        lo: u128,
+        hi: u128,
+        f: &mut dyn FnMut(u128, DocId),
+    ) -> vist_core::Result<()> {
+        self.inner.docids_in_range_keyed(lo, hi, f)
+    }
+
+    fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
+        self.inner.dkid_stats(dkid)
+    }
+
+    fn totals(&self) -> Option<SourceTotals> {
+        self.inner.totals()
+    }
+}
+
+#[test]
+fn a_deadline_between_two_frames_of_one_sweep_cancels_and_disturbs_nothing() {
+    // Each record has an `a` text of its own and siblings sort by name, so
+    // every `z` is a trie node of its own: the sweep for `z` finds 3,000
+    // hits and cuts them into three frames, each of which sweeps for the
+    // text below.
+    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+    for i in 0..3_000 {
+        idx.insert_xml(&format!("<r><a>{i}</a><z>{}</z></r>", i % 2))
+            .unwrap();
+    }
+    let pattern = vist::query::parse_query("/r/z[text='1']")
+        .unwrap()
+        .to_pattern();
+    let sequences = vist::query::try_translate(
+        &pattern,
+        &idx.table(),
+        &vist::query::TranslateOptions::default(),
+    )
+    .unwrap()
+    .sequences;
+    let undisturbed = search_sequences(idx.store(), &sequences, &SearchOptions::default()).unwrap();
+    assert_eq!(undisturbed.docs.len(), 1_500);
+    // Sweeps: `r`, `z` (3,000 hits), then the text once a frame.
+    assert_eq!(undisturbed.stats.sancestor_scans, 5);
+
+    for workers in [1, 4] {
+        // The fourth sweep is the first of the three frames': the deadline
+        // passes while it runs, with two frames of the same sweep pending.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let source = SlowSweep {
+            inner: idx.store(),
+            sweeps: AtomicUsize::new(0),
+            slow: 4,
+            until: deadline + Duration::from_millis(5),
+        };
+        let cancelled = search_sequences(
+            &source,
+            &sequences,
+            &SearchOptions {
+                workers,
+                deadline: Some(deadline),
+                ..SearchOptions::default()
+            },
+        );
+        assert!(
+            matches!(cancelled, Err(Error::DeadlineExceeded)),
+            "workers={workers}: {:?}",
+            cancelled.map(|out| out.docs.len())
+        );
+        // Alone, the worker that slept finds the deadline passed when it
+        // turns to the next frame; beside others, the frames it gave away
+        // may have been swept meanwhile and the DocId stage notices.
+        if workers == 1 {
+            assert_eq!(source.sweeps.into_inner(), 4, "two frames left unswept");
+        }
+
+        let after = search_sequences(idx.store(), &sequences, &SearchOptions::default()).unwrap();
+        assert_eq!(after.docs, undisturbed.docs, "workers={workers}");
+        assert_eq!(after.scopes, undisturbed.scopes, "workers={workers}");
+        assert_eq!(after.stats, undisturbed.stats, "workers={workers}");
+    }
 }

@@ -10,12 +10,18 @@
 //! and for `PackedTree::verify` to report, the same way: the last tests
 //! damage the directory, the prefix length and a cell header of a packed
 //! leaf.
+//!
+//! The delta's slotted leaves get the same treatment one layer up: a
+//! record whose key or value is a byte short of what the delta's writers
+//! produce, in a cell that is itself well-formed, met by `VistIndex::query`
+//! — `Error::Corrupt` naming the delta's tree, never a panic.
 
 use std::ops::{Bound, ControlFlow};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
+use vist_core::{IndexOptions, QueryOptions, VistIndex};
 use vist_storage::testutil::TempDir;
 use vist_storage::{BufferPool, Crc32c, Error, FilePager, PageId, Result, PAGE_TRAILER};
 
@@ -377,4 +383,119 @@ fn packed_leaf_cell_lengths_past_the_cell_and_an_over_long_varint() {
     expect_leaf_reads_fail(&["cell 1", "malformed length varint"], |path, leaf| {
         patch(path, leaf.id, leaf.cell1_at, &[0xFF; 70]);
     });
+}
+
+/// In every slotted leaf of the delta file at `path`, rewrite the length
+/// header of each cell whose key and value lengths are `from` to `to` (no
+/// longer in sum: the cell still holds its record, the record is not one a
+/// writer of the delta produces), and re-seal the frames. Returns how many
+/// cells were rewritten.
+fn shorten_delta_records(path: &Path, page_size: usize, from: (u16, u16), to: (u16, u16)) -> usize {
+    assert!(from.0 + from.1 >= to.0 + to.1);
+    // A key cut short sorts where its first bytes put it. It is still met
+    // by the probe that would have met the whole key when those bytes alone
+    // place it after the probe's start: when they are not all zero past the
+    // eight of the leading id.
+    let still_met = |key: &[u8]| to.0 == from.0 || key[8..].iter().any(|&b| b != 0);
+    let frame_len = page_size + PAGE_TRAILER;
+    let mut file = std::fs::read(path).unwrap();
+    let mut rewritten = 0;
+    for id in 1..file.len() / frame_len {
+        let frame = &mut file[id * frame_len..(id + 1) * frame_len];
+        if frame[0] != 1 {
+            continue; // not a slotted leaf
+        }
+        let u16_at = |buf: &[u8], at: usize| u16::from_le_bytes([buf[at], buf[at + 1]]);
+        let mut touched = false;
+        for slot in 0..usize::from(u16_at(frame, NODE_HDR)) {
+            let cell = NODE_HDR + usize::from(u16_at(frame, NODE_HDR + 6 + 4 * slot));
+            if (u16_at(frame, cell), u16_at(frame, cell + 2)) == from
+                && still_met(&frame[cell + 4..cell + 4 + usize::from(to.0)])
+            {
+                frame[cell..cell + 2].copy_from_slice(&to.0.to_le_bytes());
+                frame[cell + 2..cell + 4].copy_from_slice(&to.1.to_le_bytes());
+                touched = true;
+                rewritten += 1;
+            }
+        }
+        if touched {
+            let mut c = Crc32c::new();
+            c.update(&(id as u32).to_le_bytes())
+                .update(&frame[..page_size]);
+            frame[page_size..page_size + 4].copy_from_slice(&c.finish().to_le_bytes());
+        }
+    }
+    std::fs::write(path, file).unwrap();
+    rewritten
+}
+
+#[test]
+fn delta_records_a_byte_short_are_corrupt_not_a_panic() {
+    // None ends on a record's last node: a posting whose key is cut short
+    // sorts before the start of a range that begins at its own label.
+    const QUERIES: [&str; 3] = ["/r/a[text='3']", "//c", "/r[a='1']/b/c"];
+    // (tree the error names, lengths the tree's writer produces, damaged).
+    for (tree, from, to) in [
+        ("sancestor", (24, 40), (24, 39)), // short value: `size ‖ next ‖ k`
+        ("sancestor", (24, 40), (23, 41)), // short key: `dkey-id ‖ n`
+        ("docid", (24, 0), (23, 1)),       // short key: `n ‖ doc-id`
+    ] {
+        let dir = TempDir::new("delta-short-record");
+        let path = dir.file("idx.vist");
+        let opts = IndexOptions::default();
+        let idx = VistIndex::create_file(&path, opts.clone()).unwrap();
+        for i in 0..40 {
+            idx.insert_xml(&format!("<r><a>{}</a><b><c>{}</c></b></r>", i % 5, i % 3))
+                .unwrap();
+        }
+        let answers: Vec<_> = QUERIES
+            .iter()
+            .map(|q| idx.query(q, &QueryOptions::default()).unwrap().doc_ids)
+            .collect();
+        assert!(answers.iter().all(|ids| !ids.is_empty()));
+        idx.flush().unwrap();
+        drop(idx);
+
+        let n = shorten_delta_records(&path, opts.page_size, from, to);
+        assert!(n > 10, "{tree}: {n} records of shape {from:?}");
+        let idx = VistIndex::open_file(&path, opts.cache_pages).unwrap();
+        for q in QUERIES {
+            match idx.query(q, &QueryOptions::default()) {
+                Err(vist_core::Error::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains(&format!("delta: {tree} tree")) && msg.contains("key ["),
+                        "{tree} {to:?}: {q}: {msg}"
+                    );
+                }
+                other => panic!("{tree} {to:?}: {q}: {:?}", other.map(|r| r.doc_ids)),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_delta_dkey_id_a_byte_short_is_corrupt_not_a_panic() {
+    // D-Ancestor values are the only 8-byte values of the delta; their keys
+    // vary in length, so the cells are found by the value alone.
+    let dir = TempDir::new("delta-short-dkid");
+    let path = dir.file("idx.vist");
+    let opts = IndexOptions::default();
+    let idx = VistIndex::create_file(&path, opts.clone()).unwrap();
+    idx.insert_xml("<r><a>1</a></r>").unwrap();
+    idx.flush().unwrap();
+    drop(idx);
+    let mut n = 0;
+    for klen in 1..64 {
+        n += shorten_delta_records(&path, opts.page_size, (klen, 8), (klen, 7));
+    }
+    assert!(n >= 3, "{n} D-Ancestor records");
+    let idx = VistIndex::open_file(&path, opts.cache_pages).unwrap();
+    for q in ["/r/a", "//a[text='1']"] {
+        match idx.query(q, &QueryOptions::default()) {
+            Err(vist_core::Error::Corrupt(msg)) => {
+                assert!(msg.contains("delta: dancestor tree"), "{q}: {msg}");
+            }
+            other => panic!("{q}: {:?}", other.map(|r| r.doc_ids)),
+        }
+    }
 }

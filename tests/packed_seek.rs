@@ -21,7 +21,15 @@
 //!    descent fetches one per level), and so does one of an absent key that
 //!    sorts between two leaves (the page descent chases the forward link, a
 //!    tree that cannot split has no reason to); a range inside one leaf
-//!    fetches exactly one, a range over *k* leaves exactly *k*.
+//!    fetches exactly one, a range over *k* leaves exactly *k*; and of the
+//!    walk over many ranges (`for_each_in_ranges`): any number of ranges on
+//!    one leaf fetch it once, ranges on two leaves five apart fetch two
+//!    pages, one range over *m* leaves *m*.
+//! 3. **Many ranges, one pass** — over seeded sorted range lists (empty,
+//!    adjacent and overlapping ranges, many to a leaf, some over several
+//!    leaves, some beyond the last key, none at all) `for_each_in_ranges`
+//!    visits the union of what one `for_each_in` per range visits, in key
+//!    order, on both trees and every fixture of (1).
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, ControlFlow};
@@ -34,6 +42,8 @@ use vist_storage::{BufferPool, MemPager, Result};
 type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
 type Range<'a> = (Bound<&'a [u8]>, Bound<&'a [u8]>);
+/// `(Excluded, Excluded)` ranges, sorted by start.
+type Ranges = Vec<(Vec<u8>, Vec<u8>)>;
 
 const PAGE: usize = 512;
 
@@ -49,6 +59,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 trait Reads {
     fn point(&self, key: &[u8]) -> Option<Vec<u8>>;
     fn streamed(&self, range: Range<'_>) -> Pairs;
+    fn swept(&self, ranges: &Ranges) -> Pairs;
     fn scanned(&self, range: Range<'_>) -> Pairs;
     fn prefixed(&self, prefix: &[u8]) -> Pairs;
     fn count(&self) -> (u64, bool);
@@ -69,6 +80,26 @@ macro_rules! reads {
                     out.push((k.to_vec(), v.to_vec()));
                     ControlFlow::Continue(())
                 })
+                .unwrap();
+                out
+            }
+            fn swept(&self, ranges: &Ranges) -> Pairs {
+                let mut out = Vec::new();
+                let mut asked = 0;
+                self.for_each_in_ranges(
+                    ranges.len(),
+                    |i, lo, hi| {
+                        assert!(lo.is_empty() && hi.is_empty(), "buffers arrive empty");
+                        assert_eq!(i, asked, "bounds asked for in order, once");
+                        asked += 1;
+                        lo.extend_from_slice(&ranges[i].0);
+                        hi.extend_from_slice(&ranges[i].1);
+                    },
+                    |k, v| {
+                        out.push((k.to_vec(), v.to_vec()));
+                        ControlFlow::Continue(())
+                    },
+                )
                 .unwrap();
                 out
             }
@@ -188,6 +219,35 @@ fn within(k: &[u8], (start, end): Range<'_>) -> bool {
     after_start && before_end
 }
 
+/// A list of ranges over `points` (ascending), sorted by start: each starts
+/// where the one before ended (adjacent), a little later, or — one in six —
+/// before that end (an overlapping pair), and is empty, short (many to a
+/// leaf) or long (several leaves).
+fn range_list(points: &[Vec<u8>], count: usize, state: &mut u64) -> Ranges {
+    let mut below = |n: usize| (splitmix64(state) % n as u64) as usize;
+    let mut ranges = Ranges::new();
+    let (mut lo, mut prev_end) = (below(4), 0usize);
+    for _ in 0..count {
+        lo = match below(6) {
+            0 => lo.max(prev_end.saturating_sub(1 + below(3))),
+            1 | 2 => lo.max(prev_end),
+            _ => lo.max(prev_end) + below(7),
+        };
+        if lo >= points.len() {
+            break;
+        }
+        let len = match below(8) {
+            0 => 0,
+            1 => 12 + below(40),
+            _ => 1 + below(5),
+        };
+        let hi = (lo + len).min(points.len() - 1);
+        ranges.push((points[lo].clone(), points[hi].clone()));
+        prev_end = prev_end.max(hi);
+    }
+    ranges
+}
+
 fn kinds(p: &[u8]) -> [Bound<&[u8]>; 2] {
     [Bound::Included(p), Bound::Excluded(p)]
 }
@@ -256,6 +316,27 @@ fn check(f: &Fixture, seed: u64, what: &str) {
         }
     }
     assert!(ranges >= 40, "{what}: only {ranges} ranges checked");
+
+    // The walk over many ranges: the union of the per-range walks.
+    for (name, tree) in trees {
+        assert!(tree.swept(&Ranges::new()).is_empty());
+        for round in 0..120 {
+            let list = range_list(&points, 1 + round % 48, &mut state);
+            let expect: Pairs = f
+                .model
+                .iter()
+                .filter(|(k, _)| list.iter().any(|(lo, hi)| *k > lo && *k < hi))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_eq!(tree.swept(&list), expect, "{what}, {name}: {list:?}");
+            let mut one_by_one = Model::new();
+            for (lo, hi) in &list {
+                one_by_one.extend(tree.streamed((Bound::Excluded(lo), Bound::Excluded(hi))));
+            }
+            let one_by_one: Pairs = one_by_one.into_iter().collect();
+            assert_eq!(one_by_one, expect, "{what}, {name}: {list:?}");
+        }
+    }
 }
 
 #[test]
@@ -426,6 +507,54 @@ fn a_probe_fetches_one_page_and_a_range_one_per_leaf() {
                     .unwrap();
             });
             assert_eq!(n, k as u64 + height - 1, "{what}: paged range");
+        }
+
+        // The walk over many ranges. Bounds are stored keys of the leaf
+        // itself: a range that ends on the leaf's last key stops there and
+        // never looks at the next leaf.
+        let sweep = |ranges: &Ranges| {
+            let mut seen = 0usize;
+            let n = fetches(&f, || seen = f.packed.swept(ranges).len());
+            (seen, n)
+        };
+        for (i, leaf) in leaves.iter().enumerate() {
+            if leaf.len() < 3 {
+                continue;
+            }
+            // Every record between the first and the last in a range of its
+            // own, and every pair of those ranges again as one (overlaps).
+            let mut each: Ranges = leaf
+                .windows(2)
+                .skip(1)
+                .map(|w| (w[0].clone(), w[1].clone()))
+                .chain(leaf.windows(3).map(|w| (w[0].clone(), w[2].clone())))
+                .collect();
+            each.sort();
+            assert_eq!(
+                sweep(&each),
+                (leaf.len() - 2, 1),
+                "{what}: {} ranges on leaf {i}",
+                each.len()
+            );
+            if let Some(far) = leaves.get(i + 5).filter(|l| l.len() >= 3) {
+                let two = vec![
+                    (leaf[0].clone(), leaf[2].clone()),
+                    (far[0].clone(), far[2].clone()),
+                ];
+                assert_eq!(sweep(&two), (2, 2), "{what}: leaves {i} and {}", i + 5);
+            }
+            for m in 2..=5 {
+                let Some(last) = leaves.get(i + m - 1).filter(|l| l.len() >= 2) else {
+                    continue;
+                };
+                let span = vec![(leaf[0].clone(), last[last.len() - 1].clone())];
+                let expect: usize = leaves[i..i + m].iter().map(Vec::len).sum::<usize>() - 2;
+                assert_eq!(
+                    sweep(&span),
+                    (expect, m as u64),
+                    "{what}: {m} leaves from {i}"
+                );
+            }
         }
     }
 }
