@@ -199,12 +199,6 @@ impl SegmentReader {
         self.trees.len()
     }
 
-    /// Entries recorded for tree `i` at write time.
-    #[must_use]
-    pub fn entries(&self, i: usize) -> u64 {
-        self.trees[i].1
-    }
-
     /// The caller meta blob passed to [`SegmentWriter::finish`].
     #[must_use]
     pub fn meta(&self) -> &[u8] {
@@ -264,15 +258,13 @@ mod tests {
         let r = SegmentReader::open(pool, header).unwrap();
         assert_eq!(r.tree_count(), 3);
         assert_eq!(r.version(), 2);
-        assert_eq!(r.entries(0), 500);
-        assert_eq!(r.entries(1), 10);
-        assert_eq!(r.entries(2), 0);
         assert_eq!(r.meta(), b"doc_count=3");
 
         let t0 = r.tree(0).unwrap();
         assert_eq!(t0.get(b"ka000123").unwrap().unwrap(), b"v123");
         assert_eq!(t0.len().unwrap(), 500);
         assert!(t0.tree_stats().unwrap().leaf_fill() > 0.85, "packed leaves");
+        assert_eq!(r.tree(1).unwrap().len().unwrap(), 10);
         let t2 = r.tree(2).unwrap();
         assert!(t2.is_empty().unwrap());
         assert!(r.tree(3).is_err());

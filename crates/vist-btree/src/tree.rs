@@ -419,16 +419,19 @@ impl BTree {
                 .collect::<Result<_>>()?
         };
         records.insert(slot as usize, (key.to_vec(), value.to_vec()));
-        // Split point: first index where the left half reaches half the bytes.
-        let total: usize = records.iter().map(|(k, v)| 4 + k.len() + v.len()).sum();
-        let mut acc = 0usize;
-        let mut split_at = records.len() - 1;
-        for (i, (k, v)) in records.iter().enumerate() {
-            acc += 4 + k.len() + v.len();
-            if acc * 2 >= total && i + 1 < records.len() {
-                split_at = i + 1;
-                break;
-            }
+        // Split point: the record with which the left half reaches half the
+        // cell bytes goes left if that half, slots included, then fits a page.
+        // If it does not, the half from that record on does: a record is at
+        // most half a page and the records at most a page and a half.
+        let size = |(k, v): &(Vec<u8>, Vec<u8>)| 4 + k.len() + v.len();
+        let total: usize = records.iter().map(size).sum();
+        let (mut acc, mut split_at) = (0usize, 0usize);
+        while (acc + size(&records[split_at])) * 2 < total {
+            acc += size(&records[split_at]);
+            split_at += 1;
+        }
+        if acc + size(&records[split_at]) + 4 * (split_at + 1) <= 2 * (self.descent.max_cell + 4) {
+            split_at += 1;
         }
         let split_at = split_at.clamp(1, records.len() - 1);
         let right_records = records.split_off(split_at);
@@ -762,6 +765,24 @@ mod tests {
         assert_eq!(t.insert(b"k", b"v2").unwrap().as_deref(), Some(&b"v1"[..]));
         assert_eq!(t.get(b"k").unwrap().as_deref(), Some(&b"v2"[..]));
         assert_eq!(t.len().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_large_record_across_the_middle_of_a_full_leaf_splits_to_the_side_that_fits() {
+        // A 256-byte page holds 240 bytes of cells and slots. `a`, `b`, `d`
+        // take 65 + 65 + 50; `c` takes 120 and crosses the middle of the
+        // 300: with it the left half is 250 bytes, without it 130, and the
+        // right half is then 170.
+        let pool = Arc::new(BufferPool::with_capacity(MemPager::new(256), 64));
+        let t = BTree::create(pool).unwrap();
+        let records = [(b"a", 56), (b"b", 56), (b"d", 41), (b"c", 111)];
+        for (key, len) in records {
+            assert_eq!(t.insert(key, &vec![key[0]; len]).unwrap(), None);
+        }
+        t.verify().unwrap();
+        for (key, len) in records {
+            assert_eq!(t.get(key).unwrap(), Some(vec![key[0]; len]));
+        }
     }
 
     #[test]

@@ -42,9 +42,9 @@ use crate::pool::run_workers;
 use crate::store::DocId;
 use crate::vist::VistIndex;
 
-/// Per-batch positive caches for the apply phase. Both maps are safe
-/// *because* the whole batch runs under the writer mutex with no
-/// interleaved removes or compactions: dkey ids are append-only, and a
+/// Positive caches for the apply phase, one per batch (a serial insert is a
+/// batch of one). Both maps are safe *because* the whole batch runs under
+/// the writer mutex with no interleaved removes or compactions: dkey ids are append-only, and a
 /// trie edge, once written, is never modified or deleted while the delta
 /// lives.
 #[derive(Debug, Default)]
@@ -178,7 +178,7 @@ impl VistIndex {
             }
             for (p, raw) in prepared.iter().zip(docs) {
                 let xml = store_documents.then(|| raw.as_ref());
-                ids.push(self.insert_sequence_cached(&p.seq, xml, Some(&mut cache))?);
+                ids.push(self.insert_sequence_cached(&p.seq, xml, &mut cache)?);
             }
         }
         let apply_nanos = vist_obs::elapsed_nanos(apply_start).unwrap_or(0);
@@ -196,12 +196,6 @@ impl VistIndex {
             cache.edge_hits,
             cache.edge_misses,
         );
-        vist_obs::counter!("vist_core_ingest_batches_total").inc();
-        vist_obs::counter!("vist_core_ingest_docs_total").add(ids.len() as u64);
-        vist_obs::counter!("vist_core_ingest_dkey_cache_hits_total").add(cache.dkey_hits);
-        vist_obs::counter!("vist_core_ingest_dkey_cache_misses_total").add(cache.dkey_misses);
-        vist_obs::counter!("vist_core_ingest_edge_cache_hits_total").add(cache.edge_hits);
-        vist_obs::counter!("vist_core_ingest_edge_cache_misses_total").add(cache.edge_misses);
         vist_obs::histogram!("vist_core_ingest_prepare_nanos").record(prepare_nanos);
         vist_obs::histogram!("vist_core_ingest_apply_nanos").record(apply_nanos);
         vist_obs::histogram!("vist_core_ingest_commit_nanos").record(commit_nanos);

@@ -53,8 +53,8 @@ pub use extsort::{ExtSorter, SortedStream, DEFAULT_SORT_BUDGET};
 pub use naive::NaiveIndex;
 pub use rist::RistIndex;
 pub use search::{
-    search_sequences, DkStats, DocIdStrategy, PlanReport, PruneReason, QueryStats, SearchMode,
-    SearchOptions, SearchOutcome, SearchSource, SeqPlan, SourceTotals, StageTimings, StepPlan,
+    search_sequences, DkStats, PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions,
+    SearchOutcome, SearchSource, SeqPlan, StageTimings, StepPlan,
 };
 pub use segment::SegmentBreakdown;
 pub use stats::{IndexStats, IngestCounters, IngestCountersSnapshot};
@@ -78,12 +78,8 @@ pub fn register_metrics() {
     let _ = vist_obs::gauge!("vist_core_delta_leaf_fill_bp");
     let _ = vist_obs::gauge!("vist_core_segment_leaf_fill_bp");
     let _ = vist_obs::counter!("vist_core_bulk_docs_total");
-    let _ = vist_obs::counter!("vist_core_ingest_batches_total");
-    let _ = vist_obs::counter!("vist_core_ingest_docs_total");
-    let _ = vist_obs::counter!("vist_core_ingest_dkey_cache_hits_total");
-    let _ = vist_obs::counter!("vist_core_ingest_dkey_cache_misses_total");
-    let _ = vist_obs::counter!("vist_core_ingest_edge_cache_hits_total");
-    let _ = vist_obs::counter!("vist_core_ingest_edge_cache_misses_total");
+    // One `vist_core_ingest_<counter>_total` per row of `IngestCounters`.
+    IngestCounters::register_metrics();
     let _ = vist_obs::histogram!("vist_core_ingest_prepare_nanos");
     let _ = vist_obs::histogram!("vist_core_ingest_apply_nanos");
     let _ = vist_obs::histogram!("vist_core_ingest_commit_nanos");

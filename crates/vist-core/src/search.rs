@@ -49,7 +49,10 @@
 //!
 //! Final scopes accumulate and are interval-merged before the DocId tree is
 //! consulted, so overlapping `[n, n+size)` scopes from different branches
-//! cost one range query instead of many.
+//! are one range instead of many; the merged ranges, sorted and disjoint, go
+//! to the same multi-range cursor over the DocId tree
+//! ([`SearchSource::docids_in_scopes`]), so resolving them fetches each DocId
+//! leaf once. That stage is the same with planning on or off.
 //!
 //! One loop consumes the work-list — [`drive`], the only caller of `expand`.
 //! Every worker runs it over a private depth-first stack fed from the shared
@@ -95,9 +98,6 @@
 //!   of a matched key, the planner probes the (fully determined) D-Ancestor
 //!   keys of wildcarded child elements reachable from that binding by
 //!   concrete steps; any absent key proves the whole subtree dead.
-//! - **DocId strategy choice** — the final merged scopes are resolved
-//!   either by one range jump per scope or by a single keyed sweep of the
-//!   covering range, picked from the source's posting total.
 //! - **`limit` early termination** — bounded runs resolve completed scopes
 //!   eagerly and stop as soon as enough distinct documents are in hand.
 //!
@@ -135,15 +135,6 @@ pub struct DkStats {
     pub fanout: u64,
 }
 
-/// Source-wide statistic totals, for the planner's DocId strategy choice.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SourceTotals {
-    /// Total S-Ancestor entries in the source.
-    pub nodes: u64,
-    /// Total DocId postings in the source.
-    pub postings: u64,
-}
-
 /// The B+Tree probe surface Algorithm 2 needs, abstracted over where the
 /// trees live: the mutable delta ([`crate::Store`]) or an immutable packed
 /// segment. Every source is a self-contained label space (each segment is
@@ -177,29 +168,15 @@ pub trait SearchSource: Sync {
         f: &mut dyn FnMut(NodeState),
     ) -> Result<()>;
 
-    /// Document ids attached to labels in `[lo, hi)`, in label order.
-    fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()>;
-
-    /// Like [`SearchSource::docids_in_range`] but also hands `f` each
-    /// posting's label, so the planner's sweep strategy can test membership
-    /// against the merged scope list while scanning the covering range
-    /// once.
-    fn docids_in_range_keyed(
-        &self,
-        lo: u128,
-        hi: u128,
-        f: &mut dyn FnMut(u128, DocId),
-    ) -> Result<()>;
+    /// Document ids attached to labels in one of `scopes` — `[lo, hi)`
+    /// ranges, sorted and disjoint — in label order: the paper's final
+    /// range query `[n, n+size)` on the DocId B+Tree, for all final nodes in
+    /// one forward pass over its leaves.
+    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()>;
 
     /// Planner statistics for one D-Ancestor entry, when the source
     /// maintains them. `None` falls back to candidate counting.
     fn dkid_stats(&self, _dkid: u64) -> Option<DkStats> {
-        None
-    }
-
-    /// Source-wide totals, when known. `None` disables the planner's
-    /// DocId sweep strategy for this source.
-    fn totals(&self) -> Option<SourceTotals> {
         None
     }
 }
@@ -270,7 +247,8 @@ query_stats! {
         sancestor_scans,
         /// Virtual suffix tree nodes visited (partial matches explored).
         nodes_visited,
-        /// DocId range queries performed.
+        /// Merged scopes put to the DocId tree as range queries, however
+        /// many cursor passes resolved them.
         docid_scans,
         /// Partial matches expanded by the work-list engine: the scopes of
         /// every frame it took up.
@@ -297,9 +275,6 @@ query_stats! {
         /// Scopes whose S-Ancestor sweep was skipped because a child probe
         /// proved the subtree dead.
         planner_probe_prunes = "planner probe prunes",
-        /// DocId resolutions where the planner chose the keyed sweep over
-        /// per-scope range jumps.
-        planner_docid_sweeps = "planner docid sweeps",
     }
     io {
         /// Buffer-pool hits attributed to this query (filled by the index
@@ -413,8 +388,8 @@ pub struct SearchOptions {
     pub collect_plan: bool,
     /// Cooperative cancellation point: once this instant passes, the
     /// engine stops at the next frame boundary (the match loop checks
-    /// before expanding a frame, and the DocId stage checks between range
-    /// queries) and returns
+    /// before expanding a frame, and the DocId stage checks between slices
+    /// of 1,024 merged scopes) and returns
     /// [`crate::Error::DeadlineExceeded`]. The check costs one clock
     /// read per frame and only when a deadline is set; expiry never
     /// poisons locks or mutates the index.
@@ -458,29 +433,6 @@ pub enum PruneReason {
     },
 }
 
-/// How the final merged scopes were resolved against the DocId tree.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum DocIdStrategy {
-    /// One range query per merged scope (the paper's jump). For `limit`
-    /// runs this counts the eagerly resolved scopes.
-    Jump {
-        /// Ranges queried.
-        ranges: u64,
-    },
-    /// One keyed scan over the covering range, filtering labels against
-    /// the merged scope list — chosen when the source's posting total is
-    /// small relative to the number of ranges.
-    Sweep {
-        /// Merged ranges the sweep replaced.
-        ranges: u64,
-        /// The source's posting total that justified the sweep.
-        postings: u64,
-    },
-    /// DocId resolution did not run ([`SearchMode::Scopes`]).
-    #[default]
-    NotRun,
-}
-
 /// Per-element plan row: estimates from the statistics layer next to the
 /// counters the match loop actually produced.
 #[derive(Debug, Clone, Default)]
@@ -521,8 +473,10 @@ pub struct SeqPlan {
 pub struct PlanReport {
     /// One entry per input sequence, in input order.
     pub seqs: Vec<SeqPlan>,
-    /// The DocId resolution strategy the run used.
-    pub docid_strategy: DocIdStrategy,
+    /// Ranges put to the DocId tree (for `limit` runs, the scopes resolved
+    /// as they completed); `None` when DocId resolution did not run
+    /// ([`SearchMode::Scopes`]).
+    pub docid_ranges: Option<u64>,
 }
 
 /// Result of one [`search_sequences`] run.
@@ -551,14 +505,6 @@ fn est_nodes(source: &dyn SearchSource, dkid: u64) -> u64 {
 /// Entries a plan-time pattern probe will scan before it stops trusting
 /// (and stops refining) its estimate. A capped probe never prunes.
 const PLAN_PROBE_CAP: u64 = 4096;
-
-/// Merged scopes below this count always use per-scope jumps; at or above
-/// it the sweep competes on the posting total.
-const SWEEP_MIN_RANGES: usize = 4;
-
-/// The sweep is chosen when `postings <= ranges * SWEEP_FACTOR`: `ranges`
-/// tree descents cost about `SWEEP_FACTOR` sequential posting reads each.
-const SWEEP_FACTOR: u64 = 16;
 
 /// Run Algorithm 2 over every alternative sequence of one query, unioning
 /// results: plan the sequences, match them on `opts.workers` threads, then
@@ -656,7 +602,7 @@ pub fn search_sequences(
         timings.match_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
     }
 
-    let docid_strategy = match (opts.mode, limit) {
+    match (opts.mode, limit) {
         (SearchMode::Scopes, _) => {
             // Canonical form: matched scopes are a *set* (different
             // branches, sequences, or workers can reach the same final
@@ -666,7 +612,6 @@ pub fn search_sequences(
             scopes.sort_unstable();
             scopes.dedup();
             timings.merge_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
-            DocIdStrategy::NotRun
         }
         (SearchMode::Docs, Some(limit)) => {
             // The match loop resolved `scopes` as it went. The last one can
@@ -674,9 +619,6 @@ pub fn search_sequences(
             // deterministic for a fixed expansion order.
             while docs.len() > limit {
                 docs.pop_last();
-            }
-            DocIdStrategy::Jump {
-                ranges: scopes.len() as u64,
             }
         }
         (SearchMode::Docs, None) => {
@@ -689,56 +631,22 @@ pub fn search_sequences(
             drop(merge_span);
             let _span = vist_obs::Span::enter("docid");
             let t = vist_obs::now();
-            // Strategy choice: many scopes over a small posting set are
-            // cheaper as one keyed sweep of the covering range than as one
-            // tree descent per scope. The sweep visits exactly the same
-            // postings the jumps would, so the id set is identical.
-            let merged = &scopes;
-            let totals = if opts.plan { source.totals() } else { None };
-            let sweep = merged.len() >= SWEEP_MIN_RANGES
-                && totals.is_some_and(|t| {
-                    t.postings <= (merged.len() as u64).saturating_mul(SWEEP_FACTOR)
-                });
-            let strategy = if sweep {
-                stats.planner_docid_sweeps += 1;
-                stats.docid_scans += 1;
-                let lo = merged.first().map_or(0, |m| m.0);
-                let hi = merged.last().map_or(0, |m| m.1);
-                let mut at = 0usize;
-                source.docids_in_range_keyed(lo, hi, &mut |n, doc| {
-                    // `merged` is sorted and disjoint and `n` arrives
-                    // ascending, so a single cursor suffices.
-                    while at < merged.len() && n >= merged[at].1 {
-                        at += 1;
-                    }
-                    if at < merged.len() && n >= merged[at].0 {
-                        docs.insert(doc);
-                    }
+            // "Perform a range query [n, n+size) on the DocId B+Tree" — for
+            // the merged scopes of a slice in one pass, the deadline checked
+            // between slices.
+            for slice in scopes.chunks(FRAME_SCOPES) {
+                if expired(opts.deadline) {
+                    return Err(Error::DeadlineExceeded);
+                }
+                stats.docid_scans += slice.len() as u64;
+                source.docids_in_scopes(slice, &mut |doc| {
+                    docs.insert(doc);
                 })?;
-                DocIdStrategy::Sweep {
-                    ranges: merged.len() as u64,
-                    postings: totals.map_or(0, |t| t.postings),
-                }
-            } else {
-                for &(lo, hi) in merged {
-                    if expired(opts.deadline) {
-                        return Err(Error::DeadlineExceeded);
-                    }
-                    // "Perform a range query [n, n+size) on the DocId
-                    // B+Tree."
-                    stats.docid_scans += 1;
-                    source.docids_in_range(lo, hi, &mut |doc| {
-                        docs.insert(doc);
-                    })?;
-                }
-                DocIdStrategy::Jump {
-                    ranges: merged.len() as u64,
-                }
-            };
+            }
             timings.docid_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
-            strategy
         }
-    };
+    }
+    let docid_ranges = (opts.mode == SearchMode::Docs).then_some(scopes.len() as u64);
     Ok(SearchOutcome {
         docs,
         scopes,
@@ -746,7 +654,7 @@ pub fn search_sequences(
         timings,
         plan: opts.collect_plan.then_some(PlanReport {
             seqs: plans,
-            docid_strategy,
+            docid_ranges,
         }),
     })
 }
@@ -1312,9 +1220,10 @@ impl WorkerOut {
     }
 
     /// The `limit` step of the match loop: put the scopes completed since
-    /// the last call to the DocId tree, one range query each, until `limit`
-    /// distinct documents are in hand — the return value. Scopes past that
-    /// point are dropped unqueried.
+    /// the last call to the DocId tree, one at a time and in expansion order
+    /// (they are neither sorted nor disjoint), until `limit` distinct
+    /// documents are in hand — the return value. Scopes past that point are
+    /// dropped unqueried.
     fn resolve(
         &mut self,
         source: &dyn SearchSource,
@@ -1325,11 +1234,11 @@ impl WorkerOut {
             if expired(deadline) {
                 return Err(Error::DeadlineExceeded);
             }
-            let (lo, hi) = self.scopes[self.resolved];
+            let scope = &self.scopes[self.resolved..=self.resolved];
             self.resolved += 1;
             self.stats.docid_scans += 1;
             let docs = &mut self.docs;
-            source.docids_in_range(lo, hi, &mut |doc| {
+            source.docids_in_scopes(scope, &mut |doc| {
                 docs.insert(doc);
             })?;
         }
@@ -1653,6 +1562,6 @@ mod tests {
         }
         assert!(sum.fields().contains(&("io_pages_read", 14)));
         assert!(sum.stats_lines().contains(&("match work items", 10)));
-        assert_eq!(sum.stats_lines().len(), 9);
+        assert_eq!(sum.stats_lines().len(), 8);
     }
 }

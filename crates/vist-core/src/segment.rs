@@ -54,7 +54,7 @@ use vist_storage::{BufferPool, FilePager, Manifest, Vfs};
 
 use crate::error::{Error, Result};
 use crate::extsort::{ExtSorter, SortedStream};
-use crate::search::{DkStats, SearchSource, SourceTotals};
+use crate::search::{DkStats, SearchSource};
 use crate::store::{self, decoding, DocId, NodeState, Store, StoreBreakdown};
 
 /// Fixed-width prefix of the segment meta blob: doc, node and dkey counts
@@ -164,11 +164,22 @@ impl Codec {
         v
     }
 
+    /// The label component of a DocId key alone: a proper prefix of every
+    /// `(n, doc)` key, so it sorts immediately before the first posting of
+    /// `n` and after the last of any smaller label — the bound of a scope
+    /// `[lo, hi)` at either end under the cursor's exclusive ranges.
+    fn docid_bound(self, n: u128) -> Key {
+        match self {
+            Codec::V1 => Key::new().bytes(&n.to_be_bytes()),
+            Codec::V2 => Key::new().uint(n),
+        }
+    }
+
     /// DocId key `n ‖ doc-id`.
     fn docid_key(self, n: u128, doc: DocId) -> Key {
         match self {
-            Codec::V1 => Key::new().bytes(&Store::docid_key(n, doc)),
-            Codec::V2 => Key::new().uint(n).uint(doc.into()),
+            Codec::V1 => self.docid_bound(n).bytes(&doc.to_be_bytes()),
+            Codec::V2 => self.docid_bound(n).uint(doc.into()),
         }
     }
 
@@ -288,8 +299,6 @@ pub(crate) struct Segment {
     /// Handle on the packed statistics tree (space accounting only);
     /// `None` for pre-statistics segments.
     stats_tree: Option<PackedTree>,
-    /// Exact totals (S-Ancestor / DocId entry counts from the header).
-    totals: SourceTotals,
     pool: Arc<BufferPool>,
 }
 
@@ -315,10 +324,6 @@ impl Segment {
         let codec = match reader.version() {
             1 => Codec::V1,
             _ => Codec::V2,
-        };
-        let totals = SourceTotals {
-            nodes: reader.entries(1),
-            postings: reader.entries(2),
         };
         let mut stats = HashMap::new();
         let mut stats_tree = None;
@@ -346,7 +351,6 @@ impl Segment {
             docs: reader.tree(3)?,
             stats,
             stats_tree,
-            totals,
             pool,
         })
     }
@@ -458,23 +462,6 @@ impl Segment {
     fn refuse(&self, tree: &str, bad: Option<Vec<u8>>) -> Result<()> {
         bad.map_or(Ok(()), |_| Err(malformed(self.id, tree)))
     }
-
-    /// DocId postings with labels in `[lo, hi)`.
-    fn postings(&self, lo: u128, hi: u128, mut f: impl FnMut(u128, DocId)) -> Result<()> {
-        let (lo, hi) = (self.codec.docid_key(lo, 0), self.codec.docid_key(hi, 0));
-        let mut bad = None;
-        let visit = decoding(
-            &mut bad,
-            |k, _| self.codec.decode_docid(k),
-            |_, (n, doc)| {
-                f(n, doc);
-                ControlFlow::Continue(())
-            },
-        );
-        self.docid
-            .for_each_in(lo.as_slice()..hi.as_slice(), visit)?;
-        self.refuse("docid", bad)
-    }
 }
 
 impl SearchSource for Segment {
@@ -524,25 +511,29 @@ impl SearchSource for Segment {
         self.refuse("sancestor", bad)
     }
 
-    fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()> {
-        self.postings(lo, hi, |_, doc| f(doc))
-    }
-
-    fn docids_in_range_keyed(
-        &self,
-        lo: u128,
-        hi: u128,
-        f: &mut dyn FnMut(u128, DocId),
-    ) -> Result<()> {
-        self.postings(lo, hi, f)
+    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()> {
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
+            |k, _| self.codec.decode_docid(k),
+            |_, (_, doc)| {
+                f(doc);
+                ControlFlow::Continue(())
+            },
+        );
+        self.docid.for_each_in_ranges(
+            scopes.len(),
+            |i, lo, hi| {
+                lo.extend_from_slice(self.codec.docid_bound(scopes[i].0).as_slice());
+                hi.extend_from_slice(self.codec.docid_bound(scopes[i].1).as_slice());
+            },
+            visit,
+        )?;
+        self.refuse("docid", bad)
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
         self.stats.get(&dkid).copied()
-    }
-
-    fn totals(&self) -> Option<SourceTotals> {
-        Some(self.totals)
     }
 }
 
@@ -898,6 +889,67 @@ mod tests {
             seg.doc_get(0).unwrap().unwrap(),
             b"<book><author>David</author></book>"
         );
+    }
+
+    /// Every scope list a DocId resolution can meet, against a filter over
+    /// the tree's own postings.
+    fn check_docid_scopes(seg: &Segment) {
+        let postings: Vec<(u128, DocId)> = seg
+            .docid
+            .scan(..)
+            .unwrap()
+            .map(|item| seg.codec.decode_docid(&item.unwrap().0).unwrap())
+            .collect();
+        assert!(postings.len() >= 3 && postings.iter().any(|p| p.1 == 0));
+        let check = |scopes: &[(u128, u128)]| {
+            let mut got = Vec::new();
+            seg.docids_in_scopes(scopes, &mut |doc| got.push(doc))
+                .unwrap();
+            let want: Vec<DocId> = postings
+                .iter()
+                .filter(|(n, _)| scopes.iter().any(|&(lo, hi)| lo <= *n && *n < hi))
+                .map(|p| p.1)
+                .collect();
+            assert_eq!(got, want, "format {}: {scopes:?}", seg.format_version());
+        };
+        check(&[]);
+        check(&[(0, vist_seq::MAX_SCOPE)]);
+        let labels: Vec<u128> = postings.iter().map(|p| p.0).collect();
+        for w in labels.windows(2).filter(|w| w[0] < w[1]) {
+            // Closed at a posting's label (whatever its doc id, 0 too), open
+            // at the next one's; a single label; two adjacent scopes.
+            check(&[(w[0], w[1])]);
+            check(&[(w[0], w[0] + 1)]);
+            check(&[(w[0], w[0] + 1), (w[0] + 1, w[1] + 1)]);
+        }
+        let (first, last) = (labels[0], labels[labels.len() - 1]);
+        let every_other: Vec<(u128, u128)> =
+            labels.iter().step_by(2).map(|&n| (n, n + 1)).collect();
+        check(&every_other);
+        check(&[(first, first + 1), (last, last + 1), (last + 1, last + 9)]);
+        check(&[(last + 1, last + 2), (last + 5, vist_seq::MAX_SCOPE)]);
+    }
+
+    #[test]
+    fn docid_scopes_are_closed_at_lo_and_open_at_hi_in_both_formats() {
+        let docs: Vec<(DocId, String)> = (0..40)
+            .map(|i| (i, format!("<r><a>{}</a><b>{}</b></r>", i % 7, i % 3)))
+            .collect();
+        let refs: Vec<(DocId, &str)> = docs.iter().map(|(i, x)| (*i, x.as_str())).collect();
+        let (_dir, v2, _) = build(&refs);
+        assert_eq!(v2.format_version(), 2);
+        check_docid_scopes(&v2);
+
+        // The segment a binary from before format 2 wrote (see
+        // `tests/segment_v1.rs`), on a copy: opening replays its log.
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/seg_v1");
+        let dir = TempDir::new("vist-core-segment-v1");
+        for name in ["idx.vist.seg-1", "idx.vist.seg-1.wal"] {
+            std::fs::copy(fixture.join(name), dir.file(name)).unwrap();
+        }
+        let v1 = Segment::open(&RealVfs, &dir.file("idx.vist"), 1, 64).unwrap();
+        assert_eq!(v1.format_version(), 1);
+        check_docid_scopes(&v1);
     }
 
     #[test]

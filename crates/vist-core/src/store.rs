@@ -23,7 +23,7 @@ use vist_storage::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vist_storage::{BufferPool, PageId};
 
 use crate::error::{Error, Result};
-use crate::search::{DkStats, SearchSource, SourceTotals};
+use crate::search::{DkStats, SearchSource};
 
 /// Identifier of an indexed document.
 pub type DocId = u64;
@@ -146,22 +146,21 @@ const AUX_STATS: u8 = 4;
 /// delta cannot unlink it physically, so queries mask the id instead.
 /// Compaction drops both the tombstone and the masked document.
 const AUX_TOMB: u8 = 5;
-/// Per-D-Ancestor-entry planner statistics ([`DkStats`]): key is the tag
-/// alone (totals record) or tag ‖ dkid (per-entry record). Maintained
-/// incrementally by the insert/remove hooks, persisted at flush.
+/// Per-D-Ancestor-entry planner statistics ([`DkStats`]): key is tag ‖
+/// dkid. Maintained incrementally by the insert/remove hooks, persisted at
+/// flush. (Files written before the DocId strategy choice went also hold a
+/// record under the tag alone; nothing reads it.)
 const AUX_DKSTATS: u8 = 6;
 
 /// In-memory planner statistics for the delta, mirrored to `aux` at flush.
-/// Totals are exact for incrementally-built deltas; bulk loads reset the
-/// per-dkid map with what can be derived from their input (node counts)
-/// and document/fanout columns start over at zero — estimates degrade
-/// planner ordering, never correctness.
+/// Bulk loads reset the per-dkid map with what can be derived from their
+/// input (node counts) and document/fanout columns start over at zero —
+/// estimates degrade planner ordering, never correctness.
 #[derive(Debug, Default)]
 struct DeltaStats {
     map: HashMap<u64, DkStats>,
     /// Entries touched since the last flush.
     dirty: HashSet<u64>,
-    totals: SourceTotals,
 }
 
 impl Store {
@@ -321,15 +320,15 @@ impl Store {
         Ok(())
     }
 
-    /// Write dirty planner-statistics entries (and the totals record) to
-    /// `aux` so they survive reopen.
+    /// Write dirty planner-statistics entries to `aux` so they survive
+    /// reopen.
     fn persist_dkid_stats(&self) -> Result<()> {
         // Snapshot under the lock, write outside it: aux inserts must not
         // run while the stats lock is held (insert hooks take it too).
         // Sorted so the write pattern (and hence the page-level I/O trace)
         // is deterministic for a given workload — the crash sweep relies
         // on identical runs producing identical op sequences.
-        let (dirty, totals) = {
+        let dirty = {
             let mut st = self.dkstats.write();
             let mut dirty: Vec<(u64, DkStats)> = st
                 .dirty
@@ -338,7 +337,7 @@ impl Store {
                 .collect();
             dirty.sort_unstable_by_key(|&(id, _)| id);
             st.dirty.clear();
-            (dirty, st.totals)
+            dirty
         };
         for (id, s) in dirty {
             let mut k = KeyWriter::with_capacity(9);
@@ -349,27 +348,16 @@ impl Store {
             v[16..24].copy_from_slice(&s.fanout.to_le_bytes());
             self.aux.insert(k.as_slice(), &v)?;
         }
-        let mut v = [0u8; 16];
-        v[0..8].copy_from_slice(&totals.nodes.to_le_bytes());
-        v[8..16].copy_from_slice(&totals.postings.to_le_bytes());
-        self.aux.insert(&[AUX_DKSTATS], &v)?;
         Ok(())
     }
 
-    /// Load persisted planner statistics (the tag-only key is the totals
-    /// record, tag ‖ dkid keys are per-entry records).
+    /// Load persisted planner statistics.
     fn load_dkid_stats(&self) -> Result<()> {
         let mut st = self.dkstats.write();
         for item in self.aux.scan_prefix(&[AUX_DKSTATS])? {
             let (k, v) = item?;
             if k.len() == 1 {
-                if v.len() != 16 {
-                    return Err(Error::Corrupt("bad stats totals record".into()));
-                }
-                st.totals = SourceTotals {
-                    nodes: u64::from_le_bytes(v[0..8].try_into().unwrap()),
-                    postings: u64::from_le_bytes(v[8..16].try_into().unwrap()),
-                };
+                // The totals record of an older file.
                 continue;
             }
             if k.len() != 9 || v.len() != 24 {
@@ -396,17 +384,10 @@ impl Store {
         self.dkstats.read().map.get(&dkid).copied()
     }
 
-    /// Delta-wide statistic totals (S-Ancestor entries, DocId postings).
-    #[must_use]
-    pub fn stats_totals(&self) -> SourceTotals {
-        self.dkstats.read().totals
-    }
-
     /// Record an S-Ancestor node added under `dkid`.
     pub(crate) fn stats_node_added(&self, dkid: u64) {
         let mut st = self.dkstats.write();
         st.map.entry(dkid).or_default().nodes += 1;
-        st.totals.nodes += 1;
         st.dirty.insert(dkid);
     }
 
@@ -421,7 +402,6 @@ impl Store {
     pub(crate) fn stats_doc_added(&self, dkid: u64) {
         let mut st = self.dkstats.write();
         st.map.entry(dkid).or_default().docs += 1;
-        st.totals.postings += 1;
         st.dirty.insert(dkid);
     }
 
@@ -430,7 +410,6 @@ impl Store {
         let mut st = self.dkstats.write();
         let e = st.map.entry(dkid).or_default();
         e.docs = e.docs.saturating_sub(1);
-        st.totals.postings = st.totals.postings.saturating_sub(1);
         st.dirty.insert(dkid);
     }
 
@@ -593,11 +572,11 @@ impl Store {
 
     /// The immediate child of node `parent_n` for D-Ancestor entry `dkey_id`.
     pub fn edge_get(&self, parent_n: u128, dkey_id: u64) -> Result<Option<u128>> {
-        Ok(self
-            .edges
-            .get_with(&Self::edge_key(parent_n, dkey_id), |v| {
-                u128::from_le_bytes(v.try_into().expect("edge value"))
-            })?)
+        let key = Self::edge_key(parent_n, dkey_id);
+        self.edges
+            .get_with(&key, |v| Some(u128::from_le_bytes(v.try_into().ok()?)))?
+            .map(|child| child.ok_or_else(|| malformed("edges", &key)))
+            .transpose()
     }
 
     /// Record the immediate child of `parent_n` for `dkey_id`.
@@ -628,7 +607,7 @@ impl Store {
     /// paper's final DocId range query.
     pub fn docids_in_range(&self, lo: u128, hi: u128) -> Result<Vec<DocId>> {
         let mut out = Vec::new();
-        SearchSource::docids_in_range(self, lo, hi, &mut |doc| out.push(doc))?;
+        self.docids_in_scopes(&[(lo, hi)], &mut |doc| out.push(doc))?;
         Ok(out)
     }
 
@@ -803,7 +782,6 @@ impl Store {
                 st.map.entry(*dkid).or_default().nodes += 1;
                 st.dirty.insert(*dkid);
             }
-            st.totals.nodes = nodes.len() as u64;
         }
         let items: Vec<(Vec<u8>, Vec<u8>)> = nodes
             .into_iter()
@@ -820,12 +798,11 @@ impl Store {
         Ok(())
     }
 
-    /// Replace the DocId tree with a bulk-loaded one (static builds). The
-    /// planner's posting total is reset to the entry count (per-dkid doc
-    /// counts stay wherever [`Store::bulk_load_nodes`] left them).
+    /// Replace the DocId tree with a bulk-loaded one (static builds;
+    /// per-dkid doc counts stay wherever [`Store::bulk_load_nodes`] left
+    /// them).
     pub fn bulk_load_docids(&mut self, mut entries: Vec<(u128, DocId)>) -> Result<()> {
         entries.sort_unstable();
-        self.dkstats.write().totals.postings = entries.len() as u64;
         let items: Vec<(Vec<u8>, Vec<u8>)> = entries
             .into_iter()
             .map(|(n, doc)| (Self::docid_key(n, doc).to_vec(), Vec::new()))
@@ -925,25 +902,6 @@ pub(crate) fn decoding<'a, T>(
     }
 }
 
-impl Store {
-    /// DocId postings with labels in `[lo, hi)`, as `(label, doc-id)`.
-    fn postings(&self, lo: u128, hi: u128, mut f: impl FnMut(u128, DocId)) -> Result<()> {
-        let (lo, hi) = (Self::docid_key(lo, 0), Self::docid_key(hi, 0));
-        let mut bad = None;
-        let visit = decoding(
-            &mut bad,
-            |k, _| decode_docid(k),
-            |_, (n, doc)| {
-                f(n, doc);
-                ControlFlow::Continue(())
-            },
-        );
-        self.docid
-            .for_each_in(lo.as_slice()..hi.as_slice(), visit)?;
-        refuse("docid", bad)
-    }
-}
-
 /// Algorithm 2's probes of the delta. The callbacks run under a leaf latch
 /// and must not touch the buffer pool (see
 /// [`vist_btree::BTree::for_each_in`]).
@@ -993,25 +951,32 @@ impl SearchSource for Store {
         refuse("sancestor", bad)
     }
 
-    fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()> {
-        self.postings(lo, hi, |_, doc| f(doc))
-    }
-
-    fn docids_in_range_keyed(
-        &self,
-        lo: u128,
-        hi: u128,
-        f: &mut dyn FnMut(u128, DocId),
-    ) -> Result<()> {
-        self.postings(lo, hi, f)
+    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()> {
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
+            |k, _| decode_docid(k),
+            |_, (_, doc)| {
+                f(doc);
+                ControlFlow::Continue(())
+            },
+        );
+        // The cursor's ranges are open at both ends, a scope is closed at
+        // `lo`, and doc ids start at 0: the label alone, a proper prefix of
+        // every `(lo, doc)` key, sorts immediately before the first of them.
+        self.docid.for_each_in_ranges(
+            scopes.len(),
+            |i, lo, hi| {
+                lo.extend_from_slice(&scopes[i].0.to_be_bytes());
+                hi.extend_from_slice(&scopes[i].1.to_be_bytes());
+            },
+            visit,
+        )?;
+        refuse("docid", bad)
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
         Store::dkid_stats(self, dkid)
-    }
-
-    fn totals(&self) -> Option<SourceTotals> {
-        Some(self.stats_totals())
     }
 }
 
@@ -1116,6 +1081,34 @@ mod tests {
         assert!(s.docid_delete(100, 2).unwrap());
         assert!(!s.docid_delete(100, 2).unwrap());
         assert_eq!(s.docids_in_range(100, 200).unwrap(), vec![1, 3]);
+
+        // Many scopes in one pass. A scope is closed at `lo` — document 0
+        // posted exactly there is the first key of the label — and open at
+        // `hi`.
+        s.docid_put(100, 0).unwrap();
+        s.docid_put(0, 9).unwrap();
+        let resolve = |scopes: &[(u128, u128)]| {
+            let mut out = Vec::new();
+            s.docids_in_scopes(scopes, &mut |doc| out.push(doc))
+                .unwrap();
+            out
+        };
+        assert_eq!(resolve(&[]), Vec::<DocId>::new());
+        assert_eq!(resolve(&[(100, 200)]), vec![0, 1, 3]);
+        assert_eq!(resolve(&[(100, 101)]), vec![0, 1], "a single label");
+        assert_eq!(resolve(&[(99, 100), (101, 150)]), Vec::<DocId>::new());
+        assert_eq!(
+            resolve(&[(100, 150), (150, 200)]),
+            vec![0, 1, 3],
+            "adjacent"
+        );
+        assert_eq!(resolve(&[(0, 1), (150, 151), (200, 201)]), vec![9, 3, 4]);
+        assert_eq!(
+            resolve(&[(0, 100), (200, 300), (1_000, vist_seq::MAX_SCOPE)]),
+            vec![9, 4],
+            "past the last posting"
+        );
+        assert_eq!(resolve(&[(0, vist_seq::MAX_SCOPE)]), vec![9, 0, 1, 3, 4]);
     }
 
     #[test]

@@ -31,8 +31,8 @@ use crate::error::{Error, Result};
 use crate::extsort::DEFAULT_SORT_BUDGET;
 use crate::ingest::IngestCache;
 use crate::search::{
-    search_sequences, DocIdStrategy, PlanReport, PruneReason, QueryStats, SearchMode,
-    SearchOptions, SearchOutcome, StageTimings,
+    search_sequences, PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions,
+    SearchOutcome, StageTimings,
 };
 use crate::segment::{Segment, SegmentBreakdown, SegmentBuilder};
 use crate::stats::{IndexStats, IngestCounters};
@@ -604,15 +604,10 @@ impl VistIndex {
             underflows: meta.underflows,
             deep_borrows: meta.deep_borrows,
             queries: *self.totals.lock(),
-            ingest_batches: ic.batches,
-            ingest_batch_docs: ic.docs,
-            ingest_dkey_cache_hits: ic.dkey_cache_hits,
-            ingest_dkey_cache_misses: ic.dkey_cache_misses,
-            ingest_edge_cache_hits: ic.edge_cache_hits,
-            ingest_edge_cache_misses: ic.edge_cache_misses,
             store_bytes: self.store.store_bytes(),
             io: self.store.pool().stats(),
             pool: self.store.pool().pool_stats(),
+            ..ic.into()
         }
     }
 
@@ -994,7 +989,7 @@ impl VistIndex {
         } else {
             None
         };
-        let id = self.insert_sequence_locked(&seq, xml)?;
+        let id = self.insert_sequence_cached(&seq, xml, &mut IngestCache::default())?;
         vist_obs::observe_since(vist_obs::histogram!("vist_core_insert_nanos"), insert_start);
         Ok(id)
     }
@@ -1003,19 +998,15 @@ impl VistIndex {
     /// for verification/deletion when document storage is enabled.
     pub fn insert_sequence(&self, seq: &Sequence, xml: Option<&str>) -> Result<DocId> {
         let _w = self.writer.lock();
-        self.insert_sequence_locked(seq, xml)
+        self.insert_sequence_cached(seq, xml, &mut IngestCache::default())
     }
 
-    /// Core of Algorithm 4. Caller must hold `self.writer`.
-    fn insert_sequence_locked(&self, seq: &Sequence, xml: Option<&str>) -> Result<DocId> {
-        self.insert_sequence_cached(seq, xml, None)
-    }
-
-    /// [`VistIndex::insert_sequence_locked`] with an optional per-batch
-    /// cache (see [`IngestCache`]): repeated dkey lookups and trie-edge
-    /// probes — the bulk of the B+Tree traffic for structure-sharing
-    /// corpora — are answered from the cache instead of the trees. Caller
-    /// must hold `self.writer`; the cache must not outlive it.
+    /// Core of Algorithm 4, through a cache (see [`IngestCache`]) that a
+    /// batch shares between its documents and a serial insert starts empty:
+    /// repeated dkey lookups and trie-edge probes — the bulk of the B+Tree
+    /// traffic for structure-sharing corpora — are answered from the cache
+    /// instead of the trees. Caller must hold `self.writer`; the cache must
+    /// not outlive it.
     ///
     /// All-or-nothing for the document store and the document count: when
     /// the sequence cannot be attached (the label space is exhausted), the
@@ -1027,7 +1018,7 @@ impl VistIndex {
         &self,
         seq: &Sequence,
         xml: Option<&str>,
-        cache: Option<&mut IngestCache>,
+        cache: &mut IngestCache,
     ) -> Result<DocId> {
         let (doc_id, store_documents, root_state) = {
             let mut meta = self.store.meta_mut();
@@ -1057,7 +1048,7 @@ impl VistIndex {
         doc_id: DocId,
         root_state: NodeState,
         seq: &Sequence,
-        mut cache: Option<&mut IngestCache>,
+        cache: &mut IngestCache,
     ) -> Result<()> {
         let n = seq.len();
         let mut chain: Vec<ChainEntry> = vec![ChainEntry {
@@ -1072,13 +1063,13 @@ impl VistIndex {
                 .as_concrete()
                 .ok_or_else(|| Error::Corrupt("wildcard in data sequence".into()))?;
             let key = dkey::encode(elem.sym, &prefix);
-            let dkid = self.dkid_cached(&key, cache.as_deref_mut())?;
+            let dkid = self.dkid_cached(key, cache)?;
 
             // Follow an existing branch if there is one (Algorithm 4:
             // "search in e for scope r such that r is an immediate child of
             // s"), checking every incarnation of the parent.
             let head_n = chain.last().expect("chain non-empty").head_n;
-            if let Some(child_n) = self.find_child_cached(head_n, dkid, cache.as_deref_mut())? {
+            if let Some(child_n) = self.find_child_cached(head_n, dkid, cache)? {
                 let state = self
                     .store
                     .node_get(dkid, child_n)?
@@ -1116,9 +1107,7 @@ impl VistIndex {
                     // The fresh edge is keyed under the chain head, which is
                     // where `find_child` starts, so future batch documents
                     // resolve it from the cache.
-                    if let Some(c) = cache.as_deref_mut() {
-                        c.edges.insert((head_n, dkid), state.n);
-                    }
+                    cache.edges.insert((head_n, dkid), state.n);
                     self.store.meta_mut().node_count += 1;
                     self.store.stats_node_added(dkid);
                     if let Loc::Node(pd) = ploc {
@@ -1155,7 +1144,7 @@ impl VistIndex {
         Ok(())
     }
 
-    /// [`VistIndex::find_child`] through an optional per-batch edge cache.
+    /// [`VistIndex::find_child`] through the edge cache.
     /// Only positive results are cached: an edge, once present, is never
     /// modified or removed while the writer lock is held, so a cached hit
     /// can never go stale within a batch — but an absent edge may appear.
@@ -1163,11 +1152,8 @@ impl VistIndex {
         &self,
         head_n: u128,
         dkid: u64,
-        cache: Option<&mut IngestCache>,
+        c: &mut IngestCache,
     ) -> Result<Option<u128>> {
-        let Some(c) = cache else {
-            return self.find_child(head_n, dkid);
-        };
         if let Some(&n) = c.edges.get(&(head_n, dkid)) {
             c.edge_hits += 1;
             return Ok(Some(n));
@@ -1180,19 +1166,16 @@ impl VistIndex {
         Ok(found)
     }
 
-    /// `Store::dkey_get_or_create` through an optional per-batch cache.
-    /// Dkey ids are append-only, so cached entries can never go stale.
-    fn dkid_cached(&self, key: &[u8], cache: Option<&mut IngestCache>) -> Result<u64> {
-        let Some(c) = cache else {
-            return self.store.dkey_get_or_create(key);
-        };
-        if let Some(&id) = c.dkeys.get(key) {
+    /// `Store::dkey_get_or_create` through the dkey cache. Dkey ids are
+    /// append-only, so cached entries can never go stale.
+    fn dkid_cached(&self, key: Vec<u8>, c: &mut IngestCache) -> Result<u64> {
+        if let Some(&id) = c.dkeys.get(&key) {
             c.dkey_hits += 1;
             return Ok(id);
         }
         c.dkey_misses += 1;
-        let id = self.store.dkey_get_or_create(key)?;
-        c.dkeys.insert(key.to_vec(), id);
+        let id = self.store.dkey_get_or_create(&key)?;
+        c.dkeys.insert(key, id);
         Ok(id)
     }
 
@@ -1230,7 +1213,7 @@ impl VistIndex {
         &self,
         chain: &mut [ChainEntry],
         tail: &[vist_seq::SeqElem],
-        mut cache: Option<&mut IngestCache>,
+        cache: &mut IngestCache,
     ) -> Result<(u128, Option<u64>)> {
         let rem = tail.len() as u128;
         // Donor j must cover incarnations for chain[j+1..] plus the tail.
@@ -1290,7 +1273,7 @@ impl VistIndex {
                 .as_concrete()
                 .ok_or_else(|| Error::Corrupt("wildcard in data sequence".into()))?;
             let key = dkey::encode(elem.sym, &prefix);
-            let dkid = self.dkid_cached(&key, cache.as_deref_mut())?;
+            let dkid = self.dkid_cached(key, cache)?;
             let state = NodeState {
                 n: block + off,
                 size: needed - off,
@@ -1613,11 +1596,8 @@ impl VistIndex {
         .unwrap();
         writeln!(
             out,
-            "planner: {} sequence(s) pruned, {} probes, {} probe prunes, {} docid sweeps",
-            st.planner_seqs_pruned,
-            st.planner_probes,
-            st.planner_probe_prunes,
-            st.planner_docid_sweeps
+            "planner: {} sequence(s) pruned, {} probes, {} probe prunes",
+            st.planner_seqs_pruned, st.planner_probes, st.planner_probe_prunes
         )
         .unwrap();
         let pool = self.store.pool().pool_stats();
@@ -1915,16 +1895,9 @@ fn render_plans(
                 }
             }
         }
-        match plan.docid_strategy {
-            DocIdStrategy::Jump { ranges } => {
-                writeln!(out, "  docid: range jumps ({ranges} scope(s))").unwrap();
-            }
-            DocIdStrategy::Sweep { ranges, postings } => writeln!(
-                out,
-                "  docid: keyed sweep ({ranges} scope(s), ~{postings} posting(s))"
-            )
-            .unwrap(),
-            DocIdStrategy::NotRun => writeln!(out, "  docid: not resolved").unwrap(),
+        match plan.docid_ranges {
+            Some(ranges) => writeln!(out, "  docid: {ranges} range(s) resolved").unwrap(),
+            None => writeln!(out, "  docid: not resolved").unwrap(),
         }
     }
 }

@@ -19,14 +19,18 @@
 //! 4. **The plan probe stops at its cap** — a `//` pattern over more
 //!    D-Ancestor keys than the cap is handed `cap + 1` of them, and a capped
 //!    probe still never prunes.
+//! 5. **DocId resolution** — the merged final scopes go to the DocId tree
+//!    as one sorted list: seeded lists return what one call a scope and a
+//!    `BTreeMap` filter return, and a segment fetches each DocId leaf once
+//!    (once a slice of 1,024 scopes) however many scopes fall on it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use std::sync::Mutex;
 
 use vist_core::{
     search_sequences, DkStats, DocId, IndexOptions, NaiveIndex, NodeState, QueryOptions, Result,
-    SearchOptions, SearchSource, SourceTotals, VistIndex,
+    SearchOptions, SearchSource, VistIndex,
 };
 use vist_storage::testutil::TempDir;
 
@@ -334,25 +338,12 @@ impl SearchSource for CountingScans<'_> {
         self.inner.nodes_in_scopes(dkey_id, scopes, f)
     }
 
-    fn docids_in_range(&self, lo: u128, hi: u128, f: &mut dyn FnMut(DocId)) -> Result<()> {
-        self.inner.docids_in_range(lo, hi, f)
-    }
-
-    fn docids_in_range_keyed(
-        &self,
-        lo: u128,
-        hi: u128,
-        f: &mut dyn FnMut(u128, DocId),
-    ) -> Result<()> {
-        self.inner.docids_in_range_keyed(lo, hi, f)
+    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()> {
+        self.inner.docids_in_scopes(scopes, f)
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
         self.inner.dkid_stats(dkid)
-    }
-
-    fn totals(&self) -> Option<SourceTotals> {
-        self.inner.totals()
     }
 }
 
@@ -392,4 +383,121 @@ fn a_capped_plan_probe_stops_scanning_and_still_never_prunes() {
     // scans for `q` once more; `x` below a bound `q` is an exact lookup.)
     assert_eq!(handed, [1, CAP + 1, 1]);
     assert_eq!(out.stats.planner_seqs_pruned, 0);
+}
+
+fn docids(source: &dyn SearchSource, scopes: &[(u128, u128)]) -> Vec<DocId> {
+    let mut out = Vec::new();
+    source
+        .docids_in_scopes(scopes, &mut |doc| out.push(doc))
+        .unwrap();
+    out
+}
+
+#[test]
+fn a_sorted_scope_list_resolves_like_one_call_a_scope() {
+    // Postings of a delta at seeded labels, several documents to some of
+    // them, document 0 and label 0 among them.
+    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+    let store = idx.store();
+    let mut rng = Rng(0xD0C1D);
+    let mut model: BTreeMap<u128, Vec<DocId>> = BTreeMap::new();
+    for doc in 0..3_000u64 {
+        let n = if doc < 2 {
+            doc
+        } else {
+            rng.below(20_000) as u64
+        };
+        store.docid_put(n.into(), doc).unwrap();
+        model.entry(n.into()).or_default().push(doc);
+    }
+    assert!(store.tree_breakdown().unwrap().docid.leaf_pages > 10);
+    let fetches = || {
+        let t = store.pool().pool_stats().totals();
+        t.hits + t.misses
+    };
+    for seed in 0..32u64 {
+        // Sorted and disjoint: none, tiny and mostly adjacent, wide, or
+        // starting near the last posting and running past it.
+        let (max_gap, max_len, start) = match seed % 4 {
+            0 => (3, 3, 0),
+            1 => (2_000, 1_500, rng.below(500)),
+            2 => (40, 10, 19_900),
+            _ => (1, 1, 21_000),
+        };
+        let mut scopes: Vec<(u128, u128)> = Vec::new();
+        let mut at = start;
+        while at < 21_000 {
+            let lo = at + rng.below(max_gap);
+            let hi = lo + 1 + rng.below(max_len);
+            scopes.push((lo as u128, hi as u128));
+            at = hi;
+        }
+        let before = fetches();
+        let got = docids(store, &scopes);
+        let in_one_pass = fetches() - before;
+        let per_scope: Vec<DocId> = scopes.iter().flat_map(|s| docids(store, &[*s])).collect();
+        let one_by_one = fetches() - before - in_one_pass;
+        let filtered: Vec<DocId> = scopes
+            .iter()
+            .flat_map(|&(lo, hi)| {
+                model
+                    .range(lo..hi)
+                    .flat_map(|(_, docs)| docs.iter().copied())
+            })
+            .collect();
+        assert_eq!(got, filtered, "seed {seed}: {} scopes", scopes.len());
+        assert_eq!(got, per_scope, "seed {seed}");
+        assert!(
+            in_one_pass <= one_by_one,
+            "seed {seed}: {in_one_pass} > {one_by_one}"
+        );
+    }
+}
+
+/// Pool fetches, of every tier, while `f` runs.
+fn fetches_during(f: impl FnOnce()) -> u64 {
+    let ctx = vist_obs::AttrCounters::new();
+    let guard = vist_obs::attr::install(ctx.clone());
+    f();
+    drop(guard);
+    let io = ctx.snapshot();
+    io.pool_hits + io.pool_misses
+}
+
+#[test]
+fn a_segment_fetches_a_docid_leaf_once_however_many_scopes_fall_on_it() {
+    // Every record has an `a` text of its own, so each `z` and the text
+    // below it is a trie node of its own: one final scope a hit, and
+    // between two of them the nodes of the records that do not match.
+    for (records, slices) in [(300usize, 1u64), (2_500, 2)] {
+        let dir = TempDir::new("frontier-docid");
+        let idx = VistIndex::create_file(dir.file("idx.vist"), IndexOptions::default()).unwrap();
+        let docs: Vec<String> = (0..records)
+            .map(|i| format!("<r><a>{i}</a><z>{}</z></r>", i % 2))
+            .collect();
+        idx.bulk_build(&docs).unwrap();
+        let leaves = idx.tier_breakdown().unwrap().1[0].trees.docid.leaf_pages;
+        assert_eq!(leaves == 1, slices == 1, "{records} records: {leaves}");
+
+        let q = "/r/z[text='1']";
+        let pattern = vist_query::parse_query(q).unwrap().to_pattern();
+        let opts = QueryOptions::default();
+        let matching = fetches_during(|| {
+            idx.match_scopes(&pattern, &opts).unwrap();
+        });
+        let r = idx.query(q, &opts).unwrap();
+        assert_eq!(r.doc_ids.len(), records / 2);
+        assert_eq!(
+            r.stats.docid_scans,
+            records as u64 / 2,
+            "no two scopes adjacent"
+        );
+        // What the DocId stage asked of the pools: every leaf once, and the
+        // leaf a slice ends on once more for the slice that follows.
+        let resolving = r.stats.io_pool_hits + r.stats.io_pool_misses - matching;
+        assert!(
+            (leaves..leaves + slices).contains(&resolving),
+            "{records} records: {resolving} fetches, {leaves} leaves, {slices} slices"
+        );
+    }
 }

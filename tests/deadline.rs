@@ -3,7 +3,8 @@
 //! leaves no poisoned locks, and the next query returns bit-identical
 //! results to an undisturbed run — for both the serial (workers=1) and
 //! parallel (workers=4) match paths. The same holds for a deadline that
-//! runs out between two frames cut from the hits of one sweep.
+//! runs out between two frames cut from the hits of one sweep, or between
+//! two slices of the merged scopes the DocId stage resolves.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,9 +12,7 @@ use std::time::{Duration, Instant};
 
 use vist::datagen::dblp;
 use vist::{Error, IndexOptions, QueryOptions, VistIndex};
-use vist_core::{
-    search_sequences, DkStats, DocId, NodeState, SearchOptions, SearchSource, SourceTotals,
-};
+use vist_core::{search_sequences, DkStats, DocId, NodeState, SearchOptions, SearchSource};
 use vist_storage::testutil::TempDir;
 
 const EXPR: &str = "/book/author";
@@ -147,16 +146,33 @@ fn verify_loop_honors_deadline() {
     assert_eq!(after.unwrap().doc_ids, verified.unwrap().doc_ids);
 }
 
-/// A source whose `slow`-th S-Ancestor sweep (counted from 1) does not
-/// return before `until`.
-struct SlowSweep<'a> {
+/// Which of a source's calls [`SlowSource`] holds past the deadline.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// The `n`-th S-Ancestor sweep (counted from 1).
+    Sweep(usize),
+    /// The `n`-th DocId resolution.
+    Resolution(usize),
+}
+
+/// A source one call of which does not return before `until`.
+struct SlowSource<'a> {
     inner: &'a dyn SearchSource,
     sweeps: AtomicUsize,
-    slow: usize,
+    resolutions: AtomicUsize,
+    hold: Hold,
     until: Instant,
 }
 
-impl SearchSource for SlowSweep<'_> {
+impl SlowSource<'_> {
+    fn called(&self, calls: &AtomicUsize, which: fn(usize) -> Hold) {
+        if which(calls.fetch_add(1, Ordering::SeqCst) + 1) == self.hold {
+            std::thread::sleep(self.until.saturating_duration_since(Instant::now()));
+        }
+    }
+}
+
+impl SearchSource for SlowSource<'_> {
     fn dkey_get(&self, dkey: &[u8]) -> vist_core::Result<Option<u64>> {
         self.inner.dkey_get(dkey)
     }
@@ -177,45 +193,34 @@ impl SearchSource for SlowSweep<'_> {
         f: &mut dyn FnMut(NodeState),
     ) -> vist_core::Result<()> {
         self.inner.nodes_in_scopes(dkey_id, scopes, f)?;
-        if self.sweeps.fetch_add(1, Ordering::SeqCst) + 1 == self.slow {
-            std::thread::sleep(self.until.saturating_duration_since(Instant::now()));
-        }
+        self.called(&self.sweeps, Hold::Sweep);
         Ok(())
     }
 
-    fn docids_in_range(
+    fn docids_in_scopes(
         &self,
-        lo: u128,
-        hi: u128,
+        scopes: &[(u128, u128)],
         f: &mut dyn FnMut(DocId),
     ) -> vist_core::Result<()> {
-        self.inner.docids_in_range(lo, hi, f)
-    }
-
-    fn docids_in_range_keyed(
-        &self,
-        lo: u128,
-        hi: u128,
-        f: &mut dyn FnMut(u128, DocId),
-    ) -> vist_core::Result<()> {
-        self.inner.docids_in_range_keyed(lo, hi, f)
+        self.inner.docids_in_scopes(scopes, f)?;
+        self.called(&self.resolutions, Hold::Resolution);
+        Ok(())
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
         self.inner.dkid_stats(dkid)
     }
-
-    fn totals(&self) -> Option<SourceTotals> {
-        self.inner.totals()
-    }
 }
 
-#[test]
-fn a_deadline_between_two_frames_of_one_sweep_cancels_and_disturbs_nothing() {
+/// Hold one call of the source past the deadline: the query is cancelled
+/// with the work behind that call left undone, and the next query is
+/// undisturbed.
+fn cancelled_while_holding(hold: Hold) {
     // Each record has an `a` text of its own and siblings sort by name, so
     // every `z` is a trie node of its own: the sweep for `z` finds 3,000
     // hits and cuts them into three frames, each of which sweeps for the
-    // text below.
+    // text below; the 1,500 final scopes, none next to another, go to the
+    // DocId tree in two slices.
     let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
     for i in 0..3_000 {
         idx.insert_xml(&format!("<r><a>{i}</a><z>{}</z></r>", i % 2))
@@ -235,15 +240,15 @@ fn a_deadline_between_two_frames_of_one_sweep_cancels_and_disturbs_nothing() {
     assert_eq!(undisturbed.docs.len(), 1_500);
     // Sweeps: `r`, `z` (3,000 hits), then the text once a frame.
     assert_eq!(undisturbed.stats.sancestor_scans, 5);
+    assert_eq!(undisturbed.stats.docid_scans, 1_500);
 
     for workers in [1, 4] {
-        // The fourth sweep is the first of the three frames': the deadline
-        // passes while it runs, with two frames of the same sweep pending.
         let deadline = Instant::now() + Duration::from_secs(2);
-        let source = SlowSweep {
+        let source = SlowSource {
             inner: idx.store(),
             sweeps: AtomicUsize::new(0),
-            slow: 4,
+            resolutions: AtomicUsize::new(0),
+            hold,
             until: deadline + Duration::from_millis(5),
         };
         let cancelled = search_sequences(
@@ -260,11 +265,19 @@ fn a_deadline_between_two_frames_of_one_sweep_cancels_and_disturbs_nothing() {
             "workers={workers}: {:?}",
             cancelled.map(|out| out.docs.len())
         );
-        // Alone, the worker that slept finds the deadline passed when it
-        // turns to the next frame; beside others, the frames it gave away
-        // may have been swept meanwhile and the DocId stage notices.
-        if workers == 1 {
-            assert_eq!(source.sweeps.into_inner(), 4, "two frames left unswept");
+        let (sweeps, resolutions) = (source.sweeps.into_inner(), source.resolutions.into_inner());
+        match hold {
+            // Alone, the worker that slept finds the deadline passed
+            // when it turns to the next frame; beside others, the
+            // frames it gave away may have been swept meanwhile and the
+            // DocId stage notices.
+            Hold::Sweep(_) if workers == 1 => {
+                assert_eq!((sweeps, resolutions), (4, 0), "two frames left unswept");
+            }
+            Hold::Sweep(_) => assert_eq!(resolutions, 0, "workers={workers}"),
+            Hold::Resolution(_) => {
+                assert_eq!((sweeps, resolutions), (5, 1), "one slice left unresolved");
+            }
         }
 
         let after = search_sequences(idx.store(), &sequences, &SearchOptions::default()).unwrap();
@@ -272,4 +285,18 @@ fn a_deadline_between_two_frames_of_one_sweep_cancels_and_disturbs_nothing() {
         assert_eq!(after.scopes, undisturbed.scopes, "workers={workers}");
         assert_eq!(after.stats, undisturbed.stats, "workers={workers}");
     }
+}
+
+#[test]
+fn a_deadline_between_two_frames_of_one_sweep_cancels_and_disturbs_nothing() {
+    // The fourth sweep is the first of the three frames': the deadline
+    // passes while it runs, with two frames of the same sweep pending.
+    cancelled_while_holding(Hold::Sweep(4));
+}
+
+#[test]
+fn a_deadline_between_two_slices_of_docid_resolution_cancels_and_disturbs_nothing() {
+    // The first resolution is that of the first 1,024 merged scopes: the
+    // deadline passes while it runs, with the second slice pending.
+    cancelled_while_holding(Hold::Resolution(1));
 }

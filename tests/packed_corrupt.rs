@@ -14,7 +14,8 @@
 //! The delta's slotted leaves get the same treatment one layer up: a
 //! record whose key or value is a byte short of what the delta's writers
 //! produce, in a cell that is itself well-formed, met by `VistIndex::query`
-//! — `Error::Corrupt` naming the delta's tree, never a panic.
+//! (the edges tree's, by `VistIndex::insert_xml`) — `Error::Corrupt` naming
+//! the delta's tree, never a panic.
 
 use std::ops::{Bound, ControlFlow};
 use std::path::{Path, PathBuf};
@@ -497,5 +498,33 @@ fn a_delta_dkey_id_a_byte_short_is_corrupt_not_a_panic() {
             }
             other => panic!("{q}: {:?}", other.map(|r| r.doc_ids)),
         }
+    }
+}
+
+#[test]
+fn a_delta_edge_a_byte_short_is_corrupt_not_a_panic() {
+    // Trie edges are the only 24-byte keys with a 16-byte value (the child's
+    // label), and only an insert walks them.
+    let dir = TempDir::new("delta-short-edge");
+    let path = dir.file("idx.vist");
+    let opts = IndexOptions::default();
+    let idx = VistIndex::create_file(&path, opts.clone()).unwrap();
+    for i in 0..40 {
+        idx.insert_xml(&format!("<r><a>{}</a><b><c>{}</c></b></r>", i % 5, i % 3))
+            .unwrap();
+    }
+    idx.flush().unwrap();
+    drop(idx);
+    let n = shorten_delta_records(&path, opts.page_size, (24, 16), (24, 15));
+    assert!(n > 10, "{n} edge records");
+    let idx = VistIndex::open_file(&path, opts.cache_pages).unwrap();
+    match idx.insert_xml("<r><a>1</a><b><c>2</c></b></r>") {
+        Err(vist_core::Error::Corrupt(msg)) => {
+            assert!(
+                msg.contains("delta: edges tree") && msg.contains("key ["),
+                "{msg}"
+            );
+        }
+        other => panic!("{other:?}"),
     }
 }

@@ -1,15 +1,15 @@
 //! A probe budget for the match engine, so a slide back from set-at-a-time
-//! matching to one S-Ancestor probe a partial match fails in tier-1 without
-//! running the benchmark.
+//! matching to one S-Ancestor probe a partial match, or to one DocId range
+//! jump a merged scope, fails in tier-1 without running the benchmark.
 //!
 //! Builds the benchmark's smoke corpus (2,000 DBLP-like + 1,200 XMARK-like
 //! records, the generators' fixed seeds; nine tenths in one segment, the
 //! rest in the delta, like the benchmark's base index), runs the paper's
 //! eight Table-3 queries once and holds the two counts the engine is judged
 //! by — pages asked of the buffer pools and S-Ancestor sweeps — to
-//! thresholds about 10 % above what set-at-a-time matching measured when it
-//! was introduced (in the comments below). Both are exact counts: the same
-//! corpus, queries and code give the same numbers on every host.
+//! thresholds about 10 % above what the engine measures (in the comments
+//! below). Both are exact counts: the same corpus, queries and code give the
+//! same numbers on every host.
 
 use vist_core::{IndexOptions, QueryOptions, VistIndex};
 use vist_datagen::{dblp, xmark};
@@ -51,7 +51,9 @@ fn table3_pool_fetches_and_sancestor_sweeps_stay_in_budget() {
     }
     println!("Σ pool fetches {fetches}, Σ S-Ancestor sweeps {sweeps}, Σ hits {hits}");
     assert!(hits > 500, "the queries found little: {hits}");
-    // Measured 859 and 126; one probe a partial match read 15,492 and 6,688.
-    assert!(fetches <= 945, "Σ pool fetches of Q1–Q8: {fetches}");
+    // Measured 614 and 126. With one DocId range jump a merged scope the
+    // fetches were 859 (threshold 945 then); with one probe a partial match
+    // the two read 15,492 and 6,688.
+    assert!(fetches <= 675, "Σ pool fetches of Q1–Q8: {fetches}");
     assert!(sweeps <= 139, "Σ S-Ancestor sweeps of Q1–Q8: {sweeps}");
 }

@@ -39,7 +39,7 @@ fn segment_docs() -> Vec<String> {
 }
 
 /// Every query with the answer the *writing* binary gave on these files.
-const ANSWERS: [(&str, &[u64]); 12] = [
+const ANSWERS: [(&str, &[u64]); 14] = [
     ("/book/author[text='David']", &[0, 6, 9]),
     ("//author", &[0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13]),
     ("/book[year='2000']", &[2, 6, 10]),
@@ -52,6 +52,11 @@ const ANSWERS: [(&str, &[u64]); 12] = [
     ("/article/cite/author", &[13]),
     ("/book[author='Mary'][year='1999']", &[1, 5]),
     ("/nosuch", &[]),
+    // DocId scopes at their edges: document 0 ends on its `1998`, so its
+    // posting is the first key of the final scope's own label; `/*` is the
+    // one scope from label 0 to past the last posting.
+    ("/book[year='1998']", &[0, 4, 8]),
+    ("/*", &[0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16]),
 ];
 
 fn fixture_copy(dir: &TempDir) -> PathBuf {
