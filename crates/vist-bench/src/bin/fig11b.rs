@@ -2,6 +2,10 @@
 //! ViST (paper: synthetic k=10, j=8, L=32, up to 60M elements; both curves
 //! linear, RIST above ViST since it materializes the suffix tree first).
 //!
+//! Both builds are file-backed and start from the same XML text: the static
+//! one is [`VistIndex::bulk_build`] (one packed segment, empty delta), the
+//! dynamic one inserts a document at a time and flushes once at the end.
+//!
 //! ```sh
 //! cargo run --release -p vist-bench --bin fig11b
 //! ```
@@ -9,8 +13,9 @@
 use std::time::Instant;
 
 use vist_bench::{print_table, scaled};
-use vist_core::{IndexOptions, RistIndex, VistIndex};
+use vist_core::{IndexOptions, VistIndex};
 use vist_datagen::synthetic::{SyntheticConfig, SyntheticGen};
+use vist_storage::testutil::TempDir;
 
 fn main() {
     let max_docs = scaled(16_000, 1_600);
@@ -30,17 +35,20 @@ fn main() {
             l: 32,
             seed: 13,
         });
-        let docs = gen.documents(n);
+        let xmls: Vec<String> = gen.documents(n).iter().map(|d| d.to_xml()).collect();
+        let dir = TempDir::new("fig11b");
 
         let t0 = Instant::now();
-        let vist = VistIndex::in_memory(opts()).expect("vist");
-        for d in &docs {
-            vist.insert_document(d).expect("insert");
+        let vist = VistIndex::create_file(dir.file("vist"), opts()).expect("vist");
+        for xml in &xmls {
+            vist.insert_xml(xml).expect("insert");
         }
+        vist.flush().expect("flush");
         let t_vist = t0.elapsed();
 
         let t0 = Instant::now();
-        let rist = RistIndex::build_in_memory(&docs, opts()).expect("rist");
+        let rist = VistIndex::create_file(dir.file("rist"), opts()).expect("rist");
+        rist.bulk_build(&xmls).expect("bulk build");
         let t_rist = t0.elapsed();
 
         rows.push(vec![
@@ -48,11 +56,15 @@ fn main() {
             format!("{:.2}", t_vist.as_secs_f64()),
             format!("{:.2}", t_rist.as_secs_f64()),
             vist.stats().nodes.to_string(),
-            rist.stats().nodes.to_string(),
+            rist.stats().segment_nodes.to_string(),
         ]);
-        eprintln!("N={n}: vist {:.2?}, rist done", t_vist);
+        eprintln!("N={n}: vist {t_vist:.2?}, rist {t_rist:.2?}");
     }
     println!("\nFigure 11(b) — index construction time (synthetic, L=32)\n");
+    println!(
+        "host: {} core(s); both indexes file-backed\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
     print_table(
         &[
             "elements",

@@ -63,7 +63,7 @@ pub trait Descent {
 /// A B+Tree over a shared [`BufferPool`], read through the descent `D`.
 /// Use it through its two aliases: [`BTree`] (mutable, page descent) and
 /// [`PackedTree`] (read-only, in-memory fence array). The read surface below
-/// is common to both; only `BTree` has `insert`/`delete`/`clear`/`destroy`.
+/// is common to both; only `BTree` has `insert`/`delete`/`clear`.
 pub struct Tree<D> {
     pub(crate) pool: Arc<BufferPool>,
     pub(crate) descent: D,
@@ -608,20 +608,6 @@ impl BTree {
         Ok(old)
     }
 
-    /// Free **every** page of this tree back to the pool, consuming it.
-    ///
-    /// Used when a bulk-loaded tree replaces an existing one (the old
-    /// tree's pages must return to the free list, not leak) and when the
-    /// tiered index truncates its delta after folding it into a segment.
-    ///
-    /// Like [`BTree::delete`], freeing pages is **not** safe against
-    /// concurrent readers of the same tree; callers must exclude readers
-    /// for the duration.
-    pub fn destroy(self) -> Result<()> {
-        let _w = self.descent.writer.lock();
-        self.free_subtree(self.root_page())
-    }
-
     /// Free every page reachable from `root`.
     fn free_subtree(&self, root: PageId) -> Result<()> {
         let mut stack = vec![root];
@@ -643,9 +629,9 @@ impl BTree {
         Ok(())
     }
 
-    /// Drop every entry, freeing all pages except a fresh empty root leaf —
-    /// [`BTree::destroy`] for a tree that stays open. The root page id
-    /// changes; persist it again afterwards.
+    /// Drop every entry, freeing all pages except a fresh empty root leaf
+    /// (the tiered index truncates its delta this way after folding it into
+    /// a segment). The root page id changes; persist it again afterwards.
     ///
     /// Like [`BTree::delete`], freeing pages is **not** safe against
     /// concurrent readers of the same tree; callers must exclude readers

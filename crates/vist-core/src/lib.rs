@@ -5,8 +5,9 @@
 //!
 //! * [`NaiveIndex`] (§3.2) — structure-encoded sequences in a
 //!   suffix-tree-like trie, matched by subtree traversal (Algorithm 1);
-//! * [`RistIndex`] (§3.3) — the trie labeled *statically* by preorder rank
-//!   and subtree size, with matching moved onto B+Trees (Algorithm 2);
+//! * RIST (§3.3) — the trie labeled *statically* by preorder rank and
+//!   subtree size, with matching moved onto B+Trees (Algorithm 2): a packed
+//!   segment, what [`VistIndex::bulk_build`] writes;
 //! * [`VistIndex`] (§3.4) — the virtual suffix tree: **dynamic** top-down
 //!   scope allocation (Algorithm 3) means the trie is never materialized,
 //!   documents can be inserted and deleted at any time, and everything
@@ -39,7 +40,6 @@ mod extsort;
 mod ingest;
 mod naive;
 mod pool;
-mod rist;
 mod search;
 mod segment;
 mod stats;
@@ -51,7 +51,6 @@ pub use alloc::{Allocation, AllocatorKind, ScopeAllocator, SimMutation, StatsMod
 pub use error::{Error, Result};
 pub use extsort::{ExtSorter, SortedStream, DEFAULT_SORT_BUDGET};
 pub use naive::NaiveIndex;
-pub use rist::RistIndex;
 pub use search::{
     search_sequences, DkStats, PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions,
     SearchOutcome, SearchSource, SeqPlan, StageTimings, StepPlan,

@@ -2,8 +2,8 @@
 //! formulated as an explicit **work-list of match frames**, each of which
 //! advances a whole sorted frontier of partial matches at once.
 //!
-//! Shared by [`crate::VistIndex`] and [`crate::RistIndex`] — "ViST uses the
-//! same sequence matching algorithm as RIST".
+//! Shared by the delta and the packed segments of [`crate::VistIndex`] —
+//! "ViST uses the same sequence matching algorithm as RIST".
 //!
 //! For each query element the D-Ancestor tree is consulted (an exact get for
 //! concrete prefixes, a range query for `*`/`//` prefixes), and within each

@@ -117,10 +117,6 @@ fn take_u64(buf: &mut &[u8]) -> Option<u64> {
     u64::try_from(take_varint(buf)?).ok()
 }
 
-fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
-}
-
 impl Codec {
     /// S-Ancestor key `dkey-id ‖ n`.
     #[inline]
@@ -236,15 +232,7 @@ impl Codec {
     /// Statistics record: `dkey-id → (nodes, docs, fanout)`.
     fn decode_stats(self, mut k: &[u8], mut v: &[u8]) -> Option<(u64, DkStats)> {
         match self {
-            Codec::V1 if k.len() == 8 && v.len() == 24 => Some((
-                u64::from_be_bytes(k.try_into().ok()?),
-                DkStats {
-                    nodes: le_u64(v, 0)?,
-                    docs: le_u64(v, 8)?,
-                    fanout: le_u64(v, 16)?,
-                },
-            )),
-            Codec::V1 => None,
+            Codec::V1 => store::decode_dkstats(k, v),
             Codec::V2 => {
                 let dkid = u64::try_from(take_ordered_uint(&mut k)?).ok()?;
                 let stats = DkStats {
@@ -889,6 +877,35 @@ mod tests {
             seg.doc_get(0).unwrap().unwrap(),
             b"<book><author>David</author></book>"
         );
+    }
+
+    #[test]
+    fn labels_are_preorder_ranks_and_nest() {
+        // Two sequences sharing their first element: five trie nodes.
+        let (_dir, seg, _) = build(&[(1, "<a><b>x</b></a>"), (2, "<a><c>y</c></a>")]);
+        let mut nodes = Vec::new();
+        for dkid in 0..seg.dkey_count {
+            seg.nodes_in_scopes(dkid, &[(0, vist_seq::MAX_SCOPE)], &mut |node| {
+                nodes.push(node);
+            })
+            .unwrap();
+        }
+        nodes.sort_by_key(|node| node.n);
+        assert_eq!(nodes.len() as u64, seg.node_count);
+        // Labels are the preorder ranks after the virtual root's 0, and the
+        // first element's scope covers every node.
+        let ns: Vec<u128> = nodes.iter().map(|node| node.n).collect();
+        assert_eq!(ns, (1..=5).collect::<Vec<u128>>());
+        assert_eq!(nodes[0].size, 5);
+        for a in &nodes {
+            // `size` counts the node and its descendants …
+            let inside = nodes.iter().filter(|b| a.n <= b.n && b.n < a.end());
+            assert_eq!(inside.count() as u128, a.size, "node {}", a.n);
+            // … and every scope that starts inside another ends inside it.
+            for b in nodes.iter().filter(|b| a.n < b.n && b.n < a.end()) {
+                assert!(b.end() <= a.end(), "{} in {}", b.n, a.n);
+            }
+        }
     }
 
     /// Every scope list a DocId resolution can meet, against a filter over

@@ -115,6 +115,9 @@ ingest_counters! {
         /// Documents resident in segments (including tombstoned ones — they
         /// still occupy segment space until compaction).
         pub segment_docs: u64,
+        /// Trie nodes of the segments (entries in their S-Ancestor trees;
+        /// `nodes` counts the delta's).
+        pub segment_nodes: u64,
         /// Total bytes of the segment files.
         pub segment_bytes: u64,
         /// Bytes of memory the live segments' fence arrays hold (fence keys,

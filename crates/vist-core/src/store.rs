@@ -114,8 +114,7 @@ impl Meta {
     }
 }
 
-/// The persistent store shared by [`crate::VistIndex`] and
-/// [`crate::RistIndex`].
+/// The persistent store of [`crate::VistIndex`]'s delta.
 pub struct Store {
     pool: Arc<BufferPool>,
     /// D-Ancestor tree.
@@ -360,18 +359,8 @@ impl Store {
                 // The totals record of an older file.
                 continue;
             }
-            if k.len() != 9 || v.len() != 24 {
-                return Err(Error::Corrupt("bad dkid stats record".into()));
-            }
-            let id = u64::from_be_bytes(k[1..9].try_into().unwrap());
-            st.map.insert(
-                id,
-                DkStats {
-                    nodes: u64::from_le_bytes(v[0..8].try_into().unwrap()),
-                    docs: u64::from_le_bytes(v[8..16].try_into().unwrap()),
-                    fanout: u64::from_le_bytes(v[16..24].try_into().unwrap()),
-                },
-            );
+            let (id, stats) = decode_dkstats(&k[1..], &v).ok_or_else(|| malformed("aux", &k))?;
+            st.map.insert(id, stats);
         }
         Ok(())
     }
@@ -668,7 +657,7 @@ impl Store {
         let mut last = None;
         for item in self.aux.scan_prefix(&[AUX_DOC])? {
             let (k, _) = item?;
-            let id = u64::from_be_bytes(k[1..9].try_into().expect("doc key"));
+            let id = aux_id(&k, 13)?;
             if last != Some(id) {
                 out.push(id);
                 last = Some(id);
@@ -701,9 +690,7 @@ impl Store {
         let mut out = Vec::new();
         for item in self.aux.scan_prefix(&[AUX_TOMB])? {
             let (k, _) = item?;
-            out.push(u64::from_be_bytes(
-                k[1..9].try_into().expect("tomb key width"),
-            ));
+            out.push(aux_id(&k, 9)?);
         }
         Ok(out)
     }
@@ -749,67 +736,6 @@ impl Store {
     #[must_use]
     pub fn store_bytes(&self) -> u64 {
         self.pool.store_bytes()
-    }
-
-    /// Replace the D-Ancestor tree with a bulk-loaded one (static builds).
-    /// Entries are sorted internally; ids must be unique per key.
-    pub fn bulk_load_dkeys(&mut self, mut entries: Vec<(Vec<u8>, u64)>) -> Result<()> {
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        {
-            let mut meta = self.meta.write();
-            meta.next_dkey = meta.next_dkey.max(entries.len() as u64);
-        }
-        let items = entries
-            .into_iter()
-            .map(|(k, id)| (k, id.to_le_bytes().to_vec()));
-        let fresh = BTree::bulk_load(Arc::clone(&self.pool), items.collect::<Vec<_>>())?;
-        // Free the replaced tree's pages — without this every rebuild
-        // leaked the old tree and the store grew monotonically.
-        std::mem::replace(&mut self.dancestor, fresh).destroy()?;
-        Ok(())
-    }
-
-    /// Replace the S-Ancestor tree with a bulk-loaded one (static builds).
-    /// Planner statistics are rebuilt from the input: per-dkid node counts
-    /// are exact, document and fanout columns restart at zero (a documented
-    /// estimate — ordering quality degrades, correctness is unaffected).
-    pub fn bulk_load_nodes(&mut self, mut nodes: Vec<(u64, NodeState)>) -> Result<()> {
-        nodes.sort_by_key(|(dkid, st)| (*dkid, st.n));
-        self.reset_dkid_stats()?;
-        {
-            let mut st = self.dkstats.write();
-            for (dkid, _) in &nodes {
-                st.map.entry(*dkid).or_default().nodes += 1;
-                st.dirty.insert(*dkid);
-            }
-        }
-        let items: Vec<(Vec<u8>, Vec<u8>)> = nodes
-            .into_iter()
-            .map(|(dkid, st)| {
-                (
-                    Self::sanc_key(dkid, st.n).to_vec(),
-                    Self::encode_node(&st).to_vec(),
-                )
-            })
-            .collect();
-        self.meta.write().node_count = items.len() as u64;
-        let fresh = BTree::bulk_load(Arc::clone(&self.pool), items)?;
-        std::mem::replace(&mut self.sancestor, fresh).destroy()?;
-        Ok(())
-    }
-
-    /// Replace the DocId tree with a bulk-loaded one (static builds;
-    /// per-dkid doc counts stay wherever [`Store::bulk_load_nodes`] left
-    /// them).
-    pub fn bulk_load_docids(&mut self, mut entries: Vec<(u128, DocId)>) -> Result<()> {
-        entries.sort_unstable();
-        let items: Vec<(Vec<u8>, Vec<u8>)> = entries
-            .into_iter()
-            .map(|(n, doc)| (Self::docid_key(n, doc).to_vec(), Vec::new()))
-            .collect();
-        let fresh = BTree::bulk_load(Arc::clone(&self.pool), items)?;
-        std::mem::replace(&mut self.docid, fresh).destroy()?;
-        Ok(())
     }
 
     /// Persist a statistics model (allocation clues) so it survives reopen.
@@ -869,6 +795,28 @@ pub(crate) fn decode_docid(k: &[u8]) -> Option<(u128, DocId)> {
         u128::from_be_bytes(k[..16].try_into().ok()?),
         u64::from_be_bytes(k[16..].try_into().ok()?),
     ))
+}
+
+/// A statistics record `dkey-id → (nodes, docs, fanout)`: the eight-byte key
+/// and 24-byte value that [`Store::persist_dkid_stats`] writes after its tag
+/// byte, and that a format-1 segment's statistics tree holds.
+pub(crate) fn decode_dkstats(k: &[u8], v: &[u8]) -> Option<(u64, DkStats)> {
+    let le = |at: usize| Some(u64::from_le_bytes(v.get(at..at + 8)?.try_into().ok()?));
+    let stats = DkStats {
+        nodes: le(0)?,
+        docs: le(8)?,
+        fanout: le(16)?,
+    };
+    (v.len() == 24).then_some((u64::from_be_bytes(k.try_into().ok()?), stats))
+}
+
+/// The document id after the tag byte of an aux key of `len` bytes (a stored
+/// document's chunk key, a tombstone's key).
+fn aux_id(k: &[u8], len: usize) -> Result<u64> {
+    let id = k.get(1..9).filter(|_| k.len() == len);
+    id.and_then(|id| id.try_into().ok())
+        .map(u64::from_be_bytes)
+        .ok_or_else(|| malformed("aux", k))
 }
 
 /// The error for a record of the delta's `tree` that no writer of it
@@ -1190,127 +1138,6 @@ mod tests {
             assert_eq!(s.doc_get(77).unwrap(), Some(b"<x/>".to_vec()));
         }
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bulk_loaders_match_incremental_writes() {
-        // Incrementally-built store.
-        let a = mem_store();
-        let keys = [b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()];
-        for k in &keys {
-            a.dkey_get_or_create(k).unwrap();
-        }
-        for (i, n) in [(0u64, 10u128), (0, 20), (1, 15)] {
-            a.node_put(
-                i,
-                &NodeState {
-                    n,
-                    size: 5,
-                    next: n + 1,
-                    k: 0,
-                },
-            )
-            .unwrap();
-        }
-        a.docid_put(10, 1).unwrap();
-        a.docid_put(15, 2).unwrap();
-
-        // Bulk-built store (input deliberately unsorted).
-        let mut b = mem_store();
-        b.bulk_load_dkeys(vec![
-            (b"gamma".to_vec(), 2),
-            (b"alpha".to_vec(), 0),
-            (b"beta".to_vec(), 1),
-        ])
-        .unwrap();
-        b.bulk_load_nodes(vec![
-            (
-                1,
-                NodeState {
-                    n: 15,
-                    size: 5,
-                    next: 16,
-                    k: 0,
-                },
-            ),
-            (
-                0,
-                NodeState {
-                    n: 20,
-                    size: 5,
-                    next: 21,
-                    k: 0,
-                },
-            ),
-            (
-                0,
-                NodeState {
-                    n: 10,
-                    size: 5,
-                    next: 11,
-                    k: 0,
-                },
-            ),
-        ])
-        .unwrap();
-        b.bulk_load_docids(vec![(15, 2), (10, 1)]).unwrap();
-
-        for k in &keys {
-            assert_eq!(a.dkey_get(k).unwrap(), b.dkey_get(k).unwrap());
-        }
-        for (i, n) in [(0u64, 10u128), (0, 20), (1, 15)] {
-            assert_eq!(a.node_get(i, n).unwrap(), b.node_get(i, n).unwrap());
-        }
-        assert_eq!(
-            a.docids_in_range(0, 100).unwrap(),
-            b.docids_in_range(0, 100).unwrap()
-        );
-        assert_eq!(nodes_in(&a, 0, 0, 100), nodes_in(&b, 0, 0, 100));
-        assert_eq!(b.meta().node_count, 3);
-    }
-
-    #[test]
-    fn repeated_bulk_loads_do_not_leak_pages() {
-        let mut s = mem_store();
-        let dkeys: Vec<(Vec<u8>, u64)> = (0..500u64)
-            .map(|i| (format!("key{i:06}").into_bytes(), i))
-            .collect();
-        let nodes: Vec<(u64, NodeState)> = (0..500u64)
-            .map(|i| {
-                (
-                    i % 7,
-                    NodeState {
-                        n: u128::from(i) * 10,
-                        size: 5,
-                        next: u128::from(i) * 10 + 1,
-                        k: 0,
-                    },
-                )
-            })
-            .collect();
-        let docids: Vec<(u128, DocId)> = (0..500u64).map(|i| (u128::from(i) * 10, i)).collect();
-        // Two rounds reach the steady state: a rebuild allocates the new
-        // tree before destroying the old one, so the high-water mark is
-        // one extra tree set.
-        for _ in 0..2 {
-            s.bulk_load_dkeys(dkeys.clone()).unwrap();
-            s.bulk_load_nodes(nodes.clone()).unwrap();
-            s.bulk_load_docids(docids.clone()).unwrap();
-        }
-        let baseline = s.store_bytes();
-        for _ in 0..4 {
-            s.bulk_load_dkeys(dkeys.clone()).unwrap();
-            s.bulk_load_nodes(nodes.clone()).unwrap();
-            s.bulk_load_docids(docids.clone()).unwrap();
-        }
-        // Replaced trees return their pages to the free list, so repeated
-        // rebuilds reuse space instead of growing without bound.
-        assert_eq!(
-            s.store_bytes(),
-            baseline,
-            "store grew across identical rebuilds"
-        );
-        assert_eq!(s.dkey_get(b"key000123").unwrap(), Some(123));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every document's whole sequence is inserted from the root, sharing
 //! prefixes with previously inserted sequences; a document's id is attached
 //! to the node its last element reaches. This structure *is* the "suffix
-//! tree" of the paper's naive algorithm and the labeling source for RIST;
-//! ViST never materializes it.
+//! tree" of the paper's naive algorithm; a segment build labels its own
+//! copy of it (`segment.rs`), and ViST never materializes it.
 
 use std::collections::HashMap;
 
@@ -21,7 +21,7 @@ pub struct TrieNode {
     /// The element this node represents (`None` for the root).
     pub elem: Option<ElemKey>,
     /// Children, keyed by element; insertion order retained separately for
-    /// deterministic traversal/labeling.
+    /// deterministic traversal.
     pub children: HashMap<ElemKey, usize>,
     /// Child node indices in insertion order.
     pub child_order: Vec<usize>,
@@ -101,28 +101,6 @@ impl Trie {
         self.nodes[cur].docs.push(doc);
     }
 
-    /// Assign static RIST labels: preorder rank `n` and subtree size
-    /// (`[n, n+size)` covers the node and all descendants). Returns labels
-    /// indexed like `nodes`.
-    #[must_use]
-    pub fn static_labels(&self) -> Vec<(u128, u128)> {
-        let mut labels = vec![(0u128, 0u128); self.nodes.len()];
-        let mut counter = 0u128;
-        self.label_rec(0, &mut counter, &mut labels);
-        labels
-    }
-
-    fn label_rec(&self, node: usize, counter: &mut u128, labels: &mut [(u128, u128)]) -> u128 {
-        let n = *counter;
-        *counter += 1;
-        let mut size = 1u128;
-        for &c in &self.nodes[node].child_order {
-            size += self.label_rec(c, counter, labels);
-        }
-        labels[node] = (n, size);
-        size
-    }
-
     /// All document ids attached to `node` or any of its descendants.
     pub fn docs_under(&self, node: usize, out: &mut Vec<DocId>) {
         out.extend_from_slice(&self.nodes[node].docs);
@@ -176,33 +154,6 @@ mod tests {
         trie.insert_sequence(&d2, 2);
         // Shared: root, (P,). Doc1 adds 5 more, Doc2 adds 3 more.
         assert_eq!(trie.len(), 1 + 1 + 5 + 3);
-    }
-
-    #[test]
-    fn static_labels_nested_and_preorder() {
-        let mut table = SymbolTable::new();
-        let s1 = seq("<a><b>x</b></a>", &mut table);
-        let s2 = seq("<a><c>y</c></a>", &mut table);
-        let mut trie = Trie::new();
-        trie.insert_sequence(&s1, 1);
-        trie.insert_sequence(&s2, 2);
-        let labels = trie.static_labels();
-        // Root label covers everything.
-        assert_eq!(labels[0].0, 0);
-        assert_eq!(labels[0].1, trie.len() as u128);
-        // Every child scope nests strictly inside its parent's.
-        for (i, node) in trie.nodes.iter().enumerate() {
-            let (pn, psize) = labels[i];
-            for &c in &node.child_order {
-                let (cn, csize) = labels[c];
-                assert!(cn > pn && cn + csize <= pn + psize, "child {c} of {i}");
-            }
-        }
-        // Labels are unique preorder ranks 0..len.
-        let mut ns: Vec<u128> = labels.iter().map(|l| l.0).collect();
-        ns.sort_unstable();
-        let expect: Vec<u128> = (0..trie.len() as u128).collect();
-        assert_eq!(ns, expect);
     }
 
     #[test]

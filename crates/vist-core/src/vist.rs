@@ -580,6 +580,7 @@ impl VistIndex {
             .set(i64::try_from(meta.doc_count).unwrap_or(i64::MAX));
         let segments = self.segments_snapshot();
         let segment_docs: u64 = segments.iter().map(|s| s.doc_count).sum();
+        let segment_nodes: u64 = segments.iter().map(|s| s.node_count).sum();
         let segment_bytes: u64 = segments.iter().map(|s| s.store_bytes()).sum();
         let segment_fence_bytes: u64 = segments.iter().map(|s| s.fence_bytes()).sum();
         let tombstones = if segments.is_empty() {
@@ -595,6 +596,7 @@ impl VistIndex {
         IndexStats {
             segments: segments.len() as u64,
             segment_docs,
+            segment_nodes,
             segment_bytes,
             segment_fence_bytes,
             tombstones,
@@ -744,62 +746,25 @@ impl VistIndex {
             let meta = self.store.meta();
             (meta.store_documents, meta.next_doc)
         };
-        let mut builder = SegmentBuilder::new(
-            tier.scratch_dir(),
-            tier.page_size,
-            store_documents,
-            DEFAULT_SORT_BUDGET,
-        )?;
         let mut ids = Vec::new();
-        let mut next = first_doc;
-        for xml in docs {
-            let xml = xml.as_ref();
-            let doc = vist_xml::parse(xml)?;
-            let seq = {
-                let mut table = self.table.write();
-                document_to_sequence(&doc, &mut table, &self.order)
-            };
-            builder.add_doc(next, &seq, xml)?;
-            ids.push(next);
-            next += 1;
-        }
-        if ids.is_empty() {
+        let docs = docs.into_iter().map(|xml| {
+            let id = first_doc + ids.len() as u64;
+            ids.push(id);
+            Ok((id, xml))
+        });
+        let Some(seg) = self.write_segment(tier, docs, Error::from)? else {
             return Ok(ids);
-        }
-        let seg_id = tier.next_segment_id();
-        let seg = builder.finish(
-            tier.vfs.as_ref(),
-            &tier.path,
-            seg_id,
-            tier.page_size,
-            tier.cache_pages,
-            DEFAULT_SORT_BUDGET,
-        )?;
-        // The segment's dkeys encode symbols interned above: persist the
-        // table BEFORE the manifest can reference the segment.
-        self.flush_locked()?;
+        };
         // Commit point. A crash before this leaves an orphan file (the id
         // gets reused and truncated); a crash after is healed on reopen by
         // the max_doc watermark (see open_at).
-        let manifest = {
-            let st = tier.state.read();
-            let mut segs = st.manifest.segments.clone();
-            segs.push(seg_id);
-            Manifest {
-                generation: st.manifest.generation + 1,
-                delta_epoch: st.manifest.delta_epoch,
-                segments: segs,
-            }
-        };
-        manifest.store(tier.vfs.as_ref(), &tier.path)?;
-        {
-            let mut st = tier.state.write();
-            st.manifest = manifest;
-            st.segments.push(Arc::new(seg));
-        }
+        let mut segments = self.segments_snapshot();
+        segments.push(Arc::new(seg));
+        let delta_epoch = tier.state.read().manifest.delta_epoch;
+        self.publish(tier, delta_epoch, segments)?;
         {
             let mut meta = self.store.meta_mut();
-            meta.next_doc = next;
+            meta.next_doc = first_doc + ids.len() as u64;
             meta.doc_count += ids.len() as u64;
         }
         self.flush_locked()?;
@@ -810,6 +775,84 @@ impl VistIndex {
             self.compact_locked()?;
         }
         Ok(ids)
+    }
+
+    /// The static build (paper §3.3), shared by bulk load and compaction:
+    /// parse each `(id, xml)`, convert it to its structure-encoded sequence
+    /// and hand it to one [`SegmentBuilder`], which labels the merged trie
+    /// and writes the next segment file of `tier`. The file is durable on
+    /// return but named by no manifest: [`VistIndex::publish`] is the
+    /// caller's next step. `None` when `docs` is empty. A document that does
+    /// not parse ends the build with `unparseable` of the parser's error.
+    /// The caller holds the writer lock.
+    fn write_segment<S: AsRef<str>>(
+        &self,
+        tier: &Tier,
+        docs: impl Iterator<Item = Result<(DocId, S)>>,
+        unparseable: impl Fn(vist_xml::ParseError) -> Error,
+    ) -> Result<Option<Segment>> {
+        let mut docs = docs.peekable();
+        if docs.peek().is_none() {
+            return Ok(None);
+        }
+        let mut builder = SegmentBuilder::new(
+            tier.scratch_dir(),
+            tier.page_size,
+            self.store.meta().store_documents,
+            DEFAULT_SORT_BUDGET,
+        )?;
+        for item in docs {
+            let (id, xml) = item?;
+            let xml = xml.as_ref();
+            let doc = vist_xml::parse(xml).map_err(&unparseable)?;
+            let seq = {
+                let mut table = self.table.write();
+                document_to_sequence(&doc, &mut table, &self.order)
+            };
+            builder.add_doc(id, &seq, xml)?;
+        }
+        let seg = builder.finish(
+            tier.vfs.as_ref(),
+            &tier.path,
+            tier.next_segment_id(),
+            tier.page_size,
+            tier.cache_pages,
+            DEFAULT_SORT_BUDGET,
+        )?;
+        Ok(Some(seg))
+    }
+
+    /// The commit point of a bulk load and of a compaction: store the next
+    /// generation of the manifest, naming `segments` (oldest first) at
+    /// `delta_epoch`, then make it the tier's state. A manifest that
+    /// advances the delta epoch obligates a delta clear (the one
+    /// [`VistIndex::open_at`] redoes after a crash), done here before
+    /// readers can see the new segment list. The caller holds the writer
+    /// lock and flushes afterwards.
+    fn publish(&self, tier: &Tier, delta_epoch: u64, segments: Vec<Arc<Segment>>) -> Result<()> {
+        // A new segment's dkeys encode symbols interned while it was built:
+        // persist the table BEFORE the manifest can reference the segment.
+        self.flush_locked()?;
+        let (generation, clear) = {
+            let st = tier.state.read();
+            (
+                st.manifest.generation + 1,
+                delta_epoch > st.manifest.delta_epoch,
+            )
+        };
+        let manifest = Manifest {
+            generation,
+            delta_epoch,
+            segments: segments.iter().map(|seg| seg.id).collect(),
+        };
+        manifest.store(tier.vfs.as_ref(), &tier.path)?;
+        // Clearing frees B+Tree pages: exclude readers.
+        let _m = clear.then(|| self.maintenance.write());
+        if clear {
+            self.store.clear_delta(delta_epoch)?;
+        }
+        *tier.state.write() = TierState { manifest, segments };
+        Ok(())
     }
 
     /// Merge the delta and every segment into one fresh packed segment,
@@ -834,67 +877,26 @@ impl VistIndex {
             return Err(Error::DocumentsNotStored);
         }
         let segments = self.segments_snapshot();
-        let old_ids: Vec<u64> = tier.state.read().manifest.segments.clone();
-        let live = self.live_doc_ids(&segments)?;
-        let new_segment = if live.is_empty() {
-            None
-        } else {
-            let seg_id = tier.next_segment_id();
-            let mut builder = SegmentBuilder::new(
-                tier.scratch_dir(),
-                tier.page_size,
-                true,
-                DEFAULT_SORT_BUDGET,
-            )?;
-            for &id in &live {
-                let xml = self
-                    .doc_get_any(id, &segments)?
-                    .ok_or(Error::NoSuchDocument(id))?;
-                let text = String::from_utf8(xml)
-                    .map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))?;
-                let doc = vist_xml::parse(&text)
-                    .map_err(|e| Error::Corrupt(format!("stored document unparseable: {e}")))?;
-                let seq = {
-                    let mut table = self.table.write();
-                    document_to_sequence(&doc, &mut table, &self.order)
-                };
-                builder.add_doc(id, &seq, &text)?;
-            }
-            Some((
-                seg_id,
-                builder.finish(
-                    tier.vfs.as_ref(),
-                    &tier.path,
-                    seg_id,
-                    tier.page_size,
-                    tier.cache_pages,
-                    DEFAULT_SORT_BUDGET,
-                )?,
-            ))
+        let (old_ids, delta_epoch) = {
+            let st = tier.state.read();
+            (st.manifest.segments.clone(), st.manifest.delta_epoch)
         };
-        self.flush_locked()?;
+        let live = self.live_doc_ids(&segments)?;
+        let docs = live.iter().map(|&id| {
+            let xml = self
+                .doc_get_any(id, &segments)?
+                .ok_or(Error::NoSuchDocument(id))?;
+            let text = String::from_utf8(xml)
+                .map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))?;
+            Ok((id, text))
+        });
+        let new_segment = self.write_segment(tier, docs, |e| {
+            Error::Corrupt(format!("stored document unparseable: {e}"))
+        })?;
         // Commit point: the new manifest names only the compacted segment
         // and advances the delta epoch, obligating a delta clear.
-        let manifest = {
-            let st = tier.state.read();
-            Manifest {
-                generation: st.manifest.generation + 1,
-                delta_epoch: st.manifest.delta_epoch + 1,
-                segments: new_segment.iter().map(|(id, _)| *id).collect(),
-            }
-        };
-        manifest.store(tier.vfs.as_ref(), &tier.path)?;
-        {
-            // Clearing frees B+Tree pages: exclude readers.
-            let _m = self.maintenance.write();
-            self.store.clear_delta(manifest.delta_epoch)?;
-            let mut st = tier.state.write();
-            st.manifest = manifest;
-            st.segments = match new_segment {
-                Some((_, seg)) => vec![Arc::new(seg)],
-                None => Vec::new(),
-            };
-        }
+        let compacted = new_segment.into_iter().map(Arc::new).collect();
+        self.publish(tier, delta_epoch + 1, compacted)?;
         self.flush_locked()?;
         // The replaced segment files are garbage; unlink best-effort.
         // Concurrent readers that cloned the old Arcs keep their open
@@ -1310,7 +1312,7 @@ impl VistIndex {
 
     /// Remove a document (requires stored documents). The document's id
     /// disappears from all query results; shared trie nodes remain, as in
-    /// the paper's design (rebuild to reclaim space).
+    /// the paper's design ([`VistIndex::compact`] drops them).
     ///
     /// This is a *maintenance* operation: B+Tree deletion frees pages, so
     /// it holds the maintenance latch exclusively, briefly blocking
@@ -1681,53 +1683,6 @@ impl VistIndex {
             result.trace = Some(root);
         }
         Ok(result)
-    }
-
-    /// Rebuild the index from its stored documents into a fresh one,
-    /// reclaiming the space left behind by deletions (shared trie nodes are
-    /// never removed incrementally, matching the paper's design). Document
-    /// ids are preserved. Requires [`IndexOptions::store_documents`].
-    pub fn rebuild(&self, opts: IndexOptions) -> Result<VistIndex> {
-        if !self.store.meta().store_documents {
-            return Err(Error::DocumentsNotStored);
-        }
-        let fresh = VistIndex::in_memory(opts)?;
-        self.rebuild_into(&fresh)?;
-        Ok(fresh)
-    }
-
-    /// Rebuild into a fresh file-backed index at `path` (same semantics as
-    /// [`VistIndex::rebuild`]).
-    pub fn rebuild_to_file<P: AsRef<Path>>(
-        &self,
-        path: P,
-        opts: IndexOptions,
-    ) -> Result<VistIndex> {
-        if !self.store.meta().store_documents {
-            return Err(Error::DocumentsNotStored);
-        }
-        let fresh = VistIndex::create_file(path, opts)?;
-        self.rebuild_into(&fresh)?;
-        fresh.flush()?;
-        Ok(fresh)
-    }
-
-    fn rebuild_into(&self, fresh: &VistIndex) -> Result<()> {
-        let _m = self.maintenance.read();
-        let segments = self.segments_snapshot();
-        for id in self.live_doc_ids(&segments)? {
-            let xml = self
-                .doc_get_any(id, &segments)?
-                .ok_or(Error::NoSuchDocument(id))?;
-            let text = String::from_utf8(xml)
-                .map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))?;
-            // Preserve the original ids: ids are ascending, so pinning
-            // next_doc before each insert keeps them stable.
-            fresh.store.meta_mut().next_doc = id;
-            fresh.insert_xml(&text)?;
-        }
-        fresh.store.meta_mut().next_doc = self.store.meta().next_doc;
-        Ok(())
     }
 
     /// Run a pre-parsed query pattern (`&self`; see [`VistIndex::query`]).

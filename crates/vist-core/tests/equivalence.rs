@@ -1,16 +1,19 @@
 //! Cross-engine equivalence tests over randomized inputs.
 //!
 //! The three engines of the paper — Naive (Algorithm 1 over the trie), RIST
-//! (static labels + Algorithm 2), and ViST (dynamic labels + Algorithm 2) —
+//! (static labels + Algorithm 2: a file-backed index whose documents all
+//! arrive through `bulk_build`, one packed segment and an empty delta), and
+//! ViST (dynamic labels + Algorithm 2) —
 //! must return *identical* results on arbitrary document sets and queries,
 //! and all must agree with the brute-force subsequence-matching reference
 //! (`vist_query::sequence_matches`). With verification on, ViST must agree
 //! with the exact tree-embedding oracle. Driven by a seeded splitmix64
 //! generator so runs are deterministic.
 
-use vist_core::{IndexOptions, NaiveIndex, QueryOptions, RistIndex, VistIndex};
+use vist_core::{IndexOptions, NaiveIndex, QueryOptions, VistIndex};
 use vist_query::{matches_document, sequence_matches, translate, Pattern, TranslateOptions};
 use vist_seq::{document_to_sequence, SiblingOrder, SymbolTable};
+use vist_storage::testutil::TempDir;
 use vist_xml::{Document, ElementBuilder};
 
 /// Small vocabularies force structural sharing and collisions.
@@ -123,7 +126,10 @@ fn all_engines_agree() {
             vist.insert_document(d).unwrap();
             vist_tiny.insert_document(d).unwrap();
         }
-        let mut rist = RistIndex::build_in_memory(&docs, IndexOptions::default()).unwrap();
+        let dir = TempDir::new("equivalence-rist");
+        let rist = VistIndex::create_file(dir.file("rist"), IndexOptions::default()).unwrap();
+        rist.bulk_build(docs.iter().map(Document::to_xml)).unwrap();
+        assert_eq!((rist.stats().segments, rist.stats().nodes), (1, 0));
 
         let opts = QueryOptions::default();
         for q in &queries {

@@ -1,7 +1,8 @@
 //! Maintenance-path integration tests: unknown-name short-circuits,
-//! rebuild/vacuum, and the space story after heavy deletion.
+//! compaction as vacuum, and the space story after heavy deletion.
 
 use vist_core::{IndexOptions, QueryOptions, VistIndex};
+use vist_storage::testutil::TempDir;
 
 #[test]
 fn query_short_circuits_unknown_names() {
@@ -46,8 +47,9 @@ fn query_short_circuits_unknown_names() {
 }
 
 #[test]
-fn rebuild_preserves_ids_and_reclaims_space() {
-    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+fn compact_preserves_ids_and_reclaims_space() {
+    let dir = TempDir::new("maintenance-compact");
+    let idx = VistIndex::create_file(dir.file("idx"), IndexOptions::default()).unwrap();
     let mut ids = Vec::new();
     for i in 0..400 {
         ids.push(
@@ -64,44 +66,54 @@ fn rebuild_preserves_ids_and_reclaims_space() {
     let before = idx.stats();
     assert_eq!(before.documents, 80);
     assert!(before.nodes > 400, "shared + value nodes linger");
+    let live: Vec<(String, Vec<u64>)> = ids
+        .iter()
+        .filter(|id| *id % 5 == 0)
+        .map(|id| {
+            let q = format!("/doc/k[text='{id}']");
+            let hits = idx.query(&q, &QueryOptions::default()).unwrap().doc_ids;
+            assert_eq!(hits, vec![*id]);
+            (q, hits)
+        })
+        .collect();
 
-    let rebuilt = idx.rebuild(IndexOptions::default()).unwrap();
-    let after = rebuilt.stats();
+    idx.compact().unwrap();
+    let after = idx.stats();
     assert_eq!(after.documents, 80);
+    assert_eq!(
+        (after.segments, after.segment_docs, after.nodes),
+        (1, 80, 0)
+    );
     assert!(
-        after.nodes < before.nodes / 2,
-        "rebuild drops dead nodes: {} -> {}",
+        after.segment_nodes < before.nodes / 2,
+        "compaction drops dead nodes: {} -> {}",
         before.nodes,
-        after.nodes
+        after.segment_nodes
     );
     // Ids preserved; answers identical.
-    for id in ids.iter().filter(|id| *id % 5 == 0) {
-        let q = format!("/doc/k[text='{id}']");
+    for (q, hits) in &live {
         assert_eq!(
-            idx.query(&q, &QueryOptions::default()).unwrap().doc_ids,
-            vec![*id]
-        );
-        assert_eq!(
-            rebuilt.query(&q, &QueryOptions::default()).unwrap().doc_ids,
-            vec![*id],
+            &idx.query(q, &QueryOptions::default()).unwrap().doc_ids,
+            hits,
             "{q}"
         );
     }
     // New inserts get fresh ids beyond the old space.
-    let new_id = rebuilt.insert_xml("<doc><k>brand-new</k></doc>").unwrap();
+    let new_id = idx.insert_xml("<doc><k>brand-new</k></doc>").unwrap();
     assert!(new_id >= 400);
 }
 
 #[test]
-fn rebuild_to_file_roundtrip() {
-    let path = std::env::temp_dir().join(format!("vist-rebuild-{}", std::process::id()));
-    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+fn compacted_index_reopens() {
+    let dir = TempDir::new("maintenance-compact-reopen");
+    let path = dir.file("idx");
+    let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
     for i in 0..50 {
         idx.insert_xml(&format!("<x><y>{i}</y></x>")).unwrap();
     }
     idx.remove_document(0).unwrap();
-    let rebuilt = idx.rebuild_to_file(&path, IndexOptions::default()).unwrap();
-    drop(rebuilt);
+    idx.compact().unwrap();
+    drop(idx);
     let reopened = VistIndex::open_file(&path, 128).unwrap();
     assert_eq!(reopened.doc_count(), 49);
     let r = reopened
@@ -112,7 +124,6 @@ fn rebuild_to_file_roundtrip() {
         .query("/x/y[text='0']", &QueryOptions::default())
         .unwrap();
     assert!(r.doc_ids.is_empty());
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -78,54 +78,80 @@ impl Default for ServeConfig {
     }
 }
 
-/// Terminal request states, kept as plain atomics (mirrored into
-/// vist-obs) so the drain report works even with metrics disabled.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Requests received (binary + HTTP), including malformed ones.
-    pub requests: AtomicU64,
-    /// Queries that took a slot and ran.
-    pub admitted: AtomicU64,
-    /// Queries refused because pool + queue were saturated.
-    pub shed: AtomicU64,
-    /// Admitted queries that hit their effective deadline mid-match.
-    pub deadline_expired: AtomicU64,
-    /// Requests refused because the server was draining.
-    pub draining_rejected: AtomicU64,
-    /// Malformed frames / unparsable queries.
-    pub bad_requests: AtomicU64,
-    /// Admitted queries that failed server-side.
-    pub errors: AtomicU64,
-    /// Admitted queries answered successfully.
-    pub ok: AtomicU64,
-}
-
-impl ServeStats {
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            draining_rejected: self.draining_rejected.load(Ordering::Relaxed),
-            bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
+/// Declares the request states a server counts and, from the same rows,
+/// everything that has to name each one: the atomics of [`ServeStats`], the
+/// fields of [`StatsSnapshot`], [`ServeStats::snapshot`], the [`State`] a
+/// call site hands to [`ServeStats::count`], and the registry counter (name
+/// after `=>`, then the help text, which is also the field's doc) the state
+/// is mirrored into.
+macro_rules! serve_states {
+    ( $( $field:ident $state:ident => $metric:literal, $help:literal; )* ) => {
+        /// Terminal request states, kept as plain atomics (mirrored into
+        /// vist-obs) so the drain report works even with metrics disabled.
+        #[derive(Debug, Default)]
+        pub struct ServeStats {
+            $( #[doc = $help] pub $field: AtomicU64, )*
         }
-    }
+
+        /// Plain-data copy of [`ServeStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $( #[doc = $help] pub $field: u64, )*
+        }
+
+        /// One row of [`ServeStats`], for [`ServeStats::count`].
+        #[derive(Debug, Clone, Copy)]
+        pub(crate) enum State {
+            $( #[doc = $help] $state, )*
+        }
+
+        impl ServeStats {
+            /// Count one request into `state`: this server's atomic and the
+            /// process-wide registry counter together.
+            pub(crate) fn count(&self, state: State) {
+                match state {
+                    $( State::$state => {
+                        self.$field.fetch_add(1, Ordering::Relaxed);
+                        vist_obs::counter!($metric).inc();
+                    } )*
+                }
+            }
+
+            fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $field: self.$field.load(Ordering::Relaxed), )*
+                }
+            }
+
+            /// Make the registry counters exist, described, before the
+            /// first request.
+            fn register_metrics() {
+                $(
+                    let _ = vist_obs::counter!($metric);
+                    vist_obs::describe($metric, $help);
+                )*
+            }
+        }
+    };
 }
 
-/// Plain-data copy of [`ServeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub requests: u64,
-    pub admitted: u64,
-    pub shed: u64,
-    pub deadline_expired: u64,
-    pub draining_rejected: u64,
-    pub bad_requests: u64,
-    pub errors: u64,
-    pub ok: u64,
+serve_states! {
+    requests Requests => "vist_serve_requests_total",
+        "Requests received (binary + HTTP), including malformed ones.";
+    admitted Admitted => "vist_serve_admitted_total",
+        "Queries that took an execution slot and ran.";
+    shed Shed => "vist_serve_shed_total",
+        "Queries refused because pool and queue were saturated.";
+    deadline_expired DeadlineExpired => "vist_serve_deadline_expired_total",
+        "Admitted queries that hit their effective deadline mid-match.";
+    draining_rejected DrainingRejected => "vist_serve_draining_rejected_total",
+        "Requests refused because the server was draining.";
+    bad_requests BadRequest => "vist_serve_bad_request_total",
+        "Malformed frames and unparsable queries.";
+    errors Error => "vist_serve_errors_total",
+        "Admitted queries that failed server-side.";
+    ok Ok => "vist_serve_ok_total",
+        "Admitted queries answered successfully.";
 }
 
 /// What the drain accomplished; returned by [`ServerHandle::join`].
@@ -155,52 +181,13 @@ pub(crate) struct Shared {
 /// Register the serve metric families so they appear in exposition
 /// even before first use. Idempotent.
 pub fn register_metrics() {
-    let _ = vist_obs::counter!("vist_serve_requests_total");
-    let _ = vist_obs::counter!("vist_serve_admitted_total");
-    let _ = vist_obs::counter!("vist_serve_shed_total");
-    let _ = vist_obs::counter!("vist_serve_deadline_expired_total");
-    let _ = vist_obs::counter!("vist_serve_draining_rejected_total");
-    let _ = vist_obs::counter!("vist_serve_bad_request_total");
-    let _ = vist_obs::counter!("vist_serve_errors_total");
-    let _ = vist_obs::counter!("vist_serve_ok_total");
+    ServeStats::register_metrics();
     let _ = vist_obs::gauge!("vist_serve_inflight");
     let _ = vist_obs::gauge!("vist_serve_queue_depth");
     let _ = vist_obs::gauge!("vist_serve_draining");
     let _ = vist_obs::histogram!("vist_serve_request_nanos");
     let _ = vist_obs::histogram!("vist_serve_queue_wait_nanos");
     for (name, help) in [
-        (
-            "vist_serve_requests_total",
-            "Requests received (binary + HTTP), including malformed ones.",
-        ),
-        (
-            "vist_serve_admitted_total",
-            "Queries that took an execution slot and ran.",
-        ),
-        (
-            "vist_serve_shed_total",
-            "Queries refused because pool and queue were saturated.",
-        ),
-        (
-            "vist_serve_deadline_expired_total",
-            "Admitted queries that hit their effective deadline mid-match.",
-        ),
-        (
-            "vist_serve_draining_rejected_total",
-            "Requests refused because the server was draining.",
-        ),
-        (
-            "vist_serve_bad_request_total",
-            "Malformed frames and unparsable queries.",
-        ),
-        (
-            "vist_serve_errors_total",
-            "Admitted queries that failed server-side.",
-        ),
-        (
-            "vist_serve_ok_total",
-            "Admitted queries answered successfully.",
-        ),
         (
             "vist_serve_inflight",
             "Queries currently holding an execution slot.",
@@ -434,10 +421,8 @@ fn serve_binary(mut stream: TcpStream, shared: &Shared, peer: &str) {
 /// Account + wide-event a request that never decoded; even these get a
 /// (minted) trace id so the response frame stays uniform.
 fn bad_binary_request(shared: &Shared, peer: &str, error: &str) -> (u128, Response) {
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-    vist_obs::counter!("vist_serve_requests_total").inc();
-    vist_obs::counter!("vist_serve_bad_request_total").inc();
+    shared.stats.count(State::Requests);
+    shared.stats.count(State::BadRequest);
     let trace_id = vist_obs::traceid::mint();
     vist_obs::WideEvent::new("request")
         .str_field("trace_id", &vist_obs::traceid::format(trace_id))
@@ -491,8 +476,7 @@ pub(crate) fn handle_request(
     peer: &str,
     transport: &'static str,
 ) -> (u128, Response) {
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    vist_obs::counter!("vist_serve_requests_total").inc();
+    shared.stats.count(State::Requests);
     let (client_trace_id, deadline_ms, verify, no_plan, limit, expr) = match req {
         Request::Ping => {
             let trace_id = vist_obs::traceid::mint();
@@ -543,17 +527,12 @@ pub(crate) fn handle_request(
     let deadline = arrival + budget;
     let resp = match shared.gate.admit(budget) {
         Admission::Draining => {
-            shared
-                .stats
-                .draining_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            vist_obs::counter!("vist_serve_draining_rejected_total").inc();
+            shared.stats.count(State::DrainingRejected);
             event("draining").emit();
             Response::Draining
         }
         Admission::Shed { retry_after } => {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            vist_obs::counter!("vist_serve_shed_total").inc();
+            shared.stats.count(State::Shed);
             let retry_after_ms = retry_after.as_millis().min(u128::from(u32::MAX)) as u32;
             event("shed")
                 .u64_field("retry_after_ms", u64::from(retry_after_ms))
@@ -561,8 +540,7 @@ pub(crate) fn handle_request(
             Response::Overloaded { retry_after_ms }
         }
         Admission::Admitted { queued } => {
-            shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-            vist_obs::counter!("vist_serve_admitted_total").inc();
+            shared.stats.count(State::Admitted);
             let queue_wait_nanos = queued.as_nanos().min(u128::from(u64::MAX)) as u64;
             vist_obs::histogram!("vist_serve_queue_wait_nanos").record(queue_wait_nanos);
             vist_obs::gauge!("vist_serve_inflight").set(shared.gate.inflight() as i64);
@@ -595,8 +573,7 @@ pub(crate) fn handle_request(
             };
             match result {
                 Ok(r) => {
-                    shared.stats.ok.fetch_add(1, Ordering::Relaxed);
-                    vist_obs::counter!("vist_serve_ok_total").inc();
+                    shared.stats.count(State::Ok);
                     let event = admitted_event("ok")
                         .u64_field("docs", r.doc_ids.len() as u64)
                         .u64_field("candidates", r.candidates as u64)
@@ -606,25 +583,19 @@ pub(crate) fn handle_request(
                     Response::Ok(r.doc_ids)
                 }
                 Err(CoreError::DeadlineExceeded) => {
-                    shared
-                        .stats
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    vist_obs::counter!("vist_serve_deadline_expired_total").inc();
+                    shared.stats.count(State::DeadlineExpired);
                     admitted_event("deadline").emit();
                     Response::DeadlineExceeded
                 }
                 Err(CoreError::Query(e)) => {
-                    shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    vist_obs::counter!("vist_serve_bad_request_total").inc();
+                    shared.stats.count(State::BadRequest);
                     admitted_event("bad_request")
                         .str_field("error", &e.to_string())
                         .emit();
                     Response::BadRequest(e.to_string())
                 }
                 Err(e) => {
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    vist_obs::counter!("vist_serve_errors_total").inc();
+                    shared.stats.count(State::Error);
                     admitted_event("error")
                         .str_field("error", &e.to_string())
                         .emit();

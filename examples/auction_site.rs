@@ -11,7 +11,8 @@ use std::time::Instant;
 
 use vist::baselines::{NodeIndex, PathIndex};
 use vist::datagen::xmark;
-use vist::{IndexOptions, NaiveIndex, QueryOptions, RistIndex, VistIndex};
+use vist::storage::testutil::TempDir;
+use vist::{IndexOptions, NaiveIndex, QueryOptions, VistIndex};
 
 fn main() -> vist::Result<()> {
     let n = std::env::var("N_RECORDS")
@@ -32,7 +33,11 @@ fn main() -> vist::Result<()> {
         path_idx.insert_document(d).expect("path insert");
         node_idx.insert_document(d).expect("node insert");
     }
-    let mut rist = RistIndex::build_in_memory(&docs, IndexOptions::default())?;
+    // RIST is the static build: a file-backed index whose documents all
+    // arrive through `bulk_build` (one packed segment, empty delta).
+    let dir = TempDir::new("auction-site");
+    let rist = VistIndex::create_file(dir.file("rist"), IndexOptions::default())?;
+    rist.bulk_build(docs.iter().map(|d| d.to_xml()))?;
 
     println!(
         "{:<4} {:>10} {:>10} {:>10} {:>10} {:>10}   query",

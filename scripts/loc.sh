@@ -2,15 +2,28 @@
 # Non-test source lines per crate: the lines of each crates/*/src/*.rs and
 # src/*.rs before its first `#[cfg(test)]`, summed per directory. This is the
 # count ROADMAP item 4's line gate and CHANGES.md's "less code" figures use.
-# Run from anywhere; prints one `lines  directory` row per crate and a total.
+# Run from anywhere; prints one `lines  directory` row per crate and a total,
+# then — counted the same way, and kept out of the first total so that it
+# stays comparable across history — one row per `src/bin` directory and a
+# second total with them.
 set -eu
 cd "$(dirname "$0")/.."
+count() {
+    for f in "$1"/*.rs; do
+        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f"
+    done | wc -l
+}
 total=0
 for dir in crates/*/src src; do
-    lines=$(for f in "$dir"/*.rs; do
-        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f"
-    done | wc -l)
+    lines=$(count "$dir")
     printf '%7d  %s\n' "$lines" "$dir"
     total=$((total + lines))
 done
 printf '%7d  total\n' "$total"
+for dir in crates/*/src/bin src/bin; do
+    [ -d "$dir" ] || continue
+    lines=$(count "$dir")
+    printf '%7d  %s\n' "$lines" "$dir"
+    total=$((total + lines))
+done
+printf '%7d  total with src/bin\n' "$total"

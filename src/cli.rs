@@ -114,13 +114,6 @@ pub enum Command {
         /// Slow-query log threshold in milliseconds (0 records every query).
         slow_ms: u64,
     },
-    /// `vist rebuild <index> <dst>`
-    Rebuild {
-        /// Source index file.
-        index: PathBuf,
-        /// Destination index file.
-        dst: PathBuf,
-    },
     /// `vist check <index>`
     Check {
         /// Index file path.
@@ -254,7 +247,6 @@ USAGE:
   vist list    <index>
   vist stats   <index> [--format human|json|prometheus]
   vist profile <index> <queries-file> [--workers N] [--slow-ms N]
-  vist rebuild <index> <dst>
   vist check   <index>
   vist recover <index>
   vist sim     [--seed N] [--ops N] [--seconds N] [--replay FILE] [--out FILE]
@@ -515,15 +507,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 queries: PathBuf::from(queries),
                 workers,
                 slow_ms,
-            })
-        }
-        "rebuild" => {
-            let [index, dst] = rest.as_slice() else {
-                return Err("rebuild: expected source and destination paths".into());
-            };
-            Ok(Command::Rebuild {
-                index: PathBuf::from(index),
-                dst: PathBuf::from(dst),
             })
         }
         "check" => {
@@ -1102,19 +1085,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 writeln!(out, "]").unwrap();
             }
             Ok(out)
-        }
-        Command::Rebuild { index, dst } => {
-            let idx = open(&index)?;
-            let fresh = idx
-                .rebuild_to_file(&dst, IndexOptions::default())
-                .map_err(|e| e.to_string())?;
-            Ok(format!(
-                "rebuilt {} -> {} ({} documents, {} nodes)\n",
-                index.display(),
-                dst.display(),
-                fresh.doc_count(),
-                fresh.stats().nodes
-            ))
         }
         Command::Check { index } => {
             let idx = open(&index)?;
@@ -1801,7 +1771,6 @@ mod tests {
     fn end_to_end_lifecycle() {
         let tmp = vist_storage::testutil::TempDir::new("cli-e2e");
         let index = tmp.file("i.idx");
-        let dst = tmp.file("rebuilt.idx");
         let xml1 = tmp.file("1.xml");
         let xml2 = tmp.file("2.xml");
         std::fs::write(&xml1, "<book><author>David</author></book>").unwrap();
@@ -1860,13 +1829,6 @@ mod tests {
         })
         .unwrap();
         assert!(out.starts_with("1 document(s)"), "{out}");
-
-        let out = run(Command::Rebuild {
-            index: index.clone(),
-            dst: dst.clone(),
-        })
-        .unwrap();
-        assert!(out.contains("1 documents"), "{out}");
     }
 
     #[test]

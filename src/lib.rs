@@ -26,7 +26,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | root | `vist-core` | [`VistIndex`], [`RistIndex`], [`NaiveIndex`], options, stats |
+//! | root | `vist-core` | [`VistIndex`] (ViST, and RIST as its packed segments), [`NaiveIndex`], options, stats |
 //! | [`xml`] | `vist-xml` | XML parser, DOM, builder, serializer |
 //! | [`seq`] | `vist-seq` | structure-encoded sequences, symbols, scopes |
 //! | [`query`] | `vist-query` | query language, translation, exact matcher |
@@ -39,8 +39,8 @@
 
 pub use vist_core::{
     search_sequences, AllocatorKind, DocId, Error, IndexOptions, IndexStats, NaiveIndex,
-    QueryOptions, QueryResult, QueryStats, Result, RistIndex, SearchMode, SearchOutcome,
-    StageTimings, StatsModel, VistIndex,
+    QueryOptions, QueryResult, QueryStats, Result, SearchMode, SearchOutcome, StageTimings,
+    StatsModel, VistIndex,
 };
 
 /// The `vist` command-line tool's implementation (parse + execute).

@@ -5,7 +5,8 @@ use vist::baselines::{NodeIndex, PathIndex};
 use vist::datagen::{dblp, xmark};
 use vist::query::{matches_document, parse_query};
 use vist::seq::SiblingOrder;
-use vist::{IndexOptions, NaiveIndex, QueryOptions, RistIndex, VistIndex};
+use vist::storage::testutil::TempDir;
+use vist::{IndexOptions, NaiveIndex, QueryOptions, VistIndex};
 
 fn exact_answer(docs: &[vist::xml::Document], q: &str) -> Vec<u64> {
     let p = parse_query(q).unwrap().to_pattern();
@@ -14,6 +15,18 @@ fn exact_answer(docs: &[vist::xml::Document], q: &str) -> Vec<u64> {
         .filter(|(_, d)| matches_document(&p, d, &SiblingOrder::Lexicographic))
         .map(|(i, _)| i as u64)
         .collect()
+}
+
+/// The paper's RIST over `docs`: a file-backed index whose documents all
+/// arrive through `bulk_build` — one statically labeled packed segment, an
+/// empty delta.
+fn rist_over(docs: &[vist::xml::Document]) -> (TempDir, VistIndex) {
+    let dir = TempDir::new("end-to-end-rist");
+    let rist = VistIndex::create_file(dir.file("rist"), IndexOptions::default()).unwrap();
+    let ids = rist.bulk_build(docs.iter().map(|d| d.to_xml())).unwrap();
+    assert_eq!(ids, (0..docs.len() as u64).collect::<Vec<_>>());
+    assert_eq!((rist.stats().segments, rist.stats().nodes), (1, 0));
+    (dir, rist)
 }
 
 fn check_dataset(docs: &[vist::xml::Document], queries: &[(&str, String)]) {
@@ -27,7 +40,7 @@ fn check_dataset(docs: &[vist::xml::Document], queries: &[(&str, String)]) {
         path_idx.insert_document(d).unwrap();
         node_idx.insert_document(d).unwrap();
     }
-    let mut rist = RistIndex::build_in_memory(docs, IndexOptions::default()).unwrap();
+    let (_dir, rist) = rist_over(docs);
 
     let opts = QueryOptions::default();
     for (label, q) in queries {
@@ -97,7 +110,7 @@ fn synthetic_random_queries_all_engines() {
         vist_idx.insert_document(d).unwrap();
         naive.insert_document(d);
     }
-    let mut rist = RistIndex::build_in_memory(&docs, IndexOptions::default()).unwrap();
+    let (_dir, rist) = rist_over(&docs);
     let opts = QueryOptions::default();
     for i in 0..30 {
         let q = gen.query(2 + i % 6, 0.2);

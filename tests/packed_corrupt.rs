@@ -396,8 +396,10 @@ fn shorten_delta_records(path: &Path, page_size: usize, from: (u16, u16), to: (u
     // A key cut short sorts where its first bytes put it. It is still met
     // by the probe that would have met the whole key when those bytes alone
     // place it after the probe's start: when they are not all zero past the
-    // eight of the leading id.
-    let still_met = |key: &[u8]| to.0 == from.0 || key[8..].iter().any(|&b| b != 0);
+    // eight of the leading id. (An aux key cut inside its id is met by the
+    // scan of its tag byte.)
+    let still_met =
+        |key: &[u8]| to.0 == from.0 || key.len() <= 8 || key[8..].iter().any(|&b| b != 0);
     let frame_len = page_size + PAGE_TRAILER;
     let mut file = std::fs::read(path).unwrap();
     let mut rewritten = 0;
@@ -469,6 +471,54 @@ fn delta_records_a_byte_short_are_corrupt_not_a_panic() {
                     );
                 }
                 other => panic!("{tree} {to:?}: {q}: {:?}", other.map(|r| r.doc_ids)),
+            }
+        }
+    }
+}
+
+#[test]
+fn aux_keys_cut_inside_their_id_are_corrupt_not_a_panic() {
+    // (lengths the aux tree's writer produces, damaged): a stored document's
+    // chunk key `tag ‖ doc-id ‖ chunk` over its 16 bytes of XML, and a
+    // tombstone's `tag ‖ doc-id`.
+    for (from, to) in [((13, 16), (5, 16)), ((9, 0), (3, 0))] {
+        let dir = TempDir::new("delta-short-aux");
+        let path = dir.file("idx.vist");
+        let opts = IndexOptions::default();
+        let idx = VistIndex::create_file(&path, opts.clone()).unwrap();
+        // A segment for tombstones to mask, the rest of the documents in
+        // the delta, all of one length.
+        let docs: Vec<String> = (0..40).map(|i| format!("<r><a>{i:02}</a></r>")).collect();
+        idx.bulk_build(&docs[..20]).unwrap();
+        for xml in &docs[20..] {
+            idx.insert_xml(xml).unwrap();
+        }
+        for id in 0..12 {
+            idx.remove_document(id).unwrap();
+        }
+        assert_eq!(idx.document_ids().unwrap().len(), 28);
+        assert_eq!(idx.stats().tombstones, 12);
+        idx.flush().unwrap();
+        drop(idx);
+
+        let n = shorten_delta_records(&path, opts.page_size, from, to);
+        assert!(n > 10, "{n} records of shape {from:?}");
+        let idx = VistIndex::open_file(&path, opts.cache_pages).unwrap();
+        // `stats()` has no error to return: it must not panic.
+        assert_eq!(idx.stats().segments, 1);
+        assert!(idx.check().is_err());
+        for (what, result) in [
+            ("document_ids", idx.document_ids().map(drop)),
+            ("compact", idx.compact()),
+        ] {
+            match result {
+                Err(vist_core::Error::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains("delta: aux tree") && msg.contains("key ["),
+                        "{to:?}: {what}: {msg}"
+                    );
+                }
+                other => panic!("{to:?}: {what}: {other:?}"),
             }
         }
     }
