@@ -83,13 +83,6 @@ pub fn wildcard_prob() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Wall-clock one run of `f`.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let v = f();
-    (v, t0.elapsed())
-}
-
 /// Minimal micro-benchmark runner used by `benches/micro.rs` (this build
 /// carries no third-party bench framework). Each benchmark's setup +
 /// timing closure is re-run with a growing iteration count until the timed

@@ -85,64 +85,6 @@ impl KeyWriter {
     }
 }
 
-/// Reads fields back out of a composite key.
-#[derive(Debug)]
-pub struct KeyReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> KeyReader<'a> {
-    /// Start reading `buf` from the beginning.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        KeyReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        s
-    }
-
-    /// Read a `u8`.
-    pub fn u8(&mut self) -> u8 {
-        self.take(1)[0]
-    }
-
-    /// Read a big-endian `u16`.
-    pub fn u16(&mut self) -> u16 {
-        u16::from_be_bytes(self.take(2).try_into().unwrap())
-    }
-
-    /// Read a big-endian `u32`.
-    pub fn u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.take(4).try_into().unwrap())
-    }
-
-    /// Read a big-endian `u64`.
-    pub fn u64(&mut self) -> u64 {
-        u64::from_be_bytes(self.take(8).try_into().unwrap())
-    }
-
-    /// Read a big-endian `u128`.
-    pub fn u128(&mut self) -> u128 {
-        u128::from_be_bytes(self.take(16).try_into().unwrap())
-    }
-
-    /// Remaining unread bytes.
-    #[must_use]
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// Bytes remaining.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
 /// Longest [`put_ordered_uint`]: the length byte and sixteen value bytes.
 pub const ORDERED_UINT_MAX: usize = 17;
 
@@ -267,13 +209,15 @@ mod tests {
             .u64(u64::MAX - 5)
             .u128(1 << 100);
         let key = w.finish();
-        let mut r = KeyReader::new(&key);
-        assert_eq!(r.u8(), 3);
-        assert_eq!(r.u16(), 777);
-        assert_eq!(r.u32(), 1 << 30);
-        assert_eq!(r.u64(), u64::MAX - 5);
-        assert_eq!(r.u128(), 1 << 100);
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(key.len(), 1 + 2 + 4 + 8 + 16);
+        assert_eq!(key[0], 3);
+        assert_eq!(u16::from_be_bytes(key[1..3].try_into().unwrap()), 777);
+        assert_eq!(u32::from_be_bytes(key[3..7].try_into().unwrap()), 1 << 30);
+        assert_eq!(
+            u64::from_be_bytes(key[7..15].try_into().unwrap()),
+            u64::MAX - 5
+        );
+        assert_eq!(u128::from_be_bytes(key[15..].try_into().unwrap()), 1 << 100);
     }
 
     #[test]
@@ -451,8 +395,7 @@ mod tests {
         let mut w = KeyWriter::new();
         w.u32(9).bytes(b"tail");
         let k = w.finish();
-        let mut r = KeyReader::new(&k);
-        assert_eq!(r.u32(), 9);
-        assert_eq!(r.rest(), b"tail");
+        assert_eq!(u32::from_be_bytes(k[..4].try_into().unwrap()), 9);
+        assert_eq!(&k[4..], b"tail");
     }
 }

@@ -289,13 +289,6 @@ impl BTree {
         self.descent.max_cell - 4
     }
 
-    /// [`BTree::max_record`] for a tree that would live in `pool`, without
-    /// creating one — bulk loaders size their records with this.
-    #[must_use]
-    pub fn max_record_for(pool: &BufferPool) -> usize {
-        Self::max_cell_for(pool) - 4
-    }
-
     /// Walk the whole tree checking structural invariants (key order, node
     /// bounds, uniform depth, leaf chain). Used by `vist check` after a
     /// crash recovery; see [`crate::verify::check`].

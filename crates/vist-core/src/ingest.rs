@@ -207,7 +207,12 @@ impl VistIndex {
             .u64_field("commit_nanos", commit_nanos)
             .u64_field("edge_cache_hits", cache.edge_hits)
             .u64_field("edge_cache_misses", cache.edge_misses)
-            .emit();
+            .emit(
+                0,
+                "bg:ingest_batch",
+                prepare_nanos + apply_nanos + commit_nanos,
+                None,
+            );
         Ok(ids)
     }
 }

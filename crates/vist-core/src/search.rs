@@ -182,7 +182,7 @@ pub trait SearchSource: Sync {
 }
 
 /// Declares [`QueryStats`] and, from the same list, everything that has to
-/// name each counter: [`QueryStats::fields`] (slow log, serve wide event),
+/// name each counter: [`QueryStats::fields`] (serve wide event),
 /// [`QueryStats::merge`] (per-tier and per-index sums),
 /// [`QueryStats::stats_lines`] (`vist stats`) and the registry counters.
 /// A counter exists by being one row here.
@@ -331,8 +331,8 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    /// The stages as `(name, nanos)` pairs in execution order, for slow-query
-    /// log entries and profiling tables. Excludes `total_nanos`.
+    /// The stages as `(name, nanos)` pairs in execution order, for request
+    /// records and profiling tables. Excludes `total_nanos`.
     #[must_use]
     pub fn stages(&self) -> [(&'static str, u64); 6] {
         [

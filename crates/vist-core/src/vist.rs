@@ -119,10 +119,9 @@ pub struct QueryOptions {
     pub deadline: Option<std::time::Instant>,
     /// Request-scoped 128-bit trace id. `0` (the default) mints a fresh
     /// one; a caller that already has an id (e.g. `vist-serve` echoing a
-    /// client-supplied `X-Vist-Trace-Id`) passes it here so slow-log
-    /// entries, retained traces, and histogram exemplars all key to the
-    /// same id. The effective id is returned on
-    /// [`QueryResult::trace_id`].
+    /// client-supplied `X-Vist-Trace-Id`) passes it here so the request's
+    /// record and histogram exemplars key to the same id. The effective id
+    /// is returned on [`QueryResult::trace_id`].
     pub trace_id: u128,
 }
 
@@ -183,8 +182,8 @@ pub struct QueryResult {
     /// the trace (e.g. `vist query --trace`).
     pub trace: Option<vist_obs::SpanNode>,
     /// The trace id this query ran under: [`QueryOptions::trace_id`] if
-    /// non-zero, otherwise freshly minted. Keys the slow log, retained
-    /// traces (`tracez`), and latency exemplars (all inert under the
+    /// non-zero, otherwise freshly minted. Keys the request's record
+    /// (`vist_obs::wide`) and latency exemplars (all inert under the
     /// `noop` feature, but the id itself is always present).
     pub trace_id: u128,
 }
@@ -224,10 +223,9 @@ const COMPACT_SEGMENT_THRESHOLD: usize = 4;
 
 /// Run a background operation — compaction, checkpoint, segment build,
 /// WAL-recovery reopen — as a traced unit of work: `vist_bg_<op>_*`
-/// in-progress/last-duration/total metrics, one wide event carrying its
-/// own freshly minted trace id, and (when tracing is on and the op is
-/// not nested inside another traced operation on this thread) a span
-/// tree retained in `tracez` under that id.
+/// in-progress/last-duration/total metrics and one wide event carrying its
+/// own freshly minted trace id and (when tracing is on and the op is not
+/// nested inside another traced operation on this thread) its span tree.
 fn bg_op<T>(op: &'static str, f: impl FnOnce() -> Result<T>) -> Result<T> {
     let trace_id = vist_obs::traceid::mint();
     let inprogress = vist_obs::registry::gauge(&format!("vist_bg_{op}_inprogress"));
@@ -240,15 +238,16 @@ fn bg_op<T>(op: &'static str, f: impl FnOnce() -> Result<T>) -> Result<T> {
     vist_obs::registry::gauge(&format!("vist_bg_{op}_last_duration_ms"))
         .set(i64::try_from(nanos / 1_000_000).unwrap_or(i64::MAX));
     vist_obs::registry::counter(&format!("vist_bg_{op}_total")).inc();
-    if let Some(trace) = trace {
-        let root = trace.finish();
-        vist_obs::tracez::record(trace_id, format!("bg:{op}"), root.nanos, root);
-    }
     vist_obs::WideEvent::new(op)
         .str_field("trace_id", &vist_obs::traceid::format(trace_id))
         .u64_field("total_nanos", nanos)
         .str_field("outcome", if result.is_ok() { "ok" } else { "error" })
-        .emit();
+        .emit(
+            trace_id,
+            &format!("bg:{op}"),
+            nanos,
+            trace.map(vist_obs::Trace::finish),
+        );
     result
 }
 
@@ -526,16 +525,6 @@ impl VistIndex {
             }
         }
         Ok(ids.into_iter().collect())
-    }
-
-    /// Replace the scope-allocation policy (e.g. re-supply clues after
-    /// reopening).
-    pub fn set_allocator(&self, kind: AllocatorKind) {
-        let (lambda, adaptive) = {
-            let meta = self.store.meta();
-            (meta.lambda, meta.adaptive)
-        };
-        *self.alloc.lock() = ScopeAllocator::new(lambda, adaptive, kind);
     }
 
     /// Re-arm (or clear) the planted allocation bug used to validate the
@@ -1636,8 +1625,8 @@ impl VistIndex {
     /// directly.
     pub fn query(&self, expr: &str, opts: &QueryOptions) -> Result<QueryResult> {
         // The effective trace id: honor a caller-supplied one (serve echoes
-        // the client's), otherwise mint. Everything this query emits — slow
-        // log, retained trace, exemplars — keys to this single id.
+        // the client's), otherwise mint. The exemplars this query leaves and
+        // the record its caller writes key to this single id.
         let trace_id = if opts.trace_id != 0 {
             opts.trace_id
         } else {
@@ -1667,21 +1656,9 @@ impl VistIndex {
             vist_obs::histogram!("vist_core_stage_match_nanos").record(result.timings.match_nanos);
             vist_obs::histogram!("vist_core_stage_merge_nanos").record(result.timings.merge_nanos);
             vist_obs::histogram!("vist_core_stage_docid_nanos").record(result.timings.docid_nanos);
-            vist_obs::slowlog::record(vist_obs::SlowQuery {
-                trace_id,
-                query: expr.to_owned(),
-                workers: opts.workers.max(1),
-                total_nanos: total,
-                stages: result.timings.stages().to_vec(),
-                counters: result.stats.fields().to_vec(),
-            });
         }
         result.trace_id = trace_id;
-        if let Some(trace) = trace {
-            let root = trace.finish();
-            vist_obs::tracez::record(trace_id, expr.to_owned(), root.nanos, root.clone());
-            result.trace = Some(root);
-        }
+        result.trace = trace.map(vist_obs::Trace::finish);
         Ok(result)
     }
 

@@ -175,10 +175,6 @@ fn parallel_attribution_is_bit_for_bit_serial_for_concrete_queries() {
                 find_span(trace, "workers_idle").is_some(),
                 "worker idle time missing from the span tree"
             );
-            // tracez retained this trace under the query's id.
-            let kept = vist_obs::tracez::get(parallel.trace_id)
-                .expect("finished trace was not retained in tracez");
-            assert_eq!(kept.label, *q);
         }
     }
     vist_obs::set_tracing(false);

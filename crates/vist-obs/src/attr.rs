@@ -79,8 +79,8 @@ pub struct AttrSnapshot {
 }
 
 impl AttrSnapshot {
-    /// `(counter name, value)` pairs in declaration order, for slow-log
-    /// and wide-event rendering.
+    /// `(counter name, value)` pairs in declaration order, for wide-event
+    /// rendering.
     #[must_use]
     pub fn entries(&self) -> [(&'static str, u64); 5] {
         [

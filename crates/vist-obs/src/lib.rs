@@ -1,6 +1,6 @@
 //! Zero-dependency observability substrate for ViST.
 //!
-//! Three facilities, all process-global and thread-safe:
+//! Two facilities, both process-global and thread-safe:
 //!
 //! - **Metrics registry** ([`registry`], [`metrics`], [`expo`]): named
 //!   atomic counters, gauges, and log₂-bucketed latency histograms
@@ -11,11 +11,8 @@
 //! - **Span tracing** ([`span`]): `Span::enter("phase")` guards build a
 //!   hierarchical timing tree for one operation when tracing is on; a
 //!   single relaxed `AtomicBool` load when it is off.
-//! - **Slow-query log** ([`slowlog`]): a bounded ring buffer of recent
-//!   queries over a latency threshold, with stage timings and counter
-//!   deltas.
 //!
-//! Request-scoped telemetry builds on those three:
+//! Request-scoped telemetry builds on those two:
 //!
 //! - **Trace ids** ([`traceid`]): 128-bit per-request ids minted at the
 //!   serve front-end (or accepted from clients) and carried through
@@ -23,11 +20,11 @@
 //! - **I/O attribution** ([`attr`]): a thread-local context that charges
 //!   buffer-pool and WAL activity to the owning query, including across
 //!   worker-pool work-stealing.
-//! - **Wide events** ([`wide`]): one JSON line per request or background
-//!   op, in a bounded ring plus an optional rotating access-log file.
-//! - **Trace retention** ([`tracez`]): head-sampled plus
-//!   always-keep-slowest span trees, resolvable by trace id; histogram
-//!   buckets carry the last trace id as an exemplar.
+//! - **Request records** ([`wide`]): one wide event (a JSON line) per
+//!   request or background op, kept with its span tree in a recent ring
+//!   and an always-keep-slowest set, resolvable by trace id, and appended
+//!   to an optional rotating access-log file; histogram buckets carry the
+//!   last trace id as an exemplar.
 //! - **Batched hot-path updates** ([`batch`]): while a query's scope is
 //!   open, [`count!`] and [`observe!`] tally thread-locally and fold into
 //!   the registry once, when the scope closes.
@@ -48,19 +45,15 @@ pub mod expo;
 pub mod metrics;
 pub mod percentile;
 pub mod registry;
-pub mod slowlog;
 pub mod span;
 pub mod traceid;
-pub mod tracez;
 pub mod wide;
 
 pub use attr::{AttrCounters, AttrGuard, AttrSnapshot};
 pub use expo::{json_escape, render_json, render_prometheus};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{counter, describe, gauge, histogram, snapshot, MetricValue, Snapshot};
-pub use slowlog::SlowQuery;
 pub use span::{format_nanos, set_tracing, tracing_enabled, Span, SpanNode, Trace};
-pub use tracez::RetainedTrace;
 pub use wide::WideEvent;
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -179,8 +179,8 @@ impl Histogram {
     }
 
     /// Record one observation and remember `trace_id` as the bucket's
-    /// exemplar, so a quantile estimate can be resolved to the retained
-    /// trace (see [`crate::tracez`]) that landed in its bucket last.
+    /// exemplar, so a quantile estimate can be resolved to the record
+    /// (see [`crate::wide`]) of the request that landed in its bucket last.
     /// Zero trace ids record the value but leave the exemplar alone.
     #[inline]
     pub fn record_with_exemplar(&self, v: u64, trace_id: u128) {
@@ -257,8 +257,8 @@ impl HistogramSnapshot {
 
     /// The exemplar trace id of the bucket containing the `q`-quantile
     /// (0 when empty or no exemplar was recorded in that bucket). A p99
-    /// spike resolves through this id to a retained trace in
-    /// [`crate::tracez`].
+    /// spike resolves through this id to a kept record in
+    /// [`crate::wide`].
     #[must_use]
     pub fn exemplar(&self, q: f64) -> u128 {
         self.quantile_bucket(q).map_or(0, |i| self.exemplars[i])

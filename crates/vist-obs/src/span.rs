@@ -72,13 +72,6 @@ impl SpanNode {
         }
     }
 
-    /// Merge `child` into this node's children — the public form of the
-    /// collector's sibling-merging rule, for grafting externally built
-    /// nodes (e.g. per-worker aggregates) onto a tree.
-    pub fn merge_child(&mut self, child: SpanNode) {
-        self.absorb(child);
-    }
-
     /// Sum of direct children's durations.
     #[must_use]
     pub fn child_nanos(&self) -> u64 {

@@ -2,8 +2,8 @@
 //!
 //! A trace id names one request (or one background operation) across
 //! every layer it touches: the serve front-end mints or accepts one,
-//! the engine carries it on its options, and the slow log, wide-event
-//! access log, retained span trees, and histogram exemplars all key on
+//! the engine carries it on its options, and the request's record (wide
+//! event, access-log line, span tree) and histogram exemplars all key on
 //! it. Zero is reserved as the wire encoding for "absent" — [`mint`]
 //! never returns it.
 //!

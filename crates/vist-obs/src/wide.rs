@@ -1,11 +1,24 @@
-//! Wide events: one structured JSON line per unit of work.
+//! Request records: one wide event per unit of work, kept once.
 //!
 //! A wide event is the single place everything known about one request
 //! (or one background operation) lands: trace id, peer, admission wait,
-//! plan summary, stage timings, attribution counters, outcome. Events go
-//! to a bounded in-process ring (always, for `/debug` inspection) and
-//! optionally to an append-only access-log file with size-based
-//! rotation (`vist serve --access-log <path>`).
+//! plan summary, stage timings, attribution counters, outcome — one
+//! structured JSON line. [`WideEvent::emit`] turns it into a [`Record`]
+//! (the line plus, when tracing built one, the finished span tree) and
+//! keeps it under two retention rules, both behind one mutex:
+//!
+//! - a **recent ring** of the last [`RING_CAPACITY`] records, so a freshly
+//!   returned trace id is resolvable until the ring wraps;
+//! - an **always-keep-slowest** set of the [`SLOWEST_CAPACITY`] slowest
+//!   records seen so far, so the request behind a p99 spike survives long
+//!   after the ring has wrapped past it.
+//!
+//! The same call appends the line to the access log, if one is set: an
+//! append-only file with size-based rotation (`vist serve --access-log
+//! <path>`). `GET /debug/traces` and `vist traces` are views of the two
+//! sets; histogram exemplars (see [`crate::metrics::Histogram`]) hold the
+//! last trace id per latency bucket, which [`get`] resolves to the record
+//! that produced it.
 //!
 //! Rotation: when appending a line would push the file past the
 //! configured byte cap, the current file is renamed to `<path>.1`
@@ -19,12 +32,16 @@ use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::expo::json_escape;
+use crate::span::SpanNode;
 
-/// Events retained in the in-process ring.
+/// Records retained in the recent ring.
 pub const RING_CAPACITY: usize = 256;
+
+/// Records retained in the always-keep-slowest set.
+pub const SLOWEST_CAPACITY: usize = 16;
 
 /// Default access-log rotation threshold (16 MiB).
 pub const DEFAULT_MAX_LOG_BYTES: u64 = 16 * 1024 * 1024;
@@ -79,12 +96,38 @@ impl WideEvent {
         self.buf
     }
 
-    /// Finish and record the event into the ring and file sink.
-    /// A no-op under the `noop` feature.
-    pub fn emit(self) {
-        #[cfg(not(feature = "noop"))]
-        emit_line(self.finish());
+    /// Finish the event and keep it as the [`Record`] of the work it
+    /// describes: into the recent ring, into the slowest set if
+    /// `total_nanos` qualifies, and onto the access log. `trace_id` is 0
+    /// for work that has none; `label` is what listings show (the query
+    /// expression, `bg:<op>`). A no-op under the `noop` feature.
+    pub fn emit(self, trace_id: u128, label: &str, total_nanos: u64, root: Option<SpanNode>) {
+        if cfg!(feature = "noop") {
+            return;
+        }
+        keep(Arc::new(Record {
+            trace_id,
+            label: label.to_owned(),
+            total_nanos,
+            line: self.finish(),
+            root,
+        }));
     }
+}
+
+/// What is kept of one request or background operation.
+#[derive(Debug)]
+pub struct Record {
+    /// The trace id the work ran under (0: none).
+    pub trace_id: u128,
+    /// Human label — the query expression or `bg:<op>`.
+    pub label: String,
+    /// Total wall time of the work.
+    pub total_nanos: u64,
+    /// The wide event, as the one JSON line the access log holds.
+    pub line: String,
+    /// The finished span tree, when tracing built one.
+    pub root: Option<SpanNode>,
 }
 
 struct FileSink {
@@ -96,7 +139,9 @@ struct FileSink {
 
 #[derive(Default)]
 struct Sink {
-    ring: VecDeque<String>,
+    ring: VecDeque<Arc<Record>>,
+    /// Slowest first.
+    slowest: Vec<Arc<Record>>,
     file: Option<FileSink>,
 }
 
@@ -105,12 +150,9 @@ fn global() -> &'static Mutex<Sink> {
     SINK.get_or_init(|| Mutex::new(Sink::default()))
 }
 
-/// Record one already-rendered event line.
-pub fn emit_line(line: String) {
+fn keep(record: Arc<Record>) {
+    let line = &record.line;
     let mut sink = global().lock().unwrap_or_else(|e| e.into_inner());
-    if sink.ring.len() == RING_CAPACITY {
-        sink.ring.pop_front();
-    }
     if let Some(fs) = sink.file.as_mut() {
         if fs.written + line.len() as u64 + 1 > fs.max_bytes && fs.written > 0 {
             let rotated =
@@ -129,7 +171,17 @@ pub fn emit_line(line: String) {
             fs.written += line.len() as u64 + 1;
         }
     }
-    sink.ring.push_back(line);
+    if sink.ring.len() == RING_CAPACITY {
+        sink.ring.pop_front();
+    }
+    sink.ring.push_back(Arc::clone(&record));
+    let at = sink
+        .slowest
+        .partition_point(|s| s.total_nanos >= record.total_nanos);
+    if at < SLOWEST_CAPACITY {
+        sink.slowest.truncate(SLOWEST_CAPACITY - 1);
+        sink.slowest.insert(at, record);
+    }
 }
 
 /// Start appending events to `path`, rotating at `max_bytes`
@@ -151,30 +203,43 @@ pub fn set_file_sink(path: &str, max_bytes: u64) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Stop writing events to a file (the ring keeps recording).
+/// Stop writing events to a file (records are kept regardless).
 pub fn clear_file_sink() {
     global().lock().unwrap_or_else(|e| e.into_inner()).file = None;
 }
 
-/// Copy of the ring, oldest first.
+/// The recent ring, oldest first.
 #[must_use]
-pub fn recent() -> Vec<String> {
-    global()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .ring
-        .iter()
-        .cloned()
-        .collect()
+pub fn recent() -> Vec<Arc<Record>> {
+    let sink = global().lock().unwrap_or_else(|e| e.into_inner());
+    sink.ring.iter().cloned().collect()
 }
 
-/// Drop all ring entries (tests).
-pub fn clear() {
+/// The always-kept slowest records, slowest first.
+#[must_use]
+pub fn slowest() -> Vec<Arc<Record>> {
     global()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .ring
-        .clear();
+        .slowest
+        .clone()
+}
+
+/// Look up a kept record by trace id (newest match wins).
+#[must_use]
+pub fn get(trace_id: u128) -> Option<Arc<Record>> {
+    let sink = global().lock().unwrap_or_else(|e| e.into_inner());
+    let found = sink.ring.iter().rev().find(|r| r.trace_id == trace_id);
+    found
+        .or_else(|| sink.slowest.iter().find(|r| r.trace_id == trace_id))
+        .cloned()
+}
+
+/// Drop every kept record (tests).
+pub fn clear() {
+    let mut sink = global().lock().unwrap_or_else(|e| e.into_inner());
+    sink.ring.clear();
+    sink.slowest.clear();
 }
 
 #[cfg(all(test, not(feature = "noop")))]
@@ -207,16 +272,66 @@ mod tests {
         clear();
         clear_file_sink();
         for i in 0..RING_CAPACITY + 3 {
-            WideEvent::new("e").u64_field("i", i as u64).emit();
+            WideEvent::new("e")
+                .u64_field("i", i as u64)
+                .emit(0, "e", 0, None);
         }
         let got = recent();
         assert_eq!(got.len(), RING_CAPACITY);
-        assert!(got[0].contains("\"i\":3"), "oldest evicted: {}", got[0]);
+        assert!(
+            got[0].line.contains("\"i\":3"),
+            "oldest evicted: {:?}",
+            got[0]
+        );
         assert!(got
             .last()
             .unwrap()
+            .line
             .contains(&format!("\"i\":{}", RING_CAPACITY + 2)));
         clear();
+    }
+
+    #[test]
+    fn ring_wraps_but_slowest_survive() {
+        let _g = SINK_TESTS.lock().unwrap();
+        clear();
+        clear_file_sink();
+        // One early, very slow request with its tree...
+        let root = SpanNode {
+            name: "query",
+            nanos: 1_000_000,
+            count: 1,
+            children: Vec::new(),
+        };
+        WideEvent::new("request").emit(42, "slowpoke", 1_000_000, Some(root));
+        // ...then a flood of fast ones that wraps the ring.
+        for i in 0..(RING_CAPACITY as u64 + 10) {
+            WideEvent::new("request").emit(1000 + u128::from(i), "fast", 10 + i, None);
+        }
+        assert!(
+            !recent().iter().any(|r| r.trace_id == 42),
+            "ring wrapped past the slow record"
+        );
+        let got = get(42).expect("slowest retention kept it");
+        assert_eq!(got.label, "slowpoke");
+        assert_eq!(got.root.as_ref().unwrap().name, "query");
+        let slowest = slowest();
+        assert_eq!(slowest.len(), SLOWEST_CAPACITY);
+        assert_eq!(slowest[0].trace_id, 42);
+        assert!(slowest
+            .windows(2)
+            .all(|w| w[0].total_nanos >= w[1].total_nanos));
+        // The newest record of an id wins while the ring holds it.
+        WideEvent::new("request").emit(42, "again", 5, None);
+        assert_eq!(get(42).unwrap().label, "again");
+        clear();
+    }
+
+    #[test]
+    fn missing_id_is_none() {
+        let _g = SINK_TESTS.lock().unwrap();
+        clear();
+        assert!(get(9999).is_none());
     }
 
     #[test]
@@ -233,7 +348,9 @@ mod tests {
         set_file_sink(path_s, 200).unwrap();
         for i in 0..12 {
             // ~40 bytes per line: the 200-byte cap forces rotation.
-            WideEvent::new("rot").u64_field("seq", i).emit();
+            WideEvent::new("rot")
+                .u64_field("seq", i)
+                .emit(0, "rot", 0, None);
         }
         clear_file_sink();
 

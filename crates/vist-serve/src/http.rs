@@ -275,8 +275,9 @@ fn serve_query(stream: &mut TcpStream, shared: &Shared, query: &str, head: &str,
     };
 }
 
-/// `/debug/traces`: list retained traces, or resolve one id to its
-/// full span tree.
+/// `/debug/traces`: list the kept request records, or resolve one id to
+/// its record — the wide event and, if the request ran traced, its full
+/// span tree.
 fn serve_traces(stream: &mut TcpStream, query: &str) {
     let wanted = query
         .split('&')
@@ -285,28 +286,32 @@ fn serve_traces(stream: &mut TcpStream, query: &str) {
         .map(|(_, v)| percent_decode(v));
     match wanted {
         Some(hex) => {
-            let Some(found) = vist_obs::traceid::parse(&hex).and_then(vist_obs::tracez::get) else {
+            let Some(found) = vist_obs::traceid::parse(&hex).and_then(vist_obs::wide::get) else {
                 let _ = write_response(
                     stream,
                     404,
                     "Not Found",
                     "application/json",
-                    b"{\"error\":\"no such trace (malformed id, never sampled, or aged out)\"}",
+                    b"{\"error\":\"no such trace (malformed id, or aged out)\"}",
                     &[],
                 );
                 return;
             };
             let body = format!(
-                "{{\"trace_id\":\"{}\",\"label\":{},\"total_nanos\":{},\"root\":{}}}",
+                "{{\"trace_id\":\"{}\",\"label\":{},\"total_nanos\":{},\"event\":{},\"root\":{}}}",
                 vist_obs::traceid::format(found.trace_id),
                 json_string(&found.label),
                 found.total_nanos,
-                found.root.to_json()
+                found.line,
+                found
+                    .root
+                    .as_ref()
+                    .map_or_else(|| "null".to_string(), vist_obs::SpanNode::to_json)
             );
             let _ = write_response(stream, 200, "OK", "application/json", body.as_bytes(), &[]);
         }
         None => {
-            let summarize = |traces: &[vist_obs::RetainedTrace]| {
+            let summarize = |traces: &[std::sync::Arc<vist_obs::wide::Record>]| {
                 let mut out = String::from("[");
                 for (i, t) in traces.iter().enumerate() {
                     if i > 0 {
@@ -327,8 +332,8 @@ fn serve_traces(stream: &mut TcpStream, query: &str) {
             };
             let body = format!(
                 "{{\"recent\":{},\"slowest\":{}}}",
-                summarize(&vist_obs::tracez::recent()),
-                summarize(&vist_obs::tracez::slowest())
+                summarize(&vist_obs::wide::recent()),
+                summarize(&vist_obs::wide::slowest())
             );
             let _ = write_response(stream, 200, "OK", "application/json", body.as_bytes(), &[]);
         }

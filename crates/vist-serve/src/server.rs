@@ -54,12 +54,9 @@ pub struct ServeConfig {
     /// How long SIGTERM waits for in-flight queries before giving up.
     /// Clamped up to `max_deadline_ms` so a drain always terminates.
     pub drain_deadline_ms: u64,
-    /// Slow-query log threshold in milliseconds; 0 keeps the library
-    /// default ([`vist_obs::slowlog::DEFAULT_THRESHOLD_NANOS`]).
-    pub slow_ms: u64,
     /// Append one wide-event JSON line per request to this file,
     /// rotating at [`vist_obs::wide::DEFAULT_MAX_LOG_BYTES`]. The
-    /// in-process ring records regardless.
+    /// in-process record sets keep it regardless.
     pub access_log: Option<String>,
 }
 
@@ -72,7 +69,6 @@ impl Default for ServeConfig {
             query_workers: 1,
             max_deadline_ms: 2_000,
             drain_deadline_ms: 5_000,
-            slow_ms: 0,
             access_log: None,
         }
     }
@@ -257,12 +253,9 @@ impl Server {
     pub fn start(index: Arc<VistIndex>, cfg: ServeConfig) -> io::Result<ServerHandle> {
         register_metrics();
         signal::install_handlers();
-        // Spans feed the tracez retention and /debug/traces; measured
-        // overhead is within the obs budget (see BENCH_obs_overhead).
+        // Spans give every request's record its tree (/debug/traces);
+        // measured overhead is within the obs budget (see BENCH_obs_overhead).
         vist_obs::set_tracing(true);
-        if cfg.slow_ms > 0 {
-            vist_obs::slowlog::set_threshold_nanos(cfg.slow_ms.saturating_mul(1_000_000));
-        }
         if let Some(path) = &cfg.access_log {
             vist_obs::wide::set_file_sink(path, 0)?;
         }
@@ -430,22 +423,19 @@ fn bad_binary_request(shared: &Shared, peer: &str, error: &str) -> (u128, Respon
         .str_field("peer", peer)
         .str_field("outcome", "bad_request")
         .str_field("error", error)
-        .emit();
+        .emit(trace_id, "bad_request", 0, None);
     (trace_id, Response::BadRequest(error.to_string()))
 }
 
 /// Render the per-stage timings of one query as a JSON object.
 fn stages_json(t: &vist_core::StageTimings) -> String {
-    format!(
-        "{{\"translate\":{},\"plan\":{},\"match\":{},\"merge\":{},\"docid\":{},\"verify\":{},\"total\":{}}}",
-        t.translate_nanos,
-        t.plan_nanos,
-        t.match_nanos,
-        t.merge_nanos,
-        t.docid_nanos,
-        t.verify_nanos,
-        t.total_nanos
-    )
+    use std::fmt::Write as _;
+    let mut out = String::from("{");
+    for (name, nanos) in t.stages() {
+        let _ = write!(out, "\"{name}\":{nanos},");
+    }
+    let _ = write!(out, "\"total\":{}}}", t.total_nanos);
+    out
 }
 
 /// Add every counter of one query's [`vist_core::QueryStats`] to its wide
@@ -486,7 +476,7 @@ pub(crate) fn handle_request(
                 .str_field("peer", peer)
                 .str_field("op", "ping")
                 .str_field("outcome", "ok")
-                .emit();
+                .emit(trace_id, "ping", 0, None);
             return (trace_id, Response::Pong);
         }
         Request::Query {
@@ -504,7 +494,8 @@ pub(crate) fn handle_request(
         vist_obs::traceid::mint()
     };
     // Everything known about the request lands on one of these; each
-    // terminal arm below finishes and emits exactly one.
+    // terminal arm below finishes one and `emit`s it, with the span tree
+    // if the request got as far as running.
     let event = |outcome: &str| {
         vist_obs::WideEvent::new("request")
             .str_field("trace_id", &vist_obs::traceid::format(trace_id))
@@ -513,6 +504,9 @@ pub(crate) fn handle_request(
             .str_field("op", "query")
             .str_field("expr", &expr)
             .str_field("outcome", outcome)
+    };
+    let emit = |event: vist_obs::WideEvent, total_nanos, root| {
+        event.emit(trace_id, &expr, total_nanos, root);
     };
     // Effective budget: the client's ask capped by the server; 0 means
     // "whatever the server allows".
@@ -528,15 +522,14 @@ pub(crate) fn handle_request(
     let resp = match shared.gate.admit(budget) {
         Admission::Draining => {
             shared.stats.count(State::DrainingRejected);
-            event("draining").emit();
+            emit(event("draining"), 0, None);
             Response::Draining
         }
         Admission::Shed { retry_after } => {
             shared.stats.count(State::Shed);
             let retry_after_ms = retry_after.as_millis().min(u128::from(u32::MAX)) as u32;
-            event("shed")
-                .u64_field("retry_after_ms", u64::from(retry_after_ms))
-                .emit();
+            let event = event("shed").u64_field("retry_after_ms", u64::from(retry_after_ms));
+            emit(event, 0, None);
             Response::Overloaded { retry_after_ms }
         }
         Admission::Admitted { queued } => {
@@ -559,7 +552,12 @@ pub(crate) fn handle_request(
                 trace_id,
                 ..QueryOptions::default()
             };
+            // The request owns the trace, so that a query cut off by its
+            // deadline still leaves the spans it got through: the engine's
+            // spans nest under this root and survive its early return.
+            let trace = vist_obs::Trace::begin("query");
             let result = shared.index.query(&expr, &opts);
+            let root = trace.map(vist_obs::Trace::finish);
             let service = started.elapsed();
             shared.gate.release(service);
             vist_obs::gauge!("vist_serve_inflight").set(shared.gate.inflight() as i64);
@@ -579,26 +577,24 @@ pub(crate) fn handle_request(
                         .u64_field("candidates", r.candidates as u64)
                         .u64_field("workers", shared.cfg.query_workers as u64)
                         .raw_field("stages", &stages_json(&r.timings));
-                    counter_fields(event, &r.stats).emit();
+                    emit(counter_fields(event, &r.stats), service_nanos, root);
                     Response::Ok(r.doc_ids)
                 }
                 Err(CoreError::DeadlineExceeded) => {
                     shared.stats.count(State::DeadlineExpired);
-                    admitted_event("deadline").emit();
+                    emit(admitted_event("deadline"), service_nanos, root);
                     Response::DeadlineExceeded
                 }
                 Err(CoreError::Query(e)) => {
                     shared.stats.count(State::BadRequest);
-                    admitted_event("bad_request")
-                        .str_field("error", &e.to_string())
-                        .emit();
+                    let event = admitted_event("bad_request").str_field("error", &e.to_string());
+                    emit(event, service_nanos, root);
                     Response::BadRequest(e.to_string())
                 }
                 Err(e) => {
                     shared.stats.count(State::Error);
-                    admitted_event("error")
-                        .str_field("error", &e.to_string())
-                        .emit();
+                    let event = admitted_event("error").str_field("error", &e.to_string());
+                    emit(event, service_nanos, root);
                     Response::Error(e.to_string())
                 }
             }

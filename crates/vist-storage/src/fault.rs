@@ -1,25 +1,20 @@
 //! Deterministic fault injection for crash-recovery testing.
 //!
-//! Two wrappers share one counting core:
+//! [`FaultVfs`] interposes on the [`Vfs`]/[`VFile`] seam under
+//! [`crate::FilePager`]. In `Crash` mode the scheduled write persists only
+//! a *seeded prefix* of its buffer (a torn write — exactly what a power
+//! loss mid-`pwrite` does) and every later operation fails, as if the
+//! process died. This is what the crash-recovery property tests iterate:
+//! crash at every operation index, reopen, assert the store equals its
+//! last checkpoint.
 //!
-//! * [`FaultVfs`] interposes on the [`Vfs`]/[`VFile`] seam under
-//!   [`crate::FilePager`]. In `Crash` mode the scheduled write persists only
-//!   a *seeded prefix* of its buffer (a torn write — exactly what a power
-//!   loss mid-`pwrite` does) and every later operation fails, as if the
-//!   process died. This is what the crash-recovery property tests iterate:
-//!   crash at every operation index, reopen, assert the store equals its
-//!   last checkpoint.
-//! * [`FaultPager`] interposes on the [`Pager`] trait itself, for exercising
-//!   error paths in the buffer pool and B+Tree without a real file.
-//!
-//! Both are controlled through a cloneable [`FaultHandle`], so a test keeps
+//! It is controlled through a cloneable [`FaultHandle`], so a test keeps
 //! control after handing the wrapper to a pool or pager. Everything is
 //! deterministic: the torn-prefix length is `splitmix64(seed ^ op_index)`
 //! reduced modulo `len + 1`, never a clock or OS entropy.
 
-use crate::pager::{PageId, Pager};
 use crate::vfs::{OpenMode, VFile, Vfs};
-use crate::{Error, IoStats, Result};
+use crate::Error;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -107,7 +102,7 @@ impl Shared {
     }
 }
 
-/// Control handle for a [`FaultVfs`] or [`FaultPager`]; clone freely.
+/// Control handle for a [`FaultVfs`]; clone freely.
 #[derive(Clone)]
 pub struct FaultHandle(Arc<Shared>);
 
@@ -250,104 +245,25 @@ impl Vfs for FaultVfs {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pager-level injection
-// ---------------------------------------------------------------------------
-
-/// A [`Pager`] wrapper that fails or "crashes" at a scheduled operation
-/// index. Counted operations: `allocate`, `free`, `read`, `write`, `sync`.
-/// Metadata queries (`page_size`, `live_pages`, `store_bytes`, `stats`) pass
-/// through uncounted.
-pub struct FaultPager<P> {
-    inner: P,
-    shared: Arc<Shared>,
-}
-
-impl<P: Pager> FaultPager<P> {
-    /// Wrap `inner`; no fault is scheduled until [`FaultHandle::schedule`].
-    pub fn new(inner: P) -> Self {
-        FaultPager {
-            inner,
-            shared: Shared::new(),
-        }
-    }
-
-    /// The control handle for this pager.
-    #[must_use]
-    pub fn handle(&self) -> FaultHandle {
-        FaultHandle(Arc::clone(&self.shared))
-    }
-
-    fn step(&self) -> Result<()> {
-        match self.shared.step() {
-            Verdict::Proceed => Ok(()),
-            _ => Err(Error::Io(injected())),
-        }
-    }
-}
-
-impl<P: Pager> Pager for FaultPager<P> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn allocate(&mut self) -> Result<PageId> {
-        self.step()?;
-        self.inner.allocate()
-    }
-
-    fn free(&mut self, id: PageId) -> Result<()> {
-        self.step()?;
-        self.inner.free(id)
-    }
-
-    fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        self.step()?;
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
-        self.step()?;
-        self.inner.write(id, buf)
-    }
-
-    fn live_pages(&self) -> u64 {
-        self.inner.live_pages()
-    }
-
-    fn store_bytes(&self) -> u64 {
-        self.inner.store_bytes()
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.step()?;
-        self.inner.sync()
-    }
-
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::TempDir;
     use crate::vfs::RealVfs;
-    use crate::MemPager;
 
     #[test]
     fn fail_is_one_shot() {
-        let mut p = FaultPager::new(MemPager::new(128));
-        let h = p.handle();
+        let dir = TempDir::new("fault-fail");
+        let vfs = FaultVfs::new(Arc::new(RealVfs));
+        let h = vfs.handle();
         h.schedule(2, FaultMode::Fail, 0);
-        let a = p.allocate().unwrap(); // op 0
-        p.write(a, &[1u8; 128]).unwrap(); // op 1
-        let err = p.write(a, &[2u8; 128]).unwrap_err(); // op 2: injected
+        let mut f = vfs.open(&dir.file("f"), OpenMode::CreateTruncate).unwrap(); // op 0
+        f.write_at(0, &[1u8; 128]).unwrap(); // op 1
+        let err = Error::Io(f.write_at(0, &[2u8; 128]).unwrap_err()); // op 2: injected
         assert!(is_injected(&err), "got {err}");
-        p.write(a, &[3u8; 128]).unwrap(); // op 3: recovered
+        f.write_at(0, &[3u8; 128]).unwrap(); // op 3: recovered
         let mut buf = [0u8; 128];
-        p.read(a, &mut buf).unwrap();
+        f.read_at(0, &mut buf).unwrap();
         assert_eq!(buf[0], 3);
         assert!(!h.crashed());
         assert_eq!(h.op_count(), 5);
@@ -355,16 +271,17 @@ mod tests {
 
     #[test]
     fn crash_is_permanent() {
-        let mut p = FaultPager::new(MemPager::new(128));
-        let h = p.handle();
+        let dir = TempDir::new("fault-crash");
+        let vfs = FaultVfs::new(Arc::new(RealVfs));
+        let h = vfs.handle();
         h.schedule(1, FaultMode::Crash, 7);
-        let a = p.allocate().unwrap();
-        assert!(p.write(a, &[1u8; 128]).is_err());
-        assert!(p.read(a, &mut [0u8; 128]).is_err());
-        assert!(p.sync().is_err());
+        let mut f = vfs.open(&dir.file("f"), OpenMode::CreateTruncate).unwrap();
+        assert!(f.write_at(0, &[1u8; 128]).is_err());
+        assert!(f.read_at(0, &mut [0u8; 128]).is_err());
+        assert!(f.sync().is_err());
         assert!(h.crashed());
         h.reset();
-        p.write(a, &[1u8; 128]).unwrap();
+        f.write_at(0, &[1u8; 128]).unwrap();
     }
 
     #[test]

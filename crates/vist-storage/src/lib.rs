@@ -16,7 +16,7 @@
 //!   [`FilePager::open`] replays committed log records left by a crash, and
 //!   every page carries a CRC32C trailer verified on read. A crash at *any*
 //!   instruction leaves the store equal to its last completed checkpoint —
-//!   a property exercised exhaustively by the [`FaultVfs`]/[`FaultPager`]
+//!   a property exercised exhaustively by the [`FaultVfs`]
 //!   fault-injection harness (see `docs/DURABILITY.md`).
 //!
 //! The layer is deliberately small but complete: everything the B+Tree needs
@@ -63,7 +63,7 @@ mod wal;
 pub use buffer::{BufferPool, PageRef, PageRefMut, PoolStats, ShardStats};
 pub use crc::{crc32c, Crc32c};
 pub use error::{Error, Result};
-pub use fault::{is_injected, FaultHandle, FaultMode, FaultPager, FaultVfs};
+pub use fault::{is_injected, FaultHandle, FaultMode, FaultVfs};
 pub use file::{FilePager, PAGE_TRAILER};
 pub use manifest::{Manifest, MANIFEST_SLOT_SIZE, MAX_MANIFEST_SEGMENTS};
 pub use mem::MemPager;

@@ -103,7 +103,7 @@ pub enum Command {
         /// Output format.
         format: StatsFormat,
     },
-    /// `vist profile <index> <queries-file> [--workers N] [--slow-ms N]`
+    /// `vist profile <index> <queries-file> [--workers N]`
     Profile {
         /// Index file path.
         index: PathBuf,
@@ -111,8 +111,6 @@ pub enum Command {
         queries: PathBuf,
         /// Match-engine worker threads (1 = serial).
         workers: usize,
-        /// Slow-query log threshold in milliseconds (0 records every query).
-        slow_ms: u64,
     },
     /// `vist check <index>`
     Check {
@@ -149,7 +147,7 @@ pub enum Command {
     },
     /// `vist serve <index> [--addr H:P] [--max-inflight N] [--queue-depth N]
     /// [--query-workers N] [--max-deadline-ms N] [--drain-deadline-ms N]
-    /// [--slow-ms N] [--access-log FILE]`
+    /// [--access-log FILE]`
     Serve {
         /// Index file path.
         index: PathBuf,
@@ -165,8 +163,6 @@ pub enum Command {
         max_deadline_ms: u64,
         /// How long SIGTERM waits for in-flight queries.
         drain_deadline_ms: u64,
-        /// Slow-query log threshold in ms (0 keeps the 50ms default).
-        slow_ms: u64,
         /// Wide-event access log path (one JSON line per request).
         access_log: Option<PathBuf>,
     },
@@ -246,14 +242,14 @@ USAGE:
   vist explain <index> '<expr>' [--workers N] [--plan] [--no-plan]
   vist list    <index>
   vist stats   <index> [--format human|json|prometheus]
-  vist profile <index> <queries-file> [--workers N] [--slow-ms N]
+  vist profile <index> <queries-file> [--workers N]
   vist check   <index>
   vist recover <index>
   vist sim     [--seed N] [--ops N] [--seconds N] [--replay FILE] [--out FILE]
                [--page-size N] [--lambda N] [--mutate scope-off-by-one] [--dump]
   vist serve   <index> [--addr H:P] [--max-inflight N] [--queue-depth N]
                [--query-workers N] [--max-deadline-ms N] [--drain-deadline-ms N]
-               [--slow-ms N] [--access-log FILE]
+               [--access-log FILE]
   vist traces  [--addr H:P] [<trace-id>]
   vist bench-serve [--addr H:P] [--expr E] [--deadline-ms N] [--clients N]
                [--burst-clients N] [--duration-ms N] [--smoke] [--out FILE]
@@ -293,15 +289,14 @@ OBSERVABILITY (see docs/OBSERVABILITY.md):
                        gauges, latency histograms with p50/p90/p95/p99/p999
                        and trace-id exemplars) as JSON or Prometheus text
   profile              replay a query workload and print a per-query latency
-                       table with stage timings, plus the slow-query log
+                       table with stage timings
   serve --access-log   one wide-event JSON line per request (trace id, peer,
                        admission wait, stage timings, attributed I/O,
                        outcome), size-rotated at 16 MiB
-  serve --slow-ms      slow-query log threshold for served queries
-  traces               fetch a server's retained traces (/debug/traces):
-                       head-sampled recent ring + always-kept slowest; pass a
-                       trace id (every response carries one, header
-                       X-Vist-Trace-Id over HTTP) for its full span tree
+  traces               fetch a server's request records (/debug/traces):
+                       recent ring + always-kept slowest; pass a trace id
+                       (every response carries one, header X-Vist-Trace-Id
+                       over HTTP) for its wide event and full span tree
 
 TIERED STORAGE (see docs/SEGMENTS.md):
   load                 bulk-load a batch through external sort into one
@@ -329,15 +324,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let sub = it.next().map(String::as_str).unwrap_or("help");
     let mut rest: Vec<&String> = it.collect();
 
-    let take_flag = |rest: &mut Vec<&String>, flag: &str| -> bool {
+    fn take_flag(rest: &mut Vec<&String>, flag: &str) -> bool {
         if let Some(pos) = rest.iter().position(|a| *a == flag) {
             rest.remove(pos);
             true
         } else {
             false
         }
-    };
-    let take_opt = |rest: &mut Vec<&String>, flag: &str| -> Result<Option<String>, String> {
+    }
+    fn take_opt(rest: &mut Vec<&String>, flag: &str) -> Result<Option<String>, String> {
         if let Some(pos) = rest.iter().position(|a| *a == flag) {
             if pos + 1 >= rest.len() {
                 return Err(format!("{flag} needs a value"));
@@ -348,19 +343,21 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         } else {
             Ok(None)
         }
-    };
+    }
+    fn take_num<T: std::str::FromStr>(
+        rest: &mut Vec<&String>,
+        flag: &str,
+    ) -> Result<Option<T>, String> {
+        take_opt(rest, flag)?
+            .map(|v| v.parse().map_err(|_| format!("bad {flag}")))
+            .transpose()
+    }
 
     match sub {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "create" => {
-            let page_size = take_opt(&mut rest, "--page-size")?
-                .map(|v| v.parse().map_err(|_| "bad --page-size".to_string()))
-                .transpose()?
-                .unwrap_or(4096);
-            let lambda = take_opt(&mut rest, "--lambda")?
-                .map(|v| v.parse().map_err(|_| "bad --lambda".to_string()))
-                .transpose()?
-                .unwrap_or(16);
+            let page_size = take_num(&mut rest, "--page-size")?.unwrap_or(4096);
+            let lambda = take_num(&mut rest, "--lambda")?.unwrap_or(16);
             let store_documents = !take_flag(&mut rest, "--no-docs");
             let [index] = rest.as_slice() else {
                 return Err("create: expected exactly one index path".into());
@@ -385,16 +382,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let show = take_flag(&mut rest, "--show");
             let trace = take_flag(&mut rest, "--trace");
             let no_plan = take_flag(&mut rest, "--no-plan");
-            let workers = take_opt(&mut rest, "--workers")?
-                .map(|v| v.parse().map_err(|_| "bad --workers".to_string()))
-                .transpose()?
-                .unwrap_or(1);
-            let limit = take_opt(&mut rest, "--limit")?
-                .map(|v| v.parse().map_err(|_| "bad --limit".to_string()))
-                .transpose()?;
-            let deadline_ms = take_opt(&mut rest, "--deadline-ms")?
-                .map(|v| v.parse().map_err(|_| "bad --deadline-ms".to_string()))
-                .transpose()?;
+            let workers = take_num(&mut rest, "--workers")?.unwrap_or(1);
+            let limit = take_num(&mut rest, "--limit")?;
+            let deadline_ms = take_num(&mut rest, "--deadline-ms")?;
             let [index, expr] = rest.as_slice() else {
                 return Err("query: expected an index path and one expression".into());
             };
@@ -411,16 +401,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "load" => {
-            let ingest_threads = take_opt(&mut rest, "--ingest-threads")?
-                .map(|v| v.parse().map_err(|_| "bad --ingest-threads".to_string()))
-                .transpose()?;
+            let ingest_threads = take_num(&mut rest, "--ingest-threads")?;
             if ingest_threads == Some(0) {
                 return Err("bad --ingest-threads".into());
             }
-            let batch_size = take_opt(&mut rest, "--batch-size")?
-                .map(|v| v.parse().map_err(|_| "bad --batch-size".to_string()))
-                .transpose()?
-                .unwrap_or(512);
+            let batch_size = take_num(&mut rest, "--batch-size")?.unwrap_or(512);
             if batch_size == 0 {
                 return Err("bad --batch-size".into());
             }
@@ -454,10 +439,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "explain" => {
             let plan = take_flag(&mut rest, "--plan");
             let no_plan = take_flag(&mut rest, "--no-plan");
-            let workers = take_opt(&mut rest, "--workers")?
-                .map(|v| v.parse().map_err(|_| "bad --workers".to_string()))
-                .transpose()?
-                .unwrap_or(1);
+            let workers = take_num(&mut rest, "--workers")?.unwrap_or(1);
             let [index, expr] = rest.as_slice() else {
                 return Err("explain: expected an index path and one expression".into());
             };
@@ -491,14 +473,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "profile" => {
-            let workers = take_opt(&mut rest, "--workers")?
-                .map(|v| v.parse().map_err(|_| "bad --workers".to_string()))
-                .transpose()?
-                .unwrap_or(1);
-            let slow_ms = take_opt(&mut rest, "--slow-ms")?
-                .map(|v| v.parse().map_err(|_| "bad --slow-ms".to_string()))
-                .transpose()?
-                .unwrap_or(0);
+            let workers = take_num(&mut rest, "--workers")?.unwrap_or(1);
             let [index, queries] = rest.as_slice() else {
                 return Err("profile: expected an index path and a queries file".into());
             };
@@ -506,7 +481,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 index: PathBuf::from(index),
                 queries: PathBuf::from(queries),
                 workers,
-                slow_ms,
             })
         }
         "check" => {
@@ -526,25 +500,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "sim" => {
-            let seed = take_opt(&mut rest, "--seed")?
-                .map(|v| v.parse().map_err(|_| "bad --seed".to_string()))
-                .transpose()?
-                .unwrap_or(1);
-            let ops = take_opt(&mut rest, "--ops")?
-                .map(|v| v.parse().map_err(|_| "bad --ops".to_string()))
-                .transpose()?
-                .unwrap_or(200);
-            let seconds = take_opt(&mut rest, "--seconds")?
-                .map(|v| v.parse().map_err(|_| "bad --seconds".to_string()))
-                .transpose()?;
+            let seed = take_num(&mut rest, "--seed")?.unwrap_or(1);
+            let ops = take_num(&mut rest, "--ops")?.unwrap_or(200);
+            let seconds = take_num(&mut rest, "--seconds")?;
             let replay = take_opt(&mut rest, "--replay")?.map(PathBuf::from);
             let out = take_opt(&mut rest, "--out")?.map(PathBuf::from);
-            let page_size = take_opt(&mut rest, "--page-size")?
-                .map(|v| v.parse().map_err(|_| "bad --page-size".to_string()))
-                .transpose()?;
-            let lambda = take_opt(&mut rest, "--lambda")?
-                .map(|v| v.parse().map_err(|_| "bad --lambda".to_string()))
-                .transpose()?;
+            let page_size = take_num(&mut rest, "--page-size")?;
+            let lambda = take_num(&mut rest, "--lambda")?;
             let mutate = take_opt(&mut rest, "--mutate")?
                 .map(|v| v.parse().map_err(|e| format!("bad --mutate: {e}")))
                 .transpose()?
@@ -568,30 +530,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "serve" => {
             let defaults = vist_serve::ServeConfig::default();
             let addr = take_opt(&mut rest, "--addr")?.unwrap_or(defaults.addr);
-            let max_inflight = take_opt(&mut rest, "--max-inflight")?
-                .map(|v| v.parse().map_err(|_| "bad --max-inflight".to_string()))
-                .transpose()?
-                .unwrap_or(defaults.max_inflight);
-            let queue_depth = take_opt(&mut rest, "--queue-depth")?
-                .map(|v| v.parse().map_err(|_| "bad --queue-depth".to_string()))
-                .transpose()?
-                .unwrap_or(defaults.queue_depth);
-            let query_workers = take_opt(&mut rest, "--query-workers")?
-                .map(|v| v.parse().map_err(|_| "bad --query-workers".to_string()))
-                .transpose()?
-                .unwrap_or(defaults.query_workers);
-            let max_deadline_ms = take_opt(&mut rest, "--max-deadline-ms")?
-                .map(|v| v.parse().map_err(|_| "bad --max-deadline-ms".to_string()))
-                .transpose()?
-                .unwrap_or(defaults.max_deadline_ms);
-            let drain_deadline_ms = take_opt(&mut rest, "--drain-deadline-ms")?
-                .map(|v| v.parse().map_err(|_| "bad --drain-deadline-ms".to_string()))
-                .transpose()?
-                .unwrap_or(defaults.drain_deadline_ms);
-            let slow_ms = take_opt(&mut rest, "--slow-ms")?
-                .map(|v| v.parse().map_err(|_| "bad --slow-ms".to_string()))
-                .transpose()?
-                .unwrap_or(defaults.slow_ms);
+            let max_inflight =
+                take_num(&mut rest, "--max-inflight")?.unwrap_or(defaults.max_inflight);
+            let queue_depth = take_num(&mut rest, "--queue-depth")?.unwrap_or(defaults.queue_depth);
+            let query_workers =
+                take_num(&mut rest, "--query-workers")?.unwrap_or(defaults.query_workers);
+            let max_deadline_ms =
+                take_num(&mut rest, "--max-deadline-ms")?.unwrap_or(defaults.max_deadline_ms);
+            let drain_deadline_ms =
+                take_num(&mut rest, "--drain-deadline-ms")?.unwrap_or(defaults.drain_deadline_ms);
             let access_log = take_opt(&mut rest, "--access-log")?.map(PathBuf::from);
             let [index] = rest.as_slice() else {
                 return Err("serve: expected exactly one index path".into());
@@ -604,7 +551,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 query_workers,
                 max_deadline_ms,
                 drain_deadline_ms,
-                slow_ms,
                 access_log,
             })
         }
@@ -622,19 +568,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let addr = take_opt(&mut rest, "--addr")?
                 .unwrap_or_else(|| vist_serve::BenchConfig::default().addr);
             let expr = take_opt(&mut rest, "--expr")?.unwrap_or_else(|| "/doc".to_string());
-            let deadline_ms = take_opt(&mut rest, "--deadline-ms")?
-                .map(|v| v.parse().map_err(|_| "bad --deadline-ms".to_string()))
-                .transpose()?
-                .unwrap_or(0);
-            let clients = take_opt(&mut rest, "--clients")?
-                .map(|v| v.parse().map_err(|_| "bad --clients".to_string()))
-                .transpose()?;
-            let burst_clients = take_opt(&mut rest, "--burst-clients")?
-                .map(|v| v.parse().map_err(|_| "bad --burst-clients".to_string()))
-                .transpose()?;
-            let duration_ms = take_opt(&mut rest, "--duration-ms")?
-                .map(|v| v.parse().map_err(|_| "bad --duration-ms".to_string()))
-                .transpose()?;
+            let deadline_ms = take_num(&mut rest, "--deadline-ms")?.unwrap_or(0);
+            let clients = take_num(&mut rest, "--clients")?;
+            let burst_clients = take_num(&mut rest, "--burst-clients")?;
+            let duration_ms = take_num(&mut rest, "--duration-ms")?;
             let smoke = take_flag(&mut rest, "--smoke");
             let out = take_opt(&mut rest, "--out")?.map(PathBuf::from);
             if !rest.is_empty() {
@@ -970,7 +907,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
             index,
             queries,
             workers,
-            slow_ms,
         } => {
             let idx = open(&index)?;
             let text = std::fs::read_to_string(&queries)
@@ -983,33 +919,14 @@ pub fn run(cmd: Command) -> Result<String, String> {
             if exprs.is_empty() {
                 return Err(format!("{}: no queries to replay", queries.display()));
             }
-            // Capture every replayed query in the slow-query log (threshold
-            // 0 records all); restore the previous threshold afterwards so
-            // a long-lived process keeps its configuration.
-            let prev_threshold = vist_obs::slowlog::threshold_nanos();
-            vist_obs::slowlog::set_threshold_nanos(slow_ms.saturating_mul(1_000_000));
-            vist_obs::slowlog::clear();
+            let opts = QueryOptions {
+                workers,
+                ..Default::default()
+            };
             let mut rows: Vec<(String, usize, crate::StageTimings)> = Vec::new();
-            let mut failure = None;
             for expr in &exprs {
-                match idx.query(
-                    expr,
-                    &QueryOptions {
-                        workers,
-                        ..Default::default()
-                    },
-                ) {
-                    Ok(r) => rows.push(((*expr).to_string(), r.doc_ids.len(), r.timings)),
-                    Err(e) => {
-                        failure = Some(format!("{expr}: {e}"));
-                        break;
-                    }
-                }
-            }
-            let slow = vist_obs::slowlog::entries();
-            vist_obs::slowlog::set_threshold_nanos(prev_threshold);
-            if let Some(e) = failure {
-                return Err(e);
+                let r = idx.query(expr, &opts).map_err(|e| format!("{expr}: {e}"))?;
+                rows.push(((*expr).to_string(), r.doc_ids.len(), r.timings));
             }
 
             let mut out = String::new();
@@ -1060,30 +977,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 vist_obs::format_nanos(totals.last().copied().unwrap_or(0)),
             )
             .unwrap();
-
-            writeln!(
-                out,
-                "\nslow-query log (threshold {slow_ms}ms, {} entries):",
-                slow.len()
-            )
-            .unwrap();
-            for q in &slow {
-                write!(
-                    out,
-                    "  {:>9}  workers={}  {}  [",
-                    vist_obs::format_nanos(q.total_nanos),
-                    q.workers,
-                    q.query
-                )
-                .unwrap();
-                for (i, (name, nanos)) in q.stages.iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    write!(out, "{name}={}", vist_obs::format_nanos(*nanos)).unwrap();
-                }
-                writeln!(out, "]").unwrap();
-            }
             Ok(out)
         }
         Command::Check { index } => {
@@ -1134,7 +1027,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
             query_workers,
             max_deadline_ms,
             drain_deadline_ms,
-            slow_ms,
             access_log,
         } => {
             let idx = std::sync::Arc::new(open(&index)?);
@@ -1145,7 +1037,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 query_workers,
                 max_deadline_ms,
                 drain_deadline_ms,
-                slow_ms,
                 access_log: access_log.map(|p| p.to_string_lossy().into_owned()),
             };
             let handle = vist_serve::Server::start(idx, cfg).map_err(|e| e.to_string())?;
@@ -1586,12 +1477,11 @@ mod tests {
     #[test]
     fn parse_profile() {
         assert_eq!(
-            parse_args(&argv("profile idx q.txt --workers 2 --slow-ms 10")).unwrap(),
+            parse_args(&argv("profile idx q.txt --workers 2")).unwrap(),
             Command::Profile {
                 index: PathBuf::from("idx"),
                 queries: PathBuf::from("q.txt"),
                 workers: 2,
-                slow_ms: 10,
             }
         );
         assert_eq!(
@@ -1600,11 +1490,9 @@ mod tests {
                 index: PathBuf::from("idx"),
                 queries: PathBuf::from("q.txt"),
                 workers: 1,
-                slow_ms: 0,
             }
         );
         assert!(parse_args(&argv("profile idx")).is_err());
-        assert!(parse_args(&argv("profile idx q.txt --slow-ms nope")).is_err());
     }
 
     #[test]
@@ -2133,20 +2021,17 @@ mod tests {
             index: index.clone(),
             queries: qfile.clone(),
             workers: 2,
-            slow_ms: 0,
         })
         .unwrap();
         assert!(out.contains("replayed 2 query(ies)"), "{out}");
         assert!(out.contains("/site/people/person/name"), "{out}");
         assert!(out.contains("workload total:"), "{out}");
-        assert!(out.contains("slow-query log"), "{out}");
 
         let missing = tmp.file("absent.txt");
         assert!(run(Command::Profile {
             index,
             queries: missing,
             workers: 1,
-            slow_ms: 0,
         })
         .is_err());
     }
@@ -2167,7 +2052,7 @@ mod tests {
         let c = parse_args(&argv(
             "serve idx --addr 127.0.0.1:0 --max-inflight 2 --queue-depth 3 \
              --query-workers 4 --max-deadline-ms 500 --drain-deadline-ms 900 \
-             --slow-ms 25 --access-log access.jsonl",
+             --access-log access.jsonl",
         ))
         .unwrap();
         assert_eq!(
@@ -2180,7 +2065,6 @@ mod tests {
                 query_workers: 4,
                 max_deadline_ms: 500,
                 drain_deadline_ms: 900,
-                slow_ms: 25,
                 access_log: Some(PathBuf::from("access.jsonl")),
             }
         );
@@ -2190,7 +2074,6 @@ mod tests {
                 index,
                 queue_depth,
                 max_deadline_ms,
-                slow_ms,
                 access_log,
                 ..
             } => {
@@ -2200,14 +2083,12 @@ mod tests {
                     max_deadline_ms,
                     vist_serve::ServeConfig::default().max_deadline_ms
                 );
-                assert_eq!(slow_ms, 0);
                 assert_eq!(access_log, None);
             }
             other => panic!("{other:?}"),
         }
         assert!(parse_args(&argv("serve")).is_err());
         assert!(parse_args(&argv("serve idx --max-inflight lots")).is_err());
-        assert!(parse_args(&argv("serve idx --slow-ms soon")).is_err());
         assert!(parse_args(&argv("serve idx --access-log")).is_err());
     }
 

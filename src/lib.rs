@@ -34,7 +34,7 @@
 //! | [`datagen`] | `vist-datagen` | DBLP / XMARK / synthetic generators |
 //! | [`storage`] | `vist-storage` | pagers, buffer pool, slotted pages |
 //! | [`btree`] | `vist-btree` | the disk B+Tree substrate |
-//! | [`obs`] | `vist-obs` | metrics registry, span tracing, slow-query log |
+//! | [`obs`] | `vist-obs` | metrics registry, span tracing, request records |
 //! | [`serve`] | `vist-serve` | network front-end: binary protocol + HTTP shim, admission control, drain |
 
 pub use vist_core::{
@@ -82,7 +82,7 @@ pub mod btree {
 }
 
 /// Zero-dependency observability: metrics registry, span tracing,
-/// slow-query log (`vist-obs`). See `docs/OBSERVABILITY.md`.
+/// request records (`vist-obs`). See `docs/OBSERVABILITY.md`.
 pub mod obs {
     pub use vist_obs::*;
 }
