@@ -268,7 +268,10 @@ fn main() {
 
     // Correctness gate: every engine and worker count must agree.
     for seqs in &query_seqs {
-        let expect = old_engine(store, seqs, budget).expect("baseline");
+        let expect: Vec<DocId> = old_engine(store, seqs, budget)
+            .expect("baseline")
+            .into_iter()
+            .collect();
         for &w in &WORKER_COUNTS {
             let got = search_sequences(store, seqs, &with_workers(w)).expect("worklist");
             assert_eq!(got.docs, expect, "engines disagree at {w} workers");

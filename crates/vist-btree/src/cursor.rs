@@ -98,6 +98,19 @@ fn visit_leaf<'a>(
     Ok(ControlFlow::Continue(()))
 }
 
+/// `a > b` in byte order, compared inline: a suffix is a few bytes, and on a
+/// multi-range walk a `memcmp` call costs more than this loop (PR 25 measured
+/// `scan-spill` 5 % faster; a compare as `u128` words was 30 % slower).
+#[inline]
+fn after(a: &[u8], b: &[u8]) -> bool {
+    for (x, y) in a.iter().zip(b) {
+        if x != y {
+            return x > y;
+        }
+    }
+    a.len() > b.len()
+}
+
 /// First slot in `from..n` of `leaf` whose key suffix sorts after `probe`
 /// (`n` when none does): doubling steps away from `from`, then a binary
 /// search of the last step. A walk over many ranges asks for a slot a little
@@ -109,7 +122,7 @@ fn gallop_past<'a>(leaf: &impl Leaf<'a>, from: SlotId, n: SlotId, probe: &[u8]) 
     let (mut lo, mut hi, mut step): (SlotId, SlotId, SlotId) = (from, n, 1);
     while lo < n {
         let at = lo.saturating_add(step - 1).min(n - 1);
-        if leaf.entry(at)?.0 > probe {
+        if after(leaf.entry(at)?.0, probe) {
             hi = at;
             break;
         }
@@ -118,7 +131,7 @@ fn gallop_past<'a>(leaf: &impl Leaf<'a>, from: SlotId, n: SlotId, probe: &[u8]) 
     }
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if leaf.entry(mid)?.0 > probe {
+        if after(leaf.entry(mid)?.0, probe) {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -204,7 +217,8 @@ where
         if let Some(end) = end_after_prefix(prefix, Bound::Excluded(&ranges.hi)) {
             while at < n {
                 let (suffix, v) = leaf.entry(at)?;
-                if !within_end(suffix, end) {
+                // `end` is `Excluded`, or `Unbounded` past the prefix.
+                if matches!(end, Bound::Excluded(e) if !after(e, suffix)) {
                     break;
                 }
                 if !started {
@@ -487,6 +501,16 @@ mod tests {
     fn keys(scan: Scan<'_>) -> Vec<String> {
         scan.map(|r| String::from_utf8(r.unwrap().0).unwrap())
             .collect()
+    }
+
+    #[test]
+    fn after_is_byte_order() {
+        let keys: [&[u8]; 7] = [b"", b"\0", b"a", b"a\0", b"ab", b"b", b"\xff"];
+        for a in keys {
+            for b in keys {
+                assert_eq!(after(a, b), a > b, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,8 @@
 //! are one range instead of many; the merged ranges, sorted and disjoint, go
 //! to the same multi-range cursor over the DocId tree
 //! ([`SearchSource::docids_in_scopes`]), so resolving them fetches each DocId
-//! leaf once. That stage is the same with planning on or off.
+//! leaf once, and the ids they yield are sorted and deduplicated once. That
+//! stage is the same with planning on or off.
 //!
 //! One loop consumes the work-list — [`drive`], the only caller of `expand`.
 //! Every worker runs it over a private depth-first stack fed from the shared
@@ -105,7 +106,7 @@
 //! (unlimited) results are bit-identical with planning on or off —
 //! [`SearchOptions::plan`] exists purely for bisection and benchmarks.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
@@ -318,7 +319,7 @@ pub struct StageTimings {
     /// The work-list match loop (D-Ancestor candidates + S-Ancestor
     /// range scans), across all workers, in wall-clock time.
     pub match_nanos: u64,
-    /// Final-scope sort/dedup/interval-merge.
+    /// Final-scope sort/dedup/interval-merge, and the index's tier union.
     pub merge_nanos: u64,
     /// DocId range queries over the merged scopes.
     pub docid_nanos: u64,
@@ -482,11 +483,12 @@ pub struct PlanReport {
 /// Result of one [`search_sequences`] run.
 #[derive(Debug, Default)]
 pub struct SearchOutcome {
-    /// Matching document ids ([`SearchMode::Docs`] only).
-    pub docs: BTreeSet<DocId>,
+    /// Matching document ids, strictly ascending ([`SearchMode::Docs`] only).
+    pub docs: Vec<DocId>,
     /// In [`SearchMode::Scopes`]: the distinct final matched scopes,
     /// ascending. In [`SearchMode::Docs`]: the merged intervals the DocId
-    /// tree was queried with.
+    /// tree was queried with, or under a `limit` the scopes it resolved,
+    /// unmerged and in expansion order.
     pub scopes: Vec<(u128, u128)>,
     /// Search instrumentation, merged across workers.
     pub stats: QueryStats,
@@ -589,7 +591,7 @@ pub fn search_sequences(
     };
 
     let mut scopes: Vec<(u128, u128)> = Vec::new();
-    let mut docs: BTreeSet<DocId> = BTreeSet::new();
+    let mut docs: Vec<DocId> = Vec::new();
     {
         let _span = vist_obs::Span::enter("match");
         let t = vist_obs::now();
@@ -617,9 +619,7 @@ pub fn search_sequences(
             // The match loop resolved `scopes` as it went. The last one can
             // overshoot; keep the smallest ids so the truncation is
             // deterministic for a fixed expansion order.
-            while docs.len() > limit {
-                docs.pop_last();
-            }
+            docs.truncate(limit);
         }
         (SearchMode::Docs, None) => {
             let merge_span = vist_obs::Span::enter("merge");
@@ -639,10 +639,10 @@ pub fn search_sequences(
                     return Err(Error::DeadlineExceeded);
                 }
                 stats.docid_scans += slice.len() as u64;
-                source.docids_in_scopes(slice, &mut |doc| {
-                    docs.insert(doc);
-                })?;
+                source.docids_in_scopes(slice, &mut |doc| docs.push(doc))?;
             }
+            docs.sort_unstable();
+            docs.dedup();
             timings.docid_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
         }
     }
@@ -783,12 +783,7 @@ fn drive(
             ("workers", outs.iter().map(|o| o.busy_nanos).sum()),
             ("workers_idle", outs.iter().map(|o| o.idle_nanos).sum()),
         ] {
-            vist_obs::span::attach(vist_obs::SpanNode {
-                name,
-                nanos,
-                count: workers as u64,
-                children: Vec::new(),
-            });
+            vist_obs::span::attach(vist_obs::SpanNode::leaf(name, nanos, workers as u64));
         }
     }
     Ok(outs)
@@ -1176,8 +1171,8 @@ struct WorkerOut {
     /// Final matched scopes.
     scopes: Vec<(u128, u128)>,
     /// `limit` runs only: the documents of `scopes[..resolved]`, the scopes
-    /// already put to the DocId tree.
-    docs: BTreeSet<DocId>,
+    /// already put to the DocId tree, strictly ascending.
+    docs: Vec<DocId>,
     resolved: usize,
     /// Binding signatures seen so far, interned: the dedup sets key on the
     /// id, so a node costs no signature clone. Id 0 is the empty signature.
@@ -1238,9 +1233,10 @@ impl WorkerOut {
             self.resolved += 1;
             self.stats.docid_scans += 1;
             let docs = &mut self.docs;
-            source.docids_in_scopes(scope, &mut |doc| {
-                docs.insert(doc);
-            })?;
+            source.docids_in_scopes(scope, &mut |doc| docs.push(doc))?;
+            // One sorted run and this scope's ids: a stable sort merges them.
+            docs.sort();
+            docs.dedup();
         }
         self.scopes.truncate(self.resolved);
         Ok(self.docs.len() >= limit)

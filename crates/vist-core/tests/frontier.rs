@@ -23,6 +23,12 @@
 //!    as one sorted list: seeded lists return what one call a scope and a
 //!    `BTreeMap` filter return, and a segment fetches each DocId leaf once
 //!    (once a slice of 1,024 scopes) however many scopes fall on it.
+//! 6. **Ids are one ascending, distinct run** — a document below 2,000
+//!    disjoint final scopes (two DocId slices) is returned once, limited or
+//!    not; over two segments with tombstones in both and a delta, answers
+//!    equal the oracle, `document_ids()` is the live ids in order, and every
+//!    limit from 0 to the full size past it returns an ascending subset of
+//!    the right size.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
@@ -34,8 +40,10 @@ use vist_core::{
 };
 use vist_storage::testutil::TempDir;
 
-/// `docs` in a segment (the first `in_segment`) and a delta (the rest),
-/// every seventh document removed again, beside the oracle's answer to ask.
+/// `docs` in segments (the first `in_segment`, cut into `segments` equal
+/// parts) and a delta (the rest), every seventh document removed again —
+/// tombstoned in a segment, deleted from the delta — beside the oracle's
+/// answer to ask.
 struct Corpus {
     _dir: TempDir,
     idx: VistIndex,
@@ -43,11 +51,13 @@ struct Corpus {
     removed: BTreeSet<DocId>,
 }
 
-fn corpus(name: &str, docs: &[String], in_segment: usize) -> Corpus {
+fn corpus(name: &str, docs: &[String], in_segment: usize, segments: usize) -> Corpus {
     let dir = TempDir::new(name);
     let idx = VistIndex::create_file(dir.file("idx.vist"), IndexOptions::default()).unwrap();
     let mut naive = NaiveIndex::default();
-    idx.bulk_build(&docs[..in_segment]).unwrap();
+    for part in docs[..in_segment].chunks(in_segment.div_ceil(segments)) {
+        idx.bulk_build(part).unwrap();
+    }
     for xml in &docs[in_segment..] {
         idx.insert_xml(xml).unwrap();
     }
@@ -58,7 +68,16 @@ fn corpus(name: &str, docs: &[String], in_segment: usize) -> Corpus {
     for &id in &removed {
         idx.remove_document(id).unwrap();
     }
-    assert_eq!(idx.stats().segments, 1, "a segment and a delta");
+    assert_eq!(
+        idx.stats().segments,
+        segments as u64,
+        "segments and a delta"
+    );
+    // The live ids, as one ascending run through every tier.
+    let live: Vec<DocId> = (0..docs.len() as u64)
+        .filter(|id| !removed.contains(id))
+        .collect();
+    assert_eq!(idx.document_ids().unwrap(), live, "{name}");
     Corpus {
         _dir: dir,
         idx,
@@ -159,13 +178,15 @@ fn nested_same_name() -> (Vec<String>, Vec<&'static str>) {
 
 #[test]
 fn seeded_frame_sizes_change_neither_answers_nor_scopes() {
-    for (name, (docs, queries)) in [
-        ("frontier-wildcard", wildcard_heavy()),
-        ("frontier-branch", branch_heavy()),
-        ("frontier-nested", nested_same_name()),
+    for (name, (docs, queries), segments) in [
+        ("frontier-wildcard", wildcard_heavy(), 1),
+        ("frontier-branch", branch_heavy(), 1),
+        ("frontier-nested", nested_same_name(), 1),
+        // Tombstones in both segments: the union masks and joins three runs.
+        ("frontier-two-segments", branch_heavy(), 2),
     ] {
         let in_segment = docs.len() * 2 / 3;
-        let mut c = corpus(name, &docs, in_segment);
+        let mut c = corpus(name, &docs, in_segment, segments);
         for q in queries {
             let pattern = vist_query::parse_query(q).unwrap().to_pattern();
             let oracle = c.oracle(q);
@@ -187,6 +208,20 @@ fn seeded_frame_sizes_change_neither_answers_nor_scopes() {
                     let (scopes, _) = c.idx.match_scopes(&pattern, &opts).unwrap();
                     assert_eq!(scopes, plain_scopes, "{name}: seed {seed} × {workers}: {q}");
                 }
+            }
+            for limit in [0, 1, 10, oracle.len(), oracle.len() + 5] {
+                let opts = QueryOptions {
+                    limit: Some(limit),
+                    ..Default::default()
+                };
+                let r = c.idx.query(q, &opts).unwrap();
+                let run = format!("{name}: limit {limit}: {q}");
+                assert_eq!(r.doc_ids.len(), limit.min(oracle.len()), "{run}");
+                assert!(r.doc_ids.windows(2).all(|w| w[0] < w[1]), "{run}");
+                assert!(
+                    r.doc_ids.iter().all(|id| oracle.binary_search(id).is_ok()),
+                    "{run}"
+                );
             }
         }
     }
@@ -214,7 +249,7 @@ fn nested_authors() -> Vec<String> {
 #[test]
 fn nested_frontier_scopes_collapse_without_changing_the_answer() {
     let docs = nested_authors();
-    let mut c = corpus("frontier-authors", &docs, 450);
+    let mut c = corpus("frontier-authors", &docs, 450, 1);
     for q in [
         "/article/author[text='name3']",
         "/article/author",
@@ -270,7 +305,7 @@ fn a_limit_over_frontiers_larger_than_a_frame_is_a_subset_of_the_right_size() {
     let docs: Vec<String> = (0..5_000)
         .map(|i| format!("<r><a>{i}</a><z>{}</z></r>", i % 2))
         .collect();
-    let mut c = corpus("frontier-limit", &docs, 3_400);
+    let mut c = corpus("frontier-limit", &docs, 3_400, 1);
     for q in ["/r/z[text='1']", "/r/z", "/r[a]/z[text='0']"] {
         let full: BTreeSet<DocId> = c.oracle(q).into_iter().collect();
         assert!(full.len() > 2_000, "{q}: {}", full.len());
@@ -281,7 +316,7 @@ fn a_limit_over_frontiers_larger_than_a_frame_is_a_subset_of_the_right_size() {
             "{q}"
         );
         assert!(unlimited.stats.work_items > 2 * 1024, "{q}: several frames");
-        for limit in [0, 1, 10, 1_500, full.len() - 1, full.len() + 5] {
+        for limit in [0, 1, 10, 1_500, full.len() - 1, full.len(), full.len() + 5] {
             for schedule_seed in [None, Some(0), Some(5), Some(limit as u64)] {
                 let r = c
                     .idx
@@ -374,7 +409,7 @@ fn a_capped_plan_probe_stops_scanning_and_still_never_prunes() {
         ..Default::default()
     };
     let out = search_sequences(&source, &translation.sequences, &opts).unwrap();
-    assert_eq!(out.docs.into_iter().collect::<Vec<_>>(), vec![last]);
+    assert_eq!(out.docs, vec![last]);
     let plan = out.plan.unwrap();
     assert!(plan.seqs.iter().all(|s| s.pruned.is_none()), "{plan:?}");
     let handed = source.handed.into_inner().unwrap();
@@ -383,6 +418,73 @@ fn a_capped_plan_probe_stops_scanning_and_still_never_prunes() {
     // scans for `q` once more; `x` below a bound `q` is an exact lookup.)
     assert_eq!(handed, [1, CAP + 1, 1]);
     assert_eq!(out.stats.planner_seqs_pruned, 0);
+}
+
+/// A source whose DocId tree files every posting under one document: what a
+/// document with a posting below each of many disjoint final scopes returns.
+struct OneDocument<'a>(&'a dyn SearchSource, DocId);
+
+impl SearchSource for OneDocument<'_> {
+    fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
+        self.0.dkey_get(dkey)
+    }
+
+    fn dkey_scan_range(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        f: &mut dyn FnMut(&[u8], u64) -> ControlFlow<()>,
+    ) -> Result<()> {
+        self.0.dkey_scan_range(lo, hi, f)
+    }
+
+    fn nodes_in_scopes(
+        &self,
+        dkey_id: u64,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(NodeState),
+    ) -> Result<()> {
+        self.0.nodes_in_scopes(dkey_id, scopes, f)
+    }
+
+    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()> {
+        self.0.docids_in_scopes(scopes, &mut |_| f(self.1))
+    }
+
+    fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
+        self.0.dkid_stats(dkid)
+    }
+}
+
+#[test]
+fn a_document_below_thousands_of_disjoint_scopes_is_returned_once() {
+    // 2,000 records match, each on a trie node of its own (its `a` text sorts
+    // first): 2,000 disjoint final scopes, two DocId slices, one document.
+    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+    for i in 0..4_000 {
+        idx.insert_xml(&format!("<r><a>{i}</a><z>{}</z></r>", i % 2))
+            .unwrap();
+    }
+    let pattern = vist_query::parse_query("/r/z[text='1']")
+        .unwrap()
+        .to_pattern();
+    let translation = vist_query::try_translate(
+        &pattern,
+        &idx.table(),
+        &vist_query::TranslateOptions::default(),
+    )
+    .unwrap();
+    let source = OneDocument(idx.store(), 7);
+    for limit in [None, Some(1), Some(2)] {
+        let opts = SearchOptions {
+            limit,
+            ..Default::default()
+        };
+        let out = search_sequences(&source, &translation.sequences, &opts).unwrap();
+        assert_eq!(out.docs, vec![7], "limit {limit:?}");
+        let resolved = if limit == Some(1) { 1 } else { 2_000 };
+        assert_eq!(out.stats.docid_scans, resolved, "limit {limit:?}");
+    }
 }
 
 fn docids(source: &dyn SearchSource, scopes: &[(u128, u128)]) -> Vec<DocId> {

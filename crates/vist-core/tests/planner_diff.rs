@@ -236,6 +236,11 @@ fn check_query(naive: &mut NaiveIndex, vist: &VistIndex, label: &str, q: &str) {
                     "{label}: {run} wrong size at {workers} workers: {q}"
                 );
                 assert!(
+                    r.doc_ids.windows(2).all(|w| w[0] < w[1]),
+                    "{label}: {run} not ascending at {workers} workers: {q}: {:?}",
+                    r.doc_ids
+                );
+                assert!(
                     r.doc_ids.iter().all(|id| full.contains(id)),
                     "{label}: {run} returned non-answer at \
                      {workers} workers: {q}: {:?} not in {full:?}",

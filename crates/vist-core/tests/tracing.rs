@@ -1,27 +1,32 @@
 //! Span-tree invariants: `vist query --trace`'s tree must account for
 //! the query's reported wall time — child stage durations sum to the
-//! root total within the untimed-bookkeeping residue.
+//! root total within the untimed-bookkeeping residue, and the tier union
+//! is a visit of the `merge` stage, not time outside every stage.
 
 use std::sync::{Mutex, MutexGuard};
 
 use vist_core::{IndexOptions, QueryOptions, VistIndex};
+use vist_storage::testutil::TempDir;
 
-/// `set_tracing` is process-wide, so the two tests take turns: without
-/// this the second one's query can run while the first has tracing on.
+/// `set_tracing` is process-wide, so the tests take turns: without this
+/// one's query can run while another has tracing on.
 fn tracing_switch() -> MutexGuard<'static, ()> {
     static SWITCH: Mutex<()> = Mutex::new(());
     SWITCH.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+fn person(i: usize) -> String {
+    format!(
+        "<site><people><person><name>p{}</name><city>c{}</city></person></people></site>",
+        i % 17,
+        i % 5
+    )
+}
+
 fn build_index() -> VistIndex {
     let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
     for i in 0..300 {
-        idx.insert_xml(&format!(
-            "<site><people><person><name>p{}</name><city>c{}</city></person></people></site>",
-            i % 17,
-            i % 5
-        ))
-        .unwrap();
+        idx.insert_xml(&person(i)).unwrap();
     }
     idx
 }
@@ -65,6 +70,39 @@ fn span_tree_durations_sum_to_total() {
 
     // The flat stage timings agree with the same invariant.
     assert!(r.timings.total_nanos > 0);
+    assert!(r.timings.stage_sum() <= r.timings.total_nanos);
+}
+
+#[test]
+fn the_tier_union_is_one_more_visit_of_the_merge_stage() {
+    let _turn = tracing_switch();
+    let dir = TempDir::new("tracing-tiers");
+    let idx = VistIndex::create_file(dir.file("idx.vist"), IndexOptions::default()).unwrap();
+    let docs: Vec<String> = (0..300).map(person).collect();
+    idx.bulk_build(&docs[..200]).unwrap();
+    for xml in &docs[200..] {
+        idx.insert_xml(xml).unwrap();
+    }
+    idx.remove_document(3).unwrap();
+    let stats = idx.stats();
+    assert_eq!((stats.segments, stats.tombstones), (1, 1), "two tiers");
+    vist_obs::set_tracing(true);
+    let r = idx
+        .query("/site/people/person/name", &QueryOptions::default())
+        .unwrap();
+    vist_obs::set_tracing(false);
+
+    assert_eq!(r.doc_ids.len(), 299);
+    let tree = r.trace.expect("trace recorded while tracing is enabled");
+    let merge = tree
+        .children
+        .iter()
+        .find(|c| c.name == "merge")
+        .unwrap_or_else(|| panic!("no merge stage in:\n{}", tree.render()));
+    // A final-scope merge a tier, and the union of the two.
+    assert_eq!(merge.count, 2 + 1, "{}", tree.render());
+    assert!(tree.child_nanos() <= tree.nanos, "{}", tree.render());
+    assert!(r.timings.merge_nanos > 0);
     assert!(r.timings.stage_sum() <= r.timings.total_nanos);
 }
 

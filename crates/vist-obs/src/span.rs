@@ -49,11 +49,14 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    fn new(name: &'static str) -> Self {
+    /// A childless node: `count` visits of `name` that took `nanos` in all,
+    /// timed elsewhere and handed to [`attach`].
+    #[must_use]
+    pub fn leaf(name: &'static str, nanos: u64, count: u64) -> Self {
         SpanNode {
             name,
-            nanos: 0,
-            count: 0,
+            nanos,
+            count,
             children: Vec::new(),
         }
     }
@@ -188,7 +191,7 @@ impl Trace {
                 return None;
             }
             *slot = Some(Collector {
-                stack: vec![(SpanNode::new(name), Instant::now())],
+                stack: vec![(SpanNode::leaf(name, 0, 0), Instant::now())],
             });
             Some(Trace {
                 _not_send: std::marker::PhantomData,
@@ -269,7 +272,9 @@ impl Span {
             let mut slot = c.borrow_mut();
             match slot.as_mut() {
                 Some(collector) => {
-                    collector.stack.push((SpanNode::new(name), Instant::now()));
+                    collector
+                        .stack
+                        .push((SpanNode::leaf(name, 0, 0), Instant::now()));
                     true
                 }
                 None => false,
@@ -358,12 +363,7 @@ mod tests {
         {
             let _m = Span::enter("match");
             for i in 0..2 {
-                attach(SpanNode {
-                    name: "worker",
-                    nanos: 100 + i,
-                    count: 1,
-                    children: Vec::new(),
-                });
+                attach(SpanNode::leaf("worker", 100 + i, 1));
             }
         }
         let root = trace.finish();

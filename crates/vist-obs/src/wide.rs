@@ -297,12 +297,7 @@ mod tests {
         clear();
         clear_file_sink();
         // One early, very slow request with its tree...
-        let root = SpanNode {
-            name: "query",
-            nanos: 1_000_000,
-            count: 1,
-            children: Vec::new(),
-        };
+        let root = SpanNode::leaf("query", 1_000_000, 1);
         WideEvent::new("request").emit(42, "slowpoke", 1_000_000, Some(root));
         // ...then a flood of fast ones that wraps the ring.
         for i in 0..(RING_CAPACITY as u64 + 10) {
