@@ -18,8 +18,8 @@
 //!    The apply phase holds the `maintenance` latch exclusively, so
 //!    readers observe the pre-batch or post-batch index, never a torn
 //!    intermediate.
-//! 3. **Commit** (one checkpoint): a single WAL flush — one commit record,
-//!    one fsync — covers the whole batch. Because nothing inside the apply
+//! 3. **Commit**: a single WAL commit — one commit record, one fsync
+//!    pair — covers the whole batch. Because nothing inside the apply
 //!    phase syncs, a crash anywhere before that flush recovers to the
 //!    previous durable state and a crash after it recovers the full batch:
 //!    batches are all-or-nothing on disk by construction.
@@ -111,7 +111,7 @@ impl VistIndex {
     /// before any index mutation. A storage error during apply leaves the
     /// in-memory index mid-batch (like any failed insert — reopen to
     /// recover); on disk the batch is still all-or-nothing, because the
-    /// batch-final checkpoint is the only commit point.
+    /// batch-final commit is its only commit point.
     pub fn insert_batch<S>(&self, docs: &[S], threads: usize) -> Result<Vec<DocId>>
     where
         S: AsRef<str> + Sync,
@@ -186,7 +186,7 @@ impl VistIndex {
         // Phase 3: the group commit — one WAL commit record, one fsync,
         // amortized over the whole batch.
         let commit_start = vist_obs::now();
-        self.checkpoint_locked()?;
+        self.commit_locked()?;
         let commit_nanos = vist_obs::elapsed_nanos(commit_start).unwrap_or(0);
 
         self.ingest_counters.record_batch(

@@ -751,7 +751,7 @@ impl SegmentBuilder {
         meta[16..24].copy_from_slice(&dkey_count.to_le_bytes());
         meta[24..32].copy_from_slice(&self.max_doc.to_le_bytes());
         writer.finish(&meta)?;
-        pool.flush()?;
+        pool.checkpoint()?;
         drop(pool);
         let _ = std::fs::remove_dir_all(&self.scratch);
         Segment::open(vfs, base, id, cache_pages)

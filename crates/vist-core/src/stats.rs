@@ -102,7 +102,9 @@ ingest_counters! {
         dkey_cache_hits => ingest_dkey_cache_hits,
         /// D-Ancestor key lookups a batch had to send to the B+Tree.
         dkey_cache_misses => ingest_dkey_cache_misses,
-        /// Trie-edge child lookups answered by a batch's private edge cache.
+        /// Trie-edge child lookups answered by a batch's private edge cache
+        /// (a fresh branch, below a node its document just allocated, makes
+        /// no lookup at all).
         edge_cache_hits => ingest_edge_cache_hits,
         /// Trie-edge child lookups a batch had to send to the B+Tree.
         edge_cache_misses => ingest_edge_cache_misses,

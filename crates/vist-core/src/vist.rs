@@ -597,9 +597,10 @@ impl VistIndex {
 
     /// Verify the structural invariants of every B+Tree in the index (key
     /// order, node bounds, uniform depth, leaf chains; for the packed trees
-    /// of each segment, the in-memory fence array against the pages) plus
-    /// basic meta consistency. Returns a human-readable report when
-    /// everything is clean, or [`Error::Corrupt`] carrying the report when it is not.
+    /// of each segment, the in-memory fence array against the pages), the
+    /// delta's free list and basic meta consistency. Returns a human-readable
+    /// report when everything is clean, or [`Error::Corrupt`] carrying the
+    /// report when it is not.
     /// Backs the `vist check` CLI command; intended to run after a crash
     /// recovery.
     pub fn check(&self) -> Result<String> {
@@ -618,6 +619,8 @@ impl VistIndex {
         for (name, problem) in self.store.verify() {
             line(format_args!("tree {name:<9}"), problem);
         }
+        let free_list = self.store.pool().check_free_list().err();
+        line(format_args!("free list"), free_list.map(|e| e.to_string()));
         for seg in &segments {
             for (name, problem) in seg.verify() {
                 line(format_args!("segment {} tree {name:<9}", seg.id), problem);
@@ -661,24 +664,24 @@ impl VistIndex {
         Ok(report)
     }
 
-    /// Persist meta state and flush dirty pages to the backing store. A
-    /// `WithClues` allocator's statistics model is persisted too, so it is
-    /// restored by [`VistIndex::open_file`]. Runs as a traced
-    /// `checkpoint` background operation.
+    /// Persist meta state and flush dirty pages to the backing store (one
+    /// commit of its log). A `WithClues` allocator's statistics model is
+    /// persisted too, so it is restored by [`VistIndex::open_file`]. Runs as
+    /// a traced `checkpoint` background operation.
     pub fn flush(&self) -> Result<()> {
         bg_op("checkpoint", || {
             let _w = self.writer.lock();
-            self.checkpoint_locked()
+            self.commit_locked()
         })
     }
 
-    /// Full checkpoint under an already-held writer lock: persist a
+    /// Full commit under an already-held writer lock: persist a
     /// `WithClues` allocator's statistics model, then flush the delta. The
     /// WAL commit record this writes is the durability point for
-    /// everything applied since the previous checkpoint — the group-commit
+    /// everything applied since the previous commit — the group-commit
     /// path ([`VistIndex::insert_batch`]) relies on that by applying a
     /// whole batch and then calling this once.
-    pub(crate) fn checkpoint_locked(&self) -> Result<()> {
+    pub(crate) fn commit_locked(&self) -> Result<()> {
         let model = match &self.alloc.lock().kind {
             AllocatorKind::WithClues(model) => Some(model.clone()),
             AllocatorKind::NoClues => None,
@@ -750,6 +753,8 @@ impl VistIndex {
             meta.doc_count += ids.len() as u64;
         }
         self.flush_locked()?;
+        // A flush is a commit; a new tier state also leaves no log behind.
+        self.store.pool().checkpoint()?;
         vist_obs::counter!("vist_core_bulk_docs_total").add(ids.len() as u64);
         let should_compact =
             store_documents && tier.state.read().segments.len() >= COMPACT_SEGMENT_THRESHOLD;
@@ -880,6 +885,7 @@ impl VistIndex {
         let compacted = new_segment.into_iter().map(Arc::new).collect();
         self.publish(tier, delta_epoch + 1, compacted)?;
         self.flush_locked()?;
+        self.store.pool().checkpoint()?;
         // The replaced segment files are garbage; unlink best-effort.
         // Concurrent readers that cloned the old Arcs keep their open
         // handles and finish safely.
@@ -1034,13 +1040,44 @@ impl VistIndex {
         seq: &Sequence,
         cache: &mut IngestCache,
     ) -> Result<()> {
-        let n = seq.len();
         let mut chain: Vec<ChainEntry> = vec![ChainEntry {
             loc: Loc::Root,
             head_n: 0,
             state: root_state,
             sym: None,
         }];
+        let mut fresh = false;
+        let walked = self.walk_sequence(&mut chain, &mut fresh, seq, cache);
+        // Whatever ended the walk, the pending node is written before the
+        // edge pointing at it can be followed.
+        let last = chain.last().expect("non-empty");
+        let pending = fresh.then(|| self.write_state(last.loc, &last.state));
+        let (last_n, last_loc) = walked?;
+        pending.transpose()?;
+        self.store.docid_put(last_n, doc_id)?;
+        // Empty sequences attach to the virtual root, which has no dkey;
+        // mirror the segment builder, which skips them too.
+        if let Loc::Node(dk) = last_loc {
+            self.store.stats_doc_added(dk);
+        }
+        Ok(())
+    }
+
+    /// Algorithm 4's walk along `seq` from the root: the label and location
+    /// of the node it ends on. Once it allocates a node, the rest is a
+    /// *fresh branch*: each later element hangs below the node allocated one
+    /// step earlier, which has no edges, so none is probed. That node's
+    /// S-Ancestor record is written once, with its final state — when its
+    /// one child is allocated, or by the caller when the walk ends; until
+    /// then it is `chain.last()`, with `fresh` set.
+    fn walk_sequence(
+        &self,
+        chain: &mut Vec<ChainEntry>,
+        fresh: &mut bool,
+        seq: &Sequence,
+        cache: &mut IngestCache,
+    ) -> Result<(u128, Loc)> {
+        let n = seq.len();
         for (i, elem) in seq.iter().enumerate() {
             let prefix = elem
                 .prefix
@@ -1048,12 +1085,18 @@ impl VistIndex {
                 .ok_or_else(|| Error::Corrupt("wildcard in data sequence".into()))?;
             let key = dkey::encode(elem.sym, &prefix);
             let dkid = self.dkid_cached(key, cache)?;
+            let last = chain.last().expect("chain non-empty");
 
             // Follow an existing branch if there is one (Algorithm 4:
             // "search in e for scope r such that r is an immediate child of
             // s"), checking every incarnation of the parent.
-            let head_n = chain.last().expect("chain non-empty").head_n;
-            if let Some(child_n) = self.find_child_cached(head_n, dkid, cache)? {
+            let head_n = last.head_n;
+            let found = if *fresh {
+                None
+            } else {
+                self.find_child_cached(head_n, dkid, cache)?
+            };
+            if let Some(child_n) = found {
                 let state = self
                     .store
                     .node_get(dkid, child_n)?
@@ -1071,8 +1114,8 @@ impl VistIndex {
             // incarnation. The remaining tail (this element included) must
             // be able to nest below it.
             let rem = (n - i) as u128;
-            let parent_sym = chain.last().expect("non-empty").sym;
-            let mut pstate = chain.last().expect("non-empty").state;
+            let (ploc, parent_sym, parent_inc_n) = (last.loc, last.sym, last.state.n);
+            let mut pstate = last.state;
             let allocation = self
                 .alloc
                 .lock()
@@ -1082,11 +1125,9 @@ impl VistIndex {
                     if tight {
                         self.store.meta_mut().underflows += 1;
                     }
-                    let parent_inc_n = chain.last().expect("non-empty").state.n;
-                    let ploc = chain.last().expect("non-empty").loc;
+                    // A fresh parent's one write; an existing one's update.
                     self.write_state(ploc, &pstate)?;
                     chain.last_mut().expect("non-empty").state = pstate;
-                    self.store.node_put(dkid, &state)?;
                     self.store.edge_put(parent_inc_n, dkid, state.n)?;
                     // The fresh edge is keyed under the chain head, which is
                     // where `find_child` starts, so future batch documents
@@ -1103,29 +1144,21 @@ impl VistIndex {
                         state,
                         sym: Some(elem.sym),
                     });
+                    *fresh = true;
                 }
                 Allocation::Underflow => {
                     // Scope underflow (paper §3.4.1), resolved *soundly* by
-                    // node incarnations — see `grow_and_insert_tail`.
-                    let (last_n, last_dkid) =
-                        self.grow_and_insert_tail(&mut chain, &seq.0[i..], cache)?;
-                    self.store.docid_put(last_n, doc_id)?;
-                    if let Some(dk) = last_dkid {
-                        self.store.stats_doc_added(dk);
+                    // node incarnations — see `grow_and_insert_tail`. The
+                    // pending node is written before it is incarnated.
+                    if std::mem::take(fresh) {
+                        self.write_state(ploc, &last.state)?;
                     }
-                    return Ok(());
+                    return self.grow_and_insert_tail(chain, &seq.0[i..], cache);
                 }
             }
         }
         let last = chain.last().expect("non-empty");
-        let (last_n, last_loc) = (last.state.n, last.loc);
-        self.store.docid_put(last_n, doc_id)?;
-        // Empty sequences attach to the virtual root, which has no dkey;
-        // mirror the segment builder, which skips them too.
-        if let Loc::Node(dk) = last_loc {
-            self.store.stats_doc_added(dk);
-        }
-        Ok(())
+        Ok((last.state.n, last.loc))
     }
 
     /// [`VistIndex::find_child`] through the edge cache.
@@ -1190,15 +1223,13 @@ impl VistIndex {
     /// construction at every level, and since Algorithm 2 already iterates
     /// all S-Ancestor entries of a D-Ancestor key, queries find incarnations
     /// with no changes. The `deep_borrows` counter tallies these events.
-    /// Returns the label of the last inserted node plus its dkey-id (for
-    /// the caller's DocId statistics hook; `None` only when the document
-    /// would attach to the virtual root, which has no dkey).
+    /// Returns the label and location of the last inserted node.
     fn grow_and_insert_tail(
         &self,
         chain: &mut [ChainEntry],
         tail: &[vist_seq::SeqElem],
         cache: &mut IngestCache,
-    ) -> Result<(u128, Option<u64>)> {
+    ) -> Result<(u128, Loc)> {
         let rem = tail.len() as u128;
         // Donor j must cover incarnations for chain[j+1..] plus the tail.
         let donor = (0..chain.len() - 1)
@@ -1245,12 +1276,8 @@ impl VistIndex {
 
         // Sequentially label the remaining elements, nested below the
         // parent's fresh incarnation.
-        let mut prev_n = chain.last().expect("non-empty").state.n;
-        let mut prev_dkid = match chain.last().expect("non-empty").loc {
-            Loc::Node(dk) => Some(dk),
-            Loc::Root => None,
-        };
-        let mut last_n = prev_n;
+        let last = chain.last().expect("non-empty");
+        let (mut prev_n, mut prev_loc) = (last.state.n, last.loc);
         for elem in tail {
             let prefix = elem
                 .prefix
@@ -1271,15 +1298,13 @@ impl VistIndex {
             self.store.edge_put(prev_n, dkid, state.n)?;
             self.store.meta_mut().node_count += 1;
             self.store.stats_node_added(dkid);
-            if let Some(pd) = prev_dkid {
+            if let Loc::Node(pd) = prev_loc {
                 self.store.stats_child_added(pd);
             }
-            prev_n = state.n;
-            prev_dkid = Some(dkid);
-            last_n = state.n;
+            (prev_n, prev_loc) = (state.n, Loc::Node(dkid));
             off += 1;
         }
-        Ok((last_n, prev_dkid))
+        Ok((prev_n, prev_loc))
     }
 
     fn write_state(&self, loc: Loc, state: &NodeState) -> Result<()> {

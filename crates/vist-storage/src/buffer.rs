@@ -395,6 +395,17 @@ impl BufferPool {
         self.pager.lock().sync()
     }
 
+    /// [`BufferPool::flush`], then [`Pager::checkpoint`] the backing store.
+    pub fn checkpoint(&self) -> Result<()> {
+        self.flush()?;
+        self.pager.lock().checkpoint()
+    }
+
+    /// [`Pager::check_free_list`]: freed pages are never cached.
+    pub fn check_free_list(&self) -> Result<()> {
+        self.pager.lock().check_free_list()
+    }
+
     /// Number of live pages in the backing store.
     #[must_use]
     pub fn live_pages(&self) -> u64 {

@@ -16,21 +16,24 @@
 //! — caller writes, buffer-pool eviction write-backs, frees — appends a
 //! checksummed record to a sidecar write-ahead log (`<path>.wal`, see
 //! [`crate::wal`]), and an in-memory map remembers the newest WAL offset per
-//! page so reads observe pending writes. [`Pager::sync`] is the checkpoint:
+//! page so reads observe it. [`Pager::sync`] is the commit:
 //!
 //! 1. append the header image and zero-images for allocated-but-unwritten
 //!    frames,
-//! 2. fsync the log and seal it with a commit record,
-//! 3. apply the committed images to the data file,
-//! 4. fsync the data file,
-//! 5. truncate the log.
+//! 2. fsync the log, seal it with a commit record, fsync it again.
 //!
-//! A crash at *any* step leaves the store recoverable: before the commit
-//! record is durable, recovery discards the log tail and the data file still
-//! holds the previous checkpoint; after it, recovery replays the log
-//! (idempotently) and completes the checkpoint. [`FilePager::open`] performs
-//! that replay automatically. `docs/DURABILITY.md` walks the full state
-//! machine; `tests/crash_recovery.rs` proves it at every injection point.
+//! A commit that leaves the log at least as large as the data file
+//! ([`Pager::store_bytes`]) goes on to the checkpoint, as does every
+//! [`Pager::checkpoint`] call; otherwise the log keeps its records:
+//!
+//! 3. apply the newest committed image of every logged page to the data
+//!    file, 4. fsync the data file, 5. truncate the log.
+//!
+//! A crash at *any* step leaves the store recoverable: [`FilePager::open`]
+//! replays every commit up to the last one (idempotently), discards the log
+//! tail after it and truncates the log. `docs/DURABILITY.md` walks the full
+//! state machine; `tests/crash_recovery.rs` proves it at every injection
+//! point.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -85,8 +88,10 @@ pub struct FilePager {
     /// file; higher ids live only in the WAL (`pending`) or are fresh zeros.
     durable_frames: PageId,
     live: u64,
-    header_dirty: bool,
-    /// Pages written since the last checkpoint: id → newest WAL offset.
+    /// A page was written, allocated or freed since the last commit.
+    dirty: bool,
+    /// Pages written since the last checkpoint, committed or not: id →
+    /// newest WAL offset.
     pending: PageIdMap<u64>,
     /// Staging buffer of one frame (payload ‖ trailer): every data-file
     /// read and write passes through it.
@@ -140,7 +145,7 @@ impl FilePager {
             high_water: 1,
             durable_frames: 1,
             live: 0,
-            header_dirty: false,
+            dirty: false,
             pending: PageIdMap::default(),
             frame: vec![0u8; page_size + PAGE_TRAILER],
             stats: IoStats::default(),
@@ -248,7 +253,7 @@ impl FilePager {
             // (gap zero-images included), so after replay they are all valid.
             durable_frames: high_water,
             live,
-            header_dirty: false,
+            dirty: false,
             pending: PageIdMap::default(),
             frame,
             stats,
@@ -284,6 +289,7 @@ impl FilePager {
         vist_obs::counter!("vist_storage_wal_append_total").inc();
         vist_obs::attr::charge_wal_append();
         self.pending.insert(id, off);
+        self.dirty = true;
         Ok(())
     }
 
@@ -300,6 +306,41 @@ impl FilePager {
             self.frame[..self.page_size].fill(0);
         }
         Ok(&self.frame[..self.page_size])
+    }
+
+    /// The page after free page `id` on the free list: the link in its first
+    /// four bytes, read through the log and checked.
+    fn next_free(&mut self, id: PageId) -> Result<PageId> {
+        let page = self.current(id)?;
+        let next = PageId::from_le_bytes(page[..4].try_into().expect("a page is over four bytes"));
+        check_free_link(
+            next,
+            self.high_water,
+            format_args!("free-list link of page {id}"),
+        )?;
+        Ok(next)
+    }
+
+    /// The checkpoint proper (steps 3–5), right after a commit. A failure is
+    /// retryable: `pending` still maps every page to its committed image.
+    fn apply_log(&mut self) -> Result<()> {
+        let start = vist_obs::now();
+        let mut ids: Vec<PageId> = self.pending.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            let page = self.wal.read_page(self.pending[&id], id)?;
+            write_frame_to(&mut *self.data, &mut self.frame, id, page)?;
+        }
+        self.data.sync()?;
+        // The data file is now authoritative; drop the log.
+        self.pending.clear();
+        self.durable_frames = self.durable_frames.max(self.high_water);
+        self.wal.truncate()?;
+        self.stats.checkpoints += 1;
+        vist_obs::counter!("vist_storage_checkpoint_total").inc();
+        vist_obs::gauge!("vist_storage_wal_bytes").set(0);
+        vist_obs::observe_since(vist_obs::histogram!("vist_storage_checkpoint_nanos"), start);
+        Ok(())
     }
 }
 
@@ -347,20 +388,11 @@ impl Pager for FilePager {
     fn allocate(&mut self) -> Result<PageId> {
         if self.free_head != INVALID_PAGE {
             let id = self.free_head;
-            // The free page's first four bytes link to the next free page.
-            let page = self.current(id)?;
-            let next = PageId::from_le_bytes(page[..4].try_into().unwrap());
-            check_free_link(
-                next,
-                self.high_water,
-                format_args!("free-list link of page {id}"),
-            )?;
-            self.free_head = next;
+            self.free_head = self.next_free(id)?;
             // Hand the page back zeroed (through the WAL, like any write).
             self.wal_write(id, &[])?;
             self.stats.allocations += 1;
             self.live += 1;
-            self.header_dirty = true;
             return Ok(id);
         }
         let id = self.high_water;
@@ -372,7 +404,7 @@ impl Pager for FilePager {
         self.high_water += 1;
         self.stats.allocations += 1;
         self.live += 1;
-        self.header_dirty = true;
+        self.dirty = true;
         Ok(id)
     }
 
@@ -382,7 +414,6 @@ impl Pager for FilePager {
         self.wal_write(id, &link)?;
         self.free_head = id;
         self.live = self.live.saturating_sub(1);
-        self.header_dirty = true;
         self.stats.frees += 1;
         Ok(())
     }
@@ -411,16 +442,16 @@ impl Pager for FilePager {
         u64::from(self.high_water) * (self.page_size + PAGE_TRAILER) as u64
     }
 
-    /// Checkpoint: make everything written since the last checkpoint
-    /// durable, atomically with respect to crashes (see the module docs).
+    /// Commit everything written since the last commit, atomically with
+    /// respect to crashes, then checkpoint if the log has grown to the data
+    /// file's size (see the module docs). No-op when nothing changed.
     fn sync(&mut self) -> Result<()> {
-        if self.pending.is_empty() && !self.header_dirty {
+        if !self.dirty {
             return Ok(());
         }
-        let checkpoint_start = vist_obs::now();
         // Stage the header and zero-images for allocated-but-never-written
         // frames, so the data file has a valid frame below high_water for
-        // every id once this checkpoint applies.
+        // every id once a checkpoint applies this commit.
         let hdr = self.header_image();
         self.wal_write(0, &hdr)?;
         for id in self.durable_frames..self.high_water {
@@ -430,26 +461,50 @@ impl Pager for FilePager {
         }
         // The commit record is the atomic durability point.
         self.wal.commit()?;
+        self.dirty = false;
         self.stats.wal_commits += 1;
         vist_obs::counter!("vist_storage_wal_commit_total").inc();
-        // Apply. A failure from here on is retryable: `pending` still maps
-        // every page to its committed image, and reopening replays the log.
-        let mut ids: Vec<PageId> = self.pending.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let page = self.wal.read_page(self.pending[&id], id)?;
-            write_frame_to(&mut *self.data, &mut self.frame, id, page)?;
+        let logged = self.wal.bytes() - WAL_HDR;
+        vist_obs::gauge!("vist_storage_wal_bytes").set(i64::try_from(logged).unwrap_or(i64::MAX));
+        if self.wal.bytes() >= self.store_bytes() {
+            self.apply_log()?;
         }
-        self.data.sync()?;
-        // The data file is now authoritative; drop the log.
-        self.pending.clear();
-        self.durable_frames = self.durable_frames.max(self.high_water);
-        self.header_dirty = false;
-        self.wal.truncate()?;
-        vist_obs::observe_since(
-            vist_obs::histogram!("vist_storage_checkpoint_nanos"),
-            checkpoint_start,
-        );
+        Ok(())
+    }
+
+    /// Commit, then apply whatever the log still holds.
+    fn checkpoint(&mut self) -> Result<()> {
+        self.sync()?;
+        if !self.pending.is_empty() {
+            self.apply_log()?;
+        }
+        Ok(())
+    }
+
+    /// Walk the free list from the header's head, reading links through
+    /// the log. It must hold exactly the pages below the high-water mark
+    /// that are not live, so the walk stops after that many: a cycle, a
+    /// link out of range, a live page on the list or a leaked page off it
+    /// is [`Error::Corrupt`].
+    fn check_free_list(&mut self) -> Result<()> {
+        let not_live = u64::from(self.high_water) - 1 - self.live;
+        let (mut len, mut id) = (0u64, self.free_head);
+        while id != INVALID_PAGE {
+            len += 1;
+            if len > not_live {
+                return Err(Error::Corrupt(format!(
+                    "free list goes on to page {id} after the {not_live} pages that are \
+                     not live: a cycle, or a live page on the list"
+                )));
+            }
+            id = self.next_free(id)?;
+        }
+        if len < not_live {
+            let leaked = not_live - len;
+            return Err(Error::Corrupt(format!(
+                "free list holds {len} of the {not_live} pages that are not live: {leaked} leaked"
+            )));
+        }
         Ok(())
     }
 
@@ -645,9 +700,11 @@ mod tests {
         assert_eq!(p.stats().wal_appends, 1);
         assert_eq!(p.stats().wal_commits, 0);
         p.sync().unwrap();
-        // The checkpoint appended the header image too.
+        // The commit appended the header image too; a log holding every
+        // frame is as large as the data file, so it was checkpointed.
         assert_eq!(p.stats().wal_appends, 2);
         assert_eq!(p.stats().wal_commits, 1);
+        assert_eq!(p.stats().checkpoints, 1);
         p.sync().unwrap();
         assert_eq!(p.stats().wal_commits, 1, "clean sync is a no-op");
     }

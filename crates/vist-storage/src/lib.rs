@@ -12,12 +12,13 @@
 //! * a [`SlottedPage`] layout for variable-length records, used by
 //!   `vist-btree` for its node format, and
 //! * a crash-safety layer: [`FilePager`] routes every write through a
-//!   checksummed write-ahead log, [`Pager::sync`] is an atomic checkpoint,
+//!   checksummed write-ahead log, [`Pager::sync`] is an atomic commit
+//!   (checkpointed into the data file once the log reaches its size),
 //!   [`FilePager::open`] replays committed log records left by a crash, and
 //!   every page carries a CRC32C trailer verified on read. A crash at *any*
-//!   instruction leaves the store equal to its last completed checkpoint —
-//!   a property exercised exhaustively by the [`FaultVfs`]
-//!   fault-injection harness (see `docs/DURABILITY.md`).
+//!   instruction leaves the store equal to its last completed commit — a
+//!   property exercised exhaustively by the [`FaultVfs`] fault-injection
+//!   harness (see `docs/DURABILITY.md`).
 //!
 //! The layer is deliberately small but complete: everything the B+Tree needs
 //! (allocation, free, ordered growth, durable checkpoints, recovery, I/O
@@ -82,8 +83,10 @@ pub fn register_metrics() {
     let _ = vist_obs::counter!("vist_storage_write_back_total");
     let _ = vist_obs::counter!("vist_storage_wal_append_total");
     let _ = vist_obs::counter!("vist_storage_wal_commit_total");
+    let _ = vist_obs::counter!("vist_storage_checkpoint_total");
     let _ = vist_obs::counter!("vist_storage_recovered_pages_total");
     let _ = vist_obs::gauge!("vist_storage_store_bytes");
+    let _ = vist_obs::gauge!("vist_storage_wal_bytes");
     let _ = vist_obs::histogram!("vist_storage_page_read_nanos");
     let _ = vist_obs::histogram!("vist_storage_page_write_nanos");
     let _ = vist_obs::histogram!("vist_storage_wal_append_nanos");

@@ -68,6 +68,17 @@ pub trait Pager: Send {
     /// Flush buffered writes to durable storage.
     fn sync(&mut self) -> Result<()>;
 
+    /// [`Pager::sync`], then leave nothing to replay (a [`crate::FilePager`]
+    /// may defer that step past a sync).
+    fn checkpoint(&mut self) -> Result<()> {
+        self.sync()
+    }
+
+    /// Verify the free list, for a pager that keeps one on its pages.
+    fn check_free_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+
     /// Cumulative I/O statistics.
     fn stats(&self) -> IoStats;
 }

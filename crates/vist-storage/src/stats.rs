@@ -29,8 +29,11 @@ pub struct IoStats {
     pub write_backs: u64,
     /// Page images appended to the write-ahead log.
     pub wal_appends: u64,
-    /// Checkpoint commits (WAL commit records fsynced).
+    /// Commits (WAL commit records fsynced).
     pub wal_commits: u64,
+    /// Checkpoints: committed WAL images applied to the data file, which
+    /// is then fsynced and the log truncated.
+    pub checkpoints: u64,
     /// Pages replayed from the WAL during recovery-on-open.
     pub recovered_pages: u64,
     /// Uncommitted WAL tail bytes discarded during recovery-on-open.
@@ -51,6 +54,7 @@ impl IoStats {
             write_backs: self.write_backs.saturating_sub(earlier.write_backs),
             wal_appends: self.wal_appends.saturating_sub(earlier.wal_appends),
             wal_commits: self.wal_commits.saturating_sub(earlier.wal_commits),
+            checkpoints: self.checkpoints.saturating_sub(earlier.checkpoints),
             recovered_pages: self.recovered_pages.saturating_sub(earlier.recovered_pages),
             wal_discarded_bytes: self
                 .wal_discarded_bytes

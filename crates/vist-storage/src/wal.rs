@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Two record kinds exist: `PAGE` (a full page image, `len == page_size`;
-//! `page_id` 0 is the store header) and `COMMIT` (an 8-byte checkpoint
+//! `page_id` 0 is the store header) and `COMMIT` (an 8-byte commit
 //! sequence number). The CRC covers `kind ‖ page_id ‖ payload`, so a torn
 //! record — truncated length field, partial payload, bit rot — fails
 //! verification instead of replaying garbage.
@@ -18,11 +18,12 @@
 //! # Protocol (see `docs/DURABILITY.md`)
 //!
 //! Between checkpoints the data file is **never written**: every page write
-//! is an append here. A checkpoint fsyncs the records, appends a `COMMIT`,
-//! fsyncs again, applies the committed images to the data file, fsyncs it,
-//! and truncates the log. Recovery scans for the last `COMMIT`: everything
-//! up to it is replayed (idempotently — replaying twice is harmless),
-//! everything after it is crash debris and is discarded.
+//! is an append here. A commit fsyncs the records, appends a `COMMIT` and
+//! fsyncs again; the log may hold many commits. A checkpoint applies the
+//! committed images to the data file, fsyncs it, and truncates the log.
+//! Recovery scans for the last `COMMIT`: everything up to it is replayed
+//! (idempotently — replaying twice is harmless), everything after it is
+//! crash debris and is discarded.
 
 use crate::crc::Crc32c;
 use crate::pager::PageIdMap;
@@ -54,7 +55,7 @@ pub(crate) struct Wal {
     page_size: usize,
     /// Append position (bytes).
     end: u64,
-    /// Checkpoint sequence number of the next commit record.
+    /// Sequence number of the next commit record.
     seq: u64,
     /// Staging buffer of one `PAGE` record (header ‖ payload): every page
     /// image appended or read back passes through it.

@@ -1,19 +1,25 @@
 //! Exhaustive crash-recovery property tests.
 //!
-//! For a seeded workload of allocate / write / free / checkpoint operations,
-//! a clean run counts every file-system operation it performs (`T`). Then,
+//! For a seeded workload of allocate / write / free / sync operations, a
+//! clean run counts every file-system operation it performs (`T`). Then,
 //! for **every** injection point `N in 0..T`, the workload is re-run with a
 //! crash at operation `N` — the scheduled write persists only a seeded torn
 //! prefix, and everything after fails as if the process died. The store is
 //! then reopened for real and must equal, page for page, the last oracle
-//! snapshot that a checkpoint made durable (or, when the crash hit inside a
-//! checkpoint, either that snapshot or the one the checkpoint was
-//! committing — the commit record may or may not have reached disk).
+//! snapshot that a commit made durable (or, when the crash hit inside a
+//! sync, either that snapshot or the one the sync was committing — the
+//! commit record may or may not have reached disk).
 //!
 //! On top of that, every crashed state is recovered *through another crash
 //! sweep*: recovery itself is interrupted at each of its operations, and the
 //! store reopened for real afterwards — recovery-during-recovery must
 //! converge to the same snapshot.
+//!
+//! A third workload starts from a store of [`PREFILL`] pages, so that a
+//! commit of a few pages no longer reaches the data file's size, and ends
+//! with one-page commits until the log has: commits pile up in the log
+//! before a checkpoint applies them, and the sweep must crash both with
+//! several commits in the log and inside such a deferred checkpoint.
 //!
 //! Environment knobs (used by the CI crash-matrix job):
 //! * `VIST_CRASH_SEEDS`  — comma-separated workload seeds (default `1`)
@@ -25,7 +31,13 @@ use std::path::Path;
 use std::sync::Arc;
 
 use vist_storage::testutil::TempDir;
-use vist_storage::{BufferPool, FaultMode, FaultVfs, FilePager, PageId, Pager, RealVfs, Vfs};
+use vist_storage::{
+    BufferPool, FaultMode, FaultVfs, FilePager, IoStats, PageId, Pager, RealVfs, Vfs,
+};
+
+/// Pages written and checkpointed before the prefilled workload's seeded
+/// actions; twice as many one-page commits follow them.
+const PREFILL: u64 = 8;
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -83,6 +95,39 @@ enum Action {
     Checkpoint,
 }
 
+/// What the log held where a run stopped, read from the pager's counters
+/// around every sync: the commits not yet checkpointed, and whether the
+/// stop fell inside the checkpoint after a commit.
+#[derive(Default, Clone, Copy)]
+struct WalProbe {
+    commits: u64,
+    in_checkpoint: bool,
+}
+
+impl WalProbe {
+    fn note(&mut self, before: IoStats, after: IoStats, ok: bool) {
+        self.commits += after.wal_commits - before.wal_commits;
+        if after.checkpoints > before.checkpoints {
+            self.commits = 0;
+        }
+        // A failed sync whose commit landed failed in the checkpoint.
+        self.in_checkpoint = !ok && after.wal_commits > before.wal_commits;
+    }
+}
+
+/// The workload's actions: `prefill` written pages and a checkpoint, then
+/// `steps + 1` seeded ones, then `2 × prefill` one-page commits. Each of
+/// those adds two page images to the log and no frame to the data file.
+fn actions(seed: u64, steps: u64, prefill: u64) -> impl Iterator<Item = Action> {
+    let mut rng = Rng(seed);
+    let head = (0..prefill)
+        .map(Action::AllocWrite)
+        .chain((prefill > 0).then_some(Action::Checkpoint));
+    let tail = (0..2 * prefill).flat_map(|i| [Action::Rewrite(i, !i), Action::Checkpoint]);
+    head.chain((0..=steps).map(move |_| next_action(&mut rng)))
+        .chain(tail)
+}
+
 fn next_action(rng: &mut Rng) -> Action {
     let r = rng.next();
     match r % 10 {
@@ -98,14 +143,38 @@ fn next_action(rng: &mut Rng) -> Action {
 fn run_pager_workload(
     vfs: &dyn Vfs,
     path: &Path,
+    ps: usize,
+    seed: u64,
+    steps: u64,
+    wal: &mut WalProbe,
+) -> RunEnd {
+    pager_workload(vfs, path, ps, seed, steps, 0, wal)
+}
+
+/// [`run_pager_workload`] on a store of [`PREFILL`] pages.
+fn run_prefilled_pager_workload(
+    vfs: &dyn Vfs,
+    path: &Path,
+    ps: usize,
+    seed: u64,
+    steps: u64,
+    wal: &mut WalProbe,
+) -> RunEnd {
+    pager_workload(vfs, path, ps, seed, steps, PREFILL, wal)
+}
+
+fn pager_workload(
+    vfs: &dyn Vfs,
+    path: &Path,
     page_size: usize,
     seed: u64,
     steps: u64,
+    prefill: u64,
+    probe: &mut WalProbe,
 ) -> RunEnd {
     let Ok(mut pager) = FilePager::create_with_vfs(vfs, path, page_size) else {
         return RunEnd::CreateCrashed;
     };
-    let mut rng = Rng(seed);
     let mut model: HashMap<PageId, Vec<u8>> = HashMap::new();
     let mut live: Vec<PageId> = Vec::new();
     let mut durable = Snapshot::default();
@@ -115,8 +184,14 @@ fn run_pager_workload(
         live: live.len() as u64,
     };
 
-    for _ in 0..=steps {
-        let action = next_action(&mut rng);
+    let mut sync = |pager: &mut FilePager| {
+        let before = pager.stats();
+        let result = pager.sync();
+        probe.note(before, pager.stats(), result.is_ok());
+        result
+    };
+
+    for action in actions(seed, steps, prefill) {
         match action {
             Action::AllocWrite(tag) => {
                 let Ok(id) = pager.allocate() else {
@@ -159,7 +234,7 @@ fn run_pager_workload(
             }
             Action::Checkpoint => {
                 let attempt = snap(&model, &live);
-                match pager.sync() {
+                match sync(&mut pager) {
                     Ok(()) => durable = attempt,
                     Err(_) => return RunEnd::Crashed(vec![durable, attempt]),
                 }
@@ -167,7 +242,7 @@ fn run_pager_workload(
         }
     }
     let attempt = snap(&model, &live);
-    match pager.sync() {
+    match sync(&mut pager) {
         Ok(()) => RunEnd::Completed(attempt),
         Err(_) => RunEnd::Crashed(vec![durable, attempt]),
     }
@@ -181,6 +256,7 @@ fn run_pool_workload(
     page_size: usize,
     seed: u64,
     steps: u64,
+    _: &mut WalProbe,
 ) -> RunEnd {
     let Ok(pager) = FilePager::create_with_vfs(vfs, path, page_size) else {
         return RunEnd::CreateCrashed;
@@ -349,11 +425,22 @@ fn env_u64_list(name: &str, default: &[u64]) -> Vec<u64> {
         .unwrap_or_else(|| default.to_vec())
 }
 
-type Driver = fn(&dyn Vfs, &Path, usize, u64, u64) -> RunEnd;
+/// A workload: how its run ended, and the log's state there in the probe.
+type Driver = fn(&dyn Vfs, &Path, usize, u64, u64, &mut WalProbe) -> RunEnd;
+
+/// What the crash points of a sweep found in the log.
+#[derive(Default)]
+struct Coverage {
+    /// A crash point with two or more commits in the log.
+    multi_commit: bool,
+    /// A crash point inside a checkpoint that applies two or more commits.
+    deferred_checkpoint: bool,
+}
 
 /// The sweep: crash at every op index, recover, verify; then crash the
 /// recovery at every one of *its* op indices and verify again.
-fn crash_sweep(driver: Driver, label: &str, sweep_recovery: bool) {
+fn crash_sweep(driver: Driver, label: &str, sweep_recovery: bool) -> Coverage {
+    let mut coverage = Coverage::default();
     let steps = env_u64("VIST_CRASH_STEPS", 24);
     let seeds = env_u64_list("VIST_CRASH_SEEDS", &[1]);
     let page_sizes = env_u64_list("VIST_CRASH_PAGE_SIZES", &[256]);
@@ -367,7 +454,15 @@ fn crash_sweep(driver: Driver, label: &str, sweep_recovery: bool) {
             // Clean run: establish the op count and the expected end state.
             clear_store(&path);
             let clean_vfs = FaultVfs::new(Arc::new(RealVfs));
-            let total_ops = match driver(&clean_vfs, &path, page_size, seed, steps) {
+            let clean = driver(
+                &clean_vfs,
+                &path,
+                page_size,
+                seed,
+                steps,
+                &mut WalProbe::default(),
+            );
+            let total_ops = match clean {
                 RunEnd::Completed(fin) => {
                     verify_recovered(&path, page_size, &[fin], "clean run");
                     clean_vfs.handle().op_count()
@@ -381,7 +476,11 @@ fn crash_sweep(driver: Driver, label: &str, sweep_recovery: bool) {
                 clear_store(&path);
                 let vfs = FaultVfs::new(Arc::new(RealVfs));
                 vfs.handle().schedule(n, FaultMode::Crash, seed ^ n);
-                match driver(&vfs, &path, page_size, seed, steps) {
+                let mut wal = WalProbe::default();
+                let end = driver(&vfs, &path, page_size, seed, steps, &mut wal);
+                coverage.multi_commit |= wal.commits >= 2;
+                coverage.deferred_checkpoint |= wal.in_checkpoint && wal.commits >= 2;
+                match end {
                     RunEnd::Completed(fin) => {
                         // The crash landed on an op the run never reached
                         // (can happen only for n == total_ops - 1 races; in
@@ -427,6 +526,7 @@ fn crash_sweep(driver: Driver, label: &str, sweep_recovery: bool) {
             }
         }
     }
+    coverage
 }
 
 #[test]
@@ -437,4 +537,17 @@ fn pager_crash_at_every_op_recovers_to_last_checkpoint() {
 #[test]
 fn pool_crash_at_every_op_recovers_to_last_checkpoint() {
     crash_sweep(run_pool_workload, "pool", false);
+}
+
+#[test]
+fn crash_with_commits_in_the_log_recovers_to_the_last_one() {
+    let coverage = crash_sweep(run_prefilled_pager_workload, "prefilled", true);
+    assert!(
+        coverage.multi_commit,
+        "no crash point had two commits in the log"
+    );
+    assert!(
+        coverage.deferred_checkpoint,
+        "no crash point fell inside a checkpoint of two or more commits"
+    );
 }

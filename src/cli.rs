@@ -881,6 +881,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             writeln!(out, "page writes:          {}", s.io.writes).unwrap();
             writeln!(out, "wal appends:          {}", s.io.wal_appends).unwrap();
             writeln!(out, "wal commits:          {}", s.io.wal_commits).unwrap();
+            writeln!(out, "checkpoints:          {}", s.io.checkpoints).unwrap();
             writeln!(out, "recovered pages:      {}", s.io.recovered_pages).unwrap();
             writeln!(out, "wal bytes discarded:  {}", s.io.wal_discarded_bytes).unwrap();
             let t = s.pool.totals();
@@ -1006,8 +1007,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
             dump,
         }),
         Command::Recover { index } => {
-            // Opening replays any committed write-ahead-log records; then
-            // verify the result and checkpoint it so the log is gone.
+            // Opening replays any committed write-ahead-log records and
+            // truncates the log; then verify the result and commit it.
             let idx = open(&index)?;
             let io = idx.stats().io;
             let report = idx.check().map_err(|e| e.to_string())?;
@@ -1649,6 +1650,7 @@ mod tests {
         })
         .unwrap();
         assert!(out.contains("tree dancestor ok"), "{out}");
+        assert!(out.contains("free list ok"), "{out}");
         assert!(out.trim_end().ends_with("ok"), "{out}");
         let out = run(Command::Recover { index }).unwrap();
         assert!(out.contains("recovered"), "{out}");
@@ -1697,6 +1699,7 @@ mod tests {
         assert!(out.contains("match work items:"), "{out}");
         assert!(out.contains("wal appends:"), "{out}");
         assert!(out.contains("wal commits:"), "{out}");
+        assert!(out.contains("checkpoints:"), "{out}");
         assert!(out.contains("recovered pages:"), "{out}");
 
         run(Command::Remove {

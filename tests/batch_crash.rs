@@ -17,6 +17,11 @@
 //! visible, and never a strict subset of a batch. The candidate sets
 //! below are therefore whole-batch unions only.
 //!
+//! A commit is not a checkpoint: commits accumulate in the write-ahead log
+//! until it reaches the data file's size. The `small_commits` sweep must
+//! crash both with two or more commits in the log and inside a checkpoint
+//! that applies them, and asserts that it did.
+//!
 //! Environment knobs (shared with the CI crash-matrix job):
 //! * `VIST_CRASH_SEEDS`  — comma-separated fault seeds (default `1`)
 //! * `VIST_CRASH_POINTS` — max crash points per seed (default `150`)
@@ -65,11 +70,38 @@ impl RunEnd {
     }
 }
 
+/// What the delta's log held where a run stopped, read from the index's
+/// I/O counters around every commit point: the commits not yet
+/// checkpointed, and whether the stop fell inside the checkpoint after a
+/// commit.
+#[derive(Default, Clone, Copy)]
+struct WalProbe {
+    commits: u64,
+    in_checkpoint: bool,
+}
+
+impl WalProbe {
+    /// Run `op`, a commit point (`flush`, `insert_batch`), noting what it
+    /// did to the log.
+    fn commit<T, E>(&mut self, idx: &VistIndex, op: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+        let before = idx.stats().io;
+        let result = op();
+        let after = idx.stats().io;
+        self.commits += after.wal_commits - before.wal_commits;
+        if after.checkpoints > before.checkpoints {
+            self.commits = 0;
+        }
+        // A failed call whose commit landed failed in the checkpoint.
+        self.in_checkpoint = result.is_err() && after.wal_commits > before.wal_commits;
+        result
+    }
+}
+
 /// Fixed workload: three group-commit batches, one with a serial
-/// uncommitted insert pending (the batch-final checkpoint must commit it
+/// uncommitted insert pending (the batch-final commit must commit it
 /// together with the batch — its WAL flush is the only commit point in
 /// flight). Two prepare threads so the parallel front half runs for real.
-fn run_workload(vfs: Arc<dyn Vfs>, path: &Path) -> RunEnd {
+fn run_workload(vfs: Arc<dyn Vfs>, path: &Path, _: &mut WalProbe) -> RunEnd {
     let uncreated = RunEnd {
         candidates: vec![BTreeSet::new()],
         may_fail_open: true,
@@ -201,11 +233,23 @@ fn env_u64_list(name: &str, default: &[u64]) -> Vec<u64> {
         .unwrap_or_else(|| default.to_vec())
 }
 
-#[test]
-fn group_commit_crash_at_any_op_is_batch_atomic() {
+type Workload = fn(Arc<dyn Vfs>, &Path, &mut WalProbe) -> RunEnd;
+
+/// What the crash points of a sweep found in the log.
+#[derive(Default)]
+struct Coverage {
+    /// A crash point with two or more commits in the log.
+    multi_commit: bool,
+    /// A crash point inside a checkpoint that applies two or more commits.
+    deferred_checkpoint: bool,
+}
+
+/// Crash `workload` at every sampled file-system operation, recover, and
+/// check batch atomicity.
+fn crash_sweep(workload: Workload, label: &str) -> Coverage {
     let seeds = env_u64_list("VIST_CRASH_SEEDS", &[1]);
     let points = env_u64("VIST_CRASH_POINTS", 150).max(1);
-    let dir = TempDir::new("batch-crash");
+    let dir = TempDir::new(label);
 
     // Clean run: establish the op count and the completed end state.
     let clean_dir = dir.file("clean");
@@ -213,31 +257,90 @@ fn group_commit_crash_at_any_op_is_batch_atomic() {
     let path = clean_dir.join("index");
     let clean_vfs = FaultVfs::new(Arc::new(RealVfs));
     let handle = clean_vfs.handle();
-    let clean_end = run_workload(Arc::new(clean_vfs), &path);
+    let clean_end = workload(Arc::new(clean_vfs), &path, &mut WalProbe::default());
     assert!(clean_end.completed, "clean run must complete");
     verify_recovered(&path, &clean_end, "clean run");
     let total_ops = handle.op_count();
     assert!(total_ops > 50, "workload too small to be interesting");
 
     let stride = (total_ops / points).max(1);
+    let mut coverage = Coverage::default();
     for &seed in &seeds {
         // Different seeds phase-shift the sampled crash points so repeated
         // CI runs cover different op indices.
         let mut n = seed % stride;
         while n < total_ops {
-            let ctx = format!("seed={seed} crash@{n}");
+            let ctx = format!("{label} seed={seed} crash@{n}");
             let run_dir = dir.file(&format!("s{seed}-n{n}"));
             std::fs::create_dir(&run_dir).unwrap();
             let path = run_dir.join("index");
             let vfs = FaultVfs::new(Arc::new(RealVfs));
             vfs.handle().schedule(n, FaultMode::Crash, seed ^ n);
-            let end = run_workload(Arc::new(vfs), &path);
+            let mut wal = WalProbe::default();
+            let end = workload(Arc::new(vfs), &path, &mut wal);
             assert!(!end.completed, "{ctx}: scheduled crash never fired");
+            coverage.multi_commit |= wal.commits >= 2;
+            coverage.deferred_checkpoint |= wal.in_checkpoint && wal.commits >= 2;
             verify_recovered(&path, &end, &ctx);
             let _ = std::fs::remove_dir_all(&run_dir);
             n += stride;
         }
     }
+    coverage
+}
+
+#[test]
+fn group_commit_crash_at_any_op_is_batch_atomic() {
+    crash_sweep(run_workload, "batch-crash");
+}
+
+/// A base batch of [`BASE_DOCS`] documents, then [`SMALL_BATCHES`] batches
+/// of two: each small commit logs a few pages of a store many times larger,
+/// so the commits pile up in the log until a checkpoint applies them.
+fn run_small_commits(vfs: Arc<dyn Vfs>, path: &Path, wal: &mut WalProbe) -> RunEnd {
+    let uncreated = RunEnd {
+        candidates: vec![BTreeSet::new()],
+        may_fail_open: true,
+        completed: false,
+    };
+    let Ok(idx) = VistIndex::create_at(vfs, path, opts()) else {
+        return uncreated;
+    };
+    if wal.commit(&idx, || idx.flush()).is_err() {
+        return uncreated;
+    }
+    let mut durable: BTreeSet<u64> = BTreeSet::new();
+    let mut next = 0;
+    for len in std::iter::once(BASE_DOCS).chain([2; SMALL_BATCHES]) {
+        let batch: Vec<String> = (next..next + len).map(doc).collect();
+        let with_batch: BTreeSet<u64> = durable.iter().copied().chain(next..next + len).collect();
+        match wal.commit(&idx, || idx.insert_batch(&batch, 2)) {
+            Ok(_) => durable = with_batch,
+            Err(_) => return RunEnd::partial(vec![durable, with_batch]),
+        }
+        next += len;
+    }
+    RunEnd {
+        candidates: vec![durable],
+        may_fail_open: false,
+        completed: true,
+    }
+}
+
+const BASE_DOCS: u64 = 48;
+const SMALL_BATCHES: usize = 8;
+
+#[test]
+fn small_commits_crash_at_any_op_recover_the_last_one() {
+    let coverage = crash_sweep(run_small_commits, "small-commits");
+    assert!(
+        coverage.multi_commit,
+        "no crash point had two commits in the log"
+    );
+    assert!(
+        coverage.deferred_checkpoint,
+        "no crash point fell inside a checkpoint of two or more commits"
+    );
 }
 
 /// Fail (not crash) injection: the op errors but the process continues.
@@ -253,7 +356,11 @@ fn group_commit_io_error_then_reopen_is_batch_atomic() {
     std::fs::create_dir(&clean_dir).unwrap();
     let clean_vfs = FaultVfs::new(Arc::new(RealVfs));
     let handle = clean_vfs.handle();
-    let clean_end = run_workload(Arc::new(clean_vfs), &clean_dir.join("index"));
+    let clean_end = run_workload(
+        Arc::new(clean_vfs),
+        &clean_dir.join("index"),
+        &mut WalProbe::default(),
+    );
     assert!(clean_end.completed);
     let total_ops = handle.op_count();
 
@@ -266,7 +373,7 @@ fn group_commit_io_error_then_reopen_is_batch_atomic() {
         let path = run_dir.join("index");
         let vfs = FaultVfs::new(Arc::new(RealVfs));
         vfs.handle().schedule(n, FaultMode::Fail, 7 ^ n);
-        let end = run_workload(Arc::new(vfs), &path);
+        let end = run_workload(Arc::new(vfs), &path, &mut WalProbe::default());
         // The index object is dropped here (possibly mid-batch in memory);
         // recovery must still land on a batch boundary.
         verify_recovered(&path, &end, &ctx);

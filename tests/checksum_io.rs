@@ -10,7 +10,9 @@
 //!   version reads what the other wrote.
 //! * `RealVfs` reads and writes at offsets, directly and under `FaultVfs`.
 //! * A free-list link that passes the page CRC but points outside the
-//!   store is `Error::Corrupt`, not a data page at frame 0.
+//!   store is `Error::Corrupt`, not a data page at frame 0; so are a cycle
+//!   in the list, a live page on it and a page missing from it, which
+//!   `FilePager::check_free_list` and `VistIndex::check` find.
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -210,6 +212,38 @@ fn store_written_by_the_parent_commit_replays_and_reads_identically() {
     assert_eq!(p.allocate().unwrap(), 7);
 }
 
+/// The fixture's log is what a writer that checkpointed at every commit
+/// leaves behind a crash: one commit, not yet truncated. It replays as
+/// above; the commits made after it then stay in the log (the store is
+/// seven frames, a one-page commit two images) and replay on the next open.
+#[test]
+fn single_commit_log_replays_then_later_commits_stay_in_the_log() {
+    let dir = TempDir::new("fixture-defer");
+    let path = dir.file("store");
+    std::fs::copy(fixture("crashed.store"), &path).unwrap();
+    std::fs::copy(fixture("crashed.store.wal"), dir.file("store.wal")).unwrap();
+    let mut p = FilePager::open(&path).unwrap();
+    assert_eq!(p.stats().recovered_pages, 5);
+    for id in [1, 3] {
+        p.write(id, &image(id, 9)).unwrap();
+        p.sync().unwrap();
+    }
+    assert_eq!((p.stats().wal_commits, p.stats().checkpoints), (2, 0));
+    drop(p);
+    let mut p = FilePager::open(&path).unwrap();
+    assert_eq!(p.stats().recovered_pages, 3, "header, pages 1 and 3");
+    let mut buf = vec![0u8; PS];
+    for (id, want) in expected_after_second_checkpoint() {
+        p.read(id, &mut buf).unwrap();
+        let want = if id == 1 || id == 3 {
+            image(id, 9)
+        } else {
+            want
+        };
+        assert_eq!(buf, want, "page {id}");
+    }
+}
+
 #[test]
 fn same_operations_write_the_bytes_the_parent_commit_wrote() {
     let dir = TempDir::new("fixture-rewrite");
@@ -368,4 +402,102 @@ fn wrong_header_free_head_or_live_count_fails_open() {
     // The largest consistent count opens: every page below the mark live.
     patch_frame(&path, 0, HDR_LIVE, &3u64.to_le_bytes());
     assert_eq!(FilePager::open(&path).unwrap().live_pages(), 3);
+}
+
+// ---------------------------------------------------------------------------
+// The free list as a whole
+// ---------------------------------------------------------------------------
+
+#[test]
+fn free_list_cycle_leak_or_live_page_is_corrupt() {
+    // Untouched, the list 3 → 2 holds both pages that are not live.
+    let dir = TempDir::new("freelist-ok");
+    FilePager::open(store_with_two_free_pages(&dir))
+        .unwrap()
+        .check_free_list()
+        .unwrap();
+    for (link, names) in [
+        // 3 → 2 → 3: a two-page cycle.
+        (3, "goes on to page 3"),
+        // 3 → 2 → 1: page 1 is live.
+        (1, "goes on to page 1"),
+        // 3 → 2 → end would be right; 3 → end leaks page 2.
+        (INVALID_PAGE, "1 leaked"),
+    ] {
+        let dir = TempDir::new("freelist-bad");
+        let path = store_with_two_free_pages(&dir);
+        let (page, link) = if link == INVALID_PAGE {
+            (3, link)
+        } else {
+            (2, link)
+        };
+        patch_frame(&path, page, 0, &PageId::to_le_bytes(link));
+        let mut p = FilePager::open(&path).unwrap();
+        assert_corrupt(p.check_free_list(), names);
+    }
+}
+
+#[test]
+fn free_list_links_still_in_the_log_are_walked() {
+    let dir = TempDir::new("freelist-wal");
+    let path = dir.file("store");
+    let mut p = FilePager::create(&path, PS).unwrap();
+    for _ in 0..64 {
+        let id = p.allocate().unwrap();
+        p.write(id, &image(id, 1)).unwrap();
+    }
+    p.sync().unwrap();
+    for id in [7, 9, 8] {
+        p.free(id).unwrap();
+    }
+    p.check_free_list().unwrap();
+    p.sync().unwrap();
+    assert_eq!(p.stats().checkpoints, 1, "the frees are only in the log");
+    p.check_free_list().unwrap();
+    drop(p);
+    let mut p = FilePager::open(&path).unwrap();
+    p.check_free_list().unwrap();
+    assert_eq!(p.allocate().unwrap(), 8);
+}
+
+#[test]
+fn index_check_reports_a_free_list_cycle() {
+    use vist::{IndexOptions, VistIndex};
+    let dir = TempDir::new("freelist-index");
+    let path = dir.file("idx");
+    {
+        let opts = IndexOptions {
+            page_size: PS,
+            ..IndexOptions::default()
+        };
+        let idx = VistIndex::create_file(&path, opts).unwrap();
+        for i in 0..40 {
+            idx.insert_xml(&format!("<r><k>{i}</k></r>")).unwrap();
+        }
+        // The compaction empties the delta's trees, freeing their pages,
+        // and checkpoints: the data file alone holds the list.
+        idx.compact().unwrap();
+        assert!(idx.check().unwrap().contains("free list ok"));
+    }
+    assert_eq!(
+        std::fs::metadata(FilePager::wal_path(&path)).unwrap().len(),
+        16
+    );
+    let bytes = std::fs::read(&path).unwrap();
+    let word = |at: usize| PageId::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let head = word(HDR_FREE_HEAD);
+    let next = word(head as usize * FRAME);
+    assert!(
+        head != INVALID_PAGE && next != INVALID_PAGE,
+        "two free pages"
+    );
+    patch_frame(&path, next, 0, &PageId::to_le_bytes(head));
+    let idx = VistIndex::open_file(&path, 16).unwrap();
+    match idx.check() {
+        Err(vist::Error::Corrupt(report)) => {
+            assert!(report.contains("free list CORRUPT"), "{report}");
+            assert!(report.contains("a cycle"), "{report}");
+        }
+        other => panic!("expected a corrupt free list, got {other:?}"),
+    }
 }
