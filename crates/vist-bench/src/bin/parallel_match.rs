@@ -165,7 +165,10 @@ fn old_descend(
     out: &mut BTreeSet<DocId>,
 ) -> OldResult<()> {
     let mut nodes = Vec::new();
-    store.nodes_in_scopes(dkid, &[(prev_n, prev_end)], &mut |node| nodes.push(node))?;
+    store.nodes_in_scopes(dkid, &[(prev_n, prev_end)], &mut |node| {
+        nodes.push(node);
+        std::ops::ControlFlow::Continue(())
+    })?;
     ctx.charge(nodes.len() as u64 + 1)?;
     if nodes.is_empty() {
         return Ok(());

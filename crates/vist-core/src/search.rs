@@ -60,7 +60,9 @@
 //! queue of [`crate::pool`]; the caller's thread is worker 0, and at one
 //! worker it is the whole engine. A `limit` is a step of that same loop
 //! (resolve the scopes an expansion completed, stop when enough documents
-//! are in hand), not a second loop.
+//! are in hand), not a second loop, and it makes every sweep stop after a
+//! piece of hits and leave the rest to a continuation frame, so a limited
+//! run pays for about as many hits as it returns.
 //!
 //! The inner loop does not allocate per partial match: B+Tree probes stream
 //! through the cursors of a [`SearchSource`] with keys built on the stack,
@@ -78,7 +80,9 @@
 //! history stays comparable and the counts do not depend on the number of
 //! workers. **Physical** ones count operations issued (`dancestor_gets`,
 //! `dancestor_scans`, `dkeys_matched`, `sancestor_scans` — sweeps), which
-//! happen once a frame.
+//! happen once a frame. Under a `limit` the logical counts cover the work
+//! done before the stop: a continuation's scopes are not counted again as
+//! work items, and the nodes a stopped sweep never reached are not visited.
 //!
 //! # Cost-based planning (ViST §3.4 "statistical clues")
 //!
@@ -100,7 +104,8 @@
 //!   keys of wildcarded child elements reachable from that binding by
 //!   concrete steps; any absent key proves the whole subtree dead.
 //! - **`limit` early termination** — bounded runs resolve completed scopes
-//!   eagerly and stop as soon as enough distinct documents are in hand.
+//!   eagerly, sweep in pieces of hits, and stop the DocId cursor as soon as
+//!   enough distinct documents are in hand.
 //!
 //! Every transform only reorders work or prunes provably-empty work, so
 //! (unlimited) results are bit-identical with planning on or off —
@@ -160,20 +165,25 @@ pub trait SearchSource: Sync {
 
     /// S-Ancestor nodes of `dkey_id` labeled strictly inside one of
     /// `scopes` — `(lo, hi)` pairs sorted by `lo` — in label order, each
-    /// once however many scopes hold it: the merge join of a sorted frontier
-    /// against the key's entries, in one forward pass over its leaves.
+    /// once however many scopes hold it, until `f` breaks: the merge join of
+    /// a sorted frontier against the key's entries, in one forward pass over
+    /// its leaves.
     fn nodes_in_scopes(
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState),
+        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
     ) -> Result<()>;
 
     /// Document ids attached to labels in one of `scopes` — `[lo, hi)`
-    /// ranges, sorted and disjoint — in label order: the paper's final
-    /// range query `[n, n+size)` on the DocId B+Tree, for all final nodes in
-    /// one forward pass over its leaves.
-    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()>;
+    /// ranges, sorted and disjoint — in label order, until `f` breaks: the
+    /// paper's final range query `[n, n+size)` on the DocId B+Tree, for all
+    /// final nodes in one forward pass over its leaves.
+    fn docids_in_scopes(
+        &self,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+    ) -> Result<()>;
 
     /// Planner statistics for one D-Ancestor entry, when the source
     /// maintains them. `None` falls back to candidate counting.
@@ -583,6 +593,7 @@ pub fn search_sequences(
             qi: 0,
             scopes: vec![(0, vist_seq::MAX_SCOPE)],
             binds: None,
+            cont: None,
         })
         .collect();
     let limit = match opts.mode {
@@ -615,12 +626,9 @@ pub fn search_sequences(
             scopes.dedup();
             timings.merge_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
         }
-        (SearchMode::Docs, Some(limit)) => {
-            // The match loop resolved `scopes` as it went. The last one can
-            // overshoot; keep the smallest ids so the truncation is
-            // deterministic for a fixed expansion order.
-            docs.truncate(limit);
-        }
+        // The match loop resolved `scopes` as it went and stopped the DocId
+        // cursor at the limit.
+        (SearchMode::Docs, Some(_)) => {}
         (SearchMode::Docs, None) => {
             let merge_span = vist_obs::Span::enter("merge");
             let t = vist_obs::now();
@@ -639,7 +647,10 @@ pub fn search_sequences(
                     return Err(Error::DeadlineExceeded);
                 }
                 stats.docid_scans += slice.len() as u64;
-                source.docids_in_scopes(slice, &mut |doc| docs.push(doc))?;
+                source.docids_in_scopes(slice, &mut |doc| {
+                    docs.push(doc);
+                    ControlFlow::Continue(())
+                })?;
             }
             docs.sort_unstable();
             docs.dedup();
@@ -668,8 +679,10 @@ pub fn search_sequences(
 /// Under a `limit` the loop gains one step per expansion: the scopes just
 /// completed are resolved against the DocId tree at once
 /// ([`WorkerOut::resolve`]), and the run stops as soon as `limit`
-/// distinct documents are in hand. That order of resolution is the
-/// expansion order of one stack, so a limited run uses one worker.
+/// distinct documents are in hand. Its sweeps stop after a piece of hits
+/// and leave the rest to a continuation frame (see [`sweep`]), so the run
+/// pays for the hits it needs. That order of resolution is the expansion
+/// order of one stack, so a limited run uses one worker.
 ///
 /// Returns each worker's output; `pre_scopes` are credited to worker 0.
 fn drive(
@@ -685,7 +698,7 @@ fn drive(
     } else {
         opts.workers.max(1)
     };
-    let mut outs: Vec<WorkerOut> = (0..workers).map(|_| WorkerOut::new(opts)).collect();
+    let mut outs: Vec<WorkerOut> = (0..workers).map(|_| WorkerOut::new(opts, limit)).collect();
     outs[0].scopes = pre_scopes;
     if let Some(limit) = limit {
         if outs[0].resolve(source, limit, opts.deadline)? {
@@ -731,7 +744,10 @@ fn drive(
                 let step = if expired(opts.deadline) {
                     Err(Error::DeadlineExceeded)
                 } else {
-                    out.stats.work_items += frame.scopes.len() as u64;
+                    // A continuation's scopes were counted with its frame.
+                    if frame.cont.is_none() {
+                        out.stats.work_items += frame.scopes.len() as u64;
+                    }
                     expand(source, ctxs, &frame, &mut local, &mut out).and_then(|()| match limit {
                         Some(limit) => out.resolve(source, limit, opts.deadline),
                         None => Ok(false),
@@ -946,6 +962,19 @@ struct Frame {
     qi: u32,
     scopes: Vec<(u128, u128)>,
     binds: Option<Arc<BindNode>>,
+    /// Set on a limited run's continuation: `scopes` are what a sweep of
+    /// one candidate left when it stopped, to be swept for that candidate
+    /// alone.
+    cont: Option<Box<Continuation>>,
+}
+
+/// The candidate of a sweep that stopped at its piece of hits, and the
+/// piece its continuation sweeps for.
+#[derive(Debug, Clone)]
+struct Continuation {
+    dkid: u64,
+    prefix: Vec<Symbol>,
+    piece: usize,
 }
 
 /// How many scopes the frame that starts with the hit labeled `first` gets
@@ -1167,6 +1196,8 @@ struct WorkerOut {
     track: bool,
     /// [`SearchOptions::schedule_seed`], for [`frame_scopes`].
     seed: Option<u64>,
+    /// The run's `limit`: sweeps stop after a piece of hits.
+    limit: Option<usize>,
     stats: QueryStats,
     /// Final matched scopes.
     scopes: Vec<(u128, u128)>,
@@ -1205,20 +1236,32 @@ struct WorkerOut {
 }
 
 impl WorkerOut {
-    fn new(opts: &SearchOptions) -> Self {
+    fn new(opts: &SearchOptions, limit: Option<usize>) -> Self {
         WorkerOut {
             plan: opts.plan,
             track: opts.collect_plan,
             seed: opts.schedule_seed,
+            limit,
             ..WorkerOut::default()
+        }
+    }
+
+    /// The hits a sweep of `frame` collects before it stops: all of them in
+    /// an unlimited run; under a limit the continuation's piece, or for a
+    /// fresh frame the number of documents still wanted.
+    fn piece(&self, frame: &Frame) -> usize {
+        match (&frame.cont, self.limit) {
+            (_, None) => usize::MAX,
+            (Some(cont), _) => cont.piece,
+            (None, Some(limit)) => limit.saturating_sub(self.docs.len()).max(1),
         }
     }
 
     /// The `limit` step of the match loop: put the scopes completed since
     /// the last call to the DocId tree, one at a time and in expansion order
     /// (they are neither sorted nor disjoint), until `limit` distinct
-    /// documents are in hand — the return value. Scopes past that point are
-    /// dropped unqueried.
+    /// documents are in hand — the return value. The cursor stops at the
+    /// id that makes `limit`; scopes past that point are dropped unqueried.
     fn resolve(
         &mut self,
         source: &dyn SearchSource,
@@ -1233,10 +1276,19 @@ impl WorkerOut {
             self.resolved += 1;
             self.stats.docid_scans += 1;
             let docs = &mut self.docs;
-            source.docids_in_scopes(scope, &mut |doc| docs.push(doc))?;
-            // One sorted run and this scope's ids: a stable sort merges them.
-            docs.sort();
-            docs.dedup();
+            source.docids_in_scopes(scope, &mut |doc| {
+                // A document has one DocId entry in a source, so an id is new
+                // exactly when the sorted run lacks it (overlapping scopes
+                // can hand it over twice).
+                if let Err(at) = docs.binary_search(&doc) {
+                    docs.insert(at, doc);
+                }
+                if docs.len() < limit {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            })?;
         }
         self.scopes.truncate(self.resolved);
         Ok(self.docs.len() >= limit)
@@ -1297,6 +1349,13 @@ fn expand(
     if qi == sc.seq.elems.len() {
         out.scopes.extend_from_slice(&frame.scopes);
         return Ok(());
+    }
+    if let Some(cont) = &frame.cont {
+        // Its scopes passed the dedup check and its candidate was found
+        // when the frame they came from was expanded.
+        let sig = sc.dedup.then(|| out.sig_id(&sc.sig[qi], &frame.binds));
+        let cand = (cont.prefix.as_slice(), cont.dkid);
+        return sweep(source, sc, frame, (&frame.scopes, sig), cand, push, out);
     }
     if out.track {
         out.steps.entry((frame.seq, frame.qi)).or_insert((0, 0)).0 += frame.scopes.len() as u64;
@@ -1417,6 +1476,13 @@ fn descend(
 /// the frame's binding signature when its sequence dedups) against the
 /// S-Ancestor entries of one matched D-Ancestor key in one forward pass,
 /// then bind and push the hits as child frames, cut by [`frame_scopes`].
+///
+/// Under a limit the pass stops at its piece of hits ([`WorkerOut::piece`])
+/// and pushes a continuation beneath the child frames: the scopes past the
+/// last hit — past its scope's end where nested hits collapse — to be
+/// swept for this key alone, with twice the piece (at most
+/// [`FRAME_SCOPES`]). A limit the hits never fill thus costs a logarithmic
+/// number of extra sweeps.
 fn sweep(
     source: &dyn SearchSource,
     sc: &SeqCtx<'_>,
@@ -1428,7 +1494,8 @@ fn sweep(
 ) -> Result<()> {
     let (seq, qi) = (frame.seq, frame.qi);
     let qe = &sc.seq.elems[qi as usize];
-    if out.plan && !sc.probe_children[qi as usize].is_empty() {
+    // A continuation's candidate passed this check when its frame ran.
+    if out.plan && frame.cont.is_none() && !sc.probe_children[qi as usize].is_empty() {
         // Look-ahead prune: under this binding each wildcarded child
         // reachable by concrete steps has exactly one possible D-Ancestor
         // key; every element of the sequence must eventually match, so one
@@ -1466,6 +1533,7 @@ fn sweep(
     // below it is found below its container, so it is dropped.
     let collapse = qi as usize + 1 < sc.seq.elems.len();
     let mut kept_end = 0u128;
+    let piece = out.piece(frame);
     let track = out.track;
     let stats = &mut out.stats;
     let visited = &mut out.visited;
@@ -1485,21 +1553,51 @@ fn sweep(
                 // lies inside it.
                 if end <= kept_end {
                     stats.scopes_nested += 1;
-                    return;
+                    return ControlFlow::Continue(());
                 }
                 kept_end = end;
             }
             if let Some(s) = sig {
                 if !visited.insert((seq, qi + 1, dkid, node.n, s)) {
                     stats.dedup_skips += 1;
-                    return;
+                    return ControlFlow::Continue(());
                 }
             }
             hits.push((node.n, end));
+            if hits.len() < piece {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
         })?;
     }
-    if hits.is_empty() {
+    let Some(&(last, last_end)) = hits.last() else {
         return Ok(());
+    };
+    // The stack pops its top first: the continuation goes beneath the
+    // child frames, which may fill the limit without it.
+    if hits.len() == piece {
+        // Labels past `after` are left: the last hit's own descendants are
+        // nested in it where hits collapse.
+        let after = if collapse { last_end - 1 } else { last };
+        let left: Vec<(u128, u128)> = scopes
+            .iter()
+            .filter(|s| s.1 > after + 1)
+            .map(|&(lo, hi)| (lo.max(after), hi))
+            .collect();
+        if !left.is_empty() {
+            push.push(Frame {
+                seq,
+                qi,
+                scopes: left,
+                binds: frame.binds.clone(),
+                cont: Some(Box::new(Continuation {
+                    dkid,
+                    prefix: prefix_syms.to_vec(),
+                    piece: piece.saturating_mul(2).min(FRAME_SCOPES).max(piece),
+                })),
+            });
+        }
     }
     // Bind this element's instantiated path for descendant lookups — only
     // when some later wildcarded element will actually consult it.
@@ -1528,6 +1626,7 @@ fn sweep(
             qi: qi + 1,
             scopes: head.to_vec(),
             binds: binds.clone(),
+            cont: None,
         });
         rest = tail;
     }

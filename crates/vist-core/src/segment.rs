@@ -477,16 +477,13 @@ impl SearchSource for Segment {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState),
+        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
     ) -> Result<()> {
         let mut bad = None;
         let visit = decoding(
             &mut bad,
             |k, v| self.codec.decode_sanc(k, v),
-            |_, node| {
-                f(node);
-                ControlFlow::Continue(())
-            },
+            |_, node| f(node),
         );
         self.sancestor.for_each_in_ranges(
             scopes.len(),
@@ -499,15 +496,16 @@ impl SearchSource for Segment {
         self.refuse("sancestor", bad)
     }
 
-    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()> {
+    fn docids_in_scopes(
+        &self,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+    ) -> Result<()> {
         let mut bad = None;
         let visit = decoding(
             &mut bad,
             |k, _| self.codec.decode_docid(k),
-            |_, (_, doc)| {
-                f(doc);
-                ControlFlow::Continue(())
-            },
+            |_, (_, doc)| f(doc),
         );
         self.docid.for_each_in_ranges(
             scopes.len(),
@@ -887,6 +885,7 @@ mod tests {
         for dkid in 0..seg.dkey_count {
             seg.nodes_in_scopes(dkid, &[(0, vist_seq::MAX_SCOPE)], &mut |node| {
                 nodes.push(node);
+                ControlFlow::Continue(())
             })
             .unwrap();
         }
@@ -920,8 +919,11 @@ mod tests {
         assert!(postings.len() >= 3 && postings.iter().any(|p| p.1 == 0));
         let check = |scopes: &[(u128, u128)]| {
             let mut got = Vec::new();
-            seg.docids_in_scopes(scopes, &mut |doc| got.push(doc))
-                .unwrap();
+            seg.docids_in_scopes(scopes, &mut |doc| {
+                got.push(doc);
+                ControlFlow::Continue(())
+            })
+            .unwrap();
             let want: Vec<DocId> = postings
                 .iter()
                 .filter(|(n, _)| scopes.iter().any(|&(lo, hi)| lo <= *n && *n < hi))

@@ -596,7 +596,10 @@ impl Store {
     /// paper's final DocId range query.
     pub fn docids_in_range(&self, lo: u128, hi: u128) -> Result<Vec<DocId>> {
         let mut out = Vec::new();
-        self.docids_in_scopes(&[(lo, hi)], &mut |doc| out.push(doc))?;
+        self.docids_in_scopes(&[(lo, hi)], &mut |doc| {
+            out.push(doc);
+            ControlFlow::Continue(())
+        })?;
         Ok(out)
     }
 
@@ -874,7 +877,7 @@ impl SearchSource for Store {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState),
+        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
     ) -> Result<()> {
         let mut bad = None;
         let visit = decoding(
@@ -883,10 +886,7 @@ impl SearchSource for Store {
                 let k: &[u8; 24] = k.try_into().ok()?;
                 Self::decode_node(u128::from_be_bytes(k[8..].try_into().ok()?), v)
             },
-            |_, node| {
-                f(node);
-                ControlFlow::Continue(())
-            },
+            |_, node| f(node),
         );
         self.sancestor.for_each_in_ranges(
             scopes.len(),
@@ -899,16 +899,13 @@ impl SearchSource for Store {
         refuse("sancestor", bad)
     }
 
-    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()> {
+    fn docids_in_scopes(
+        &self,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+    ) -> Result<()> {
         let mut bad = None;
-        let visit = decoding(
-            &mut bad,
-            |k, _| decode_docid(k),
-            |_, (_, doc)| {
-                f(doc);
-                ControlFlow::Continue(())
-            },
-        );
+        let visit = decoding(&mut bad, |k, _| decode_docid(k), |_, (_, doc)| f(doc));
         // The cursor's ranges are open at both ends, a scope is closed at
         // `lo`, and doc ids start at 0: the label alone, a proper prefix of
         // every `(lo, doc)` key, sorts immediately before the first of them.
@@ -961,8 +958,11 @@ mod tests {
 
     fn nodes_in(s: &Store, dkid: u64, lo: u128, hi: u128) -> Vec<NodeState> {
         let mut out = Vec::new();
-        s.nodes_in_scopes(dkid, &[(lo, hi)], &mut |node| out.push(node))
-            .unwrap();
+        s.nodes_in_scopes(dkid, &[(lo, hi)], &mut |node| {
+            out.push(node);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
         out
     }
 
@@ -1037,8 +1037,11 @@ mod tests {
         s.docid_put(0, 9).unwrap();
         let resolve = |scopes: &[(u128, u128)]| {
             let mut out = Vec::new();
-            s.docids_in_scopes(scopes, &mut |doc| out.push(doc))
-                .unwrap();
+            s.docids_in_scopes(scopes, &mut |doc| {
+                out.push(doc);
+                ControlFlow::Continue(())
+            })
+            .unwrap();
             out
         };
         assert_eq!(resolve(&[]), Vec::<DocId>::new());

@@ -1452,14 +1452,21 @@ impl VistIndex {
         plans.extend(total.plan.take().map(|p| ("delta".to_string(), p)));
         let segments = self.segments_snapshot();
         if !segments.is_empty() {
-            let t = vist_obs::now();
-            // Delta docs are never tombstoned.
-            let tombs = self.store.tomb_ids()?;
-            let mut union_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
+            // Delta docs are never tombstoned. Read the tombstones (a scan of
+            // every one) only once a segment is searched: a limited query the
+            // delta answers never does.
+            let mut tombs: Option<Vec<DocId>> = None;
+            let mut union_nanos = 0;
             for seg in &segments {
                 if sopts.limit.is_some_and(|k| total.docs.len() >= k) {
                     break;
                 }
+                if tombs.is_none() {
+                    let t = vist_obs::now();
+                    tombs = Some(self.store.tomb_ids()?);
+                    union_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
+                }
+                let tombs = tombs.as_deref().unwrap_or_default();
                 // Over-provision a limited segment search by the tombstone
                 // count: up to that many of its hits may be masked below.
                 let seg_opts = SearchOptions {
@@ -1473,7 +1480,7 @@ impl VistIndex {
                 total.timings.docid_nanos += o.timings.docid_nanos;
                 total.scopes.extend(o.scopes);
                 let t = vist_obs::now();
-                join_live(&mut total.docs, o.docs, &tombs);
+                join_live(&mut total.docs, o.docs, tombs);
                 union_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
                 plans.extend(o.plan.map(|p| (format!("segment {}", seg.id), p)));
             }

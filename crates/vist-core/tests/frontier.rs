@@ -368,12 +368,16 @@ impl SearchSource for CountingScans<'_> {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState),
+        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
     ) -> Result<()> {
         self.inner.nodes_in_scopes(dkey_id, scopes, f)
     }
 
-    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()> {
+    fn docids_in_scopes(
+        &self,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+    ) -> Result<()> {
         self.inner.docids_in_scopes(scopes, f)
     }
 
@@ -442,12 +446,16 @@ impl SearchSource for OneDocument<'_> {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState),
+        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
     ) -> Result<()> {
         self.0.nodes_in_scopes(dkey_id, scopes, f)
     }
 
-    fn docids_in_scopes(&self, scopes: &[(u128, u128)], f: &mut dyn FnMut(DocId)) -> Result<()> {
+    fn docids_in_scopes(
+        &self,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+    ) -> Result<()> {
         self.0.docids_in_scopes(scopes, &mut |_| f(self.1))
     }
 
@@ -490,7 +498,10 @@ fn a_document_below_thousands_of_disjoint_scopes_is_returned_once() {
 fn docids(source: &dyn SearchSource, scopes: &[(u128, u128)]) -> Vec<DocId> {
     let mut out = Vec::new();
     source
-        .docids_in_scopes(scopes, &mut |doc| out.push(doc))
+        .docids_in_scopes(scopes, &mut |doc| {
+            out.push(doc);
+            ControlFlow::Continue(())
+        })
         .unwrap();
     out
 }

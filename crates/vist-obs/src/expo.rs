@@ -79,20 +79,33 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    json_escape_into(&mut out, s);
     out
+}
+
+/// [`json_escape`], appended to `out`: the runs between escapes are copied
+/// whole. Every character escaped is ASCII, so a byte index is a character
+/// boundary.
+pub(crate) fn json_escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = at + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 fn histogram_json(h: &HistogramSnapshot) -> String {
@@ -229,6 +242,10 @@ mod tests {
     fn escaping() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        // Runs of multi-byte characters between escapes, appended as is.
+        let mut line = String::from("{");
+        json_escape_into(&mut line, "é\u{1f}€\t\u{7f}𝄞\"");
+        assert_eq!(line, "{é\\u001f€\\t\u{7f}𝄞\\\"");
         assert_eq!(help_escape("a\\b\nc"), "a\\\\b\\nc");
     }
 

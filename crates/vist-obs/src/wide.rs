@@ -34,7 +34,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::expo::json_escape;
+use crate::expo::json_escape_into;
 use crate::span::SpanNode;
 
 /// Records retained in the recent ring.
@@ -58,26 +58,34 @@ impl WideEvent {
     #[must_use]
     pub fn new(kind: &str) -> WideEvent {
         let mut buf = String::with_capacity(256);
-        let _ = write!(buf, "{{\"event\":\"{}\"", json_escape(kind));
+        buf.push_str("{\"event\":\"");
+        json_escape_into(&mut buf, kind);
+        buf.push('"');
         WideEvent { buf }
+    }
+
+    /// Open a field: `,"key":`, escaped straight into the line.
+    fn key(&mut self, key: &str) {
+        self.buf.push_str(",\"");
+        json_escape_into(&mut self.buf, key);
+        self.buf.push_str("\":");
     }
 
     /// Add a string field (JSON-escaped).
     #[must_use]
     pub fn str_field(mut self, key: &str, value: &str) -> Self {
-        let _ = write!(
-            self.buf,
-            ",\"{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
-        );
+        self.key(key);
+        self.buf.push('"');
+        json_escape_into(&mut self.buf, value);
+        self.buf.push('"');
         self
     }
 
     /// Add an unsigned integer field.
     #[must_use]
     pub fn u64_field(mut self, key: &str, value: u64) -> Self {
-        let _ = write!(self.buf, ",\"{}\":{}", json_escape(key), value);
+        self.key(key);
+        let _ = write!(self.buf, "{value}");
         self
     }
 
@@ -85,7 +93,8 @@ impl WideEvent {
     /// caller is responsible for `value` being valid JSON.
     #[must_use]
     pub fn raw_field(mut self, key: &str, value: &str) -> Self {
-        let _ = write!(self.buf, ",\"{}\":{}", json_escape(key), value);
+        self.key(key);
+        self.buf.push_str(value);
         self
     }
 

@@ -208,15 +208,42 @@ impl Response {
 
 // ---------------------------------------------------------------- framing
 
+/// Append one frame, `u32 BE length` + payload, to `out`.
+pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    debug_assert!(payload.len() as u64 <= MAX_FRAME_BYTES as u64);
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(payload);
+}
+
 /// Write one frame: `u32 BE length` + payload. Emitted as a single
 /// write so small frames never straddle a Nagle/delayed-ACK stall.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() as u64 <= MAX_FRAME_BYTES as u64);
     let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(payload);
+    push_frame(&mut buf, payload);
     w.write_all(&buf)?;
     w.flush()
+}
+
+/// The length a frame header announces, checked against
+/// [`MAX_FRAME_BYTES`].
+fn frame_len(header: [u8; 4]) -> Result<usize, ProtoError> {
+    let len = u32::from_be_bytes(header);
+    if len > MAX_FRAME_BYTES {
+        return Err(ProtoError::Oversized(len));
+    }
+    Ok(len as usize)
+}
+
+/// The first frame of `buf`, if `buf` holds all of it: its payload and the
+/// bytes it takes, header included. `Ok(None)` while the frame is still
+/// arriving; an oversized length prefix is an error as soon as its four
+/// bytes are in.
+pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, ProtoError> {
+    let Some(header) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let end = 4 + frame_len(header.try_into().expect("4-byte slice"))?;
+    Ok(buf.get(4..end).map(|payload| (payload, end)))
 }
 
 /// Read one frame. Returns `Ok(None)` on a clean EOF at a frame
@@ -224,21 +251,20 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// validated against [`MAX_FRAME_BYTES`] *before* the payload buffer is
 /// allocated, so a hostile prefix cannot trigger unbounded allocation.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ProtoError> {
-    let mut len_buf = [0u8; 4];
-    // Hand-rolled first-byte read to distinguish clean EOF from a
-    // truncated header.
-    match r.read(&mut len_buf[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame(r),
-        Err(e) => return Err(e.into()),
+    let mut header = [0u8; 4];
+    let mut got = 0;
+    // The header in one read when it has arrived whole; EOF before its
+    // first byte is a clean end, after it a truncated frame.
+    while got < header.len() {
+        match r.read(&mut header[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(ProtoError::Truncated),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
-    r.read_exact(&mut len_buf[1..])?;
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME_BYTES {
-        return Err(ProtoError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; frame_len(header)?];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
 }

@@ -18,7 +18,7 @@
 //!   out), the index is flushed under the writer mutex, and the
 //!   process exits 0.
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,12 +29,20 @@ use vist_core::{Error as CoreError, QueryOptions, VistIndex};
 
 use crate::admission::{Admission, Gate};
 use crate::http;
-use crate::proto::{self, Request, Response};
+use crate::proto::{self, ProtoError, Request, Response};
 use crate::signal;
 
 /// How often idle loops (acceptor, parked connections) re-check the
 /// shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(50);
+
+/// How long a binary frame that has begun to arrive may go without more
+/// bytes before the connection is refused and closed.
+const FRAME_WINDOW: Duration = Duration::from_secs(5);
+
+/// A binary connection's read buffer at first; it grows to hold a frame
+/// larger than this.
+const READ_CHUNK: usize = 4096;
 
 /// Knobs for `vist serve`. All have serviceable defaults.
 #[derive(Debug, Clone)]
@@ -366,49 +374,94 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
 
 /// Binary protocol: a sequence of request frames, one response frame
 /// each, until clean EOF or a protocol error.
+///
+/// A connection reads into one buffer under its [`POLL_TICK`] timeout and
+/// answers every complete frame the buffer holds, in order, with one write:
+/// a request costs one read and one write, and pipelined requests share
+/// them. A timeout keeps what has arrived; between frames it is the moment
+/// to look at the stop flag, inside one it counts towards
+/// [`FRAME_WINDOW`].
 fn serve_binary(mut stream: TcpStream, shared: &Shared, peer: &str) {
+    let mut buf = vec![0u8; READ_CHUNK];
+    // The bytes not yet answered are `buf[start..end]`.
+    let (mut start, mut end) = (0, 0);
+    let mut out = Vec::new();
+    // Since when a frame that has begun to arrive has had no more bytes.
+    let mut stalled: Option<Instant> = None;
     loop {
-        // Idle-wait on the first byte so read timeouts can never land
-        // mid-frame on a healthy client.
-        let mut first = [0u8; 1];
         loop {
-            match stream.peek(&mut first) {
-                Ok(0) => return,
-                Ok(_) => break,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
+            match proto::split_frame(&buf[start..end]) {
+                Ok(Some((payload, used))) => {
+                    let (trace_id, resp) = match Request::decode(payload) {
+                        Ok(req) => handle_request(shared, req, peer, "binary"),
+                        Err(e) => bad_binary_request(shared, peer, &e.to_string()),
+                    };
+                    proto::push_frame(&mut out, &resp.encode_with_trace(trace_id));
+                    start += used;
+                }
+                Ok(None) => break,
+                Err(e) => return refuse_frame(stream, shared, peer, out, &e),
+            }
+        }
+        if !out.is_empty() {
+            if stream.write_all(&out).is_err() {
+                return;
+            }
+            out.clear();
+        }
+        if start == end {
+            (start, end) = (0, 0);
+        } else if end == buf.len() {
+            // A frame is partly in: move it to the front, and make room for
+            // the rest of one larger than the buffer (its length is checked).
+            buf.copy_within(start..end, 0);
+            (start, end) = (0, end - start);
+            if end == buf.len() {
+                buf.resize(2 * end, 0);
+            }
+        }
+        match stream.read(&mut buf[end..]) {
+            Ok(0) => {
+                // The peer closed: between frames that is the end, inside
+                // one the frame is truncated.
+                if start < end {
+                    refuse_frame(stream, shared, peer, out, &ProtoError::Truncated);
+                }
+                return;
+            }
+            Ok(n) => {
+                end += n;
+                stalled = None;
+            }
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                if start == end {
                     if should_stop(shared) {
                         return;
                     }
+                } else if stalled.get_or_insert_with(Instant::now).elapsed() >= FRAME_WINDOW {
+                    return refuse_frame(stream, shared, peer, out, &ProtoError::Io(e));
                 }
-                Err(_) => return,
             }
-        }
-        // A frame is arriving: allow a generous window for its bytes.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        let frame = proto::read_frame(&mut stream);
-        let _ = stream.set_read_timeout(Some(POLL_TICK));
-        let payload = match frame {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(e) => {
-                // Malformed framing: answer structurally, then close —
-                // the stream position is no longer trustworthy.
-                let (trace_id, resp) = bad_binary_request(shared, peer, &e.to_string());
-                let _ = proto::write_frame(&mut stream, &resp.encode_with_trace(trace_id));
-                return;
-            }
-        };
-        let (trace_id, resp) = match Request::decode(&payload) {
-            Ok(req) => handle_request(shared, req, peer, "binary"),
-            Err(e) => bad_binary_request(shared, peer, &e.to_string()),
-        };
-        if proto::write_frame(&mut stream, &resp.encode_with_trace(trace_id)).is_err() {
-            return;
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return,
         }
     }
+}
+
+/// Malformed framing: answer `BadRequest` after the answers `out` holds,
+/// then close — the stream position is no longer trustworthy.
+fn refuse_frame(
+    mut stream: TcpStream,
+    shared: &Shared,
+    peer: &str,
+    mut out: Vec<u8>,
+    e: &ProtoError,
+) {
+    let (trace_id, resp) = bad_binary_request(shared, peer, &e.to_string());
+    proto::push_frame(&mut out, &resp.encode_with_trace(trace_id));
+    let _ = stream.write_all(&out);
 }
 
 /// Account + wide-event a request that never decoded; even these get a
@@ -445,14 +498,19 @@ fn counter_fields(
     mut event: vist_obs::WideEvent,
     s: &vist_core::QueryStats,
 ) -> vist_obs::WideEvent {
-    let mut io = Vec::new();
+    use std::fmt::Write as _;
+    let mut io = String::with_capacity(128);
     for (name, value) in s.fields() {
         match name.strip_prefix("io_") {
-            Some(short) => io.push(format!("\"{short}\":{value}")),
+            Some(short) => {
+                io.push(if io.is_empty() { '{' } else { ',' });
+                let _ = write!(io, "\"{short}\":{value}");
+            }
             None => event = event.u64_field(name, value),
         }
     }
-    event.raw_field("io", &format!("{{{}}}", io.join(",")))
+    io.push_str(if io.is_empty() { "{}" } else { "}" });
+    event.raw_field("io", &io)
 }
 
 /// Shared request path for both transports: admission, deadline,

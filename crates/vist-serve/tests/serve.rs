@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vist_core::{IndexOptions, VistIndex};
-use vist_serve::proto::{roundtrip, roundtrip_traced, write_frame, Request, Response};
+use vist_serve::proto::{push_frame, roundtrip, roundtrip_traced, write_frame, Request, Response};
 use vist_serve::{ServeConfig, Server, ServerHandle};
 
 /// A small index: `n` two-author books plus one decoy per book.
@@ -114,6 +114,67 @@ fn malformed_frames_get_structured_answers_then_close() {
     let mut rest = Vec::new();
     assert_eq!(s.read_to_end(&mut rest).unwrap(), 0);
 
+    // A frame cut short by the peer closing its side, behind a whole one:
+    // the whole one is answered once, the cut one as truncated, then the
+    // connection closes.
+    let mut s = connect(&h);
+    let mut frames = Vec::new();
+    push_frame(&mut frames, &Request::Ping.encode());
+    push_frame(&mut frames, &query("/book/author").encode());
+    s.write_all(&frames[..frames.len() - 3]).unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let payload = vist_serve::proto::read_frame(&mut s).unwrap().unwrap();
+    assert_eq!(Response::decode(&payload).unwrap(), Response::Pong);
+    let payload = vist_serve::proto::read_frame(&mut s).unwrap().unwrap();
+    match Response::decode(&payload).unwrap() {
+        Response::BadRequest(m) => assert!(m.contains("truncated"), "{m}"),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(s.read_to_end(&mut rest).unwrap(), 0);
+
+    h.request_shutdown();
+    assert!(h.join().drained_clean);
+}
+
+#[test]
+fn pipelined_and_split_frames_are_answered_in_order() {
+    let h = start(index(3), |_| {});
+    let mut s = connect(&h);
+    let read = |s: &mut TcpStream| {
+        let payload = vist_serve::proto::read_frame(s).unwrap().unwrap();
+        Response::decode(&payload).unwrap()
+    };
+
+    // Four frames in one write, a garbage payload among them: four
+    // answers, in the order asked.
+    let mut frames = Vec::new();
+    for payload in [
+        query("/book/author").encode(),
+        Request::Ping.encode(),
+        vec![0xAB, 0xCD],
+        query("/journal/editor").encode(),
+    ] {
+        push_frame(&mut frames, &payload);
+    }
+    s.write_all(&frames).unwrap();
+    assert_eq!(read(&mut s), Response::Ok(vec![0, 2, 4]));
+    assert_eq!(read(&mut s), Response::Pong);
+    assert!(matches!(read(&mut s), Response::BadRequest(_)));
+    assert_eq!(read(&mut s), Response::Ok(vec![1, 3, 5]));
+
+    // A frame split inside its header and inside its payload, each pause
+    // longer than the server's read timeout.
+    let mut frame = Vec::new();
+    push_frame(&mut frame, &query("/book/author").encode());
+    for part in [&frame[..2], &frame[2..9], &frame[9..]] {
+        s.write_all(part).unwrap();
+        std::thread::sleep(Duration::from_millis(120));
+    }
+    assert_eq!(read(&mut s), Response::Ok(vec![0, 2, 4]));
+    assert_eq!(roundtrip(&mut s, &Request::Ping).unwrap(), Response::Pong);
+
+    drop(s);
     h.request_shutdown();
     assert!(h.join().drained_clean);
 }
@@ -447,6 +508,118 @@ fn one_request_one_record() {
     assert!(h.join().drained_clean);
     vist_obs::wide::clear_file_sink();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The wide-event renderer as it was before it escaped into its buffer: a
+/// `format!` a field over a `char`-by-`char` escape. The reference the
+/// access-log line is held to byte for byte.
+struct ReferenceEvent(String);
+
+impl ReferenceEvent {
+    fn escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn new(kind: &str) -> Self {
+        ReferenceEvent(format!("{{\"event\":\"{}\"", Self::escape(kind)))
+    }
+
+    fn str_field(mut self, key: &str, value: &str) -> Self {
+        let (k, v) = (Self::escape(key), Self::escape(value));
+        self.0.push_str(&format!(",\"{k}\":\"{v}\""));
+        self
+    }
+
+    fn raw_field(mut self, key: &str, value: &str) -> Self {
+        self.0
+            .push_str(&format!(",\"{}\":{value}", Self::escape(key)));
+        self
+    }
+}
+
+#[test]
+fn the_wide_event_line_is_byte_identical_to_the_reference_renderer() {
+    let h = start(index(2), |_| {});
+    let mut s = connect(&h);
+    let expr = "/book/title[text='a\"b\\c\td']";
+    // Retry under a fresh id if other tests' traffic pushed the record out
+    // of the shared ring before it was looked up.
+    let mut kept = None;
+    for attempt in 0..10 {
+        let supplied = 0x0601_DE40_u128 + attempt;
+        let req = Request::Query {
+            trace_id: supplied,
+            deadline_ms: 0,
+            verify: false,
+            no_plan: false,
+            limit: 0,
+            expr: expr.to_string(),
+        };
+        assert_eq!(roundtrip(&mut s, &req).unwrap(), Response::Ok(vec![]));
+        if let Some(record) = vist_obs::wide::get(supplied) {
+            kept = Some((supplied, record.line.clone()));
+            break;
+        }
+    }
+    let (id, line) = kept.expect("no request's record stayed in the ring");
+    // Timings and counts vary from run to run: take their text from the
+    // line. Everything else is the request's, rendered by the reference.
+    let value = |key: &str| -> &str {
+        let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        let rest = &line[at..];
+        let len = if rest.starts_with('{') {
+            rest.find('}').unwrap() + 1
+        } else {
+            rest.find(|c: char| !c.is_ascii_digit()).unwrap()
+        };
+        &rest[..len]
+    };
+    let mut want = ReferenceEvent::new("request")
+        .str_field("trace_id", &vist_obs::traceid::format(id))
+        .str_field("transport", "binary")
+        .str_field("peer", &s.local_addr().unwrap().to_string())
+        .str_field("op", "query")
+        .str_field("expr", expr)
+        .str_field("outcome", "ok");
+    for key in [
+        "queue_wait_nanos",
+        "total_nanos",
+        "docs",
+        "candidates",
+        "workers",
+        "stages",
+    ] {
+        want = want.raw_field(key, value(key));
+    }
+    let mut io = Vec::new();
+    for (name, _) in vist_core::QueryStats::default().fields() {
+        match name.strip_prefix("io_") {
+            Some(short) => io.push(format!("\"{short}\":{}", value(short))),
+            None => want = want.raw_field(name, value(name)),
+        }
+    }
+    let want = want.raw_field("io", &format!("{{{}}}", io.join(","))).0 + "}";
+    assert!(
+        line.contains(r#""expr":"/book/title[text='a\"b\\c\td']""#),
+        "{line}"
+    );
+    assert_eq!(line, want);
+
+    drop(s);
+    h.request_shutdown();
+    assert!(h.join().drained_clean);
 }
 
 #[test]

@@ -190,7 +190,7 @@ impl SearchSource for SlowSource<'_> {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState),
+        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
     ) -> vist_core::Result<()> {
         self.inner.nodes_in_scopes(dkey_id, scopes, f)?;
         self.called(&self.sweeps, Hold::Sweep);
@@ -200,7 +200,7 @@ impl SearchSource for SlowSource<'_> {
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(DocId),
+        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
     ) -> vist_core::Result<()> {
         self.inner.docids_in_scopes(scopes, f)?;
         self.called(&self.resolutions, Hold::Resolution);
