@@ -1,6 +1,7 @@
-//! Batched parallel ingest with group commit.
+//! The dynamic insert path (Algorithm 4), document removal, and batched
+//! parallel ingest with group commit.
 //!
-//! The dynamic insert path (Algorithm 4) is inherently serial at its back
+//! The dynamic insert path is inherently serial at its back
 //! end: scope allocation reads and rewrites the parents' `NodeState`s, so
 //! two documents cannot apply concurrently. What *can* run in parallel is
 //! everything before that — XML parsing, record-tree lowering, and
@@ -33,13 +34,16 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use vist_seq::{
-    document_to_sequence_with, PathSym, Sequence, SiblingOrder, Sym, Symbol, SymbolTable,
-    TableOverlay,
+    dkey, document_to_sequence, document_to_sequence_with, PathSym, SeqElem, Sequence,
+    SiblingOrder, Sym, Symbol, SymbolTable, TableOverlay,
 };
+use vist_xml::Document;
 
-use crate::error::Result;
+use crate::alloc::Allocation;
+use crate::error::{Error, Result};
 use crate::pool::run_workers;
-use crate::store::DocId;
+use crate::store::{DocId, NodeState};
+use crate::tier::{parse_stored, stored_text};
 use crate::vist::VistIndex;
 
 /// Positive caches for the apply phase, one per batch (a serial insert is a
@@ -215,4 +219,465 @@ impl VistIndex {
             );
         Ok(ids)
     }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Loc {
+    Root,
+    Node(u64),
+}
+
+/// Sentinel dkey-id for overflow edges: `edge(x, OVERFLOW_EDGE)` points from
+/// a node incarnation to its successor incarnation. Real dkey-ids are dense
+/// from 0 and never reach this value.
+const OVERFLOW_EDGE: u64 = u64::MAX;
+
+struct ChainEntry {
+    loc: Loc,
+    /// The original node's label (head of its incarnation chain).
+    head_n: u128,
+    /// Allocation state of the *latest* incarnation.
+    state: NodeState,
+    sym: Option<Sym>,
+}
+
+impl VistIndex {
+    /// Parse and insert an XML document, returning its id.
+    pub fn insert_xml(&self, xml: &str) -> Result<DocId> {
+        let doc = vist_xml::parse(xml)?;
+        self.insert_document_impl(&doc, Some(xml))
+    }
+
+    /// Insert a parsed document (Algorithm 4), returning its id.
+    pub fn insert_document(&self, doc: &Document) -> Result<DocId> {
+        self.insert_document_impl(doc, None)
+    }
+
+    /// Stream a large container document (e.g. a whole XMARK `site`) and
+    /// index each sub-tree rooted at one of `record_names` as its own
+    /// document — the paper's break-down methodology ("we break down its
+    /// tree structure into a set of sub structures ... and convert each
+    /// instance of these sub structures into a structure-encoded
+    /// sequence"). The container is never materialized.
+    pub fn insert_records(&self, xml: &str, record_names: &[&str]) -> Result<Vec<DocId>> {
+        let mut ids = Vec::new();
+        for rec in vist_xml::RecordSplitter::new(xml, record_names) {
+            ids.push(self.insert_document(&rec?)?);
+        }
+        Ok(ids)
+    }
+
+    fn insert_document_impl(&self, doc: &Document, raw: Option<&str>) -> Result<DocId> {
+        vist_obs::counter!("vist_core_insert_total").inc();
+        let insert_start = vist_obs::now();
+        let _w = self.writer.lock();
+        let seq = {
+            let mut table = self.table.write();
+            document_to_sequence(doc, &mut table, &self.order)
+        };
+        let xml_owned;
+        let xml: Option<&str> = if self.store.meta().store_documents {
+            Some(match raw {
+                Some(r) => r,
+                None => {
+                    xml_owned = doc.to_xml();
+                    &xml_owned
+                }
+            })
+        } else {
+            None
+        };
+        let id = self.insert_sequence_cached(&seq, xml, &mut IngestCache::default())?;
+        vist_obs::observe_since(vist_obs::histogram!("vist_core_insert_nanos"), insert_start);
+        Ok(id)
+    }
+
+    /// Insert a pre-converted structure-encoded sequence. `xml` is stored
+    /// for verification/deletion when document storage is enabled.
+    pub fn insert_sequence(&self, seq: &Sequence, xml: Option<&str>) -> Result<DocId> {
+        let _w = self.writer.lock();
+        self.insert_sequence_cached(seq, xml, &mut IngestCache::default())
+    }
+
+    /// Core of Algorithm 4, through a cache (see [`IngestCache`]) that a
+    /// batch shares between its documents and a serial insert starts empty:
+    /// repeated dkey lookups and trie-edge probes — the bulk of the B+Tree
+    /// traffic for structure-sharing corpora — are answered from the cache
+    /// instead of the trees. Caller must hold `self.writer`; the cache must
+    /// not outlive it.
+    ///
+    /// All-or-nothing for the document store and the document count: when
+    /// the sequence cannot be attached (the label space is exhausted), the
+    /// stored XML and the count are taken back, so the document is neither
+    /// listed nor picked up by the next compaction. Its id stays spent, and
+    /// so do the trie nodes allocated before the failure: both are harmless,
+    /// and ids are never reused.
+    pub(crate) fn insert_sequence_cached(
+        &self,
+        seq: &Sequence,
+        xml: Option<&str>,
+        cache: &mut IngestCache,
+    ) -> Result<DocId> {
+        let (doc_id, store_documents, root_state) = {
+            let mut meta = self.store.meta_mut();
+            let id = meta.next_doc;
+            meta.next_doc += 1;
+            meta.doc_count += 1;
+            (id, meta.store_documents, meta.root)
+        };
+        if store_documents {
+            self.store.doc_put(doc_id, xml.unwrap_or("").as_bytes())?;
+        }
+        if let Err(e) = self.attach_sequence(doc_id, root_state, seq, cache) {
+            if store_documents {
+                // `e` is the error to report, whatever the clean-up meets.
+                let _ = self.store.doc_remove(doc_id);
+            }
+            self.store.meta_mut().doc_count -= 1;
+            return Err(e);
+        }
+        Ok(doc_id)
+    }
+
+    /// Walk `seq` down the virtual suffix tree, allocating the scopes it
+    /// lacks, and post `doc_id` at the node it ends on.
+    fn attach_sequence(
+        &self,
+        doc_id: DocId,
+        root_state: NodeState,
+        seq: &Sequence,
+        cache: &mut IngestCache,
+    ) -> Result<()> {
+        let mut chain: Vec<ChainEntry> = vec![ChainEntry {
+            loc: Loc::Root,
+            head_n: 0,
+            state: root_state,
+            sym: None,
+        }];
+        let mut fresh = false;
+        let walked = self.walk_sequence(&mut chain, &mut fresh, seq, cache);
+        // Whatever ended the walk, the pending node is written before the
+        // edge pointing at it can be followed.
+        let last = chain.last().expect("non-empty");
+        let pending = fresh.then(|| self.write_state(last.loc, &last.state));
+        let (last_n, last_loc) = walked?;
+        pending.transpose()?;
+        self.store.docid_put(last_n, doc_id)?;
+        // Empty sequences attach to the virtual root, which has no dkey;
+        // mirror the segment builder, which skips them too.
+        if let Loc::Node(dk) = last_loc {
+            self.store.stats_doc_added(dk);
+        }
+        Ok(())
+    }
+
+    /// Algorithm 4's walk along `seq` from the root: the label and location
+    /// of the node it ends on. Once it allocates a node, the rest is a
+    /// *fresh branch*: each later element hangs below the node allocated one
+    /// step earlier, which has no edges, so none is probed. That node's
+    /// S-Ancestor record is written once, with its final state — when its
+    /// one child is allocated, or by the caller when the walk ends; until
+    /// then it is `chain.last()`, with `fresh` set.
+    fn walk_sequence(
+        &self,
+        chain: &mut Vec<ChainEntry>,
+        fresh: &mut bool,
+        seq: &Sequence,
+        cache: &mut IngestCache,
+    ) -> Result<(u128, Loc)> {
+        let n = seq.len();
+        for (i, elem) in seq.iter().enumerate() {
+            let dkid = self.dkid_cached(data_dkey(elem)?, cache)?;
+            let last = chain.last().expect("chain non-empty");
+
+            // Follow an existing branch if there is one (Algorithm 4:
+            // "search in e for scope r such that r is an immediate child of
+            // s"), checking every incarnation of the parent.
+            let head_n = last.head_n;
+            let found = if *fresh {
+                None
+            } else {
+                self.find_child_cached(head_n, dkid, cache)?
+            };
+            if let Some(child_n) = found {
+                let state = self
+                    .store
+                    .node_get(dkid, child_n)?
+                    .ok_or_else(|| Error::Corrupt("edge points to missing node".into()))?;
+                chain.push(ChainEntry {
+                    loc: Loc::Node(dkid),
+                    head_n: child_n,
+                    state,
+                    sym: Some(elem.sym),
+                });
+                continue;
+            }
+
+            // Allocate a fresh child scope from the parent's latest
+            // incarnation. The remaining tail (this element included) must
+            // be able to nest below it.
+            let rem = (n - i) as u128;
+            let (ploc, parent_sym, parent_inc_n) = (last.loc, last.sym, last.state.n);
+            let mut pstate = last.state;
+            let allocation = self
+                .alloc
+                .lock()
+                .allocate(&mut pstate, parent_sym, elem.sym, rem);
+            match allocation {
+                Allocation::Child { state, tight } => {
+                    if tight {
+                        self.store.meta_mut().underflows += 1;
+                    }
+                    // A fresh parent's one write; an existing one's update.
+                    self.write_state(ploc, &pstate)?;
+                    chain.last_mut().expect("non-empty").state = pstate;
+                    self.store.edge_put(parent_inc_n, dkid, state.n)?;
+                    // The fresh edge is keyed under the chain head, which is
+                    // where `find_child` starts, so future batch documents
+                    // resolve it from the cache.
+                    cache.edges.insert((head_n, dkid), state.n);
+                    self.store.meta_mut().node_count += 1;
+                    self.store.stats_node_added(dkid);
+                    if let Loc::Node(pd) = ploc {
+                        self.store.stats_child_added(pd);
+                    }
+                    chain.push(ChainEntry {
+                        loc: Loc::Node(dkid),
+                        head_n: state.n,
+                        state,
+                        sym: Some(elem.sym),
+                    });
+                    *fresh = true;
+                }
+                Allocation::Underflow => {
+                    // Scope underflow (paper §3.4.1), resolved *soundly* by
+                    // node incarnations — see `grow_and_insert_tail`. The
+                    // pending node is written before it is incarnated.
+                    if std::mem::take(fresh) {
+                        self.write_state(ploc, &last.state)?;
+                    }
+                    return self.grow_and_insert_tail(chain, &seq.0[i..], cache);
+                }
+            }
+        }
+        let last = chain.last().expect("non-empty");
+        Ok((last.state.n, last.loc))
+    }
+
+    /// [`VistIndex::find_child`] through the edge cache.
+    /// Only positive results are cached: an edge, once present, is never
+    /// modified or removed while the writer lock is held, so a cached hit
+    /// can never go stale within a batch — but an absent edge may appear.
+    fn find_child_cached(
+        &self,
+        head_n: u128,
+        dkid: u64,
+        c: &mut IngestCache,
+    ) -> Result<Option<u128>> {
+        if let Some(&n) = c.edges.get(&(head_n, dkid)) {
+            c.edge_hits += 1;
+            return Ok(Some(n));
+        }
+        c.edge_misses += 1;
+        let found = self.find_child(head_n, dkid)?;
+        if let Some(n) = found {
+            c.edges.insert((head_n, dkid), n);
+        }
+        Ok(found)
+    }
+
+    /// `Store::dkey_get_or_create` through the dkey cache. Dkey ids are
+    /// append-only, so cached entries can never go stale.
+    fn dkid_cached(&self, key: Vec<u8>, c: &mut IngestCache) -> Result<u64> {
+        if let Some(&id) = c.dkeys.get(&key) {
+            c.dkey_hits += 1;
+            return Ok(id);
+        }
+        c.dkey_misses += 1;
+        let id = self.store.dkey_get_or_create(&key)?;
+        c.dkeys.insert(key, id);
+        Ok(id)
+    }
+
+    /// Find the child of a node for `dkid`, following the node's overflow
+    /// (incarnation) chain.
+    fn find_child(&self, head_n: u128, dkid: u64) -> Result<Option<u128>> {
+        let mut n = head_n;
+        loop {
+            if let Some(c) = self.store.edge_get(n, dkid)? {
+                return Ok(Some(c));
+            }
+            match self.store.edge_get(n, OVERFLOW_EDGE)? {
+                Some(next) => n = next,
+                None => return Ok(None),
+            }
+        }
+    }
+
+    /// Scope underflow resolution.
+    ///
+    /// The paper borrows the remaining labels from the nearest ancestor with
+    /// spare scope — which breaks S-Ancestor containment whenever the donor
+    /// is not the direct parent, silently losing future matches through the
+    /// borrowed chain. We fix this with **node incarnations**: the donor's
+    /// block is nested into one fresh S-Ancestor entry *per intermediate
+    /// level*, each carrying the same D-Ancestor key as the node it extends
+    /// and linked from it by an overflow edge. Containment then holds by
+    /// construction at every level, and since Algorithm 2 already iterates
+    /// all S-Ancestor entries of a D-Ancestor key, queries find incarnations
+    /// with no changes. The `deep_borrows` counter tallies these events.
+    /// Returns the label and location of the last inserted node.
+    fn grow_and_insert_tail(
+        &self,
+        chain: &mut [ChainEntry],
+        tail: &[SeqElem],
+        cache: &mut IngestCache,
+    ) -> Result<(u128, Loc)> {
+        let rem = tail.len() as u128;
+        // Donor j must cover incarnations for chain[j+1..] plus the tail.
+        let donor = (0..chain.len() - 1)
+            .rev()
+            .find(|&j| {
+                let levels = (chain.len() - 1 - j) as u128;
+                chain[j].state.available() >= levels + rem
+            })
+            .ok_or(Error::ScopeExhausted)?;
+        self.store.meta_mut().deep_borrows += 1;
+        let levels = (chain.len() - 1 - donor) as u128;
+        let needed = levels + rem;
+        let block = chain[donor].state.next;
+        chain[donor].state.next += needed;
+        chain[donor].state.k += 1;
+        let donor_loc = chain[donor].loc;
+        let donor_state = chain[donor].state;
+        self.write_state(donor_loc, &donor_state)?;
+
+        // One incarnation per level between the donor and the exhausted
+        // parent, nested like a chain.
+        let mut off = 0u128;
+        #[allow(clippy::needless_range_loop)] // chain[lvl] is both read and written
+        for lvl in donor + 1..chain.len() {
+            let Loc::Node(dkid) = chain[lvl].loc else {
+                return Err(Error::Corrupt("root cannot be incarnated".into()));
+            };
+            let inc = NodeState {
+                n: block + off,
+                size: needed - off,
+                next: block + off + 1,
+                k: 0,
+            };
+            self.store.node_put(dkid, &inc)?;
+            self.store
+                .edge_put(chain[lvl].state.n, OVERFLOW_EDGE, inc.n)?;
+            // Incarnations are extra S-Ancestor entries under the same
+            // dkey (not counted by meta.node_count, which tracks virtual
+            // trie nodes).
+            self.store.stats_node_added(dkid);
+            chain[lvl].state = inc;
+            off += 1;
+        }
+
+        // Sequentially label the remaining elements, nested below the
+        // parent's fresh incarnation.
+        let last = chain.last().expect("non-empty");
+        let (mut prev_n, mut prev_loc) = (last.state.n, last.loc);
+        for elem in tail {
+            let dkid = self.dkid_cached(data_dkey(elem)?, cache)?;
+            let state = NodeState {
+                n: block + off,
+                size: needed - off,
+                next: block + off + 1,
+                k: 0,
+            };
+            self.store.node_put(dkid, &state)?;
+            // Tail edges hang off fresh incarnations, not chain heads, so
+            // they are deliberately NOT added to the edge cache (its keys
+            // are chain-head labels).
+            self.store.edge_put(prev_n, dkid, state.n)?;
+            self.store.meta_mut().node_count += 1;
+            self.store.stats_node_added(dkid);
+            if let Loc::Node(pd) = prev_loc {
+                self.store.stats_child_added(pd);
+            }
+            (prev_n, prev_loc) = (state.n, Loc::Node(dkid));
+            off += 1;
+        }
+        Ok((prev_n, prev_loc))
+    }
+
+    fn write_state(&self, loc: Loc, state: &NodeState) -> Result<()> {
+        match loc {
+            Loc::Root => {
+                self.store.meta_mut().root = *state;
+                Ok(())
+            }
+            Loc::Node(dkid) => self.store.node_put(dkid, state),
+        }
+    }
+
+    /// Remove a document (requires stored documents). The document's id
+    /// disappears from all query results; shared trie nodes remain, as in
+    /// the paper's design ([`VistIndex::compact`] drops them).
+    ///
+    /// This is a *maintenance* operation: B+Tree deletion frees pages, so
+    /// it holds the maintenance latch exclusively, briefly blocking
+    /// concurrent queries.
+    pub fn remove_document(&self, doc_id: DocId) -> Result<()> {
+        let _w = self.writer.lock();
+        let _m = self.maintenance.write();
+        self.require_documents()?;
+        let Some(xml) = self.store.doc_get(doc_id)? else {
+            // Not in the delta: a segment-resident document is deleted by
+            // writing a tombstone into the delta, which masks it from every
+            // query until compaction drops it for good.
+            if !self.store.tomb_contains(doc_id)? {
+                for seg in &self.tier.segments() {
+                    if seg.contains_doc(doc_id)? {
+                        self.store.tomb_put(doc_id)?;
+                        let mut meta = self.store.meta_mut();
+                        meta.doc_count = meta.doc_count.saturating_sub(1);
+                        return Ok(());
+                    }
+                }
+            }
+            return Err(Error::NoSuchDocument(doc_id));
+        };
+        let doc = parse_stored(&stored_text(xml)?)?;
+        let seq = {
+            let mut table = self.table.write();
+            document_to_sequence(&doc, &mut table, &self.order)
+        };
+        // Walk the trie edges to the final node.
+        let missing = || Error::Corrupt("document path missing from index".into());
+        let mut cur = 0u128; // virtual root label
+        let mut last_dkid = None;
+        for elem in seq.iter() {
+            let dkid = self
+                .store
+                .dkey_get(&data_dkey(elem)?)?
+                .ok_or_else(missing)?;
+            cur = self.find_child(cur, dkid)?.ok_or_else(missing)?;
+            last_dkid = Some(dkid);
+        }
+        if !self.store.docid_delete(cur, doc_id)? {
+            return Err(Error::NoSuchDocument(doc_id));
+        }
+        if let Some(dk) = last_dkid {
+            self.store.stats_doc_removed(dk);
+        }
+        self.store.doc_remove(doc_id)?;
+        let mut meta = self.store.meta_mut();
+        meta.doc_count = meta.doc_count.saturating_sub(1);
+        Ok(())
+    }
+}
+
+/// The D-Ancestor key of a data-sequence element: its symbol under its
+/// prefix, which in a document has no wildcards.
+pub(crate) fn data_dkey(elem: &SeqElem) -> Result<Vec<u8>> {
+    let prefix = elem
+        .prefix
+        .as_concrete()
+        .ok_or_else(|| Error::Corrupt("wildcard in data sequence".into()))?;
+    Ok(dkey::encode(elem.sym, &prefix))
 }

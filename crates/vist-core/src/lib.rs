@@ -44,6 +44,7 @@ mod search;
 mod segment;
 mod stats;
 mod store;
+mod tier;
 mod trie;
 mod vist;
 

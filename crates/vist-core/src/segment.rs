@@ -49,17 +49,18 @@ use vist_btree::codec::{
     put_ordered_uint, put_varint, take_ordered_uint, take_varint, ORDERED_UINT_MAX,
 };
 use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
-use vist_seq::{dkey, Sequence};
-use vist_storage::{BufferPool, FilePager, Manifest, Vfs};
+use vist_seq::Sequence;
+use vist_storage::{BufferPool, FilePager, Vfs};
 
 use crate::error::{Error, Result};
 use crate::extsort::{ExtSorter, SortedStream};
+use crate::ingest::data_dkey;
 use crate::search::{DkStats, SearchSource};
 use crate::store::{self, decoding, DocId, NodeState, Store, StoreBreakdown};
 
 /// Fixed-width prefix of the segment meta blob: doc, node and dkey counts
 /// plus the highest document id packed (the reopen-reconciliation
-/// watermark — see `VistIndex::open_at`).
+/// watermark — see `VistIndex::open_tier`).
 const META_LEN: usize = 32;
 
 /// An index key of up to two integer components, built on the stack: the
@@ -291,10 +292,9 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    /// Open segment `id` of the index at `base`.
-    pub(crate) fn open(vfs: &dyn Vfs, base: &Path, id: u64, cache_pages: usize) -> Result<Segment> {
-        let path = Manifest::segment_path(base, id);
-        let pager = FilePager::open_with_vfs(vfs, &path)?;
+    /// Open segment `id`, the file at `path`.
+    pub(crate) fn open(vfs: &dyn Vfs, path: &Path, id: u64, cache_pages: usize) -> Result<Segment> {
+        let pager = FilePager::open_with_vfs(vfs, path)?;
         let pool = Arc::new(BufferPool::with_capacity(pager, cache_pages));
         // The header is the first page after the pager's own (page 1).
         let reader = SegmentReader::open(Arc::clone(&pool), 1)?;
@@ -593,13 +593,8 @@ impl SegmentBuilder {
     pub(crate) fn add_doc(&mut self, doc: DocId, seq: &Sequence, xml: &str) -> Result<()> {
         let mut cur = 0usize;
         for elem in seq.iter() {
-            let prefix = elem
-                .prefix
-                .as_concrete()
-                .ok_or_else(|| Error::Corrupt("wildcard in data sequence".into()))?;
-            let key = dkey::encode(elem.sym, &prefix);
             let next_id = self.dkeys.len() as u64;
-            let dkid = *self.dkeys.entry(key).or_insert(next_id);
+            let dkid = *self.dkeys.entry(data_dkey(elem)?).or_insert(next_id);
             cur = match self.trie[cur].children.get(&dkid) {
                 Some(&c) => c,
                 None => {
@@ -667,14 +662,14 @@ impl SegmentBuilder {
         self.trie[0].size = counter; // virtual root: covers every label
     }
 
-    /// Label, sort, and write segment `id` of the index at `base`.
+    /// Label, sort, and write segment `id` to the file at `path`.
     /// Returns the opened segment. Durability: the segment file is fully
     /// checkpointed (WAL committed + pages synced) before this returns;
     /// publishing it in the manifest is the caller's step.
     pub(crate) fn finish(
         mut self,
         vfs: &dyn Vfs,
-        base: &Path,
+        path: &Path,
         id: u64,
         page_size: usize,
         cache_pages: usize,
@@ -699,8 +694,7 @@ impl SegmentBuilder {
             }
         }
 
-        let path = Manifest::segment_path(base, id);
-        let pager = FilePager::create_with_vfs(vfs, &path, page_size)?;
+        let pager = FilePager::create_with_vfs(vfs, path, page_size)?;
         let pool = Arc::new(BufferPool::with_capacity(pager, cache_pages));
         let mut writer = SegmentWriter::create(Arc::clone(&pool))?;
 
@@ -752,7 +746,7 @@ impl SegmentBuilder {
         pool.checkpoint()?;
         drop(pool);
         let _ = std::fs::remove_dir_all(&self.scratch);
-        Segment::open(vfs, base, id, cache_pages)
+        Segment::open(vfs, path, id, cache_pages)
     }
 }
 
@@ -785,7 +779,7 @@ mod tests {
 
     fn build(docs: &[(DocId, &str)]) -> (TempDir, Segment, SymbolTable) {
         let dir = TempDir::new("vist-core-segment");
-        let base = dir.file("store");
+        let path = dir.file("seg-1");
         let mut table = SymbolTable::new();
         let mut b = SegmentBuilder::new(dir.file("scratch"), 4096, true, 1 << 20).unwrap();
         for &(id, xml) in docs {
@@ -793,7 +787,7 @@ mod tests {
             let seq = document_to_sequence(&doc, &mut table, &SiblingOrder::Lexicographic);
             b.add_doc(id, &seq, xml).unwrap();
         }
-        let seg = b.finish(&RealVfs, &base, 1, 4096, 64, 1 << 20).unwrap();
+        let seg = b.finish(&RealVfs, &path, 1, 4096, 64, 1 << 20).unwrap();
         (dir, seg, table)
     }
 
@@ -966,7 +960,7 @@ mod tests {
         for name in ["idx.vist.seg-1", "idx.vist.seg-1.wal"] {
             std::fs::copy(fixture.join(name), dir.file(name)).unwrap();
         }
-        let v1 = Segment::open(&RealVfs, &dir.file("idx.vist"), 1, 64).unwrap();
+        let v1 = Segment::open(&RealVfs, &dir.file("idx.vist.seg-1"), 1, 64).unwrap();
         assert_eq!(v1.format_version(), 1);
         check_docid_scopes(&v1);
     }
@@ -1028,7 +1022,7 @@ mod tests {
 
         // Point the first internal page's leftmost child at the page itself
         // and re-seal the frame: a descent from it used never to end.
-        let path = Manifest::segment_path(dir.file("store"), 1);
+        let path = dir.file("seg-1");
         let mut file = std::fs::read(&path).unwrap();
         let frame_len = 4096 + vist_storage::PAGE_TRAILER;
         let id = (2..file.len() / frame_len)
@@ -1041,7 +1035,7 @@ mod tests {
             .update(&frame[..4096]);
         frame[4096..4100].copy_from_slice(&crc.finish().to_le_bytes());
         std::fs::write(&path, file).unwrap();
-        match Segment::open(&RealVfs, &dir.file("store"), 1, 64) {
+        match Segment::open(&RealVfs, &path, 1, 64) {
             Err(Error::Storage(vist_storage::Error::Corrupt(msg))) => {
                 assert!(msg.contains(&format!("page {id}")), "{msg}");
                 assert!(msg.contains("leftmost child"), "{msg}");
@@ -1056,7 +1050,7 @@ mod tests {
             .map(|i| (i, format!("<r><a>x{i}</a><b><c>y{}</c></b></r>", i % 17)))
             .collect();
         let dir = TempDir::new("vist-core-segment-fill");
-        let base = dir.file("store");
+        let path = dir.file("seg-3");
         let mut table = SymbolTable::new();
         // Small pages: the records are a few bytes each, and the one
         // part-filled leaf at the end of a tree must not decide the average.
@@ -1066,7 +1060,7 @@ mod tests {
             let seq = document_to_sequence(&doc, &mut table, &SiblingOrder::Lexicographic);
             b.add_doc(*id, &seq, xml).unwrap();
         }
-        let seg = b.finish(&RealVfs, &base, 3, 512, 64, 1 << 20).unwrap();
+        let seg = b.finish(&RealVfs, &path, 3, 512, 64, 1 << 20).unwrap();
         let breakdown = seg.breakdown().unwrap();
         assert!(
             breakdown.sancestor.leaf_fill() > 0.8,

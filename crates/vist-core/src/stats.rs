@@ -120,6 +120,9 @@ ingest_counters! {
         /// Trie nodes of the segments (entries in their S-Ancestor trees;
         /// `nodes` counts the delta's).
         pub segment_nodes: u64,
+        /// Distinct `(symbol, prefix)` pairs of the segments, summed
+        /// (`dkeys` counts the delta's).
+        pub segment_dkeys: u64,
         /// Total bytes of the segment files.
         pub segment_bytes: u64,
         /// Bytes of memory the live segments' fence arrays hold (fence keys,

@@ -87,7 +87,7 @@ pub struct Meta {
     /// The tier manifest records the epoch its segment set expects; a
     /// reopened delta with a *smaller* epoch missed the post-compaction
     /// truncation (crash between manifest swap and delta flush) and is
-    /// cleared again — see `VistIndex::open_at`.
+    /// cleared again — see `VistIndex::open_tier`.
     pub delta_epoch: u64,
 }
 

@@ -1,5 +1,7 @@
 //! [`VistIndex`]: the paper's main contribution — the dynamically labeled,
-//! fully B+Tree-resident index (Algorithms 2–4).
+//! fully B+Tree-resident index (Algorithms 2–4). This module holds the type,
+//! its constructors and the query path; inserts and removals (Algorithm 4)
+//! are in `ingest.rs`, the segment tier in `tier.rs`.
 //!
 //! # Concurrency
 //!
@@ -11,31 +13,24 @@
 //! B+Tree pages and therefore briefly excludes queries via an internal
 //! read-write latch. See `docs/CONCURRENCY.md` for the full lock hierarchy.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use vist_query::{
-    matches_document, parse_query, translate_with, try_translate, Pattern, QuerySequence,
-    TranslateOptions, Translation,
+    matches_document, parse_query, translate_with, try_translate, Pattern, TranslateOptions,
+    Translation,
 };
-use vist_seq::{
-    dkey, document_to_sequence, PathSym, Sequence, SiblingOrder, Sym, SymbolTable, TableOverlay,
-};
+use vist_seq::{PathSym, SiblingOrder, Sym, SymbolTable, TableOverlay};
 use vist_storage::sync::{Mutex, RwLock};
-use vist_storage::{BufferPool, FilePager, Manifest, MemPager, PageId, RealVfs, Vfs};
-use vist_xml::Document;
+use vist_storage::{BufferPool, FilePager, MemPager, RealVfs, Vfs};
 
-use crate::alloc::{Allocation, AllocatorKind, ScopeAllocator, SimMutation};
+use crate::alloc::{AllocatorKind, ScopeAllocator, SimMutation};
 use crate::error::{Error, Result};
-use crate::extsort::DEFAULT_SORT_BUDGET;
-use crate::ingest::IngestCache;
-use crate::search::{
-    search_sequences, PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions,
-    SearchOutcome, StageTimings,
-};
-use crate::segment::{Segment, SegmentBreakdown, SegmentBuilder};
+use crate::search::{PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions, StageTimings};
+use crate::segment::{Segment, SegmentBreakdown};
 use crate::stats::{IndexStats, IngestCounters};
-use crate::store::{DocId, NodeState, Store, StoreBreakdown};
+use crate::store::{DocId, Store, StoreBreakdown};
+use crate::tier::{parse_stored, Tier};
 
 /// Configuration for creating an index.
 #[derive(Debug, Clone)]
@@ -197,7 +192,7 @@ pub struct VistIndex {
     /// under the write lock; queries translate under the read lock.
     pub(crate) table: RwLock<SymbolTable>,
     pub(crate) order: SiblingOrder,
-    alloc: Mutex<ScopeAllocator>,
+    pub(crate) alloc: Mutex<ScopeAllocator>,
     /// Serializes all mutations (inserts, removes, flushes). Top of the
     /// lock hierarchy: writer → maintenance → table → (btree/pool locks).
     pub(crate) writer: Mutex<()>,
@@ -207,25 +202,20 @@ pub struct VistIndex {
     /// readers never observe a torn (partially applied) batch.
     pub(crate) maintenance: RwLock<()>,
     /// Counters of every query run so far, summed.
-    totals: Mutex<QueryStats>,
+    pub(crate) totals: Mutex<QueryStats>,
     /// Cumulative batched-ingest counters across all `insert_batch` calls.
     pub(crate) ingest_counters: IngestCounters,
-    /// Tiered storage: immutable packed segments beneath the mutable
-    /// delta. `None` for in-memory and pool-provided indexes, which stay
-    /// single-tier.
-    tier: Option<Tier>,
+    /// Immutable packed segments beneath the mutable delta (none for an
+    /// in-memory index).
+    pub(crate) tier: Tier,
 }
-
-/// How many segments accumulate before [`VistIndex::bulk_build`]
-/// auto-triggers a compaction.
-const COMPACT_SEGMENT_THRESHOLD: usize = 4;
 
 /// Run a background operation — compaction, checkpoint, segment build,
 /// WAL-recovery reopen — as a traced unit of work: `vist_bg_<op>_*`
 /// in-progress/last-duration/total metrics and one wide event carrying its
 /// own freshly minted trace id and (when tracing is on and the op is not
 /// nested inside another traced operation on this thread) its span tree.
-fn bg_op<T>(op: &'static str, f: impl FnOnce() -> Result<T>) -> Result<T> {
+pub(crate) fn bg_op<T>(op: &'static str, f: impl FnOnce() -> Result<T>) -> Result<T> {
     let trace_id = vist_obs::traceid::mint();
     let inprogress = vist_obs::registry::gauge(&format!("vist_bg_{op}_inprogress"));
     inprogress.add(1);
@@ -250,76 +240,14 @@ fn bg_op<T>(op: &'static str, f: impl FnOnce() -> Result<T>) -> Result<T> {
     result
 }
 
-/// The segment tier of a file-backed index: the manifest naming the live
-/// segments, and the opened segments themselves (newest last, matching
-/// manifest order).
-struct TierState {
-    manifest: Manifest,
-    segments: Vec<Arc<Segment>>,
-}
-
-struct Tier {
-    vfs: Arc<dyn Vfs>,
-    /// Base path of the index file; the manifest and segments derive their
-    /// paths from it (`<base>.manifest`, `<base>.seg-<id>`).
-    path: PathBuf,
-    page_size: usize,
-    cache_pages: usize,
-    /// Acquired after `maintenance` in the lock hierarchy; held only to
-    /// clone or swap the segment list, never across IO.
-    state: RwLock<TierState>,
-}
-
-impl Tier {
-    /// Spill directory for external-sort runs during a bulk build or
-    /// compaction (scratch only — never read after a crash).
-    fn scratch_dir(&self) -> PathBuf {
-        let mut os = self.path.as_os_str().to_os_string();
-        os.push(".ingest-tmp");
-        PathBuf::from(os)
-    }
-
-    fn next_segment_id(&self) -> u64 {
-        self.state
-            .read()
-            .manifest
-            .segments
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            + 1
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Loc {
-    Root,
-    Node(u64),
-}
-
-/// Sentinel dkey-id for overflow edges: `edge(x, OVERFLOW_EDGE)` points from
-/// a node incarnation to its successor incarnation. Real dkey-ids are dense
-/// from 0 and never reach this value.
-const OVERFLOW_EDGE: u64 = u64::MAX;
-
-struct ChainEntry {
-    loc: Loc,
-    /// The original node's label (head of its incarnation chain).
-    head_n: u128,
-    /// Allocation state of the *latest* incarnation.
-    state: NodeState,
-    sym: Option<Sym>,
-}
-
 impl VistIndex {
-    /// Create a transient in-memory index.
+    /// Create a transient in-memory index. It has the delta alone:
+    /// [`VistIndex::bulk_build`] and [`VistIndex::compact`] answer
+    /// [`Error::NotTiered`].
     pub fn in_memory(opts: IndexOptions) -> Result<Self> {
-        let pool = Arc::new(BufferPool::with_capacity(
-            MemPager::new(opts.page_size),
-            opts.cache_pages,
-        ));
-        Self::create_on(pool, opts)
+        let pager = MemPager::new(opts.page_size);
+        let pool = Arc::new(BufferPool::with_capacity(pager, opts.cache_pages));
+        Self::create(pool, opts, Tier::in_memory())
     }
 
     /// Create a new index file at `path` (truncates any existing file).
@@ -332,48 +260,23 @@ impl VistIndex {
     /// [`VistIndex::create_file`] through an explicit [`Vfs`] (tests inject
     /// faults into every tier file — index, WAL, segments, manifest).
     pub fn create_at(vfs: Arc<dyn Vfs>, path: &Path, opts: IndexOptions) -> Result<Self> {
-        let page_size = opts.page_size;
-        let cache_pages = opts.cache_pages;
-        let pager = FilePager::create_with_vfs(vfs.as_ref(), path, page_size)?;
-        let pool = Arc::new(BufferPool::with_capacity(pager, cache_pages));
-        let mut idx = Self::create_on(pool, opts)?;
-        idx.tier = Some(Tier {
-            vfs,
-            path: path.to_path_buf(),
-            page_size,
-            cache_pages,
-            state: RwLock::new(TierState {
-                manifest: Manifest {
-                    generation: 0,
-                    delta_epoch: 0,
-                    segments: Vec::new(),
-                },
-                segments: Vec::new(),
-            }),
-        });
-        Ok(idx)
+        let pager = FilePager::create_with_vfs(vfs.as_ref(), path, opts.page_size)?;
+        let pool = Arc::new(BufferPool::with_capacity(pager, opts.cache_pages));
+        let tier = Tier::at(vfs, path, opts.page_size, opts.cache_pages);
+        Self::create(pool, opts, tier)
     }
 
-    /// Create an index on an existing pool (advanced; lets tests share
-    /// pagers).
-    pub fn create_on(pool: Arc<BufferPool>, opts: IndexOptions) -> Result<Self> {
-        crate::register_metrics();
+    fn create(pool: Arc<BufferPool>, opts: IndexOptions, tier: Tier) -> Result<Self> {
         let store = Store::create(pool, opts.lambda, opts.adaptive, opts.store_documents)?;
-        Ok(VistIndex {
+        let mut alloc = ScopeAllocator::new(opts.lambda, opts.adaptive, opts.allocator);
+        alloc.mutation = opts.mutation;
+        Ok(Self::assemble(
             store,
-            table: RwLock::new(SymbolTable::new()),
-            order: opts.order,
-            alloc: Mutex::new({
-                let mut alloc = ScopeAllocator::new(opts.lambda, opts.adaptive, opts.allocator);
-                alloc.mutation = opts.mutation;
-                alloc
-            }),
-            writer: Mutex::new(()),
-            maintenance: RwLock::new(()),
-            totals: Mutex::new(QueryStats::default()),
-            ingest_counters: IngestCounters::default(),
-            tier: None,
-        })
+            SymbolTable::new(),
+            opts.order,
+            alloc,
+            tier,
+        ))
     }
 
     /// Reopen an index file created by [`VistIndex::create_file`] (after a
@@ -393,86 +296,36 @@ impl VistIndex {
     /// and bulk loads — is a traced `wal_recovery` background operation.
     pub fn open_at(vfs: Arc<dyn Vfs>, path: &Path, cache_pages: usize) -> Result<Self> {
         bg_op("wal_recovery", move || {
-            Self::open_at_inner(vfs, path, cache_pages)
+            let pager = FilePager::open_with_vfs(vfs.as_ref(), path)?;
+            let pool = Arc::new(BufferPool::with_capacity(pager, cache_pages));
+            let tier = Tier::at(vfs, path, pool.page_size(), cache_pages);
+            // The meta page is always the first page a FilePager hands out.
+            let (store, table, order) = Store::open(pool, 1)?;
+            let kind = match store.load_stats_model()? {
+                Some(model) => AllocatorKind::WithClues(model),
+                None => AllocatorKind::NoClues,
+            };
+            let (lambda, adaptive) = {
+                let meta = store.meta();
+                (meta.lambda, meta.adaptive)
+            };
+            let alloc = ScopeAllocator::new(lambda, adaptive, kind);
+            let idx = Self::assemble(store, table, order, alloc, tier);
+            idx.open_tier()?;
+            Ok(idx)
         })
     }
 
-    fn open_at_inner(vfs: Arc<dyn Vfs>, path: &Path, cache_pages: usize) -> Result<Self> {
-        let pager = FilePager::open_with_vfs(vfs.as_ref(), path)?;
-        let pool = Arc::new(BufferPool::with_capacity(pager, cache_pages));
-        let page_size = pool.page_size();
-        let mut idx = Self::open_on(pool)?;
-        let manifest = Manifest::load(vfs.as_ref(), path)?.unwrap_or(Manifest {
-            generation: 0,
-            delta_epoch: 0,
-            segments: Vec::new(),
-        });
-        // Compaction redo: the manifest swap is the commit point, so a
-        // manifest ahead of the delta's epoch means the post-swap delta
-        // clear never reached disk. Re-run it — the delta's content was
-        // absorbed into the compacted segment before the swap.
-        if manifest.delta_epoch > idx.store.meta().delta_epoch {
-            idx.store.clear_delta(manifest.delta_epoch)?;
-            let table = idx.table.read().clone();
-            idx.store.flush(&table, &idx.order)?;
-        }
-        let mut segments = Vec::with_capacity(manifest.segments.len());
-        for &id in &manifest.segments {
-            segments.push(Arc::new(Segment::open(
-                vfs.as_ref(),
-                path,
-                id,
-                cache_pages,
-            )?));
-        }
-        // Bulk-load redo: a segment whose doc ids reach past `next_doc` was
-        // committed (manifest swapped) before the meta bump was flushed.
-        // Bulk ids are contiguous from the old `next_doc`, so the whole
-        // segment is unaccounted.
-        {
-            let mut fixed = false;
-            for seg in &segments {
-                let mut meta = idx.store.meta_mut();
-                if seg.doc_count > 0 && seg.max_doc >= meta.next_doc {
-                    meta.doc_count += seg.doc_count;
-                    meta.next_doc = seg.max_doc + 1;
-                    fixed = true;
-                }
-            }
-            if fixed {
-                let table = idx.table.read().clone();
-                idx.store.flush(&table, &idx.order)?;
-            }
-        }
-        idx.tier = Some(Tier {
-            vfs,
-            path: path.to_path_buf(),
-            page_size,
-            cache_pages,
-            state: RwLock::new(TierState { manifest, segments }),
-        });
-        Ok(idx)
-    }
-
-    /// Reopen an index from an existing pool (advanced; pairs with
-    /// [`VistIndex::create_on`] the way [`VistIndex::open_file`] pairs with
-    /// [`VistIndex::create_file`], and lets tests open through a
-    /// fault-injecting pager).
-    pub fn open_on(pool: Arc<BufferPool>) -> Result<Self> {
+    /// The index over an opened or created delta and its tier.
+    fn assemble(
+        store: Store,
+        table: SymbolTable,
+        order: SiblingOrder,
+        alloc: ScopeAllocator,
+        tier: Tier,
+    ) -> Self {
         crate::register_metrics();
-        // The meta page is always the first page a FilePager hands out.
-        let meta_page: PageId = 1;
-        let (store, table, order) = Store::open(pool, meta_page)?;
-        let kind = match store.load_stats_model()? {
-            Some(model) => AllocatorKind::WithClues(model),
-            None => AllocatorKind::NoClues,
-        };
-        let (lambda, adaptive) = {
-            let meta = store.meta();
-            (meta.lambda, meta.adaptive)
-        };
-        let alloc = ScopeAllocator::new(lambda, adaptive, kind);
-        Ok(VistIndex {
+        VistIndex {
             store,
             table: RwLock::new(table),
             order,
@@ -481,47 +334,12 @@ impl VistIndex {
             maintenance: RwLock::new(()),
             totals: Mutex::new(QueryStats::default()),
             ingest_counters: IngestCounters::default(),
-            tier: None,
-        })
-    }
-
-    /// Snapshot the open segments (newest last). Cheap: clones a small
-    /// `Vec<Arc<_>>` under a brief tier-state read lock.
-    fn segments_snapshot(&self) -> Vec<Arc<Segment>> {
-        match &self.tier {
-            Some(t) => t.state.read().segments.clone(),
-            None => Vec::new(),
+            tier,
         }
-    }
-
-    /// Fetch a stored document from whichever tier holds it: the delta
-    /// first, then the segments. Does NOT consult tombstones — callers
-    /// mask deleted segment docs themselves.
-    fn doc_get_any(&self, doc: DocId, segments: &[Arc<Segment>]) -> Result<Option<Vec<u8>>> {
-        if let Some(xml) = self.store.doc_get(doc)? {
-            return Ok(Some(xml));
-        }
-        for seg in segments.iter().rev() {
-            if let Some(xml) = seg.doc_get(doc)? {
-                return Ok(Some(xml));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Ids of all live documents (tombstone-masked), ascending. Caller
-    /// holds the maintenance latch.
-    fn live_doc_ids(&self, segments: &[Arc<Segment>]) -> Result<Vec<DocId>> {
-        let mut ids = self.store.doc_ids()?;
-        let tombs = self.store.tomb_ids()?;
-        for seg in segments {
-            join_live(&mut ids, seg.doc_ids()?, &tombs);
-        }
-        Ok(ids)
     }
 
     /// Re-arm (or clear) the planted allocation bug used to validate the
-    /// `vist-sim` harness. Needed after reopen: [`VistIndex::open_on`]
+    /// `vist-sim` harness. Needed after reopen: [`VistIndex::open_file`]
     /// rebuilds the allocator, which resets the mutation to
     /// [`SimMutation::None`].
     pub fn set_sim_mutation(&self, mutation: SimMutation) {
@@ -557,31 +375,10 @@ impl VistIndex {
     #[must_use]
     pub fn stats(&self) -> IndexStats {
         let meta = self.store.meta();
-        let ic = self.ingest_counters.snapshot();
         vist_obs::gauge!("vist_core_documents")
             .set(i64::try_from(meta.doc_count).unwrap_or(i64::MAX));
-        let segments = self.segments_snapshot();
-        let segment_docs: u64 = segments.iter().map(|s| s.doc_count).sum();
-        let segment_nodes: u64 = segments.iter().map(|s| s.node_count).sum();
-        let segment_bytes: u64 = segments.iter().map(|s| s.store_bytes()).sum();
-        let segment_fence_bytes: u64 = segments.iter().map(|s| s.fence_bytes()).sum();
-        let tombstones = if segments.is_empty() {
-            0
-        } else {
-            self.store.tomb_ids().map(|v| v.len() as u64).unwrap_or(0)
-        };
-        vist_obs::gauge!("vist_core_segments").set(segments.len() as i64);
-        let legacy = segments.iter().filter(|s| s.format_version() < 2).count();
-        vist_obs::gauge!("vist_core_segments_legacy_format").set(legacy as i64);
-        vist_obs::gauge!("vist_core_segment_fence_bytes")
-            .set(i64::try_from(segment_fence_bytes).unwrap_or(i64::MAX));
-        IndexStats {
-            segments: segments.len() as u64,
-            segment_docs,
-            segment_nodes,
-            segment_bytes,
-            segment_fence_bytes,
-            tombstones,
+        let segments = self.tier.segments();
+        let mut stats = IndexStats {
             documents: meta.doc_count,
             nodes: meta.node_count,
             dkeys: meta.next_dkey,
@@ -591,7 +388,30 @@ impl VistIndex {
             store_bytes: self.store.store_bytes(),
             io: self.store.pool().stats(),
             pool: self.store.pool().pool_stats(),
-            ..ic.into()
+            ..self.ingest_counters.snapshot().into()
+        };
+        self.count_segments(&mut stats, &segments);
+        vist_obs::gauge!("vist_core_segments").set(segments.len() as i64);
+        let legacy = segments.iter().filter(|s| s.format_version() < 2).count();
+        vist_obs::gauge!("vist_core_segments_legacy_format").set(legacy as i64);
+        vist_obs::gauge!("vist_core_segment_fence_bytes")
+            .set(i64::try_from(stats.segment_fence_bytes).unwrap_or(i64::MAX));
+        stats
+    }
+
+    /// Fill the segment fields of `stats` from `segments`: their number and
+    /// summed sizes, and the delta's tombstones that mask them.
+    fn count_segments(&self, stats: &mut IndexStats, segments: &[Arc<Segment>]) {
+        stats.segments = segments.len() as u64;
+        if !segments.is_empty() {
+            stats.tombstones = self.store.tomb_ids().map_or(0, |v| v.len() as u64);
+        }
+        for seg in segments {
+            stats.segment_docs += seg.doc_count;
+            stats.segment_nodes += seg.node_count;
+            stats.segment_dkeys += seg.dkey_count;
+            stats.segment_bytes += seg.store_bytes();
+            stats.segment_fence_bytes += seg.fence_bytes();
         }
     }
 
@@ -608,7 +428,7 @@ impl VistIndex {
         use std::fmt::Write as _;
         let mut report = String::new();
         let mut dirty = 0usize;
-        let segments = self.segments_snapshot();
+        let segments = self.tier.segments();
         let mut line = |tree: std::fmt::Arguments<'_>, problem: Option<String>| match problem {
             None => writeln!(report, "{tree} ok").unwrap(),
             Some(msg) => {
@@ -626,15 +446,13 @@ impl VistIndex {
                 line(format_args!("segment {} tree {name:<9}", seg.id), problem);
             }
         }
-        if !segments.is_empty() {
-            let seg_docs: u64 = segments.iter().map(|s| s.doc_count).sum();
-            let seg_nodes: u64 = segments.iter().map(|s| s.node_count).sum();
-            let seg_dkeys: u64 = segments.iter().map(|s| s.dkey_count).sum();
-            let tombs = self.store.tomb_ids().map(|v| v.len()).unwrap_or(0);
+        let mut s = IndexStats::default();
+        self.count_segments(&mut s, &segments);
+        if s.segments > 0 {
             writeln!(
                 report,
-                "segments {} ({seg_docs} docs, {seg_nodes} nodes, {seg_dkeys} dkeys, {tombs} tombstoned)",
-                segments.len()
+                "segments {} ({} docs, {} nodes, {} dkeys, {} tombstoned)",
+                s.segments, s.segment_docs, s.segment_nodes, s.segment_dkeys, s.tombstones
             )
             .unwrap();
         }
@@ -694,205 +512,9 @@ impl VistIndex {
 
     /// Flush the delta store under an already-held writer lock, persisting
     /// the symbol table alongside meta and dirty pages.
-    fn flush_locked(&self) -> Result<()> {
+    pub(crate) fn flush_locked(&self) -> Result<()> {
         let table = self.table.read().clone();
         self.store.flush(&table, &self.order)?;
-        Ok(())
-    }
-
-    /// Bulk-load a batch of XML documents into one immutable packed
-    /// segment, bypassing the per-document dynamic insert path entirely:
-    /// sequences are merged into an in-memory trie, labeled exactly by
-    /// preorder rank + subtree size (no scope allocation, no underflows),
-    /// externally sorted, and written as B+Trees at ~100% leaf fill.
-    ///
-    /// Returns the assigned document ids (contiguous, ascending). The
-    /// segment is durable and published in the manifest when this returns;
-    /// accumulating [`COMPACT_SEGMENT_THRESHOLD`] segments auto-triggers
-    /// [`VistIndex::compact`]. Requires a tiered index
-    /// ([`VistIndex::create_file`] / [`VistIndex::open_file`] or the
-    /// `_at` variants), else [`Error::NotTiered`].
-    pub fn bulk_build<I, S>(&self, docs: I) -> Result<Vec<DocId>>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        bg_op("segment_build", move || self.bulk_build_inner(docs))
-    }
-
-    fn bulk_build_inner<I, S>(&self, docs: I) -> Result<Vec<DocId>>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let _w = self.writer.lock();
-        let tier = self.tier.as_ref().ok_or(Error::NotTiered)?;
-        let (store_documents, first_doc) = {
-            let meta = self.store.meta();
-            (meta.store_documents, meta.next_doc)
-        };
-        let mut ids = Vec::new();
-        let docs = docs.into_iter().map(|xml| {
-            let id = first_doc + ids.len() as u64;
-            ids.push(id);
-            Ok((id, xml))
-        });
-        let Some(seg) = self.write_segment(tier, docs, Error::from)? else {
-            return Ok(ids);
-        };
-        // Commit point. A crash before this leaves an orphan file (the id
-        // gets reused and truncated); a crash after is healed on reopen by
-        // the max_doc watermark (see open_at).
-        let mut segments = self.segments_snapshot();
-        segments.push(Arc::new(seg));
-        let delta_epoch = tier.state.read().manifest.delta_epoch;
-        self.publish(tier, delta_epoch, segments)?;
-        {
-            let mut meta = self.store.meta_mut();
-            meta.next_doc = first_doc + ids.len() as u64;
-            meta.doc_count += ids.len() as u64;
-        }
-        self.flush_locked()?;
-        // A flush is a commit; a new tier state also leaves no log behind.
-        self.store.pool().checkpoint()?;
-        vist_obs::counter!("vist_core_bulk_docs_total").add(ids.len() as u64);
-        let should_compact =
-            store_documents && tier.state.read().segments.len() >= COMPACT_SEGMENT_THRESHOLD;
-        if should_compact {
-            self.compact_locked()?;
-        }
-        Ok(ids)
-    }
-
-    /// The static build (paper §3.3), shared by bulk load and compaction:
-    /// parse each `(id, xml)`, convert it to its structure-encoded sequence
-    /// and hand it to one [`SegmentBuilder`], which labels the merged trie
-    /// and writes the next segment file of `tier`. The file is durable on
-    /// return but named by no manifest: [`VistIndex::publish`] is the
-    /// caller's next step. `None` when `docs` is empty. A document that does
-    /// not parse ends the build with `unparseable` of the parser's error.
-    /// The caller holds the writer lock.
-    fn write_segment<S: AsRef<str>>(
-        &self,
-        tier: &Tier,
-        docs: impl Iterator<Item = Result<(DocId, S)>>,
-        unparseable: impl Fn(vist_xml::ParseError) -> Error,
-    ) -> Result<Option<Segment>> {
-        let mut docs = docs.peekable();
-        if docs.peek().is_none() {
-            return Ok(None);
-        }
-        let mut builder = SegmentBuilder::new(
-            tier.scratch_dir(),
-            tier.page_size,
-            self.store.meta().store_documents,
-            DEFAULT_SORT_BUDGET,
-        )?;
-        for item in docs {
-            let (id, xml) = item?;
-            let xml = xml.as_ref();
-            let doc = vist_xml::parse(xml).map_err(&unparseable)?;
-            let seq = {
-                let mut table = self.table.write();
-                document_to_sequence(&doc, &mut table, &self.order)
-            };
-            builder.add_doc(id, &seq, xml)?;
-        }
-        let seg = builder.finish(
-            tier.vfs.as_ref(),
-            &tier.path,
-            tier.next_segment_id(),
-            tier.page_size,
-            tier.cache_pages,
-            DEFAULT_SORT_BUDGET,
-        )?;
-        Ok(Some(seg))
-    }
-
-    /// The commit point of a bulk load and of a compaction: store the next
-    /// generation of the manifest, naming `segments` (oldest first) at
-    /// `delta_epoch`, then make it the tier's state. A manifest that
-    /// advances the delta epoch obligates a delta clear (the one
-    /// [`VistIndex::open_at`] redoes after a crash), done here before
-    /// readers can see the new segment list. The caller holds the writer
-    /// lock and flushes afterwards.
-    fn publish(&self, tier: &Tier, delta_epoch: u64, segments: Vec<Arc<Segment>>) -> Result<()> {
-        // A new segment's dkeys encode symbols interned while it was built:
-        // persist the table BEFORE the manifest can reference the segment.
-        self.flush_locked()?;
-        let (generation, clear) = {
-            let st = tier.state.read();
-            (
-                st.manifest.generation + 1,
-                delta_epoch > st.manifest.delta_epoch,
-            )
-        };
-        let manifest = Manifest {
-            generation,
-            delta_epoch,
-            segments: segments.iter().map(|seg| seg.id).collect(),
-        };
-        manifest.store(tier.vfs.as_ref(), &tier.path)?;
-        // Clearing frees B+Tree pages: exclude readers.
-        let _m = clear.then(|| self.maintenance.write());
-        if clear {
-            self.store.clear_delta(delta_epoch)?;
-        }
-        *tier.state.write() = TierState { manifest, segments };
-        Ok(())
-    }
-
-    /// Merge the delta and every segment into one fresh packed segment,
-    /// dropping tombstoned documents for good, then reset the delta.
-    /// Document ids are preserved. The manifest swap is the commit point:
-    /// a crash at any earlier point leaves the old state, a crash after it
-    /// is finished on reopen by re-clearing the delta (`delta_epoch`
-    /// handshake — see `docs/SEGMENTS.md`). Requires a tiered index with
-    /// stored documents.
-    pub fn compact(&self) -> Result<()> {
-        let _w = self.writer.lock();
-        self.compact_locked()
-    }
-
-    fn compact_locked(&self) -> Result<()> {
-        bg_op("compaction", || self.compact_inner())
-    }
-
-    fn compact_inner(&self) -> Result<()> {
-        let tier = self.tier.as_ref().ok_or(Error::NotTiered)?;
-        if !self.store.meta().store_documents {
-            return Err(Error::DocumentsNotStored);
-        }
-        let segments = self.segments_snapshot();
-        let (old_ids, delta_epoch) = {
-            let st = tier.state.read();
-            (st.manifest.segments.clone(), st.manifest.delta_epoch)
-        };
-        let live = self.live_doc_ids(&segments)?;
-        let docs = live.iter().map(|&id| {
-            let xml = self
-                .doc_get_any(id, &segments)?
-                .ok_or(Error::NoSuchDocument(id))?;
-            let text = String::from_utf8(xml)
-                .map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))?;
-            Ok((id, text))
-        });
-        let new_segment = self.write_segment(tier, docs, |e| {
-            Error::Corrupt(format!("stored document unparseable: {e}"))
-        })?;
-        // Commit point: the new manifest names only the compacted segment
-        // and advances the delta epoch, obligating a delta clear.
-        let compacted = new_segment.into_iter().map(Arc::new).collect();
-        self.publish(tier, delta_epoch + 1, compacted)?;
-        self.flush_locked()?;
-        self.store.pool().checkpoint()?;
-        // The replaced segment files are garbage; unlink best-effort.
-        // Concurrent readers that cloned the old Arcs keep their open
-        // handles and finish safely.
-        for id in old_ids {
-            let _ = std::fs::remove_file(Manifest::segment_path(&tier.path, id));
-        }
-        vist_obs::counter!("vist_core_compactions_total").inc();
         Ok(())
     }
 
@@ -904,7 +526,7 @@ impl VistIndex {
         let _m = self.maintenance.read();
         let delta = self.store.tree_breakdown()?;
         let mut segs = Vec::new();
-        for seg in self.segments_snapshot() {
+        for seg in self.tier.segments() {
             segs.push(SegmentBreakdown {
                 id: seg.id,
                 format_version: seg.format_version(),
@@ -934,482 +556,24 @@ impl VistIndex {
         Ok((delta, segs))
     }
 
-    /// Parse and insert an XML document, returning its id.
-    pub fn insert_xml(&self, xml: &str) -> Result<DocId> {
-        let doc = vist_xml::parse(xml)?;
-        self.insert_document_impl(&doc, Some(xml))
-    }
-
-    /// Insert a parsed document (Algorithm 4), returning its id.
-    pub fn insert_document(&self, doc: &Document) -> Result<DocId> {
-        self.insert_document_impl(doc, None)
-    }
-
-    /// Stream a large container document (e.g. a whole XMARK `site`) and
-    /// index each sub-tree rooted at one of `record_names` as its own
-    /// document — the paper's break-down methodology ("we break down its
-    /// tree structure into a set of sub structures ... and convert each
-    /// instance of these sub structures into a structure-encoded
-    /// sequence"). The container is never materialized.
-    pub fn insert_records(&self, xml: &str, record_names: &[&str]) -> Result<Vec<DocId>> {
-        let mut ids = Vec::new();
-        for rec in vist_xml::RecordSplitter::new(xml, record_names) {
-            ids.push(self.insert_document(&rec?)?);
-        }
-        Ok(ids)
-    }
-
-    fn insert_document_impl(&self, doc: &Document, raw: Option<&str>) -> Result<DocId> {
-        vist_obs::counter!("vist_core_insert_total").inc();
-        let insert_start = vist_obs::now();
-        let _w = self.writer.lock();
-        let seq = {
-            let mut table = self.table.write();
-            document_to_sequence(doc, &mut table, &self.order)
-        };
-        let xml_owned;
-        let xml: Option<&str> = if self.store.meta().store_documents {
-            Some(match raw {
-                Some(r) => r,
-                None => {
-                    xml_owned = doc.to_xml();
-                    &xml_owned
-                }
-            })
-        } else {
-            None
-        };
-        let id = self.insert_sequence_cached(&seq, xml, &mut IngestCache::default())?;
-        vist_obs::observe_since(vist_obs::histogram!("vist_core_insert_nanos"), insert_start);
-        Ok(id)
-    }
-
-    /// Insert a pre-converted structure-encoded sequence. `xml` is stored
-    /// for verification/deletion when document storage is enabled.
-    pub fn insert_sequence(&self, seq: &Sequence, xml: Option<&str>) -> Result<DocId> {
-        let _w = self.writer.lock();
-        self.insert_sequence_cached(seq, xml, &mut IngestCache::default())
-    }
-
-    /// Core of Algorithm 4, through a cache (see [`IngestCache`]) that a
-    /// batch shares between its documents and a serial insert starts empty:
-    /// repeated dkey lookups and trie-edge probes — the bulk of the B+Tree
-    /// traffic for structure-sharing corpora — are answered from the cache
-    /// instead of the trees. Caller must hold `self.writer`; the cache must
-    /// not outlive it.
-    ///
-    /// All-or-nothing for the document store and the document count: when
-    /// the sequence cannot be attached (the label space is exhausted), the
-    /// stored XML and the count are taken back, so the document is neither
-    /// listed nor picked up by the next compaction. Its id stays spent, and
-    /// so do the trie nodes allocated before the failure: both are harmless,
-    /// and ids are never reused.
-    pub(crate) fn insert_sequence_cached(
-        &self,
-        seq: &Sequence,
-        xml: Option<&str>,
-        cache: &mut IngestCache,
-    ) -> Result<DocId> {
-        let (doc_id, store_documents, root_state) = {
-            let mut meta = self.store.meta_mut();
-            let id = meta.next_doc;
-            meta.next_doc += 1;
-            meta.doc_count += 1;
-            (id, meta.store_documents, meta.root)
-        };
-        if store_documents {
-            self.store.doc_put(doc_id, xml.unwrap_or("").as_bytes())?;
-        }
-        if let Err(e) = self.attach_sequence(doc_id, root_state, seq, cache) {
-            if store_documents {
-                // `e` is the error to report, whatever the clean-up meets.
-                let _ = self.store.doc_remove(doc_id);
-            }
-            self.store.meta_mut().doc_count -= 1;
-            return Err(e);
-        }
-        Ok(doc_id)
-    }
-
-    /// Walk `seq` down the virtual suffix tree, allocating the scopes it
-    /// lacks, and post `doc_id` at the node it ends on.
-    fn attach_sequence(
-        &self,
-        doc_id: DocId,
-        root_state: NodeState,
-        seq: &Sequence,
-        cache: &mut IngestCache,
-    ) -> Result<()> {
-        let mut chain: Vec<ChainEntry> = vec![ChainEntry {
-            loc: Loc::Root,
-            head_n: 0,
-            state: root_state,
-            sym: None,
-        }];
-        let mut fresh = false;
-        let walked = self.walk_sequence(&mut chain, &mut fresh, seq, cache);
-        // Whatever ended the walk, the pending node is written before the
-        // edge pointing at it can be followed.
-        let last = chain.last().expect("non-empty");
-        let pending = fresh.then(|| self.write_state(last.loc, &last.state));
-        let (last_n, last_loc) = walked?;
-        pending.transpose()?;
-        self.store.docid_put(last_n, doc_id)?;
-        // Empty sequences attach to the virtual root, which has no dkey;
-        // mirror the segment builder, which skips them too.
-        if let Loc::Node(dk) = last_loc {
-            self.store.stats_doc_added(dk);
-        }
-        Ok(())
-    }
-
-    /// Algorithm 4's walk along `seq` from the root: the label and location
-    /// of the node it ends on. Once it allocates a node, the rest is a
-    /// *fresh branch*: each later element hangs below the node allocated one
-    /// step earlier, which has no edges, so none is probed. That node's
-    /// S-Ancestor record is written once, with its final state — when its
-    /// one child is allocated, or by the caller when the walk ends; until
-    /// then it is `chain.last()`, with `fresh` set.
-    fn walk_sequence(
-        &self,
-        chain: &mut Vec<ChainEntry>,
-        fresh: &mut bool,
-        seq: &Sequence,
-        cache: &mut IngestCache,
-    ) -> Result<(u128, Loc)> {
-        let n = seq.len();
-        for (i, elem) in seq.iter().enumerate() {
-            let prefix = elem
-                .prefix
-                .as_concrete()
-                .ok_or_else(|| Error::Corrupt("wildcard in data sequence".into()))?;
-            let key = dkey::encode(elem.sym, &prefix);
-            let dkid = self.dkid_cached(key, cache)?;
-            let last = chain.last().expect("chain non-empty");
-
-            // Follow an existing branch if there is one (Algorithm 4:
-            // "search in e for scope r such that r is an immediate child of
-            // s"), checking every incarnation of the parent.
-            let head_n = last.head_n;
-            let found = if *fresh {
-                None
-            } else {
-                self.find_child_cached(head_n, dkid, cache)?
-            };
-            if let Some(child_n) = found {
-                let state = self
-                    .store
-                    .node_get(dkid, child_n)?
-                    .ok_or_else(|| Error::Corrupt("edge points to missing node".into()))?;
-                chain.push(ChainEntry {
-                    loc: Loc::Node(dkid),
-                    head_n: child_n,
-                    state,
-                    sym: Some(elem.sym),
-                });
-                continue;
-            }
-
-            // Allocate a fresh child scope from the parent's latest
-            // incarnation. The remaining tail (this element included) must
-            // be able to nest below it.
-            let rem = (n - i) as u128;
-            let (ploc, parent_sym, parent_inc_n) = (last.loc, last.sym, last.state.n);
-            let mut pstate = last.state;
-            let allocation = self
-                .alloc
-                .lock()
-                .allocate(&mut pstate, parent_sym, elem.sym, rem);
-            match allocation {
-                Allocation::Child { state, tight } => {
-                    if tight {
-                        self.store.meta_mut().underflows += 1;
-                    }
-                    // A fresh parent's one write; an existing one's update.
-                    self.write_state(ploc, &pstate)?;
-                    chain.last_mut().expect("non-empty").state = pstate;
-                    self.store.edge_put(parent_inc_n, dkid, state.n)?;
-                    // The fresh edge is keyed under the chain head, which is
-                    // where `find_child` starts, so future batch documents
-                    // resolve it from the cache.
-                    cache.edges.insert((head_n, dkid), state.n);
-                    self.store.meta_mut().node_count += 1;
-                    self.store.stats_node_added(dkid);
-                    if let Loc::Node(pd) = ploc {
-                        self.store.stats_child_added(pd);
-                    }
-                    chain.push(ChainEntry {
-                        loc: Loc::Node(dkid),
-                        head_n: state.n,
-                        state,
-                        sym: Some(elem.sym),
-                    });
-                    *fresh = true;
-                }
-                Allocation::Underflow => {
-                    // Scope underflow (paper §3.4.1), resolved *soundly* by
-                    // node incarnations — see `grow_and_insert_tail`. The
-                    // pending node is written before it is incarnated.
-                    if std::mem::take(fresh) {
-                        self.write_state(ploc, &last.state)?;
-                    }
-                    return self.grow_and_insert_tail(chain, &seq.0[i..], cache);
-                }
-            }
-        }
-        let last = chain.last().expect("non-empty");
-        Ok((last.state.n, last.loc))
-    }
-
-    /// [`VistIndex::find_child`] through the edge cache.
-    /// Only positive results are cached: an edge, once present, is never
-    /// modified or removed while the writer lock is held, so a cached hit
-    /// can never go stale within a batch — but an absent edge may appear.
-    fn find_child_cached(
-        &self,
-        head_n: u128,
-        dkid: u64,
-        c: &mut IngestCache,
-    ) -> Result<Option<u128>> {
-        if let Some(&n) = c.edges.get(&(head_n, dkid)) {
-            c.edge_hits += 1;
-            return Ok(Some(n));
-        }
-        c.edge_misses += 1;
-        let found = self.find_child(head_n, dkid)?;
-        if let Some(n) = found {
-            c.edges.insert((head_n, dkid), n);
-        }
-        Ok(found)
-    }
-
-    /// `Store::dkey_get_or_create` through the dkey cache. Dkey ids are
-    /// append-only, so cached entries can never go stale.
-    fn dkid_cached(&self, key: Vec<u8>, c: &mut IngestCache) -> Result<u64> {
-        if let Some(&id) = c.dkeys.get(&key) {
-            c.dkey_hits += 1;
-            return Ok(id);
-        }
-        c.dkey_misses += 1;
-        let id = self.store.dkey_get_or_create(&key)?;
-        c.dkeys.insert(key, id);
-        Ok(id)
-    }
-
-    /// Find the child of a node for `dkid`, following the node's overflow
-    /// (incarnation) chain.
-    fn find_child(&self, head_n: u128, dkid: u64) -> Result<Option<u128>> {
-        let mut n = head_n;
-        loop {
-            if let Some(c) = self.store.edge_get(n, dkid)? {
-                return Ok(Some(c));
-            }
-            match self.store.edge_get(n, OVERFLOW_EDGE)? {
-                Some(next) => n = next,
-                None => return Ok(None),
-            }
-        }
-    }
-
-    /// Scope underflow resolution.
-    ///
-    /// The paper borrows the remaining labels from the nearest ancestor with
-    /// spare scope — which breaks S-Ancestor containment whenever the donor
-    /// is not the direct parent, silently losing future matches through the
-    /// borrowed chain. We fix this with **node incarnations**: the donor's
-    /// block is nested into one fresh S-Ancestor entry *per intermediate
-    /// level*, each carrying the same D-Ancestor key as the node it extends
-    /// and linked from it by an overflow edge. Containment then holds by
-    /// construction at every level, and since Algorithm 2 already iterates
-    /// all S-Ancestor entries of a D-Ancestor key, queries find incarnations
-    /// with no changes. The `deep_borrows` counter tallies these events.
-    /// Returns the label and location of the last inserted node.
-    fn grow_and_insert_tail(
-        &self,
-        chain: &mut [ChainEntry],
-        tail: &[vist_seq::SeqElem],
-        cache: &mut IngestCache,
-    ) -> Result<(u128, Loc)> {
-        let rem = tail.len() as u128;
-        // Donor j must cover incarnations for chain[j+1..] plus the tail.
-        let donor = (0..chain.len() - 1)
-            .rev()
-            .find(|&j| {
-                let levels = (chain.len() - 1 - j) as u128;
-                chain[j].state.available() >= levels + rem
-            })
-            .ok_or(Error::ScopeExhausted)?;
-        self.store.meta_mut().deep_borrows += 1;
-        let levels = (chain.len() - 1 - donor) as u128;
-        let needed = levels + rem;
-        let block = chain[donor].state.next;
-        chain[donor].state.next += needed;
-        chain[donor].state.k += 1;
-        let donor_loc = chain[donor].loc;
-        let donor_state = chain[donor].state;
-        self.write_state(donor_loc, &donor_state)?;
-
-        // One incarnation per level between the donor and the exhausted
-        // parent, nested like a chain.
-        let mut off = 0u128;
-        #[allow(clippy::needless_range_loop)] // chain[lvl] is both read and written
-        for lvl in donor + 1..chain.len() {
-            let Loc::Node(dkid) = chain[lvl].loc else {
-                return Err(Error::Corrupt("root cannot be incarnated".into()));
-            };
-            let inc = NodeState {
-                n: block + off,
-                size: needed - off,
-                next: block + off + 1,
-                k: 0,
-            };
-            self.store.node_put(dkid, &inc)?;
-            self.store
-                .edge_put(chain[lvl].state.n, OVERFLOW_EDGE, inc.n)?;
-            // Incarnations are extra S-Ancestor entries under the same
-            // dkey (not counted by meta.node_count, which tracks virtual
-            // trie nodes).
-            self.store.stats_node_added(dkid);
-            chain[lvl].state = inc;
-            off += 1;
-        }
-
-        // Sequentially label the remaining elements, nested below the
-        // parent's fresh incarnation.
-        let last = chain.last().expect("non-empty");
-        let (mut prev_n, mut prev_loc) = (last.state.n, last.loc);
-        for elem in tail {
-            let prefix = elem
-                .prefix
-                .as_concrete()
-                .ok_or_else(|| Error::Corrupt("wildcard in data sequence".into()))?;
-            let key = dkey::encode(elem.sym, &prefix);
-            let dkid = self.dkid_cached(key, cache)?;
-            let state = NodeState {
-                n: block + off,
-                size: needed - off,
-                next: block + off + 1,
-                k: 0,
-            };
-            self.store.node_put(dkid, &state)?;
-            // Tail edges hang off fresh incarnations, not chain heads, so
-            // they are deliberately NOT added to the edge cache (its keys
-            // are chain-head labels).
-            self.store.edge_put(prev_n, dkid, state.n)?;
-            self.store.meta_mut().node_count += 1;
-            self.store.stats_node_added(dkid);
-            if let Loc::Node(pd) = prev_loc {
-                self.store.stats_child_added(pd);
-            }
-            (prev_n, prev_loc) = (state.n, Loc::Node(dkid));
-            off += 1;
-        }
-        Ok((prev_n, prev_loc))
-    }
-
-    fn write_state(&self, loc: Loc, state: &NodeState) -> Result<()> {
-        match loc {
-            Loc::Root => {
-                self.store.meta_mut().root = *state;
-                Ok(())
-            }
-            Loc::Node(dkid) => self.store.node_put(dkid, state),
-        }
-    }
-
-    /// Remove a document (requires stored documents). The document's id
-    /// disappears from all query results; shared trie nodes remain, as in
-    /// the paper's design ([`VistIndex::compact`] drops them).
-    ///
-    /// This is a *maintenance* operation: B+Tree deletion frees pages, so
-    /// it holds the maintenance latch exclusively, briefly blocking
-    /// concurrent queries.
-    pub fn remove_document(&self, doc_id: DocId) -> Result<()> {
-        let _w = self.writer.lock();
-        let _m = self.maintenance.write();
-        if !self.store.meta().store_documents {
-            return Err(Error::DocumentsNotStored);
-        }
-        let Some(xml) = self.store.doc_get(doc_id)? else {
-            // Not in the delta: a segment-resident document is deleted by
-            // writing a tombstone into the delta, which masks it from every
-            // query until compaction drops it for good.
-            let segments = self.segments_snapshot();
-            if !self.store.tomb_contains(doc_id)? {
-                for seg in &segments {
-                    if seg.contains_doc(doc_id)? {
-                        self.store.tomb_put(doc_id)?;
-                        let mut meta = self.store.meta_mut();
-                        meta.doc_count = meta.doc_count.saturating_sub(1);
-                        return Ok(());
-                    }
-                }
-            }
-            return Err(Error::NoSuchDocument(doc_id));
-        };
-        let text = String::from_utf8(xml)
-            .map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))?;
-        let doc = vist_xml::parse(&text)
-            .map_err(|e| Error::Corrupt(format!("stored document unparseable: {e}")))?;
-        let seq = {
-            let mut table = self.table.write();
-            document_to_sequence(&doc, &mut table, &self.order)
-        };
-        // Walk the trie edges to the final node.
-        let mut cur = 0u128; // virtual root label
-        let mut last_dkid = None;
-        for elem in seq.iter() {
-            let prefix = elem
-                .prefix
-                .as_concrete()
-                .ok_or_else(|| Error::Corrupt("wildcard in data sequence".into()))?;
-            let key = dkey::encode(elem.sym, &prefix);
-            let dkid = self
-                .store
-                .dkey_get(&key)?
-                .ok_or_else(|| Error::Corrupt("document path missing from index".into()))?;
-            cur = self
-                .find_child(cur, dkid)?
-                .ok_or_else(|| Error::Corrupt("document path missing from index".into()))?;
-            last_dkid = Some(dkid);
-        }
-        if !self.store.docid_delete(cur, doc_id)? {
-            return Err(Error::NoSuchDocument(doc_id));
-        }
-        if let Some(dk) = last_dkid {
-            self.store.stats_doc_removed(dk);
-        }
-        self.store.doc_remove(doc_id)?;
-        {
-            let mut meta = self.store.meta_mut();
-            meta.doc_count = meta.doc_count.saturating_sub(1);
-        }
-        Ok(())
-    }
-
     /// Ids of all stored documents, ascending (requires stored documents).
     pub fn document_ids(&self) -> Result<Vec<DocId>> {
         let _m = self.maintenance.read();
-        if !self.store.meta().store_documents {
-            return Err(Error::DocumentsNotStored);
-        }
-        self.live_doc_ids(&self.segments_snapshot())
+        self.require_documents()?;
+        self.live_doc_ids(&self.tier.segments())
     }
 
     /// Fetch a stored document's XML text.
     pub fn get_document_xml(&self, doc_id: DocId) -> Result<String> {
         let _m = self.maintenance.read();
-        if !self.store.meta().store_documents {
-            return Err(Error::DocumentsNotStored);
-        }
-        let xml = match self.store.doc_get(doc_id)? {
-            Some(xml) => xml,
-            None if !self.store.tomb_contains(doc_id)? => self
-                .doc_get_any(doc_id, &self.segments_snapshot())?
-                .ok_or(Error::NoSuchDocument(doc_id))?,
-            None => return Err(Error::NoSuchDocument(doc_id)),
-        };
-        String::from_utf8(xml).map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))
+        self.require_documents()?;
+        self.stored_document(doc_id, &self.tier.segments(), false)
+    }
+
+    /// [`Error::DocumentsNotStored`] unless the index stores documents.
+    pub(crate) fn require_documents(&self) -> Result<()> {
+        let stored = self.store.meta().store_documents;
+        stored.then_some(()).ok_or(Error::DocumentsNotStored)
     }
 
     /// Run a pattern and return the matched final *scopes* without resolving
@@ -1432,67 +596,6 @@ impl VistIndex {
             &opts.search_options(SearchMode::Scopes, false),
         )?;
         Ok((outcome.scopes, outcome.stats))
-    }
-
-    /// Algorithm 2 over every tier: the delta, then each segment, oldest
-    /// first. Every tier is its own label space, so the match runs once
-    /// per source; document ids are unioned (a segment document with a
-    /// tombstone in the delta is masked), scopes concatenated, counters
-    /// and stage timings summed, and the plan of each tier that ran is
-    /// returned under its name when `sopts.collect_plan` asks for plans.
-    /// A limited search stops at the first tier that fills the limit.
-    /// The caller holds the maintenance latch.
-    fn search_tiers(
-        &self,
-        seqs: &[QuerySequence],
-        sopts: &SearchOptions,
-    ) -> Result<(SearchOutcome, Vec<(String, PlanReport)>)> {
-        let mut total = search_sequences(&self.store, seqs, sopts)?;
-        let mut plans: Vec<(String, PlanReport)> = Vec::new();
-        plans.extend(total.plan.take().map(|p| ("delta".to_string(), p)));
-        let segments = self.segments_snapshot();
-        if !segments.is_empty() {
-            // Delta docs are never tombstoned. Read the tombstones (a scan of
-            // every one) only once a segment is searched: a limited query the
-            // delta answers never does.
-            let mut tombs: Option<Vec<DocId>> = None;
-            let mut union_nanos = 0;
-            for seg in &segments {
-                if sopts.limit.is_some_and(|k| total.docs.len() >= k) {
-                    break;
-                }
-                if tombs.is_none() {
-                    let t = vist_obs::now();
-                    tombs = Some(self.store.tomb_ids()?);
-                    union_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
-                }
-                let tombs = tombs.as_deref().unwrap_or_default();
-                // Over-provision a limited segment search by the tombstone
-                // count: up to that many of its hits may be masked below.
-                let seg_opts = SearchOptions {
-                    limit: sopts.limit.map(|k| k - total.docs.len() + tombs.len()),
-                    ..*sopts
-                };
-                let o = search_sequences(seg.as_ref(), seqs, &seg_opts)?;
-                total.stats.merge(&o.stats);
-                total.timings.match_nanos += o.timings.match_nanos;
-                total.timings.merge_nanos += o.timings.merge_nanos;
-                total.timings.docid_nanos += o.timings.docid_nanos;
-                total.scopes.extend(o.scopes);
-                let t = vist_obs::now();
-                join_live(&mut total.docs, o.docs, tombs);
-                union_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
-                plans.extend(o.plan.map(|p| (format!("segment {}", seg.id), p)));
-            }
-            // The union can overshoot the limit; keep the smallest k.
-            total.docs.truncate(sopts.limit.unwrap_or(usize::MAX));
-            // Timed between the segments' own spans: one visit, grafted.
-            total.timings.merge_nanos += union_nanos;
-            vist_obs::span::attach(vist_obs::SpanNode::leaf("merge", union_nanos, 1));
-        }
-        self.totals.lock().merge(&total.stats);
-        total.stats.publish();
-        Ok((total, plans))
     }
 
     /// Translate under a brief shared table lock, interning query-only
@@ -1519,17 +622,12 @@ impl VistIndex {
 
     /// Explain a query: show its translation into structure-encoded
     /// sequence(s) (the paper's Table 2 form), then run it and report the
-    /// per-tree probe counts. Intended for debugging and teaching; the
-    /// output format is human-oriented and not stable.
-    pub fn explain(&self, expr: &str, opts: &QueryOptions) -> Result<String> {
-        self.explain_with(expr, opts, false)
-    }
-
-    /// [`VistIndex::explain`] plus, when `show_plan` is set, the
-    /// cost-based planner's report per tier: estimated vs actual
-    /// cardinalities per step, sequence ranks and prunes, and the DocId
-    /// resolution strategy (`vist explain --plan`).
-    pub fn explain_with(&self, expr: &str, opts: &QueryOptions, show_plan: bool) -> Result<String> {
+    /// per-tree probe counts — and, when `show_plan` is set, the cost-based
+    /// planner's report per tier: estimated vs actual cardinalities per
+    /// step, sequence ranks and prunes, and the DocId resolution (`vist
+    /// explain --plan`). Intended for debugging and teaching; the output
+    /// format is human-oriented and not stable.
+    pub fn explain(&self, expr: &str, opts: &QueryOptions, show_plan: bool) -> Result<String> {
         use std::fmt::Write as _;
         let pattern = parse_query(expr)?.to_pattern();
         let mut out = String::new();
@@ -1742,12 +840,10 @@ impl VistIndex {
         let out = outcome.docs;
         let candidates = out.len();
         let doc_ids: Vec<DocId> = if opts.verify {
-            if !self.store.meta().store_documents {
-                return Err(Error::DocumentsNotStored);
-            }
+            self.require_documents()?;
             let _span = vist_obs::Span::enter("verify");
             let verify_start = vist_obs::now();
-            let segments = self.segments_snapshot();
+            let segments = self.tier.segments();
             let mut verified = Vec::new();
             for id in out {
                 if opts.limit.is_some_and(|k| verified.len() >= k) {
@@ -1759,13 +855,7 @@ impl VistIndex {
                 {
                     return Err(Error::DeadlineExceeded);
                 }
-                let xml = self
-                    .doc_get_any(id, &segments)?
-                    .ok_or(Error::NoSuchDocument(id))?;
-                let text = String::from_utf8(xml)
-                    .map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))?;
-                let doc = vist_xml::parse(&text)
-                    .map_err(|e| Error::Corrupt(format!("stored document unparseable: {e}")))?;
+                let doc = parse_stored(&self.stored_document(id, &segments, true)?)?;
                 if matches_document(pattern, &doc, &self.order) {
                     verified.push(id);
                 }
@@ -1786,16 +876,6 @@ impl VistIndex {
         };
         Ok((result, plans))
     }
-}
-
-/// The tier union: join a segment's ids `run`, less those in `tombs`, into
-/// `ids` — all three ascending, and `ids` stays so and distinct. Appended,
-/// the two are sorted runs, which the stable sort merges in linear time.
-fn join_live(ids: &mut Vec<DocId>, mut run: Vec<DocId>, tombs: &[DocId]) {
-    run.retain(|id| tombs.binary_search(id).is_err());
-    ids.append(&mut run);
-    ids.sort();
-    ids.dedup();
 }
 
 /// Append the planner's per-tier report to an `explain` rendering:
@@ -1873,6 +953,7 @@ fn render_plans(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier::COMPACT_SEGMENT_THRESHOLD;
 
     fn index() -> VistIndex {
         VistIndex::in_memory(IndexOptions::default()).unwrap()

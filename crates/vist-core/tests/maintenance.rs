@@ -195,7 +195,11 @@ fn explain_shows_translation_and_probes() {
     idx.insert_xml("<p><s><l>boston</l></s><b><l>newyork</l></b></p>")
         .unwrap();
     let out = idx
-        .explain("/p[s[l='boston']]/b[l='newyork']", &QueryOptions::default())
+        .explain(
+            "/p[s[l='boston']]/b[l='newyork']",
+            &QueryOptions::default(),
+            false,
+        )
         .unwrap();
     assert!(out.contains("alternative sequence(s)"), "{out}");
     assert!(out.contains("(p,)"), "Table-2-style rendering: {out}");
@@ -204,7 +208,7 @@ fn explain_shows_translation_and_probes() {
     // The Q5 case shows multiple alternatives.
     idx.insert_xml("<A><B><C/></B><B><D/></B></A>").unwrap();
     let out = idx
-        .explain("/A[B/C]/B/D", &QueryOptions::default())
+        .explain("/A[B/C]/B/D", &QueryOptions::default(), false)
         .unwrap();
     assert!(out.contains("2 alternative sequence(s)"), "{out}");
 }
@@ -238,11 +242,11 @@ fn explain_plan_reports_the_run_that_produced_the_answer() {
         t.hits + t.misses
     };
     for q in ["/r/a[text='3']", "//c[text='1']", "/r[a='2']/b/c", "/r/*/c"] {
-        idx.explain_with(q, &opts, true).unwrap(); // warm the pool
+        idx.explain(q, &opts, true).unwrap(); // warm the pool
         let s0 = idx.stats();
-        let plain = idx.explain_with(q, &opts, false).unwrap();
+        let plain = idx.explain(q, &opts, false).unwrap();
         let s1 = idx.stats();
-        let planned = idx.explain_with(q, &opts, true).unwrap();
+        let planned = idx.explain(q, &opts, true).unwrap();
         let s2 = idx.stats();
         // Collecting the plan costs no second execution of any tier.
         assert_eq!(

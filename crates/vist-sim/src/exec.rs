@@ -151,8 +151,8 @@ pub fn run_trace(trace: &Trace, dir: &Path) -> Result<Report, Divergence> {
         kind: "setup-error".into(),
         detail: e,
     };
-    // create_at (not create_on): the index must own a Vfs-backed tier so
-    // Op::Compact and segment reads route through the fault injector.
+    // Through the Vfs: Op::Compact and segment reads must route through
+    // the fault injector too.
     let idx = VistIndex::create_at(Arc::new(vfs), &path, index_options(trace))
         .map_err(|e| setup(e.to_string()))?;
     // Commit the empty state so recovery always has a checkpoint to land

@@ -6,12 +6,16 @@
 # Run from anywhere; prints one `lines  directory` row per crate and a total,
 # then — counted the same way, and kept out of the first total so that it
 # stays comparable across history — one row per `src/bin` directory and a
-# second total with them.
+# second total with them. Last, every counted file over 1,000 lines on its
+# own (ROADMAP item 4 holds each file of `vist-core/src` and `src` to 1,200).
 set -eu
 cd "$(dirname "$0")/.."
+non_test() {
+    awk '/^[[:space:]]*#\[cfg\((test\)|all\(test)/ { exit } { print }' "$1"
+}
 count() {
     for f in "$1"/*.rs; do
-        awk '/^[[:space:]]*#\[cfg\((test\)|all\(test)/ { exit } { print }' "$f"
+        non_test "$f"
     done | wc -l
 }
 total=0
@@ -28,3 +32,10 @@ for dir in crates/*/src/bin src/bin; do
     total=$((total + lines))
 done
 printf '%7d  total with src/bin\n' "$total"
+for f in crates/*/src/*.rs src/*.rs crates/*/src/bin/*.rs src/bin/*.rs; do
+    [ -f "$f" ] || continue
+    lines=$(non_test "$f" | wc -l)
+    if [ "$lines" -gt 1000 ]; then
+        printf '%7d  %s (file over 1,000)\n' "$lines" "$f"
+    fi
+done

@@ -3,7 +3,7 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match vist::cli::parse_args(&args).and_then(vist::cli::run) {
+    match vist::cli::run(&args) {
         // print_stdout exits 0 quietly when the reader hung up
         // (`vist query ... | head` must not panic on BrokenPipe).
         Ok(out) => vist::cli::print_stdout(&out),

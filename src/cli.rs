@@ -1,231 +1,15 @@
 //! Implementation of the `vist` command-line tool (see `src/bin/vist.rs`).
 //!
-//! Kept in the library so argument parsing and command execution are unit
-//! testable without spawning processes.
+//! Kept in the library so every subcommand is unit testable without
+//! spawning processes. [`run`] hands the arguments to one function per
+//! subcommand, which takes its flags by name, then its operands, then does
+//! its work. [`USAGE`] is the only other place a flag is written down.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
 
 use crate::{IndexOptions, QueryOptions, VistIndex};
-
-/// A parsed CLI invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// `vist create <index> [--page-size N] [--lambda N] [--no-docs]`
-    Create {
-        /// Index file path.
-        index: PathBuf,
-        /// Page size in bytes.
-        page_size: usize,
-        /// Scope-allocation λ.
-        lambda: u64,
-        /// Whether to store original documents.
-        store_documents: bool,
-    },
-    /// `vist add <index> <xml-file>...`
-    Add {
-        /// Index file path.
-        index: PathBuf,
-        /// XML files, each holding one document.
-        files: Vec<PathBuf>,
-    },
-    /// `vist query <index> <expr> [--verify] [--show] [--workers N] [--trace]
-    /// [--no-plan] [--limit N] [--deadline-ms N]`
-    Query {
-        /// Index file path.
-        index: PathBuf,
-        /// Path expression.
-        expr: String,
-        /// Post-filter through the exact matcher.
-        verify: bool,
-        /// Print matching documents' XML, not just ids.
-        show: bool,
-        /// Match-engine worker threads (1 = serial).
-        workers: usize,
-        /// Print the hierarchical span tree of the query's execution.
-        trace: bool,
-        /// Disable the cost-based planner (naive order, for bisection).
-        no_plan: bool,
-        /// Stop after this many matching documents.
-        limit: Option<usize>,
-        /// Cooperative cancellation budget in milliseconds.
-        deadline_ms: Option<u64>,
-    },
-    /// `vist load <index> <dir|file.xml> [--ingest-threads N] [--batch-size B]`
-    Load {
-        /// Index file path.
-        index: PathBuf,
-        /// A directory of `*.xml` files (loaded in sorted name order) or a
-        /// single XML file.
-        input: PathBuf,
-        /// `Some(n)`: route through `insert_batch` with `n` parallel
-        /// prepare workers (dynamic inserts, group-committed per batch)
-        /// instead of `bulk_build`'s packed segment.
-        ingest_threads: Option<usize>,
-        /// Documents per group commit when `ingest_threads` is set.
-        batch_size: usize,
-    },
-    /// `vist compact <index>`
-    Compact {
-        /// Index file path.
-        index: PathBuf,
-    },
-    /// `vist remove <index> <doc-id>`
-    Remove {
-        /// Index file path.
-        index: PathBuf,
-        /// Document to remove.
-        doc_id: u64,
-    },
-    /// `vist explain <index> <expr> [--workers N] [--plan] [--no-plan]`
-    Explain {
-        /// Index file path.
-        index: PathBuf,
-        /// Path expression.
-        expr: String,
-        /// Match-engine worker threads (1 = serial).
-        workers: usize,
-        /// Show the planner report (estimated vs actual cardinalities per
-        /// step, chosen DocId strategy).
-        plan: bool,
-        /// Disable the cost-based planner (naive order).
-        no_plan: bool,
-    },
-    /// `vist list <index>`
-    List {
-        /// Index file path.
-        index: PathBuf,
-    },
-    /// `vist stats <index> [--format human|json|prometheus]`
-    Stats {
-        /// Index file path.
-        index: PathBuf,
-        /// Output format.
-        format: StatsFormat,
-    },
-    /// `vist profile <index> <queries-file> [--workers N]`
-    Profile {
-        /// Index file path.
-        index: PathBuf,
-        /// File with one path expression per line (`#` comments allowed).
-        queries: PathBuf,
-        /// Match-engine worker threads (1 = serial).
-        workers: usize,
-    },
-    /// `vist check <index>`
-    Check {
-        /// Index file path.
-        index: PathBuf,
-    },
-    /// `vist recover <index>`
-    Recover {
-        /// Index file path.
-        index: PathBuf,
-    },
-    /// `vist sim [--seed N] [--ops N] [--seconds N] [--replay FILE]
-    /// [--out FILE] [--page-size N] [--lambda N] [--mutate MODE] [--dump]`
-    Sim {
-        /// Workload seed (single-run mode).
-        seed: u64,
-        /// Ops per generated trace.
-        ops: usize,
-        /// Time-boxed mode: run seeds `seed, seed+1, ...` for this many
-        /// seconds (output is not byte-reproducible across hosts).
-        seconds: Option<u64>,
-        /// Replay a serialized trace instead of generating one.
-        replay: Option<PathBuf>,
-        /// Where to write the minimized reproducer on divergence.
-        out: Option<PathBuf>,
-        /// Page size override (seeded pick when absent).
-        page_size: Option<usize>,
-        /// Scope-allocation λ override (seeded pick when absent).
-        lambda: Option<u64>,
-        /// Planted bug to validate the harness (`scope-off-by-one`).
-        mutate: vist_sim::SimMutation,
-        /// Print the full generated trace, not just its digest.
-        dump: bool,
-    },
-    /// `vist serve <index> [--addr H:P] [--max-inflight N] [--queue-depth N]
-    /// [--query-workers N] [--max-deadline-ms N] [--drain-deadline-ms N]
-    /// [--access-log FILE]`
-    Serve {
-        /// Index file path.
-        index: PathBuf,
-        /// Bind address (`host:port`; port 0 picks a free port).
-        addr: String,
-        /// Concurrent query slots.
-        max_inflight: usize,
-        /// Bounded admission queue depth (waiters beyond it are shed).
-        queue_depth: usize,
-        /// Match-engine workers per query.
-        query_workers: usize,
-        /// Hard cap on any query's deadline budget.
-        max_deadline_ms: u64,
-        /// How long SIGTERM waits for in-flight queries.
-        drain_deadline_ms: u64,
-        /// Wide-event access log path (one JSON line per request).
-        access_log: Option<PathBuf>,
-    },
-    /// `vist traces [--addr H:P] [<trace-id>]`
-    Traces {
-        /// Server address whose `/debug/traces` endpoint to query.
-        addr: String,
-        /// Resolve one 32-hex-digit trace id to its span tree instead
-        /// of listing the retained traces.
-        id: Option<String>,
-    },
-    /// `vist bench-serve [--addr H:P] [--expr E] [--deadline-ms N]
-    /// [--clients N] [--burst-clients N] [--duration-ms N] [--smoke]
-    /// [--out FILE]`
-    BenchServe {
-        /// Server address to load.
-        addr: String,
-        /// Query expression every client sends.
-        expr: String,
-        /// Per-request client deadline (0 = server cap).
-        deadline_ms: u32,
-        /// Clients in the loaded phase.
-        clients: Option<usize>,
-        /// Clients in the overload burst (size ≥ 4× server capacity).
-        burst_clients: Option<usize>,
-        /// Per-phase duration override.
-        duration_ms: Option<u64>,
-        /// CI smoke mode: short phases, assert shed responses appear.
-        smoke: bool,
-        /// Write the JSON report (`BENCH_serve.json`) here.
-        out: Option<PathBuf>,
-    },
-    /// `vist help`
-    Help,
-}
-
-/// Output format for `vist stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsFormat {
-    /// The stable, human-readable key/value listing.
-    #[default]
-    Human,
-    /// The `vist-obs` metrics registry as a JSON document.
-    Json,
-    /// The `vist-obs` metrics registry in Prometheus text exposition
-    /// format.
-    Prometheus,
-}
-
-impl std::str::FromStr for StatsFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "human" => Ok(StatsFormat::Human),
-            "json" => Ok(StatsFormat::Json),
-            "prometheus" => Ok(StatsFormat::Prometheus),
-            other => Err(format!(
-                "bad --format '{other}' (expected human, json or prometheus)"
-            )),
-        }
-    }
-}
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -318,845 +102,753 @@ QUERY EXPRESSIONS (the paper's Table 3 subset):
   /a[b/c='1'][text='t']/d            branches
 ";
 
-/// Parse `args` (without the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let sub = it.next().map(String::as_str).unwrap_or("help");
-    let mut rest: Vec<&String> = it.collect();
-
-    fn take_flag(rest: &mut Vec<&String>, flag: &str) -> bool {
-        if let Some(pos) = rest.iter().position(|a| *a == flag) {
-            rest.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-    fn take_opt(rest: &mut Vec<&String>, flag: &str) -> Result<Option<String>, String> {
-        if let Some(pos) = rest.iter().position(|a| *a == flag) {
-            if pos + 1 >= rest.len() {
-                return Err(format!("{flag} needs a value"));
-            }
-            let v = rest[pos + 1].clone();
-            rest.drain(pos..=pos + 1);
-            Ok(Some(v))
-        } else {
-            Ok(None)
-        }
-    }
-    fn take_num<T: std::str::FromStr>(
-        rest: &mut Vec<&String>,
-        flag: &str,
-    ) -> Result<Option<T>, String> {
-        take_opt(rest, flag)?
-            .map(|v| v.parse().map_err(|_| format!("bad {flag}")))
-            .transpose()
-    }
-
+/// Run one `vist` invocation — `args` without the program name — and
+/// return the text to print.
+pub fn run(args: &[String]) -> Result<String, String> {
+    let (sub, rest) = match args.split_first() {
+        Some((sub, rest)) => (sub.as_str(), rest.to_vec()),
+        None => ("help", Vec::new()),
+    };
+    let a = &mut Args {
+        sub: sub.to_string(),
+        rest,
+    };
     match sub {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "create" => {
-            let page_size = take_num(&mut rest, "--page-size")?.unwrap_or(4096);
-            let lambda = take_num(&mut rest, "--lambda")?.unwrap_or(16);
-            let store_documents = !take_flag(&mut rest, "--no-docs");
-            let [index] = rest.as_slice() else {
-                return Err("create: expected exactly one index path".into());
-            };
-            Ok(Command::Create {
-                index: PathBuf::from(index),
-                page_size,
-                lambda,
-                store_documents,
-            })
-        }
-        "add" => {
-            if rest.len() < 2 {
-                return Err("add: expected an index path and at least one XML file".into());
-            }
-            let index = PathBuf::from(rest[0]);
-            let files = rest[1..].iter().map(PathBuf::from).collect();
-            Ok(Command::Add { index, files })
-        }
-        "query" => {
-            let verify = take_flag(&mut rest, "--verify");
-            let show = take_flag(&mut rest, "--show");
-            let trace = take_flag(&mut rest, "--trace");
-            let no_plan = take_flag(&mut rest, "--no-plan");
-            let workers = take_num(&mut rest, "--workers")?.unwrap_or(1);
-            let limit = take_num(&mut rest, "--limit")?;
-            let deadline_ms = take_num(&mut rest, "--deadline-ms")?;
-            let [index, expr] = rest.as_slice() else {
-                return Err("query: expected an index path and one expression".into());
-            };
-            Ok(Command::Query {
-                index: PathBuf::from(index),
-                expr: (*expr).clone(),
-                verify,
-                show,
-                workers,
-                trace,
-                no_plan,
-                limit,
-                deadline_ms,
-            })
-        }
-        "load" => {
-            let ingest_threads = take_num(&mut rest, "--ingest-threads")?;
-            if ingest_threads == Some(0) {
-                return Err("bad --ingest-threads".into());
-            }
-            let batch_size = take_num(&mut rest, "--batch-size")?.unwrap_or(512);
-            if batch_size == 0 {
-                return Err("bad --batch-size".into());
-            }
-            let [index, input] = rest.as_slice() else {
-                return Err("load: expected an index path and a directory or XML file".into());
-            };
-            Ok(Command::Load {
-                index: PathBuf::from(index),
-                input: PathBuf::from(input),
-                ingest_threads,
-                batch_size,
-            })
-        }
-        "compact" => {
-            let [index] = rest.as_slice() else {
-                return Err("compact: expected exactly one index path".into());
-            };
-            Ok(Command::Compact {
-                index: PathBuf::from(index),
-            })
-        }
-        "remove" => {
-            let [index, id] = rest.as_slice() else {
-                return Err("remove: expected an index path and a doc id".into());
-            };
-            Ok(Command::Remove {
-                index: PathBuf::from(index),
-                doc_id: id.parse().map_err(|_| "bad doc id".to_string())?,
-            })
-        }
-        "explain" => {
-            let plan = take_flag(&mut rest, "--plan");
-            let no_plan = take_flag(&mut rest, "--no-plan");
-            let workers = take_num(&mut rest, "--workers")?.unwrap_or(1);
-            let [index, expr] = rest.as_slice() else {
-                return Err("explain: expected an index path and one expression".into());
-            };
-            Ok(Command::Explain {
-                index: PathBuf::from(index),
-                expr: (*expr).clone(),
-                workers,
-                plan,
-                no_plan,
-            })
-        }
-        "list" => {
-            let [index] = rest.as_slice() else {
-                return Err("list: expected exactly one index path".into());
-            };
-            Ok(Command::List {
-                index: PathBuf::from(index),
-            })
-        }
-        "stats" => {
-            let format = take_opt(&mut rest, "--format")?
-                .map(|v| v.parse())
-                .transpose()?
-                .unwrap_or_default();
-            let [index] = rest.as_slice() else {
-                return Err("stats: expected exactly one index path".into());
-            };
-            Ok(Command::Stats {
-                index: PathBuf::from(index),
-                format,
-            })
-        }
-        "profile" => {
-            let workers = take_num(&mut rest, "--workers")?.unwrap_or(1);
-            let [index, queries] = rest.as_slice() else {
-                return Err("profile: expected an index path and a queries file".into());
-            };
-            Ok(Command::Profile {
-                index: PathBuf::from(index),
-                queries: PathBuf::from(queries),
-                workers,
-            })
-        }
-        "check" => {
-            let [index] = rest.as_slice() else {
-                return Err("check: expected exactly one index path".into());
-            };
-            Ok(Command::Check {
-                index: PathBuf::from(index),
-            })
-        }
-        "recover" => {
-            let [index] = rest.as_slice() else {
-                return Err("recover: expected exactly one index path".into());
-            };
-            Ok(Command::Recover {
-                index: PathBuf::from(index),
-            })
-        }
-        "sim" => {
-            let seed = take_num(&mut rest, "--seed")?.unwrap_or(1);
-            let ops = take_num(&mut rest, "--ops")?.unwrap_or(200);
-            let seconds = take_num(&mut rest, "--seconds")?;
-            let replay = take_opt(&mut rest, "--replay")?.map(PathBuf::from);
-            let out = take_opt(&mut rest, "--out")?.map(PathBuf::from);
-            let page_size = take_num(&mut rest, "--page-size")?;
-            let lambda = take_num(&mut rest, "--lambda")?;
-            let mutate = take_opt(&mut rest, "--mutate")?
-                .map(|v| v.parse().map_err(|e| format!("bad --mutate: {e}")))
-                .transpose()?
-                .unwrap_or_default();
-            let dump = take_flag(&mut rest, "--dump");
-            if !rest.is_empty() {
-                return Err(format!("sim: unexpected argument '{}'", rest[0]));
-            }
-            Ok(Command::Sim {
-                seed,
-                ops,
-                seconds,
-                replay,
-                out,
-                page_size,
-                lambda,
-                mutate,
-                dump,
-            })
-        }
-        "serve" => {
-            let defaults = vist_serve::ServeConfig::default();
-            let addr = take_opt(&mut rest, "--addr")?.unwrap_or(defaults.addr);
-            let max_inflight =
-                take_num(&mut rest, "--max-inflight")?.unwrap_or(defaults.max_inflight);
-            let queue_depth = take_num(&mut rest, "--queue-depth")?.unwrap_or(defaults.queue_depth);
-            let query_workers =
-                take_num(&mut rest, "--query-workers")?.unwrap_or(defaults.query_workers);
-            let max_deadline_ms =
-                take_num(&mut rest, "--max-deadline-ms")?.unwrap_or(defaults.max_deadline_ms);
-            let drain_deadline_ms =
-                take_num(&mut rest, "--drain-deadline-ms")?.unwrap_or(defaults.drain_deadline_ms);
-            let access_log = take_opt(&mut rest, "--access-log")?.map(PathBuf::from);
-            let [index] = rest.as_slice() else {
-                return Err("serve: expected exactly one index path".into());
-            };
-            Ok(Command::Serve {
-                index: PathBuf::from(index),
-                addr,
-                max_inflight,
-                queue_depth,
-                query_workers,
-                max_deadline_ms,
-                drain_deadline_ms,
-                access_log,
-            })
-        }
-        "traces" => {
-            let addr = take_opt(&mut rest, "--addr")?
-                .unwrap_or_else(|| vist_serve::ServeConfig::default().addr);
-            let id = match rest.as_slice() {
-                [] => None,
-                [id] => Some((*id).clone()),
-                _ => return Err("traces: expected at most one trace id".into()),
-            };
-            Ok(Command::Traces { addr, id })
-        }
-        "bench-serve" => {
-            let addr = take_opt(&mut rest, "--addr")?
-                .unwrap_or_else(|| vist_serve::BenchConfig::default().addr);
-            let expr = take_opt(&mut rest, "--expr")?.unwrap_or_else(|| "/doc".to_string());
-            let deadline_ms = take_num(&mut rest, "--deadline-ms")?.unwrap_or(0);
-            let clients = take_num(&mut rest, "--clients")?;
-            let burst_clients = take_num(&mut rest, "--burst-clients")?;
-            let duration_ms = take_num(&mut rest, "--duration-ms")?;
-            let smoke = take_flag(&mut rest, "--smoke");
-            let out = take_opt(&mut rest, "--out")?.map(PathBuf::from);
-            if !rest.is_empty() {
-                return Err(format!("bench-serve: unexpected argument '{}'", rest[0]));
-            }
-            Ok(Command::BenchServe {
-                addr,
-                expr,
-                deadline_ms,
-                clients,
-                burst_clients,
-                duration_ms,
-                smoke,
-                out,
-            })
-        }
+        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
+        "create" => create(a),
+        "add" => add(a),
+        "load" => load(a),
+        "compact" => compact(a),
+        "query" => query(a),
+        "remove" => remove(a),
+        "explain" => explain(a),
+        "list" => list(a),
+        "stats" => stats(a),
+        "profile" => profile(a),
+        "check" => check(a),
+        "recover" => recover(a),
+        "sim" => sim(a),
+        "serve" => serve(a),
+        "traces" => traces(a),
+        "bench-serve" => bench_serve(a),
         other => Err(format!("unknown subcommand '{other}' (try 'vist help')")),
     }
 }
 
-/// Execute a command, returning the text to print.
-pub fn run(cmd: Command) -> Result<String, String> {
-    let open = |p: &PathBuf| VistIndex::open_file(p, 4096).map_err(|e| e.to_string());
-    match cmd {
-        Command::Help => Ok(USAGE.to_string()),
-        Command::Create {
-            index,
-            page_size,
-            lambda,
-            store_documents,
-        } => {
-            let idx = VistIndex::create_file(
-                &index,
-                IndexOptions {
-                    page_size,
-                    lambda,
-                    store_documents,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            idx.flush().map_err(|e| e.to_string())?;
-            Ok(format!("created {}\n", index.display()))
-        }
-        Command::Add { index, files } => {
-            let idx = open(&index)?;
-            let mut out = String::new();
-            for f in files {
-                let xml =
-                    std::fs::read_to_string(&f).map_err(|e| format!("{}: {e}", f.display()))?;
-                let id = idx
-                    .insert_xml(&xml)
-                    .map_err(|e| format!("{}: {e}", f.display()))?;
-                writeln!(out, "{} -> doc {id}", f.display()).unwrap();
-            }
-            idx.flush().map_err(|e| e.to_string())?;
-            Ok(out)
-        }
-        Command::Query {
-            index,
-            expr,
-            verify,
-            show,
-            workers,
-            trace,
-            no_plan,
-            limit,
-            deadline_ms,
-        } => {
-            let idx = open(&index)?;
-            let was_tracing = vist_obs::tracing_enabled();
-            if trace {
-                vist_obs::set_tracing(true);
-            }
-            let deadline = deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-            let result = idx.query(
-                &expr,
-                &QueryOptions {
-                    verify,
-                    workers,
-                    no_plan,
-                    limit,
-                    deadline,
-                    ..Default::default()
-                },
-            );
-            if trace {
-                vist_obs::set_tracing(was_tracing);
-            }
-            let r = result.map_err(|e| e.to_string())?;
-            let mut out = String::new();
-            writeln!(
-                out,
-                "{} document(s){}",
-                r.doc_ids.len(),
-                if verify {
-                    format!(" ({} candidates before verification)", r.candidates)
-                } else {
-                    String::new()
-                }
-            )
-            .unwrap();
-            for id in &r.doc_ids {
-                if show {
-                    let xml = idx.get_document_xml(*id).map_err(|e| e.to_string())?;
-                    writeln!(out, "--- doc {id} ---\n{xml}").unwrap();
-                } else {
-                    writeln!(out, "{id}").unwrap();
-                }
-            }
-            if trace {
-                match &r.trace {
-                    Some(tree) => {
-                        writeln!(out, "\ntrace:").unwrap();
-                        out.push_str(&tree.render());
-                    }
-                    None => writeln!(out, "\ntrace: (not recorded)").unwrap(),
-                }
-            }
-            Ok(out)
-        }
-        Command::Load {
-            index,
-            input,
-            ingest_threads,
-            batch_size,
-        } => {
-            let idx = open(&index)?;
-            let meta =
-                std::fs::metadata(&input).map_err(|e| format!("{}: {e}", input.display()))?;
-            let files: Vec<PathBuf> = if meta.is_dir() {
-                let mut v: Vec<PathBuf> = std::fs::read_dir(&input)
-                    .map_err(|e| format!("{}: {e}", input.display()))?
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().is_some_and(|x| x == "xml"))
-                    .collect();
-                v.sort();
-                if v.is_empty() {
-                    return Err(format!("{}: no *.xml files", input.display()));
-                }
-                v
-            } else {
-                vec![input]
-            };
-            let mut docs = Vec::with_capacity(files.len());
-            for f in &files {
-                docs.push(std::fs::read_to_string(f).map_err(|e| format!("{}: {e}", f.display()))?);
-            }
-            if let Some(threads) = ingest_threads {
-                let mut ids = Vec::with_capacity(docs.len());
-                let mut batches = 0u64;
-                for chunk in docs.chunks(batch_size) {
-                    ids.extend(
-                        idx.insert_batch(chunk, threads)
-                            .map_err(|e| e.to_string())?,
-                    );
-                    batches += 1;
-                }
-                let s = idx.stats();
-                return Ok(format!(
-                    "batch ingested {} document(s) (ids {}..={}) in {} group commit(s) \
-                     at {} prepare thread(s); {} live document(s)\n",
-                    ids.len(),
-                    ids.first().copied().unwrap_or(0),
-                    ids.last().copied().unwrap_or(0),
-                    batches,
-                    threads,
-                    s.documents,
-                ));
-            }
-            let ids = idx.bulk_build(docs).map_err(|e| e.to_string())?;
-            let s = idx.stats();
-            Ok(format!(
-                "bulk loaded {} document(s) (ids {}..={}); {} segment(s), {} segment doc(s)\n",
-                ids.len(),
-                ids.first().copied().unwrap_or(0),
-                ids.last().copied().unwrap_or(0),
-                s.segments,
-                s.segment_docs,
-            ))
-        }
-        Command::Compact { index } => {
-            let idx = open(&index)?;
-            let before = idx.stats();
-            idx.compact().map_err(|e| e.to_string())?;
-            let after = idx.stats();
-            Ok(format!(
-                "compacted {} segment(s) + delta -> {} segment(s); \
-                 {} tombstoned doc(s) dropped; {} live document(s)\n",
-                before.segments, after.segments, before.tombstones, after.documents,
-            ))
-        }
-        Command::Remove { index, doc_id } => {
-            let idx = open(&index)?;
-            idx.remove_document(doc_id).map_err(|e| e.to_string())?;
-            idx.flush().map_err(|e| e.to_string())?;
-            Ok(format!("removed doc {doc_id}\n"))
-        }
-        Command::Explain {
-            index,
-            expr,
-            workers,
-            plan,
-            no_plan,
-        } => {
-            let idx = open(&index)?;
-            idx.explain_with(
-                &expr,
-                &QueryOptions {
-                    workers,
-                    no_plan,
-                    ..Default::default()
-                },
-                plan,
-            )
-            .map_err(|e| e.to_string())
-        }
-        Command::List { index } => {
-            let idx = open(&index)?;
-            let ids = idx.document_ids().map_err(|e| e.to_string())?;
-            let mut out = String::new();
-            writeln!(out, "{} document(s)", ids.len()).unwrap();
-            for id in ids {
-                writeln!(out, "{id}").unwrap();
-            }
-            Ok(out)
-        }
-        Command::Stats { index, format } => {
-            let idx = open(&index)?;
-            // `stats()` refreshes the registry gauges (documents, segments,
-            // fence bytes) so all three formats see current values.
-            let s = idx.stats();
-            match format {
-                StatsFormat::Human => {}
-                StatsFormat::Json => return Ok(vist_obs::render_json(&vist_obs::snapshot())),
-                StatsFormat::Prometheus => {
-                    return Ok(vist_obs::render_prometheus(&vist_obs::snapshot()))
-                }
-            }
-            // Also refreshes the leaf-fill gauges.
-            let (b, segs) = idx.tier_breakdown().map_err(|e| e.to_string())?;
-            let mut out = String::new();
-            writeln!(out, "documents:            {}", s.documents).unwrap();
-            writeln!(out, "suffix-tree nodes:    {}", s.nodes).unwrap();
-            writeln!(out, "D-Ancestor keys:      {}", s.dkeys).unwrap();
-            writeln!(out, "segments:             {}", s.segments).unwrap();
-            writeln!(out, "segment documents:    {}", s.segment_docs).unwrap();
-            writeln!(out, "segment bytes:        {}", s.segment_bytes).unwrap();
-            writeln!(out, "segment fence bytes:  {}", s.segment_fence_bytes).unwrap();
-            writeln!(out, "tombstones:           {}", s.tombstones).unwrap();
-            writeln!(out, "tight underflows:     {}", s.underflows).unwrap();
-            writeln!(out, "node incarnations:    {}", s.deep_borrows).unwrap();
-            for (label, total) in s.queries.stats_lines() {
-                writeln!(out, "{:<22}{total}", format!("{label}:")).unwrap();
-            }
-            writeln!(out, "ingest batches:       {}", s.ingest_batches).unwrap();
-            writeln!(out, "ingest batch docs:    {}", s.ingest_batch_docs).unwrap();
-            writeln!(
-                out,
-                "ingest dkey cache:    {} hit(s), {} miss(es)",
-                s.ingest_dkey_cache_hits, s.ingest_dkey_cache_misses
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "ingest edge cache:    {} hit(s), {} miss(es)",
-                s.ingest_edge_cache_hits, s.ingest_edge_cache_misses
-            )
-            .unwrap();
-            writeln!(out, "store bytes:          {}", s.store_bytes).unwrap();
-            let tree_line = |label: &str, t: &vist_btree::TreeStats| {
-                format!(
-                    "  {label:<19} {} entries, {} bytes, {} page(s), {:.0}% leaf fill",
-                    t.entries,
-                    t.total_bytes,
-                    t.leaf_pages + t.internal_pages,
-                    t.leaf_fill() * 100.0
-                )
-            };
-            writeln!(out, "delta:").unwrap();
-            for (label, t) in [
-                ("D-Ancestor tree:", &b.dancestor),
-                ("S-Ancestor tree:", &b.sancestor),
-                ("DocId tree:", &b.docid),
-                ("edges tree:", &b.edges),
-                ("aux tree:", &b.aux),
-            ] {
-                writeln!(out, "{}", tree_line(label, t)).unwrap();
-            }
-            for seg in &segs {
-                writeln!(out, "segment {} (format v{}):", seg.id, seg.format_version).unwrap();
-                for (label, t) in [
-                    ("D-Ancestor tree:", &seg.trees.dancestor),
-                    ("S-Ancestor tree:", &seg.trees.sancestor),
-                    ("DocId tree:", &seg.trees.docid),
-                    ("documents tree:", &seg.trees.aux),
-                    ("statistics tree:", &seg.trees.stats),
-                ] {
-                    // What the format is judged by: leaf bytes per record.
-                    let per_entry = t.leaf_total_bytes as f64 / t.entries.max(1) as f64;
-                    let line = tree_line(label, t);
-                    writeln!(out, "{line}, {per_entry:.1} leaf B/entry").unwrap();
-                }
-            }
-            writeln!(out, "page reads:           {}", s.io.reads).unwrap();
-            writeln!(out, "page writes:          {}", s.io.writes).unwrap();
-            writeln!(out, "wal appends:          {}", s.io.wal_appends).unwrap();
-            writeln!(out, "wal commits:          {}", s.io.wal_commits).unwrap();
-            writeln!(out, "checkpoints:          {}", s.io.checkpoints).unwrap();
-            writeln!(out, "recovered pages:      {}", s.io.recovered_pages).unwrap();
-            writeln!(out, "wal bytes discarded:  {}", s.io.wal_discarded_bytes).unwrap();
-            let t = s.pool.totals();
-            writeln!(
-                out,
-                "buffer pool:          {} shard(s), {} hits ({} uncontended), {} misses",
-                s.pool.shard_count(),
-                t.hits,
-                t.uncontended_hits,
-                t.misses
-            )
-            .unwrap();
-            for (i, sh) in s.pool.shards.iter().enumerate() {
-                writeln!(
-                    out,
-                    "  shard {i:>2}:           {} hits, {} misses, {} write-backs",
-                    sh.hits, sh.misses, sh.write_backs
-                )
-                .unwrap();
-            }
-            Ok(out)
-        }
-        Command::Profile {
-            index,
-            queries,
-            workers,
-        } => {
-            let idx = open(&index)?;
-            let text = std::fs::read_to_string(&queries)
-                .map_err(|e| format!("{}: {e}", queries.display()))?;
-            let exprs: Vec<&str> = text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .collect();
-            if exprs.is_empty() {
-                return Err(format!("{}: no queries to replay", queries.display()));
-            }
-            let opts = QueryOptions {
-                workers,
-                ..Default::default()
-            };
-            let mut rows: Vec<(String, usize, crate::StageTimings)> = Vec::new();
-            for expr in &exprs {
-                let r = idx.query(expr, &opts).map_err(|e| format!("{expr}: {e}"))?;
-                rows.push(((*expr).to_string(), r.doc_ids.len(), r.timings));
-            }
+/// One subcommand's arguments. Its function takes the flags it knows by
+/// name, then its operands: a `--flag` still left then is one it does not
+/// take, and the error names it.
+struct Args {
+    sub: String,
+    rest: Vec<String>,
+}
 
-            let mut out = String::new();
-            writeln!(
-                out,
-                "replayed {} query(ies) with {workers} worker(s)\n",
-                rows.len()
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "{:>4}  {:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  query",
-                "#", "docs", "total", "translate", "match", "merge", "docid", "verify"
-            )
-            .unwrap();
-            let mut total_nanos = 0u64;
-            for (i, (expr, docs, t)) in rows.iter().enumerate() {
-                total_nanos += t.total_nanos;
-                writeln!(
-                    out,
-                    "{i:>4}  {docs:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {expr}",
-                    vist_obs::format_nanos(t.total_nanos),
-                    vist_obs::format_nanos(t.translate_nanos),
-                    vist_obs::format_nanos(t.match_nanos),
-                    vist_obs::format_nanos(t.merge_nanos),
-                    vist_obs::format_nanos(t.docid_nanos),
-                    vist_obs::format_nanos(t.verify_nanos),
-                )
-                .unwrap();
-            }
-            writeln!(
-                out,
-                "\nworkload total: {}",
-                vist_obs::format_nanos(total_nanos)
-            )
-            .unwrap();
-            let mut totals: Vec<u64> = rows.iter().map(|(_, _, t)| t.total_nanos).collect();
-            totals.sort_unstable();
-            let q = |p: f64| vist_obs::format_nanos(vist_obs::percentile::nearest_rank(&totals, p));
-            writeln!(
-                out,
-                "per-query latency: p50 {}  p90 {}  p95 {}  p99 {}  p999 {}  max {}",
-                q(0.50),
-                q(0.90),
-                q(0.95),
-                q(0.99),
-                q(0.999),
-                vist_obs::format_nanos(totals.last().copied().unwrap_or(0)),
-            )
-            .unwrap();
-            Ok(out)
+impl Args {
+    /// Whether `flag` was given.
+    fn flag(&mut self, flag: &str) -> bool {
+        let pos = self.rest.iter().position(|a| a == flag);
+        pos.map(|i| self.rest.remove(i)).is_some()
+    }
+
+    /// The value of `flag VALUE`, if given.
+    fn opt(&mut self, flag: &str) -> Result<Option<String>, String> {
+        let Some(pos) = self.rest.iter().position(|a| a == flag) else {
+            return Ok(None);
+        };
+        if pos + 1 >= self.rest.len() {
+            return Err(format!("{flag} needs a value"));
         }
-        Command::Check { index } => {
-            let idx = open(&index)?;
-            let report = idx.check().map_err(|e| e.to_string())?;
-            Ok(format!("{report}ok\n"))
+        Ok(self.rest.drain(pos..=pos + 1).nth(1))
+    }
+
+    /// The value of `flag VALUE`, parsed, if given.
+    fn num<T: FromStr>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        self.opt(flag)?
+            .map(|v| v.parse().map_err(|_| format!("bad {flag}")))
+            .transpose()
+    }
+
+    /// Parse `flag VALUE` into `slot`, which keeps its default without it.
+    fn set<T: FromStr>(&mut self, flag: &str, slot: &mut T) -> Result<(), String> {
+        if let Some(v) = self.num(flag)? {
+            *slot = v;
         }
-        Command::Sim {
-            seed,
-            ops,
-            seconds,
-            replay,
-            out,
-            page_size,
-            lambda,
-            mutate,
-            dump,
-        } => run_sim(SimArgs {
-            seed,
-            ops,
-            seconds,
-            replay,
-            out,
-            page_size,
-            lambda,
-            mutate,
-            dump,
-        }),
-        Command::Recover { index } => {
-            // Opening replays any committed write-ahead-log records and
-            // truncates the log; then verify the result and commit it.
-            let idx = open(&index)?;
-            let io = idx.stats().io;
-            let report = idx.check().map_err(|e| e.to_string())?;
-            idx.flush().map_err(|e| e.to_string())?;
-            Ok(format!(
-                "recovered {}: {} page(s) replayed, {} uncommitted byte(s) discarded\n{report}ok\n",
-                index.display(),
-                io.recovered_pages,
-                io.wal_discarded_bytes,
-            ))
-        }
-        Command::Serve {
-            index,
-            addr,
-            max_inflight,
-            queue_depth,
-            query_workers,
-            max_deadline_ms,
-            drain_deadline_ms,
-            access_log,
-        } => {
-            let idx = std::sync::Arc::new(open(&index)?);
-            let cfg = vist_serve::ServeConfig {
-                addr,
-                max_inflight,
-                queue_depth,
-                query_workers,
-                max_deadline_ms,
-                drain_deadline_ms,
-                access_log: access_log.map(|p| p.to_string_lossy().into_owned()),
-            };
-            let handle = vist_serve::Server::start(idx, cfg).map_err(|e| e.to_string())?;
-            // Announce readiness immediately — run() only returns its
-            // string after the drain, which may be hours away.
-            print_stdout(&format!(
-                "serving {} on {} (SIGTERM drains and exits)\n",
-                index.display(),
-                handle.local_addr(),
-            ));
-            let report = handle.join();
-            let s = report.stats;
-            let summary = format!(
-                "drained: {} request(s) — {} ok, {} shed, {} deadline-expired, \
-                 {} draining-rejected, {} bad, {} error(s); flush {}\n",
-                s.requests,
-                s.ok,
-                s.shed,
-                s.deadline_expired,
-                s.draining_rejected,
-                s.bad_requests,
-                s.errors,
-                if report.flush_ok { "ok" } else { "FAILED" },
-            );
-            if !report.drained_clean {
-                return Err(format!(
-                    "{summary}drain deadline passed with {} query(ies) still in flight",
-                    report.inflight_at_deadline,
-                ));
-            }
-            if !report.flush_ok {
-                return Err(format!("{summary}final flush failed"));
-            }
-            Ok(summary)
-        }
-        Command::Traces { addr, id } => {
-            let target = match &id {
-                Some(id) => {
-                    if vist_obs::traceid::parse(id).is_none() {
-                        return Err(format!(
-                            "traces: '{id}' is not a trace id (expected up to 32 hex digits)"
-                        ));
-                    }
-                    format!("/debug/traces?id={id}")
-                }
-                None => "/debug/traces".to_string(),
-            };
-            let (status, body) = http_get(&addr, &target)?;
-            if status != 200 {
-                return Err(format!("traces: {addr} answered {status}: {body}"));
-            }
-            Ok(format!("{body}\n"))
-        }
-        Command::BenchServe {
-            addr,
-            expr,
-            deadline_ms,
-            clients,
-            burst_clients,
-            duration_ms,
-            smoke,
-            out,
-        } => {
-            let mut cfg = vist_serve::BenchConfig {
-                addr,
-                expr,
-                deadline_ms,
-                ..vist_serve::BenchConfig::default()
-            };
-            if smoke {
-                cfg = cfg.smoke();
-            }
-            if let Some(n) = clients {
-                cfg.clients = n;
-            }
-            if let Some(n) = burst_clients {
-                cfg.burst_clients = n;
-            }
-            if let Some(ms) = duration_ms {
-                cfg.duration = std::time::Duration::from_millis(ms);
-            }
-            let report = vist_serve::bench::run(&cfg);
-            if let Some(path) = &out {
-                std::fs::write(path, report.to_json())
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-            }
-            let mut text = String::new();
-            for p in [&report.baseline, &report.loaded, &report.burst] {
-                let _ = writeln!(
-                    text,
-                    "{:<9} {:>3} client(s): {:>6} req ({} ok, {} shed, {} expired) \
-                     p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms p999 {:.2}ms shed-rate {:.1}%",
-                    p.name,
-                    p.clients,
-                    p.requests,
-                    p.ok,
-                    p.shed,
-                    p.deadline_expired,
-                    p.p50_ns as f64 / 1e6,
-                    p.p95_ns as f64 / 1e6,
-                    p.p99_ns as f64 / 1e6,
-                    p.p999_ns as f64 / 1e6,
-                    p.shed_rate() * 100.0,
-                );
-            }
-            let _ = writeln!(
-                text,
-                "loaded p99 / baseline p99 = {:.2}x",
-                report.p99_ratio_loaded_vs_baseline
-            );
-            if smoke && report.burst.shed == 0 {
-                return Err(format!(
-                    "{text}smoke: overload burst produced no shed responses — \
-                     admission control is not engaging"
-                ));
-            }
-            Ok(text)
+        Ok(())
+    }
+
+    /// Every operand left once the flags are taken.
+    fn rest(&mut self) -> Result<Vec<String>, String> {
+        let rest = std::mem::take(&mut self.rest);
+        match rest.iter().find(|a| a.starts_with("--")) {
+            Some(arg) => Err(self.unexpected(arg)),
+            None => Ok(rest),
         }
     }
+
+    /// Exactly `N` operands; `expected` says what they are.
+    fn operands<const N: usize>(&mut self, expected: &str) -> Result<[String; N], String> {
+        let rest = self.rest()?;
+        if let (0, Some(arg)) = (N, rest.first()) {
+            return Err(self.unexpected(arg));
+        }
+        rest.try_into()
+            .map_err(|_| format!("{}: expected {expected}", self.sub))
+    }
+
+    fn unexpected(&self, arg: &str) -> String {
+        format!("{}: unexpected argument '{arg}'", self.sub)
+    }
+}
+
+fn open(index: &str) -> Result<VistIndex, String> {
+    VistIndex::open_file(index, 4096).map_err(|e| e.to_string())
+}
+
+fn create(a: &mut Args) -> Result<String, String> {
+    let mut opts = IndexOptions::default();
+    a.set("--page-size", &mut opts.page_size)?;
+    a.set("--lambda", &mut opts.lambda)?;
+    opts.store_documents = !a.flag("--no-docs");
+    let [index] = a.operands("exactly one index path")?;
+    let idx = VistIndex::create_file(&index, opts).map_err(|e| e.to_string())?;
+    idx.flush().map_err(|e| e.to_string())?;
+    Ok(format!("created {index}\n"))
+}
+
+fn add(a: &mut Args) -> Result<String, String> {
+    let mut files = a.rest()?;
+    if files.len() < 2 {
+        return Err("add: expected an index path and at least one XML file".into());
+    }
+    let idx = open(&files.remove(0))?;
+    let mut out = String::new();
+    for f in files {
+        let xml = std::fs::read_to_string(&f).map_err(|e| format!("{f}: {e}"))?;
+        let id = idx.insert_xml(&xml).map_err(|e| format!("{f}: {e}"))?;
+        writeln!(out, "{f} -> doc {id}").unwrap();
+    }
+    idx.flush().map_err(|e| e.to_string())?;
+    Ok(out)
+}
+
+fn load(a: &mut Args) -> Result<String, String> {
+    let ingest_threads = a.num("--ingest-threads")?;
+    if ingest_threads == Some(0) {
+        return Err("bad --ingest-threads".into());
+    }
+    let batch_size = a.num("--batch-size")?;
+    if batch_size == Some(0) {
+        return Err("bad --batch-size".into());
+    }
+    if batch_size.is_some() && ingest_threads.is_none() {
+        return Err("load: --batch-size needs --ingest-threads \
+                    (without it the input is bulk-loaded as one segment)"
+            .into());
+    }
+    let [index, input] = a.operands("an index path and a directory or XML file")?;
+    let idx = open(&index)?;
+    let meta = std::fs::metadata(&input).map_err(|e| format!("{input}: {e}"))?;
+    let files: Vec<std::path::PathBuf> = if meta.is_dir() {
+        let mut v: Vec<std::path::PathBuf> = std::fs::read_dir(&input)
+            .map_err(|e| format!("{input}: {e}"))?
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "xml"))
+            .collect();
+        v.sort();
+        if v.is_empty() {
+            return Err(format!("{input}: no *.xml files"));
+        }
+        v
+    } else {
+        vec![input.into()]
+    };
+    let mut docs = Vec::with_capacity(files.len());
+    for f in &files {
+        docs.push(std::fs::read_to_string(f).map_err(|e| format!("{}: {e}", f.display()))?);
+    }
+    let range = |ids: &[u64]| {
+        let first = ids.first().copied().unwrap_or(0);
+        format!("(ids {first}..={})", ids.last().copied().unwrap_or(0))
+    };
+    if let Some(threads) = ingest_threads {
+        let mut ids = Vec::with_capacity(docs.len());
+        let mut batches = 0u64;
+        for chunk in docs.chunks(batch_size.unwrap_or(512)) {
+            ids.extend(
+                idx.insert_batch(chunk, threads)
+                    .map_err(|e| e.to_string())?,
+            );
+            batches += 1;
+        }
+        return Ok(format!(
+            "batch ingested {} document(s) {} in {batches} group commit(s) \
+             at {threads} prepare thread(s); {} live document(s)\n",
+            ids.len(),
+            range(&ids),
+            idx.stats().documents,
+        ));
+    }
+    let ids = idx.bulk_build(docs).map_err(|e| e.to_string())?;
+    let s = idx.stats();
+    Ok(format!(
+        "bulk loaded {} document(s) {}; {} segment(s), {} segment doc(s)\n",
+        ids.len(),
+        range(&ids),
+        s.segments,
+        s.segment_docs,
+    ))
+}
+
+fn compact(a: &mut Args) -> Result<String, String> {
+    let [index] = a.operands("exactly one index path")?;
+    let idx = open(&index)?;
+    let before = idx.stats();
+    idx.compact().map_err(|e| e.to_string())?;
+    let after = idx.stats();
+    Ok(format!(
+        "compacted {} segment(s) + delta -> {} segment(s); \
+         {} tombstoned doc(s) dropped; {} live document(s)\n",
+        before.segments, after.segments, before.tombstones, after.documents,
+    ))
+}
+
+fn query(a: &mut Args) -> Result<String, String> {
+    let mut opts = QueryOptions {
+        verify: a.flag("--verify"),
+        no_plan: a.flag("--no-plan"),
+        limit: a.num("--limit")?,
+        ..Default::default()
+    };
+    let show = a.flag("--show");
+    let trace = a.flag("--trace");
+    a.set("--workers", &mut opts.workers)?;
+    let deadline_ms = a.num("--deadline-ms")?;
+    let [index, expr] = a.operands("an index path and one expression")?;
+    let idx = open(&index)?;
+    let was_tracing = vist_obs::tracing_enabled();
+    if trace {
+        vist_obs::set_tracing(true);
+    }
+    opts.deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let result = idx.query(&expr, &opts);
+    if trace {
+        vist_obs::set_tracing(was_tracing);
+    }
+    let r = result.map_err(|e| e.to_string())?;
+    let mut out = String::new();
+    write!(out, "{} document(s)", r.doc_ids.len()).unwrap();
+    if opts.verify {
+        write!(out, " ({} candidates before verification)", r.candidates).unwrap();
+    }
+    out.push('\n');
+    for id in &r.doc_ids {
+        if show {
+            let xml = idx.get_document_xml(*id).map_err(|e| e.to_string())?;
+            writeln!(out, "--- doc {id} ---\n{xml}").unwrap();
+        } else {
+            writeln!(out, "{id}").unwrap();
+        }
+    }
+    if trace {
+        match &r.trace {
+            Some(tree) => {
+                writeln!(out, "\ntrace:").unwrap();
+                out.push_str(&tree.render());
+            }
+            None => writeln!(out, "\ntrace: (not recorded)").unwrap(),
+        }
+    }
+    Ok(out)
+}
+
+fn remove(a: &mut Args) -> Result<String, String> {
+    let [index, id] = a.operands("an index path and a doc id")?;
+    let doc_id: u64 = id.parse().map_err(|_| "bad doc id".to_string())?;
+    let idx = open(&index)?;
+    idx.remove_document(doc_id).map_err(|e| e.to_string())?;
+    idx.flush().map_err(|e| e.to_string())?;
+    Ok(format!("removed doc {doc_id}\n"))
+}
+
+fn explain(a: &mut Args) -> Result<String, String> {
+    let plan = a.flag("--plan");
+    let mut opts = QueryOptions {
+        no_plan: a.flag("--no-plan"),
+        ..Default::default()
+    };
+    a.set("--workers", &mut opts.workers)?;
+    let [index, expr] = a.operands("an index path and one expression")?;
+    let idx = open(&index)?;
+    idx.explain(&expr, &opts, plan).map_err(|e| e.to_string())
+}
+
+fn list(a: &mut Args) -> Result<String, String> {
+    let [index] = a.operands("exactly one index path")?;
+    let ids = open(&index)?.document_ids().map_err(|e| e.to_string())?;
+    let mut out = String::new();
+    writeln!(out, "{} document(s)", ids.len()).unwrap();
+    for id in ids {
+        writeln!(out, "{id}").unwrap();
+    }
+    Ok(out)
+}
+
+fn stats(a: &mut Args) -> Result<String, String> {
+    let registry: Option<fn(&vist_obs::Snapshot) -> String> = match a.opt("--format")?.as_deref() {
+        None | Some("human") => None,
+        Some("json") => Some(vist_obs::render_json),
+        Some("prometheus") => Some(vist_obs::render_prometheus),
+        Some(other) => {
+            return Err(format!(
+                "bad --format '{other}' (expected human, json or prometheus)"
+            ))
+        }
+    };
+    let [index] = a.operands("exactly one index path")?;
+    let idx = open(&index)?;
+    // `stats()` refreshes the registry gauges (documents, segments, fence
+    // bytes) so all three formats see current values.
+    let s = idx.stats();
+    if let Some(render) = registry {
+        return Ok(render(&vist_obs::snapshot()));
+    }
+    // Also refreshes the leaf-fill gauges.
+    let (b, segs) = idx.tier_breakdown().map_err(|e| e.to_string())?;
+    let mut out = String::new();
+    writeln!(out, "documents:            {}", s.documents).unwrap();
+    writeln!(out, "suffix-tree nodes:    {}", s.nodes).unwrap();
+    writeln!(out, "D-Ancestor keys:      {}", s.dkeys).unwrap();
+    writeln!(out, "segments:             {}", s.segments).unwrap();
+    writeln!(out, "segment documents:    {}", s.segment_docs).unwrap();
+    writeln!(out, "segment bytes:        {}", s.segment_bytes).unwrap();
+    writeln!(out, "segment fence bytes:  {}", s.segment_fence_bytes).unwrap();
+    writeln!(out, "tombstones:           {}", s.tombstones).unwrap();
+    writeln!(out, "tight underflows:     {}", s.underflows).unwrap();
+    writeln!(out, "node incarnations:    {}", s.deep_borrows).unwrap();
+    for (label, total) in s.queries.stats_lines() {
+        writeln!(out, "{:<22}{total}", format!("{label}:")).unwrap();
+    }
+    writeln!(out, "ingest batches:       {}", s.ingest_batches).unwrap();
+    writeln!(out, "ingest batch docs:    {}", s.ingest_batch_docs).unwrap();
+    writeln!(
+        out,
+        "ingest dkey cache:    {} hit(s), {} miss(es)",
+        s.ingest_dkey_cache_hits, s.ingest_dkey_cache_misses
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "ingest edge cache:    {} hit(s), {} miss(es)",
+        s.ingest_edge_cache_hits, s.ingest_edge_cache_misses
+    )
+    .unwrap();
+    writeln!(out, "store bytes:          {}", s.store_bytes).unwrap();
+    let tree_line = |label: &str, t: &vist_btree::TreeStats| {
+        format!(
+            "  {label:<19} {} entries, {} bytes, {} page(s), {:.0}% leaf fill",
+            t.entries,
+            t.total_bytes,
+            t.leaf_pages + t.internal_pages,
+            t.leaf_fill() * 100.0
+        )
+    };
+    writeln!(out, "delta:").unwrap();
+    for (label, t) in [
+        ("D-Ancestor tree:", &b.dancestor),
+        ("S-Ancestor tree:", &b.sancestor),
+        ("DocId tree:", &b.docid),
+        ("edges tree:", &b.edges),
+        ("aux tree:", &b.aux),
+    ] {
+        writeln!(out, "{}", tree_line(label, t)).unwrap();
+    }
+    for seg in &segs {
+        writeln!(out, "segment {} (format v{}):", seg.id, seg.format_version).unwrap();
+        for (label, t) in [
+            ("D-Ancestor tree:", &seg.trees.dancestor),
+            ("S-Ancestor tree:", &seg.trees.sancestor),
+            ("DocId tree:", &seg.trees.docid),
+            ("documents tree:", &seg.trees.aux),
+            ("statistics tree:", &seg.trees.stats),
+        ] {
+            // What the format is judged by: leaf bytes per record.
+            let per_entry = t.leaf_total_bytes as f64 / t.entries.max(1) as f64;
+            let line = tree_line(label, t);
+            writeln!(out, "{line}, {per_entry:.1} leaf B/entry").unwrap();
+        }
+    }
+    writeln!(out, "page reads:           {}", s.io.reads).unwrap();
+    writeln!(out, "page writes:          {}", s.io.writes).unwrap();
+    writeln!(out, "wal appends:          {}", s.io.wal_appends).unwrap();
+    writeln!(out, "wal commits:          {}", s.io.wal_commits).unwrap();
+    writeln!(out, "checkpoints:          {}", s.io.checkpoints).unwrap();
+    writeln!(out, "recovered pages:      {}", s.io.recovered_pages).unwrap();
+    writeln!(out, "wal bytes discarded:  {}", s.io.wal_discarded_bytes).unwrap();
+    let t = s.pool.totals();
+    writeln!(
+        out,
+        "buffer pool:          {} shard(s), {} hits ({} uncontended), {} misses",
+        s.pool.shard_count(),
+        t.hits,
+        t.uncontended_hits,
+        t.misses
+    )
+    .unwrap();
+    for (i, sh) in s.pool.shards.iter().enumerate() {
+        writeln!(
+            out,
+            "  shard {i:>2}:           {} hits, {} misses, {} write-backs",
+            sh.hits, sh.misses, sh.write_backs
+        )
+        .unwrap();
+    }
+    Ok(out)
+}
+
+fn profile(a: &mut Args) -> Result<String, String> {
+    let mut opts = QueryOptions::default();
+    a.set("--workers", &mut opts.workers)?;
+    let [index, queries] = a.operands("an index path and a queries file")?;
+    let idx = open(&index)?;
+    let text = std::fs::read_to_string(&queries).map_err(|e| format!("{queries}: {e}"))?;
+    let exprs: Vec<&str> = text
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    if exprs.is_empty() {
+        return Err(format!("{queries}: no queries to replay"));
+    }
+    let mut rows: Vec<(&str, usize, crate::StageTimings)> = Vec::new();
+    for expr in exprs {
+        let r = idx.query(expr, &opts).map_err(|e| format!("{expr}: {e}"))?;
+        rows.push((expr, r.doc_ids.len(), r.timings));
+    }
+
+    let mut out = String::new();
+    writeln!(
+        out,
+        "replayed {} query(ies) with {} worker(s)\n",
+        rows.len(),
+        opts.workers
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:>4}  {:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  query",
+        "#", "docs", "total", "translate", "match", "merge", "docid", "verify"
+    )
+    .unwrap();
+    let mut total_nanos = 0u64;
+    for (i, (expr, docs, t)) in rows.iter().enumerate() {
+        total_nanos += t.total_nanos;
+        writeln!(
+            out,
+            "{i:>4}  {docs:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {expr}",
+            vist_obs::format_nanos(t.total_nanos),
+            vist_obs::format_nanos(t.translate_nanos),
+            vist_obs::format_nanos(t.match_nanos),
+            vist_obs::format_nanos(t.merge_nanos),
+            vist_obs::format_nanos(t.docid_nanos),
+            vist_obs::format_nanos(t.verify_nanos),
+        )
+        .unwrap();
+    }
+    writeln!(
+        out,
+        "\nworkload total: {}",
+        vist_obs::format_nanos(total_nanos)
+    )
+    .unwrap();
+    let mut totals: Vec<u64> = rows.iter().map(|(_, _, t)| t.total_nanos).collect();
+    totals.sort_unstable();
+    let q = |p: f64| vist_obs::format_nanos(vist_obs::percentile::nearest_rank(&totals, p));
+    writeln!(
+        out,
+        "per-query latency: p50 {}  p90 {}  p95 {}  p99 {}  p999 {}  max {}",
+        q(0.50),
+        q(0.90),
+        q(0.95),
+        q(0.99),
+        q(0.999),
+        vist_obs::format_nanos(totals.last().copied().unwrap_or(0)),
+    )
+    .unwrap();
+    Ok(out)
+}
+
+fn check(a: &mut Args) -> Result<String, String> {
+    let [index] = a.operands("exactly one index path")?;
+    let report = open(&index)?.check().map_err(|e| e.to_string())?;
+    Ok(format!("{report}ok\n"))
+}
+
+fn recover(a: &mut Args) -> Result<String, String> {
+    let [index] = a.operands("exactly one index path")?;
+    // Opening replays any committed write-ahead-log records and truncates
+    // the log; then verify the result and commit it.
+    let idx = open(&index)?;
+    let io = idx.stats().io;
+    let report = idx.check().map_err(|e| e.to_string())?;
+    idx.flush().map_err(|e| e.to_string())?;
+    Ok(format!(
+        "recovered {index}: {} page(s) replayed, {} uncommitted byte(s) discarded\n{report}ok\n",
+        io.recovered_pages, io.wal_discarded_bytes,
+    ))
+}
+
+/// Shrink-search budget (candidate executions) for `vist sim`.
+const SIM_SHRINK_BUDGET: usize = 400;
+
+/// `vist sim`: run seeded simulation workloads (see `docs/TESTING.md`).
+/// Single-seed and replay output contains no wall-clock values, so two
+/// runs with the same arguments print identical bytes.
+fn sim(a: &mut Args) -> Result<String, String> {
+    let mut config = vist_sim::SimConfig::default();
+    a.set("--seed", &mut config.seed)?;
+    a.set("--ops", &mut config.ops)?;
+    let seconds: Option<u64> = a.num("--seconds")?;
+    let replay = a.opt("--replay")?;
+    let out_path = a.opt("--out")?;
+    config.page_size = a.num("--page-size")?;
+    config.lambda = a.num("--lambda")?;
+    if let Some(mode) = a.opt("--mutate")? {
+        config.mutation = mode.parse().map_err(|e| format!("bad --mutate: {e}"))?;
+    }
+    let dump = a.flag("--dump");
+    a.operands::<0>("")?;
+    let scratch = vist_storage::testutil::TempDir::new("vist-sim-cli");
+
+    if let Some(replay) = &replay {
+        let text = std::fs::read_to_string(replay).map_err(|e| format!("{replay}: {e}"))?;
+        let trace = vist_sim::Trace::from_text(&text).map_err(|e| format!("{replay}: {e}"))?;
+        let dir = scratch.file("replay");
+        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        return match vist_sim::run_trace(&trace, &dir) {
+            Ok(report) => Ok(format!("replay {replay}: ok\n{report}\n")),
+            Err(d) => Err(format!("replay {replay}: DIVERGENCE at {d}\n")),
+        };
+    }
+
+    // On divergence: shrink, persist the minimal reproducer, exit nonzero.
+    let diverged = |trace: &vist_sim::Trace, d: &vist_sim::Divergence| -> String {
+        let shrink_dir = scratch.file("shrink");
+        let _ = std::fs::create_dir_all(&shrink_dir);
+        let outcome = vist_sim::shrink(trace, &shrink_dir, SIM_SHRINK_BUDGET);
+        let text = outcome.trace.to_text();
+        let mut msg = format!(
+            "seed {}: DIVERGENCE at {d}\nshrunk to {} op(s) in {} run(s); minimized divergence: {}\n",
+            trace.seed,
+            outcome.trace.ops.len(),
+            outcome.runs,
+            outcome.divergence,
+        );
+        match &out_path {
+            Some(path) => match std::fs::write(path, &text) {
+                Ok(()) => {
+                    let _ = writeln!(
+                        msg,
+                        "reproducer written to {path} (replay: vist sim --replay {path})"
+                    );
+                }
+                Err(e) => {
+                    let _ = writeln!(msg, "could not write {path}: {e}");
+                    let _ = writeln!(msg, "reproducer:\n{text}");
+                }
+            },
+            None => {
+                let _ = writeln!(msg, "reproducer (pass --out FILE to save):\n{text}");
+            }
+        }
+        msg
+    };
+
+    if let Some(seconds) = seconds {
+        // Smoke mode: consecutive seeds until the time budget is spent.
+        // Per-seed results are deterministic; how many seeds fit is not.
+        let start = Instant::now();
+        let mut out = String::new();
+        let mut seed = config.seed;
+        let mut ran = 0u64;
+        while start.elapsed().as_secs() < seconds {
+            let trace = vist_sim::generate(&vist_sim::SimConfig { seed, ..config });
+            let dir = scratch.file(&format!("seed-{seed}"));
+            std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+            match vist_sim::run_trace(&trace, &dir) {
+                Ok(report) => {
+                    let _ = writeln!(out, "seed {seed}: ok ({report})");
+                }
+                Err(d) => return Err(diverged(&trace, &d)),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+            ran += 1;
+            seed += 1;
+        }
+        let _ = writeln!(out, "{ran} seed(s) in {seconds}s budget: all ok");
+        return Ok(out);
+    }
+
+    let trace = vist_sim::generate(&config);
+    let text = trace.to_text();
+    let dir = scratch.file("run");
+    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    match vist_sim::run_trace(&trace, &dir) {
+        Ok(report) => {
+            let mut out = format!(
+                "seed {}: ok\ntrace: {} op(s), digest {:08x} (page_size={} lambda={} mutation={})\n{report}\n",
+                trace.seed,
+                trace.ops.len(),
+                vist_storage::crc32c(text.as_bytes()),
+                trace.page_size,
+                trace.lambda,
+                trace.mutation,
+            );
+            if dump {
+                let _ = writeln!(out, "\n{text}");
+            }
+            Ok(out)
+        }
+        Err(d) => Err(diverged(&trace, &d)),
+    }
+}
+
+fn serve(a: &mut Args) -> Result<String, String> {
+    let (index, cfg) = serve_config(a)?;
+    let idx = std::sync::Arc::new(open(&index)?);
+    let handle = vist_serve::Server::start(idx, cfg).map_err(|e| e.to_string())?;
+    // Announce readiness immediately — run() only returns its string
+    // after the drain, which may be hours away.
+    print_stdout(&format!(
+        "serving {index} on {} (SIGTERM drains and exits)\n",
+        handle.local_addr(),
+    ));
+    let report = handle.join();
+    let s = report.stats;
+    let summary = format!(
+        "drained: {} request(s) — {} ok, {} shed, {} deadline-expired, \
+         {} draining-rejected, {} bad, {} error(s); flush {}\n",
+        s.requests,
+        s.ok,
+        s.shed,
+        s.deadline_expired,
+        s.draining_rejected,
+        s.bad_requests,
+        s.errors,
+        if report.flush_ok { "ok" } else { "FAILED" },
+    );
+    if !report.drained_clean {
+        return Err(format!(
+            "{summary}drain deadline passed with {} query(ies) still in flight",
+            report.inflight_at_deadline,
+        ));
+    }
+    if !report.flush_ok {
+        return Err(format!("{summary}final flush failed"));
+    }
+    Ok(summary)
+}
+
+/// `vist serve`'s flags, parsed into the server's own configuration (which
+/// keeps its defaults for the flags not given), and its index path.
+fn serve_config(a: &mut Args) -> Result<(String, vist_serve::ServeConfig), String> {
+    let mut cfg = vist_serve::ServeConfig::default();
+    a.set("--addr", &mut cfg.addr)?;
+    a.set("--max-inflight", &mut cfg.max_inflight)?;
+    a.set("--queue-depth", &mut cfg.queue_depth)?;
+    a.set("--query-workers", &mut cfg.query_workers)?;
+    a.set("--max-deadline-ms", &mut cfg.max_deadline_ms)?;
+    a.set("--drain-deadline-ms", &mut cfg.drain_deadline_ms)?;
+    cfg.access_log = a.opt("--access-log")?;
+    let [index] = a.operands("exactly one index path")?;
+    Ok((index, cfg))
+}
+
+fn traces(a: &mut Args) -> Result<String, String> {
+    let (addr, target) = traces_target(a)?;
+    let (status, body) = http_get(&addr, &target)?;
+    if status != 200 {
+        return Err(format!("traces: {addr} answered {status}: {body}"));
+    }
+    Ok(format!("{body}\n"))
+}
+
+/// `vist traces`'s server address (`vist serve`'s default unless given) and
+/// the request target its trace id, if any, names.
+fn traces_target(a: &mut Args) -> Result<(String, String), String> {
+    let mut addr = vist_serve::ServeConfig::default().addr;
+    a.set("--addr", &mut addr)?;
+    let target = match a.rest()?.as_slice() {
+        [] => "/debug/traces".to_string(),
+        [id] if vist_obs::traceid::parse(id).is_some() => format!("/debug/traces?id={id}"),
+        [id] => {
+            return Err(format!(
+                "traces: '{id}' is not a trace id (expected up to 32 hex digits)"
+            ))
+        }
+        _ => return Err("traces: expected at most one trace id".into()),
+    };
+    Ok((addr, target))
+}
+
+fn bench_serve(a: &mut Args) -> Result<String, String> {
+    let (cfg, smoke, out) = bench_config(a)?;
+    let report = vist_serve::bench::run(&cfg);
+    if let Some(path) = &out {
+        std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
+    }
+    let mut text = String::new();
+    for p in [&report.baseline, &report.loaded, &report.burst] {
+        let _ = writeln!(
+            text,
+            "{:<9} {:>3} client(s): {:>6} req ({} ok, {} shed, {} expired) \
+             p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms p999 {:.2}ms shed-rate {:.1}%",
+            p.name,
+            p.clients,
+            p.requests,
+            p.ok,
+            p.shed,
+            p.deadline_expired,
+            p.p50_ns as f64 / 1e6,
+            p.p95_ns as f64 / 1e6,
+            p.p99_ns as f64 / 1e6,
+            p.p999_ns as f64 / 1e6,
+            p.shed_rate() * 100.0,
+        );
+    }
+    let _ = writeln!(
+        text,
+        "loaded p99 / baseline p99 = {:.2}x",
+        report.p99_ratio_loaded_vs_baseline
+    );
+    if smoke && report.burst.shed == 0 {
+        return Err(format!(
+            "{text}smoke: overload burst produced no shed responses — \
+             admission control is not engaging"
+        ));
+    }
+    Ok(text)
+}
+
+/// `vist bench-serve`'s flags, parsed into the load generator's
+/// configuration (which keeps its defaults for the flags not given), with
+/// `--smoke` and the `--out` report path.
+fn bench_config(a: &mut Args) -> Result<(vist_serve::BenchConfig, bool, Option<String>), String> {
+    let smoke = a.flag("--smoke");
+    let mut cfg = vist_serve::BenchConfig::default();
+    if smoke {
+        cfg = cfg.smoke();
+    }
+    a.set("--addr", &mut cfg.addr)?;
+    a.set("--expr", &mut cfg.expr)?;
+    a.set("--deadline-ms", &mut cfg.deadline_ms)?;
+    a.set("--clients", &mut cfg.clients)?;
+    a.set("--burst-clients", &mut cfg.burst_clients)?;
+    if let Some(ms) = a.num("--duration-ms")? {
+        cfg.duration = Duration::from_millis(ms);
+    }
+    let out = a.opt("--out")?;
+    a.operands::<0>("")?;
+    Ok((cfg, smoke, out))
 }
 
 /// Minimal HTTP GET against a `vist serve` instance (it answers one
@@ -1166,7 +858,7 @@ fn http_get(addr: &str, target: &str) -> Result<(u16, String), String> {
     let mut stream = std::net::TcpStream::connect(addr)
         .map_err(|e| format!("cannot connect to {addr}: {e} (is 'vist serve' running?)"))?;
     stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(|e| e.to_string())?;
     stream
         .write_all(format!("GET {target} HTTP/1.1\r\nHost: vist\r\n\r\n").as_bytes())
@@ -1208,133 +900,6 @@ pub fn print_stdout(s: &str) {
     }
 }
 
-struct SimArgs {
-    seed: u64,
-    ops: usize,
-    seconds: Option<u64>,
-    replay: Option<PathBuf>,
-    out: Option<PathBuf>,
-    page_size: Option<usize>,
-    lambda: Option<u64>,
-    mutate: vist_sim::SimMutation,
-    dump: bool,
-}
-
-/// Shrink-search budget (candidate executions) for `vist sim`.
-const SIM_SHRINK_BUDGET: usize = 400;
-
-/// `vist sim`: run seeded simulation workloads (see `docs/TESTING.md`).
-/// Single-seed and replay output contains no wall-clock values, so two
-/// runs with the same arguments print identical bytes.
-fn run_sim(args: SimArgs) -> Result<String, String> {
-    let scratch = vist_storage::testutil::TempDir::new("vist-sim-cli");
-
-    if let Some(replay) = &args.replay {
-        let text =
-            std::fs::read_to_string(replay).map_err(|e| format!("{}: {e}", replay.display()))?;
-        let trace =
-            vist_sim::Trace::from_text(&text).map_err(|e| format!("{}: {e}", replay.display()))?;
-        let dir = scratch.file("replay");
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        return match vist_sim::run_trace(&trace, &dir) {
-            Ok(report) => Ok(format!("replay {}: ok\n{report}\n", replay.display())),
-            Err(d) => Err(format!("replay {}: DIVERGENCE at {d}\n", replay.display())),
-        };
-    }
-
-    let config = |seed: u64| vist_sim::SimConfig {
-        seed,
-        ops: args.ops,
-        page_size: args.page_size,
-        lambda: args.lambda,
-        mutation: args.mutate,
-        ..Default::default()
-    };
-
-    // On divergence: shrink, persist the minimal reproducer, exit nonzero.
-    let diverged = |trace: &vist_sim::Trace, d: &vist_sim::Divergence| -> String {
-        let shrink_dir = scratch.file("shrink");
-        let _ = std::fs::create_dir_all(&shrink_dir);
-        let outcome = vist_sim::shrink(trace, &shrink_dir, SIM_SHRINK_BUDGET);
-        let text = outcome.trace.to_text();
-        let mut msg = format!(
-            "seed {}: DIVERGENCE at {d}\nshrunk to {} op(s) in {} run(s); minimized divergence: {}\n",
-            trace.seed,
-            outcome.trace.ops.len(),
-            outcome.runs,
-            outcome.divergence,
-        );
-        match &args.out {
-            Some(path) => match std::fs::write(path, &text) {
-                Ok(()) => {
-                    let _ = writeln!(
-                        msg,
-                        "reproducer written to {} (replay: vist sim --replay {})",
-                        path.display(),
-                        path.display()
-                    );
-                }
-                Err(e) => {
-                    let _ = writeln!(msg, "could not write {}: {e}", path.display());
-                    let _ = writeln!(msg, "reproducer:\n{text}");
-                }
-            },
-            None => {
-                let _ = writeln!(msg, "reproducer (pass --out FILE to save):\n{text}");
-            }
-        }
-        msg
-    };
-
-    if let Some(seconds) = args.seconds {
-        // Smoke mode: consecutive seeds until the time budget is spent.
-        // Per-seed results are deterministic; how many seeds fit is not.
-        let start = std::time::Instant::now();
-        let mut out = String::new();
-        let mut seed = args.seed;
-        let mut ran = 0u64;
-        while start.elapsed().as_secs() < seconds {
-            let trace = vist_sim::generate(&config(seed));
-            let dir = scratch.file(&format!("seed-{seed}"));
-            std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-            match vist_sim::run_trace(&trace, &dir) {
-                Ok(report) => {
-                    let _ = writeln!(out, "seed {seed}: ok ({report})");
-                }
-                Err(d) => return Err(diverged(&trace, &d)),
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-            ran += 1;
-            seed += 1;
-        }
-        let _ = writeln!(out, "{ran} seed(s) in {seconds}s budget: all ok");
-        return Ok(out);
-    }
-
-    let trace = vist_sim::generate(&config(args.seed));
-    let text = trace.to_text();
-    let dir = scratch.file("run");
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    match vist_sim::run_trace(&trace, &dir) {
-        Ok(report) => {
-            let mut out = format!(
-                "seed {}: ok\ntrace: {} op(s), digest {:08x} (page_size={} lambda={} mutation={})\n{report}\n",
-                trace.seed,
-                trace.ops.len(),
-                vist_storage::crc32c(text.as_bytes()),
-                trace.page_size,
-                trace.lambda,
-                trace.mutation,
-            );
-            if args.dump {
-                let _ = writeln!(out, "\n{text}");
-            }
-            Ok(out)
-        }
-        Err(d) => Err(diverged(&trace, &d)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1343,220 +908,225 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    #[test]
-    fn parse_create_with_options() {
-        let c = parse_args(&argv(
-            "create /tmp/i.vist --page-size 2048 --lambda 4 --no-docs",
+    /// `run` of a whitespace-separated command line.
+    fn cmd(line: &str) -> Result<String, String> {
+        run(&argv(line))
+    }
+
+    /// An index of two books in a fresh directory, and its path.
+    fn books(tag: &str) -> (vist_storage::testutil::TempDir, String) {
+        let tmp = vist_storage::testutil::TempDir::new(tag);
+        let index = tmp.file("i.idx").display().to_string();
+        let xml1 = tmp.file("1.xml");
+        let xml2 = tmp.file("2.xml");
+        std::fs::write(&xml1, "<book><author>David</author></book>").unwrap();
+        std::fs::write(&xml2, "<book><author>Mary</author></book>").unwrap();
+        cmd(&format!("create {index}")).unwrap();
+        let out = cmd(&format!(
+            "add {index} {} {}",
+            xml1.display(),
+            xml2.display()
         ))
         .unwrap();
-        assert_eq!(
-            c,
-            Command::Create {
-                index: PathBuf::from("/tmp/i.vist"),
-                page_size: 2048,
-                lambda: 4,
-                store_documents: false,
-            }
-        );
-        let c = parse_args(&argv("create idx")).unwrap();
-        assert!(matches!(
-            c,
-            Command::Create {
-                page_size: 4096,
-                lambda: 16,
-                store_documents: true,
-                ..
-            }
-        ));
+        assert!(out.contains("doc 0") && out.contains("doc 1"), "{out}");
+        (tmp, index)
+    }
+
+    #[test]
+    fn parse_create_with_options() {
+        let tmp = vist_storage::testutil::TempDir::new("cli-create");
+        let custom = tmp.file("custom.idx").display().to_string();
+        let out = cmd(&format!(
+            "create {custom} --page-size 2048 --lambda 4 --no-docs"
+        ))
+        .unwrap();
+        assert_eq!(out, format!("created {custom}\n"));
+        let idx = VistIndex::open_file(&custom, 16).unwrap();
+        assert_eq!(idx.store().pool().page_size(), 2048);
+        assert_eq!(idx.store().meta().lambda, 4);
+        assert!(!idx.store().meta().store_documents);
+
+        let plain = tmp.file("plain.idx").display().to_string();
+        cmd(&format!("create {plain}")).unwrap();
+        let idx = VistIndex::open_file(&plain, 16).unwrap();
+        assert_eq!(idx.store().pool().page_size(), 4096);
+        assert_eq!(idx.store().meta().lambda, 16);
+        assert!(idx.store().meta().store_documents);
     }
 
     #[test]
     fn parse_query_flags() {
-        let c = parse_args(&argv("query idx //author --verify --show")).unwrap();
+        let (_tmp, index) = books("cli-query-flags");
+        let out = cmd(&format!("query {index} //author --verify --show")).unwrap();
+        assert!(out.starts_with("2 document(s) (2 candidates before verification)\n"));
+        assert!(out.contains("--- doc 1 ---\n<book><author>Mary</author></book>"));
+        // `--trace` flips a process-wide switch: `query_trace_prints_span_tree`
+        // alone runs it, so that no other test sees the switch on.
+        let out = cmd(&format!("query {index} //author --workers 4")).unwrap();
+        assert_eq!(out, "2 document(s)\n0\n1\n");
         assert_eq!(
-            c,
-            Command::Query {
-                index: PathBuf::from("idx"),
-                expr: "//author".into(),
-                verify: true,
-                show: true,
-                workers: 1,
-                trace: false,
-                no_plan: false,
-                limit: None,
-                deadline_ms: None,
-            }
+            cmd(&format!("query {index} //author --workers")).unwrap_err(),
+            "--workers needs a value"
         );
-        let c = parse_args(&argv("query idx //author --workers 4 --trace")).unwrap();
         assert_eq!(
-            c,
-            Command::Query {
-                index: PathBuf::from("idx"),
-                expr: "//author".into(),
-                verify: false,
-                show: false,
-                workers: 4,
-                trace: true,
-                no_plan: false,
-                limit: None,
-                deadline_ms: None,
-            }
+            cmd(&format!("explain {index} //author --workers nope")).unwrap_err(),
+            "bad --workers"
         );
-        assert!(parse_args(&argv("query idx //author --workers")).is_err());
-        assert!(parse_args(&argv("explain idx //author --workers nope")).is_err());
     }
 
     #[test]
     fn parse_planner_flags() {
-        let c = parse_args(&argv("query idx //author --no-plan --limit 7")).unwrap();
+        let (_tmp, index) = books("cli-planner-flags");
+        let out = cmd(&format!("query {index} //author --no-plan --limit 1")).unwrap();
+        assert_eq!(out.lines().next(), Some("1 document(s)"));
         assert_eq!(
-            c,
-            Command::Query {
-                index: PathBuf::from("idx"),
-                expr: "//author".into(),
-                verify: false,
-                show: false,
-                workers: 1,
-                trace: false,
-                no_plan: true,
-                limit: Some(7),
-                deadline_ms: None,
-            }
+            cmd(&format!("query {index} //author --limit many")).unwrap_err(),
+            "bad --limit"
         );
-        assert!(parse_args(&argv("query idx //author --limit many")).is_err());
-        assert!(parse_args(&argv("query idx //author --limit")).is_err());
-        let c = parse_args(&argv("explain idx '/a/b' --plan")).unwrap();
-        assert_eq!(
-            c,
-            Command::Explain {
-                index: PathBuf::from("idx"),
-                expr: "'/a/b'".into(),
-                workers: 1,
-                plan: true,
-                no_plan: false,
-            }
-        );
-        let c = parse_args(&argv("explain idx //author --plan --no-plan --workers 2")).unwrap();
-        assert!(matches!(
-            c,
-            Command::Explain {
-                plan: true,
-                no_plan: true,
-                workers: 2,
-                ..
-            }
-        ));
+        assert!(cmd(&format!("query {index} //author --limit")).is_err());
+        let out = cmd(&format!("explain {index} /book/author --plan")).unwrap();
+        assert!(out.contains("plan (delta):\n"), "{out}");
+        assert!(out.contains("engine:  1 worker(s)"), "{out}");
+        let out = cmd(&format!(
+            "explain {index} //author --plan --no-plan --workers 2"
+        ))
+        .unwrap();
+        assert!(out.contains("[planner off: naive order]"), "{out}");
+        assert!(out.contains("engine:  2 worker(s)"), "{out}");
+        let out = cmd(&format!("explain {index} //author")).unwrap();
+        assert!(!out.contains("plan ("), "{out}");
     }
 
     #[test]
     fn parse_stats_formats() {
+        let (_tmp, index) = books("cli-stats-formats");
+        for line in [
+            format!("stats {index}"),
+            format!("stats {index} --format human"),
+        ] {
+            let human = cmd(&line).unwrap();
+            assert!(human.starts_with("documents:            2\n"), "{human}");
+        }
+        let json = cmd(&format!("stats {index} --format json")).unwrap();
+        assert!(json.contains("\"vist_core_documents\""), "{json}");
+        let prom = cmd(&format!("stats {index} --format prometheus")).unwrap();
+        assert!(prom.contains("# TYPE"), "{prom}");
         assert_eq!(
-            parse_args(&argv("stats idx")).unwrap(),
-            Command::Stats {
-                index: PathBuf::from("idx"),
-                format: StatsFormat::Human,
-            }
+            cmd(&format!("stats {index} --format yaml")).unwrap_err(),
+            "bad --format 'yaml' (expected human, json or prometheus)"
         );
-        assert_eq!(
-            parse_args(&argv("stats idx --format json")).unwrap(),
-            Command::Stats {
-                index: PathBuf::from("idx"),
-                format: StatsFormat::Json,
-            }
-        );
-        assert_eq!(
-            parse_args(&argv("stats idx --format prometheus")).unwrap(),
-            Command::Stats {
-                index: PathBuf::from("idx"),
-                format: StatsFormat::Prometheus,
-            }
-        );
-        assert!(parse_args(&argv("stats idx --format yaml")).is_err());
-        assert!(parse_args(&argv("stats idx --format")).is_err());
+        assert!(cmd(&format!("stats {index} --format")).is_err());
     }
 
     #[test]
     fn parse_profile() {
-        assert_eq!(
-            parse_args(&argv("profile idx q.txt --workers 2")).unwrap(),
-            Command::Profile {
-                index: PathBuf::from("idx"),
-                queries: PathBuf::from("q.txt"),
-                workers: 2,
-            }
-        );
-        assert_eq!(
-            parse_args(&argv("profile idx q.txt")).unwrap(),
-            Command::Profile {
-                index: PathBuf::from("idx"),
-                queries: PathBuf::from("q.txt"),
-                workers: 1,
-            }
-        );
-        assert!(parse_args(&argv("profile idx")).is_err());
+        let (tmp, index) = books("cli-parse-profile");
+        let qfile = tmp.file("q.txt");
+        std::fs::write(&qfile, "//author\n").unwrap();
+        let out = cmd(&format!("profile {index} {} --workers 2", qfile.display())).unwrap();
+        assert!(out.starts_with("replayed 1 query(ies) with 2 worker(s)\n"));
+        let out = cmd(&format!("profile {index} {}", qfile.display())).unwrap();
+        assert!(out.starts_with("replayed 1 query(ies) with 1 worker(s)\n"));
+        assert!(cmd(&format!("profile {index}")).is_err());
     }
 
     #[test]
     fn parse_errors() {
-        assert!(parse_args(&argv("create")).is_err());
-        assert!(parse_args(&argv("create a b")).is_err());
-        assert!(parse_args(&argv("add idx")).is_err());
-        assert!(parse_args(&argv("query idx")).is_err());
-        assert!(parse_args(&argv("remove idx notanumber")).is_err());
-        assert!(parse_args(&argv("frobnicate")).is_err());
-        assert!(parse_args(&argv("create idx --page-size")).is_err());
+        let expect = [
+            ("create", "create: expected exactly one index path"),
+            ("create a b", "create: expected exactly one index path"),
+            (
+                "add idx",
+                "add: expected an index path and at least one XML file",
+            ),
+            (
+                "query idx",
+                "query: expected an index path and one expression",
+            ),
+            ("remove idx notanumber", "bad doc id"),
+            (
+                "frobnicate",
+                "unknown subcommand 'frobnicate' (try 'vist help')",
+            ),
+            ("create idx --page-size", "--page-size needs a value"),
+            // A misspelled flag is named, whatever the subcommand.
+            (
+                "query idx /a --limt 5",
+                "query: unexpected argument '--limt'",
+            ),
+            (
+                "explain idx /a --plna",
+                "explain: unexpected argument '--plna'",
+            ),
+            (
+                "stats idx --fromat json",
+                "stats: unexpected argument '--fromat'",
+            ),
+            ("add idx a.xml --show", "add: unexpected argument '--show'"),
+            (
+                "load idx dir --threads 2",
+                "load: unexpected argument '--threads'",
+            ),
+            ("serve idx --port 9", "serve: unexpected argument '--port'"),
+            (
+                "traces --trace-id 00ff",
+                "traces: unexpected argument '--trace-id'",
+            ),
+            ("sim --seeds 3", "sim: unexpected argument '--seeds'"),
+            (
+                "bench-serve --client 2",
+                "bench-serve: unexpected argument '--client'",
+            ),
+        ];
+        for (line, err) in expect {
+            assert_eq!(cmd(line).unwrap_err(), err, "{line}");
+        }
     }
 
     #[test]
     fn parse_sim() {
-        assert_eq!(
-            parse_args(&argv("sim")).unwrap(),
-            Command::Sim {
-                seed: 1,
-                ops: 200,
-                seconds: None,
-                replay: None,
-                out: None,
-                page_size: None,
-                lambda: None,
-                mutate: vist_sim::SimMutation::None,
-                dump: false,
-            }
+        let out = cmd("sim").unwrap();
+        assert!(
+            out.starts_with("seed 1: ok\ntrace: 200 op(s), digest "),
+            "{out}"
         );
-        assert_eq!(
-            parse_args(&argv(
-                "sim --seed 9 --ops 50 --mutate scope-off-by-one --out min.trace --dump"
-            ))
-            .unwrap(),
-            Command::Sim {
-                seed: 9,
-                ops: 50,
-                seconds: None,
-                replay: None,
-                out: Some(PathBuf::from("min.trace")),
-                page_size: None,
-                lambda: None,
-                mutate: vist_sim::SimMutation::ScopeOffByOne,
-                dump: true,
-            }
-        );
-        assert!(matches!(
-            parse_args(&argv("sim --replay tests/seeds/x.trace")).unwrap(),
-            Command::Sim {
-                replay: Some(_),
-                ..
-            }
+        assert!(out.contains("mutation=none)"), "{out}");
+        let tmp = vist_storage::testutil::TempDir::new("cli-parse-sim");
+        let min = tmp.file("min.trace");
+        let r = cmd(&format!(
+            "sim --seed 9 --ops 50 --mutate scope-off-by-one --out {} --dump",
+            min.display()
         ));
-        assert!(parse_args(&argv("sim --seed nope")).is_err());
-        assert!(parse_args(&argv("sim --mutate frob")).is_err());
-        assert!(parse_args(&argv("sim stray")).is_err());
+        match r {
+            // Caught: the reproducer went to --out.
+            Err(msg) => {
+                assert!(msg.starts_with("seed 9: DIVERGENCE"), "{msg}");
+                assert!(min.exists(), "{msg}");
+            }
+            // Missed: the full trace is dumped after the summary.
+            Ok(out) => {
+                assert!(out.starts_with("seed 9: ok\ntrace: 50 op(s)"), "{out}");
+                assert!(out.contains("mutation=scope-off-by-one)"), "{out}");
+                assert!(out.contains("op insert"), "{out}");
+            }
+        }
+        let missing = tmp.file("absent.trace").display().to_string();
+        let err = cmd(&format!("sim --replay {missing}")).unwrap_err();
+        assert!(err.starts_with(&format!("{missing}: ")), "{err}");
+        assert_eq!(cmd("sim --seed nope").unwrap_err(), "bad --seed");
+        assert!(cmd("sim --mutate frob")
+            .unwrap_err()
+            .starts_with("bad --mutate: "));
+        assert_eq!(
+            cmd("sim stray").unwrap_err(),
+            "sim: unexpected argument 'stray'"
+        );
     }
 
     #[test]
     fn sim_single_seed_is_byte_reproducible() {
-        let args = argv("sim --seed 3 --ops 40 --dump");
-        let a = run(parse_args(&args).unwrap()).unwrap();
-        let b = run(parse_args(&args).unwrap()).unwrap();
+        let a = cmd("sim --seed 3 --ops 40 --dump").unwrap();
+        let b = cmd("sim --seed 3 --ops 40 --dump").unwrap();
         assert_eq!(a, b);
         assert!(a.contains("seed 3: ok"), "{a}");
         assert!(a.contains("op insert"), "{a}");
@@ -1568,132 +1138,81 @@ mod tests {
         let out = tmp.file("min.trace");
         // A seed known (and tested in vist-sim) to trip the planted bug
         // within a small window; sweep a few to stay robust.
-        let mut err = None;
-        for seed in 1..=12u64 {
-            let r = run(parse_args(&argv(&format!(
-                "sim --seed {seed} --ops 120 --mutate scope-off-by-one --out {}",
-                out.display()
-            )))
-            .unwrap());
-            if r.is_err() {
-                err = r.err();
-                break;
-            }
-        }
-        let msg = err.expect("planted mutation not caught by any seed in 1..=12");
+        let msg = (1..=12u64)
+            .find_map(|seed| {
+                cmd(&format!(
+                    "sim --seed {seed} --ops 120 --mutate scope-off-by-one --out {}",
+                    out.display()
+                ))
+                .err()
+            })
+            .expect("planted mutation not caught by any seed in 1..=12");
         assert!(msg.contains("DIVERGENCE"), "{msg}");
         assert!(msg.contains("reproducer written"), "{msg}");
-        let replayed = run(Command::Sim {
-            seed: 1,
-            ops: 200,
-            seconds: None,
-            replay: Some(out),
-            out: None,
-            page_size: None,
-            lambda: None,
-            mutate: vist_sim::SimMutation::None,
-            dump: false,
-        });
+        let replayed = cmd(&format!("sim --replay {}", out.display()));
         let replay_msg = replayed.expect_err("minimized trace must still diverge");
         assert!(replay_msg.contains("DIVERGENCE"), "{replay_msg}");
     }
 
     #[test]
     fn help_default() {
-        assert_eq!(parse_args(&[]).unwrap(), Command::Help);
-        assert!(run(Command::Help).unwrap().contains("USAGE"));
+        assert_eq!(run(&[]), Ok(USAGE.to_string()));
+        assert_eq!(cmd("help"), Ok(USAGE.to_string()));
+        assert_eq!(cmd("--help"), Ok(USAGE.to_string()));
+        assert!(USAGE.contains("USAGE"));
     }
 
     #[test]
     fn parse_list() {
+        let (_tmp, index) = books("cli-list");
         assert_eq!(
-            parse_args(&argv("list idx")).unwrap(),
-            Command::List {
-                index: PathBuf::from("idx")
-            }
+            cmd(&format!("list {index}")),
+            Ok("2 document(s)\n0\n1\n".into())
         );
-        assert!(parse_args(&argv("list")).is_err());
+        assert_eq!(
+            cmd("list").unwrap_err(),
+            "list: expected exactly one index path"
+        );
     }
 
     #[test]
     fn parse_check_and_recover() {
         assert_eq!(
-            parse_args(&argv("check idx")).unwrap(),
-            Command::Check {
-                index: PathBuf::from("idx")
-            }
+            cmd("check").unwrap_err(),
+            "check: expected exactly one index path"
         );
         assert_eq!(
-            parse_args(&argv("recover idx")).unwrap(),
-            Command::Recover {
-                index: PathBuf::from("idx")
-            }
+            cmd("recover a b").unwrap_err(),
+            "recover: expected exactly one index path"
         );
-        assert!(parse_args(&argv("check")).is_err());
-        assert!(parse_args(&argv("recover a b")).is_err());
+        let (_tmp, index) = books("cli-parse-check");
+        assert!(cmd(&format!("check {index}")).is_ok());
+        assert!(cmd(&format!("recover {index}")).is_ok());
     }
 
     #[test]
     fn check_and_recover_on_healthy_index() {
-        let dir = vist_storage::testutil::TempDir::new("cli-check");
-        let index = dir.file("i.idx");
-        run(parse_args(&argv(&format!("create {}", index.display()))).unwrap()).unwrap();
-        let xml = dir.file("d.xml");
-        std::fs::write(&xml, "<a><b>1</b></a>").unwrap();
-        run(Command::Add {
-            index: index.clone(),
-            files: vec![xml],
-        })
-        .unwrap();
-        let out = run(Command::Check {
-            index: index.clone(),
-        })
-        .unwrap();
+        let (_tmp, index) = books("cli-check");
+        let out = cmd(&format!("check {index}")).unwrap();
         assert!(out.contains("tree dancestor ok"), "{out}");
         assert!(out.contains("free list ok"), "{out}");
         assert!(out.trim_end().ends_with("ok"), "{out}");
-        let out = run(Command::Recover { index }).unwrap();
+        let out = cmd(&format!("recover {index}")).unwrap();
         assert!(out.contains("recovered"), "{out}");
         assert!(out.contains("0 page(s) replayed"), "{out}");
     }
 
     #[test]
     fn end_to_end_lifecycle() {
-        let tmp = vist_storage::testutil::TempDir::new("cli-e2e");
-        let index = tmp.file("i.idx");
-        let xml1 = tmp.file("1.xml");
-        let xml2 = tmp.file("2.xml");
-        std::fs::write(&xml1, "<book><author>David</author></book>").unwrap();
-        std::fs::write(&xml2, "<book><author>Mary</author></book>").unwrap();
-
-        run(parse_args(&argv(&format!("create {}", index.display()))).unwrap()).unwrap();
-        let out = run(Command::Add {
-            index: index.clone(),
-            files: vec![xml1.clone(), xml2.clone()],
-        })
-        .unwrap();
-        assert!(out.contains("doc 0") && out.contains("doc 1"));
-
-        let out = run(Command::Query {
-            index: index.clone(),
-            expr: "/book/author[text='David']".into(),
-            verify: true,
-            show: true,
-            workers: 2,
-            trace: false,
-            no_plan: false,
-            limit: None,
-            deadline_ms: None,
-        })
+        let (_tmp, index) = books("cli-e2e");
+        let out = cmd(&format!(
+            "query {index} /book/author[text='David'] --verify --show --workers 2"
+        ))
         .unwrap();
         assert!(out.starts_with("1 document(s)"), "{out}");
         assert!(out.contains("David"));
 
-        let out = run(Command::Stats {
-            index: index.clone(),
-            format: StatsFormat::Human,
-        })
-        .unwrap();
+        let out = cmd(&format!("stats {index}")).unwrap();
         assert!(out.contains("documents:            2"), "{out}");
         assert!(out.contains("buffer pool:"), "{out}");
         assert!(out.contains("match work items:"), "{out}");
@@ -1702,124 +1221,111 @@ mod tests {
         assert!(out.contains("checkpoints:"), "{out}");
         assert!(out.contains("recovered pages:"), "{out}");
 
-        run(Command::Remove {
-            index: index.clone(),
-            doc_id: 0,
-        })
-        .unwrap();
-        let out = run(Command::Query {
-            index: index.clone(),
-            expr: "//author".into(),
-            verify: false,
-            show: false,
-            workers: 1,
-            trace: false,
-            no_plan: false,
-            limit: None,
-            deadline_ms: None,
-        })
-        .unwrap();
+        assert_eq!(
+            cmd(&format!("remove {index} 0")),
+            Ok("removed doc 0\n".into())
+        );
+        let out = cmd(&format!("query {index} //author")).unwrap();
         assert!(out.starts_with("1 document(s)"), "{out}");
+    }
+
+    /// A directory of one-author books, one file each.
+    fn corpus(tmp: &vist_storage::testutil::TempDir, names: &[&str]) -> String {
+        let dir = tmp.file("corpus");
+        std::fs::create_dir(&dir).unwrap();
+        for (i, name) in names.iter().enumerate() {
+            std::fs::write(
+                dir.join(format!("{i}.xml")),
+                format!("<book><author>{name}</author></book>"),
+            )
+            .unwrap();
+        }
+        dir.display().to_string()
     }
 
     #[test]
     fn parse_load_and_compact() {
+        let tmp = vist_storage::testutil::TempDir::new("cli-parse-load");
+        let index = tmp.file("i.idx").display().to_string();
+        let dir = corpus(&tmp, &["ann", "bob"]);
+        cmd(&format!("create {index}")).unwrap();
+        for (flags, err) in [
+            ("--ingest-threads 0", "bad --ingest-threads"),
+            ("--ingest-threads x", "bad --ingest-threads"),
+            ("--ingest-threads 1 --batch-size 0", "bad --batch-size"),
+        ] {
+            assert_eq!(
+                cmd(&format!("load {index} {dir} {flags}")).unwrap_err(),
+                err
+            );
+        }
+        let expected = "load: expected an index path and a directory or XML file";
+        assert_eq!(cmd(&format!("load {index}")).unwrap_err(), expected);
+        assert_eq!(cmd("load").unwrap_err(), expected);
+        let expected = "compact: expected exactly one index path";
+        assert_eq!(cmd("compact").unwrap_err(), expected);
         assert_eq!(
-            parse_args(&argv("load idx corpus/")).unwrap(),
-            Command::Load {
-                index: PathBuf::from("idx"),
-                input: PathBuf::from("corpus/"),
-                ingest_threads: None,
-                batch_size: 512,
-            }
+            cmd(&format!("compact {index} extra")).unwrap_err(),
+            expected
         );
-        assert_eq!(
-            parse_args(&argv("load idx corpus/ --ingest-threads 4 --batch-size 64")).unwrap(),
-            Command::Load {
-                index: PathBuf::from("idx"),
-                input: PathBuf::from("corpus/"),
-                ingest_threads: Some(4),
-                batch_size: 64,
-            }
+        let out = cmd(&format!(
+            "load {index} {dir} --ingest-threads 4 --batch-size 1"
+        ))
+        .unwrap();
+        assert!(out.starts_with("batch ingested 2 document(s) (ids 0..=1) in 2 group"));
+        assert!(out.contains("at 4 prepare thread(s)"), "{out}");
+        let out = cmd(&format!("load {index} {dir}")).unwrap();
+        assert!(
+            out.starts_with("bulk loaded 2 document(s) (ids 2..=3)"),
+            "{out}"
         );
-        assert!(parse_args(&argv("load idx corpus/ --ingest-threads 0")).is_err());
-        assert!(parse_args(&argv("load idx corpus/ --ingest-threads x")).is_err());
-        assert!(parse_args(&argv("load idx corpus/ --batch-size 0")).is_err());
-        assert_eq!(
-            parse_args(&argv("compact idx")).unwrap(),
-            Command::Compact {
-                index: PathBuf::from("idx"),
-            }
+        // Without --batch-size a group commit takes 512 documents.
+        let out = cmd(&format!("load {index} {dir} --ingest-threads 1")).unwrap();
+        assert!(
+            out.starts_with("batch ingested 2 document(s) (ids 4..=5) in 1 group commit(s) "),
+            "{out}"
         );
-        assert!(parse_args(&argv("load idx")).is_err());
-        assert!(parse_args(&argv("load")).is_err());
-        assert!(parse_args(&argv("compact")).is_err());
-        assert!(parse_args(&argv("compact idx extra")).is_err());
+        assert!(cmd(&format!("compact {index}")).is_ok());
+    }
+
+    #[test]
+    fn load_batch_size_needs_ingest_threads() {
+        let tmp = vist_storage::testutil::TempDir::new("cli-load-batch-size");
+        let index = tmp.file("i.idx").display().to_string();
+        let dir = corpus(&tmp, &["ann", "bob"]);
+        cmd(&format!("create {index}")).unwrap();
+        let err = cmd(&format!("load {index} {dir} --batch-size 64")).unwrap_err();
+        assert!(
+            err.contains("--batch-size") && err.contains("--ingest-threads"),
+            "{err}"
+        );
+        // Nothing was loaded.
+        assert_eq!(cmd(&format!("list {index}")), Ok("0 document(s)\n".into()));
     }
 
     #[test]
     fn end_to_end_tiered_load_and_compact() {
         let tmp = vist_storage::testutil::TempDir::new("cli-tiered");
-        let index = tmp.file("i.idx");
-        let corpus = tmp.file("corpus");
-        std::fs::create_dir(&corpus).unwrap();
-        for (i, name) in ["ann", "bob", "eve"].iter().enumerate() {
-            std::fs::write(
-                corpus.join(format!("{i}.xml")),
-                format!("<book><author>{name}</author></book>"),
-            )
-            .unwrap();
-        }
-
-        run(parse_args(&argv(&format!("create {}", index.display()))).unwrap()).unwrap();
-        let out = run(Command::Load {
-            index: index.clone(),
-            input: corpus.clone(),
-            ingest_threads: None,
-            batch_size: 512,
-        })
-        .unwrap();
+        let index = tmp.file("i.idx").display().to_string();
+        let dir = corpus(&tmp, &["ann", "bob", "eve"]);
+        cmd(&format!("create {index}")).unwrap();
+        let out = cmd(&format!("load {index} {dir}")).unwrap();
         assert!(out.contains("bulk loaded 3 document(s)"), "{out}");
         assert!(out.contains("1 segment(s)"), "{out}");
 
         // Loading a single file appends a second segment.
         let single = tmp.file("extra.xml");
         std::fs::write(&single, "<book><author>dan</author></book>").unwrap();
-        let out = run(Command::Load {
-            index: index.clone(),
-            input: single,
-            ingest_threads: None,
-            batch_size: 512,
-        })
-        .unwrap();
+        let out = cmd(&format!("load {index} {}", single.display())).unwrap();
         assert!(out.contains("bulk loaded 1 document(s)"), "{out}");
         assert!(out.contains("2 segment(s)"), "{out}");
 
         // Queries see segment-resident documents; removal tombstones them.
-        let out = run(Command::Query {
-            index: index.clone(),
-            expr: "//author".into(),
-            verify: true,
-            show: false,
-            workers: 1,
-            trace: false,
-            no_plan: false,
-            limit: None,
-            deadline_ms: None,
-        })
-        .unwrap();
+        let out = cmd(&format!("query {index} //author --verify")).unwrap();
         assert!(out.starts_with("4 document(s)"), "{out}");
-        run(Command::Remove {
-            index: index.clone(),
-            doc_id: 1,
-        })
-        .unwrap();
+        cmd(&format!("remove {index} 1")).unwrap();
 
-        let out = run(Command::Stats {
-            index: index.clone(),
-            format: StatsFormat::Human,
-        })
-        .unwrap();
+        let out = cmd(&format!("stats {index}")).unwrap();
         assert!(out.contains("segments:             2"), "{out}");
         assert!(out.contains("tombstones:           1"), "{out}");
         assert!(out.contains("delta:"), "{out}");
@@ -1833,60 +1339,108 @@ mod tests {
         // and one leaf id each.
         assert!(out.contains("segment fence bytes:  120\n"), "{out}");
 
-        let out = run(Command::Check {
-            index: index.clone(),
-        })
-        .unwrap();
+        let out = cmd(&format!("check {index}")).unwrap();
         for tree in ["dancestor", "sancestor", "docid", "documents", "stats"] {
             let line = format!("segment 2 tree {tree:<9} ok");
             assert!(out.contains(&line), "{line:?} missing in {out}");
         }
 
-        let out = run(Command::Compact {
-            index: index.clone(),
-        })
-        .unwrap();
+        let out = cmd(&format!("compact {index}")).unwrap();
         assert!(out.contains("compacted 2 segment(s)"), "{out}");
         assert!(out.contains("1 tombstoned doc(s) dropped"), "{out}");
         assert!(out.contains("3 live document(s)"), "{out}");
 
-        let out = run(Command::Query {
-            index: index.clone(),
-            expr: "//author".into(),
-            verify: true,
-            show: true,
-            workers: 1,
-            trace: false,
-            no_plan: false,
-            limit: None,
-            deadline_ms: None,
-        })
-        .unwrap();
+        let out = cmd(&format!("query {index} //author --verify --show")).unwrap();
         assert!(out.starts_with("3 document(s)"), "{out}");
         assert!(!out.contains("bob"), "{out}");
+    }
+
+    /// The label column of `vist stats`, pinned in order: the human format
+    /// is documented as stable. Counts vary; the labels may not.
+    #[test]
+    fn stats_human_labels_are_stable() {
+        let tmp = vist_storage::testutil::TempDir::new("cli-stats-labels");
+        let index = tmp.file("i.idx").display().to_string();
+        let dir = corpus(&tmp, &["ann", "bob"]);
+        cmd(&format!("create {index}")).unwrap();
+        cmd(&format!("load {index} {dir}")).unwrap();
+        let extra = tmp.file("extra.xml");
+        std::fs::write(&extra, "<book><author>dan</author></book>").unwrap();
+        cmd(&format!("add {index} {}", extra.display())).unwrap();
+        let out = cmd(&format!("stats {index}")).unwrap();
+        let labels: Vec<&str> = out
+            .lines()
+            .map(|l| l.split_once(':').map_or(l, |(label, _)| label))
+            .collect();
+        let (labels, shards) = labels
+            .split_at(labels.len() - labels.iter().filter(|l| l.starts_with("  shard")).count());
+        assert!(!shards.is_empty(), "{out}");
+        let trees = |names: [&'static str; 5]| names.map(|t| format!("  {t} tree"));
+        let mut expected: Vec<String> = [
+            "documents",
+            "suffix-tree nodes",
+            "D-Ancestor keys",
+            "segments",
+            "segment documents",
+            "segment bytes",
+            "segment fence bytes",
+            "tombstones",
+            "tight underflows",
+            "node incarnations",
+        ]
+        .map(String::from)
+        .to_vec();
+        expected.extend(
+            crate::QueryStats::default()
+                .stats_lines()
+                .into_iter()
+                .map(|(label, _)| label.to_string()),
+        );
+        expected.extend(
+            [
+                "ingest batches",
+                "ingest batch docs",
+                "ingest dkey cache",
+                "ingest edge cache",
+                "store bytes",
+                "delta",
+            ]
+            .map(String::from),
+        );
+        expected.extend(trees(["D-Ancestor", "S-Ancestor", "DocId", "edges", "aux"]));
+        expected.push("segment 1 (format v2)".into());
+        expected.extend(trees([
+            "D-Ancestor",
+            "S-Ancestor",
+            "DocId",
+            "documents",
+            "statistics",
+        ]));
+        expected.extend(
+            [
+                "page reads",
+                "page writes",
+                "wal appends",
+                "wal commits",
+                "checkpoints",
+                "recovered pages",
+                "wal bytes discarded",
+                "buffer pool",
+            ]
+            .map(String::from),
+        );
+        assert_eq!(labels, expected, "{out}");
     }
 
     #[test]
     fn end_to_end_batch_ingest_load() {
         let tmp = vist_storage::testutil::TempDir::new("cli-batch-ingest");
-        let index = tmp.file("i.idx");
-        let corpus = tmp.file("corpus");
-        std::fs::create_dir(&corpus).unwrap();
-        for (i, name) in ["ann", "bob", "eve", "dan", "kim"].iter().enumerate() {
-            std::fs::write(
-                corpus.join(format!("{i}.xml")),
-                format!("<book><author>{name}</author></book>"),
-            )
-            .unwrap();
-        }
-
-        run(parse_args(&argv(&format!("create {}", index.display()))).unwrap()).unwrap();
-        let out = run(parse_args(&argv(&format!(
-            "load {} {} --ingest-threads 2 --batch-size 2",
-            index.display(),
-            corpus.display()
-        )))
-        .unwrap())
+        let index = tmp.file("i.idx").display().to_string();
+        let dir = corpus(&tmp, &["ann", "bob", "eve", "dan", "kim"]);
+        cmd(&format!("create {index}")).unwrap();
+        let out = cmd(&format!(
+            "load {index} {dir} --ingest-threads 2 --batch-size 2"
+        ))
         .unwrap();
         assert!(out.contains("batch ingested 5 document(s)"), "{out}");
         assert!(out.contains("3 group commit(s)"), "{out}");
@@ -1894,28 +1448,13 @@ mod tests {
 
         // Batch-ingested documents are dynamic-path residents: no segment
         // is created, and they answer queries like any other insert.
-        let out = run(Command::Query {
-            index: index.clone(),
-            expr: "//author".into(),
-            verify: true,
-            show: false,
-            workers: 1,
-            trace: false,
-            no_plan: false,
-            limit: None,
-            deadline_ms: None,
-        })
-        .unwrap();
+        let out = cmd(&format!("query {index} //author --verify")).unwrap();
         assert!(out.starts_with("5 document(s)"), "{out}");
 
         // The human stats format carries the ingest lines (counters are
         // process-local, so a fresh open reads zeros — the lines must
         // still be there).
-        let out = run(Command::Stats {
-            index: index.clone(),
-            format: StatsFormat::Human,
-        })
-        .unwrap();
+        let out = cmd(&format!("stats {index}")).unwrap();
         assert!(out.contains("documents:            5"), "{out}");
         assert!(out.contains("segments:             0"), "{out}");
         assert!(out.contains("ingest batches:"), "{out}");
@@ -1925,9 +1464,9 @@ mod tests {
     }
 
     /// Build a small index for the observability-command tests.
-    fn obs_fixture(tag: &str) -> (vist_storage::testutil::TempDir, PathBuf) {
+    fn obs_fixture(tag: &str) -> (vist_storage::testutil::TempDir, String) {
         let tmp = vist_storage::testutil::TempDir::new(tag);
-        let index = tmp.file("i.idx");
+        let index = tmp.file("i.idx").display().to_string();
         let xml = tmp.file("d.xml");
         std::fs::write(
             &xml,
@@ -1935,30 +1474,15 @@ mod tests {
              <person><name>bob</name></person></people></site>",
         )
         .unwrap();
-        run(parse_args(&argv(&format!("create {}", index.display()))).unwrap()).unwrap();
-        run(Command::Add {
-            index: index.clone(),
-            files: vec![xml],
-        })
-        .unwrap();
+        cmd(&format!("create {index}")).unwrap();
+        cmd(&format!("add {index} {}", xml.display())).unwrap();
         (tmp, index)
     }
 
     #[test]
     fn query_trace_prints_span_tree() {
         let (_tmp, index) = obs_fixture("cli-trace");
-        let out = run(Command::Query {
-            index,
-            expr: "/site/people/person/name".into(),
-            verify: false,
-            show: false,
-            workers: 1,
-            trace: true,
-            no_plan: false,
-            limit: None,
-            deadline_ms: None,
-        })
-        .unwrap();
+        let out = cmd(&format!("query {index} /site/people/person/name --trace")).unwrap();
         assert!(out.contains("trace:"), "{out}");
         assert!(out.contains("query"), "{out}");
         assert!(out.contains("translate"), "{out}");
@@ -1971,23 +1495,8 @@ mod tests {
     fn stats_machine_formats_expose_all_layers() {
         let (_tmp, index) = obs_fixture("cli-stats-fmt");
         // Run one query so the query-path metrics have moved.
-        run(Command::Query {
-            index: index.clone(),
-            expr: "//name".into(),
-            verify: false,
-            show: false,
-            workers: 1,
-            trace: false,
-            no_plan: false,
-            limit: None,
-            deadline_ms: None,
-        })
-        .unwrap();
-        let prom = run(Command::Stats {
-            index: index.clone(),
-            format: StatsFormat::Prometheus,
-        })
-        .unwrap();
+        cmd(&format!("query {index} //name")).unwrap();
+        let prom = cmd(&format!("stats {index} --format prometheus")).unwrap();
         // One counter, gauge and histogram from each instrumented crate.
         for name in [
             "vist_storage_pool_miss_total",
@@ -2005,11 +1514,7 @@ mod tests {
         assert!(prom.contains("# TYPE"), "{prom}");
         assert!(prom.contains("_bucket{le="), "{prom}");
 
-        let json = run(Command::Stats {
-            index,
-            format: StatsFormat::Json,
-        })
-        .unwrap();
+        let json = cmd(&format!("stats {index} --format json")).unwrap();
         assert!(json.contains("\"vist_core_query_total\""), "{json}");
         assert!(json.contains("\"vist_storage_store_bytes\""), "{json}");
         assert!(json.contains("\"p99\""), "{json}");
@@ -2020,135 +1525,216 @@ mod tests {
         let (tmp, index) = obs_fixture("cli-profile");
         let qfile = tmp.file("q.txt");
         std::fs::write(&qfile, "# workload\n/site/people/person/name\n\n//name\n").unwrap();
-        let out = run(Command::Profile {
-            index: index.clone(),
-            queries: qfile.clone(),
-            workers: 2,
-        })
-        .unwrap();
+        let out = cmd(&format!("profile {index} {} --workers 2", qfile.display())).unwrap();
         assert!(out.contains("replayed 2 query(ies)"), "{out}");
         assert!(out.contains("/site/people/person/name"), "{out}");
         assert!(out.contains("workload total:"), "{out}");
 
         let missing = tmp.file("absent.txt");
-        assert!(run(Command::Profile {
-            index,
-            queries: missing,
-            workers: 1,
-        })
-        .is_err());
+        assert!(cmd(&format!("profile {index} {}", missing.display())).is_err());
     }
 
     #[test]
     fn parse_query_deadline() {
-        let c = parse_args(&argv("query idx //author --deadline-ms 250")).unwrap();
-        match c {
-            Command::Query { deadline_ms, .. } => assert_eq!(deadline_ms, Some(250)),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("query idx //author --deadline-ms soon")).is_err());
-        assert!(parse_args(&argv("query idx //author --deadline-ms")).is_err());
+        let (_tmp, index) = books("cli-deadline");
+        let out = cmd(&format!("query {index} //author --deadline-ms 60000")).unwrap();
+        assert!(out.starts_with("2 document(s)"), "{out}");
+        assert_eq!(
+            cmd(&format!("query {index} //author --deadline-ms soon")).unwrap_err(),
+            "bad --deadline-ms"
+        );
+        assert_eq!(
+            cmd(&format!("query {index} //author --deadline-ms")).unwrap_err(),
+            "--deadline-ms needs a value"
+        );
     }
 
     #[test]
     fn parse_serve() {
-        let c = parse_args(&argv(
-            "serve idx --addr 127.0.0.1:0 --max-inflight 2 --queue-depth 3 \
-             --query-workers 4 --max-deadline-ms 500 --drain-deadline-ms 900 \
-             --access-log access.jsonl",
-        ))
-        .unwrap();
+        let mut a = Args {
+            sub: "serve".into(),
+            rest: argv(
+                "idx --addr 127.0.0.1:0 --max-inflight 2 --queue-depth 3 \
+                 --query-workers 4 --max-deadline-ms 500 --drain-deadline-ms 900 \
+                 --access-log access.jsonl",
+            ),
+        };
+        let (index, cfg) = serve_config(&mut a).unwrap();
+        assert_eq!(index, "idx");
+        assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(
-            c,
-            Command::Serve {
-                index: PathBuf::from("idx"),
-                addr: "127.0.0.1:0".into(),
-                max_inflight: 2,
-                queue_depth: 3,
-                query_workers: 4,
-                max_deadline_ms: 500,
-                drain_deadline_ms: 900,
-                access_log: Some(PathBuf::from("access.jsonl")),
-            }
+            (cfg.max_inflight, cfg.queue_depth, cfg.query_workers),
+            (2, 3, 4)
         );
+        assert_eq!((cfg.max_deadline_ms, cfg.drain_deadline_ms), (500, 900));
+        assert_eq!(cfg.access_log.as_deref(), Some("access.jsonl"));
         // Defaults fill in everything but the index path.
-        match parse_args(&argv("serve idx")).unwrap() {
-            Command::Serve {
-                index,
-                queue_depth,
-                max_deadline_ms,
-                access_log,
-                ..
-            } => {
-                assert_eq!(index, PathBuf::from("idx"));
-                assert_eq!(queue_depth, vist_serve::ServeConfig::default().queue_depth);
-                assert_eq!(
-                    max_deadline_ms,
-                    vist_serve::ServeConfig::default().max_deadline_ms
-                );
-                assert_eq!(access_log, None);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("serve")).is_err());
-        assert!(parse_args(&argv("serve idx --max-inflight lots")).is_err());
-        assert!(parse_args(&argv("serve idx --access-log")).is_err());
+        let mut a = Args {
+            sub: "serve".into(),
+            rest: argv("idx"),
+        };
+        let (_, cfg) = serve_config(&mut a).unwrap();
+        let defaults = vist_serve::ServeConfig::default();
+        assert_eq!(cfg.queue_depth, defaults.queue_depth);
+        assert_eq!(cfg.max_deadline_ms, defaults.max_deadline_ms);
+        assert_eq!(cfg.access_log, None);
+        // Through `run`: the flags parse before the index is opened.
+        assert_eq!(
+            cmd("serve").unwrap_err(),
+            "serve: expected exactly one index path"
+        );
+        assert_eq!(
+            cmd("serve idx --max-inflight lots").unwrap_err(),
+            "bad --max-inflight"
+        );
+        assert_eq!(
+            cmd("serve idx --access-log").unwrap_err(),
+            "--access-log needs a value"
+        );
     }
 
     #[test]
     fn parse_traces() {
+        let mut a = Args {
+            sub: "traces".into(),
+            rest: argv("--addr 127.0.0.1:9 00ff"),
+        };
         assert_eq!(
-            parse_args(&argv("traces --addr 127.0.0.1:9 00ff")).unwrap(),
-            Command::Traces {
-                addr: "127.0.0.1:9".into(),
-                id: Some("00ff".into()),
-            }
+            traces_target(&mut a).unwrap(),
+            ("127.0.0.1:9".into(), "/debug/traces?id=00ff".into())
         );
+        // A bare `traces` asks `vist serve`'s default address for the list.
+        let mut a = Args {
+            sub: "traces".into(),
+            rest: Vec::new(),
+        };
         assert_eq!(
-            parse_args(&argv("traces")).unwrap(),
-            Command::Traces {
-                addr: vist_serve::ServeConfig::default().addr,
-                id: None,
-            }
+            traces_target(&mut a).unwrap(),
+            (
+                vist_serve::ServeConfig::default().addr,
+                "/debug/traces".into()
+            )
         );
-        assert!(parse_args(&argv("traces a b")).is_err());
+        // Nothing listens on port 1: the error names the address parsed.
+        let err = cmd("traces --addr 127.0.0.1:1 00ff").unwrap_err();
+        assert!(err.starts_with("cannot connect to 127.0.0.1:1: "), "{err}");
+        assert_eq!(
+            cmd("traces a b").unwrap_err(),
+            "traces: expected at most one trace id"
+        );
         // A malformed id is rejected before any connection attempt.
-        let err = run(Command::Traces {
-            addr: "127.0.0.1:1".into(),
-            id: Some("not-hex".into()),
-        })
-        .unwrap_err();
+        let err = cmd("traces --addr 127.0.0.1:1 not-hex").unwrap_err();
         assert!(err.contains("not a trace id"), "{err}");
     }
 
     #[test]
     fn parse_bench_serve() {
-        let c = parse_args(&argv(
-            "bench-serve --addr 127.0.0.1:4170 --expr /book --deadline-ms 100 \
-             --clients 2 --burst-clients 16 --duration-ms 50 --smoke --out r.json",
-        ))
-        .unwrap();
+        let mut a = Args {
+            sub: "bench-serve".into(),
+            rest: argv(
+                "--addr 127.0.0.1:4171 --expr /book --deadline-ms 100 --clients 2 \
+                 --burst-clients 16 --duration-ms 50 --smoke --out r.json",
+            ),
+        };
+        let (cfg, smoke, out) = bench_config(&mut a).unwrap();
         assert_eq!(
-            c,
-            Command::BenchServe {
-                addr: "127.0.0.1:4170".into(),
-                expr: "/book".into(),
-                deadline_ms: 100,
-                clients: Some(2),
-                burst_clients: Some(16),
-                duration_ms: Some(50),
-                smoke: true,
-                out: Some(PathBuf::from("r.json")),
-            }
+            (cfg.addr.as_str(), cfg.expr.as_str()),
+            ("127.0.0.1:4171", "/book")
         );
-        match parse_args(&argv("bench-serve")).unwrap() {
-            Command::BenchServe { smoke, out, .. } => {
-                assert!(!smoke);
-                assert_eq!(out, None);
+        assert_eq!(
+            (cfg.deadline_ms, cfg.clients, cfg.burst_clients),
+            (100, 2, 16)
+        );
+        assert_eq!(cfg.duration, Duration::from_millis(50));
+        assert!(smoke);
+        assert_eq!(out.as_deref(), Some("r.json"));
+        // Bare, it keeps the load generator's defaults: no smoke, no report.
+        let mut a = Args {
+            sub: "bench-serve".into(),
+            rest: Vec::new(),
+        };
+        let (cfg, smoke, out) = bench_config(&mut a).unwrap();
+        let defaults = vist_serve::BenchConfig::default();
+        assert_eq!((cfg.addr, cfg.duration), (defaults.addr, defaults.duration));
+        assert!(!smoke);
+        assert_eq!(out, None);
+
+        let tmp = vist_storage::testutil::TempDir::new("cli-bench-serve");
+        let report = tmp.file("r.json");
+        // Nothing listens on port 1, so no phase sheds: the smoke check
+        // fails after the report is written.
+        let err = cmd(&format!(
+            "bench-serve --addr 127.0.0.1:1 --expr /book --deadline-ms 100 \
+             --clients 2 --burst-clients 3 --duration-ms 20 --smoke --out {}",
+            report.display()
+        ))
+        .unwrap_err();
+        assert!(
+            err.contains("smoke: overload burst produced no shed"),
+            "{err}"
+        );
+        let lines: Vec<&str> = err.lines().collect();
+        assert!(lines[0].starts_with("baseline    1 client(s)"), "{err}");
+        assert!(lines[1].starts_with("loaded      2 client(s)"), "{err}");
+        assert!(lines[2].starts_with("burst       3 client(s)"), "{err}");
+        let json = std::fs::read_to_string(&report).unwrap();
+        assert!(json.contains("\"bench\": \"serve\""), "{json}");
+        assert_eq!(
+            cmd("bench-serve stray").unwrap_err(),
+            "bench-serve: unexpected argument 'stray'"
+        );
+    }
+
+    /// `USAGE` and the parsers are the two places a flag is written down:
+    /// every `[--flag ...]` of a subcommand's usage lines must be taken by
+    /// its function. Given all of them at once, with valid values and
+    /// operands to spare, every subcommand fails on its operands — not on a
+    /// flag it does not know or a value it cannot read.
+    #[test]
+    fn every_usage_flag_is_accepted() {
+        let synopsis = USAGE
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|s| s.split("\n\n").next())
+            .unwrap();
+        let mut subs: Vec<(String, Vec<String>)> = Vec::new();
+        for line in synopsis.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("vist ") {
+                let sub = rest.split_whitespace().next().unwrap();
+                subs.push((sub.to_string(), Vec::new()));
             }
-            other => panic!("{other:?}"),
+            let flags = &mut subs.last_mut().unwrap().1;
+            for group in line.split('[').skip(1) {
+                let group = group.split(']').next().unwrap();
+                let mut words = group.split_whitespace();
+                let Some(flag) = words.next().filter(|w| w.starts_with("--")) else {
+                    continue;
+                };
+                flags.push(flag.to_string());
+                // `N` and `B` are numbers; of alternatives, take the first.
+                match words.next() {
+                    Some("N" | "B") => flags.push("1".into()),
+                    Some(value) => flags.push(value.split('|').next().unwrap().into()),
+                    None => {}
+                }
+            }
         }
-        assert!(parse_args(&argv("bench-serve stray")).is_err());
+        assert_eq!(subs.len(), 16, "{synopsis}");
+        let mut checked = 0;
+        for (sub, flags) in &subs {
+            if flags.is_empty() {
+                continue;
+            }
+            let line = format!("{sub} {} stray stray stray", flags.join(" "));
+            let err = cmd(&line).unwrap_err();
+            assert!(
+                err == format!("{sub}: unexpected argument 'stray'")
+                    || err.starts_with(&format!("{sub}: expected ")),
+                "{line}: {err}"
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 10);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use vist::{IndexOptions, QueryOptions, VistIndex};
 use vist_storage::testutil::TempDir;
-use vist_storage::{BufferPool, FaultMode, FaultVfs, FilePager, RealVfs};
+use vist_storage::{FaultMode, FaultVfs, FilePager, RealVfs};
 
 const PAGE_SIZE: usize = 256;
 const QUERY: &str = "/book/author";
@@ -46,14 +46,11 @@ fn run_workload(vfs: &FaultVfs, path: &Path) -> RunEnd {
     };
     let opts = IndexOptions {
         page_size: PAGE_SIZE,
+        // A tiny pool so crash points also land inside eviction write-backs.
+        cache_pages: 8,
         ..Default::default()
     };
-    let Ok(pager) = FilePager::create_with_vfs(vfs, path, PAGE_SIZE) else {
-        return uncreated;
-    };
-    // A tiny pool so crash points also land inside eviction write-backs.
-    let pool = Arc::new(BufferPool::with_capacity(pager, 8));
-    let Ok(idx) = VistIndex::create_on(pool, opts) else {
+    let Ok(idx) = VistIndex::create_at(Arc::new(vfs.clone()), path, opts) else {
         return uncreated;
     };
     if idx.flush().is_err() {

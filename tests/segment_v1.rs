@@ -134,9 +134,7 @@ fn a_v1_segment_opens_answers_like_v2_and_compacts_to_v2() {
     // are the pools' own hit counts).
     let plan = |idx: &VistIndex| {
         let expr = "/book[author='Mary'][year='1999']";
-        let report = idx
-            .explain_with(expr, &QueryOptions::default(), true)
-            .unwrap();
+        let report = idx.explain(expr, &QueryOptions::default(), true).unwrap();
         let (plan, _pools) = report.split_once("pool:").expect("a pool section");
         assert!(plan.contains("plan (segment 1):") && plan.contains("est cost"));
         plan.to_string()

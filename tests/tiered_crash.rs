@@ -370,3 +370,32 @@ fn tiered_index_matches_single_tree_oracle() {
         "workload never left a segment behind"
     );
 }
+
+/// The file operations of each tier commit, pinned: the workload of the
+/// sweep above, run once without a fault, counting the operations of its
+/// first bulk load and of its compaction. A change to either count is a
+/// change to the I/O at a commit point — and to the crash states the sweep
+/// has to cover — so it must be deliberate.
+#[test]
+fn tier_commits_cost_fixed_file_operations() {
+    let dir = TempDir::new("tiered-ops");
+    let vfs = FaultVfs::new(Arc::new(RealVfs));
+    let handle = vfs.handle();
+    let idx = VistIndex::create_at(Arc::new(vfs), &dir.file("index"), opts()).unwrap();
+    idx.flush().unwrap();
+    for i in 0..2 {
+        idx.insert_xml(&doc(i)).unwrap();
+    }
+    idx.flush().unwrap();
+    let ops = |f: &dyn Fn()| {
+        let before = handle.op_count();
+        f();
+        handle.op_count() - before
+    };
+    let bulk = ops(&|| assert_eq!(idx.bulk_build((2..5).map(doc)).unwrap(), [2, 3, 4]));
+    idx.remove_document(2).unwrap();
+    idx.flush().unwrap();
+    idx.bulk_build((5..7).map(doc)).unwrap();
+    let compact = ops(&|| idx.compact().unwrap());
+    assert_eq!((bulk, compact), (67, 153));
+}
