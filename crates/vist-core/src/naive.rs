@@ -65,14 +65,16 @@ impl NaiveIndex {
         self.query_pattern(&pattern, opts)
     }
 
-    /// Run a pre-parsed pattern with Algorithm 1.
-    pub fn query_pattern(&mut self, pattern: &Pattern, opts: &QueryOptions) -> Result<Vec<DocId>> {
+    /// Run a pre-parsed pattern with Algorithm 1. The options mirror
+    /// [`VistIndex::query_pattern`](crate::VistIndex::query_pattern)'s;
+    /// Algorithm 1 reads none of them.
+    pub fn query_pattern(&mut self, pattern: &Pattern, _opts: &QueryOptions) -> Result<Vec<DocId>> {
         let translation = translate(
             pattern,
             &mut self.table,
             &TranslateOptions {
                 order: self.order.clone(),
-                max_sequences: opts.max_sequences,
+                ..TranslateOptions::default()
             },
         );
         let mut out: BTreeSet<DocId> = BTreeSet::new();

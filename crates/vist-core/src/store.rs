@@ -488,16 +488,6 @@ impl Store {
         Ok(id)
     }
 
-    /// Scan D-Ancestor keys in `[lo, hi)`, returning `(dkey, id)` pairs.
-    pub fn dkey_scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, u64)>> {
-        let mut out = Vec::new();
-        self.dkey_scan_range(lo, hi, &mut |k, id| {
-            out.push((k.to_vec(), id));
-            ControlFlow::Continue(())
-        })?;
-        Ok(out)
-    }
-
     // ----- S-Ancestor tree -----
 
     /// `dkey_id ‖ n`, big-endian. The three 24-byte index keys are built
@@ -590,17 +580,6 @@ impl Store {
     /// Detach a document id from node `n`; returns whether it was present.
     pub fn docid_delete(&self, n: u128, doc: DocId) -> Result<bool> {
         Ok(self.docid.delete(&Self::docid_key(n, doc))?.is_some())
-    }
-
-    /// All document ids attached to nodes with labels in `[lo, hi)` — the
-    /// paper's final DocId range query.
-    pub fn docids_in_range(&self, lo: u128, hi: u128) -> Result<Vec<DocId>> {
-        let mut out = Vec::new();
-        self.docids_in_scopes(&[(lo, hi)], &mut |doc| {
-            out.push(doc);
-            ControlFlow::Continue(())
-        })?;
-        Ok(out)
     }
 
     // ----- stored documents (aux, chunked) -----
@@ -966,6 +945,16 @@ mod tests {
         out
     }
 
+    fn docids_in(s: &Store, scopes: &[(u128, u128)]) -> Vec<DocId> {
+        let mut out = Vec::new();
+        s.docids_in_scopes(scopes, &mut |doc| {
+            out.push(doc);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        out
+    }
+
     fn mem_store() -> Store {
         let pool = Arc::new(BufferPool::with_capacity(MemPager::new(4096), 128));
         Store::create(pool, 2, true, true).unwrap()
@@ -1023,43 +1012,40 @@ mod tests {
         s.docid_put(100, 2).unwrap();
         s.docid_put(150, 3).unwrap();
         s.docid_put(200, 4).unwrap();
-        assert_eq!(s.docids_in_range(100, 200).unwrap(), vec![1, 2, 3]);
-        assert_eq!(s.docids_in_range(100, 201).unwrap(), vec![1, 2, 3, 4]);
-        assert_eq!(s.docids_in_range(101, 150).unwrap(), Vec::<DocId>::new());
+        assert_eq!(docids_in(&s, &[(100, 200)]), vec![1, 2, 3]);
+        assert_eq!(docids_in(&s, &[(100, 201)]), vec![1, 2, 3, 4]);
+        assert_eq!(docids_in(&s, &[(101, 150)]), Vec::<DocId>::new());
         assert!(s.docid_delete(100, 2).unwrap());
         assert!(!s.docid_delete(100, 2).unwrap());
-        assert_eq!(s.docids_in_range(100, 200).unwrap(), vec![1, 3]);
+        assert_eq!(docids_in(&s, &[(100, 200)]), vec![1, 3]);
 
         // Many scopes in one pass. A scope is closed at `lo` — document 0
         // posted exactly there is the first key of the label — and open at
         // `hi`.
         s.docid_put(100, 0).unwrap();
         s.docid_put(0, 9).unwrap();
-        let resolve = |scopes: &[(u128, u128)]| {
-            let mut out = Vec::new();
-            s.docids_in_scopes(scopes, &mut |doc| {
-                out.push(doc);
-                ControlFlow::Continue(())
-            })
-            .unwrap();
-            out
-        };
-        assert_eq!(resolve(&[]), Vec::<DocId>::new());
-        assert_eq!(resolve(&[(100, 200)]), vec![0, 1, 3]);
-        assert_eq!(resolve(&[(100, 101)]), vec![0, 1], "a single label");
-        assert_eq!(resolve(&[(99, 100), (101, 150)]), Vec::<DocId>::new());
+        assert_eq!(docids_in(&s, &[]), Vec::<DocId>::new());
+        assert_eq!(docids_in(&s, &[(100, 200)]), vec![0, 1, 3]);
+        assert_eq!(docids_in(&s, &[(100, 101)]), vec![0, 1], "a single label");
+        assert_eq!(docids_in(&s, &[(99, 100), (101, 150)]), Vec::<DocId>::new());
         assert_eq!(
-            resolve(&[(100, 150), (150, 200)]),
+            docids_in(&s, &[(100, 150), (150, 200)]),
             vec![0, 1, 3],
             "adjacent"
         );
-        assert_eq!(resolve(&[(0, 1), (150, 151), (200, 201)]), vec![9, 3, 4]);
         assert_eq!(
-            resolve(&[(0, 100), (200, 300), (1_000, vist_seq::MAX_SCOPE)]),
+            docids_in(&s, &[(0, 1), (150, 151), (200, 201)]),
+            vec![9, 3, 4]
+        );
+        assert_eq!(
+            docids_in(&s, &[(0, 100), (200, 300), (1_000, vist_seq::MAX_SCOPE)]),
             vec![9, 4],
             "past the last posting"
         );
-        assert_eq!(resolve(&[(0, vist_seq::MAX_SCOPE)]), vec![9, 0, 1, 3, 4]);
+        assert_eq!(
+            docids_in(&s, &[(0, vist_seq::MAX_SCOPE)]),
+            vec![9, 0, 1, 3, 4]
+        );
     }
 
     #[test]
@@ -1137,7 +1123,7 @@ mod tests {
                     k: 2
                 })
             );
-            assert_eq!(s.docids_in_range(5, 6).unwrap(), vec![77]);
+            assert_eq!(docids_in(&s, &[(5, 6)]), vec![77]);
             assert_eq!(s.doc_get(77).unwrap(), Some(b"<x/>".to_vec()));
         }
         std::fs::remove_file(&path).unwrap();
@@ -1176,7 +1162,7 @@ mod tests {
         s.clear_delta(1).unwrap();
         assert_eq!(s.dkey_get(b"k").unwrap(), None);
         assert_eq!(s.node_get(id, 5).unwrap(), None);
-        assert!(s.docids_in_range(0, 1000).unwrap().is_empty());
+        assert!(docids_in(&s, &[(0, 1000)]).is_empty());
         assert_eq!(s.doc_get(1).unwrap(), None);
         assert!(s.tomb_ids().unwrap().is_empty());
         let meta = s.meta();

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use vist_query::QuerySequence;
 use vist_seq::document_to_sequence;
 use vist_storage::sync::RwLock;
-use vist_storage::{Manifest, Vfs};
+use vist_storage::{FilePager, Manifest, Vfs};
 use vist_xml::{Document, ParseError};
 
 use crate::error::{Error, Result};
@@ -138,6 +138,7 @@ impl VistIndex {
         if fixed {
             self.flush_locked()?;
         }
+        remove_stale_segments(&files.path, &manifest.segments);
         *self.tier.state.write() = TierState { manifest, segments };
         Ok(())
     }
@@ -228,11 +229,14 @@ impl VistIndex {
             self.publish(files, delta_epoch + 1, compacted)?;
             self.flush_locked()?;
             self.store.pool().checkpoint()?;
-            // The replaced segment files are garbage; unlink best-effort.
+            // The replaced segment files and their logs are garbage; unlink
+            // best-effort (the next open removes any left behind).
             // Concurrent readers that cloned the old Arcs keep their open
             // handles and finish safely.
             for id in old_ids {
-                let _ = std::fs::remove_file(Manifest::segment_path(&files.path, id));
+                let path = Manifest::segment_path(&files.path, id);
+                let _ = std::fs::remove_file(FilePager::wal_path(&path));
+                let _ = std::fs::remove_file(path);
             }
             vist_obs::counter!("vist_core_compactions_total").inc();
             Ok(())
@@ -427,6 +431,34 @@ impl VistIndex {
         self.totals.lock().merge(&total.stats);
         total.stats.publish();
         Ok((total, plans))
+    }
+}
+
+/// Delete the segment files a compaction replaced but never unlinked (it
+/// crashed after its commit point, or an unlink failed): every
+/// `<base>.seg-<id>` and `<base>.seg-<id>.wal` whose id is below the largest
+/// id in `live` and not in `live`. Ids only grow, so nothing reuses them. A
+/// file above that id may be a bulk build not yet published, and the next
+/// build truncates it anyway. Best-effort, through `std::fs` like the
+/// unlinks it completes.
+fn remove_stale_segments(base: &Path, live: &[u64]) {
+    let (Some(&newest), Some(name)) = (live.iter().max(), base.file_name()) else {
+        return;
+    };
+    let dir = base.parent().filter(|d| !d.as_os_str().is_empty());
+    let Ok(entries) = std::fs::read_dir(dir.unwrap_or(Path::new("."))) else {
+        return;
+    };
+    let prefix = format!("{}.seg-", name.to_string_lossy());
+    for entry in entries.flatten() {
+        let file = entry.file_name();
+        let id = file.to_str().and_then(|f| {
+            let id = f.strip_prefix(&prefix)?;
+            id.strip_suffix(".wal").unwrap_or(id).parse().ok()
+        });
+        if id.is_some_and(|id: u64| id < newest && !live.contains(&id)) {
+            let _ = std::fs::remove_file(entry.path());
+        }
     }
 }
 

@@ -81,9 +81,6 @@ pub struct QueryOptions {
     /// removing ViST's known false positives. Requires
     /// [`IndexOptions::store_documents`].
     pub verify: bool,
-    /// Cap on alternative query sequences (see
-    /// [`TranslateOptions::max_sequences`]).
-    pub max_sequences: usize,
     /// Worker threads for the match engine, the calling thread included
     /// (`<= 1` is the calling thread alone). Alternative sequences and
     /// independent D-Ancestor branches are distributed across the workers.
@@ -98,7 +95,7 @@ pub struct QueryOptions {
     /// probing. Results are identical either way — the planner only
     /// reorders work and prunes provably-empty branches — so this exists
     /// to bisect regressions and to measure the planner's effect
-    /// (`vist query --no-plan`, `bench_planner`).
+    /// (`vist query --no-plan`, `tests/planner_diff.rs`).
     pub no_plan: bool,
     /// Stop after this many distinct matching documents (early
     /// termination). The returned ids are a size-`limit` subset of the
@@ -144,7 +141,6 @@ impl Default for QueryOptions {
     fn default() -> Self {
         QueryOptions {
             verify: false,
-            max_sequences: 24,
             workers: 1,
             schedule_seed: None,
             no_plan: false,
@@ -584,7 +580,7 @@ impl VistIndex {
         pattern: &Pattern,
         opts: &QueryOptions,
     ) -> Result<(Vec<(u128, u128)>, QueryStats)> {
-        let translation = self.translate_overlay(pattern, opts, |t, _| t);
+        let translation = self.translate_overlay(pattern, |t, _| t);
         // Lock order: the table read guard (above, inside the helper) is
         // released before the maintenance latch is taken.
         let _m = self.maintenance.read();
@@ -606,14 +602,13 @@ impl VistIndex {
     fn translate_overlay<R>(
         &self,
         pattern: &Pattern,
-        opts: &QueryOptions,
         then: impl FnOnce(Translation, &TableOverlay) -> R,
     ) -> R {
         let table = self.table.read();
         let mut overlay = TableOverlay::new(&table);
         let topts = TranslateOptions {
             order: self.order.clone(),
-            max_sequences: opts.max_sequences,
+            ..TranslateOptions::default()
         };
         let translation =
             translate_with(pattern, &mut overlay, &topts).expect("overlay resolver never fails");
@@ -636,7 +631,7 @@ impl VistIndex {
         // Translate + render inside one brief table read guard: the overlay
         // borrows the guard, and rendering needs the overlay for names of
         // query-only symbols. Dropped before any search runs.
-        let elem_labels = self.translate_overlay(&pattern, opts, |translation, overlay| {
+        let elem_labels = self.translate_overlay(&pattern, |translation, overlay| {
             writeln!(
                 out,
                 "{} alternative sequence(s){}:",
@@ -803,7 +798,7 @@ impl VistIndex {
         vist_obs::counter!("vist_core_query_total").inc();
         let topts = TranslateOptions {
             order: self.order.clone(),
-            max_sequences: opts.max_sequences,
+            ..TranslateOptions::default()
         };
         let translate_span = vist_obs::Span::enter("translate");
         let translate_start = vist_obs::now();

@@ -126,6 +126,59 @@ fn compacted_index_reopens() {
     assert!(r.doc_ids.is_empty());
 }
 
+/// A compaction unlinks the segments it replaced, and their logs, only after
+/// its commit point; a crash there, or a failed unlink, leaves their files
+/// behind. The next open removes them, and leaves alone a file above the
+/// newest live id (a bulk build that has not published yet).
+#[test]
+fn reopen_removes_segment_files_a_compaction_left_behind() {
+    let dir = TempDir::new("maintenance-stale-segments");
+    let path = dir.file("idx");
+    let seg = |id: u64| vist_storage::Manifest::segment_path(&path, id);
+    let wal = |id: u64| vist_storage::FilePager::wal_path(seg(id));
+    let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
+    idx.bulk_build((0..30).map(|i| format!("<x><y>{i}</y></x>")))
+        .unwrap();
+    idx.bulk_build((30..60).map(|i| format!("<x><y>{i}</y><z/></x>")))
+        .unwrap();
+    idx.remove_document(3).unwrap();
+    let replaced = std::fs::read(seg(1)).unwrap();
+    idx.compact().unwrap();
+    let queries = ["/x/y[text='7']", "/x/y[text='3']", "/x/z", "//y"];
+    let answers = |idx: &VistIndex| -> Vec<Vec<u64>> {
+        queries
+            .iter()
+            .map(|q| idx.query(q, &QueryOptions::default()).unwrap().doc_ids)
+            .collect()
+    };
+    let before = answers(&idx);
+    let check = idx.check().unwrap();
+    drop(idx);
+    assert!(seg(3).exists() && wal(3).exists());
+    for id in [1, 2] {
+        assert!(!seg(id).exists() && !wal(id).exists(), "segment {id}");
+    }
+
+    // The unlinks of segment 1 and of segment 2's log never happened;
+    // segment 4 is an unpublished build.
+    std::fs::write(seg(1), &replaced).unwrap();
+    std::fs::write(wal(1), b"").unwrap();
+    std::fs::write(wal(2), b"").unwrap();
+    std::fs::write(seg(4), b"unpublished").unwrap();
+    let idx = VistIndex::open_file(&path, 128).unwrap();
+    for id in [1, 2] {
+        assert!(
+            !seg(id).exists() && !wal(id).exists(),
+            "segment {id} is removed"
+        );
+    }
+    assert!(seg(3).exists() && wal(3).exists(), "the live segment stays");
+    assert!(seg(4).exists(), "a file above the newest live id stays");
+    assert_eq!(answers(&idx), before);
+    assert_eq!(idx.check().unwrap(), check);
+    assert_eq!(idx.doc_count(), 59);
+}
+
 #[test]
 fn tree_breakdown_accounts_all_trees() {
     let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();

@@ -2,7 +2,7 @@
 //!
 //! The workspace has two percentile consumers — the log₂-bucketed
 //! [`HistogramSnapshot`](crate::HistogramSnapshot) estimates and
-//! `bench-serve`'s exact sorted-sample quantiles — and both reduce to
+//! `vist profile`'s exact sorted-sample quantiles — and both reduce to
 //! the same nearest-rank rule: the `q`-quantile of `n` observations is
 //! the observation at 1-based rank `clamp(ceil(q * n), 1, n)`. This
 //! module is the single definition of that rule so the two can never
@@ -44,7 +44,7 @@ mod tests {
     }
 
     #[test]
-    fn nearest_rank_matches_bench_serve_semantics() {
+    fn nearest_rank_picks_the_ranked_sample() {
         let v: Vec<u64> = (1..=100).collect();
         assert_eq!(nearest_rank(&v, 0.50), 50);
         assert_eq!(nearest_rank(&v, 0.95), 95);

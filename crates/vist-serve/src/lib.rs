@@ -15,21 +15,17 @@
 //! - [`server`] — the accept/drain loop: per-query deadlines capped by
 //!   the server, SIGTERM → stop accepting → drain in-flight → flush →
 //!   exit 0;
-//! - [`signal`] — std-only SIGTERM/SIGINT handling;
-//! - [`bench`] — the `vist bench-serve` closed-loop load generator
-//!   (exact p50/p99/p999, shed-rate, overload burst).
+//! - [`signal`] — std-only SIGTERM/SIGINT handling.
 //!
 //! Everything is std-only: no external dependencies, matching the rest
 //! of the workspace.
 
 pub mod admission;
-pub mod bench;
 pub mod http;
 pub mod proto;
 pub mod server;
 pub mod signal;
 
 pub use admission::{Admission, Gate};
-pub use bench::{BenchConfig, BenchReport, PhaseReport};
 pub use proto::{ProtoError, Request, Response, Status, MAX_FRAME_BYTES, PROTO_VERSION};
 pub use server::{DrainReport, ServeConfig, Server, ServerHandle, StatsSnapshot};

@@ -480,8 +480,8 @@ impl Response {
 // ---------------------------------------------------------------- client
 
 /// Minimal blocking client for the binary protocol: one request, one
-/// response, over any `Read + Write` transport. Used by `bench-serve`,
-/// the e2e tests, and available to embedders.
+/// response, over any `Read + Write` transport. Used by the e2e tests
+/// and `benchmark/`'s `serve-topk` workload, and available to embedders.
 pub fn roundtrip<T: Read + Write>(
     transport: &mut T,
     req: &Request,

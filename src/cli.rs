@@ -35,8 +35,6 @@ USAGE:
                [--query-workers N] [--max-deadline-ms N] [--drain-deadline-ms N]
                [--access-log FILE]
   vist traces  [--addr H:P] [<trace-id>]
-  vist bench-serve [--addr H:P] [--expr E] [--deadline-ms N] [--clients N]
-               [--burst-clients N] [--duration-ms N] [--smoke] [--out FILE]
 
 SERVING (see docs/SERVING.md):
   serve                length-prefixed binary protocol + HTTP shim (/query,
@@ -44,9 +42,6 @@ SERVING (see docs/SERVING.md):
                        shed with OVERLOADED/429 + retry-after, every query's
                        deadline is capped by --max-deadline-ms, and SIGTERM
                        drains in-flight queries then flushes and exits 0
-  bench-serve          closed-loop load generator: uncontended baseline,
-                       capacity load, then an overload burst; reports exact
-                       p50/p95/p99/p999 latencies and shed rate as JSON
   query --deadline-ms  cooperative per-query budget: past it the engine stops
                        at the next work-item and reports 'deadline exceeded'
 
@@ -130,7 +125,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
         "sim" => sim(a),
         "serve" => serve(a),
         "traces" => traces(a),
-        "bench-serve" => bench_serve(a),
         other => Err(format!("unknown subcommand '{other}' (try 'vist help')")),
     }
 }
@@ -790,67 +784,6 @@ fn traces_target(a: &mut Args) -> Result<(String, String), String> {
     Ok((addr, target))
 }
 
-fn bench_serve(a: &mut Args) -> Result<String, String> {
-    let (cfg, smoke, out) = bench_config(a)?;
-    let report = vist_serve::bench::run(&cfg);
-    if let Some(path) = &out {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    let mut text = String::new();
-    for p in [&report.baseline, &report.loaded, &report.burst] {
-        let _ = writeln!(
-            text,
-            "{:<9} {:>3} client(s): {:>6} req ({} ok, {} shed, {} expired) \
-             p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms p999 {:.2}ms shed-rate {:.1}%",
-            p.name,
-            p.clients,
-            p.requests,
-            p.ok,
-            p.shed,
-            p.deadline_expired,
-            p.p50_ns as f64 / 1e6,
-            p.p95_ns as f64 / 1e6,
-            p.p99_ns as f64 / 1e6,
-            p.p999_ns as f64 / 1e6,
-            p.shed_rate() * 100.0,
-        );
-    }
-    let _ = writeln!(
-        text,
-        "loaded p99 / baseline p99 = {:.2}x",
-        report.p99_ratio_loaded_vs_baseline
-    );
-    if smoke && report.burst.shed == 0 {
-        return Err(format!(
-            "{text}smoke: overload burst produced no shed responses — \
-             admission control is not engaging"
-        ));
-    }
-    Ok(text)
-}
-
-/// `vist bench-serve`'s flags, parsed into the load generator's
-/// configuration (which keeps its defaults for the flags not given), with
-/// `--smoke` and the `--out` report path.
-fn bench_config(a: &mut Args) -> Result<(vist_serve::BenchConfig, bool, Option<String>), String> {
-    let smoke = a.flag("--smoke");
-    let mut cfg = vist_serve::BenchConfig::default();
-    if smoke {
-        cfg = cfg.smoke();
-    }
-    a.set("--addr", &mut cfg.addr)?;
-    a.set("--expr", &mut cfg.expr)?;
-    a.set("--deadline-ms", &mut cfg.deadline_ms)?;
-    a.set("--clients", &mut cfg.clients)?;
-    a.set("--burst-clients", &mut cfg.burst_clients)?;
-    if let Some(ms) = a.num("--duration-ms")? {
-        cfg.duration = Duration::from_millis(ms);
-    }
-    let out = a.opt("--out")?;
-    a.operands::<0>("")?;
-    Ok((cfg, smoke, out))
-}
-
 /// Minimal HTTP GET against a `vist serve` instance (it answers one
 /// request per connection and closes). Returns `(status, body)`.
 fn http_get(addr: &str, target: &str) -> Result<(u16, String), String> {
@@ -1074,8 +1007,8 @@ mod tests {
             ),
             ("sim --seeds 3", "sim: unexpected argument '--seeds'"),
             (
-                "bench-serve --client 2",
-                "bench-serve: unexpected argument '--client'",
+                "compact idx --vacuum",
+                "compact: unexpected argument '--vacuum'",
             ),
         ];
         for (line, err) in expect {
@@ -1627,64 +1560,6 @@ mod tests {
         assert!(err.contains("not a trace id"), "{err}");
     }
 
-    #[test]
-    fn parse_bench_serve() {
-        let mut a = Args {
-            sub: "bench-serve".into(),
-            rest: argv(
-                "--addr 127.0.0.1:4171 --expr /book --deadline-ms 100 --clients 2 \
-                 --burst-clients 16 --duration-ms 50 --smoke --out r.json",
-            ),
-        };
-        let (cfg, smoke, out) = bench_config(&mut a).unwrap();
-        assert_eq!(
-            (cfg.addr.as_str(), cfg.expr.as_str()),
-            ("127.0.0.1:4171", "/book")
-        );
-        assert_eq!(
-            (cfg.deadline_ms, cfg.clients, cfg.burst_clients),
-            (100, 2, 16)
-        );
-        assert_eq!(cfg.duration, Duration::from_millis(50));
-        assert!(smoke);
-        assert_eq!(out.as_deref(), Some("r.json"));
-        // Bare, it keeps the load generator's defaults: no smoke, no report.
-        let mut a = Args {
-            sub: "bench-serve".into(),
-            rest: Vec::new(),
-        };
-        let (cfg, smoke, out) = bench_config(&mut a).unwrap();
-        let defaults = vist_serve::BenchConfig::default();
-        assert_eq!((cfg.addr, cfg.duration), (defaults.addr, defaults.duration));
-        assert!(!smoke);
-        assert_eq!(out, None);
-
-        let tmp = vist_storage::testutil::TempDir::new("cli-bench-serve");
-        let report = tmp.file("r.json");
-        // Nothing listens on port 1, so no phase sheds: the smoke check
-        // fails after the report is written.
-        let err = cmd(&format!(
-            "bench-serve --addr 127.0.0.1:1 --expr /book --deadline-ms 100 \
-             --clients 2 --burst-clients 3 --duration-ms 20 --smoke --out {}",
-            report.display()
-        ))
-        .unwrap_err();
-        assert!(
-            err.contains("smoke: overload burst produced no shed"),
-            "{err}"
-        );
-        let lines: Vec<&str> = err.lines().collect();
-        assert!(lines[0].starts_with("baseline    1 client(s)"), "{err}");
-        assert!(lines[1].starts_with("loaded      2 client(s)"), "{err}");
-        assert!(lines[2].starts_with("burst       3 client(s)"), "{err}");
-        let json = std::fs::read_to_string(&report).unwrap();
-        assert!(json.contains("\"bench\": \"serve\""), "{json}");
-        assert_eq!(
-            cmd("bench-serve stray").unwrap_err(),
-            "bench-serve: unexpected argument 'stray'"
-        );
-    }
-
     /// `USAGE` and the parsers are the two places a flag is written down:
     /// every `[--flag ...]` of a subcommand's usage lines must be taken by
     /// its function. Given all of them at once, with valid values and
@@ -1719,7 +1594,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(subs.len(), 16, "{synopsis}");
+        assert_eq!(subs.len(), 15, "{synopsis}");
         let mut checked = 0;
         for (sub, flags) in &subs {
             if flags.is_empty() {
@@ -1734,7 +1609,7 @@ mod tests {
             );
             checked += 1;
         }
-        assert_eq!(checked, 10);
+        assert_eq!(checked, 9);
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub mod obs {
     pub use vist_obs::*;
 }
 
-/// Network front-end (`vist-serve`): `vist serve` / `vist bench-serve`,
+/// Network front-end (`vist-serve`): `vist serve` / `vist traces`,
 /// deadlines, admission control, graceful drain. See `docs/SERVING.md`.
 pub mod serve {
     pub use vist_serve::*;
