@@ -36,8 +36,9 @@ use vist_storage::{
 use crate::fence::Fence;
 use crate::leaf::LeafView;
 use crate::node::{
-    child_for, decode_internal_cell, init_internal, init_leaf, internal_cell, kind, leaf_cell,
-    link1, link2, set_link1, set_link2, upper_bound, NodeKind, KIND_PACKED_LEAF, NODE_HDR,
+    child_for, decode_internal_cell, decode_leaf_cell, init_internal, init_leaf, internal_cell,
+    kind, leaf_cell, link1, link2, set_link1, set_link2, upper_bound, NodeKind, KIND_PACKED_LEAF,
+    NODE_HDR,
 };
 
 /// How a tree gets from a key to the leaf that covers it — the one thing
@@ -384,14 +385,18 @@ impl BTree {
         match SlottedPageMut::new(buf, NODE_HDR).insert(slot, &cell) {
             Ok(()) => Ok((old, None)),
             Err(Error::PageOverflow { .. }) => {
-                let split = self.split_leaf(page, slot, key, value)?;
+                let split = self.split_leaf(page, slot, &cell)?;
                 Ok((old, Some(split)))
             }
             Err(e) => Err(e),
         }
     }
 
-    /// Split a full leaf, inserting `(key, value)` at positional `slot`.
+    /// Split a full leaf, inserting the leaf cell `new_cell` at positional
+    /// `slot`.
+    ///
+    /// The page is copied once; its cells, borrowed from the copy, and
+    /// `new_cell` are inserted into the two halves in key order.
     ///
     /// Ordering matters for concurrent readers: the right sibling is fully
     /// built *before* the left node's forward link is pointed at it, so a
@@ -400,43 +405,40 @@ impl BTree {
         &self,
         mut page: vist_storage::PageRefMut,
         slot: SlotId,
-        key: &[u8],
-        value: &[u8],
+        new_cell: &[u8],
     ) -> Result<(Vec<u8>, PageId)> {
         let left_pid = page.id();
-        // Collect all records plus the new one, in key order.
-        let mut records: Vec<(Vec<u8>, Vec<u8>)> = {
-            let leaf = LeafView::new(left_pid, page.data())?;
-            (0..leaf.count())
-                .map(|i| leaf.entry(i).map(|(k, v)| (k.to_vec(), v.to_vec())))
-                .collect::<Result<_>>()?
-        };
-        records.insert(slot as usize, (key.to_vec(), value.to_vec()));
+        let old = page.data().to_vec();
+        // Every record plus the new one, in key order, as cells.
+        let mut cells = page_cells(left_pid, &old, |cell, slot| {
+            let (k, v) = decode_leaf_cell(left_pid, slot, cell)?;
+            Ok(4 + k.len() + v.len())
+        })?;
+        cells.insert(usize::from(slot), new_cell);
         // Split point: the record with which the left half reaches half the
         // cell bytes goes left if that half, slots included, then fits a page.
         // If it does not, the half from that record on does: a record is at
         // most half a page and the records at most a page and a half.
-        let size = |(k, v): &(Vec<u8>, Vec<u8>)| 4 + k.len() + v.len();
-        let total: usize = records.iter().map(size).sum();
+        let total: usize = cells.iter().map(|c| c.len()).sum();
         let (mut acc, mut split_at) = (0usize, 0usize);
-        while (acc + size(&records[split_at])) * 2 < total {
-            acc += size(&records[split_at]);
+        while (acc + cells[split_at].len()) * 2 < total {
+            acc += cells[split_at].len();
             split_at += 1;
         }
-        if acc + size(&records[split_at]) + 4 * (split_at + 1) <= 2 * (self.descent.max_cell + 4) {
+        if acc + cells[split_at].len() + 4 * (split_at + 1) <= 2 * (self.descent.max_cell + 4) {
             split_at += 1;
         }
-        let split_at = split_at.clamp(1, records.len() - 1);
-        let right_records = records.split_off(split_at);
+        let (left, right) = cells.split_at(split_at.clamp(1, cells.len() - 1));
         // Suffix-truncated separator: shortest key separating the halves.
+        let key_of = |cell| decode_leaf_cell(left_pid, 0, cell).map(|(k, _)| k);
         let sep = crate::node::shortest_separator(
-            &records.last().expect("left non-empty").0,
-            &right_records[0].0,
+            key_of(left.last().expect("left non-empty"))?,
+            key_of(right[0])?,
         );
 
         let right_pid = self.pool.allocate()?;
-        let old_next = link1(page.data());
-        let old_prev = link2(page.data());
+        let old_next = link1(&old);
+        let old_prev = link2(&old);
         // Build the right node first, while the left node (still holding its
         // write guard) continues to show the pre-split record set.
         {
@@ -445,10 +447,7 @@ impl BTree {
             init_leaf(buf);
             set_link1(buf, old_next);
             set_link2(buf, left_pid);
-            let mut p = SlottedPageMut::new(buf, NODE_HDR);
-            for (i, (k, v)) in right_records.iter().enumerate() {
-                p.insert(i as SlotId, &leaf_cell(k, v))?;
-            }
+            fill(buf, right)?;
         }
         // Now rewrite the left node to its half and link it forward.
         {
@@ -456,10 +455,7 @@ impl BTree {
             init_leaf(buf);
             set_link1(buf, right_pid);
             set_link2(buf, old_prev);
-            let mut p = SlottedPageMut::new(buf, NODE_HDR);
-            for (i, (k, v)) in records.iter().enumerate() {
-                p.insert(i as SlotId, &leaf_cell(k, v))?;
-            }
+            fill(buf, left)?;
         }
         drop(page);
         // Fix the back link of the following leaf.
@@ -485,69 +481,56 @@ impl BTree {
         let cell = internal_cell(sep, child);
         match SlottedPageMut::new(buf, NODE_HDR).insert(slot, &cell) {
             Ok(()) => Ok(None),
-            Err(Error::PageOverflow { .. }) => {
-                Ok(Some(self.split_internal(page, slot, sep, child)?))
-            }
+            Err(Error::PageOverflow { .. }) => Ok(Some(self.split_internal(page, slot, &cell)?)),
             Err(e) => Err(e),
         }
     }
 
+    /// Split a full internal node, inserting the separator cell `new_cell`
+    /// at positional `slot`; like [`BTree::split_leaf`], from one copy of
+    /// the page.
     fn split_internal(
         &self,
         mut page: vist_storage::PageRefMut,
         slot: SlotId,
-        sep: &[u8],
-        child: PageId,
+        new_cell: &[u8],
     ) -> Result<(Vec<u8>, PageId)> {
-        let mut cells: Vec<(Vec<u8>, PageId)> = {
-            let buf = page.data();
-            let p = SlottedPage::new(buf, NODE_HDR);
-            (0..p.slot_count())
-                .map(|i| {
-                    let (k, c) = decode_internal_cell(page.id(), i, p.cell(i)?)?;
-                    Ok((k.to_vec(), c))
-                })
-                .collect::<Result<_>>()?
-        };
-        cells.insert(slot as usize, (sep.to_vec(), child));
+        let pid = page.id();
+        let old = page.data().to_vec();
+        let mut cells = page_cells(pid, &old, |cell, slot| {
+            Ok(6 + decode_internal_cell(pid, slot, cell)?.0.len())
+        })?;
+        cells.insert(usize::from(slot), new_cell);
         // The middle cell's key moves up; its child becomes the right node's
         // leftmost child.
-        let total: usize = cells.iter().map(|(k, _)| 6 + k.len()).sum();
+        let total: usize = cells.iter().map(|c| c.len()).sum();
         let mut acc = 0usize;
         let mut mid = cells.len() / 2;
-        for (i, (k, _)) in cells.iter().enumerate() {
-            acc += 6 + k.len();
+        for (i, cell) in cells.iter().enumerate() {
+            acc += cell.len();
             if acc * 2 >= total {
                 mid = i;
                 break;
             }
         }
         let mid = mid.clamp(1, cells.len() - 2);
-        let right_cells = cells.split_off(mid + 1);
-        let (up_key, right_leftmost) = cells.pop().expect("mid >= 1");
+        let (up_key, right_leftmost) = decode_internal_cell(pid, 0, cells[mid])?;
 
-        let leftmost = link1(page.data());
         let right_pid = self.pool.allocate()?;
         // Right node first (see `split_leaf` for the reader-safety argument).
         {
             let mut rp = self.pool.fetch_mut(right_pid)?;
             let buf = rp.data_mut();
             init_internal(buf, right_leftmost);
-            let mut p = SlottedPageMut::new(buf, NODE_HDR);
-            for (i, (k, c)) in right_cells.iter().enumerate() {
-                p.insert(i as SlotId, &internal_cell(k, *c))?;
-            }
+            fill(buf, &cells[mid + 1..])?;
         }
         {
             let buf = page.data_mut();
-            init_internal(buf, leftmost);
-            let mut p = SlottedPageMut::new(buf, NODE_HDR);
-            for (i, (k, c)) in cells.iter().enumerate() {
-                p.insert(i as SlotId, &internal_cell(k, *c))?;
-            }
+            init_internal(buf, link1(&old));
+            fill(buf, &cells[..mid])?;
         }
         drop(page);
-        Ok((up_key, right_pid))
+        Ok((up_key.to_vec(), right_pid))
     }
 
     /// Delete `key`. Returns the removed value, if the key was present.
@@ -714,6 +697,35 @@ impl BTree {
 
 /// `(replaced old value, upward split (separator, new right page))`.
 type InsertOutcome = (Option<Vec<u8>>, Option<(Vec<u8>, PageId)>);
+
+/// The cells of node page `pid`, whose bytes are `buf`, in slot order, each
+/// cut to the `len(cell, slot)` bytes its record decodes to — an error for
+/// a cell its page cannot back, naming the page.
+fn page_cells(
+    pid: PageId,
+    buf: &[u8],
+    len: impl Fn(&[u8], SlotId) -> Result<usize>,
+) -> Result<Vec<&[u8]>> {
+    let page = SlottedPage::new(buf, NODE_HDR);
+    let mut cells = Vec::with_capacity(usize::from(page.slot_count()) + 1);
+    for slot in 0..page.slot_count() {
+        let cell = page.cell(slot).map_err(|e| match e {
+            Error::Corrupt(what) => Error::Corrupt(format!("page {pid}: {what}")),
+            other => other,
+        })?;
+        cells.push(&cell[..len(cell, slot)?]);
+    }
+    Ok(cells)
+}
+
+/// Insert `cells` into the empty node `buf`, in order.
+fn fill(buf: &mut [u8], cells: &[&[u8]]) -> Result<()> {
+    let mut page = SlottedPageMut::new(buf, NODE_HDR);
+    for (slot, cell) in cells.iter().enumerate() {
+        page.insert(slot as SlotId, cell)?;
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

@@ -63,7 +63,9 @@ fn random_ops(rng: &mut Rng, n: usize) -> Vec<Op> {
         .collect()
 }
 
-fn run_ops(tree: &BTree, ops: &[Op]) {
+/// Apply `ops` to `tree` and to a `BTreeMap`, comparing every result, and
+/// the whole tree after the last op — or, with `every_step`, after each one.
+fn run_ops(tree: &BTree, ops: &[Op], every_step: bool) {
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for (i, op) in ops.iter().enumerate() {
         match op {
@@ -94,13 +96,26 @@ fn run_ops(tree: &BTree, ops: &[Op]) {
                 assert_eq!(got, want, "op {i}: scan {lo:?}..{hi:?}");
             }
         }
+        if every_step {
+            check_whole(tree, &model, &format!("op {i}: {op:?}"));
+        }
     }
-    verify::check(tree).unwrap();
-    // Full scan equals the model.
+    check_whole(tree, &model, "end");
+}
+
+/// `verify()`, and a full scan equal to the model.
+fn check_whole(tree: &BTree, model: &BTreeMap<Vec<u8>, Vec<u8>>, ctx: &str) {
+    verify::check(tree).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let got: Vec<_> = tree.scan(..).unwrap().map(|r| r.unwrap()).collect();
     let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-    assert_eq!(got, want);
-    assert_eq!(tree.len().unwrap(), model.len() as u64);
+    assert_eq!(got, want, "{ctx}");
+    assert_eq!(tree.len().unwrap(), model.len() as u64, "{ctx}");
+}
+
+fn small_tree() -> BTree {
+    // Tiny pages force frequent splits and multi-level trees.
+    let pool = Arc::new(BufferPool::with_capacity(MemPager::new(256), 32));
+    BTree::create(pool).unwrap()
 }
 
 #[test]
@@ -109,10 +124,63 @@ fn btree_matches_btreemap_mem() {
         let mut rng = Rng(0xB7EE ^ (case << 8));
         let len = 1 + rng.below(399);
         let ops = random_ops(&mut rng, len);
-        // Tiny pages force frequent splits and multi-level trees.
-        let pool = Arc::new(BufferPool::with_capacity(MemPager::new(256), 32));
-        let tree = BTree::create(pool).unwrap();
-        run_ops(&tree, &ops);
+        run_ops(&small_tree(), &ops, false);
+    }
+}
+
+/// Replace-heavy sequences over a few keys: values grow and shrink in
+/// place, so leaves fill with holes, are defragmented and split while the
+/// key set hardly changes. Checked after every step.
+#[test]
+fn grow_in_place_and_replace_heavy_sequences_match_btreemap() {
+    for case in 0..32u64 {
+        let mut rng = Rng(0x6A0E ^ (case << 8));
+        let keys: Vec<Vec<u8>> = (0..24).map(|_| random_key(&mut rng)).collect();
+        let ops: Vec<Op> = (0..300)
+            .map(|_| {
+                let k = keys[rng.below(keys.len())].clone();
+                match rng.below(10) {
+                    0 => Op::Delete(k),
+                    1 => Op::Get(k),
+                    _ => Op::Insert(k, random_value(&mut rng, 100)),
+                }
+            })
+            .collect();
+        run_ops(&small_tree(), &ops, true);
+    }
+}
+
+/// One leaf of nine records with holes punched in it, then for every slot
+/// position `p`: a record inserted at `p` that fits only once the leaf is
+/// defragmented, then that record grown in place until the leaf splits
+/// with the grown cell at `p`. Checked after every step.
+#[test]
+fn defragment_then_split_at_every_slot_position() {
+    // A 256-byte page has 240 bytes for slots and cells; a record of a
+    // 2-byte key and a 14-byte value takes 24 of them.
+    let key = |b: u8| vec![b'k', b];
+    for p in 0..=9u8 {
+        let tree = small_tree();
+        let leaves = || tree.tree_stats().unwrap().leaf_pages;
+        let mut model = BTreeMap::new();
+        let mut insert = |k: Vec<u8>, v: Vec<u8>| {
+            let want = model.insert(k.clone(), v.clone());
+            assert_eq!(tree.insert(&k, &v).unwrap(), want, "p {p}: {k:?}");
+            check_whole(&tree, &model, &format!("p {p}: after {k:?}"));
+        };
+        for i in 0..9 {
+            insert(key(2 * i + 2), vec![i; 14]);
+        }
+        // Shrink every other record: 60 bytes of holes, 24 contiguous free.
+        for i in (0..9).step_by(2) {
+            insert(key(2 * i + 2), vec![i; 2]);
+        }
+        // 40 bytes: more than the contiguous free space, less than all.
+        insert(key(2 * p + 1), vec![0xA0; 30]);
+        assert_eq!(leaves(), 1, "p {p}: defragmented, not split");
+        // 120 bytes: more than the leaf's whole free space.
+        insert(key(2 * p + 1), vec![0xB0; 110]);
+        assert_eq!(leaves(), 2, "p {p}: split once");
     }
 }
 
@@ -128,7 +196,7 @@ fn btree_matches_btreemap_file() {
             let pager = FilePager::create(&path, 256).unwrap();
             let pool = Arc::new(BufferPool::with_capacity(pager, 16));
             let tree = BTree::create(pool).unwrap();
-            run_ops(&tree, &ops);
+            run_ops(&tree, &ops, false);
         }
         let _ = std::fs::remove_file(&path);
     }

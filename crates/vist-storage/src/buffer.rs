@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::pager::PageIdMap;
+use crate::pager::{chunk_pages, PageIdMap};
 use crate::sync::{Mutex, MutexGuard, OwnedReadGuard, OwnedWriteGuard, RwLock};
 use crate::{Error, IoStats, PageId, Pager, Result};
 
@@ -383,16 +383,70 @@ impl BufferPool {
     }
 
     /// Write all dirty cached pages back and sync the backing store.
+    ///
+    /// The dirty frames go to the pager in shard and CLOCK-ring order,
+    /// [`chunk_pages`] of them through each [`Pager::write_many`], outside
+    /// the shard locks so concurrent fetches are not stalled by I/O. A
+    /// frame's dirty bit is cleared only after the pager has taken its
+    /// image, under the frame latch the image was read under: a frame that
+    /// reads clean can be evicted and re-read from the pager without losing
+    /// an update (`docs/CONCURRENCY.md`). A failed chunk leaves its frames
+    /// dirty for the next flush or eviction to write.
     pub fn flush(&self) -> Result<()> {
-        for shard in self.shards.iter() {
-            // Snapshot the shard's frames, then write back outside its lock
-            // so concurrent fetches on the shard are not stalled by I/O.
-            let frames: Vec<Arc<Frame>> = shard.inner.lock().ring.to_vec();
-            for frame in frames {
-                self.write_back(shard, &frame)?;
-            }
+        let mut dirty = Vec::new();
+        for (s, shard) in self.shards.iter().enumerate() {
+            let inner = shard.inner.lock();
+            let frames = inner.ring.iter();
+            dirty.extend(
+                frames
+                    .filter(|f| f.dirty.load(Ordering::Acquire))
+                    .map(|f| (s, Arc::clone(f))),
+            );
+        }
+        let mut rest = &dirty[..];
+        while !rest.is_empty() {
+            let chunk = rest.len().min(chunk_pages(self.page_size));
+            rest = &rest[self.write_chunk(&rest[..chunk])?..];
         }
         self.pager.lock().sync()
+    }
+
+    /// Write back a prefix of `frames` (shard index, frame) with one
+    /// [`Pager::write_many`] and return its length. The prefix holds at
+    /// least the first frame and ends before the first whose latch a page
+    /// writer holds: waiting for that latch while holding the others could
+    /// deadlock against a writer that latches pages in another order, so
+    /// that frame heads the next chunk instead.
+    fn write_chunk(&self, frames: &[(usize, Arc<Frame>)]) -> Result<usize> {
+        let mut latched = Vec::with_capacity(frames.len());
+        for (i, (shard, frame)) in frames.iter().enumerate() {
+            let data = match i {
+                0 => frame.data.read(),
+                _ => match frame.data.try_read() {
+                    Some(data) => data,
+                    None => break,
+                },
+            };
+            latched.push((*shard, &**frame, data));
+        }
+        let taken = latched.len();
+        // An eviction may have written a frame back since `flush` looked.
+        latched.retain(|(_, frame, _)| frame.dirty.load(Ordering::Acquire));
+        let pages: Vec<(PageId, &[u8])> = latched
+            .iter()
+            .map(|(_, frame, data)| (frame.pid, &data[..]))
+            .collect();
+        let t = vist_obs::now();
+        self.pager.lock().write_many(&pages)?;
+        vist_obs::observe_since(vist_obs::histogram!("vist_storage_page_write_nanos"), t);
+        for (shard, frame, _) in &latched {
+            frame.dirty.store(false, Ordering::Release);
+            self.shards[*shard]
+                .write_backs
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        vist_obs::counter!("vist_storage_write_back_total").add(latched.len() as u64);
+        Ok(taken)
     }
 
     /// [`BufferPool::flush`], then [`Pager::checkpoint`] the backing store.
@@ -452,6 +506,7 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::MemPager;
+    use std::sync::mpsc;
 
     fn pool(cap: usize) -> BufferPool {
         BufferPool::with_capacity(MemPager::new(256), cap)
@@ -546,10 +601,21 @@ mod tests {
     }
 
     /// A pager whose writes fail while `fail_writes` is set — for testing
-    /// write-back error handling.
+    /// write-back error handling — or, with `stall_writes`, report their
+    /// page and wait for a go-ahead; its reads yield the thread first, as a
+    /// read waiting on a device would.
     struct FlakyPager {
         inner: MemPager,
         fail_writes: std::sync::Arc<AtomicBool>,
+        stall_writes: Option<(mpsc::Sender<PageId>, mpsc::Receiver<()>)>,
+    }
+
+    fn flaky(fail_writes: &Arc<AtomicBool>) -> FlakyPager {
+        FlakyPager {
+            inner: MemPager::new(256),
+            fail_writes: Arc::clone(fail_writes),
+            stall_writes: None,
+        }
     }
 
     impl Pager for FlakyPager {
@@ -563,11 +629,16 @@ mod tests {
             self.inner.free(id)
         }
         fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            std::thread::yield_now();
             self.inner.read(id, buf)
         }
         fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
             if self.fail_writes.load(Ordering::Relaxed) {
                 return Err(Error::Io(std::io::Error::other("injected write failure")));
+            }
+            if let Some((wrote, go)) = &self.stall_writes {
+                wrote.send(id).unwrap();
+                go.recv().unwrap();
             }
             self.inner.write(id, buf)
         }
@@ -588,13 +659,7 @@ mod tests {
     #[test]
     fn failed_write_back_keeps_page_dirty() {
         let fail = std::sync::Arc::new(AtomicBool::new(false));
-        let pool = BufferPool::with_capacity(
-            FlakyPager {
-                inner: MemPager::new(256),
-                fail_writes: std::sync::Arc::clone(&fail),
-            },
-            4,
-        );
+        let pool = BufferPool::with_capacity(flaky(&fail), 4);
         let pid = pool.allocate().unwrap();
         pool.fetch_mut(pid).unwrap().data_mut()[0] = 0xAB;
 
@@ -621,6 +686,157 @@ mod tests {
             let _ = pool.fetch(p).unwrap();
         }
         assert_eq!(pool.fetch(pid).unwrap().data()[0], 0xAB);
+    }
+
+    /// The pager is writing a flushed page: the page's frame is still
+    /// dirty, so no eviction can drop it before the pager holds its image.
+    #[test]
+    fn a_frame_stays_dirty_until_the_pager_holds_its_image() {
+        let (wrote, writing) = mpsc::channel();
+        let (go, wait) = mpsc::channel();
+        let mut pager = flaky(&Arc::new(AtomicBool::new(false)));
+        pager.stall_writes = Some((wrote, wait));
+        let pool = Arc::new(BufferPool::with_capacity(pager, 4));
+        let pid = pool.allocate().unwrap();
+        pool.fetch_mut(pid).unwrap().data_mut()[0] = 7;
+        let frame = Arc::clone(&pool.shard(pid).inner.lock().map[&pid]);
+        let flush = std::thread::spawn({
+            let pool = Arc::clone(&pool);
+            move || pool.flush()
+        });
+        assert_eq!(writing.recv().unwrap(), pid);
+        assert!(
+            frame.dirty.load(Ordering::Acquire),
+            "clean before the pager has the image"
+        );
+        go.send(()).unwrap();
+        flush.join().unwrap().unwrap();
+        assert!(!frame.dirty.load(Ordering::Acquire));
+    }
+
+    /// A writer rewrites three of sixteen pages a round and flushes, while
+    /// three readers fetch all sixteen through an eight-frame pool, so
+    /// frames are evicted and read back from the pager all through the
+    /// flush. (Two shards of four frames: a miss holds its shard's lock
+    /// across the pager read, so with one shard no other reader could evict
+    /// while a read waits for the pager.) Every read must see at least the
+    /// image of the last flush that wrote the page, and the writer must find
+    /// its own last image before changing a page: a frame dropped as clean
+    /// before its image reached the pager would be read back stale, and the
+    /// writer's next change would be made on the stale bytes.
+    #[test]
+    fn pages_evicted_and_reread_during_a_flush_keep_its_images() {
+        use std::sync::atomic::AtomicU32;
+        const PAGES: usize = 16;
+        const ROUNDS: u32 = 20_000;
+        let pool = Arc::new(BufferPool::with_capacity(
+            flaky(&Arc::new(AtomicBool::new(false))),
+            8,
+        ));
+        assert_eq!(pool.shard_count(), 2);
+        let pids: Vec<PageId> = (0..PAGES).map(|_| pool.allocate().unwrap()).collect();
+        // Round number of the newest image of each page the pager holds.
+        let flushed: Arc<Vec<AtomicU32>> =
+            Arc::new((0..PAGES).map(|_| AtomicU32::new(0)).collect());
+        let round = |page: &[u8]| u32::from_le_bytes(page[..4].try_into().unwrap());
+        let done = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..3u64)
+            .map(|r| {
+                let (pool, pids) = (Arc::clone(&pool), pids.clone());
+                let (flushed, done) = (Arc::clone(&flushed), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ r;
+                    while !done.load(Ordering::Acquire) {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let i = (x % PAGES as u64) as usize;
+                        let floor = flushed[i].load(Ordering::Acquire);
+                        let seen = round(pool.fetch(pids[i]).unwrap().data());
+                        assert!(
+                            seen >= floor,
+                            "page {i}: round {seen} after flush of {floor}"
+                        );
+                    }
+                })
+            })
+            .collect();
+        let mut model = [0u32; PAGES];
+        for r in 1..=ROUNDS {
+            let written: Vec<usize> = (0..3).map(|k| (r as usize * 3 + k) % PAGES).collect();
+            for &i in &written {
+                let mut page = pool.fetch_mut(pids[i]).unwrap();
+                assert_eq!(round(page.data()), model[i], "page {i} before round {r}");
+                page.data_mut()[..4].copy_from_slice(&r.to_le_bytes());
+                model[i] = r;
+            }
+            pool.flush().unwrap();
+            for &i in &written {
+                flushed[i].store(r, Ordering::Release);
+            }
+        }
+        done.store(true, Ordering::Release);
+        for reader in readers {
+            reader.join().unwrap();
+        }
+    }
+
+    /// The dirty frames a flush would write, in its order.
+    fn dirty_pids(pool: &BufferPool) -> Vec<PageId> {
+        let mut pids = Vec::new();
+        for shard in pool.shards.iter() {
+            let inner = shard.inner.lock();
+            let dirty = inner
+                .ring
+                .iter()
+                .filter(|f| f.dirty.load(Ordering::Acquire));
+            pids.extend(dirty.map(|f| f.pid));
+        }
+        pids
+    }
+
+    /// A write chunk that fails leaves every frame of it dirty, and those
+    /// after it; the chunks before it are written. Then a second flush
+    /// commits everything.
+    #[test]
+    fn a_failed_chunk_stays_dirty_and_the_next_flush_commits_it() {
+        use crate::testutil::TempDir;
+        use crate::{FaultMode, FaultVfs, FilePager, RealVfs};
+        // 64 KiB pages: 16 to a chunk, so 40 dirty pages are 3 chunks.
+        const PS: usize = 1 << 16;
+        let image = |pid: PageId| vec![pid as u8; PS];
+        let dir = TempDir::new("pool-chunk-fail");
+        let path = dir.file("store");
+        // Operations 0, 1 and 2 of the flush write the three chunks, 3 the
+        // commit's header image.
+        for op in 0..4 {
+            let vfs = FaultVfs::new(Arc::new(RealVfs));
+            let pool =
+                BufferPool::with_capacity(FilePager::create_with_vfs(&vfs, &path, PS).unwrap(), 64);
+            let pids: Vec<PageId> = (0..40).map(|_| pool.allocate().unwrap()).collect();
+            for &pid in &pids {
+                pool.fetch_mut(pid)
+                    .unwrap()
+                    .data_mut()
+                    .copy_from_slice(&image(pid));
+            }
+            let order = dirty_pids(&pool);
+            assert_eq!(order.len(), 40);
+            let h = vfs.handle();
+            h.schedule(h.op_count() + op, FaultMode::Fail, 0);
+            assert!(pool.flush().is_err(), "fault at op {op}");
+            let clean = [0, 16, 32].get(op as usize).copied().unwrap_or(40);
+            assert_eq!(dirty_pids(&pool), order[clean..], "fault at op {op}");
+            pool.flush().unwrap();
+            assert!(dirty_pids(&pool).is_empty());
+            drop(pool);
+            let mut p = FilePager::open(&path).unwrap();
+            let mut buf = vec![0u8; PS];
+            for &pid in &pids {
+                p.read(pid, &mut buf).unwrap();
+                assert!(buf == image(pid), "page {pid} after a fault at op {op}");
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::crc::Crc32c;
-use crate::pager::{check_page_size, PageIdMap};
+use crate::pager::{check_page_size, chunk_pages, PageIdMap};
 use crate::vfs::{OpenMode, RealVfs, VFile, Vfs};
 use crate::wal::{Wal, WAL_HDR};
 use crate::{Error, IoStats, PageId, Pager, Result, INVALID_PAGE};
@@ -94,8 +94,12 @@ pub struct FilePager {
     /// newest WAL offset.
     pending: PageIdMap<u64>,
     /// Staging buffer of one frame (payload ‖ trailer): every data-file
-    /// read and write passes through it.
+    /// read, and the header frame a new store writes, pass through it.
     frame: Vec<u8>,
+    /// Staging buffer of one write chunk: the WAL records of an append, the
+    /// frames of a checkpoint's run. It grows to [`chunk_pages`] records
+    /// once and is reused from then on.
+    staging: Vec<u8>,
     stats: IoStats,
 }
 
@@ -148,6 +152,7 @@ impl FilePager {
             dirty: false,
             pending: PageIdMap::default(),
             frame: vec![0u8; page_size + PAGE_TRAILER],
+            staging: Vec::new(),
             stats: IoStats::default(),
         };
         let hdr = pager.header_image();
@@ -193,15 +198,11 @@ impl FilePager {
         // twice (crash mid-replay, reopen) converges to the same bytes.
         let mut stats = IoStats::default();
         let mut frame = vec![0u8; page_size + PAGE_TRAILER];
+        let mut staging = Vec::new();
         if !scan.committed.is_empty() {
             let recovery_start = vist_obs::now();
-            let mut ids: Vec<PageId> = scan.committed.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                let page = wal.read_page(scan.committed[&id], id)?;
-                write_frame_to(&mut *data, &mut frame, id, page)?;
-                stats.recovered_pages += 1;
-            }
+            stats.recovered_pages =
+                apply_images(&mut wal, &mut *data, &mut staging, &scan.committed)?;
             data.sync()?;
             vist_obs::observe_since(
                 vist_obs::histogram!("vist_storage_recovery_nanos"),
@@ -256,6 +257,7 @@ impl FilePager {
             dirty: false,
             pending: PageIdMap::default(),
             frame,
+            staging,
             stats,
         })
     }
@@ -279,17 +281,24 @@ impl FilePager {
         Ok(())
     }
 
-    /// Route a page image (`payload`, zero-padded to the page size)
-    /// through the WAL and remember its offset.
-    fn wal_write(&mut self, id: PageId, payload: &[u8]) -> Result<()> {
-        let t = vist_obs::now();
-        let off = self.wal.append_page(id, payload)?;
-        vist_obs::observe_since(vist_obs::histogram!("vist_storage_wal_append_nanos"), t);
-        self.stats.wal_appends += 1;
-        vist_obs::counter!("vist_storage_wal_append_total").inc();
-        vist_obs::attr::charge_wal_append();
-        self.pending.insert(id, off);
-        self.dirty = true;
+    /// Route the page images of `pages` (each payload zero-padded to the
+    /// page size; id 0 is the header) through the WAL, one write a chunk of
+    /// [`chunk_pages`] records, and remember their offsets. Every page
+    /// write, free, recycled allocation and commit goes through here.
+    fn wal_append(&mut self, pages: &[(PageId, &[u8])]) -> Result<()> {
+        let rec_len = self.wal.record_len() as u64;
+        for chunk in pages.chunks(chunk_pages(self.page_size)) {
+            let t = vist_obs::now();
+            let first = self.wal.append_pages(&mut self.staging, chunk)?;
+            vist_obs::observe_since(vist_obs::histogram!("vist_storage_wal_append_nanos"), t);
+            for (off, &(id, _)) in (first..).step_by(rec_len as usize).zip(chunk) {
+                self.pending.insert(id, off);
+                vist_obs::attr::charge_wal_append();
+            }
+            self.stats.wal_appends += chunk.len() as u64;
+            vist_obs::counter!("vist_storage_wal_append_total").add(chunk.len() as u64);
+            self.dirty = true;
+        }
         Ok(())
     }
 
@@ -325,12 +334,12 @@ impl FilePager {
     /// retryable: `pending` still maps every page to its committed image.
     fn apply_log(&mut self) -> Result<()> {
         let start = vist_obs::now();
-        let mut ids: Vec<PageId> = self.pending.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let page = self.wal.read_page(self.pending[&id], id)?;
-            write_frame_to(&mut *self.data, &mut self.frame, id, page)?;
-        }
+        apply_images(
+            &mut self.wal,
+            &mut *self.data,
+            &mut self.staging,
+            &self.pending,
+        )?;
         self.data.sync()?;
         // The data file is now authoritative; drop the log.
         self.pending.clear();
@@ -342,6 +351,46 @@ impl FilePager {
         vist_obs::observe_since(vist_obs::histogram!("vist_storage_checkpoint_nanos"), start);
         Ok(())
     }
+}
+
+/// Copy the image the log holds for every page of `images` (id → record
+/// offset) into the page's frame of the data file, in page order: the
+/// checkpoint and the replay of [`FilePager::open`]. Each record's CRC is
+/// verified as it is read back; a run of consecutive frames, at most
+/// [`chunk_pages`] long, is staged in `staging` and written with one call.
+/// Returns the number of frames written.
+fn apply_images(
+    wal: &mut Wal,
+    data: &mut dyn VFile,
+    staging: &mut Vec<u8>,
+    images: &PageIdMap<u64>,
+) -> Result<u64> {
+    let frame_len = (wal.page_size() + PAGE_TRAILER) as u64;
+    let max_run = chunk_pages(wal.page_size()) as u64;
+    let mut ids: Vec<PageId> = images.keys().copied().collect();
+    ids.sort_unstable();
+    staging.clear();
+    // First frame of the run in `staging`, and its length in frames.
+    let (mut first, mut run) = (0u64, 0u64);
+    for id in ids.iter().copied() {
+        if run > 0 && (u64::from(id) != first + run || run == max_run) {
+            data.write_at(first * frame_len, staging)?;
+            staging.clear();
+            run = 0;
+        }
+        if run == 0 {
+            first = u64::from(id);
+        }
+        let page = wal.read_page(images[&id], id)?;
+        staging.extend_from_slice(page);
+        staging.extend_from_slice(&frame_crc(id, page).to_le_bytes());
+        staging.extend_from_slice(&[0; PAGE_TRAILER - 4]);
+        run += 1;
+    }
+    if run > 0 {
+        data.write_at(first * frame_len, staging)?;
+    }
+    Ok(ids.len() as u64)
 }
 
 /// Write `payload`, zero-padded to the page size, as frame `id`, staged in
@@ -390,7 +439,7 @@ impl Pager for FilePager {
             let id = self.free_head;
             self.free_head = self.next_free(id)?;
             // Hand the page back zeroed (through the WAL, like any write).
-            self.wal_write(id, &[])?;
+            self.wal_append(&[(id, &[])])?;
             self.stats.allocations += 1;
             self.live += 1;
             return Ok(id);
@@ -411,7 +460,7 @@ impl Pager for FilePager {
     fn free(&mut self, id: PageId) -> Result<()> {
         self.check_id(id)?;
         let link = self.free_head.to_le_bytes();
-        self.wal_write(id, &link)?;
+        self.wal_append(&[(id, &link)])?;
         self.free_head = id;
         self.live = self.live.saturating_sub(1);
         self.stats.frees += 1;
@@ -427,10 +476,16 @@ impl Pager for FilePager {
     }
 
     fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
-        debug_assert_eq!(buf.len(), self.page_size);
-        self.check_id(id)?;
-        self.wal_write(id, buf)?;
-        self.stats.writes += 1;
+        self.write_many(&[(id, buf)])
+    }
+
+    fn write_many(&mut self, pages: &[(PageId, &[u8])]) -> Result<()> {
+        for &(id, buf) in pages {
+            debug_assert_eq!(buf.len(), self.page_size);
+            self.check_id(id)?;
+        }
+        self.wal_append(pages)?;
+        self.stats.writes += pages.len() as u64;
         Ok(())
     }
 
@@ -453,12 +508,13 @@ impl Pager for FilePager {
         // frames, so the data file has a valid frame below high_water for
         // every id once a checkpoint applies this commit.
         let hdr = self.header_image();
-        self.wal_write(0, &hdr)?;
-        for id in self.durable_frames..self.high_water {
-            if !self.pending.contains_key(&id) {
-                self.wal_write(id, &[])?;
-            }
-        }
+        let mut images: Vec<(PageId, &[u8])> = vec![(0, &hdr)];
+        images.extend(
+            (self.durable_frames..self.high_water)
+                .filter(|id| !self.pending.contains_key(id))
+                .map(|id| (id, &[][..])),
+        );
+        self.wal_append(&images)?;
         // The commit record is the atomic durability point.
         self.wal.commit()?;
         self.dirty = false;

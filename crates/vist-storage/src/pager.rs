@@ -36,6 +36,18 @@ impl Hasher for PageIdHasher {
 /// writes, the committed images of a WAL scan).
 pub(crate) type PageIdMap<V> = HashMap<PageId, V, BuildHasherDefault<PageIdHasher>>;
 
+/// Bytes of page images written with one system call: a chunk of
+/// [`crate::BufferPool::flush`]'s dirty pages handed to
+/// [`Pager::write_many`], the WAL records [`crate::FilePager`] appends for
+/// them, a run of frames its checkpoint writes.
+const WRITE_CHUNK_BYTES: usize = 1 << 20;
+
+/// Pages of `page_size` bytes in one write chunk (16 at the largest page
+/// size).
+pub(crate) fn chunk_pages(page_size: usize) -> usize {
+    WRITE_CHUNK_BYTES / page_size
+}
+
 /// Abstraction over a store of fixed-size pages.
 ///
 /// Implementations must hand out page ids that remain valid until
@@ -57,6 +69,13 @@ pub trait Pager: Send {
 
     /// Write `buf` (`buf.len() == page_size()`) to page `id`.
     fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()>;
+
+    /// [`Pager::write`] each `(id, buf)` of `pages`, in order. A pager that
+    /// can write several pages with one system call does. After an error
+    /// the caller assumes none of them was written, and writes them again.
+    fn write_many(&mut self, pages: &[(PageId, &[u8])]) -> Result<()> {
+        pages.iter().try_for_each(|&(id, buf)| self.write(id, buf))
+    }
 
     /// Number of pages currently allocated (live, not freed).
     fn live_pages(&self) -> u64;

@@ -253,19 +253,16 @@ impl<'a> SlottedPageMut<'a> {
 
     /// Compact all live cells to the top of the region, erasing holes.
     pub fn defragment(&mut self) {
-        let n = self.slot_count();
-        let region_len = self.region_len();
-        // Gather cells (slot order preserved).
-        let mut cells: Vec<(SlotId, Vec<u8>)> = Vec::with_capacity(n as usize);
-        for i in 0..n {
+        // The cells move, in slot order, out of one copy of the region: a
+        // cell may land on bytes a later one has not left yet.
+        let old = self.buf[self.base..].to_vec();
+        let mut cursor = self.region_len();
+        for i in 0..self.slot_count() {
             let (off, len) = self.slot_at(i);
-            cells.push((i, self.buf[self.base + off..self.base + off + len].to_vec()));
-        }
-        let mut cursor = region_len;
-        for (i, cell) in cells {
-            cursor -= cell.len();
-            self.buf[self.base + cursor..self.base + cursor + cell.len()].copy_from_slice(&cell);
-            self.set_slot(i, cursor, cell.len());
+            cursor -= len;
+            self.buf[self.base + cursor..self.base + cursor + len]
+                .copy_from_slice(&old[off..off + len]);
+            self.set_slot(i, cursor, len);
         }
         put_u16(self.buf, self.base + H_CELL_START, cursor as u16);
     }

@@ -12,7 +12,8 @@
 //!    `Arc` of the value the lock is a field of, so one reference count
 //!    covers both the lock and its neighbours.
 //! 3. **`try_lock` contention probing** for the buffer pool's
-//!    uncontended-hit counter.
+//!    uncontended-hit counter, and `try_read` for a flush that must not
+//!    wait for one page latch while it holds others.
 //!
 //! The API is a small subset of the `parking_lot` crate's, so swapping a
 //! real dependency in later is a one-line change per import. Everything is
@@ -93,6 +94,16 @@ impl<T: ?Sized> RwLock<T> {
     /// Block until shared access is acquired.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Acquire shared access only if no writer holds the lock (or, as the
+    /// platform decides, waits for it) right now.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.0.try_read() {
+            Ok(g) => Some(RwLockReadGuard(g)),
+            Err(TryLockError::Poisoned(e)) => Some(RwLockReadGuard(e.into_inner())),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Block until exclusive access is acquired.

@@ -58,7 +58,7 @@ pub(crate) struct Wal {
     /// Sequence number of the next commit record.
     seq: u64,
     /// Staging buffer of one `PAGE` record (header ‖ payload): every page
-    /// image appended or read back passes through it.
+    /// image read back passes through it.
     rec: Vec<u8>,
 }
 
@@ -185,18 +185,36 @@ impl Wal {
         ))
     }
 
-    /// Append a page image — `data`, zero-padded to the page size — and
-    /// return the record's offset (for later [`Wal::read_page`]). Not
-    /// synced — [`Wal::commit`] makes it durable.
-    pub fn append_page(&mut self, pid: PageId, data: &[u8]) -> Result<u64> {
-        debug_assert!(data.len() <= self.page_size);
-        let (hdr, payload) = self.rec.split_at_mut(REC_HDR);
-        payload[..data.len()].copy_from_slice(data);
-        payload[data.len()..].fill(0);
-        hdr.copy_from_slice(&encode_header(KIND_PAGE, pid, payload));
+    /// Bytes of one `PAGE` record: the records of one append lie this far
+    /// apart.
+    pub fn record_len(&self) -> usize {
+        REC_HDR + self.page_size
+    }
+
+    /// Append one `PAGE` record for each `(id, data)` of `pages` — `data`
+    /// zero-padded to the page size — encoded into `staging` and written
+    /// with one call, and return the first record's offset (for later
+    /// [`Wal::read_page`]s). Not synced — [`Wal::commit`] makes them
+    /// durable. After an error the append position has not moved: the next
+    /// append overwrites whatever part of these records reached the file.
+    pub fn append_pages(
+        &mut self,
+        staging: &mut Vec<u8>,
+        pages: &[(PageId, &[u8])],
+    ) -> Result<u64> {
+        staging.clear();
+        for &(pid, data) in pages {
+            debug_assert!(data.len() <= self.page_size);
+            let at = staging.len();
+            staging.extend_from_slice(&[0; REC_HDR]);
+            staging.extend_from_slice(data);
+            staging.resize(at + self.record_len(), 0);
+            let (hdr, payload) = staging[at..].split_at_mut(REC_HDR);
+            hdr.copy_from_slice(&encode_header(KIND_PAGE, pid, payload));
+        }
         let off = self.end;
-        self.file.write_at(off, &self.rec)?;
-        self.end += self.rec.len() as u64;
+        self.file.write_at(off, staging)?;
+        self.end += staging.len() as u64;
         Ok(off)
     }
 
@@ -278,16 +296,20 @@ mod tests {
         vec![fill; PS]
     }
 
+    fn append(wal: &mut Wal, pid: PageId, data: &[u8]) {
+        wal.append_pages(&mut Vec::new(), &[(pid, data)]).unwrap();
+    }
+
     #[test]
     fn committed_records_replay_uncommitted_tail_discarded() {
         let dir = TempDir::new("wal-replay");
         {
             let mut wal = Wal::create(open_file(&dir, OpenMode::CreateTruncate), PS).unwrap();
-            wal.append_page(3, &page(0xAA)).unwrap();
-            wal.append_page(5, &page(0xBB)).unwrap();
-            wal.append_page(3, &page(0xCC)).unwrap(); // newer image of 3
+            append(&mut wal, 3, &page(0xAA));
+            append(&mut wal, 5, &page(0xBB));
+            append(&mut wal, 3, &page(0xCC)); // newer image of 3
             wal.commit().unwrap();
-            wal.append_page(9, &page(0xDD)).unwrap(); // never committed
+            append(&mut wal, 9, &page(0xDD)); // never committed
         }
         let (mut wal, scan) = Wal::open(open_file(&dir, OpenMode::MustExist), Some(PS)).unwrap();
         assert_eq!(scan.commits, 1);
@@ -305,9 +327,9 @@ mod tests {
         let full_len;
         {
             let mut wal = Wal::create(open_file(&dir, OpenMode::CreateTruncate), PS).unwrap();
-            wal.append_page(1, &page(0x11)).unwrap();
+            append(&mut wal, 1, &page(0x11));
             wal.commit().unwrap();
-            wal.append_page(2, &page(0x22)).unwrap();
+            append(&mut wal, 2, &page(0x22));
             full_len = wal.bytes();
         }
         // Tear the last record at every possible byte boundary.
@@ -333,9 +355,9 @@ mod tests {
         let dir = TempDir::new("wal-flip");
         {
             let mut wal = Wal::create(open_file(&dir, OpenMode::CreateTruncate), PS).unwrap();
-            wal.append_page(1, &page(0x11)).unwrap();
+            append(&mut wal, 1, &page(0x11));
             wal.commit().unwrap();
-            wal.append_page(2, &page(0x22)).unwrap();
+            append(&mut wal, 2, &page(0x22));
             wal.commit().unwrap();
         }
         // Flip a byte inside the FIRST page record's payload: the scan stops

@@ -178,3 +178,80 @@ fn clean_sync_and_checkpoint_touch_no_file() {
     assert_eq!(ops.op_count(), before);
     assert_eq!(p.stats().checkpoints, 2);
 }
+
+/// 64 KiB pages: 16 frames to a write chunk.
+const BIG: usize = 1 << 16;
+
+fn big_image(id: PageId, round: u8) -> Vec<u8> {
+    vec![round ^ id as u8; BIG]
+}
+
+/// Forty pages checkpointed in round 1, then two commits left in the log:
+/// round 2 rewrites pages 2, 3, 5, 9..=30 and 40 (gaps between runs, a run
+/// longer than a chunk), round 3 rewrites pages 5 and 20 again.
+fn logged_runs(vfs: &dyn Vfs, path: &Path) -> FilePager {
+    let mut p = FilePager::create_with_vfs(vfs, path, BIG).unwrap();
+    for _ in 0..40 {
+        let id = p.allocate().unwrap();
+        p.write(id, &big_image(id, 1)).unwrap();
+    }
+    p.sync().unwrap();
+    let round_2: Vec<PageId> = [2, 3, 5, 40].into_iter().chain(9..=30).collect();
+    for (round, ids) in [(2, round_2), (3, vec![5, 20])] {
+        let images: Vec<Vec<u8>> = ids.iter().map(|&id| big_image(id, round)).collect();
+        let pages: Vec<(PageId, &[u8])> = ids
+            .iter()
+            .copied()
+            .zip(images.iter().map(|i| &i[..]))
+            .collect();
+        p.write_many(&pages).unwrap();
+        p.sync().unwrap();
+    }
+    assert_eq!((p.stats().wal_commits, p.stats().checkpoints), (3, 1));
+    p
+}
+
+/// Every page of [`logged_runs`] holds its newest image, read through a
+/// reopened store, so every frame's checksum is verified.
+fn assert_newest_images(path: &Path) {
+    let mut p = FilePager::open(path).unwrap();
+    let mut buf = vec![0u8; BIG];
+    for id in 1..=40 {
+        let round = match id {
+            5 | 20 => 3,
+            2 | 3 | 9..=30 | 40 => 2,
+            _ => 1,
+        };
+        p.read(id, &mut buf).unwrap();
+        assert!(buf == big_image(id, round), "page {id}");
+    }
+}
+
+#[test]
+fn a_checkpoint_writes_runs_of_frames_holding_the_newest_images() {
+    let dir = TempDir::new("commit-runs");
+    let path = dir.file("store");
+    let vfs = FaultVfs::new(Arc::new(RealVfs));
+    let ops = vfs.handle();
+    let mut p = logged_runs(&vfs, &path);
+    let before = ops.op_count();
+    p.checkpoint().unwrap();
+    // One read a logged page, the header's included (27); one write a run:
+    // [0], [2, 3], [5], [9..=24] (a chunk), [25..=30], [40]; then the data
+    // file's fsync, the log's truncation and its fsync.
+    assert_eq!(ops.op_count() - before, 27 + 6 + 3);
+    assert_eq!(wal_len(&path), WAL_HDR);
+    drop(p);
+    assert_newest_images(&path);
+}
+
+#[test]
+fn a_replay_writes_the_same_frames_as_a_checkpoint() {
+    let dir = TempDir::new("commit-replay-runs");
+    let path = dir.file("store");
+    drop(logged_runs(&RealVfs, &path));
+    let p = FilePager::open(&path).unwrap();
+    assert_eq!(p.stats().recovered_pages, 27);
+    drop(p);
+    assert_newest_images(&path);
+}

@@ -182,3 +182,58 @@ fn missing_wal_is_fine_missing_data_is_not() {
         Ok(_) => panic!("opened a store with no data file"),
     }
 }
+
+/// A commit's page images reach the log as one chunk, written with one
+/// call, so a crash can leave any prefix of it. Cut at a record boundary,
+/// one byte either side of one, or inside a payload, the log reopens to the
+/// commit before, and the cut-off bytes are measured as discarded.
+#[test]
+fn a_torn_chunk_reopens_to_the_last_commit() {
+    const REC: u64 = 13 + PS as u64;
+    let dir = TempDir::new("torn-chunk");
+    let path = dir.file("store");
+    let wal_path = FilePager::wal_path(&path);
+    let write = |p: &mut FilePager, ids: std::ops::RangeInclusive<PageId>, fill: u8| {
+        let image = [fill; PS];
+        let pages: Vec<(PageId, &[u8])> = ids.map(|id| (id, &image[..])).collect();
+        p.write_many(&pages).unwrap();
+        p.sync().unwrap();
+    };
+    let (committed, torn) = {
+        let mut p = FilePager::create(&path, PS).unwrap();
+        for _ in 0..16 {
+            p.allocate().unwrap();
+        }
+        write(&mut p, 1..=16, 0x11); // logs every frame: a checkpoint
+        write(&mut p, 1..=4, 0x22);
+        let committed = std::fs::metadata(&wal_path).unwrap().len();
+        write(&mut p, 1..=8, 0x33);
+        assert_eq!(p.stats().checkpoints, 1, "both commits stay in the log");
+        (committed, std::fs::read(&wal_path).unwrap())
+    };
+    let data = std::fs::read(&path).unwrap();
+    // The second commit: eight page records in one chunk, the header's
+    // record, then the commit record.
+    let sealed = committed + 9 * REC;
+    assert_eq!(torn.len() as u64, sealed + 13 + 8);
+    let mut cuts = vec![sealed, sealed + 1, sealed + 20];
+    for k in 0..9 {
+        let at = committed + k * REC;
+        cuts.extend([at, at + 1, at + 13 + PS as u64 / 2, at + REC - 1]);
+    }
+    for cut in cuts {
+        restore(&path, &wal_path, &data, &torn[..cut as usize]);
+        let mut p = FilePager::open(&path).unwrap();
+        assert_eq!(
+            p.stats().wal_discarded_bytes,
+            cut - committed,
+            "cut at {cut}"
+        );
+        let mut buf = vec![0u8; PS];
+        for id in 1..=8 {
+            p.read(id, &mut buf).unwrap();
+            let want = if id <= 4 { 0x22 } else { 0x11 };
+            assert!(buf.iter().all(|&b| b == want), "cut at {cut}: page {id}");
+        }
+    }
+}
