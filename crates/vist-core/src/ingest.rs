@@ -43,7 +43,6 @@ use crate::alloc::Allocation;
 use crate::error::{Error, Result};
 use crate::pool::run_workers;
 use crate::store::{DocId, NodeState};
-use crate::tier::{parse_stored, stored_text};
 use crate::vist::VistIndex;
 
 /// Positive caches for the apply phase, one per batch (a serial insert is a
@@ -306,12 +305,13 @@ impl VistIndex {
     /// instead of the trees. Caller must hold `self.writer`; the cache must
     /// not outlive it.
     ///
-    /// All-or-nothing for the document store and the document count: when
+    /// All-or-nothing for the live documents and the document count: when
     /// the sequence cannot be attached (the label space is exhausted), the
-    /// stored XML and the count are taken back, so the document is neither
-    /// listed nor picked up by the next compaction. Its id stays spent, and
-    /// so do the trie nodes allocated before the failure: both are harmless,
-    /// and ids are never reused.
+    /// stored XML gets a tombstone, as a removal would, and the count is
+    /// taken back, so the document is neither listed nor picked up by the
+    /// next compaction. Its id stays spent, and so do the trie nodes
+    /// allocated before the failure: both are harmless, and ids are never
+    /// reused.
     pub(crate) fn insert_sequence_cached(
         &self,
         seq: &Sequence,
@@ -330,8 +330,8 @@ impl VistIndex {
         }
         if let Err(e) = self.attach_sequence(doc_id, root_state, seq, cache) {
             if store_documents {
-                // `e` is the error to report, whatever the clean-up meets.
-                let _ = self.store.doc_remove(doc_id);
+                // `e` is the error to report, whatever the tombstone meets.
+                let _ = self.store.tomb_put(doc_id);
             }
             self.store.meta_mut().doc_count -= 1;
             return Err(e);
@@ -615,57 +615,23 @@ impl VistIndex {
         }
     }
 
-    /// Remove a document (requires stored documents). The document's id
-    /// disappears from all query results; shared trie nodes remain, as in
-    /// the paper's design ([`VistIndex::compact`] drops them).
-    ///
-    /// This is a *maintenance* operation: B+Tree deletion frees pages, so
-    /// it holds the maintenance latch exclusively, briefly blocking
-    /// concurrent queries.
+    /// Remove a document (requires stored documents): write a tombstone,
+    /// which masks its id from every answer of every tier, the delta's
+    /// included. Nothing is unlinked: its records stay until
+    /// [`VistIndex::compact`] leaves them out, as do the trie nodes it
+    /// shares, in the paper's design. A tombstone is one B+Tree insert,
+    /// reader-safe like any other, so removal runs beside queries.
     pub fn remove_document(&self, doc_id: DocId) -> Result<()> {
         let _w = self.writer.lock();
-        let _m = self.maintenance.write();
         self.require_documents()?;
-        let Some(xml) = self.store.doc_get(doc_id)? else {
-            // Not in the delta: a segment-resident document is deleted by
-            // writing a tombstone into the delta, which masks it from every
-            // query until compaction drops it for good.
-            if !self.store.tomb_contains(doc_id)? {
-                for seg in &self.tier.segments() {
-                    if seg.contains_doc(doc_id)? {
-                        self.store.tomb_put(doc_id)?;
-                        let mut meta = self.store.meta_mut();
-                        meta.doc_count = meta.doc_count.saturating_sub(1);
-                        return Ok(());
-                    }
-                }
-            }
-            return Err(Error::NoSuchDocument(doc_id));
-        };
-        let doc = parse_stored(&stored_text(xml)?)?;
-        let seq = {
-            let mut table = self.table.write();
-            document_to_sequence(&doc, &mut table, &self.order)
-        };
-        // Walk the trie edges to the final node.
-        let missing = || Error::Corrupt("document path missing from index".into());
-        let mut cur = 0u128; // virtual root label
-        let mut last_dkid = None;
-        for elem in seq.iter() {
-            let dkid = self
-                .store
-                .dkey_get(&data_dkey(elem)?)?
-                .ok_or_else(missing)?;
-            cur = self.find_child(cur, dkid)?.ok_or_else(missing)?;
-            last_dkid = Some(dkid);
+        let mut stored = self.store.doc_contains(doc_id)?;
+        for seg in self.tier.segments() {
+            stored = stored || seg.contains_doc(doc_id)?;
         }
-        if !self.store.docid_delete(cur, doc_id)? {
+        if !stored || self.store.tomb_contains(doc_id)? {
             return Err(Error::NoSuchDocument(doc_id));
         }
-        if let Some(dk) = last_dkid {
-            self.store.stats_doc_removed(dk);
-        }
-        self.store.doc_remove(doc_id)?;
+        self.store.tomb_put(doc_id)?;
         let mut meta = self.store.meta_mut();
         meta.doc_count = meta.doc_count.saturating_sub(1);
         Ok(())

@@ -129,7 +129,9 @@ ingest_counters! {
         /// offsets and leaf ids of every packed tree) — what segments keep
         /// outside the buffer pool.
         pub segment_fence_bytes: u64,
-        /// Segment documents masked by a delete tombstone in the delta.
+        /// Removed documents, of any tier, whose records stay until the
+        /// next compaction: the delete tombstones that mask them (a failed
+        /// insert's document has one too). A compaction policy's input.
         pub tombstones: u64,
         /// Live documents (delta + segments − tombstones).
         pub documents: u64,

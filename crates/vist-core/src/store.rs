@@ -141,12 +141,14 @@ const AUX_SYMBOL: u8 = 1;
 const AUX_ORDER: u8 = 2;
 const AUX_DOC: u8 = 3;
 const AUX_STATS: u8 = 4;
-/// Delete tombstone for a document that lives in a packed segment: the
-/// delta cannot unlink it physically, so queries mask the id instead.
-/// Compaction drops both the tombstone and the masked document.
+/// Delete tombstone: the one way a document leaves the index, whichever
+/// tier holds it. Nothing is unlinked; every tier's answers are masked by
+/// the tombstones instead, the delta's included. Compaction drops both the
+/// tombstone and the masked document, and is the only code that frees
+/// their pages.
 const AUX_TOMB: u8 = 5;
 /// Per-D-Ancestor-entry planner statistics ([`DkStats`]): key is tag ‖
-/// dkid. Maintained incrementally by the insert/remove hooks, persisted at
+/// dkid. Maintained incrementally by the insert hooks, persisted at
 /// flush. (Files written before the DocId strategy choice went also hold a
 /// record under the tag alone; nothing reads it.)
 const AUX_DKSTATS: u8 = 6;
@@ -394,14 +396,6 @@ impl Store {
         st.dirty.insert(dkid);
     }
 
-    /// Record a DocId posting detached from one of `dkid`'s nodes.
-    pub(crate) fn stats_doc_removed(&self, dkid: u64) {
-        let mut st = self.dkstats.write();
-        let e = st.map.entry(dkid).or_default();
-        e.docs = e.docs.saturating_sub(1);
-        st.dirty.insert(dkid);
-    }
-
     /// Drop every persisted and in-memory planner-statistics record.
     fn reset_dkid_stats(&self) -> Result<()> {
         let keys: Vec<Vec<u8>> = self
@@ -577,11 +571,6 @@ impl Store {
         Ok(())
     }
 
-    /// Detach a document id from node `n`; returns whether it was present.
-    pub fn docid_delete(&self, n: u128, doc: DocId) -> Result<bool> {
-        Ok(self.docid.delete(&Self::docid_key(n, doc))?.is_some())
-    }
-
     // ----- stored documents (aux, chunked) -----
 
     pub(crate) fn doc_chunk_key(doc: DocId, chunk: u32) -> Vec<u8> {
@@ -618,19 +607,10 @@ impl Store {
         Ok(found.then_some(out))
     }
 
-    /// Remove a stored document's XML text; returns whether it existed.
-    pub fn doc_remove(&self, doc: DocId) -> Result<bool> {
-        let mut prefix = KeyWriter::with_capacity(9);
-        prefix.u8(AUX_DOC).u64(doc);
-        let keys: Vec<Vec<u8>> = self
-            .aux
-            .scan_prefix(prefix.as_slice())?
-            .map(|r| r.map(|(k, _)| k))
-            .collect::<vist_storage::Result<_>>()?;
-        for k in &keys {
-            self.aux.delete(k)?;
-        }
-        Ok(!keys.is_empty())
+    /// Whether `doc` is stored in the delta (tombstoned or not): a probe of
+    /// its first chunk's key, the counterpart of `Segment::contains_doc`.
+    pub(crate) fn doc_contains(&self, doc: DocId) -> Result<bool> {
+        Ok(self.aux.contains(&Self::doc_chunk_key(doc, 0))?)
     }
 
     /// Iterate all stored document ids.
@@ -656,7 +636,7 @@ impl Store {
         k.finish()
     }
 
-    /// Mark a segment-resident document as deleted.
+    /// Mark a document as deleted, whichever tier holds it.
     pub(crate) fn tomb_put(&self, doc: DocId) -> Result<()> {
         self.aux.insert(&Self::tomb_key(doc), &[])?;
         Ok(())
@@ -1015,9 +995,6 @@ mod tests {
         assert_eq!(docids_in(&s, &[(100, 200)]), vec![1, 2, 3]);
         assert_eq!(docids_in(&s, &[(100, 201)]), vec![1, 2, 3, 4]);
         assert_eq!(docids_in(&s, &[(101, 150)]), Vec::<DocId>::new());
-        assert!(s.docid_delete(100, 2).unwrap());
-        assert!(!s.docid_delete(100, 2).unwrap());
-        assert_eq!(docids_in(&s, &[(100, 200)]), vec![1, 3]);
 
         // Many scopes in one pass. A scope is closed at `lo` — document 0
         // posted exactly there is the first key of the label — and open at
@@ -1025,12 +1002,16 @@ mod tests {
         s.docid_put(100, 0).unwrap();
         s.docid_put(0, 9).unwrap();
         assert_eq!(docids_in(&s, &[]), Vec::<DocId>::new());
-        assert_eq!(docids_in(&s, &[(100, 200)]), vec![0, 1, 3]);
-        assert_eq!(docids_in(&s, &[(100, 101)]), vec![0, 1], "a single label");
+        assert_eq!(docids_in(&s, &[(100, 200)]), vec![0, 1, 2, 3]);
+        assert_eq!(
+            docids_in(&s, &[(100, 101)]),
+            vec![0, 1, 2],
+            "a single label"
+        );
         assert_eq!(docids_in(&s, &[(99, 100), (101, 150)]), Vec::<DocId>::new());
         assert_eq!(
             docids_in(&s, &[(100, 150), (150, 200)]),
-            vec![0, 1, 3],
+            vec![0, 1, 2, 3],
             "adjacent"
         );
         assert_eq!(
@@ -1044,7 +1025,7 @@ mod tests {
         );
         assert_eq!(
             docids_in(&s, &[(0, vist_seq::MAX_SCOPE)]),
-            vec![9, 0, 1, 3, 4]
+            vec![9, 0, 1, 2, 3, 4]
         );
     }
 
@@ -1068,9 +1049,8 @@ mod tests {
         assert_eq!(s.doc_get(2).unwrap(), Some(big));
         assert_eq!(s.doc_get(3).unwrap(), None);
         assert_eq!(s.doc_ids().unwrap(), vec![1, 2]);
-        assert!(s.doc_remove(2).unwrap());
-        assert_eq!(s.doc_get(2).unwrap(), None);
-        assert_eq!(s.doc_ids().unwrap(), vec![1]);
+        assert!(s.doc_contains(2).unwrap());
+        assert!(!s.doc_contains(3).unwrap());
     }
 
     #[test]

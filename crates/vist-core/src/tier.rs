@@ -18,7 +18,7 @@ use vist_xml::{Document, ParseError};
 
 use crate::error::{Error, Result};
 use crate::extsort::DEFAULT_SORT_BUDGET;
-use crate::search::{search_sequences, PlanReport, SearchOptions, SearchOutcome};
+use crate::search::{search_sequences, PlanReport, SearchOptions, SearchOutcome, SearchSource};
 use crate::segment::{Segment, SegmentBuilder};
 use crate::store::DocId;
 use crate::vist::{bg_op, VistIndex};
@@ -340,8 +340,9 @@ impl VistIndex {
     /// Ids of all live documents (tombstone-masked), ascending. Caller
     /// holds the maintenance latch.
     pub(crate) fn live_doc_ids(&self, segments: &[Arc<Segment>]) -> Result<Vec<DocId>> {
-        let mut ids = self.store.doc_ids()?;
         let tombs = self.store.tomb_ids()?;
+        let mut ids = Vec::new();
+        join_live(&mut ids, self.store.doc_ids()?, &tombs);
         for seg in segments {
             join_live(&mut ids, seg.doc_ids()?, &tombs);
         }
@@ -352,7 +353,7 @@ impl VistIndex {
     /// the delta first, then the segments, newest first. A caller whose id
     /// is already masked (it came from [`VistIndex::live_doc_ids`] or
     /// [`VistIndex::search_tiers`]) passes `masked` and no tombstone is
-    /// probed; otherwise a segment document with a tombstone in the delta is
+    /// probed; otherwise a document with a tombstone is
     /// [`Error::NoSuchDocument`]. Caller holds the maintenance latch.
     pub(crate) fn stored_document(
         &self,
@@ -360,9 +361,11 @@ impl VistIndex {
         segments: &[Arc<Segment>],
         masked: bool,
     ) -> Result<String> {
+        if !masked && self.store.tomb_contains(id)? {
+            return Err(Error::NoSuchDocument(id));
+        }
         let xml = match self.store.doc_get(id)? {
             Some(xml) => Some(xml),
-            None if !masked && self.store.tomb_contains(id)? => None,
             None => segments
                 .iter()
                 .rev()
@@ -374,60 +377,58 @@ impl VistIndex {
 
     /// Algorithm 2 over every tier: the delta, then each segment, oldest
     /// first. Every tier is its own label space, so the match runs once
-    /// per source; document ids are unioned (a segment document with a
-    /// tombstone in the delta is masked), scopes concatenated, counters
-    /// and stage timings summed, and the plan of each tier that ran is
-    /// returned under its name when `sopts.collect_plan` asks for plans.
-    /// A limited search stops at the first tier that fills the limit.
-    /// The caller holds the maintenance latch.
+    /// per source; document ids are unioned less the tombstoned ones,
+    /// scopes concatenated, counters and stage timings summed, and the
+    /// plan of each tier that ran is returned under its name when
+    /// `sopts.collect_plan` asks for plans. A limited search stops at the
+    /// first tier that fills the limit. The caller holds the maintenance
+    /// latch.
     pub(crate) fn search_tiers(
         &self,
         seqs: &[QuerySequence],
         sopts: &SearchOptions,
     ) -> Result<(SearchOutcome, Vec<(String, PlanReport)>)> {
-        let mut total = search_sequences(&self.store, seqs, sopts)?;
-        let mut plans: Vec<(String, PlanReport)> = Vec::new();
-        plans.extend(total.plan.take().map(|p| ("delta".to_string(), p)));
+        let t = vist_obs::now();
+        let tombs = self.store.tomb_ids()?;
+        let mut union_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
         let segments = self.tier.segments();
-        if !segments.is_empty() {
-            // Delta docs are never tombstoned. Read the tombstones (a scan of
-            // every one) only once a segment is searched: a limited query the
-            // delta answers never does.
-            let mut tombs: Option<Vec<DocId>> = None;
-            let mut union_nanos = 0;
-            for seg in &segments {
-                if sopts.limit.is_some_and(|k| total.docs.len() >= k) {
-                    break;
-                }
-                if tombs.is_none() {
-                    let t = vist_obs::now();
-                    tombs = Some(self.store.tomb_ids()?);
-                    union_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
-                }
-                let tombs = tombs.as_deref().unwrap_or_default();
-                // Over-provision a limited segment search by the tombstone
-                // count: up to that many of its hits may be masked below.
-                let seg_opts = SearchOptions {
-                    limit: sopts.limit.map(|k| k - total.docs.len() + tombs.len()),
-                    ..*sopts
-                };
-                let o = search_sequences(seg.as_ref(), seqs, &seg_opts)?;
-                total.stats.merge(&o.stats);
-                total.timings.match_nanos += o.timings.match_nanos;
-                total.timings.merge_nanos += o.timings.merge_nanos;
-                total.timings.docid_nanos += o.timings.docid_nanos;
-                total.scopes.extend(o.scopes);
-                let t = vist_obs::now();
-                join_live(&mut total.docs, o.docs, tombs);
-                union_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
-                plans.extend(o.plan.map(|p| (format!("segment {}", seg.id), p)));
+        let sources = std::iter::once((None, &self.store as &dyn SearchSource)).chain(
+            segments
+                .iter()
+                .map(|seg| (Some(seg.id), seg.as_ref() as &dyn SearchSource)),
+        );
+        let mut total = SearchOutcome::default();
+        let mut plans: Vec<(String, PlanReport)> = Vec::new();
+        for (seg_id, source) in sources {
+            if sopts.limit.is_some_and(|k| total.docs.len() >= k) {
+                break;
             }
-            // The union can overshoot the limit; keep the smallest k.
-            total.docs.truncate(sopts.limit.unwrap_or(usize::MAX));
-            // Timed between the segments' own spans: one visit, grafted.
-            total.timings.merge_nanos += union_nanos;
-            vist_obs::span::attach(vist_obs::SpanNode::leaf("merge", union_nanos, 1));
+            // Over-provision a limited search by the tombstone count: up to
+            // that many of its hits may be masked below.
+            let opts = SearchOptions {
+                limit: sopts.limit.map(|k| k - total.docs.len() + tombs.len()),
+                ..*sopts
+            };
+            let o = search_sequences(source, seqs, &opts)?;
+            total.stats.merge(&o.stats);
+            total.timings.plan_nanos += o.timings.plan_nanos;
+            total.timings.match_nanos += o.timings.match_nanos;
+            total.timings.merge_nanos += o.timings.merge_nanos;
+            total.timings.docid_nanos += o.timings.docid_nanos;
+            total.scopes.extend(o.scopes);
+            let t = vist_obs::now();
+            join_live(&mut total.docs, o.docs, &tombs);
+            union_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
+            plans.extend(o.plan.map(|p| {
+                let name = seg_id.map_or("delta".to_string(), |id| format!("segment {id}"));
+                (name, p)
+            }));
         }
+        // The union can overshoot the limit; keep the smallest k.
+        total.docs.truncate(sopts.limit.unwrap_or(usize::MAX));
+        // Timed between the tiers' own spans: one visit, grafted.
+        total.timings.merge_nanos += union_nanos;
+        vist_obs::span::attach(vist_obs::SpanNode::leaf("merge", union_nanos, 1));
         self.totals.lock().merge(&total.stats);
         total.stats.publish();
         Ok((total, plans))
@@ -462,11 +463,15 @@ fn remove_stale_segments(base: &Path, live: &[u64]) {
     }
 }
 
-/// The tier union: join a segment's ids `run`, less those in `tombs`, into
+/// The tier union: join a tier's ids `run`, less those in `tombs`, into
 /// `ids` — all three ascending, and `ids` stays so and distinct. Appended,
 /// the two are sorted runs, which the stable sort merges in linear time.
 fn join_live(ids: &mut Vec<DocId>, mut run: Vec<DocId>, tombs: &[DocId]) {
     run.retain(|id| tombs.binary_search(id).is_err());
+    if ids.is_empty() {
+        *ids = run;
+        return;
+    }
     ids.append(&mut run);
     ids.sort();
     ids.dedup();
@@ -474,7 +479,7 @@ fn join_live(ids: &mut Vec<DocId>, mut run: Vec<DocId>, tombs: &[DocId]) {
 
 /// A stored document's bytes as text: they went in as UTF-8, so anything
 /// else is corruption.
-pub(crate) fn stored_text(xml: Vec<u8>) -> Result<String> {
+fn stored_text(xml: Vec<u8>) -> Result<String> {
     String::from_utf8(xml).map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))
 }
 

@@ -9,9 +9,10 @@
 //! share it as `Arc<VistIndex>` and call [`VistIndex::query`] from any
 //! number of threads while one thread runs [`VistIndex::insert_xml`] (and
 //! friends). Writers serialize on an internal lock; queries never block
-//! other queries. [`VistIndex::remove_document`] is *maintenance*: it frees
-//! B+Tree pages and therefore briefly excludes queries via an internal
-//! read-write latch. See `docs/CONCURRENCY.md` for the full lock hierarchy.
+//! other queries. Only a batch's apply phase and compaction's delta clear
+//! briefly exclude queries, via an internal read-write latch;
+//! [`VistIndex::remove_document`] writes a tombstone and frees nothing.
+//! See `docs/CONCURRENCY.md` for the full lock hierarchy.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -192,10 +193,11 @@ pub struct VistIndex {
     /// Serializes all mutations (inserts, removes, flushes). Top of the
     /// lock hierarchy: writer → maintenance → table → (btree/pool locks).
     pub(crate) writer: Mutex<()>,
-    /// Readers hold this shared; `remove_document` holds it exclusively
-    /// because B+Tree deletion frees pages and is not reader-safe.
-    /// `insert_batch` also holds it exclusively across its apply phase so
-    /// readers never observe a torn (partially applied) batch.
+    /// Readers hold this shared. Compaction's delta clear holds it
+    /// exclusively because B+Tree deletion frees pages and is not
+    /// reader-safe; `insert_batch` holds it exclusively across its apply
+    /// phase so readers never observe a torn (partially applied) batch.
+    /// Nothing else deletes: a removal is a tombstone, an insert.
     pub(crate) maintenance: RwLock<()>,
     /// Counters of every query run so far, summed.
     pub(crate) totals: Mutex<QueryStats>,
@@ -239,7 +241,8 @@ pub(crate) fn bg_op<T>(op: &'static str, f: impl FnOnce() -> Result<T>) -> Resul
 impl VistIndex {
     /// Create a transient in-memory index. It has the delta alone:
     /// [`VistIndex::bulk_build`] and [`VistIndex::compact`] answer
-    /// [`Error::NotTiered`].
+    /// [`Error::NotTiered`]. Without compaction, a removed document's
+    /// records and its tombstone stay until the index is dropped.
     pub fn in_memory(opts: IndexOptions) -> Result<Self> {
         let pager = MemPager::new(opts.page_size);
         let pool = Arc::new(BufferPool::with_capacity(pager, opts.cache_pages));
@@ -396,12 +399,10 @@ impl VistIndex {
     }
 
     /// Fill the segment fields of `stats` from `segments`: their number and
-    /// summed sizes, and the delta's tombstones that mask them.
+    /// summed sizes, and the tombstones that mask documents of every tier.
     fn count_segments(&self, stats: &mut IndexStats, segments: &[Arc<Segment>]) {
         stats.segments = segments.len() as u64;
-        if !segments.is_empty() {
-            stats.tombstones = self.store.tomb_ids().map_or(0, |v| v.len() as u64);
-        }
+        stats.tombstones = self.store.tomb_ids().map_or(0, |v| v.len() as u64);
         for seg in segments {
             stats.segment_docs += seg.doc_count;
             stats.segment_nodes += seg.node_count;

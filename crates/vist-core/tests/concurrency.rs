@@ -137,15 +137,15 @@ fn readers_with_concurrent_writer_match_serial_oracle() {
 /// One remover + six query threads: documents are split into a stable
 /// group (never removed) and a victim group the writer deletes one by one
 /// while readers query. Stable answers must survive every removal
-/// (deletion takes the maintenance latch exclusively, so readers see each
-/// remove atomically), victim ids must never resurface after the writer
+/// (a removal is one tombstone insert, which readers see whole or not at
+/// all, without a latch), victim ids must never resurface after the writer
 /// quiesces, and the end state must match a serially built oracle.
 #[test]
 fn readers_with_concurrent_remover_match_serial_oracle() {
     const STABLE: u64 = 120;
     const VICTIMS: u64 = 120;
     let opts = IndexOptions {
-        cache_pages: 64, // B+Tree deletion frees pages: force pool churn
+        cache_pages: 64, // a small pool: evictions beside the removals
         ..Default::default()
     };
     // Even ids = stable group, odd ids = victims (interleaved so removals

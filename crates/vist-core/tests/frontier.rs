@@ -42,7 +42,7 @@ use vist_storage::testutil::TempDir;
 
 /// `docs` in segments (the first `in_segment`, cut into `segments` equal
 /// parts) and a delta (the rest), every seventh document removed again —
-/// tombstoned in a segment, deleted from the delta — beside the oracle's
+/// a tombstone, whichever tier holds the document — beside the oracle's
 /// answer to ask.
 struct Corpus {
     _dir: TempDir,

@@ -1,7 +1,10 @@
 //! Maintenance-path integration tests: unknown-name short-circuits,
-//! compaction as vacuum, and the space story after heavy deletion.
+//! removal as a tombstone in every tier, compaction as vacuum, and the
+//! space story after heavy deletion.
 
-use vist_core::{IndexOptions, QueryOptions, VistIndex};
+use std::collections::BTreeSet;
+
+use vist_core::{DocId, Error, IndexOptions, NaiveIndex, QueryOptions, VistIndex};
 use vist_storage::testutil::TempDir;
 
 #[test]
@@ -101,6 +104,101 @@ fn compact_preserves_ids_and_reclaims_space() {
     // New inserts get fresh ids beyond the old space.
     let new_id = idx.insert_xml("<doc><k>brand-new</k></doc>").unwrap();
     assert!(new_id >= 400);
+}
+
+/// Document `i` of the tombstone test; only the last hundred have a `d`.
+fn tomb_doc(i: u64) -> String {
+    let d = if i >= 200 {
+        format!("<d>{}</d>", i % 5)
+    } else {
+        String::new()
+    };
+    format!("<r><a>{}</a><b>{}</b>{d}</r>", i % 7, i % 3)
+}
+
+/// `idx` holds `tomb_doc(0..300)` under ids 0..300. Remove documents of
+/// every tier — among them every hit a limited `/r/d` meets first — then
+/// the rest of the last hundred, and hold the answers to the oracle's.
+fn remove_and_check(idx: &VistIndex, tiered: bool) {
+    const QUERIES: [&str; 5] = ["/r/d", "/r/a[text='3']", "//b", "/r[b='1']/d", "/r/*"];
+    let mut naive = NaiveIndex::default();
+    for i in 0..300 {
+        naive.insert_document(&vist_xml::parse(&tomb_doc(i)).unwrap());
+    }
+    let limited = |k: usize| QueryOptions {
+        limit: Some(k),
+        ..QueryOptions::default()
+    };
+    let check = |naive: &mut NaiveIndex, removed: &BTreeSet<DocId>| {
+        assert_eq!(idx.stats().tombstones, removed.len() as u64);
+        assert_eq!(idx.doc_count(), 300 - removed.len() as u64);
+        for q in QUERIES {
+            let mut want = naive.query(q, &QueryOptions::default()).unwrap();
+            want.retain(|id| !removed.contains(id));
+            let got = idx.query(q, &QueryOptions::default()).unwrap().doc_ids;
+            assert_eq!(got, want, "{q}");
+            for k in [1, 3, 10] {
+                let got = idx.query(q, &limited(k)).unwrap().doc_ids;
+                assert_eq!(got.len(), k.min(want.len()), "{q} limit {k}");
+                assert!(got.iter().all(|id| want.contains(id)), "{q} limit {k}");
+            }
+        }
+    };
+
+    // The delta's first hits at every limit: with its search not
+    // over-provisioned, a limited query would meet only removed documents.
+    let mut removed = BTreeSet::new();
+    for k in [1, 3, 10] {
+        removed.extend(idx.query("/r/d", &limited(k)).unwrap().doc_ids);
+    }
+    assert!(removed.iter().all(|&id| id >= 200));
+    removed.extend((0..200).step_by(9));
+    removed.extend((200..300).step_by(7));
+    let frees = idx.stats().io.frees;
+    for &id in &removed {
+        idx.remove_document(id).unwrap();
+    }
+    check(&mut naive, &removed);
+
+    // Nothing is unlinked, so emptying the delta frees no page.
+    for id in 200..300 {
+        if removed.insert(id) {
+            idx.remove_document(id).unwrap();
+        }
+    }
+    assert_eq!(idx.stats().io.frees, frees);
+    check(&mut naive, &removed);
+    // Removed from a segment, removed from the delta.
+    for id in [9, 250] {
+        assert!(matches!(idx.remove_document(id), Err(Error::NoSuchDocument(i)) if i == id));
+        assert!(matches!(idx.get_document_xml(id), Err(Error::NoSuchDocument(i)) if i == id));
+    }
+    assert_eq!(idx.get_document_xml(1).unwrap(), tomb_doc(1));
+
+    if tiered {
+        let answers = || QUERIES.map(|q| idx.query(q, &QueryOptions::default()).unwrap().doc_ids);
+        let before = answers();
+        idx.compact().unwrap();
+        assert_eq!(idx.stats().tombstones, 0);
+        assert_eq!(answers(), before);
+    }
+}
+
+#[test]
+fn a_removal_is_a_tombstone_in_every_tier() {
+    let docs: Vec<String> = (0..300).map(tomb_doc).collect();
+    // Two segments and a delta, file-backed.
+    let dir = TempDir::new("maintenance-tombstones");
+    let idx = VistIndex::create_file(dir.file("idx"), IndexOptions::default()).unwrap();
+    idx.bulk_build(&docs[..100]).unwrap();
+    idx.bulk_build(&docs[100..200]).unwrap();
+    idx.insert_batch(&docs[200..], 2).unwrap();
+    assert_eq!(idx.stats().segments, 2);
+    remove_and_check(&idx, true);
+    // The delta alone, in memory.
+    let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
+    idx.insert_batch(&docs, 2).unwrap();
+    remove_and_check(&idx, false);
 }
 
 #[test]

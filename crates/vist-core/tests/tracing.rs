@@ -107,6 +107,49 @@ fn the_tier_union_is_one_more_visit_of_the_merge_stage() {
 }
 
 #[test]
+fn the_planning_of_every_tier_reaches_the_stage_timings() {
+    let _turn = tracing_switch();
+    let dir = TempDir::new("tracing-plan");
+    // Without stored documents a fourth segment triggers no compaction.
+    let opts = IndexOptions {
+        store_documents: false,
+        ..IndexOptions::default()
+    };
+    let idx = VistIndex::create_file(dir.file("idx.vist"), opts).unwrap();
+    let docs: Vec<String> = (0..500).map(person).collect();
+    for chunk in docs[..400].chunks(100) {
+        idx.bulk_build(chunk).unwrap();
+    }
+    for xml in &docs[400..] {
+        idx.insert_xml(xml).unwrap();
+    }
+    assert_eq!(idx.stats().segments, 4);
+    vist_obs::set_tracing(true);
+    let r = idx
+        .query("/site/people/person/name", &QueryOptions::default())
+        .unwrap();
+    vist_obs::set_tracing(false);
+
+    assert_eq!(r.doc_ids.len(), 500);
+    let tree = r.trace.expect("trace recorded while tracing is enabled");
+    let plan = tree
+        .children
+        .iter()
+        .find(|c| c.name == "plan")
+        .unwrap_or_else(|| panic!("no plan stage in:\n{}", tree.render()));
+    assert_eq!(plan.count, 5, "{}", tree.render());
+    // Each tier's planning is summed, not the delta's alone (a fifth).
+    assert!(
+        r.timings.plan_nanos * 2 >= plan.nanos,
+        "plan_nanos {} of the spans' {}\n{}",
+        r.timings.plan_nanos,
+        plan.nanos,
+        tree.render()
+    );
+    assert!(r.timings.stage_sum() <= r.timings.total_nanos);
+}
+
+#[test]
 fn no_trace_when_disabled() {
     let _turn = tracing_switch();
     let idx = build_index();
