@@ -650,18 +650,4 @@ mod tests {
         .unwrap();
         assert_eq!(n, 0);
     }
-
-    #[test]
-    fn scan_after_deletions() {
-        let t = filled(300);
-        for i in (0..300u32).step_by(2) {
-            t.delete(format!("k{i:06}").as_bytes()).unwrap();
-        }
-        let ks = keys(t.scan(..).unwrap());
-        assert_eq!(ks.len(), 150);
-        assert!(ks.iter().all(|k| {
-            let n: u32 = k[1..].parse().unwrap();
-            n % 2 == 1
-        }));
-    }
 }

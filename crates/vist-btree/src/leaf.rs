@@ -10,7 +10,7 @@
 //! ```text
 //! +0   u8   kind = 3
 //! +1   u32  next-leaf page id
-//! +5   u32  prev-leaf page id
+//! +5   u32  reserved (see [`crate::node`])
 //! +9   u8   reserved
 //! +10  u16  n: records
 //! +12  u16  p: length of the prefix every key of this leaf starts with

@@ -6,11 +6,10 @@
 //! [`vist_storage::BufferPool`] with
 //!
 //! * variable-length keys and values in slotted pages,
-//! * ordered range scans through a doubly-linked leaf chain,
-//! * insert-or-replace, exact lookup, and delete,
-//! * PostgreSQL-style *lazy deletion* (empty pages are unlinked and freed;
-//!   under-full pages are left in place rather than merged — the classic
-//!   trade-off that keeps variable-length-key deletion simple and fast),
+//! * ordered range scans through a singly-linked leaf chain,
+//! * insert-or-replace and exact lookup; no record is removed on its own —
+//!   [`BTree::clear`] empties a whole tree and is the one call that frees
+//!   pages (the tiered index clears its delta after each compaction),
 //! * many trees sharing one pager/pool, as ViST needs ("the combined
 //!   D-Ancestor and S-Ancestor B+ Trees" plus the DocId tree live in one
 //!   store), and
@@ -67,7 +66,6 @@ pub use vist_storage::{Error, Result};
 pub fn register_metrics() {
     let _ = vist_obs::counter!("vist_btree_get_total");
     let _ = vist_obs::counter!("vist_btree_insert_total");
-    let _ = vist_obs::counter!("vist_btree_delete_total");
     let _ = vist_obs::counter!("vist_btree_leaf_chase_total");
     let _ = vist_obs::gauge!("vist_btree_depth");
     let _ = vist_obs::histogram!("vist_btree_probe_depth");

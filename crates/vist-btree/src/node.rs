@@ -7,10 +7,18 @@
 //! ```text
 //! +0  u8   kind: 1 = leaf, 2 = internal, 3 = packed leaf
 //! +1  u32  leaf: next-leaf page id       | internal: leftmost child page id
-//! +5  u32  leaf: prev-leaf page id       | internal: unused
+//! +5  u32  reserved: INVALID_PAGE when written, never read
 //! +9  u8   reserved
 //! +10 ...  slotted region
 //! ```
+//!
+//! The leaf chain is singly linked: cursors and the B-link chase follow the
+//! forward link only. Files written before the tree became insert-only
+//! carry a back link to the previous leaf at +5; nothing reads it, so they
+//! open unchanged. The other direction does not hold: a binary from before
+//! then must not compact a file written since (its per-key delete of the
+//! aux tree would follow the missing back link), and its `verify` reports
+//! every leaf chain of such a file as broken.
 //!
 //! Leaf cells are `[klen u16][vlen u16][key][value]`. Internal cells are
 //! `[klen u16][child u32][key]`; the child of cell *i* holds keys in
@@ -57,10 +65,6 @@ pub(crate) fn link1(buf: &[u8]) -> PageId {
     PageId::from_le_bytes(buf[1..5].try_into().unwrap())
 }
 
-pub(crate) fn link2(buf: &[u8]) -> PageId {
-    PageId::from_le_bytes(buf[5..9].try_into().unwrap())
-}
-
 pub(crate) fn set_kind(buf: &mut [u8], k: NodeKind) {
     buf[0] = match k {
         NodeKind::Leaf => KIND_LEAF,
@@ -72,24 +76,23 @@ pub(crate) fn set_link1(buf: &mut [u8], pid: PageId) {
     buf[1..5].copy_from_slice(&pid.to_le_bytes());
 }
 
-pub(crate) fn set_link2(buf: &mut [u8], pid: PageId) {
-    buf[5..9].copy_from_slice(&pid.to_le_bytes());
+/// Initialize a page as an empty node of kind `k` with header link `link`
+/// and the reserved field at +5 set to `INVALID_PAGE`.
+fn init(buf: &mut [u8], k: NodeKind, link: PageId) {
+    set_kind(buf, k);
+    set_link1(buf, link);
+    buf[5..9].copy_from_slice(&INVALID_PAGE.to_le_bytes());
+    SlottedPageMut::init(buf, NODE_HDR);
 }
 
-/// Initialize a page as an empty leaf with no neighbours.
+/// Initialize a page as an empty leaf with no successor.
 pub(crate) fn init_leaf(buf: &mut [u8]) {
-    set_kind(buf, NodeKind::Leaf);
-    set_link1(buf, INVALID_PAGE);
-    set_link2(buf, INVALID_PAGE);
-    SlottedPageMut::init(buf, NODE_HDR);
+    init(buf, NodeKind::Leaf, INVALID_PAGE);
 }
 
 /// Initialize a page as an empty internal node with the given leftmost child.
 pub(crate) fn init_internal(buf: &mut [u8], leftmost: PageId) {
-    set_kind(buf, NodeKind::Internal);
-    set_link1(buf, leftmost);
-    set_link2(buf, INVALID_PAGE);
-    SlottedPageMut::init(buf, NODE_HDR);
+    init(buf, NodeKind::Internal, leftmost);
 }
 
 /// Encode a leaf cell.
@@ -153,9 +156,10 @@ pub(crate) fn decode_internal_cell(
 }
 
 /// First slot of internal node `pid` whose key is strictly greater than
-/// `key`. Used for routing and separator insertion so that, when lazy
-/// deletion has left a stale separator equal to a fresh one, keys route to
-/// the *later* (newer) child.
+/// `key`. Used for routing and separator insertion so that, when a file
+/// written before the tree became insert-only carries a stale separator
+/// equal to a fresh one (left by the lazy deletion of that time), keys
+/// route to the *later* (newer) child.
 pub(crate) fn upper_bound(pid: PageId, buf: &[u8], key: &[u8]) -> Result<SlotId> {
     let page = SlottedPage::new(buf, NODE_HDR);
     let (mut lo, mut hi) = (0, page.slot_count());
@@ -282,11 +286,12 @@ mod tests {
     #[test]
     fn links_roundtrip() {
         let mut buf = vec![0u8; 256];
+        buf[5..9].fill(0xAB);
         init_leaf(&mut buf);
         assert_eq!(link1(&buf), INVALID_PAGE);
+        assert_eq!(buf[5..9], INVALID_PAGE.to_le_bytes(), "reserved field");
         set_link1(&mut buf, 7);
-        set_link2(&mut buf, 9);
-        assert_eq!((link1(&buf), link2(&buf)), (7, 9));
+        assert_eq!(link1(&buf), 7);
         assert_eq!(kind(3, &buf).unwrap(), NodeKind::Leaf);
     }
 

@@ -127,18 +127,4 @@ mod tests {
         assert!(s.utilization() > 0.3 && s.utilization() <= 1.0);
         assert_eq!(s.total_bytes, (s.leaf_pages + s.internal_pages) * 512);
     }
-
-    #[test]
-    fn stats_shrink_after_full_deletion() {
-        let t = tree_with(1000);
-        for i in 0..1000 {
-            t.delete(format!("key{i:06}").as_bytes()).unwrap();
-        }
-        let s = t.tree_stats().unwrap();
-        assert_eq!(s.entries, 0);
-        assert!(
-            s.leaf_pages + s.internal_pages < 5,
-            "lazy deletion reclaims empties"
-        );
-    }
 }

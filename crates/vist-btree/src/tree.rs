@@ -1,4 +1,4 @@
-//! B+Tree insert / lookup / delete.
+//! B+Tree insert / lookup / clear.
 //!
 //! # Concurrency
 //!
@@ -19,10 +19,14 @@
 //! reached, and the cursors do the same from the leaf their seek landed
 //! on. A reader racing an insert may therefore miss only the one
 //! key whose insert has not yet returned — never an already-committed
-//! key, and never a torn or uninitialized page. `delete` frees pages and
-//! is **not** safe against concurrent readers of the same tree — callers
-//! must exclude readers for the duration (see `docs/CONCURRENCY.md`;
-//! `vist-core` does this with a maintenance lock).
+//! key, and never a torn or uninitialized page.
+//!
+//! The tree is insert-only: no record is ever removed on its own. `clear`
+//! empties the whole tree and is the one call that frees pages, so it is
+//! **not** safe against concurrent readers of the same tree — callers must
+//! exclude readers for the duration (see `docs/CONCURRENCY.md`;
+//! `vist-core` does this with a maintenance lock, around compaction's
+//! delta clear).
 
 use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -37,8 +41,7 @@ use crate::fence::Fence;
 use crate::leaf::LeafView;
 use crate::node::{
     child_for, decode_internal_cell, decode_leaf_cell, init_internal, init_leaf, internal_cell,
-    kind, leaf_cell, link1, link2, set_link1, set_link2, upper_bound, NodeKind, KIND_PACKED_LEAF,
-    NODE_HDR,
+    kind, leaf_cell, link1, set_link1, upper_bound, NodeKind, KIND_PACKED_LEAF, NODE_HDR,
 };
 
 /// How a tree gets from a key to the leaf that covers it — the one thing
@@ -64,7 +67,7 @@ pub trait Descent {
 /// A B+Tree over a shared [`BufferPool`], read through the descent `D`.
 /// Use it through its two aliases: [`BTree`] (mutable, page descent) and
 /// [`PackedTree`] (read-only, in-memory fence array). The read surface below
-/// is common to both; only `BTree` has `insert`/`delete`/`clear`.
+/// is common to both; only `BTree` has `insert`/`clear`.
 pub struct Tree<D> {
     pub(crate) pool: Arc<BufferPool>,
     pub(crate) descent: D,
@@ -76,7 +79,7 @@ pub struct Paged {
     /// Current root page id; readers load it with `Acquire`, the writer
     /// publishes a fully-built new root with `Release`.
     root: AtomicU32,
-    /// Serializes `insert`/`delete`; never held by readers.
+    /// Serializes `insert`/`clear`; never held by readers.
     writer: Mutex<()>,
     max_cell: usize,
 }
@@ -85,8 +88,8 @@ pub struct Paged {
 ///
 /// Multiple trees may share one pool (ViST keeps its D-Ancestor/S-Ancestor
 /// and DocId trees in a single store). The root page id changes as the tree
-/// grows or shrinks; persist [`BTree::root_page`] and reopen with
-/// [`BTree::open`].
+/// grows and when it is cleared; persist [`BTree::root_page`] and reopen
+/// with [`BTree::open`].
 pub type BTree = Tree<Paged>;
 
 /// A bulk-loaded tree of an immutable packed segment, handed out by
@@ -144,8 +147,8 @@ pub(crate) fn fetch_leaf(pool: &BufferPool, pid: PageId) -> Result<PageRef> {
     }
 }
 
-/// Publish a tree height the caller has just learnt (a root split or
-/// collapse, a bulk load, the flatten of a packed tree) to the
+/// Publish a tree height the caller has just learnt (a root split, a
+/// clear, a bulk load, the flatten of a packed tree) to the
 /// `vist_btree_depth` gauge. Probes do not touch the gauge.
 pub(crate) fn note_height(height: u64) {
     vist_obs::gauge!("vist_btree_depth").set(i64::try_from(height).unwrap_or(i64::MAX));
@@ -297,14 +300,6 @@ impl BTree {
         crate::verify::check(self)
     }
 
-    /// The root just changed: publish the new height, measured by one
-    /// leftmost descent under the writer lock. Root changes are
-    /// logarithmically rare.
-    fn publish_height(&self) -> Result<()> {
-        note_height(self.seek_leaf(Bound::Unbounded)?.1);
-        Ok(())
-    }
-
     /// Insert or replace. Returns the previous value, if any.
     ///
     /// Takes the tree's internal writer lock; safe to call concurrently
@@ -331,7 +326,9 @@ impl BTree {
             // Publish only after the page is fully written: a reader that
             // loads the new root must find a complete node.
             self.descent.root.store(new_root, Ordering::Release);
-            self.publish_height()?;
+            // The height, measured by one leftmost descent: root splits are
+            // logarithmically rare.
+            note_height(self.seek_leaf(Bound::Unbounded)?.1);
         }
         Ok(old)
     }
@@ -400,7 +397,8 @@ impl BTree {
     ///
     /// Ordering matters for concurrent readers: the right sibling is fully
     /// built *before* the left node's forward link is pointed at it, so a
-    /// leaf-chain scan can never reach an uninitialized page.
+    /// leaf-chain scan can never reach an uninitialized page. The chain is
+    /// singly linked, so the two halves are the only leaves written.
     fn split_leaf(
         &self,
         mut page: vist_storage::PageRefMut,
@@ -437,16 +435,13 @@ impl BTree {
         );
 
         let right_pid = self.pool.allocate()?;
-        let old_next = link1(&old);
-        let old_prev = link2(&old);
         // Build the right node first, while the left node (still holding its
         // write guard) continues to show the pre-split record set.
         {
             let mut rp = self.pool.fetch_mut(right_pid)?;
             let buf = rp.data_mut();
             init_leaf(buf);
-            set_link1(buf, old_next);
-            set_link2(buf, left_pid);
+            set_link1(buf, link1(&old));
             fill(buf, right)?;
         }
         // Now rewrite the left node to its half and link it forward.
@@ -454,15 +449,9 @@ impl BTree {
             let buf = page.data_mut();
             init_leaf(buf);
             set_link1(buf, right_pid);
-            set_link2(buf, old_prev);
             fill(buf, left)?;
         }
         drop(page);
-        // Fix the back link of the following leaf.
-        if old_next != INVALID_PAGE {
-            let mut np = self.pool.fetch_mut(old_next)?;
-            set_link2(np.data_mut(), right_pid);
-        }
         Ok((sep, right_pid))
     }
 
@@ -533,57 +522,6 @@ impl BTree {
         Ok((up_key.to_vec(), right_pid))
     }
 
-    /// Delete `key`. Returns the removed value, if the key was present.
-    ///
-    /// Deletion is *lazy* in the PostgreSQL style: pages are only reclaimed
-    /// when they become completely empty, in which case they are unlinked
-    /// from the leaf chain, their parent reference is removed, and the root
-    /// collapses when it has a single child.
-    ///
-    /// Takes the tree's internal writer lock. Unlike `insert`, delete frees
-    /// pages and is therefore **not** safe to run concurrently with readers
-    /// of the same tree; callers must exclude readers for its duration.
-    pub fn delete(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        vist_obs::counter!("vist_btree_delete_total").inc();
-        let _w = self.descent.writer.lock();
-        let root = self.root_page();
-        let (old, emptied) = self.delete_rec(root, key)?;
-        if emptied {
-            // The root lost everything. An empty leaf root is fine as-is; an
-            // internal root whose leftmost child was freed must be reset to
-            // an empty leaf (its child pointer dangles).
-            let mut page = self.pool.fetch_mut(root)?;
-            if kind(root, page.data())? == NodeKind::Internal {
-                init_leaf(page.data_mut());
-                note_height(1);
-            }
-            return Ok(old);
-        }
-        // Collapse a chain of single-child internal roots.
-        let first_root = root;
-        let mut root = root;
-        loop {
-            let page = self.pool.fetch(root)?;
-            let buf = page.data();
-            if kind(root, buf)? != NodeKind::Internal {
-                break;
-            }
-            let p = SlottedPage::new(buf, NODE_HDR);
-            if p.slot_count() != 0 {
-                break;
-            }
-            let new_root = link1(buf);
-            drop(page);
-            self.descent.root.store(new_root, Ordering::Release);
-            self.pool.free(root)?;
-            root = new_root;
-        }
-        if root != first_root {
-            self.publish_height()?;
-        }
-        Ok(old)
-    }
-
     /// Free every page reachable from `root`.
     fn free_subtree(&self, root: PageId) -> Result<()> {
         let mut stack = vec![root];
@@ -609,9 +547,9 @@ impl BTree {
     /// (the tiered index truncates its delta this way after folding it into
     /// a segment). The root page id changes; persist it again afterwards.
     ///
-    /// Like [`BTree::delete`], freeing pages is **not** safe against
-    /// concurrent readers of the same tree; callers must exclude readers
-    /// for the duration.
+    /// This is the one call that frees a page, so unlike `insert` it is
+    /// **not** safe against concurrent readers of the same tree; callers
+    /// must exclude readers for the duration.
     pub fn clear(&self) -> Result<()> {
         let _w = self.descent.writer.lock();
         let fresh = self.pool.allocate()?;
@@ -621,77 +559,6 @@ impl BTree {
         }
         note_height(1);
         self.free_subtree(self.descent.root.swap(fresh, Ordering::AcqRel))
-    }
-
-    /// Returns `(removed value, node became empty)`.
-    #[allow(clippy::type_complexity)]
-    fn delete_rec(&self, pid: PageId, key: &[u8]) -> Result<(Option<Vec<u8>>, bool)> {
-        match self.route(pid, key)? {
-            None => {
-                let mut page = self.pool.fetch_mut(pid)?;
-                let buf = page.data_mut();
-                let leaf = LeafView::new(pid, buf)?;
-                match leaf.search(key)? {
-                    Err(_) => Ok((None, false)),
-                    Ok(slot) => {
-                        let old = leaf.entry(slot)?.1.to_vec();
-                        let mut p = SlottedPageMut::new(buf, NODE_HDR);
-                        p.remove(slot)?;
-                        let empty = p.slot_count() == 0;
-                        Ok((Some(old), empty))
-                    }
-                }
-            }
-            Some((cell_idx, child)) => {
-                let (old, child_empty) = self.delete_rec(child, key)?;
-                if !child_empty {
-                    return Ok((old, false));
-                }
-                self.unlink_and_free(child)?;
-                let mut page = self.pool.fetch_mut(pid)?;
-                let buf = page.data_mut();
-                match cell_idx {
-                    Some(i) => {
-                        SlottedPageMut::new(buf, NODE_HDR).remove(i)?;
-                    }
-                    None => {
-                        // Leftmost child vanished: promote cell 0's child to
-                        // leftmost, or report this node empty.
-                        let p = SlottedPage::new(buf, NODE_HDR);
-                        if p.slot_count() == 0 {
-                            return Ok((old, true));
-                        }
-                        let (_, c0) = decode_internal_cell(pid, 0, p.cell(0)?)?;
-                        set_link1(buf, c0);
-                        SlottedPageMut::new(buf, NODE_HDR).remove(0)?;
-                    }
-                }
-                // After removing a non-leftmost cell the node still has its
-                // leftmost child, so it is never empty here; the truly-empty
-                // case was returned from the leftmost branch above.
-                Ok((old, false))
-            }
-        }
-    }
-
-    /// Unlink `pid` from the leaf chain (if it is a leaf) and free it.
-    fn unlink_and_free(&self, pid: PageId) -> Result<()> {
-        let (is_leaf, next, prev) = {
-            let page = self.pool.fetch(pid)?;
-            let buf = page.data();
-            (kind(pid, buf)? == NodeKind::Leaf, link1(buf), link2(buf))
-        };
-        if is_leaf {
-            if prev != INVALID_PAGE {
-                let mut p = self.pool.fetch_mut(prev)?;
-                set_link1(p.data_mut(), next);
-            }
-            if next != INVALID_PAGE {
-                let mut p = self.pool.fetch_mut(next)?;
-                set_link2(p.data_mut(), prev);
-            }
-        }
-        self.pool.free(pid)
     }
 }
 
@@ -805,64 +672,66 @@ mod tests {
     }
 
     #[test]
-    fn delete_simple_and_missing() {
+    fn a_leaf_split_writes_the_two_halves_and_the_parent() {
         let t = tree();
-        t.insert(b"x", b"1").unwrap();
-        assert_eq!(t.delete(b"x").unwrap().as_deref(), Some(&b"1"[..]));
-        assert_eq!(t.delete(b"x").unwrap(), None);
-        assert_eq!(t.get(b"x").unwrap(), None);
-        assert!(t.is_empty().unwrap());
+        for i in 0..100u32 {
+            t.insert(format!("k{i:04}").as_bytes(), b"value").unwrap();
+        }
+        let pool = t.pool();
+        pool.flush().unwrap();
+        let before = t.tree_stats().unwrap();
+        assert!(before.leaf_pages > 2 && before.height == 2, "{before:?}");
+        // Grow the leftmost leaf, which has a right neighbour, until it
+        // splits; every insert is flushed alone, so the flush after the
+        // split writes exactly the pages the split touched.
+        for i in 0.. {
+            let written = pool.stats().write_backs;
+            t.insert(format!("k0000{i:03}").as_bytes(), b"value")
+                .unwrap();
+            let leaves = t.tree_stats().unwrap().leaf_pages;
+            pool.flush().unwrap();
+            let written = pool.stats().write_backs - written;
+            if leaves == before.leaf_pages {
+                assert_eq!(written, 1, "insert {i} without a split");
+                continue;
+            }
+            assert_eq!(leaves, before.leaf_pages + 1);
+            assert_eq!(
+                t.tree_stats().unwrap().height,
+                2,
+                "the parent did not split"
+            );
+            assert_eq!(written, 3, "left half, right half, parent");
+            break;
+        }
+        t.verify().unwrap();
     }
 
     #[test]
-    fn delete_everything_collapses_tree() {
+    fn clear_frees_every_page_and_the_next_inserts_reuse_them() {
         let t = tree();
-        let n = 1200u32;
-        for i in 0..n {
-            t.insert(format!("k{i:06}").as_bytes(), b"v").unwrap();
-        }
-        crate::verify::check(&t).unwrap();
-        for i in 0..n {
-            assert!(t.delete(format!("k{i:06}").as_bytes()).unwrap().is_some());
-        }
+        let fill = || {
+            for i in 0..1000u32 {
+                t.insert(format!("k{i:06}").as_bytes(), &i.to_le_bytes())
+                    .unwrap();
+            }
+        };
+        fill();
+        let pool = t.pool();
+        let live = pool.live_pages();
+        assert!(live > 20, "{live}");
+        t.clear().unwrap();
+        t.verify().unwrap();
         assert!(t.is_empty().unwrap());
         assert_eq!(t.len().unwrap(), 0);
-        crate::verify::check(&t).unwrap();
-        // Lazy deletion must still reclaim: only a handful of pages remain.
-        assert!(
-            t.pool().live_pages() < 10,
-            "pages: {}",
-            t.pool().live_pages()
-        );
-    }
-
-    #[test]
-    fn interleaved_insert_delete_matches_btreemap() {
-        use std::collections::BTreeMap;
-        let t = tree();
-        let mut model = BTreeMap::new();
-        let mut x = 0x243F6A88u64;
-        for step in 0..6000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let k = format!("{:04}", (x >> 33) % 500);
-            if (x >> 7).is_multiple_of(3) {
-                let tv = t.delete(k.as_bytes()).unwrap();
-                let mv = model.remove(k.as_bytes());
-                assert_eq!(tv, mv, "step {step} delete {k}");
-            } else {
-                let v = format!("v{step}");
-                let tv = t.insert(k.as_bytes(), v.as_bytes()).unwrap();
-                let mv = model.insert(k.as_bytes().to_vec(), v.as_bytes().to_vec());
-                assert_eq!(tv, mv, "step {step} insert {k}");
-            }
-        }
-        assert_eq!(t.len().unwrap(), model.len() as u64);
-        for (k, v) in &model {
-            assert_eq!(t.get(k).unwrap().as_deref(), Some(&v[..]));
-        }
-        crate::verify::check(&t).unwrap();
+        assert_eq!(t.tree_stats().unwrap().height, 1);
+        assert_eq!(pool.live_pages(), 1, "the fresh root alone");
+        let bytes = pool.store_bytes();
+        fill();
+        t.verify().unwrap();
+        assert_eq!(t.len().unwrap(), 1000);
+        assert_eq!(pool.live_pages(), live);
+        assert_eq!(pool.store_bytes(), bytes, "the freed pages were reused");
     }
 
     #[test]
@@ -902,7 +771,6 @@ mod tests {
         let t = tree();
         t.insert(b"", b"").unwrap();
         assert_eq!(t.get(b"").unwrap().as_deref(), Some(&b""[..]));
-        assert_eq!(t.delete(b"").unwrap().as_deref(), Some(&b""[..]));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use vist_storage::{PageId, Result, SlottedPage, INVALID_PAGE};
 
 use crate::fence::Fence;
 use crate::leaf::LeafView;
-use crate::node::{decode_internal_cell, kind, link1, link2, NodeKind, NODE_HDR};
+use crate::node::{decode_internal_cell, kind, link1, NodeKind, NODE_HDR};
 use crate::tree::{fetch_leaf, BTree, PackedTree};
 
 /// Check every B+Tree invariant, returning a description of the first
@@ -13,8 +13,8 @@ use crate::tree::{fetch_leaf, BTree, PackedTree};
 /// 1. keys within every node are strictly sorted,
 /// 2. every key in a subtree lies within the separator bounds of its parent,
 /// 3. all leaves are at the same depth,
-/// 4. the doubly-linked leaf chain visits exactly the tree's leaves, in
-///    order, with consistent back links.
+/// 4. the leaf chain, followed by forward links from the leftmost leaf,
+///    visits exactly the tree's leaves, in order.
 pub fn check(tree: &BTree) -> Result<()> {
     let mut leaves_in_order: Vec<PageId> = Vec::new();
     let mut leaf_depth: Option<usize> = None;
@@ -29,22 +29,12 @@ pub fn check(tree: &BTree) -> Result<()> {
     )?;
 
     // Walk the chain from the leftmost leaf; it must equal the in-order leaf
-    // list, with consistent prev pointers.
+    // list.
     let mut chain = Vec::new();
     let mut pid = *leaves_in_order.first().expect("at least the root leaf");
-    let mut prev = INVALID_PAGE;
     while pid != INVALID_PAGE {
-        let page = fetch_leaf(tree.pool(), pid)?;
-        let buf = page.data();
-        if link2(buf) != prev {
-            return corrupt(format!(
-                "leaf {pid} back link {} != expected {prev}",
-                link2(buf)
-            ));
-        }
         chain.push(pid);
-        prev = pid;
-        pid = link1(buf);
+        pid = link1(fetch_leaf(tree.pool(), pid)?.data());
     }
     if chain != leaves_in_order {
         return corrupt(format!(
@@ -61,9 +51,9 @@ pub fn check(tree: &BTree) -> Result<()> {
 ///    [`Fence::load`]) yields exactly the array the tree holds,
 /// 2. leaf *i* is well-formed in its layout ([`LeafView::validate`]), and
 ///    its keys are strictly sorted and lie in `[fence i, fence i + 1)`,
-/// 3. the forward link of leaf *i* is leaf *i + 1* (none after the last) and
-///    its back link leaf *i − 1*, so a cursor walking the chain visits the
-///    leaves the array names, in its order,
+/// 3. the forward link of leaf *i* is leaf *i + 1* (none after the last),
+///    so a cursor walking the chain visits the leaves the array names, in
+///    its order,
 /// 4. the leaves hold as many entries as the segment header recorded.
 pub fn check_packed(tree: &PackedTree) -> Result<()> {
     let fence = &tree.descent;
@@ -78,7 +68,6 @@ pub fn check_packed(tree: &PackedTree) -> Result<()> {
         return corrupt("fence array in memory differs from the internal pages".into());
     }
     let mut entries = 0u64;
-    let mut prev = INVALID_PAGE;
     for i in 0..fence.leaf_count() {
         let (lower, pid) = fence.leaf(i);
         let upper = (i + 1 < fence.leaf_count()).then(|| fence.leaf(i + 1));
@@ -101,15 +90,12 @@ pub fn check_packed(tree: &PackedTree) -> Result<()> {
         }
         entries += u64::from(leaf.count());
         let next = upper.map_or(INVALID_PAGE, |(_, next)| next);
-        if link1(buf) != next || link2(buf) != prev {
+        if link1(buf) != next {
             return corrupt(format!(
-                "leaf {pid} (fence entry {i}): links ({}, {}) but the fence array says \
-                 ({prev}, {next})",
-                link2(buf),
+                "leaf {pid} (fence entry {i}): links to {} but the fence array says {next}",
                 link1(buf)
             ));
         }
-        prev = pid;
     }
     if entries != fence.entries() {
         return corrupt(format!(
@@ -163,7 +149,8 @@ fn check_node(
             }
         };
         if let Some(pk) = &prev_key {
-            // Internal nodes may carry equal separators after lazy deletion;
+            // Internal nodes of files written before the tree became
+            // insert-only may carry equal separators left by lazy deletion;
             // leaves must be strictly sorted.
             let ok = match node_kind {
                 NodeKind::Leaf => pk.as_slice() < key.as_slice(),

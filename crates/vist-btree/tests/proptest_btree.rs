@@ -31,7 +31,8 @@ impl Rng {
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Vec<u8>, Vec<u8>),
-    Delete(Vec<u8>),
+    /// Empty the whole tree: the one way records leave it.
+    Clear,
     Get(Vec<u8>),
     Scan(Vec<u8>, Vec<u8>),
 }
@@ -50,14 +51,14 @@ fn random_value(rng: &mut Rng, max: usize) -> Vec<u8> {
 
 fn random_ops(rng: &mut Rng, n: usize) -> Vec<Op> {
     (0..n)
-        .map(|_| match rng.below(7) {
-            0..=2 => {
+        .map(|_| match rng.below(100) {
+            0 => Op::Clear,
+            1..=59 => {
                 let k = random_key(rng);
                 let v = random_value(rng, 20);
                 Op::Insert(k, v)
             }
-            3..=4 => Op::Delete(random_key(rng)),
-            5 => Op::Get(random_key(rng)),
+            60..=79 => Op::Get(random_key(rng)),
             _ => Op::Scan(random_key(rng), random_key(rng)),
         })
         .collect()
@@ -74,10 +75,9 @@ fn run_ops(tree: &BTree, ops: &[Op], every_step: bool) {
                 let want = model.insert(k.clone(), v.clone());
                 assert_eq!(got, want, "op {i}: insert {k:?}");
             }
-            Op::Delete(k) => {
-                let got = tree.delete(k).unwrap();
-                let want = model.remove(k);
-                assert_eq!(got, want, "op {i}: delete {k:?}");
+            Op::Clear => {
+                tree.clear().unwrap();
+                model.clear();
             }
             Op::Get(k) => {
                 assert_eq!(tree.get(k).unwrap(), model.get(k).cloned(), "op {i}");
@@ -139,9 +139,9 @@ fn grow_in_place_and_replace_heavy_sequences_match_btreemap() {
         let ops: Vec<Op> = (0..300)
             .map(|_| {
                 let k = keys[rng.below(keys.len())].clone();
-                match rng.below(10) {
-                    0 => Op::Delete(k),
-                    1 => Op::Get(k),
+                match rng.below(50) {
+                    0 => Op::Clear,
+                    1..=5 => Op::Get(k),
                     _ => Op::Insert(k, random_value(&mut rng, 100)),
                 }
             })

@@ -118,15 +118,15 @@ impl Meta {
 pub struct Store {
     pool: Arc<BufferPool>,
     /// D-Ancestor tree.
-    pub dancestor: BTree,
+    dancestor: BTree,
     /// Combined S-Ancestor tree.
-    pub sancestor: BTree,
+    sancestor: BTree,
     /// DocId tree.
-    pub docid: BTree,
+    docid: BTree,
     /// Trie-edge tree (insertion only).
-    pub edges: BTree,
+    edges: BTree,
     /// Symbol table / order / documents.
-    pub aux: BTree,
+    aux: BTree,
     /// Counters, behind a lock so mutators can take `&self` (see
     /// [`Store::meta`] / [`Store::meta_mut`]).
     meta: RwLock<Meta>,
@@ -271,15 +271,8 @@ impl Store {
         let mut page = self.pool.fetch_mut(self.meta_page)?;
         let buf = page.data_mut();
         buf[0..8].copy_from_slice(MAGIC);
-        let roots = [
-            self.dancestor.root_page(),
-            self.sancestor.root_page(),
-            self.docid.root_page(),
-            self.edges.root_page(),
-            self.aux.root_page(),
-        ];
-        for (i, r) in roots.iter().enumerate() {
-            buf[8 + 4 * i..12 + 4 * i].copy_from_slice(&r.to_le_bytes());
+        for (i, (_, tree)) in self.trees().into_iter().enumerate() {
+            buf[8 + 4 * i..12 + 4 * i].copy_from_slice(&tree.root_page().to_le_bytes());
         }
         buf[28..36].copy_from_slice(&meta.next_dkey.to_le_bytes());
         buf[36..44].copy_from_slice(&meta.next_doc.to_le_bytes());
@@ -396,20 +389,6 @@ impl Store {
         st.dirty.insert(dkid);
     }
 
-    /// Drop every persisted and in-memory planner-statistics record.
-    fn reset_dkid_stats(&self) -> Result<()> {
-        let keys: Vec<Vec<u8>> = self
-            .aux
-            .scan_prefix(&[AUX_DKSTATS])?
-            .map(|r| r.map(|(k, _)| k))
-            .collect::<vist_storage::Result<_>>()?;
-        for k in &keys {
-            self.aux.delete(k)?;
-        }
-        *self.dkstats.write() = DeltaStats::default();
-        Ok(())
-    }
-
     fn load_table_and_order(&self) -> Result<(SymbolTable, SiblingOrder)> {
         let mut table = SymbolTable::new();
         for item in self.aux.scan_prefix(&[AUX_SYMBOL])? {
@@ -433,6 +412,17 @@ impl Store {
         Ok((table, order))
     }
 
+    /// The five trees by name, in the order the meta page lists their roots.
+    fn trees(&self) -> [(&'static str, &BTree); 5] {
+        [
+            ("dancestor", &self.dancestor),
+            ("sancestor", &self.sancestor),
+            ("docid", &self.docid),
+            ("edges", &self.edges),
+            ("aux", &self.aux),
+        ]
+    }
+
     /// The shared buffer pool.
     #[must_use]
     pub fn pool(&self) -> &Arc<BufferPool> {
@@ -443,14 +433,7 @@ impl Store {
     /// by `vist check` after crash recovery). Returns one entry per tree:
     /// `(name, None)` for a clean tree, `(name, Some(message))` otherwise.
     pub fn verify(&self) -> Vec<(&'static str, Option<String>)> {
-        let trees: [(&'static str, &BTree); 5] = [
-            ("dancestor", &self.dancestor),
-            ("sancestor", &self.sancestor),
-            ("docid", &self.docid),
-            ("edges", &self.edges),
-            ("aux", &self.aux),
-        ];
-        trees
+        self.trees()
             .into_iter()
             .map(|(name, tree)| (name, tree.verify().err().map(|e| e.to_string())))
             .collect()
@@ -658,29 +641,21 @@ impl Store {
     }
 
     /// Truncate the delta after a compaction folded its contents into a
-    /// packed segment: every index tree is emptied (pages freed), stored
-    /// documents and tombstones are dropped, and the per-delta counters
-    /// reset — while the global state (symbol table, sibling order, stats
-    /// model, `next_doc`, `doc_count`) survives. `new_epoch` stamps the
-    /// truncation so a reopen can tell whether it was persisted (see
-    /// [`Meta::delta_epoch`]). Callers must hold the writer lock *and*
-    /// exclude readers (page frees), and must flush afterwards.
+    /// packed segment: all five trees, aux included, are emptied whole
+    /// (pages freed), and the planner statistics and per-delta counters
+    /// reset. The globals the aux tree held (symbol table, sibling order,
+    /// stats model) live on in memory, with `next_doc` and `doc_count`.
+    /// `new_epoch` stamps the truncation so a reopen can tell whether it was
+    /// persisted (see [`Meta::delta_epoch`]). Callers must hold the writer
+    /// lock *and* exclude readers (page frees), and must commit afterwards
+    /// with `VistIndex::commit_locked`, which writes the globals back — a
+    /// bare [`Store::flush`] would leave out the stats model.
     pub(crate) fn clear_delta(&self, new_epoch: u64) -> Result<()> {
-        self.dancestor.clear()?;
-        self.sancestor.clear()?;
-        self.docid.clear()?;
-        self.edges.clear()?;
-        for tag in [AUX_DOC, AUX_TOMB] {
-            let keys: Vec<Vec<u8>> = self
-                .aux
-                .scan_prefix(&[tag])?
-                .map(|r| r.map(|(k, _)| k))
-                .collect::<vist_storage::Result<_>>()?;
-            for k in &keys {
-                self.aux.delete(k)?;
-            }
+        for (_, tree) in self.trees() {
+            tree.clear()?;
         }
-        self.reset_dkid_stats()?;
+        self.persisted_symbols.store(0, Ordering::Relaxed);
+        *self.dkstats.write() = DeltaStats::default();
         let mut meta = self.meta.write();
         meta.next_dkey = 0;
         meta.root = NodeState {
@@ -1139,18 +1114,41 @@ mod tests {
         s.meta_mut().next_doc = 2;
         s.meta_mut().doc_count = 1;
         s.meta_mut().node_count = 1;
+        s.stats_node_added(id);
+        let mut table = SymbolTable::new();
+        for name in ["purchase", "seller", "item"] {
+            table.intern(name);
+        }
+        let order = SiblingOrder::Dtd(vec!["seller".into(), "item".into()]);
+        s.flush(&table, &order).unwrap();
+        assert!(s.aux.scan_prefix(&[AUX_DKSTATS]).unwrap().next().is_some());
         s.clear_delta(1).unwrap();
         assert_eq!(s.dkey_get(b"k").unwrap(), None);
         assert_eq!(s.node_get(id, 5).unwrap(), None);
         assert!(docids_in(&s, &[(0, 1000)]).is_empty());
         assert_eq!(s.doc_get(1).unwrap(), None);
         assert!(s.tomb_ids().unwrap().is_empty());
-        let meta = s.meta();
-        assert_eq!(meta.next_dkey, 0);
-        assert_eq!(meta.node_count, 0);
-        assert_eq!(meta.delta_epoch, 1);
-        assert_eq!(meta.next_doc, 2, "global doc counter survives");
-        assert_eq!(meta.doc_count, 1, "global doc count survives");
+        assert_eq!(s.dkid_stats(id), None);
+        {
+            let meta = s.meta();
+            assert_eq!(meta.next_dkey, 0);
+            assert_eq!(meta.node_count, 0);
+            assert_eq!(meta.delta_epoch, 1);
+            assert_eq!(meta.next_doc, 2, "global doc counter survives");
+            assert_eq!(meta.doc_count, 1, "global doc count survives");
+        }
+        // The clear emptied aux whole; the next flush writes the globals
+        // back, and nothing of the old delta's statistics.
+        s.flush(&table, &order).unwrap();
+        let (s, got, got_order) = Store::open(Arc::clone(s.pool()), s.meta_page).unwrap();
+        assert_eq!(got.len(), table.len());
+        for name in ["purchase", "seller", "item"] {
+            assert_eq!(got.lookup(name), table.lookup(name), "{name}");
+        }
+        assert!(matches!(got_order, SiblingOrder::Dtd(v) if v == ["seller", "item"]));
+        assert!(s.aux.scan_prefix(&[AUX_DKSTATS]).unwrap().next().is_none());
+        assert_eq!(s.dkid_stats(id), None);
+        assert_eq!(s.meta().delta_epoch, 1);
     }
 
     #[test]

@@ -109,10 +109,11 @@ impl VistIndex {
         // Compaction redo: the manifest swap is the commit point, so a
         // manifest ahead of the delta's epoch means the post-swap delta
         // clear never reached disk. Re-run it — the delta's content was
-        // absorbed into the compacted segment before the swap.
+        // absorbed into the compacted segment before the swap — and commit
+        // the globals the clear took out of the aux tree.
         if manifest.delta_epoch > self.store.meta().delta_epoch {
             self.store.clear_delta(manifest.delta_epoch)?;
-            self.flush_locked()?;
+            self.commit_locked()?;
         }
         let segments = manifest
             .segments
@@ -227,7 +228,9 @@ impl VistIndex {
             // segment and advances the delta epoch, obligating a delta clear.
             let compacted = compacted.into_iter().map(Arc::new).collect();
             self.publish(files, delta_epoch + 1, compacted)?;
-            self.flush_locked()?;
+            // The clear emptied the aux tree: a full commit writes every
+            // global record back, the stats model included.
+            self.commit_locked()?;
             self.store.pool().checkpoint()?;
             // The replaced segment files and their logs are garbage; unlink
             // best-effort (the next open removes any left behind).
@@ -305,7 +308,8 @@ impl VistIndex {
     /// advances the delta epoch obligates a delta clear (the one
     /// [`VistIndex::open_tier`] redoes after a crash), done here before
     /// readers can see the new segment list. The caller holds the writer
-    /// lock and flushes afterwards.
+    /// lock and commits afterwards (with [`VistIndex::commit_locked`] when
+    /// the delta was cleared).
     fn publish(
         &self,
         files: &TierFiles,

@@ -300,36 +300,52 @@ fn stats_model_persists_across_reopen() {
     use vist_core::{AllocatorKind, StatsModel};
     use vist_seq::{document_to_sequence, SiblingOrder, SymbolTable};
 
-    let path = std::env::temp_dir().join(format!("vist-stats-{}", std::process::id()));
+    let dir = TempDir::new("stats-model");
+    let path = dir.file("index");
+    let order = SiblingOrder::Dtd(vec!["b".into(), "a".into()]);
     // Build a stats model from a small sample.
     let mut table = SymbolTable::new();
     let sample: Vec<_> = (0..20)
         .map(|i| {
             let doc = vist_xml::parse(&format!("<r><a>{i}</a><b/></r>")).unwrap();
-            document_to_sequence(&doc, &mut table, &SiblingOrder::Lexicographic)
+            document_to_sequence(&doc, &mut table, &order)
         })
         .collect();
     let model = StatsModel::from_sequences(&sample);
     assert!(!model.is_empty());
     let contexts = model.contexts();
-    {
+    let (first, late) = {
         let idx = VistIndex::create_file(
             &path,
             IndexOptions {
                 allocator: AllocatorKind::WithClues(model),
+                order: order.clone(),
                 ..Default::default()
             },
         )
         .unwrap();
-        idx.insert_xml("<r><a>1</a><b/></r>").unwrap();
+        let first = idx.insert_xml("<r><a>1</a><b/></r>").unwrap();
         idx.flush().unwrap();
-    }
+        // A symbol interned after the last flush, then a compaction: its
+        // delta clear empties the aux tree that held the symbols, the order
+        // and the model, and its own commit must write all three again.
+        let late = idx.insert_xml("<r><c>3</c></r>").unwrap();
+        idx.compact().unwrap();
+        // An insert the reopen does not see, so no later commit helps.
+        idx.insert_xml("<r><a>9</a><d/></r>").unwrap();
+        (first, late)
+    };
     {
         let idx = VistIndex::open_file(&path, 128).unwrap();
         // The model came back (observable via continued correct operation
         // and the roundtrip of triples; we check by rebuilding it).
         let reopened = idx.store().load_stats_model().unwrap().unwrap();
         assert_eq!(reopened.contexts(), contexts);
+        assert!(matches!(idx.order(), SiblingOrder::Dtd(v) if *v == ["b", "a"]));
+        let opts = QueryOptions::default();
+        assert_eq!(idx.query("/r/c[text='3']", &opts).unwrap().doc_ids, [late]);
+        assert_eq!(idx.query("/r/a[text='1']", &opts).unwrap().doc_ids, [first]);
+        assert!(idx.query("/r/d", &opts).unwrap().doc_ids.is_empty());
         // And the index remains fully usable.
         let id = idx.insert_xml("<r><a>2</a><b/></r>").unwrap();
         let r = idx
@@ -337,7 +353,6 @@ fn stats_model_persists_across_reopen() {
             .unwrap();
         assert_eq!(r.doc_ids, vec![id]);
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! 1. **Model equivalence** — against a `BTreeMap`, for every combination of
 //!    start and end bound over every stored key and every gap between,
 //!    before and after them, so every first and last key of every leaf is a
-//!    bound at some point; repeated after deletes unlinked whole leaves and
-//!    thinned others, and on a tree deleted down to its empty root leaf.
+//!    bound at some point; repeated on the tree's empty root leaf after a
+//!    `clear`, the one way records leave it.
 //! 2. **B-link chase** — a seek that lands left of its key, because a leaf
 //!    split has completed but the root pointer has not moved yet, still
 //!    finds the key by following the forward link.
@@ -220,21 +220,10 @@ fn cursors_and_point_probes_match_a_btreemap_on_every_bound() {
     points.push(b"z".to_vec());
     check_against_model(&tree, &model, &points, "fresh");
 
-    // A run long enough to empty (and so unlink) whole leaves, plus every
-    // third key elsewhere, leaving under-full leaves behind.
-    let doomed: Vec<usize> = (10..24).chain((0..n).step_by(3)).collect();
-    for i in doomed {
-        assert_eq!(tree.delete(&key(2 * i)).unwrap(), model.remove(&key(2 * i)));
-    }
-    let after = tree.tree_stats().unwrap().leaf_pages;
-    assert!(after < leaves, "no leaf was emptied: {leaves} -> {after}");
-    check_against_model(&tree, &model, &points, "after deletes");
+    // Down to the fresh empty root leaf a clear leaves.
+    tree.clear().unwrap();
+    model.clear();
     tree.verify().unwrap();
-
-    // Down to the one leaf lazy deletion never frees: the empty root.
-    for k in std::mem::take(&mut model).keys() {
-        assert!(tree.delete(k).unwrap().is_some());
-    }
     assert!(tree.is_empty().unwrap());
     check_against_model(&tree, &model, &points[..12], "emptied");
 }
@@ -309,14 +298,8 @@ fn a_walk_over_many_ranges_visits_what_one_walk_per_range_visits() {
         assert_eq!(swept(tree, &all).len(), model.len(), "{what}");
     };
     check(&tree, &model, "fresh");
-    // Whole leaves unlinked, others thinned.
-    for i in (30..64).chain((0..n).step_by(3)) {
-        assert_eq!(tree.delete(&key(2 * i)).unwrap(), model.remove(&key(2 * i)));
-    }
-    check(&tree, &model, "after deletes");
-    for k in std::mem::take(&mut model).keys() {
-        assert!(tree.delete(k).unwrap().is_some());
-    }
+    tree.clear().unwrap();
+    model.clear();
     check(&tree, &model, "emptied");
 }
 

@@ -397,5 +397,5 @@ fn tier_commits_cost_fixed_file_operations() {
     idx.flush().unwrap();
     idx.bulk_build((5..7).map(doc)).unwrap();
     let compact = ops(&|| idx.compact().unwrap());
-    assert_eq!((bulk, compact), (55, 116));
+    assert_eq!((bulk, compact), (55, 118));
 }

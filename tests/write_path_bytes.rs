@@ -7,40 +7,71 @@
 //! which empty no leaf: defragment-before-split is covered by
 //! `proptest_btree::defragment_then_split_at_every_slot_position`),
 //! `flush`es, a second `bulk_build` (which ends in a checkpoint) and a
-//! `compact`. The length and CRC32C of every file it leaves are compared
-//! with the values recorded when this test was written. The pool's flushes
-//! write several chunks of pages and the checkpoints several runs of
-//! frames, so the digests hold the page images, their order in the log and
-//! the frames a checkpoint writes. A change that alters the on-disk layout
-//! moves a digest: update it on purpose, in the same change, and say why.
+//! `compact`. The length and 64-bit FNV-1a hash of every file it leaves are
+//! compared with the values recorded when this test was written. The pool's
+//! flushes write several chunks of pages and the checkpoints several runs
+//! of frames, so the digests hold the page images, their order in the log
+//! and the frames a checkpoint writes. A change that alters the on-disk
+//! layout moves a digest: update it on purpose, in the same change, and say
+//! why.
+//!
+//! The hash must not be a CRC. A data-file frame is `page ‖ crc32c(id ‖
+//! page) ‖ 4 zero bytes`, and a CRC is affine over GF(2), so each page's
+//! contribution to a whole-file CRC32C cancels against its own trailer: the
+//! CRC32C of `index` or of a segment depends on the file's length alone.
+//! The test checks that its hash sees a byte changed inside a resealed
+//! frame.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use vist_core::{IndexOptions, VistIndex};
 use vist_datagen::dblp;
-use vist_storage::crc32c;
 use vist_storage::testutil::TempDir;
+use vist_storage::{Crc32c, PAGE_TRAILER};
 use vist_xml::Document;
 
-/// `(file name, length, crc32c)` of every file in `dir`, by name.
-fn digests(dir: &Path) -> Vec<(String, u64, u32)> {
+/// The default page size, which the workload's files are written at.
+const PAGE: usize = 4096;
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(file name, length, fnv1a)` of every file in `dir`, by name.
+fn digests(dir: &Path) -> Vec<(String, u64, u64)> {
     let mut files = BTreeMap::new();
     for entry in std::fs::read_dir(dir).unwrap() {
         let entry = entry.unwrap();
         let bytes = std::fs::read(entry.path()).unwrap();
         let name = entry.file_name().into_string().unwrap();
-        files.insert(name, (bytes.len() as u64, crc32c(&bytes)));
+        files.insert(name, (bytes.len() as u64, fnv1a(&bytes)));
     }
     files
         .into_iter()
-        .map(|(name, (len, crc))| (name, len, crc))
+        .map(|(name, (len, hash))| (name, len, hash))
         .collect()
+}
+
+/// `file` with one payload byte of frame `id` flipped and the frame's
+/// trailer resealed, as a torn-free rewrite of that page would leave it.
+fn flip_and_reseal(file: &[u8], id: u32) -> Vec<u8> {
+    let mut file = file.to_vec();
+    let at = id as usize * (PAGE + PAGE_TRAILER);
+    let frame = &mut file[at..at + PAGE + PAGE_TRAILER];
+    frame[PAGE / 2] ^= 0x5A;
+    let mut c = Crc32c::new();
+    c.update(&id.to_le_bytes()).update(&frame[..PAGE]);
+    frame[PAGE..PAGE + 4].copy_from_slice(&c.finish().to_le_bytes());
+    file
 }
 
 /// The digests after the batches (the last commits still in the log) and
 /// at the end.
-fn run_workload(dir: &Path) -> [Vec<(String, u64, u32)>; 2] {
+fn run_workload(dir: &Path) -> [Vec<(String, u64, u64)>; 2] {
     let xmls: Vec<String> = dblp::documents(1_400, 30)
         .iter()
         .map(Document::to_xml)
@@ -87,25 +118,28 @@ fn run_workload(dir: &Path) -> [Vec<(String, u64, u32)>; 2] {
 fn the_write_path_leaves_the_pinned_bytes() {
     let dir = TempDir::new("write-path-bytes");
     let [batches, end] = run_workload(dir.path());
+    // The digest sees the content of a page, not only the file's length.
+    let index = std::fs::read(dir.file("index")).unwrap();
+    assert_ne!(fnv1a(&index), fnv1a(&flip_and_reseal(&index, 1)));
     let want_batches = [
-        ("index", 4_994_568, 0x9016_c0c0),
-        ("index.manifest", 8_192, 0xc02e_3446),
-        ("index.seg-1", 414_504, 0xbc79_e0c5),
-        ("index.seg-1.wal", 16, 0x66ac_fe52),
-        ("index.wal", 24_691, 0xd5b2_769b),
+        ("index", 4_994_568, 0x19ec_bd26_1377_b43c),
+        ("index.manifest", 8_192, 0x1c75_b882_d867_f5a0),
+        ("index.seg-1", 414_504, 0x23c6_e0b1_5c28_3f31),
+        ("index.seg-1.wal", 16, 0xe064_561d_4a38_3df4),
+        ("index.wal", 20_582, 0x0bbe_8b27_6e07_686d),
     ];
     let want_end = [
-        ("index", 5_010_984, 0x9665_957b),
-        ("index.manifest", 8_192, 0x4a49_499b),
-        ("index.seg-3", 1_083_456, 0x7fbc_dc2c),
-        ("index.seg-3.wal", 16, 0x66ac_fe52),
-        ("index.wal", 16, 0x66ac_fe52),
+        ("index", 5_010_984, 0xa365_bb67_6985_707f),
+        ("index.manifest", 8_192, 0xf688_099a_5763_6dc1),
+        ("index.seg-3", 1_083_456, 0xb23e_e79a_be02_5044),
+        ("index.seg-3.wal", 16, 0xe064_561d_4a38_3df4),
+        ("index.wal", 16, 0xe064_561d_4a38_3df4),
     ];
     for (at, got, want) in [
         ("after the batches", batches, want_batches),
         ("at the end", end, want_end),
     ] {
-        let got: Vec<(&str, u64, u32)> = got.iter().map(|(n, l, c)| (n.as_str(), *l, *c)).collect();
+        let got: Vec<(&str, u64, u64)> = got.iter().map(|(n, l, h)| (n.as_str(), *l, *h)).collect();
         assert_eq!(got, want, "{at}");
     }
 }
