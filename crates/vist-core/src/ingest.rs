@@ -560,12 +560,7 @@ impl VistIndex {
             let Loc::Node(dkid) = chain[lvl].loc else {
                 return Err(Error::Corrupt("root cannot be incarnated".into()));
             };
-            let inc = NodeState {
-                n: block + off,
-                size: needed - off,
-                next: block + off + 1,
-                k: 0,
-            };
+            let inc = nested_state(block, off, needed);
             self.store.node_put(dkid, &inc)?;
             self.store
                 .edge_put(chain[lvl].state.n, OVERFLOW_EDGE, inc.n)?;
@@ -583,12 +578,7 @@ impl VistIndex {
         let (mut prev_n, mut prev_loc) = (last.state.n, last.loc);
         for elem in tail {
             let dkid = self.dkid_cached(data_dkey(elem)?, cache)?;
-            let state = NodeState {
-                n: block + off,
-                size: needed - off,
-                next: block + off + 1,
-                k: 0,
-            };
+            let state = nested_state(block, off, needed);
             self.store.node_put(dkid, &state)?;
             // Tail edges hang off fresh incarnations, not chain heads, so
             // they are deliberately NOT added to the edge cache (its keys
@@ -624,17 +614,26 @@ impl VistIndex {
     pub fn remove_document(&self, doc_id: DocId) -> Result<()> {
         let _w = self.writer.lock();
         self.require_documents()?;
-        let mut stored = self.store.doc_contains(doc_id)?;
-        for seg in self.tier.segments() {
-            stored = stored || seg.contains_doc(doc_id)?;
-        }
-        if !stored || self.store.tomb_contains(doc_id)? {
+        let stored = self.stored_bytes(doc_id, &self.tier.segments())?;
+        if stored.is_none() || self.store.tomb_contains(doc_id)? {
             return Err(Error::NoSuchDocument(doc_id));
         }
         self.store.tomb_put(doc_id)?;
         let mut meta = self.store.meta_mut();
         meta.doc_count = meta.doc_count.saturating_sub(1);
         Ok(())
+    }
+}
+
+/// Entry `off` of a block of `needed` labels from `block` that nests one
+/// entry inside the one before: its scope runs to the block's end and its
+/// one child (none for the last) fills the rest, so no label is left free.
+fn nested_state(block: u128, off: u128, needed: u128) -> NodeState {
+    NodeState {
+        n: block + off,
+        size: needed - off,
+        next: block + needed,
+        k: u64::from(off + 1 < needed),
     }
 }
 

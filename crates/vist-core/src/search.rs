@@ -175,14 +175,14 @@ pub trait SearchSource: Sync {
         f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
     ) -> Result<()>;
 
-    /// Document ids attached to labels in one of `scopes` — `[lo, hi)`
-    /// ranges, sorted and disjoint — in label order, until `f` breaks: the
-    /// paper's final range query `[n, n+size)` on the DocId B+Tree, for all
-    /// final nodes in one forward pass over its leaves.
+    /// DocId entries `(n, doc)` whose label `n` lies in one of `scopes` —
+    /// `[lo, hi)` ranges, sorted and disjoint — in label order, until `f`
+    /// breaks: the paper's final range query `[n, n+size)` on the DocId
+    /// B+Tree, for all final nodes in one forward pass over its leaves.
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> Result<()>;
 
     /// Planner statistics for one D-Ancestor entry, when the source
@@ -647,7 +647,7 @@ pub fn search_sequences(
                     return Err(Error::DeadlineExceeded);
                 }
                 stats.docid_scans += slice.len() as u64;
-                source.docids_in_scopes(slice, &mut |doc| {
+                source.docids_in_scopes(slice, &mut |_, doc| {
                     docs.push(doc);
                     ControlFlow::Continue(())
                 })?;
@@ -1276,7 +1276,7 @@ impl WorkerOut {
             self.resolved += 1;
             self.stats.docid_scans += 1;
             let docs = &mut self.docs;
-            source.docids_in_scopes(scope, &mut |doc| {
+            source.docids_in_scopes(scope, &mut |_, doc| {
                 // A document has one DocId entry in a source, so an id is new
                 // exactly when the sorted run lacks it (overlapping scopes
                 // can hand it over twice).

@@ -35,9 +35,10 @@
 //! candidate counts instead.
 //!
 //! [`SegmentBuilder`] is the external-sort ingest pipeline: documents
-//! stream in once (parse → sequence → shared in-memory trie, XML chunks
-//! spilling through [`ExtSorter`]), the trie is labeled in one preorder
-//! pass, and the sorted record streams bulk-load the packed trees.
+//! stream in once as key paths (the dkeys of their sequences, which a
+//! compaction reads back from the index) into a shared in-memory trie, XML
+//! chunks spilling through [`ExtSorter`]; the trie is labeled in one
+//! preorder pass, and the sorted record streams bulk-load the packed trees.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -49,12 +50,10 @@ use vist_btree::codec::{
     put_ordered_uint, put_varint, take_ordered_uint, take_varint, ORDERED_UINT_MAX,
 };
 use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
-use vist_seq::Sequence;
 use vist_storage::{BufferPool, FilePager, Vfs};
 
 use crate::error::{Error, Result};
 use crate::extsort::{ExtSorter, SortedStream};
-use crate::ingest::data_dkey;
 use crate::search::{DkStats, SearchSource};
 use crate::store::{self, decoding, DocId, NodeState, Store, StoreBreakdown};
 
@@ -191,28 +190,11 @@ impl Codec {
         }
     }
 
-    /// The bytes every chunk key of `doc` starts with; also the start of
-    /// [`Codec::doc_key`].
+    /// The bytes every chunk key of `doc` starts with.
     fn doc_prefix(self, doc: DocId) -> Key {
         match self {
             Codec::V1 => Key::new().bytes(&doc.to_be_bytes()),
             Codec::V2 => Key::new().uint(doc.into()),
-        }
-    }
-
-    /// Documents key `doc-id ‖ chunk`.
-    fn doc_key(self, doc: DocId, chunk: u32) -> Key {
-        match self {
-            Codec::V1 => self.doc_prefix(doc).bytes(&chunk.to_be_bytes()),
-            Codec::V2 => self.doc_prefix(doc).uint(chunk.into()),
-        }
-    }
-
-    /// The document id of a documents key.
-    fn decode_doc_id(self, mut k: &[u8]) -> Option<DocId> {
-        match self {
-            Codec::V1 => Some(u64::from_be_bytes(k.get(..8)?.try_into().ok()?)),
-            Codec::V2 => u64::try_from(take_ordered_uint(&mut k)?).ok(),
         }
     }
 
@@ -352,11 +334,6 @@ impl Segment {
         }
     }
 
-    /// Whether `doc` is stored in this segment.
-    pub(crate) fn contains_doc(&self, doc: DocId) -> Result<bool> {
-        Ok(self.docs.contains(self.codec.doc_key(doc, 0).as_slice())?)
-    }
-
     /// Fetch a stored document's XML text.
     pub(crate) fn doc_get(&self, doc: DocId) -> Result<Option<Vec<u8>>> {
         let mut out = Vec::new();
@@ -370,24 +347,6 @@ impl Segment {
             found = true;
         }
         Ok(found.then_some(out))
-    }
-
-    /// All stored document ids, ascending.
-    pub(crate) fn doc_ids(&self) -> Result<Vec<DocId>> {
-        let mut out = Vec::new();
-        let mut last = None;
-        for item in self.docs.scan(..)? {
-            let (k, _) = item?;
-            let id = self
-                .codec
-                .decode_doc_id(&k)
-                .ok_or_else(|| malformed(self.id, "documents"))?;
-            if last != Some(id) {
-                out.push(id);
-                last = Some(id);
-            }
-        }
-        Ok(out)
     }
 
     /// Total bytes of the segment file's pages.
@@ -499,13 +458,13 @@ impl SearchSource for Segment {
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> Result<()> {
         let mut bad = None;
         let visit = decoding(
             &mut bad,
             |k, _| self.codec.decode_docid(k),
-            |_, (_, doc)| f(doc),
+            |_, (n, doc)| f(n, doc),
         );
         self.docid.for_each_in_ranges(
             scopes.len(),
@@ -588,13 +547,20 @@ impl SegmentBuilder {
         })
     }
 
-    /// Add one document's structure-encoded sequence (and raw XML when
-    /// documents are stored). Doc ids must be unique; order is free.
-    pub(crate) fn add_doc(&mut self, doc: DocId, seq: &Sequence, xml: &str) -> Result<()> {
+    /// Add one document: its key path (the D-Ancestor keys of its sequence)
+    /// and its XML, kept when documents are stored. Ids must be unique; the
+    /// order of the calls numbers the dkeys, so the same paths in the same
+    /// order make the same segment, byte for byte.
+    pub(crate) fn add_doc<K: AsRef<[u8]>>(
+        &mut self,
+        doc: DocId,
+        path: impl IntoIterator<Item = K>,
+        xml: Option<&[u8]>,
+    ) -> Result<()> {
         let mut cur = 0usize;
-        for elem in seq.iter() {
+        for key in path {
             let next_id = self.dkeys.len() as u64;
-            let dkid = *self.dkeys.entry(data_dkey(elem)?).or_insert(next_id);
+            let dkid = *self.dkeys.entry(key.as_ref().to_vec()).or_insert(next_id);
             cur = match self.trie[cur].children.get(&dkid) {
                 Some(&c) => c,
                 None => {
@@ -612,8 +578,13 @@ impl SegmentBuilder {
         }
         self.doc_ends.push((doc, cur));
         if let Some(sorter) = &mut self.docs {
-            let bytes = xml.as_bytes();
-            let key = |chunk: usize| Codec::V2.doc_key(doc, chunk as u32).as_slice().to_vec();
+            let bytes =
+                xml.ok_or_else(|| Error::Corrupt(format!("document {doc} has no stored text")))?;
+            // Documents key `doc-id ‖ chunk`.
+            let key = |chunk: usize| {
+                let key = Codec::V2.doc_prefix(doc).uint(chunk as u128);
+                key.as_slice().to_vec()
+            };
             if bytes.is_empty() {
                 sorter.push(key(0), Vec::new())?;
             }
@@ -663,7 +634,8 @@ impl SegmentBuilder {
     }
 
     /// Label, sort, and write segment `id` to the file at `path`.
-    /// Returns the opened segment. Durability: the segment file is fully
+    /// Returns the opened segment, or `None` (and no file) when no
+    /// document was added. Durability: the segment file is fully
     /// checkpointed (WAL committed + pages synced) before this returns;
     /// publishing it in the manifest is the caller's step.
     pub(crate) fn finish(
@@ -674,7 +646,11 @@ impl SegmentBuilder {
         page_size: usize,
         cache_pages: usize,
         budget: usize,
-    ) -> Result<Segment> {
+    ) -> Result<Option<Segment>> {
+        if self.doc_count == 0 {
+            let _ = std::fs::remove_dir_all(&self.scratch);
+            return Ok(None);
+        }
         self.label();
         let codec = Codec::V2;
 
@@ -746,7 +722,7 @@ impl SegmentBuilder {
         pool.checkpoint()?;
         drop(pool);
         let _ = std::fs::remove_dir_all(&self.scratch);
-        Segment::open(vfs, path, id, cache_pages)
+        Segment::open(vfs, path, id, cache_pages).map(Some)
     }
 }
 
@@ -771,11 +747,41 @@ fn add_sorted_tree(writer: &mut SegmentWriter, stream: SortedStream) -> Result<(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vist_seq::{document_to_sequence, SiblingOrder, SymbolTable};
     use vist_storage::testutil::TempDir;
     use vist_storage::RealVfs;
+
+    /// The static build from the text, the way a bulk load makes it: parse
+    /// `xml`, encode it against `table` and add its key path — the oracle a
+    /// compaction, which reads the paths back from the index, must equal.
+    pub(crate) fn add_parsed(
+        b: &mut SegmentBuilder,
+        table: &mut SymbolTable,
+        order: &SiblingOrder,
+        id: DocId,
+        xml: &str,
+    ) {
+        let doc = vist_xml::parse(xml).unwrap();
+        let seq = document_to_sequence(&doc, table, order);
+        let path: Vec<Vec<u8>> = seq
+            .iter()
+            .map(|e| crate::ingest::data_dkey(e).unwrap())
+            .collect();
+        b.add_doc(id, &path, Some(xml.as_bytes())).unwrap();
+    }
+
+    /// The records of one tree, in key order.
+    type Records = Vec<(Vec<u8>, Vec<u8>)>;
+
+    impl Segment {
+        /// Every record of every packed tree, by tree name.
+        pub(crate) fn records(&self) -> Vec<(&'static str, Records)> {
+            let all = |t: &PackedTree| t.scan(..).unwrap().map(|r| r.unwrap()).collect();
+            self.trees().map(|(name, t)| (name, all(t))).collect()
+        }
+    }
 
     fn build(docs: &[(DocId, &str)]) -> (TempDir, Segment, SymbolTable) {
         let dir = TempDir::new("vist-core-segment");
@@ -783,11 +789,12 @@ mod tests {
         let mut table = SymbolTable::new();
         let mut b = SegmentBuilder::new(dir.file("scratch"), 4096, true, 1 << 20).unwrap();
         for &(id, xml) in docs {
-            let doc = vist_xml::parse(xml).unwrap();
-            let seq = document_to_sequence(&doc, &mut table, &SiblingOrder::Lexicographic);
-            b.add_doc(id, &seq, xml).unwrap();
+            add_parsed(&mut b, &mut table, &SiblingOrder::Lexicographic, id, xml);
         }
-        let seg = b.finish(&RealVfs, &path, 1, 4096, 64, 1 << 20).unwrap();
+        let seg = b
+            .finish(&RealVfs, &path, 1, 4096, 64, 1 << 20)
+            .unwrap()
+            .unwrap();
         (dir, seg, table)
     }
 
@@ -819,12 +826,6 @@ mod tests {
             let posting = codec.docid_key(state.n, 77);
             assert_eq!(codec.decode_docid(posting.as_slice()), Some((state.n, 77)));
             assert_eq!(codec.decode_docid(&posting.as_slice()[1..]), None);
-            let chunk = codec.doc_key(77, 3);
-            assert!(chunk
-                .as_slice()
-                .starts_with(codec.doc_prefix(77).as_slice()));
-            assert_eq!(codec.decode_doc_id(chunk.as_slice()), Some(77));
-            assert_eq!(codec.decode_doc_id(&[]), None);
         }
         // `next` is derived, so a size that overflows it is refused too.
         let mut huge = Vec::new();
@@ -862,9 +863,7 @@ mod tests {
         assert_eq!(seg.doc_count, 3);
         assert!(seg.node_count > 0);
         assert!(seg.dkey_count > 0);
-        assert_eq!(seg.doc_ids().unwrap(), vec![0, 1, 2]);
-        assert!(seg.contains_doc(1).unwrap());
-        assert!(!seg.contains_doc(9).unwrap());
+        assert!(seg.doc_get(9).unwrap().is_none());
         assert_eq!(
             seg.doc_get(0).unwrap().unwrap(),
             b"<book><author>David</author></book>"
@@ -913,7 +912,7 @@ mod tests {
         assert!(postings.len() >= 3 && postings.iter().any(|p| p.1 == 0));
         let check = |scopes: &[(u128, u128)]| {
             let mut got = Vec::new();
-            seg.docids_in_scopes(scopes, &mut |doc| {
+            seg.docids_in_scopes(scopes, &mut |_, doc| {
                 got.push(doc);
                 ControlFlow::Continue(())
             })
@@ -1056,11 +1055,12 @@ mod tests {
         // part-filled leaf at the end of a tree must not decide the average.
         let mut b = SegmentBuilder::new(dir.file("scratch"), 512, true, 1 << 20).unwrap();
         for (id, xml) in &docs {
-            let doc = vist_xml::parse(xml).unwrap();
-            let seq = document_to_sequence(&doc, &mut table, &SiblingOrder::Lexicographic);
-            b.add_doc(*id, &seq, xml).unwrap();
+            add_parsed(&mut b, &mut table, &SiblingOrder::Lexicographic, *id, xml);
         }
-        let seg = b.finish(&RealVfs, &path, 3, 512, 64, 1 << 20).unwrap();
+        let seg = b
+            .finish(&RealVfs, &path, 3, 512, 64, 1 << 20)
+            .unwrap()
+            .unwrap();
         let breakdown = seg.breakdown().unwrap();
         assert!(
             breakdown.sancestor.leaf_fill() > 0.8,

@@ -590,27 +590,6 @@ impl Store {
         Ok(found.then_some(out))
     }
 
-    /// Whether `doc` is stored in the delta (tombstoned or not): a probe of
-    /// its first chunk's key, the counterpart of `Segment::contains_doc`.
-    pub(crate) fn doc_contains(&self, doc: DocId) -> Result<bool> {
-        Ok(self.aux.contains(&Self::doc_chunk_key(doc, 0))?)
-    }
-
-    /// Iterate all stored document ids.
-    pub fn doc_ids(&self) -> Result<Vec<DocId>> {
-        let mut out = Vec::new();
-        let mut last = None;
-        for item in self.aux.scan_prefix(&[AUX_DOC])? {
-            let (k, _) = item?;
-            let id = aux_id(&k, 13)?;
-            if last != Some(id) {
-                out.push(id);
-                last = Some(id);
-            }
-        }
-        Ok(out)
-    }
-
     // ----- delete tombstones (aux) -----
 
     fn tomb_key(doc: DocId) -> Vec<u8> {
@@ -635,7 +614,8 @@ impl Store {
         let mut out = Vec::new();
         for item in self.aux.scan_prefix(&[AUX_TOMB])? {
             let (k, _) = item?;
-            out.push(aux_id(&k, 9)?);
+            let id = k.get(1..).and_then(|id| <[u8; 8]>::try_from(id).ok());
+            out.push(u64::from_be_bytes(id.ok_or_else(|| malformed("aux", &k))?));
         }
         Ok(out)
     }
@@ -747,15 +727,6 @@ pub(crate) fn decode_dkstats(k: &[u8], v: &[u8]) -> Option<(u64, DkStats)> {
     (v.len() == 24).then_some((u64::from_be_bytes(k.try_into().ok()?), stats))
 }
 
-/// The document id after the tag byte of an aux key of `len` bytes (a stored
-/// document's chunk key, a tombstone's key).
-fn aux_id(k: &[u8], len: usize) -> Result<u64> {
-    let id = k.get(1..9).filter(|_| k.len() == len);
-    id.and_then(|id| id.try_into().ok())
-        .map(u64::from_be_bytes)
-        .ok_or_else(|| malformed("aux", k))
-}
-
 /// The error for a record of the delta's `tree` that no writer of it
 /// produces: the page passed its checksum, so the bytes are wrong, not torn.
 fn malformed(tree: &str, key: &[u8]) -> Error {
@@ -836,10 +807,10 @@ impl SearchSource for Store {
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> Result<()> {
         let mut bad = None;
-        let visit = decoding(&mut bad, |k, _| decode_docid(k), |_, (_, doc)| f(doc));
+        let visit = decoding(&mut bad, |k, _| decode_docid(k), |_, (n, doc)| f(n, doc));
         // The cursor's ranges are open at both ends, a scope is closed at
         // `lo`, and doc ids start at 0: the label alone, a proper prefix of
         // every `(lo, doc)` key, sorts immediately before the first of them.
@@ -902,7 +873,7 @@ mod tests {
 
     fn docids_in(s: &Store, scopes: &[(u128, u128)]) -> Vec<DocId> {
         let mut out = Vec::new();
-        s.docids_in_scopes(scopes, &mut |doc| {
+        s.docids_in_scopes(scopes, &mut |_, doc| {
             out.push(doc);
             ControlFlow::Continue(())
         })
@@ -1023,9 +994,6 @@ mod tests {
         assert_eq!(s.doc_get(1).unwrap(), Some(small));
         assert_eq!(s.doc_get(2).unwrap(), Some(big));
         assert_eq!(s.doc_get(3).unwrap(), None);
-        assert_eq!(s.doc_ids().unwrap(), vec![1, 2]);
-        assert!(s.doc_contains(2).unwrap());
-        assert!(!s.doc_contains(3).unwrap());
     }
 
     #[test]

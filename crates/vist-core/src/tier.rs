@@ -1,23 +1,25 @@
 //! The tiers of a [`VistIndex`]: immutable packed segments (the RIST build,
 //! paper §3.3) beneath the mutable delta (Algorithms 3–4), and everything
 //! that reads or replaces the segment list — the manifest and its crash redo
-//! on open, the static build shared by bulk load and compaction, the commit
-//! point that publishes a new list, the tombstone-aware view of the stored
-//! documents, and the query fan-out over every tier. An in-memory index has
-//! no files and an empty list. File formats and the crash protocol:
-//! `docs/SEGMENTS.md`.
+//! on open, the static build shared by bulk load and compaction, the record
+//! walk that reads a tier's trie back, the commit point that publishes a new
+//! list, the live documents, and the query fan-out over every tier. An
+//! in-memory index has no files and an empty list. Formats and crash
+//! protocol: `docs/SEGMENTS.md`.
 
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use vist_query::QuerySequence;
-use vist_seq::document_to_sequence;
+use vist_seq::{document_to_sequence, MAX_SCOPE};
 use vist_storage::sync::RwLock;
 use vist_storage::{FilePager, Manifest, Vfs};
-use vist_xml::{Document, ParseError};
+use vist_xml::Document;
 
 use crate::error::{Error, Result};
 use crate::extsort::DEFAULT_SORT_BUDGET;
+use crate::ingest::data_dkey;
 use crate::search::{search_sequences, PlanReport, SearchOptions, SearchOutcome, SearchSource};
 use crate::segment::{Segment, SegmentBuilder};
 use crate::store::DocId;
@@ -87,16 +89,6 @@ impl Tier {
     }
 }
 
-impl TierFiles {
-    /// Spill directory for external-sort runs during a bulk build or
-    /// compaction (scratch only — never read after a crash).
-    fn scratch_dir(&self) -> PathBuf {
-        let mut os = self.path.as_os_str().to_os_string();
-        os.push(".ingest-tmp");
-        PathBuf::from(os)
-    }
-}
-
 impl VistIndex {
     /// Load the segments the manifest names (none without a manifest),
     /// finishing whatever a crash interrupted. Called once by the open,
@@ -153,9 +145,10 @@ impl VistIndex {
     /// Returns the assigned document ids (contiguous, ascending). The
     /// segment is durable and published in the manifest when this returns;
     /// accumulating [`COMPACT_SEGMENT_THRESHOLD`] segments auto-triggers
-    /// [`VistIndex::compact`]. Requires a file-backed index
-    /// ([`VistIndex::create_file`] / [`VistIndex::open_file`] or the
-    /// `_at` variants), else [`Error::NotTiered`].
+    /// [`VistIndex::compact`], documents stored or not. Requires a
+    /// file-backed index ([`VistIndex::create_file`] /
+    /// [`VistIndex::open_file`] or the `_at` variants), else
+    /// [`Error::NotTiered`].
     pub fn bulk_build<I, S>(&self, docs: I) -> Result<Vec<DocId>>
     where
         I: IntoIterator<Item = S>,
@@ -166,12 +159,22 @@ impl VistIndex {
             let files = self.tier.files()?;
             let first_doc = self.store.meta().next_doc;
             let mut ids = Vec::new();
-            let docs = docs.into_iter().map(|xml| {
-                let id = first_doc + ids.len() as u64;
-                ids.push(id);
-                Ok((id, xml))
-            });
-            let Some(seg) = self.write_segment(files, docs, Error::from)? else {
+            let Some(seg) = self.write_segment(files, |builder| {
+                for xml in docs {
+                    let xml = xml.as_ref();
+                    let doc = vist_xml::parse(xml)?;
+                    let seq = {
+                        let mut table = self.table.write();
+                        document_to_sequence(&doc, &mut table, &self.order)
+                    };
+                    let path = seq.iter().map(data_dkey).collect::<Result<Vec<_>>>()?;
+                    let id = first_doc + ids.len() as u64;
+                    builder.add_doc(id, &path, Some(xml.as_bytes()))?;
+                    ids.push(id);
+                }
+                Ok(())
+            })?
+            else {
                 return Ok(ids);
             };
             // Commit point. A crash before this leaves an orphan file (the
@@ -191,7 +194,7 @@ impl VistIndex {
             self.store.pool().checkpoint()?;
             vist_obs::counter!("vist_core_bulk_docs_total").add(ids.len() as u64);
             let segments = self.tier.state.read().segments.len();
-            if segments >= COMPACT_SEGMENT_THRESHOLD && self.store.meta().store_documents {
+            if segments >= COMPACT_SEGMENT_THRESHOLD {
                 self.compact_locked()?;
             }
             Ok(ids)
@@ -200,11 +203,12 @@ impl VistIndex {
 
     /// Merge the delta and every segment into one fresh packed segment,
     /// dropping tombstoned documents for good, then reset the delta.
-    /// Document ids are preserved. The manifest swap is the commit point:
-    /// a crash at any earlier point leaves the old state, a crash after it
-    /// is finished on reopen by re-clearing the delta (`delta_epoch`
-    /// handshake — see `docs/SEGMENTS.md`). Requires a file-backed index
-    /// with stored documents.
+    /// Document ids are preserved; the input is the tiers' own records
+    /// (`tier_paths`), stored documents are copied, none is parsed. The
+    /// manifest swap is the commit point: a crash at any earlier point
+    /// leaves the old state, a crash after it is finished on reopen by
+    /// re-clearing the delta (`delta_epoch` handshake — see
+    /// `docs/SEGMENTS.md`). Requires a file-backed index.
     pub fn compact(&self) -> Result<()> {
         let _w = self.writer.lock();
         self.compact_locked()
@@ -213,17 +217,29 @@ impl VistIndex {
     fn compact_locked(&self) -> Result<()> {
         bg_op("compaction", || {
             let files = self.tier.files()?;
-            self.require_documents()?;
             let (old_ids, delta_epoch, segments) = {
                 let st = self.tier.state.read();
                 let old = st.manifest.segments.clone();
                 (old, st.manifest.delta_epoch, st.segments.clone())
             };
-            let live = self.live_doc_ids(&segments)?;
-            let docs = live
-                .iter()
-                .map(|&id| Ok((id, self.stored_document(id, &segments, true)?)));
-            let compacted = self.write_segment(files, docs, unparseable)?;
+            // Each live document as a path into its tier's keys, `keys[t]`.
+            let tombs = self.store.tomb_ids()?;
+            let (mut keys, mut docs) = (Vec::new(), Vec::new());
+            for (t, (seg_id, source)) in self.tiers(&segments).enumerate() {
+                let (tier_keys, tier_docs) = tier_paths(source, &tier_name(seg_id), &tombs)?;
+                docs.extend(tier_docs.into_iter().map(|(doc, path)| (doc, t, path)));
+                keys.push(tier_keys);
+            }
+            // Fed by id, like a bulk load; `move` frees the paths before the build.
+            docs.sort_unstable_by_key(|&(doc, ..)| doc);
+            let compacted = self.write_segment(files, move |builder| {
+                for (id, t, path) in docs {
+                    let xml = self.stored_bytes(id, &segments)?;
+                    let path = path.iter().map(|&k| &keys[t][k as usize]);
+                    builder.add_doc(id, path, xml.as_deref())?;
+                }
+                Ok(())
+            })?;
             // Commit point: the new manifest names only the compacted
             // segment and advances the delta epoch, obligating a delta clear.
             let compacted = compacted.into_iter().map(Arc::new).collect();
@@ -247,59 +263,39 @@ impl VistIndex {
     }
 
     /// The static build (paper §3.3), shared by bulk load and compaction:
-    /// parse each `(id, xml)`, convert it to its structure-encoded sequence
-    /// and hand it to one [`SegmentBuilder`], which labels the merged trie
-    /// and writes the next segment file. The file is durable on return but
-    /// named by no manifest: [`VistIndex::publish`] is the caller's next
-    /// step. `None` when `docs` is empty. A document that does not parse
-    /// ends the build with `unparseable` of the parser's error. The caller
-    /// holds the writer lock.
-    fn write_segment<S: AsRef<str>>(
+    /// `fill` hands one [`SegmentBuilder`] each document's key path and
+    /// text; the builder labels the merged trie and writes the next segment
+    /// file, durable on return but named by no manifest
+    /// ([`VistIndex::publish`] is the caller's next step). `None` when
+    /// `fill` adds no document.
+    fn write_segment(
         &self,
         files: &TierFiles,
-        docs: impl Iterator<Item = Result<(DocId, S)>>,
-        unparseable: impl Fn(ParseError) -> Error,
+        fill: impl FnOnce(&mut SegmentBuilder) -> Result<()>,
     ) -> Result<Option<Segment>> {
-        let mut docs = docs.peekable();
-        if docs.peek().is_none() {
-            return Ok(None);
-        }
         let store_documents = self.store.meta().store_documents;
+        // External-sort spills: scratch, never read after a crash.
+        let mut scratch = files.path.as_os_str().to_os_string();
+        scratch.push(".ingest-tmp");
         let mut builder = SegmentBuilder::new(
-            files.scratch_dir(),
+            scratch.into(),
             files.page_size,
             store_documents,
             DEFAULT_SORT_BUDGET,
         )?;
-        for item in docs {
-            let (id, xml) = item?;
-            let xml = xml.as_ref();
-            let doc = vist_xml::parse(xml).map_err(&unparseable)?;
-            let seq = {
-                let mut table = self.table.write();
-                document_to_sequence(&doc, &mut table, &self.order)
-            };
-            builder.add_doc(id, &seq, xml)?;
-        }
-        let last_id = self
-            .tier
-            .state
-            .read()
-            .manifest
-            .segments
-            .iter()
-            .copied()
-            .max();
-        let id = last_id.map_or(1, |id| id + 1);
-        let seg = builder.finish(
+        fill(&mut builder)?;
+        let id = {
+            let st = self.tier.state.read();
+            st.manifest.segments.iter().max().map_or(1, |id| id + 1)
+        };
+        builder.finish(
             files.vfs.as_ref(),
             &Manifest::segment_path(&files.path, id),
             id,
             files.page_size,
             files.cache_pages,
             DEFAULT_SORT_BUDGET,
-        )?;
-        Ok(Some(seg))
+        )
     }
 
     /// The commit point of a bulk load and of a compaction: store the next
@@ -341,23 +337,45 @@ impl VistIndex {
         Ok(())
     }
 
-    /// Ids of all live documents (tombstone-masked), ascending. Caller
+    /// Every tier as a search source: the delta (`None`), then the segments.
+    pub(crate) fn tiers<'a>(
+        &'a self,
+        segments: &'a [Arc<Segment>],
+    ) -> impl Iterator<Item = (Option<u64>, &'a dyn SearchSource)> {
+        std::iter::once((None, &self.store as &dyn SearchSource)).chain(
+            segments
+                .iter()
+                .map(|seg| (Some(seg.id), seg.as_ref() as &dyn SearchSource)),
+        )
+    }
+
+    /// All live document ids ([`live_postings`]), ascending; the caller
     /// holds the maintenance latch.
     pub(crate) fn live_doc_ids(&self, segments: &[Arc<Segment>]) -> Result<Vec<DocId>> {
         let tombs = self.store.tomb_ids()?;
         let mut ids = Vec::new();
-        join_live(&mut ids, self.store.doc_ids()?, &tombs);
-        for seg in segments {
-            join_live(&mut ids, seg.doc_ids()?, &tombs);
+        for (_, source) in self.tiers(segments) {
+            ids.extend(live_postings(source, &tombs)?.into_iter().map(|p| p.1));
         }
+        ids.sort_unstable();
         Ok(ids)
     }
 
-    /// The text of live stored document `id`, from whichever tier holds it:
-    /// the delta first, then the segments, newest first. A caller whose id
-    /// is already masked (it came from [`VistIndex::live_doc_ids`] or
-    /// [`VistIndex::search_tiers`]) passes `masked` and no tombstone is
-    /// probed; otherwise a document with a tombstone is
+    /// The stored text of `id`, tombstoned or not: the delta's, else the
+    /// newest segment's.
+    pub(crate) fn stored_bytes(&self, id: DocId, segs: &[Arc<Segment>]) -> Result<Option<Vec<u8>>> {
+        match self.store.doc_get(id)? {
+            Some(xml) => Ok(Some(xml)),
+            None => segs
+                .iter()
+                .rev()
+                .find_map(|seg| seg.doc_get(id).transpose())
+                .transpose(),
+        }
+    }
+
+    /// The text of live stored document `id`: a caller whose id came from
+    /// [`VistIndex::search_tiers`] passes `masked`, else a tombstone makes it
     /// [`Error::NoSuchDocument`]. Caller holds the maintenance latch.
     pub(crate) fn stored_document(
         &self,
@@ -368,15 +386,9 @@ impl VistIndex {
         if !masked && self.store.tomb_contains(id)? {
             return Err(Error::NoSuchDocument(id));
         }
-        let xml = match self.store.doc_get(id)? {
-            Some(xml) => Some(xml),
-            None => segments
-                .iter()
-                .rev()
-                .find_map(|seg| seg.doc_get(id).transpose())
-                .transpose()?,
-        };
-        stored_text(xml.ok_or(Error::NoSuchDocument(id))?)
+        let xml = self.stored_bytes(id, segments)?;
+        String::from_utf8(xml.ok_or(Error::NoSuchDocument(id))?)
+            .map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))
     }
 
     /// Algorithm 2 over every tier: the delta, then each segment, oldest
@@ -396,14 +408,9 @@ impl VistIndex {
         let tombs = self.store.tomb_ids()?;
         let mut union_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
         let segments = self.tier.segments();
-        let sources = std::iter::once((None, &self.store as &dyn SearchSource)).chain(
-            segments
-                .iter()
-                .map(|seg| (Some(seg.id), seg.as_ref() as &dyn SearchSource)),
-        );
         let mut total = SearchOutcome::default();
         let mut plans: Vec<(String, PlanReport)> = Vec::new();
-        for (seg_id, source) in sources {
+        for (seg_id, source) in self.tiers(&segments) {
             if sopts.limit.is_some_and(|k| total.docs.len() >= k) {
                 break;
             }
@@ -423,10 +430,7 @@ impl VistIndex {
             let t = vist_obs::now();
             join_live(&mut total.docs, o.docs, &tombs);
             union_nanos += vist_obs::elapsed_nanos(t).unwrap_or(0);
-            plans.extend(o.plan.map(|p| {
-                let name = seg_id.map_or("delta".to_string(), |id| format!("segment {id}"));
-                (name, p)
-            }));
+            plans.extend(o.plan.map(|p| (tier_name(seg_id), p)));
         }
         // The union can overshoot the limit; keep the smallest k.
         total.docs.truncate(sopts.limit.unwrap_or(usize::MAX));
@@ -481,18 +485,249 @@ fn join_live(ids: &mut Vec<DocId>, mut run: Vec<DocId>, tombs: &[DocId]) {
     ids.dedup();
 }
 
-/// A stored document's bytes as text: they went in as UTF-8, so anything
-/// else is corruption.
-fn stored_text(xml: Vec<u8>) -> Result<String> {
-    String::from_utf8(xml).map_err(|_| Error::Corrupt("stored document is not UTF-8".into()))
-}
-
 /// Parse a stored document: it parsed when it went in, so a failure is
 /// corruption.
 pub(crate) fn parse_stored(text: &str) -> Result<Document> {
-    vist_xml::parse(text).map_err(unparseable)
+    vist_xml::parse(text).map_err(|e| Error::Corrupt(format!("stored document unparseable: {e}")))
 }
 
-fn unparseable(e: ParseError) -> Error {
-    Error::Corrupt(format!("stored document unparseable: {e}"))
+/// How reports and errors name a tier of [`VistIndex::tiers`].
+pub(crate) fn tier_name(seg_id: Option<u64>) -> String {
+    seg_id.map_or("delta".to_string(), |id| format!("segment {id}"))
+}
+
+/// The live DocId entries `(n, doc)` of one tier: a live document, in every
+/// tier, is a DocId entry whose id has no tombstone (`tombs`, ascending).
+fn live_postings(source: &dyn SearchSource, tombs: &[DocId]) -> Result<Vec<(u128, DocId)>> {
+    let mut out = Vec::new();
+    source.docids_in_scopes(&[(0, MAX_SCOPE)], &mut |n, doc| {
+        if tombs.binary_search(&doc).is_err() {
+            out.push((n, doc));
+        }
+        ControlFlow::Continue(())
+    })?;
+    Ok(out)
+}
+
+/// One tier's D-Ancestor keys, and its live documents as paths into them.
+pub(crate) type TierPaths = (Vec<Vec<u8>>, Vec<(DocId, Vec<u32>)>);
+
+/// The record walk of compaction and [`VistIndex::check`]: the index is the
+/// trie of the documents' sequences (paper §3.3), so read it back through
+/// [`SearchSource`]: the D-Ancestor keys, each key's S-Ancestor entries,
+/// sorted by label. Labels nest, so the innermost scope open at an entry's
+/// label is its parent's, and a live DocId entry's path runs down to the
+/// entry its label names (label 0, the virtual root, is an empty path). A
+/// label held twice, a scope that starts inside another and ends past it or
+/// a posting at no entry's label is [`Error::Corrupt`] naming `tier`.
+pub(crate) fn tier_paths(
+    source: &dyn SearchSource,
+    tier: &str,
+    tombs: &[DocId],
+) -> Result<TierPaths> {
+    let corrupt =
+        |what: String| -> Result<TierPaths> { Err(Error::Corrupt(format!("{tier}: {what}"))) };
+    let (mut keys, mut ids) = (Vec::new(), Vec::new());
+    // Every key starts with a symbol tag, 1 or 2.
+    source.dkey_scan_range(&[], &[0xff], &mut |key, id| {
+        ids.push((id, keys.len() as u32));
+        keys.push(key.to_vec());
+        ControlFlow::Continue(())
+    })?;
+    // By id, the S-Ancestor tree's first key component: one forward walk.
+    ids.sort_unstable();
+    let mut nodes = Vec::new();
+    for (id, key) in ids {
+        source.nodes_in_scopes(id, &[(0, MAX_SCOPE)], &mut |node| {
+            nodes.push((node.n, node.end(), key));
+            ControlFlow::Continue(())
+        })?;
+    }
+    nodes.sort_unstable_by_key(|&(n, ..)| n);
+    // `parent[i]` is one past the index of entry `i`'s parent; 0 for none.
+    let (mut parent, mut open) = (vec![0u32; nodes.len()], Vec::<usize>::new());
+    for (i, &(n, end, _)) in nodes.iter().enumerate() {
+        if i > 0 && nodes[i - 1].0 == n {
+            return corrupt(format!("two S-Ancestor entries hold label {n}"));
+        }
+        while open.last().is_some_and(|&j| nodes[j].1 <= n) {
+            open.pop();
+        }
+        if let Some(&j) = open.last() {
+            let (up_n, up_end, _) = nodes[j];
+            if end > up_end {
+                return corrupt(format!("scope [{n}, {end}) ends past [{up_n}, {up_end})"));
+            }
+            parent[i] = j as u32 + 1;
+        }
+        open.push(i);
+    }
+    let mut docs = Vec::new();
+    for (n, doc) in live_postings(source, tombs)? {
+        let mut at = match nodes.binary_search_by_key(&n, |&(n, ..)| n) {
+            Ok(i) => i + 1,
+            Err(_) if n == 0 => 0,
+            Err(_) => return corrupt(format!("label {n} of document {doc} names no entry")),
+        };
+        let mut path = Vec::new();
+        while at > 0 {
+            path.push(nodes[at - 1].2);
+            at = parent[at - 1] as usize;
+        }
+        path.reverse();
+        docs.push((doc, path));
+    }
+    Ok((keys, docs))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::segment::tests::add_parsed;
+    use crate::{IndexOptions, NaiveIndex, QueryOptions};
+    use vist_storage::testutil::TempDir;
+    use vist_storage::RealVfs;
+
+    /// One corpus of the differential test: its documents (the first
+    /// `delta_from` bulk-loaded as two segments, the rest inserted into the
+    /// delta), the queries to answer and the index options.
+    struct Corpus {
+        name: &'static str,
+        docs: Vec<String>,
+        delta_from: usize,
+        queries: Vec<String>,
+        opts: IndexOptions,
+    }
+
+    fn xml_of(docs: Vec<vist_xml::Document>) -> Vec<String> {
+        docs.iter().map(vist_xml::Document::to_xml).collect()
+    }
+
+    fn corpora() -> Vec<Corpus> {
+        let table3 = |qs: Vec<(&str, String)>| qs.into_iter().map(|(_, q)| q).collect();
+        let dblp = Corpus {
+            name: "dblp",
+            docs: xml_of(vist_datagen::dblp::documents(240, 7)),
+            delta_from: 160,
+            queries: table3(vist_datagen::dblp::table3_queries()),
+            opts: IndexOptions::default(),
+        };
+        let xmark = Corpus {
+            name: "xmark",
+            docs: xml_of(vist_datagen::xmark::documents(120, 11)),
+            delta_from: 80,
+            queries: table3(vist_datagen::xmark::table3_queries()),
+            opts: IndexOptions::default(),
+        };
+        // At a fixed λ = 2, `b` in the delta runs out of labels after 126
+        // children; every later document that leaves a chain below it
+        // borrows a block from `a` (node incarnations).
+        let mut docs: Vec<String> = (0..40).map(|i| format!("<a><b><s{i}/></b></a>")).collect();
+        docs.extend((0..126).map(|i| format!("<a><b><c{i}/></b></a>")));
+        docs.push("<a><b><x><d><e/></d></x></b></a>".into());
+        docs.push("<a><b><x><f/></x></b></a>".into());
+        for i in 0..6 {
+            docs.push(format!("<a><b><x><g{i}/></x></b></a>"));
+            docs.push(format!("<a><b><c{i}><y/></c{i}></b></a>"));
+            docs.push(format!("<a><b><x><d><h{i}/></d></x></b></a>"));
+        }
+        let queries = [
+            "/a/b/x/d",
+            "/a/b/x/d/e",
+            "/a/b/x",
+            "//f",
+            "/a/b/*/y",
+            "//g3",
+            "/a/b/c5",
+            "//d/*",
+        ];
+        let borrow = Corpus {
+            name: "borrow",
+            docs,
+            delta_from: 40,
+            queries: queries.map(String::from).to_vec(),
+            opts: IndexOptions {
+                lambda: 2,
+                adaptive: false,
+                ..IndexOptions::default()
+            },
+        };
+        vec![dblp, xmark, borrow]
+    }
+
+    /// The oracle of a compaction: the static build of `idx`'s live
+    /// documents from their stored text, re-parsed, in id order.
+    fn reparsed(idx: &VistIndex, path: &Path) -> Segment {
+        let page_size = idx.store.pool().page_size();
+        let mut scratch = path.as_os_str().to_owned();
+        scratch.push(".tmp");
+        let mut b =
+            SegmentBuilder::new(scratch.into(), page_size, true, DEFAULT_SORT_BUDGET).unwrap();
+        let mut table = idx.table();
+        for id in idx.document_ids().unwrap() {
+            let xml = idx.get_document_xml(id).unwrap();
+            add_parsed(&mut b, &mut table, &idx.order, id, &xml);
+        }
+        assert_eq!(table.len(), idx.table().len(), "the text holds no new name");
+        let seg = b.finish(&RealVfs, path, 0, page_size, 64, DEFAULT_SORT_BUDGET);
+        seg.unwrap().expect("live documents")
+    }
+
+    #[test]
+    fn compaction_from_the_records_equals_the_reparse_oracle() {
+        for corpus in corpora() {
+            let name = corpus.name;
+            let dir = TempDir::new("vist-core-compact-walk");
+            let path = dir.file("idx.vist");
+            let idx = VistIndex::create_file(&path, corpus.opts.clone()).unwrap();
+            let (docs, split) = (&corpus.docs, corpus.delta_from);
+            idx.bulk_build(&docs[..split / 2]).unwrap();
+            idx.bulk_build(&docs[split / 2..split]).unwrap();
+            for xml in &docs[split..] {
+                idx.insert_xml(xml).unwrap();
+            }
+            if name == "borrow" {
+                assert!(idx.stats().deep_borrows > 1, "{name}");
+            }
+            // Tombstones in both segments and in the delta.
+            let removed: Vec<DocId> = (0..docs.len() as u64).filter(|id| id % 5 == 3).collect();
+            for &id in &removed {
+                idx.remove_document(id).unwrap();
+            }
+            let mut naive = NaiveIndex::default();
+            for xml in docs {
+                naive.insert_document(&vist_xml::parse(xml).unwrap());
+            }
+            let opts = QueryOptions::default();
+            let mut check_answers = |idx: &VistIndex, when: &str| {
+                for q in &corpus.queries {
+                    let mut want = naive.query(q, &opts).unwrap();
+                    want.retain(|id| !removed.contains(id));
+                    let got = idx.query(q, &opts).unwrap().doc_ids;
+                    assert_eq!(got, want, "{name} {when}: {q}");
+                }
+            };
+            check_answers(&idx, "before compaction");
+            idx.compact().unwrap();
+            check_answers(&idx, "after compaction");
+            idx.check().unwrap();
+
+            let segments = idx.tier.segments();
+            assert_eq!(segments.len(), 1, "{name}");
+            let oracle = reparsed(&idx, &dir.file("oracle"));
+            for ((tree, got), (_, want)) in segments[0].records().iter().zip(oracle.records()) {
+                assert!(
+                    *got == want,
+                    "{name}: {tree} tree: {} records, the oracle's {}",
+                    got.len(),
+                    want.len()
+                );
+            }
+            let file = Manifest::segment_path(&path, segments[0].id);
+            assert!(
+                std::fs::read(file).unwrap() == std::fs::read(dir.file("oracle")).unwrap(),
+                "{name}: segment files differ"
+            );
+        }
+    }
 }

@@ -31,7 +31,7 @@ use crate::search::{PlanReport, PruneReason, QueryStats, SearchMode, SearchOptio
 use crate::segment::{Segment, SegmentBreakdown};
 use crate::stats::{IndexStats, IngestCounters};
 use crate::store::{DocId, Store, StoreBreakdown};
-use crate::tier::{parse_stored, Tier};
+use crate::tier::{parse_stored, tier_name, tier_paths, Tier};
 
 /// Configuration for creating an index.
 #[derive(Debug, Clone)]
@@ -49,7 +49,8 @@ pub struct IndexOptions {
     /// Allocation scheme (geometric, or probability-guided by a
     /// [`crate::StatsModel`]).
     pub allocator: AllocatorKind,
-    /// Store original documents (enables exact verification and deletion).
+    /// Store original documents, for exact verification, removal and
+    /// [`VistIndex::get_document_xml`] (compaction reads the index alone).
     pub store_documents: bool,
     /// Sibling ordering used for sequence conversion.
     pub order: SiblingOrder,
@@ -415,9 +416,9 @@ impl VistIndex {
     /// Verify the structural invariants of every B+Tree in the index (key
     /// order, node bounds, uniform depth, leaf chains; for the packed trees
     /// of each segment, the in-memory fence array against the pages), the
-    /// delta's free list and basic meta consistency. Returns a human-readable
-    /// report when everything is clean, or [`Error::Corrupt`] carrying the
-    /// report when it is not.
+    /// delta's free list, every tier's label nesting and basic meta
+    /// consistency. Returns a human-readable report when everything is
+    /// clean, or [`Error::Corrupt`] carrying the report when it is not.
     /// Backs the `vist check` CLI command; intended to run after a crash
     /// recovery.
     pub fn check(&self) -> Result<String> {
@@ -443,6 +444,13 @@ impl VistIndex {
                 line(format_args!("segment {} tree {name:<9}", seg.id), problem);
             }
         }
+        for (seg_id, source) in self.tiers(&segments) {
+            let problem = tier_paths(source, &tier_name(seg_id), &[]).err();
+            line(
+                format_args!("{} labels", tier_name(seg_id)),
+                problem.map(|e| e.to_string()),
+            );
+        }
         let mut s = IndexStats::default();
         self.count_segments(&mut s, &segments);
         if s.segments > 0 {
@@ -453,22 +461,20 @@ impl VistIndex {
             )
             .unwrap();
         }
-        if self.store.meta().store_documents {
-            match self.live_doc_ids(&segments) {
-                Ok(ids) => {
-                    let n = ids.len() as u64;
-                    let meta_n = self.store.meta().doc_count;
-                    if n == meta_n {
-                        writeln!(report, "documents {n} (matches meta)").unwrap();
-                    } else {
-                        dirty += 1;
-                        writeln!(report, "documents {n} but meta says {meta_n}").unwrap();
-                    }
-                }
-                Err(e) => {
+        match self.live_doc_ids(&segments) {
+            Ok(ids) => {
+                let n = ids.len() as u64;
+                let meta_n = self.store.meta().doc_count;
+                if n == meta_n {
+                    writeln!(report, "documents {n} (matches meta)").unwrap();
+                } else {
                     dirty += 1;
-                    writeln!(report, "documents UNREADABLE: {e}").unwrap();
+                    writeln!(report, "documents {n} but meta says {meta_n}").unwrap();
                 }
+            }
+            Err(e) => {
+                dirty += 1;
+                writeln!(report, "documents UNREADABLE: {e}").unwrap();
             }
         }
         if dirty > 0 {
@@ -553,10 +559,9 @@ impl VistIndex {
         Ok((delta, segs))
     }
 
-    /// Ids of all stored documents, ascending (requires stored documents).
+    /// Ids of all live documents, ascending, documents stored or not.
     pub fn document_ids(&self) -> Result<Vec<DocId>> {
         let _m = self.maintenance.read();
-        self.require_documents()?;
         self.live_doc_ids(&self.tier.segments())
     }
 
@@ -1291,22 +1296,56 @@ mod tests {
 
     #[test]
     fn without_stored_documents_verify_errors() {
-        let idx = VistIndex::in_memory(IndexOptions {
+        // Compaction and the live ids read the index itself: an index that
+        // stores no documents bulk-loads into an automatic compaction and
+        // compacts on demand; only what needs the text refuses.
+        let dir = vist_storage::testutil::TempDir::new("vist-core-unstored");
+        let opts = IndexOptions {
             store_documents: false,
             ..Default::default()
-        })
-        .unwrap();
-        idx.insert_xml("<a><b/></a>").unwrap();
-        let r = idx.query("/a/b", &QueryOptions::default()).unwrap();
-        assert_eq!(r.doc_ids.len(), 1);
+        };
+        let idx = VistIndex::create_file(dir.file("store"), opts).unwrap();
+        let docs: Vec<String> = (0..60)
+            .map(|i| format!("<a><b>{}</b><c{}/></a>", i % 7, i % 3))
+            .collect();
+        let mut naive = crate::NaiveIndex::default();
+        for xml in &docs {
+            naive.insert_document(&vist_xml::parse(xml).unwrap());
+        }
+        let mut answers_equal_the_oracle = |idx: &VistIndex| {
+            for q in ["/a/b", "/a[b='3']", "/a/c1", "//c2", "/a/*"] {
+                let got = idx.query(q, &QueryOptions::default()).unwrap().doc_ids;
+                assert_eq!(
+                    got,
+                    naive.query(q, &QueryOptions::default()).unwrap(),
+                    "{q}"
+                );
+            }
+        };
+        for chunk in docs[..40].chunks(10) {
+            idx.bulk_build(chunk).unwrap();
+        }
+        assert_eq!(COMPACT_SEGMENT_THRESHOLD, 4);
+        assert_eq!(idx.stats().segments, 1, "the fourth bulk load compacts");
+        for xml in &docs[40..] {
+            idx.insert_xml(xml).unwrap();
+        }
+        let ids: Vec<DocId> = (0..60).collect();
+        assert_eq!(idx.document_ids().unwrap(), ids);
+        answers_equal_the_oracle(&idx);
+        idx.compact().unwrap();
+        let s = idx.stats();
+        assert_eq!((s.segments, s.segment_docs, s.nodes), (1, 60, 0));
+        assert_eq!(idx.document_ids().unwrap(), ids);
+        answers_equal_the_oracle(&idx);
+        idx.check().unwrap();
+
+        let verify = QueryOptions {
+            verify: true,
+            ..Default::default()
+        };
         assert!(matches!(
-            idx.query(
-                "/a/b",
-                &QueryOptions {
-                    verify: true,
-                    ..Default::default()
-                }
-            ),
+            idx.query("/a/b", &verify),
             Err(Error::DocumentsNotStored)
         ));
         assert!(matches!(

@@ -376,7 +376,7 @@ impl SearchSource for CountingScans<'_> {
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> Result<()> {
         self.inner.docids_in_scopes(scopes, f)
     }
@@ -454,9 +454,9 @@ impl SearchSource for OneDocument<'_> {
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> Result<()> {
-        self.0.docids_in_scopes(scopes, &mut |_| f(self.1))
+        self.0.docids_in_scopes(scopes, &mut |n, _| f(n, self.1))
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
@@ -498,7 +498,7 @@ fn a_document_below_thousands_of_disjoint_scopes_is_returned_once() {
 fn docids(source: &dyn SearchSource, scopes: &[(u128, u128)]) -> Vec<DocId> {
     let mut out = Vec::new();
     source
-        .docids_in_scopes(scopes, &mut |doc| {
+        .docids_in_scopes(scopes, &mut |_, doc| {
             out.push(doc);
             ControlFlow::Continue(())
         })

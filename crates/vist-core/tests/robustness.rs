@@ -1,7 +1,7 @@
 //! Failure injection: corrupted files and abuse must yield clean errors,
 //! never panics or silent wrong answers.
 
-use vist_core::{Error, IndexOptions, QueryOptions, VistIndex};
+use vist_core::{Error, IndexOptions, QueryOptions, SimMutation, VistIndex};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("vist-robust-{name}-{}", std::process::id()))
@@ -166,6 +166,54 @@ fn a_failed_insert_leaves_no_document_behind_for_compaction_to_index() {
     assert_eq!(idx.get_document_xml(fresh).unwrap(), "<later/>");
     assert_eq!(idx.doc_count(), failed + 1);
     idx.check().unwrap();
+}
+
+#[test]
+fn a_deep_borrow_leaves_no_label_free_for_a_later_sibling() {
+    // At a fixed λ = 2 the scope of `b` runs out after 126 distinct
+    // children, and the next one borrows a block from `a`: one incarnation
+    // of `b`, then `x` and `d` nested in it. A later document that leaves
+    // that chain below `x` must not be handed the label `d` holds — it
+    // used to be, and `/a/b/x/d` then matched it too.
+    let idx = VistIndex::in_memory(IndexOptions {
+        lambda: 2,
+        adaptive: false,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut i = 0;
+    while idx.stats().deep_borrows == 0 {
+        idx.insert_xml(&format!("<a><b><c{i}/></b></a>")).unwrap();
+        i += 1;
+    }
+    assert_eq!((i, idx.stats().deep_borrows), (126, 1));
+    let d = idx.insert_xml("<a><b><x><d><e/></d></x></b></a>").unwrap();
+    let f = idx.insert_xml("<a><b><x><f/></x></b></a>").unwrap();
+    assert_eq!((d, f), (126, 127));
+    let opts = QueryOptions::default();
+    assert_eq!(idx.query("/a/b/x/d", &opts).unwrap().doc_ids, [d]);
+    assert_eq!(idx.query("/a/b/x/f", &opts).unwrap().doc_ids, [f]);
+    assert_eq!(idx.query("/a/b/x", &opts).unwrap().doc_ids, [d, f]);
+    idx.check().unwrap();
+}
+
+#[test]
+fn check_flags_a_scope_that_overhangs_its_sibling() {
+    // The planted allocation bug hands every child scope one label too
+    // many, so it ends inside the next sibling's: labels no longer nest.
+    let idx = VistIndex::in_memory(IndexOptions {
+        mutation: SimMutation::ScopeOffByOne,
+        ..Default::default()
+    })
+    .unwrap();
+    for i in 0..4 {
+        idx.insert_xml(&format!("<r><a{i}/></r>")).unwrap();
+    }
+    let Err(Error::Corrupt(report)) = idx.check() else {
+        panic!("check passed an index whose scopes overlap");
+    };
+    assert!(report.contains("delta labels CORRUPT"), "{report}");
+    assert!(report.contains("ends past ["), "{report}");
 }
 
 #[test]

@@ -110,20 +110,20 @@ fn the_tier_union_is_one_more_visit_of_the_merge_stage() {
 fn the_planning_of_every_tier_reaches_the_stage_timings() {
     let _turn = tracing_switch();
     let dir = TempDir::new("tracing-plan");
-    // Without stored documents a fourth segment triggers no compaction.
+    // Three segments, one short of a compaction, and the delta.
     let opts = IndexOptions {
         store_documents: false,
         ..IndexOptions::default()
     };
     let idx = VistIndex::create_file(dir.file("idx.vist"), opts).unwrap();
     let docs: Vec<String> = (0..500).map(person).collect();
-    for chunk in docs[..400].chunks(100) {
+    for chunk in docs[..300].chunks(100) {
         idx.bulk_build(chunk).unwrap();
     }
-    for xml in &docs[400..] {
+    for xml in &docs[300..] {
         idx.insert_xml(xml).unwrap();
     }
-    assert_eq!(idx.stats().segments, 4);
+    assert_eq!(idx.stats().segments, 3);
     vist_obs::set_tracing(true);
     let r = idx
         .query("/site/people/person/name", &QueryOptions::default())
@@ -137,8 +137,8 @@ fn the_planning_of_every_tier_reaches_the_stage_timings() {
         .iter()
         .find(|c| c.name == "plan")
         .unwrap_or_else(|| panic!("no plan stage in:\n{}", tree.render()));
-    assert_eq!(plan.count, 5, "{}", tree.render());
-    // Each tier's planning is summed, not the delta's alone (a fifth).
+    assert_eq!(plan.count, 4, "{}", tree.render());
+    // Each tier's planning is summed, not the delta's alone (a fourth).
     assert!(
         r.timings.plan_nanos * 2 >= plan.nanos,
         "plan_nanos {} of the spans' {}\n{}",

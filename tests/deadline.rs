@@ -200,7 +200,7 @@ impl SearchSource for SlowSource<'_> {
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> vist_core::Result<()> {
         self.inner.docids_in_scopes(scopes, f)?;
         self.called(&self.resolutions, Hold::Resolution);

@@ -82,11 +82,11 @@ impl SearchSource for Counted<'_> {
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(DocId) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> Result<()> {
-        self.inner.docids_in_scopes(scopes, &mut |doc| {
+        self.inner.docids_in_scopes(scopes, &mut |n, doc| {
             self.entries.fetch_add(1, Ordering::Relaxed);
-            f(self.one_document.unwrap_or(doc))
+            f(n, self.one_document.unwrap_or(doc))
         })
     }
 
