@@ -36,7 +36,6 @@
 
 mod alloc;
 mod error;
-mod extsort;
 mod ingest;
 mod naive;
 mod pool;
@@ -50,7 +49,6 @@ mod vist;
 
 pub use alloc::{Allocation, AllocatorKind, ScopeAllocator, SimMutation, StatsModel};
 pub use error::{Error, Result};
-pub use extsort::{ExtSorter, SortedStream, DEFAULT_SORT_BUDGET};
 pub use naive::NaiveIndex;
 pub use search::{
     search_sequences, DkStats, PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions,

@@ -34,13 +34,17 @@
 //! packed before it existed open with an empty map and plan from
 //! candidate counts instead.
 //!
-//! [`SegmentBuilder`] is the external-sort ingest pipeline: documents
-//! stream in once as key paths (the dkeys of their sequences, which a
-//! compaction reads back from the index) into a shared in-memory trie, XML
-//! chunks spilling through [`ExtSorter`]; the trie is labeled in one
-//! preorder pass, and the sorted record streams bulk-load the packed trees.
+//! [`SegmentBuilder`] is the static build: documents stream in once, in
+//! ascending id order, as key paths (the dkeys of their sequences, which a
+//! compaction reads back from the index) into a shared in-memory trie, their
+//! XML appended to one sequential scratch file. The trie is labeled in one
+//! preorder pass; every S-Ancestor and DocId record comes from it, sorted in
+//! memory, and the scratch file is replayed into the documents tree in the
+//! order it was written, which is key order.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -53,7 +57,6 @@ use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
 use vist_storage::{BufferPool, FilePager, Vfs};
 
 use crate::error::{Error, Result};
-use crate::extsort::{ExtSorter, SortedStream};
 use crate::search::{DkStats, SearchSource};
 use crate::store::{self, decoding, DocId, NodeState, Store, StoreBreakdown};
 
@@ -494,44 +497,71 @@ struct TrieNode {
     size: u128,
 }
 
-/// Streaming segment build: feed documents one at a time, then
-/// [`SegmentBuilder::finish`] labels the trie and bulk-loads the packed
-/// trees through external sort.
+/// Streaming segment build: feed documents one at a time in ascending id
+/// order, then [`SegmentBuilder::finish`] labels the trie and bulk-loads
+/// each packed tree from it in key order.
 pub(crate) struct SegmentBuilder {
-    scratch: PathBuf,
     /// dkey bytes → dense id, in first-seen order (ids need no key order;
     /// the D-Ancestor tree itself is loaded from this sorted map).
     dkeys: BTreeMap<Vec<u8>, u64>,
     /// trie[0] is the virtual root.
     trie: Vec<TrieNode>,
-    /// `(doc, trie node index of the sequence's last element)`.
+    /// `(doc, trie node index of the sequence's last element)`, ascending
+    /// by doc.
     doc_ends: Vec<(DocId, usize)>,
-    /// XML chunks, spilled as they arrive.
-    docs: Option<ExtSorter>,
-    chunk_size: usize,
-    doc_count: u64,
-    max_doc: u64,
+    /// The stored documents, when the index keeps them.
+    docs: Option<Scratch>,
+    page_size: usize,
+}
+
+/// A build's stored documents, appended to a scratch file as `doc ‖ len ‖
+/// bytes` (`u64` LE, `u64` LE, XML) until `finish` replays them. The file is
+/// removed when the builder drops, whether the build succeeded or failed; a
+/// crash leaves it to be truncated by the next build. It is never read
+/// after a crash, so it uses plain `std::fs` rather than the `Vfs`.
+struct Scratch {
+    path: PathBuf,
+    file: BufWriter<File>,
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+fn io_error(e: std::io::Error) -> Error {
+    vist_storage::Error::Io(e).into()
 }
 
 impl SegmentBuilder {
-    /// `scratch` is the spill directory (removed by `finish`);
-    /// `page_size` sizes document chunks; `store_documents` mirrors the
-    /// index option; `budget` caps each sorter's in-memory buffer.
+    /// `scratch` is the stored documents' file (removed when the builder
+    /// drops, and never created when `store_documents` is false);
+    /// `page_size` is the segment file's, and sizes document chunks.
     pub(crate) fn new(
         scratch: PathBuf,
         page_size: usize,
         store_documents: bool,
-        budget: usize,
     ) -> Result<SegmentBuilder> {
         let docs = if store_documents {
-            Some(ExtSorter::new(scratch.clone(), "docs", budget)?)
+            // Older builds spilled into a directory of this name, which a
+            // failed build left behind.
+            let _ = std::fs::remove_dir_all(&scratch);
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&scratch)
+                .map_err(io_error)?;
+            Some(Scratch {
+                path: scratch,
+                file: BufWriter::new(file),
+            })
         } else {
             None
         };
-        // Leave the same slack Store::doc_put leaves for the chunk key.
-        let chunk_size = page_size / 4;
         Ok(SegmentBuilder {
-            scratch,
             dkeys: BTreeMap::new(),
             trie: vec![TrieNode {
                 dkid: u64::MAX,
@@ -541,22 +571,36 @@ impl SegmentBuilder {
             }],
             doc_ends: Vec::new(),
             docs,
-            chunk_size,
-            doc_count: 0,
-            max_doc: 0,
+            page_size,
         })
     }
 
     /// Add one document: its key path (the D-Ancestor keys of its sequence)
-    /// and its XML, kept when documents are stored. Ids must be unique; the
-    /// order of the calls numbers the dkeys, so the same paths in the same
-    /// order make the same segment, byte for byte.
+    /// and its XML, kept when documents are stored. Each id must be above
+    /// the one before, else this is an error and adds nothing; the order of
+    /// the calls numbers the dkeys, so the same paths in the same order make
+    /// the same segment, byte for byte.
     pub(crate) fn add_doc<K: AsRef<[u8]>>(
         &mut self,
         doc: DocId,
         path: impl IntoIterator<Item = K>,
         xml: Option<&[u8]>,
     ) -> Result<()> {
+        if let Some(&(last, _)) = self.doc_ends.last().filter(|&&(last, _)| doc <= last) {
+            return Err(Error::Corrupt(format!(
+                "segment build: document {doc} after document {last}"
+            )));
+        }
+        if let Some(scratch) = &mut self.docs {
+            let bytes =
+                xml.ok_or_else(|| Error::Corrupt(format!("document {doc} has no stored text")))?;
+            let len = bytes.len() as u64;
+            let w = &mut scratch.file;
+            w.write_all(&doc.to_le_bytes())
+                .and_then(|()| w.write_all(&len.to_le_bytes()))
+                .and_then(|()| w.write_all(bytes))
+                .map_err(io_error)?;
+        }
         let mut cur = 0usize;
         for key in path {
             let next_id = self.dkeys.len() as u64;
@@ -577,23 +621,6 @@ impl SegmentBuilder {
             };
         }
         self.doc_ends.push((doc, cur));
-        if let Some(sorter) = &mut self.docs {
-            let bytes =
-                xml.ok_or_else(|| Error::Corrupt(format!("document {doc} has no stored text")))?;
-            // Documents key `doc-id ‖ chunk`.
-            let key = |chunk: usize| {
-                let key = Codec::V2.doc_prefix(doc).uint(chunk as u128);
-                key.as_slice().to_vec()
-            };
-            if bytes.is_empty() {
-                sorter.push(key(0), Vec::new())?;
-            }
-            for (i, chunk) in bytes.chunks(self.chunk_size.max(1)).enumerate() {
-                sorter.push(key(i), chunk.to_vec())?;
-            }
-        }
-        self.doc_count += 1;
-        self.max_doc = self.max_doc.max(doc);
         Ok(())
     }
 
@@ -633,9 +660,11 @@ impl SegmentBuilder {
         self.trie[0].size = counter; // virtual root: covers every label
     }
 
-    /// Label, sort, and write segment `id` to the file at `path`.
-    /// Returns the opened segment, or `None` (and no file) when no
-    /// document was added. Durability: the segment file is fully
+    /// Label the trie and write segment `id` to the file at `path`: the
+    /// S-Ancestor and DocId trees from the labeled trie sorted in memory,
+    /// the documents tree from the scratch file in the order it was
+    /// written. Returns the opened segment, or `None` (and no file) when
+    /// no document was added. Durability: the segment file is fully
     /// checkpointed (WAL committed + pages synced) before this returns;
     /// publishing it in the manifest is the caller's step.
     pub(crate) fn finish(
@@ -643,14 +672,11 @@ impl SegmentBuilder {
         vfs: &dyn Vfs,
         path: &Path,
         id: u64,
-        page_size: usize,
         cache_pages: usize,
-        budget: usize,
     ) -> Result<Option<Segment>> {
-        if self.doc_count == 0 {
-            let _ = std::fs::remove_dir_all(&self.scratch);
+        let Some(&(max_doc, _)) = self.doc_ends.last() else {
             return Ok(None);
-        }
+        };
         self.label();
         let codec = Codec::V2;
 
@@ -670,7 +696,7 @@ impl SegmentBuilder {
             }
         }
 
-        let pager = FilePager::create_with_vfs(vfs, path, page_size)?;
+        let pager = FilePager::create_with_vfs(vfs, path, self.page_size)?;
         let pool = Arc::new(BufferPool::with_capacity(pager, cache_pages));
         let mut writer = SegmentWriter::create(Arc::clone(&pool))?;
 
@@ -681,10 +707,12 @@ impl SegmentBuilder {
             .collect();
         writer.add_tree(dancestor_items)?;
 
-        // Each sorter is filled right before its tree is written, so at
-        // most one of them holds its records in memory at a time.
-        let mut sanc = ExtSorter::new(self.scratch.clone(), "sanc", budget)?;
-        for node in &self.trie[1..] {
+        // The key orders are the integer orders of their components.
+        let trie = &self.trie;
+        let mut nodes: Vec<usize> = (1..trie.len()).collect();
+        nodes.sort_unstable_by_key(|&i| (trie[i].dkid, trie[i].n));
+        writer.add_tree(nodes.into_iter().map(|i| {
+            let node = &trie[i];
             let state = NodeState {
                 n: node.n,
                 size: node.size,
@@ -692,17 +720,20 @@ impl SegmentBuilder {
                 k: node.children.len() as u64,
             };
             let key = codec.sanc_key(node.dkid, node.n);
-            sanc.push(key.as_slice().to_vec(), Codec::encode_sanc_value(&state))?;
-        }
-        add_sorted_tree(&mut writer, sanc.finish()?)?;
-        let mut docid = ExtSorter::new(self.scratch.clone(), "docid", budget)?;
-        for &(doc, end) in &self.doc_ends {
-            let n = if end == 0 { 0 } else { self.trie[end].n };
-            docid.push(codec.docid_key(n, doc).as_slice().to_vec(), Vec::new())?;
-        }
-        add_sorted_tree(&mut writer, docid.finish()?)?;
-        match self.docs.take() {
-            Some(sorter) => add_sorted_tree(&mut writer, sorter.finish()?)?,
+            (key.as_slice().to_vec(), Codec::encode_sanc_value(&state))
+        }))?;
+        // The virtual root's label is 0: an empty document's posting.
+        let mut postings: Vec<(u128, DocId)> = self
+            .doc_ends
+            .iter()
+            .map(|&(doc, end)| (trie[end].n, doc))
+            .collect();
+        postings.sort_unstable();
+        let docid_key = |(n, doc)| (codec.docid_key(n, doc).as_slice().to_vec(), Vec::new());
+        writer.add_tree(postings.into_iter().map(docid_key))?;
+        match &mut self.docs {
+            // Leave the same slack Store::doc_put leaves for the chunk key.
+            Some(scratch) => add_documents(&mut writer, scratch, self.page_size / 4)?,
             None => {
                 writer.add_tree(Vec::new())?;
             }
@@ -714,36 +745,58 @@ impl SegmentBuilder {
         writer.add_tree(stats_items)?;
 
         let mut meta = [0u8; META_LEN];
-        meta[0..8].copy_from_slice(&self.doc_count.to_le_bytes());
+        meta[0..8].copy_from_slice(&(self.doc_ends.len() as u64).to_le_bytes());
         meta[8..16].copy_from_slice(&((self.trie.len() - 1) as u64).to_le_bytes());
         meta[16..24].copy_from_slice(&dkey_count.to_le_bytes());
-        meta[24..32].copy_from_slice(&self.max_doc.to_le_bytes());
+        meta[24..32].copy_from_slice(&max_doc.to_le_bytes());
         writer.finish(&meta)?;
         pool.checkpoint()?;
         drop(pool);
-        let _ = std::fs::remove_dir_all(&self.scratch);
         Segment::open(vfs, path, id, cache_pages).map(Some)
     }
 }
 
-/// Stream a [`SortedStream`] into [`SegmentWriter::add_tree`], routing IO
-/// errors around the infallible-iterator API.
-fn add_sorted_tree(writer: &mut SegmentWriter, stream: SortedStream) -> Result<()> {
-    let mut err: Option<Error> = None;
-    let iter = stream.map_while(|item| match item {
-        Ok(kv) => Some(kv),
-        Err(e) => {
-            err = Some(e);
-            None
+/// Replay the scratch file into the documents tree: each document as its
+/// `doc-id ‖ chunk` records of up to `chunk_size` bytes (an empty document
+/// as one empty chunk 0). Documents were appended in ascending id order, so
+/// the records come out in key order.
+fn add_documents(
+    writer: &mut SegmentWriter,
+    scratch: &mut Scratch,
+    chunk_size: usize,
+) -> Result<()> {
+    // Seeking the writer flushes it first.
+    scratch.file.seek(SeekFrom::Start(0)).map_err(io_error)?;
+    let mut file = BufReader::new(scratch.file.get_ref());
+    // The document being split: its id, its next chunk and its bytes unread.
+    let (mut doc, mut chunk, mut left) = (0u64, 0u128, 0usize);
+    let mut next = || -> std::io::Result<Option<(Vec<u8>, Vec<u8>)>> {
+        if left == 0 {
+            if file.fill_buf()?.is_empty() {
+                return Ok(None);
+            }
+            let mut head = [0u8; 16];
+            file.read_exact(&mut head)?;
+            let (id, len) = head.split_at(8);
+            doc = u64::from_le_bytes(id.try_into().expect("8 bytes"));
+            left = u64::from_le_bytes(len.try_into().expect("8 bytes")) as usize;
+            chunk = 0;
         }
-    });
-    // The writer consumes the iterator fully (or fails on its own).
-    let res = writer.add_tree(iter);
-    if let Some(e) = err {
-        return Err(e);
-    }
-    res?;
-    Ok(())
+        let mut bytes = vec![0; left.min(chunk_size)];
+        file.read_exact(&mut bytes)?;
+        left -= bytes.len();
+        let key = Codec::V2.doc_prefix(doc).uint(chunk);
+        chunk += 1;
+        Ok(Some((key.as_slice().to_vec(), bytes)))
+    };
+    let mut failed = None;
+    writer.add_tree(std::iter::from_fn(|| {
+        next().unwrap_or_else(|e| {
+            failed = Some(e);
+            None
+        })
+    }))?;
+    failed.map_or(Ok(()), |e| Err(io_error(e)))
 }
 
 #[cfg(test)]
@@ -787,14 +840,11 @@ pub(crate) mod tests {
         let dir = TempDir::new("vist-core-segment");
         let path = dir.file("seg-1");
         let mut table = SymbolTable::new();
-        let mut b = SegmentBuilder::new(dir.file("scratch"), 4096, true, 1 << 20).unwrap();
+        let mut b = SegmentBuilder::new(dir.file("scratch"), 4096, true).unwrap();
         for &(id, xml) in docs {
             add_parsed(&mut b, &mut table, &SiblingOrder::Lexicographic, id, xml);
         }
-        let seg = b
-            .finish(&RealVfs, &path, 1, 4096, 64, 1 << 20)
-            .unwrap()
-            .unwrap();
+        let seg = b.finish(&RealVfs, &path, 1, 64).unwrap().unwrap();
         (dir, seg, table)
     }
 
@@ -1053,19 +1103,50 @@ pub(crate) mod tests {
         let mut table = SymbolTable::new();
         // Small pages: the records are a few bytes each, and the one
         // part-filled leaf at the end of a tree must not decide the average.
-        let mut b = SegmentBuilder::new(dir.file("scratch"), 512, true, 1 << 20).unwrap();
+        let mut b = SegmentBuilder::new(dir.file("scratch"), 512, true).unwrap();
         for (id, xml) in &docs {
             add_parsed(&mut b, &mut table, &SiblingOrder::Lexicographic, *id, xml);
         }
-        let seg = b
-            .finish(&RealVfs, &path, 3, 512, 64, 1 << 20)
-            .unwrap()
-            .unwrap();
+        let seg = b.finish(&RealVfs, &path, 3, 64).unwrap().unwrap();
         let breakdown = seg.breakdown().unwrap();
         assert!(
             breakdown.sancestor.leaf_fill() > 0.8,
             "bulk-loaded S-Ancestor leaves should be packed, got {}",
             breakdown.sancestor.leaf_fill()
         );
+    }
+
+    #[test]
+    fn documents_must_ascend_and_replay_whatever_their_size() {
+        let dir = TempDir::new("vist-core-segment-replay");
+        let scratch = dir.file("scratch");
+        let path = [b"k".as_slice()];
+        let mut b = SegmentBuilder::new(scratch.clone(), 512, true).unwrap();
+        b.add_doc(4, path, Some(b"")).unwrap();
+        let written = |b: &mut SegmentBuilder| {
+            let file = &mut b.docs.as_mut().unwrap().file;
+            file.flush().unwrap();
+            file.get_ref().metadata().unwrap().len()
+        };
+        let before = written(&mut b);
+        // An id not above the one before is refused and writes nothing.
+        for doc in [4, 3] {
+            let refused = b.add_doc(doc, path, Some(b"<r/>"));
+            assert!(matches!(refused, Err(Error::Corrupt(_))), "{doc}");
+        }
+        assert_eq!(written(&mut b), before);
+        // Three times the replay reader's 8 KiB buffer, in 128-byte chunks.
+        let big = format!("<r>{}</r>", "x".repeat(3 * 8192));
+        b.add_doc(9, [b"k".as_slice(), b"x"], Some(big.as_bytes()))
+            .unwrap();
+        let seg = b
+            .finish(&RealVfs, &dir.file("seg-1"), 1, 64)
+            .unwrap()
+            .unwrap();
+        assert_eq!((seg.doc_count, seg.max_doc), (2, 9));
+        assert_eq!(seg.doc_get(4).unwrap().unwrap(), b"", "empty document");
+        assert_eq!(seg.doc_get(9).unwrap().unwrap(), big.as_bytes());
+        assert!(seg.doc_get(3).unwrap().is_none());
+        assert!(!scratch.exists(), "the builder removes its scratch file");
     }
 }

@@ -18,7 +18,6 @@ use vist_storage::{FilePager, Manifest, Vfs};
 use vist_xml::Document;
 
 use crate::error::{Error, Result};
-use crate::extsort::DEFAULT_SORT_BUDGET;
 use crate::ingest::data_dkey;
 use crate::search::{search_sequences, PlanReport, SearchOptions, SearchOutcome, SearchSource};
 use crate::segment::{Segment, SegmentBuilder};
@@ -140,7 +139,7 @@ impl VistIndex {
     /// segment, bypassing the per-document dynamic insert path entirely:
     /// sequences are merged into an in-memory trie, labeled exactly by
     /// preorder rank + subtree size (no scope allocation, no underflows),
-    /// externally sorted, and written as B+Trees at ~100% leaf fill.
+    /// sorted in memory, and written as B+Trees at ~100% leaf fill.
     ///
     /// Returns the assigned document ids (contiguous, ascending). The
     /// segment is durable and published in the manifest when this returns;
@@ -274,15 +273,10 @@ impl VistIndex {
         fill: impl FnOnce(&mut SegmentBuilder) -> Result<()>,
     ) -> Result<Option<Segment>> {
         let store_documents = self.store.meta().store_documents;
-        // External-sort spills: scratch, never read after a crash.
+        // The stored documents wait here until the build writes them.
         let mut scratch = files.path.as_os_str().to_os_string();
         scratch.push(".ingest-tmp");
-        let mut builder = SegmentBuilder::new(
-            scratch.into(),
-            files.page_size,
-            store_documents,
-            DEFAULT_SORT_BUDGET,
-        )?;
+        let mut builder = SegmentBuilder::new(scratch.into(), files.page_size, store_documents)?;
         fill(&mut builder)?;
         let id = {
             let st = self.tier.state.read();
@@ -292,9 +286,7 @@ impl VistIndex {
             files.vfs.as_ref(),
             &Manifest::segment_path(&files.path, id),
             id,
-            files.page_size,
             files.cache_pages,
-            DEFAULT_SORT_BUDGET,
         )
     }
 
@@ -655,21 +647,63 @@ mod tests {
         vec![dblp, xmark, borrow]
     }
 
+    /// The names in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_build_leaves_only_the_index_files() {
+        for store_documents in [true, false] {
+            let dir = TempDir::new("vist-core-build-scratch");
+            let opts = IndexOptions {
+                store_documents,
+                ..IndexOptions::default()
+            };
+            let idx = VistIndex::create_file(dir.file("idx"), opts).unwrap();
+            // The third document does not parse.
+            let docs = ["<a><b/></a>", "<a><c/></a>", "<a><b>", "<a/>"];
+            assert!(matches!(idx.bulk_build(docs), Err(Error::Xml(_))));
+            assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
+            idx.bulk_build(&docs[..2]).unwrap();
+            let files = [
+                "idx",
+                "idx.manifest",
+                "idx.seg-1",
+                "idx.seg-1.wal",
+                "idx.wal",
+            ];
+            assert_eq!(listing(dir.path()), files);
+        }
+        // Without stored documents a build never makes its scratch file.
+        let dir = TempDir::new("vist-core-build-no-docs");
+        let scratch = dir.file("idx.ingest-tmp");
+        let mut b = SegmentBuilder::new(scratch.clone(), 512, false).unwrap();
+        b.add_doc(0, ["k"], None).unwrap();
+        assert!(!scratch.exists());
+        let seg = b.finish(&RealVfs, &dir.file("idx.seg-1"), 1, 64).unwrap();
+        assert!(seg.is_some() && !scratch.exists());
+    }
+
     /// The oracle of a compaction: the static build of `idx`'s live
     /// documents from their stored text, re-parsed, in id order.
     fn reparsed(idx: &VistIndex, path: &Path) -> Segment {
         let page_size = idx.store.pool().page_size();
         let mut scratch = path.as_os_str().to_owned();
         scratch.push(".tmp");
-        let mut b =
-            SegmentBuilder::new(scratch.into(), page_size, true, DEFAULT_SORT_BUDGET).unwrap();
+        let mut b = SegmentBuilder::new(scratch.into(), page_size, true).unwrap();
         let mut table = idx.table();
         for id in idx.document_ids().unwrap() {
             let xml = idx.get_document_xml(id).unwrap();
             add_parsed(&mut b, &mut table, &idx.order, id, &xml);
         }
         assert_eq!(table.len(), idx.table().len(), "the text holds no new name");
-        let seg = b.finish(&RealVfs, path, 0, page_size, 64, DEFAULT_SORT_BUDGET);
+        let seg = b.finish(&RealVfs, path, 0, 64);
         seg.unwrap().expect("live documents")
     }
 

@@ -78,9 +78,9 @@ OBSERVABILITY (see docs/OBSERVABILITY.md):
                        over HTTP) for its wide event and full span tree
 
 TIERED STORAGE (see docs/SEGMENTS.md):
-  load                 bulk-load a batch through external sort into one
-                       immutable packed segment (~100% leaf fill) instead of
-                       the per-document dynamic insert path
+  load                 bulk-load a batch into one immutable packed segment
+                       (~100% leaf fill), labeled and sorted in memory, instead
+                       of the per-document dynamic insert path
   load --ingest-threads N
                        dynamic-insert the corpus instead: N parallel prepare
                        workers (parse + structure-encode), serialized apply,
