@@ -8,8 +8,8 @@
 //! * variable-length keys and values in slotted pages,
 //! * ordered range scans through a singly-linked leaf chain,
 //! * insert-or-replace and exact lookup; no record is removed on its own —
-//!   [`BTree::clear`] empties a whole tree and is the one call that frees
-//!   pages (the tiered index clears its delta after each compaction),
+//!   [`BTree::clear`] swaps in an empty root; no page is ever freed (the
+//!   tiered index resets its delta's whole pager after each compaction),
 //! * many trees sharing one pager/pool, as ViST needs ("the combined
 //!   D-Ancestor and S-Ancestor B+ Trees" plus the DocId tree live in one
 //!   store), and

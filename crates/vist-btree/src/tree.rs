@@ -21,12 +21,11 @@
 //! key whose insert has not yet returned — never an already-committed
 //! key, and never a torn or uninitialized page.
 //!
-//! The tree is insert-only: no record is ever removed on its own. `clear`
-//! empties the whole tree and is the one call that frees pages, so it is
-//! **not** safe against concurrent readers of the same tree — callers must
-//! exclude readers for the duration (see `docs/CONCURRENCY.md`;
-//! `vist-core` does this with a maintenance lock, around compaction's
-//! delta clear).
+//! The tree is insert-only: no record is removed on its own and no page is
+//! freed; `clear` swaps in an empty root. Only a reset of the pool's pager
+//! takes pages away, and that is not safe against readers (see
+//! `docs/CONCURRENCY.md`; `vist-core` excludes them with a maintenance lock
+//! around compaction's delta reset).
 
 use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -522,34 +521,10 @@ impl BTree {
         Ok((up_key.to_vec(), right_pid))
     }
 
-    /// Free every page reachable from `root`.
-    fn free_subtree(&self, root: PageId) -> Result<()> {
-        let mut stack = vec![root];
-        while let Some(pid) = stack.pop() {
-            {
-                let page = self.pool.fetch(pid)?;
-                let buf = page.data();
-                if kind(pid, buf)? == NodeKind::Internal {
-                    stack.push(link1(buf));
-                    let p = SlottedPage::new(buf, NODE_HDR);
-                    for i in 0..p.slot_count() {
-                        let (_, child) = decode_internal_cell(pid, i, p.cell(i)?)?;
-                        stack.push(child);
-                    }
-                }
-            }
-            self.pool.free(pid)?;
-        }
-        Ok(())
-    }
-
-    /// Drop every entry, freeing all pages except a fresh empty root leaf
-    /// (the tiered index truncates its delta this way after folding it into
-    /// a segment). The root page id changes; persist it again afterwards.
-    ///
-    /// This is the one call that frees a page, so unlike `insert` it is
-    /// **not** safe against concurrent readers of the same tree; callers
-    /// must exclude readers for the duration.
+    /// Drop every entry: swap in a fresh empty root leaf. No page is freed
+    /// (compaction's delta clear resets the whole pager, then clears each
+    /// tree for a root in the emptied store). The root page id changes;
+    /// persist it again afterwards.
     pub fn clear(&self) -> Result<()> {
         let _w = self.descent.writer.lock();
         let fresh = self.pool.allocate()?;
@@ -558,7 +533,8 @@ impl BTree {
             init_leaf(page.data_mut());
         }
         note_height(1);
-        self.free_subtree(self.descent.root.swap(fresh, Ordering::AcqRel))
+        self.descent.root.store(fresh, Ordering::Release);
+        Ok(())
     }
 }
 
@@ -708,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_frees_every_page_and_the_next_inserts_reuse_them() {
+    fn clear_swaps_in_an_empty_root_and_leaves_the_old_pages_readable() {
         let t = tree();
         let fill = || {
             for i in 0..1000u32 {
@@ -718,20 +694,19 @@ mod tests {
         };
         fill();
         let pool = t.pool();
-        let live = pool.live_pages();
-        assert!(live > 20, "{live}");
+        let (old_root, bytes) = (t.root_page(), pool.store_bytes());
         t.clear().unwrap();
         t.verify().unwrap();
         assert!(t.is_empty().unwrap());
         assert_eq!(t.len().unwrap(), 0);
         assert_eq!(t.tree_stats().unwrap().height, 1);
-        assert_eq!(pool.live_pages(), 1, "the fresh root alone");
-        let bytes = pool.store_bytes();
+        assert_eq!(pool.store_bytes(), bytes + 512, "one page: the new root");
+        // Nothing was freed: the old tree still reads whole.
+        let old = BTree::open(Arc::clone(pool), old_root).unwrap();
+        assert_eq!(old.len().unwrap(), 1000);
         fill();
         t.verify().unwrap();
         assert_eq!(t.len().unwrap(), 1000);
-        assert_eq!(pool.live_pages(), live);
-        assert_eq!(pool.store_bytes(), bytes, "the freed pages were reused");
     }
 
     #[test]

@@ -534,8 +534,9 @@ const PLAN_PROBE_CAP: u64 = 4096;
 /// hunt for order-dependent bugs in work distribution, dedup, frontier
 /// batching and scope merging.
 ///
-/// Callers must hold whatever latch protects the store from page frees for
-/// the duration of the call (queries hold the maintenance latch shared);
+/// Callers must hold whatever latch protects the store from a reset of its
+/// pager for the duration of the call (queries hold the maintenance latch
+/// shared);
 /// the engine itself acquires no index locks.
 pub fn search_sequences(
     source: &dyn SearchSource,

@@ -10,7 +10,8 @@
 //! | `aux` | tagged | — | symbol table, sibling order, stored documents (chunked) |
 //!
 //! The *meta page* (the first page allocated) persists tree roots and
-//! counters so the index can be reopened.
+//! counters so the index can be reopened; a compaction's delta clear resets
+//! the pager and allocates it first again.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
@@ -144,7 +145,7 @@ const AUX_STATS: u8 = 4;
 /// Delete tombstone: the one way a document leaves the index, whichever
 /// tier holds it. Nothing is unlinked; every tier's answers are masked by
 /// the tombstones instead, the delta's included. Compaction drops both the
-/// tombstone and the masked document, and is the only code that frees
+/// tombstone and the masked document, and its delta reset is what reclaims
 /// their pages.
 const AUX_TOMB: u8 = 5;
 /// Per-D-Ancestor-entry planner statistics ([`DkStats`]): key is tag ‖
@@ -620,17 +621,25 @@ impl Store {
         Ok(out)
     }
 
-    /// Truncate the delta after a compaction folded its contents into a
-    /// packed segment: all five trees, aux included, are emptied whole
-    /// (pages freed), and the planner statistics and per-delta counters
-    /// reset. The globals the aux tree held (symbol table, sibling order,
+    /// Truncate the delta after a compaction folded it into a packed
+    /// segment: reset the pool, forgetting every page of the five trees (aux
+    /// too), allocate the meta page and five empty roots again in
+    /// [`Store::create`]'s order, and reset the planner statistics and
+    /// per-delta counters. The globals aux held (symbols, sibling order,
     /// stats model) live on in memory, with `next_doc` and `doc_count`.
     /// `new_epoch` stamps the truncation so a reopen can tell whether it was
-    /// persisted (see [`Meta::delta_epoch`]). Callers must hold the writer
-    /// lock *and* exclude readers (page frees), and must commit afterwards
-    /// with `VistIndex::commit_locked`, which writes the globals back — a
-    /// bare [`Store::flush`] would leave out the stats model.
+    /// persisted (see [`Meta::delta_epoch`]). Callers hold the writer lock,
+    /// exclude readers, and commit afterwards with `VistIndex::commit_locked`
+    /// (a bare [`Store::flush`] would leave out the stats model).
     pub(crate) fn clear_delta(&self, new_epoch: u64) -> Result<()> {
+        self.pool.reset()?;
+        let meta_page = self.pool.allocate()?;
+        if meta_page != self.meta_page {
+            return Err(Error::Corrupt(format!(
+                "a reset store allocated page {meta_page} first, not meta page {}",
+                self.meta_page
+            )));
+        }
         for (_, tree) in self.trees() {
             tree.clear()?;
         }

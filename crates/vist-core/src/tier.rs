@@ -320,7 +320,7 @@ impl VistIndex {
             segments: segments.iter().map(|seg| seg.id).collect(),
         };
         manifest.store(files.vfs.as_ref(), &files.path)?;
-        // Clearing frees B+Tree pages: exclude readers.
+        // Clearing resets the delta's pager: exclude readers.
         let _m = clear.then(|| self.maintenance.write());
         if clear {
             self.store.clear_delta(delta_epoch)?;

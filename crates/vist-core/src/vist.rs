@@ -9,9 +9,9 @@
 //! share it as `Arc<VistIndex>` and call [`VistIndex::query`] from any
 //! number of threads while one thread runs [`VistIndex::insert_xml`] (and
 //! friends). Writers serialize on an internal lock; queries never block
-//! other queries. Only a batch's apply phase and compaction's delta clear
+//! other queries. Only a batch's apply phase and compaction's delta reset
 //! briefly exclude queries, via an internal read-write latch;
-//! [`VistIndex::remove_document`] writes a tombstone and frees nothing.
+//! [`VistIndex::remove_document`] writes a tombstone and nothing else.
 //! See `docs/CONCURRENCY.md` for the full lock hierarchy.
 
 use std::path::Path;
@@ -195,10 +195,11 @@ pub struct VistIndex {
     /// lock hierarchy: writer → maintenance → table → (btree/pool locks).
     pub(crate) writer: Mutex<()>,
     /// Readers hold this shared. Compaction's delta clear holds it
-    /// exclusively because B+Tree deletion frees pages and is not
-    /// reader-safe; `insert_batch` holds it exclusively across its apply
-    /// phase so readers never observe a torn (partially applied) batch.
-    /// Nothing else deletes: a removal is a tombstone, an insert.
+    /// exclusively because it resets the delta's pager, so every page a
+    /// reader could hold vanishes; `insert_batch` holds it exclusively
+    /// across its apply phase so readers never observe a torn (partially
+    /// applied) batch. Nothing else removes anything: a removal is a
+    /// tombstone, an insert.
     pub(crate) maintenance: RwLock<()>,
     /// Counters of every query run so far, summed.
     pub(crate) totals: Mutex<QueryStats>,
@@ -374,6 +375,8 @@ impl VistIndex {
     /// counters).
     #[must_use]
     pub fn stats(&self) -> IndexStats {
+        // The tombstone count reads the delta's aux tree.
+        let _m = self.maintenance.read();
         let meta = self.store.meta();
         vist_obs::gauge!("vist_core_documents")
             .set(i64::try_from(meta.doc_count).unwrap_or(i64::MAX));
@@ -415,8 +418,8 @@ impl VistIndex {
 
     /// Verify the structural invariants of every B+Tree in the index (key
     /// order, node bounds, uniform depth, leaf chains; for the packed trees
-    /// of each segment, the in-memory fence array against the pages), the
-    /// delta's free list, every tier's label nesting and basic meta
+    /// of each segment, the in-memory fence array against the pages), every
+    /// tier's label nesting and basic meta
     /// consistency. Returns a human-readable report when everything is
     /// clean, or [`Error::Corrupt`] carrying the report when it is not.
     /// Backs the `vist check` CLI command; intended to run after a crash
@@ -437,8 +440,6 @@ impl VistIndex {
         for (name, problem) in self.store.verify() {
             line(format_args!("tree {name:<9}"), problem);
         }
-        let free_list = self.store.pool().check_free_list().err();
-        line(format_args!("free list"), free_list.map(|e| e.to_string()));
         for seg in &segments {
             for (name, problem) in seg.verify() {
                 line(format_args!("segment {} tree {name:<9}", seg.id), problem);

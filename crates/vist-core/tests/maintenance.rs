@@ -154,19 +154,18 @@ fn remove_and_check(idx: &VistIndex, tiered: bool) {
     assert!(removed.iter().all(|&id| id >= 200));
     removed.extend((0..200).step_by(9));
     removed.extend((200..300).step_by(7));
-    let frees = idx.stats().io.frees;
     for &id in &removed {
         idx.remove_document(id).unwrap();
     }
     check(&mut naive, &removed);
 
-    // Nothing is unlinked, so emptying the delta frees no page.
+    // Nothing is unlinked: emptying the delta of live documents is more
+    // tombstones.
     for id in 200..300 {
         if removed.insert(id) {
             idx.remove_document(id).unwrap();
         }
     }
-    assert_eq!(idx.stats().io.frees, frees);
     check(&mut naive, &removed);
     // Removed from a segment, removed from the delta.
     for id in [9, 250] {
@@ -199,6 +198,67 @@ fn a_removal_is_a_tombstone_in_every_tier() {
     let idx = VistIndex::in_memory(IndexOptions::default()).unwrap();
     idx.insert_batch(&docs, 2).unwrap();
     remove_and_check(&idx, false);
+}
+
+/// A compaction resets the delta's pager: the index file ends no longer
+/// than that of a fresh index whose delta holds the same symbols and
+/// nothing else (a bulk load of the same documents), as long as
+/// `store_bytes` says, and answers as the oracle does before and after a
+/// reopen.
+#[test]
+fn a_compacted_delta_is_no_longer_than_a_fresh_one() {
+    const QUERIES: [&str; 5] = ["/r/d", "/r/a[text='3']", "//b", "/r[b='1']/d", "/r/*"];
+    let docs: Vec<String> = (0..300).map(tomb_doc).collect();
+    let dir = TempDir::new("maintenance-fresh-delta");
+    let (path, fresh) = (dir.file("idx"), dir.file("fresh"));
+    let len = |path: &std::path::Path| std::fs::metadata(path).unwrap().len();
+    let mut naive = NaiveIndex::default();
+    for doc in &docs {
+        naive.insert_document(&vist_xml::parse(doc).unwrap());
+    }
+    let removed: BTreeSet<DocId> = (0..300).step_by(4).collect();
+    let check = |idx: &VistIndex, naive: &mut NaiveIndex, at: &str| {
+        for q in QUERIES {
+            let mut want = naive.query(q, &QueryOptions::default()).unwrap();
+            want.retain(|id| !removed.contains(id));
+            let got = idx.query(q, &QueryOptions::default()).unwrap().doc_ids;
+            assert_eq!(got, want, "{q} {at}");
+        }
+    };
+
+    let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
+    idx.bulk_build(&docs[..100]).unwrap();
+    for doc in &docs[100..] {
+        idx.insert_xml(doc).unwrap();
+    }
+    for &id in &removed {
+        idx.remove_document(id).unwrap();
+    }
+    idx.flush().unwrap();
+    check(&idx, &mut naive, "before the compaction");
+    let grown = idx.stats().store_bytes;
+    idx.compact().unwrap();
+    let compacted = len(&path);
+    assert_eq!(compacted, idx.stats().store_bytes);
+    assert!(compacted * 2 < grown, "{compacted} B of {grown}");
+    check(&idx, &mut naive, "after the compaction");
+    drop(idx);
+
+    let other = VistIndex::create_file(&fresh, IndexOptions::default()).unwrap();
+    other.bulk_build(&docs).unwrap();
+    other.flush().unwrap();
+    assert_eq!(other.stats().segments, 1);
+    assert!(
+        compacted <= len(&fresh),
+        "{compacted} B after the compaction, {} B fresh",
+        len(&fresh)
+    );
+
+    let idx = VistIndex::open_file(&path, 64).unwrap();
+    assert_eq!(len(&path), compacted);
+    assert_eq!(idx.stats().store_bytes, compacted);
+    check(&idx, &mut naive, "after a reopen");
+    idx.check().unwrap();
 }
 
 #[test]

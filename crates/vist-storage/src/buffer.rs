@@ -14,8 +14,8 @@
 //! (plus any eviction write-back), so cache hits on that same shard stall
 //! for the duration of the cold I/O; hits on the other shards are
 //! unaffected. This is a deliberate simplicity trade-off — it keeps
-//! double-fetch and fetch-vs-free races impossible without placeholder
-//! frames or per-frame fill states.
+//! double-fetch races impossible without placeholder frames or per-frame
+//! fill states.
 //!
 //! Pages are fetched through RAII guards ([`PageRef`], [`PageRefMut`]) that
 //! pin the frame for their lifetime; eviction only considers unpinned frames
@@ -249,23 +249,26 @@ impl BufferPool {
         self.pager.lock().allocate()
     }
 
-    /// Free a page. Fails with [`Error::PagePinned`] if a guard still pins it.
-    pub fn free(&self, pid: PageId) -> Result<()> {
-        let shard = self.shard(pid);
-        let mut inner = shard.inner.lock();
-        if let Some(frame) = inner.map.get(&pid) {
-            if frame.pins.load(Ordering::Acquire) > 0 {
-                return Err(Error::PagePinned(u64::from(pid)));
-            }
-            let frame = inner.map.remove(&pid).expect("present");
-            inner.ring.retain(|f| !Arc::ptr_eq(f, &frame));
-            if inner.hand >= inner.ring.len() {
-                inner.hand = 0;
-            }
+    /// Drop every cached frame, dirty or not, and [`Pager::reset`] the
+    /// backing store. Fails with [`Error::PagePinned`], changing nothing,
+    /// while a guard pins a frame. Every shard lock is held across the
+    /// pager call, so no fetch caches a page of the forgotten store.
+    pub fn reset(&self) -> Result<()> {
+        let mut shards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
+        let pinned = shards
+            .iter()
+            .flat_map(|inner| &inner.ring)
+            .find(|f| f.pins.load(Ordering::Acquire) > 0);
+        if let Some(frame) = pinned {
+            return Err(Error::PagePinned(u64::from(frame.pid)));
         }
-        // Shard lock held across the pager call: keeps free vs. re-fetch of
-        // the same pid serialized (same shard by construction).
-        self.pager.lock().free(pid)
+        self.pager.lock().reset()?;
+        for inner in &mut shards {
+            inner.map.clear();
+            inner.ring.clear();
+            inner.hand = 0;
+        }
+        Ok(())
     }
 
     /// Lock a shard, reporting whether the lock was contended.
@@ -455,17 +458,6 @@ impl BufferPool {
         self.pager.lock().checkpoint()
     }
 
-    /// [`Pager::check_free_list`]: freed pages are never cached.
-    pub fn check_free_list(&self) -> Result<()> {
-        self.pager.lock().check_free_list()
-    }
-
-    /// Number of live pages in the backing store.
-    #[must_use]
-    pub fn live_pages(&self) -> u64 {
-        self.pager.lock().live_pages()
-    }
-
     /// Total bytes of the backing store (the on-disk index size).
     #[must_use]
     pub fn store_bytes(&self) -> u64 {
@@ -588,16 +580,34 @@ mod tests {
     }
 
     #[test]
-    fn free_pinned_page_fails() {
+    fn reset_with_a_pinned_frame_fails_and_keeps_every_page() {
         let pool = pool(8);
-        let pid = pool.allocate().unwrap();
-        let g = pool.fetch(pid).unwrap();
+        let pids: Vec<PageId> = (0..6u8)
+            .map(|i| {
+                let pid = pool.allocate().unwrap();
+                pool.fetch_mut(pid).unwrap().data_mut()[0] = i + 1;
+                pid
+            })
+            .collect();
+        pool.flush().unwrap();
+        pool.fetch_mut(pids[5]).unwrap().data_mut()[0] = 0xDD;
+        let g = pool.fetch(pids[2]).unwrap();
         assert!(matches!(
-            pool.free(pid),
-            Err(Error::PagePinned(p)) if p == u64::from(pid)
+            pool.reset(),
+            Err(Error::PagePinned(p)) if p == u64::from(pids[2])
         ));
+        for (i, &pid) in pids.iter().enumerate() {
+            let want = if i == 5 { 0xDD } else { i as u8 + 1 };
+            assert_eq!(pool.fetch(pid).unwrap().data()[0], want, "page {pid}");
+        }
         drop(g);
-        assert!(pool.free(pid).is_ok());
+        pool.reset().unwrap();
+        assert_eq!(pool.store_bytes(), 0);
+        assert!(pool.fetch(pids[2]).is_err(), "no frame and no page");
+        // Ids start over, and a page handed out again reads as zeros, not
+        // as a cached frame of the forgotten store.
+        assert_eq!(pool.allocate().unwrap(), pids[0]);
+        assert_eq!(pool.fetch(pids[0]).unwrap().data()[0], 0);
     }
 
     /// A pager whose writes fail while `fail_writes` is set — for testing
@@ -625,8 +635,8 @@ mod tests {
         fn allocate(&mut self) -> Result<PageId> {
             self.inner.allocate()
         }
-        fn free(&mut self, id: PageId) -> Result<()> {
-            self.inner.free(id)
+        fn reset(&mut self) -> Result<()> {
+            self.inner.reset()
         }
         fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
             std::thread::yield_now();
@@ -641,9 +651,6 @@ mod tests {
                 go.recv().unwrap();
             }
             self.inner.write(id, buf)
-        }
-        fn live_pages(&self) -> u64 {
-            self.inner.live_pages()
         }
         fn store_bytes(&self) -> u64 {
             self.inner.store_bytes()

@@ -6,14 +6,15 @@
 //! followed by an 8-byte trailer holding `crc32c(page_id ‖ payload)` (4
 //! bytes) and 4 reserved bytes. The checksum covering the page id catches
 //! misdirected writes, not just bit rot. Frame 0 is the header (magic,
-//! page size, free-list head, high-water mark, live count); freed pages form
-//! an intrusive linked list through their first four bytes, mirroring the
-//! classic Berkeley-DB-style store the paper builds on.
+//! page size, free-list head, high-water mark, live count). No page is
+//! freed on its own: the head is always [`INVALID_PAGE`] and the live count
+//! the high-water mark less one, for older readers; neither is read. A
+//! [`Pager::reset`] forgets every page; the next checkpoint cuts the file.
 //!
 //! # Durability protocol
 //!
 //! Between checkpoints the data file is **never touched**. Every page write
-//! — caller writes, buffer-pool eviction write-backs, frees — appends a
+//! — caller writes and buffer-pool eviction write-backs — appends a
 //! checksummed record to a sidecar write-ahead log (`<path>.wal`, see
 //! [`crate::wal`]), and an in-memory map remembers the newest WAL offset per
 //! page so reads observe it. [`Pager::sync`] is the commit:
@@ -27,15 +28,16 @@
 //! [`Pager::checkpoint`] call; otherwise the log keeps its records:
 //!
 //! 3. apply the newest committed image of every logged page to the data
-//!    file, 4. fsync the data file, 5. truncate the log.
+//!    file and cut it down to the high-water mark, 4. fsync the data file,
+//!    5. truncate the log.
 //!
 //! A crash at *any* step leaves the store recoverable: [`FilePager::open`]
-//! replays every commit up to the last one (idempotently), discards the log
+//! replays every commit up to the last one (idempotently), cuts the data
+//! file down to the replayed header's high-water mark, discards the log
 //! tail after it and truncates the log. `docs/DURABILITY.md` walks the full
 //! state machine; `tests/crash_recovery.rs` proves it at every injection
 //! point.
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::crc::Crc32c;
@@ -63,32 +65,18 @@ fn frame_crc(id: PageId, payload: &[u8]) -> u32 {
     c.finish()
 }
 
-/// A free-list link (the header's head, or the first four bytes of a free
-/// page) is the end marker or a data page below the high-water mark. A
-/// CRC-clean link outside that range would hand out the header frame, or a
-/// frame that does not exist, as a data page.
-fn check_free_link(link: PageId, high_water: PageId, field: fmt::Arguments<'_>) -> Result<()> {
-    if link != INVALID_PAGE && !(1..high_water).contains(&link) {
-        return Err(Error::Corrupt(format!(
-            "{field} {link} outside 1..{high_water}"
-        )));
-    }
-    Ok(())
-}
-
 /// A [`Pager`] persisting pages to a file, protected by a write-ahead log.
 pub struct FilePager {
     data: Box<dyn VFile>,
     wal: Wal,
     page_size: usize,
-    free_head: PageId,
     /// Next never-allocated page id (page 0 is the header).
     high_water: PageId,
     /// Frames `< durable_frames` hold valid checksummed images in the data
     /// file; higher ids live only in the WAL (`pending`) or are fresh zeros.
     durable_frames: PageId,
-    live: u64,
-    /// A page was written, allocated or freed since the last commit.
+    /// A page was written or allocated, or the store reset, since the last
+    /// commit.
     dirty: bool,
     /// Pages written since the last checkpoint, committed or not: id →
     /// newest WAL offset.
@@ -145,10 +133,8 @@ impl FilePager {
             data,
             wal,
             page_size,
-            free_head: INVALID_PAGE,
             high_water: 1,
             durable_frames: 1,
-            live: 0,
             dirty: false,
             pending: PageIdMap::default(),
             frame: vec![0u8; page_size + PAGE_TRAILER],
@@ -193,28 +179,18 @@ impl FilePager {
         let (mut wal, scan) = Wal::open(wal_file, ps_data)?;
         let page_size = wal.page_size();
 
-        // Replay: copy every committed image into the data file, make the
-        // result durable, then drop the log. Replaying the same records
-        // twice (crash mid-replay, reopen) converges to the same bytes.
+        // Replay: copy every committed image into the data file, cut it
+        // down to the replayed header's high-water mark, make the result
+        // durable, then drop the log. Replaying the same records twice
+        // (crash mid-replay, reopen) converges to the same bytes.
         let mut stats = IoStats::default();
         let mut frame = vec![0u8; page_size + PAGE_TRAILER];
         let mut staging = Vec::new();
+        let recovery_start = vist_obs::now();
         if !scan.committed.is_empty() {
-            let recovery_start = vist_obs::now();
             stats.recovered_pages =
                 apply_images(&mut wal, &mut *data, &mut staging, &scan.committed)?;
-            data.sync()?;
-            vist_obs::observe_since(
-                vist_obs::histogram!("vist_storage_recovery_nanos"),
-                recovery_start,
-            );
-            vist_obs::counter!("vist_storage_recovered_pages_total").add(stats.recovered_pages);
         }
-        if wal.bytes() > WAL_HDR {
-            wal.truncate()?;
-        }
-        stats.wal_discarded_bytes = scan.discarded_bytes;
-
         // Only now is the header frame trustworthy.
         read_frame_from(&mut *data, &mut frame, 0)?;
         let page = &frame[..page_size];
@@ -230,30 +206,32 @@ impl FilePager {
                 "header page size {hdr_ps} != wal page size {page_size}"
             )));
         }
-        let free_head =
-            PageId::from_le_bytes(page[HDR_FREE_HEAD..HDR_FREE_HEAD + 4].try_into().unwrap());
         let high_water =
             PageId::from_le_bytes(page[HDR_HIGH_WATER..HDR_HIGH_WATER + 4].try_into().unwrap());
-        let live = u64::from_le_bytes(page[HDR_LIVE..HDR_LIVE + 8].try_into().unwrap());
         if high_water == 0 {
             return Err(Error::Corrupt("zero high-water mark".into()));
         }
-        check_free_link(free_head, high_water, format_args!("header free-list head"))?;
-        if live >= u64::from(high_water) {
-            return Err(Error::Corrupt(format!(
-                "header live count {live} not below high-water mark {high_water}"
-            )));
+        if !scan.committed.is_empty() {
+            cut_to(&mut *data, high_water, page_size)?;
+            data.sync()?;
+            vist_obs::observe_since(
+                vist_obs::histogram!("vist_storage_recovery_nanos"),
+                recovery_start,
+            );
+            vist_obs::counter!("vist_storage_recovered_pages_total").add(stats.recovered_pages);
         }
+        if wal.bytes() > WAL_HDR {
+            wal.truncate()?;
+        }
+        stats.wal_discarded_bytes = scan.discarded_bytes;
         Ok(FilePager {
             data,
             wal,
             page_size,
-            free_head,
             high_water,
             // Every checkpoint covers all frames below its high-water mark
             // (gap zero-images included), so after replay they are all valid.
             durable_frames: high_water,
-            live,
             dirty: false,
             pending: PageIdMap::default(),
             frame,
@@ -268,9 +246,10 @@ impl FilePager {
         hdr[HDR_MAGIC..HDR_MAGIC + 8].copy_from_slice(MAGIC);
         hdr[HDR_PAGE_SIZE..HDR_PAGE_SIZE + 4]
             .copy_from_slice(&(self.page_size as u32).to_le_bytes());
-        hdr[HDR_FREE_HEAD..HDR_FREE_HEAD + 4].copy_from_slice(&self.free_head.to_le_bytes());
+        hdr[HDR_FREE_HEAD..HDR_FREE_HEAD + 4].copy_from_slice(&INVALID_PAGE.to_le_bytes());
         hdr[HDR_HIGH_WATER..HDR_HIGH_WATER + 4].copy_from_slice(&self.high_water.to_le_bytes());
-        hdr[HDR_LIVE..HDR_LIVE + 8].copy_from_slice(&self.live.to_le_bytes());
+        let live = u64::from(self.high_water) - 1;
+        hdr[HDR_LIVE..HDR_LIVE + 8].copy_from_slice(&live.to_le_bytes());
         hdr
     }
 
@@ -284,7 +263,7 @@ impl FilePager {
     /// Route the page images of `pages` (each payload zero-padded to the
     /// page size; id 0 is the header) through the WAL, one write a chunk of
     /// [`chunk_pages`] records, and remember their offsets. Every page
-    /// write, free, recycled allocation and commit goes through here.
+    /// write and commit goes through here.
     fn wal_append(&mut self, pages: &[(PageId, &[u8])]) -> Result<()> {
         let rec_len = self.wal.record_len() as u64;
         for chunk in pages.chunks(chunk_pages(self.page_size)) {
@@ -317,19 +296,6 @@ impl FilePager {
         Ok(&self.frame[..self.page_size])
     }
 
-    /// The page after free page `id` on the free list: the link in its first
-    /// four bytes, read through the log and checked.
-    fn next_free(&mut self, id: PageId) -> Result<PageId> {
-        let page = self.current(id)?;
-        let next = PageId::from_le_bytes(page[..4].try_into().expect("a page is over four bytes"));
-        check_free_link(
-            next,
-            self.high_water,
-            format_args!("free-list link of page {id}"),
-        )?;
-        Ok(next)
-    }
-
     /// The checkpoint proper (steps 3–5), right after a commit. A failure is
     /// retryable: `pending` still maps every page to its committed image.
     fn apply_log(&mut self) -> Result<()> {
@@ -340,6 +306,7 @@ impl FilePager {
             &mut self.staging,
             &self.pending,
         )?;
+        cut_to(&mut *self.data, self.high_water, self.page_size)?;
         self.data.sync()?;
         // The data file is now authoritative; drop the log.
         self.pending.clear();
@@ -393,6 +360,16 @@ fn apply_images(
     Ok(ids.len() as u64)
 }
 
+/// Cut the data file down to the `high_water` frames of its store, if it
+/// holds more: frames a [`Pager::reset`] forgot. The caller syncs.
+fn cut_to(data: &mut dyn VFile, high_water: PageId, page_size: usize) -> Result<()> {
+    let len = u64::from(high_water) * (page_size + PAGE_TRAILER) as u64;
+    if data.len()? > len {
+        data.set_len(len)?;
+    }
+    Ok(())
+}
+
 /// Write `payload`, zero-padded to the page size, as frame `id`, staged in
 /// `frame`.
 fn write_frame_to(
@@ -435,15 +412,6 @@ impl Pager for FilePager {
     }
 
     fn allocate(&mut self) -> Result<PageId> {
-        if self.free_head != INVALID_PAGE {
-            let id = self.free_head;
-            self.free_head = self.next_free(id)?;
-            // Hand the page back zeroed (through the WAL, like any write).
-            self.wal_append(&[(id, &[])])?;
-            self.stats.allocations += 1;
-            self.live += 1;
-            return Ok(id);
-        }
         let id = self.high_water;
         if id == INVALID_PAGE {
             return Err(Error::Corrupt("page id space exhausted".into()));
@@ -452,19 +420,8 @@ impl Pager for FilePager {
         // the next checkpoint persists a zero image for any never written.
         self.high_water += 1;
         self.stats.allocations += 1;
-        self.live += 1;
         self.dirty = true;
         Ok(id)
-    }
-
-    fn free(&mut self, id: PageId) -> Result<()> {
-        self.check_id(id)?;
-        let link = self.free_head.to_le_bytes();
-        self.wal_append(&[(id, &link)])?;
-        self.free_head = id;
-        self.live = self.live.saturating_sub(1);
-        self.stats.frees += 1;
-        Ok(())
     }
 
     fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
@@ -487,10 +444,6 @@ impl Pager for FilePager {
         self.wal_append(pages)?;
         self.stats.writes += pages.len() as u64;
         Ok(())
-    }
-
-    fn live_pages(&self) -> u64 {
-        self.live
     }
 
     fn store_bytes(&self) -> u64 {
@@ -537,30 +490,16 @@ impl Pager for FilePager {
         Ok(())
     }
 
-    /// Walk the free list from the header's head, reading links through
-    /// the log. It must hold exactly the pages below the high-water mark
-    /// that are not live, so the walk stops after that many: a cycle, a
-    /// link out of range, a live page on the list or a leaked page off it
-    /// is [`Error::Corrupt`].
-    fn check_free_list(&mut self) -> Result<()> {
-        let not_live = u64::from(self.high_water) - 1 - self.live;
-        let (mut len, mut id) = (0u64, self.free_head);
-        while id != INVALID_PAGE {
-            len += 1;
-            if len > not_live {
-                return Err(Error::Corrupt(format!(
-                    "free list goes on to page {id} after the {not_live} pages that are \
-                     not live: a cycle, or a live page on the list"
-                )));
-            }
-            id = self.next_free(id)?;
-        }
-        if len < not_live {
-            let leaked = not_live - len;
-            return Err(Error::Corrupt(format!(
-                "free list holds {len} of the {not_live} pages that are not live: {leaked} leaked"
-            )));
-        }
+    /// Checkpoint, so the data file holds the last commit and the log
+    /// nothing, then forget every page. The next commit writes the emptied
+    /// store's header, and the checkpoint that applies it cuts the data
+    /// file down; a crash before that commit reopens the store as the
+    /// checkpoint left it.
+    fn reset(&mut self) -> Result<()> {
+        self.checkpoint()?;
+        self.high_water = 1;
+        self.durable_frames = 1;
+        self.dirty = true;
         Ok(())
     }
 
@@ -590,36 +529,52 @@ mod tests {
         {
             let mut p = FilePager::open(&path).unwrap();
             assert_eq!(p.page_size(), 256);
-            assert_eq!(p.live_pages(), 1);
+            assert_eq!(p.store_bytes(), 2 * (256 + PAGE_TRAILER) as u64);
             let mut out = vec![0u8; 256];
             p.read(id, &mut out).unwrap();
             assert_eq!(out[10], 0x5A);
         }
     }
 
+    /// A reset forgets every page; until the next commit the files hold
+    /// the store as it was, and the checkpoint of that commit cuts the data
+    /// file down to the pages allocated since.
     #[test]
-    fn free_list_survives_reopen() {
-        let dir = TempDir::new("file-freelist");
+    fn reset_empties_the_store_and_its_checkpoint_cuts_the_file() {
+        let dir = TempDir::new("file-reset");
         let path = dir.file("store");
-        let (a, b);
-        {
-            let mut p = FilePager::create(&path, 256).unwrap();
-            a = p.allocate().unwrap();
-            b = p.allocate().unwrap();
-            p.free(a).unwrap();
-            p.sync().unwrap();
+        let frame = (256 + PAGE_TRAILER) as u64;
+        let mut p = FilePager::create(&path, 256).unwrap();
+        for tag in 1..=8u8 {
+            let id = p.allocate().unwrap();
+            p.write(id, &[tag; 256]).unwrap();
         }
-        {
-            let mut p = FilePager::open(&path).unwrap();
-            let c = p.allocate().unwrap();
-            assert_eq!(c, a, "freed page is recycled after reopen");
-            let d = p.allocate().unwrap();
-            assert!(d != a && d != b, "next allocation extends the file");
-            // Recycled page must read as zeroes (the free-list link is wiped).
-            let mut out = vec![0xEEu8; 256];
-            p.read(c, &mut out).unwrap();
-            assert!(out.iter().all(|&x| x == 0));
-        }
+        p.sync().unwrap();
+        p.reset().unwrap();
+        assert_eq!(p.store_bytes(), frame, "the header frame alone");
+        assert!(p.read(3, &mut [0u8; 256]).is_err(), "page 3 is forgotten");
+        // Nothing committed the reset yet: a reopen finds all eight pages.
+        let mut out = [0u8; 256];
+        let mut before = FilePager::open(&path).unwrap();
+        before.read(8, &mut out).unwrap();
+        assert_eq!(out, [8; 256]);
+        drop(before);
+        assert_eq!(p.allocate().unwrap(), 1, "ids start over");
+        assert_eq!(p.allocate().unwrap(), 2);
+        p.read(2, &mut out).unwrap();
+        assert_eq!(out, [0; 256], "a page handed out again reads as zeros");
+        p.write(1, &[0x5A; 256]).unwrap();
+        p.sync().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 3 * frame);
+        drop(p);
+        let mut p = FilePager::open(&path).unwrap();
+        assert_eq!(p.store_bytes(), 3 * frame);
+        p.read(1, &mut out).unwrap();
+        assert_eq!(out, [0x5A; 256]);
+        p.read(2, &mut out).unwrap();
+        assert_eq!(out, [0; 256]);
+        assert!(p.read(3, &mut out).is_err());
+        assert_eq!(p.allocate().unwrap(), 3);
     }
 
     #[test]
@@ -628,7 +583,6 @@ mod tests {
         let mut p = FilePager::create(dir.file("store"), 256).unwrap();
         assert!(p.read(0, &mut vec![0u8; 256]).is_err());
         assert!(p.write(0, &vec![0u8; 256]).is_err());
-        assert!(p.free(0).is_err());
     }
 
     #[test]

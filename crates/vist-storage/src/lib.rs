@@ -6,7 +6,8 @@
 //!
 //! * a [`Pager`] abstraction over fixed-size pages, with an in-memory
 //!   implementation ([`MemPager`]) and a durable file-backed implementation
-//!   ([`FilePager`]) that maintains a free list and a typed header page,
+//!   ([`FilePager`]) with a typed header page; pages are never freed one
+//!   by one, a [`Pager::reset`] forgets them all at once,
 //! * a [`BufferPool`] that caches pages with CLOCK eviction, pin counting and
 //!   dirty-page write-back,
 //! * a [`SlottedPage`] layout for variable-length records, used by
@@ -21,7 +22,7 @@
 //!   harness (see `docs/DURABILITY.md`).
 //!
 //! The layer is deliberately small but complete: everything the B+Tree needs
-//! (allocation, free, ordered growth, durable checkpoints, recovery, I/O
+//! (allocation, ordered growth, reset, durable checkpoints, recovery, I/O
 //! statistics) is here, and nothing else.
 //!
 //! # Example

@@ -5,12 +5,11 @@ use crate::{Error, IoStats, PageId, Pager, Result};
 
 /// A [`Pager`] backed by heap memory.
 ///
-/// Freed pages are recycled in LIFO order. Reads of never-written pages see
-/// zeroes, matching [`crate::FilePager`] semantics.
+/// Page ids start at 0. Reads of never-written pages see zeroes, matching
+/// [`crate::FilePager`] semantics.
 pub struct MemPager {
     page_size: usize,
-    pages: Vec<Option<Box<[u8]>>>,
-    free: Vec<PageId>,
+    pages: Vec<Box<[u8]>>,
     stats: IoStats,
 }
 
@@ -26,14 +25,13 @@ impl MemPager {
         MemPager {
             page_size,
             pages: Vec::new(),
-            free: Vec::new(),
             stats: IoStats::default(),
         }
     }
 
     fn slot(&self, id: PageId) -> Result<usize> {
         let idx = id as usize;
-        if idx >= self.pages.len() || self.pages[idx].is_none() {
+        if idx >= self.pages.len() {
             return Err(Error::InvalidPage(u64::from(id)));
         }
         Ok(idx)
@@ -47,32 +45,20 @@ impl Pager for MemPager {
 
     fn allocate(&mut self) -> Result<PageId> {
         self.stats.allocations += 1;
-        if let Some(id) = self.free.pop() {
-            self.pages[id as usize] = Some(vec![0u8; self.page_size].into_boxed_slice());
-            return Ok(id);
-        }
         let id = PageId::try_from(self.pages.len())
             .map_err(|_| Error::Corrupt("page id space exhausted".into()))?;
         if id == crate::INVALID_PAGE {
             return Err(Error::Corrupt("page id space exhausted".into()));
         }
         self.pages
-            .push(Some(vec![0u8; self.page_size].into_boxed_slice()));
+            .push(vec![0u8; self.page_size].into_boxed_slice());
         Ok(id)
-    }
-
-    fn free(&mut self, id: PageId) -> Result<()> {
-        let idx = self.slot(id)?;
-        self.pages[idx] = None;
-        self.free.push(id);
-        self.stats.frees += 1;
-        Ok(())
     }
 
     fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), self.page_size);
         let idx = self.slot(id)?;
-        buf.copy_from_slice(self.pages[idx].as_ref().expect("checked by slot"));
+        buf.copy_from_slice(&self.pages[idx]);
         self.stats.reads += 1;
         Ok(())
     }
@@ -80,16 +66,9 @@ impl Pager for MemPager {
     fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), self.page_size);
         let idx = self.slot(id)?;
-        self.pages[idx]
-            .as_mut()
-            .expect("checked by slot")
-            .copy_from_slice(buf);
+        self.pages[idx].copy_from_slice(buf);
         self.stats.writes += 1;
         Ok(())
-    }
-
-    fn live_pages(&self) -> u64 {
-        (self.pages.len() - self.free.len()) as u64
     }
 
     fn store_bytes(&self) -> u64 {
@@ -97,6 +76,11 @@ impl Pager for MemPager {
     }
 
     fn sync(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn reset(&mut self) -> Result<()> {
+        self.pages.clear();
         Ok(())
     }
 
@@ -125,34 +109,42 @@ mod tests {
         assert_eq!(out[0], 0, "fresh page reads as zeroes");
     }
 
+    /// A reset is the only way pages are freed: every id is forgotten, the
+    /// ids start over, and a page handed out again reads as zeroes.
     #[test]
     fn free_recycles_and_zeroes() {
         let mut p = MemPager::new(256);
         let a = p.allocate().unwrap();
-        let buf = vec![0xFFu8; 256];
-        p.write(a, &buf).unwrap();
-        p.free(a).unwrap();
+        let b = p.allocate().unwrap();
+        p.write(b, &[0xFFu8; 256]).unwrap();
+        p.reset().unwrap();
         assert!(
-            p.read(a, &mut vec![0u8; 256]).is_err(),
-            "freed page invalid"
+            p.read(b, &mut [0u8; 256]).is_err(),
+            "forgotten page invalid"
         );
-        let a2 = p.allocate().unwrap();
-        assert_eq!(a, a2, "LIFO recycling");
-        let mut out = vec![0xEEu8; 256];
-        p.read(a2, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 0), "recycled page is zeroed");
+        assert_eq!(p.allocate().unwrap(), a, "ids start over");
+        assert_eq!(p.allocate().unwrap(), b);
+        let mut out = [0xEEu8; 256];
+        p.read(b, &mut out).unwrap();
+        assert!(
+            out.iter().all(|&x| x == 0),
+            "a page handed out again is zeroed"
+        );
     }
 
+    /// With no free list every page handed out is live until a reset, so
+    /// the store is the live pages times the page size.
     #[test]
     fn live_pages_and_store_bytes() {
         let mut p = MemPager::new(256);
-        let a = p.allocate().unwrap();
-        let _b = p.allocate().unwrap();
-        assert_eq!(p.live_pages(), 2);
+        assert_eq!(p.store_bytes(), 0);
+        p.allocate().unwrap();
+        p.allocate().unwrap();
         assert_eq!(p.store_bytes(), 512);
-        p.free(a).unwrap();
-        assert_eq!(p.live_pages(), 1);
-        assert_eq!(p.store_bytes(), 512, "store size does not shrink");
+        p.reset().unwrap();
+        assert_eq!(p.store_bytes(), 0, "a reset forgets every page");
+        p.allocate().unwrap();
+        assert_eq!(p.store_bytes(), 256);
     }
 
     #[test]
@@ -161,9 +153,8 @@ mod tests {
         let a = p.allocate().unwrap();
         p.write(a, &vec![0u8; 256]).unwrap();
         p.read(a, &mut vec![0u8; 256]).unwrap();
-        p.free(a).unwrap();
         let s = p.stats();
-        assert_eq!((s.allocations, s.writes, s.reads, s.frees), (1, 1, 1, 1));
+        assert_eq!((s.allocations, s.writes, s.reads), (1, 1, 1));
     }
 
     #[test]

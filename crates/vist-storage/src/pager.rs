@@ -50,19 +50,19 @@ pub(crate) fn chunk_pages(page_size: usize) -> usize {
 
 /// Abstraction over a store of fixed-size pages.
 ///
-/// Implementations must hand out page ids that remain valid until
-/// [`Pager::free`] is called on them, and must persist `write` data so a
-/// subsequent `read` observes it. Durability across process restarts is only
-/// required of [`crate::FilePager`] (after [`Pager::sync`]).
+/// Implementations hand out dense page ids in ascending order, each valid
+/// until the next [`Pager::reset`], and must persist `write` data so a
+/// subsequent `read` observes it. No page is freed on its own: a store
+/// only grows, until a reset forgets every page at once. Durability across
+/// process restarts is only required of [`crate::FilePager`] (after
+/// [`Pager::sync`]).
 pub trait Pager: Send {
     /// Size in bytes of every page in this store.
     fn page_size(&self) -> usize;
 
-    /// Allocate a fresh (zeroed or reused) page and return its id.
+    /// Allocate a fresh, zeroed page and return its id: the lowest id the
+    /// store has not handed out since it was created or last reset.
     fn allocate(&mut self) -> Result<PageId>;
-
-    /// Return a previously allocated page to the free pool.
-    fn free(&mut self, id: PageId) -> Result<()>;
 
     /// Read page `id` into `buf` (`buf.len() == page_size()`).
     fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()>;
@@ -77,10 +77,7 @@ pub trait Pager: Send {
         pages.iter().try_for_each(|&(id, buf)| self.write(id, buf))
     }
 
-    /// Number of pages currently allocated (live, not freed).
-    fn live_pages(&self) -> u64;
-
-    /// Total size of the underlying store in bytes (including freed pages
+    /// Total size of the underlying store in bytes (every allocated page
     /// and any header); this is what "index size" experiments report.
     fn store_bytes(&self) -> u64;
 
@@ -93,10 +90,11 @@ pub trait Pager: Send {
         self.sync()
     }
 
-    /// Verify the free list, for a pager that keeps one on its pages.
-    fn check_free_list(&mut self) -> Result<()> {
-        Ok(())
-    }
+    /// Forget every page: the store is empty again, and the next
+    /// [`Pager::allocate`] returns its first page id. A
+    /// [`crate::FilePager`] checkpoints first, so its files hold the last
+    /// commit until the next one replaces it with the emptied store.
+    fn reset(&mut self) -> Result<()>;
 
     /// Cumulative I/O statistics.
     fn stats(&self) -> IoStats;

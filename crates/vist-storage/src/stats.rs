@@ -19,8 +19,6 @@ pub struct IoStats {
     pub writes: u64,
     /// Pages allocated.
     pub allocations: u64,
-    /// Pages freed.
-    pub frees: u64,
     /// Buffer-pool hits (page found cached).
     pub cache_hits: u64,
     /// Buffer-pool misses (page had to be read).
@@ -48,7 +46,6 @@ impl IoStats {
             reads: self.reads.saturating_sub(earlier.reads),
             writes: self.writes.saturating_sub(earlier.writes),
             allocations: self.allocations.saturating_sub(earlier.allocations),
-            frees: self.frees.saturating_sub(earlier.frees),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             write_backs: self.write_backs.saturating_sub(earlier.write_backs),

@@ -1,6 +1,6 @@
 //! Exhaustive crash-recovery property tests.
 //!
-//! For a seeded workload of allocate / write / free / sync operations, a
+//! For a seeded workload of allocate / write / reset / sync operations, a
 //! clean run counts every file-system operation it performs (`T`). Then,
 //! for **every** injection point `N in 0..T`, the workload is re-run with a
 //! crash at operation `N` — the scheduled write persists only a seeded torn
@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use vist_storage::testutil::TempDir;
 use vist_storage::{
-    BufferPool, FaultMode, FaultVfs, FilePager, IoStats, PageId, Pager, RealVfs, Vfs,
+    BufferPool, FaultMode, FaultVfs, FilePager, IoStats, PageId, Pager, RealVfs, Vfs, PAGE_TRAILER,
 };
 
 /// Pages written and checkpointed before the prefilled workload's seeded
@@ -71,6 +71,7 @@ fn page_image(page_size: usize, tag: u64) -> Vec<u8> {
 #[derive(Clone, Default, PartialEq)]
 struct Snapshot {
     pages: HashMap<PageId, Vec<u8>>,
+    /// Pages allocated since the store was created or last reset.
     live: u64,
 }
 
@@ -91,7 +92,8 @@ enum Action {
     AllocWrite(u64),
     AllocOnly,
     Rewrite(u64, u64),
-    Free(u64),
+    /// Forget every page; the reset checkpoints what came before it.
+    Reset,
     Checkpoint,
 }
 
@@ -134,7 +136,7 @@ fn next_action(rng: &mut Rng) -> Action {
         0..=2 => Action::AllocWrite(rng.next()),
         3 => Action::AllocOnly,
         4..=6 => Action::Rewrite(r >> 4, rng.next()),
-        7 => Action::Free(r >> 4),
+        7 => Action::Reset,
         _ => Action::Checkpoint,
     }
 }
@@ -184,9 +186,10 @@ fn pager_workload(
         live: live.len() as u64,
     };
 
-    let mut sync = |pager: &mut FilePager| {
+    // A sync, or a reset (which checkpoints), noted in the probe.
+    let mut commit = |pager: &mut FilePager, op: fn(&mut FilePager) -> vist_storage::Result<()>| {
         let before = pager.stats();
-        let result = pager.sync();
+        let result = op(pager);
         probe.note(before, pager.stats(), result.is_ok());
         result
     };
@@ -222,19 +225,18 @@ fn pager_workload(
                 }
                 model.insert(id, img);
             }
-            Action::Free(pick) => {
-                if live.is_empty() {
-                    continue;
+            Action::Reset => {
+                let attempt = snap(&model, &live);
+                match commit(&mut pager, FilePager::reset) {
+                    Ok(()) => durable = attempt,
+                    Err(_) => return RunEnd::Crashed(vec![durable, attempt]),
                 }
-                let id = live.swap_remove(pick as usize % live.len());
-                if pager.free(id).is_err() {
-                    return RunEnd::Crashed(vec![durable]);
-                }
-                model.remove(&id);
+                model.clear();
+                live.clear();
             }
             Action::Checkpoint => {
                 let attempt = snap(&model, &live);
-                match sync(&mut pager) {
+                match commit(&mut pager, FilePager::sync) {
                     Ok(()) => durable = attempt,
                     Err(_) => return RunEnd::Crashed(vec![durable, attempt]),
                 }
@@ -242,7 +244,7 @@ fn pager_workload(
         }
     }
     let attempt = snap(&model, &live);
-    match sync(&mut pager) {
+    match commit(&mut pager, FilePager::sync) {
         Ok(()) => RunEnd::Completed(attempt),
         Err(_) => RunEnd::Crashed(vec![durable, attempt]),
     }
@@ -308,15 +310,18 @@ fn run_pool_workload(
                 }
                 model.insert(id, img);
             }
-            Action::Free(pick) => {
-                if live.is_empty() {
-                    continue;
+            Action::Reset => {
+                // Flushed first: a pool reset drops dirty frames.
+                let attempt = Snapshot {
+                    pages: model.clone(),
+                    live: live.len() as u64,
+                };
+                match pool.flush().and_then(|()| pool.reset()) {
+                    Ok(()) => durable = attempt,
+                    Err(_) => return RunEnd::Crashed(vec![durable, attempt]),
                 }
-                let id = live.swap_remove(pick as usize % live.len());
-                if pool.free(id).is_err() {
-                    return RunEnd::Crashed(vec![durable]);
-                }
-                model.remove(&id);
+                model.clear();
+                live.clear();
             }
             Action::Checkpoint => {
                 let attempt = Snapshot {
@@ -341,7 +346,7 @@ fn run_pool_workload(
 }
 
 fn matches_snapshot(pager: &mut FilePager, page_size: usize, snap: &Snapshot) -> bool {
-    if pager.live_pages() != snap.live {
+    if allocated(pager) != snap.live {
         return false;
     }
     let mut buf = vec![0u8; page_size];
@@ -351,6 +356,11 @@ fn matches_snapshot(pager: &mut FilePager, page_size: usize, snap: &Snapshot) ->
         }
     }
     true
+}
+
+/// Pages of `pager` below its high-water mark, the header frame excluded.
+fn allocated(pager: &FilePager) -> u64 {
+    pager.store_bytes() / (pager.page_size() + PAGE_TRAILER) as u64 - 1
 }
 
 /// Reopen for real; the store must equal one of `candidates` and still be
@@ -364,9 +374,12 @@ fn verify_recovered(path: &Path, page_size: usize, candidates: &[Snapshot], ctx:
             .any(|s| matches_snapshot(&mut pager, page_size, s)),
         "{ctx}: recovered store matches no candidate snapshot \
          (live={}, candidates have live counts {:?})",
-        pager.live_pages(),
+        allocated(&pager),
         candidates.iter().map(|s| s.live).collect::<Vec<_>>(),
     );
+    // A replay cut away any frame a reset forgot.
+    let len = std::fs::metadata(path).unwrap().len();
+    assert_eq!(len, pager.store_bytes(), "{ctx}: data file length");
     // The recovered store must keep working: allocate, write, read, sync.
     let id = pager.allocate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let img = page_image(page_size, 0xDEAD);

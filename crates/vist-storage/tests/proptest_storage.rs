@@ -1,11 +1,11 @@
 //! Randomized differential tests: the file pager must behave exactly like
-//! the in-memory pager under arbitrary allocate/free/write/read sequences,
+//! the in-memory pager under arbitrary allocate/reset/write/read sequences,
 //! and survive reopen at any flush point.
 //!
 //! Uses a seeded splitmix64 generator so every run explores the same op
 //! sequences (failures are reproducible from the printed seed).
 
-use vist_storage::{FilePager, MemPager, Pager};
+use vist_storage::{FilePager, MemPager, Pager, PAGE_TRAILER};
 
 struct Rng(u64);
 
@@ -26,8 +26,8 @@ impl Rng {
 #[derive(Debug, Clone)]
 enum Op {
     Allocate,
-    /// Free the i-th live page (mod live count).
-    Free(usize),
+    /// Forget every page.
+    Reset,
     /// Write a byte pattern to the i-th live page.
     Write(usize, u8),
     /// Read and compare the i-th live page.
@@ -38,7 +38,7 @@ fn random_ops(rng: &mut Rng, n: usize) -> Vec<Op> {
     (0..n)
         .map(|_| match rng.below(9) {
             0..=2 => Op::Allocate,
-            3 => Op::Free(rng.below(1 << 16)),
+            3 => Op::Reset,
             4..=6 => Op::Write(rng.below(1 << 16), rng.next() as u8),
             _ => Op::Read(rng.below(1 << 16)),
         })
@@ -56,13 +56,10 @@ fn run_ops(file: &mut FilePager, mem: &mut MemPager, ops: &[Op]) {
                 let m = mem.allocate().unwrap();
                 live.push((f, m));
             }
-            Op::Free(ix) => {
-                if live.is_empty() {
-                    continue;
-                }
-                let (f, m) = live.remove(ix % live.len());
-                file.free(f).unwrap();
-                mem.free(m).unwrap();
+            Op::Reset => {
+                live.clear();
+                file.reset().unwrap();
+                mem.reset().unwrap();
             }
             Op::Write(ix, byte) => {
                 if live.is_empty() {
@@ -85,7 +82,9 @@ fn run_ops(file: &mut FilePager, mem: &mut MemPager, ops: &[Op]) {
                 assert_eq!(bf, bm, "op {i}: page contents diverge");
             }
         }
-        assert_eq!(file.live_pages(), mem.live_pages(), "op {i}");
+        // The same pages allocated; the file store adds a header frame.
+        let file_pages = file.store_bytes() / (PS + PAGE_TRAILER) as u64 - 1;
+        assert_eq!(file_pages, mem.store_bytes() / PS as u64, "op {i}");
     }
     // Final sweep: every live page identical.
     for (f, m) in &live {
@@ -133,7 +132,8 @@ fn reopen_preserves_pages() {
         }
         {
             let mut p = FilePager::open(&path).unwrap();
-            assert_eq!(p.live_pages(), writes.len() as u64);
+            let frame = (256 + PAGE_TRAILER) as u64;
+            assert_eq!(p.store_bytes(), (writes.len() as u64 + 1) * frame);
             for (pid, b) in &pids {
                 let mut buf = vec![0u8; 256];
                 p.read(*pid, &mut buf).unwrap();

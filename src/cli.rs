@@ -1128,7 +1128,7 @@ mod tests {
         let (_tmp, index) = books("cli-check");
         let out = cmd(&format!("check {index}")).unwrap();
         assert!(out.contains("tree dancestor ok"), "{out}");
-        assert!(out.contains("free list ok"), "{out}");
+        assert!(out.contains("delta labels ok"), "{out}");
         assert!(out.trim_end().ends_with("ok"), "{out}");
         let out = cmd(&format!("recover {index}")).unwrap();
         assert!(out.contains("recovered"), "{out}");

@@ -1,18 +1,15 @@
 //! The cold path's contracts, from outside the storage crate: checksum
-//! values, the on-disk format, positional file I/O and free-list links.
+//! values, the on-disk format and positional file I/O.
 //!
 //! * The public `crc32c` / `Crc32c` agree with an independent bit-at-a-time
 //!   CRC32C (whichever kernel this host selects).
 //! * A store written by the commit *before* the word-at-a-time kernel and
-//!   the staged frame buffers (`tests/fixtures/`, see `SEQUENCE` below)
-//!   opens, replays and reads back byte-identical; the same operation
-//!   sequence run by this code writes byte-identical files, so either
-//!   version reads what the other wrote.
+//!   the staged frame buffers (`tests/fixtures/`, see `FIXTURE` below)
+//!   opens, replays and reads back byte-identical, though this code reads
+//!   nothing of the free list it holds; an operation sequence this code can
+//!   run (`SEQUENCE`) writes the bytes the commit before free lists went
+//!   wrote for it, so either version reads what the other wrote.
 //! * `RealVfs` reads and writes at offsets, directly and under `FaultVfs`.
-//! * A free-list link that passes the page CRC but points outside the
-//!   store is `Error::Corrupt`, not a data page at frame 0; so are a cycle
-//!   in the list, a live page on it and a page missing from it, which
-//!   `FilePager::check_free_list` and `VistIndex::check` find.
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -20,8 +17,8 @@ use std::sync::Arc;
 
 use vist_storage::testutil::TempDir;
 use vist_storage::{
-    crc32c, Crc32c, Error, FaultMode, FaultVfs, FilePager, OpenMode, PageId, Pager, RealVfs, Vfs,
-    INVALID_PAGE, PAGE_TRAILER,
+    crc32c, Crc32c, FaultVfs, FilePager, OpenMode, PageId, Pager, RealVfs, Vfs, INVALID_PAGE,
+    PAGE_TRAILER,
 };
 
 // ---------------------------------------------------------------------------
@@ -97,31 +94,18 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// SEQUENCE: two checkpoints and an uncommitted tail.
+/// FIXTURE: `golden.store*` and `crashed.store*` were written by the
+/// ignored `write_fixtures` test of a19e5fa, which ran two checkpoints and
+/// an uncommitted tail on a `FilePager` that still freed pages.
 ///
 /// Checkpoint 1: pages 1–6 allocated, 1–5 written (6 is a gap image).
 /// Checkpoint 2: 2 and 4 freed, 4 recycled, 1, 3, 4 rewritten; page 2 stays
-/// on the free list. Tail: page 5 rewritten, never synced.
-fn run_sequence(vfs: &dyn Vfs, path: &Path) -> vist_storage::Result<()> {
-    let mut p = FilePager::create_with_vfs(vfs, path, PS)?;
-    for _ in 0..6 {
-        p.allocate()?;
-    }
-    for id in 1..=5 {
-        p.write(id, &image(id, 1))?;
-    }
-    p.sync()?;
-    p.free(2)?;
-    p.free(4)?;
-    assert_eq!(p.allocate()?, 4);
-    for id in [1, 3, 4] {
-        p.write(id, &image(id, 2))?;
-    }
-    p.sync()?;
-    p.write(5, &image(5, 3))
-}
-
-/// What every page of the store holds after checkpoint 2.
+/// on the free list. Tail: page 5 rewritten, never synced. `crashed.*` is
+/// the first crash of that run after which recovery replays checkpoint 2
+/// (header and pages 1–4), its log extended by [`TORN_TAIL`] bytes of a
+/// torn record. `golden.*` is the uninterrupted run.
+///
+/// Returns what every page of the store holds after checkpoint 2.
 fn expected_after_second_checkpoint() -> Vec<(PageId, Vec<u8>)> {
     let mut free_link = vec![0u8; PS];
     free_link[..4].copy_from_slice(&INVALID_PAGE.to_le_bytes());
@@ -138,51 +122,6 @@ fn expected_after_second_checkpoint() -> Vec<(PageId, Vec<u8>)> {
 /// Bytes of a torn record appended to the crashed WAL of the fixture.
 const TORN_TAIL: usize = 100;
 
-/// Regenerates `tests/fixtures/`. Run it at the commit whose format is the
-/// reference (the fixtures checked in were written at a19e5fa, the parent of
-/// the word-at-a-time checksum kernel), never to make a failing test pass.
-#[test]
-#[ignore = "writes tests/fixtures; see the comment"]
-fn write_fixtures() {
-    std::fs::create_dir_all(fixture("")).unwrap();
-    // golden.*: the sequence, uninterrupted.
-    let dir = TempDir::new("fixture-golden");
-    run_sequence(&RealVfs, &dir.file("store")).unwrap();
-    std::fs::copy(dir.file("store"), fixture("golden.store")).unwrap();
-    std::fs::copy(dir.file("store.wal"), fixture("golden.store.wal")).unwrap();
-
-    // crashed.*: the process dies at the first operation after which
-    // recovery replays checkpoint 2 (header and pages 1–4; checkpoint 1
-    // replays seven): its commit record is durable, the data file is not
-    // yet written or is torn. The log then gains the torn head of one more
-    // record.
-    for n in 0.. {
-        let dir = TempDir::new("fixture-crashed");
-        let vfs = FaultVfs::new(Arc::new(RealVfs));
-        vfs.handle().schedule(n, FaultMode::Crash, 0x5EED);
-        assert!(run_sequence(&vfs, &dir.file("store")).is_err());
-        let Ok(mut wal) = std::fs::read(dir.file("store.wal")) else {
-            continue; // died before the log existed
-        };
-        if wal.len() < 16 + TORN_TAIL {
-            continue;
-        }
-        let tail = wal[16..16 + TORN_TAIL].to_vec();
-        wal.extend_from_slice(&tail);
-        std::fs::copy(dir.file("store"), dir.file("trial")).unwrap();
-        std::fs::write(dir.file("trial.wal"), &wal).unwrap();
-        let Ok(trial) = FilePager::open(dir.file("trial")) else {
-            continue; // died inside `create`
-        };
-        if trial.stats().recovered_pages == 5 {
-            std::fs::copy(dir.file("store"), fixture("crashed.store")).unwrap();
-            std::fs::write(fixture("crashed.store.wal"), &wal).unwrap();
-            println!("crash at op {n}: {:?}", trial.stats());
-            return;
-        }
-    }
-}
-
 #[test]
 fn store_written_by_the_parent_commit_replays_and_reads_identically() {
     let dir = TempDir::new("fixture-open");
@@ -196,7 +135,6 @@ fn store_written_by_the_parent_commit_replays_and_reads_identically() {
     assert_eq!(p.stats().recovered_pages, 5);
     assert_eq!(p.stats().wal_discarded_bytes, TORN_TAIL as u64);
     assert_eq!(p.page_size(), PS);
-    assert_eq!(p.live_pages(), 5);
     let mut buf = vec![0u8; PS];
     for (id, want) in expected_after_second_checkpoint() {
         p.read(id, &mut buf).unwrap();
@@ -207,9 +145,9 @@ fn store_written_by_the_parent_commit_replays_and_reads_identically() {
         std::fs::read(&path).unwrap(),
         std::fs::read(fixture("golden.store")).unwrap()
     );
-    // The free list came back with it.
-    assert_eq!(p.allocate().unwrap(), 2);
+    // Its free list is never read: page 2 is not handed out again.
     assert_eq!(p.allocate().unwrap(), 7);
+    assert_eq!(p.allocate().unwrap(), 8);
 }
 
 /// The fixture's log is what a writer that checkpointed at every commit
@@ -244,15 +182,63 @@ fn single_commit_log_replays_then_later_commits_stay_in_the_log() {
     }
 }
 
+/// SEQUENCE: a checkpoint, two commits left in the log and an uncommitted
+/// tail, with no page freed.
+///
+/// Checkpoint: pages 1–6 allocated, 1–5 written (6 is a gap image). Commit
+/// 2: page 3 rewritten. Commit 3: page 7 allocated, 1 and 7 written. The
+/// store is eight frames, so neither commit reaches the size rule. Tail:
+/// page 5 rewritten, never synced.
+fn run_sequence(path: &Path) -> vist_storage::Result<()> {
+    let mut p = FilePager::create(path, PS)?;
+    for _ in 0..6 {
+        p.allocate()?;
+    }
+    for id in 1..=5 {
+        p.write(id, &image(id, 1))?;
+    }
+    p.sync()?;
+    p.write(3, &image(3, 2))?;
+    p.sync()?;
+    assert_eq!(p.allocate()?, 7);
+    for id in [1, 7] {
+        p.write(id, &image(id, 2))?;
+    }
+    p.sync()?;
+    assert_eq!((p.stats().wal_commits, p.stats().checkpoints), (3, 1));
+    p.write(5, &image(5, 3))
+}
+
+/// Length and FNV-1a of the files [`run_sequence`] leaves, as 7183817 wrote
+/// them.
+const SEQUENCE_STORE_LEN: u64 = 1_848;
+const SEQUENCE_STORE_FNV: u64 = 0xfea0_9871_2ef1_8cf6;
+const SEQUENCE_WAL_LEN: u64 = 1_672;
+const SEQUENCE_WAL_FNV: u64 = 0x5753_b044_a98a_f901;
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The files [`run_sequence`] leaves are the ones the commit before free
+/// lists went (7183817) wrote: with no page freed, it wrote the same
+/// free-list head and live count into every header image as this code.
 #[test]
 fn same_operations_write_the_bytes_the_parent_commit_wrote() {
     let dir = TempDir::new("fixture-rewrite");
-    run_sequence(&RealVfs, &dir.file("store")).unwrap();
-    for (written, golden) in [("store", "golden.store"), ("store.wal", "golden.store.wal")] {
+    run_sequence(&dir.file("store")).unwrap();
+    for (name, want) in [
+        ("store", (SEQUENCE_STORE_LEN, SEQUENCE_STORE_FNV)),
+        ("store.wal", (SEQUENCE_WAL_LEN, SEQUENCE_WAL_FNV)),
+    ] {
+        let bytes = std::fs::read(dir.file(name)).unwrap();
         assert_eq!(
-            std::fs::read(dir.file(written)).unwrap(),
-            std::fs::read(fixture(golden)).unwrap(),
-            "{written} differs from the parent commit's {golden}"
+            (bytes.len() as u64, fnv1a(&bytes)),
+            want,
+            "{name} differs from the parent commit's"
         );
     }
 }
@@ -327,11 +313,11 @@ fn fault_vfs_passes_positional_io_through_unchanged() {
 }
 
 // ---------------------------------------------------------------------------
-// Free-list links that pass the CRC but are wrong
+// The header's free-list fields
 // ---------------------------------------------------------------------------
 
-/// Overwrite `len` payload bytes of frame `id` at `at` and re-seal the
-/// frame's trailer, as a buggy writer (not bit rot) would.
+/// Overwrite `bytes` of frame `id`'s payload at `at` and re-seal the frame's
+/// trailer, as a buggy writer (not bit rot) would.
 fn patch_frame(path: &Path, id: PageId, at: usize, bytes: &[u8]) {
     let mut file = std::fs::read(path).unwrap();
     let frame = &mut file[id as usize * FRAME..(id as usize + 1) * FRAME];
@@ -342,162 +328,53 @@ fn patch_frame(path: &Path, id: PageId, at: usize, bytes: &[u8]) {
     std::fs::write(path, file).unwrap();
 }
 
-/// Three pages, 2 then 3 freed: the list is 3 → 2 → end, the high-water
-/// mark 4, one page live.
-fn store_with_two_free_pages(dir: &TempDir) -> PathBuf {
-    let path = dir.file("store");
-    let mut p = FilePager::create(&path, PS).unwrap();
-    for _ in 0..3 {
-        p.allocate().unwrap();
-    }
-    p.free(2).unwrap();
-    p.free(3).unwrap();
-    p.sync().unwrap();
-    path
-}
-
-fn assert_corrupt(result: vist_storage::Result<impl Sized>, field: &str) {
-    match result {
-        Err(Error::Corrupt(msg)) => assert!(msg.contains(field), "{msg:?} names {field:?}"),
-        Err(other) => panic!("expected Corrupt naming {field:?}, got {other:?}"),
-        Ok(_) => panic!("expected Corrupt naming {field:?}, got Ok"),
-    }
-}
-
 const HDR_FREE_HEAD: usize = 12;
+const HDR_HIGH_WATER: usize = 16;
 const HDR_LIVE: usize = 20;
 
+/// A header free-list head or live count that is wrong opens all the same:
+/// this code reads neither. The header keeps both so that a binary that
+/// still reads them opens a store this one wrote: every checkpoint writes an
+/// empty list and every page below the high-water mark as live.
+#[test]
+fn wrong_header_free_head_or_live_count_fails_open() {
+    let golden = std::fs::read(fixture("golden.store")).unwrap();
+    assert_eq!(word(&golden, HDR_FREE_HEAD), 2, "the fixture's list");
+    for (head, live) in [(2, 5u64), (0, 9_999), (9_999, 7), (INVALID_PAGE, 0)] {
+        let dir = TempDir::new("free-fields");
+        let path = dir.file("store");
+        std::fs::copy(fixture("golden.store"), &path).unwrap();
+        patch_frame(&path, 0, HDR_FREE_HEAD, &head.to_le_bytes());
+        patch_frame(&path, 0, HDR_LIVE, &live.to_le_bytes());
+        let mut p = FilePager::open(&path).unwrap();
+        assert_eq!(p.allocate().unwrap(), 7, "head {head}, live {live}");
+        p.checkpoint().unwrap();
+        drop(p);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(word(&bytes, HDR_HIGH_WATER), 8);
+        assert_eq!(word(&bytes, HDR_FREE_HEAD), INVALID_PAGE);
+        assert_eq!(bytes[HDR_LIVE..HDR_LIVE + 8], 7u64.to_le_bytes());
+    }
+}
+
+/// A free-list link that passes the CRC but is wrong, even one to the
+/// header, is never followed: `allocate` hands out the pages above the
+/// high-water mark, never page 0 or a page on the fixture's list.
 #[test]
 fn wrong_free_list_link_is_corrupt_not_page_zero() {
     for bad in [0, 4, 9_999] {
-        let dir = TempDir::new("freelink");
-        let path = store_with_two_free_pages(&dir);
-        patch_frame(&path, 3, 0, &PageId::to_le_bytes(bad));
+        let dir = TempDir::new("free-link");
+        let path = dir.file("store");
+        std::fs::copy(fixture("golden.store"), &path).unwrap();
+        // Page 2 heads the fixture's list.
+        patch_frame(&path, 2, 0, &PageId::to_le_bytes(bad));
         let mut p = FilePager::open(&path).unwrap();
-        assert_corrupt(p.allocate(), "free-list link of page 3");
-        // Nothing was handed out and nothing moved: the error repeats.
-        assert_corrupt(p.allocate(), "free-list link of page 3");
-        assert_eq!(p.live_pages(), 1);
-    }
-    // Untouched, the list hands out 3, then 2, then the store grows.
-    let dir = TempDir::new("freelink-ok");
-    let mut p = FilePager::open(store_with_two_free_pages(&dir)).unwrap();
-    assert_eq!(p.allocate().unwrap(), 3);
-    assert_eq!(p.allocate().unwrap(), 2);
-    assert_eq!(p.allocate().unwrap(), 4);
-}
-
-#[test]
-fn wrong_header_free_head_or_live_count_fails_open() {
-    for bad in [0, 4, 9_999] {
-        let dir = TempDir::new("freehead");
-        let path = store_with_two_free_pages(&dir);
-        patch_frame(&path, 0, HDR_FREE_HEAD, &PageId::to_le_bytes(bad));
-        assert_corrupt(FilePager::open(&path), "free-list head");
-    }
-    let dir = TempDir::new("livecount");
-    let path = store_with_two_free_pages(&dir);
-    patch_frame(&path, 0, HDR_LIVE, &4u64.to_le_bytes());
-    assert_corrupt(FilePager::open(&path), "live count");
-    // The largest consistent count opens: every page below the mark live.
-    patch_frame(&path, 0, HDR_LIVE, &3u64.to_le_bytes());
-    assert_eq!(FilePager::open(&path).unwrap().live_pages(), 3);
-}
-
-// ---------------------------------------------------------------------------
-// The free list as a whole
-// ---------------------------------------------------------------------------
-
-#[test]
-fn free_list_cycle_leak_or_live_page_is_corrupt() {
-    // Untouched, the list 3 → 2 holds both pages that are not live.
-    let dir = TempDir::new("freelist-ok");
-    FilePager::open(store_with_two_free_pages(&dir))
-        .unwrap()
-        .check_free_list()
-        .unwrap();
-    for (link, names) in [
-        // 3 → 2 → 3: a two-page cycle.
-        (3, "goes on to page 3"),
-        // 3 → 2 → 1: page 1 is live.
-        (1, "goes on to page 1"),
-        // 3 → 2 → end would be right; 3 → end leaks page 2.
-        (INVALID_PAGE, "1 leaked"),
-    ] {
-        let dir = TempDir::new("freelist-bad");
-        let path = store_with_two_free_pages(&dir);
-        let (page, link) = if link == INVALID_PAGE {
-            (3, link)
-        } else {
-            (2, link)
-        };
-        patch_frame(&path, page, 0, &PageId::to_le_bytes(link));
-        let mut p = FilePager::open(&path).unwrap();
-        assert_corrupt(p.check_free_list(), names);
+        assert_eq!(p.allocate().unwrap(), 7, "link {bad}");
+        assert_eq!(p.allocate().unwrap(), 8, "link {bad}");
     }
 }
 
-#[test]
-fn free_list_links_still_in_the_log_are_walked() {
-    let dir = TempDir::new("freelist-wal");
-    let path = dir.file("store");
-    let mut p = FilePager::create(&path, PS).unwrap();
-    for _ in 0..64 {
-        let id = p.allocate().unwrap();
-        p.write(id, &image(id, 1)).unwrap();
-    }
-    p.sync().unwrap();
-    for id in [7, 9, 8] {
-        p.free(id).unwrap();
-    }
-    p.check_free_list().unwrap();
-    p.sync().unwrap();
-    assert_eq!(p.stats().checkpoints, 1, "the frees are only in the log");
-    p.check_free_list().unwrap();
-    drop(p);
-    let mut p = FilePager::open(&path).unwrap();
-    p.check_free_list().unwrap();
-    assert_eq!(p.allocate().unwrap(), 8);
-}
-
-#[test]
-fn index_check_reports_a_free_list_cycle() {
-    use vist::{IndexOptions, VistIndex};
-    let dir = TempDir::new("freelist-index");
-    let path = dir.file("idx");
-    {
-        let opts = IndexOptions {
-            page_size: PS,
-            ..IndexOptions::default()
-        };
-        let idx = VistIndex::create_file(&path, opts).unwrap();
-        for i in 0..40 {
-            idx.insert_xml(&format!("<r><k>{i}</k></r>")).unwrap();
-        }
-        // The compaction empties the delta's trees, freeing their pages,
-        // and checkpoints: the data file alone holds the list.
-        idx.compact().unwrap();
-        assert!(idx.check().unwrap().contains("free list ok"));
-    }
-    assert_eq!(
-        std::fs::metadata(FilePager::wal_path(&path)).unwrap().len(),
-        16
-    );
-    let bytes = std::fs::read(&path).unwrap();
-    let word = |at: usize| PageId::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    let head = word(HDR_FREE_HEAD);
-    let next = word(head as usize * FRAME);
-    assert!(
-        head != INVALID_PAGE && next != INVALID_PAGE,
-        "two free pages"
-    );
-    patch_frame(&path, next, 0, &PageId::to_le_bytes(head));
-    let idx = VistIndex::open_file(&path, 16).unwrap();
-    match idx.check() {
-        Err(vist::Error::Corrupt(report)) => {
-            assert!(report.contains("free list CORRUPT"), "{report}");
-            assert!(report.contains("a cycle"), "{report}");
-        }
-        other => panic!("expected a corrupt free list, got {other:?}"),
-    }
+/// The little-endian word of `bytes` at `at`.
+fn word(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }

@@ -423,17 +423,14 @@ impl Pager for GatedPager {
         }
         self.inner.allocate()
     }
-    fn free(&mut self, id: PageId) -> Result<()> {
-        self.inner.free(id)
+    fn reset(&mut self) -> Result<()> {
+        self.inner.reset()
     }
     fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
         self.inner.read(id, buf)
     }
     fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
         self.inner.write(id, buf)
-    }
-    fn live_pages(&self) -> u64 {
-        self.inner.live_pages()
     }
     fn store_bytes(&self) -> u64 {
         self.inner.store_bytes()
@@ -537,7 +534,8 @@ fn a_bad_kind_byte_is_an_error_naming_the_page_never_a_panic() {
     let pages = stats.leaf_pages + stats.internal_pages;
     // A fresh `MemPager` hands out dense ids from 0 and nothing else lives
     // in this pool, so `0..pages` are exactly the tree's pages.
-    assert_eq!(tree.pool().live_pages(), pages);
+    let pool = tree.pool();
+    assert_eq!(pool.store_bytes() / pool.page_size() as u64, pages);
     for pid in 0..pages as PageId {
         for bad in [0x00u8, 0x04, 0x81, 0xFF] {
             let saved =
