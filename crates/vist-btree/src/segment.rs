@@ -8,8 +8,8 @@
 //! page-level CRC32C trailers of the underlying pager checksum every page.
 //!
 //! [`SegmentWriter`] packs a fresh pool: the **first** allocation becomes
-//! the header page (page 1 on a fresh `FilePager`, right after the pager's
-//! own header), then each [`SegmentWriter::add_tree`] bulk-loads one tree
+//! the header page (page 1 on a fresh `FrameFile`, right after the file's
+//! own header frame), then each [`SegmentWriter::add_tree`] bulk-loads one tree
 //! from a sorted stream. [`SegmentWriter::finish`] writes the header page:
 //!
 //! ```text
@@ -58,7 +58,7 @@ impl SegmentWriter {
     /// Reserve the header page in `pool`. Call on a **fresh** pool so the
     /// header lands on the pool's first page id; persist
     /// [`SegmentWriter::header_page`] (or rely on it being page 1 on a
-    /// fresh `FilePager`).
+    /// fresh `FrameFile`).
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
         let header = pool.allocate()?;
         {

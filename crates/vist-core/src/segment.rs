@@ -54,7 +54,7 @@ use vist_btree::codec::{
     put_ordered_uint, put_varint, take_ordered_uint, take_varint, ORDERED_UINT_MAX,
 };
 use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
-use vist_storage::{BufferPool, FilePager, Vfs};
+use vist_storage::{BufferPool, FrameFile, Vfs};
 
 use crate::error::{Error, Result};
 use crate::search::{DkStats, SearchSource};
@@ -279,8 +279,11 @@ pub(crate) struct Segment {
 impl Segment {
     /// Open segment `id`, the file at `path`.
     pub(crate) fn open(vfs: &dyn Vfs, path: &Path, id: u64, cache_pages: usize) -> Result<Segment> {
-        let pager = FilePager::open_with_vfs(vfs, path)?;
-        let pool = Arc::new(BufferPool::with_capacity(pager, cache_pages));
+        let frames = FrameFile::open(vfs, path).map_err(|e| match e {
+            vist_storage::Error::Corrupt(msg) => Error::Corrupt(format!("segment {id}: {msg}")),
+            e => e.into(),
+        })?;
+        let pool = Arc::new(BufferPool::with_capacity(frames, cache_pages));
         // The header is the first page after the pager's own (page 1).
         let reader = SegmentReader::open(Arc::clone(&pool), 1)?;
         if !(4..=5).contains(&reader.tree_count()) {
@@ -664,9 +667,9 @@ impl SegmentBuilder {
     /// S-Ancestor and DocId trees from the labeled trie sorted in memory,
     /// the documents tree from the scratch file in the order it was
     /// written. Returns the opened segment, or `None` (and no file) when
-    /// no document was added. Durability: the segment file is fully
-    /// checkpointed (WAL committed + pages synced) before this returns;
-    /// publishing it in the manifest is the caller's step.
+    /// no document was added. Durability: the segment file is sealed
+    /// (every page written to its frame, the file fsynced) before this
+    /// returns; publishing it in the manifest is the caller's step.
     pub(crate) fn finish(
         mut self,
         vfs: &dyn Vfs,
@@ -696,8 +699,11 @@ impl SegmentBuilder {
             }
         }
 
-        let pager = FilePager::create_with_vfs(vfs, path, self.page_size)?;
-        let pool = Arc::new(BufferPool::with_capacity(pager, cache_pages));
+        // The smallest pool is one shard, and it evicts the pages of the
+        // bottom-up build in the order they were allocated, so the file
+        // takes them in runs of a write chunk.
+        let frames = FrameFile::create(vfs, path, self.page_size)?;
+        let pool = Arc::new(BufferPool::with_capacity(frames, 0));
         let mut writer = SegmentWriter::create(Arc::clone(&pool))?;
 
         let dkey_count = self.dkeys.len() as u64;
@@ -750,7 +756,7 @@ impl SegmentBuilder {
         meta[16..24].copy_from_slice(&dkey_count.to_le_bytes());
         meta[24..32].copy_from_slice(&max_doc.to_le_bytes());
         writer.finish(&meta)?;
-        pool.checkpoint()?;
+        pool.flush()?;
         drop(pool);
         Segment::open(vfs, path, id, cache_pages).map(Some)
     }
@@ -1003,12 +1009,11 @@ pub(crate) mod tests {
         check_docid_scopes(&v2);
 
         // The segment a binary from before format 2 wrote (see
-        // `tests/segment_v1.rs`), on a copy: opening replays its log.
+        // `tests/segment_v1.rs`), on a copy: its log was checkpointed before
+        // the manifest named it, so the file alone opens.
         let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/seg_v1");
         let dir = TempDir::new("vist-core-segment-v1");
-        for name in ["idx.vist.seg-1", "idx.vist.seg-1.wal"] {
-            std::fs::copy(fixture.join(name), dir.file(name)).unwrap();
-        }
+        std::fs::copy(fixture.join("idx.vist.seg-1"), dir.file("idx.vist.seg-1")).unwrap();
         let v1 = Segment::open(&RealVfs, &dir.file("idx.vist.seg-1"), 1, 64).unwrap();
         assert_eq!(v1.format_version(), 1);
         check_docid_scopes(&v1);

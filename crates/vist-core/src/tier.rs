@@ -14,7 +14,7 @@ use std::sync::Arc;
 use vist_query::QuerySequence;
 use vist_seq::{document_to_sequence, MAX_SCOPE};
 use vist_storage::sync::RwLock;
-use vist_storage::{FilePager, Manifest, Vfs};
+use vist_storage::{Manifest, Vfs};
 use vist_xml::Document;
 
 use crate::error::{Error, Result};
@@ -247,14 +247,12 @@ impl VistIndex {
             // global record back, the stats model included.
             self.commit_locked()?;
             self.store.pool().checkpoint()?;
-            // The replaced segment files and their logs are garbage; unlink
-            // best-effort (the next open removes any left behind).
-            // Concurrent readers that cloned the old Arcs keep their open
-            // handles and finish safely.
+            // The replaced segment files are garbage; unlink best-effort
+            // (the next open removes any left behind). Concurrent readers
+            // that cloned the old Arcs keep their open handles and finish
+            // safely.
             for id in old_ids {
-                let path = Manifest::segment_path(&files.path, id);
-                let _ = std::fs::remove_file(FilePager::wal_path(&path));
-                let _ = std::fs::remove_file(path);
+                let _ = std::fs::remove_file(Manifest::segment_path(&files.path, id));
             }
             vist_obs::counter!("vist_core_compactions_total").inc();
             Ok(())
@@ -437,11 +435,13 @@ impl VistIndex {
 
 /// Delete the segment files a compaction replaced but never unlinked (it
 /// crashed after its commit point, or an unlink failed): every
-/// `<base>.seg-<id>` and `<base>.seg-<id>.wal` whose id is below the largest
-/// id in `live` and not in `live`. Ids only grow, so nothing reuses them. A
-/// file above that id may be a bulk build not yet published, and the next
-/// build truncates it anyway. Best-effort, through `std::fs` like the
-/// unlinks it completes.
+/// `<base>.seg-<id>` whose id is below the largest id in `live` and not in
+/// `live`. Ids only grow, so nothing reuses them. A file above that id may
+/// be a bulk build not yet published, and the next build truncates it
+/// anyway. Every `<base>.seg-<id>.wal` goes too, live ids' included: older
+/// builds wrote a segment through a log, which they checkpointed before
+/// the manifest named the segment, and nothing reads it. Best-effort,
+/// through `std::fs` like the unlinks it completes.
 fn remove_stale_segments(base: &Path, live: &[u64]) {
     let (Some(&newest), Some(name)) = (live.iter().max(), base.file_name()) else {
         return;
@@ -453,11 +453,12 @@ fn remove_stale_segments(base: &Path, live: &[u64]) {
     let prefix = format!("{}.seg-", name.to_string_lossy());
     for entry in entries.flatten() {
         let file = entry.file_name();
-        let id = file.to_str().and_then(|f| {
-            let id = f.strip_prefix(&prefix)?;
-            id.strip_suffix(".wal").unwrap_or(id).parse().ok()
-        });
-        if id.is_some_and(|id: u64| id < newest && !live.contains(&id)) {
+        let id = file.to_str().and_then(|f| f.strip_prefix(&prefix));
+        let stale = |id: &str| {
+            id.parse()
+                .is_ok_and(|id: u64| id < newest && !live.contains(&id))
+        };
+        if id.is_some_and(|id| id.ends_with(".wal") || stale(id)) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
@@ -671,13 +672,7 @@ mod tests {
             assert!(matches!(idx.bulk_build(docs), Err(Error::Xml(_))));
             assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
             idx.bulk_build(&docs[..2]).unwrap();
-            let files = [
-                "idx",
-                "idx.manifest",
-                "idx.seg-1",
-                "idx.seg-1.wal",
-                "idx.wal",
-            ];
+            let files = ["idx", "idx.manifest", "idx.seg-1", "idx.wal"];
             assert_eq!(listing(dir.path()), files);
         }
         // Without stored documents a build never makes its scratch file.

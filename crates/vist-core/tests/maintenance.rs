@@ -284,10 +284,11 @@ fn compacted_index_reopens() {
     assert!(r.doc_ids.is_empty());
 }
 
-/// A compaction unlinks the segments it replaced, and their logs, only after
-/// its commit point; a crash there, or a failed unlink, leaves their files
-/// behind. The next open removes them, and leaves alone a file above the
-/// newest live id (a bulk build that has not published yet).
+/// A compaction unlinks the segments it replaced only after its commit
+/// point; a crash there, or a failed unlink, leaves their files behind. The
+/// next open removes them, and leaves alone a file above the newest live id
+/// (a bulk build that has not published yet). A segment has no log; one an
+/// older build left beside any segment, live or not, goes too.
 #[test]
 fn reopen_removes_segment_files_a_compaction_left_behind() {
     let dir = TempDir::new("maintenance-stale-segments");
@@ -312,16 +313,18 @@ fn reopen_removes_segment_files_a_compaction_left_behind() {
     let before = answers(&idx);
     let check = idx.check().unwrap();
     drop(idx);
-    assert!(seg(3).exists() && wal(3).exists());
+    assert!(seg(3).exists() && !wal(3).exists());
     for id in [1, 2] {
         assert!(!seg(id).exists() && !wal(id).exists(), "segment {id}");
     }
 
-    // The unlinks of segment 1 and of segment 2's log never happened;
-    // segment 4 is an unpublished build.
+    // The unlink of segment 1 never happened, and an older build left the
+    // checkpointed logs of segments 1, 2 and 3 (a 16-byte header); segment
+    // 4 is an unpublished build.
     std::fs::write(seg(1), &replaced).unwrap();
-    std::fs::write(wal(1), b"").unwrap();
-    std::fs::write(wal(2), b"").unwrap();
+    for id in [1, 2, 3] {
+        std::fs::write(wal(id), b"VISTWAL1\x00\x10\x00\x00\x00\x00\x00\x00").unwrap();
+    }
     std::fs::write(seg(4), b"unpublished").unwrap();
     let idx = VistIndex::open_file(&path, 128).unwrap();
     for id in [1, 2] {
@@ -330,11 +333,68 @@ fn reopen_removes_segment_files_a_compaction_left_behind() {
             "segment {id} is removed"
         );
     }
-    assert!(seg(3).exists() && wal(3).exists(), "the live segment stays");
+    assert!(seg(3).exists(), "the live segment stays");
+    assert!(!wal(3).exists(), "a live segment's log goes");
     assert!(seg(4).exists(), "a file above the newest live id stays");
     assert_eq!(answers(&idx), before);
     assert_eq!(idx.check().unwrap(), check);
     assert_eq!(idx.doc_count(), 59);
+}
+
+/// A segment file cut short by a byte, a frame or three frames, or grown by
+/// a frame, does not open: the index's open fails with `Corrupt`, naming
+/// the segment and both frame counts. The untouched file opens again.
+#[test]
+fn a_cut_short_or_overlong_segment_is_corrupt() {
+    let dir = TempDir::new("maintenance-segment-length");
+    let path = dir.file("idx");
+    let seg = vist_storage::Manifest::segment_path(&path, 1);
+    let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
+    idx.bulk_build((0..400).map(|i| format!("<x><y>{i}</y><z>z{i}</z></x>")))
+        .unwrap();
+    drop(idx);
+    let sealed = std::fs::read(&seg).unwrap();
+    let frame = IndexOptions::default().page_size + vist_storage::PAGE_TRAILER;
+    let frames = sealed.len() / frame;
+    assert!(
+        frames > 4 && sealed.len().is_multiple_of(frame),
+        "{frames} frames"
+    );
+    for (cut, len, on_disk) in [
+        ("a byte short", sealed.len() - 1, frames - 1),
+        ("a frame short", sealed.len() - frame, frames - 1),
+        ("three frames short", sealed.len() - 3 * frame, frames - 3),
+        ("a frame long", sealed.len() + frame, frames + 1),
+    ] {
+        std::fs::write(&seg, &sealed[..len.min(sealed.len())]).unwrap();
+        if len > sealed.len() {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&seg)
+                .and_then(|f| f.set_len(len as u64))
+                .unwrap();
+        }
+        match VistIndex::open_file(&path, 128) {
+            Err(Error::Corrupt(msg)) => {
+                assert!(msg.contains("segment 1"), "{cut}: {msg}");
+                assert!(
+                    msg.contains(&format!("holds {on_disk} frames")),
+                    "{cut}: {msg}"
+                );
+                assert!(
+                    msg.contains(&format!("counts {frames} frames")),
+                    "{cut}: {msg}"
+                );
+            }
+            other => panic!("{cut}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+    std::fs::write(&seg, &sealed).unwrap();
+    let idx = VistIndex::open_file(&path, 128).unwrap();
+    let r = idx
+        .query("/x/y[text='7']", &QueryOptions::default())
+        .unwrap();
+    assert_eq!(r.doc_ids, vec![7]);
 }
 
 #[test]

@@ -4,10 +4,11 @@
 //! DB library. This crate is the from-scratch replacement for that substrate:
 //! a page-oriented storage layer with
 //!
-//! * a [`Pager`] abstraction over fixed-size pages, with an in-memory
-//!   implementation ([`MemPager`]) and a durable file-backed implementation
-//!   ([`FilePager`]) with a typed header page; pages are never freed one
-//!   by one, a [`Pager::reset`] forgets them all at once,
+//! * a [`Pager`] abstraction over fixed-size pages, implemented in memory
+//!   ([`MemPager`]), by a file written once and sealed ([`FrameFile`], a
+//!   packed segment's) and by a durable file ([`FilePager`], a
+//!   [`FrameFile`] plus its log); no page is freed on its own, a
+//!   [`Pager::reset`] forgets them all at once,
 //! * a [`BufferPool`] that caches pages with CLOCK eviction, pin counting and
 //!   dirty-page write-back,
 //! * a [`SlottedPage`] layout for variable-length records, used by
@@ -66,7 +67,7 @@ pub use buffer::{BufferPool, PageRef, PageRefMut, PoolStats, ShardStats};
 pub use crc::{crc32c, Crc32c};
 pub use error::{Error, Result};
 pub use fault::{is_injected, FaultHandle, FaultMode, FaultVfs};
-pub use file::{FilePager, PAGE_TRAILER};
+pub use file::{FilePager, FrameFile, PAGE_TRAILER};
 pub use manifest::{Manifest, MANIFEST_SLOT_SIZE, MAX_MANIFEST_SEGMENTS};
 pub use mem::MemPager;
 pub use pager::{PageId, Pager, INVALID_PAGE};
