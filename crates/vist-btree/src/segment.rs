@@ -60,13 +60,11 @@ impl SegmentWriter {
     /// [`SegmentWriter::header_page`] (or rely on it being page 1 on a
     /// fresh `FrameFile`).
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
+        // Nothing touches the page before `finish`: an allocated page reads
+        // as zeros, so a crash mid-build leaves a zero magic that
+        // SegmentReader::open rejects instead of half-trusting, and the
+        // header is written once.
         let header = pool.allocate()?;
-        {
-            // Zero magic until `finish`: a crash mid-build leaves a file
-            // that SegmentReader::open rejects instead of half-trusting.
-            let mut page = pool.fetch_mut(header)?;
-            page.data_mut()[..8].fill(0);
-        }
         Ok(SegmentWriter {
             pool,
             header,

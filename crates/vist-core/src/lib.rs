@@ -38,6 +38,7 @@ mod alloc;
 mod error;
 mod ingest;
 mod naive;
+mod plan;
 mod pool;
 mod search;
 mod segment;
@@ -50,9 +51,10 @@ mod vist;
 pub use alloc::{Allocation, AllocatorKind, ScopeAllocator, SimMutation, StatsModel};
 pub use error::{Error, Result};
 pub use naive::NaiveIndex;
+pub use plan::{PlanReport, PruneReason, SemiJoinPlan, SeqPlan, StepPlan};
 pub use search::{
-    search_sequences, DkStats, PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions,
-    SearchOutcome, SearchSource, SeqPlan, StageTimings, StepPlan,
+    search_sequences, DkStats, QueryStats, SearchMode, SearchOptions, SearchOutcome, SearchSource,
+    StageTimings,
 };
 pub use segment::SegmentBreakdown;
 pub use stats::{IndexStats, IngestCounters, IngestCountersSnapshot};

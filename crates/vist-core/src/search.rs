@@ -76,7 +76,8 @@
 //! The counters of [`QueryStats`] come in two kinds. **Logical** ones count
 //! partial matches and keep the meaning they had when each was expanded on
 //! its own (`work_items`, `nodes_visited`, `dedup_skips`, `scopes_nested`,
-//! `planner_probe_prunes`, the per-step actuals of a plan report), so
+//! `planner_probe_prunes`, `semijoin_prunes`, the per-step actuals of a
+//! plan report), so
 //! history stays comparable and the counts do not depend on the number of
 //! workers. **Physical** ones count operations issued (`dancestor_gets`,
 //! `dancestor_scans`, `dkeys_matched`, `sancestor_scans` — sweeps), which
@@ -86,10 +87,10 @@
 //!
 //! # Cost-based planning (ViST §3.4 "statistical clues")
 //!
-//! The plan stage between translation and matching uses cheap per-D-Ancestor
-//! statistics ([`DkStats`], maintained incrementally by the delta and
-//! computed exactly at segment build time) to transform the work-list
-//! **without changing its answer**:
+//! The plan stage between translation and matching ([`crate::plan`], once a
+//! source) uses cheap per-D-Ancestor statistics ([`DkStats`], maintained
+//! incrementally by the delta and computed exactly at segment build time)
+//! to transform the work-list **without changing its answer**:
 //!
 //! - **Empty-prefix short-circuits** — a sequence whose concrete-prefix
 //!   element is absent from the D-Ancestor tree, or whose `*`/`//` element's
@@ -103,13 +104,29 @@
 //!   of a matched key, the planner probes the (fully determined) D-Ancestor
 //!   keys of wildcarded child elements reachable from that binding by
 //!   concrete steps; any absent key proves the whole subtree dead.
+//! - **Label semi-join** — Algorithm 2 reaches a selective element late in
+//!   a sequence (a planted value below an unselective path) only after
+//!   expanding every partial match of the prefix before it. So the plan
+//!   stage takes the later element `j` with the fewest estimated
+//!   S-Ancestor entries, collects their labels once, sorted (one pass per
+//!   candidate key of `j`'s static pattern), and [`sweep`] drops a hit at a
+//!   position before `j` whose open scope `(n, n+size)` holds none of them:
+//!   one binary search a hit. It is sound because element `k+1` matches
+//!   strictly inside the scope of element `k`'s match and scopes are
+//!   laminar, so the label `j` matches lies inside every earlier matched
+//!   scope; and the static pattern's candidate keys cover every binding's.
+//!   The labels are collected only when they are estimated to be fewer
+//!   than the partial matches they remove, never more than the probe cap,
+//!   and never for a `limit` run, which pays for the hits it returns
+//!   instead.
 //! - **`limit` early termination** — bounded runs resolve completed scopes
 //!   eagerly, sweep in pieces of hits, and stop the DocId cursor as soon as
 //!   enough distinct documents are in hand.
 //!
-//! Every transform only reorders work or prunes provably-empty work, so
-//! (unlimited) results are bit-identical with planning on or off —
-//! [`SearchOptions::plan`] exists purely for bisection and benchmarks.
+//! Every transform only reorders work or prunes work that provably cannot
+//! complete, so (unlimited) results are bit-identical with planning on or
+//! off — [`SearchOptions::plan`] exists purely for bisection and benchmarks,
+//! and turns the semi-join off with the rest.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -121,6 +138,7 @@ use vist_query::{QueryElem, QuerySequence};
 use vist_seq::{dkey, PathSym, Prefix, Sym, Symbol};
 
 use crate::error::{Error, Result};
+use crate::plan::{self, est_nodes, PlanReport, SemiJoin, SeqPlan};
 use crate::pool;
 use crate::store::{DocId, NodeState};
 
@@ -286,6 +304,13 @@ query_stats! {
         /// Scopes whose S-Ancestor sweep was skipped because a child probe
         /// proved the subtree dead.
         planner_probe_prunes = "planner probe prunes",
+        /// Labels the plan stage collected for label semi-joins: the
+        /// S-Ancestor entries of each sequence's most selective later
+        /// element.
+        semijoin_labels = "semi-join labels",
+        /// Partial matches the label semi-join dropped: hits whose scope
+        /// held none of those labels.
+        semijoin_prunes = "semi-join prunes",
     }
     io {
         /// Buffer-pool hits attributed to this query (filled by the index
@@ -428,68 +453,6 @@ fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-/// Why the planner refused to seed a sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneReason {
-    /// Element `qi`'s concrete-prefix D-Ancestor key is absent.
-    EmptyConcrete {
-        /// The element whose key is absent.
-        qi: usize,
-    },
-    /// Element `qi`'s `*`/`//` D-Ancestor pattern probe matched nothing;
-    /// the static pattern covers every runtime instantiation.
-    EmptyWildcard {
-        /// The element whose pattern probe came up empty.
-        qi: usize,
-    },
-}
-
-/// Per-element plan row: estimates from the statistics layer next to the
-/// counters the match loop actually produced.
-#[derive(Debug, Clone, Default)]
-pub struct StepPlan {
-    /// Element position in the sequence.
-    pub qi: usize,
-    /// Whether the element's prefix carries `*`/`//` (estimates come from
-    /// a plan-time pattern probe instead of an exact lookup).
-    pub wildcard: bool,
-    /// D-Ancestor entries estimated to match the element.
-    pub est_candidates: u64,
-    /// S-Ancestor entries estimated under the matching keys.
-    pub est_nodes: u64,
-    /// Frames actually expanded at this element (collect_plan only).
-    pub actual_frames: u64,
-    /// S-Ancestor nodes actually visited at this element.
-    pub actual_nodes: u64,
-}
-
-/// One sequence's plan.
-#[derive(Debug, Clone)]
-pub struct SeqPlan {
-    /// Index in the caller's sequence list.
-    pub index: usize,
-    /// Execution rank after selectivity ordering (0 = seeded first).
-    pub rank: usize,
-    /// Set when the sequence was short-circuited and never seeded.
-    pub pruned: Option<PruneReason>,
-    /// Estimated node visits (sum of per-step `est_nodes`).
-    pub est_cost: u64,
-    /// Per-element rows, in sequence order.
-    pub steps: Vec<StepPlan>,
-}
-
-/// What the planner decided for one source, collected when
-/// [`SearchOptions::collect_plan`] is set.
-#[derive(Debug, Clone, Default)]
-pub struct PlanReport {
-    /// One entry per input sequence, in input order.
-    pub seqs: Vec<SeqPlan>,
-    /// Ranges put to the DocId tree (for `limit` runs, the scopes resolved
-    /// as they completed); `None` when DocId resolution did not run
-    /// ([`SearchMode::Scopes`]).
-    pub docid_ranges: Option<u64>,
-}
-
 /// Result of one [`search_sequences`] run.
 #[derive(Debug, Default)]
 pub struct SearchOutcome {
@@ -507,16 +470,6 @@ pub struct SearchOutcome {
     /// The plan, when [`SearchOptions::collect_plan`] asked for it.
     pub plan: Option<PlanReport>,
 }
-
-/// Estimated S-Ancestor entries under one D-Ancestor key; at least 1 so
-/// candidate counting still orders sources without statistics.
-fn est_nodes(source: &dyn SearchSource, dkid: u64) -> u64 {
-    source.dkid_stats(dkid).map_or(1, |s| s.nodes.max(1))
-}
-
-/// Entries a plan-time pattern probe will scan before it stops trusting
-/// (and stops refining) its estimate. A capped probe never prunes.
-const PLAN_PROBE_CAP: u64 = 4096;
 
 /// Run Algorithm 2 over every alternative sequence of one query, unioning
 /// results: plan the sequences, match them on `opts.workers` threads, then
@@ -551,6 +504,10 @@ pub fn search_sequences(
     let mut ctxs: Vec<SeqCtx<'_>> = Vec::with_capacity(seqs.len());
     let mut plans: Vec<SeqPlan> = Vec::with_capacity(seqs.len());
     let order: Vec<usize>;
+    let limit = match opts.mode {
+        SearchMode::Docs => opts.limit,
+        SearchMode::Scopes => None,
+    };
     {
         let _span = vist_obs::Span::enter("plan");
         let t = vist_obs::now();
@@ -561,11 +518,16 @@ pub fn search_sequences(
             if qs.elems.is_empty() {
                 pre_scopes.push((0, vist_seq::MAX_SCOPE));
             }
-            let ctx = SeqCtx::build(source, qs, &mut stats)?;
+            let mut ctx = SeqCtx::build(source, qs, &mut stats)?;
             let plan = if opts.plan {
-                plan_sequence(source, &ctx, i, &mut stats)?
+                // A limited run pays for the hits it returns, not for a
+                // semi-join's labels.
+                let (plan, join) =
+                    plan::plan_sequence(source, &ctx, i, limit.is_none(), &mut stats)?;
+                ctx.semijoin = join;
+                plan
             } else {
-                skeleton_plan(&ctx, i, opts.collect_plan)
+                plan::skeleton_plan(&ctx, i, opts.collect_plan)
             };
             ctxs.push(ctx);
             plans.push(plan);
@@ -597,10 +559,6 @@ pub fn search_sequences(
             cont: None,
         })
         .collect();
-    let limit = match opts.mode {
-        SearchMode::Docs => opts.limit,
-        SearchMode::Scopes => None,
-    };
 
     let mut scopes: Vec<(u128, u128)> = Vec::new();
     let mut docs: Vec<DocId> = Vec::new();
@@ -806,128 +764,18 @@ fn drive(
     Ok(outs)
 }
 
-/// Build one sequence's plan: resolve estimates for every element and
-/// decide whether the sequence can be short-circuited. Wildcard elements
-/// are probed against their **static** pattern prefix, which covers every
-/// runtime instantiation (any concrete prefix a frame can build from its
-/// parent bindings matches the pattern), so an empty probe proves the
-/// sequence dead.
-fn plan_sequence(
-    source: &dyn SearchSource,
-    ctx: &SeqCtx<'_>,
-    index: usize,
-    stats: &mut QueryStats,
-) -> Result<SeqPlan> {
-    let mut steps: Vec<StepPlan> = Vec::with_capacity(ctx.seq.elems.len());
-    let mut pruned: Option<PruneReason> = None;
-    let mut est_cost = 0u64;
-    for (qi, qe) in ctx.seq.elems.iter().enumerate() {
-        let mut sp = StepPlan {
-            qi,
-            ..StepPlan::default()
-        };
-        match &ctx.concrete[qi] {
-            Some(Some((_, dkid))) => {
-                sp.est_candidates = 1;
-                sp.est_nodes = est_nodes(source, *dkid);
-            }
-            Some(None) => {
-                if pruned.is_none() {
-                    pruned = Some(PruneReason::EmptyConcrete { qi });
-                }
-            }
-            None => {
-                sp.wildcard = true;
-                stats.planner_probes += 1;
-                match dkey::query_for(qe.sym, &qe.prefix) {
-                    dkey::DKeyQuery::Exact(key) => {
-                        if let Some(id) = source.dkey_get(&key)? {
-                            sp.est_candidates = 1;
-                            sp.est_nodes = est_nodes(source, id);
-                        }
-                    }
-                    dkey::DKeyQuery::Range { lo, hi, pattern } => {
-                        let mut cands = 0u64;
-                        let mut nodes = 0u64;
-                        let mut scanned = 0u64;
-                        source.dkey_scan_range(&lo, &hi, &mut |key, id| {
-                            scanned += 1;
-                            if scanned > PLAN_PROBE_CAP {
-                                return ControlFlow::Break(());
-                            }
-                            let (_, prefix_syms) = dkey::decode(key);
-                            if pattern.matches(&prefix_syms) {
-                                cands += 1;
-                                nodes = nodes.saturating_add(est_nodes(source, id));
-                            }
-                            ControlFlow::Continue(())
-                        })?;
-                        if scanned > PLAN_PROBE_CAP {
-                            // Capped probe: treat the estimate as a floor
-                            // and never prune on it.
-                            cands = cands.max(1);
-                            nodes = nodes.max(scanned);
-                        }
-                        sp.est_candidates = cands;
-                        sp.est_nodes = nodes;
-                    }
-                }
-                if sp.est_candidates == 0 && pruned.is_none() {
-                    pruned = Some(PruneReason::EmptyWildcard { qi });
-                }
-            }
-        }
-        est_cost = est_cost.saturating_add(sp.est_nodes);
-        steps.push(sp);
-    }
-    if pruned.is_some() {
-        stats.planner_seqs_pruned += 1;
-    }
-    Ok(SeqPlan {
-        index,
-        rank: usize::MAX,
-        pruned,
-        est_cost,
-        steps,
-    })
-}
-
-/// The no-planning stand-in for [`plan_sequence`]: no probes, no pruning,
-/// input order. Step rows exist only when a plan report was requested, so
-/// actual counters still have somewhere to land.
-fn skeleton_plan(ctx: &SeqCtx<'_>, index: usize, with_steps: bool) -> SeqPlan {
-    let steps = if with_steps {
-        ctx.seq
-            .elems
-            .iter()
-            .enumerate()
-            .map(|(qi, qe)| StepPlan {
-                qi,
-                wildcard: qe.prefix.has_wildcard(),
-                ..StepPlan::default()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    SeqPlan {
-        index,
-        rank: index,
-        pruned: None,
-        est_cost: 0,
-        steps,
-    }
-}
-
 /// Fold one worker's per-step actual counters into the plan rows.
 fn absorb_steps(plans: &mut [SeqPlan], out: &WorkerOut) {
-    for (&(seq, qi), &(frames, nodes)) in &out.steps {
-        if let Some(sp) = plans
-            .get_mut(seq as usize)
-            .and_then(|p| p.steps.get_mut(qi as usize))
-        {
+    for (&(seq, qi), &(frames, nodes, pruned)) in &out.steps {
+        let Some(plan) = plans.get_mut(seq as usize) else {
+            continue;
+        };
+        if let Some(sp) = plan.steps.get_mut(qi as usize) {
             sp.actual_frames += frames;
             sp.actual_nodes += nodes;
+        }
+        if let Some(join) = &mut plan.semijoin {
+            join.pruned += pruned;
         }
     }
 }
@@ -1036,12 +884,12 @@ struct ChildProbe {
 }
 
 /// Per-sequence immutable context, shared read-only by all workers.
-struct SeqCtx<'a> {
-    seq: &'a QuerySequence,
+pub(crate) struct SeqCtx<'a> {
+    pub(crate) seq: &'a QuerySequence,
     /// For elements whose *pattern* prefix is fully concrete, the
     /// D-Ancestor lookup is independent of the bindings; resolved once per
     /// query. `None` for wildcarded prefixes (resolved per frame).
-    concrete: Vec<Option<ConcreteLookup>>,
+    pub(crate) concrete: Vec<Option<ConcreteLookup>>,
     /// `bind[qi]`: some later wildcarded element rebuilds its lookup prefix
     /// from `qi`'s instantiated path, so matches at `qi` must be recorded
     /// in the binding chain. (Fully concrete sequences bind nothing.)
@@ -1057,6 +905,9 @@ struct SeqCtx<'a> {
     /// some prefix carries a wildcard: concrete-only sequences cannot reach
     /// one sub-problem twice.
     dedup: bool,
+    /// The plan's label semi-join: a hit at a position before its element
+    /// is kept only if its scope holds one of the element's labels.
+    semijoin: Option<SemiJoin>,
 }
 
 impl<'a> SeqCtx<'a> {
@@ -1121,6 +972,7 @@ impl<'a> SeqCtx<'a> {
             sig,
             probe_children,
             dedup,
+            semijoin: None,
         })
     }
 }
@@ -1219,8 +1071,9 @@ struct WorkerOut {
     visited: HashSet<(u32, u32, u64, u128, u32), FxBuild>,
     /// Memoized child-probe D-Ancestor lookups (key present?).
     probed: HashMap<Vec<u8>, bool, FxBuild>,
-    /// Per-`(seq, qi)` actual `(frames, nodes)` counts (`track` only).
-    steps: HashMap<(u32, u32), (u64, u64)>,
+    /// Per-`(seq, qi)` actual `(frames, nodes, semi-join prunes)` counts
+    /// (`track` only).
+    steps: HashMap<(u32, u32), (u64, u64, u64)>,
     expansion: Expansion,
     /// Scratch of `descend`: a binding signature, a child-probe path and
     /// its key, the scopes of a frame that are not repeats, a sweep's hits.
@@ -1359,7 +1212,7 @@ fn expand(
         return sweep(source, sc, frame, (&frame.scopes, sig), cand, push, out);
     }
     if out.track {
-        out.steps.entry((frame.seq, frame.qi)).or_insert((0, 0)).0 += frame.scopes.len() as u64;
+        out.steps.entry((frame.seq, frame.qi)).or_default().0 += frame.scopes.len() as u64;
     }
     match &sc.concrete[qi] {
         // Concrete prefix, present in the data: one candidate, pre-resolved.
@@ -1534,6 +1387,9 @@ fn sweep(
     // below it is found below its container, so it is dropped.
     let collapse = qi as usize + 1 < sc.seq.elems.len();
     let mut kept_end = 0u128;
+    // Positions before the semi-join's element keep only hits whose scope
+    // holds one of its labels: the others cannot complete.
+    let semijoin = sc.semijoin.as_ref().filter(|j| qi < j.qi);
     let piece = out.piece(frame);
     let track = out.track;
     let stats = &mut out.stats;
@@ -1546,7 +1402,7 @@ fn sweep(
         source.nodes_in_scopes(dkid, scopes, &mut |node| {
             stats.nodes_visited += 1;
             if track {
-                steps.entry((seq, qi)).or_insert((0, 0)).1 += 1;
+                steps.entry((seq, qi)).or_default().1 += 1;
             }
             let end = node.end();
             if collapse {
@@ -1557,6 +1413,15 @@ fn sweep(
                     return ControlFlow::Continue(());
                 }
                 kept_end = end;
+            }
+            // Hits nested in one dropped here are dropped above as nested:
+            // a scope inside one without a label holds none either.
+            if semijoin.is_some_and(|j| !j.meets(node.n, end)) {
+                stats.semijoin_prunes += 1;
+                if track {
+                    steps.entry((seq, qi)).or_default().2 += 1;
+                }
+                return ControlFlow::Continue(());
             }
             if let Some(s) = sig {
                 if !visited.insert((seq, qi + 1, dkid, node.n, s)) {
@@ -1658,6 +1523,6 @@ mod tests {
         }
         assert!(sum.fields().contains(&("io_pages_read", 14)));
         assert!(sum.stats_lines().contains(&("match work items", 10)));
-        assert_eq!(sum.stats_lines().len(), 8);
+        assert_eq!(sum.stats_lines().len(), 10);
     }
 }

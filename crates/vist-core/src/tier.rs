@@ -19,7 +19,8 @@ use vist_xml::Document;
 
 use crate::error::{Error, Result};
 use crate::ingest::data_dkey;
-use crate::search::{search_sequences, PlanReport, SearchOptions, SearchOutcome, SearchSource};
+use crate::plan::PlanReport;
+use crate::search::{search_sequences, SearchOptions, SearchOutcome, SearchSource};
 use crate::segment::{Segment, SegmentBuilder};
 use crate::store::DocId;
 use crate::vist::{bg_op, VistIndex};

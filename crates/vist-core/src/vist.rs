@@ -27,7 +27,8 @@ use vist_storage::{BufferPool, FilePager, MemPager, RealVfs, Vfs};
 
 use crate::alloc::{AllocatorKind, ScopeAllocator, SimMutation};
 use crate::error::{Error, Result};
-use crate::search::{PlanReport, PruneReason, QueryStats, SearchMode, SearchOptions, StageTimings};
+use crate::plan::{PlanReport, PruneReason};
+use crate::search::{QueryStats, SearchMode, SearchOptions, StageTimings};
 use crate::segment::{Segment, SegmentBreakdown};
 use crate::stats::{IndexStats, IngestCounters};
 use crate::store::{DocId, Store, StoreBreakdown};
@@ -922,6 +923,14 @@ fn render_plans(
                         sp.index, sp.rank, sp.est_cost
                     )
                     .unwrap();
+                    if let Some(j) = sp.semijoin {
+                        writeln!(
+                            out,
+                            "    semi-join on element {}: {} labels, {} pruned",
+                            j.qi, j.labels, j.pruned
+                        )
+                        .unwrap();
+                    }
                     for st in &sp.steps {
                         let label = elem_labels
                             .get(sp.index)

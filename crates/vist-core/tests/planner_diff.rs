@@ -359,3 +359,235 @@ fn planner_prunes_wildcard_expansions() {
         unplanned.stats.work_items
     );
 }
+
+/// A tiered index of `docs` — the first `segment` of them bulk-built into a
+/// segment, the rest inserted into the delta — with the ids of `removed`
+/// tombstoned, beside the naive oracle over the same documents.
+struct Tombstoned {
+    naive: NaiveIndex,
+    vist: VistIndex,
+    removed: BTreeSet<u64>,
+    _dir: vist_storage::testutil::TempDir,
+}
+
+impl Tombstoned {
+    fn build(
+        name: &str,
+        docs: &[Document],
+        segment: usize,
+        opts: IndexOptions,
+        removed: impl IntoIterator<Item = u64>,
+    ) -> Self {
+        let mut naive = NaiveIndex::default();
+        for d in docs {
+            naive.insert_document(d);
+        }
+        let dir = vist_storage::testutil::TempDir::new(name);
+        let vist = VistIndex::create_file(dir.file("store"), opts).unwrap();
+        if segment > 0 {
+            let xml: Vec<String> = docs[..segment].iter().map(Document::to_xml).collect();
+            vist.bulk_build(xml).unwrap();
+        }
+        for d in &docs[segment..] {
+            vist.insert_document(d).unwrap();
+        }
+        let removed: BTreeSet<u64> = removed.into_iter().collect();
+        for &id in &removed {
+            vist.remove_document(id).unwrap();
+        }
+        Tombstoned {
+            naive,
+            vist,
+            removed,
+            _dir: dir,
+        }
+    }
+
+    /// The naive answer less the tombstoned ids.
+    fn oracle(&mut self, q: &str) -> Vec<u64> {
+        let all = self.naive.query(q, &QueryOptions::default()).unwrap();
+        all.into_iter()
+            .filter(|id| !self.removed.contains(id))
+            .collect()
+    }
+}
+
+/// Check `q` on `vist` against `oracle` with the planner on and off: every
+/// worker count and schedule seed returns the oracle's ids and the
+/// unplanned engine's scope set, and limits 0, 1 and 10 return ascending
+/// subsets of the right size. Returns the planned serial run's counters.
+fn check_planned(oracle: &[u64], vist: &VistIndex, label: &str, q: &str) -> vist_core::QueryStats {
+    let pattern = vist_query::parse_query(q).unwrap().to_pattern();
+    let unplanned_opts = QueryOptions {
+        no_plan: true,
+        ..Default::default()
+    };
+    let unplanned = vist.query(q, &unplanned_opts).unwrap();
+    assert_eq!(
+        unplanned.doc_ids, oracle,
+        "{label}: unplanned vs oracle: {q}"
+    );
+    let (unplanned_scopes, _) = vist.match_scopes(&pattern, &unplanned_opts).unwrap();
+    let planned = vist.query(q, &QueryOptions::default()).unwrap();
+    for &workers in &WORKER_COUNTS {
+        for schedule_seed in [None, Some(0), Some(11), Some(0x5EED ^ workers as u64)] {
+            let opts = QueryOptions {
+                workers,
+                schedule_seed,
+                ..Default::default()
+            };
+            let run = format!("{workers} worker(s), seed {schedule_seed:?}");
+            let r = vist.query(q, &opts).unwrap();
+            assert_eq!(r.doc_ids, oracle, "{label}: planned, {run}: {q}");
+            let (scopes, _) = vist.match_scopes(&pattern, &opts).unwrap();
+            assert_eq!(scopes, unplanned_scopes, "{label}: scopes, {run}: {q}");
+            for limit in [0, 1, 10] {
+                let r = vist
+                    .query(
+                        q,
+                        &QueryOptions {
+                            limit: Some(limit),
+                            ..opts
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(
+                    r.doc_ids.len(),
+                    limit.min(oracle.len()),
+                    "{label}: limit {limit}, {run}: {q}"
+                );
+                assert!(
+                    r.doc_ids.windows(2).all(|w| w[0] < w[1])
+                        && r.doc_ids.iter().all(|id| oracle.contains(id)),
+                    "{label}: limit {limit}, {run}: {q}: {:?}",
+                    r.doc_ids
+                );
+            }
+        }
+    }
+    planned.stats
+}
+
+/// Records under `r`, each with a key `k` and a value `y` below `x` below
+/// one of five groups `g<m>` (again below `w`); two records in 40 plant `P`
+/// as their `y` (below `g2` and `g3`) and their key, so a query's selective
+/// element comes late, and a `*` above it binds one of two keys.
+fn planted_docs(n: usize) -> Vec<Document> {
+    (0..n)
+        .map(|i| {
+            let m = i % 5;
+            let (k, y) = if i % 40 == 7 || i % 40 == 28 {
+                ("P".to_string(), "P".to_string())
+            } else {
+                (format!("k{}", i % 11), format!("v{}", i % 7))
+            };
+            let xml = format!(
+                "<r><k>{k}</k><g{m}><x><y>{y}</y><z>{}</z></x></g{m}>\
+                 <w><g{}><x><y>v{}</y></x></g{}></w></r>",
+                i % 3,
+                (m + 1) % 5,
+                i % 5,
+                (m + 1) % 5
+            );
+            vist_xml::parse(&xml).unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn the_label_semijoin_never_changes_answers() {
+    let docs = planted_docs(400);
+    let mut t = Tombstoned::build(
+        "planner-semijoin",
+        &docs,
+        300,
+        IndexOptions::default(),
+        (0..400).filter(|i| i % 9 == 4 || i == &47),
+    );
+    let shapes: [(&str, &[&str]); 4] = [
+        (
+            "under //",
+            &["/r//x/y[text='P']", "//x[y='P']/z", "/r//y[text='P']"],
+        ),
+        ("under *", &["/r/*/x/y[text='P']", "/r/*/x[y='P']/z"]),
+        (
+            "in a branch",
+            &["/r[k='P']/g2/x/y", "/r[*/x/y='P']/k", "/r[k='P']/w/g3/x/y"],
+        ),
+        // `P`'s candidate keys hold the group the wildcard binds.
+        (
+            "binding-dependent keys",
+            &["/r/*/*/y[text='P']", "/r/*/x/*[text='P']"],
+        ),
+    ];
+    for (shape, queries) in shapes {
+        let mut prunes = 0;
+        for q in queries {
+            let oracle = t.oracle(q);
+            assert!(!oracle.is_empty(), "{shape}: {q} found nothing");
+            let stats = check_planned(&oracle, &t.vist, shape, q);
+            prunes += stats.semijoin_prunes;
+        }
+        assert!(prunes > 0, "{shape}: the semi-join never pruned");
+    }
+}
+
+#[test]
+fn the_label_semijoin_holds_on_an_incarnated_chain() {
+    // At a fixed λ = 2 the scope of `b` runs out after 126 distinct
+    // children and the next one borrows a block: the `x` chains after that
+    // hang below an incarnation of `b`.
+    let mut docs: Vec<Document> = (0..126)
+        .map(|i| vist_xml::parse(&format!("<a><b><c{i}/></b></a>")).unwrap())
+        .collect();
+    docs.extend((0..60).map(|i| {
+        let d = if i % 20 == 3 || i % 20 == 10 {
+            "P".to_string()
+        } else {
+            format!("q{}", i % 6)
+        };
+        let xml = format!("<a><b><x{}><d>{d}</d><e/></x{}></b></a>", i % 4, i % 4);
+        vist_xml::parse(&xml).unwrap()
+    }));
+    let opts = IndexOptions {
+        lambda: 2,
+        adaptive: false,
+        ..Default::default()
+    };
+    let mut t = Tombstoned::build("planner-semijoin-incarnated", &docs, 0, opts, [129, 150]);
+    assert!(t.vist.stats().deep_borrows > 0, "no incarnation");
+    let mut labels = 0;
+    for q in [
+        "/a/b/*/d[text='P']",
+        "/a/b/x3[d='P']/e",
+        "//d[text='P']",
+        "/a/b[*/d='P']",
+    ] {
+        let oracle = t.oracle(q);
+        assert!(!oracle.is_empty(), "{q} found nothing");
+        labels += check_planned(&oracle, &t.vist, "incarnated", q).semijoin_labels;
+    }
+    assert!(labels > 0, "the semi-join never ran");
+}
+
+#[test]
+fn table3_queries_answer_alike_with_the_label_semijoin() {
+    let mut docs = vist_datagen::dblp::documents(600, 42);
+    docs.extend(vist_datagen::xmark::documents(400, 43));
+    let mut t = Tombstoned::build(
+        "planner-semijoin-table3",
+        &docs,
+        900,
+        IndexOptions::default(),
+        (0..1_000).step_by(13),
+    );
+    let mut prunes = 0;
+    for (name, q) in vist_datagen::dblp::table3_queries()
+        .into_iter()
+        .chain(vist_datagen::xmark::table3_queries())
+    {
+        let oracle = t.oracle(&q);
+        prunes += check_planned(&oracle, &t.vist, name, &q).semijoin_prunes;
+    }
+    assert!(prunes > 0, "the semi-join never pruned");
+}
