@@ -161,7 +161,7 @@ impl fmt::Display for SimMutation {
 /// cursor) lives in each node's [`NodeState`]; the policy only decides sizes.
 #[derive(Debug, Clone)]
 pub struct ScopeAllocator {
-    /// The λ parameter (expected fanout) for the no-clues scheme.
+    /// The λ parameter (expected fan-out) for the no-clues scheme.
     pub lambda: u64,
     /// Grow the divisor with the child count (`λ + k`), preventing hot-node
     /// exhaustion. On by default; the ablation bench compares.

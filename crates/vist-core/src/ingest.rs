@@ -291,13 +291,6 @@ impl VistIndex {
         Ok(id)
     }
 
-    /// Insert a pre-converted structure-encoded sequence. `xml` is stored
-    /// for verification/deletion when document storage is enabled.
-    pub fn insert_sequence(&self, seq: &Sequence, xml: Option<&str>) -> Result<DocId> {
-        let _w = self.writer.lock();
-        self.insert_sequence_cached(seq, xml, &mut IngestCache::default())
-    }
-
     /// Core of Algorithm 4, through a cache (see [`IngestCache`]) that a
     /// batch shares between its documents and a serial insert starts empty:
     /// repeated dkey lookups and trie-edge probes — the bulk of the B+Tree
@@ -360,21 +353,16 @@ impl VistIndex {
         // edge pointing at it can be followed.
         let last = chain.last().expect("non-empty");
         let pending = fresh.then(|| self.write_state(last.loc, &last.state));
-        let (last_n, last_loc) = walked?;
+        let last_n = walked?;
         pending.transpose()?;
         self.store.docid_put(last_n, doc_id)?;
-        // Empty sequences attach to the virtual root, which has no dkey;
-        // mirror the segment builder, which skips them too.
-        if let Loc::Node(dk) = last_loc {
-            self.store.stats_doc_added(dk);
-        }
         Ok(())
     }
 
-    /// Algorithm 4's walk along `seq` from the root: the label and location
-    /// of the node it ends on. Once it allocates a node, the rest is a
-    /// *fresh branch*: each later element hangs below the node allocated one
-    /// step earlier, which has no edges, so none is probed. That node's
+    /// Algorithm 4's walk along `seq` from the root: the label of the node
+    /// it ends on. Once it allocates a node, the rest is a *fresh branch*:
+    /// each later element hangs below the node allocated one step earlier,
+    /// which has no edges, so none is probed. That node's
     /// S-Ancestor record is written once, with its final state — when its
     /// one child is allocated, or by the caller when the walk ends; until
     /// then it is `chain.last()`, with `fresh` set.
@@ -384,7 +372,7 @@ impl VistIndex {
         fresh: &mut bool,
         seq: &Sequence,
         cache: &mut IngestCache,
-    ) -> Result<(u128, Loc)> {
+    ) -> Result<u128> {
         let n = seq.len();
         for (i, elem) in seq.iter().enumerate() {
             let dkid = self.dkid_cached(data_dkey(elem)?, cache)?;
@@ -438,9 +426,6 @@ impl VistIndex {
                     cache.edges.insert((head_n, dkid), state.n);
                     self.store.meta_mut().node_count += 1;
                     self.store.stats_node_added(dkid);
-                    if let Loc::Node(pd) = ploc {
-                        self.store.stats_child_added(pd);
-                    }
                     chain.push(ChainEntry {
                         loc: Loc::Node(dkid),
                         head_n: state.n,
@@ -460,8 +445,7 @@ impl VistIndex {
                 }
             }
         }
-        let last = chain.last().expect("non-empty");
-        Ok((last.state.n, last.loc))
+        Ok(chain.last().expect("non-empty").state.n)
     }
 
     /// [`VistIndex::find_child`] through the edge cache.
@@ -526,13 +510,13 @@ impl VistIndex {
     /// construction at every level, and since Algorithm 2 already iterates
     /// all S-Ancestor entries of a D-Ancestor key, queries find incarnations
     /// with no changes. The `deep_borrows` counter tallies these events.
-    /// Returns the label and location of the last inserted node.
+    /// Returns the label of the last inserted node.
     fn grow_and_insert_tail(
         &self,
         chain: &mut [ChainEntry],
         tail: &[SeqElem],
         cache: &mut IngestCache,
-    ) -> Result<(u128, Loc)> {
+    ) -> Result<u128> {
         let rem = tail.len() as u128;
         // Donor j must cover incarnations for chain[j+1..] plus the tail.
         let donor = (0..chain.len() - 1)
@@ -574,8 +558,7 @@ impl VistIndex {
 
         // Sequentially label the remaining elements, nested below the
         // parent's fresh incarnation.
-        let last = chain.last().expect("non-empty");
-        let (mut prev_n, mut prev_loc) = (last.state.n, last.loc);
+        let mut prev_n = chain.last().expect("non-empty").state.n;
         for elem in tail {
             let dkid = self.dkid_cached(data_dkey(elem)?, cache)?;
             let state = nested_state(block, off, needed);
@@ -586,13 +569,10 @@ impl VistIndex {
             self.store.edge_put(prev_n, dkid, state.n)?;
             self.store.meta_mut().node_count += 1;
             self.store.stats_node_added(dkid);
-            if let Loc::Node(pd) = prev_loc {
-                self.store.stats_child_added(pd);
-            }
-            (prev_n, prev_loc) = (state.n, Loc::Node(dkid));
+            prev_n = state.n;
             off += 1;
         }
-        Ok((prev_n, prev_loc))
+        Ok(prev_n)
     }
 
     fn write_state(&self, loc: Loc, state: &NodeState) -> Result<()> {

@@ -88,8 +88,9 @@
 //! # Cost-based planning (ViST §3.4 "statistical clues")
 //!
 //! The plan stage between translation and matching ([`crate::plan`], once a
-//! source) uses cheap per-D-Ancestor statistics ([`DkStats`], maintained
-//! incrementally by the delta and computed exactly at segment build time)
+//! source) uses cheap per-D-Ancestor statistics ([`DkStats`], counted by
+//! the delta at open and kept current on insert, computed exactly at
+//! segment build time)
 //! to transform the work-list **without changing its answer**:
 //!
 //! - **Empty-prefix short-circuits** — a sequence whose concrete-prefix
@@ -143,20 +144,14 @@ use crate::pool;
 use crate::store::{DocId, NodeState};
 
 /// Cheap per-D-Ancestor-entry statistics driving the planner. The delta
-/// maintains them incrementally on insert/remove (persisted through
-/// `Store::flush`); segments compute them exactly at build time and pack
-/// them as an extra tree. Missing statistics degrade ordering, never
-/// correctness.
+/// counts them from its S-Ancestor tree at open and keeps them current on
+/// insert; segments compute them exactly at build time and pack them as an
+/// extra tree. Missing statistics degrade ordering, never correctness.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DkStats {
     /// S-Ancestor entries under this key (virtual suffix-tree nodes,
     /// including incarnations).
     pub nodes: u64,
-    /// DocId postings attached to this key's nodes (an upper bound on the
-    /// distinct document ids below it).
-    pub docs: u64,
-    /// Child nodes allocated under this key's nodes (scope fan-out).
-    pub fanout: u64,
 }
 
 /// The B+Tree probe surface Algorithm 2 needs, abstracted over where the
@@ -212,17 +207,15 @@ pub trait SearchSource: Sync {
 
 /// Declares [`QueryStats`] and, from the same list, everything that has to
 /// name each counter: [`QueryStats::fields`] (serve wide event),
-/// [`QueryStats::merge`] (per-tier and per-index sums),
-/// [`QueryStats::stats_lines`] (`vist stats`) and the registry counters.
-/// A counter exists by being one row here.
+/// [`QueryStats::merge`] (per-tier sums) and the registry counters, which
+/// keep the running totals. A counter exists by being one row here.
 macro_rules! query_stats {
     (
-        engine { $( $(#[$edoc:meta])* $e:ident $(= $label:literal)? ),* $(,)? }
+        engine { $( $(#[$edoc:meta])* $e:ident ),* $(,)? }
         io { $( $(#[$idoc:meta])* $i:ident ),* $(,)? }
     ) => {
         /// Instrumentation counters for one search — or, summed by
-        /// [`QueryStats::merge`], for every search an index has run
-        /// ([`crate::IndexStats::queries`]).
+        /// [`QueryStats::merge`], for every tier of one query.
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct QueryStats {
             $( $(#[$edoc])* pub $e: u64, )*
@@ -238,13 +231,6 @@ macro_rules! query_stats {
                     $( (stringify!($e), self.$e), )*
                     $( (stringify!($i), self.$i), )*
                 ]
-            }
-
-            /// The counters `vist stats` prints for an index's running
-            /// totals, as `(label, value)` pairs.
-            #[must_use]
-            pub fn stats_lines(&self) -> [(&'static str, u64); [$($($label,)?)*].len()] {
-                [ $( $( ($label, self.$e), )? )* ]
             }
 
             /// Accumulate another search's counters into this one.
@@ -281,36 +267,36 @@ query_stats! {
         docid_scans,
         /// Partial matches expanded by the work-list engine: the scopes of
         /// every frame it took up.
-        work_items = "match work items",
+        work_items,
         /// Frames executed after being donated through the shared queue —
         /// work transferred between workers.
-        steals = "match steals",
+        steals,
         /// Final scopes coalesced away by interval merging before DocId
         /// resolution (raw matched scopes minus DocId range queries issued).
-        scopes_merged = "match scopes merged",
+        scopes_merged,
         /// Duplicate sub-problems skipped by the visited set (identical
         /// `(dkey, scope)` reached via different wildcard expansions).
-        dedup_skips = "match dedup skips",
+        dedup_skips,
         /// Frontier scopes dropped because the sweep that found them had
         /// already kept a scope containing them: same bindings, so whatever
         /// matches below the inner one is found below the outer.
-        scopes_nested = "match scopes nested",
+        scopes_nested,
         /// Sequences the planner proved empty and never seeded (absent
         /// concrete prefix or empty wildcard pattern probe).
-        planner_seqs_pruned = "planner seqs pruned",
+        planner_seqs_pruned,
         /// D-Ancestor probes issued by the planner (plan-time pattern probes
         /// plus memoized child-probe lookups in the match loop).
-        planner_probes = "planner probes",
+        planner_probes,
         /// Scopes whose S-Ancestor sweep was skipped because a child probe
         /// proved the subtree dead.
-        planner_probe_prunes = "planner probe prunes",
+        planner_probe_prunes,
         /// Labels the plan stage collected for label semi-joins: the
         /// S-Ancestor entries of each sequence's most selective later
         /// element.
-        semijoin_labels = "semi-join labels",
+        semijoin_labels,
         /// Partial matches the label semi-join dropped: hits whose scope
         /// held none of those labels.
-        semijoin_prunes = "semi-join prunes",
+        semijoin_prunes,
     }
     io {
         /// Buffer-pool hits attributed to this query (filled by the index
@@ -1522,7 +1508,5 @@ mod tests {
             assert_eq!(two, 2 * one, "{name}");
         }
         assert!(sum.fields().contains(&("io_pages_read", 14)));
-        assert!(sum.stats_lines().contains(&("match work items", 10)));
-        assert_eq!(sum.stats_lines().len(), 10);
     }
 }

@@ -12,7 +12,7 @@
 //! | 1 | S-Ancestor | dkey-id ‖ `n` | `size`, `k` (`next` is `n + size`) |
 //! | 2 | DocId | `n` ‖ doc-id | — |
 //! | 3 | documents | doc-id ‖ chunk | XML bytes |
-//! | 4 | statistics | dkey-id | `nodes`, `docs`, `fanout` |
+//! | 4 | statistics | dkey-id | `nodes` |
 //!
 //! The first three hold what the delta's [`Store`] trees hold, so one
 //! [`SearchSource`] impl serves Algorithm 2 unchanged, but not in the same
@@ -215,27 +215,32 @@ impl Codec {
         v
     }
 
-    /// Statistics record: `dkey-id → (nodes, docs, fanout)`.
+    /// Statistics record: `dkey-id → nodes`. Older records carry two more
+    /// counters after `nodes` that nothing reads (document postings and
+    /// child nodes), as `u64` LE in format 1 (a 24-byte value) and as
+    /// varints in format-2 files written before they were dropped.
     fn decode_stats(self, mut k: &[u8], mut v: &[u8]) -> Option<(u64, DkStats)> {
         match self {
-            Codec::V1 => store::decode_dkstats(k, v),
+            Codec::V1 => {
+                let v: &[u8; 24] = v.try_into().ok()?;
+                let nodes = u64::from_le_bytes(v[..8].try_into().ok()?);
+                Some((u64::from_be_bytes(k.try_into().ok()?), DkStats { nodes }))
+            }
             Codec::V2 => {
                 let dkid = u64::try_from(take_ordered_uint(&mut k)?).ok()?;
-                let stats = DkStats {
-                    nodes: take_u64(&mut v)?,
-                    docs: take_u64(&mut v)?,
-                    fanout: take_u64(&mut v)?,
-                };
-                (k.is_empty() && v.is_empty()).then_some((dkid, stats))
+                let nodes = take_u64(&mut v)?;
+                if !v.is_empty() {
+                    take_u64(&mut v)?;
+                    take_u64(&mut v)?;
+                }
+                (k.is_empty() && v.is_empty()).then_some((dkid, DkStats { nodes }))
             }
         }
     }
 
     fn encode_stats(dkid: u64, s: &DkStats) -> (Vec<u8>, Vec<u8>) {
-        let mut v = Vec::with_capacity(6);
-        for n in [s.nodes, s.docs, s.fanout] {
-            put_varint(&mut v, n.into());
-        }
+        let mut v = Vec::with_capacity(2);
+        put_varint(&mut v, s.nodes.into());
         (Key::new().uint(dkid.into()).as_slice().to_vec(), v)
     }
 }
@@ -329,6 +334,12 @@ impl Segment {
             stats_tree,
             pool,
         })
+    }
+
+    /// Whether the segment packs a statistics tree (every segment written
+    /// since the planner came does).
+    pub(crate) fn keeps_stats(&self) -> bool {
+        self.stats_tree.is_some()
     }
 
     /// The format version the segment's header declares.
@@ -683,20 +694,10 @@ impl SegmentBuilder {
         self.label();
         let codec = Codec::V2;
 
-        // Exact per-dkid planner statistics from the labeled trie: node
-        // and fanout counts from the nodes themselves, doc postings from
-        // the sequence end points. (An `end == 0` document is empty — its
-        // posting hangs off the virtual root, which has no dkey.)
+        // Exact per-dkid planner statistics: the labeled trie's nodes.
         let mut stats: BTreeMap<u64, DkStats> = BTreeMap::new();
         for node in &self.trie[1..] {
-            let e = stats.entry(node.dkid).or_default();
-            e.nodes += 1;
-            e.fanout += node.children.len() as u64;
-        }
-        for &(_, end) in &self.doc_ends {
-            if end != 0 {
-                stats.entry(self.trie[end].dkid).or_default().docs += 1;
-            }
+            stats.entry(node.dkid).or_default().nodes += 1;
         }
 
         // The smallest pool is one shard, and it evicts the pages of the
@@ -893,20 +894,24 @@ pub(crate) mod tests {
         assert_eq!(Codec::V1.decode_dkid(&300u64.to_le_bytes()), Some(300));
         assert_eq!(Codec::V2.decode_dkid(&300u64.to_le_bytes()), None);
         assert_eq!(Codec::V1.decode_dkid(&[1, 2]), None);
-        let stats = DkStats {
-            nodes: 4_000,
-            docs: 0,
-            fanout: 129,
-        };
+        let stats = DkStats { nodes: 4_000 };
         let (k, v) = Codec::encode_stats(300, &stats);
-        assert_eq!((k.len(), v.len()), (3, 5));
-        let decoded = Codec::V2.decode_stats(&k, &v).unwrap();
-        assert_eq!(
-            (decoded.0, decoded.1.nodes, decoded.1.docs, decoded.1.fanout),
-            (300, 4_000, 0, 129)
-        );
-        assert!(Codec::V2.decode_stats(&k, &v[..4]).is_none());
+        assert_eq!((k.len(), v.len()), (3, 2));
+        assert_eq!(Codec::V2.decode_stats(&k, &v), Some((300, stats)));
+        assert!(Codec::V2.decode_stats(&k, &v[..1]).is_none());
         assert!(Codec::V1.decode_stats(&k, &v).is_none());
+        // An older format-2 record: `nodes`, then the two dropped counters.
+        let old = [&v[..], &[0], &[129, 1]].concat();
+        assert_eq!(Codec::V2.decode_stats(&k, &old), Some((300, stats)));
+        for bad in [&old[..4], &old[..3], &[&old[..], &[0]].concat()] {
+            assert!(Codec::V2.decode_stats(&k, bad).is_none(), "{bad:?}");
+        }
+        // A format-1 record: `u64` LE counters behind a big-endian dkid.
+        let v1 = [4_000u64, 0, 129].map(u64::to_le_bytes).concat();
+        let v1_key = 300u64.to_be_bytes();
+        assert_eq!(Codec::V1.decode_stats(&v1_key, &v1), Some((300, stats)));
+        assert!(Codec::V1.decode_stats(&v1_key, &v1[..16]).is_none());
+        assert!(Codec::V1.decode_stats(&k, &v1).is_none());
     }
 
     #[test]

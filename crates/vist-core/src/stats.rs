@@ -4,8 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use vist_storage::{IoStats, PoolStats};
 
-use crate::search::QueryStats;
-
 /// The registry counter of the ingest counter `$name`.
 macro_rules! ingest_metric {
     ($name:ident) => {
@@ -144,10 +142,6 @@ ingest_counters! {
         /// Underflows that borrowed from a non-parent ancestor (the paper's
         /// lossy case — affected chains may be missed by scope-range queries).
         pub deep_borrows: u64,
-        /// The match engine's counters summed over every query this handle
-        /// has run, in every tier (the `io_*` fields stay zero: attribution
-        /// is per request).
-        pub queries: QueryStats,
         /// Total bytes of the backing store (the "index size" of Figure 11a).
         pub store_bytes: u64,
         /// Cumulative I/O counters of the shared buffer pool — **since the

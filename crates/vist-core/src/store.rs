@@ -13,7 +13,7 @@
 //! counters so the index can be reopened; a compaction's delta clear resets
 //! the pager and allocates it first again.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -131,8 +131,9 @@ pub struct Store {
     /// Counters, behind a lock so mutators can take `&self` (see
     /// [`Store::meta`] / [`Store::meta_mut`]).
     meta: RwLock<Meta>,
-    /// Planner statistics (per-dkid entry counts / doc postings / fanout).
-    dkstats: RwLock<DeltaStats>,
+    /// Planner statistics: the S-Ancestor entries of each dkid, counted
+    /// from the tree at open and kept current by the insert walk.
+    dkstats: RwLock<HashMap<u64, DkStats>>,
     meta_page: PageId,
     persisted_symbols: AtomicUsize,
 }
@@ -148,22 +149,9 @@ const AUX_STATS: u8 = 4;
 /// tombstone and the masked document, and its delta reset is what reclaims
 /// their pages.
 const AUX_TOMB: u8 = 5;
-/// Per-D-Ancestor-entry planner statistics ([`DkStats`]): key is tag ‖
-/// dkid. Maintained incrementally by the insert hooks, persisted at
-/// flush. (Files written before the DocId strategy choice went also hold a
-/// record under the tag alone; nothing reads it.)
-const AUX_DKSTATS: u8 = 6;
-
-/// In-memory planner statistics for the delta, mirrored to `aux` at flush.
-/// Bulk loads reset the per-dkid map with what can be derived from their
-/// input (node counts) and document/fanout columns start over at zero —
-/// estimates degrade planner ordering, never correctness.
-#[derive(Debug, Default)]
-struct DeltaStats {
-    map: HashMap<u64, DkStats>,
-    /// Entries touched since the last flush.
-    dirty: HashSet<u64>,
-}
+// Tag 6 is retired: files written before the delta counted its planner
+// statistics at open hold them there. Nothing reads them, and a
+// compaction's reset drops them.
 
 impl Store {
     /// Create a fresh store in `pool`.
@@ -187,7 +175,7 @@ impl Store {
             edges,
             aux,
             meta: RwLock::new(Meta::fresh(lambda, adaptive, store_documents)),
-            dkstats: RwLock::new(DeltaStats::default()),
+            dkstats: RwLock::new(HashMap::new()),
             meta_page,
             persisted_symbols: AtomicUsize::new(0),
         };
@@ -243,11 +231,11 @@ impl Store {
             edges,
             aux,
             meta: RwLock::new(meta),
-            dkstats: RwLock::new(DeltaStats::default()),
+            dkstats: RwLock::new(HashMap::new()),
             meta_page,
             persisted_symbols: AtomicUsize::new(0),
         };
-        store.load_dkid_stats()?;
+        *store.dkstats.write() = store.count_dkid_stats()?;
         let (table, order) = store.load_table_and_order()?;
         store
             .persisted_symbols
@@ -309,85 +297,47 @@ impl Store {
                 self.aux.insert(k.as_slice(), n.as_bytes())?;
             }
         }
-        self.persist_dkid_stats()?;
         self.write_meta()?;
         self.pool.flush()?;
         Ok(())
     }
 
-    /// Write dirty planner-statistics entries to `aux` so they survive
-    /// reopen.
-    fn persist_dkid_stats(&self) -> Result<()> {
-        // Snapshot under the lock, write outside it: aux inserts must not
-        // run while the stats lock is held (insert hooks take it too).
-        // Sorted so the write pattern (and hence the page-level I/O trace)
-        // is deterministic for a given workload — the crash sweep relies
-        // on identical runs producing identical op sequences.
-        let dirty = {
-            let mut st = self.dkstats.write();
-            let mut dirty: Vec<(u64, DkStats)> = st
-                .dirty
-                .iter()
-                .map(|&id| (id, st.map.get(&id).copied().unwrap_or_default()))
-                .collect();
-            dirty.sort_unstable_by_key(|&(id, _)| id);
-            st.dirty.clear();
-            dirty
-        };
-        for (id, s) in dirty {
-            let mut k = KeyWriter::with_capacity(9);
-            k.u8(AUX_DKSTATS).u64(id);
-            let mut v = [0u8; 24];
-            v[0..8].copy_from_slice(&s.nodes.to_le_bytes());
-            v[8..16].copy_from_slice(&s.docs.to_le_bytes());
-            v[16..24].copy_from_slice(&s.fanout.to_le_bytes());
-            self.aux.insert(k.as_slice(), &v)?;
-        }
-        Ok(())
-    }
-
-    /// Load persisted planner statistics.
-    fn load_dkid_stats(&self) -> Result<()> {
-        let mut st = self.dkstats.write();
-        for item in self.aux.scan_prefix(&[AUX_DKSTATS])? {
-            let (k, v) = item?;
-            if k.len() == 1 {
-                // The totals record of an older file.
-                continue;
-            }
-            let (id, stats) = decode_dkstats(&k[1..], &v).ok_or_else(|| malformed("aux", &k))?;
-            st.map.insert(id, stats);
-        }
-        Ok(())
-    }
-
     // ----- planner statistics -----
+
+    /// The planner statistics of every dkid, from one key-order pass over
+    /// the S-Ancestor tree: the length of each run of keys that share their
+    /// eight-byte dkid prefix.
+    fn count_dkid_stats(&self) -> Result<HashMap<u64, DkStats>> {
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
+            |k, _| Some(u64::from_be_bytes(k.get(..8)?.try_into().ok()?)),
+            |_, dkid| {
+                match runs.last_mut() {
+                    Some((last, nodes)) if *last == dkid => *nodes += 1,
+                    _ => runs.push((dkid, 1)),
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        self.sancestor.for_each_in(.., visit)?;
+        refuse("sancestor", bad)?;
+        Ok(runs
+            .into_iter()
+            .map(|(dkid, nodes)| (dkid, DkStats { nodes }))
+            .collect())
+    }
 
     /// Planner statistics for one D-Ancestor entry of the delta.
     #[must_use]
     pub fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
-        self.dkstats.read().map.get(&dkid).copied()
+        self.dkstats.read().get(&dkid).copied()
     }
 
     /// Record an S-Ancestor node added under `dkid`.
     pub(crate) fn stats_node_added(&self, dkid: u64) {
-        let mut st = self.dkstats.write();
-        st.map.entry(dkid).or_default().nodes += 1;
-        st.dirty.insert(dkid);
-    }
-
-    /// Record a child node allocated under one of `parent_dkid`'s nodes.
-    pub(crate) fn stats_child_added(&self, parent_dkid: u64) {
-        let mut st = self.dkstats.write();
-        st.map.entry(parent_dkid).or_default().fanout += 1;
-        st.dirty.insert(parent_dkid);
-    }
-
-    /// Record a DocId posting attached to one of `dkid`'s nodes.
-    pub(crate) fn stats_doc_added(&self, dkid: u64) {
-        let mut st = self.dkstats.write();
-        st.map.entry(dkid).or_default().docs += 1;
-        st.dirty.insert(dkid);
+        self.dkstats.write().entry(dkid).or_default().nodes += 1;
     }
 
     fn load_table_and_order(&self) -> Result<(SymbolTable, SiblingOrder)> {
@@ -644,7 +594,7 @@ impl Store {
             tree.clear()?;
         }
         self.persisted_symbols.store(0, Ordering::Relaxed);
-        *self.dkstats.write() = DeltaStats::default();
+        self.dkstats.write().clear();
         let mut meta = self.meta.write();
         meta.next_dkey = 0;
         meta.root = NodeState {
@@ -721,19 +671,6 @@ pub(crate) fn decode_docid(k: &[u8]) -> Option<(u128, DocId)> {
         u128::from_be_bytes(k[..16].try_into().ok()?),
         u64::from_be_bytes(k[16..].try_into().ok()?),
     ))
-}
-
-/// A statistics record `dkey-id → (nodes, docs, fanout)`: the eight-byte key
-/// and 24-byte value that [`Store::persist_dkid_stats`] writes after its tag
-/// byte, and that a format-1 segment's statistics tree holds.
-pub(crate) fn decode_dkstats(k: &[u8], v: &[u8]) -> Option<(u64, DkStats)> {
-    let le = |at: usize| Some(u64::from_le_bytes(v.get(at..at + 8)?.try_into().ok()?));
-    let stats = DkStats {
-        nodes: le(0)?,
-        docs: le(8)?,
-        fanout: le(16)?,
-    };
-    (v.len() == 24).then_some((u64::from_be_bytes(k.try_into().ok()?), stats))
 }
 
 /// The error for a record of the delta's `tree` that no writer of it
@@ -852,8 +789,8 @@ pub struct StoreBreakdown {
     pub edges: vist_btree::TreeStats,
     /// Symbol table / order / stored documents.
     pub aux: vist_btree::TreeStats,
-    /// The packed statistics tree (segments only — the delta keeps its
-    /// planner statistics inside `aux`).
+    /// The packed statistics tree (segments only — the delta counts its
+    /// planner statistics at open and keeps them in memory).
     pub stats: vist_btree::TreeStats,
 }
 
@@ -1098,7 +1035,7 @@ mod tests {
         }
         let order = SiblingOrder::Dtd(vec!["seller".into(), "item".into()]);
         s.flush(&table, &order).unwrap();
-        assert!(s.aux.scan_prefix(&[AUX_DKSTATS]).unwrap().next().is_some());
+        assert_eq!(s.dkid_stats(id), Some(DkStats { nodes: 1 }));
         s.clear_delta(1).unwrap();
         assert_eq!(s.dkey_get(b"k").unwrap(), None);
         assert_eq!(s.node_get(id, 5).unwrap(), None);
@@ -1123,9 +1060,38 @@ mod tests {
             assert_eq!(got.lookup(name), table.lookup(name), "{name}");
         }
         assert!(matches!(got_order, SiblingOrder::Dtd(v) if v == ["seller", "item"]));
-        assert!(s.aux.scan_prefix(&[AUX_DKSTATS]).unwrap().next().is_none());
         assert_eq!(s.dkid_stats(id), None);
         assert_eq!(s.meta().delta_epoch, 1);
+    }
+
+    #[test]
+    fn a_flush_writes_no_statistics_and_a_reopen_counts_them() {
+        let s = mem_store();
+        let (a, b) = (
+            s.dkey_get_or_create(b"a").unwrap(),
+            s.dkey_get_or_create(b"b").unwrap(),
+        );
+        // Keys sort by dkid first: runs of `a`, then of `b`, with a label
+        // of `b` between two of `a`'s.
+        for (dkid, n) in [(a, 10), (b, 20), (a, 30), (a, 40), (b, 50)] {
+            let state = NodeState {
+                n,
+                size: 1,
+                next: n + 1,
+                k: 0,
+            };
+            s.node_put(dkid, &state).unwrap();
+            s.stats_node_added(dkid);
+        }
+        let unused = s.dkey_get_or_create(b"c").unwrap();
+        s.flush(&SymbolTable::new(), &SiblingOrder::Lexicographic)
+            .unwrap();
+        // Tag 6 held the statistics records of older files.
+        assert!(s.aux.scan_prefix(&[6]).unwrap().next().is_none());
+        let counts = |s: &Store| [a, b, unused].map(|id| s.dkid_stats(id).map(|st| st.nodes));
+        assert_eq!(counts(&s), [Some(3), Some(2), None]);
+        let (reopened, ..) = Store::open(Arc::clone(s.pool()), s.meta_page).unwrap();
+        assert_eq!(counts(&reopened), counts(&s));
     }
 
     #[test]

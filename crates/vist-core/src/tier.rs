@@ -226,7 +226,7 @@ impl VistIndex {
             let tombs = self.store.tomb_ids()?;
             let (mut keys, mut docs) = (Vec::new(), Vec::new());
             for (t, (seg_id, source)) in self.tiers(&segments).enumerate() {
-                let (tier_keys, tier_docs) = tier_paths(source, &tier_name(seg_id), &tombs)?;
+                let (tier_keys, tier_docs, _) = tier_paths(source, &tier_name(seg_id), &tombs)?;
                 docs.extend(tier_docs.into_iter().map(|(doc, path)| (doc, t, path)));
                 keys.push(tier_keys);
             }
@@ -428,7 +428,6 @@ impl VistIndex {
         // Timed between the tiers' own spans: one visit, grafted.
         total.timings.merge_nanos += union_nanos;
         vist_obs::span::attach(vist_obs::SpanNode::leaf("merge", union_nanos, 1));
-        self.totals.lock().merge(&total.stats);
         total.stats.publish();
         Ok((total, plans))
     }
@@ -503,16 +502,17 @@ fn live_postings(source: &dyn SearchSource, tombs: &[DocId]) -> Result<Vec<(u128
     Ok(out)
 }
 
-/// One tier's D-Ancestor keys, and its live documents as paths into them.
-pub(crate) type TierPaths = (Vec<Vec<u8>>, Vec<(DocId, Vec<u32>)>);
+/// One tier's D-Ancestor keys, its live documents as paths into them, and
+/// `(dkey-id, S-Ancestor entries)` of every key, by id.
+pub(crate) type TierPaths = (Vec<Vec<u8>>, Vec<(DocId, Vec<u32>)>, Vec<(u64, u64)>);
 
 /// The record walk of compaction and [`VistIndex::check`]: the index is the
 /// trie of the documents' sequences (paper §3.3), so read it back through
-/// [`SearchSource`]: the D-Ancestor keys, each key's S-Ancestor entries,
-/// sorted by label. Labels nest, so the innermost scope open at an entry's
-/// label is its parent's, and a live DocId entry's path runs down to the
-/// entry its label names (label 0, the virtual root, is an empty path). A
-/// label held twice, a scope that starts inside another and ends past it or
+/// [`SearchSource`]: the D-Ancestor keys, each key's S-Ancestor entries
+/// (counted for [`stats_mismatch`]), sorted by label. Labels nest, so the
+/// innermost scope open at an entry's label is its parent's, and a live
+/// DocId entry's path runs down to the entry its label names (label 0, the
+/// virtual root, is an empty path). A label held twice, a scope that starts inside another and ends past it or
 /// a posting at no entry's label is [`Error::Corrupt`] naming `tier`.
 pub(crate) fn tier_paths(
     source: &dyn SearchSource,
@@ -530,12 +530,14 @@ pub(crate) fn tier_paths(
     })?;
     // By id, the S-Ancestor tree's first key component: one forward walk.
     ids.sort_unstable();
-    let mut nodes = Vec::new();
+    let (mut nodes, mut entries) = (Vec::new(), Vec::with_capacity(ids.len()));
     for (id, key) in ids {
+        let before = nodes.len();
         source.nodes_in_scopes(id, &[(0, MAX_SCOPE)], &mut |node| {
             nodes.push((node.n, node.end(), key));
             ControlFlow::Continue(())
         })?;
+        entries.push((id, (nodes.len() - before) as u64));
     }
     nodes.sort_unstable_by_key(|&(n, ..)| n);
     // `parent[i]` is one past the index of entry `i`'s parent; 0 for none.
@@ -571,7 +573,19 @@ pub(crate) fn tier_paths(
         path.reverse();
         docs.push((doc, path));
     }
-    Ok((keys, docs))
+    Ok((keys, docs, entries))
+}
+
+/// The first key whose planner statistics do not count the S-Ancestor
+/// entries [`tier_paths`] found under it, as `vist check` reports it. A key
+/// without statistics counts none.
+pub(crate) fn stats_mismatch(source: &dyn SearchSource, entries: &[(u64, u64)]) -> Option<String> {
+    entries.iter().find_map(|&(dkid, held)| {
+        let counted = source.dkid_stats(dkid).map_or(0, |s| s.nodes);
+        (counted != held).then(|| {
+            format!("dkey {dkid}: the planner counts {counted} S-Ancestor entries, the tree holds {held}")
+        })
+    })
 }
 
 #[cfg(test)]
@@ -701,6 +715,62 @@ mod tests {
         assert_eq!(table.len(), idx.table().len(), "the text holds no new name");
         let seg = b.finish(&RealVfs, path, 0, 64);
         seg.unwrap().expect("live documents")
+    }
+
+    /// Every tier's planner statistics count its S-Ancestor entries key by
+    /// key — the delta's incarnations too — before a reopen, after it (the
+    /// delta counts its tree again) and after a compaction; `check` reports
+    /// a count that drifts.
+    #[test]
+    fn planner_statistics_count_every_tiers_s_ancestor_entries() {
+        for corpus in corpora() {
+            let name = corpus.name;
+            let dir = TempDir::new("vist-core-tier-stats");
+            let path = dir.file("idx.vist");
+            let idx = VistIndex::create_file(&path, corpus.opts.clone()).unwrap();
+            let (docs, split) = (&corpus.docs, corpus.delta_from);
+            idx.bulk_build(&docs[..split / 2]).unwrap();
+            idx.bulk_build(&docs[split / 2..split]).unwrap();
+            for xml in &docs[split..] {
+                idx.insert_xml(xml).unwrap();
+            }
+            if name == "borrow" {
+                assert!(idx.stats().deep_borrows > 1, "{name}");
+            }
+            let counted = |idx: &VistIndex, when: &str| {
+                let segments = idx.tier.segments();
+                let mut tiers = 0;
+                for (seg_id, source) in idx.tiers(&segments) {
+                    let tier = tier_name(seg_id);
+                    let (.., entries) = tier_paths(source, &tier, &[]).unwrap();
+                    // A compaction leaves the delta empty.
+                    assert!(
+                        seg_id.is_none() || !entries.is_empty(),
+                        "{name} {when}: {tier}"
+                    );
+                    for (dkid, held) in entries {
+                        let counted = source.dkid_stats(dkid).map_or(0, |s| s.nodes);
+                        assert_eq!(counted, held, "{name} {when}: {tier} dkey {dkid}");
+                    }
+                    tiers += 1;
+                }
+                let report = idx.check().unwrap();
+                assert_eq!(report.matches(" statistics ok").count(), tiers, "{report}");
+            };
+            counted(&idx, "before a reopen");
+            let (.., entries) = tier_paths(&idx.store, "delta", &[]).unwrap();
+            idx.store.stats_node_added(entries[0].0);
+            let Err(Error::Corrupt(report)) = idx.check() else {
+                panic!("{name}: check passed a count one too high");
+            };
+            assert!(report.contains("delta statistics CORRUPT"), "{report}");
+            idx.flush().unwrap();
+            drop(idx);
+            let idx = VistIndex::open_file(&path, 64).unwrap();
+            counted(&idx, "after a reopen");
+            idx.compact().unwrap();
+            counted(&idx, "after a compaction");
+        }
     }
 
     #[test]

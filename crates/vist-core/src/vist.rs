@@ -32,7 +32,7 @@ use crate::search::{QueryStats, SearchMode, SearchOptions, StageTimings};
 use crate::segment::{Segment, SegmentBreakdown};
 use crate::stats::{IndexStats, IngestCounters};
 use crate::store::{DocId, Store, StoreBreakdown};
-use crate::tier::{parse_stored, tier_name, tier_paths, Tier};
+use crate::tier::{parse_stored, stats_mismatch, tier_name, tier_paths, Tier};
 
 /// Configuration for creating an index.
 #[derive(Debug, Clone)]
@@ -42,7 +42,7 @@ pub struct IndexOptions {
     pub page_size: usize,
     /// Buffer-pool capacity, in pages.
     pub cache_pages: usize,
-    /// Scope-allocation λ (expected fanout).
+    /// Scope-allocation λ (expected fan-out).
     pub lambda: u64,
     /// Grow the allocation divisor with child count (prevents hot-node
     /// scope exhaustion; see `alloc`).
@@ -202,8 +202,6 @@ pub struct VistIndex {
     /// applied) batch. Nothing else removes anything: a removal is a
     /// tombstone, an insert.
     pub(crate) maintenance: RwLock<()>,
-    /// Counters of every query run so far, summed.
-    pub(crate) totals: Mutex<QueryStats>,
     /// Cumulative batched-ingest counters across all `insert_batch` calls.
     pub(crate) ingest_counters: IngestCounters,
     /// Immutable packed segments beneath the mutable delta (none for an
@@ -334,7 +332,6 @@ impl VistIndex {
             alloc: Mutex::new(alloc),
             writer: Mutex::new(()),
             maintenance: RwLock::new(()),
-            totals: Mutex::new(QueryStats::default()),
             ingest_counters: IngestCounters::default(),
             tier,
         }
@@ -388,7 +385,6 @@ impl VistIndex {
             dkeys: meta.next_dkey,
             underflows: meta.underflows,
             deep_borrows: meta.deep_borrows,
-            queries: *self.totals.lock(),
             store_bytes: self.store.store_bytes(),
             io: self.store.pool().stats(),
             pool: self.store.pool().pool_stats(),
@@ -420,9 +416,10 @@ impl VistIndex {
     /// Verify the structural invariants of every B+Tree in the index (key
     /// order, node bounds, uniform depth, leaf chains; for the packed trees
     /// of each segment, the in-memory fence array against the pages), every
-    /// tier's label nesting and basic meta
-    /// consistency. Returns a human-readable report when everything is
-    /// clean, or [`Error::Corrupt`] carrying the report when it is not.
+    /// tier's label nesting, its planner statistics against its S-Ancestor
+    /// entries, and basic meta consistency. Returns a human-readable report
+    /// when everything is clean, or [`Error::Corrupt`] carrying the report
+    /// when it is not.
     /// Backs the `vist check` CLI command; intended to run after a crash
     /// recovery.
     pub fn check(&self) -> Result<String> {
@@ -447,11 +444,21 @@ impl VistIndex {
             }
         }
         for (seg_id, source) in self.tiers(&segments) {
-            let problem = tier_paths(source, &tier_name(seg_id), &[]).err();
-            line(
-                format_args!("{} labels", tier_name(seg_id)),
-                problem.map(|e| e.to_string()),
-            );
+            let tier = tier_name(seg_id);
+            match tier_paths(source, &tier, &[]) {
+                Err(e) => line(format_args!("{tier} labels"), Some(e.to_string())),
+                Ok((.., entries)) => {
+                    line(format_args!("{tier} labels"), None);
+                    // A segment packed before the statistics tree has none.
+                    let unkept = segments
+                        .iter()
+                        .any(|seg| Some(seg.id) == seg_id && !seg.keeps_stats());
+                    if !unkept {
+                        let problem = stats_mismatch(source, &entries);
+                        line(format_args!("{tier} statistics"), problem);
+                    }
+                }
+            }
         }
         let mut s = IndexStats::default();
         self.count_segments(&mut s, &segments);

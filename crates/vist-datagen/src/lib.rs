@@ -21,7 +21,7 @@
 //! * [`treebank`] — deep recursive parse-tree records (the classic `//`
 //!   stress workload, used by the depth ablation);
 //! * [`synthetic`] — the §4 generator, verbatim: random connected
-//!   L-node subtrees of a conceptual height-k, fanout-j tree, with random
+//!   L-node subtrees of a conceptual height-k, fan-out-j tree, with random
 //!   query generation "in the same way".
 //!
 //! All generators are fully deterministic given a seed.

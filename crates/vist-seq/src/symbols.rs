@@ -131,35 +131,6 @@ impl SymbolTable {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Serialize to bytes (length-prefixed names in id order) so an on-disk
-    /// index can persist its table.
-    #[must_use]
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
-        for n in &self.names {
-            out.extend_from_slice(&(n.len() as u32).to_le_bytes());
-            out.extend_from_slice(n.as_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`SymbolTable::serialize`].
-    #[must_use]
-    pub fn deserialize(buf: &[u8]) -> Option<Self> {
-        let mut table = SymbolTable::new();
-        let count = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
-        let mut pos = 4;
-        for _ in 0..count {
-            let len = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().ok()?) as usize;
-            pos += 4;
-            let name = std::str::from_utf8(buf.get(pos..pos + len)?).ok()?;
-            pos += len;
-            table.intern(name);
-        }
-        Some(table)
-    }
 }
 
 /// Anything that can intern a name into a [`Symbol`].
@@ -327,20 +298,5 @@ mod tests {
         assert_eq!(ov.overlay_len(), 1);
         assert_eq!(base.len(), before, "base untouched");
         assert_eq!(base.lookup("query_only"), None);
-    }
-
-    #[test]
-    fn table_serialization_roundtrip() {
-        let mut t = SymbolTable::new();
-        for n in ["purchase", "seller", "item", "名前"] {
-            t.intern(n);
-        }
-        let bytes = t.serialize();
-        let t2 = SymbolTable::deserialize(&bytes).unwrap();
-        assert_eq!(t2.len(), 4);
-        for n in ["purchase", "seller", "item", "名前"] {
-            assert_eq!(t2.lookup(n), t.lookup(n), "{n}");
-        }
-        assert!(SymbolTable::deserialize(&bytes[..bytes.len() - 1]).is_none());
     }
 }

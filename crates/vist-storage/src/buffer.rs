@@ -387,9 +387,10 @@ impl BufferPool {
 
     /// Write all dirty cached pages back and sync the backing store.
     ///
-    /// The dirty frames go to the pager in shard and CLOCK-ring order,
-    /// [`chunk_pages`] of them through each [`Pager::write_many`], outside
-    /// the shard locks so concurrent fetches are not stalled by I/O. A
+    /// The dirty frames go to the pager sorted by page id, so that a run of
+    /// consecutive pages reaches it as one, [`chunk_pages`] of them through
+    /// each [`Pager::write_many`], outside the shard locks so concurrent
+    /// fetches are not stalled by I/O. A
     /// frame's dirty bit is cleared only after the pager has taken its
     /// image, under the frame latch the image was read under: a frame that
     /// reads clean can be evicted and re-read from the pager without losing
@@ -406,6 +407,8 @@ impl BufferPool {
                     .map(|f| (s, Arc::clone(f))),
             );
         }
+        // A frame's page id never changes, so the order holds.
+        dirty.sort_unstable_by_key(|(_, f)| f.pid);
         let mut rest = &dirty[..];
         while !rest.is_empty() {
             let chunk = rest.len().min(chunk_pages(self.page_size));
@@ -799,6 +802,7 @@ mod tests {
                 .filter(|f| f.dirty.load(Ordering::Acquire));
             pids.extend(dirty.map(|f| f.pid));
         }
+        pids.sort_unstable();
         pids
     }
 

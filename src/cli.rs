@@ -419,9 +419,6 @@ fn stats(a: &mut Args) -> Result<String, String> {
     writeln!(out, "tombstones:           {}", s.tombstones).unwrap();
     writeln!(out, "tight underflows:     {}", s.underflows).unwrap();
     writeln!(out, "node incarnations:    {}", s.deep_borrows).unwrap();
-    for (label, total) in s.queries.stats_lines() {
-        writeln!(out, "{:<22}{total}", format!("{label}:")).unwrap();
-    }
     writeln!(out, "ingest batches:       {}", s.ingest_batches).unwrap();
     writeln!(out, "ingest batch docs:    {}", s.ingest_batch_docs).unwrap();
     writeln!(
@@ -1129,6 +1126,7 @@ mod tests {
         let out = cmd(&format!("check {index}")).unwrap();
         assert!(out.contains("tree dancestor ok"), "{out}");
         assert!(out.contains("delta labels ok"), "{out}");
+        assert!(out.contains("delta statistics ok"), "{out}");
         assert!(out.trim_end().ends_with("ok"), "{out}");
         let out = cmd(&format!("recover {index}")).unwrap();
         assert!(out.contains("recovered"), "{out}");
@@ -1148,7 +1146,6 @@ mod tests {
         let out = cmd(&format!("stats {index}")).unwrap();
         assert!(out.contains("documents:            2"), "{out}");
         assert!(out.contains("buffer pool:"), "{out}");
-        assert!(out.contains("match work items:"), "{out}");
         assert!(out.contains("wal appends:"), "{out}");
         assert!(out.contains("wal commits:"), "{out}");
         assert!(out.contains("checkpoints:"), "{out}");
@@ -1323,12 +1320,6 @@ mod tests {
         ]
         .map(String::from)
         .to_vec();
-        expected.extend(
-            crate::QueryStats::default()
-                .stats_lines()
-                .into_iter()
-                .map(|(label, _)| label.to_string()),
-        );
         expected.extend(
             [
                 "ingest batches",

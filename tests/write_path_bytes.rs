@@ -128,17 +128,17 @@ fn the_write_path_leaves_the_pinned_bytes() {
     let index = std::fs::read(dir.file("index")).unwrap();
     assert_ne!(fnv1a(&index), fnv1a(&flip_and_reseal(&index, 1)));
     let want_batches = [
-        ("index", 4_994_568, 0x19ec_bd26_1377_b43c),
+        ("index", 4_440_528, 0xa2b5_87b5_6a30_8521),
         ("index.manifest", 8_192, 0x1c75_b882_d867_f5a0),
-        ("index.seg-1", 414_504, 0x23c6_e0b1_5c28_3f31),
-        ("index.wal", 20_582, 0x0bbe_8b27_6e07_686d),
+        ("index.seg-1", 406_296, 0xf9d5_7cb0_9db7_2c15),
+        ("index.wal", 20_582, 0x3d50_ecec_7ce5_2276),
     ];
     let want_end = [
         // The compaction's delta reset leaves the meta page, five empty
         // roots and the aux records of the globals.
         ("index", 28_728, 0x89a5_747e_6a03_7db3),
         ("index.manifest", 8_192, 0xf688_099a_5763_6dc1),
-        ("index.seg-3", 1_083_456, 0xb23e_e79a_be02_5044),
+        ("index.seg-3", 1_067_040, 0x5bd3_61d9_2c8a_81a2),
         ("index.wal", 16, 0xe064_561d_4a38_3df4),
     ];
     for (at, got, want) in [
@@ -235,8 +235,11 @@ impl Vfs for Counting {
 
 /// During a `bulk_build` and during a `compact`, the bytes written to the
 /// new segment file are its length and one frame more (each frame once, the
-/// file's header frame at creation and again at the seal), in a few writes of up
-/// to a chunk, and no segment log is opened. Large writes matter after the
+/// file's header frame at creation and again at the seal), and no segment log
+/// is opened. The pool's last flush hands its frames over by page id, so the
+/// file takes one write a chunk of the build's run and four more: the file
+/// header twice, the segment header (page 1, written at the end) and the
+/// tail of the run after it. Large writes matter after the
 /// build too: the page cache keeps a file written a frame per call in
 /// small units, and every later read of it pays for that.
 #[test]
@@ -265,7 +268,7 @@ fn a_segment_is_written_once() {
             t.written_bytes
         );
         let chunks = len.div_ceil(1 << 20);
-        assert!(t.writes <= 2 * chunks + 4, "{op}: {} writes", t.writes);
+        assert!(t.writes <= chunks + 4, "{op}: {} writes", t.writes);
         let logs: Vec<&String> = tally
             .keys()
             .filter(|name| name.contains(".seg-") && name.ends_with(".wal"))
