@@ -1,6 +1,6 @@
 //! Cost of the `vist-obs` instrumentation on the query hot path.
 //!
-//! One binary measures the same query workload in three in-process
+//! One binary measures the same query workload in four in-process
 //! configurations:
 //!
 //!   * **metrics on, tracing off** — the production default (counters,
@@ -113,11 +113,8 @@ fn main() {
         patterns.len()
     );
 
-    let run = |workers: usize, attribution: bool| {
-        let opts = QueryOptions {
-            workers,
-            ..Default::default()
-        };
+    let run = |attribution: bool| {
+        let opts = QueryOptions::default();
         // `passes` repetitions inside the timed region: long enough to
         // resolve a few-percent delta above timer granularity.
         for _ in 0..passes {
@@ -136,36 +133,35 @@ fn main() {
     };
 
     // Warm the buffer pool and symbol table out of the timed region.
-    run(1, false);
+    run(false);
 
     // Interleave the configurations round-robin and keep the per-config
     // minimum: sequential blocks would let clock-frequency or allocator
     // drift masquerade as instrumentation overhead.
-    // (timing on, tracing on, attribution on, workers)
-    let configs: [(bool, bool, bool, usize); 5] = [
-        (true, false, false, 1),
-        (true, false, false, 2),
-        (false, false, false, 1),
-        (true, true, false, 1),
-        (true, false, true, 1),
+    // (timing on, tracing on, attribution on)
+    let configs: [(bool, bool, bool); 4] = [
+        (true, false, false),
+        (false, false, false),
+        (true, true, false),
+        (true, false, true),
     ];
-    let mut mins = [Duration::MAX; 5];
+    let mut mins = [Duration::MAX; 4];
     for round in 0..iters {
         // Rotate the starting configuration so no slot systematically
         // inherits a colder or warmer machine state from its predecessor.
         for k in 0..configs.len() {
             let i = (round + k) % configs.len();
-            let (timing, tracing, attribution, workers) = configs[i];
+            let (timing, tracing, attribution) = configs[i];
             vist_obs::set_timing(timing);
             vist_obs::set_tracing(tracing);
             let t = Instant::now();
-            run(workers, attribution);
+            run(attribution);
             mins[i] = mins[i].min(t.elapsed());
         }
     }
     vist_obs::set_timing(true);
     vist_obs::set_tracing(false);
-    let [off_1, off_2, notime_1, trace_1, attr_1] = mins;
+    let [off_1, notime_1, trace_1, attr_1] = mins;
 
     let rel = |t: Duration| format!("{:.2}", t.as_secs_f64() / off_1.as_secs_f64());
     let rows = vec![
@@ -173,11 +169,6 @@ fn main() {
             "metrics on, tracing off (1 worker)".to_string(),
             ms(off_1),
             "1.00".to_string(),
-        ],
-        vec![
-            "metrics on, tracing off (2 workers)".to_string(),
-            ms(off_2),
-            rel(off_2),
         ],
         vec![
             "timing gate off (1 worker)".to_string(),
@@ -233,7 +224,6 @@ fn main() {
                 "  \"host_cores\": {},\n",
                 "  \"noop_baseline_ms\": {},\n",
                 "  \"metrics_on_tracing_off_1w_ms\": {:.3},\n",
-                "  \"metrics_on_tracing_off_2w_ms\": {:.3},\n",
                 "  \"timing_gate_off_1w_ms\": {:.3},\n",
                 "  \"tracing_on_1w_ms\": {:.3},\n",
                 "  \"attribution_on_1w_ms\": {:.3},\n",
@@ -250,7 +240,6 @@ fn main() {
             std::thread::available_parallelism().map_or(1, |c| c.get()),
             baseline_ms.map_or("null".to_string(), |b| format!("{b:.3}")),
             off_ms,
-            off_2.as_secs_f64() * 1e3,
             notime_1.as_secs_f64() * 1e3,
             trace_1.as_secs_f64() * 1e3,
             attr_ms,

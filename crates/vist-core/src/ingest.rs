@@ -31,6 +31,7 @@
 //! differentially).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use vist_seq::{
@@ -41,7 +42,6 @@ use vist_xml::Document;
 
 use crate::alloc::Allocation;
 use crate::error::{Error, Result};
-use crate::pool::run_workers;
 use crate::store::{DocId, NodeState};
 use crate::vist::VistIndex;
 
@@ -133,12 +133,20 @@ impl VistIndex {
         let base_len = base.len();
         let slots: Vec<Mutex<Option<Result<PreparedDoc>>>> =
             (0..docs.len()).map(|_| Mutex::new(None)).collect();
-        run_workers(threads, (0..docs.len()).collect(), None, |_, queue| {
-            while let Some((i, _)) = queue.take() {
-                let res = prepare_doc(docs[i].as_ref(), &base, &self.order);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-                queue.finish_one();
+        // A parallel-for: each worker, the caller's thread included, takes
+        // the next unprepared index until none is left.
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(doc) = docs.get(i) else { break };
+            let res = prepare_doc(doc.as_ref(), &base, &self.order);
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
+        };
+        std::thread::scope(|s| {
+            for _ in 1..threads.min(docs.len()) {
+                s.spawn(work);
             }
+            work();
         });
         let mut prepared = Vec::with_capacity(docs.len());
         for slot in slots {

@@ -39,7 +39,6 @@ mod error;
 mod ingest;
 mod naive;
 mod plan;
-mod pool;
 mod search;
 mod segment;
 mod stats;
@@ -90,8 +89,6 @@ pub fn register_metrics() {
     let _ = vist_obs::histogram!("vist_core_stage_match_nanos");
     let _ = vist_obs::histogram!("vist_core_stage_merge_nanos");
     let _ = vist_obs::histogram!("vist_core_stage_docid_nanos");
-    let _ = vist_obs::histogram!("vist_core_worker_busy_nanos");
-    let _ = vist_obs::histogram!("vist_core_worker_idle_nanos");
     for op in ["compaction", "checkpoint", "segment_build", "wal_recovery"] {
         let _ = vist_obs::registry::gauge(&format!("vist_bg_{op}_inprogress"));
         let _ = vist_obs::registry::gauge(&format!("vist_bg_{op}_last_duration_ms"));

@@ -26,8 +26,8 @@
 //! ([`SearchSource::nodes_in_scopes`]): a leaf is fetched once however many
 //! scopes fall on it, and the cursor seeks again only for a scope that starts
 //! beyond the leaf it stands on. The hits, ascending, become child frames of
-//! at most [`FRAME_SCOPES`] scopes each. Three things keep the frontier
-//! small and the work shareable:
+//! at most [`FRAME_SCOPES`] scopes each. Two things keep the frontier
+//! small:
 //!
 //! 1. **Containment collapse** — on every position but the last, a hit
 //!    whose scope lies inside one the same sweep already kept is dropped:
@@ -39,13 +39,11 @@
 //! 2. **Dedup** — distinct wildcard expansions that converge on the same
 //!    `(dkey, scope)` sub-problem are detected by a visited set and
 //!    expanded once instead of re-scanning the same subtree.
-//! 3. **Parallelism** — frames are the unit of work of the scoped worker
-//!    pool in [`crate::pool`]: alternative sequences from `translate()`,
-//!    independent D-Ancestor candidate branches and the frames of one large
-//!    sweep run on different workers. A frame is cut where its sweep
-//!    produced it, by a rule that looks at the sweep alone
-//!    ([`frame_scopes`]), and is never split afterwards, so the set of
-//!    sweeps a query performs does not depend on who performs them.
+//!
+//! A frame is cut where its sweep produced it, by a rule that looks at the
+//! sweep alone ([`frame_scopes`]), and is never split afterwards, so the set
+//! of sweeps a query performs does not depend on the order frames are taken
+//! in.
 //!
 //! Final scopes accumulate and are interval-merged before the DocId tree is
 //! consulted, so overlapping `[n, n+size)` scopes from different branches
@@ -55,10 +53,9 @@
 //! leaf once, and the ids they yield are sorted and deduplicated once. That
 //! stage is the same with planning on or off.
 //!
-//! One loop consumes the work-list — [`drive`], the only caller of `expand`.
-//! Every worker runs it over a private depth-first stack fed from the shared
-//! queue of [`crate::pool`]; the caller's thread is worker 0, and at one
-//! worker it is the whole engine. A `limit` is a step of that same loop
+//! One loop consumes the work-list — [`drive`], the only caller of `expand`,
+//! on the caller's thread: the sequences' seed frames in plan order, each
+//! drained depth-first from one stack. A `limit` is a step of that same loop
 //! (resolve the scopes an expansion completed, stop when enough documents
 //! are in hand), not a second loop, and it makes every sweep stop after a
 //! piece of hits and leave the rest to a continuation frame, so a limited
@@ -67,7 +64,7 @@
 //! The inner loop does not allocate per partial match: B+Tree probes stream
 //! through the cursors of a [`SearchSource`] with keys built on the stack,
 //! lookup patterns, decoded prefixes, candidate lists and a sweep's hits
-//! live in per-worker buffers reused from frame to frame, the dedup sets key
+//! live in buffers reused from frame to frame, the dedup sets key
 //! on an interned binding signature, and bindings are shared between frames
 //! through a persistent [`BindNode`] chain. What is allocated is one scope
 //! list per child frame and one `BindNode` per sweep with hits that a later
@@ -78,8 +75,8 @@
 //! its own (`work_items`, `nodes_visited`, `dedup_skips`, `scopes_nested`,
 //! `planner_probe_prunes`, `semijoin_prunes`, the per-step actuals of a
 //! plan report), so
-//! history stays comparable and the counts do not depend on the number of
-//! workers. **Physical** ones count operations issued (`dancestor_gets`,
+//! history stays comparable and the counts do not depend on the size of a
+//! frame. **Physical** ones count operations issued (`dancestor_gets`,
 //! `dancestor_scans`, `dkeys_matched`, `sancestor_scans` — sweeps), which
 //! happen once a frame. Under a `limit` the logical counts cover the work
 //! done before the stop: a continuation's scopes are not counted again as
@@ -132,7 +129,7 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use vist_query::{QueryElem, QuerySequence};
@@ -140,7 +137,6 @@ use vist_seq::{dkey, PathSym, Prefix, Sym, Symbol};
 
 use crate::error::{Error, Result};
 use crate::plan::{self, est_nodes, PlanReport, SemiJoin, SeqPlan};
-use crate::pool;
 use crate::store::{DocId, NodeState};
 
 /// Cheap per-D-Ancestor-entry statistics driving the planner. The delta
@@ -268,9 +264,6 @@ query_stats! {
         /// Partial matches expanded by the work-list engine: the scopes of
         /// every frame it took up.
         work_items,
-        /// Frames executed after being donated through the shared queue —
-        /// work transferred between workers.
-        steals,
         /// Final scopes coalesced away by interval merging before DocId
         /// resolution (raw matched scopes minus DocId range queries issued).
         scopes_merged,
@@ -338,7 +331,7 @@ pub struct StageTimings {
     /// probes, selectivity ordering.
     pub plan_nanos: u64,
     /// The work-list match loop (D-Ancestor candidates + S-Ancestor
-    /// range scans), across all workers, in wall-clock time.
+    /// range scans), in wall-clock time.
     pub match_nanos: u64,
     /// Final-scope sort/dedup/interval-merge, and the index's tier union.
     pub merge_nanos: u64,
@@ -389,20 +382,17 @@ pub enum SearchMode {
 /// Knobs for one [`search_sequences`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
-    /// Match-engine worker threads, the caller's included (`<= 1` is the
-    /// caller alone).
-    pub workers: usize,
     /// Resolve documents or collect scopes.
     pub mode: SearchMode,
     /// Seeded frame scheduling (the `vist-sim` hook); `None` is the
-    /// default depth-first/FIFO order.
+    /// default depth-first order.
     pub schedule_seed: Option<u64>,
     /// Cost-based planning (see the module docs). On by default; turning
     /// it off restores the naive fixed-preorder engine for bisection.
     pub plan: bool,
     /// Stop after this many distinct documents ([`SearchMode::Docs`]
-    /// only). Runs on one worker, which resolves each completed scope as
-    /// soon as it is matched; the result is a subset of the unlimited
+    /// only). The match loop resolves each completed scope as soon as it
+    /// is matched; the result is a subset of the unlimited
     /// answer of size `min(limit, total)`.
     pub limit: Option<usize>,
     /// Attach a per-step [`PlanReport`] (estimated vs actual
@@ -421,7 +411,6 @@ pub struct SearchOptions {
 impl Default for SearchOptions {
     fn default() -> Self {
         SearchOptions {
-            workers: 1,
             mode: SearchMode::Docs,
             schedule_seed: None,
             plan: true,
@@ -449,7 +438,7 @@ pub struct SearchOutcome {
     /// tree was queried with, or under a `limit` the scopes it resolved,
     /// unmerged and in expansion order.
     pub scopes: Vec<(u128, u128)>,
-    /// Search instrumentation, merged across workers.
+    /// Search instrumentation.
     pub stats: QueryStats,
     /// Wall-clock stage breakdown (zeros when timing is disabled).
     pub timings: StageTimings,
@@ -458,20 +447,20 @@ pub struct SearchOutcome {
 }
 
 /// Run Algorithm 2 over every alternative sequence of one query, unioning
-/// results: plan the sequences, match them on `opts.workers` threads, then
-/// resolve the matched scopes against the DocId tree.
+/// results: plan the sequences, match them, then resolve the matched
+/// scopes against the DocId tree.
 ///
 /// A sequence with no elements (an all-wildcard query such as `/*`)
 /// contributes the whole label space — every document matches.
 ///
 /// `opts.schedule_seed: Some(s)` replaces the default expansion order
-/// (depth-first per worker, FIFO shared queue) with seeded pseudo-random
-/// picks among the pending frames — the `vist-sim` harness's scheduler
+/// (seeds in plan order, each drained depth-first) with seeded
+/// pseudo-random picks among the pending seeds and frames — the `vist-sim` harness's scheduler
 /// hook — and the default frame size with seeded ones from 1 to 1,024
 /// scopes (`frame_scopes`). Answers are sets, so **every** seed must
 /// return exactly the same result; the simulation uses differing seeds to
-/// hunt for order-dependent bugs in work distribution, dedup, frontier
-/// batching and scope merging.
+/// hunt for order-dependent bugs in dedup, frontier batching and scope
+/// merging.
 ///
 /// Callers must hold whatever latch protects the store from a reset of its
 /// pager for the duration of the call (queries hold the maintenance latch
@@ -546,25 +535,20 @@ pub fn search_sequences(
         })
         .collect();
 
-    let mut scopes: Vec<(u128, u128)> = Vec::new();
-    let mut docs: Vec<DocId> = Vec::new();
-    {
+    let (mut scopes, mut docs) = {
         let _span = vist_obs::Span::enter("match");
         let t = vist_obs::now();
-        for mut out in drive(source, &ctxs, seeds, pre_scopes, opts, limit)? {
-            stats.merge(&out.stats);
-            scopes.append(&mut out.scopes);
-            docs.append(&mut out.docs);
-            absorb_steps(&mut plans, &out);
-        }
+        let out = drive(source, &ctxs, seeds, pre_scopes, opts, limit)?;
+        stats.merge(&out.stats);
+        absorb_steps(&mut plans, &out);
         timings.match_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
-    }
+        (out.scopes, out.docs)
+    };
 
     match (opts.mode, limit) {
         (SearchMode::Scopes, _) => {
             // Canonical form: matched scopes are a *set* (different
-            // branches, sequences, or workers can reach the same final
-            // node).
+            // branches or sequences can reach the same final node).
             let _span = vist_obs::Span::enter("merge");
             let t = vist_obs::now();
             scopes.sort_unstable();
@@ -615,143 +599,75 @@ pub fn search_sequences(
     })
 }
 
-/// The match loop: expand frames until none are pending, on
-/// `opts.workers` threads — the caller's is worker 0, and the only one
-/// when `workers <= 1`. Each worker drains a private stack depth-first,
-/// takes from the shared queue of [`crate::pool`] when it runs dry and
-/// donates the shallow half of its stack when another worker is starving.
+/// The match loop: expand frames until none are pending, on the caller's
+/// thread. Seeds are taken in plan-rank order and each is drained from one
+/// stack, top first, before the next is taken; under a schedule seed both
+/// picks are seeded instead (see `search_sequences`).
 ///
 /// Under a `limit` the loop gains one step per expansion: the scopes just
 /// completed are resolved against the DocId tree at once
-/// ([`WorkerOut::resolve`]), and the run stops as soon as `limit`
+/// ([`MatchOut::resolve`]), and the run stops as soon as `limit`
 /// distinct documents are in hand. Its sweeps stop after a piece of hits
 /// and leave the rest to a continuation frame (see [`sweep`]), so the run
-/// pays for the hits it needs. That order of resolution is the expansion
-/// order of one stack, so a limited run uses one worker.
-///
-/// Returns each worker's output; `pre_scopes` are credited to worker 0.
+/// pays for the hits it needs.
 fn drive(
     source: &dyn SearchSource,
     ctxs: &[SeqCtx<'_>],
-    seeds: Vec<Frame>,
+    mut seeds: Vec<Frame>,
     pre_scopes: Vec<(u128, u128)>,
     opts: &SearchOptions,
     limit: Option<usize>,
-) -> Result<Vec<WorkerOut>> {
-    let workers = if limit.is_some() || seeds.is_empty() {
-        1
-    } else {
-        opts.workers.max(1)
-    };
-    let mut outs: Vec<WorkerOut> = (0..workers).map(|_| WorkerOut::new(opts, limit)).collect();
-    outs[0].scopes = pre_scopes;
+) -> Result<MatchOut> {
+    let mut out = MatchOut::new(opts, limit);
+    out.scopes = pre_scopes;
     if let Some(limit) = limit {
-        if outs[0].resolve(source, limit, opts.deadline)? {
-            return Ok(outs);
+        if out.resolve(source, limit, opts.deadline)? {
+            return Ok(out);
         }
     }
-    let outs: Vec<Mutex<WorkerOut>> = outs.into_iter().map(Mutex::new).collect();
-    let first_err: Mutex<Option<Error>> = Mutex::new(None);
-    // One attribution context per query, shared by every worker: a
-    // frame donated through the stealing queue is still charged to
-    // the owning query no matter which thread expands it.
-    let attr_ctx = vist_obs::attr::current();
-    pool::run_workers(workers, seeds, opts.schedule_seed, |id, queue| {
-        let _attr = attr_ctx.clone().map(vist_obs::attr::install);
-        // Busy and idle time mean something only beside other workers.
-        let worker_start = if workers > 1 { vist_obs::now() } else { None };
-        let mut busy_nanos = 0u64;
-        let mut out = outs[id].lock().unwrap_or_else(|e| e.into_inner());
-        // With a schedule seed the next frame is a seeded pick instead of
-        // the depth-first top of stack (see `search_sequences`).
-        let mut sched = opts.schedule_seed.map(|s| s.wrapping_add(id as u64));
-        let mut local: Vec<Frame> = Vec::new();
-        while let Some((frame, donated)) = queue.take() {
-            let batch_start = worker_start.and_then(|_| vist_obs::now());
-            if donated {
-                out.stats.steals += 1;
-            }
-            local.push(frame);
-            loop {
-                let frame = match &mut sched {
-                    Some(rng) if !local.is_empty() => {
-                        let i = (pool::splitmix64(rng) % local.len() as u64) as usize;
-                        local.swap_remove(i)
-                    }
-                    _ => match local.pop() {
-                        Some(frame) => frame,
-                        None => break,
-                    },
-                };
-                // Cooperative cancellation: every worker checks the
-                // deadline at each frame; the first to notice stops the
-                // shared queue so the others drain out.
-                let step = if expired(opts.deadline) {
-                    Err(Error::DeadlineExceeded)
-                } else {
-                    // A continuation's scopes were counted with its frame.
-                    if frame.cont.is_none() {
-                        out.stats.work_items += frame.scopes.len() as u64;
-                    }
-                    expand(source, ctxs, &frame, &mut local, &mut out).and_then(|()| match limit {
-                        Some(limit) => out.resolve(source, limit, opts.deadline),
-                        None => Ok(false),
-                    })
-                };
-                match step {
-                    Ok(false) => {}
-                    done => {
-                        if let Err(e) = done {
-                            let mut slot = first_err.lock().unwrap_or_else(|e| e.into_inner());
-                            slot.get_or_insert(e);
-                        }
-                        queue.stop();
-                        local.clear();
-                        break;
-                    }
+    // Two seeded streams, one picking the next seed and one the next frame
+    // of the stack.
+    let mut seed_rng = opts.schedule_seed;
+    let mut frame_rng = opts.schedule_seed;
+    let mut stack: Vec<Frame> = Vec::new();
+    while !seeds.is_empty() {
+        let i = match &mut seed_rng {
+            None => 0,
+            Some(rng) => (splitmix64(rng) % seeds.len() as u64) as usize,
+        };
+        stack.push(seeds.remove(i));
+        loop {
+            let frame = match &mut frame_rng {
+                Some(rng) if !stack.is_empty() => {
+                    let i = (splitmix64(rng) % stack.len() as u64) as usize;
+                    stack.swap_remove(i)
                 }
-                // Donate the shallow half of the stack (largest
-                // subtrees) when another worker is starving.
-                if local.len() > 1 && queue.is_hungry() {
-                    let half = local.len() / 2;
-                    queue.donate(local.drain(..half));
+                _ => match stack.pop() {
+                    Some(frame) => frame,
+                    None => break,
+                },
+            };
+            // Cooperative cancellation, checked at each frame.
+            if expired(opts.deadline) {
+                return Err(Error::DeadlineExceeded);
+            }
+            // A continuation's scopes were counted with its frame.
+            if frame.cont.is_none() {
+                out.stats.work_items += frame.scopes.len() as u64;
+            }
+            expand(source, ctxs, &frame, &mut stack, &mut out)?;
+            if let Some(limit) = limit {
+                if out.resolve(source, limit, opts.deadline)? {
+                    return Ok(out);
                 }
             }
-            busy_nanos += vist_obs::elapsed_nanos(batch_start).unwrap_or(0);
-            queue.finish_one();
-        }
-        if let Some(wall) = vist_obs::elapsed_nanos(worker_start) {
-            vist_obs::histogram!("vist_core_worker_busy_nanos").record(busy_nanos);
-            vist_obs::histogram!("vist_core_worker_idle_nanos")
-                .record(wall.saturating_sub(busy_nanos));
-            out.busy_nanos = busy_nanos;
-            out.idle_nanos = wall.saturating_sub(busy_nanos);
-        }
-    });
-    if let Some(e) = first_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(e);
-    }
-    let outs: Vec<WorkerOut> = outs
-        .into_iter()
-        .map(|out| out.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect();
-    if workers > 1 {
-        // Worker threads have no span collector of their own; graft
-        // their aggregate busy/idle time onto the open `match` span so
-        // the trace tree covers parallel execution. CPU time across N
-        // workers can legitimately exceed the match span's wall time.
-        for (name, nanos) in [
-            ("workers", outs.iter().map(|o| o.busy_nanos).sum()),
-            ("workers_idle", outs.iter().map(|o| o.idle_nanos).sum()),
-        ] {
-            vist_obs::span::attach(vist_obs::SpanNode::leaf(name, nanos, workers as u64));
         }
     }
-    Ok(outs)
+    Ok(out)
 }
 
-/// Fold one worker's per-step actual counters into the plan rows.
-fn absorb_steps(plans: &mut [SeqPlan], out: &WorkerOut) {
+/// Fold the match loop's per-step actual counters into the plan rows.
+fn absorb_steps(plans: &mut [SeqPlan], out: &MatchOut) {
     for (&(seq, qi), &(frames, nodes, pruned)) in &out.steps {
         let Some(plan) = plans.get_mut(seq as usize) else {
             continue;
@@ -816,7 +732,7 @@ struct Continuation {
 /// when a sweep of `dkid` at element `qi` cuts its hits into frames:
 /// [`FRAME_SCOPES`], or under a schedule seed a power of two drawn from the
 /// seed and the sweep alone — never from scheduler state, so a seeded run
-/// cuts the same frames on any number of workers. The seed also decides the
+/// cuts the same frames whatever order it takes them in. The seed also decides the
 /// largest power drawn, `2^(seed % 11)`: a seed that is a multiple of 11
 /// runs with one scope a frame throughout, one partial match at a time, and
 /// the others mix sizes up to 1024.
@@ -828,7 +744,17 @@ fn frame_scopes(seed: Option<u64>, qi: u32, dkid: u64, first: u128) -> usize {
     for word in [seed, qi.into(), dkid, first as u64, (first >> 64) as u64] {
         mixed.add(word);
     }
-    1 << (pool::splitmix64(&mut mixed.0) % (1 + seed % 11))
+    1 << (splitmix64(&mut mixed.0) % (1 + seed % 11))
+}
+
+/// One splitmix64 step: the seeded pseudo-randomness of the schedule seed
+/// (the frame sizes above and the picks of [`drive`]).
+fn splitmix64(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Persistent (shared-tail) list of wildcard bindings: element `elem`
@@ -869,7 +795,7 @@ struct ChildProbe {
     steps: Vec<Symbol>,
 }
 
-/// Per-sequence immutable context, shared read-only by all workers.
+/// Per-sequence immutable context, read-only during the match.
 pub(crate) struct SeqCtx<'a> {
     pub(crate) seq: &'a QuerySequence,
     /// For elements whose *pattern* prefix is fully concrete, the
@@ -1009,7 +935,7 @@ impl Hasher for FxHasher {
 type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Buffers of one wildcard expansion, reused from frame to frame. `expand`
-/// takes them out of the [`WorkerOut`] while it hands candidates borrowed
+/// takes them out of the [`MatchOut`] while it hands candidates borrowed
 /// from them to `descend`, and puts them back.
 #[derive(Default)]
 struct Expansion {
@@ -1026,9 +952,9 @@ struct Expansion {
     cands: Vec<(usize, usize, u64)>,
 }
 
-/// Per-worker mutable state; merged after the run.
+/// The match loop's mutable state and output.
 #[derive(Default)]
-struct WorkerOut {
+struct MatchOut {
     /// Planner transforms enabled (candidate ordering, child probes).
     plan: bool,
     /// Collect per-step actual counters into `steps`.
@@ -1068,21 +994,16 @@ struct WorkerOut {
     key_buf: Vec<u8>,
     fresh: Vec<(u128, u128)>,
     hits: Vec<(u128, u128)>,
-    /// Wall time this worker spent expanding frames (zero when timing is
-    /// off); grafted onto the `match` span as a `workers` node.
-    busy_nanos: u64,
-    /// Wall time this worker spent waiting on the shared queue.
-    idle_nanos: u64,
 }
 
-impl WorkerOut {
+impl MatchOut {
     fn new(opts: &SearchOptions, limit: Option<usize>) -> Self {
-        WorkerOut {
+        MatchOut {
             plan: opts.plan,
             track: opts.collect_plan,
             seed: opts.schedule_seed,
             limit,
-            ..WorkerOut::default()
+            ..MatchOut::default()
         }
     }
 
@@ -1182,7 +1103,7 @@ fn expand(
     ctxs: &[SeqCtx<'_>],
     frame: &Frame,
     push: &mut Vec<Frame>,
-    out: &mut WorkerOut,
+    out: &mut MatchOut,
 ) -> Result<()> {
     let sc = &ctxs[frame.seq as usize];
     let qi = frame.qi as usize;
@@ -1271,7 +1192,7 @@ fn expand(
 /// its id.
 type Candidate<'a> = (&'a [Symbol], u64);
 
-/// One matched D-Ancestor key of a frame: leave out the scopes this worker
+/// One matched D-Ancestor key of a frame: leave out the scopes the run
 /// already swept it for, then [`sweep`] the rest.
 fn descend(
     source: &dyn SearchSource,
@@ -1279,7 +1200,7 @@ fn descend(
     frame: &Frame,
     cand: Candidate<'_>,
     push: &mut Vec<Frame>,
-    out: &mut WorkerOut,
+    out: &mut MatchOut,
 ) -> Result<()> {
     out.stats.dkeys_matched += 1;
     let (qi, dkid) = (frame.qi, cand.1);
@@ -1317,7 +1238,7 @@ fn descend(
 /// S-Ancestor entries of one matched D-Ancestor key in one forward pass,
 /// then bind and push the hits as child frames, cut by [`frame_scopes`].
 ///
-/// Under a limit the pass stops at its piece of hits ([`WorkerOut::piece`])
+/// Under a limit the pass stops at its piece of hits ([`MatchOut::piece`])
 /// and pushes a continuation beneath the child frames: the scopes past the
 /// last hit — past its scope's end where nested hits collapse — to be
 /// swept for this key alone, with twice the piece (at most
@@ -1330,7 +1251,7 @@ fn sweep(
     (scopes, sig): (&[(u128, u128)], Option<u32>),
     (prefix_syms, dkid): Candidate<'_>,
     push: &mut Vec<Frame>,
-    out: &mut WorkerOut,
+    out: &mut MatchOut,
 ) -> Result<()> {
     let (seq, qi) = (frame.seq, frame.qi);
     let qe = &sc.seq.elems[qi as usize];

@@ -78,19 +78,15 @@ impl Default for IndexOptions {
 }
 
 /// Options for a single query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Post-filter candidates through the exact tree-pattern matcher,
     /// removing ViST's known false positives. Requires
     /// [`IndexOptions::store_documents`].
     pub verify: bool,
-    /// Worker threads for the match engine, the calling thread included
-    /// (`<= 1` is the calling thread alone). Alternative sequences and
-    /// independent D-Ancestor branches are distributed across the workers.
-    pub workers: usize,
     /// Seeded scheduling of match-frame expansion (the `vist-sim`
     /// scheduler hook; see [`crate::search_sequences`]). `None` (the
-    /// default) keeps the production depth-first/FIFO order. Any seed must
+    /// default) keeps the production depth-first order. Any seed must
     /// produce identical answers.
     pub schedule_seed: Option<u64>,
     /// Disable the cost-based planner (ViST §3.4 statistical clues) and
@@ -123,7 +119,6 @@ impl QueryOptions {
     /// The match engine's share of these options.
     fn search_options(&self, mode: SearchMode, collect_plan: bool) -> SearchOptions {
         SearchOptions {
-            workers: self.workers,
             mode,
             schedule_seed: self.schedule_seed,
             plan: !self.no_plan,
@@ -136,20 +131,6 @@ impl QueryOptions {
                 .filter(|_| mode == SearchMode::Docs && !self.verify),
             collect_plan,
             deadline: self.deadline,
-        }
-    }
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions {
-            verify: false,
-            workers: 1,
-            schedule_seed: None,
-            no_plan: false,
-            limit: None,
-            deadline: None,
-            trace_id: 0,
         }
     }
 }
@@ -634,9 +615,10 @@ impl VistIndex {
     /// sequence(s) (the paper's Table 2 form), then run it and report the
     /// per-tree probe counts — and, when `show_plan` is set, the cost-based
     /// planner's report per tier: estimated vs actual cardinalities per
-    /// step, sequence ranks and prunes, and the DocId resolution (`vist
-    /// explain --plan`). Intended for debugging and teaching; the output
-    /// format is human-oriented and not stable.
+    /// step, sequence ranks and prunes, and `docid: N range(s) resolved`,
+    /// the merged scopes put to the DocId tree (`vist explain --plan`).
+    /// Intended for debugging and teaching; the output format is
+    /// human-oriented and not stable.
     pub fn explain(&self, expr: &str, opts: &QueryOptions, show_plan: bool) -> Result<String> {
         use std::fmt::Write as _;
         let pattern = parse_query(expr)?.to_pattern();
@@ -705,12 +687,10 @@ impl VistIndex {
         .unwrap();
         writeln!(
             out,
-            "engine:  {} worker(s), {} work items in {} sweep(s) ({:.1} scopes a sweep), {} steals,",
-            opts.workers.max(1),
+            "engine:  {} work items in {} sweep(s) ({:.1} scopes a sweep),",
             st.work_items,
             st.sancestor_scans,
             st.work_items as f64 / st.sancestor_scans.max(1) as f64,
-            st.steals
         )
         .unwrap();
         writeln!(
@@ -766,8 +746,8 @@ impl VistIndex {
         } else {
             vist_obs::traceid::mint()
         };
-        // Per-query I/O attribution: installed here, cloned onto every
-        // match worker (see `search.rs`), charged by the storage layer.
+        // Per-query I/O attribution: installed here on the query's thread,
+        // charged by the storage layer.
         let attr_ctx = vist_obs::AttrCounters::new();
         let attr_guard = vist_obs::attr::install(attr_ctx.clone());
         let trace = vist_obs::Trace::begin("query");
@@ -890,7 +870,8 @@ impl VistIndex {
 
 /// Append the planner's per-tier report to an `explain` rendering:
 /// sequence ranks/prunes, per-step estimated vs actual cardinalities, and
-/// the chosen DocId strategy, for every tier the query ran on.
+/// `docid: N range(s) resolved` (the merged scopes put to the DocId tree),
+/// for every tier the query ran on.
 fn render_plans(
     plans: &[(String, PlanReport)],
     no_plan: bool,

@@ -5,7 +5,7 @@
 //! show in an answer:
 //!
 //! 1. **Frame sizes** — seeds 0..32 (every multiple of 11 runs with one
-//!    scope a frame) × 1 and 4 workers over wildcard-heavy, branch-heavy and
+//!    scope a frame) over wildcard-heavy, branch-heavy and
 //!    nested same-name corpora, each in a segment and a delta with
 //!    tombstones: document ids equal the Naive oracle, final scope sets
 //!    equal the unseeded run's.
@@ -197,17 +197,14 @@ fn seeded_frame_sizes_change_neither_answers_nor_scopes() {
                 .match_scopes(&pattern, &QueryOptions::default())
                 .unwrap();
             for seed in 0..32u64 {
-                for workers in [1, 4] {
-                    let opts = QueryOptions {
-                        workers,
-                        schedule_seed: Some(seed),
-                        ..Default::default()
-                    };
-                    let r = c.idx.query(q, &opts).unwrap();
-                    assert_eq!(r.doc_ids, oracle, "{name}: seed {seed} × {workers}: {q}");
-                    let (scopes, _) = c.idx.match_scopes(&pattern, &opts).unwrap();
-                    assert_eq!(scopes, plain_scopes, "{name}: seed {seed} × {workers}: {q}");
-                }
+                let opts = QueryOptions {
+                    schedule_seed: Some(seed),
+                    ..Default::default()
+                };
+                let r = c.idx.query(q, &opts).unwrap();
+                assert_eq!(r.doc_ids, oracle, "{name}: seed {seed}: {q}");
+                let (scopes, _) = c.idx.match_scopes(&pattern, &opts).unwrap();
+                assert_eq!(scopes, plain_scopes, "{name}: seed {seed}: {q}");
             }
             for limit in [0, 1, 10, oracle.len(), oracle.len() + 5] {
                 let opts = QueryOptions {

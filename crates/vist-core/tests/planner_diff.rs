@@ -13,8 +13,6 @@ use std::collections::BTreeSet;
 use vist_core::{IndexOptions, NaiveIndex, QueryOptions, VistIndex};
 use vist_xml::{Document, ElementBuilder};
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
 /// Small vocabularies force structural sharing and overlapping scopes.
 const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
 const VALUES: [&str; 4] = ["1", "2", "3", "4"];
@@ -164,89 +162,75 @@ fn check_query(naive: &mut NaiveIndex, vist: &VistIndex, label: &str, q: &str) {
     );
     let (unplanned_scopes, _) = vist.match_scopes(&pattern, &unplanned_opts).unwrap();
 
-    for &workers in &WORKER_COUNTS {
-        let opts = QueryOptions {
-            workers,
-            ..Default::default()
-        };
-        let planned = vist.query(q, &opts).unwrap();
-        assert_eq!(
-            planned.doc_ids, oracle,
-            "{label}: planned@{workers} vs oracle: {q}"
-        );
-        assert_eq!(
-            planned.candidates, unplanned.candidates,
-            "{label}: candidate count diverges at {workers} workers: {q}"
-        );
-        let (scopes, _) = vist.match_scopes(&pattern, &opts).unwrap();
-        assert_eq!(
-            scopes, unplanned_scopes,
-            "{label}: scope set diverges at {workers} workers: {q}"
-        );
+    let opts = QueryOptions::default();
+    let planned = vist.query(q, &opts).unwrap();
+    assert_eq!(planned.doc_ids, oracle, "{label}: planned vs oracle: {q}");
+    assert_eq!(
+        planned.candidates, unplanned.candidates,
+        "{label}: candidate count diverges: {q}"
+    );
+    let (scopes, _) = vist.match_scopes(&pattern, &opts).unwrap();
+    assert_eq!(scopes, unplanned_scopes, "{label}: scope set diverges: {q}");
 
-        // Limited queries: subset of the full answer, exact size. The
-        // reference set depends on `verify` — raw (naive/ViST §3.2)
-        // semantics without it, exact subtree matching with it.
-        let full_verified: BTreeSet<u64> = vist
-            .query(
-                q,
-                &QueryOptions {
-                    workers,
-                    verify: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .doc_ids
-            .into_iter()
-            .collect();
-        let full_raw: BTreeSet<u64> = oracle.iter().copied().collect();
-        for limit in [
-            0usize,
-            1,
-            2,
-            oracle.len().saturating_sub(1),
-            oracle.len() + 3,
+    // Limited queries: subset of the full answer, exact size. The
+    // reference set depends on `verify` — raw (naive/ViST §3.2)
+    // semantics without it, exact subtree matching with it.
+    let full_verified: BTreeSet<u64> = vist
+        .query(
+            q,
+            &QueryOptions {
+                verify: true,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .doc_ids
+        .into_iter()
+        .collect();
+    let full_raw: BTreeSet<u64> = oracle.iter().copied().collect();
+    for limit in [
+        0usize,
+        1,
+        2,
+        oracle.len().saturating_sub(1),
+        oracle.len() + 3,
+    ] {
+        // Which subset comes back may depend on the expansion order;
+        // that it is one of the right size may not.
+        for (verify, schedule_seed) in [
+            (false, None),
+            (true, None),
+            (false, Some(limit as u64)),
+            (false, Some(0x5EED ^ 1)),
         ] {
-            // Which subset comes back may depend on the expansion order;
-            // that it is one of the right size may not.
-            for (verify, schedule_seed) in [
-                (false, None),
-                (true, None),
-                (false, Some(limit as u64)),
-                (false, Some(0x5EED ^ workers as u64)),
-            ] {
-                let full = if verify { &full_verified } else { &full_raw };
-                let r = vist
-                    .query(
-                        q,
-                        &QueryOptions {
-                            workers,
-                            verify,
-                            limit: Some(limit),
-                            schedule_seed,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                let run = format!("limit {limit} (verify={verify}, seed={schedule_seed:?})");
-                assert_eq!(
-                    r.doc_ids.len(),
-                    limit.min(full.len()),
-                    "{label}: {run} wrong size at {workers} workers: {q}"
-                );
-                assert!(
-                    r.doc_ids.windows(2).all(|w| w[0] < w[1]),
-                    "{label}: {run} not ascending at {workers} workers: {q}: {:?}",
-                    r.doc_ids
-                );
-                assert!(
-                    r.doc_ids.iter().all(|id| full.contains(id)),
-                    "{label}: {run} returned non-answer at \
-                     {workers} workers: {q}: {:?} not in {full:?}",
-                    r.doc_ids
-                );
-            }
+            let full = if verify { &full_verified } else { &full_raw };
+            let r = vist
+                .query(
+                    q,
+                    &QueryOptions {
+                        verify,
+                        limit: Some(limit),
+                        schedule_seed,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+            let run = format!("limit {limit} (verify={verify}, seed={schedule_seed:?})");
+            assert_eq!(
+                r.doc_ids.len(),
+                limit.min(full.len()),
+                "{label}: {run} wrong size: {q}"
+            );
+            assert!(
+                r.doc_ids.windows(2).all(|w| w[0] < w[1]),
+                "{label}: {run} not ascending: {q}: {:?}",
+                r.doc_ids
+            );
+            assert!(
+                r.doc_ids.iter().all(|id| full.contains(id)),
+                "{label}: {run} returned non-answer: {q}: {:?} not in {full:?}",
+                r.doc_ids
+            );
         }
     }
 }
@@ -413,8 +397,8 @@ impl Tombstoned {
 }
 
 /// Check `q` on `vist` against `oracle` with the planner on and off: every
-/// worker count and schedule seed returns the oracle's ids and the
-/// unplanned engine's scope set, and limits 0, 1 and 10 return ascending
+/// schedule seed returns the oracle's ids and the unplanned engine's scope
+/// set, and limits 0, 1 and 10 return ascending
 /// subsets of the right size. Returns the planned serial run's counters.
 fn check_planned(oracle: &[u64], vist: &VistIndex, label: &str, q: &str) -> vist_core::QueryStats {
     let pattern = vist_query::parse_query(q).unwrap().to_pattern();
@@ -429,40 +413,37 @@ fn check_planned(oracle: &[u64], vist: &VistIndex, label: &str, q: &str) -> vist
     );
     let (unplanned_scopes, _) = vist.match_scopes(&pattern, &unplanned_opts).unwrap();
     let planned = vist.query(q, &QueryOptions::default()).unwrap();
-    for &workers in &WORKER_COUNTS {
-        for schedule_seed in [None, Some(0), Some(11), Some(0x5EED ^ workers as u64)] {
-            let opts = QueryOptions {
-                workers,
-                schedule_seed,
-                ..Default::default()
-            };
-            let run = format!("{workers} worker(s), seed {schedule_seed:?}");
-            let r = vist.query(q, &opts).unwrap();
-            assert_eq!(r.doc_ids, oracle, "{label}: planned, {run}: {q}");
-            let (scopes, _) = vist.match_scopes(&pattern, &opts).unwrap();
-            assert_eq!(scopes, unplanned_scopes, "{label}: scopes, {run}: {q}");
-            for limit in [0, 1, 10] {
-                let r = vist
-                    .query(
-                        q,
-                        &QueryOptions {
-                            limit: Some(limit),
-                            ..opts
-                        },
-                    )
-                    .unwrap();
-                assert_eq!(
-                    r.doc_ids.len(),
-                    limit.min(oracle.len()),
-                    "{label}: limit {limit}, {run}: {q}"
-                );
-                assert!(
-                    r.doc_ids.windows(2).all(|w| w[0] < w[1])
-                        && r.doc_ids.iter().all(|id| oracle.contains(id)),
-                    "{label}: limit {limit}, {run}: {q}: {:?}",
-                    r.doc_ids
-                );
-            }
+    for schedule_seed in [None, Some(0), Some(11), Some(0x5EED ^ 1)] {
+        let opts = QueryOptions {
+            schedule_seed,
+            ..Default::default()
+        };
+        let run = format!("seed {schedule_seed:?}");
+        let r = vist.query(q, &opts).unwrap();
+        assert_eq!(r.doc_ids, oracle, "{label}: planned, {run}: {q}");
+        let (scopes, _) = vist.match_scopes(&pattern, &opts).unwrap();
+        assert_eq!(scopes, unplanned_scopes, "{label}: scopes, {run}: {q}");
+        for limit in [0, 1, 10] {
+            let r = vist
+                .query(
+                    q,
+                    &QueryOptions {
+                        limit: Some(limit),
+                        ..opts
+                    },
+                )
+                .unwrap();
+            assert_eq!(
+                r.doc_ids.len(),
+                limit.min(oracle.len()),
+                "{label}: limit {limit}, {run}: {q}"
+            );
+            assert!(
+                r.doc_ids.windows(2).all(|w| w[0] < w[1])
+                    && r.doc_ids.iter().all(|id| oracle.contains(id)),
+                "{label}: limit {limit}, {run}: {q}: {:?}",
+                r.doc_ids
+            );
         }
     }
     planned.stats

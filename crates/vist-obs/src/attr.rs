@@ -3,13 +3,11 @@
 //! The registry's `vist_storage_*` counters are process-global: they say
 //! the buffer pool missed, not *whose* query missed. Attribution closes
 //! that gap with a thread-local context: the query layer allocates an
-//! [`AttrCounters`] per request and [`install`]s it on the calling
-//! thread; the match engine installs a clone of the same `Arc` on every
-//! worker-pool thread it fans out to, so work that migrates between
-//! workers through the stealing queue is still charged to the owning
-//! query — propagation across steals is correct by construction, because
-//! there is exactly one counter block per query no matter which thread
-//! runs a frame. Storage-layer hot paths call the `charge_*` free
+//! [`AttrCounters`] per request and [`install`]s it on the thread that
+//! runs the query — the match engine runs there too, so every page the
+//! query touches is charged to its one counter block. A caller that fans
+//! one request out to several threads installs a clone of the same `Arc`
+//! on each. Storage-layer hot paths call the `charge_*` free
 //! functions right next to the registry counters they mirror, so summing
 //! per-query attribution over a workload must equal the registry deltas
 //! (a differential test in `vist-core` holds this invariant).
@@ -17,14 +15,13 @@
 //! Cost model: a charge is one thread-local access and a plain add. The
 //! charges made on a thread accumulate in a thread-local tally and are
 //! folded into the shared [`AttrCounters`] when that thread's context is
-//! replaced or uninstalled — once per query on the calling thread, once
-//! per worker on the match pool — so [`AttrCounters::snapshot`] is exact
+//! replaced or uninstalled — once per query on the calling thread — so
+//! [`AttrCounters::snapshot`] is exact
 //! once every guard of the query has dropped and lags behind while one
 //! is alive. Installing a context also opens a [`crate::batch`] scope:
 //! the registry's hot counters and histograms follow the same rhythm.
 //! Under the `noop` feature everything — the thread-locals included —
-//! compiles out; [`install`] returns an inert guard and [`current`] is
-//! always `None`.
+//! compiles out and [`install`] returns an inert guard.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,7 +30,7 @@ use std::sync::Arc;
 use std::cell::{Cell, RefCell};
 
 /// Atomic I/O counters for one query. Shared (`Arc`) between the query
-/// layer and every worker thread serving that query.
+/// layer and every thread that installs it for that query.
 #[derive(Debug, Default)]
 pub struct AttrCounters {
     pool_hits: AtomicU64,
@@ -192,17 +189,6 @@ pub fn install(ctx: Arc<AttrCounters>) -> AttrGuard {
     }
 }
 
-/// The current thread's attribution context, if one is installed.
-/// Worker-pool fan-out captures this before spawning and installs a
-/// clone on each worker.
-#[must_use]
-pub fn current() -> Option<Arc<AttrCounters>> {
-    #[cfg(feature = "noop")]
-    return None;
-    #[cfg(not(feature = "noop"))]
-    CURRENT.with(|c| c.borrow().clone())
-}
-
 #[cfg(not(feature = "noop"))]
 #[inline]
 fn charge(field: fn(&Pending) -> &Cell<u64>, n: u64) {
@@ -285,17 +271,19 @@ mod tests {
         {
             let _b = install(Arc::clone(&inner));
             charge_page_read(10);
-            assert!(Arc::ptr_eq(&current().unwrap(), &inner));
             // Settled when the inner context took over, not before.
             assert_eq!(outer.snapshot().bytes_read, 5);
             assert_eq!(inner.snapshot().bytes_read, 0);
         }
-        charge_page_read(20);
-        assert!(Arc::ptr_eq(&current().unwrap(), &outer));
+        // The inner guard's drop settled its charge and restored the outer.
         assert_eq!(inner.snapshot().bytes_read, 10);
+        charge_page_read(20);
         drop(a);
         assert_eq!(outer.snapshot().bytes_read, 25);
-        assert!(current().is_none());
+        // No context is left: a charge lands in neither.
+        charge_page_read(40);
+        assert_eq!(outer.snapshot().bytes_read, 25);
+        assert_eq!(inner.snapshot().bytes_read, 10);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! sample per B+Tree descent). Paying a locked read-modify-write on a
 //! shared cache line for each is most of what those updates cost. While
 //! a *batch scope* is open on a thread — [`crate::attr::install`] opens
-//! one for every query and every match worker — the [`crate::count!`] and
+//! one for every query — the [`crate::count!`] and
 //! [`crate::observe!`] macros add to plain thread-local tallies instead,
 //! and the tallies are folded into the shared metric once, when the
 //! outermost scope on that thread closes. With no scope open the macros
@@ -14,7 +14,7 @@
 //! exact at every instant.
 //!
 //! Consequence for readers of the registry: a scrape sees a query's hot
-//! counters when that query (or that worker's share of it) finishes, not
+//! counters when that query finishes, not
 //! while it runs. Sums over completed queries are exact.
 //!
 //! Under the `noop` feature no scope is ever open and the direct path

@@ -18,8 +18,7 @@
 //!   serve front-end (or accepted from clients) and carried through
 //!   every layer.
 //! - **I/O attribution** ([`attr`]): a thread-local context that charges
-//!   buffer-pool and WAL activity to the owning query, including across
-//!   worker-pool work-stealing.
+//!   buffer-pool and WAL activity to the owning query.
 //! - **Request records** ([`wide`]): one wide event (a JSON line) per
 //!   request or background op, kept with its span tree in a recent ring
 //!   and an always-keep-slowest set, resolvable by trace id, and appended

@@ -232,10 +232,9 @@ impl Drop for Trace {
 }
 
 /// Graft an externally built span node into the innermost open span of
-/// the active trace on this thread. Worker threads have no collector of
-/// their own, so the match engine aggregates their timings into
-/// [`SpanNode`]s and attaches them here from the coordinating thread.
-/// A no-op when tracing is off or no trace is active.
+/// the active trace on this thread: time measured outside any span (the
+/// tier union between the tiers' own spans) becomes a [`SpanNode`]
+/// attached here. A no-op when tracing is off or no trace is active.
 pub fn attach(node: SpanNode) {
     if !tracing_enabled() {
         return;

@@ -346,25 +346,31 @@ enum HeadError {
 }
 
 /// Read up to the blank line ending the request head, capped at
-/// [`MAX_HEAD_BYTES`]. The request body (none of our routes take one)
-/// is left unread — we answer and close.
+/// [`MAX_HEAD_BYTES`]. The reads take what has arrived, not a byte at a
+/// time; whatever follows the head (none of our routes take a body) is
+/// dropped — we answer and close.
 fn read_head(stream: &mut TcpStream) -> Result<String, HeadError> {
     let mut buf = Vec::new();
-    let mut byte = [0u8; 1];
+    let mut chunk = [0u8; 1024];
     loop {
-        match stream.read(&mut byte) {
+        let n = match stream.read(&mut chunk) {
             Ok(0) => return Err(HeadError::Io),
-            Ok(_) => {
-                buf.push(byte[0]);
-                if buf.len() > MAX_HEAD_BYTES {
-                    return Err(HeadError::TooLarge);
-                }
-                if buf.ends_with(b"\r\n\r\n") || buf.ends_with(b"\n\n") {
-                    return String::from_utf8(buf).map_err(|_| HeadError::Io);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return Err(HeadError::Io),
+        };
+        // The blank line may straddle two reads.
+        let from = buf.len().saturating_sub(3);
+        buf.extend_from_slice(&chunk[..n]);
+        let end = (from + 2..=buf.len())
+            .find(|&i| buf[..i].ends_with(b"\r\n\r\n") || buf[..i].ends_with(b"\n\n"));
+        match end {
+            Some(end) if end <= MAX_HEAD_BYTES => {
+                buf.truncate(end);
+                return String::from_utf8(buf).map_err(|_| HeadError::Io);
+            }
+            None if buf.len() <= MAX_HEAD_BYTES => {}
+            _ => return Err(HeadError::TooLarge),
         }
     }
 }
@@ -448,8 +454,10 @@ fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    // One write: head and body leave in one segment.
+    let mut response = head.into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 

@@ -1,10 +1,12 @@
 //! The serve loop: accept, sniff, admit, execute, drain.
 //!
-//! One acceptor thread polls a nonblocking listener and the shutdown
-//! flag; each accepted connection gets its own thread. A connection's
-//! first bytes are sniffed: a length-prefixed binary frame always
-//! starts with 0x00 (the cap [`crate::proto::MAX_FRAME_BYTES`] fits in
-//! three bytes), anything else is treated as an HTTP request line.
+//! One acceptor thread blocks in `accept`; each accepted connection gets
+//! its own thread. A watcher beside the acceptor polls the shutdown flag
+//! and, once it is set, wakes the accept with a connection of its own,
+//! which the acceptor drops like any connection accepted after the stop.
+//! A connection's first bytes are sniffed: a length-prefixed binary frame
+//! always starts with 0x00 (the cap [`crate::proto::MAX_FRAME_BYTES`] fits
+//! in three bytes), anything else is treated as an HTTP request line.
 //!
 //! Robustness invariants:
 //! - a query only runs while holding a slot from [`Gate`] — overload
@@ -19,7 +21,7 @@
 //!   process exits 0.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -32,8 +34,8 @@ use crate::http;
 use crate::proto::{self, ProtoError, Request, Response};
 use crate::signal;
 
-/// How often idle loops (acceptor, parked connections) re-check the
-/// shutdown flag.
+/// How often idle loops (the acceptor's watcher, parked connections)
+/// re-check the shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// How long a binary frame that has begun to arrive may go without more
@@ -50,12 +52,10 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:4170`. Port 0 picks a free port
     /// (the bound address is on the returned handle).
     pub addr: String,
-    /// Concurrent query slots (the shared worker pool size).
+    /// Concurrent query slots: queries that run at once, one thread each.
     pub max_inflight: usize,
     /// Bounded admission queue: waiters beyond this are shed.
     pub queue_depth: usize,
-    /// Match-engine workers *per query* (`QueryOptions::workers`).
-    pub query_workers: usize,
     /// Hard cap on any query's deadline; the effective deadline is
     /// `min(client, max)`. Also the floor for a safe drain deadline.
     pub max_deadline_ms: u64,
@@ -74,7 +74,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:4170".to_string(),
             max_inflight: std::thread::available_parallelism().map_or(4, |n| n.get()),
             queue_depth: 64,
-            query_workers: 1,
             max_deadline_ms: 2_000,
             drain_deadline_ms: 5_000,
             access_log: None,
@@ -268,7 +267,6 @@ impl Server {
             vist_obs::wide::set_file_sink(path, 0)?;
         }
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let gate = Gate::new(cfg.max_inflight, cfg.queue_depth);
         let shared = Arc::new(Shared {
@@ -281,7 +279,7 @@ impl Server {
         let accept_shared = Arc::clone(&shared);
         let acceptor = thread::Builder::new()
             .name("vist-serve-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))?;
+            .spawn(move || accept_loop(listener, addr, accept_shared))?;
         Ok(ServerHandle {
             addr,
             shared,
@@ -294,24 +292,53 @@ fn should_stop(shared: &Shared) -> bool {
     shared.stop.load(Ordering::SeqCst) || signal::shutdown_requested()
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> DrainReport {
-    loop {
-        if should_stop(&shared) {
-            break;
+fn accept_loop(listener: TcpListener, addr: SocketAddr, shared: Arc<Shared>) -> DrainReport {
+    thread::scope(|s| {
+        let watcher = thread::Builder::new()
+            .name("vist-serve-wake".into())
+            .spawn_scoped(s, || wake_on_stop(addr, &shared));
+        // Nothing else would wake a blocked accept at shutdown: without a
+        // watcher the server accepts nothing and drains at once.
+        if watcher.is_err() {
+            return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_shared = Arc::clone(&shared);
-                let _ = thread::Builder::new()
-                    .name("vist-serve-conn".into())
-                    .spawn(move || handle_connection(stream, conn_shared));
+        loop {
+            match listener.accept() {
+                // Dropped unanswered: the watcher's wake-up, or a client
+                // that came after the stop.
+                Ok(_) if should_stop(&shared) => break,
+                Ok((stream, _peer)) => {
+                    let conn_shared = Arc::clone(&shared);
+                    let _ = thread::Builder::new()
+                        .name("vist-serve-conn".into())
+                        .spawn(move || handle_connection(stream, conn_shared));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => thread::sleep(POLL_TICK),
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_TICK),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(POLL_TICK),
+        }
+    });
+    drain(&shared)
+}
+
+/// Check the shutdown flag every [`POLL_TICK`] and, once it is set,
+/// connect to the listener so that a blocked `accept` returns. Polled, not
+/// signalled: SIGTERM's handler only sets the flag, and the C library
+/// restarts an `accept` the signal interrupts.
+fn wake_on_stop(addr: SocketAddr, shared: &Shared) {
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    loop {
+        thread::sleep(POLL_TICK);
+        if should_stop(shared) && TcpStream::connect(wake).is_ok() {
+            return;
         }
     }
-    drain(&shared)
 }
 
 /// The drain: stop admitting, wait for in-flight work (bounded), flush.
@@ -599,7 +626,6 @@ pub(crate) fn handle_request(
             let started = Instant::now();
             let opts = QueryOptions {
                 verify,
-                workers: shared.cfg.query_workers,
                 no_plan,
                 limit: if limit == 0 {
                     None
@@ -633,7 +659,6 @@ pub(crate) fn handle_request(
                     let event = admitted_event("ok")
                         .u64_field("docs", r.doc_ids.len() as u64)
                         .u64_field("candidates", r.candidates as u64)
-                        .u64_field("workers", shared.cfg.query_workers as u64)
                         .raw_field("stages", &stages_json(&r.timings));
                     emit(counter_fields(event, &r.stats), service_nanos, root);
                     Response::Ok(r.doc_ids)

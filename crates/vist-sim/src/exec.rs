@@ -329,9 +329,8 @@ impl Exec<'_> {
             Op::Query {
                 template,
                 value,
-                workers,
                 sched,
-            } => self.run_query(template, value, workers, sched),
+            } => self.run_query(template, value, sched),
             Op::Flush => match self.idx().flush() {
                 Ok(()) => {
                     self.report.flushes += 1;
@@ -482,13 +481,7 @@ impl Exec<'_> {
     /// One query, five ways: seeded raw twice (schedule independence),
     /// raw with the planner off (plan independence), verified (== model
     /// exact), and the naive baseline (== raw).
-    fn run_query(
-        &mut self,
-        template: u8,
-        value: u8,
-        workers: u8,
-        sched: u64,
-    ) -> Result<(), Divergence> {
+    fn run_query(&mut self, template: u8, value: u8, sched: u64) -> Result<(), Divergence> {
         let expr = query_expr(template, value);
         let pattern = parse_query(&expr)
             .expect("templates are valid")
@@ -497,7 +490,6 @@ impl Exec<'_> {
 
         let opts = |verify: bool, seed: u64| QueryOptions {
             verify,
-            workers: workers.max(1) as usize,
             schedule_seed: Some(seed),
             ..Default::default()
         };

@@ -9,7 +9,10 @@
 //! host timing.
 //!
 //! The text format is line-based and versioned so failing traces can be
-//! checked into `tests/seeds/` and replayed by `vist sim --replay`.
+//! checked into `tests/seeds/` and replayed by `vist sim --replay`. Traces
+//! are written as v2; a v1 trace still reads, its `op query` line carrying
+//! one more number (a match-engine worker count) before the schedule seed,
+//! which is ignored.
 
 use std::fmt::Write as _;
 
@@ -35,12 +38,7 @@ pub enum Op {
     /// Run the query from [`query_expr`] three ways (seeded schedule A,
     /// seeded schedule B, verified) and diff all of them against the
     /// model and the naive oracle.
-    Query {
-        template: u8,
-        value: u8,
-        workers: u8,
-        sched: u64,
-    },
+    Query { template: u8, value: u8, sched: u64 },
     /// Checkpoint: everything inserted so far becomes durable.
     Flush,
     /// Compact delta + segments into one fresh segment (tombstones
@@ -213,7 +211,6 @@ pub fn generate(cfg: &SimConfig) -> Trace {
                 Op::Query {
                     template: rng.below(TEMPLATES as u64) as u8,
                     value: rng.below(4) as u8,
-                    workers: *rng.pick(&[1u8, 1, 2, 4]),
                     sched: rng.next_u64(),
                 }
             }
@@ -234,7 +231,7 @@ impl Trace {
     /// Serialize to the versioned line format (see module docs).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "vist-sim trace v1");
+        let _ = writeln!(out, "vist-sim trace v2");
         let _ = writeln!(out, "seed {}", self.seed);
         let _ = writeln!(out, "page_size {}", self.page_size);
         let _ = writeln!(out, "lambda {}", self.lambda);
@@ -253,10 +250,9 @@ impl Trace {
                 Op::Query {
                     template,
                     value,
-                    workers,
                     sched,
                 } => {
-                    let _ = writeln!(out, "op query {template} {value} {workers} {sched}");
+                    let _ = writeln!(out, "op query {template} {value} {sched}");
                 }
                 Op::Flush => {
                     let _ = writeln!(out, "op flush");
@@ -293,9 +289,11 @@ impl Trace {
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'));
         let header = lines.next().ok_or("empty trace")?;
-        if header != "vist-sim trace v1" {
-            return Err(format!("bad trace header: {header:?}"));
-        }
+        let v1 = match header {
+            "vist-sim trace v1" => true,
+            "vist-sim trace v2" => false,
+            _ => return Err(format!("bad trace header: {header:?}")),
+        };
         let mut seed = None;
         let mut page_size = None;
         let mut lambda = None;
@@ -346,8 +344,12 @@ impl Trace {
                         "query" => Op::Query {
                             template: num("template")? as u8,
                             value: num("value")? as u8,
-                            workers: num("workers")? as u8,
-                            sched: num("sched")?,
+                            sched: {
+                                if v1 {
+                                    num("workers")?;
+                                }
+                                num("sched")?
+                            },
                         },
                         "flush" => Op::Flush,
                         "compact" => Op::Compact,
@@ -451,6 +453,22 @@ mod tests {
             ]
         );
         assert_eq!(Trace::from_text(&trace.to_text()).unwrap(), trace);
+    }
+
+    #[test]
+    fn a_v1_query_reads_without_its_worker_count() {
+        let text = "vist-sim trace v1\nseed 3\npage_size 256\nlambda 8\nmutation none\nop query 2 1 4 99\n";
+        let trace = Trace::from_text(text).unwrap();
+        let query = Op::Query {
+            template: 2,
+            value: 1,
+            sched: 99,
+        };
+        assert_eq!(trace.ops, vec![query]);
+        let text = trace.to_text();
+        assert!(text.starts_with("vist-sim trace v2\n"), "{text}");
+        assert!(text.ends_with("op query 2 1 99\n"), "{text}");
+        assert_eq!(Trace::from_text(&text).unwrap(), trace);
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //! of consecutive pages until it is a write chunk long, and its
 //! [`Pager::sync`] *seals* the file: a zero frame for every page allocated
 //! but never written, the header, the cut to the high-water mark, one
-//! fsync. Nothing makes the writes between two seals atomic, so it serves
-//! only files no reader sees unsealed: the packed segments, which the
-//! manifest swap publishes.
+//! fsync. Page 1 waits for the seal, which writes it with the header frame
+//! before it: a segment's header page is written last, and this way it
+//! costs no call of its own and breaks no run of the pages after it.
+//! Nothing makes the writes between two seals atomic, so it serves only
+//! files no reader sees unsealed: the packed segments, which the manifest
+//! swap publishes.
 //!
 //! A [`FilePager`] never touches its data file between checkpoints. Every
 //! page write appends a checksummed record to `<path>.wal` ([`crate::wal`]),
@@ -108,6 +111,9 @@ pub struct FrameFile {
     /// but not yet in the file: the file takes pages a chunk per call, and
     /// the page cache keeps it in units that large (faster reads).
     held: (PageId, usize),
+    /// The image of page 1, written since the last seal: the seal writes it
+    /// right after the header frame.
+    first: Option<Vec<u8>>,
     stats: IoStats,
 }
 
@@ -156,6 +162,7 @@ impl FrameFile {
             frame: vec![0u8; page_size + PAGE_TRAILER],
             staging: Vec::new(),
             held: (0, 0),
+            first: None,
             stats: IoStats::default(),
         }
     }
@@ -326,6 +333,8 @@ impl Pager for FrameFile {
         if (first..first + len as PageId).contains(&id) {
             let at = (id - first) as usize * self.frame.len();
             buf.copy_from_slice(&self.staging[at..at + self.page_size]);
+        } else if let Some(page) = self.first.as_ref().filter(|_| id == 1) {
+            buf.copy_from_slice(page);
         } else if id < self.durable || self.written.contains_key(&id) {
             self.read_frame(id)?;
             buf.copy_from_slice(&self.frame[..self.page_size]);
@@ -338,10 +347,15 @@ impl Pager for FrameFile {
 
     /// Add the page to the held run; the run reaches the file once it is a
     /// chunk long, a page it does not continue is written, or on the seal.
+    /// Page 1 is kept for the seal instead.
     fn write(&mut self, id: PageId, page: &[u8]) -> Result<()> {
         debug_assert_eq!(page.len(), self.page_size);
         self.check_id(id)?;
-        self.hold(id, |buf| put(id, page, buf))?;
+        if id == 1 {
+            self.first = Some(page.to_vec());
+        } else {
+            self.hold(id, |buf| put(id, page, buf))?;
+        }
         self.written.insert(id, ());
         self.stats.writes += 1;
         self.dirty = true;
@@ -352,15 +366,23 @@ impl Pager for FrameFile {
         u64::from(self.high_water) * self.frame.len() as u64
     }
 
-    /// Seal the file: a zero frame for every page allocated but never
-    /// written, the header, then the cut to the high-water mark and one
-    /// fsync. No-op when nothing changed.
+    /// Seal the file: the header and page 1 if it was written, a zero
+    /// frame for every page allocated but never written, then the cut to
+    /// the high-water mark and one fsync. No-op when nothing changed.
     fn sync(&mut self) -> Result<()> {
         if !self.dirty {
             return Ok(());
         }
         let hdr = self.header_image();
-        self.write_frames(self.seal_images(&hdr, |_| false), put)?;
+        let first = self.first.take();
+        let mut images = self.seal_images(&hdr, |_| false);
+        if let Some(page) = &first {
+            images.insert(1, (1, page));
+        }
+        if let Err(e) = self.write_frames(images, put) {
+            self.first = first;
+            return Err(e);
+        }
         self.cut_and_sync()
     }
 
@@ -372,6 +394,7 @@ impl Pager for FrameFile {
         self.written.clear();
         self.staging.clear();
         self.held = (0, 0);
+        self.first = None;
         self.dirty = true;
         Ok(())
     }

@@ -20,20 +20,19 @@ USAGE:
   vist add     <index> <file.xml>...
   vist load    <index> <dir|file.xml> [--ingest-threads N] [--batch-size B]
   vist compact <index>
-  vist query   <index> '<expr>' [--verify] [--show] [--workers N] [--trace]
-               [--no-plan] [--limit N] [--deadline-ms N]
+  vist query   <index> '<expr>' [--verify] [--show] [--trace] [--no-plan]
+               [--limit N] [--deadline-ms N]
   vist remove  <index> <doc-id>
-  vist explain <index> '<expr>' [--workers N] [--plan] [--no-plan]
+  vist explain <index> '<expr>' [--plan] [--no-plan]
   vist list    <index>
   vist stats   <index> [--format human|json|prometheus]
-  vist profile <index> <queries-file> [--workers N]
+  vist profile <index> <queries-file>
   vist check   <index>
   vist recover <index>
   vist sim     [--seed N] [--ops N] [--seconds N] [--replay FILE] [--out FILE]
                [--page-size N] [--lambda N] [--mutate scope-off-by-one] [--dump]
   vist serve   <index> [--addr H:P] [--max-inflight N] [--queue-depth N]
-               [--query-workers N] [--max-deadline-ms N] [--drain-deadline-ms N]
-               [--access-log FILE]
+               [--max-deadline-ms N] [--drain-deadline-ms N] [--access-log FILE]
   vist traces  [--addr H:P] [<trace-id>]
 
 SERVING (see docs/SERVING.md):
@@ -60,7 +59,7 @@ QUERY PLANNING (ViST §3.4 statistical clues):
   query --limit N      stop after N matching documents (early termination)
   explain --plan       per-tier planner report: sequence ranks and prunes,
                        estimated vs actual cardinalities per step, and the
-                       chosen DocId resolution strategy
+                       number of DocId ranges resolved
 
 OBSERVABILITY (see docs/OBSERVABILITY.md):
   query --trace        print the hierarchical span tree of one execution
@@ -315,7 +314,6 @@ fn query(a: &mut Args) -> Result<String, String> {
     };
     let show = a.flag("--show");
     let trace = a.flag("--trace");
-    a.set("--workers", &mut opts.workers)?;
     let deadline_ms = a.num("--deadline-ms")?;
     let [index, expr] = a.operands("an index path and one expression")?;
     let idx = open(&index)?;
@@ -366,11 +364,10 @@ fn remove(a: &mut Args) -> Result<String, String> {
 
 fn explain(a: &mut Args) -> Result<String, String> {
     let plan = a.flag("--plan");
-    let mut opts = QueryOptions {
+    let opts = QueryOptions {
         no_plan: a.flag("--no-plan"),
         ..Default::default()
     };
-    a.set("--workers", &mut opts.workers)?;
     let [index, expr] = a.operands("an index path and one expression")?;
     let idx = open(&index)?;
     idx.explain(&expr, &opts, plan).map_err(|e| e.to_string())
@@ -497,8 +494,7 @@ fn stats(a: &mut Args) -> Result<String, String> {
 }
 
 fn profile(a: &mut Args) -> Result<String, String> {
-    let mut opts = QueryOptions::default();
-    a.set("--workers", &mut opts.workers)?;
+    let opts = QueryOptions::default();
     let [index, queries] = a.operands("an index path and a queries file")?;
     let idx = open(&index)?;
     let text = std::fs::read_to_string(&queries).map_err(|e| format!("{queries}: {e}"))?;
@@ -517,13 +513,7 @@ fn profile(a: &mut Args) -> Result<String, String> {
     }
 
     let mut out = String::new();
-    writeln!(
-        out,
-        "replayed {} query(ies) with {} worker(s)\n",
-        rows.len(),
-        opts.workers
-    )
-    .unwrap();
+    writeln!(out, "replayed {} query(ies)\n", rows.len()).unwrap();
     writeln!(
         out,
         "{:>4}  {:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  query",
@@ -746,7 +736,6 @@ fn serve_config(a: &mut Args) -> Result<(String, vist_serve::ServeConfig), Strin
     a.set("--addr", &mut cfg.addr)?;
     a.set("--max-inflight", &mut cfg.max_inflight)?;
     a.set("--queue-depth", &mut cfg.queue_depth)?;
-    a.set("--query-workers", &mut cfg.query_workers)?;
     a.set("--max-deadline-ms", &mut cfg.max_deadline_ms)?;
     a.set("--drain-deadline-ms", &mut cfg.drain_deadline_ms)?;
     cfg.access_log = a.opt("--access-log")?;
@@ -892,16 +881,8 @@ mod tests {
         assert!(out.contains("--- doc 1 ---\n<book><author>Mary</author></book>"));
         // `--trace` flips a process-wide switch: `query_trace_prints_span_tree`
         // alone runs it, so that no other test sees the switch on.
-        let out = cmd(&format!("query {index} //author --workers 4")).unwrap();
+        let out = cmd(&format!("query {index} //author")).unwrap();
         assert_eq!(out, "2 document(s)\n0\n1\n");
-        assert_eq!(
-            cmd(&format!("query {index} //author --workers")).unwrap_err(),
-            "--workers needs a value"
-        );
-        assert_eq!(
-            cmd(&format!("explain {index} //author --workers nope")).unwrap_err(),
-            "bad --workers"
-        );
     }
 
     #[test]
@@ -916,13 +897,9 @@ mod tests {
         assert!(cmd(&format!("query {index} //author --limit")).is_err());
         let out = cmd(&format!("explain {index} /book/author --plan")).unwrap();
         assert!(out.contains("plan (delta):\n"), "{out}");
-        assert!(out.contains("engine:  1 worker(s)"), "{out}");
-        let out = cmd(&format!(
-            "explain {index} //author --plan --no-plan --workers 2"
-        ))
-        .unwrap();
+        assert!(out.contains("engine:  "), "{out}");
+        let out = cmd(&format!("explain {index} //author --plan --no-plan")).unwrap();
         assert!(out.contains("[planner off: naive order]"), "{out}");
-        assert!(out.contains("engine:  2 worker(s)"), "{out}");
         let out = cmd(&format!("explain {index} //author")).unwrap();
         assert!(!out.contains("plan ("), "{out}");
     }
@@ -953,10 +930,8 @@ mod tests {
         let (tmp, index) = books("cli-parse-profile");
         let qfile = tmp.file("q.txt");
         std::fs::write(&qfile, "//author\n").unwrap();
-        let out = cmd(&format!("profile {index} {} --workers 2", qfile.display())).unwrap();
-        assert!(out.starts_with("replayed 1 query(ies) with 2 worker(s)\n"));
         let out = cmd(&format!("profile {index} {}", qfile.display())).unwrap();
-        assert!(out.starts_with("replayed 1 query(ies) with 1 worker(s)\n"));
+        assert!(out.starts_with("replayed 1 query(ies)\n"));
         assert!(cmd(&format!("profile {index}")).is_err());
     }
 
@@ -998,6 +973,14 @@ mod tests {
                 "load: unexpected argument '--threads'",
             ),
             ("serve idx --port 9", "serve: unexpected argument '--port'"),
+            (
+                "serve idx --query-workers 2",
+                "serve: unexpected argument '--query-workers'",
+            ),
+            (
+                "query idx /a --workers 2",
+                "query: unexpected argument '--workers'",
+            ),
             (
                 "traces --trace-id 00ff",
                 "traces: unexpected argument '--trace-id'",
@@ -1137,7 +1120,7 @@ mod tests {
     fn end_to_end_lifecycle() {
         let (_tmp, index) = books("cli-e2e");
         let out = cmd(&format!(
-            "query {index} /book/author[text='David'] --verify --show --workers 2"
+            "query {index} /book/author[text='David'] --verify --show"
         ))
         .unwrap();
         assert!(out.starts_with("1 document(s)"), "{out}");
@@ -1449,7 +1432,7 @@ mod tests {
         let (tmp, index) = obs_fixture("cli-profile");
         let qfile = tmp.file("q.txt");
         std::fs::write(&qfile, "# workload\n/site/people/person/name\n\n//name\n").unwrap();
-        let out = cmd(&format!("profile {index} {} --workers 2", qfile.display())).unwrap();
+        let out = cmd(&format!("profile {index} {}", qfile.display())).unwrap();
         assert!(out.contains("replayed 2 query(ies)"), "{out}");
         assert!(out.contains("/site/people/person/name"), "{out}");
         assert!(out.contains("workload total:"), "{out}");
@@ -1479,17 +1462,14 @@ mod tests {
             sub: "serve".into(),
             rest: argv(
                 "idx --addr 127.0.0.1:0 --max-inflight 2 --queue-depth 3 \
-                 --query-workers 4 --max-deadline-ms 500 --drain-deadline-ms 900 \
+                 --max-deadline-ms 500 --drain-deadline-ms 900 \
                  --access-log access.jsonl",
             ),
         };
         let (index, cfg) = serve_config(&mut a).unwrap();
         assert_eq!(index, "idx");
         assert_eq!(cfg.addr, "127.0.0.1:0");
-        assert_eq!(
-            (cfg.max_inflight, cfg.queue_depth, cfg.query_workers),
-            (2, 3, 4)
-        );
+        assert_eq!((cfg.max_inflight, cfg.queue_depth), (2, 3));
         assert_eq!((cfg.max_deadline_ms, cfg.drain_deadline_ms), (500, 900));
         assert_eq!(cfg.access_log.as_deref(), Some("access.jsonl"));
         // Defaults fill in everything but the index path.
@@ -1600,7 +1580,7 @@ mod tests {
             );
             checked += 1;
         }
-        assert_eq!(checked, 9);
+        assert_eq!(checked, 8);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Deadline/cancellation semantics (ISSUE 8 satellite): a query
 //! cancelled mid-match on a tiered index returns `DeadlineExceeded`,
 //! leaves no poisoned locks, and the next query returns bit-identical
-//! results to an undisturbed run — for both the serial (workers=1) and
-//! parallel (workers=4) match paths. The same holds for a deadline that
+//! results to an undisturbed run. The same holds for a deadline that
 //! runs out between two frames cut from the hits of one sweep, or between
 //! two slices of the merged scopes the DocId stage resolves.
 
@@ -40,45 +39,36 @@ fn build_tiered(dir: &TempDir) -> VistIndex {
     idx
 }
 
-fn opts(workers: usize) -> QueryOptions {
-    QueryOptions {
-        workers,
-        ..QueryOptions::default()
-    }
-}
-
 #[test]
 fn expired_deadline_cancels_and_leaves_index_undisturbed() {
     let dir = TempDir::new("deadline-semantics");
     let idx = build_tiered(&dir);
-    for workers in [1, 4] {
-        let o = opts(workers);
-        let undisturbed = idx.query(EXPR, &o).unwrap();
-        assert!(!undisturbed.doc_ids.is_empty());
+    let o = QueryOptions::default();
+    let undisturbed = idx.query(EXPR, &o).unwrap();
+    assert!(!undisturbed.doc_ids.is_empty());
 
-        // A deadline already in the past must trip the engine's first
-        // cooperative check, deterministically.
-        let expired = idx.query(
-            EXPR,
-            &QueryOptions {
-                deadline: Some(Instant::now()),
-                ..o
-            },
-        );
-        assert!(
-            matches!(expired, Err(Error::DeadlineExceeded)),
-            "workers={workers}: {expired:?}"
-        );
+    // A deadline already in the past must trip the engine's first
+    // cooperative check, deterministically.
+    let expired = idx.query(
+        EXPR,
+        &QueryOptions {
+            deadline: Some(Instant::now()),
+            ..o
+        },
+    );
+    assert!(
+        matches!(expired, Err(Error::DeadlineExceeded)),
+        "{expired:?}"
+    );
 
-        // No poisoned locks, no mutated state: the next query is
-        // bit-identical to the undisturbed run.
-        let after = idx.query(EXPR, &o).unwrap();
-        assert_eq!(
-            after.doc_ids, undisturbed.doc_ids,
-            "workers={workers}: results diverged after cancellation"
-        );
-        assert_eq!(after.candidates, undisturbed.candidates);
-    }
+    // No poisoned locks, no mutated state: the next query is
+    // bit-identical to the undisturbed run.
+    let after = idx.query(EXPR, &o).unwrap();
+    assert_eq!(
+        after.doc_ids, undisturbed.doc_ids,
+        "results diverged after cancellation"
+    );
+    assert_eq!(after.candidates, undisturbed.candidates);
 }
 
 #[test]
@@ -89,29 +79,27 @@ fn tight_budgets_either_finish_or_cancel_cleanly() {
     // cancellation at whatever work-item the budget happens to land on.
     let dir = TempDir::new("deadline-budgets");
     let idx = build_tiered(&dir);
-    for workers in [1, 4] {
-        let o = opts(workers);
-        let baseline = idx.query(EXPR, &o).unwrap();
-        let mut cancelled = 0u32;
-        for micros in [0u64, 20, 50, 100, 500, 5_000, 500_000] {
-            let r = idx.query(
-                EXPR,
-                &QueryOptions {
-                    deadline: Some(Instant::now() + Duration::from_micros(micros)),
-                    ..o
-                },
-            );
-            match r {
-                Ok(res) => assert_eq!(res.doc_ids, baseline.doc_ids, "workers={workers}"),
-                Err(Error::DeadlineExceeded) => cancelled += 1,
-                Err(e) => panic!("workers={workers}: unexpected error {e}"),
-            }
+    let o = QueryOptions::default();
+    let baseline = idx.query(EXPR, &o).unwrap();
+    let mut cancelled = 0u32;
+    for micros in [0u64, 20, 50, 100, 500, 5_000, 500_000] {
+        let r = idx.query(
+            EXPR,
+            &QueryOptions {
+                deadline: Some(Instant::now() + Duration::from_micros(micros)),
+                ..o
+            },
+        );
+        match r {
+            Ok(res) => assert_eq!(res.doc_ids, baseline.doc_ids, "{micros} µs"),
+            Err(Error::DeadlineExceeded) => cancelled += 1,
+            Err(e) => panic!("{micros} µs: unexpected error {e}"),
         }
-        // The 0 µs budget always cancels.
-        assert!(cancelled >= 1, "workers={workers}");
-        let after = idx.query(EXPR, &o).unwrap();
-        assert_eq!(after.doc_ids, baseline.doc_ids);
     }
+    // The 0 µs budget always cancels.
+    assert!(cancelled >= 1);
+    let after = idx.query(EXPR, &o).unwrap();
+    assert_eq!(after.doc_ids, baseline.doc_ids);
 }
 
 #[test]
@@ -242,49 +230,43 @@ fn cancelled_while_holding(hold: Hold) {
     assert_eq!(undisturbed.stats.sancestor_scans, 5);
     assert_eq!(undisturbed.stats.docid_scans, 1_500);
 
-    for workers in [1, 4] {
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let source = SlowSource {
-            inner: idx.store(),
-            sweeps: AtomicUsize::new(0),
-            resolutions: AtomicUsize::new(0),
-            hold,
-            until: deadline + Duration::from_millis(5),
-        };
-        let cancelled = search_sequences(
-            &source,
-            &sequences,
-            &SearchOptions {
-                workers,
-                deadline: Some(deadline),
-                ..SearchOptions::default()
-            },
-        );
-        assert!(
-            matches!(cancelled, Err(Error::DeadlineExceeded)),
-            "workers={workers}: {:?}",
-            cancelled.map(|out| out.docs.len())
-        );
-        let (sweeps, resolutions) = (source.sweeps.into_inner(), source.resolutions.into_inner());
-        match hold {
-            // Alone, the worker that slept finds the deadline passed
-            // when it turns to the next frame; beside others, the
-            // frames it gave away may have been swept meanwhile and the
-            // DocId stage notices.
-            Hold::Sweep(_) if workers == 1 => {
-                assert_eq!((sweeps, resolutions), (4, 0), "two frames left unswept");
-            }
-            Hold::Sweep(_) => assert_eq!(resolutions, 0, "workers={workers}"),
-            Hold::Resolution(_) => {
-                assert_eq!((sweeps, resolutions), (5, 1), "one slice left unresolved");
-            }
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let source = SlowSource {
+        inner: idx.store(),
+        sweeps: AtomicUsize::new(0),
+        resolutions: AtomicUsize::new(0),
+        hold,
+        until: deadline + Duration::from_millis(5),
+    };
+    let cancelled = search_sequences(
+        &source,
+        &sequences,
+        &SearchOptions {
+            deadline: Some(deadline),
+            ..SearchOptions::default()
+        },
+    );
+    assert!(
+        matches!(cancelled, Err(Error::DeadlineExceeded)),
+        "{:?}",
+        cancelled.map(|out| out.docs.len())
+    );
+    let (sweeps, resolutions) = (source.sweeps.into_inner(), source.resolutions.into_inner());
+    match hold {
+        // The loop finds the deadline passed when it turns to the next
+        // frame.
+        Hold::Sweep(_) => {
+            assert_eq!((sweeps, resolutions), (4, 0), "two frames left unswept");
         }
-
-        let after = search_sequences(idx.store(), &sequences, &SearchOptions::default()).unwrap();
-        assert_eq!(after.docs, undisturbed.docs, "workers={workers}");
-        assert_eq!(after.scopes, undisturbed.scopes, "workers={workers}");
-        assert_eq!(after.stats, undisturbed.stats, "workers={workers}");
+        Hold::Resolution(_) => {
+            assert_eq!((sweeps, resolutions), (5, 1), "one slice left unresolved");
+        }
     }
+
+    let after = search_sequences(idx.store(), &sequences, &SearchOptions::default()).unwrap();
+    assert_eq!(after.docs, undisturbed.docs);
+    assert_eq!(after.scopes, undisturbed.scopes);
+    assert_eq!(after.stats, undisturbed.stats);
 }
 
 #[test]

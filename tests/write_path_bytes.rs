@@ -268,7 +268,7 @@ fn a_segment_is_written_once() {
             t.written_bytes
         );
         let chunks = len.div_ceil(1 << 20);
-        assert!(t.writes <= chunks + 4, "{op}: {} writes", t.writes);
+        assert!(t.writes <= chunks + 2, "{op}: {} writes", t.writes);
         let logs: Vec<&String> = tally
             .keys()
             .filter(|name| name.contains(".seg-") && name.ends_with(".wal"))
