@@ -1,24 +1,22 @@
 //! Cost of the `vist-obs` instrumentation on the query hot path.
 //!
-//! One binary measures the same query workload in four in-process
+//! One binary measures the same query workload in three in-process
 //! configurations:
 //!
 //!   * **metrics on, tracing off** — the production default (counters,
-//!     gauges and latency histograms move; no span trees are built);
+//!     gauges and latency histograms move; every query's I/O is
+//!     attributed to it; no span trees are built);
 //!   * **timing gate off** — counters still move but `vist_obs::now()`
 //!     returns `None`, so no `Instant` reads and no histogram records;
-//!   * **tracing on** — full hierarchical span trees per query;
-//!   * **attribution on** — a per-query [`vist_obs::AttrCounters`] block
-//!     installed around every query, exactly as the serve path does, so
-//!     every buffer-pool touch pays the thread-local charge.
+//!   * **tracing on** — full hierarchical span trees per query.
 //!
 //! Compile with `-p vist-bench --features obs-noop` to get the
 //! uninstrumented reference build: every counter increment and timer read
 //! compiles to nothing. The CI `obs-overhead` job runs the reference build
 //! first, then the instrumented build with `--baseline-ms <reference>`
 //! `--gate 5`, which makes this binary exit non-zero if enabled-but-idle
-//! instrumentation costs more than 5% — checked for both the production
-//! default and the attribution-enabled configuration.
+//! instrumentation costs more than 5% — checked for the production
+//! default, which includes per-query I/O attribution.
 //!
 //! ```sh
 //! cargo run --release -p vist-bench --bin obs_overhead                      # writes BENCH_obs_overhead.json
@@ -113,55 +111,42 @@ fn main() {
         patterns.len()
     );
 
-    let run = |attribution: bool| {
+    let run = || {
         let opts = QueryOptions::default();
         // `passes` repetitions inside the timed region: long enough to
         // resolve a few-percent delta above timer granularity.
         for _ in 0..passes {
             for p in &patterns {
-                // Mirror the serve path: one counter block per query,
-                // installed before the engine runs, snapshotted after.
-                let ctx = attribution.then(vist_obs::AttrCounters::new);
-                let guard = ctx.clone().map(vist_obs::attr::install);
                 let _ = index.query_pattern(p, &opts).expect("query");
-                drop(guard);
-                if let Some(ctx) = ctx {
-                    std::hint::black_box(ctx.snapshot());
-                }
             }
         }
     };
 
     // Warm the buffer pool and symbol table out of the timed region.
-    run(false);
+    run();
 
     // Interleave the configurations round-robin and keep the per-config
     // minimum: sequential blocks would let clock-frequency or allocator
     // drift masquerade as instrumentation overhead.
-    // (timing on, tracing on, attribution on)
-    let configs: [(bool, bool, bool); 4] = [
-        (true, false, false),
-        (false, false, false),
-        (true, true, false),
-        (true, false, true),
-    ];
-    let mut mins = [Duration::MAX; 4];
+    // (timing on, tracing on)
+    let configs: [(bool, bool); 3] = [(true, false), (false, false), (true, true)];
+    let mut mins = [Duration::MAX; 3];
     for round in 0..iters {
         // Rotate the starting configuration so no slot systematically
         // inherits a colder or warmer machine state from its predecessor.
         for k in 0..configs.len() {
             let i = (round + k) % configs.len();
-            let (timing, tracing, attribution) = configs[i];
+            let (timing, tracing) = configs[i];
             vist_obs::set_timing(timing);
             vist_obs::set_tracing(tracing);
             let t = Instant::now();
-            run(attribution);
+            run();
             mins[i] = mins[i].min(t.elapsed());
         }
     }
     vist_obs::set_timing(true);
     vist_obs::set_tracing(false);
-    let [off_1, notime_1, trace_1, attr_1] = mins;
+    let [off_1, notime_1, trace_1] = mins;
 
     let rel = |t: Duration| format!("{:.2}", t.as_secs_f64() / off_1.as_secs_f64());
     let rows = vec![
@@ -180,11 +165,6 @@ fn main() {
             ms(trace_1),
             rel(trace_1),
         ],
-        vec![
-            "attribution on (1 worker)".to_string(),
-            ms(attr_1),
-            rel(attr_1),
-        ],
     ];
     println!(
         "\nobs_overhead [{config}] — {} queries x {passes} pass(es) over {n} documents, min of {iters}",
@@ -193,21 +173,16 @@ fn main() {
     print_table(&["configuration", "total (ms)", "vs tracing-off"], &rows);
 
     let off_ms = off_1.as_secs_f64() * 1e3;
-    let attr_ms = attr_1.as_secs_f64() * 1e3;
     // Machine-readable line for the CI gate to pick up as the baseline.
     println!("\ntracing_off_1w_ms={off_ms:.3}");
     let mut overhead_pct: Option<f64> = None;
-    let mut attr_overhead_pct: Option<f64> = None;
     if let Some(base) = baseline_ms {
         let pct = (off_ms - base) / base * 100.0;
-        let attr_pct = (attr_ms - base) / base * 100.0;
         overhead_pct = Some(pct);
-        attr_overhead_pct = Some(attr_pct);
         println!(
-            "\noverhead vs uninstrumented baseline {base:.3} ms: \
-             metrics-only {pct:+.2}%, attribution on {attr_pct:+.2}% (gate {gate_pct:.1}%)"
+            "\noverhead vs uninstrumented baseline {base:.3} ms: {pct:+.2}% (gate {gate_pct:.1}%)"
         );
-        if pct > gate_pct || attr_pct > gate_pct {
+        if pct > gate_pct {
             eprintln!("FAIL: enabled-but-idle instrumentation exceeds the {gate_pct:.1}% gate");
             std::process::exit(1);
         }
@@ -226,9 +201,7 @@ fn main() {
                 "  \"metrics_on_tracing_off_1w_ms\": {:.3},\n",
                 "  \"timing_gate_off_1w_ms\": {:.3},\n",
                 "  \"tracing_on_1w_ms\": {:.3},\n",
-                "  \"attribution_on_1w_ms\": {:.3},\n",
                 "  \"overhead_off_vs_noop_pct\": {},\n",
-                "  \"overhead_attr_vs_noop_pct\": {},\n",
                 "  \"gate_pct\": {:.1}\n",
                 "}}\n"
             ),
@@ -242,9 +215,7 @@ fn main() {
             off_ms,
             notime_1.as_secs_f64() * 1e3,
             trace_1.as_secs_f64() * 1e3,
-            attr_ms,
             overhead_pct.map_or("null".to_string(), |p| format!("{p:.3}")),
-            attr_overhead_pct.map_or("null".to_string(), |p| format!("{p:.3}")),
             gate_pct,
         );
         std::fs::write("BENCH_obs_overhead.json", &json).expect("write json");

@@ -293,7 +293,7 @@ query_stats! {
     }
     io {
         /// Buffer-pool hits attributed to this query (filled by the index
-        /// layer from the request's [`vist_obs::attr`] context; zero for
+        /// layer from the query's [`vist_obs::attr`] scope; zero for
         /// direct `search_sequences` calls and `noop` builds).
         io_pool_hits,
         /// Buffer-pool misses attributed to this query.
@@ -302,7 +302,7 @@ query_stats! {
         io_pages_read,
         /// Bytes read from the backing file for this query.
         io_bytes_read,
-        /// WAL appends issued while this query's context was installed.
+        /// WAL appends issued while this query's scope was open.
         io_wal_appends,
     }
 }

@@ -144,14 +144,17 @@ ingest_counters! {
         pub deep_borrows: u64,
         /// Total bytes of the backing store (the "index size" of Figure 11a).
         pub store_bytes: u64,
-        /// Cumulative I/O counters of the shared buffer pool — **since the
-        /// index was opened**, not since it was created. Reopening resets
-        /// every field (including the WAL append/commit and recovery
-        /// counters) to zero; the `vist-obs` registry's `vist_storage_*`
-        /// metrics keep process-lifetime totals across reopens.
+        /// Cumulative I/O counters of the delta's buffer pool and its file —
+        /// **since the index was opened**, not since it was created. Each
+        /// segment has a pool of its own, which this does not count.
+        /// Reopening resets every field (including the WAL append/commit and
+        /// recovery counters) to zero; the `vist-obs` registry's
+        /// `vist_storage_*` metrics keep process-lifetime totals across
+        /// reopens, over every pool.
         pub io: IoStats,
-        /// Per-shard buffer-pool counters (hits, uncontended hits, misses,
-        /// write-backs for each lock stripe).
+        /// Per-shard counters of the delta's buffer pool (hits, uncontended
+        /// hits, misses, write-backs for each lock stripe); no segment's
+        /// pool is counted.
         pub pool: PoolStats,
     }
 }

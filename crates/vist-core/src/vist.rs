@@ -580,6 +580,7 @@ impl VistIndex {
         // Lock order: the table read guard (above, inside the helper) is
         // released before the maintenance latch is taken.
         let _m = self.maintenance.read();
+        let attr = vist_obs::attr::install();
         // Segment scopes live in per-segment label spaces; they are
         // reported as-is after the delta's (scope values from different
         // sources are not comparable).
@@ -587,7 +588,9 @@ impl VistIndex {
             &translation.sequences,
             &opts.search_options(SearchMode::Scopes, false),
         )?;
-        Ok((outcome.scopes, outcome.stats))
+        let mut stats = outcome.stats;
+        stats.set_io(&attr.finish());
+        Ok((outcome.scopes, stats))
     }
 
     /// Translate under a brief shared table lock, interning query-only
@@ -705,29 +708,12 @@ impl VistIndex {
             st.planner_seqs_pruned, st.planner_probes, st.planner_probe_prunes
         )
         .unwrap();
-        let pool = self.store.pool().pool_stats();
-        let t = pool.totals();
         writeln!(
             out,
-            "pool:    {} shard(s), {} hits ({} uncontended), {} misses, {} write-backs",
-            pool.shard_count(),
-            t.hits,
-            t.uncontended_hits,
-            t.misses,
-            t.write_backs
+            "pool:    {} hits, {} misses, {} page(s) read",
+            st.io_pool_hits, st.io_pool_misses, st.io_pages_read
         )
         .unwrap();
-        for (i, s) in pool.shards.iter().enumerate() {
-            writeln!(
-                out,
-                "         shard {i}: {} hits ({} uncontended), {} misses, {:.1}% hit",
-                s.hits,
-                s.uncontended_hits,
-                s.misses,
-                s.hit_ratio().unwrap_or(0.0) * 100.0
-            )
-            .unwrap();
-        }
         Ok(out)
     }
 
@@ -746,10 +732,6 @@ impl VistIndex {
         } else {
             vist_obs::traceid::mint()
         };
-        // Per-query I/O attribution: installed here on the query's thread,
-        // charged by the storage layer.
-        let attr_ctx = vist_obs::AttrCounters::new();
-        let attr_guard = vist_obs::attr::install(attr_ctx.clone());
         let trace = vist_obs::Trace::begin("query");
         let total_start = vist_obs::now();
         let parse_span = vist_obs::Span::enter("parse");
@@ -760,8 +742,6 @@ impl VistIndex {
             ..opts.clone()
         };
         let mut result = self.query_pattern(&pattern, &effective)?;
-        drop(attr_guard);
-        result.stats.set_io(&attr_ctx.snapshot());
         if let Some(total) = vist_obs::elapsed_nanos(total_start) {
             result.timings.total_nanos = total;
             vist_obs::histogram!("vist_core_query_nanos").record_with_exemplar(total, trace_id);
@@ -790,6 +770,9 @@ impl VistIndex {
         opts: &QueryOptions,
         collect_plan: bool,
     ) -> Result<(QueryResult, Vec<(String, PlanReport)>)> {
+        // The query's batch scope (`query`, `query_pattern` and `explain`
+        // all come here): the storage layer charges its I/O to it.
+        let attr = vist_obs::attr::install();
         vist_obs::counter!("vist_core_query_total").inc();
         let topts = TranslateOptions {
             order: self.order.clone(),
@@ -824,7 +807,7 @@ impl VistIndex {
             &translation.sequences,
             &opts.search_options(SearchMode::Docs, collect_plan),
         )?;
-        let stats = outcome.stats;
+        let mut stats = outcome.stats;
         let mut timings = outcome.timings;
         timings.translate_nanos = translate_nanos;
         let out = outcome.docs;
@@ -855,6 +838,7 @@ impl VistIndex {
         } else {
             out
         };
+        stats.set_io(&attr.finish());
         let result = QueryResult {
             doc_ids,
             candidates,

@@ -1,16 +1,18 @@
 //! Per-query I/O attribution invariant.
 //!
 //! Every buffer-pool probe, page read, and WAL append that happens while
-//! a query runs is charged to that query's attribution context
-//! ([`vist_obs::attr`]). Over a query-only window, the sum of per-query
-//! attribution counters equals the process-global registry deltas —
-//! nothing double-charged, nothing leaked.
+//! a query runs is charged to that query's attribution scope
+//! ([`vist_obs::attr`]), whichever entry ran it: `query`,
+//! `query_pattern`, `explain` or `match_scopes`. Over a query-only window,
+//! the sum of per-query attribution counters equals the process-global
+//! registry deltas — nothing double-charged, nothing leaked.
 //!
 //! The binary holds this one test: the registry is process-global and the
 //! deltas must not see another test's I/O.
 
 use vist_core::{IndexOptions, QueryOptions, QueryStats, VistIndex};
 use vist_obs::AttrSnapshot;
+use vist_query::parse_query;
 use vist_storage::testutil::TempDir;
 
 const QUERIES: &[&str] = &[
@@ -42,6 +44,25 @@ fn io_of(s: &QueryStats) -> AttrSnapshot {
     }
 }
 
+/// The I/O of `explain`'s `pool:` line: hits, misses and pages read.
+fn explained_io(report: &str) -> AttrSnapshot {
+    let line = report.lines().find(|l| l.starts_with("pool:")).unwrap();
+    let n: Vec<u64> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let &[pool_hits, pool_misses, pages_read] = &n[..] else {
+        panic!("{line}");
+    };
+    AttrSnapshot {
+        pool_hits,
+        pool_misses,
+        pages_read,
+        bytes_read: pages_read * IndexOptions::default().page_size as u64,
+        wal_appends: 0,
+    }
+}
+
 fn add(a: AttrSnapshot, b: AttrSnapshot) -> AttrSnapshot {
     AttrSnapshot {
         pool_hits: a.pool_hits + b.pool_hits,
@@ -60,10 +81,19 @@ fn per_query_attribution_sums_to_registry_deltas() {
     let idx = VistIndex::open_file(&path, 64).unwrap();
     let before = vist_obs::snapshot();
     let mut sum = AttrSnapshot::default();
+    let opts = QueryOptions::default();
     for q in QUERIES {
-        let r = idx.query(q, &QueryOptions::default()).unwrap();
+        let r = idx.query(q, &opts).unwrap();
         assert_ne!(r.trace_id, 0, "query ran without a trace id");
-        sum = add(sum, io_of(&r.stats));
+        let pattern = parse_query(q).unwrap().to_pattern();
+        for io in [
+            io_of(&r.stats),
+            io_of(&idx.query_pattern(&pattern, &opts).unwrap().stats),
+            explained_io(&idx.explain(q, &opts, false).unwrap()),
+            io_of(&idx.match_scopes(&pattern, &opts).unwrap().1),
+        ] {
+            sum = add(sum, io);
+        }
     }
     let after = vist_obs::snapshot();
     let delta = |name: &str| after.counter(name) - before.counter(name);

@@ -575,11 +575,9 @@ fn a_sorted_scope_list_resolves_like_one_call_a_scope() {
 
 /// Pool fetches, of every tier, while `f` runs.
 fn fetches_during(f: impl FnOnce()) -> u64 {
-    let ctx = vist_obs::AttrCounters::new();
-    let guard = vist_obs::attr::install(ctx.clone());
+    let guard = vist_obs::attr::install();
     f();
-    drop(guard);
-    let io = ctx.snapshot();
+    let io = guard.finish();
     io.pool_hits + io.pool_misses
 }
 

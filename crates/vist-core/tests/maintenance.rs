@@ -499,6 +499,40 @@ fn explain_shows_translation_and_probes() {
     assert!(out.contains("2 alternative sequence(s)"), "{out}");
 }
 
+#[test]
+fn explain_pool_line_is_the_querys_own_io_over_every_tier() {
+    let dir = TempDir::new("vist-core-explain-io");
+    let path = dir.file("store");
+    let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
+    idx.bulk_build((0..300).map(|i| format!("<r><a>{}</a><b><c>{}</c></b></r>", i % 7, i % 3)))
+        .unwrap();
+    idx.insert_xml("<r><a>3</a><b><c>1</c></b></r>").unwrap();
+    drop(idx);
+    let opts = QueryOptions::default();
+    for q in ["/r/a[text='3']", "//c[text='1']", "/r[a='2']/b/c"] {
+        // Each side on a fresh handle, so both start from cold pools.
+        let report = VistIndex::open_file(&path, 64)
+            .unwrap()
+            .explain(q, &opts, false)
+            .unwrap();
+        let s = VistIndex::open_file(&path, 64)
+            .unwrap()
+            .query(q, &opts)
+            .unwrap()
+            .stats;
+        let line = report.lines().last().unwrap();
+        assert_eq!(
+            line,
+            format!(
+                "pool:    {} hits, {} misses, {} page(s) read",
+                s.io_pool_hits, s.io_pool_misses, s.io_pages_read
+            ),
+            "{q}"
+        );
+        assert!(s.io_pool_misses > 0, "{q}: a cold query reads pages");
+    }
+}
+
 /// The sum of every number that directly precedes `suffix` in `text`.
 fn sum_before(text: &str, suffix: &str) -> u64 {
     text.match_indices(suffix)

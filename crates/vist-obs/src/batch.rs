@@ -4,18 +4,19 @@
 //! thousands of times (one pool hit per page fetch, one probe-depth
 //! sample per B+Tree descent). Paying a locked read-modify-write on a
 //! shared cache line for each is most of what those updates cost. While
-//! a *batch scope* is open on a thread — [`crate::attr::install`] opens
-//! one for every query — the [`crate::count!`] and
-//! [`crate::observe!`] macros add to plain thread-local tallies instead,
-//! and the tallies are folded into the shared metric once, when the
-//! outermost scope on that thread closes. With no scope open the macros
-//! update the shared metric directly, so code that runs outside a query
-//! (ingest, tooling, tests that call the storage layer themselves) is
-//! exact at every instant.
+//! a *batch scope* is open on a thread — the guard that
+//! [`crate::attr::install`] returns for every query is one — the
+//! [`crate::count!`] and [`crate::observe!`] macros and the
+//! [`crate::attr`] charges add to plain thread-local tallies instead, and
+//! the tallies are folded into the shared metric once, when the outermost
+//! scope on that thread closes. With no scope open they update the shared
+//! metric directly, so code that runs outside a query (ingest, tooling,
+//! tests that call the storage layer themselves) is exact at every
+//! instant.
 //!
 //! Consequence for readers of the registry: a scrape sees a query's hot
-//! counters when that query finishes, not
-//! while it runs. Sums over completed queries are exact.
+//! counters when that query finishes, not while it runs. Sums over
+//! completed queries are exact.
 //!
 //! Under the `noop` feature no scope is ever open and the direct path
 //! compiles to nothing.
@@ -44,29 +45,26 @@ pub fn active() -> bool {
     DEPTH.with(|d| d.get() > 0)
 }
 
-/// Guard of one open batch scope; `!Send`, like the tallies it covers.
-pub(crate) struct Scope {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-/// Open a batch scope on this thread. Scopes nest; tallies are flushed
-/// when the outermost one drops. Crate-private: a scope is the lifetime of
-/// an attribution context, and [`crate::attr`] relies on that.
-#[must_use]
-pub(crate) fn enter() -> Scope {
+/// Open a batch scope on this thread. Scopes nest. Crate-private: the
+/// scope is an [`crate::attr::AttrGuard`]'s lifetime, and [`exit`] is its
+/// drop.
+pub(crate) fn enter() {
     #[cfg(not(feature = "noop"))]
     DEPTH.with(|d| d.set(d.get() + 1));
-    Scope {
-        _not_send: std::marker::PhantomData,
-    }
 }
 
-impl Drop for Scope {
-    fn drop(&mut self) {
-        #[cfg(not(feature = "noop"))]
-        if DEPTH.with(|d| d.replace(d.get() - 1)) == 1 {
+/// Close one batch scope on this thread; `true` when it was the
+/// outermost, whose close has flushed every tally on the thread.
+pub(crate) fn exit() -> bool {
+    #[cfg(feature = "noop")]
+    return false;
+    #[cfg(not(feature = "noop"))]
+    {
+        let outermost = DEPTH.with(|d| d.replace(d.get() - 1)) == 1;
+        if outermost {
             flush();
         }
+        outermost
     }
 }
 
@@ -202,9 +200,9 @@ mod tests {
     fn batched_until_the_outermost_scope_closes() {
         let c = crate::counter!("batch_scoped_total");
         let h = crate::histogram!("batch_scoped_len");
-        let outer = enter();
+        let outer = crate::attr::install();
         for v in 0..5u64 {
-            let _inner = enter();
+            let _inner = crate::attr::install();
             count!("batch_scoped_total");
             observe!("batch_scoped_len", v * 100);
         }
@@ -218,7 +216,7 @@ mod tests {
         assert_eq!((s.count(), s.sum, s.max), (5, 1000, 400));
         assert_eq!(s.buckets[0], 1, "the zero sample kept its bucket");
         // A second scope starts from empty tallies.
-        drop(enter());
+        drop(crate::attr::install());
         assert_eq!(c.get(), 5);
     }
 
@@ -227,7 +225,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let _scope = enter();
+                    let _scope = crate::attr::install();
                     for _ in 0..100 {
                         count!("batch_threads_total");
                     }

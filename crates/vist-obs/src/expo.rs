@@ -181,16 +181,13 @@ pub fn render_json(snap: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Histogram;
 
+    #[cfg(not(feature = "noop"))]
     fn sample_snapshot() -> Snapshot {
-        let h = Histogram::new();
-        #[cfg(not(feature = "noop"))]
-        {
-            h.record(3);
-            h.record(3);
-            h.record(900);
-        }
+        let h = crate::metrics::Histogram::new();
+        h.record(3);
+        h.record(3);
+        h.record(900);
         Snapshot {
             metrics: vec![
                 ("expo_a_total", MetricValue::Counter(42)),
@@ -264,6 +261,7 @@ mod tests {
     }
 
     /// Is `s` a valid Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`)?
+    #[cfg(not(feature = "noop"))]
     fn valid_metric_name(s: &str) -> bool {
         let mut chars = s.chars();
         matches!(chars.next(), Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':')
@@ -272,6 +270,7 @@ mod tests {
 
     /// Parse one `{label="value",...}` block per the text-format
     /// grammar; returns false on any violation.
+    #[cfg(not(feature = "noop"))]
     fn valid_labels(s: &str) -> bool {
         let Some(inner) = s.strip_prefix('{').and_then(|s| s.strip_suffix('}')) else {
             return false;

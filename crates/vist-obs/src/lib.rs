@@ -17,8 +17,8 @@
 //! - **Trace ids** ([`traceid`]): 128-bit per-request ids minted at the
 //!   serve front-end (or accepted from clients) and carried through
 //!   every layer.
-//! - **I/O attribution** ([`attr`]): a thread-local context that charges
-//!   buffer-pool and WAL activity to the owning query.
+//! - **I/O attribution** ([`attr`]): a query's batch scope, which tallies
+//!   the buffer-pool and WAL activity on its thread for that query.
 //! - **Request records** ([`wide`]): one wide event (a JSON line) per
 //!   request or background op, kept with its span tree in a recent ring
 //!   and an always-keep-slowest set, resolvable by trace id, and appended
@@ -48,7 +48,7 @@ pub mod span;
 pub mod traceid;
 pub mod wide;
 
-pub use attr::{AttrCounters, AttrGuard, AttrSnapshot};
+pub use attr::{AttrGuard, AttrSnapshot};
 pub use expo::{json_escape, render_json, render_prometheus};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{counter, describe, gauge, histogram, snapshot, MetricValue, Snapshot};

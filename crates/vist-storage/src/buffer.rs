@@ -296,13 +296,11 @@ impl BufferPool {
             if !frame.referenced.load(Ordering::Relaxed) {
                 frame.referenced.store(true, Ordering::Relaxed);
             }
-            vist_obs::count!("vist_storage_pool_hit_total");
-            vist_obs::attr::charge_pool_hit();
+            vist_obs::attr::pool_hit();
             return Ok(frame);
         }
         inner.tally.misses += 1;
-        vist_obs::counter!("vist_storage_pool_miss_total").inc();
-        vist_obs::attr::charge_pool_miss();
+        vist_obs::attr::pool_miss();
         if inner.ring.len() >= inner.capacity {
             self.evict_one(shard, &mut inner)?;
         }
@@ -310,7 +308,7 @@ impl BufferPool {
         let t = vist_obs::now();
         self.pager.lock().read(pid, &mut buf)?;
         vist_obs::observe_since(vist_obs::histogram!("vist_storage_page_read_nanos"), t);
-        vist_obs::attr::charge_page_read(self.page_size as u64);
+        vist_obs::attr::page_read(self.page_size as u64);
         let frame = Arc::new(Frame {
             pid,
             data: RwLock::new(buf),

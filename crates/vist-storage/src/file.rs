@@ -525,10 +525,9 @@ impl FilePager {
             vist_obs::observe_since(vist_obs::histogram!("vist_storage_wal_append_nanos"), t);
             for (off, &(id, _)) in (first..).step_by(rec_len as usize).zip(chunk) {
                 self.pending.insert(id, off);
-                vist_obs::attr::charge_wal_append();
             }
             self.data.stats.wal_appends += chunk.len() as u64;
-            vist_obs::counter!("vist_storage_wal_append_total").add(chunk.len() as u64);
+            vist_obs::attr::wal_appends(chunk.len() as u64);
             self.data.dirty = true;
         }
         Ok(())

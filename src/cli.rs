@@ -416,20 +416,6 @@ fn stats(a: &mut Args) -> Result<String, String> {
     writeln!(out, "tombstones:           {}", s.tombstones).unwrap();
     writeln!(out, "tight underflows:     {}", s.underflows).unwrap();
     writeln!(out, "node incarnations:    {}", s.deep_borrows).unwrap();
-    writeln!(out, "ingest batches:       {}", s.ingest_batches).unwrap();
-    writeln!(out, "ingest batch docs:    {}", s.ingest_batch_docs).unwrap();
-    writeln!(
-        out,
-        "ingest dkey cache:    {} hit(s), {} miss(es)",
-        s.ingest_dkey_cache_hits, s.ingest_dkey_cache_misses
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "ingest edge cache:    {} hit(s), {} miss(es)",
-        s.ingest_edge_cache_hits, s.ingest_edge_cache_misses
-    )
-    .unwrap();
     writeln!(out, "store bytes:          {}", s.store_bytes).unwrap();
     let tree_line = |label: &str, t: &vist_btree::TreeStats| {
         format!(
@@ -1300,20 +1286,11 @@ mod tests {
             "tombstones",
             "tight underflows",
             "node incarnations",
+            "store bytes",
+            "delta",
         ]
         .map(String::from)
         .to_vec();
-        expected.extend(
-            [
-                "ingest batches",
-                "ingest batch docs",
-                "ingest dkey cache",
-                "ingest edge cache",
-                "store bytes",
-                "delta",
-            ]
-            .map(String::from),
-        );
         expected.extend(trees(["D-Ancestor", "S-Ancestor", "DocId", "edges", "aux"]));
         expected.push("segment 1 (format v2)".into());
         expected.extend(trees([
@@ -1358,16 +1335,9 @@ mod tests {
         let out = cmd(&format!("query {index} //author --verify")).unwrap();
         assert!(out.starts_with("5 document(s)"), "{out}");
 
-        // The human stats format carries the ingest lines (counters are
-        // process-local, so a fresh open reads zeros — the lines must
-        // still be there).
         let out = cmd(&format!("stats {index}")).unwrap();
         assert!(out.contains("documents:            5"), "{out}");
         assert!(out.contains("segments:             0"), "{out}");
-        assert!(out.contains("ingest batches:"), "{out}");
-        assert!(out.contains("ingest batch docs:"), "{out}");
-        assert!(out.contains("ingest dkey cache:"), "{out}");
-        assert!(out.contains("ingest edge cache:"), "{out}");
     }
 
     /// Build a small index for the observability-command tests.
