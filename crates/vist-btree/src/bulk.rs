@@ -17,7 +17,7 @@ use crate::node::{
 use crate::tree::{note_height, BTree};
 
 /// The one thing the two bulk loads do differently: how records are laid
-/// out on a leaf page. [`build`] owns everything else — input order, the
+/// out on a leaf page. [`Build`] owns everything else — input order, the
 /// record size limit, the leaf chain, separators, the internal levels.
 pub(crate) trait LeafWriter {
     /// Make `buf` an empty, unlinked leaf of this layout.
@@ -200,91 +200,105 @@ fn open_leaf(pool: &BufferPool, leaves: &dyn LeafWriter, prev: PageId) -> Result
     Ok(pid)
 }
 
-/// Build a tree from `items`, which must be strictly ascending by key
-/// (duplicates or disorder yield [`Error::Corrupt`]), with leaves in the
-/// layout of `leaves`. Returns the root page.
-pub(crate) fn build<I>(pool: &BufferPool, items: I, leaves: &mut dyn LeafWriter) -> Result<PageId>
-where
-    I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
-{
-    let max_cell = BTree::max_cell_for(pool);
+/// A bottom-up build: records pushed in strictly ascending key order
+/// (duplicates or disorder yield [`Error::Corrupt`]) fill leaves of the
+/// layout `L` left to right, each sealed as the next opens;
+/// [`Build::finish`] seals the last one and builds the internal levels.
+pub(crate) struct Build<L> {
+    pool: Arc<BufferPool>,
+    leaves: L,
+    /// (lowest key routed to the leaf, pid) of every leaf so far, the one
+    /// being filled last; the leftmost needs no key.
+    level: Vec<(Vec<u8>, PageId)>,
+    /// The key pushed last, once `entries > 0`.
+    last_key: Vec<u8>,
+    entries: u64,
+}
 
-    // ---- leaf level -------------------------------------------------
-    // (lowest key routed to the leaf, pid); the leftmost needs no key.
-    let mut level: Vec<(Vec<u8>, PageId)> = Vec::new();
-    let mut cur = (Vec::new(), open_leaf(pool, leaves, INVALID_PAGE)?);
-    let mut last_key: Option<Vec<u8>> = None;
-    for (key, value) in items {
-        if last_key.as_ref().is_some_and(|lk| key <= *lk) {
+impl<L: LeafWriter> Build<L> {
+    /// Start a tree in `pool`: its first leaf is allocated now.
+    pub(crate) fn new(pool: Arc<BufferPool>, leaves: L) -> Result<Self> {
+        Ok(Build {
+            level: vec![(Vec::new(), open_leaf(&pool, &leaves, INVALID_PAGE)?)],
+            pool,
+            leaves,
+            last_key: Vec::new(),
+            entries: 0,
+        })
+    }
+
+    /// Add the next record.
+    pub(crate) fn push(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        if self.entries > 0 && key <= self.last_key.as_slice() {
             return Err(Error::Corrupt(
                 "bulk_load input must be strictly ascending".into(),
             ));
         }
-        let cell_len = 4 + key.len() + value.len();
+        let (pool, cur) = (&*self.pool, self.level[self.level.len() - 1].1);
+        let (cell_len, max_cell) = (4 + key.len() + value.len(), BTree::max_cell_for(pool));
+        let overflow = Error::PageOverflow {
+            requested: cell_len,
+            available: max_cell,
+        };
         if cell_len > max_cell {
-            return Err(Error::PageOverflow {
-                requested: cell_len,
-                available: max_cell,
-            });
+            return Err(overflow);
         }
-        if !leaves.push(pool, cur.1, &key, &value)? {
+        if !self.leaves.push(pool, cur, key, value)? {
             // Seal the full leaf and open the next; its separator is
             // suffix-truncated against the last key of the sealed one.
-            leaves.seal(pool, cur.1)?;
-            let prev = last_key.as_ref().expect("a full leaf holds a record");
-            let sep = crate::node::shortest_separator(prev, &key);
-            let next = open_leaf(pool, leaves, cur.1)?;
-            level.push(std::mem::replace(&mut cur, (sep, next)));
-            if !leaves.push(pool, cur.1, &key, &value)? {
-                return Err(Error::PageOverflow {
-                    requested: cell_len,
-                    available: max_cell,
-                });
+            self.leaves.seal(pool, cur)?;
+            let sep = crate::node::shortest_separator(&self.last_key, key);
+            let next = open_leaf(pool, &self.leaves, cur)?;
+            self.level.push((sep, next));
+            if !self.leaves.push(pool, next, key, value)? {
+                return Err(overflow);
             }
         }
-        last_key = Some(key);
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
+        self.entries += 1;
+        Ok(())
     }
-    leaves.seal(pool, cur.1)?;
-    level.push(cur);
 
-    // ---- internal levels --------------------------------------------
-    let mut height = 1u64;
-    while level.len() > 1 {
-        height += 1;
-        let mut next: Vec<(Vec<u8>, PageId)> = Vec::new();
-        let mut iter = level.into_iter();
-        let (mut first_key, leftmost) = iter.next().expect("level non-empty");
-        let mut node = pool.allocate()?;
-        {
-            let mut page = pool.fetch_mut(node)?;
-            init_internal(page.data_mut(), leftmost);
-        }
-        let mut slot: SlotId = 0;
-        for (sep, child) in iter {
-            let cell = internal_cell(&sep, child);
-            let mut page = pool.fetch_mut(node)?;
-            let mut p = SlottedPageMut::new(page.data_mut(), NODE_HDR);
-            match p.insert(slot, &cell) {
-                Ok(()) => slot += 1,
-                Err(Error::PageOverflow { .. }) => {
-                    drop(page);
-                    next.push((first_key, node));
-                    // The separator that failed becomes the next node's
-                    // "first key" and its child the leftmost.
-                    node = pool.allocate()?;
-                    let mut page = pool.fetch_mut(node)?;
-                    init_internal(page.data_mut(), child);
-                    first_key = sep;
-                    slot = 0;
+    /// Seal the last leaf and build the internal levels above the leaves.
+    /// Returns the root page and the number of records.
+    pub(crate) fn finish(mut self) -> Result<(PageId, u64)> {
+        let (pool, mut level) = (&*self.pool, self.level);
+        self.leaves.seal(pool, level[level.len() - 1].1)?;
+        let mut height = 1u64;
+        while level.len() > 1 {
+            height += 1;
+            let mut next: Vec<(Vec<u8>, PageId)> = Vec::new();
+            let mut iter = level.into_iter();
+            let (mut first_key, leftmost) = iter.next().expect("level non-empty");
+            let mut node = pool.allocate()?;
+            init_internal(pool.fetch_mut(node)?.data_mut(), leftmost);
+            let mut slot: SlotId = 0;
+            for (sep, child) in iter {
+                let cell = internal_cell(&sep, child);
+                let mut page = pool.fetch_mut(node)?;
+                let mut p = SlottedPageMut::new(page.data_mut(), NODE_HDR);
+                match p.insert(slot, &cell) {
+                    Ok(()) => slot += 1,
+                    Err(Error::PageOverflow { .. }) => {
+                        drop(page);
+                        next.push((first_key, node));
+                        // The separator that failed becomes the next node's
+                        // "first key" and its child the leftmost.
+                        node = pool.allocate()?;
+                        init_internal(pool.fetch_mut(node)?.data_mut(), child);
+                        first_key = sep;
+                        slot = 0;
+                    }
+                    Err(e) => return Err(e),
                 }
-                Err(e) => return Err(e),
             }
+            next.push((first_key, node));
+            level = next;
         }
-        next.push((first_key, node));
-        level = next;
+        note_height(height);
+        Ok((level[0].1, self.entries))
     }
-    note_height(height);
-    Ok(level[0].1)
 }
 
 impl BTree {
@@ -296,8 +310,11 @@ impl BTree {
     where
         I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     {
-        let root = build(&pool, items, &mut SlottedLeaves { slot: 0 })?;
-        BTree::open(pool, root)
+        let mut build = Build::new(Arc::clone(&pool), SlottedLeaves { slot: 0 })?;
+        for (key, value) in items {
+            build.push(&key, &value)?;
+        }
+        BTree::open(pool, build.finish()?.0)
     }
 }
 

@@ -54,7 +54,7 @@ mod tree;
 pub mod verify;
 
 pub use cursor::Scan;
-pub use segment::{SegmentReader, SegmentWriter};
+pub use segment::{SegmentReader, SegmentWriter, TreeBuilder};
 pub use stats::TreeStats;
 pub use tree::{BTree, PackedTree};
 pub use vist_storage::{Error, Result};

@@ -9,8 +9,10 @@
 //!
 //! [`SegmentWriter`] packs a fresh pool: the **first** allocation becomes
 //! the header page (page 1 on a fresh `FrameFile`, right after the file's
-//! own header frame), then each [`SegmentWriter::add_tree`] bulk-loads one tree
-//! from a sorted stream. [`SegmentWriter::finish`] writes the header page:
+//! own header frame), then each tree is bulk-loaded from a sorted stream,
+//! whole ([`SegmentWriter::add_tree`]) or a record at a time
+//! ([`TreeBuilder`]); trees take the header table's slots in the order
+//! they are added. [`SegmentWriter::finish`] writes the header page:
 //!
 //! ```text
 //! magic "VISTSEG1" | version u16 | tree_count u16 |
@@ -34,7 +36,7 @@ use std::sync::Arc;
 
 use vist_storage::{BufferPool, Error, PageId, Result};
 
-use crate::bulk::{build, PackedLeaves};
+use crate::bulk::{Build, PackedLeaves};
 use crate::fence::Fence;
 use crate::tree::{PackedTree, Tree};
 
@@ -52,6 +54,23 @@ pub struct SegmentWriter {
     pool: Arc<BufferPool>,
     header: PageId,
     trees: Vec<(PageId, u64)>,
+}
+
+/// A packed tree built a record at a time, its pages allocated as it fills;
+/// records must be as [`SegmentWriter::add_tree`] takes them.
+pub struct TreeBuilder(Build<PackedLeaves>);
+
+impl TreeBuilder {
+    /// Add the next record.
+    pub fn push(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.0.push(key, value)
+    }
+
+    /// Seal the last leaf and build the internal levels now, so the tree's
+    /// pages follow each other in the file. Returns `(root, entries)`.
+    pub fn finish(self) -> Result<(PageId, u64)> {
+        self.0.finish()
+    }
 }
 
 impl SegmentWriter {
@@ -78,25 +97,36 @@ impl SegmentWriter {
         self.header
     }
 
-    /// Bulk-load the next tree from a strictly ascending `(key, value)`
-    /// stream (disorder, duplicates and oversized records fail as in
+    /// Start a tree; its first leaf is allocated now.
+    pub fn start_tree(&self) -> Result<TreeBuilder> {
+        let leaves = PackedLeaves::new(self.pool.page_size());
+        Ok(TreeBuilder(Build::new(Arc::clone(&self.pool), leaves)?))
+    }
+
+    /// Record a finished tree's `(root, entries)` in the header table's
+    /// next slot. Returns that slot.
+    pub fn add_built(&mut self, tree: (PageId, u64)) -> usize {
+        self.trees.push(tree);
+        self.trees.len() - 1
+    }
+
+    /// Bulk-load a tree from a strictly ascending `(key, value)` stream
+    /// (disorder, duplicates and oversized records fail as in
     /// [`crate::BTree::bulk_load`]) into packed leaves, and record it in
-    /// the header table. Returns the tree's slot index.
+    /// the header table's next slot. Returns that slot.
     pub fn add_tree<I>(&mut self, items: I) -> Result<usize>
     where
         I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     {
-        let mut entries = 0u64;
-        let counted = items.into_iter().inspect(|_| entries += 1);
-        let mut leaves = PackedLeaves::new(self.pool.page_size());
-        let root = build(&self.pool, counted, &mut leaves)?;
-        self.trees.push((root, entries));
-        Ok(self.trees.len() - 1)
+        let mut tree = self.start_tree()?;
+        for (key, value) in items {
+            tree.push(&key, &value)?;
+        }
+        Ok(self.add_built(tree.finish()?))
     }
 
-    /// Write the header page (tree table + caller `meta` blob) and
-    /// dissolve the writer. Durability is the caller's: flush the pool /
-    /// checkpoint the pager after `finish` returns.
+    /// Write the header page (tree table + caller `meta` blob), flush the
+    /// pool (durable as its pager makes a sync) and dissolve the writer.
     pub fn finish(self, meta: &[u8]) -> Result<()> {
         let need = HDR_FIXED + self.trees.len() * TREE_ENTRY + 2 + meta.len();
         let page_size = self.pool.page_size();
@@ -119,7 +149,8 @@ impl SegmentWriter {
         }
         buf[at..at + 2].copy_from_slice(&(meta.len() as u16).to_le_bytes());
         buf[at + 2..at + 2 + meta.len()].copy_from_slice(meta);
-        Ok(())
+        drop(page);
+        self.pool.flush()
     }
 }
 
@@ -266,6 +297,34 @@ mod tests {
         let t2 = r.tree(2).unwrap();
         assert!(t2.is_empty().unwrap());
         assert!(r.tree(3).is_err());
+    }
+
+    #[test]
+    fn a_tree_started_first_takes_the_slot_it_is_added_at() {
+        let pool = Arc::new(BufferPool::with_capacity(MemPager::new(512), 256));
+        let mut w = SegmentWriter::create(Arc::clone(&pool)).unwrap();
+        let header = w.header_page();
+        let mut early = w.start_tree().unwrap();
+        for (k, v) in items(300, 'c') {
+            early.push(&k, &v).unwrap();
+        }
+        // A key out of order is refused, and the tree keeps what it had.
+        assert!(matches!(early.push(b"ka", b""), Err(Error::Corrupt(_))));
+        let early = early.finish().unwrap();
+        assert_eq!(w.add_tree(items(20, 'a')).unwrap(), 0);
+        assert_eq!(w.add_tree(items(10, 'b')).unwrap(), 1);
+        // Its pages came first; it takes the next slot.
+        assert_eq!(w.add_built(early), 2);
+        assert_eq!(w.add_tree(Vec::new()).unwrap(), 3);
+        w.finish(&[]).unwrap();
+
+        let r = SegmentReader::open(pool, header).unwrap();
+        assert_eq!(r.tree_count(), 4);
+        let lens: Vec<u64> = (0..4).map(|i| r.tree(i).unwrap().len().unwrap()).collect();
+        assert_eq!(lens, [20, 10, 300, 0]);
+        let t2 = r.tree(2).unwrap();
+        assert_eq!(t2.get(b"kc000299").unwrap().unwrap(), b"v299");
+        assert!(t2.tree_stats().unwrap().leaf_fill() > 0.85, "packed leaves");
     }
 
     #[test]

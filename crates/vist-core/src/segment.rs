@@ -36,15 +36,14 @@
 //!
 //! [`SegmentBuilder`] is the static build: documents stream in once, in
 //! ascending id order, as key paths (the dkeys of their sequences, which a
-//! compaction reads back from the index) into a shared in-memory trie, their
-//! XML appended to one sequential scratch file. The trie is labeled in one
-//! preorder pass; every S-Ancestor and DocId record comes from it, sorted in
-//! memory, and the scratch file is replayed into the documents tree in the
-//! order it was written, which is key order.
+//! compaction reads back from the index) into a shared in-memory trie. Their
+//! XML needs no label, and ascending ids are the documents tree's key order,
+//! so it goes straight into that tree, whose pages come first in the file.
+//! The trie is labeled in one preorder pass; every S-Ancestor and DocId
+//! record comes from it, sorted in memory, and the other trees follow; the
+//! trees take their slots in the header table in the order above.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -53,12 +52,12 @@ use std::ops::ControlFlow;
 use vist_btree::codec::{
     put_ordered_uint, put_varint, take_ordered_uint, take_varint, ORDERED_UINT_MAX,
 };
-use vist_btree::{PackedTree, SegmentReader, SegmentWriter};
+use vist_btree::{PackedTree, SegmentReader, SegmentWriter, TreeBuilder};
 use vist_storage::{BufferPool, FrameFile, Vfs};
 
 use crate::error::{Error, Result};
 use crate::search::{DkStats, SearchSource};
-use crate::store::{self, decoding, DocId, NodeState, Store, StoreBreakdown};
+use crate::store::{self, decoding, join_chunks, DocId, NodeState, Store, StoreBreakdown};
 
 /// Fixed-width prefix of the segment meta blob: doc, node and dkey counts
 /// plus the highest document id packed (the reopen-reconciliation
@@ -198,6 +197,17 @@ impl Codec {
         match self {
             Codec::V1 => Key::new().bytes(&doc.to_be_bytes()),
             Codec::V2 => Key::new().uint(doc.into()),
+        }
+    }
+
+    fn decode_doc_key(self, mut k: &[u8]) -> Option<(DocId, u128)> {
+        match self {
+            Codec::V1 => store::decode_fixed_doc_key(k),
+            Codec::V2 => {
+                let doc = u64::try_from(take_ordered_uint(&mut k)?).ok()?;
+                let chunk = take_ordered_uint(&mut k)?;
+                k.is_empty().then_some((doc, chunk))
+            }
         }
     }
 
@@ -351,19 +361,15 @@ impl Segment {
         }
     }
 
-    /// Fetch a stored document's XML text.
+    /// Fetch a stored document's XML text (see [`join_chunks`]).
     pub(crate) fn doc_get(&self, doc: DocId) -> Result<Option<Vec<u8>>> {
-        let mut out = Vec::new();
-        let mut found = false;
-        for item in self
-            .docs
-            .scan_prefix(self.codec.doc_prefix(doc).as_slice())?
-        {
-            let (_, v) = item?;
-            out.extend_from_slice(&v);
-            found = true;
-        }
-        Ok(found.then_some(out))
+        join_chunks(
+            self.docs
+                .scan_prefix(self.codec.doc_prefix(doc).as_slice())?,
+            format_args!("segment {}: documents tree", self.id),
+            doc,
+            |k| self.codec.decode_doc_key(k),
+        )
     }
 
     /// Total bytes of the segment file's pages.
@@ -513,7 +519,7 @@ struct TrieNode {
 
 /// Streaming segment build: feed documents one at a time in ascending id
 /// order, then [`SegmentBuilder::finish`] labels the trie and bulk-loads
-/// each packed tree from it in key order.
+/// each packed tree but the documents from it in key order.
 pub(crate) struct SegmentBuilder {
     /// dkey bytes → dense id, in first-seen order (ids need no key order;
     /// the D-Ancestor tree itself is loaded from this sorted map).
@@ -523,58 +529,31 @@ pub(crate) struct SegmentBuilder {
     /// `(doc, trie node index of the sequence's last element)`, ascending
     /// by doc.
     doc_ends: Vec<(DocId, usize)>,
-    /// The stored documents, when the index keeps them.
-    docs: Option<Scratch>,
+    /// Whether the index stores documents: `add_doc` then needs the text.
+    store_documents: bool,
+    /// The documents tree, filled as they come (empty if none is stored).
+    docs: TreeBuilder,
+    writer: SegmentWriter,
+    path: PathBuf,
     page_size: usize,
 }
 
-/// A build's stored documents, appended to a scratch file as `doc ‖ len ‖
-/// bytes` (`u64` LE, `u64` LE, XML) until `finish` replays them. The file is
-/// removed when the builder drops, whether the build succeeded or failed; a
-/// crash leaves it to be truncated by the next build. It is never read
-/// after a crash, so it uses plain `std::fs` rather than the `Vfs`.
-struct Scratch {
-    path: PathBuf,
-    file: BufWriter<File>,
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn io_error(e: std::io::Error) -> Error {
-    vist_storage::Error::Io(e).into()
-}
-
 impl SegmentBuilder {
-    /// `scratch` is the stored documents' file (removed when the builder
-    /// drops, and never created when `store_documents` is false);
-    /// `page_size` is the segment file's, and sizes document chunks.
+    /// Start segment file `path` (truncating any file there); `page_size` is
+    /// the file's, and sizes document chunks. Only
+    /// [`SegmentBuilder::finish`] seals the file; the caller removes it else.
     pub(crate) fn new(
-        scratch: PathBuf,
+        vfs: &dyn Vfs,
+        path: &Path,
         page_size: usize,
         store_documents: bool,
     ) -> Result<SegmentBuilder> {
-        let docs = if store_documents {
-            // Older builds spilled into a directory of this name, which a
-            // failed build left behind.
-            let _ = std::fs::remove_dir_all(&scratch);
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&scratch)
-                .map_err(io_error)?;
-            Some(Scratch {
-                path: scratch,
-                file: BufWriter::new(file),
-            })
-        } else {
-            None
-        };
+        // The smallest pool is one shard, and it evicts the pages of the
+        // bottom-up build in the order they were allocated, so the file
+        // takes them in runs of a write chunk.
+        let frames = FrameFile::create(vfs, path, page_size)?;
+        let writer = SegmentWriter::create(Arc::new(BufferPool::with_capacity(frames, 0)))?;
+        let docs = writer.start_tree()?;
         Ok(SegmentBuilder {
             dkeys: BTreeMap::new(),
             trie: vec![TrieNode {
@@ -584,7 +563,10 @@ impl SegmentBuilder {
                 size: 0,
             }],
             doc_ends: Vec::new(),
+            store_documents,
             docs,
+            writer,
+            path: path.to_path_buf(),
             page_size,
         })
     }
@@ -605,15 +587,17 @@ impl SegmentBuilder {
                 "segment build: document {doc} after document {last}"
             )));
         }
-        if let Some(scratch) = &mut self.docs {
+        if self.store_documents {
             let bytes =
                 xml.ok_or_else(|| Error::Corrupt(format!("document {doc} has no stored text")))?;
-            let len = bytes.len() as u64;
-            let w = &mut scratch.file;
-            w.write_all(&doc.to_le_bytes())
-                .and_then(|()| w.write_all(&len.to_le_bytes()))
-                .and_then(|()| w.write_all(bytes))
-                .map_err(io_error)?;
+            // Chunks leave the slack Store::doc_put leaves for the key; an
+            // empty document is one empty chunk.
+            let chunks = bytes.chunks(self.page_size / 4);
+            let chunks = chunks.chain(bytes.is_empty().then_some(bytes));
+            for (chunk, piece) in (0..).zip(chunks) {
+                let key = Codec::V2.doc_prefix(doc).uint(chunk);
+                self.docs.push(key.as_slice(), piece)?;
+            }
         }
         let mut cur = 0usize;
         for key in path {
@@ -674,17 +658,15 @@ impl SegmentBuilder {
         self.trie[0].size = counter; // virtual root: covers every label
     }
 
-    /// Label the trie and write segment `id` to the file at `path`: the
-    /// S-Ancestor and DocId trees from the labeled trie sorted in memory,
-    /// the documents tree from the scratch file in the order it was
-    /// written. Returns the opened segment, or `None` (and no file) when
-    /// no document was added. Durability: the segment file is sealed
-    /// (every page written to its frame, the file fsynced) before this
-    /// returns; publishing it in the manifest is the caller's step.
+    /// Finish the documents tree, label the trie and write the other trees
+    /// after it, the S-Ancestor and DocId trees from the labeled trie sorted
+    /// in memory;
+    /// seal the file (every page in its frame, fsynced) and open it as
+    /// segment `id`. `None`, the file unsealed, when no document was added.
+    /// Publishing the segment in the manifest is the caller's step.
     pub(crate) fn finish(
         mut self,
         vfs: &dyn Vfs,
-        path: &Path,
         id: u64,
         cache_pages: usize,
     ) -> Result<Option<Segment>> {
@@ -700,19 +682,12 @@ impl SegmentBuilder {
             stats.entry(node.dkid).or_default().nodes += 1;
         }
 
-        // The smallest pool is one shard, and it evicts the pages of the
-        // bottom-up build in the order they were allocated, so the file
-        // takes them in runs of a write chunk.
-        let frames = FrameFile::create(vfs, path, self.page_size)?;
-        let pool = Arc::new(BufferPool::with_capacity(frames, 0));
-        let mut writer = SegmentWriter::create(Arc::clone(&pool))?;
-
+        // Its last leaf is still in the pool: sealed now, it is written once.
+        let docs = self.docs.finish()?;
+        let mut writer = self.writer;
         let dkey_count = self.dkeys.len() as u64;
-        let dancestor_items: Vec<(Vec<u8>, Vec<u8>)> = std::mem::take(&mut self.dkeys)
-            .into_iter()
-            .map(|(k, id)| (k, Codec::encode_dkid(id)))
-            .collect();
-        writer.add_tree(dancestor_items)?;
+        let dkeys = std::mem::take(&mut self.dkeys).into_iter();
+        writer.add_tree(dkeys.map(|(k, id)| (k, Codec::encode_dkid(id))))?;
 
         // The key orders are the integer orders of their components.
         let trie = &self.trie;
@@ -738,18 +713,8 @@ impl SegmentBuilder {
         postings.sort_unstable();
         let docid_key = |(n, doc)| (codec.docid_key(n, doc).as_slice().to_vec(), Vec::new());
         writer.add_tree(postings.into_iter().map(docid_key))?;
-        match &mut self.docs {
-            // Leave the same slack Store::doc_put leaves for the chunk key.
-            Some(scratch) => add_documents(&mut writer, scratch, self.page_size / 4)?,
-            None => {
-                writer.add_tree(Vec::new())?;
-            }
-        }
-        let stats_items: Vec<(Vec<u8>, Vec<u8>)> = stats
-            .into_iter()
-            .map(|(dkid, s)| Codec::encode_stats(dkid, &s))
-            .collect();
-        writer.add_tree(stats_items)?;
+        writer.add_built(docs);
+        writer.add_tree(stats.iter().map(|(&dkid, s)| Codec::encode_stats(dkid, s)))?;
 
         let mut meta = [0u8; META_LEN];
         meta[0..8].copy_from_slice(&(self.doc_ends.len() as u64).to_le_bytes());
@@ -757,53 +722,8 @@ impl SegmentBuilder {
         meta[16..24].copy_from_slice(&dkey_count.to_le_bytes());
         meta[24..32].copy_from_slice(&max_doc.to_le_bytes());
         writer.finish(&meta)?;
-        pool.flush()?;
-        drop(pool);
-        Segment::open(vfs, path, id, cache_pages).map(Some)
+        Segment::open(vfs, &self.path, id, cache_pages).map(Some)
     }
-}
-
-/// Replay the scratch file into the documents tree: each document as its
-/// `doc-id ‖ chunk` records of up to `chunk_size` bytes (an empty document
-/// as one empty chunk 0). Documents were appended in ascending id order, so
-/// the records come out in key order.
-fn add_documents(
-    writer: &mut SegmentWriter,
-    scratch: &mut Scratch,
-    chunk_size: usize,
-) -> Result<()> {
-    // Seeking the writer flushes it first.
-    scratch.file.seek(SeekFrom::Start(0)).map_err(io_error)?;
-    let mut file = BufReader::new(scratch.file.get_ref());
-    // The document being split: its id, its next chunk and its bytes unread.
-    let (mut doc, mut chunk, mut left) = (0u64, 0u128, 0usize);
-    let mut next = || -> std::io::Result<Option<(Vec<u8>, Vec<u8>)>> {
-        if left == 0 {
-            if file.fill_buf()?.is_empty() {
-                return Ok(None);
-            }
-            let mut head = [0u8; 16];
-            file.read_exact(&mut head)?;
-            let (id, len) = head.split_at(8);
-            doc = u64::from_le_bytes(id.try_into().expect("8 bytes"));
-            left = u64::from_le_bytes(len.try_into().expect("8 bytes")) as usize;
-            chunk = 0;
-        }
-        let mut bytes = vec![0; left.min(chunk_size)];
-        file.read_exact(&mut bytes)?;
-        left -= bytes.len();
-        let key = Codec::V2.doc_prefix(doc).uint(chunk);
-        chunk += 1;
-        Ok(Some((key.as_slice().to_vec(), bytes)))
-    };
-    let mut failed = None;
-    writer.add_tree(std::iter::from_fn(|| {
-        next().unwrap_or_else(|e| {
-            failed = Some(e);
-            None
-        })
-    }))?;
-    failed.map_or(Ok(()), |e| Err(io_error(e)))
 }
 
 #[cfg(test)]
@@ -847,11 +767,11 @@ pub(crate) mod tests {
         let dir = TempDir::new("vist-core-segment");
         let path = dir.file("seg-1");
         let mut table = SymbolTable::new();
-        let mut b = SegmentBuilder::new(dir.file("scratch"), 4096, true).unwrap();
+        let mut b = SegmentBuilder::new(&RealVfs, &path, 4096, true).unwrap();
         for &(id, xml) in docs {
             add_parsed(&mut b, &mut table, &SiblingOrder::Lexicographic, id, xml);
         }
-        let seg = b.finish(&RealVfs, &path, 1, 64).unwrap().unwrap();
+        let seg = b.finish(&RealVfs, 1, 64).unwrap().unwrap();
         (dir, seg, table)
     }
 
@@ -1113,11 +1033,11 @@ pub(crate) mod tests {
         let mut table = SymbolTable::new();
         // Small pages: the records are a few bytes each, and the one
         // part-filled leaf at the end of a tree must not decide the average.
-        let mut b = SegmentBuilder::new(dir.file("scratch"), 512, true).unwrap();
+        let mut b = SegmentBuilder::new(&RealVfs, &path, 512, true).unwrap();
         for (id, xml) in &docs {
             add_parsed(&mut b, &mut table, &SiblingOrder::Lexicographic, *id, xml);
         }
-        let seg = b.finish(&RealVfs, &path, 3, 64).unwrap().unwrap();
+        let seg = b.finish(&RealVfs, 3, 64).unwrap().unwrap();
         let breakdown = seg.breakdown().unwrap();
         assert!(
             breakdown.sancestor.leaf_fill() > 0.8,
@@ -1127,36 +1047,79 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn documents_must_ascend_and_replay_whatever_their_size() {
-        let dir = TempDir::new("vist-core-segment-replay");
-        let scratch = dir.file("scratch");
+    fn documents_must_ascend_and_round_trip_whatever_their_size() {
+        let dir = TempDir::new("vist-core-segment-docs");
         let path = [b"k".as_slice()];
-        let mut b = SegmentBuilder::new(scratch.clone(), 512, true).unwrap();
+        let mut b = SegmentBuilder::new(&RealVfs, &dir.file("seg-1"), 512, true).unwrap();
         b.add_doc(4, path, Some(b"")).unwrap();
-        let written = |b: &mut SegmentBuilder| {
-            let file = &mut b.docs.as_mut().unwrap().file;
-            file.flush().unwrap();
-            file.get_ref().metadata().unwrap().len()
-        };
-        let before = written(&mut b);
-        // An id not above the one before is refused and writes nothing.
+        // An id not above the one before is refused and adds nothing.
         for doc in [4, 3] {
             let refused = b.add_doc(doc, path, Some(b"<r/>"));
             assert!(matches!(refused, Err(Error::Corrupt(_))), "{doc}");
         }
-        assert_eq!(written(&mut b), before);
-        // Three times the replay reader's 8 KiB buffer, in 128-byte chunks.
+        // Many pages of the documents tree, in 128-byte chunks.
         let big = format!("<r>{}</r>", "x".repeat(3 * 8192));
         b.add_doc(9, [b"k".as_slice(), b"x"], Some(big.as_bytes()))
             .unwrap();
-        let seg = b
-            .finish(&RealVfs, &dir.file("seg-1"), 1, 64)
-            .unwrap()
-            .unwrap();
+        let seg = b.finish(&RealVfs, 1, 64).unwrap().unwrap();
         assert_eq!((seg.doc_count, seg.max_doc), (2, 9));
         assert_eq!(seg.doc_get(4).unwrap().unwrap(), b"", "empty document");
         assert_eq!(seg.doc_get(9).unwrap().unwrap(), big.as_bytes());
         assert!(seg.doc_get(3).unwrap().is_none());
-        assert!(!scratch.exists(), "the builder removes its scratch file");
+        // The tree holds the empty document's one chunk and the big one's.
+        let records = seg.records();
+        let (name, docs) = &records[3];
+        let keys: Vec<(DocId, u128)> = docs
+            .iter()
+            .map(|(k, _)| seg.codec.decode_doc_key(k).unwrap())
+            .collect();
+        let chunks = big.len().div_ceil(128) as u128;
+        let want: Vec<(DocId, u128)> = [(4, 0)]
+            .into_iter()
+            .chain((0..chunks).map(|c| (9, c)))
+            .collect();
+        assert_eq!((*name, keys), ("documents", want));
+    }
+
+    #[test]
+    fn a_stored_document_with_a_chunk_out_of_turn_is_corrupt() {
+        let dir = TempDir::new("vist-core-segment-gap");
+        let path = dir.file("seg-1");
+        let frames = FrameFile::create(&RealVfs, &path, 512).unwrap();
+        let mut w = SegmentWriter::create(Arc::new(BufferPool::with_capacity(frames, 0))).unwrap();
+        let key = |doc, chunk| Codec::V2.doc_prefix(doc).uint(chunk).as_slice().to_vec();
+        let docs = vec![
+            (key(1, 0), b"<a/>".to_vec()),
+            // Chunks 0 and 2, no chunk 1: the concatenation would read as text.
+            (key(5, 0), b"<r>x".to_vec()),
+            (key(5, 2), b"y</r>".to_vec()),
+            // A record under document 6's prefix that is no chunk key.
+            ([&key(6, 0)[..], &[0]].concat(), b"<r/>".to_vec()),
+        ];
+        for tree in [vec![], vec![], vec![], docs, vec![]] {
+            w.add_tree(tree).unwrap();
+        }
+        w.finish(&[0; META_LEN]).unwrap();
+        let seg = Segment::open(&RealVfs, &path, 1, 64).unwrap();
+        assert_eq!(seg.doc_get(1).unwrap().unwrap(), b"<a/>");
+        for doc in [5, 6] {
+            match seg.doc_get(doc) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(msg.starts_with("segment 1: documents tree: key"), "{msg}");
+                    let chunk = if doc == 5 { 1 } else { 0 };
+                    assert!(
+                        msg.ends_with(&format!("is not chunk {chunk} of document {doc}")),
+                        "{msg}"
+                    );
+                }
+                other => panic!("document {doc}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // A format-1 key is `doc u64 ‖ chunk u32`, big-endian.
+        let v1 = [&7u64.to_be_bytes()[..], &2u32.to_be_bytes()].concat();
+        assert_eq!(Codec::V1.decode_doc_key(&v1), Some((7, 2)));
+        assert_eq!(Codec::V1.decode_doc_key(&v1[..11]), None);
+        assert_eq!(Codec::V2.decode_doc_key(&key(7, 2)), Some((7, 2)));
+        assert_eq!(Codec::V2.decode_doc_key(&key(7, 2)[1..]), None);
     }
 }

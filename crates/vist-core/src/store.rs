@@ -527,18 +527,16 @@ impl Store {
         Ok(())
     }
 
-    /// Fetch a stored document's XML text.
+    /// Fetch a stored document's XML text (see [`join_chunks`]).
     pub fn doc_get(&self, doc: DocId) -> Result<Option<Vec<u8>>> {
         let mut prefix = KeyWriter::with_capacity(9);
         prefix.u8(AUX_DOC).u64(doc);
-        let mut out = Vec::new();
-        let mut found = false;
-        for item in self.aux.scan_prefix(prefix.as_slice())? {
-            let (_, v) = item?;
-            out.extend_from_slice(&v);
-            found = true;
-        }
-        Ok(found.then_some(out))
+        join_chunks(
+            self.aux.scan_prefix(prefix.as_slice())?,
+            format_args!("delta: aux tree"),
+            doc,
+            |k| decode_fixed_doc_key(k.strip_prefix(&[AUX_DOC])?),
+        )
     }
 
     // ----- delete tombstones (aux) -----
@@ -671,6 +669,36 @@ pub(crate) fn decode_docid(k: &[u8]) -> Option<(u128, DocId)> {
         u128::from_be_bytes(k[..16].try_into().ok()?),
         u64::from_be_bytes(k[16..].try_into().ok()?),
     ))
+}
+
+/// A stored document's text from the records under its key prefix: keys
+/// `decode` as `(doc, chunk)` with chunks 0, 1, 2, …, or the tree (`tree`
+/// names it and its tier) is [`Error::Corrupt`]. `None` when none is found.
+pub(crate) fn join_chunks(
+    records: vist_btree::Scan<'_>,
+    tree: std::fmt::Arguments<'_>,
+    doc: DocId,
+    decode: impl Fn(&[u8]) -> Option<(DocId, u128)>,
+) -> Result<Option<Vec<u8>>> {
+    let (mut out, mut next) = (Vec::new(), 0u128);
+    for item in records {
+        let (k, v) = item?;
+        if decode(&k) != Some((doc, next)) {
+            let msg = format!("{tree}: key {k:02x?} is not chunk {next} of document {doc}");
+            return Err(Error::Corrupt(msg));
+        }
+        out.extend_from_slice(&v);
+        next += 1;
+    }
+    Ok((next > 0).then_some(out))
+}
+
+/// A `doc u64 ‖ chunk u32` key, big-endian: a v1 segment's, the delta's
+/// after its tag byte.
+pub(crate) fn decode_fixed_doc_key(k: &[u8]) -> Option<(DocId, u128)> {
+    let k: &[u8; 12] = k.try_into().ok()?;
+    let (doc, chunk) = (k[..8].try_into().ok()?, k[8..].try_into().ok()?);
+    Some((u64::from_be_bytes(doc), u32::from_be_bytes(chunk).into()))
 }
 
 /// The error for a record of the delta's `tree` that no writer of it
@@ -940,6 +968,28 @@ mod tests {
         assert_eq!(s.doc_get(1).unwrap(), Some(small));
         assert_eq!(s.doc_get(2).unwrap(), Some(big));
         assert_eq!(s.doc_get(3).unwrap(), None);
+    }
+
+    #[test]
+    fn a_stored_document_with_a_chunk_out_of_turn_is_corrupt() {
+        let s = mem_store();
+        s.doc_put(1, b"<a/>").unwrap();
+        // Chunks 0 and 2, no chunk 1: the concatenation would read as text.
+        s.aux.insert(&Store::doc_chunk_key(5, 0), b"<r>x").unwrap();
+        s.aux.insert(&Store::doc_chunk_key(5, 2), b"y</r>").unwrap();
+        match s.doc_get(5) {
+            Err(Error::Corrupt(msg)) => {
+                assert!(msg.starts_with("delta: aux tree:"), "{msg}");
+                assert!(msg.ends_with("is not chunk 1 of document 5"), "{msg}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // A record under the document's prefix that is no chunk key.
+        let mut odd = Store::doc_chunk_key(6, 0);
+        odd.push(0);
+        s.aux.insert(&odd, b"<r/>").unwrap();
+        assert!(matches!(s.doc_get(6), Err(Error::Corrupt(_))));
+        assert_eq!(s.doc_get(1).unwrap(), Some(b"<a/>".to_vec()));
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl VistIndex {
             // that cloned the old Arcs keep their open handles and finish
             // safely.
             for id in old_ids {
-                let _ = std::fs::remove_file(Manifest::segment_path(&files.path, id));
+                let _ = files.vfs.remove(&Manifest::segment_path(&files.path, id));
             }
             vist_obs::counter!("vist_core_compactions_total").inc();
             Ok(())
@@ -262,31 +262,32 @@ impl VistIndex {
 
     /// The static build (paper §3.3), shared by bulk load and compaction:
     /// `fill` hands one [`SegmentBuilder`] each document's key path and
-    /// text; the builder labels the merged trie and writes the next segment
-    /// file, durable on return but named by no manifest
-    /// ([`VistIndex::publish`] is the caller's next step). `None` when
-    /// `fill` adds no document.
+    /// text; the builder writes the stored text into the next segment file
+    /// as it comes, labels the merged trie and writes the rest: durable on
+    /// return, named by no manifest ([`VistIndex::publish`] is the caller's
+    /// next step). `None` when `fill` adds no document. A failed or empty
+    /// build removes its file; the next build truncates a crashed one's.
     fn write_segment(
         &self,
         files: &TierFiles,
         fill: impl FnOnce(&mut SegmentBuilder) -> Result<()>,
     ) -> Result<Option<Segment>> {
         let store_documents = self.store.meta().store_documents;
-        // The stored documents wait here until the build writes them.
-        let mut scratch = files.path.as_os_str().to_os_string();
-        scratch.push(".ingest-tmp");
-        let mut builder = SegmentBuilder::new(scratch.into(), files.page_size, store_documents)?;
-        fill(&mut builder)?;
         let id = {
             let st = self.tier.state.read();
             st.manifest.segments.iter().max().map_or(1, |id| id + 1)
         };
-        builder.finish(
-            files.vfs.as_ref(),
-            &Manifest::segment_path(&files.path, id),
-            id,
-            files.cache_pages,
-        )
+        let (vfs, path) = (files.vfs.as_ref(), Manifest::segment_path(&files.path, id));
+        let built = SegmentBuilder::new(vfs, &path, files.page_size, store_documents).and_then(
+            |mut builder| {
+                fill(&mut builder)?;
+                builder.finish(vfs, id, files.cache_pages)
+            },
+        );
+        if !matches!(built, Ok(Some(_))) {
+            let _ = vfs.remove(&path);
+        }
+        built
     }
 
     /// The commit point of a bulk load and of a compaction: store the next
@@ -440,9 +441,15 @@ impl VistIndex {
 /// be a bulk build not yet published, and the next build truncates it
 /// anyway. Every `<base>.seg-<id>.wal` goes too, live ids' included: older
 /// builds wrote a segment through a log, which they checkpointed before
-/// the manifest named the segment, and nothing reads it. Best-effort,
-/// through `std::fs` like the unlinks it completes.
+/// the manifest named the segment, and nothing reads it. So does
+/// `<base>.ingest-tmp`, file or directory, where older builds kept their
+/// stored documents until the end of the build. Best-effort, through
+/// `std::fs`: it lists a directory, which the `Vfs` does not.
 fn remove_stale_segments(base: &Path, live: &[u64]) {
+    let mut scratch = base.as_os_str().to_os_string();
+    scratch.push(".ingest-tmp");
+    let scratch = Path::new(&scratch);
+    let _ = std::fs::remove_file(scratch).or_else(|_| std::fs::remove_dir_all(scratch));
     let (Some(&newest), Some(name)) = (live.iter().max(), base.file_name()) else {
         return;
     };
@@ -594,7 +601,7 @@ mod tests {
     use crate::segment::tests::add_parsed;
     use crate::{IndexOptions, NaiveIndex, QueryOptions};
     use vist_storage::testutil::TempDir;
-    use vist_storage::RealVfs;
+    use vist_storage::{FaultMode, FaultVfs, RealVfs};
 
     /// One corpus of the differential test: its documents (the first
     /// `delta_from` bulk-loaded as two segments, the rest inserted into the
@@ -686,34 +693,77 @@ mod tests {
             let docs = ["<a><b/></a>", "<a><c/></a>", "<a><b>", "<a/>"];
             assert!(matches!(idx.bulk_build(docs), Err(Error::Xml(_))));
             assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
+            // Nor does the last, after more than a write chunk of text: when
+            // it is stored, documents-tree pages reached the file first.
+            let big = format!("<a>{}</a>", "x".repeat(32 << 10));
+            let mut many = vec![big.as_str(); 40];
+            many.push("<a>");
+            assert!(matches!(idx.bulk_build(&many), Err(Error::Xml(_))));
+            assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
+            // A build that adds no document leaves no file either.
+            assert!(idx.bulk_build(Vec::<String>::new()).unwrap().is_empty());
+            assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
             idx.bulk_build(&docs[..2]).unwrap();
             let files = ["idx", "idx.manifest", "idx.seg-1", "idx.wal"];
             assert_eq!(listing(dir.path()), files);
         }
-        // Without stored documents a build never makes its scratch file.
-        let dir = TempDir::new("vist-core-build-no-docs");
+    }
+
+    /// A crash is no failed build: the dead process removes nothing, so its
+    /// unsealed file stays, above the manifest's ids, until the next build
+    /// takes its id and truncates it.
+    #[test]
+    fn a_crashed_build_leaves_its_file_to_the_next_build() {
+        let dir = TempDir::new("vist-core-crashed-build");
+        let path = dir.file("idx");
+        let vfs = FaultVfs::new(Arc::new(RealVfs));
+        let handle = vfs.handle();
+        let idx = VistIndex::create_at(Arc::new(vfs), &path, IndexOptions::default()).unwrap();
+        idx.flush().unwrap();
+        // The build's first operation creates its file; it dies at the next.
+        handle.schedule(handle.op_count() + 1, FaultMode::Crash, 0);
+        assert!(idx.bulk_build(["<a><b/></a>"]).is_err());
+        assert!(handle.crashed());
+        drop(idx);
+        assert_eq!(listing(dir.path()), ["idx", "idx.seg-1", "idx.wal"]);
+        let idx = VistIndex::open_file(&path, 64).unwrap();
+        assert_eq!(idx.bulk_build(["<a><c/></a>"]).unwrap(), [0]);
+        let files = ["idx", "idx.manifest", "idx.seg-1", "idx.wal"];
+        assert_eq!(listing(dir.path()), files);
+        let found = idx.query("/a/c", &QueryOptions::default()).unwrap();
+        assert_eq!(found.doc_ids, [0]);
+    }
+
+    #[test]
+    fn an_older_builds_scratch_is_removed_at_open() {
+        let dir = TempDir::new("vist-core-stale-scratch");
+        let path = dir.file("idx");
+        let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
+        idx.flush().unwrap();
+        drop(idx);
         let scratch = dir.file("idx.ingest-tmp");
-        let mut b = SegmentBuilder::new(scratch.clone(), 512, false).unwrap();
-        b.add_doc(0, ["k"], None).unwrap();
-        assert!(!scratch.exists());
-        let seg = b.finish(&RealVfs, &dir.file("idx.seg-1"), 1, 64).unwrap();
-        assert!(seg.is_some() && !scratch.exists());
+        // A scratch file, and the directory builds before it spilled into.
+        std::fs::write(&scratch, b"doc-len-bytes").unwrap();
+        drop(VistIndex::open_file(&path, 64).unwrap());
+        assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
+        std::fs::create_dir(&scratch).unwrap();
+        std::fs::write(scratch.join("run-0"), b"spill").unwrap();
+        drop(VistIndex::open_file(&path, 64).unwrap());
+        assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
     }
 
     /// The oracle of a compaction: the static build of `idx`'s live
     /// documents from their stored text, re-parsed, in id order.
     fn reparsed(idx: &VistIndex, path: &Path) -> Segment {
         let page_size = idx.store.pool().page_size();
-        let mut scratch = path.as_os_str().to_owned();
-        scratch.push(".tmp");
-        let mut b = SegmentBuilder::new(scratch.into(), page_size, true).unwrap();
+        let mut b = SegmentBuilder::new(&RealVfs, path, page_size, true).unwrap();
         let mut table = idx.table();
         for id in idx.document_ids().unwrap() {
             let xml = idx.get_document_xml(id).unwrap();
             add_parsed(&mut b, &mut table, &idx.order, id, &xml);
         }
         assert_eq!(table.len(), idx.table().len(), "the text holds no new name");
-        let seg = b.finish(&RealVfs, path, 0, 64);
+        let seg = b.finish(&RealVfs, 0, 64);
         seg.unwrap().expect("live documents")
     }
 

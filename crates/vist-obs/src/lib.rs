@@ -55,30 +55,9 @@ pub use registry::{counter, describe, gauge, histogram, snapshot, MetricValue, S
 pub use span::{format_nanos, set_tracing, tracing_enabled, Span, SpanNode, Trace};
 pub use wide::WideEvent;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Gates clock reads for latency histograms. On by default; turn off to
-/// shed even the `Instant::now()` cost while keeping event counters.
-static TIMING: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable latency timing (clock reads) process-wide.
-/// Counters and gauges are unaffected.
-pub fn set_timing(on: bool) {
-    TIMING.store(on, Ordering::Relaxed);
-}
-
-/// Whether latency timing is currently enabled.
-#[inline]
-#[must_use]
-pub fn timing_enabled() -> bool {
-    #[cfg(feature = "noop")]
-    return false;
-    #[cfg(not(feature = "noop"))]
-    TIMING.load(Ordering::Relaxed)
-}
-
-/// Read the clock if timing is enabled. Pair with [`observe_since`]:
+/// Read the clock (`None` in the `noop` build). Pair with [`observe_since`]:
 ///
 /// ```
 /// let t = vist_obs::now();
@@ -88,23 +67,22 @@ pub fn timing_enabled() -> bool {
 #[inline]
 #[must_use]
 pub fn now() -> Option<Instant> {
-    if timing_enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    }
+    #[cfg(feature = "noop")]
+    return None;
+    #[cfg(not(feature = "noop"))]
+    Some(Instant::now())
 }
 
 /// Elapsed nanoseconds since `start`, saturating at `u64::MAX`; `None`
-/// if timing was off at the start.
+/// for a `start` the `noop` build took.
 #[inline]
 #[must_use]
 pub fn elapsed_nanos(start: Option<Instant>) -> Option<u64> {
     start.map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
 }
 
-/// Record the time since `start` (from [`now`]) into `hist`, if timing
-/// was on when `start` was taken.
+/// Record the time since `start` (from [`now`]) into `hist`; nothing in
+/// the `noop` build.
 #[inline]
 pub fn observe_since(hist: &Histogram, start: Option<Instant>) {
     if let Some(nanos) = elapsed_nanos(start) {
@@ -151,15 +129,5 @@ mod tests {
         assert!(std::ptr::eq(a, b));
         gauge!("lib_macro_level").set(1);
         histogram!("lib_macro_nanos").record(5);
-    }
-
-    #[test]
-    #[cfg(not(feature = "noop"))]
-    fn timing_gate() {
-        crate::set_timing(true);
-        assert!(crate::now().is_some());
-        crate::set_timing(false);
-        assert!(crate::now().is_none());
-        crate::set_timing(true);
     }
 }

@@ -149,8 +149,8 @@ impl FaultHandle {
 /// A [`Vfs`] wrapper that fails or "crashes" at a scheduled operation index.
 ///
 /// Counted operations: `open`, `sync_parent_dir`, and every `read_at` /
-/// `write_at` / `set_len` / `sync` on files it has opened. `len` is not
-/// counted (a pure metadata query adds no distinct crash state).
+/// `write_at` / `set_len` / `sync` on files it has opened. `len` and
+/// `remove` add no crash state and are not counted; both fail after a crash.
 #[derive(Clone)]
 pub struct FaultVfs {
     inner: Arc<dyn Vfs>,
@@ -243,6 +243,13 @@ impl Vfs for FaultVfs {
             _ => Err(injected()),
         }
     }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        if self.shared.crashed.load(Ordering::Acquire) {
+            return Err(injected());
+        }
+        self.inner.remove(path)
+    }
 }
 
 #[cfg(test)]
@@ -280,8 +287,14 @@ mod tests {
         assert!(f.read_at(0, &mut [0u8; 128]).is_err());
         assert!(f.sync().is_err());
         assert!(h.crashed());
+        // A dead process removes nothing; a removal is never counted.
+        let ops = h.op_count();
+        assert!(vfs.remove(&dir.file("f")).is_err());
+        assert!(dir.file("f").exists() && h.op_count() == ops);
         h.reset();
         f.write_at(0, &[1u8; 128]).unwrap();
+        vfs.remove(&dir.file("f")).unwrap();
+        assert!(!dir.file("f").exists() && h.op_count() == 1);
     }
 
     #[test]

@@ -52,6 +52,9 @@ pub trait Vfs: Send + Sync {
     /// Fsync the directory containing `path`, making a just-created file's
     /// directory entry durable. Best-effort no-op where unsupported.
     fn sync_parent_dir(&self, path: &Path) -> io::Result<()>;
+
+    /// Remove the file at `path`.
+    fn remove(&self, path: &Path) -> io::Result<()>;
 }
 
 /// The real file system.
@@ -126,6 +129,10 @@ impl Vfs for RealVfs {
             Err(_) => Ok(()),
         }
     }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        std::fs::remove_file(path)
+    }
 }
 
 #[cfg(test)]
@@ -149,6 +156,8 @@ mod tests {
         assert_eq!(f.len().unwrap(), 5);
         f.sync().unwrap();
         vfs.sync_parent_dir(&path).unwrap();
+        vfs.remove(&path).unwrap();
+        assert!(!path.exists());
         // Short read past EOF is an error, not a panic.
         assert!(f.read_at(3, &mut buf).is_err());
         // MustExist on a missing path errors.
