@@ -83,121 +83,6 @@ pub fn wildcard_prob() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Minimal micro-benchmark runner used by `benches/micro.rs` (this build
-/// carries no third-party bench framework). Each benchmark's setup +
-/// timing closure is re-run with a growing iteration count until the timed
-/// region is long enough, then the mean ns/iteration is reported.
-pub mod micro {
-    use std::time::Instant;
-
-    /// Identity that defeats constant folding of the result.
-    pub fn black_box<T>(x: T) -> T {
-        std::hint::black_box(x)
-    }
-
-    /// Passed to each benchmark closure; call [`Bencher::iter`] exactly
-    /// once with the code to time.
-    pub struct Bencher {
-        iters: u64,
-        elapsed_ns: u128,
-    }
-
-    impl Bencher {
-        /// Time `f` over this calibration round's iteration count.
-        pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-            let t0 = Instant::now();
-            for _ in 0..self.iters {
-                black_box(f());
-            }
-            self.elapsed_ns = t0.elapsed().as_nanos();
-        }
-    }
-
-    /// Benchmark registry: name filtering from argv plus a time budget per
-    /// benchmark from `VIST_MICRO_MS` (default 200 ms).
-    pub struct Runner {
-        filter: Option<String>,
-        target_ns: u128,
-    }
-
-    impl Default for Runner {
-        fn default() -> Self {
-            Self::from_env()
-        }
-    }
-
-    impl Runner {
-        /// Build from process args (first non-flag arg = substring filter)
-        /// and environment.
-        #[must_use]
-        pub fn from_env() -> Self {
-            let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-            let target_ms: u128 = std::env::var("VIST_MICRO_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(200);
-            Runner {
-                filter,
-                target_ns: target_ms.max(1) * 1_000_000,
-            }
-        }
-
-        /// Run one benchmark; returns mean ns/iteration (`None` when
-        /// filtered out).
-        pub fn bench<F: FnMut(&mut Bencher)>(&self, name: &str, mut f: F) -> Option<f64> {
-            if let Some(filt) = &self.filter {
-                if !name.contains(filt.as_str()) {
-                    return None;
-                }
-            }
-            let mut iters = 1u64;
-            loop {
-                let mut b = Bencher {
-                    iters,
-                    elapsed_ns: 0,
-                };
-                f(&mut b);
-                if b.elapsed_ns >= self.target_ns || iters >= 1 << 30 {
-                    let per = b.elapsed_ns as f64 / iters as f64;
-                    println!("{name:<44} {per:>14.1} ns/iter  ({iters} iters)");
-                    return Some(per);
-                }
-                let grow = (self.target_ns as f64 / b.elapsed_ns.max(1) as f64).ceil() as u64;
-                iters = iters.saturating_mul(grow.clamp(2, 16));
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn bencher_runs_requested_iters() {
-            let runner = Runner {
-                filter: None,
-                target_ns: 1, // one calibration round suffices
-            };
-            let mut count = 0u64;
-            let per = runner.bench("unit", |b| {
-                b.iter(|| count += 1);
-            });
-            assert!(per.is_some());
-            assert!(count >= 1);
-        }
-
-        #[test]
-        fn filter_skips_nonmatching() {
-            let runner = Runner {
-                filter: Some("match-me".into()),
-                target_ns: 1,
-            };
-            assert!(runner.bench("other", |b| b.iter(|| ())).is_none());
-            assert!(runner.bench("match-me/x", |b| b.iter(|| ())).is_some());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,6 +58,7 @@ pub use search::{
 pub use segment::SegmentBreakdown;
 pub use stats::{IndexStats, IngestCounters, IngestCountersSnapshot};
 pub use store::{DocId, NodeState, Store, StoreBreakdown};
+pub use tier::segment_path;
 pub use trie::{Trie, TrieNode};
 pub use vist::{IndexOptions, QueryOptions, QueryResult, VistIndex};
 

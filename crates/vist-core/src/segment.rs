@@ -258,7 +258,7 @@ impl Codec {
 /// One segment's entry in [`crate::VistIndex::tier_breakdown`].
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentBreakdown {
-    /// The segment's id in the manifest.
+    /// The segment's id: its file's suffix and its name in the delta.
     pub id: u64,
     /// The format its header declares: 2 for every segment this build
     /// writes, 1 for one that predates packed leaves and compact records
@@ -663,7 +663,7 @@ impl SegmentBuilder {
     /// in memory;
     /// seal the file (every page in its frame, fsynced) and open it as
     /// segment `id`. `None`, the file unsealed, when no document was added.
-    /// Publishing the segment in the manifest is the caller's step.
+    /// Naming the segment in a commit of the delta is the caller's step.
     pub(crate) fn finish(
         mut self,
         vfs: &dyn Vfs,
@@ -935,7 +935,7 @@ pub(crate) mod tests {
 
         // The segment a binary from before format 2 wrote (see
         // `tests/segment_v1.rs`), on a copy: its log was checkpointed before
-        // the manifest named it, so the file alone opens.
+        // the segment was named, so the file alone opens.
         let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/seg_v1");
         let dir = TempDir::new("vist-core-segment-v1");
         std::fs::copy(fixture.join("idx.vist.seg-1"), dir.file("idx.vist.seg-1")).unwrap();

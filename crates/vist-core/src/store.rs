@@ -7,7 +7,7 @@
 //! | `sancestor` | dkey-id ‖ `n` | `(size, next, k)` | the per-dkey S-Ancestor B+Trees, combined (as in the paper's experiments) into one tree keyed by dkey-id first |
 //! | `docid` | `n` ‖ doc-id | — | the DocId B+Tree |
 //! | `edges` | parent `n` ‖ dkey-id | child `n` | insert-path navigation: "search in e for the scope that is an immediate child of s". The paper inverts its closed-form allocation (Eq 4/6); our cursor-based allocator is not invertible, so the trie edge is stored explicitly. Queries never touch this tree. |
-//! | `aux` | tagged | — | symbol table, sibling order, stored documents (chunked) |
+//! | `aux` | tagged | — | symbol table, sibling order, stored documents (chunked), tombstones, the live segment ids |
 //!
 //! The *meta page* (the first page allocated) persists tree roots and
 //! counters so the index can be reopened; a compaction's delta clear resets
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vist_btree::{codec::KeyWriter, BTree};
-use vist_seq::{SiblingOrder, SymbolTable};
+use vist_seq::{SiblingOrder, Sym, SymbolTable};
 use vist_storage::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vist_storage::{BufferPool, PageId};
 
@@ -29,7 +29,11 @@ use crate::search::{DkStats, SearchSource};
 /// Identifier of an indexed document.
 pub type DocId = u64;
 
-const MAGIC: &[u8; 8] = b"VISTIDX1";
+const MAGIC: &[u8; 8] = b"VISTIDX2";
+/// The meta magic of a manifest-era file, whose live segments a second
+/// file, `<base>.manifest`, names; an open moves them into aux and writes
+/// [`MAGIC`], which the binaries of that era refuse.
+const MANIFEST_ERA_MAGIC: &[u8; 8] = b"VISTIDX1";
 
 /// Allocation state of a virtual-suffix-tree node: its scope plus the
 /// dynamic-allocation cursor.
@@ -84,12 +88,6 @@ pub struct Meta {
     pub doc_count: u64,
     /// Number of virtual suffix tree nodes.
     pub node_count: u64,
-    /// Generation of the delta's contents with respect to compaction.
-    /// The tier manifest records the epoch its segment set expects; a
-    /// reopened delta with a *smaller* epoch missed the post-compaction
-    /// truncation (crash between manifest swap and delta flush) and is
-    /// cleared again — see `VistIndex::open_tier`.
-    pub delta_epoch: u64,
 }
 
 impl Meta {
@@ -110,7 +108,6 @@ impl Meta {
             deep_borrows: 0,
             doc_count: 0,
             node_count: 0,
-            delta_epoch: 0,
         }
     }
 }
@@ -152,6 +149,9 @@ const AUX_TOMB: u8 = 5;
 // Tag 6 is retired: files written before the delta counted its planner
 // statistics at open hold them there. Nothing reads them, and a
 // compaction's reset drops them.
+/// A live segment: one key-only record per id. The commit that writes them
+/// is a bulk load's or a compaction's one commit point.
+const AUX_SEGMENT: u8 = 7;
 
 impl Store {
     /// Create a fresh store in `pool`.
@@ -191,7 +191,7 @@ impl Store {
     ) -> Result<(Self, SymbolTable, SiblingOrder)> {
         let page = pool.fetch(meta_page)?;
         let buf = page.data();
-        if &buf[0..8] != MAGIC {
+        if &buf[0..8] != MAGIC && &buf[0..8] != MANIFEST_ERA_MAGIC {
             return Err(Error::Corrupt("bad index magic".into()));
         }
         let rd = |at: usize| -> u32 { u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) };
@@ -215,7 +215,6 @@ impl Store {
             deep_borrows: rd64(86),
             doc_count: rd64(94),
             node_count: rd64(102),
-            delta_epoch: rd64(110),
         };
         drop(page);
         let dancestor = BTree::open(Arc::clone(&pool), roots[0])?;
@@ -274,8 +273,19 @@ impl Store {
         buf[86..94].copy_from_slice(&meta.deep_borrows.to_le_bytes());
         buf[94..102].copy_from_slice(&meta.doc_count.to_le_bytes());
         buf[102..110].copy_from_slice(&meta.node_count.to_le_bytes());
-        buf[110..118].copy_from_slice(&meta.delta_epoch.to_le_bytes());
         Ok(())
+    }
+
+    /// The delta epoch of a manifest-era file (see [`MANIFEST_ERA_MAGIC`]),
+    /// which its compactions advanced in the manifest first and in the meta
+    /// page after the delta clear; `None` for a file whose aux names its
+    /// segments. Read from the meta page as the open found it, before the
+    /// first flush rewrites it.
+    pub(crate) fn manifest_era_epoch(&self) -> Result<Option<u64>> {
+        let page = self.pool.fetch(self.meta_page)?;
+        let buf = page.data();
+        let epoch = u64::from_le_bytes(buf[110..118].try_into().unwrap());
+        Ok((&buf[0..8] == MANIFEST_ERA_MAGIC).then_some(epoch))
     }
 
     /// Persist counters, tree roots, new symbols, and the sibling order, then
@@ -539,47 +549,68 @@ impl Store {
         )
     }
 
-    // ----- delete tombstones (aux) -----
+    // ----- delete tombstones and live segments (aux, key-only) -----
 
-    fn tomb_key(doc: DocId) -> Vec<u8> {
-        let mut k = KeyWriter::with_capacity(9);
-        k.u8(AUX_TOMB).u64(doc);
-        k.finish()
+    /// `tag ‖ id`, big-endian: a tombstone's or a live segment's key.
+    fn id_key(tag: u8, id: u64) -> [u8; 9] {
+        let mut k = [tag; 9];
+        k[1..].copy_from_slice(&id.to_be_bytes());
+        k
+    }
+
+    /// The ids of every `tag` record, ascending. A record other than an
+    /// [`Store::id_key`] with no value is [`Error::Corrupt`].
+    fn ids_under(&self, tag: u8) -> Result<Vec<u64>> {
+        let mut out = Vec::new();
+        for item in self.aux.scan_prefix(&[tag])? {
+            let (k, v) = item?;
+            let id = k.get(1..).and_then(|id| <[u8; 8]>::try_from(id).ok());
+            match id.filter(|_| v.is_empty()) {
+                Some(id) => out.push(u64::from_be_bytes(id)),
+                None => return Err(malformed("aux", &k)),
+            }
+        }
+        Ok(out)
     }
 
     /// Mark a document as deleted, whichever tier holds it.
     pub(crate) fn tomb_put(&self, doc: DocId) -> Result<()> {
-        self.aux.insert(&Self::tomb_key(doc), &[])?;
+        self.aux.insert(&Self::id_key(AUX_TOMB, doc), &[])?;
         Ok(())
     }
 
     /// Whether `doc` carries a delete tombstone.
     pub(crate) fn tomb_contains(&self, doc: DocId) -> Result<bool> {
-        Ok(self.aux.contains(&Self::tomb_key(doc))?)
+        Ok(self.aux.contains(&Self::id_key(AUX_TOMB, doc))?)
     }
 
     /// All tombstoned document ids, ascending.
     pub(crate) fn tomb_ids(&self) -> Result<Vec<DocId>> {
-        let mut out = Vec::new();
-        for item in self.aux.scan_prefix(&[AUX_TOMB])? {
-            let (k, _) = item?;
-            let id = k.get(1..).and_then(|id| <[u8; 8]>::try_from(id).ok());
-            out.push(u64::from_be_bytes(id.ok_or_else(|| malformed("aux", &k))?));
-        }
-        Ok(out)
+        self.ids_under(AUX_TOMB)
+    }
+
+    /// Name segment `id` live. A [`Store::clear_delta`] forgets every name,
+    /// so a compaction puts its output's after the clear.
+    pub(crate) fn segment_put(&self, id: u64) -> Result<()> {
+        self.aux.insert(&Self::id_key(AUX_SEGMENT, id), &[])?;
+        Ok(())
+    }
+
+    /// The live segment ids, ascending: oldest first, since ids only grow.
+    pub(crate) fn segment_ids(&self) -> Result<Vec<u64>> {
+        self.ids_under(AUX_SEGMENT)
     }
 
     /// Truncate the delta after a compaction folded it into a packed
     /// segment: reset the pool, forgetting every page of the five trees (aux
-    /// too), allocate the meta page and five empty roots again in
-    /// [`Store::create`]'s order, and reset the planner statistics and
-    /// per-delta counters. The globals aux held (symbols, sibling order,
-    /// stats model) live on in memory, with `next_doc` and `doc_count`.
-    /// `new_epoch` stamps the truncation so a reopen can tell whether it was
-    /// persisted (see [`Meta::delta_epoch`]). Callers hold the writer lock,
-    /// exclude readers, and commit afterwards with `VistIndex::commit_locked`
-    /// (a bare [`Store::flush`] would leave out the stats model).
-    pub(crate) fn clear_delta(&self, new_epoch: u64) -> Result<()> {
+    /// too, the live segment ids with it), allocate the meta page and five
+    /// empty roots again in [`Store::create`]'s order, and reset the planner
+    /// statistics and per-delta counters. The globals aux held (symbols,
+    /// sibling order, stats model) live on in memory, with `next_doc` and
+    /// `doc_count`. Callers hold the writer lock, exclude readers, put the
+    /// live segment ids again and commit with `VistIndex::commit_locked` (a
+    /// bare [`Store::flush`] would leave out the stats model).
+    pub(crate) fn clear_delta(&self) -> Result<()> {
         self.pool.reset()?;
         let meta_page = self.pool.allocate()?;
         if meta_page != self.meta_page {
@@ -602,7 +633,6 @@ impl Store {
             k: 0,
         };
         meta.node_count = 0;
-        meta.delta_epoch = new_epoch;
         Ok(())
     }
 
@@ -623,18 +653,20 @@ impl Store {
         Ok(())
     }
 
-    /// Load a persisted statistics model, if any transitions were saved.
+    /// Load a persisted statistics model, if any transitions were saved. A
+    /// record that is not `tag ‖ sym ‖ sym` with an `f64` is
+    /// [`Error::Corrupt`].
     pub fn load_stats_model(&self) -> Result<Option<crate::alloc::StatsModel>> {
+        let decode = |k: &[u8], v: &[u8]| {
+            let (cur, a) = Sym::try_decode(k.get(1..)?)?;
+            let (next, b) = Sym::try_decode(&k[1 + a..])?;
+            (k.len() == 1 + a + b).then_some(())?;
+            Some((cur, next, f64::from_le_bytes(v.try_into().ok()?)))
+        };
         let mut triples = Vec::new();
         for item in self.aux.scan_prefix(&[AUX_STATS])? {
             let (k, v) = item?;
-            let (cur, used) = vist_seq::Sym::decode(&k[1..]);
-            let (next, _) = vist_seq::Sym::decode(&k[1 + used..]);
-            let p = f64::from_le_bytes(
-                v.try_into()
-                    .map_err(|_| Error::Corrupt("bad stats value".into()))?,
-            );
-            triples.push((cur, next, p));
+            triples.push(decode(&k, &v).ok_or_else(|| malformed("aux", &k))?);
         }
         if triples.is_empty() {
             Ok(None)
@@ -1059,6 +1091,65 @@ mod tests {
     }
 
     #[test]
+    fn live_segment_ids_round_trip_in_id_order() {
+        let s = mem_store();
+        assert!(s.segment_ids().unwrap().is_empty());
+        for id in [9, 2, 5] {
+            s.segment_put(id).unwrap();
+        }
+        s.tomb_put(4).unwrap();
+        s.flush(&SymbolTable::new(), &SiblingOrder::Lexicographic)
+            .unwrap();
+        let (s, ..) = Store::open(Arc::clone(s.pool()), s.meta_page).unwrap();
+        assert_eq!(s.segment_ids().unwrap(), [2, 5, 9]);
+        assert_eq!(s.tomb_ids().unwrap(), [4]);
+        assert_eq!(s.manifest_era_epoch().unwrap(), None);
+    }
+
+    /// The aux records an open reads decode totally: a statistics-model
+    /// record whose symbols are cut short or carry an unknown tag byte, and
+    /// a live-segment record whose id is, are `Corrupt` naming the tree.
+    #[test]
+    fn malformed_aux_records_an_open_reads_are_corrupt() {
+        let corrupt = |r: Result<()>| match r {
+            Err(Error::Corrupt(msg)) => assert!(msg.starts_with("delta: aux tree:"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        let p = 0.5f64.to_le_bytes();
+        let tag = Sym::Tag(vist_seq::Symbol(1)).encode();
+        let mut trailing = [&[AUX_STATS][..], &tag, &tag].concat();
+        trailing.push(0);
+        for key in [
+            vec![AUX_STATS, 9, 0, 0, 0, 1],
+            [&[AUX_STATS][..], &tag, &tag[..3]].concat(),
+            trailing,
+        ] {
+            let s = mem_store();
+            s.aux
+                .insert(&[&[AUX_STATS][..], &tag, &tag].concat(), &p)
+                .unwrap();
+            assert!(s.load_stats_model().unwrap().is_some());
+            s.aux.insert(&key, &p).unwrap();
+            corrupt(s.load_stats_model().map(drop));
+        }
+        let s = mem_store();
+        s.aux
+            .insert(&[&[AUX_STATS][..], &tag, &tag].concat(), &p[..4])
+            .unwrap();
+        corrupt(s.load_stats_model().map(drop));
+
+        for (key, value) in [
+            (vec![AUX_SEGMENT, 0, 1], &[][..]),
+            (Store::id_key(AUX_SEGMENT, 1).to_vec(), &[1][..]),
+        ] {
+            let s = mem_store();
+            s.segment_put(2).unwrap();
+            s.aux.insert(&key, value).unwrap();
+            corrupt(s.segment_ids().map(drop));
+        }
+    }
+
+    #[test]
     fn clear_delta_keeps_globals_drops_index() {
         let s = mem_store();
         let id = s.dkey_get_or_create(b"k").unwrap();
@@ -1086,18 +1177,19 @@ mod tests {
         let order = SiblingOrder::Dtd(vec!["seller".into(), "item".into()]);
         s.flush(&table, &order).unwrap();
         assert_eq!(s.dkid_stats(id), Some(DkStats { nodes: 1 }));
-        s.clear_delta(1).unwrap();
+        s.segment_put(3).unwrap();
+        s.clear_delta().unwrap();
         assert_eq!(s.dkey_get(b"k").unwrap(), None);
         assert_eq!(s.node_get(id, 5).unwrap(), None);
         assert!(docids_in(&s, &[(0, 1000)]).is_empty());
         assert_eq!(s.doc_get(1).unwrap(), None);
         assert!(s.tomb_ids().unwrap().is_empty());
+        assert!(s.segment_ids().unwrap().is_empty());
         assert_eq!(s.dkid_stats(id), None);
         {
             let meta = s.meta();
             assert_eq!(meta.next_dkey, 0);
             assert_eq!(meta.node_count, 0);
-            assert_eq!(meta.delta_epoch, 1);
             assert_eq!(meta.next_doc, 2, "global doc counter survives");
             assert_eq!(meta.doc_count, 1, "global doc count survives");
         }
@@ -1111,7 +1203,6 @@ mod tests {
         }
         assert!(matches!(got_order, SiblingOrder::Dtd(v) if v == ["seller", "item"]));
         assert_eq!(s.dkid_stats(id), None);
-        assert_eq!(s.meta().delta_epoch, 1);
     }
 
     #[test]

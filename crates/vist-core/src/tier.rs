@@ -1,12 +1,14 @@
 //! The tiers of a [`VistIndex`]: immutable packed segments (the RIST build,
 //! paper §3.3) beneath the mutable delta (Algorithms 3–4), and everything
-//! that reads or replaces the segment list — the manifest and its crash redo
-//! on open, the static build shared by bulk load and compaction, the record
-//! walk that reads a tier's trie back, the commit point that publishes a new
-//! list, the live documents, and the query fan-out over every tier. An
+//! that reads or replaces the segment list — its open, the static build
+//! shared by bulk load and compaction, the record walk that reads a tier's
+//! trie back, the commit that names a new list, the live documents, and the
+//! query fan-out over every tier. The delta's aux tree names the live
+//! segments, so the delta's commit is the tier's only commit point. An
 //! in-memory index has no files and an empty list. Formats and crash
 //! protocol: `docs/SEGMENTS.md`.
 
+use std::io;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -14,7 +16,7 @@ use std::sync::Arc;
 use vist_query::QuerySequence;
 use vist_seq::{document_to_sequence, MAX_SCOPE};
 use vist_storage::sync::RwLock;
-use vist_storage::{Manifest, Vfs};
+use vist_storage::{crc32c, OpenMode, Vfs};
 use vist_xml::Document;
 
 use crate::error::{Error, Result};
@@ -33,26 +35,31 @@ pub(crate) const COMPACT_SEGMENT_THRESHOLD: usize = 4;
 pub(crate) struct Tier {
     /// Where the segment files live; `None` for an in-memory index.
     files: Option<TierFiles>,
-    /// Acquired after `maintenance` in the lock hierarchy; held only to
-    /// clone or swap the segment list, never across IO.
-    state: RwLock<TierState>,
+    /// The live segments, oldest first: the ones the delta's aux tree
+    /// names. Acquired after `maintenance` in the lock hierarchy; held only
+    /// to clone or swap the list, never across IO.
+    segments: RwLock<Vec<Arc<Segment>>>,
 }
 
 struct TierFiles {
     vfs: Arc<dyn Vfs>,
-    /// Base path of the index file; the manifest and segments derive their
-    /// paths from it (`<base>.manifest`, `<base>.seg-<id>`).
+    /// Base path of the index file; the segments derive their paths from it
+    /// (`<base>.seg-<id>`).
     path: PathBuf,
     page_size: usize,
     cache_pages: usize,
 }
 
-/// The manifest naming the live segments, and the opened segments
-/// themselves (newest last, matching manifest order).
-#[derive(Default)]
-struct TierState {
-    manifest: Manifest,
-    segments: Vec<Arc<Segment>>,
+/// Path of segment `id` of the index file `base`: `<base>.seg-<id>`.
+pub fn segment_path<P: AsRef<Path>>(base: P, id: u64) -> PathBuf {
+    sidecar(base.as_ref(), &format!(".seg-{id}"))
+}
+
+/// `base` with `suffix` appended to its file name.
+fn sidecar(base: &Path, suffix: &str) -> PathBuf {
+    let mut os = base.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
 }
 
 impl Tier {
@@ -60,12 +67,12 @@ impl Tier {
     pub(crate) fn in_memory() -> Self {
         Tier {
             files: None,
-            state: RwLock::new(TierState::default()),
+            segments: RwLock::new(Vec::new()),
         }
     }
 
     /// An empty tier whose files live beside the index file at `path`
-    /// ([`VistIndex::open_tier`] loads what the manifest names).
+    /// ([`VistIndex::open_tier`] loads what the delta names).
     pub(crate) fn at(vfs: Arc<dyn Vfs>, path: &Path, page_size: usize, cache_pages: usize) -> Self {
         Tier {
             files: Some(TierFiles {
@@ -81,7 +88,7 @@ impl Tier {
     /// Snapshot the live segments (newest last). Cheap: clones a small
     /// `Vec<Arc<_>>` under a brief read lock.
     pub(crate) fn segments(&self) -> Vec<Arc<Segment>> {
-        self.state.read().segments.clone()
+        self.segments.read().clone()
     }
 
     fn files(&self) -> Result<&TierFiles> {
@@ -89,51 +96,69 @@ impl Tier {
     }
 }
 
+impl TierFiles {
+    fn open_segments(&self, ids: &[u64]) -> Result<Vec<Arc<Segment>>> {
+        ids.iter()
+            .map(|&id| {
+                let path = segment_path(&self.path, id);
+                Segment::open(self.vfs.as_ref(), &path, id, self.cache_pages).map(Arc::new)
+            })
+            .collect()
+    }
+}
+
 impl VistIndex {
-    /// Load the segments the manifest names (none without a manifest),
-    /// finishing whatever a crash interrupted. Called once by the open,
-    /// before the index is shared.
+    /// Open the segments the delta's aux tree names; a manifest-era file
+    /// has its list moved there first ([`VistIndex::open_manifest_era`]).
+    /// Called once by the open, before the index is shared.
     pub(crate) fn open_tier(&self) -> Result<()> {
         let Some(files) = &self.tier.files else {
             return Ok(());
         };
-        let manifest = Manifest::load(files.vfs.as_ref(), &files.path)?.unwrap_or_default();
-        // Compaction redo: the manifest swap is the commit point, so a
-        // manifest ahead of the delta's epoch means the post-swap delta
-        // clear never reached disk. Re-run it — the delta's content was
-        // absorbed into the compacted segment before the swap — and commit
-        // the globals the clear took out of the aux tree.
-        if manifest.delta_epoch > self.store.meta().delta_epoch {
-            self.store.clear_delta(manifest.delta_epoch)?;
-            self.commit_locked()?;
+        let segments = match self.store.manifest_era_epoch()? {
+            Some(delta_epoch) => self.open_manifest_era(files, delta_epoch)?,
+            None => files.open_segments(&self.store.segment_ids()?)?,
+        };
+        let live: Vec<u64> = segments.iter().map(|seg| seg.id).collect();
+        remove_stale_segments(&files.path, &live);
+        *self.tier.segments.write() = segments;
+        Ok(())
+    }
+
+    /// Open a manifest-era index, whose `<base>.manifest` ([`read_manifest`])
+    /// named its live segments beside the delta. That era committed a bulk
+    /// load or a compaction across the two files, and its open carried two
+    /// redos to reconcile them; they run here once more. Then the list goes
+    /// into aux, and one commit makes the file a current one, meta magic
+    /// included; [`remove_stale_segments`] deletes the manifest after it. A
+    /// crash before that commit leaves the manifest-era file, and the next
+    /// open starts over.
+    fn open_manifest_era(&self, files: &TierFiles, delta_epoch: u64) -> Result<Vec<Arc<Segment>>> {
+        let (manifest_epoch, ids) = read_manifest(files.vfs.as_ref(), &files.path)?;
+        let segments = files.open_segments(&ids)?;
+        // Compaction redo: the manifest swap was the commit point, so a
+        // manifest ahead of the delta's epoch means the delta clear after it
+        // never reached disk. The compacted segment holds what the delta did.
+        if manifest_epoch > delta_epoch {
+            self.store.clear_delta()?;
         }
-        let segments = manifest
-            .segments
-            .iter()
-            .map(|&id| {
-                let path = Manifest::segment_path(&files.path, id);
-                Segment::open(files.vfs.as_ref(), &path, id, files.cache_pages).map(Arc::new)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        // Bulk-load redo: a segment whose doc ids reach past `next_doc` was
-        // committed (manifest swapped) before the meta bump was flushed.
-        // Bulk ids are contiguous from the old `next_doc`, so the whole
-        // segment is unaccounted.
-        let mut fixed = false;
+        // Bulk-load reconcile: a segment whose doc ids reach past `next_doc`
+        // was named before the meta bump was committed. Bulk ids are
+        // contiguous from the old `next_doc`, so the whole segment is
+        // unaccounted.
         for seg in &segments {
             let mut meta = self.store.meta_mut();
             if seg.doc_count > 0 && seg.max_doc >= meta.next_doc {
                 meta.doc_count += seg.doc_count;
                 meta.next_doc = seg.max_doc + 1;
-                fixed = true;
             }
         }
-        if fixed {
-            self.flush_locked()?;
+        for seg in &segments {
+            self.store.segment_put(seg.id)?;
         }
-        remove_stale_segments(&files.path, &manifest.segments);
-        *self.tier.state.write() = TierState { manifest, segments };
-        Ok(())
+        // A clear emptied aux: a full commit writes every global back.
+        self.commit_locked()?;
+        Ok(segments)
     }
 
     /// Bulk-load a batch of XML documents into one immutable packed
@@ -143,7 +168,7 @@ impl VistIndex {
     /// sorted in memory, and written as B+Trees at ~100% leaf fill.
     ///
     /// Returns the assigned document ids (contiguous, ascending). The
-    /// segment is durable and published in the manifest when this returns;
+    /// segment is durable and named by the delta when this returns;
     /// accumulating [`COMPACT_SEGMENT_THRESHOLD`] segments auto-triggers
     /// [`VistIndex::compact`], documents stored or not. Requires a
     /// file-backed index ([`VistIndex::create_file`] /
@@ -177,24 +202,23 @@ impl VistIndex {
             else {
                 return Ok(ids);
             };
-            // Commit point. A crash before this leaves an orphan file (the
-            // id gets reused and truncated); a crash after is healed on
-            // reopen by the max_doc watermark (see `open_tier`).
-            let mut segments = self.tier.segments();
-            segments.push(Arc::new(seg));
-            let delta_epoch = self.tier.state.read().manifest.delta_epoch;
-            self.publish(files, delta_epoch, segments)?;
+            // Commit point: one commit names the segment, counts its
+            // documents and persists the symbols its dkeys encode. A crash
+            // before it leaves an orphan file, whose id the next build takes
+            // and truncates.
+            self.store.segment_put(seg.id)?;
             {
                 let mut meta = self.store.meta_mut();
                 meta.next_doc = first_doc + ids.len() as u64;
                 meta.doc_count += ids.len() as u64;
             }
-            self.flush_locked()?;
-            // A flush is a commit; a new tier state also leaves no log behind.
+            let mut live = self.tier.segments();
+            live.push(Arc::new(seg));
+            self.publish(live)?;
+            // A new tier state leaves no log behind.
             self.store.pool().checkpoint()?;
             vist_obs::counter!("vist_core_bulk_docs_total").add(ids.len() as u64);
-            let segments = self.tier.state.read().segments.len();
-            if segments >= COMPACT_SEGMENT_THRESHOLD {
+            if self.tier.segments.read().len() >= COMPACT_SEGMENT_THRESHOLD {
                 self.compact_locked()?;
             }
             Ok(ids)
@@ -205,10 +229,9 @@ impl VistIndex {
     /// dropping tombstoned documents for good, then reset the delta.
     /// Document ids are preserved; the input is the tiers' own records
     /// (`tier_paths`), stored documents are copied, none is parsed. The
-    /// manifest swap is the commit point: a crash at any earlier point
-    /// leaves the old state, a crash after it is finished on reopen by
-    /// re-clearing the delta (`delta_epoch` handshake — see
-    /// `docs/SEGMENTS.md`). Requires a file-backed index.
+    /// commit of the reset delta, which names the new segment alone, is the
+    /// commit point: a crash before it leaves the old state, one after it
+    /// the new. Requires a file-backed index.
     pub fn compact(&self) -> Result<()> {
         let _w = self.writer.lock();
         self.compact_locked()
@@ -217,11 +240,7 @@ impl VistIndex {
     fn compact_locked(&self) -> Result<()> {
         bg_op("compaction", || {
             let files = self.tier.files()?;
-            let (old_ids, delta_epoch, segments) = {
-                let st = self.tier.state.read();
-                let old = st.manifest.segments.clone();
-                (old, st.manifest.delta_epoch, st.segments.clone())
-            };
+            let segments = self.tier.segments();
             // Each live document as a path into its tier's keys, `keys[t]`.
             let tombs = self.store.tomb_ids()?;
             let (mut keys, mut docs) = (Vec::new(), Vec::new());
@@ -232,6 +251,7 @@ impl VistIndex {
             }
             // Fed by id, like a bulk load; `move` frees the paths before the build.
             docs.sort_unstable_by_key(|&(doc, ..)| doc);
+            let old: Vec<u64> = segments.iter().map(|seg| seg.id).collect();
             let compacted = self.write_segment(files, move |builder| {
                 for (id, t, path) in docs {
                     let xml = self.stored_bytes(id, &segments)?;
@@ -240,20 +260,25 @@ impl VistIndex {
                 }
                 Ok(())
             })?;
-            // Commit point: the new manifest names only the compacted
-            // segment and advances the delta epoch, obligating a delta clear.
-            let compacted = compacted.into_iter().map(Arc::new).collect();
-            self.publish(files, delta_epoch + 1, compacted)?;
-            // The clear emptied the aux tree: a full commit writes every
-            // global record back, the stats model included.
-            self.commit_locked()?;
+            // The reset below checkpoints the images the pager holds: commit
+            // them first, or an uncommitted delta would become a torn one.
+            self.flush_locked()?;
+            {
+                // Clearing resets the delta's pager: exclude readers.
+                let _m = self.maintenance.write();
+                self.store.clear_delta()?;
+                if let Some(seg) = &compacted {
+                    self.store.segment_put(seg.id)?;
+                }
+                self.publish(compacted.into_iter().map(Arc::new).collect())?;
+            }
             self.store.pool().checkpoint()?;
             // The replaced segment files are garbage; unlink best-effort
             // (the next open removes any left behind). Concurrent readers
             // that cloned the old Arcs keep their open handles and finish
             // safely.
-            for id in old_ids {
-                let _ = files.vfs.remove(&Manifest::segment_path(&files.path, id));
+            for id in old {
+                let _ = files.vfs.remove(&segment_path(&files.path, id));
             }
             vist_obs::counter!("vist_core_compactions_total").inc();
             Ok(())
@@ -264,20 +289,18 @@ impl VistIndex {
     /// `fill` hands one [`SegmentBuilder`] each document's key path and
     /// text; the builder writes the stored text into the next segment file
     /// as it comes, labels the merged trie and writes the rest: durable on
-    /// return, named by no manifest ([`VistIndex::publish`] is the caller's
-    /// next step). `None` when `fill` adds no document. A failed or empty
-    /// build removes its file; the next build truncates a crashed one's.
+    /// return, named by no commit yet. `None` when `fill` adds no document. A
+    /// failed or empty build removes its file; the next build truncates a
+    /// crashed one's.
     fn write_segment(
         &self,
         files: &TierFiles,
         fill: impl FnOnce(&mut SegmentBuilder) -> Result<()>,
     ) -> Result<Option<Segment>> {
         let store_documents = self.store.meta().store_documents;
-        let id = {
-            let st = self.tier.state.read();
-            st.manifest.segments.iter().max().map_or(1, |id| id + 1)
-        };
-        let (vfs, path) = (files.vfs.as_ref(), Manifest::segment_path(&files.path, id));
+        let newest = self.tier.segments.read().iter().map(|seg| seg.id).max();
+        let id = newest.map_or(1, |id| id + 1);
+        let (vfs, path) = (files.vfs.as_ref(), segment_path(&files.path, id));
         let built = SegmentBuilder::new(vfs, &path, files.page_size, store_documents).and_then(
             |mut builder| {
                 fill(&mut builder)?;
@@ -290,43 +313,17 @@ impl VistIndex {
         built
     }
 
-    /// The commit point of a bulk load and of a compaction: store the next
-    /// generation of the manifest, naming `segments` (oldest first) at
-    /// `delta_epoch`, then make it the tier's state. A manifest that
-    /// advances the delta epoch obligates a delta clear (the one
-    /// [`VistIndex::open_tier`] redoes after a crash), done here before
-    /// readers can see the new segment list. The caller holds the writer
-    /// lock and commits afterwards (with [`VistIndex::commit_locked`] when
-    /// the delta was cleared).
-    fn publish(
-        &self,
-        files: &TierFiles,
-        delta_epoch: u64,
-        segments: Vec<Arc<Segment>>,
-    ) -> Result<()> {
-        // A new segment's dkeys encode symbols interned while it was built:
-        // persist the table BEFORE the manifest can reference the segment.
-        self.flush_locked()?;
-        let (generation, clear) = {
-            let st = self.tier.state.read();
-            (
-                st.manifest.generation + 1,
-                delta_epoch > st.manifest.delta_epoch,
-            )
-        };
-        let manifest = Manifest {
-            generation,
-            delta_epoch,
-            segments: segments.iter().map(|seg| seg.id).collect(),
-        };
-        manifest.store(files.vfs.as_ref(), &files.path)?;
-        // Clearing resets the delta's pager: exclude readers.
-        let _m = clear.then(|| self.maintenance.write());
-        if clear {
-            self.store.clear_delta(delta_epoch)?;
-        }
-        *self.tier.state.write() = TierState { manifest, segments };
-        Ok(())
+    /// The commit point of a bulk load and of a compaction: commit the
+    /// delta, whose aux tree the caller made name `live`'s ids — a full
+    /// commit, since a compaction's clear emptied aux — and only then make
+    /// `live` the tier's list, so no reader sees a segment the disk does not
+    /// name. A failed commit swaps too: the delta in memory names `live`
+    /// either way, and a reopen recovers, as after any failed write. The
+    /// caller holds the writer lock.
+    fn publish(&self, live: Vec<Arc<Segment>>) -> Result<()> {
+        let committed = self.commit_locked();
+        *self.tier.segments.write() = live;
+        committed
     }
 
     /// Every tier as a search source: the delta (`None`), then the segments.
@@ -438,18 +435,18 @@ impl VistIndex {
 /// crashed after its commit point, or an unlink failed): every
 /// `<base>.seg-<id>` whose id is below the largest id in `live` and not in
 /// `live`. Ids only grow, so nothing reuses them. A file above that id may
-/// be a bulk build not yet published, and the next build truncates it
+/// be a bulk build not yet committed, and the next build truncates it
 /// anyway. Every `<base>.seg-<id>.wal` goes too, live ids' included: older
 /// builds wrote a segment through a log, which they checkpointed before
-/// the manifest named the segment, and nothing reads it. So does
-/// `<base>.ingest-tmp`, file or directory, where older builds kept their
-/// stored documents until the end of the build. Best-effort, through
-/// `std::fs`: it lists a directory, which the `Vfs` does not.
+/// the segment was named, and nothing reads it. So do `<base>.ingest-tmp`,
+/// file or directory, where older builds kept their stored documents until
+/// the end of the build, and `<base>.manifest`, which a manifest-era file's
+/// open has moved into aux by now. Best-effort, through `std::fs`: it lists
+/// a directory, which the `Vfs` does not.
 fn remove_stale_segments(base: &Path, live: &[u64]) {
-    let mut scratch = base.as_os_str().to_os_string();
-    scratch.push(".ingest-tmp");
-    let scratch = Path::new(&scratch);
-    let _ = std::fs::remove_file(scratch).or_else(|_| std::fs::remove_dir_all(scratch));
+    let _ = std::fs::remove_file(manifest_path(base));
+    let scratch = sidecar(base, ".ingest-tmp");
+    let _ = std::fs::remove_file(&scratch).or_else(|_| std::fs::remove_dir_all(&scratch));
     let (Some(&newest), Some(name)) = (live.iter().max(), base.file_name()) else {
         return;
     };
@@ -469,6 +466,59 @@ fn remove_stale_segments(base: &Path, live: &[u64]) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
+}
+
+/// Where a manifest-era index named its live segments: `<base>.manifest`.
+fn manifest_path(base: &Path) -> PathBuf {
+    sidecar(base, ".manifest")
+}
+
+/// Bytes of one of a manifest file's two slots.
+const MANIFEST_SLOT: usize = 4096;
+
+/// The `(delta epoch, live segment ids)` of a manifest-era index's
+/// manifest. Each of its two slots is `"VISTMAN1" ‖ generation u64 ‖
+/// delta_epoch u64 ‖ count u32 ‖ count × id u64 ‖ crc32c u32`,
+/// little-endian, the CRC over every byte before it. A write went to one
+/// slot and left the other whole, so the slot that decodes with the highest
+/// generation holds the list; no file, or no slot that decodes (a crash in
+/// the first write), names none. Read-only: nothing writes a manifest.
+fn read_manifest(vfs: &dyn Vfs, base: &Path) -> Result<(u64, Vec<u64>)> {
+    let io = |e| Error::Storage(vist_storage::Error::Io(e));
+    let mut file = match vfs.open(&manifest_path(base), OpenMode::MustExist) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, Vec::new())),
+        Err(e) => return Err(io(e)),
+    };
+    let len = file.len().map_err(io)?;
+    let (mut best, mut buf) = (None::<(u64, u64, Vec<u64>)>, vec![0u8; MANIFEST_SLOT]);
+    // A slot past the end was never written; one in the file must read, or
+    // the open would commit a list short of its segments.
+    for at in [0, MANIFEST_SLOT as u64] {
+        if at + MANIFEST_SLOT as u64 > len {
+            continue;
+        }
+        file.read_at(at, &mut buf).map_err(io)?;
+        if let Some(slot) = decode_manifest_slot(&buf) {
+            if best.as_ref().is_none_or(|b| slot.0 > b.0) {
+                best = Some(slot);
+            }
+        }
+    }
+    Ok(best.map_or((0, Vec::new()), |(_, epoch, ids)| (epoch, ids)))
+}
+
+/// `(generation, delta epoch, ids)` of a manifest slot whose CRC holds.
+fn decode_manifest_slot(buf: &[u8]) -> Option<(u64, u64, Vec<u64>)> {
+    let u64_at = |at: usize| Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?));
+    let u32_at = |at: usize| Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?));
+    if buf.get(..8)? != b"VISTMAN1" {
+        return None;
+    }
+    let end = 28 + 8 * u32_at(24)? as usize;
+    (crc32c(buf.get(..end)?) == u32_at(end)?).then_some(())?;
+    let ids = (28..end).step_by(8).map(u64_at).collect::<Option<_>>()?;
+    Some((u64_at(8)?, u64_at(16)?, ids))
 }
 
 /// The tier union: join a tier's ids `run`, less those in `tombs`, into
@@ -704,13 +754,12 @@ mod tests {
             assert!(idx.bulk_build(Vec::<String>::new()).unwrap().is_empty());
             assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
             idx.bulk_build(&docs[..2]).unwrap();
-            let files = ["idx", "idx.manifest", "idx.seg-1", "idx.wal"];
-            assert_eq!(listing(dir.path()), files);
+            assert_eq!(listing(dir.path()), ["idx", "idx.seg-1", "idx.wal"]);
         }
     }
 
     /// A crash is no failed build: the dead process removes nothing, so its
-    /// unsealed file stays, above the manifest's ids, until the next build
+    /// unsealed file stays, above the live ids, until the next build
     /// takes its id and truncates it.
     #[test]
     fn a_crashed_build_leaves_its_file_to_the_next_build() {
@@ -728,8 +777,7 @@ mod tests {
         assert_eq!(listing(dir.path()), ["idx", "idx.seg-1", "idx.wal"]);
         let idx = VistIndex::open_file(&path, 64).unwrap();
         assert_eq!(idx.bulk_build(["<a><c/></a>"]).unwrap(), [0]);
-        let files = ["idx", "idx.manifest", "idx.seg-1", "idx.wal"];
-        assert_eq!(listing(dir.path()), files);
+        assert_eq!(listing(dir.path()), ["idx", "idx.seg-1", "idx.wal"]);
         let found = idx.query("/a/c", &QueryOptions::default()).unwrap();
         assert_eq!(found.doc_ids, [0]);
     }
@@ -750,6 +798,74 @@ mod tests {
         std::fs::write(scratch.join("run-0"), b"spill").unwrap();
         drop(VistIndex::open_file(&path, 64).unwrap());
         assert_eq!(listing(dir.path()), ["idx", "idx.wal"]);
+    }
+
+    /// A manifest slot as a manifest-era build wrote it.
+    fn manifest_slot(generation: u64, delta_epoch: u64, ids: &[u64]) -> Vec<u8> {
+        let mut slot = b"VISTMAN1".to_vec();
+        slot.extend(generation.to_le_bytes());
+        slot.extend(delta_epoch.to_le_bytes());
+        slot.extend((ids.len() as u32).to_le_bytes());
+        slot.extend(ids.iter().flat_map(|id| id.to_le_bytes()));
+        slot.extend(crc32c(&slot).to_le_bytes());
+        slot.resize(MANIFEST_SLOT, 0);
+        slot
+    }
+
+    #[test]
+    fn paths_are_sidecars_of_the_store_file() {
+        let base = Path::new("/x/store");
+        assert_eq!(segment_path(base, 12), PathBuf::from("/x/store.seg-12"));
+        assert_eq!(manifest_path(base), PathBuf::from("/x/store.manifest"));
+    }
+
+    #[test]
+    fn an_absent_manifest_names_no_segment() {
+        let dir = TempDir::new("vist-core-manifest-absent");
+        assert_eq!(
+            read_manifest(&RealVfs, &dir.file("store")).unwrap(),
+            (0, vec![])
+        );
+    }
+
+    /// A crash in the first write of a manifest leaves a short file, or a
+    /// slot whose CRC fails: no segment, no error.
+    #[test]
+    fn a_fully_torn_first_write_names_no_segment() {
+        let dir = TempDir::new("vist-core-manifest-first-torn");
+        let base = dir.file("store");
+        std::fs::write(manifest_path(&base), b"VISTMAN1\x01\x02").unwrap();
+        assert_eq!(read_manifest(&RealVfs, &base).unwrap(), (0, vec![]));
+        let mut torn = manifest_slot(1, 0, &[1]);
+        torn[28] ^= 1;
+        std::fs::write(
+            manifest_path(&base),
+            [torn, vec![0; MANIFEST_SLOT]].concat(),
+        )
+        .unwrap();
+        assert_eq!(read_manifest(&RealVfs, &base).unwrap(), (0, vec![]));
+    }
+
+    /// Each write went to the slot of its generation's parity, so a torn
+    /// one leaves the previous generation whole in the other slot; of two
+    /// whole slots, the higher generation wins wherever it lies.
+    #[test]
+    fn a_torn_slot_falls_back_to_the_previous_generation() {
+        let dir = TempDir::new("vist-core-manifest-torn");
+        let base = dir.file("store");
+        let (two, three) = (manifest_slot(2, 1, &[4, 7]), manifest_slot(3, 2, &[9]));
+        std::fs::write(manifest_path(&base), [two.clone(), three.clone()].concat()).unwrap();
+        assert_eq!(read_manifest(&RealVfs, &base).unwrap(), (2, vec![9]));
+        // Generation 4 torn in slot 0: its header reached the file, its CRC
+        // did not.
+        let mut torn = manifest_slot(4, 3, &[11]);
+        torn[28..].fill(0);
+        std::fs::write(manifest_path(&base), [torn, three].concat()).unwrap();
+        assert_eq!(read_manifest(&RealVfs, &base).unwrap(), (2, vec![9]));
+        // Generation 3 torn in slot 1, its file cut short.
+        let cut = [two, b"VISTMAN1".to_vec()].concat();
+        std::fs::write(manifest_path(&base), cut).unwrap();
+        assert_eq!(read_manifest(&RealVfs, &base).unwrap(), (1, vec![4, 7]));
     }
 
     /// The oracle of a compaction: the static build of `idx`'s live
@@ -873,7 +989,7 @@ mod tests {
                     want.len()
                 );
             }
-            let file = Manifest::segment_path(&path, segments[0].id);
+            let file = segment_path(&path, segments[0].id);
             assert!(
                 std::fs::read(file).unwrap() == std::fs::read(dir.file("oracle")).unwrap(),
                 "{name}: segment files differ"

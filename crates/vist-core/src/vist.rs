@@ -239,7 +239,7 @@ impl VistIndex {
     }
 
     /// [`VistIndex::create_file`] through an explicit [`Vfs`] (tests inject
-    /// faults into every tier file — index, WAL, segments, manifest).
+    /// faults into every tier file — index, WAL, segments).
     pub fn create_at(vfs: Arc<dyn Vfs>, path: &Path, opts: IndexOptions) -> Result<Self> {
         let pager = FilePager::create_with_vfs(vfs.as_ref(), path, opts.page_size)?;
         let pool = Arc::new(BufferPool::with_capacity(pager, opts.cache_pages));
@@ -266,15 +266,16 @@ impl VistIndex {
     /// [`IndexStats::io`] counters `recovered_pages` / `wal_discarded_bytes`
     /// report what recovery did. A persisted statistics model (from a
     /// `WithClues` allocator) is restored automatically. The segment tier
-    /// is reopened from the manifest, finishing any compaction or bulk
-    /// load a crash interrupted (see `docs/SEGMENTS.md`).
+    /// is reopened from the list the delta's last commit names; a
+    /// manifest-era index has its `<path>.manifest` moved into the delta
+    /// first (see `docs/SEGMENTS.md`).
     pub fn open_file<P: AsRef<Path>>(path: P, cache_pages: usize) -> Result<Self> {
         Self::open_at(Arc::new(RealVfs), path.as_ref(), cache_pages)
     }
 
     /// [`VistIndex::open_file`] through an explicit [`Vfs`]. The open —
-    /// which replays any pending WAL and redoes interrupted compactions
-    /// and bulk loads — is a traced `wal_recovery` background operation.
+    /// which replays any pending WAL and moves a manifest-era segment list
+    /// into the delta — is a traced `wal_recovery` background operation.
     pub fn open_at(vfs: Arc<dyn Vfs>, path: &Path, cache_pages: usize) -> Result<Self> {
         bg_op("wal_recovery", move || {
             let pager = FilePager::open_with_vfs(vfs.as_ref(), path)?;
@@ -1172,7 +1173,7 @@ mod tests {
         assert_eq!(r.doc_ids.len(), 10);
         idx.check().unwrap();
 
-        // Reopen: manifest, segments and counts survive.
+        // Reopen: the segment list and counts survive.
         idx.flush().unwrap();
         drop(idx);
         let idx = VistIndex::open_file(&path, 256).unwrap();

@@ -293,7 +293,7 @@ fn compacted_index_reopens() {
 fn reopen_removes_segment_files_a_compaction_left_behind() {
     let dir = TempDir::new("maintenance-stale-segments");
     let path = dir.file("idx");
-    let seg = |id: u64| vist_storage::Manifest::segment_path(&path, id);
+    let seg = |id: u64| vist_core::segment_path(&path, id);
     let wal = |id: u64| vist_storage::FilePager::wal_path(seg(id));
     let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
     idx.bulk_build((0..30).map(|i| format!("<x><y>{i}</y></x>")))
@@ -348,7 +348,7 @@ fn reopen_removes_segment_files_a_compaction_left_behind() {
 fn a_cut_short_or_overlong_segment_is_corrupt() {
     let dir = TempDir::new("maintenance-segment-length");
     let path = dir.file("idx");
-    let seg = vist_storage::Manifest::segment_path(&path, 1);
+    let seg = vist_core::segment_path(&path, 1);
     let idx = VistIndex::create_file(&path, IndexOptions::default()).unwrap();
     idx.bulk_build((0..400).map(|i| format!("<x><y>{i}</y><z>z{i}</z></x>")))
         .unwrap();

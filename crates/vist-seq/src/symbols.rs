@@ -45,19 +45,26 @@ impl Sym {
     }
 
     /// Decode from the front of `buf`, returning the symbol and the number of
-    /// bytes consumed.
+    /// bytes consumed. Panics on bytes no [`Sym::encode`] wrote; a decoder of
+    /// stored bytes uses [`Sym::try_decode`].
     #[must_use]
     pub fn decode(buf: &[u8]) -> (Sym, usize) {
-        match buf[0] {
-            0x01 => (
-                Sym::Tag(Symbol(u32::from_be_bytes(buf[1..5].try_into().unwrap()))),
+        Self::try_decode(buf).expect("corrupt symbol encoding")
+    }
+
+    /// [`Sym::decode`], `None` for an unknown tag byte or a short buffer.
+    #[must_use]
+    pub fn try_decode(buf: &[u8]) -> Option<(Sym, usize)> {
+        match *buf.first()? {
+            0x01 => Some((
+                Sym::Tag(Symbol(u32::from_be_bytes(buf.get(1..5)?.try_into().ok()?))),
                 5,
-            ),
-            0x02 => (
-                Sym::Value(u64::from_be_bytes(buf[1..9].try_into().unwrap())),
+            )),
+            0x02 => Some((
+                Sym::Value(u64::from_be_bytes(buf.get(1..9)?.try_into().ok()?)),
                 9,
-            ),
-            other => panic!("corrupt symbol tag byte {other}"),
+            )),
+            _ => None,
         }
     }
 }
@@ -262,7 +269,10 @@ mod tests {
             let (dec, used) = Sym::decode(&enc);
             assert_eq!(dec, sym);
             assert_eq!(used, enc.len());
+            assert_eq!(Sym::try_decode(&enc[..used - 1]), None, "{sym:?} cut short");
         }
+        assert_eq!(Sym::try_decode(&[0x03, 0, 0, 0, 0]), None, "unknown tag");
+        assert_eq!(Sym::try_decode(&[]), None);
     }
 
     #[test]

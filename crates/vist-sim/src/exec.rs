@@ -129,8 +129,8 @@ type Candidate = (Snapshot, u64);
 /// to this run; the store lives in `dir/store` and is recreated.
 pub fn run_trace(trace: &Trace, dir: &Path) -> Result<Report, Divergence> {
     let path = dir.join("store");
-    // The tier spreads across sibling files (WAL, manifest, segments)
-    // and a scratch directory; sweep them all so reruns start clean.
+    // The tier spreads across sibling files (WAL, segments); sweep them
+    // all so reruns start clean.
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
             if entry.file_name().to_string_lossy().starts_with("store") {
@@ -346,16 +346,17 @@ impl Exec<'_> {
             Op::Compact => match self.idx().compact() {
                 Ok(()) => {
                     self.report.compacts += 1;
-                    // Compaction is a checkpoint: the pre-swap flush
-                    // commits the delta and the manifest swap publishes
-                    // the segment holding every live document.
+                    // Compaction is a checkpoint: its first commit takes
+                    // the delta as it stands, and the commit of the
+                    // cleared delta names the segment holding every live
+                    // document.
                     self.commit_model();
                     Ok(())
                 }
                 Err(e) => {
-                    // The pre-swap flush may have committed the delta
-                    // even if the swap never happened; the document set
-                    // is the same on both sides of the swap.
+                    // The first commit may have taken the delta even if
+                    // the one naming the new segment never happened; the
+                    // document set is the same on both sides of it.
                     let ambiguous = vec![self.durable_candidate(), self.live_candidate()];
                     self.fail(e, ambiguous)
                 }

@@ -18,8 +18,8 @@
 //! before it: a segment's header page is written last, and this way it
 //! costs no call of its own and breaks no run of the pages after it.
 //! Nothing makes the writes between two seals atomic, so it serves only
-//! files no reader sees unsealed: the packed segments, which the manifest
-//! swap publishes.
+//! files no reader sees unsealed: the packed segments, which the index
+//! names in a commit of its delta once they are sealed.
 //!
 //! A [`FilePager`] never touches its data file between checkpoints. Every
 //! page write appends a checksummed record to `<path>.wal` ([`crate::wal`]),

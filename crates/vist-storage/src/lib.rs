@@ -51,7 +51,6 @@ mod crc;
 mod error;
 mod fault;
 mod file;
-mod manifest;
 mod mem;
 mod pager;
 mod slotted;
@@ -68,7 +67,6 @@ pub use crc::{crc32c, Crc32c};
 pub use error::{Error, Result};
 pub use fault::{is_injected, FaultHandle, FaultMode, FaultVfs};
 pub use file::{FilePager, FrameFile, PAGE_TRAILER};
-pub use manifest::{Manifest, MANIFEST_SLOT_SIZE, MAX_MANIFEST_SEGMENTS};
 pub use mem::MemPager;
 pub use pager::{PageId, Pager, INVALID_PAGE};
 pub use slotted::{SlotId, SlottedPage, SlottedPageMut};

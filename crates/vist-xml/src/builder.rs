@@ -75,12 +75,6 @@ impl ElementBuilder {
         self
     }
 
-    /// Number of direct children added so far.
-    #[must_use]
-    pub fn child_count(&self) -> usize {
-        self.children.len()
-    }
-
     /// Finish: produce a document rooted at this element.
     #[must_use]
     pub fn into_document(self) -> Document {

@@ -392,6 +392,17 @@ fn packed_leaf_cell_lengths_past_the_cell_and_an_over_long_varint() {
 /// writer of the delta produces), and re-seal the frames. Returns how many
 /// cells were rewritten.
 fn shorten_delta_records(path: &Path, page_size: usize, from: (u16, u16), to: (u16, u16)) -> usize {
+    shorten_delta_records_where(path, page_size, from, to, |_| true)
+}
+
+/// [`shorten_delta_records`] of the cells whose whole key `pick` accepts.
+fn shorten_delta_records_where(
+    path: &Path,
+    page_size: usize,
+    from: (u16, u16),
+    to: (u16, u16),
+    pick: impl Fn(&[u8]) -> bool,
+) -> usize {
     assert!(from.0 + from.1 >= to.0 + to.1);
     // A key cut short sorts where its first bytes put it. It is still met
     // by the probe that would have met the whole key when those bytes alone
@@ -414,6 +425,7 @@ fn shorten_delta_records(path: &Path, page_size: usize, from: (u16, u16), to: (u
             let cell = NODE_HDR + usize::from(u16_at(frame, NODE_HDR + 6 + 4 * slot));
             if (u16_at(frame, cell), u16_at(frame, cell + 2)) == from
                 && still_met(&frame[cell + 4..cell + 4 + usize::from(to.0)])
+                && pick(&frame[cell + 4..cell + 4 + usize::from(from.0)])
             {
                 frame[cell..cell + 2].copy_from_slice(&to.0.to_le_bytes());
                 frame[cell + 2..cell + 4].copy_from_slice(&to.1.to_le_bytes());
@@ -476,11 +488,15 @@ fn delta_records_a_byte_short_are_corrupt_not_a_panic() {
     }
 }
 
+/// The aux tag of a live segment's record.
+const AUX_SEGMENT: u8 = 7;
+
 #[test]
 fn aux_keys_cut_inside_their_id_are_corrupt_not_a_panic() {
     // (lengths the aux tree's writer produces, damaged): a stored document's
     // chunk key `tag ‖ doc-id ‖ chunk` over its 16 bytes of XML, and a
-    // tombstone's `tag ‖ doc-id`.
+    // tombstone's `tag ‖ doc-id`. A live segment's `tag ‖ id` has the
+    // tombstone's shape; the open reads it, and a cut one is the last case.
     for (from, to) in [((13, 16), (5, 16)), ((9, 0), (3, 0))] {
         let dir = TempDir::new("delta-short-aux");
         let path = dir.file("idx.vist");
@@ -501,7 +517,8 @@ fn aux_keys_cut_inside_their_id_are_corrupt_not_a_panic() {
         idx.flush().unwrap();
         drop(idx);
 
-        let n = shorten_delta_records(&path, opts.page_size, from, to);
+        let tombstone = |key: &[u8]| key[0] != AUX_SEGMENT;
+        let n = shorten_delta_records_where(&path, opts.page_size, from, to, tombstone);
         assert!(n > 10, "{n} records of shape {from:?}");
         let idx = VistIndex::open_file(&path, opts.cache_pages).unwrap();
         // `stats()` has no error to return: it must not panic.
@@ -529,6 +546,15 @@ fn aux_keys_cut_inside_their_id_are_corrupt_not_a_panic() {
                 assert!(want, "{to:?}: compact: {msg}");
             }
             other => panic!("{to:?}: compact: {other:?}"),
+        }
+        drop(idx);
+        // The live segment's record, cut the same way: the open is Corrupt.
+        let segment = |key: &[u8]| key[0] == AUX_SEGMENT;
+        let n = shorten_delta_records_where(&path, opts.page_size, (9, 0), (3, 0), segment);
+        assert_eq!(n, 1, "{to:?}: live-segment records");
+        match VistIndex::open_file(&path, opts.cache_pages) {
+            Err(vist_core::Error::Corrupt(msg)) => assert!(aux_error(&msg), "{to:?}: open: {msg}"),
+            other => panic!("{to:?}: open: {:?}", other.err()),
         }
     }
 }

@@ -6,11 +6,18 @@
 //! segment format 2 (see the README beside it for the commands). The same
 //! documents and operations, replayed here through this build, give the v2
 //! index the fixture is compared with.
+//!
+//! The fixture is a manifest-era index too: `idx.vist.manifest` names its
+//! segment, and its meta page reads `VISTIDX1`. Its first open moves the
+//! list into the delta's aux tree with one commit, crash-safe at every file
+//! operation, after the two redos of that era's open.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use vist_core::{IndexOptions, QueryOptions, VistIndex};
 use vist_storage::testutil::TempDir;
+use vist_storage::{crc32c, FaultMode, FaultVfs, FilePager, Pager, RealVfs};
 
 const FILES: [&str; 5] = [
     "idx.vist",
@@ -155,4 +162,121 @@ fn a_v1_segment_opens_answers_like_v2_and_compacts_to_v2() {
     let reopened = VistIndex::open_file(dir.file("idx.vist"), 64).unwrap();
     assert_eq!(segment(&reopened).0, 2);
     assert_eq!(answers(&reopened), expected, "reopened");
+}
+
+fn expected() -> Vec<Vec<u64>> {
+    ANSWERS.iter().map(|(_, ids)| ids.to_vec()).collect()
+}
+
+/// Page 1 of the index file at `path`, its meta page, as a reopen reads it
+/// (through the log), for `edit` to change and write back with a commit.
+fn edit_meta(path: &Path, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut pager = FilePager::open(path).unwrap();
+    let mut page = vec![0; pager.page_size()];
+    pager.read(1, &mut page).unwrap();
+    edit(&mut page);
+    pager.write(1, &page).unwrap();
+    pager.sync().unwrap();
+    page
+}
+
+/// A manifest slot as a manifest-era build wrote it: the fixture's
+/// generation 1 sits in slot 1, generation 2 would go to slot 0.
+fn manifest_slot(generation: u64, delta_epoch: u64, ids: &[u64]) -> Vec<u8> {
+    let mut slot = b"VISTMAN1".to_vec();
+    slot.extend(generation.to_le_bytes());
+    slot.extend(delta_epoch.to_le_bytes());
+    slot.extend((ids.len() as u32).to_le_bytes());
+    slot.extend(ids.iter().flat_map(|id| id.to_le_bytes()));
+    slot.extend(crc32c(&slot).to_le_bytes());
+    slot.resize(4096, 0);
+    slot
+}
+
+#[test]
+fn a_manifest_era_open_moves_the_segment_list_into_the_delta() {
+    let dir = TempDir::new("manifest-era");
+    let path = fixture_copy(&dir);
+    drop(VistIndex::open_file(&path, 64).unwrap());
+    for gone in ["idx.vist.manifest", "idx.vist.seg-1.wal"] {
+        assert!(!dir.file(gone).exists(), "{gone}");
+    }
+    let meta = edit_meta(&path, |_| ());
+    assert_eq!(&meta[..8], b"VISTIDX2");
+    let idx = VistIndex::open_file(&path, 64).unwrap();
+    assert_eq!(answers(&idx), expected());
+    idx.check().unwrap();
+}
+
+/// A crash at any file operation of the first open leaves the
+/// manifest-era file or the moved one; a real reopen answers the same.
+#[test]
+fn a_crash_anywhere_in_a_manifest_era_open_recovers() {
+    let dir = TempDir::new("manifest-era-crash");
+    let vfs = FaultVfs::new(Arc::new(RealVfs));
+    let handle = vfs.handle();
+    let path = fixture_copy(&dir);
+    drop(VistIndex::open_at(Arc::new(vfs), &path, 64).unwrap());
+    let total = handle.op_count();
+    assert!(total > 10, "{total} file operations");
+    for n in 0..total {
+        let dir = TempDir::new("manifest-era-crash-at");
+        let path = fixture_copy(&dir);
+        let vfs = FaultVfs::new(Arc::new(RealVfs));
+        vfs.handle().schedule(n, FaultMode::Crash, n);
+        assert!(
+            VistIndex::open_at(Arc::new(vfs), &path, 64).is_err(),
+            "crash@{n}"
+        );
+        let idx = VistIndex::open_file(&path, 64).unwrap();
+        assert_eq!(answers(&idx), expected(), "crash@{n}");
+        idx.check()
+            .unwrap_or_else(|e| panic!("crash@{n}: check failed: {e}"));
+        assert!(!dir.file("idx.vist.manifest").exists(), "crash@{n}");
+    }
+}
+
+/// The compaction redo: a manifest whose delta epoch is ahead of the
+/// delta's was written by a compaction whose delta clear never reached
+/// disk. The open clears the delta — its documents and its tombstone — and
+/// the segment's fourteen documents are what is left, for good.
+#[test]
+fn a_manifest_era_open_redoes_a_compactions_delta_clear() {
+    let dir = TempDir::new("manifest-era-clear");
+    let path = fixture_copy(&dir);
+    let manifest = dir.file("idx.vist.manifest");
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    bytes[..4096].copy_from_slice(&manifest_slot(2, 1, &[1]));
+    std::fs::write(&manifest, bytes).unwrap();
+    let ids: Vec<u64> = (0..=13).collect();
+    let idx = VistIndex::open_file(&path, 64).unwrap();
+    assert_eq!(idx.document_ids().unwrap(), ids);
+    drop(idx);
+    let idx = VistIndex::open_file(&path, 64).unwrap();
+    assert_eq!(idx.document_ids().unwrap(), ids, "reopened");
+    // Document 3 is live again: its tombstone was the delta's.
+    assert_eq!(answers(&idx)[0], [0, 3, 6, 9], "{}", ANSWERS[0].0);
+}
+
+/// The bulk-load reconcile: a segment whose ids reach past `next_doc` was
+/// named before its load's meta bump was committed, so the open counts its
+/// documents and moves `next_doc` past them.
+#[test]
+fn a_manifest_era_open_redoes_a_bulk_loads_count() {
+    let dir = TempDir::new("manifest-era-reconcile");
+    let path = fixture_copy(&dir);
+    // The fixture counts 15 live documents, 14 of them loaded into the
+    // segment from id 0; as the load's crash left it, it counts one.
+    edit_meta(&path, |meta| {
+        assert_eq!(&meta[..8], b"VISTIDX1");
+        meta[36..44].copy_from_slice(&0u64.to_le_bytes()); // next_doc
+        meta[94..102].copy_from_slice(&1u64.to_le_bytes()); // doc_count
+    });
+    let idx = VistIndex::open_file(&path, 64).unwrap();
+    let counts = |idx: &VistIndex| (idx.doc_count(), idx.store().meta().next_doc);
+    assert_eq!(counts(&idx), (15, 14));
+    drop(idx);
+    let idx = VistIndex::open_file(&path, 64).unwrap();
+    assert_eq!(counts(&idx), (15, 14), "reopened");
+    idx.check().unwrap();
 }

@@ -1,9 +1,10 @@
 //! Tiered-storage crash recovery and differential correctness.
 //!
 //! Sweep: a seeded workload exercising every tier transition — delta
-//! inserts + flush, two bulk loads (segment write + manifest swap),
-//! a tombstone remove, and a compaction (segment rewrite + manifest
-//! swap + delta clear) — is crashed at every sampled file-system
+//! inserts + flush, two bulk loads (segment write + the delta commit that
+//! names it), a tombstone remove, and a compaction (segment rewrite +
+//! delta clear + the commit that names the new segment) — is crashed at
+//! every sampled file-system
 //! operation via [`FaultVfs`]. After each crash the index is reopened
 //! for real; it must answer queries from exactly one committed
 //! checkpoint, pass `check()`, and remain fully writable.
@@ -63,17 +64,18 @@ impl RunEnd {
 /// Fixed workload crossing every tier transition. The document stream is
 /// identical on every run; only the injected fault varies.
 ///
-/// Commit points and what each can leave behind:
-/// * `flush`          — delta WAL commit; a crash mid-flush leaves either
-///   the previous checkpoint or the new one.
-/// * `bulk_build`     — the manifest store is the commit point; a crash
-///   leaves either no new segment (orphan file, ignored on reopen) or a
-///   fully visible one (doc counts reconciled on reopen).
+/// Commit points and what each can leave behind — each is one delta WAL
+/// commit, and the delta's aux tree names the live segments:
+/// * `flush`          — a crash mid-flush leaves either the previous
+///   checkpoint or the new one.
+/// * `bulk_build`     — one commit names the segment and counts its
+///   documents; a crash leaves either no new segment (an orphan file,
+///   ignored on reopen) or a fully visible one.
 /// * `remove_document`— a delta tombstone, durable at the next flush.
 /// * `compact`        — answer-preserving by construction: the new
 ///   segment holds exactly the live documents, so every crash point
-///   (before the manifest swap, between swap and delta clear — redone
-///   on reopen — or after) answers the same document set.
+///   (before the commit of the cleared delta that names it, or after)
+///   answers the same document set.
 fn run_workload(vfs: Arc<dyn Vfs>, path: &Path) -> RunEnd {
     let uncreated = RunEnd {
         candidates: vec![BTreeSet::new()],
@@ -236,7 +238,7 @@ fn tiered_crash_at_any_op_recovers_to_a_checkpoint() {
         while n < total_ops {
             let ctx = format!("seed={seed} crash@{n}");
             // Fresh directory per iteration: a crash can leave orphan
-            // segment, manifest, WAL, and scratch files behind.
+            // segment and WAL files behind.
             let run_dir = dir.file(&format!("s{seed}-n{n}"));
             std::fs::create_dir(&run_dir).unwrap();
             let path = run_dir.join("index");
@@ -398,15 +400,19 @@ fn tier_commits_cost_fixed_file_operations() {
     idx.bulk_build((5..7).map(doc)).unwrap();
     let compact = ops(&|| idx.compact().unwrap());
     // A segment is written straight to its file, with no log, and its
-    // header page once, at the end: the bulk load is 3 opens, 10 reads, 11
-    // writes, 1 set_len and 11 syncs. A compaction reads the merged tiers'
-    // own records (the D-Ancestor and S-Ancestor pages of the two
-    // segments), then resets the delta's pager and commits the empty delta:
-    // 3 opens, 22 reads, 12 writes, 3 set_len and 13 syncs. A build's last
-    // flush hands the pool's frames over by page id: the segment's writes
-    // are the runs of consecutive pages among them, and the header page
-    // (page 1) goes out with the file's header frame at the seal. The
-    // delta's aux tree holds no planner statistics, so the compaction's
-    // walk of the delta misses fewer pages.
-    assert_eq!((bulk, compact), (36, 53));
+    // header page once, at the end; the delta's commit that names it is the
+    // only other file a tier commit touches. The bulk load is 2 opens, 11
+    // reads, 8 writes, 1 set_len and 7 syncs: one commit names the segment
+    // and counts its documents. A compaction reads the merged tiers' own
+    // records (the D-Ancestor and S-Ancestor pages of the two segments),
+    // commits the delta, resets its pager and commits the empty delta that
+    // names the new segment: 2 opens, 25 reads, 11 writes, 3 set_len and 11
+    // syncs. The aux tree holds the segment ids, so this test's 8-page pool
+    // misses on one more delta page in the bulk load and three more in the
+    // compaction. A build's last flush hands the pool's frames over by page
+    // id: the segment's writes are the runs of consecutive pages among them,
+    // and the header page (page 1) goes out with the file's header frame at
+    // the seal. The delta's aux tree holds no planner statistics, so the
+    // compaction's walk of the delta misses fewer pages.
+    assert_eq!((bulk, compact), (29, 52));
 }

@@ -130,16 +130,14 @@ fn the_write_path_leaves_the_pinned_bytes() {
     // A segment's documents tree takes the pages right after its header,
     // the other trees follow: same records, same length, other page ids.
     let want_batches = [
-        ("index", 4_440_528, 0xa2b5_87b5_6a30_8521),
-        ("index.manifest", 8_192, 0x1c75_b882_d867_f5a0),
+        ("index", 4_440_528, 0x6932_5e2a_d712_f313),
         ("index.seg-1", 406_296, 0x1bce_27e1_0456_a69c),
-        ("index.wal", 20_582, 0x3d50_ecec_7ce5_2276),
+        ("index.wal", 20_582, 0xc2fa_c2ab_97a4_cd13),
     ];
     let want_end = [
         // The compaction's delta reset leaves the meta page, five empty
-        // roots and the aux records of the globals.
-        ("index", 28_728, 0x89a5_747e_6a03_7db3),
-        ("index.manifest", 8_192, 0xf688_099a_5763_6dc1),
+        // roots and the aux records of the globals and the live segment.
+        ("index", 28_728, 0xc0a1_2af8_a0c0_d46f),
         ("index.seg-3", 1_067_040, 0x7eff_4c18_e001_3c0a),
         ("index.wal", 16, 0xe064_561d_4a38_3df4),
     ];
