@@ -416,15 +416,24 @@ impl BTree {
         // cell bytes goes left if that half, slots included, then fits a page.
         // If it does not, the half from that record on does: a record is at
         // most half a page and the records at most a page and a half.
-        let total: usize = cells.iter().map(|c| c.len()).sum();
-        let (mut acc, mut split_at) = (0usize, 0usize);
-        while (acc + cells[split_at].len()) * 2 < total {
-            acc += cells[split_at].len();
-            split_at += 1;
-        }
-        if acc + cells[split_at].len() + 4 * (split_at + 1) <= 2 * (self.descent.max_cell + 4) {
-            split_at += 1;
-        }
+        //
+        // A cell past the last slot of the rightmost leaf goes alone into the
+        // new right leaf instead, and the old records stay where they fit:
+        // keys that arrive in ascending order then fill their leaves.
+        let split_at = if usize::from(slot) + 1 == cells.len() && link1(&old) == INVALID_PAGE {
+            cells.len() - 1
+        } else {
+            let total: usize = cells.iter().map(|c| c.len()).sum();
+            let (mut acc, mut split_at) = (0usize, 0usize);
+            while (acc + cells[split_at].len()) * 2 < total {
+                acc += cells[split_at].len();
+                split_at += 1;
+            }
+            if acc + cells[split_at].len() + 4 * (split_at + 1) <= 2 * (self.descent.max_cell + 4) {
+                split_at += 1;
+            }
+            split_at
+        };
         let (left, right) = cells.split_at(split_at.clamp(1, cells.len() - 1));
         // Suffix-truncated separator: shortest key separating the halves.
         let key_of = |cell| decode_leaf_cell(left_pid, 0, cell).map(|(k, _)| k);

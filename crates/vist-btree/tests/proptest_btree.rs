@@ -184,6 +184,47 @@ fn defragment_then_split_at_every_slot_position() {
     }
 }
 
+/// Keys that arrive in ascending order (a delta's stored documents, by id)
+/// each go past the last slot of the rightmost leaf, and that split leaves
+/// the old records where they are: every leaf but the last is full. Mixed
+/// with replacements and inserts behind the end, the tree still matches
+/// the model.
+#[test]
+fn ascending_inserts_match_btreemap_and_fill_their_leaves() {
+    for case in 0..24u64 {
+        let mut rng = Rng(0xA5CE ^ (case << 8));
+        // Even keys ascend; behind the end, an even key is replaced or an
+        // odd one goes in between.
+        let behind = case % 3 != 0;
+        let mut next = 0usize;
+        let ops: Vec<Op> = (0..400)
+            .map(|_| {
+                let k = if behind && next > 0 && rng.below(8) == 0 {
+                    rng.below(2 * next)
+                } else {
+                    next += 1;
+                    2 * next
+                };
+                Op::Insert(
+                    (k as u32).to_be_bytes().to_vec(),
+                    random_value(&mut rng, 20),
+                )
+            })
+            .collect();
+        let tree = small_tree();
+        run_ops(&tree, &ops, case < 3);
+        let stats = tree.tree_stats().unwrap();
+        assert!(stats.leaf_pages > 10, "case {case}: {stats:?}");
+        if !behind {
+            assert!(
+                stats.leaf_fill() > 0.8,
+                "case {case}: {}",
+                stats.leaf_fill()
+            );
+        }
+    }
+}
+
 #[test]
 fn btree_matches_btreemap_file() {
     for case in 0..24u64 {

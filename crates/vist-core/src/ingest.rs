@@ -18,7 +18,8 @@
 //!    dkey lookups and trie-edge probes without touching the B+Trees.
 //!    The apply phase holds the `maintenance` latch exclusively, so
 //!    readers observe the pre-batch or post-batch index, never a torn
-//!    intermediate.
+//!    intermediate. The DocId postings the batch put reach the delta's
+//!    postings column in one sorted merge as the phase ends.
 //! 3. **Commit**: a single WAL commit — one commit record, one fsync
 //!    pair — covers the whole batch. Because nothing inside the apply
 //!    phase syncs, a crash anywhere before that flush recovers to the
@@ -187,10 +188,14 @@ impl VistIndex {
                     remap_overlay_syms(&mut p.seq, base_len, &map);
                 }
             }
-            for (p, raw) in prepared.iter().zip(docs) {
+            let applied = prepared.iter().zip(docs).try_for_each(|(p, raw)| {
                 let xml = store_documents.then(|| raw.as_ref());
                 ids.push(self.insert_sequence_cached(&p.seq, xml, &mut cache)?);
-            }
+                Ok::<_, Error>(())
+            });
+            // The postings the batch put, applied or not, in one merge.
+            self.store.publish_postings();
+            applied?;
         }
         let apply_nanos = vist_obs::elapsed_nanos(apply_start).unwrap_or(0);
 
@@ -294,7 +299,9 @@ impl VistIndex {
         } else {
             None
         };
-        let id = self.insert_sequence_cached(&seq, xml, &mut IngestCache::default())?;
+        let id = self.insert_sequence_cached(&seq, xml, &mut IngestCache::default());
+        self.store.publish_postings();
+        let id = id?;
         vist_obs::observe_since(vist_obs::histogram!("vist_core_insert_nanos"), insert_start);
         Ok(id)
     }

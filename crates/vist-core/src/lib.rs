@@ -39,6 +39,7 @@ mod error;
 mod ingest;
 mod naive;
 mod plan;
+mod postings;
 mod search;
 mod segment;
 mod stats;
@@ -74,6 +75,7 @@ pub fn register_metrics() {
     let _ = vist_obs::gauge!("vist_core_documents");
     let _ = vist_obs::gauge!("vist_core_segments");
     let _ = vist_obs::gauge!("vist_core_segment_fence_bytes");
+    let _ = vist_obs::gauge!("vist_core_postings_bytes");
     let _ = vist_obs::gauge!("vist_core_segments_legacy_format");
     let _ = vist_obs::gauge!("vist_core_delta_leaf_fill_bp");
     let _ = vist_obs::gauge!("vist_core_segment_leaf_fill_bp");

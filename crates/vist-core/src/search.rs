@@ -9,8 +9,8 @@
 //! concrete prefixes, a range query for `*`/`//` prefixes), and within each
 //! matching D-Ancestor entry the S-Ancestor tree is range-queried for labels
 //! strictly inside the previous match's scope — the "jump" that eliminates
-//! suffix-tree traversal. When the last element matches, the DocId tree is
-//! range-queried over the final node's scope.
+//! suffix-tree traversal. When the last element matches, the final node's
+//! scope is resolved to document ids against the tier's DocId postings.
 //!
 //! # Work-list formulation, set at a time
 //!
@@ -45,13 +45,14 @@
 //! of sweeps a query performs does not depend on the order frames are taken
 //! in.
 //!
-//! Final scopes accumulate and are interval-merged before the DocId tree is
-//! consulted, so overlapping `[n, n+size)` scopes from different branches
-//! are one range instead of many; the merged ranges, sorted and disjoint, go
-//! to the same multi-range cursor over the DocId tree
-//! ([`SearchSource::docids_in_scopes`]), so resolving them fetches each DocId
-//! leaf once, and the ids they yield are sorted and deduplicated once. That
-//! stage is the same with planning on or off.
+//! Final scopes accumulate and are interval-merged before they are resolved,
+//! so overlapping `[n, n+size)` scopes from different branches are one range
+//! instead of many; the merged ranges, sorted and disjoint, go to
+//! [`SearchSource::docids_in_scopes`] in one call a slice, a galloping merge
+//! join against the tier's postings column (its DocId tree's entries,
+//! decoded once at open), which fetches no page, and the ids they yield are
+//! sorted and deduplicated once. That stage is the same with planning on or
+//! off.
 //!
 //! One loop consumes the work-list — [`drive`], the only caller of `expand`,
 //! on the caller's thread: the sequences' seed frames in plan order, each
@@ -118,7 +119,7 @@
 //!   and never for a `limit` run, which pays for the hits it returns
 //!   instead.
 //! - **`limit` early termination** — bounded runs resolve completed scopes
-//!   eagerly, sweep in pieces of hits, and stop the DocId cursor as soon as
+//!   eagerly, sweep in pieces of hits, and stop the DocId join as soon as
 //!   enough distinct documents are in hand.
 //!
 //! Every transform only reorders work or prunes work that provably cannot
@@ -158,7 +159,8 @@ pub struct DkStats {
 /// never compared.
 ///
 /// Callbacks are `&mut dyn FnMut` so the trait stays object-safe. They run
-/// under a leaf's page latch and must not touch the buffer pool.
+/// under a leaf's page latch, or the postings column's lock, and must not
+/// touch the buffer pool or the source.
 pub trait SearchSource: Sync {
     /// Exact D-Ancestor lookup: the id of `dkey`, if present.
     fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>>;
@@ -185,9 +187,11 @@ pub trait SearchSource: Sync {
     ) -> Result<()>;
 
     /// DocId entries `(n, doc)` whose label `n` lies in one of `scopes` —
-    /// `[lo, hi)` ranges, sorted and disjoint — in label order, until `f`
-    /// breaks: the paper's final range query `[n, n+size)` on the DocId
-    /// B+Tree, for all final nodes in one forward pass over its leaves.
+    /// `[lo, hi)` ranges sorted by `lo`, overlapping ones visited as their
+    /// union — in label order, until `f` breaks: the paper's final range
+    /// query `[n, n+size)` on the DocId B+Tree, for all final nodes in one
+    /// forward merge join against the postings column the tier decoded from
+    /// that tree at open, fetching no page.
     fn docids_in_scopes(
         &self,
         scopes: &[(u128, u128)],
@@ -258,8 +262,8 @@ query_stats! {
         sancestor_scans,
         /// Virtual suffix tree nodes visited (partial matches explored).
         nodes_visited,
-        /// Merged scopes put to the DocId tree as range queries, however
-        /// many cursor passes resolved them.
+        /// Merged scopes resolved to document ids (the paper's range
+        /// queries on the DocId tree), however many joins resolved them.
         docid_scans,
         /// Partial matches expanded by the work-list engine: the scopes of
         /// every frame it took up.
@@ -448,7 +452,7 @@ pub struct SearchOutcome {
 
 /// Run Algorithm 2 over every alternative sequence of one query, unioning
 /// results: plan the sequences, match them, then resolve the matched
-/// scopes against the DocId tree.
+/// scopes against the DocId postings.
 ///
 /// A sequence with no elements (an all-wildcard query such as `/*`)
 /// contributes the whole label space — every document matches.
@@ -568,9 +572,9 @@ pub fn search_sequences(
             drop(merge_span);
             let _span = vist_obs::Span::enter("docid");
             let t = vist_obs::now();
-            // "Perform a range query [n, n+size) on the DocId B+Tree" — for
-            // the merged scopes of a slice in one pass, the deadline checked
-            // between slices.
+            // "Perform a range query [n, n+size) on the DocId B+Tree" — on its
+            // postings column, for the merged scopes of a slice in one pass,
+            // the deadline checked between slices.
             for slice in scopes.chunks(FRAME_SCOPES) {
                 if expired(opts.deadline) {
                     return Err(Error::DeadlineExceeded);
@@ -605,7 +609,7 @@ pub fn search_sequences(
 /// picks are seeded instead (see `search_sequences`).
 ///
 /// Under a `limit` the loop gains one step per expansion: the scopes just
-/// completed are resolved against the DocId tree at once
+/// completed are resolved against the DocId postings at once
 /// ([`MatchOut::resolve`]), and the run stops as soon as `limit`
 /// distinct documents are in hand. Its sweeps stop after a piece of hits
 /// and leave the rest to a continuation frame (see [`sweep`]), so the run
@@ -683,7 +687,7 @@ fn absorb_steps(plans: &mut [SeqPlan], out: &MatchOut) {
 }
 
 /// Sort and merge overlapping or adjacent half-open intervals. The union of
-/// covered labels is preserved exactly, so querying the DocId tree once per
+/// covered labels is preserved exactly, so resolving the DocId postings once per
 /// merged interval returns the same id set as once per raw scope.
 fn coalesce(mut scopes: Vec<(u128, u128)>) -> Vec<(u128, u128)> {
     scopes.sort_unstable();
@@ -967,7 +971,7 @@ struct MatchOut {
     /// Final matched scopes.
     scopes: Vec<(u128, u128)>,
     /// `limit` runs only: the documents of `scopes[..resolved]`, the scopes
-    /// already put to the DocId tree, strictly ascending.
+    /// already resolved, strictly ascending.
     docs: Vec<DocId>,
     resolved: usize,
     /// Binding signatures seen so far, interned: the dedup sets key on the
@@ -1018,11 +1022,11 @@ impl MatchOut {
         }
     }
 
-    /// The `limit` step of the match loop: put the scopes completed since
-    /// the last call to the DocId tree, one at a time and in expansion order
-    /// (they are neither sorted nor disjoint), until `limit` distinct
-    /// documents are in hand — the return value. The cursor stops at the
-    /// id that makes `limit`; scopes past that point are dropped unqueried.
+    /// The `limit` step of the match loop: resolve the scopes completed since
+    /// the last call, one at a time and in expansion order (they are neither
+    /// sorted nor disjoint), until `limit` distinct documents are in hand —
+    /// the return value. The join stops at the id that makes `limit`; scopes
+    /// past that point are dropped unresolved.
     fn resolve(
         &mut self,
         source: &dyn SearchSource,

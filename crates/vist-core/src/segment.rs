@@ -32,7 +32,9 @@
 //! (computed from the labeled trie at build time) and loaded whole at
 //! open — it feeds the query planner's selectivity estimates; segments
 //! packed before it existed open with an empty map and plan from
-//! candidate counts instead.
+//! candidate counts instead. The DocId tree is read whole at open too, into
+//! a [`Postings`] column that resolves every query's final scopes; after
+//! the open only `vist check` reads it again.
 //!
 //! [`SegmentBuilder`] is the static build: documents stream in once, in
 //! ascending id order, as key paths (the dkeys of their sequences, which a
@@ -56,6 +58,7 @@ use vist_btree::{PackedTree, SegmentReader, SegmentWriter, TreeBuilder};
 use vist_storage::{BufferPool, FrameFile, Vfs};
 
 use crate::error::{Error, Result};
+use crate::postings::Postings;
 use crate::search::{DkStats, SearchSource};
 use crate::store::{self, decoding, join_chunks, DocId, NodeState, Store, StoreBreakdown};
 
@@ -162,22 +165,11 @@ impl Codec {
         v
     }
 
-    /// The label component of a DocId key alone: a proper prefix of every
-    /// `(n, doc)` key, so it sorts immediately before the first posting of
-    /// `n` and after the last of any smaller label — the bound of a scope
-    /// `[lo, hi)` at either end under the cursor's exclusive ranges.
-    fn docid_bound(self, n: u128) -> Key {
-        match self {
-            Codec::V1 => Key::new().bytes(&n.to_be_bytes()),
-            Codec::V2 => Key::new().uint(n),
-        }
-    }
-
     /// DocId key `n ‖ doc-id`.
     fn docid_key(self, n: u128, doc: DocId) -> Key {
         match self {
-            Codec::V1 => self.docid_bound(n).bytes(&doc.to_be_bytes()),
-            Codec::V2 => self.docid_bound(n).uint(doc.into()),
+            Codec::V1 => Key::new().bytes(&n.to_be_bytes()).bytes(&doc.to_be_bytes()),
+            Codec::V2 => Key::new().uint(n).uint(doc.into()),
         }
     }
 
@@ -281,6 +273,9 @@ pub(crate) struct Segment {
     dancestor: PackedTree,
     sancestor: PackedTree,
     docid: PackedTree,
+    /// The DocId tree's entries, decoded whole at open: what the DocId
+    /// stage of a query reads.
+    postings: Postings,
     docs: PackedTree,
     /// Per-dkid planner statistics, loaded whole from the packed
     /// statistics tree (slot 4). Empty for pre-statistics segments.
@@ -329,6 +324,8 @@ impl Segment {
             }
             stats_tree = Some(tree);
         }
+        let docid = reader.tree(2)?;
+        let postings = load_postings(id, codec, &docid)?;
         Ok(Segment {
             id,
             doc_count: rd64(0),
@@ -338,7 +335,8 @@ impl Segment {
             codec,
             dancestor: reader.tree(0)?,
             sancestor: reader.tree(1)?,
-            docid: reader.tree(2)?,
+            docid,
+            postings,
             docs: reader.tree(3)?,
             stats,
             stats_tree,
@@ -396,6 +394,21 @@ impl Segment {
         self.trees().map(|(_, t)| t.fence_bytes()).sum()
     }
 
+    /// Bytes of memory the postings column holds outside the pool.
+    #[must_use]
+    pub(crate) fn postings_bytes(&self) -> u64 {
+        self.postings.heap_bytes()
+    }
+
+    /// Where the postings column differs from a fresh walk of the DocId
+    /// tree; `None` when they agree.
+    pub(crate) fn postings_mismatch(&self) -> Option<String> {
+        match load_postings(self.id, self.codec, &self.docid) {
+            Ok(fresh) => self.postings.mismatch(&fresh),
+            Err(e) => Some(e.to_string()),
+        }
+    }
+
     /// Verify every packed tree (fence array against pages, leaf chain,
     /// entry counts): `(name, None)` for a clean tree, `(name,
     /// Some(message))` otherwise.
@@ -419,6 +432,27 @@ impl Segment {
             },
         })
     }
+}
+
+/// The entries of segment `id`'s DocId tree, in key order; a record `codec`
+/// does not decode is [`Error::Corrupt`].
+fn load_postings(id: u64, codec: Codec, docid: &PackedTree) -> Result<Postings> {
+    let mut postings = Postings::default();
+    let mut bad = None;
+    let visit = decoding(
+        &mut bad,
+        |k, _| codec.decode_docid(k),
+        |_, (n, doc)| {
+            postings.push(n, doc);
+            ControlFlow::Continue(())
+        },
+    );
+    docid.for_each_in(.., visit)?;
+    if bad.is_some() {
+        return Err(malformed(id, "docid"));
+    }
+    postings.shrink_to_fit();
+    Ok(postings)
 }
 
 /// The error for a record of segment `id`'s `tree` that no encoder of the
@@ -483,21 +517,8 @@ impl SearchSource for Segment {
         scopes: &[(u128, u128)],
         f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> Result<()> {
-        let mut bad = None;
-        let visit = decoding(
-            &mut bad,
-            |k, _| self.codec.decode_docid(k),
-            |_, (n, doc)| f(n, doc),
-        );
-        self.docid.for_each_in_ranges(
-            scopes.len(),
-            |i, lo, hi| {
-                lo.extend_from_slice(self.codec.docid_bound(scopes[i].0).as_slice());
-                hi.extend_from_slice(self.codec.docid_bound(scopes[i].1).as_slice());
-            },
-            visit,
-        )?;
-        self.refuse("docid", bad)
+        self.postings.join(scopes, f);
+        Ok(())
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
@@ -923,6 +944,43 @@ pub(crate) mod tests {
         check(&[(last + 1, last + 2), (last + 5, vist_seq::MAX_SCOPE)]);
     }
 
+    /// The DocId resolution the postings column replaced: a multi-range
+    /// cursor walk of the DocId tree, each scope's label alone as its bounds.
+    fn cursor_docids(
+        seg: &Segment,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
+    ) {
+        let bound = |n: u128| match seg.codec {
+            Codec::V1 => n.to_be_bytes().to_vec(),
+            Codec::V2 => Key::new().uint(n).as_slice().to_vec(),
+        };
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
+            |k, _| seg.codec.decode_docid(k),
+            |_, (n, doc)| f(n, doc),
+        );
+        let bounds = |i: usize, lo: &mut Vec<u8>, hi: &mut Vec<u8>| {
+            lo.extend_from_slice(&bound(scopes[i].0));
+            hi.extend_from_slice(&bound(scopes[i].1));
+        };
+        seg.docid
+            .for_each_in_ranges(scopes.len(), bounds, visit)
+            .unwrap();
+        assert!(bad.is_none());
+    }
+
+    fn assert_joins_like_the_cursor(seg: &Segment) {
+        for seed in 1..4 {
+            crate::postings::assert_joins_like_the_cursor(
+                &|scopes, f| seg.docids_in_scopes(scopes, f).unwrap(),
+                &|scopes, f| cursor_docids(seg, scopes, f),
+                seed,
+            );
+        }
+    }
+
     #[test]
     fn docid_scopes_are_closed_at_lo_and_open_at_hi_in_both_formats() {
         let docs: Vec<(DocId, String)> = (0..40)
@@ -932,6 +990,7 @@ pub(crate) mod tests {
         let (_dir, v2, _) = build(&refs);
         assert_eq!(v2.format_version(), 2);
         check_docid_scopes(&v2);
+        assert_joins_like_the_cursor(&v2);
 
         // The segment a binary from before format 2 wrote (see
         // `tests/segment_v1.rs`), on a copy: its log was checkpointed before
@@ -942,6 +1001,66 @@ pub(crate) mod tests {
         let v1 = Segment::open(&RealVfs, &dir.file("idx.vist.seg-1"), 1, 64).unwrap();
         assert_eq!(v1.format_version(), 1);
         check_docid_scopes(&v1);
+        assert_joins_like_the_cursor(&v1);
+    }
+
+    /// A segment of five trees, only the DocId tree holding records, at
+    /// `path`.
+    fn write_postings_only(path: &Path, postings: Vec<(Vec<u8>, Vec<u8>)>) {
+        let frames = FrameFile::create(&RealVfs, path, 512).unwrap();
+        let mut w = SegmentWriter::create(Arc::new(BufferPool::with_capacity(frames, 0))).unwrap();
+        for tree in [vec![], vec![], postings, vec![], vec![]] {
+            w.add_tree(tree).unwrap();
+        }
+        w.finish(&[0; META_LEN]).unwrap();
+    }
+
+    #[test]
+    fn an_empty_docid_tree_resolves_nothing_and_a_cut_record_fails_the_open() {
+        let dir = TempDir::new("vist-core-segment-postings");
+        write_postings_only(&dir.file("seg-1"), Vec::new());
+        let empty = Segment::open(&RealVfs, &dir.file("seg-1"), 1, 64).unwrap();
+        assert_eq!(empty.postings_bytes(), 0);
+        assert_eq!(empty.postings_mismatch(), None);
+        assert_joins_like_the_cursor(&empty);
+
+        // The middle posting loses the last byte of its document id.
+        let key = |n, doc| (Codec::V2.docid_key(n, doc).as_slice().to_vec(), Vec::new());
+        let mut cut = key(300, 70_000);
+        cut.0.pop();
+        let path = dir.file("seg-2");
+        write_postings_only(&path, vec![key(5, 1), cut, key(301, 2)]);
+        match Segment::open(&RealVfs, &path, 2, 64) {
+            Err(Error::Corrupt(msg)) => {
+                assert_eq!(msg, "segment 2: docid tree: malformed record");
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn a_postings_column_missing_a_posting_differs_from_the_docid_tree() {
+        let docs: Vec<(DocId, String)> = (0..40)
+            .map(|i| (i, format!("<r><a>{}</a><b>{}</b></r>", i % 7, i % 3)))
+            .collect();
+        let refs: Vec<(DocId, &str)> = docs.iter().map(|(i, x)| (*i, x.as_str())).collect();
+        let (_dir, mut seg, _) = build(&refs);
+        assert_eq!(seg.postings_mismatch(), None);
+        assert_eq!(seg.postings_bytes(), 24 * 40);
+        let mut short = Postings::default();
+        seg.postings
+            .join(&[(0, vist_seq::MAX_SCOPE)], &mut |n, doc| {
+                if doc != 17 {
+                    short.push(n, doc);
+                }
+                ControlFlow::Continue(())
+            });
+        seg.postings = short;
+        let msg = seg.postings_mismatch().unwrap();
+        assert!(
+            msg.contains("holds 39 entries and the DocId tree 40"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -127,6 +127,10 @@ ingest_counters! {
         /// offsets and leaf ids of every packed tree) — what segments keep
         /// outside the buffer pool.
         pub segment_fence_bytes: u64,
+        /// Bytes of memory the postings columns of every tier hold (the
+        /// delta's and each segment's DocId entries, decoded at open):
+        /// the other memory a tier keeps outside the buffer pool.
+        pub postings_bytes: u64,
         /// Removed documents, of any tier, whose records stay until the
         /// next compaction: the delete tombstones that mask them (a failed
         /// insert's document has one too). A compaction policy's input.

@@ -20,10 +20,11 @@ use std::sync::Arc;
 
 use vist_btree::{codec::KeyWriter, BTree};
 use vist_seq::{SiblingOrder, Sym, SymbolTable};
-use vist_storage::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use vist_storage::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vist_storage::{BufferPool, PageId};
 
 use crate::error::{Error, Result};
+use crate::postings::Postings;
 use crate::search::{DkStats, SearchSource};
 
 /// Identifier of an indexed document.
@@ -121,6 +122,12 @@ pub struct Store {
     sancestor: BTree,
     /// DocId tree.
     docid: BTree,
+    /// The DocId tree's entries, decoded at open; what the DocId stage of a
+    /// query reads.
+    postings: RwLock<Postings>,
+    /// Entries [`Store::docid_put`] wrote to the tree since the last
+    /// [`Store::publish_postings`].
+    pending: Mutex<Vec<(u128, DocId)>>,
     /// Trie-edge tree (insertion only).
     edges: BTree,
     /// Symbol table / order / documents.
@@ -172,6 +179,8 @@ impl Store {
             dancestor,
             sancestor,
             docid,
+            postings: RwLock::new(Postings::default()),
+            pending: Mutex::new(Vec::new()),
             edges,
             aux,
             meta: RwLock::new(Meta::fresh(lambda, adaptive, store_documents)),
@@ -227,6 +236,8 @@ impl Store {
             dancestor,
             sancestor,
             docid,
+            postings: RwLock::new(Postings::default()),
+            pending: Mutex::new(Vec::new()),
             edges,
             aux,
             meta: RwLock::new(meta),
@@ -235,6 +246,7 @@ impl Store {
             persisted_symbols: AtomicUsize::new(0),
         };
         *store.dkstats.write() = store.count_dkid_stats()?;
+        *store.postings.write() = store.load_postings()?;
         let (table, order) = store.load_table_and_order()?;
         store
             .persisted_symbols
@@ -503,16 +515,65 @@ impl Store {
         Ok(())
     }
 
-    // ----- DocId tree -----
+    // ----- DocId tree and its postings column -----
 
     pub(crate) fn docid_key(n: u128, doc: DocId) -> [u8; 24] {
         Self::label_key(n, doc)
     }
 
-    /// Attach a document id to node `n`.
+    /// Attach a document id to node `n`. Queries see it once
+    /// [`Store::publish_postings`] has run.
     pub fn docid_put(&self, n: u128, doc: DocId) -> Result<()> {
         self.docid.insert(&Self::docid_key(n, doc), &[])?;
+        self.pending.lock().push((n, doc));
         Ok(())
+    }
+
+    /// Merge the entries put since the last call into the postings column,
+    /// in one sorted pass: what ends a batch's apply, or a single insert.
+    pub fn publish_postings(&self) {
+        let mut pending = self.pending.lock();
+        if !pending.is_empty() {
+            self.postings.write().merge(&mut pending);
+        }
+    }
+
+    /// The DocId tree's entries, from one key-order walk; a record that is
+    /// not a 24-byte [`Store::docid_key`] is [`Error::Corrupt`] naming it.
+    fn load_postings(&self) -> Result<Postings> {
+        let mut postings = Postings::default();
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
+            |k, _| decode_docid(k),
+            |_, (n, doc)| {
+                postings.push(n, doc);
+                ControlFlow::Continue(())
+            },
+        );
+        self.docid.for_each_in(.., visit)?;
+        refuse("docid", bad)?;
+        Ok(postings)
+    }
+
+    /// Bytes of memory the postings column holds.
+    pub(crate) fn postings_bytes(&self) -> u64 {
+        self.postings.read().heap_bytes()
+    }
+
+    /// Where the postings column differs from a fresh walk of the DocId
+    /// tree; `None` when they agree.
+    pub(crate) fn postings_mismatch(&self) -> Option<String> {
+        match self.load_postings() {
+            Ok(fresh) => self.postings.read().mismatch(&fresh),
+            Err(e) => Some(e.to_string()),
+        }
+    }
+
+    /// Replace the postings column, returning the one it held.
+    #[cfg(test)]
+    pub(crate) fn plant_postings(&self, postings: Postings) -> Postings {
+        std::mem::replace(&mut *self.postings.write(), postings)
     }
 
     // ----- stored documents (aux, chunked) -----
@@ -605,9 +666,9 @@ impl Store {
     /// segment: reset the pool, forgetting every page of the five trees (aux
     /// too, the live segment ids with it), allocate the meta page and five
     /// empty roots again in [`Store::create`]'s order, and reset the planner
-    /// statistics and per-delta counters. The globals aux held (symbols,
-    /// sibling order, stats model) live on in memory, with `next_doc` and
-    /// `doc_count`. Callers hold the writer lock, exclude readers, put the
+    /// statistics, the postings column and per-delta counters. The globals
+    /// aux held (symbols, sibling order, stats model) live on in memory, with
+    /// `next_doc` and `doc_count`. Callers hold the writer lock, exclude readers, put the
     /// live segment ids again and commit with `VistIndex::commit_locked` (a
     /// bare [`Store::flush`] would leave out the stats model).
     pub(crate) fn clear_delta(&self) -> Result<()> {
@@ -624,6 +685,8 @@ impl Store {
         }
         self.persisted_symbols.store(0, Ordering::Relaxed);
         self.dkstats.write().clear();
+        *self.postings.write() = Postings::default();
+        self.pending.lock().clear();
         let mut meta = self.meta.write();
         meta.next_dkey = 0;
         meta.root = NodeState {
@@ -815,20 +878,8 @@ impl SearchSource for Store {
         scopes: &[(u128, u128)],
         f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
     ) -> Result<()> {
-        let mut bad = None;
-        let visit = decoding(&mut bad, |k, _| decode_docid(k), |_, (n, doc)| f(n, doc));
-        // The cursor's ranges are open at both ends, a scope is closed at
-        // `lo`, and doc ids start at 0: the label alone, a proper prefix of
-        // every `(lo, doc)` key, sorts immediately before the first of them.
-        self.docid.for_each_in_ranges(
-            scopes.len(),
-            |i, lo, hi| {
-                lo.extend_from_slice(&scopes[i].0.to_be_bytes());
-                hi.extend_from_slice(&scopes[i].1.to_be_bytes());
-            },
-            visit,
-        )?;
-        refuse("docid", bad)
+        self.postings.read().join(scopes, f);
+        Ok(())
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
@@ -878,6 +929,7 @@ mod tests {
     }
 
     fn docids_in(s: &Store, scopes: &[(u128, u128)]) -> Vec<DocId> {
+        s.publish_postings();
         let mut out = Vec::new();
         s.docids_in_scopes(scopes, &mut |_, doc| {
             out.push(doc);
@@ -1149,6 +1201,79 @@ mod tests {
         }
     }
 
+    /// The DocId resolution the postings column replaced: a multi-range
+    /// cursor walk of the DocId tree, each scope's label alone as its bounds.
+    fn cursor_docids(
+        s: &Store,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(u128, DocId) -> ControlFlow<()>,
+    ) {
+        let mut bad = None;
+        let visit = decoding(&mut bad, |k, _| decode_docid(k), |_, (n, doc)| f(n, doc));
+        let bounds = |i: usize, lo: &mut Vec<u8>, hi: &mut Vec<u8>| {
+            lo.extend_from_slice(&scopes[i].0.to_be_bytes());
+            hi.extend_from_slice(&scopes[i].1.to_be_bytes());
+        };
+        s.docid
+            .for_each_in_ranges(scopes.len(), bounds, visit)
+            .unwrap();
+        assert!(bad.is_none());
+    }
+
+    #[test]
+    fn the_postings_column_resolves_like_the_docid_cursor() {
+        let s = mem_store();
+        let differential = |s: &Store, seed| {
+            crate::postings::assert_joins_like_the_cursor(
+                &|scopes, f| s.docids_in_scopes(scopes, f).unwrap(),
+                &|scopes, f| cursor_docids(s, scopes, f),
+                seed,
+            );
+        };
+        // An empty delta.
+        differential(&s, 1);
+        // Batches of postings at spread labels, several documents to some
+        // labels, document 0 and label 0 among them, published a batch at a
+        // time as ingest does.
+        let mut x = 0x5EED_u64;
+        for batch in 0..6u64 {
+            for i in 0..400 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let doc = batch * 400 + i;
+                let n = if doc < 2 {
+                    0
+                } else {
+                    u128::from(x % 5_000) << 70
+                };
+                s.docid_put(n, doc).unwrap();
+            }
+            s.publish_postings();
+            differential(&s, batch + 2);
+        }
+        assert!(s.tree_breakdown().unwrap().docid.leaf_pages > 10);
+        assert_eq!(s.postings_mismatch(), None);
+
+        // A column that lacks one posting is told from the tree.
+        let mut short = Postings::default();
+        let mut at = 0;
+        s.docids_in_scopes(&[(0, vist_seq::MAX_SCOPE)], &mut |n, doc| {
+            if at != 100 {
+                short.push(n, doc);
+            }
+            at += 1;
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        s.plant_postings(short);
+        let msg = s.postings_mismatch().unwrap();
+        assert!(
+            msg.contains("holds 2399 entries and the DocId tree 2400"),
+            "{msg}"
+        );
+    }
+
     #[test]
     fn clear_delta_keeps_globals_drops_index() {
         let s = mem_store();
@@ -1164,6 +1289,7 @@ mod tests {
         )
         .unwrap();
         s.docid_put(5, 1).unwrap();
+        assert_eq!(docids_in(&s, &[(0, 1000)]), vec![1]);
         s.doc_put(1, b"<x/>").unwrap();
         s.tomb_put(2).unwrap();
         s.meta_mut().next_doc = 2;

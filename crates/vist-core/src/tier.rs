@@ -648,6 +648,7 @@ pub(crate) fn stats_mismatch(source: &dyn SearchSource, entries: &[(u64, u64)]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::Postings;
     use crate::segment::tests::add_parsed;
     use crate::{IndexOptions, NaiveIndex, QueryOptions};
     use vist_storage::testutil::TempDir;
@@ -937,6 +938,63 @@ mod tests {
             idx.compact().unwrap();
             counted(&idx, "after a compaction");
         }
+    }
+
+    /// Every tier's postings column equals its DocId tree — the delta's
+    /// after single inserts and a batch, after a reopen that decodes it again
+    /// and after a compaction that empties it — and `check` reports a column
+    /// that lacks one posting.
+    #[test]
+    fn every_tiers_postings_column_equals_its_docid_tree() {
+        let corpus = corpora().swap_remove(0);
+        let dir = TempDir::new("vist-core-tier-postings");
+        let path = dir.file("idx.vist");
+        let idx = VistIndex::create_file(&path, corpus.opts.clone()).unwrap();
+        let (docs, split) = (&corpus.docs, corpus.delta_from);
+        idx.bulk_build(&docs[..split / 2]).unwrap();
+        idx.bulk_build(&docs[split / 2..split]).unwrap();
+        let rest = &docs[split..];
+        for xml in &rest[..rest.len() / 2] {
+            idx.insert_xml(xml).unwrap();
+        }
+        idx.insert_batch(&rest[rest.len() / 2..], 2).unwrap();
+        let clean = |idx: &VistIndex, when: &str, tiers: usize| {
+            let report = idx.check().unwrap();
+            assert_eq!(
+                report.matches(" postings ok").count(),
+                tiers,
+                "{when}: {report}"
+            );
+            assert!(report.contains("\ndelta postings ok"), "{when}: {report}");
+        };
+        clean(&idx, "before a reopen", 3);
+        assert!(idx.stats().postings_bytes >= 24 * docs.len() as u64);
+
+        let mut short = Postings::default();
+        let mut at = 0;
+        idx.store
+            .docids_in_scopes(&[(0, MAX_SCOPE)], &mut |n, doc| {
+                if at != 7 {
+                    short.push(n, doc);
+                }
+                at += 1;
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+        let whole = idx.store.plant_postings(short);
+        let Err(Error::Corrupt(report)) = idx.check() else {
+            panic!("check passed a column one posting short");
+        };
+        assert!(report.contains("delta postings CORRUPT"), "{report}");
+        idx.store.plant_postings(whole);
+
+        idx.flush().unwrap();
+        drop(idx);
+        let idx = VistIndex::open_file(&path, 64).unwrap();
+        clean(&idx, "after a reopen", 3);
+        idx.compact().unwrap();
+        clean(&idx, "after a compaction", 2);
+        assert_eq!(idx.store.postings_bytes(), 0);
     }
 
     #[test]

@@ -373,11 +373,14 @@ impl VistIndex {
             ..self.ingest_counters.snapshot().into()
         };
         self.count_segments(&mut stats, &segments);
+        stats.postings_bytes += self.store.postings_bytes();
         vist_obs::gauge!("vist_core_segments").set(segments.len() as i64);
         let legacy = segments.iter().filter(|s| s.format_version() < 2).count();
         vist_obs::gauge!("vist_core_segments_legacy_format").set(legacy as i64);
         vist_obs::gauge!("vist_core_segment_fence_bytes")
             .set(i64::try_from(stats.segment_fence_bytes).unwrap_or(i64::MAX));
+        vist_obs::gauge!("vist_core_postings_bytes")
+            .set(i64::try_from(stats.postings_bytes).unwrap_or(i64::MAX));
         stats
     }
 
@@ -392,6 +395,7 @@ impl VistIndex {
             stats.segment_dkeys += seg.dkey_count;
             stats.segment_bytes += seg.store_bytes();
             stats.segment_fence_bytes += seg.fence_bytes();
+            stats.postings_bytes += seg.postings_bytes();
         }
     }
 
@@ -399,7 +403,8 @@ impl VistIndex {
     /// order, node bounds, uniform depth, leaf chains; for the packed trees
     /// of each segment, the in-memory fence array against the pages), every
     /// tier's label nesting, its planner statistics against its S-Ancestor
-    /// entries, and basic meta consistency. Returns a human-readable report
+    /// entries, its postings column against a fresh walk of its DocId tree,
+    /// and basic meta consistency. Returns a human-readable report
     /// when everything is clean, or [`Error::Corrupt`] carrying the report
     /// when it is not.
     /// Backs the `vist check` CLI command; intended to run after a crash
@@ -441,6 +446,17 @@ impl VistIndex {
                     }
                 }
             }
+        }
+        line(
+            format_args!("delta postings"),
+            self.store.postings_mismatch(),
+        );
+        for seg in &segments {
+            let problem = seg.postings_mismatch();
+            line(
+                format_args!("{} postings", tier_name(Some(seg.id))),
+                problem,
+            );
         }
         let mut s = IndexStats::default();
         self.count_segments(&mut s, &segments);

@@ -398,7 +398,7 @@ fn stats(a: &mut Args) -> Result<String, String> {
     let [index] = a.operands("exactly one index path")?;
     let idx = open(&index)?;
     // `stats()` refreshes the registry gauges (documents, segments, fence
-    // bytes) so all three formats see current values.
+    // and postings bytes) so all three formats see current values.
     let s = idx.stats();
     if let Some(render) = registry {
         return Ok(render(&vist_obs::snapshot()));
@@ -413,6 +413,7 @@ fn stats(a: &mut Args) -> Result<String, String> {
     writeln!(out, "segment documents:    {}", s.segment_docs).unwrap();
     writeln!(out, "segment bytes:        {}", s.segment_bytes).unwrap();
     writeln!(out, "segment fence bytes:  {}", s.segment_fence_bytes).unwrap();
+    writeln!(out, "postings bytes:       {}", s.postings_bytes).unwrap();
     writeln!(out, "tombstones:           {}", s.tombstones).unwrap();
     writeln!(out, "tight underflows:     {}", s.underflows).unwrap();
     writeln!(out, "node incarnations:    {}", s.deep_borrows).unwrap();
@@ -1283,6 +1284,7 @@ mod tests {
             "segment documents",
             "segment bytes",
             "segment fence bytes",
+            "postings bytes",
             "tombstones",
             "tight underflows",
             "node incarnations",

@@ -449,7 +449,10 @@ fn a_seek_left_of_a_freshly_split_key_chases_the_forward_link() {
     // the right sibling (2), moves the upper half there and links it, and
     // only then allocates the new root (3). Gating allocation 3 parks the
     // writer inside exactly that window: the split is complete, the root
-    // pointer still names the left half.
+    // pointer still names the left half. The keys descend, so each insert
+    // lands in front of the leaf's first record and the split cuts at the
+    // middle (a key past the last record would go alone to the right).
+    let k = |i: usize| key(2 * (999 - i));
     let (reached_tx, reached) = channel();
     let (release, release_rx) = channel();
     let pager = GatedPager {
@@ -464,18 +467,22 @@ fn a_seek_left_of_a_freshly_split_key_chases_the_forward_link() {
     let committed = AtomicUsize::new(0);
     let chases = || vist_obs::snapshot().counter("vist_btree_leaf_chase_total");
     std::thread::scope(|s| {
+        // Owned by this closure, so a failing assertion below drops it while
+        // unwinding: the parked writer's `recv` then fails instead of
+        // waiting for ever, and the scope can join it.
+        let release = release;
         let writer = s.spawn(|| {
             while tree.root_page() == root {
                 let i = committed.load(Ordering::Relaxed);
-                tree.insert(&key(2 * i), &value(i)).unwrap();
+                tree.insert(&k(i), &value(i)).unwrap();
                 committed.store(i + 1, Ordering::Release);
             }
         });
         reached.recv().unwrap();
-        // Keys 0..n are committed; key n is the insert parked in the window
-        // (already in the right sibling, not yet acknowledged). Every page
-        // is cached, so the reads below never need the pager the writer
-        // holds.
+        // Inserts 0..n are committed; insert n, the smallest key, is the one
+        // parked in the window (already in the root leaf, not yet
+        // acknowledged). Every page is cached, so the reads below never need
+        // the pager the writer holds.
         let n = committed.load(Ordering::Acquire);
         assert_eq!(tree.root_page(), root, "the root pointer has not moved");
         let in_root = tree.tree_stats().unwrap().entries as usize;
@@ -483,36 +490,39 @@ fn a_seek_left_of_a_freshly_split_key_chases_the_forward_link() {
             (1..n).contains(&in_root),
             "the root leaf kept the lower half only: {in_root} of {n}"
         );
+        // The keys from insert `i`'s on, in key order: inserts `i` down to 0.
         let expect_from = |i: usize| -> Vec<(Vec<u8>, Vec<u8>)> {
-            (i..=n).map(|j| (key(2 * j), value(j))).collect()
+            (0..=i).rev().map(|j| (k(j), value(j))).collect()
         };
         let before = chases();
-        // Every seek lands on the root leaf; committed keys `in_root..n`
-        // are reachable only through its forward link.
+        // Every seek lands on the root leaf; the largest `n + 1 - in_root`
+        // committed keys are reachable only through its forward link.
         for i in 0..n {
-            let k = key(2 * i);
+            let key = k(i);
             assert_eq!(
-                tree.get_with(&k, <[u8]>::to_vec).unwrap(),
+                tree.get_with(&key, <[u8]>::to_vec).unwrap(),
                 Some(value(i)),
                 "committed key {i} of {n}"
             );
             assert_eq!(
-                streamed(&tree, (Bound::Included(&k[..]), Bound::Unbounded)),
+                streamed(&tree, (Bound::Included(&key[..]), Bound::Unbounded)),
                 expect_from(i)
             );
+            let mut after = expect_from(i);
+            after.remove(0);
             assert_eq!(
-                streamed(&tree, (Bound::Excluded(&k[..]), Bound::Unbounded)),
-                expect_from(i + 1)
+                streamed(&tree, (Bound::Excluded(&key[..]), Bound::Unbounded)),
+                after
             );
             let scanned: Vec<_> = tree
-                .scan(k.as_slice()..)
+                .scan(key.as_slice()..)
                 .unwrap()
                 .collect::<Result<_>>()
                 .unwrap();
             assert_eq!(scanned, expect_from(i));
         }
         assert!(
-            chases() - before >= (n - in_root) as u64,
+            chases() - before >= (n + 1 - in_root) as u64,
             "point probes right of the root leaf chased link1"
         );
         assert_eq!(tree.root_page(), root, "the window stayed open throughout");

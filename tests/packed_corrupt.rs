@@ -446,8 +446,6 @@ fn shorten_delta_records_where(
 
 #[test]
 fn delta_records_a_byte_short_are_corrupt_not_a_panic() {
-    // None ends on a record's last node: a posting whose key is cut short
-    // sorts before the start of a range that begins at its own label.
     const QUERIES: [&str; 3] = ["/r/a[text='3']", "//c", "/r[a='1']/b/c"];
     // (tree the error names, lengths the tree's writer produces, damaged).
     for (tree, from, to) in [
@@ -473,14 +471,22 @@ fn delta_records_a_byte_short_are_corrupt_not_a_panic() {
 
         let n = shorten_delta_records(&path, opts.page_size, from, to);
         assert!(n > 10, "{tree}: {n} records of shape {from:?}");
-        let idx = VistIndex::open_file(&path, opts.cache_pages).unwrap();
+        let named =
+            |msg: &str| msg.contains(&format!("delta: {tree} tree")) && msg.contains("key [");
+        // The open decodes the DocId tree into the postings column, so a cut
+        // posting fails the open; the S-Ancestor tree is read by queries.
+        let idx = match VistIndex::open_file(&path, opts.cache_pages) {
+            Err(vist_core::Error::Corrupt(msg)) if tree == "docid" => {
+                assert!(named(&msg), "{tree} {to:?}: open: {msg}");
+                continue;
+            }
+            Ok(idx) if tree != "docid" => idx,
+            other => panic!("{tree} {to:?}: open: {:?}", other.map(|_| ())),
+        };
         for q in QUERIES {
             match idx.query(q, &QueryOptions::default()) {
                 Err(vist_core::Error::Corrupt(msg)) => {
-                    assert!(
-                        msg.contains(&format!("delta: {tree} tree")) && msg.contains("key ["),
-                        "{tree} {to:?}: {q}: {msg}"
-                    );
+                    assert!(named(&msg), "{tree} {to:?}: {q}: {msg}");
                 }
                 other => panic!("{tree} {to:?}: {q}: {:?}", other.map(|r| r.doc_ids)),
             }
