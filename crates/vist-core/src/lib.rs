@@ -76,6 +76,7 @@ pub fn register_metrics() {
     let _ = vist_obs::gauge!("vist_core_segments");
     let _ = vist_obs::gauge!("vist_core_segment_fence_bytes");
     let _ = vist_obs::gauge!("vist_core_postings_bytes");
+    let _ = vist_obs::gauge!("vist_core_segment_run_bytes");
     let _ = vist_obs::gauge!("vist_core_segments_legacy_format");
     let _ = vist_obs::gauge!("vist_core_delta_leaf_fill_bp");
     let _ = vist_obs::gauge!("vist_core_segment_leaf_fill_bp");

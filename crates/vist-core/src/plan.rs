@@ -281,12 +281,12 @@ fn collect_labels(source: &dyn SearchSource, ids: &[u64]) -> Result<Option<Vec<u
     let mut labels: Vec<u128> = Vec::new();
     for &id in ids {
         let mut over = false;
-        source.nodes_in_scopes(id, &[(0, vist_seq::MAX_SCOPE)], &mut |node| {
+        source.nodes_in_scopes(id, &[(0, vist_seq::MAX_SCOPE)], &mut |n, _| {
             if labels.len() as u64 == PLAN_PROBE_CAP {
                 over = true;
                 return ControlFlow::Break(());
             }
-            labels.push(node.n);
+            labels.push(n);
             ControlFlow::Continue(())
         })?;
         if over {

@@ -8,7 +8,9 @@
 //! join of its sorted scopes against the label column ([`Postings::join`]),
 //! and it fetches no page. A segment's column never changes; the delta's
 //! takes the postings of a batch in one sorted merge when the batch ends
-//! ([`Postings::merge`]).
+//! ([`Postings::merge`]). The ids a join yields come in label order, and
+//! [`sort_distinct`] puts them in id order, without a comparison sort where
+//! they are dense.
 
 use std::ops::ControlFlow;
 
@@ -80,7 +82,7 @@ impl Postings {
         let labels = &self.labels[..];
         let mut at = 0;
         for &(lo, hi) in scopes {
-            at += gallop(&labels[at..], lo);
+            at += gallop(&labels[at..], |n| n < lo);
             while let Some(&n) = labels.get(at).filter(|&&n| n < hi) {
                 if f(n, self.docs[at]).is_break() {
                     return;
@@ -117,36 +119,80 @@ impl Postings {
     }
 }
 
-/// The index of the first label of `rest` not below `lo` (`rest.len()` when
-/// none is): doubling steps until one passes `lo`, then a binary search of
-/// the last step, so a scope near the position costs a few comparisons.
-fn gallop(rest: &[u128], lo: u128) -> usize {
+/// The index of the first element of `rest` that is not `below` (`rest.len()`
+/// when every one is), for a `below` that holds on a prefix of `rest`:
+/// doubling steps until one fails it, then a binary search of the last step,
+/// so a bound near the start costs a few comparisons. Every in-memory merge
+/// join of sorted scopes goes through it: the postings column's and a
+/// segment's S-Ancestor runs'.
+pub(crate) fn gallop<T: Copy>(rest: &[T], below: impl Fn(T) -> bool) -> usize {
     let mut step = 1;
-    while step <= rest.len() && rest[step - 1] < lo {
+    while step <= rest.len() && below(rest[step - 1]) {
         step *= 2;
     }
     let from = step / 2;
-    from + rest[from..step.min(rest.len())].partition_point(|&n| n < lo)
+    from + rest[from..step.min(rest.len())].partition_point(|&n| below(n))
 }
 
-/// A DocId resolution: scopes in, `(n, doc)` entries out until `f` breaks.
-#[cfg(test)]
-pub(crate) type Resolve<'a> =
-    &'a dyn Fn(&[(u128, u128)], &mut dyn FnMut(u128, DocId) -> ControlFlow<()>);
+/// Sort `ids` and drop repeats, without a comparison sort where they are
+/// dense: when the span `max − min` is under 64 times their number, each id
+/// sets a bit of a bitmap over `[min, max]` (no larger than `ids`), and the
+/// set bits are read off in order. Sparser ids are sorted and deduplicated.
+pub(crate) fn sort_distinct(ids: &mut Vec<DocId>) {
+    let Some(&first) = ids.first() else {
+        return;
+    };
+    let (min, max) = ids
+        .iter()
+        .fold((first, first), |(lo, hi), &id| (lo.min(id), hi.max(id)));
+    let words = (max - min) / 64;
+    if words >= ids.len() as u64 {
+        ids.sort_unstable();
+        ids.dedup();
+        return;
+    }
+    let mut bits = vec![0u64; words as usize + 1];
+    for &id in ids.iter() {
+        let at = id - min;
+        bits[(at / 64) as usize] |= 1 << (at % 64);
+    }
+    ids.clear();
+    for (w, mut word) in bits.into_iter().enumerate() {
+        // At most `max`: no id overflows.
+        let base = min + 64 * w as u64;
+        while word != 0 {
+            ids.push(base + u64::from(word.trailing_zeros()));
+            word &= word - 1;
+        }
+    }
+}
 
-/// The DocId resolutions a query can ask of a tier, put to `join` (the
-/// tier's `docids_in_scopes`) and to `walk` (a multi-range cursor walk of its
-/// DocId tree, what the column replaced), which must yield the same entries
-/// in the same order: no scopes, the whole label space, random sorted
-/// disjoint scopes with empty ones among them, scopes past the last label,
-/// each of those stopped by `f` after a few entries, and a `limit` run's
-/// single scopes, one a call, out of order.
+/// A resolution of sorted scopes against a tier: scopes in, `(n, value)`
+/// entries out until `f` breaks — a DocId resolution (`value` the document
+/// id) or an S-Ancestor sweep of one key (`value` the scope's end).
 #[cfg(test)]
-pub(crate) fn assert_joins_like_the_cursor(join: Resolve<'_>, walk: Resolve<'_>, seed: u64) {
-    let run = |side: Resolve<'_>, scopes: &[(u128, u128)], stop: usize| {
+pub(crate) type Resolve<'a, V> =
+    &'a dyn Fn(&[(u128, u128)], &mut dyn FnMut(u128, V) -> ControlFlow<()>);
+
+/// The resolutions a query can ask of a tier, put to `join` (an in-memory
+/// merge join: the postings column, a segment's S-Ancestor runs) and to
+/// `walk` (a multi-range cursor walk of the tree it was decoded from, what
+/// the join replaced), which must yield the same entries in the same order:
+/// no scopes, the whole label space, random sorted disjoint scopes with
+/// empty ones among them, random nested and overlapping ones (visited as
+/// their union), scopes past the last label, each of those stopped by `f`
+/// after a few entries, and a `limit` run's single scopes, one a call, out
+/// of order.
+#[cfg(test)]
+pub(crate) fn assert_joins_like_the_cursor<V: Copy + PartialEq + std::fmt::Debug>(
+    join: Resolve<'_, V>,
+    walk: Resolve<'_, V>,
+    seed: u64,
+) {
+    let run = |side: Resolve<'_, V>, scopes: &[(u128, u128)], stop: usize| {
         let mut out = Vec::new();
-        side(scopes, &mut |n, doc| {
-            out.push((n, doc));
+        side(scopes, &mut |n, v| {
+            out.push((n, v));
             if out.len() < stop {
                 ControlFlow::Continue(())
             } else {
@@ -200,6 +246,17 @@ pub(crate) fn assert_joins_like_the_cursor(join: Resolve<'_>, walk: Resolve<'_>,
             check(std::slice::from_ref(scope), usize::MAX);
             check(std::slice::from_ref(scope), 1);
         }
+        // Pairs of bounds, sorted by their lower one: scopes that nest in
+        // and overlap each other.
+        let mut pairs: Vec<(u128, u128)> = (0..1 + rng(8))
+            .map(|_| {
+                let (a, b) = (near(&mut rng), near(&mut rng));
+                (a.min(b), a.max(b) + rng(2) as u128)
+            })
+            .collect();
+        pairs.sort_unstable();
+        check(&pairs, usize::MAX);
+        check(&pairs, 1 + rng(4));
     }
 }
 
@@ -230,10 +287,39 @@ mod tests {
         for from in [0, 1, 7, 64, 99, 100] {
             for lo in 0..310 {
                 let want = labels[from..].iter().take_while(|&&n| n < lo).count();
-                assert_eq!(gallop(&labels[from..], lo), want, "{from} {lo}");
+                assert_eq!(gallop(&labels[from..], |n| n < lo), want, "{from} {lo}");
             }
         }
-        assert_eq!(gallop(&[], 5), 0);
+        assert_eq!(gallop::<u128>(&[], |n| n < 5), 0);
+    }
+
+    #[test]
+    fn sort_distinct_sorts_and_dedups_dense_and_sparse_ids_alike() {
+        let check = |ids: &[DocId]| {
+            let mut want = ids.to_vec();
+            want.sort_unstable();
+            want.dedup();
+            let mut got = ids.to_vec();
+            sort_distinct(&mut got);
+            assert_eq!(got, want, "{ids:?}");
+        };
+        check(&[]);
+        check(&[7]);
+        check(&[7, 7, 7]);
+        // Dense: a bitmap of two words over 100 ids, repeats among them.
+        let dense: Vec<DocId> = (0..100).map(|i| 1_000 + (i * 37) % 90).collect();
+        check(&dense);
+        // Sparse: 5 ids over a span of millions take the comparison sort.
+        check(&[9_000_000, 3, 3, 4_500_000, 17]);
+        // Either side of the rule for two ids: a span of 127 is a bitmap of
+        // two words, one of 128 is sorted.
+        check(&[128, 1]);
+        check(&[129, 1]);
+        // Near the top of the id space, dense and sparse.
+        let top: Vec<DocId> = (0..300).map(|i| u64::MAX - (i * 7) % 200).collect();
+        check(&top);
+        check(&[u64::MAX, 0, u64::MAX, 1 << 40]);
+        check(&[u64::MAX, u64::MAX - 63, u64::MAX - 64, u64::MAX]);
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! Expanding a frame resolves the D-Ancestor candidates **once** (the lookup
 //! depends on the bindings, not on the scope) and then, per candidate,
 //! merge-joins the frame's scopes against the key's S-Ancestor entries in
-//! **one forward pass** of a multi-range cursor
-//! ([`SearchSource::nodes_in_scopes`]): a leaf is fetched once however many
-//! scopes fall on it, and the cursor seeks again only for a scope that starts
-//! beyond the leaf it stands on. The hits, ascending, become child frames of
+//! **one forward pass** ([`SearchSource::nodes_in_scopes`]): in the delta a
+//! multi-range cursor, which fetches a leaf once however many scopes fall on
+//! it and seeks again only for a scope that starts beyond the leaf it stands
+//! on; in a segment a galloping join against the key's run of entries,
+//! decoded at open, which fetches no page. The hits, ascending, become child frames of
 //! at most [`FRAME_SCOPES`] scopes each. Two things keep the frontier
 //! small:
 //!
@@ -51,8 +52,8 @@
 //! [`SearchSource::docids_in_scopes`] in one call a slice, a galloping merge
 //! join against the tier's postings column (its DocId tree's entries,
 //! decoded once at open), which fetches no page, and the ids they yield are
-//! sorted and deduplicated once. That stage is the same with planning on or
-//! off.
+//! put in order and deduplicated once, by a bitmap where they are dense
+//! ([`sort_distinct`]). That stage is the same with planning on or off.
 //!
 //! One loop consumes the work-list — [`drive`], the only caller of `expand`,
 //! on the caller's thread: the sequences' seed frames in plan order, each
@@ -87,8 +88,8 @@
 //!
 //! The plan stage between translation and matching ([`crate::plan`], once a
 //! source) uses cheap per-D-Ancestor statistics ([`DkStats`], counted by
-//! the delta at open and kept current on insert, computed exactly at
-//! segment build time)
+//! the delta at open and kept current on insert, the run lengths of a
+//! segment's S-Ancestor entries)
 //! to transform the work-list **without changing its answer**:
 //!
 //! - **Empty-prefix short-circuits** — a sequence whose concrete-prefix
@@ -138,12 +139,14 @@ use vist_seq::{dkey, PathSym, Prefix, Sym, Symbol};
 
 use crate::error::{Error, Result};
 use crate::plan::{self, est_nodes, PlanReport, SemiJoin, SeqPlan};
-use crate::store::{DocId, NodeState};
+use crate::postings::sort_distinct;
+use crate::store::DocId;
 
 /// Cheap per-D-Ancestor-entry statistics driving the planner. The delta
 /// counts them from its S-Ancestor tree at open and keeps them current on
-/// insert; segments compute them exactly at build time and pack them as an
-/// extra tree. Missing statistics degrade ordering, never correctness.
+/// insert; a segment reads them off the lengths of its S-Ancestor runs
+/// (the statistics tree it packs is checked against them). Missing
+/// statistics degrade ordering, never correctness.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DkStats {
     /// S-Ancestor entries under this key (virtual suffix-tree nodes,
@@ -159,8 +162,8 @@ pub struct DkStats {
 /// never compared.
 ///
 /// Callbacks are `&mut dyn FnMut` so the trait stays object-safe. They run
-/// under a leaf's page latch, or the postings column's lock, and must not
-/// touch the buffer pool or the source.
+/// under a leaf's page latch, or the delta's postings column's lock, and
+/// must not touch the buffer pool or the source.
 pub trait SearchSource: Sync {
     /// Exact D-Ancestor lookup: the id of `dkey`, if present.
     fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>>;
@@ -174,16 +177,17 @@ pub trait SearchSource: Sync {
         f: &mut dyn FnMut(&[u8], u64) -> ControlFlow<()>,
     ) -> Result<()>;
 
-    /// S-Ancestor nodes of `dkey_id` labeled strictly inside one of
-    /// `scopes` — `(lo, hi)` pairs sorted by `lo` — in label order, each
-    /// once however many scopes hold it, until `f` breaks: the merge join of
-    /// a sorted frontier against the key's entries, in one forward pass over
-    /// its leaves.
+    /// S-Ancestor entries of `dkey_id` labeled strictly inside one of
+    /// `scopes` — `(lo, hi)` pairs sorted by `lo` — as `f(n, end)`, the
+    /// entry's label and the exclusive end of its scope, in label order,
+    /// each once however many scopes hold it, until `f` breaks: the merge
+    /// join of a sorted frontier against the key's entries, in one forward
+    /// pass over the delta's leaves or a segment's in-memory run.
     fn nodes_in_scopes(
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
     ) -> Result<()>;
 
     /// DocId entries `(n, doc)` whose label `n` lies in one of `scopes` —
@@ -585,8 +589,7 @@ pub fn search_sequences(
                     ControlFlow::Continue(())
                 })?;
             }
-            docs.sort_unstable();
-            docs.dedup();
+            sort_distinct(&mut docs);
             timings.docid_nanos = vist_obs::elapsed_nanos(t).unwrap_or(0);
         }
     }
@@ -1310,12 +1313,11 @@ fn sweep(
     hits.clear();
     {
         let _span = vist_obs::Span::enter("sancestor_scan");
-        source.nodes_in_scopes(dkid, scopes, &mut |node| {
+        source.nodes_in_scopes(dkid, scopes, &mut |n, end| {
             stats.nodes_visited += 1;
             if track {
                 steps.entry((seq, qi)).or_default().1 += 1;
             }
-            let end = node.end();
             if collapse {
                 // Labels ascend, so a hit that ends no later than a kept one
                 // lies inside it.
@@ -1327,7 +1329,7 @@ fn sweep(
             }
             // Hits nested in one dropped here are dropped above as nested:
             // a scope inside one without a label holds none either.
-            if semijoin.is_some_and(|j| !j.meets(node.n, end)) {
+            if semijoin.is_some_and(|j| !j.meets(n, end)) {
                 stats.semijoin_prunes += 1;
                 if track {
                     steps.entry((seq, qi)).or_default().2 += 1;
@@ -1335,12 +1337,12 @@ fn sweep(
                 return ControlFlow::Continue(());
             }
             if let Some(s) = sig {
-                if !visited.insert((seq, qi + 1, dkid, node.n, s)) {
+                if !visited.insert((seq, qi + 1, dkid, n, s)) {
                     stats.dedup_skips += 1;
                     return ControlFlow::Continue(());
                 }
             }
-            hits.push((node.n, end));
+            hits.push((n, end));
             if hits.len() < piece {
                 ControlFlow::Continue(())
             } else {

@@ -28,13 +28,16 @@
 //!
 //! The `edges` tree is *not* packed — it only supports inserts, and segments
 //! never take any. Each segment is its own label space: queries run the
-//! match per source and union document ids. The statistics tree is exact
-//! (computed from the labeled trie at build time) and loaded whole at
-//! open — it feeds the query planner's selectivity estimates; segments
-//! packed before it existed open with an empty map and plan from
-//! candidate counts instead. The DocId tree is read whole at open too, into
-//! a [`Postings`] column that resolves every query's final scopes; after
-//! the open only `vist check` reads it again.
+//! match per source and union document ids. Two trees are read whole at
+//! open and queried from memory; they stay the durable copy, which only
+//! `vist check` reads again. The S-Ancestor tree becomes [`Runs`]: each
+//! entry's label and scope end, one run a dkey-id, which every sweep of
+//! Algorithm 2 merge-joins its scopes against, and whose lengths are the
+//! query planner's exact statistics. The DocId tree becomes a [`Postings`]
+//! column that resolves every query's final scopes. The statistics tree
+//! (slot 4; segments packed before it have none) holds the same counts as
+//! the run lengths, computed from the labeled trie at build time: the open
+//! does not read it, and `vist check` holds it against the runs.
 //!
 //! [`SegmentBuilder`] is the static build: documents stream in once, in
 //! ascending id order, as key paths (the dkeys of their sequences, which a
@@ -45,7 +48,7 @@
 //! record comes from it, sorted in memory, and the other trees follow; the
 //! trees take their slots in the header table in the order above.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -58,7 +61,7 @@ use vist_btree::{PackedTree, SegmentReader, SegmentWriter, TreeBuilder};
 use vist_storage::{BufferPool, FrameFile, Vfs};
 
 use crate::error::{Error, Result};
-use crate::postings::Postings;
+use crate::postings::{gallop, Postings};
 use crate::search::{DkStats, SearchSource};
 use crate::store::{self, decoding, join_chunks, DocId, NodeState, Store, StoreBreakdown};
 
@@ -132,27 +135,22 @@ impl Codec {
         }
     }
 
-    /// An S-Ancestor record met by a scope probe of one dkey-id. Two keys
-    /// that start with the same component have only such keys between
-    /// them, so the dkey-id of `k` is the probe's and is stepped over.
-    #[inline]
-    fn decode_sanc(self, k: &[u8], mut v: &[u8]) -> Option<NodeState> {
+    /// An S-Ancestor record as `(dkey-id, n, end)`: its key's two
+    /// components and the exclusive end of its scope, `n + size`.
+    fn decode_sanc(self, mut k: &[u8], mut v: &[u8]) -> Option<(u64, u128, u128)> {
         match self {
             Codec::V1 => {
                 let k: &[u8; 24] = k.try_into().ok()?;
-                Store::decode_node(u128::from_be_bytes(k[8..].try_into().ok()?), v)
+                let dkid = u64::from_be_bytes(k[..8].try_into().ok()?);
+                let node = Store::decode_node(u128::from_be_bytes(k[8..].try_into().ok()?), v)?;
+                Some((dkid, node.n, node.n.checked_add(node.size)?))
             }
             Codec::V2 => {
-                let mut k = k.get(1 + usize::from(*k.first()?)..)?;
+                let dkid = u64::try_from(take_ordered_uint(&mut k)?).ok()?;
                 let n = take_ordered_uint(&mut k)?;
-                let size = take_varint(&mut v)?;
-                let state = NodeState {
-                    n,
-                    size,
-                    next: n.checked_add(size)?,
-                    k: take_u64(&mut v)?,
-                };
-                (k.is_empty() && v.is_empty()).then_some(state)
+                let end = n.checked_add(take_varint(&mut v)?)?;
+                take_u64(&mut v)?;
+                (k.is_empty() && v.is_empty()).then_some((dkid, n, end))
             }
         }
     }
@@ -272,16 +270,17 @@ pub(crate) struct Segment {
     codec: Codec,
     dancestor: PackedTree,
     sancestor: PackedTree,
+    /// The S-Ancestor tree's entries, decoded whole at open: what a query's
+    /// sweeps read, and the planner's statistics (their run lengths).
+    runs: Runs,
     docid: PackedTree,
     /// The DocId tree's entries, decoded whole at open: what the DocId
     /// stage of a query reads.
     postings: Postings,
     docs: PackedTree,
-    /// Per-dkid planner statistics, loaded whole from the packed
-    /// statistics tree (slot 4). Empty for pre-statistics segments.
-    stats: HashMap<u64, DkStats>,
-    /// Handle on the packed statistics tree (space accounting only);
-    /// `None` for pre-statistics segments.
+    /// Handle on the packed statistics tree, which `vist check` holds
+    /// against the run lengths (and space accounting); `None` for
+    /// pre-statistics segments.
     stats_tree: Option<PackedTree>,
     pool: Arc<BufferPool>,
 }
@@ -311,34 +310,27 @@ impl Segment {
             1 => Codec::V1,
             _ => Codec::V2,
         };
-        let mut stats = HashMap::new();
-        let mut stats_tree = None;
-        if reader.tree_count() == 5 {
-            let tree = reader.tree(4)?;
-            for item in tree.scan(..)? {
-                let (k, v) = item?;
-                let (dkid, s) = codec
-                    .decode_stats(&k, &v)
-                    .ok_or_else(|| malformed(id, "stats"))?;
-                stats.insert(dkid, s);
-            }
-            stats_tree = Some(tree);
-        }
+        let (node_count, dkey_count) = (rd64(8), rd64(16));
+        let sancestor = reader.tree(1)?;
+        let runs = load_runs(id, codec, &sancestor, node_count, dkey_count)?;
         let docid = reader.tree(2)?;
         let postings = load_postings(id, codec, &docid)?;
+        let stats_tree = (reader.tree_count() == 5)
+            .then(|| reader.tree(4))
+            .transpose()?;
         Ok(Segment {
             id,
             doc_count: rd64(0),
-            node_count: rd64(8),
-            dkey_count: rd64(16),
+            node_count,
+            dkey_count,
             max_doc: rd64(24),
             codec,
             dancestor: reader.tree(0)?,
-            sancestor: reader.tree(1)?,
+            sancestor,
+            runs,
             docid,
             postings,
             docs: reader.tree(3)?,
-            stats,
             stats_tree,
             pool,
         })
@@ -400,6 +392,12 @@ impl Segment {
         self.postings.heap_bytes()
     }
 
+    /// Bytes of memory the S-Ancestor runs hold outside the pool.
+    #[must_use]
+    pub(crate) fn run_bytes(&self) -> u64 {
+        self.runs.heap_bytes()
+    }
+
     /// Where the postings column differs from a fresh walk of the DocId
     /// tree; `None` when they agree.
     pub(crate) fn postings_mismatch(&self) -> Option<String> {
@@ -407,6 +405,66 @@ impl Segment {
             Ok(fresh) => self.postings.mismatch(&fresh),
             Err(e) => Some(e.to_string()),
         }
+    }
+
+    /// Where the runs differ from a fresh walk of the S-Ancestor tree;
+    /// `None` when they agree.
+    pub(crate) fn runs_mismatch(&self) -> Option<String> {
+        match load_runs(
+            self.id,
+            self.codec,
+            &self.sancestor,
+            self.node_count,
+            self.dkey_count,
+        ) {
+            Ok(fresh) => self.runs.mismatch(&fresh),
+            Err(e) => Some(e.to_string()),
+        }
+    }
+
+    /// The first key whose record in the statistics tree does not count
+    /// the entries of its run, the count the planner reads; `None` when
+    /// every record agrees, or when the segment packs no statistics tree.
+    pub(crate) fn stats_mismatch(&self) -> Option<String> {
+        let tree = self.stats_tree.as_ref()?;
+        // The open held the key count to the node count.
+        let mut counted = vec![0; self.dkey_count as usize];
+        let (mut bad, mut stray) = (None, None);
+        let visit = decoding(
+            &mut bad,
+            |k, v| self.codec.decode_stats(k, v),
+            |_, (dkid, s)| match usize::try_from(dkid).ok().and_then(|d| counted.get_mut(d)) {
+                Some(count) => {
+                    *count = s.nodes;
+                    ControlFlow::Continue(())
+                }
+                None => {
+                    stray = Some(dkid);
+                    ControlFlow::Break(())
+                }
+            },
+        );
+        if let Err(e) = tree.for_each_in(.., visit) {
+            return Some(e.to_string());
+        }
+        if bad.is_some() {
+            return Some(malformed(self.id, "stats").to_string());
+        }
+        if let Some(dkid) = stray {
+            return Some(format!(
+                "the statistics tree counts dkey {dkid} of {}",
+                self.dkey_count
+            ));
+        }
+        (0..).zip(counted).find_map(|(dkid, nodes)| {
+            let held = self.runs.run(dkid).len() as u64;
+            (nodes != held).then(|| {
+                format!(
+                    "dkey {dkid}: the statistics tree counts {nodes} S-Ancestor entries, \
+                     the runs hold {held}"
+                )
+            })
+        })
     }
 
     /// Verify every packed tree (fence array against pages, leaf chain,
@@ -432,6 +490,183 @@ impl Segment {
             },
         })
     }
+}
+
+/// A segment's S-Ancestor entries, decoded whole at open: each entry's label
+/// and the exclusive end of its scope, in key order `(dkey-id, n)`, and
+/// where each dkey-id's run of entries starts. A segment's labels are its
+/// dense preorder ranks `1..=node_count` ([`SegmentBuilder::label`]), so
+/// labels, ends and offsets fit `u32` columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Runs {
+    /// `starts[d]..starts[d + 1]` holds dkey-id `d`'s entries: one offset a
+    /// dkey-id and one past the last.
+    starts: Vec<u32>,
+    labels: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl Runs {
+    /// Where dkey-id `dkid`'s entries lie in the columns: empty for a key
+    /// without entries, and for an id the segment does not have.
+    fn run(&self, dkid: u64) -> std::ops::Range<usize> {
+        let bounds = usize::try_from(dkid)
+            .ok()
+            .and_then(|d| self.starts.get(d..)?.get(..2));
+        match bounds {
+            Some(&[from, to]) => from as usize..to as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// The entries of `dkid` labeled strictly inside one of `scopes` —
+    /// sorted by their lower bound, overlapping ones visited as their union
+    /// — as `f(n, end)`, in label order, each once, until `f` breaks. The
+    /// position only moves forward: each scope gallops from where the one
+    /// before stopped.
+    fn join(
+        &self,
+        dkid: u64,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
+    ) {
+        let run = self.run(dkid);
+        let (labels, ends) = (&self.labels[run.clone()], &self.ends[run]);
+        let mut at = 0;
+        for &(lo, hi) in scopes {
+            let (lo, hi) = (saturate(lo), saturate(hi));
+            at += gallop(&labels[at..], |n| u64::from(n) <= lo);
+            while let Some(&n) = labels.get(at).filter(|&&n| u64::from(n) < hi) {
+                if f(n.into(), ends[at].into()).is_break() {
+                    return;
+                }
+                at += 1;
+            }
+        }
+    }
+
+    /// Every entry as `(dkey-id, n, end)`, in key order.
+    fn entries(&self) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
+        (0..self.starts.len() as u64 - 1)
+            .flat_map(move |d| self.run(d).map(move |i| (d, self.labels[i], self.ends[i])))
+    }
+
+    /// Bytes of memory the three columns hold.
+    fn heap_bytes(&self) -> u64 {
+        let words = self.starts.capacity() + self.labels.capacity() + self.ends.capacity();
+        (words * std::mem::size_of::<u32>()) as u64
+    }
+
+    /// Where `fresh`, a new walk of the S-Ancestor tree, first differs from
+    /// these runs, described; `None` when the two are equal.
+    fn mismatch(&self, fresh: &Runs) -> Option<String> {
+        if self == fresh {
+            return None;
+        }
+        let at = self
+            .entries()
+            .zip(fresh.entries())
+            .position(|(a, b)| a != b)
+            .unwrap_or(self.labels.len().min(fresh.labels.len()));
+        let entry = |r: &Runs| {
+            r.entries()
+                .nth(at)
+                .map_or("nothing".to_string(), |(d, n, end)| {
+                    format!("dkey-id {d} [{n}, {end})")
+                })
+        };
+        Some(format!(
+            "the runs hold {} entries of {} keys and the S-Ancestor tree {} of {}; entry {at} \
+             is {} in the runs and {} in the tree",
+            self.labels.len(),
+            self.starts.len() - 1,
+            fresh.labels.len(),
+            fresh.starts.len() - 1,
+            entry(self),
+            entry(fresh),
+        ))
+    }
+}
+
+/// A scope bound as a `u64`, `u64::MAX` for any bound above it: against a
+/// `u32` label it compares as the bound itself does.
+fn saturate(bound: u128) -> u64 {
+    u64::try_from(bound).unwrap_or(u64::MAX)
+}
+
+/// The entries of segment `id`'s S-Ancestor tree as [`Runs`], held to the
+/// header's counts: a record `codec` does not decode, a dkey-id that goes
+/// backwards or is not below `dkey_count`, a label or end past
+/// `node_count + 1`, a number of entries other than `node_count` and a
+/// header that counts more dkeys than nodes are [`Error::Corrupt`] naming
+/// the segment and the tree.
+fn load_runs(
+    id: u64,
+    codec: Codec,
+    tree: &PackedTree,
+    node_count: u64,
+    dkey_count: u64,
+) -> Result<Runs> {
+    let corrupt = |what: String| Error::Corrupt(format!("segment {id}: sancestor tree: {what}"));
+    // Every key has an entry, and every label and end fits the columns.
+    let limit = u32::try_from(node_count.saturating_add(1))
+        .ok()
+        .filter(|_| dkey_count <= node_count)
+        .ok_or_else(|| {
+            corrupt(format!(
+                "the header counts {dkey_count} dkeys and {node_count} nodes"
+            ))
+        })?;
+    // Each entry takes bytes of the file, so a header that counts more asks
+    // for no more memory than the file could fill.
+    let room = node_count.min(tree.pool().store_bytes()) as usize;
+    let mut runs = Runs {
+        starts: Vec::with_capacity(room.min(dkey_count as usize) + 1),
+        labels: Vec::with_capacity(room),
+        ends: Vec::with_capacity(room),
+    };
+    runs.starts.push(0);
+    let (mut bad, mut problem) = (None, None);
+    let visit = decoding(
+        &mut bad,
+        |k, v| codec.decode_sanc(k, v),
+        |_, (dkid, n, end)| {
+            let last = runs.starts.len() as u64 - 1;
+            let fits = |v: u128| u32::try_from(v).ok().filter(|&v| v <= limit);
+            problem = Some(if dkid >= dkey_count {
+                format!("dkey-id {dkid} of {dkey_count}")
+            } else if dkid < last {
+                format!("dkey-id {dkid} after dkey-id {last}")
+            } else if runs.labels.len() as u64 == node_count {
+                format!("more entries than the header's {node_count}")
+            } else if let (Some(n), Some(end)) = (fits(n), fits(end)) {
+                // At most `node_count` entries: the offset fits.
+                let at = runs.labels.len() as u32;
+                runs.starts.resize(dkid as usize + 1, at);
+                runs.labels.push(n);
+                runs.ends.push(end);
+                return ControlFlow::Continue(());
+            } else {
+                format!("dkey-id {dkid}: scope [{n}, {end}) passes label {limit}")
+            });
+            ControlFlow::Break(())
+        },
+    );
+    tree.for_each_in(.., visit)?;
+    if bad.is_some() {
+        return Err(malformed(id, "sancestor"));
+    }
+    if let Some(what) = problem {
+        return Err(corrupt(what));
+    }
+    let total = runs.labels.len() as u64;
+    if total != node_count {
+        return Err(corrupt(format!(
+            "{total} entries, the header counts {node_count}"
+        )));
+    }
+    runs.starts.resize(dkey_count as usize + 1, total as u32);
+    Ok(runs)
 }
 
 /// The entries of segment `id`'s DocId tree, in key order; a record `codec`
@@ -461,13 +696,6 @@ fn malformed(id: u64, tree: &str) -> Error {
     Error::Corrupt(format!("segment {id}: {tree} tree: malformed record"))
 }
 
-impl Segment {
-    /// `Ok` unless a walk of `tree` met a record its decoder refused.
-    fn refuse(&self, tree: &str, bad: Option<Vec<u8>>) -> Result<()> {
-        bad.map_or(Ok(()), |_| Err(malformed(self.id, tree)))
-    }
-}
-
 impl SearchSource for Segment {
     fn dkey_get(&self, dkey: &[u8]) -> Result<Option<u64>> {
         self.dancestor
@@ -486,30 +714,17 @@ impl SearchSource for Segment {
         let mut bad = None;
         let visit = decoding(&mut bad, |_, v| self.codec.decode_dkid(v), f);
         self.dancestor.for_each_in(lo..hi, visit)?;
-        self.refuse("dancestor", bad)
+        bad.map_or(Ok(()), |_| Err(malformed(self.id, "dancestor")))
     }
 
     fn nodes_in_scopes(
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
     ) -> Result<()> {
-        let mut bad = None;
-        let visit = decoding(
-            &mut bad,
-            |k, v| self.codec.decode_sanc(k, v),
-            |_, node| f(node),
-        );
-        self.sancestor.for_each_in_ranges(
-            scopes.len(),
-            |i, lo, hi| {
-                lo.extend_from_slice(self.codec.sanc_key(dkey_id, scopes[i].0).as_slice());
-                hi.extend_from_slice(self.codec.sanc_key(dkey_id, scopes[i].1).as_slice());
-            },
-            visit,
-        )?;
-        self.refuse("sancestor", bad)
+        self.runs.join(dkey_id, scopes, f);
+        Ok(())
     }
 
     fn docids_in_scopes(
@@ -522,7 +737,9 @@ impl SearchSource for Segment {
     }
 
     fn dkid_stats(&self, dkid: u64) -> Option<DkStats> {
-        self.stats.get(&dkid).copied()
+        (dkid < self.dkey_count).then(|| DkStats {
+            nodes: self.runs.run(dkid).len() as u64,
+        })
     }
 }
 
@@ -810,7 +1027,7 @@ pub(crate) mod tests {
         for (codec, value) in [(Codec::V1, &v1_value[..]), (Codec::V2, &v2_value[..])] {
             let key = codec.sanc_key(9, state.n);
             let k = key.as_slice();
-            assert_eq!(codec.decode_sanc(k, value), Some(state));
+            assert_eq!(codec.decode_sanc(k, value), Some((9, state.n, state.end())));
             // Scope probes rely on it: keys order by dkey-id, then label,
             // across every change of encoded length.
             let keys = [(9, 255), (9, 256), (9, 1 << 64), (10, 0), (256, 0)]
@@ -878,26 +1095,26 @@ pub(crate) mod tests {
         let (_dir, seg, _) = build(&[(1, "<a><b>x</b></a>"), (2, "<a><c>y</c></a>")]);
         let mut nodes = Vec::new();
         for dkid in 0..seg.dkey_count {
-            seg.nodes_in_scopes(dkid, &[(0, vist_seq::MAX_SCOPE)], &mut |node| {
-                nodes.push(node);
+            seg.nodes_in_scopes(dkid, &[(0, vist_seq::MAX_SCOPE)], &mut |n, end| {
+                nodes.push((n, end));
                 ControlFlow::Continue(())
             })
             .unwrap();
         }
-        nodes.sort_by_key(|node| node.n);
+        nodes.sort_unstable();
         assert_eq!(nodes.len() as u64, seg.node_count);
         // Labels are the preorder ranks after the virtual root's 0, and the
         // first element's scope covers every node.
-        let ns: Vec<u128> = nodes.iter().map(|node| node.n).collect();
+        let ns: Vec<u128> = nodes.iter().map(|node| node.0).collect();
         assert_eq!(ns, (1..=5).collect::<Vec<u128>>());
-        assert_eq!(nodes[0].size, 5);
-        for a in &nodes {
-            // `size` counts the node and its descendants …
-            let inside = nodes.iter().filter(|b| a.n <= b.n && b.n < a.end());
-            assert_eq!(inside.count() as u128, a.size, "node {}", a.n);
+        assert_eq!(nodes[0].1, 6);
+        for &(a, a_end) in &nodes {
+            // The scope's width counts the node and its descendants …
+            let inside = nodes.iter().filter(|&&(b, _)| a <= b && b < a_end);
+            assert_eq!(inside.count() as u128, a_end - a, "node {a}");
             // … and every scope that starts inside another ends inside it.
-            for b in nodes.iter().filter(|b| a.n < b.n && b.n < a.end()) {
-                assert!(b.end() <= a.end(), "{} in {}", b.n, a.n);
+            for &(b, b_end) in nodes.iter().filter(|&&(b, _)| a < b && b < a_end) {
+                assert!(b_end <= a_end, "{b} in {a}");
             }
         }
     }
@@ -1061,6 +1278,205 @@ pub(crate) mod tests {
             msg.contains("holds 39 entries and the DocId tree 40"),
             "{msg}"
         );
+    }
+
+    /// The S-Ancestor sweep the runs replaced: a multi-range cursor walk of
+    /// the tree, each scope's bounds the keys of `dkid` at its two labels.
+    fn cursor_nodes(
+        seg: &Segment,
+        dkid: u64,
+        scopes: &[(u128, u128)],
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
+    ) {
+        let mut bad = None;
+        let visit = decoding(
+            &mut bad,
+            |k, v| seg.codec.decode_sanc(k, v),
+            |_, (_, n, end)| f(n, end),
+        );
+        let bounds = |i: usize, lo: &mut Vec<u8>, hi: &mut Vec<u8>| {
+            lo.extend_from_slice(seg.codec.sanc_key(dkid, scopes[i].0).as_slice());
+            hi.extend_from_slice(seg.codec.sanc_key(dkid, scopes[i].1).as_slice());
+        };
+        seg.sancestor
+            .for_each_in_ranges(scopes.len(), bounds, visit)
+            .unwrap();
+        assert!(bad.is_none());
+    }
+
+    /// Every key's sweeps, and those of two ids past the last key, against
+    /// the cursor walk.
+    fn assert_sweeps_like_the_cursor(seg: &Segment) {
+        for dkid in 0..seg.dkey_count + 2 {
+            crate::postings::assert_joins_like_the_cursor(
+                &|scopes, f| seg.nodes_in_scopes(dkid, scopes, f).unwrap(),
+                &|scopes, f| cursor_nodes(seg, dkid, scopes, f),
+                dkid + 1,
+            );
+        }
+        let mut met = 0;
+        seg.nodes_in_scopes(u64::MAX, &[(0, vist_seq::MAX_SCOPE)], &mut |_, _| {
+            met += 1;
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(met, 0);
+    }
+
+    /// The records of every tree of `seg` and its header's counts, edited
+    /// by `edit`, written to `path` as a segment of the current format.
+    fn rewrite(seg: &Segment, path: &Path, edit: impl FnOnce(&mut [Records], &mut [u64; 4])) {
+        let mut trees: Vec<Records> = seg.records().into_iter().map(|(_, r)| r).collect();
+        let mut counts = [seg.doc_count, seg.node_count, seg.dkey_count, seg.max_doc];
+        edit(&mut trees, &mut counts);
+        let frames = FrameFile::create(&RealVfs, path, 4096).unwrap();
+        let mut w = SegmentWriter::create(Arc::new(BufferPool::with_capacity(frames, 0))).unwrap();
+        for tree in trees {
+            w.add_tree(tree).unwrap();
+        }
+        w.finish(&counts.map(u64::to_le_bytes).concat()).unwrap();
+    }
+
+    fn forty_records() -> (TempDir, Segment) {
+        let docs: Vec<(DocId, String)> = (0..40)
+            .map(|i| (i, format!("<r><a>{}</a><b>{}</b></r>", i % 7, i % 3)))
+            .collect();
+        let refs: Vec<(DocId, &str)> = docs.iter().map(|(i, x)| (*i, x.as_str())).collect();
+        let (dir, seg, _) = build(&refs);
+        (dir, seg)
+    }
+
+    #[test]
+    fn s_ancestor_runs_sweep_like_the_cursor_in_both_formats() {
+        let (dir, v2) = forty_records();
+        assert_eq!(v2.format_version(), 2);
+        assert_sweeps_like_the_cursor(&v2);
+        // One column entry a dkey-id and one past the last, two a node.
+        let words = v2.dkey_count + 1 + 2 * v2.node_count;
+        assert_eq!(v2.run_bytes(), 4 * words);
+        assert_eq!(v2.runs_mismatch(), None);
+        assert_eq!(v2.stats_mismatch(), None);
+
+        // Key 1 without entries: the keys after it move up one id.
+        let path = dir.file("seg-2");
+        rewrite(&v2, &path, |trees, counts| {
+            for (k, v) in &mut trees[1] {
+                let (dkid, n, _) = Codec::V2.decode_sanc(k, v).unwrap();
+                let moved = if dkid == 0 { 0 } else { dkid + 1 };
+                *k = Codec::V2.sanc_key(moved, n).as_slice().to_vec();
+            }
+            counts[2] += 1;
+        });
+        let gap = Segment::open(&RealVfs, &path, 2, 64).unwrap();
+        assert!(gap.runs.run(1).is_empty() && !gap.runs.run(2).is_empty());
+        assert_eq!(gap.dkid_stats(1), Some(DkStats { nodes: 0 }));
+        assert_eq!(gap.dkid_stats(gap.dkey_count), None);
+        assert_sweeps_like_the_cursor(&gap);
+
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/seg_v1");
+        let dir = TempDir::new("vist-core-segment-v1-runs");
+        std::fs::copy(fixture.join("idx.vist.seg-1"), dir.file("idx.vist.seg-1")).unwrap();
+        let v1 = Segment::open(&RealVfs, &dir.file("idx.vist.seg-1"), 1, 64).unwrap();
+        assert_eq!(v1.format_version(), 1);
+        assert_sweeps_like_the_cursor(&v1);
+        assert_eq!(v1.runs_mismatch(), None);
+        assert_eq!(v1.stats_mismatch(), None);
+    }
+
+    #[test]
+    fn a_cut_or_out_of_range_s_ancestor_record_fails_the_open() {
+        let (dir, seg) = forty_records();
+        let last = seg.dkey_count - 1;
+        type Edit = Box<dyn Fn(&mut [Records], &mut [u64; 4])>;
+        let cases: [(String, Edit); 4] = [
+            (
+                "malformed record".into(),
+                Box::new(|trees, _| {
+                    // The middle record loses the last byte of its value.
+                    let mid = trees[1].len() / 2;
+                    trees[1][mid].1.pop();
+                }),
+            ),
+            (
+                "passes label".into(),
+                Box::new(|trees, counts| {
+                    // The last record's label moves past every node's.
+                    let (k, v) = trees[1].last_mut().unwrap();
+                    let (dkid, n, end) = Codec::V2.decode_sanc(k, v).unwrap();
+                    let (n, size) = (u128::from(counts[1]) + 2, end - n);
+                    *k = Codec::V2.sanc_key(dkid, n).as_slice().to_vec();
+                    *v = Codec::encode_sanc_value(&NodeState {
+                        n,
+                        size,
+                        next: n + size,
+                        k: 0,
+                    });
+                }),
+            ),
+            (
+                format!(
+                    "{} entries, the header counts {}",
+                    seg.node_count,
+                    seg.node_count + 1
+                ),
+                Box::new(|_, counts| counts[1] += 1),
+            ),
+            (
+                format!("dkey-id {last} of {last}"),
+                Box::new(|_, counts| counts[2] -= 1),
+            ),
+        ];
+        for (i, (what, edit)) in cases.into_iter().enumerate() {
+            let path = dir.file(&format!("seg-{}", i + 2));
+            rewrite(&seg, &path, edit);
+            match Segment::open(&RealVfs, &path, 7, 64) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(msg.starts_with("segment 7: sancestor tree: "), "{msg}");
+                    assert!(msg.contains(&what), "{what}: {msg}");
+                }
+                other => panic!("{what}: expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
+    fn runs_missing_an_entry_and_a_wrong_statistics_record_are_reported() {
+        let (dir, mut seg) = forty_records();
+        let mut planted = seg.runs.clone();
+        let dropped = 7;
+        planted.labels.remove(dropped);
+        planted.ends.remove(dropped);
+        for start in planted.starts.iter_mut().filter(|s| **s as usize > dropped) {
+            *start -= 1;
+        }
+        let whole = std::mem::replace(&mut seg.runs, planted);
+        let msg = seg.runs_mismatch().unwrap();
+        let holds = format!("the runs hold {} entries", seg.node_count - 1);
+        assert!(msg.contains(&holds), "{msg}");
+        assert!(
+            msg.contains(&format!("entry {dropped} is dkey-id")),
+            "{msg}"
+        );
+        // The planner reads the runs, so the statistics tree no longer agrees.
+        assert!(seg.stats_mismatch().unwrap().contains("the runs hold"));
+        seg.runs = whole;
+
+        // A statistics record one too high.
+        let path = dir.file("seg-2");
+        rewrite(&seg, &path, |trees, _| {
+            let (k, v) = &mut trees[4][3];
+            let (dkid, s) = Codec::V2.decode_stats(k, v).unwrap();
+            *v = Codec::encode_stats(dkid, &DkStats { nodes: s.nodes + 1 }).1;
+        });
+        let wrong = Segment::open(&RealVfs, &path, 2, 64).unwrap();
+        let (k, v) = &seg.records()[4].1[3];
+        let (dkid, s) = Codec::V2.decode_stats(k, v).unwrap();
+        let msg = wrong.stats_mismatch().unwrap();
+        let want = format!(
+            "dkey {dkid}: the statistics tree counts {} S-Ancestor",
+            s.nodes + 1
+        );
+        assert!(msg.starts_with(&want), "{msg}");
     }
 
     #[test]

@@ -131,6 +131,11 @@ ingest_counters! {
         /// delta's and each segment's DocId entries, decoded at open):
         /// the other memory a tier keeps outside the buffer pool.
         pub postings_bytes: u64,
+        /// Bytes of memory the live segments' S-Ancestor runs hold (each
+        /// entry's label and scope end, and where each key's run starts,
+        /// decoded at open): what a segment's sweeps read instead of its
+        /// S-Ancestor tree.
+        pub segment_run_bytes: u64,
         /// Removed documents, of any tier, whose records stay until the
         /// next compaction: the delete tombstones that mask them (a failed
         /// insert's document has one too). A compaction policy's input.

@@ -851,7 +851,7 @@ impl SearchSource for Store {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
     ) -> Result<()> {
         let mut bad = None;
         let visit = decoding(
@@ -860,7 +860,7 @@ impl SearchSource for Store {
                 let k: &[u8; 24] = k.try_into().ok()?;
                 Self::decode_node(u128::from_be_bytes(k[8..].try_into().ok()?), v)
             },
-            |_, node| f(node),
+            |_, node| f(node.n, node.end()),
         );
         self.sancestor.for_each_in_ranges(
             scopes.len(),
@@ -918,10 +918,10 @@ mod tests {
     use super::*;
     use vist_storage::{FilePager, MemPager};
 
-    fn nodes_in(s: &Store, dkid: u64, lo: u128, hi: u128) -> Vec<NodeState> {
+    fn nodes_in(s: &Store, dkid: u64, lo: u128, hi: u128) -> Vec<(u128, u128)> {
         let mut out = Vec::new();
-        s.nodes_in_scopes(dkid, &[(lo, hi)], &mut |node| {
-            out.push(node);
+        s.nodes_in_scopes(dkid, &[(lo, hi)], &mut |n, end| {
+            out.push((n, end));
             ControlFlow::Continue(())
         })
         .unwrap();
@@ -981,9 +981,7 @@ mod tests {
         );
         assert_eq!(s.node_get(id, 21).unwrap(), None);
         // (10, 30) exclusive: only n=20.
-        let hits = nodes_in(&s, id, 10, 30);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].n, 20);
+        assert_eq!(nodes_in(&s, id, 10, 30), [(20, 25)]);
         // Other dkey ids are invisible.
         let other = s.dkey_get_or_create(b"other").unwrap();
         assert!(nodes_in(&s, other, 0, 1000).is_empty());

@@ -22,6 +22,7 @@ use vist_xml::Document;
 use crate::error::{Error, Result};
 use crate::ingest::data_dkey;
 use crate::plan::PlanReport;
+use crate::postings::sort_distinct;
 use crate::search::{search_sequences, SearchOptions, SearchOutcome, SearchSource};
 use crate::segment::{Segment, SegmentBuilder};
 use crate::store::DocId;
@@ -521,18 +522,18 @@ fn decode_manifest_slot(buf: &[u8]) -> Option<(u64, u64, Vec<u64>)> {
     Some((u64_at(8)?, u64_at(16)?, ids))
 }
 
-/// The tier union: join a tier's ids `run`, less those in `tombs`, into
-/// `ids` — all three ascending, and `ids` stays so and distinct. Appended,
-/// the two are sorted runs, which the stable sort merges in linear time.
+/// The tier union: join a tier's ids `run` into `ids`, less those in
+/// `tombs` — all three ascending, and `ids` stays so and distinct.
 fn join_live(ids: &mut Vec<DocId>, mut run: Vec<DocId>, tombs: &[DocId]) {
-    run.retain(|id| tombs.binary_search(id).is_err());
+    if !tombs.is_empty() {
+        run.retain(|id| tombs.binary_search(id).is_err());
+    }
     if ids.is_empty() {
         *ids = run;
-        return;
+    } else {
+        ids.append(&mut run);
+        sort_distinct(ids);
     }
-    ids.append(&mut run);
-    ids.sort();
-    ids.dedup();
 }
 
 /// Parse a stored document: it parsed when it went in, so a failure is
@@ -590,8 +591,8 @@ pub(crate) fn tier_paths(
     let (mut nodes, mut entries) = (Vec::new(), Vec::with_capacity(ids.len()));
     for (id, key) in ids {
         let before = nodes.len();
-        source.nodes_in_scopes(id, &[(0, MAX_SCOPE)], &mut |node| {
-            nodes.push((node.n, node.end(), key));
+        source.nodes_in_scopes(id, &[(0, MAX_SCOPE)], &mut |n, end| {
+            nodes.push((n, end, key));
             ControlFlow::Continue(())
         })?;
         entries.push((id, (nodes.len() - before) as u64));

@@ -381,6 +381,8 @@ impl VistIndex {
             .set(i64::try_from(stats.segment_fence_bytes).unwrap_or(i64::MAX));
         vist_obs::gauge!("vist_core_postings_bytes")
             .set(i64::try_from(stats.postings_bytes).unwrap_or(i64::MAX));
+        vist_obs::gauge!("vist_core_segment_run_bytes")
+            .set(i64::try_from(stats.segment_run_bytes).unwrap_or(i64::MAX));
         stats
     }
 
@@ -396,6 +398,7 @@ impl VistIndex {
             stats.segment_bytes += seg.store_bytes();
             stats.segment_fence_bytes += seg.fence_bytes();
             stats.postings_bytes += seg.postings_bytes();
+            stats.segment_run_bytes += seg.run_bytes();
         }
     }
 
@@ -403,8 +406,10 @@ impl VistIndex {
     /// order, node bounds, uniform depth, leaf chains; for the packed trees
     /// of each segment, the in-memory fence array against the pages), every
     /// tier's label nesting, its planner statistics against its S-Ancestor
-    /// entries, its postings column against a fresh walk of its DocId tree,
-    /// and basic meta consistency. Returns a human-readable report
+    /// entries (a segment's statistics tree against its runs), its postings
+    /// column against a fresh walk of its DocId tree, a segment's
+    /// S-Ancestor runs against a fresh walk of that tree, and basic meta
+    /// consistency. Returns a human-readable report
     /// when everything is clean, or [`Error::Corrupt`] carrying the report
     /// when it is not.
     /// Backs the `vist check` CLI command; intended to run after a crash
@@ -436,13 +441,17 @@ impl VistIndex {
                 Err(e) => line(format_args!("{tier} labels"), Some(e.to_string())),
                 Ok((.., entries)) => {
                     line(format_args!("{tier} labels"), None);
-                    // A segment packed before the statistics tree has none.
-                    let unkept = segments
-                        .iter()
-                        .any(|seg| Some(seg.id) == seg_id && !seg.keeps_stats());
-                    if !unkept {
-                        let problem = stats_mismatch(source, &entries);
-                        line(format_args!("{tier} statistics"), problem);
+                    // A segment's statistics tree is held against its runs;
+                    // one packed before the statistics tree has none.
+                    match segments.iter().find(|seg| Some(seg.id) == seg_id) {
+                        None => line(
+                            format_args!("{tier} statistics"),
+                            stats_mismatch(source, &entries),
+                        ),
+                        Some(seg) if seg.keeps_stats() => {
+                            line(format_args!("{tier} statistics"), seg.stats_mismatch());
+                        }
+                        Some(_) => {}
                     }
                 }
             }
@@ -455,6 +464,13 @@ impl VistIndex {
             let problem = seg.postings_mismatch();
             line(
                 format_args!("{} postings", tier_name(Some(seg.id))),
+                problem,
+            );
+        }
+        for seg in &segments {
+            let problem = seg.runs_mismatch();
+            line(
+                format_args!("{} sancestor", tier_name(Some(seg.id))),
                 problem,
             );
         }

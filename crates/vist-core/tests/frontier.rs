@@ -35,7 +35,7 @@ use std::ops::ControlFlow;
 use std::sync::Mutex;
 
 use vist_core::{
-    search_sequences, DkStats, DocId, IndexOptions, NaiveIndex, NodeState, QueryOptions, Result,
+    search_sequences, DkStats, DocId, IndexOptions, NaiveIndex, QueryOptions, Result,
     SearchOptions, SearchSource, VistIndex,
 };
 use vist_storage::testutil::TempDir;
@@ -374,7 +374,7 @@ impl SearchSource for CountingScans<'_> {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
     ) -> Result<()> {
         self.inner.nodes_in_scopes(dkey_id, scopes, f)
     }
@@ -452,7 +452,7 @@ impl SearchSource for OneDocument<'_> {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
     ) -> Result<()> {
         self.0.nodes_in_scopes(dkey_id, scopes, f)
     }
@@ -619,5 +619,33 @@ fn the_docid_stage_fetches_no_page_in_any_tier() {
         // The DocId stage reads each tier's postings column, not its tree.
         let resolving = r.stats.io_pool_hits + r.stats.io_pool_misses - matching;
         assert_eq!(resolving, 0, "{records} records: {leaves:?} DocId leaves");
+    }
+}
+
+#[test]
+fn a_segments_s_ancestor_sweeps_fetch_no_page() {
+    // The records of the test above, all in one segment: thousands of `z`
+    // entries over several S-Ancestor leaves, swept by queries whose every
+    // D-Ancestor lookup is an exact get.
+    let dir = TempDir::new("frontier-sweep");
+    let idx = VistIndex::create_file(dir.file("idx.vist"), IndexOptions::default()).unwrap();
+    let docs: Vec<String> = (0..5_000)
+        .map(|i| format!("<r><a>{i}</a><z>{}</z></r>", i % 2))
+        .collect();
+    idx.bulk_build(&docs).unwrap();
+    let (_, segments) = idx.tier_breakdown().unwrap();
+    let leaves = segments[0].trees.sancestor.leaf_pages;
+    assert!(leaves > 4, "{leaves} S-Ancestor leaves");
+    for q in ["/r/z[text='1']", "/r/z", "/r/a"] {
+        let r = idx.query(q, &QueryOptions::default()).unwrap();
+        let s = r.stats;
+        assert!(s.sancestor_scans > 0 && s.nodes_visited > 0, "{q}: {s:?}");
+        // A get fetches one leaf: a packed tree holds its internal levels
+        // in memory, and the delta's trees are one leaf each. So the
+        // D-Ancestor lookups, and the read of the delta's tombstones, are
+        // every fetch the query makes.
+        let fetches = s.io_pool_hits + s.io_pool_misses;
+        let lookups = s.dancestor_gets + s.planner_probes;
+        assert_eq!(fetches, lookups + 1, "{q}: {s:?}");
     }
 }

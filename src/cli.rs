@@ -397,8 +397,8 @@ fn stats(a: &mut Args) -> Result<String, String> {
     };
     let [index] = a.operands("exactly one index path")?;
     let idx = open(&index)?;
-    // `stats()` refreshes the registry gauges (documents, segments, fence
-    // and postings bytes) so all three formats see current values.
+    // `stats()` refreshes the registry gauges (documents, segments, fence,
+    // postings and run bytes) so all three formats see current values.
     let s = idx.stats();
     if let Some(render) = registry {
         return Ok(render(&vist_obs::snapshot()));
@@ -414,6 +414,7 @@ fn stats(a: &mut Args) -> Result<String, String> {
     writeln!(out, "segment bytes:        {}", s.segment_bytes).unwrap();
     writeln!(out, "segment fence bytes:  {}", s.segment_fence_bytes).unwrap();
     writeln!(out, "postings bytes:       {}", s.postings_bytes).unwrap();
+    writeln!(out, "segment run bytes:    {}", s.segment_run_bytes).unwrap();
     writeln!(out, "tombstones:           {}", s.tombstones).unwrap();
     writeln!(out, "tight underflows:     {}", s.underflows).unwrap();
     writeln!(out, "node incarnations:    {}", s.deep_borrows).unwrap();
@@ -1285,6 +1286,7 @@ mod tests {
             "segment bytes",
             "segment fence bytes",
             "postings bytes",
+            "segment run bytes",
             "tombstones",
             "tight underflows",
             "node incarnations",

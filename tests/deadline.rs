@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use vist::datagen::dblp;
 use vist::{Error, IndexOptions, QueryOptions, VistIndex};
-use vist_core::{search_sequences, DkStats, DocId, NodeState, SearchOptions, SearchSource};
+use vist_core::{search_sequences, DkStats, DocId, SearchOptions, SearchSource};
 use vist_storage::testutil::TempDir;
 
 const EXPR: &str = "/book/author";
@@ -178,7 +178,7 @@ impl SearchSource for SlowSource<'_> {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
     ) -> vist_core::Result<()> {
         self.inner.nodes_in_scopes(dkey_id, scopes, f)?;
         self.called(&self.sweeps, Hold::Sweep);

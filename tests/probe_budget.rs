@@ -56,13 +56,15 @@ fn table3_pool_fetches_and_sancestor_sweeps_stay_in_budget() {
         "Σ pool fetches {fetches}, Σ S-Ancestor sweeps {sweeps}, Σ work items {work}, Σ hits {hits}"
     );
     assert!(hits > 500, "the queries found little: {hits}");
-    // Measured 488 and 105 (614 and 126 before the label semi-join, whose
-    // label collection the fetches include). The DocId stage reads each
-    // tier's postings column and fetches no page; with the multi-range
-    // cursor over the DocId tree the fetches were 512 (threshold 675 then),
-    // and with one DocId range jump a merged scope 859 (threshold 945); with
-    // one probe a partial match the two read 15,492 and 6,688.
-    assert!(fetches <= 488, "Σ pool fetches of Q1–Q8: {fetches}");
+    // Measured 396 and 105 (614 and 126 before the label semi-join, whose
+    // label collection the fetches include). A segment's sweeps read its
+    // S-Ancestor runs and the DocId stage each tier's postings column, and
+    // neither fetches a page; with the segment's sweeps on its S-Ancestor
+    // tree the fetches were 488, with the multi-range cursor over the DocId
+    // tree 512 (threshold 675 then), and with one DocId range jump a merged
+    // scope 859 (threshold 945); with one probe a partial match the two read
+    // 15,492 and 6,688.
+    assert!(fetches <= 396, "Σ pool fetches of Q1–Q8: {fetches}");
     assert!(sweeps <= 139, "Σ S-Ancestor sweeps of Q1–Q8: {sweeps}");
     // Measured 1,267 with the label semi-join, 3,934 without: Q5–Q8 expand
     // every partial match of their unselective prefix (154, 1,216, 730 and

@@ -24,7 +24,7 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vist_core::{
-    search_sequences, DkStats, DocId, IndexOptions, NodeState, QueryOptions, Result, SearchOptions,
+    search_sequences, DkStats, DocId, IndexOptions, QueryOptions, Result, SearchOptions,
     SearchSource, VistIndex,
 };
 use vist_storage::testutil::TempDir;
@@ -73,7 +73,7 @@ impl SearchSource for Counted<'_> {
         &self,
         dkey_id: u64,
         scopes: &[(u128, u128)],
-        f: &mut dyn FnMut(NodeState) -> ControlFlow<()>,
+        f: &mut dyn FnMut(u128, u128) -> ControlFlow<()>,
     ) -> Result<()> {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
         self.inner.nodes_in_scopes(dkey_id, scopes, f)
